@@ -433,7 +433,7 @@ class Controller:
         unassigned slot could collide with the static policy's future
         first-use assignments."""
         topo = machine.topology
-        assigned = set(machine.node_map.values())
+        assigned = machine.node_owner
 
         def traffic(node):
             return sum(nbytes
@@ -457,12 +457,7 @@ class Controller:
         and running spaces only change *home*: the engine's stop path
         migrates them to the new home at their next stop.
         """
-        node_map = machine.node_map
-        for vnode, phys in sorted(node_map.items()):
-            if phys == b:
-                node_map[vnode] = c
-            elif phys == c:
-                node_map[vnode] = b
+        machine.swap_nodes(b, c)
         trace = machine.trace
         for space in machine.root.walk():
             if space.home_node == b:

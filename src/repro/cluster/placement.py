@@ -35,8 +35,9 @@ class PlacementPolicy:
 
         ``caller`` is the space whose syscall forced the assignment (or
         None for the root); policies may read any machine state —
-        topology, current ``node_map``, live transport counters — but
-        must return an unused physical node in ``range(machine.nnodes)``.
+        topology, current ``node_map`` and its inverse ``node_owner``,
+        live transport counters — but must return an unused physical
+        node in ``range(machine.nnodes)``.
         """
         return vnode
 
@@ -47,13 +48,7 @@ class RoundRobinPlacement(PlacementPolicy):
     name = "round_robin"
 
     def assign(self, machine, caller, vnode):
-        racks = machine.topology.racks()
-        order = []
-        for slot in range(max(len(rack) for rack in racks)):
-            for rack in racks:
-                if slot < len(rack):
-                    order.append(rack[slot])
-        return order[vnode]
+        return machine.topology.striped()[vnode]
 
 
 class LocalityAwarePlacement(PlacementPolicy):
@@ -72,7 +67,7 @@ class LocalityAwarePlacement(PlacementPolicy):
 
     def assign(self, machine, caller, vnode):
         topo = machine.topology
-        used = set(machine.node_map.values())
+        used = machine.node_owner
         racks = topo.racks()
         home = racks[topo.rack_of(vnode)]
         for node in home:

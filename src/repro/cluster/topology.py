@@ -72,6 +72,8 @@ class Topology:
     def __init__(self, nnodes):
         self.nnodes = nnodes
         self._routes = {}
+        self._racks = None
+        self._striped = None
 
     # -- routing -----------------------------------------------------------
 
@@ -114,8 +116,30 @@ class Topology:
     # -- structure read by placement policies ------------------------------
 
     def racks(self):
-        """Nodes grouped by rack, in rack order (flat = one big rack)."""
+        """Nodes grouped by rack, in rack order (flat = one big rack).
+
+        Built once per topology and shared by every caller: treat the
+        lists as read-only.
+        """
+        if self._racks is None:
+            self._racks = self._build_racks()
+        return self._racks
+
+    def _build_racks(self):
         return [list(range(self.nnodes))]
+
+    def striped(self):
+        """Every node once, striped across racks: slot 0 of each rack in
+        rack order, then slot 1, ... (ragged racks simply run out
+        early).  Round-robin placement indexes this by virtual node."""
+        if self._striped is None:
+            racks = self.racks()
+            self._striped = [
+                rack[slot]
+                for slot in range(max(len(rack) for rack in racks))
+                for rack in racks if slot < len(rack)
+            ]
+        return self._striped
 
     def rack_of(self, node):
         """Rack index of ``node``."""
@@ -162,7 +186,7 @@ class _RackedTopology(Topology):
     def nracks(self):
         return (self.nnodes + self.rack_size - 1) // self.rack_size
 
-    def racks(self):
+    def _build_racks(self):
         return [list(range(r * self.rack_size,
                            min((r + 1) * self.rack_size, self.nnodes)))
                 for r in range(self.nracks())]

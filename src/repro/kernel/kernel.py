@@ -120,7 +120,7 @@ class Kernel:
             if not create:
                 raise BadChildError(f"no child {childno} in space {caller.uid}")
             child = self.machine.new_space(caller, home_node=caller.cur_node)
-            caller.children[childno] = child
+            caller.attach(childno, child)
             self.kcharge(caller, self.machine.cost.space_create)
         return child
 
@@ -384,7 +384,7 @@ class Kernel:
             SpaceState.IDLE if src_space.state is SpaceState.IDLE else SpaceState.STOPPED
         )
         for num, grandchild in src_space.children.items():
-            clone.children[num] = self._copy_subtree(caller, grandchild, clone)
+            clone.attach(num, self._copy_subtree(caller, grandchild, clone))
         self.kcharge(
             caller,
             self.machine.cost.space_create
@@ -474,7 +474,7 @@ class Kernel:
             old = child.children.get(dst_child)
             if old is not None:
                 old.destroy()
-            child.children[dst_child] = self._copy_subtree(caller, src, child)
+            child.attach(dst_child, self._copy_subtree(caller, src, child))
 
         if start:
             self._start_child(caller, child, limit)
@@ -536,7 +536,7 @@ class Kernel:
             old = caller.children.get(dst_child)
             if old is not None:
                 old.destroy()
-            caller.children[dst_child] = self._copy_subtree(caller, src, caller)
+            caller.attach(dst_child, self._copy_subtree(caller, src, caller))
         if regs:
             return child.reg_view()
         return None

@@ -180,7 +180,12 @@ class Machine:
         #: PlacementPolicy instance (see repro.cluster.placement).
         self.placement = spec.resolve_placement()
         #: virtual node number -> physical node (sticky; see place()).
+        #: Written only by bind_node, which keeps the inverse below in
+        #: step.
         self.node_map = {}
+        #: physical node -> the virtual node bound to it: the used set
+        #: the bijection check and the placement policies consult.
+        self.node_owner = {}
         #: Message-level interconnect all cross-node paths route through.
         self.transport = Transport(self)
         #: Deterministic adaptive control plane: None (static knobs, the
@@ -274,16 +279,32 @@ class Machine:
         phys = self.node_map.get(vnode)
         if phys is None:
             phys = self.placement.assign(self, caller, vnode)
-            if not 0 <= phys < self.nnodes:
-                raise KernelError(
-                    f"placement policy {self.placement.name!r} returned "
-                    f"node {phys} for virtual node {vnode}")
-            if phys in self.node_map.values():
-                raise KernelError(
-                    f"placement policy {self.placement.name!r} reused "
-                    f"node {phys} (virtual node {vnode})")
-            self.node_map[vnode] = phys
+            self.bind_node(vnode, phys)
         return phys
+
+    def bind_node(self, vnode, phys):
+        """Bind ``vnode`` to free physical node ``phys`` — the only
+        writer of ``node_map`` and ``node_owner`` — refusing anything
+        that would break the bijection over ``range(nnodes)``."""
+        if not 0 <= phys < self.nnodes:
+            raise KernelError(
+                f"placement policy {self.placement.name!r} returned "
+                f"node {phys} for virtual node {vnode}")
+        if phys in self.node_owner:
+            raise KernelError(
+                f"placement policy {self.placement.name!r} reused "
+                f"node {phys} (virtual node {vnode})")
+        self.node_map[vnode] = phys
+        self.node_owner[phys] = vnode
+
+    def swap_nodes(self, b, c):
+        """Exchange the virtual nodes bound to physical nodes ``b`` and
+        ``c`` (either may be unbound); the map stays a bijection."""
+        owner = self.node_owner
+        moves = ((owner.pop(b, None), c), (owner.pop(c, None), b))
+        for vnode, phys in moves:
+            if vnode is not None:
+                self.bind_node(vnode, phys)
 
     # -- space management ---------------------------------------------------
 
@@ -390,7 +411,8 @@ class Machine:
     # -- lifecycle -----------------------------------------------------------
 
     def close(self):
-        """Kill all guest threads and release memory (idempotent)."""
+        """Unwind all guest stacks, retire the worker threads and
+        release memory (idempotent)."""
         if self._closed:
             return
         self._closed = True

@@ -145,7 +145,7 @@ class ShardCoordinator:
             return False
         siblings = [
             c for c in caller.children.values()
-            if c.state is SpaceState.READY and (c.ctx is None or c.ctx.dead)
+            if c.state is SpaceState.READY and not c.started
         ]
         if len(siblings) < self.MIN_SIBLINGS or child not in siblings:
             return False
@@ -212,10 +212,13 @@ class ShardCoordinator:
 
         Fork safety: the forking thread is the caller's guest thread —
         the sole holder of the execution baton, so every other guest
-        thread is parked in a condition wait holding no locks.  The
-        worker's surviving thread drives the sibling on a fresh guest
-        thread and exits with ``os._exit`` (no unwinding of the cloned,
-        threadless parent contexts).
+        thread is blocked acquiring its baton lock and owns nothing (a
+        ``threading.Lock`` has no owner to lose in the fork).  The
+        worker's surviving thread forgets the cloned contexts and
+        pooled workers, whose threads were not copied
+        (``Engine.after_fork``), drives the sibling on a fresh guest
+        thread and exits with ``os._exit`` (no unwinding of the parent's
+        stacks).
         """
         rfd, wfd = os.pipe()
         pid = os.fork()
@@ -271,7 +274,7 @@ class ShardCoordinator:
         trace = machine.trace
         transport = machine.transport
         machine.shard = None        # no nested sharding inside workers
-        machine.engine._contexts = []   # parent ctxs have no threads here
+        machine.engine.after_fork()     # parent threads do not exist here
 
         base = self._base
         pre_open = dict(trace._open)
@@ -426,14 +429,14 @@ class ShardCoordinator:
         # First-use placements made inside the worker must replay:
         # same assignment from the current map, no bijection clash.
         node_map = machine.node_map
-        used = set(node_map.values())
+        claimed = set()
         for vnode, phys in payload["placements"]:
             current = node_map.get(vnode)
             if current is None:
-                if phys in used or \
+                if phys in machine.node_owner or phys in claimed or \
                         machine.placement.assign(machine, None, vnode) != phys:
                     return False
-                used.add(phys)
+                claimed.add(phys)
             elif current != phys:
                 return False
         # Collect the adopted graph's frame slots; any pre-fork serial
@@ -513,6 +516,7 @@ class ShardCoordinator:
         child.visit_tokens = adopted.visit_tokens
         child.cur_node = adopted.cur_node
         child.killed = adopted.killed
+        child.started = adopted.started
         child.ctx = None
 
         # Trace suffix: segment ids shift by the parent's growth since
@@ -571,7 +575,8 @@ class ShardCoordinator:
                 serial += delta_s
             machine.frame_origin[serial] = node
         for vnode, phys in payload["placements"]:
-            machine.node_map.setdefault(vnode, phys)
+            if vnode not in node_map:
+                machine.bind_node(vnode, phys)
         transport = machine.transport
         for key, delta in payload["transport"].items():
             setattr(transport, key, getattr(transport, key) + delta)

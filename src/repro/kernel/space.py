@@ -47,6 +47,10 @@ class Space:
     def __init__(self, machine, parent, uid, home_node=0):
         self.machine = machine
         self.parent = parent
+        #: This space's number in ``parent.children`` (None until
+        #: attached, and for the root): recorded so teardown and
+        #: ``slot_path`` never search the parent's table.
+        self.slot = None
         #: Stable identifier, used as the trace context id.
         self.uid = uid
         self.addrspace = AddressSpace(
@@ -79,7 +83,10 @@ class Space:
         self.io_privilege = False
         #: Set when the machine is shutting down; unwinds the guest thread.
         self.killed = False
-        #: Guest execution context (created lazily by the engine).
+        #: True once the engine has run this space, however it stopped.
+        self.started = False
+        #: Guest execution context while the space has a live guest
+        #: stack (bound by the engine, cleared when the stack unwinds).
         self.ctx = None
 
     # -- hierarchy ---------------------------------------------------------
@@ -91,6 +98,12 @@ class Space:
     def child(self, num):
         """The child space at ``num``, or None."""
         return self.children.get(num)
+
+    def attach(self, num, child):
+        """Enter ``child`` (created with this space as parent) in the
+        child table at ``num`` — the table's only writer."""
+        child.slot = num
+        self.children[num] = child
 
     def depth(self):
         """Distance from the root space."""
@@ -111,13 +124,10 @@ class Space:
         symbolic name the debugger prints next to the uid."""
         path, space = [], self
         while space.parent is not None:
-            for num, child in space.parent.children.items():
-                if child is space:
-                    path.append(num)
-                    break
-            else:
+            if space.parent.children.get(space.slot) is not space:
                 raise KernelError(
                     f"space {self.uid} detached from parent {space.parent.uid}")
+            path.append(space.slot)
             space = space.parent
         path.reverse()
         return path
@@ -143,11 +153,13 @@ class Space:
         return view
 
     def destroy(self):
-        """Tear down this space and every descendant (kill guest threads,
-        release memory and snapshots)."""
-        for child in list(self.children.values()):
+        """Tear down this space and every descendant (unwind live guest
+        stacks, release memory and snapshots)."""
+        # Detach the whole table first: each child then finds nothing
+        # of itself to remove, so a fan-out of n tears down in O(n).
+        children, self.children = self.children, {}
+        for child in children.values():
             child.destroy()
-        self.children.clear()
         self.killed = True
         if self.ctx is not None:
             self.ctx.kill()
@@ -156,10 +168,9 @@ class Space:
             self.snapshot.release()
             self.snapshot = None
         self.addrspace.drop_all()
-        if self.parent is not None:
-            for num, child in list(self.parent.children.items()):
-                if child is self:
-                    del self.parent.children[num]
+        parent = self.parent
+        if parent is not None and parent.children.get(self.slot) is self:
+            del parent.children[self.slot]
 
     def __repr__(self):
         return (

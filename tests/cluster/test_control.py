@@ -278,7 +278,8 @@ def test_placement_needs_persistence_and_dominance(machine):
     windows trigger exactly one swap and keep the map a bijection."""
     machine.run(lambda g: 0)  # materialize a root space for _swap_nodes
     ctrl = machine.control
-    machine.node_map.update({n: n for n in range(NODES)})
+    for node in range(1, NODES):    # the root's run bound node 0
+        machine.bind_node(node, node)
     hot = {(0, 2): 1 << 20, (1, 3): 1 << 14}
     ctrl._decide_placement(machine, _window(0, {}, pair_bytes=dict(hot)),
                            None, machine.root)

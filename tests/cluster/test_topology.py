@@ -6,6 +6,7 @@ import pytest
 
 from repro.bench import cluster_workloads as cw
 from repro.cluster import (
+    Controller,
     FatTreeTopology,
     FlatTopology,
     NetworkStats,
@@ -248,6 +249,86 @@ def test_placement_must_return_unused_node():
         result = broken.run(main)
         assert result.trap.name == "EXC"
         assert "reused" in result.trap_info
+
+
+# The placement policies as first written: every call rebuilds the rack
+# lists, the stripe order and the used set from scratch.  The machine
+# keeps those between calls now; the assignments must not move.
+
+def _striped_reference(topo):
+    racks = topo.racks()
+    order = []
+    for slot in range(max(len(rack) for rack in racks)):
+        for rack in racks:
+            if slot < len(rack):
+                order.append(rack[slot])
+    return order
+
+
+def _reference_assign(policy, topo, node_map, vnode):
+    if policy == "identity":
+        return vnode
+    if policy == "round_robin":
+        return _striped_reference(topo)[vnode]
+    used = set(node_map.values())       # locality: first free home slot
+    return next(node for node in topo.racks()[topo.rack_of(vnode)]
+                if node not in used)
+
+
+@pytest.mark.parametrize("policy", ["round_robin", "locality", "identity"])
+@pytest.mark.parametrize("topology,nnodes", [
+    ("flat", 8), ("two_tier:4", 8), ("fat_tree:4", 8),
+    ("two_tier:4", 10), ("fat_tree:4", 10), ("fat_tree:3", 7),
+], ids=["flat", "two_tier", "fat_tree", "two_tier-ragged",
+        "fat_tree-ragged", "fat_tree-ragged3"])
+def test_placement_matches_the_per_call_definition(topology, nnodes, policy):
+    # First-use order is the program's: scramble it so locality sees
+    # home racks fill out of order.
+    order = [(3 * v + 3) % nnodes for v in range(nnodes)]
+    assert sorted(order) == list(range(nnodes))
+    with Machine(nnodes=nnodes, topology=topology, placement=policy) as m:
+        reference = {}
+        for vnode in order:
+            reference[vnode] = _reference_assign(
+                policy, resolve_topology(topology, nnodes), reference, vnode)
+            assert m.place(vnode) == reference[vnode]
+        assert m.node_map == reference
+        assert m.node_owner == {phys: v for v, phys in reference.items()}
+        assert sorted(m.node_owner) == list(range(nnodes))
+
+
+class _Scripted:
+    """A placement policy that answers from a script."""
+
+    name = "scripted"
+
+    def __init__(self, answers):
+        self.answers = answers
+
+    def assign(self, machine, caller, vnode):
+        return self.answers[vnode]
+
+
+@pytest.mark.parametrize("answer,complaint", [
+    (1, "reused"), (4, "returned"), (-1, "returned"),
+], ids=["reused", "past-the-end", "negative"])
+def test_bad_policy_refused_after_control_plane_swap(answer, complaint):
+    with Machine(nnodes=4, topology="two_tier:2", placement="identity") as m:
+        m.run(ship_work(3))
+        assert m.node_map == {0: 0, 1: 1, 2: 2}
+        Controller()._swap_nodes(m, 1, 2, None)
+        assert m.node_map == {0: 0, 1: 2, 2: 1}
+        assert m.node_owner == {0: 0, 2: 1, 1: 2}
+        m.placement = _Scripted({3: answer})
+        with pytest.raises(KernelError, match=complaint):
+            m.place(3)
+        assert 3 not in m.node_map and len(m.node_owner) == 3
+        # Swapping with a free node moves the binding and frees the old one.
+        Controller()._swap_nodes(m, 2, 3, None)
+        assert m.node_map == {0: 0, 1: 3, 2: 1}
+        m.placement = _Scripted({3: 2})
+        assert m.place(3) == 2
+        assert sorted(m.node_owner) == sorted(m.node_map) == [0, 1, 2, 3]
 
 
 def test_default_flat_round_robin_is_identity():

@@ -10,6 +10,7 @@ and every transport/link statistic.
 """
 
 import os
+import threading
 
 import pytest
 
@@ -114,4 +115,70 @@ def test_full_ship_mode_shards_and_matches():
     serial, sharded, shard = run_pair(cw.md5_tree_main(3), 4,
                                       ship_mode="full")
     assert shard.adopted > 0
+    assert sharded == serial
+
+
+# -- the engine's worker pool and the fork ---------------------------------
+
+def _square(g, k):
+    g.work(10_000)
+    return k * k
+
+
+def _fork(g, num, k):
+    g.put(num, regs={"entry": _square, "args": (k,)}, start=True)
+
+
+def _join(g, num):
+    return g.get(num, regs=True)["r0"]
+
+
+def run_pair_bounded(builder, nnodes, seconds=60):
+    """``run_pair`` on a helper thread, failing instead of hanging: a
+    forked worker that hands a space to a thread it does not have
+    blocks forever, so does its collector, and so would closing the
+    machine from here."""
+    result = []
+    runner = threading.Thread(
+        target=lambda: result.append(run_pair(builder, nnodes)), daemon=True)
+    runner.start()
+    runner.join(seconds)
+    assert not runner.is_alive(), f"sharded run hung for {seconds} s"
+    assert result, "sharded run raised (traceback above)"
+    return result[0]
+
+
+def test_fork_after_the_pool_has_idle_threads():
+    # Child 1 is the only READY sibling at its join, so it runs inline
+    # and leaves its host thread idle in the engine's pool.  The three
+    # forked next inherit that pool entry without its thread: a worker
+    # that took it would never come back.
+    def main(g, nnodes):
+        _fork(g, 1, 1)
+        total = _join(g, 1)
+        for num in (2, 3, 4):
+            _fork(g, num, num)
+        return total + sum(_join(g, num) for num in (2, 3, 4))
+
+    serial, sharded, shard = run_pair_bounded(main, 2)
+    assert shard.forked == shard.adopted == 3
+    assert sharded["value"] == 1 + 4 + 9 + 16
+    assert sharded == serial
+
+
+def test_restarted_sibling_is_not_taken_for_never_run():
+    # Child 1 has exited and been restarted: it holds no thread, like a
+    # space that never ran, but its earlier run is part of the parent's
+    # state, so it must run inline while 2 and 3 are forked.
+    def main(g, nnodes):
+        _fork(g, 1, 5)
+        first = _join(g, 1)
+        g.put(1, regs={"args": (6,)}, start=True)
+        _fork(g, 2, 2)
+        _fork(g, 3, 3)
+        return [first] + [_join(g, num) for num in (1, 2, 3)]
+
+    serial, sharded, shard = run_pair_bounded(main, 2)
+    assert sharded["value"] == [25, 36, 4, 9]
+    assert shard.forked == shard.adopted == 2
     assert sharded == serial

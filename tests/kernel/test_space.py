@@ -107,3 +107,32 @@ def test_repr_is_informative():
     text = repr(space)
     assert "idle" in text and space.uid in text
     machine.close()
+
+
+def test_slot_path_follows_recorded_slots_and_detects_detachment():
+    def leaf(g):
+        return 0
+
+    def mid(g):
+        g.put(9, regs={"entry": leaf}, start=True)
+        g.get(9)
+        return 0
+
+    def main(g):
+        g.put(7, regs={"entry": mid}, start=True)
+        g.get(7)
+        g.put(3, tree=(7, 4))      # Tree-copy child 7 into child 3's slot 4
+        return 0
+
+    with Machine() as m:
+        m.run(main)
+        root = m.root
+        assert root.slot_path() == []
+        assert root.children[7].children[9].slot_path() == [7, 9]
+        clone = root.children[3].children[4]
+        assert clone.slot == 4 and clone.children[9].slot_path() == [3, 4, 9]
+        # A stale handle to a replaced space names no address any more.
+        stale = root.children[7].children[9]
+        del root.children[7].children[9]
+        with pytest.raises(KernelError, match="detached"):
+            stale.slot_path()
