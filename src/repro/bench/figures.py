@@ -413,15 +413,25 @@ def figure4(tasks=FIG4_TASKS, ncpus=2):
 # ---------------------------------------------------------------------------
 
 def format_series(title, series, value_fmt="{:6.2f}"):
-    """Render a {row: {col: value}} dict as an aligned text table."""
-    lines = [title]
+    """Render a {row: {col: value}} dict as an aligned text table.
+
+    Columns are at least 10 characters and the row label at least 16;
+    each grows to fit its widest cell (plus a separating space) or name.
+    """
     cols = sorted({col for row in series.values() for col in row})
-    header = f"{'':16s}" + "".join(f"{col:>10}" for col in cols)
-    lines.append(header)
-    for row_name, row in series.items():
-        cells = "".join(
-            f"{value_fmt.format(row[col]):>10}" if col in row else f"{'-':>10}"
-            for col in cols
-        )
-        lines.append(f"{row_name:16s}{cells}")
-    return "\n".join(lines)
+    table = {
+        name: [value_fmt.format(row[col]) if col in row else "-" for col in cols]
+        for name, row in series.items()
+    }
+    label = max([16] + [len(name) for name in table])
+    widths = [
+        max([10, len(str(col)) + 1] + [len(cells[i]) + 1 for cells in table.values()])
+        for i, col in enumerate(cols)
+    ]
+
+    def line(name, cells):
+        return f"{name:{label}s}" + "".join(
+            f"{cell:>{width}}" for cell, width in zip(cells, widths))
+
+    return "\n".join([title, line("", cols)]
+                     + [line(name, cells) for name, cells in table.items()])

@@ -128,8 +128,9 @@ class Guest:
         nbytes = dtype.itemsize * count
         self.charge(_MEM_BASE + (nbytes >> 4))
         self.kernel.touch(self.space, addr, nbytes)
-        raw = self.space.addrspace.read(addr, nbytes, check_perm=True)
-        return np.frombuffer(raw, dtype=dtype).copy()
+        raw = self.space.addrspace.read(addr, nbytes, check_perm=True,
+                                        mutable=True)
+        return np.frombuffer(raw, dtype=dtype)
 
     def array_write(self, addr, arr):
         """Write a numpy array into private memory."""

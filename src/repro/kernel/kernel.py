@@ -330,18 +330,9 @@ class Kernel:
         # vpn-ascending batched pulls, grouped by producing node.
         fetch_by_origin = {}
         redeems = []
-        # Unmapped vpns have nothing to fetch or cache.  Walk whichever
-        # side is smaller: the range itself (scalar accesses stay O(1))
-        # or the mapped-page set (huge sparse ranges — whole-share
-        # merges — stay O(mapped) instead of O(range)).
-        if vpn1 - vpn0 + 1 <= aspace.mapped_page_count():
-            vpns = range(vpn0, vpn1 + 1)
-        else:
-            vpns = aspace.mapped_vpns_in(vpn0, vpn1 + 1)
-        for vpn in vpns:
+        # Unmapped vpns have nothing to fetch or cache.
+        for vpn in aspace.mapped_vpns_in(vpn0, vpn1 + 1):
             frame = aspace.frame(vpn)
-            if frame is None:
-                continue
             # The cache maps serial -> newest generation seen at this
             # node; older generations can never be served again, so
             # replacing (rather than accumulating) bounds the cache to

@@ -17,6 +17,11 @@ operations), which records the touched vpn in a per-space *dirty ledger*
 stamped with a monotonically increasing write clock.  Snapshots record
 the clock at capture time; merges and re-snapshots then enumerate the
 pages written since in O(dirty) instead of scanning every mapped page.
+
+No table scans (DESIGN.md §2): every range operation enumerates its
+pages through :func:`table_vpns_in`, which probes the range when it is
+narrower than the table and scans the table otherwise, so an operation
+costs what it names — never the size of the tables it runs against.
 """
 
 import bisect
@@ -24,7 +29,7 @@ import bisect
 import numpy as np
 
 from repro.common.errors import PageFaultError, PermissionFault
-from repro.mem.page import Page, PAGE_SIZE, PAGE_SHIFT
+from repro.mem.page import Page, PAGE_SIZE, PAGE_SHIFT, _ZERO_BYTES
 from repro.mem.layout import VA_SIZE
 
 #: Page permission bits, set via the kernel's Perm option (paper Table 2).
@@ -48,6 +53,19 @@ class MemCounters:
     def snapshot(self):
         """Return a plain dict copy of the counters."""
         return {name: getattr(self, name) for name in self.__slots__}
+
+
+def table_vpns_in(table, vpn0, vpn1):
+    """Ascending keys of the vpn-keyed ``table`` inside ``[vpn0, vpn1)``.
+
+    The one range-enumeration rule: probe the range when it is narrower
+    than the table, scan the table otherwise.  Regions are huge but
+    sparse and tables can be large while the range names one page, so
+    the cost is O(min(range, table)) either way round.
+    """
+    if vpn1 - vpn0 <= len(table):
+        return [vpn for vpn in range(vpn0, vpn1) if vpn in table]
+    return sorted([vpn for vpn in table if vpn0 <= vpn < vpn1])
 
 
 def _check_range(addr, size):
@@ -95,12 +113,9 @@ class AddressSpace:
         return sorted(self._pages)
 
     def mapped_vpns_in(self, vpn0, vpn1):
-        """Sorted mapped vpns in ``[vpn0, vpn1)``.
-
-        Address-space regions are huge (hundreds of MB) but sparse, so all
-        range operations iterate mapped pages, never the full page range.
-        """
-        return sorted(v for v in self._pages if vpn0 <= v < vpn1)
+        """Sorted mapped vpns in ``[vpn0, vpn1)`` (see
+        :func:`table_vpns_in` for what the enumeration costs)."""
+        return table_vpns_in(self._pages, vpn0, vpn1)
 
     def frame(self, vpn):
         """The :class:`Page` mapped at ``vpn``, or None."""
@@ -164,15 +179,6 @@ class AddressSpace:
 
     # -- page-level operations --------------------------------------------
 
-    def _map(self, vpn, page, perm=None):
-        old = self._pages.get(vpn)
-        if old is not None:
-            old.decref()
-        self._pages[vpn] = page
-        if perm is not None:
-            self._perms[vpn] = perm
-        self._mark_dirty(vpn)
-
     def _ensure_writable(self, vpn):
         """Return a privately-owned frame for ``vpn``, allocating or
         COW-copying as needed.  Returns (page, cost_event) where cost_event
@@ -199,22 +205,35 @@ class AddressSpace:
 
     # -- byte-level access (used by the guest API) ------------------------
 
-    def read(self, addr, size, check_perm=False):
-        """Read ``size`` bytes at ``addr``.  Unmapped pages read as zeros."""
+    def read(self, addr, size, check_perm=False, mutable=False):
+        """Read ``size`` bytes at ``addr``.  Unmapped pages read as zeros.
+
+        Returns ``bytes``, or with ``mutable=True`` a fresh ``bytearray``
+        the caller owns (a writable buffer at the same single copy).
+        """
         _check_range(addr, size)
-        out = bytearray(size)
-        pos = 0
-        while pos < size:
-            vpn = (addr + pos) >> PAGE_SHIFT
-            off = (addr + pos) & (PAGE_SIZE - 1)
-            n = min(PAGE_SIZE - off, size - pos)
-            if check_perm and not (self.perm(vpn) & PERM_R):
-                raise PermissionFault(addr + pos, "read")
-            page = self._pages.get(vpn)
-            if page is not None:
-                out[pos : pos + n] = page.data[off : off + n]
-            pos += n
-        return bytes(out)
+        empty = bytearray() if mutable else b""
+        if size == 0:
+            return empty
+        vpn0 = addr >> PAGE_SHIFT
+        vpn1 = ((addr + size - 1) >> PAGE_SHIFT) + 1
+        if check_perm and self._perms:
+            # Only pages with an explicit permission can be unreadable.
+            for vpn in table_vpns_in(self._perms, vpn0, vpn1):
+                if not (self._perms[vpn] & PERM_R):
+                    raise PermissionFault(max(addr, vpn << PAGE_SHIFT), "read")
+        # Whole-page buffers, the two ends trimmed through memoryviews,
+        # joined once: one copy of the data however many pages it spans.
+        pages = self._pages
+        parts = [pages[vpn].data if vpn in pages else _ZERO_BYTES
+                 for vpn in range(vpn0, vpn1)]
+        off = addr & (PAGE_SIZE - 1)
+        end = off + size - ((vpn1 - vpn0 - 1) << PAGE_SHIFT)
+        if end != PAGE_SIZE:
+            parts[-1] = memoryview(parts[-1])[:end]
+        if off:
+            parts[0] = memoryview(parts[0])[off:]
+        return empty.join(parts)
 
     def write(self, addr, data, check_perm=False):
         """Write ``data`` at ``addr``.  Returns the number of page events
@@ -317,38 +336,56 @@ class AddressSpace:
         src_vpn0 = src_addr >> PAGE_SHIFT
         dst_vpn0 = dst_addr >> PAGE_SHIFT
         npages = size >> PAGE_SHIFT
-        # Only pages mapped on either side can need work (sparse ranges).
-        candidates = set(src.mapped_vpns_in(src_vpn0, src_vpn0 + npages))
         shift = dst_vpn0 - src_vpn0
-        candidates.update(
-            v - shift for v in self.mapped_vpns_in(dst_vpn0, dst_vpn0 + npages)
-        )
-        touched = 0
-        for svpn in sorted(candidates):
-            i = svpn - src_vpn0
-            spage = src._pages.get(src_vpn0 + i)
-            dvpn = dst_vpn0 + i
-            dpage = self._pages.get(dvpn)
-            if spage is None:
+        spages, dpages, perms = src._pages, self._pages, self._perms
+        mark_dirty = self._mark_dirty
+        # Only pages mapped on either side can need work (sparse ranges):
+        # the source's pages, plus destination pages with no source page
+        # (those get unmapped), in ascending order.
+        candidates = src.mapped_vpns_in(src_vpn0, src_vpn0 + npages)
+        stale = [
+            dvpn - shift
+            for dvpn in self.mapped_vpns_in(dst_vpn0, dst_vpn0 + npages)
+            if dvpn - shift not in spages
+        ]
+        if stale:
+            candidates = sorted(candidates + stale)
+        touched = shared = 0
+        for svpn in candidates:
+            dvpn = svpn + shift
+            spage = spages.get(svpn)
+            dpage = dpages.get(dvpn)
+            # A frame both sides already share is in sync: no bookkeeping.
+            if spage is not dpage:
                 if dpage is not None:
                     dpage.decref()
-                    del self._pages[dvpn]
-                    self._mark_dirty(dvpn)
-                    touched += 1
-                self._perms.pop(dvpn, None)
-                if perm is not None:
-                    self._perms[dvpn] = perm
-                continue
-            if spage is dpage:
-                # Already sharing the identical frame: content is in sync,
-                # but a requested permission change must still apply.
-                if perm is not None:
-                    self._perms[dvpn] = perm
-                continue
-            self._map(dvpn, spage.incref(), perm)
-            self.counters.pages_shared += 1
-            touched += 1
+                if spage is None:
+                    del dpages[dvpn]
+                else:
+                    dpages[dvpn] = spage.incref()
+                    shared += 1
+                mark_dirty(dvpn)
+                touched += 1
+            if spage is None:
+                perms.pop(dvpn, None)
+            if perm is not None:
+                perms[dvpn] = perm
+        self.counters.pages_shared += shared
         return touched
+
+    def adopt_frame(self, vpn, page):
+        """Map ``page`` at ``vpn`` copy-on-write, leaving permissions
+        alone: a one-page Copy without the range machinery (so a frame
+        already shared at ``vpn`` is left as it is).  Merge's whole-frame
+        adoption uses this."""
+        old = self._pages.get(vpn)
+        if old is page:
+            return
+        if old is not None:
+            old.decref()
+        self._pages[vpn] = page.incref()
+        self._mark_dirty(vpn)
+        self.counters.pages_shared += 1
 
     def unmap_page(self, vpn):
         """Drop the frame at ``vpn`` (demand-zero on next access) without
@@ -378,7 +415,7 @@ class AddressSpace:
             self._pages.pop(vpn).decref()
             self._mark_dirty(vpn)
             removed += 1
-        for vpn in [v for v in self._perms if vpn0 <= v < vpn0 + npages]:
+        for vpn in table_vpns_in(self._perms, vpn0, vpn0 + npages):
             del self._perms[vpn]
         self.counters.pages_zeroed += removed
         return removed

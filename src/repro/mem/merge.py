@@ -15,15 +15,19 @@ Two implementations live here (DESIGN.md):
 
 * the **tracked** path — used when the snapshot was captured from a
   dirty-tracking child — enumerates candidates from the child's dirty
-  ledger in O(written-since-snap), adopts parent-unchanged pages
-  (parent frame still the pinned snapshot frame, which *is* the
-  baseline-tag check) without reading their bytes, and diffs the
-  remaining
-  both-sides-dirty pages as one stacked ``(N, 4096)`` uint8 ndarray
-  operation instead of a Python per-page loop;
+  ledger, adopts parent-unchanged pages (parent frame still the pinned
+  snapshot frame, which *is* the baseline-tag check) without reading
+  their bytes, and diffs the remaining both-sides-dirty pages as one
+  stacked ``(N, 4096)`` uint8 ndarray operation instead of a Python
+  per-page loop.  Each candidate costs three page-table probes and each
+  adoption one remap (``AddressSpace.adopt_frame``), so the whole merge
+  is O(written-since-snap) whatever the size of the two page tables
+  (``tests/mem/test_table_reads.py`` holds it to that);
 * the **legacy** path — kept for untracked spaces and as the ablation
-  baseline (``benchmarks/bench_ablation_dirtytrack.py``) — scans the
-  union of mapped pages and byte-diffs every COW-broken page.
+  baseline (``benchmarks/bench_ablation_dirtytrack.py``) — enumerates
+  the union of the pages mapped in the merge range (by the probe-or-scan
+  rule of ``addrspace.table_vpns_in``) and byte-diffs every COW-broken
+  page.
 
 On success both paths produce identical parent memory, and both raise
 on exactly the same triples with the same first-conflict address; only
@@ -106,16 +110,14 @@ MODES = ("strict", "lenient", "override")
 BATCH_PAGES = 4096
 
 
-def _adopt(parent, child, child_frame, vpn, stats):
+def _adopt(parent, child_frame, vpn, stats):
     """Adopt the child's whole page into the parent (parent unchanged
     since the snapshot): a COW remap — or an unmap when the child
     dropped the page — never a byte copy, and never a permission change."""
     if child_frame is None:
         parent.unmap_page(vpn)
     else:
-        parent.copy_range_from(
-            child, vpn << PAGE_SHIFT, vpn << PAGE_SHIFT, PAGE_SIZE
-        )
+        parent.adopt_frame(vpn, child_frame)
     stats.pages_adopted += 1
     stats.written_vpns.append(vpn)
 
@@ -240,7 +242,7 @@ def _merge_tracked(parent, child, snapshot, candidates, mode, stats):
             stats.written_vpns.append(vpns[row])
 
     for vpn, child_frame in adopt:
-        _adopt(parent, child, child_frame, vpn, stats)
+        _adopt(parent, child_frame, vpn, stats)
 
 
 # -- legacy path (untracked spaces; ablation baseline) ---------------------
@@ -277,7 +279,7 @@ def _merge_legacy(parent, child, snapshot, vpn0, vpn1, mode, stats):
         # Fast path 2: parent still maps the snapshot frame -> parent
         # unchanged; adopt the child's whole frame copy-on-write.
         if parent_frame is snap_frame:
-            _adopt(parent, child, child_frame, vpn, stats)
+            _adopt(parent, child_frame, vpn, stats)
             continue
 
         parent_arr = _page_array(parent_frame)

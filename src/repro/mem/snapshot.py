@@ -16,6 +16,7 @@ page bytes — :meth:`baseline_tag` exists for introspection, tests, and
 delta tooling, not as a separate merge fast path.
 """
 
+from repro.mem.addrspace import table_vpns_in
 from repro.mem.page import PAGE_SHIFT, PAGE_SIZE
 
 
@@ -91,8 +92,8 @@ class Snapshot:
         return self._frames.get(vpn)
 
     def frame_vpns_in(self, vpn0, vpn1):
-        """Vpns of retained frames inside ``[vpn0, vpn1)``."""
-        return [v for v in self._frames if vpn0 <= v < vpn1]
+        """Ascending vpns of retained frames inside ``[vpn0, vpn1)``."""
+        return table_vpns_in(self._frames, vpn0, vpn1)
 
     def baseline_tag(self, vpn):
         """The ``(serial, generation)`` content tag snapshotted at ``vpn``,

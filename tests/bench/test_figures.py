@@ -90,3 +90,28 @@ def test_table3_counts_components():
 def test_format_series_renders():
     text = figures.format_series("T", {"a": {1: 1.0, 2: 2.0}, "b": {1: 3.0}})
     assert "T" in text and "a" in text and "-" in text
+
+
+def test_format_series_sizes_columns_from_their_widest_cell():
+    series = {
+        "two-tier": {50: 19_711_537, 95: 26_755_585, 10: 544},
+        "two-tier+locality": {50: 9_579_445, 95: 12_366_745},
+    }
+    lines = figures.format_series("T", series, value_fmt="{:,}").split("\n")
+    assert lines == [
+        "T",
+        "                         10         50         95",
+        "two-tier                544 19,711,537 26,755,585",
+        "two-tier+locality         -  9,579,445 12,366,745",
+    ]
+    assert all(len(line) == len(lines[1]) for line in lines[1:])
+
+
+def test_format_series_keeps_the_layout_of_tables_that_fit():
+    text = figures.format_series("T", {"md5": {1: 1.0, 12: 11.25}, "lu": {12: 3.5}})
+    assert text == "\n".join([
+        "T",
+        f"{'':16s}{1:>10}{12:>10}",
+        f"{'md5':16s}{'  1.00':>10}{' 11.25':>10}",
+        f"{'lu':16s}{'-':>10}{'  3.50':>10}",
+    ])

@@ -61,6 +61,58 @@ def test_array_read_returns_private_copy():
     assert run(main).r0 == 0
 
 
+def test_array_read_is_writable_and_leaves_the_frames_alone():
+    def main(g):
+        g.array_write(A, np.arange(1024, dtype=np.int64))      # two pages
+        aspace = g.space.addrspace
+        frames = [aspace.frame(vpn) for vpn in aspace.mapped_vpns()]
+        before = [(f, f.generation, bytes(f.data)) for f in frames]
+        one_page = g.array_read(A + 8, np.int64, 4)
+        two_pages = g.array_read(A + 8, np.int64, 1000)
+        for arr in (one_page, two_pages):
+            assert arr.flags.writeable and arr[0] == 1
+            arr[:] = -1
+        after = [(f, f.generation, bytes(f.data))
+                 for f in (aspace.frame(vpn) for vpn in aspace.mapped_vpns())]
+        return after == before and g.load(A + 8, 8) == 1
+
+    assert run(main).r0 is True
+
+
+def test_array_read_unaligned_over_a_hole():
+    page = 4096
+
+    def main(g):
+        g.array_write(A, np.full(3 * page, 7, dtype=np.uint8))
+        g.zero_range(A + page, page)                     # unmap the middle
+        got = g.array_read(A + 5, np.uint8, 3 * page - 10)
+        want = np.full(3 * page, 7, dtype=np.uint8)
+        want[page:2 * page] = 0
+        exact = g.array_read(A + page - 16, np.int64, 2)  # ends on a boundary
+        return (bool((got == want[5:-5]).all()), exact.tolist(),
+                g.space.addrspace.mapped_page_count())
+
+    assert run(main).r0 == (True, [0x0707070707070707] * 2, 2)
+
+
+def test_array_read_perm_fault_names_the_first_unreadable_page():
+    page = 4096
+
+    def child(g):
+        g.array_read(A + 24, np.uint8, 3 * page)
+
+    def main(g):
+        g.array_write(A, np.ones(4 * page, dtype=np.uint8))
+        g.put(1, regs={"entry": child}, copy=(A, 4 * page), start=True,
+              perm=(A + 2 * page, page, 0))
+        view = g.get(1, regs=True)
+        return view["trap"].name, view["trap_info"]
+
+    name, info = run(main).r0
+    assert name == "PERM_FAULT"
+    assert f"{A + 2 * page:#010x}" in info and "read" in info
+
+
 def test_mapped_context_manager_writes_back():
     def main(g):
         g.array_write(A, np.arange(16, dtype=np.int32))

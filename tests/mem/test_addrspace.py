@@ -196,3 +196,101 @@ def test_writable_view_respects_page_permissions(space):
         space.as_array(0x1000, 8, writable=False, check_perm=True)
     # Unchecked access (kernel-internal use) still works.
     assert len(space.as_array(0x1000, 8)) == 8
+
+
+# -- the bulk read path ------------------------------------------------------
+
+def _image(space, base, npages):
+    """Distinct bytes on every page of ``[base, base + npages pages)``;
+    returns the expected flat image."""
+    image = bytearray()
+    for page in range(npages):
+        data = bytes((page * 7 + i) % 251 for i in range(PAGE_SIZE))
+        space.write(base + page * PAGE_SIZE, data)
+        image += data
+    return image
+
+
+def test_read_unaligned_start_and_end_across_pages(space):
+    image = _image(space, 0x4000, 4)
+    for start, size in [(5, 3 * PAGE_SIZE + 11), (PAGE_SIZE - 1, 2),
+                        (17, 40), (PAGE_SIZE + 9, PAGE_SIZE)]:
+        assert space.read(0x4000 + start, size) == image[start:start + size]
+
+
+def test_read_fills_unmapped_holes_with_zeros(space):
+    image = _image(space, 0x4000, 5)
+    for hole in (1, 3):
+        space.zero_range(0x4000 + hole * PAGE_SIZE, PAGE_SIZE)
+        image[hole * PAGE_SIZE:(hole + 1) * PAGE_SIZE] = bytes(PAGE_SIZE)
+    assert space.read(0x4000 + 100, 5 * PAGE_SIZE - 200) == image[100:-100]
+    # A read that starts and ends inside holes, and one entirely in one.
+    assert space.read(0x5000 + 9, 2 * PAGE_SIZE + 9) == \
+        image[PAGE_SIZE + 9:3 * PAGE_SIZE + 18]
+    assert space.read(0x5000 + 9, 30) == bytes(30)
+    assert space.mapped_page_count() == 3          # reads map nothing
+
+
+def test_read_ending_exactly_on_a_page_boundary(space):
+    image = _image(space, 0x4000, 3)
+    assert space.read(0x4000 + 77, 2 * PAGE_SIZE - 77) == image[77:2 * PAGE_SIZE]
+    assert space.read(0x4000, 3 * PAGE_SIZE) == image
+    assert space.read(0x4000 + PAGE_SIZE - 1, 1) == image[PAGE_SIZE - 1:PAGE_SIZE]
+    assert space.read(0x4000, 0) == b""
+
+
+def test_read_permission_fault_names_the_first_offending_address(space):
+    _image(space, 0x4000, 4)
+    space.set_perm(0x6000, PAGE_SIZE, PERM_W)          # third page: no R
+    with pytest.raises(PermissionFault) as fault:
+        space.read(0x4000 + 5, 4 * PAGE_SIZE - 5, check_perm=True)
+    assert (fault.value.addr, fault.value.needed) == (0x6000, "read")
+    # A fault on the first page names the unaligned start, not its page.
+    with pytest.raises(PermissionFault) as fault:
+        space.read(0x6000 + 5, 100, check_perm=True)
+    assert fault.value.addr == 0x6000 + 5
+    # An unmapped page can be unreadable too; pages before it are fine.
+    space.set_perm(0x9000, PAGE_SIZE, PERM_NONE)
+    with pytest.raises(PermissionFault) as fault:
+        space.read(0x7000 + 1, 3 * PAGE_SIZE, check_perm=True)
+    assert fault.value.addr == 0x9000
+    assert space.read(0x7000 + 1, 2 * PAGE_SIZE - 1, check_perm=True)
+    # Unchecked reads ignore permissions altogether.
+    assert len(space.read(0x4000 + 5, 4 * PAGE_SIZE - 5)) == 4 * PAGE_SIZE - 5
+
+
+def test_mutable_read_returns_a_private_bytearray(space):
+    image = _image(space, 0x4000, 2)
+    frame = space.frame(4)
+    generation = frame.generation
+    for addr, size in [(0x4000 + 3, 10), (0x4000 + 3, PAGE_SIZE + 10)]:
+        out = space.read(addr, size, mutable=True)
+        assert type(out) is bytearray and out == image[3:3 + size]
+        out[0] ^= 0xFF
+        assert space.read(addr, size) == image[3:3 + size]
+    assert type(space.read(0x4000, 0, mutable=True)) is bytearray
+    assert type(space.read(0x4000, 8)) is bytes
+    assert frame.generation == generation and space.frame(4) is frame
+
+
+# -- range enumeration --------------------------------------------------------
+
+def test_mapped_vpns_in_is_sorted_on_both_sides_of_the_rule(space):
+    for vpn in (40, 9, 23, 8, 31):              # unsorted insertion order
+        space.write(vpn * PAGE_SIZE, b"x")
+    # narrower than the table: probed
+    assert space.mapped_vpns_in(8, 10) == [8, 9]
+    assert space.mapped_vpns_in(10, 12) == []
+    # wider than the table: scanned
+    assert space.mapped_vpns_in(9, 41) == [9, 23, 31, 40]
+    assert space.mapped_vpns_in(0, 1 << 19) == [8, 9, 23, 31, 40]
+    assert space.mapped_vpns_in(12, 12) == []
+
+
+def test_zero_range_drops_permissions_inside_the_range_only(space):
+    space.set_perm(0x1000, 8 * PAGE_SIZE, PERM_R)
+    space.zero_range(0x3000, 2 * PAGE_SIZE)            # narrow: probed
+    assert [space.perm(vpn) for vpn in range(1, 9)] == \
+        [PERM_R, PERM_R, PERM_RW, PERM_RW, PERM_R, PERM_R, PERM_R, PERM_R]
+    space.zero_range(0x2000, 64 * PAGE_SIZE)           # wide: scanned
+    assert [space.perm(vpn) for vpn in range(1, 9)] == [PERM_R] + [PERM_RW] * 7

@@ -1,0 +1,242 @@
+"""Differential oracle for the bulk Copy and for Merge's adoption remap.
+
+``reference_copy`` is the per-page ``copy_range_from`` body this
+repository shipped before the bulk rewrite (two table scans, a candidate
+set, a sort, ``_map`` -> ``_mark_dirty`` per page), kept here as the
+reference.  Every hypothesis example builds the same world twice — random
+sparse source/destination tables, frames the two already share, stale
+permissions, a dirty ledger with history — runs the production operation
+on one and the reference on the other, and requires the two worlds to be
+indistinguishable: frame identity at every vpn, refcounts, ``_perms``,
+the ledger (clock, latest-per-vpn map, event log, and ``dirty_since`` for
+tokens taken before the call), ``MemCounters`` and the return value.
+"""
+
+from hypothesis import given, settings, strategies as st
+
+from repro.mem import (
+    AddressSpace,
+    PAGE_SHIFT,
+    PAGE_SIZE,
+    PERM_NONE,
+    PERM_R,
+    PERM_RW,
+    Page,
+)
+from repro.mem import merge
+from repro.mem.merge import MergeStats
+
+#: Tables live in ``[VPN0, VPN0 + UNIVERSE)``; ranges may be wider, so
+#: both sides of the probe-or-scan rule are exercised.
+VPN0 = 0x40
+UNIVERSE = 24
+
+
+# -- the reference: the old per-page Copy, verbatim in behaviour ------------
+
+
+def _scan(table, vpn0, vpn1):
+    return sorted(v for v in table if vpn0 <= v < vpn1)
+
+
+def _reference_map(space, vpn, page, perm=None):
+    old = space._pages.get(vpn)
+    if old is not None:
+        old.decref()
+    space._pages[vpn] = page
+    if perm is not None:
+        space._perms[vpn] = perm
+    space._mark_dirty(vpn)
+
+
+def reference_copy(dst, src, src_addr, dst_addr, size, perm=None):
+    src_vpn0 = src_addr >> PAGE_SHIFT
+    dst_vpn0 = dst_addr >> PAGE_SHIFT
+    npages = size >> PAGE_SHIFT
+    candidates = set(_scan(src._pages, src_vpn0, src_vpn0 + npages))
+    shift = dst_vpn0 - src_vpn0
+    candidates.update(
+        v - shift for v in _scan(dst._pages, dst_vpn0, dst_vpn0 + npages)
+    )
+    touched = 0
+    for svpn in sorted(candidates):
+        i = svpn - src_vpn0
+        spage = src._pages.get(src_vpn0 + i)
+        dvpn = dst_vpn0 + i
+        dpage = dst._pages.get(dvpn)
+        if spage is None:
+            if dpage is not None:
+                dpage.decref()
+                del dst._pages[dvpn]
+                dst._mark_dirty(dvpn)
+                touched += 1
+            dst._perms.pop(dvpn, None)
+            if perm is not None:
+                dst._perms[dvpn] = perm
+            continue
+        if spage is dpage:
+            if perm is not None:
+                dst._perms[dvpn] = perm
+            continue
+        _reference_map(dst, dvpn, spage.incref(), perm)
+        dst.counters.pages_shared += 1
+        touched += 1
+    return touched
+
+
+def reference_adopt(parent, child, child_frame, vpn, stats):
+    """Merge's ``_adopt`` as it was: a one-page Copy, or ``unmap_page``
+    when the child dropped the page."""
+    if child_frame is None:
+        parent.unmap_page(vpn)
+    else:
+        reference_copy(parent, child, vpn << PAGE_SHIFT, vpn << PAGE_SHIFT,
+                       PAGE_SIZE)
+    stats.pages_adopted += 1
+    stats.written_vpns.append(vpn)
+
+
+# -- worlds -----------------------------------------------------------------
+
+vpn_offsets = st.integers(0, UNIVERSE - 1)
+perm_values = st.sampled_from([PERM_NONE, PERM_R, PERM_RW])
+
+worlds = st.fixed_dictionaries({
+    # vpn offset -> True when the destination shares the source's frame
+    "src_pages": st.dictionaries(vpn_offsets, st.booleans(), max_size=UNIVERSE),
+    "dst_pages": st.sets(vpn_offsets, max_size=UNIVERSE),
+    "dst_perms": st.dictionaries(vpn_offsets, perm_values, max_size=6),
+    # destination history before the call; long enough to cross the
+    # ledger's compaction threshold (64 events) in some examples
+    "history": st.lists(vpn_offsets, max_size=160),
+    "track_dirty": st.booleans(),
+})
+
+
+class World:
+    """One build of a drawn world.  Frames are labelled in creation
+    order, so two builds of the same draw can be compared by label."""
+
+    def __init__(self, draw, shift=0, same_space=False):
+        self.dst = AddressSpace(track_dirty=draw["track_dirty"])
+        self.src = self.dst if same_space else AddressSpace(
+            track_dirty=draw["track_dirty"])
+        self.frames = []
+        for off in sorted(draw["dst_pages"]):
+            self._place(self.dst, VPN0 + off, self._frame())
+        for off, shared in sorted(draw["src_pages"].items()):
+            frame = self._frame()
+            self._place(self.src, VPN0 + off, frame)
+            if shared and not same_space:
+                self._place(self.dst, VPN0 + off + shift, frame)
+        self.dst._perms.update(
+            (VPN0 + off, perm) for off, perm in draw["dst_perms"].items())
+        history = draw["history"]
+        self.tokens = [self.dst.dirty_token()]
+        for n, off in enumerate(history):
+            self.dst._mark_dirty(VPN0 + off)
+            if n == len(history) // 2:
+                self.tokens.append(self.dst.dirty_token())
+        self.tokens.append(self.dst.dirty_token())
+
+    def _frame(self):
+        frame = Page(bytes([len(self.frames) % 251]) * PAGE_SIZE)
+        frame.decref()          # held by page tables only
+        self.frames.append(frame)
+        return frame
+
+    def _place(self, space, vpn, frame):
+        old = space._pages.get(vpn)
+        if old is not None:
+            old.decref()
+        space._pages[vpn] = frame.incref()
+
+    def observe(self, result):
+        label = {id(frame): n for n, frame in enumerate(self.frames)}
+        spaces = [self.dst] if self.src is self.dst else [self.dst, self.src]
+        return {
+            "result": result,
+            "tables": [{vpn: label[id(frame)]
+                        for vpn, frame in space._pages.items()}
+                       for space in spaces],
+            "refs": [frame.refs for frame in self.frames],
+            "perms": [dict(space._perms) for space in spaces],
+            "ledger": [(space._clock, dict(space._dirty), list(space._events))
+                       for space in spaces],
+            "dirty_since": [self.dst.dirty_since(token)
+                            for token in self.tokens],
+            "counters": [space.counters.snapshot() for space in spaces],
+        }
+
+
+# -- Copy -------------------------------------------------------------------
+
+
+@given(
+    draw=worlds,
+    start=st.integers(-4, UNIVERSE),
+    npages=st.integers(0, UNIVERSE + 16),
+    shift=st.integers(-6, 6),
+    perm=st.one_of(st.none(), perm_values),
+    same_space=st.booleans(),
+)
+@settings(max_examples=250, deadline=None)
+def test_bulk_copy_matches_the_per_page_reference(draw, start, npages, shift,
+                                                  perm, same_space):
+    src_addr = (VPN0 + start) << PAGE_SHIFT
+    dst_addr = (VPN0 + start + shift) << PAGE_SHIFT
+    size = npages << PAGE_SHIFT
+    new = World(draw, shift, same_space)
+    old = World(draw, shift, same_space)
+    got = new.dst.copy_range_from(new.src, src_addr, dst_addr, size, perm=perm)
+    want = reference_copy(old.dst, old.src, src_addr, dst_addr, size, perm=perm)
+    assert new.observe(got) == old.observe(want)
+
+
+# -- adoption ---------------------------------------------------------------
+
+
+@given(
+    draw=worlds,
+    off=vpn_offsets,
+    child_has_page=st.booleans(),
+)
+@settings(max_examples=150, deadline=None)
+def test_adopt_matches_the_one_page_reference_copy(draw, off, child_has_page):
+    vpn = VPN0 + off
+    new, old = World(draw), World(draw)
+    if not child_has_page:
+        for world in (new, old):
+            world.src.unmap_page(vpn)        # the child dropped the page
+    got, want = MergeStats(), MergeStats()
+    merge._adopt(new.dst, new.src.frame(vpn), vpn, got)
+    reference_adopt(old.dst, old.src, old.src.frame(vpn), vpn, want)
+    assert new.observe(None) == old.observe(None)
+    assert (got.pages_adopted, got.written_vpns) == \
+        (want.pages_adopted, want.written_vpns) == (1, [vpn])
+
+
+@given(draw=worlds, off=vpn_offsets)
+@settings(max_examples=60, deadline=None)
+def test_unmap_adoption_is_a_copy_that_keeps_permissions(draw, off):
+    """Where the child dropped the page, adoption unmaps.  That agrees
+    with a one-page Copy of the hole on mappings, refcounts and the
+    ledger, and differs only where Merge must: permissions stay (Merge
+    moves content, never permissions) and the drop counts as a zeroed
+    page."""
+    vpn = VPN0 + off
+    new, old = World(draw), World(draw)
+    for world in (new, old):
+        world.src.unmap_page(vpn)
+    mapped = vpn in new.dst._pages
+    merge._adopt(new.dst, None, vpn, MergeStats())
+    reference_copy(old.dst, old.src, vpn << PAGE_SHIFT, vpn << PAGE_SHIFT,
+                   PAGE_SIZE)
+    got, want = new.observe(None), old.observe(None)
+    for key in ("tables", "refs", "ledger", "dirty_since"):
+        assert got[key] == want[key]
+    assert new.dst._perms.get(vpn) == draw["dst_perms"].get(off)
+    if mapped:
+        assert vpn not in old.dst._perms
+    assert new.dst.counters.pages_zeroed == int(mapped)
+    assert old.dst.counters.pages_zeroed == 0
