@@ -32,6 +32,7 @@ wire bytes and makespan cycles against the committed
 
 from conftest import dump_json
 
+from repro import ClusterSpec
 from repro.bench import cluster_workloads as cw
 from repro.bench.figures import FIG11_TOPOLOGIES as TOPOLOGIES
 from repro.cluster import NetworkStats
@@ -44,7 +45,8 @@ POLICIES = ["round_robin", "locality"]
 
 def _run_cell(spec, policy, nodes):
     makespan, machine, value = cw.run_cluster(
-        cw.matmult_tree_main(N), nodes, topology=spec, placement=policy)
+        cw.matmult_tree_main(N), nodes,
+        spec=ClusterSpec(topology=spec, placement=policy))
     stats = NetworkStats(machine)
     return {
         "value": value,

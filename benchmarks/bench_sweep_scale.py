@@ -3,11 +3,12 @@
 The event-driven scheduler core exists so that high-node-count sweeps
 are affordable; this nightly-only bench proves the claim where it
 matters.  A wide md5-circuit (one sibling per node — the maximally
-shardable shape) runs serially at 64, 256 and 1024 fat-tree nodes; each
-recorded trace then replays through both scheduler engines, which must
-agree bit for bit at every size.  At 64 nodes the whole guest run also
-repeats under ``shard_workers`` and must reproduce the serial machine's
-makespan and value with every forked sibling adopted.
+shardable shape) runs serially at 64, 256 and 1024 fat-tree nodes and
+each recorded trace is replayed through the event core (its identity
+with the list oracle at these sizes is tier-1's,
+``tests/timing/test_event_core.py``).  At 64 nodes the whole guest run
+also repeats under ``shard_workers`` and must reproduce the serial
+machine's makespan and value with every forked sibling adopted.
 
 Host-speedup numbers are recorded but not asserted: sharded wall clock
 scales with *available cores* (on a single-core runner forked workers
@@ -25,6 +26,7 @@ import time
 import pytest
 from conftest import dump_json
 
+from repro import ClusterSpec
 from repro.bench import cluster_workloads as cw
 from repro.timing.schedule import schedule
 
@@ -34,11 +36,11 @@ SHARD_NODES = 64
 SHARD_WORKERS = 8
 
 
-def _replay_seconds(trace, cpus, engine, reps=5):
+def _replay_seconds(trace, cpus, reps=5):
     best = float("inf")
     for _ in range(reps):
         start = time.perf_counter()
-        schedule(trace, cpus_per_node=cpus, engine=engine)
+        schedule(trace, cpus_per_node=cpus)
         best = min(best, time.perf_counter() - start)
     return best
 
@@ -49,32 +51,22 @@ def test_scale_sweep_event_core(once):
         results = {}
         for nodes in NODE_COUNTS:
             makespan, machine, value = cw.run_cluster(
-                cw.md5_circuit_main(3), nodes, topology=TOPOLOGY)
+                cw.md5_circuit_main(3), nodes,
+                spec=ClusterSpec(topology=TOPOLOGY))
             trace = machine.trace
             cpus = {node: 1 for node in range(nodes)}
-            event = schedule(trace, cpus_per_node=cpus, engine="event")
-            oracle = schedule(trace, cpus_per_node=cpus, engine="list")
             results[str(nodes)] = {
                 "makespan": makespan,
                 "value": value,
                 "segments": len(trace.segments),
-                "engines_identical": (
-                    event.makespan == oracle.makespan
-                    and event.busy == oracle.busy
-                    and dict(event.finish) == dict(oracle.finish)
-                    and dict(event.link_busy) == dict(oracle.link_busy)
-                    and dict(event.stall_cycles) == dict(oracle.stall_cycles)
-                ),
-                "event_replay_us": round(
-                    _replay_seconds(trace, cpus, "event") * 1e6, 1),
-                "list_replay_us": round(
-                    _replay_seconds(trace, cpus, "list") * 1e6, 1),
+                "replay_us": round(_replay_seconds(trace, cpus) * 1e6, 1),
             }
         serial_mk, _, serial_v = cw.run_cluster(
-            cw.md5_circuit_main(3), SHARD_NODES, topology=TOPOLOGY)
+            cw.md5_circuit_main(3), SHARD_NODES,
+            spec=ClusterSpec(topology=TOPOLOGY))
         shard_mk, shard_m, shard_v = cw.run_cluster(
-            cw.md5_circuit_main(3), SHARD_NODES, topology=TOPOLOGY,
-            shard_workers=SHARD_WORKERS)
+            cw.md5_circuit_main(3), SHARD_NODES,
+            spec=ClusterSpec(topology=TOPOLOGY, shard_workers=SHARD_WORKERS))
         results["shard"] = {
             "nodes": SHARD_NODES,
             "forked": shard_m.shard.forked,
@@ -89,17 +81,12 @@ def test_scale_sweep_event_core(once):
     print(f"Scale sweep (md5-circuit, {TOPOLOGY}):")
     for nodes in NODE_COUNTS:
         row = results[str(nodes)]
-        speedup = row["list_replay_us"] / row["event_replay_us"]
         print(f"  {nodes:>5} nodes  {row['segments']:>6} segments"
-              f"  replay event {row['event_replay_us']:>9.1f} us"
-              f"  list {row['list_replay_us']:>9.1f} us"
-              f"  ({speedup:.2f}x)")
+              f"  replay {row['replay_us']:>9.1f} us")
     shard = results["shard"]
     print(f"  shard@{shard['nodes']}: {shard['adopted']}/{shard['forked']} "
           f"adopted, {shard['fallbacks']} fallbacks")
 
-    for nodes in NODE_COUNTS:
-        assert results[str(nodes)]["engines_identical"]
     values = {results[str(nodes)]["value"] for nodes in NODE_COUNTS}
     assert len(values) == 1  # distribution is semantically transparent
     assert shard["identical"]

@@ -260,24 +260,20 @@ def matmult_skewed_main(n=192, rounds=8, width=8, work=30_000, seed=7):
 # Runners
 # ---------------------------------------------------------------------------
 
-def run_cluster(entry_builder, nnodes, spec=None, **knobs):
+def run_cluster(entry_builder, nnodes, spec=None):
     """Run a cluster benchmark on ``nnodes`` uniprocessor nodes.
 
     ``entry_builder(g, nnodes)`` is the guest main.  Returns
     ``(makespan, machine, value)``; the makespan uses one CPU per node,
-    as in the paper's cluster (§6.3).  Configuration comes from a
-    :class:`~repro.cluster.spec.ClusterSpec` (``spec=``) or from the
-    legacy keyword knobs it replaces (``ship_mode="full"`` for the
-    naive every-page-every-hop migration baseline, ``topology``/
-    ``placement`` for the routed fabric, ``prefetch_depth``/
-    ``compression`` for the async fetch queues and wire compression,
-    ``loss`` for the deterministic fault schedule, ``control`` for the
-    adaptive control plane, ``shard_workers`` for forked host
-    execution); both spellings build bit-identical machines through the
-    shared ``ClusterSpec.from_kwargs`` shim.
+    as in the paper's cluster (§6.3) unless the spec says otherwise.
+    Configuration comes from a :class:`~repro.cluster.spec.ClusterSpec`:
+    ``ship_mode="full"`` for the naive every-page-every-hop migration
+    baseline, ``topology``/``placement`` for the routed fabric,
+    ``prefetch_depth``/``compression`` for the async fetch queues and
+    wire compression, ``loss`` for the deterministic fault schedule,
+    ``control`` for the adaptive control plane, ``shard_workers`` for
+    forked host execution.
     """
-    from repro.cluster.spec import ClusterSpec
-    spec = ClusterSpec.from_kwargs(spec=spec, **knobs)
     machine = Machine(nnodes=nnodes, spec=spec)
 
     def main(g):
@@ -289,7 +285,7 @@ def run_cluster(entry_builder, nnodes, spec=None, **knobs):
             raise RuntimeError(
                 f"cluster workload faulted: {result.trap.name} {result.trap_info}"
             )
-        cpus = {node: spec.cpus_per_node for node in range(nnodes)}
+        cpus = {node: machine.cpus_per_node for node in range(nnodes)}
         return result.makespan(cpus_per_node=cpus), machine, result.r0
 
 

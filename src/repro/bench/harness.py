@@ -8,6 +8,7 @@ the baseline once per CPU configuration.
 
 from repro.baseline.threadsim import LinuxMachine
 from repro.bench.api import DetApi, LinuxApi
+from repro.cluster.spec import ClusterSpec
 from repro.kernel.machine import Machine
 
 
@@ -33,8 +34,8 @@ class RunResult:
 def run_determinator(workload, params, cost=None, nnodes=1, tcp_mode=False,
                      dirty_tracking=True):
     """Run ``workload.run(api, **params)`` on a Determinator machine."""
-    machine = Machine(cost=cost, nnodes=nnodes, tcp_mode=tcp_mode,
-                      dirty_tracking=dirty_tracking)
+    machine = Machine(nnodes=nnodes, spec=ClusterSpec(
+        cost=cost, tcp_mode=tcp_mode, dirty_tracking=dirty_tracking))
 
     def main(g):
         return workload.run(DetApi(g), **params)

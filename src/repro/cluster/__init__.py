@@ -15,12 +15,12 @@ owns *how* it crosses and what that costs:
   fetches coalesced into batched scatter/gather messages; every
   traversed link accrues occupancy, so shared cross-rack uplinks
   contend in ``schedule()``.  Per-node *async fetch queues*
-  (``Machine(prefetch_depth=...)``) pipeline predicted-next frames
-  behind compute, and ``Machine(compression=True)`` ships PAGE_BATCH
+  (``ClusterSpec(prefetch_depth=...)``) pipeline predicted-next frames
+  behind compute, and ``ClusterSpec(compression=True)`` ships PAGE_BATCH
   payloads zero-suppressed/RLE-encoded
   (:mod:`repro.cluster.compress`);
 * :class:`~repro.cluster.faults.LossSchedule` — deterministic fault
-  injection (``Machine(loss=...)``): per-link drop/duplicate/reorder
+  injection (``ClusterSpec(loss=...)``): per-link drop/duplicate/reorder
   decisions keyed on ``(link, msg_serial)`` replay bit-identically;
   the transport retransmits dropped copies (``cost.retx_timeout`` /
   ``retx_limit``), keeps a per-link retransmit ledger

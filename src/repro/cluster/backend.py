@@ -59,9 +59,9 @@ from repro.cluster.transport import MsgType
 from repro.common.errors import BackendError, WireError
 from repro.debug.model import freeze_machine
 from repro.kernel.shard import (
-    _REPLAYABLE_PLACEMENTS,
     ShardCoordinator,
     _walk_page_slots,
+    fork_refusal,
 )
 from repro.mem.page import PAGE_SIZE
 
@@ -88,7 +88,12 @@ class RealShardCoordinator(ShardCoordinator):
 
     def __init__(self, machine, workers):
         super().__init__(machine, max(1, workers))
-        problem = self._incompatibility(machine)
+        # Unlike the pipe coordinator's serial fallback, an incompatible
+        # spec is a hard error: the caller asked for real processes and
+        # would otherwise measure the wrong thing.
+        problem = fork_refusal(machine)
+        if problem is None and not realnet.localhost_available():
+            problem = "requires localhost TCP sockets"
         if problem is not None:
             raise BackendError(f'backend="real" {problem}')
         #: Per-exchange deadline (seconds): every socket operation and
@@ -111,44 +116,8 @@ class RealShardCoordinator(ShardCoordinator):
         self._chan = {}     # worker index -> parent-side Channel
         self._procs = {}    # worker index -> multiprocessing.Process
 
-    @staticmethod
-    def _incompatibility(machine):
-        """Why this machine cannot run on the real backend (None = ok).
-        Unlike the simulated shard's silent serial fallback, an
-        incompatible spec is a hard error: the caller asked for real
-        processes and would otherwise measure the wrong thing."""
-        if not hasattr(os, "fork"):
-            return "requires os.fork (POSIX hosts)"
-        if not realnet.localhost_available():
-            return "requires localhost TCP sockets"
-        if machine.loss is not None:
-            return ("is incompatible with loss schedules (fault injection "
-                    "keys off global message serials)")
-        if machine.ship_mode not in ("delta", "full"):
-            return (f'is incompatible with ship_mode='
-                    f'{machine.ship_mode!r} (demand paging reads '
-                    f'cross-subtree state)')
-        if machine.prefetch_depth != 0:
-            return "is incompatible with prefetch_depth > 0"
-        if machine.control is not None:
-            return "is incompatible with the adaptive control plane"
-        if machine.placement.name not in _REPLAYABLE_PLACEMENTS:
-            return (f"requires a replayable placement policy "
-                    f"{_REPLAYABLE_PLACEMENTS}, got "
-                    f"{machine.placement.name!r}")
-        return None
-
     def _gates_open(self):
-        machine = self.machine
-        return (
-            not self.broken
-            and hasattr(os, "fork")
-            and machine.loss is None
-            and machine.ship_mode in ("delta", "full")
-            and machine.prefetch_depth == 0
-            and machine.control is None
-            and machine.placement.name in _REPLAYABLE_PLACEMENTS
-        )
+        return not self.broken and super()._gates_open()
 
     # -- spawning ----------------------------------------------------------
 
@@ -544,7 +513,7 @@ def _main_for(entry_builder, nnodes):
     return per_builder.setdefault(nnodes, main)
 
 
-def run_backend(entry_builder, nnodes, spec=None, configure=None, **knobs):
+def run_backend(entry_builder, nnodes, spec=None, configure=None):
     """Run ``entry_builder(g, nnodes)`` on ``spec.backend`` and return a
     :class:`RealRunResult` (both backends return the same shape, so the
     differential oracle is a field-by-field comparison).
@@ -554,7 +523,6 @@ def run_backend(entry_builder, nnodes, spec=None, configure=None, **knobs):
     injection.
     """
     from repro.kernel.machine import Machine
-    spec = ClusterSpec.from_kwargs(spec=spec, **knobs)
     machine = Machine(nnodes=nnodes, spec=spec)
     if configure is not None:
         configure(machine)
@@ -572,18 +540,16 @@ def run_backend(entry_builder, nnodes, spec=None, configure=None, **knobs):
                 raise BackendError(info)
             raise RuntimeError(
                 f"cluster workload faulted: {result.trap.name} {info}")
-        cpus = {node: spec.cpus_per_node for node in range(nnodes)}
+        cpus = {node: machine.cpus_per_node for node in range(nnodes)}
         makespan = result.makespan(cpus_per_node=cpus)
         # Freeze before close: Machine.close destroys the space tree.
         image = freeze_machine(machine)
         return RealRunResult(machine, result.r0, makespan, wall, image)
 
 
-def run_real(entry_builder, nnodes, spec=None, configure=None, **knobs):
+def run_real(entry_builder, nnodes, spec=None, configure=None):
     """:func:`run_backend` with the real backend forced on."""
-    spec = ClusterSpec.from_kwargs(spec=spec, **knobs)
-    if spec.backend != "real":
-        spec = spec.with_(backend="real")
+    spec = (spec or ClusterSpec()).with_(backend="real")
     return run_backend(entry_builder, nnodes, spec=spec,
                        configure=configure)
 

@@ -42,14 +42,11 @@ class Cluster:
     >>> result.makespan(), result.network.summary()
     """
 
-    def __init__(self, nnodes, spec=None, **knobs):
+    def __init__(self, nnodes, spec=None):
         self.nnodes = nnodes
         #: The validated :class:`~repro.cluster.spec.ClusterSpec` every
-        #: machine this cluster builds will run under.  Legacy keyword
-        #: knobs (``ship_mode=...``, ``loss=...``, ...) are accepted via
-        #: the shared ``ClusterSpec.from_kwargs`` shim and produce
-        #: bit-identical machines to the equivalent ``spec=``.
-        self.spec = ClusterSpec.from_kwargs(spec=spec, **knobs)
+        #: machine this cluster builds will run under.
+        self.spec = spec if spec is not None else ClusterSpec()
 
     @property
     def cpus_per_node(self):
@@ -70,21 +67,18 @@ class Cluster:
                                  self.spec.cpus_per_node)
 
 
-def sweep_nodes(entry_builder, node_counts, spec=None, check_value=True,
-                **knobs):
+def sweep_nodes(entry_builder, node_counts, spec=None, check_value=True):
     """Run ``entry_builder(nnodes)``'s program across cluster sizes.
 
     Returns ``{nnodes: (speedup_vs_first, ClusterResult)}``.  With
     ``check_value`` (default) every size must compute the same value —
     distribution is semantically transparent (§3.3), and a ``loss``
     schedule must never break it (faults are cost-only).  One
-    :class:`~repro.cluster.spec.ClusterSpec` (given as ``spec=`` or
-    assembled from legacy keyword knobs) applies to *every* size, so
-    sweeps compare like with like; pass ``topology`` as a preset string
-    or an ``nnodes -> Topology`` builder, since each size gets its own
-    fabric.
+    :class:`~repro.cluster.spec.ClusterSpec` applies to *every* size, so
+    sweeps compare like with like; give its ``topology`` as a preset
+    string or an ``nnodes -> Topology`` builder, since each size gets
+    its own fabric.
     """
-    spec = ClusterSpec.from_kwargs(spec=spec, **knobs)
     series = {}
     base_time = None
     base_value = None

@@ -92,7 +92,7 @@ def _fmt_knob(value):
 class Controller:
     """Per-node adaptive control state of one machine.
 
-    Construct directly (``Machine(control=Controller(...))``), from the
+    Construct directly (``ClusterSpec(control=Controller(...))``), from the
     string ``"adaptive"`` (all defaults), or from a kwargs dict; the
     machine calls :meth:`reset` when it takes ownership, so a reused
     instance never leaks state between runs.

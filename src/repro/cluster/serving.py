@@ -24,7 +24,6 @@ outstanding requests over the delta-migration path before dispatch
 continues on the survivors.
 """
 
-from repro.cluster.spec import ClusterSpec
 from repro.bench.workloads import serving as workload
 from repro.kernel.kernel import child_ref
 from repro.kernel.machine import Machine
@@ -43,7 +42,8 @@ class ServingResult:
                  checksum, machine):
         #: Cluster size the trace was served on.
         self.nnodes = nnodes
-        #: The :class:`ClusterSpec` the run was configured with.
+        #: The :class:`~repro.cluster.spec.ClusterSpec` the run was
+        #: configured with.
         self.spec = spec
         #: Intended arrival time of each request, in rid order.
         self.arrivals = tuple(arrivals)
@@ -216,14 +216,13 @@ def _dispatch(g, machine, arrivals, plan, refs_out, values_out):
 
 def serve_trace(nnodes, spec=None, requests=160, mean_gap=240_000, seed=11,
                 segments=workload.DIURNAL, segment_cycles=None,
-                autoscale=None, **knobs):
+                autoscale=None):
     """Serve a deterministic open-loop request trace on the cluster.
 
     ``requests`` arrivals are drawn by
     :func:`repro.bench.workloads.serving.make_arrivals` (Poisson at one
     request per ``mean_gap`` cycles, shaped by the diurnal ``segments``)
-    and dispatched across ``nnodes`` nodes configured by ``spec`` (or
-    the legacy keyword knobs — same shim as every other entry point).
+    and dispatched across ``nnodes`` nodes configured by ``spec``.
     ``autoscale`` optionally steps the active node count mid-trace.
 
     Returns a :class:`ServingResult`.  For one seed the entire latency
@@ -231,7 +230,6 @@ def serve_trace(nnodes, spec=None, requests=160, mean_gap=240_000, seed=11,
     seeds the per-request values are identical (values depend only on
     rids) while the latency table moves — arrival timing is cost-only.
     """
-    spec = ClusterSpec.from_kwargs(spec=spec, **knobs)
     if requests > MAX_REQUESTS:
         raise ValueError(f"at most {MAX_REQUESTS} requests per trace")
     arrivals = workload.make_arrivals(requests, mean_gap, seed,
@@ -250,7 +248,7 @@ def serve_trace(nnodes, spec=None, requests=160, mean_gap=240_000, seed=11,
             raise RuntimeError(
                 f"serving trace faulted: {result.trap.name} "
                 f"{result.trap_info}")
-        cpus = {node: spec.cpus_per_node for node in range(nnodes)}
+        cpus = {node: machine.cpus_per_node for node in range(nnodes)}
         sched = schedule(machine.trace, cpus_per_node=cpus)
         finish = sched.finish
         finish_by_uid = {}
@@ -265,6 +263,6 @@ def serve_trace(nnodes, spec=None, requests=160, mean_gap=240_000, seed=11,
         span = max(finish_by_uid[machine.root.children[refs[rid]].uid]
                    for rid in range(requests)) - arrivals[0]
         return ServingResult(
-            nnodes, spec, arrivals, latencies,
+            nnodes, machine.spec, arrivals, latencies,
             [values[rid] for rid in range(requests)], span,
             result.r0, machine)

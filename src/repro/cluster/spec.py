@@ -1,22 +1,18 @@
 """`ClusterSpec`: every cross-cutting knob of a simulated run, in one place.
 
-Before this module, the same thirteen knobs (`tcp_mode`,
-`dirty_tracking`, `ship_mode`, `topology`, `placement`,
-`prefetch_depth`, `compression`, `loss`, `control`, `shard_workers`,
-`cost`, `cpus_per_node`, ...) were hand-plumbed through four diverging
-parameter lists — ``Machine.__init__``, ``Cluster.__init__``,
-``sweep_nodes`` and ``run_cluster`` — and every new knob grew all four
-signatures in lockstep.  A :class:`ClusterSpec` is the single source of
-truth instead:
+The thirteen knobs (`tcp_mode`, `dirty_tracking`, `ship_mode`,
+`topology`, `placement`, `prefetch_depth`, `compression`, `loss`,
+`control`, `shard_workers`, `cost`, `cpus_per_node`, `backend`) are
+fields of one frozen dataclass, and every entry point — ``Machine``,
+``Cluster``, ``sweep_nodes``, ``run_cluster``, ``serve_trace``,
+``run_backend``, ``run_real`` — takes it as ``spec=`` and nothing else:
 
 * **One validation site.**  ``ship_mode`` membership, ``prefetch_depth``
   range, ``loss``/``control``/``placement`` spec syntax all raise here,
-  at construction, with the same message no matter which entry point the
-  bad knob came through.
-* **One back-compat shim.**  :meth:`ClusterSpec.from_kwargs` accepts the
-  legacy keyword names, so ``Machine(ship_mode="demand")`` and
-  ``Machine(spec=ClusterSpec(ship_mode="demand"))`` are the same machine
-  — bit-identical, not merely equivalent.
+  at construction, before any machine exists.
+* **One spelling.**  ``Machine(spec=ClusterSpec(ship_mode="demand"))``
+  is the only way to say it; a mistyped field is Python's own
+  ``TypeError`` from the dataclass constructor.
 * **Frozen value semantics.**  A spec can be built once and shared by a
   whole sweep; anything *stateful* (a live ``Controller``, the resolved
   ``Topology`` for a concrete node count) is materialized per machine by
@@ -32,7 +28,7 @@ Typical use::
     result = Cluster(nnodes=8, spec=spec).run(my_program)
 """
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 from repro.cluster.control import resolve_control
 from repro.cluster.faults import resolve_loss
@@ -51,9 +47,8 @@ BACKENDS = ("sim", "real")
 class ClusterSpec:
     """Immutable bundle of every cross-cutting configuration knob.
 
-    Field semantics are exactly the legacy keyword arguments' (see
-    ``docs/knobs.md`` for the full reference); defaults reproduce a bare
-    ``Machine()``/``Cluster(...)``.
+    ``docs/knobs.md`` is the full field reference; the defaults are a
+    bare ``Machine()``/``Cluster(...)``.
     """
 
     #: Cycle-price table (None -> a default :class:`CostModel` per run).
@@ -117,45 +112,6 @@ class ClusterSpec:
         resolve_loss(self.loss)
         resolve_control(self.control)
         resolve_placement(self.placement)
-
-    # -- legacy-kwarg shim ---------------------------------------------------
-
-    @classmethod
-    def knob_names(cls):
-        """The spec's field names — the only knob vocabulary any entry
-        point accepts (the signature-guard test enforces this)."""
-        return tuple(f.name for f in fields(cls))
-
-    @classmethod
-    def from_kwargs(cls, spec=None, **knobs):
-        """Build a spec from legacy keyword arguments.
-
-        The shared back-compat shim of ``Machine``, ``Cluster``,
-        ``sweep_nodes`` and ``run_cluster``: each forwards its ``spec=``
-        and leftover ``**knobs`` here, so a knob misspelling raises the
-        same ``TypeError`` everywhere and a knob can never be silently
-        dropped by one entry point.  Passing both a ``spec`` and legacy
-        knobs is ambiguous and refused.
-        """
-        if spec is not None:
-            if knobs:
-                raise TypeError(
-                    f"pass either spec= or legacy knob kwargs, not both "
-                    f"(got spec and {sorted(knobs)})")
-            if not isinstance(spec, cls):
-                raise TypeError(f"spec must be a ClusterSpec, got {spec!r}")
-            return spec
-        unknown = sorted(set(knobs) - set(cls.knob_names()))
-        if unknown:
-            raise TypeError(
-                f"unknown configuration knob(s) {unknown}; "
-                f"ClusterSpec fields are {list(cls.knob_names())}")
-        return cls(**knobs)
-
-    def to_kwargs(self):
-        """The legacy keyword-argument dict this spec is equivalent to
-        (``ClusterSpec.from_kwargs(**spec.to_kwargs()) == spec``)."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def with_(self, **changes):
         """A copy with ``changes`` applied (validated like any spec)."""

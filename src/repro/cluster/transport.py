@@ -77,7 +77,7 @@ replaces.
 Wire compression
 ----------------
 
-With ``Machine(compression=True)`` every PAGE_BATCH payload is encoded
+With ``ClusterSpec(compression=True)`` every PAGE_BATCH payload is encoded
 per frame (:mod:`repro.cluster.compress`): all-zero frames are
 suppressed to the per-page header, mostly-zero frames ship zero-run
 RLE, and high-entropy frames fall back to raw — per-page, per-link,
@@ -90,7 +90,7 @@ cost knobs.
 Deterministic faults and retransmission
 ---------------------------------------
 
-With ``Machine(loss=...)`` every wire copy of every message consults
+With ``ClusterSpec(loss=...)`` every wire copy of every message consults
 the machine's :class:`~repro.cluster.faults.LossSchedule` — a pure
 function of ``(seed, link, msg_serial, attempt)``, so reruns fault
 bit-identically.  Each fabric link runs a reliable link layer: a
@@ -551,7 +551,7 @@ class Transport:
         batch split that loses pages shows up as a sent/received
         mismatch.
 
-        Under ``Machine(loss=...)`` each link's copy consults the
+        Under ``ClusterSpec(loss=...)`` each link's copy consults the
         deterministic loss schedule, keyed on ``(link, msg_serial,
         attempt)``.  Dropped copies are retransmitted by the link layer
         after ``cost.retx_timeout`` (at most ``cost.retx_limit``

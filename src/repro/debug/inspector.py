@@ -13,8 +13,7 @@ the first mismatch rather than showing state from a diverged world).
 
 ``goto N``'s semantics: the machine state once every segment the
 schedule *finished by cycle N* has closed.  The anchor set is computed
-from the original trace's schedule (both engines are bit-identical, so
-the set is engine-independent), and the capture fires inside the
+from the original trace's schedule, and the capture fires inside the
 replay's :attr:`~repro.timing.trace.Trace.on_close` observer the moment
 the last anchor segment closes — a deep byte-copy capture
 (:func:`~repro.debug.model.freeze_machine`) that takes no COW
@@ -173,9 +172,9 @@ class Inspector:
 
     @property
     def timeline(self):
-        """Cycle-addressable replay of the schedule (lazy)."""
+        """Cycle-addressable view of :attr:`sched` (lazy)."""
         if self._timeline is None:
-            self._timeline = Timeline(self.trace, ncpus=self.ncpus)
+            self._timeline = Timeline(self.trace, self.sched)
         return self._timeline
 
     # -- whole-run queries -------------------------------------------------
@@ -275,7 +274,7 @@ class Inspector:
 
     def links_at(self, cycle):
         """Wire state at ``cycle``: in-flight transfers and per-link
-        occupancy so far — reconstructed by replaying the schedule, not
+        occupancy so far — reconstructed from the schedule, not
         recorded during the run (determinism makes the reconstruction
         exact)."""
         timeline = self.timeline

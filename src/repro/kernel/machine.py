@@ -78,17 +78,18 @@ class Machine:
         merge_mode="strict",
         programs=None,
         spec=None,
-        **knobs,
     ):
         # Imported lazily: the cluster package's public modules import
         # Machine, so a module-level import here would cycle.
         from repro.cluster.spec import ClusterSpec
-        #: The validated configuration this machine runs under.  Every
+        if spec is None:
+            spec = ClusterSpec()
+        elif not isinstance(spec, ClusterSpec):
+            raise TypeError(f"spec must be a ClusterSpec, got {spec!r}")
+        #: The validated configuration this machine runs under: every
         #: cross-cutting knob (ship_mode, topology, loss, ...) lives on
-        #: the spec; legacy keyword arguments are accepted through the
-        #: shared ``ClusterSpec.from_kwargs`` shim and are bit-identical
-        #: to passing the equivalent ``spec=``.
-        self.spec = spec = ClusterSpec.from_kwargs(spec=spec, **knobs)
+        #: the spec and nowhere else.
+        self.spec = spec
         #: Cost model used for all virtual-time charging.
         self.cost = spec.resolved_cost()
         #: Number of cluster nodes (1 = single machine; §3.3).

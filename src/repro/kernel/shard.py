@@ -11,7 +11,7 @@ thread while every other started sibling sits READY.
 This module adds the obvious parallelism without giving up bit
 identity.  At a rendezvous where several siblings are READY and none
 has ever run, the coordinator forks one host process per sibling
-(waves bounded by ``Machine(shard_workers=...)``).  Each worker runs
+(waves bounded by ``ClusterSpec(shard_workers=...)``).  Each worker runs
 exactly one sibling's subtree against the fork-time copy of the
 machine, then ships back a *delta*: the sibling's space graph, the new
 trace suffix, and every machine/transport counter it advanced.  The
@@ -33,14 +33,17 @@ Any doubt discards the result and runs the sibling inline on the
 current state — the serial path is always correct, forked results are
 only ever a cache of it.
 
-Gates (all must hold or the rendezvous stays serial):
+Gates (:func:`fork_refusal` — all must hold or the rendezvous stays
+serial, with the reason kept on :attr:`ShardCoordinator.refused`):
 
-* ``shard_workers >= 2`` and ``os.fork`` exists;
+* ``os.fork`` exists;
 * ``loss is None`` — fault schedules key off global message serials,
   which workers would interleave differently;
 * ``ship_mode`` is ``"delta"`` or ``"full"`` and ``prefetch_depth`` is
   0 — the async prefetch queues read cross-subtree dirty hints, the
   one machine-global the adoption delta deliberately drops;
+* no adaptive control plane — its decisions read machine-wide
+  telemetry windows;
 * the placement policy is content-independent (``identity`` /
   ``round_robin``), so a worker's first-use node assignments replay.
 """
@@ -74,6 +77,30 @@ _LINK_FIELDS = (
 #: topology and the virtual node number), so a worker-side first-use
 #: assignment can be re-verified at adoption time.
 _REPLAYABLE_PLACEMENTS = ("identity", "round_robin")
+
+
+def fork_refusal(machine):
+    """Why ``machine``'s subtrees may not be forked into host processes
+    (None = they may).  The one gate table of both coordinators: the
+    pipe coordinator stays serial and records the reason, the real
+    backend refuses the machine at construction with it."""
+    if not hasattr(os, "fork"):
+        return "requires os.fork (POSIX hosts)"
+    if machine.loss is not None:
+        return ("is incompatible with loss schedules (fault injection "
+                "keys off global message serials)")
+    if machine.ship_mode not in ("delta", "full"):
+        return (f"is incompatible with ship_mode={machine.ship_mode!r} "
+                f"(demand paging reads cross-subtree state)")
+    if machine.prefetch_depth != 0:
+        return "is incompatible with prefetch_depth > 0"
+    if machine.control is not None:
+        return "is incompatible with the adaptive control plane"
+    if machine.placement.name not in _REPLAYABLE_PLACEMENTS:
+        return (f"requires a replayable placement policy "
+                f"{_REPLAYABLE_PLACEMENTS}, got "
+                f"{machine.placement.name!r}")
+    return None
 
 
 def _walk_page_slots(space):
@@ -123,6 +150,9 @@ class ShardCoordinator:
         #: Worker results discarded (worker refused, validation failed,
         #: or the transport failed); the sibling ran inline instead.
         self.fallbacks = 0
+        #: Why rendezvous are staying serial (:func:`fork_refusal`'s
+        #: answer the first time the gate was found closed), else None.
+        self.refused = None
 
     # -- entry point (called by Kernel._rendezvous) ------------------------
 
@@ -153,16 +183,10 @@ class ShardCoordinator:
         return self.execute(caller, child)
 
     def _gates_open(self):
-        machine = self.machine
-        return (
-            self.workers >= 2
-            and hasattr(os, "fork")
-            and machine.loss is None
-            and machine.ship_mode in ("delta", "full")
-            and machine.prefetch_depth == 0
-            and machine.control is None
-            and machine.placement.name in _REPLAYABLE_PLACEMENTS
-        )
+        reason = fork_refusal(self.machine)
+        if reason is not None and self.refused is None:
+            self.refused = f"shard_workers={self.workers} {reason}"
+        return reason is None
 
     # -- forking -----------------------------------------------------------
 

@@ -1,28 +1,32 @@
-"""Discrete-event scheduling core (the ``engine="event"`` seam).
+"""Discrete-event scheduling core: the one implementation of the policy.
 
-A drop-in replacement for the list scheduler in
-:mod:`repro.timing.schedule` that produces **bit-identical** results —
-same ``makespan``, ``busy``, ``start``/``finish`` times, ``link_busy``,
-``class_busy``, and ``stall_cycles`` on every trace — while doing
-O(log n) work per event over a precompiled plan instead of per-call
-graph rebuilds and per-event dict/tuple churn:
+Greedy list scheduling with deterministic tie-breaking (see
+:mod:`repro.timing.schedule` for the policy itself), done as O(log n)
+work per event over a precompiled plan.  The straightforward list-loop
+form of the same policy lives in ``tests/timing/list_oracle.py``; the
+equivalence suite holds this module to it field by field and grant by
+grant.
 
 * the trace is *compiled* once into per-segment successor tuples
-  (plain edges and link transfers kept separate, in the legacy
-  scheduler's exact per-source order) with links, link classes,
-  transfer kinds, and nodes interned to small integers;
+  (plain edges first, then link transfers, each in trace order per
+  source) with links, link classes, transfer kinds, and nodes interned
+  to small integers;
 * the single event heap holds packed integers ``(time, order, seg)``
   instead of 4-tuples, so a heap sift compares small ints, not tuples —
-  the tie-breaking contract (finish events carry an incrementing
+  the tie-breaking contract: finish events carry an incrementing
   dispatch order, arrivals order among themselves by destination id and
-  after every same-time finish) is the legacy scheduler's, bit for bit;
+  after every same-time finish;
 * dispatch takes a fast path that never touches the per-node ready
   heap while it is empty (the common case on sparse cluster traces);
 * per-link/per-class/per-kind statistics live in small dense arrays
   indexed by interned id and are allocated only for links/classes the
   trace actually uses — nothing is sized by node count or by the
   cartesian (link x class) space, so 1024-node fat-tree sweeps do not
-  blow memory on bookkeeping.
+  blow memory on bookkeeping;
+* every link grant is recorded as it is made (the transfer's index in
+  ``trace.transfers`` and the cycle it won its link), which is all
+  :class:`~repro.timing.timeline.Timeline` needs to answer positional
+  questions about the schedule.
 
 The compiled plan is cached on the trace object keyed by the
 ``(segments, edges, transfers)`` lengths — traces are append-only, so
@@ -53,10 +57,10 @@ class _CompiledTrace:
 
 def _build_seg_arrays(plan, segments):
     """Per-segment cycles/node arrays with nodes interned in first-use
-    order (the iteration order both engines visit segments in), plus the
-    cycles pre-shifted into packed-event position and the total busy
-    cycles (every segment runs exactly once, so the scheduled busy sum
-    is a static property of the trace)."""
+    (segment-id) order, plus the cycles pre-shifted into packed-event
+    position and the total busy cycles (every segment runs exactly
+    once, so the scheduled busy sum is a static property of the
+    trace)."""
     nseg = len(segments)
     time_shift = plan.order_bits + plan.seg_bits
     seg_cycles = [0] * nseg
@@ -104,8 +108,8 @@ def _compile(trace):
     plan.key = key
     npreds = [0] * nseg
 
-    # Plain edges, grouped per source in list order (= the first part of
-    # the legacy scheduler's succs order).
+    # Plain edges, grouped per source in trace order; a finishing
+    # segment releases these before its link transfers.
     plain = [()] * nseg
     acc = {}
     for src, dst, lat in edges:
@@ -118,16 +122,16 @@ def _compile(trace):
     for src, lst in acc.items():
         plain[src] = tuple(lst)
 
-    # Link transfers, grouped per source in list order (= the second
-    # part of the legacy succs order), with link / class /
-    # effective-kind identities interned to small ints and the
-    # serialization + transit sum precomputed per transfer.
+    # Link transfers, grouped per source in trace order, with link /
+    # class / effective-kind identities interned to small ints, the
+    # serialization + transit sum precomputed per transfer, and the
+    # transfer's index in ``trace.transfers`` for the grant record.
     xfer = [()] * nseg
     acc = {}
     link_ids = {}
     cls_ids = {}
     kind_ids = {}
-    for src, dst, link, busy, lat, cls, kind in transfers:
+    for ti, (src, dst, link, busy, lat, cls, kind) in enumerate(transfers):
         npreds[dst] += 1
         li = link_ids.get(link)
         if li is None:
@@ -135,13 +139,12 @@ def _compile(trace):
         ci = cls_ids.get(cls)
         if ci is None:
             ci = cls_ids[cls] = len(cls_ids)
-        # The stall attribution label the legacy scheduler derives per
-        # transfer: ``kind or cls or "link"``.
+        # The label a stall behind this transfer is attributed to.
         eff = kind or cls or "link"
         ki = kind_ids.get(eff)
         if ki is None:
             ki = kind_ids[eff] = len(kind_ids)
-        rec = (dst, li, busy, busy + lat, ci, ki)
+        rec = (dst, li, busy, busy + lat, ci, ki, ti)
         lst = acc.get(src)
         if lst is None:
             acc[src] = [rec]
@@ -160,8 +163,8 @@ def _compile(trace):
     # Packed-event geometry.  Finish events use dispatch orders
     # 1..nseg; arrivals order after every same-time finish and among
     # themselves by destination id, so ``arrive_base + dst`` with
-    # ``arrive_base > nseg`` reproduces the legacy ``10**9 + dst`` key
-    # ordering exactly while keeping the packed ints narrow.
+    # ``arrive_base > nseg`` gives exactly that order while keeping the
+    # packed ints narrow.
     plan.arrive_base = nseg + 1
     plan.order_bits = max(1, (2 * nseg + 1).bit_length())
     plan.seg_bits = max(1, (nseg - 1).bit_length() if nseg > 1 else 1)
@@ -184,8 +187,10 @@ def _compile(trace):
 def run_event_schedule(trace, ncpus=1, cpus_per_node=None):
     """Event-core scheduling of ``trace``; returns the raw result pieces
     ``(makespan, busy, start_times, finish_times, cpu_count, link_busy,
-    class_busy, stall_cycles)`` with start/finish as dense per-segment
-    lists (the caller wraps them lazily)."""
+    class_busy, stall_cycles, grants)`` with start/finish as dense
+    per-segment lists and ``grants`` as the pair of parallel lists
+    (index into ``trace.transfers``, cycle the transfer won its link)
+    in grant order (the caller wraps all three lazily)."""
     nseg = len(trace.segments)
     (plan, seg_cycles, cyc_shift, seg_node,
      node_keys, busy_total) = _compile(trace)
@@ -206,11 +211,18 @@ def run_event_schedule(trace, ncpus=1, cpus_per_node=None):
 
     ready = [[] for _ in node_keys]
     ready_at = [0] * nseg
+    # Per destination: when it would be ready with an infinitely fast
+    # network (program order + plain-edge latency; link data counts as
+    # ready the instant its producer finished), and the kind of the
+    # latest-arriving link transfer.  The gap to ``ready_at`` is the
+    # transfer-induced stall charged to that kind.
     ready_nonet = [0] * nseg
     link_ready = [0] * nseg
     link_kind = [-1] * nseg
     start_t = [0] * nseg
     finish_t = [-1] * nseg
+    grant_index = []
+    grant_start = []
 
     push = heappush
     pop = heappop
@@ -226,9 +238,8 @@ def run_event_schedule(trace, ncpus=1, cpus_per_node=None):
     # check at the bottom).
     order_packed = 0
 
-    # Roots: make_ready(0, seg) per root in id order, each immediately
-    # draining its node's ready queue — exactly the legacy sequence,
-    # which fixes the dispatch-order counter.
+    # Roots become ready at 0 in id order, each immediately draining
+    # its node's ready queue, which fixes the dispatch-order counter.
     for sid in range(nseg):
         if npreds[sid]:
             continue
@@ -312,9 +323,14 @@ def run_event_schedule(trace, ncpus=1, cpus_per_node=None):
                             push(events,
                                  nowsh + cyc_shift[run] + order_packed + run)
 
-        for dst, li, xb, xblat, ci, ki in xfer[sid]:
+        for dst, li, xb, xblat, ci, ki, ti in xfer[sid]:
+            # The transfer waits for the channel, serializes on it,
+            # then transits; contention order follows the (already
+            # deterministic) source-finish order.
             lf = link_free[li]
             xfer_start = now if now >= lf else lf
+            grant_index.append(ti)
+            grant_start.append(xfer_start)
             link_free[li] = xfer_start + xb
             link_busy[li] += xb
             cls_busy[ci] += xb
@@ -376,4 +392,5 @@ def run_event_schedule(trace, ncpus=1, cpus_per_node=None):
     stall_out = {plan.kinds[i]: kind_stall[i]
                  for i in range(len(kind_stall)) if kind_stall[i] > 0}
     return (now, busy_total, start_t, finish_t, total_cpus,
-            link_busy_out, cls_busy_out, stall_out)
+            link_busy_out, cls_busy_out, stall_out,
+            (grant_index, grant_start))

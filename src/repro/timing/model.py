@@ -113,7 +113,7 @@ class CostModel:
     #: predicted-next frames may be in flight (issued but not yet
     #: demanded) per node.  0 reproduces the stop-and-wait protocol —
     #: every page crosses only inside a demand round trip.  A
-    #: ``Machine(prefetch_depth=...)`` argument overrides this.
+    #: ``ClusterSpec(prefetch_depth=...)`` argument overrides this.
     prefetch_depth: int = 0
     #: Encode cost of wire compression, in cycles per *raw* payload
     #: byte scanned at the sending node (zero-run RLE is a single
@@ -126,7 +126,7 @@ class CostModel:
     #: shared zero frame, not a memset).
     comp_decode_byte: float = 0.5
     #: Cycles a sending endpoint waits before retransmitting a hop copy
-    #: the deterministic loss schedule dropped (``Machine(loss=...)``):
+    #: the deterministic loss schedule dropped (``ClusterSpec(loss=...)``):
     #: ~4x the one-way latency, a conventional link-layer timer.  The
     #: wait is charged to the stalling exchange as a ``kind="retx"``
     #: trace link edge, anchored at the exchange's schedule segments.
@@ -135,7 +135,7 @@ class CostModel:
     #: declares the link dead and raises NetworkLossError.
     retx_limit: int = 8
     #: Cycles one control-plane decision pass costs the deciding space
-    #: (``Machine(control=...)``): the controller reads the telemetry
+    #: (``ClusterSpec(control=...)``): the controller reads the telemetry
     #: window and updates its knobs at a quantum boundary.  Default 0 —
     #: the controller is modelled as running beside the kernel on the
     #: management plane, off the guest's critical path; raise it to

@@ -15,21 +15,10 @@ occupy a network channel: a transfer must win its link, serialize for
 deterministic source-finish order), then transit ``latency`` cycles.
 Per-link occupancy totals are reported on the result.
 
-Two engines implement the identical policy behind the ``engine=`` seam:
-
-* ``"event"`` (default) — the discrete-event core in
-  :mod:`repro.timing.event_core`: compiled CSR adjacency, packed-int
-  event heap, interned link/class/kind statistics.  O(log n) per event
-  with no per-event tuple/dict churn; this is what makes 64-1024-node
-  fat-tree sweeps affordable.
-* ``"list"`` — the original list scheduler below, kept verbatim as the
-  oracle.  The two are bit-identical on every trace (the equivalence
-  suite in ``tests/timing/test_event_core.py`` and the simcore
-  ablation enforce this), so either may regenerate any committed
-  baseline.
-
-``REPRO_SCHED_ENGINE`` in the environment overrides the default for a
-whole process (CI's ablation uses it to run the oracle side).
+The policy has one implementation: the discrete-event core in
+:mod:`repro.timing.event_core` (compiled CSR adjacency, packed-int
+event heap, interned link/class/kind statistics; O(log n) per event,
+which is what makes 64-1024-node fat-tree sweeps affordable).
 
 A link transfer becomes eligible when its *source* segment finishes —
 which may be long before the destination's program-order predecessor
@@ -41,10 +30,6 @@ kind in :attr:`ScheduleResult.stall_cycles` — the demand-stall metric
 the prefetch ablation gates.
 """
 
-import heapq
-import os
-from collections import defaultdict
-
 from repro.timing.event_core import run_event_schedule
 
 
@@ -52,24 +37,25 @@ class ScheduleResult:
     """Outcome of scheduling a trace.
 
     ``start``/``finish`` are exposed as mappings (segment id -> time)
-    but materialized lazily: the event engine hands over dense
+    but materialized lazily: the event core hands over dense
     per-segment time arrays, and the dict form is only built if a
     caller actually indexes into it.  High-node-count sweeps that read
     just ``makespan``/``stall_cycles`` never pay for two dicts of every
-    segment's timestamps.
+    segment's timestamps — nor for the :attr:`grants` pairs.
     """
 
     __slots__ = ("makespan", "busy", "_start", "_finish", "cpu_count",
-                 "link_busy", "class_busy", "stall_cycles")
+                 "link_busy", "class_busy", "stall_cycles", "_grants")
 
     def __init__(self, makespan, busy, start, finish, cpu_count,
-                 link_busy=None, class_busy=None, stall_cycles=None):
+                 link_busy=None, class_busy=None, stall_cycles=None,
+                 grants=((), ())):
         #: Total virtual time from first segment start to last finish.
         self.makespan = makespan
         #: Total CPU-busy cycles (sum of scheduled segment durations).
         self.busy = busy
-        # Dicts (legacy engine) or dense per-segment lists (event
-        # engine), normalized on first access via the properties below.
+        # Dense per-segment lists (dicts for the empty trace),
+        # normalized on first access via the properties below.
         self._start = start
         self._finish = finish
         #: Total CPUs across all nodes.
@@ -86,6 +72,8 @@ class ScheduleResult:
         #: links; a stop-and-wait demand round trip contributes its
         #: whole transfer.
         self.stall_cycles = stall_cycles or {}
+        # Parallel (transfer index, grant cycle) lists until first read.
+        self._grants = grants
 
     @property
     def start(self):
@@ -102,6 +90,15 @@ class ScheduleResult:
         return self._finish
 
     @property
+    def grants(self):
+        """``(index into trace.transfers, cycle the transfer won its
+        link)`` per link transfer, in grant order (materialized on
+        first access)."""
+        if not isinstance(self._grants, list):
+            self._grants = list(zip(*self._grants))
+        return self._grants
+
+    @property
     def utilization(self):
         """Fraction of CPU capacity kept busy over the makespan."""
         if self.makespan == 0:
@@ -115,11 +112,7 @@ class ScheduleResult:
         )
 
 
-#: Engines selectable through :func:`schedule`'s ``engine=`` seam.
-ENGINES = ("event", "list")
-
-
-def schedule(trace, ncpus=1, cpus_per_node=None, engine=None):
+def schedule(trace, ncpus=1, cpus_per_node=None):
     """Compute the makespan of ``trace`` on the given CPU configuration.
 
     Parameters
@@ -130,150 +123,14 @@ def schedule(trace, ncpus=1, cpus_per_node=None, engine=None):
         CPUs available on every node not listed in ``cpus_per_node``.
     cpus_per_node:
         Optional dict node -> CPU count overriding ``ncpus``.
-    engine:
-        ``"event"`` (discrete-event core, the default) or ``"list"``
-        (the original list scheduler, kept as the oracle).  ``None``
-        takes ``REPRO_SCHED_ENGINE`` from the environment, else
-        ``"event"``.  Both produce bit-identical results.
 
     Returns
     -------
     ScheduleResult
     """
-    if engine is None:
-        engine = os.environ.get("REPRO_SCHED_ENGINE", "event")
-    if engine not in ENGINES:
-        raise ValueError(f"unknown schedule engine {engine!r}; "
-                         f"expected one of {ENGINES}")
-    if engine == "event":
-        if not trace.segments:
-            return ScheduleResult(0, 0, {}, {}, max(1, ncpus))
-        return ScheduleResult(*run_event_schedule(trace, ncpus, cpus_per_node))
-    return _schedule_list(trace, ncpus, cpus_per_node)
-
-
-def _schedule_list(trace, ncpus=1, cpus_per_node=None):
-    """The original greedy list scheduler (the ``engine="list"`` oracle)."""
-    segments = trace.segments
-    if not segments:
+    if not trace.segments:
         return ScheduleResult(0, 0, {}, {}, max(1, ncpus))
-
-    npreds = [0] * len(segments)
-    succs = defaultdict(list)
-    for src, dst, latency in trace.edges:
-        npreds[dst] += 1
-        succs[src].append((dst, latency, None, 0, None, None))
-    for src, dst, link, busy, latency, cls, kind in trace.transfers:
-        npreds[dst] += 1
-        succs[src].append((dst, latency, link, busy, cls, kind))
-    link_free = {}      # link -> time the channel next becomes idle
-    link_busy = {}      # link -> total serialization cycles
-    class_busy = {}     # link-class name -> total serialization cycles
-    stall_cycles = {}   # transfer kind -> cycles destinations waited
-
-    cpus_per_node = cpus_per_node or {}
-
-    def node_cpus(node):
-        return cpus_per_node.get(node, ncpus)
-
-    free = defaultdict(int)        # node -> free CPU count (lazy init)
-    seen_nodes = set()
-    ready = defaultdict(list)      # node -> heap of (seg_id)
-    ready_at = [0] * len(segments)
-    # Per destination: when it would be ready with an infinitely fast
-    # network (program order + plain-edge latency), and the kind of the
-    # latest-arriving link transfer.  Their gap is the transfer-induced
-    # stall charged to that kind.
-    ready_nonet = [0] * len(segments)
-    link_ready = [0] * len(segments)
-    link_kind = [None] * len(segments)
-    start = {}
-    finish = {}
-    events = []                    # heap of (time, order, kind, payload)
-    order = 0
-
-    def ensure_node(node):
-        if node not in seen_nodes:
-            seen_nodes.add(node)
-            free[node] = node_cpus(node)
-
-    def make_ready(time, seg_id):
-        seg = segments[seg_id]
-        ensure_node(seg.node)
-        heapq.heappush(ready[seg.node], seg_id)
-        dispatch(time, seg.node)
-
-    def dispatch(time, node):
-        nonlocal order
-        while free[node] > 0 and ready[node]:
-            seg_id = heapq.heappop(ready[node])
-            free[node] -= 1
-            seg = segments[seg_id]
-            start[seg_id] = time
-            finish_time = time + seg.cycles
-            order += 1
-            heapq.heappush(events, (finish_time, order, "finish", seg_id))
-
-    roots = [i for i, n in enumerate(npreds) if n == 0]
-    for seg_id in roots:
-        make_ready(0, seg_id)
-
-    now = 0
-    busy = 0
-    while events:
-        now, _, kind, seg_id = heapq.heappop(events)
-        if kind == "arrive":
-            make_ready(now, seg_id)
-            continue
-        # finish
-        seg = segments[seg_id]
-        finish[seg_id] = now
-        busy += seg.cycles
-        free[seg.node] += 1
-        for dst, latency, link, xfer_busy, cls, kind in succs[seg_id]:
-            npreds[dst] -= 1
-            if link is None:
-                arrival = now + latency
-                ready_nonet[dst] = max(ready_nonet[dst], arrival)
-            else:
-                # The transfer waits for the channel, serializes on it,
-                # then transits; contention order follows the (already
-                # deterministic) source-finish order.
-                xfer_start = max(now, link_free.get(link, 0))
-                link_free[link] = xfer_start + xfer_busy
-                link_busy[link] = link_busy.get(link, 0) + xfer_busy
-                class_busy[cls] = class_busy.get(cls, 0) + xfer_busy
-                arrival = xfer_start + xfer_busy + latency
-                # With an infinitely fast network the data would be
-                # ready the instant its producer finished.
-                ready_nonet[dst] = max(ready_nonet[dst], now)
-                if arrival >= link_ready[dst]:
-                    link_ready[dst] = arrival
-                    link_kind[dst] = kind or cls or "link"
-            ready_at[dst] = max(ready_at[dst], arrival)
-            if npreds[dst] == 0:
-                stall = ready_at[dst] - ready_nonet[dst]
-                if stall > 0 and link_kind[dst] is not None:
-                    stall_cycles[link_kind[dst]] = (
-                        stall_cycles.get(link_kind[dst], 0) + stall)
-                if ready_at[dst] > now:
-                    heapq.heappush(
-                        events, (ready_at[dst], 10**9 + dst, "arrive", dst)
-                    )
-                else:
-                    make_ready(now, dst)
-        dispatch(now, seg.node)
-
-    unscheduled = [i for i in range(len(segments)) if i not in finish]
-    if unscheduled:
-        raise ValueError(
-            f"trace contains a cycle or dangling dependency; "
-            f"{len(unscheduled)} segments never ran (first: {unscheduled[:3]})"
-        )
-
-    total_cpus = sum(free[node] for node in seen_nodes) or max(1, ncpus)
-    return ScheduleResult(now, busy, start, finish, total_cpus, link_busy,
-                          class_busy, stall_cycles)
+    return ScheduleResult(*run_event_schedule(trace, ncpus, cpus_per_node))
 
 
 def critical_path(trace):

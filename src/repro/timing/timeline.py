@@ -1,14 +1,13 @@
-"""Cycle-addressable replay of a scheduled trace (the debugger's clock).
+"""Cycle-addressable view of a scheduled trace (the debugger's clock).
 
 :func:`repro.timing.schedule.schedule` answers *aggregate* questions —
 makespan, per-link occupancy, stall attribution.  The time-travel
 debugger needs *positional* ones: which segments were running at cycle
 N, which messages were on which wire, how far along was each link's
-retransmit ledger.  This module re-runs the **identical** greedy
-list-scheduling policy (same tie-breaking, same link-contention order
-as ``_schedule_list`` / the event core — the equivalence suite pins all
-three) but keeps every per-transfer interval instead of folding it into
-totals, so any cycle of the schedule can be queried after the fact.
+retransmit ledger.  A :class:`Timeline` answers them from what the
+schedule already holds — per-segment start/finish times and the link
+grants in the order the event core made them — so there is no second
+copy of the scheduling policy to keep in step.
 
 A :class:`Timeline` is a pure function of the trace and the CPU
 configuration: building it twice, or on a replayed trace, yields the
@@ -16,9 +15,6 @@ same intervals bit for bit — which is what lets ``repro.debug links
 --at N`` describe a finished run's wire state at an arbitrary cycle
 without having recorded anything during the run.
 """
-
-import heapq
-from collections import defaultdict
 
 
 class TransferInterval:
@@ -59,6 +55,8 @@ class TransferInterval:
 class Timeline:
     """Per-segment and per-transfer intervals of one scheduled trace.
 
+    Built from a trace and the ``ScheduleResult`` of scheduling it.
+
     Attributes
     ----------
     start / finish:
@@ -66,108 +64,20 @@ class Timeline:
     transfers:
         :class:`TransferInterval` list in link-grant order.
     makespan:
-        Identical to ``schedule(trace, ...).makespan`` (asserted by the
-        timeline test suite).
+        The schedule's makespan.
     """
 
-    def __init__(self, trace, ncpus=1, cpus_per_node=None):
+    def __init__(self, trace, sched):
         self.trace = trace
+        self.start = sched.start
+        self.finish = sched.finish
+        self.makespan = sched.makespan
         self.transfers = []
-        self.start = {}
-        self.finish = {}
-        self.makespan = 0
-        self._replay(trace, ncpus, cpus_per_node or {})
-
-    # -- construction (the _schedule_list policy, instrumented) -----------
-
-    def _replay(self, trace, ncpus, cpus_per_node):
-        segments = trace.segments
-        if not segments:
-            return
-
-        npreds = [0] * len(segments)
-        succs = defaultdict(list)
-        for src, dst, latency in trace.edges:
-            npreds[dst] += 1
-            succs[src].append((dst, latency, None, 0, None, None))
-        for src, dst, link, busy, latency, cls, kind in trace.transfers:
-            npreds[dst] += 1
-            succs[src].append((dst, latency, link, busy, cls, kind))
-        link_free = {}
-
-        def node_cpus(node):
-            return cpus_per_node.get(node, ncpus)
-
-        free = defaultdict(int)
-        seen_nodes = set()
-        ready = defaultdict(list)
-        ready_at = [0] * len(segments)
-        start, finish = self.start, self.finish
-        events = []
-        order = 0
-
-        def ensure_node(node):
-            if node not in seen_nodes:
-                seen_nodes.add(node)
-                free[node] = node_cpus(node)
-
-        def make_ready(time, seg_id):
-            seg = segments[seg_id]
-            ensure_node(seg.node)
-            heapq.heappush(ready[seg.node], seg_id)
-            dispatch(time, seg.node)
-
-        def dispatch(time, node):
-            nonlocal order
-            while free[node] > 0 and ready[node]:
-                seg_id = heapq.heappop(ready[node])
-                free[node] -= 1
-                start[seg_id] = time
-                order += 1
-                heapq.heappush(
-                    events, (time + segments[seg_id].cycles, order,
-                             "finish", seg_id))
-
-        for seg_id in (i for i, n in enumerate(npreds) if n == 0):
-            make_ready(0, seg_id)
-
-        now = 0
-        while events:
-            now, _, kind, seg_id = heapq.heappop(events)
-            if kind == "arrive":
-                make_ready(now, seg_id)
-                continue
-            seg = segments[seg_id]
-            finish[seg_id] = now
-            free[seg.node] += 1
-            for dst, latency, link, xfer_busy, cls, xkind in succs[seg_id]:
-                npreds[dst] -= 1
-                if link is None:
-                    arrival = now + latency
-                else:
-                    xfer_start = max(now, link_free.get(link, 0))
-                    xfer_end = xfer_start + xfer_busy
-                    link_free[link] = xfer_end
-                    arrival = xfer_end + latency
-                    self.transfers.append(TransferInterval(
-                        seg_id, dst, link, xfer_start, xfer_end, arrival,
-                        cls, xkind))
-                ready_at[dst] = max(ready_at[dst], arrival)
-                if npreds[dst] == 0:
-                    if ready_at[dst] > now:
-                        heapq.heappush(
-                            events,
-                            (ready_at[dst], 10**9 + dst, "arrive", dst))
-                    else:
-                        make_ready(now, dst)
-            dispatch(now, seg.node)
-
-        unscheduled = len(segments) - len(finish)
-        if unscheduled:
-            raise ValueError(
-                f"trace contains a cycle or dangling dependency; "
-                f"{unscheduled} segments never ran")
-        self.makespan = now
+        for index, granted in sched.grants:
+            src, dst, link, busy, latency, cls, kind = trace.transfers[index]
+            end = granted + busy
+            self.transfers.append(TransferInterval(
+                src, dst, link, granted, end, end + latency, cls, kind))
 
     # -- cycle-addressed queries -------------------------------------------
 

@@ -3,6 +3,7 @@
 import hashlib
 
 
+from repro import ClusterSpec
 from repro.bench import cluster_workloads as cw
 from repro.bench.workloads.matmult import expected_checksum
 
@@ -49,5 +50,6 @@ def test_cluster_benchmarks_charge_network_traffic():
 
 def test_tcp_mode_increases_time_slightly():
     plain, _, _ = cw.run_cluster(cw.matmult_tree_main(n=64), 4)
-    tcp, _, _ = cw.run_cluster(cw.matmult_tree_main(n=64), 4, tcp_mode=True)
+    tcp, _, _ = cw.run_cluster(cw.matmult_tree_main(n=64), 4,
+                               spec=ClusterSpec(tcp_mode=True))
     assert plain < tcp < plain * 1.02

@@ -22,6 +22,7 @@ import hashlib
 
 import pytest
 
+from repro import ClusterSpec
 from repro.bench import cluster_workloads as cw
 from repro.cluster import Controller, NetworkStats, resolve_control
 from repro.cluster.transport import NODE_WINDOW_KEYS, TelemetryWindow
@@ -49,9 +50,9 @@ def _image(space):
 
 def _run(control=None, loss=None, depth=None, workload=None):
     makespan, machine, value = cw.run_cluster(
-        workload or cw.matmult_tree_main(64), NODES, ship_mode="demand",
-        topology="two_tier:2", prefetch_depth=depth, loss=loss,
-        control=control)
+        workload or cw.matmult_tree_main(64), NODES,
+        spec=ClusterSpec(ship_mode="demand", topology="two_tier:2",
+                         prefetch_depth=depth, loss=loss, control=control))
     return makespan, machine, value
 
 
@@ -107,13 +108,15 @@ def test_adaptive_oracle(topology, loss):
     best = None
     for depth in (0, 4, 16):
         makespan, machine, value = cw.run_cluster(
-            cw.matmult_tree_main(64), NODES, ship_mode="demand",
-            topology=topology, prefetch_depth=depth, loss=loss)
+            cw.matmult_tree_main(64), NODES,
+            spec=ClusterSpec(ship_mode="demand", topology=topology,
+                             prefetch_depth=depth, loss=loss))
         values.add(value)
         best = makespan if best is None else min(best, makespan)
     makespan, machine, value = cw.run_cluster(
-        cw.matmult_tree_main(64), NODES, ship_mode="demand",
-        topology=topology, loss=loss, control="adaptive")
+        cw.matmult_tree_main(64), NODES,
+        spec=ClusterSpec(ship_mode="demand", topology=topology, loss=loss,
+                         control="adaptive"))
     values.add(value)
     assert len(values) == 1
     assert makespan <= best
@@ -126,13 +129,15 @@ def test_skewed_workload_adaptive_beats_statics():
     values = set()
     for depth in (0, 8, 32):
         makespan, _, value = cw.run_cluster(
-            _skewed(), NODES, ship_mode="demand", topology="two_tier:2",
-            prefetch_depth=depth)
+            _skewed(), NODES,
+            spec=ClusterSpec(ship_mode="demand", topology="two_tier:2",
+                             prefetch_depth=depth))
         statics.append(makespan)
         values.add(value)
     makespan, machine, value = cw.run_cluster(
-        _skewed(), NODES, ship_mode="demand", topology="two_tier:2",
-        control="adaptive")
+        _skewed(), NODES,
+        spec=ClusterSpec(ship_mode="demand", topology="two_tier:2",
+                         control="adaptive"))
     values.add(value)
     assert len(values) == 1
     assert all(makespan < static for static in statics), \
@@ -180,8 +185,9 @@ def _window(index, node_rows, route_samples=None, pair_bytes=None,
 
 @pytest.fixture
 def machine():
-    with Machine(nnodes=NODES, ship_mode="demand", topology="two_tier:2",
-                 control=Controller(depth0=32)) as m:
+    with Machine(nnodes=NODES,
+                 spec=ClusterSpec(ship_mode="demand", topology="two_tier:2",
+                                  control=Controller(depth0=32))) as m:
         yield m
 
 
@@ -252,9 +258,10 @@ def test_dirty_windows_keep_growth_held(machine):
 def test_retx_timeout_floor_and_ceiling():
     """SRTT timeouts respect both clamps: never below twice the route
     transit, never above the static ``cost.retx_timeout``."""
-    with Machine(nnodes=NODES, ship_mode="demand", topology="two_tier:2",
-                 loss={"drop": 0.02, "seed": 1},
-                 control="adaptive") as machine:
+    with Machine(nnodes=NODES,
+                 spec=ClusterSpec(ship_mode="demand", topology="two_tier:2",
+                                  loss={"drop": 0.02, "seed": 1},
+                                  control="adaptive")) as machine:
         ctrl = machine.control
         cost = machine.cost
         rack = 2 * machine.topology.route_latency(cost, 0, 1)

@@ -15,6 +15,7 @@ import hashlib
 
 import pytest
 
+from repro import ClusterSpec
 from repro.bench import cluster_workloads as cw
 from repro.cluster import LossSchedule, MsgType, NetworkStats, resolve_loss
 from repro.cluster.faults import DELIVER, DROP, DUPLICATE, REORDER
@@ -39,7 +40,8 @@ def _memory_image(machine):
 def _run(loss=None, **config):
     config.setdefault("topology", TOPOLOGY)
     makespan, machine, value = cw.run_cluster(
-        cw.matmult_tree_main(64), NODES, loss=loss, **config)
+        cw.matmult_tree_main(64), NODES,
+        spec=ClusterSpec(loss=loss, **config))
     assert machine.transport.conservation_ok()
     return makespan, machine, value
 
@@ -156,9 +158,10 @@ def test_loss_is_cost_only_on_every_path(config):
 def test_md5_values_survive_loss():
     """The other cluster workload family, same oracle."""
     _, m_clean, v_clean = cw.run_cluster(cw.md5_tree_main(3), NODES,
-                                         topology=TOPOLOGY)
+                                         spec=ClusterSpec(topology=TOPOLOGY))
     _, m_lossy, v_lossy = cw.run_cluster(cw.md5_tree_main(3), NODES,
-                                         topology=TOPOLOGY, loss=0.05)
+                                         spec=ClusterSpec(topology=TOPOLOGY,
+                                                          loss=0.05))
     assert v_lossy == v_clean
     assert _memory_image(m_lossy) == _memory_image(m_clean)
     assert m_lossy.transport.conservation_ok()
@@ -213,8 +216,8 @@ def test_retry_exhaustion_raises_deterministically():
     """A dead link (drop=1.0) exhausts cost.retx_limit retries and
     stops the migrating space with a NetworkLossError trap."""
     with pytest.raises(RuntimeError, match="NetworkLossError"):
-        cw.run_cluster(cw.md5_circuit_main(3), 2, loss=1.0)
+        cw.run_cluster(cw.md5_circuit_main(3), 2, spec=ClusterSpec(loss=1.0))
     # Raised directly when the transport is driven outside a guest.
-    machine = Machine(nnodes=2, loss=1.0)
+    machine = Machine(nnodes=2, spec=ClusterSpec(loss=1.0))
     with pytest.raises(NetworkLossError):
         machine.transport._send(MsgType.ACK, 0, 1, 64)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import ClusterSpec
 from repro.common.errors import KernelError
 from repro.kernel import Machine, child_ref
 from repro.mem import PAGE_SIZE
@@ -252,7 +253,7 @@ def test_tcp_mode_adds_small_overhead():
         return g.get(ref, regs=True)["r0"]
 
     def run(tcp):
-        with Machine(nnodes=2, tcp_mode=tcp) as m:
+        with Machine(nnodes=2, spec=ClusterSpec(tcp_mode=tcp)) as m:
             return m.run(main).makespan(cpus_per_node={0: 1, 1: 1})
 
     plain, tcp = run(False), run(True)

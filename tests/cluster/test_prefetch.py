@@ -11,6 +11,7 @@ import hashlib
 
 import pytest
 
+from repro import ClusterSpec
 from repro.bench import cluster_workloads as cw
 from repro.cluster import NetworkStats
 from repro.kernel import Machine, child_ref
@@ -31,10 +32,10 @@ def _memory_image(space):
     return digest.hexdigest()
 
 
-def _run_oracle(entry_builder, **machine_kwargs):
+def _run_oracle(entry_builder, **knobs):
     """Run a cluster program, returning (value, root memory image,
     machine stats snapshot) with the machine still open."""
-    machine = Machine(nnodes=NODES, **machine_kwargs)
+    machine = Machine(nnodes=NODES, spec=ClusterSpec(**knobs))
     with machine:
         result = machine.run(lambda g: entry_builder(g, NODES))
         assert result.trap.name in ("EXIT", "RET"), result.trap_info
@@ -113,8 +114,9 @@ def test_queue_depth_bounded():
     class Probe(Machine):
         max_seen = 0
 
-    machine = Probe(nnodes=NODES, ship_mode="demand", prefetch_depth=4,
-                    topology="two_tier:2")
+    machine = Probe(nnodes=NODES,
+                    spec=ClusterSpec(ship_mode="demand", prefetch_depth=4,
+                                     topology="two_tier:2"))
     transport = machine.transport
     original = transport.prefetch
 
@@ -151,12 +153,12 @@ def test_prefetched_pages_counted_separately():
 
 def test_bad_prefetch_depth_rejected():
     with pytest.raises(ValueError, match="prefetch_depth"):
-        Machine(prefetch_depth=-1)
+        Machine(spec=ClusterSpec(prefetch_depth=-1))
 
 
 def test_bad_ship_mode_still_rejected():
     with pytest.raises(ValueError, match="ship_mode"):
-        Machine(ship_mode="lazy")
+        Machine(spec=ClusterSpec(ship_mode="lazy"))
 
 
 # -- compression conservation ----------------------------------------------
@@ -215,9 +217,11 @@ def test_sweep_nodes_plumbs_prefetch_and_compression():
             return total // nnodes
         return main
 
-    plain = sweep_nodes(builder, node_counts=(2, 4), ship_mode="demand")
-    tuned = sweep_nodes(builder, node_counts=(2, 4), ship_mode="demand",
-                        prefetch_depth=8, compression=True)
+    plain = sweep_nodes(builder, node_counts=(2, 4),
+                        spec=ClusterSpec(ship_mode="demand"))
+    tuned = sweep_nodes(builder, node_counts=(2, 4),
+                        spec=ClusterSpec(ship_mode="demand", prefetch_depth=8,
+                                         compression=True))
     for nodes in (2, 4):
         assert plain[nodes][1].value == tuned[nodes][1].value
         assert tuned[nodes][1].machine.prefetch_depth == 8

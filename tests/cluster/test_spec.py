@@ -1,53 +1,27 @@
-"""ClusterSpec: one knob vocabulary, one validation site, one shim.
+"""ClusterSpec: one knob vocabulary, one validation site, one spelling.
 
-The four entry points — ``Machine``, ``Cluster``, ``sweep_nodes``,
-``run_cluster`` (and the serving trace runner) — accept configuration
-only as a ``spec=ClusterSpec(...)`` or as legacy keyword knobs routed
-through the shared :meth:`ClusterSpec.from_kwargs` shim.  These tests
-pin the contract: kwargs round-trip through a spec losslessly, every
-entry point raises the *same* validation error for a bad knob, the
-legacy path builds bit-identical machines to the spec path (values,
-makespans, and full memory images), and a signature guard fails the
-moment any entry point re-grows its own diverging knob parameter list.
+Every entry point — ``Machine``, ``Cluster``, ``sweep_nodes``,
+``run_cluster``, ``serve_trace``, ``run_backend``, ``run_real`` —
+accepts configuration only as ``spec=ClusterSpec(...)``.  These tests
+pin the contract: a bad field value raises at spec construction, a
+mistyped or stray knob keyword is Python's own ``TypeError`` at every
+entry point, the spec is a frozen value, and a signature guard fails
+the moment any entry point re-grows a knob parameter or a ``**knobs``
+catch-all.
 """
 
-import hashlib
+import dataclasses
 import inspect
 
 import pytest
 
 from repro import Cluster, ClusterSpec, Machine, sweep_nodes
 from repro.bench import cluster_workloads as cw
+from repro.cluster.backend import run_backend, run_real
 from repro.cluster.serving import serve_trace
 
-NODES = 4
 
-
-def _memory_image(machine):
-    """Digest of the root's full memory image (vpn-ordered frame bytes)."""
-    digest = hashlib.sha256()
-    aspace = machine.root.addrspace
-    for vpn in aspace.mapped_vpns():
-        digest.update(vpn.to_bytes(8, "little"))
-        digest.update(aspace.frame(vpn).data)
-    return digest.hexdigest()
-
-
-# -- round trip & value semantics -------------------------------------------
-
-def test_kwargs_spec_kwargs_round_trip():
-    spec = ClusterSpec(ship_mode="demand", prefetch_depth=16,
-                       topology="two_tier:2", placement="locality",
-                       loss=0.01, compression=True, cpus_per_node=2)
-    again = ClusterSpec.from_kwargs(**spec.to_kwargs())
-    assert again == spec
-    assert again.to_kwargs() == spec.to_kwargs()
-
-
-def test_from_kwargs_passes_spec_through_unchanged():
-    spec = ClusterSpec(ship_mode="demand")
-    assert ClusterSpec.from_kwargs(spec=spec) is spec
-
+# -- value semantics --------------------------------------------------------
 
 def test_with_copies_and_revalidates():
     base = ClusterSpec(topology="two_tier:2")
@@ -74,67 +48,43 @@ def test_spec_is_frozen():
     (dict(cost=object()), "cost"),
 ])
 def test_validation_is_centralized(bad, match):
-    """Every entry point rejects a bad knob with ClusterSpec's message,
-    whether it arrives as a legacy kwarg or inside a spec."""
+    """A bad field value never reaches an entry point: constructing the
+    spec is the one place it can be said, and it raises there."""
     with pytest.raises(ValueError, match=match):
         ClusterSpec(**bad)
-    for build in (lambda: Machine(nnodes=2, **bad),
-                  lambda: Cluster(2, **bad),
-                  lambda: sweep_nodes(cw.md5_tree_main, (1,), **bad),
-                  lambda: cw.run_cluster(cw.md5_tree_main(3), 2, **bad),
-                  lambda: serve_trace(2, requests=2, **bad)):
-        with pytest.raises(ValueError, match=match):
-            build()
+    with pytest.raises(ValueError, match=match):
+        ClusterSpec().with_(**bad)
 
 
 def test_unknown_knob_raises_the_same_typeerror_everywhere():
-    for build in (lambda: Machine(nnodes=2, ship_moed="delta"),
+    for build in (lambda: ClusterSpec(ship_moed="delta"),
+                  lambda: Machine(nnodes=2, ship_moed="delta"),
                   lambda: Cluster(2, ship_moed="delta"),
+                  lambda: sweep_nodes(cw.md5_tree_main, (1,),
+                                      ship_moed="delta"),
                   lambda: cw.run_cluster(cw.md5_tree_main(3), 2,
                                          ship_moed="delta"),
-                  lambda: serve_trace(2, requests=2, ship_moed="delta")):
+                  lambda: serve_trace(2, requests=2, ship_moed="delta"),
+                  lambda: run_backend(cw.md5_tree_main(3), 2,
+                                      ship_moed="delta"),
+                  lambda: run_real(cw.md5_tree_main(3), 2,
+                                   ship_moed="delta")):
         with pytest.raises(TypeError, match="ship_moed"):
             build()
 
 
 def test_spec_plus_legacy_knobs_is_refused():
+    """A correctly spelled knob keyword is refused too — beside a spec
+    or on its own — and ``spec=`` takes a ClusterSpec, not a dict."""
     spec = ClusterSpec()
-    with pytest.raises(TypeError, match="not both"):
+    with pytest.raises(TypeError, match="ship_mode"):
         Machine(nnodes=2, spec=spec, ship_mode="demand")
+    with pytest.raises(TypeError, match="loss"):
+        Cluster(2, loss=0.01)
     with pytest.raises(TypeError, match="ClusterSpec"):
         Machine(nnodes=2, spec={"ship_mode": "demand"})
-
-
-# -- legacy kwargs are bit-identical to the spec path -----------------------
-
-def test_legacy_kwargs_bit_identical_to_spec_md5():
-    knobs = dict(topology="two_tier:2", placement="locality",
-                 ship_mode="demand", prefetch_depth=8, compression=True)
-    legacy_mk, legacy_m, legacy_v = cw.run_cluster(
-        cw.md5_tree_main(3), NODES, **knobs)
-    spec_mk, spec_m, spec_v = cw.run_cluster(
-        cw.md5_tree_main(3), NODES, spec=ClusterSpec(**knobs))
-    assert (legacy_mk, legacy_v) == (spec_mk, spec_v)
-    assert _memory_image(legacy_m) == _memory_image(spec_m)
-
-
-def test_legacy_kwargs_bit_identical_to_spec_matmult():
-    knobs = dict(topology="two_tier:2", loss={"drop": 0.02, "seed": 2010})
-    legacy_mk, legacy_m, legacy_v = cw.run_cluster(
-        cw.matmult_tree_main(64), NODES, **knobs)
-    spec_mk, spec_m, spec_v = cw.run_cluster(
-        cw.matmult_tree_main(64), NODES, spec=ClusterSpec(**knobs))
-    assert (legacy_mk, legacy_v) == (spec_mk, spec_v)
-    assert _memory_image(legacy_m) == _memory_image(spec_m)
-
-
-def test_cluster_legacy_matches_spec():
-    legacy = Cluster(NODES, ship_mode="demand").run(
-        cw.md5_tree_main(3), args=(NODES,))
-    spec = Cluster(NODES, spec=ClusterSpec(ship_mode="demand")).run(
-        cw.md5_tree_main(3), args=(NODES,))
-    assert legacy.value == spec.value
-    assert legacy.makespan() == spec.makespan()
+    assert Machine(nnodes=2, spec=spec).spec is spec
+    assert Machine().spec == ClusterSpec()
 
 
 def test_cpus_per_node_rides_the_spec():
@@ -152,21 +102,23 @@ def test_cpus_per_node_rides_the_spec():
 # -- the signature guard ----------------------------------------------------
 
 ENTRY_POINTS = [Machine.__init__, Cluster.__init__, sweep_nodes,
-                cw.run_cluster, serve_trace]
+                cw.run_cluster, serve_trace, run_backend, run_real]
 
 
 @pytest.mark.parametrize("entry", ENTRY_POINTS,
                          ids=lambda f: f.__qualname__)
 def test_entry_points_never_regrow_knob_parameters(entry):
-    """The api_redesign ratchet: configuration knobs live on ClusterSpec
-    only.  If any entry point re-grows an explicit ``ship_mode=`` /
-    ``loss=`` / ... parameter, the four signatures start diverging again
-    and this test fails naming the offender."""
+    """The ratchet: configuration knobs live on ClusterSpec only.  If
+    any entry point re-grows an explicit ``ship_mode=`` / ``loss=`` /
+    ... parameter, or a ``**knobs`` catch-all to smuggle them through,
+    the signatures start diverging again and this test fails naming
+    the offender."""
     params = inspect.signature(entry).parameters
     assert "spec" in params, entry.__qualname__
-    assert any(p.kind is inspect.Parameter.VAR_KEYWORD
-               for p in params.values()), entry.__qualname__
-    regrown = set(params) & set(ClusterSpec.knob_names())
+    assert not any(p.kind is inspect.Parameter.VAR_KEYWORD
+                   for p in params.values()), entry.__qualname__
+    fields = {f.name for f in dataclasses.fields(ClusterSpec)}
+    regrown = set(params) & fields
     assert not regrown, (
         f"{entry.__qualname__} re-grew knob parameter(s) {sorted(regrown)}; "
         f"add fields to ClusterSpec instead")

@@ -4,6 +4,7 @@ policies relocating traffic without changing results."""
 
 import pytest
 
+from repro import ClusterSpec
 from repro.bench import cluster_workloads as cw
 from repro.cluster import (
     Controller,
@@ -49,8 +50,8 @@ def ship_work(nnodes, data_pages=8, work=100_000):
     return main
 
 
-def matmult(nnodes, n=64, **kwargs):
-    with Machine(nnodes=nnodes, **kwargs) as m:
+def matmult(nnodes, n=64, **knobs):
+    with Machine(nnodes=nnodes, spec=ClusterSpec(**knobs)) as m:
         result = m.run(lambda g: cw.matmult_tree(g, nnodes, n, seed=7))
         return result, m
 
@@ -124,7 +125,7 @@ def test_resolve_topology_specs():
 def test_bytes_conserved_per_traversed_link():
     """Every physical link of every route — switch links included —
     delivers exactly the bytes it sent."""
-    with Machine(nnodes=8, topology="two_tier:2") as m:
+    with Machine(nnodes=8, spec=ClusterSpec(topology="two_tier:2")) as m:
         m.run(ship_work(8))
         switch_links = [link for link in m.transport.links
                         if any(isinstance(end, str) for end in link)]
@@ -136,7 +137,7 @@ def test_bytes_conserved_per_traversed_link():
 
 def test_hops_exceed_messages_on_switched_fabric():
     """A routed message traverses every link of its path."""
-    with Machine(nnodes=4, topology="two_tier:2") as m:
+    with Machine(nnodes=4, spec=ClusterSpec(topology="two_tier:2")) as m:
         m.run(ship_work(4))
         t = m.transport
         assert t.hops > t.messages
@@ -200,12 +201,15 @@ def test_round_robin_stripes_racks_and_locality_packs():
             return 0
         return main
 
-    with Machine(nnodes=4, topology="two_tier:2",
-                 placement="round_robin") as m:
+    with Machine(nnodes=4,
+                 spec=ClusterSpec(topology="two_tier:2",
+                                  placement="round_robin")) as m:
         m.run(touch_all(4))
         # Virtual 0,1 stripe across racks {0,1} and {2,3}.
         assert m.node_map == {0: 0, 1: 2, 2: 1, 3: 3}
-    with Machine(nnodes=4, topology="two_tier:2", placement="locality") as m:
+    with Machine(nnodes=4,
+                 spec=ClusterSpec(topology="two_tier:2",
+                                  placement="locality")) as m:
         m.run(touch_all(4))
         # Contiguous virtual blocks share racks.
         assert m.node_map == {0: 0, 1: 1, 2: 2, 3: 3}
@@ -222,7 +226,9 @@ def test_locality_reduces_cross_rack_bytes_on_matmult():
 
 
 def test_placement_is_sticky_and_bijective():
-    with Machine(nnodes=4, topology="two_tier:2", placement="locality") as m:
+    with Machine(nnodes=4,
+                 spec=ClusterSpec(topology="two_tier:2",
+                                  placement="locality")) as m:
         m.run(ship_work(4))
         assert sorted(m.node_map.values()) == sorted(m.node_map)
         before = dict(m.node_map)
@@ -241,7 +247,9 @@ def test_placement_must_return_unused_node():
         g.put(child_ref(1, node=1), regs={"entry": lambda g2: 0}, start=True)
         return 0
 
-    with Machine(nnodes=2, placement=resolve_placement("identity")) as ok:
+    with Machine(nnodes=2,
+                 spec=ClusterSpec(
+                     placement=resolve_placement("identity"))) as ok:
         ok.run(main)
     broken = Machine(nnodes=2)
     broken.placement = Broken()
@@ -286,7 +294,8 @@ def test_placement_matches_the_per_call_definition(topology, nnodes, policy):
     # home racks fill out of order.
     order = [(3 * v + 3) % nnodes for v in range(nnodes)]
     assert sorted(order) == list(range(nnodes))
-    with Machine(nnodes=nnodes, topology=topology, placement=policy) as m:
+    with Machine(nnodes=nnodes,
+                 spec=ClusterSpec(topology=topology, placement=policy)) as m:
         reference = {}
         for vnode in order:
             reference[vnode] = _reference_assign(
@@ -313,7 +322,9 @@ class _Scripted:
     (1, "reused"), (4, "returned"), (-1, "returned"),
 ], ids=["reused", "past-the-end", "negative"])
 def test_bad_policy_refused_after_control_plane_swap(answer, complaint):
-    with Machine(nnodes=4, topology="two_tier:2", placement="identity") as m:
+    with Machine(nnodes=4,
+                 spec=ClusterSpec(topology="two_tier:2",
+                                  placement="identity")) as m:
         m.run(ship_work(3))
         assert m.node_map == {0: 0, 1: 1, 2: 2}
         Controller()._swap_nodes(m, 1, 2, None)
@@ -347,9 +358,9 @@ def test_default_flat_round_robin_is_identity():
 
 def test_bad_specs_rejected():
     with pytest.raises(ValueError, match="placement"):
-        Machine(nnodes=2, placement="nearest")
+        Machine(nnodes=2, spec=ClusterSpec(placement="nearest"))
     with pytest.raises(ValueError, match="topology"):
-        Machine(nnodes=2, topology="ring")
+        Machine(nnodes=2, spec=ClusterSpec(topology="ring"))
     with pytest.raises(ValueError):
         resolve_placement(42)
 
@@ -361,5 +372,5 @@ def test_virtual_node_validation_still_applies():
         except KernelError:
             return "bad-node"
 
-    with Machine(nnodes=2, topology="two_tier:2") as m:
+    with Machine(nnodes=2, spec=ClusterSpec(topology="two_tier:2")) as m:
         assert m.run(main).r0 == "bad-node"

@@ -3,6 +3,7 @@ and configuration plumbing through the cluster sweep helpers."""
 
 import pytest
 
+from repro import ClusterSpec
 from repro.cluster import MsgType, sweep_nodes
 from repro.cluster.transport import Transport
 from repro.kernel import Machine, child_ref
@@ -30,8 +31,8 @@ def ship_work(nnodes, data_pages=8, work=100_000):
     return main
 
 
-def run(nnodes, **machine_kwargs):
-    with Machine(nnodes=nnodes, **machine_kwargs) as m:
+def run(nnodes, **knobs):
+    with Machine(nnodes=nnodes, spec=ClusterSpec(**knobs)) as m:
         result = m.run(ship_work(nnodes))
         return result, m
 
@@ -80,7 +81,7 @@ def test_full_ship_reships_unchanged_pages():
         return 0
 
     def pages(ship_mode):
-        with Machine(nnodes=2, ship_mode=ship_mode) as m:
+        with Machine(nnodes=2, spec=ClusterSpec(ship_mode=ship_mode)) as m:
             m.run(main)
             return m.transport.pages_shipped
 
@@ -142,7 +143,8 @@ def _stable_builder(nnodes):
 def test_sweep_nodes_tcp_mode_changes_wire_costs():
     """Regression: sweep_nodes used to drop tcp_mode on the floor."""
     plain = sweep_nodes(_stable_builder, node_counts=(2,))
-    tcp = sweep_nodes(_stable_builder, node_counts=(2,), tcp_mode=True)
+    tcp = sweep_nodes(_stable_builder, node_counts=(2,),
+                      spec=ClusterSpec(tcp_mode=True))
     plain_wire = plain[2][1].network.wire_cycles
     tcp_wire = tcp[2][1].network.wire_cycles
     assert tcp_wire > plain_wire
@@ -151,7 +153,8 @@ def test_sweep_nodes_tcp_mode_changes_wire_costs():
 
 def test_sweep_nodes_plumbs_ship_mode_and_tracking():
     full = sweep_nodes(_stable_builder, node_counts=(1, 2, 4),
-                       ship_mode="full", dirty_tracking=False)
+                       spec=ClusterSpec(ship_mode="full",
+                                        dirty_tracking=False))
     delta = sweep_nodes(_stable_builder, node_counts=(1, 2, 4))
     for nodes in (1, 2, 4):
         # Semantic transparency holds in every configuration.
@@ -162,4 +165,4 @@ def test_sweep_nodes_plumbs_ship_mode_and_tracking():
 
 def test_bad_ship_mode_rejected():
     with pytest.raises(ValueError, match="ship_mode"):
-        Machine(ship_mode="lazy")
+        Machine(spec=ClusterSpec(ship_mode="lazy"))

@@ -5,8 +5,7 @@ The load-bearing claims:
 * ``goto N`` recovers the machine state at cycle N **bit-identically**:
   deterministic across invocations, identical whether the original run
   was serial or sharded (the replay is always serial, so every sharded
-  ``goto`` doubles as an oracle of the shard path), and identical under
-  either schedule engine.
+  ``goto`` doubles as an oracle of the shard path).
 * Checkpoint diffs match ground truth computed two independent ways: a
   pure-Python bytewise compare of the frozen images, and the write list
   of a seeded randomized workload.
@@ -18,7 +17,7 @@ import random
 
 import pytest
 
-from repro import Machine
+from repro import ClusterSpec, Machine
 from repro.common.errors import DebugApiError
 from repro.debug import Inspector
 from repro.debug import render
@@ -26,7 +25,7 @@ from repro.debug.model import ADDED, CHANGED, RETAGGED
 from repro.debug.scenarios import (INJECT_AT_EPOCH, ft_main, fault_tolerance,
                                    retx_main, retx_trap)
 from repro.runtime.checkpoint import FREEZER_SLOT, Checkpointer
-from repro.timing.schedule import ENGINES, schedule
+from repro.timing.schedule import schedule
 
 
 @pytest.fixture(scope="module")
@@ -172,16 +171,6 @@ def test_goto_without_recipe_is_an_error(ft):
         bare.goto(0)
 
 
-def test_goto_identical_across_engines(ft, monkeypatch):
-    (crash,) = ft.traps()
-    baseline = ft.goto(crash.cycle)
-    monkeypatch.setenv("REPRO_SCHED_ENGINE", "list")
-    other = Inspector(ft.machine, result=ft.result, recipe=fault_tolerance)
-    result = other.goto(crash.cycle)
-    assert result.segments == baseline.segments
-    assert result.image == baseline.image
-
-
 @pytest.mark.skipif(not hasattr(os, "fork"),
                     reason="sharding requires os.fork")
 def test_goto_from_sharded_original(ft):
@@ -190,7 +179,7 @@ def test_goto_from_sharded_original(ft):
     recovered image must equal the serial run's."""
 
     def sharded(prepare=None):
-        machine = Machine(shard_workers=2)
+        machine = Machine(spec=ClusterSpec(shard_workers=2))
         if prepare is not None:
             prepare(machine)
         result = machine.run(ft_main)
@@ -207,16 +196,18 @@ def test_goto_from_sharded_original(ft):
         insp.machine.close()
 
 
-# -- timeline vs the schedule engines ---------------------------------------
+# -- timeline vs the schedule ------------------------------------------------
+# (Timeline == the list oracle, transfer by transfer, is pinned on both
+# scenarios by tests/timing/test_event_core.py::test_timeline_matches_oracle.)
 
 
-def test_timeline_matches_both_schedule_engines(ft):
-    timeline = ft.timeline
-    for engine in ENGINES:
-        sched = schedule(ft.trace, ncpus=ft.ncpus, engine=engine)
-        assert timeline.makespan == sched.makespan
-        assert timeline.start == sched.start
-        assert timeline.finish == sched.finish
+def test_timeline_is_a_view_over_the_inspectors_schedule(ft):
+    # One scheduling pass per inspector: the timeline holds the very
+    # start/finish mappings of ``insp.sched``, not a second replay.
+    assert ft.timeline.start is ft.sched.start
+    assert ft.timeline.finish is ft.sched.finish
+    assert ft.timeline.makespan == ft.sched.makespan
+    assert len(ft.timeline.transfers) == len(ft.trace.transfers)
 
 
 def test_timeline_link_busy_matches_schedule(retx):
@@ -334,6 +325,31 @@ def test_trapped_summary_bit_identical_across_reruns(retx):
                 == render.format_tree(retx.image, pages=True))
     finally:
         again.machine.close()
+
+
+#: The seven outputs CI's "Capture inspector sample output" step
+#: archives (argv -> file under tests/debug/golden/, captured before
+#: Timeline became a view over the schedule).  Byte equality, both
+#: scenarios: a refactor of the timing layer must not move one cycle.
+GOLDEN = [
+    (["summary"], "debug_summary.txt"),
+    (["tree", "--pages"], "debug_tree.txt"),
+    (["bt"], "debug_bt.txt"),
+    (["diff", "epoch-4", "epoch-5"], "debug_diff.txt"),
+    (["goto", "345806", "--pages"], "debug_goto.txt"),
+    (["--scenario", "retx", "summary"], "debug_retx_summary.txt"),
+    (["--scenario", "retx", "links"], "debug_retx_links.txt"),
+]
+
+
+@pytest.mark.parametrize("argv, golden", GOLDEN,
+                         ids=[name for _, name in GOLDEN])
+def test_cli_output_matches_archived_golden(argv, golden, capsys):
+    from repro.debug.__main__ import main
+    assert main(argv) == 0
+    path = os.path.join(os.path.dirname(__file__), "golden", golden)
+    with open(path, encoding="utf-8") as handle:
+        assert capsys.readouterr().out == handle.read()
 
 
 def test_cli_smoke(capsys):

@@ -14,6 +14,7 @@ import threading
 import pytest
 
 import repro
+from repro import ClusterSpec
 from repro.bench import cluster_workloads as cw
 from repro.common.errors import GuestKilled
 from repro.kernel import Machine, Trap
@@ -239,8 +240,9 @@ def test_destroy_never_searches_the_parent_table():
 
 @pytest.mark.parametrize("placement", ["round_robin", "locality", "identity"])
 def test_place_never_scans_the_node_map(placement):
-    with Machine(nnodes=FANOUT, topology="fat_tree",
-                 placement=placement) as machine:
+    with Machine(nnodes=FANOUT,
+                 spec=ClusterSpec(topology="fat_tree",
+                                  placement=placement)) as machine:
         node_map = machine.node_map = ScanCountingDict()
         topo = machine.topology
         racks_built = [0]

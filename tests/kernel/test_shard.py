@@ -1,6 +1,6 @@
 """Bit-identity of sharded host execution vs the serial engine.
 
-``Machine(shard_workers=N)`` forks sibling subtrees into worker host
+``ClusterSpec(shard_workers=N)`` forks sibling subtrees into worker host
 processes at rendezvous points and adopts their deltas (see
 repro.kernel.shard).  The sharded run must be indistinguishable from
 the serial one in every observable: computed values, the full trace,
@@ -14,8 +14,12 @@ import threading
 
 import pytest
 
+from repro import ClusterSpec, Machine
 from repro.bench import cluster_workloads as cw
+from repro.cluster import realnet
 from repro.cluster.network import NetworkStats
+from repro.common.errors import BackendError
+from repro.kernel.shard import fork_refusal
 
 pytestmark = pytest.mark.skipif(
     not hasattr(os, "fork"), reason="sharding requires os.fork")
@@ -59,10 +63,11 @@ def fingerprint(machine, value, makespan):
     }
 
 
-def run_pair(builder, nnodes, workers=4, **kwargs):
-    serial_mk, serial_m, serial_v = cw.run_cluster(builder, nnodes, **kwargs)
+def run_pair(builder, nnodes, workers=4, **knobs):
+    spec = ClusterSpec(**knobs)
+    serial_mk, serial_m, serial_v = cw.run_cluster(builder, nnodes, spec=spec)
     shard_mk, shard_m, shard_v = cw.run_cluster(
-        builder, nnodes, shard_workers=workers, **kwargs)
+        builder, nnodes, spec=spec.with_(shard_workers=workers))
     return (fingerprint(serial_m, serial_v, serial_mk),
             fingerprint(shard_m, shard_v, shard_mk),
             shard_m.shard)
@@ -91,24 +96,60 @@ def test_sharded_run_bit_identical_on_fat_tree():
 
 
 def test_shard_disabled_below_two_workers():
-    _, machine, _ = cw.run_cluster(cw.md5_tree_main(2), 2, shard_workers=1)
+    _, machine, _ = cw.run_cluster(cw.md5_tree_main(2), 2,
+                                   spec=ClusterSpec(shard_workers=1))
     assert machine.shard is None
 
 
-@pytest.mark.parametrize("gate_kwargs", [
-    {"loss": 0.05},
-    {"placement": "locality", "topology": "two_tier:2"},
-    {"prefetch_depth": 2},
-], ids=["loss", "locality_placement", "prefetch"])
-def test_gated_configs_stay_serial_and_identical(gate_kwargs):
+#: The one gate table (``shard.fork_refusal``): knobs -> a fragment of
+#: the reason both coordinators give.
+GATED = {
+    "loss": ({"loss": 0.05}, "loss schedules"),
+    "demand_paging": ({"ship_mode": "demand"}, "ship_mode='demand'"),
+    "prefetch": ({"prefetch_depth": 2}, "prefetch_depth > 0"),
+    "control": ({"control": "adaptive"}, "adaptive control plane"),
+    "locality_placement": (
+        {"placement": "locality", "topology": "two_tier:2"},
+        "replayable placement"),
+}
+
+
+@pytest.mark.parametrize("gate", GATED)
+def test_gated_configs_stay_serial_and_identical(gate):
     # Configurations whose results cannot be replayed from a worker
     # delta (fault schedules keyed on global message serials, stats-fed
-    # placement, cross-subtree prefetch hints) must not fork — and must
-    # still produce the serial answer.
-    serial, sharded, shard = run_pair(cw.matmult_tree_main(32), 4,
-                                      **gate_kwargs)
+    # placement, cross-subtree prefetch hints) must not fork — must
+    # still produce the serial answer — and must say why.
+    knobs, reason = GATED[gate]
+    serial, sharded, shard = run_pair(cw.matmult_tree_main(32), 4, **knobs)
     assert shard.forked == 0
     assert sharded == serial
+    assert shard.refused.startswith("shard_workers=4 ")
+    assert reason in shard.refused
+
+
+@pytest.mark.skipif(not realnet.localhost_available(),
+                    reason="the real backend needs localhost sockets")
+@pytest.mark.parametrize("gate", GATED)
+def test_real_backend_refuses_what_the_shard_gate_refuses(gate):
+    # Same table, other consumer: where the pipe coordinator falls back
+    # to serial, the real backend refuses the machine outright, in the
+    # same words.
+    knobs, reason = GATED[gate]
+    spec = ClusterSpec(**knobs)
+    with Machine(nnodes=4, spec=spec) as plain:
+        why = fork_refusal(plain)
+    assert reason in why
+    with pytest.raises(BackendError) as refusal:
+        Machine(nnodes=4, spec=spec.with_(backend="real"))
+    assert str(refusal.value) == f'backend="real" {why}'
+
+
+def test_open_gate_records_no_refusal():
+    with Machine(nnodes=4) as plain:
+        assert fork_refusal(plain) is None
+    _, _, shard = run_pair(cw.md5_tree_main(3), 4)
+    assert shard.forked > 0 and shard.refused is None
 
 
 def test_full_ship_mode_shards_and_matches():

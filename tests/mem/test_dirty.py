@@ -3,6 +3,7 @@ snapshots (DESIGN.md)."""
 
 import pytest
 
+from repro import ClusterSpec
 from repro.kernel import Machine
 from repro.mem import (
     AddressSpace,
@@ -180,7 +181,7 @@ def test_merge_stats_tracked_flag_reflects_machine_setting():
         thread_join(g, 1)
 
     for tracking in (True, False):
-        with Machine(dirty_tracking=tracking) as m:
+        with Machine(spec=ClusterSpec(dirty_tracking=tracking)) as m:
             m.run(main)
             assert all(s.tracked == tracking for s in m.merge_stats_total)
 
@@ -260,7 +261,7 @@ def test_conflicting_merge_is_still_charged_and_recorded():
         return len(g.machine.merge_stats_total)
 
     for tracking in (True, False):
-        with Machine(dirty_tracking=tracking) as m:
+        with Machine(spec=ClusterSpec(dirty_tracking=tracking)) as m:
             assert m.run(main).r0 == 2
 
 
