@@ -32,6 +32,21 @@ def _fig4():
     return "\n".join(lines)
 
 
+def _shard_footer(machine):
+    """What the machine's shard coordinator (either kind; none by
+    default) did: the counts, and why rendezvous stayed serial if they
+    did."""
+    shard = machine.shard
+    if shard is None:
+        return []
+    label = "real processes" if machine.backend == "real" else "shard workers"
+    lines = [f"  {label:<22}forked={shard.forked} adopted={shard.adopted} "
+             f"fallbacks={shard.fallbacks}"]
+    if shard.refused:
+        lines.append(f"  {'refused:':<22}{shard.refused}")
+    return lines
+
+
 def _md5(backend="sim"):
     """The md5-circuit workload on either backend: identical computed
     value and memory image, measured wall-clock next to simulated
@@ -49,12 +64,9 @@ def _md5(backend="sim"):
         f"  simulated makespan    {result.makespan:>14,} cycles",
         f"  measured wall-clock   {result.wall_seconds:>14.3f} s",
     ]
+    lines += _shard_footer(result.machine)
     if backend == "real":
-        stats = result.shard_stats
         verdict = "ok" if result.wire_ok else "VIOLATED"
-        lines.append(
-            f"  real processes        forked={stats['forked']} "
-            f"adopted={stats['adopted']} fallbacks={stats['fallbacks']}")
         lines.append(
             f"  real wire             {len(result.wire)} links, "
             f"conservation {verdict}")
@@ -91,7 +103,7 @@ def _serving_real():
         f"  simulated span        {result.span:>14,} cycles",
         f"  measured wall-clock   {wall:>14.3f} s",
         f"  response checksum     {result.checksum}",
-    ])
+    ] + _shard_footer(result.machine))
 
 
 #: Artifacts that accept a --backend argument.

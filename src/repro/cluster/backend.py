@@ -5,17 +5,16 @@ an *exact oracle* for a backend where cluster nodes are real host
 processes and migration state moves over real sockets.  This module is
 that backend:
 
-* :class:`RealShardCoordinator` extends the fork/collect/adopt
-  machinery of ``repro.kernel.shard``: at a rendezvous, each never-run
-  sibling subtree is started in its own ``multiprocessing`` process
-  (one real host process per cluster-node subtree).  Instead of a raw
-  pickle pipe, the coordinator and each worker speak the cluster
-  protocol's typed messages — MIGRATE / PAGE_REQ / PAGE_BATCH / ACK —
-  as binary frames over a localhost socket (``repro.cluster.realnet``):
-  the forward migration offers the subtree's fork-time frames and
-  ships the requested pages (through the shared compression codec when
-  the machine compresses); the backward hand-back ships every frame
-  the run created the same way, with the shard delta riding the
+* :class:`RealShardCoordinator` is ``repro.kernel.shard``'s
+  coordinator — which owns every worker's life, one host process per
+  cluster-node subtree — with another hand-back link and another
+  failure policy.  Instead of a pipe, coordinator and worker speak the
+  cluster protocol's typed messages — MIGRATE / PAGE_REQ / PAGE_BATCH /
+  ACK — as binary frames over a localhost socket
+  (``repro.cluster.realnet``): the forward migration offers the
+  subtree's fork-time frames and ships the requested pages (through the
+  shared codec when the machine compresses); the hand-back ships every
+  frame the run created the same way, the shard delta riding the
   MIGRATE control frame.  Workers compute on the wire-delivered bytes,
   so a codec or framing bug diverges the cross-backend oracle instead
   of hiding behind fork's copy-on-write.
@@ -30,12 +29,11 @@ that backend:
   ledger per coordinator<->worker link with the same conservation
   discipline (bytes sent == bytes received, checked from both ends).
 
-* Failures are typed, bounded, and clean: a worker that dies or hangs
-  mid-protocol surfaces a :class:`~repro.common.errors.BackendError`
-  within the channel deadline, every child process is terminated and
-  joined (nothing leaks past ``multiprocessing.active_children()``),
-  and the parent's simulated state is untouched — it was never mutated
-  before adoption.
+* Failures are typed, bounded, and clean: a worker that cannot start,
+  dies or hangs surfaces a :class:`~repro.common.errors.BackendError`
+  within the coordinator's deadline, every child process is reaped
+  (``multiprocessing.active_children()`` is empty), and the parent's
+  simulated state is untouched — nothing mutates before adoption.
 
 Entry points: :func:`run_backend` (dispatches on ``spec.backend``),
 :func:`run_real` (forces the real backend), :class:`RealRunResult`
@@ -44,9 +42,8 @@ Entry points: :func:`run_backend` (dispatches on ``spec.backend``),
 reporting cross-backend identity as one comparable line).
 """
 
+import contextlib
 import hashlib
-import multiprocessing
-import os
 import time
 import weakref
 from enum import Enum
@@ -96,70 +93,53 @@ class RealShardCoordinator(ShardCoordinator):
             problem = "requires localhost TCP sockets"
         if problem is not None:
             raise BackendError(f'backend="real" {problem}')
-        #: Per-exchange deadline (seconds): every socket operation and
-        #: every process join is bounded by it, so a dead or wedged
-        #: worker becomes a typed BackendError, never a hang.
-        self.deadline = realnet.DEFAULT_DEADLINE
-        #: Test hook: a worker-side crash point name (see _worker_main).
-        self.fault_inject = None
-        #: Set on abort: gates close, remaining subtrees run inline,
-        #: and the run surfaces a BackendError (see run_backend).
-        self.broken = False
-        self.broken_reason = ""
         #: Real-wire ledgers: ``(src, dst) -> sender counts + receiver
         #: counts`` per directed coordinator<->worker link.
         self.wire_links = {}
         self.wire_reports_missing = 0
-        self._listener = None
-        self._addr = None
-        self._next_index = 0
-        self._chan = {}     # worker index -> parent-side Channel
-        self._procs = {}    # worker index -> multiprocessing.Process
 
-    def _gates_open(self):
-        return not self.broken and super()._gates_open()
+    def _fail(self, what, exc):
+        """The failure policy here: tear everything down, discard all
+        pending results, shut the gates and raise.  Nothing mutated the
+        parent before adoption, so surviving subtrees drain inline."""
+        self.close()
+        self.pending.clear()
+        self.snapshots.clear()
+        self.refused = f"real backend aborted: {what}: {exc}"
+        raise BackendError(self.refused)
 
-    # -- spawning ----------------------------------------------------------
+    # -- the hand-back link: the cluster wire ------------------------------
 
     def _spawn(self, caller, sibling):
-        if self._listener is None:
-            self._listener = realnet.listen(self.deadline)
-            self._addr = self._listener.getsockname()
-        index = self._next_index
-        self._next_index += 1
-        # fork start method: the worker inherits the machine image at
-        # this instant, exactly like the pipe coordinator's os.fork —
-        # the forking thread is the caller's guest thread, sole holder
-        # of the execution baton.
-        ctx = multiprocessing.get_context("fork")
-        proc = ctx.Process(target=self._worker_main,
-                           args=(caller, sibling, index),
-                           name=f"repro-real-worker-{index}")
-        proc.start()
-        self._procs[index] = proc
-        return (sibling, index, proc)
+        # Stays this class's own attribute: perfbench times the real
+        # backend's fork by this dotted name, through ``vars()``.  The
+        # listening socket is the coordinator's own link, torn down with
+        # the workers' by the one ``close``.
+        if COORD not in self._links:
+            self._links[COORD] = realnet.listen(self.deadline)
+        return super()._spawn(caller, sibling)
+
+    def _open_link(self, index):
+        return contextlib.nullcontext()     # the worker connects back
 
     def _wave_started(self, handles):
         """Serve every worker's forward page exchange before collecting
         any result: workers block on the forward pages at startup, so a
         lazily served exchange would serialize the wave."""
-        expected = {index: sibling for sibling, index, _proc in handles}
-        try:
-            for _ in handles:
-                chan = realnet.accept(self._listener, self.deadline)
-                try:
-                    _, _, _, hello = chan.recv(expect=MsgType.ACK)
-                    index = hello.get("worker")
-                    sibling = expected.pop(index, None)
-                    if sibling is None:
-                        raise WireError(f"unexpected worker hello {hello!r}")
-                except BaseException:
-                    chan.close()
-                    raise
-                self._chan[index] = chan
-                self._serve_forward(chan, sibling, index)
-        except (WireError, OSError) as exc:
-            self._abort(f"forward exchange failed: {exc}")
+        expected = {index: sibling for sibling, index in handles}
+        for _ in handles:
+            chan = realnet.accept(self._links[COORD], self.deadline)
+            try:
+                _, _, _, hello = chan.recv(expect=MsgType.ACK)
+                index = hello.get("worker")
+                sibling = expected.pop(index, None)
+                if sibling is None:
+                    raise WireError(f"unexpected worker hello {hello!r}")
+            except BaseException:
+                chan.close()
+                raise
+            self._links[index] = chan
+            self._serve_forward(chan, sibling, index)
 
     def _serve_forward(self, chan, sibling, index):
         """Offer the sibling's fork-time frames, ship what the worker
@@ -196,24 +176,15 @@ class RealShardCoordinator(ShardCoordinator):
 
     # -- worker (child process) --------------------------------------------
 
-    def _worker_main(self, caller, sibling, index):
-        """Runs in the forked worker process: receive the forward
-        migration over the wire, run the subtree, hand the delta back
-        as protocol frames.  Never unwinds into the cloned parent's
-        stack — multiprocessing's fork bootstrap ``os._exit``\\ s."""
-        if self._listener is not None:
-            self._listener.close()      # the child's inherited copy
-        chan = realnet.connect(self._addr, self.deadline)
-        try:
-            chan.send(MsgType.ACK, index, COORD,
-                      {"worker": index, "uid": sibling.uid})
-            self._receive_forward(chan, sibling, index)
-            payload = self._run_worker(caller, sibling)
-            if self.fault_inject == "die-before-handback":
-                os._exit(9)
-            self._send_handback(chan, payload, index)
-        finally:
-            chan.close()
+    def _attach(self, sibling, index, end):
+        """Connect back, say hello, receive the forward migration."""
+        addr = self._links[COORD].getsockname()
+        self._links[COORD].close()      # the child's inherited copy
+        chan = realnet.connect(addr, self.deadline)
+        chan.send(MsgType.ACK, index, COORD,
+                  {"worker": index, "uid": sibling.uid})
+        self._receive_forward(chan, sibling, index)
+        return chan
 
     def _receive_forward(self, chan, sibling, index):
         """Request and install the offered fork-time frames.  The
@@ -228,8 +199,7 @@ class RealShardCoordinator(ShardCoordinator):
             raise WireError("forward offer does not match the forked "
                             "subtree's frames")
         chan.send(MsgType.PAGE_REQ, index, COORD, wanted)
-        if self.fault_inject == "die-before-install":
-            os._exit(9)
+        self._fault("before-install")
         installed = 0
         while installed < len(wanted):
             _, _, _, pages = chan.recv(expect=MsgType.PAGE_BATCH)
@@ -245,19 +215,19 @@ class RealShardCoordinator(ShardCoordinator):
             installed += len(pages)
         chan.send(MsgType.ACK, index, COORD, {"status": "ok"})
 
-    def _send_handback(self, chan, payload, index):
+    def _send_delta(self, chan, payload, index):
         """Ship the run's delta: new frames' bytes as PAGE_BATCH frames,
         the structural payload on the MIGRATE control frame, the wire
         ledger on the final ACK."""
-        if payload is None:
-            chan.send(MsgType.MIGRATE, index, COORD, {"kind": "refused"})
+        if isinstance(payload, str):
+            chan.send(MsgType.MIGRATE, index, COORD,
+                      {"kind": "refused", "reason": payload})
         else:
             shipped = self._strip_pages(payload)
             chan.send(MsgType.MIGRATE, index, COORD,
                       {"kind": "result", "payload": payload,
                        "npages": len(shipped)})
-            if self.fault_inject == "die-mid-handback":
-                os._exit(9)
+            self._fault("mid-handback")
             for chunk in _batched(shipped, self.machine.cost.msg_batch):
                 chan.send(MsgType.PAGE_BATCH, index, COORD,
                           self._encode_pages(chunk))
@@ -285,43 +255,32 @@ class RealShardCoordinator(ShardCoordinator):
 
     # -- collection (parent side) ------------------------------------------
 
-    def _collect(self, handle):
-        sibling, index, proc = handle
-        chan = self._chan.pop(index, None)
-        payload = None
-        try:
-            if chan is None:
-                raise WireError("worker never completed its forward "
-                                "exchange")
-            _, _, _, head = chan.recv(expect=MsgType.MIGRATE)
-            kind = head.get("kind")
-            if kind == "result":
-                payload = head["payload"]
-                wire_pages = {}
-                want = head.get("npages", 0)
-                while len(wire_pages) < want:
-                    _, _, _, pages = chan.recv(expect=MsgType.PAGE_BATCH)
-                    if not pages:
-                        raise WireError("empty PAGE_BATCH in hand-back")
-                    for serial, generation, scheme, data in pages:
-                        wire_pages[serial] = (generation,
-                                              _decode_page(scheme, data))
-                self._reattach(payload, wire_pages)
-            elif kind != "refused":
-                raise WireError(f"unexpected hand-back header {head!r}")
-            # The worker's ledger is snapshotted before its final ACK
-            # frame goes out, so conservation compares against the
-            # parent's receive counts at the same instant.
-            pre_ack = {link: dict(entry)
-                       for link, entry in chan.received.items()}
-            _, _, _, fin = chan.recv(expect=MsgType.ACK)
-            self._account(index, chan, fin.get("ledger"), pre_ack)
-        except (WireError, OSError) as exc:
-            self._abort(f"worker {index} ({sibling.uid}): {exc}")
-        finally:
-            if chan is not None:
-                chan.close()
-            self._join(index, proc)
+    def _recv_delta(self, chan, index):
+        _, _, _, head = chan.recv(expect=MsgType.MIGRATE)
+        kind = head.get("kind")
+        if kind == "result":
+            payload = head["payload"]
+            wire_pages = {}
+            want = head.get("npages", 0)
+            while len(wire_pages) < want:
+                _, _, _, pages = chan.recv(expect=MsgType.PAGE_BATCH)
+                if not pages:
+                    raise WireError("empty PAGE_BATCH in hand-back")
+                for serial, generation, scheme, data in pages:
+                    wire_pages[serial] = (generation,
+                                          _decode_page(scheme, data))
+            self._reattach(payload, wire_pages)
+        elif kind == "refused":
+            payload = str(head.get("reason"))
+        else:
+            raise WireError(f"unexpected hand-back header {head!r}")
+        # The worker's ledger is snapshotted before its final ACK
+        # frame goes out, so conservation compares against the
+        # parent's receive counts at the same instant.
+        pre_ack = {link: dict(entry)
+                   for link, entry in chan.received.items()}
+        _, _, _, fin = chan.recv(expect=MsgType.ACK)
+        self._account(index, chan, fin.get("ledger"), pre_ack)
         return payload
 
     def _reattach(self, payload, wire_pages):
@@ -386,53 +345,6 @@ class RealShardCoordinator(ShardCoordinator):
                 return False
         return True
 
-    # -- teardown ----------------------------------------------------------
-
-    def _join(self, index, proc):
-        proc.join(self.deadline)
-        if proc.is_alive():
-            proc.terminate()
-            proc.join(self.deadline)
-        if proc.is_alive():
-            proc.kill()
-            proc.join()
-        self._procs.pop(index, None)
-
-    def _abort(self, reason):
-        """Tear down the whole backend — close every channel, terminate
-        and join every worker, discard all pending results — and raise.
-        The parent's simulated state is untouched (nothing mutates
-        before adoption), so surviving subtrees drain inline."""
-        self.broken = True
-        self.broken_reason = f"real backend aborted: {reason}"
-        for chan in self._chan.values():
-            chan.close()
-        self._chan.clear()
-        for proc in self._procs.values():
-            if proc.is_alive():
-                proc.terminate()
-        for index, proc in list(self._procs.items()):
-            self._join(index, proc)
-        if self._listener is not None:
-            self._listener.close()
-            self._listener = None
-        self.pending.clear()
-        self.snapshots.clear()
-        raise BackendError(self.broken_reason)
-
-    def close(self):
-        """Machine-close teardown: nothing may outlive the machine."""
-        for chan in self._chan.values():
-            chan.close()
-        self._chan.clear()
-        for index, proc in list(self._procs.items()):
-            if proc.is_alive():
-                proc.terminate()
-            self._join(index, proc)
-        if self._listener is not None:
-            self._listener.close()
-            self._listener = None
-
 
 def _decode_page(scheme, payload):
     """Wire page -> exactly PAGE_SIZE bytes (anything else is a frame
@@ -475,19 +387,17 @@ class RealRunResult:
         #: The shared simulated traffic tables.
         self.network = NetworkStats(machine)
         shard = machine.shard
-        if isinstance(shard, RealShardCoordinator):
-            #: Real-backend extras: shard adoption counts and the
-            #: real-wire per-link ledgers with conservation verdict.
-            self.shard_stats = {"forked": shard.forked,
-                                "adopted": shard.adopted,
-                                "fallbacks": shard.fallbacks}
-            self.wire = {link: dict(entry)
-                         for link, entry in shard.wire_links.items()}
-            self.wire_ok = shard.wire_conservation_ok()
-        else:
-            self.shard_stats = None
-            self.wire = {}
-            self.wire_ok = None
+        #: Either coordinator's counts and reasons (None without one).
+        self.shard_stats = None if shard is None else {
+            "forked": shard.forked, "adopted": shard.adopted,
+            "fallbacks": shard.fallbacks, "refused": shard.refused,
+            "fallback_reasons": dict(shard.fallback_reasons)}
+        #: Real-backend extras: the real-wire per-link ledgers and
+        #: their conservation verdict.
+        real = machine.backend == "real"
+        wire_links = shard.wire_links if real else {}
+        self.wire = {link: dict(entry) for link, entry in wire_links.items()}
+        self.wire_ok = shard.wire_conservation_ok() if real else None
 
     def __repr__(self):
         return (f"<RealRunResult backend={self.backend!r} "
@@ -531,9 +441,8 @@ def run_backend(entry_builder, nnodes, spec=None, configure=None):
     with machine:
         result = machine.run(main)
         wall = time.perf_counter() - start
-        shard = machine.shard
-        if shard is not None and getattr(shard, "broken", False):
-            raise BackendError(shard.broken_reason)
+        if machine.backend == "real" and machine.shard.refused:
+            raise BackendError(machine.shard.refused)
         if result.trap.name not in ("EXIT", "RET"):
             info = result.trap_info or ""
             if info.startswith(("BackendError", "WireError")):

@@ -31,7 +31,17 @@ worker likewise refuses to report if its run touched anything that
 cannot be replayed from a delta (the console-input or clock cursor).
 Any doubt discards the result and runs the sibling inline on the
 current state — the serial path is always correct, forked results are
-only ever a cache of it.
+only ever a cache of it — and says which check failed
+(:attr:`ShardCoordinator.fallback_reasons`).
+
+:class:`ShardCoordinator` owns a worker's whole life, for
+``shard_workers=N`` and ``backend="real"`` alike: one ``_spawn``, one
+``_worker_main``, one ``_collect``, one deadline-bounded ``_join``, one
+teardown (``close``).  A coordinator supplies only the hand-back *link*
+(here a ``multiprocessing`` pipe, which already length-prefixes and
+pickles; in ``cluster/backend.py`` the cluster wire) and the *failure
+policy* ``_fail`` (here: that sibling runs inline, reason recorded;
+there: tear down and raise).
 
 Gates (:func:`fork_refusal` — all must hold or the rendezvous stays
 serial, with the reason kept on :attr:`ShardCoordinator.refused`):
@@ -48,9 +58,11 @@ serial, with the reason kept on :attr:`ShardCoordinator.refused`):
   ``round_robin``), so a worker's first-use node assignments replay.
 """
 
+import multiprocessing
 import os
-import pickle
+import threading
 
+from repro.common.errors import WireError
 from repro.kernel.space import SpaceState
 from repro.timing.trace import Segment
 
@@ -77,6 +89,9 @@ _LINK_FIELDS = (
 #: topology and the virtual node number), so a worker-side first-use
 #: assignment can be re-verified at adoption time.
 _REPLAYABLE_PLACEMENTS = ("identity", "round_robin")
+
+#: ``_fail``'s ``what`` when a wave's workers could not all be started.
+_START_FAILED = "worker start failed"
 
 
 def fork_refusal(machine):
@@ -136,22 +151,33 @@ class ShardCoordinator:
         self.machine = machine
         #: Maximum forked workers alive at once (wave size).
         self.workers = workers
-        #: Space -> collected worker payload awaiting adoption.
+        #: Space -> collected worker payload awaiting adoption (a delta
+        #: dict, or the reason string why there is none).
         self.pending = {}
         #: Space -> fork-time frame snapshot {serial: (page, refs, gen)}.
         self.snapshots = {}
         # Fork-time counter bases (identical for every pending result).
         self._base = None
+        #: Seconds any one wait on a worker may take (its hand-back, a
+        #: socket operation, its exit): a wedged worker is never a hang.
+        self.deadline = 60.0
+        #: Test hook: a worker-side fault point name (see ``_fault``).
+        self.fault_inject = None
+        self._next_index = 0
+        self._links = {}    # worker index -> parent end of its link
+        self._procs = {}    # worker index -> multiprocessing.Process
         # -- statistics (tests and reporting) --
-        #: Sibling subtrees handed to forked workers.
+        #: Sibling subtrees handed to a wave of workers.
         self.forked = 0
         #: Worker results spliced in at a rendezvous.
         self.adopted = 0
         #: Worker results discarded (worker refused, validation failed,
-        #: or the transport failed); the sibling ran inline instead.
+        #: or the link failed); the sibling ran inline instead ...
         self.fallbacks = 0
-        #: Why rendezvous are staying serial (:func:`fork_refusal`'s
-        #: answer the first time the gate was found closed), else None.
+        #: ... and why: ``{reason: count}``, summing to ``fallbacks``.
+        self.fallback_reasons = {}
+        #: Why the gates are shut and rendezvous stay serial, else None:
+        #: :func:`fork_refusal`'s answer, or the real backend's abort.
         self.refused = None
 
     # -- entry point (called by Kernel._rendezvous) ------------------------
@@ -166,10 +192,14 @@ class ShardCoordinator:
         if child in self.pending:
             payload = self.pending.pop(child)
             snap = self.snapshots.pop(child)
-            if payload is not None and self._adopt(child, payload, snap):
+            reason = payload if isinstance(payload, str) \
+                else self._adopt(child, payload, snap)
+            if reason is None:
                 self.adopted += 1
                 return True
             self.fallbacks += 1
+            self.fallback_reasons[reason] = \
+                self.fallback_reasons.get(reason, 0) + 1
             return False
         if self.pending or not self._gates_open():
             return False
@@ -183,12 +213,13 @@ class ShardCoordinator:
         return self.execute(caller, child)
 
     def _gates_open(self):
-        reason = fork_refusal(self.machine)
-        if reason is not None and self.refused is None:
-            self.refused = f"shard_workers={self.workers} {reason}"
-        return reason is None
+        if self.refused is None:
+            reason = fork_refusal(self.machine)
+            if reason is not None:
+                self.refused = f"shard_workers={self.workers} {reason}"
+        return self.refused is None
 
-    # -- forking -----------------------------------------------------------
+    # -- worker lifecycle --------------------------------------------------
 
     def _fork_all(self, caller, siblings):
         """Fork one worker per sibling (waves of ``self.workers``),
@@ -209,30 +240,19 @@ class ShardCoordinator:
             }
         for i in range(0, len(siblings), self.workers):
             wave = siblings[i:i + self.workers]
-            handles = [self._spawn(caller, sib) for sib in wave]
-            self._wave_started(handles)
-            for handle in handles:
-                self.pending[handle[0]] = self._collect(handle)
-                self.forked += 1
+            self.forked += len(wave)
+            try:
+                handles = [self._spawn(caller, sib) for sib in wave]
+                self._wave_started(handles)
+            except (OSError, WireError) as exc:
+                self.pending.update(
+                    dict.fromkeys(wave, self._fail(_START_FAILED, exc)))
+                continue
+            for sibling, index in handles:
+                self.pending[sibling] = self._collect(sibling, index)
 
     def _spawn(self, caller, sibling):
-        """Start one worker for ``sibling``; returns an opaque handle
-        whose first element is the sibling (backends extend the rest)."""
-        pid, rfd = self._fork_worker(caller, sibling)
-        return (sibling, pid, rfd)
-
-    def _wave_started(self, handles):
-        """Hook between a wave's last spawn and its first collect; the
-        real backend serves the forward page exchanges here so workers
-        start computing concurrently."""
-
-    def close(self):
-        """Release backend resources at machine close (no-op here: pipe
-        workers are always joined inside ``_fork_all``)."""
-
-    def _fork_worker(self, caller, sibling):
-        """Fork a worker that runs ``sibling`` and writes its pickled
-        payload (length-prefixed) to a pipe.  Returns (pid, read_fd).
+        """Start the worker for ``sibling``; returns ``(sibling, index)``.
 
         Fork safety: the forking thread is the caller's guest thread —
         the sole holder of the execution baton, so every other guest
@@ -241,59 +261,113 @@ class ShardCoordinator:
         worker's surviving thread forgets the cloned contexts and
         pooled workers, whose threads were not copied
         (``Engine.after_fork``), drives the sibling on a fresh guest
-        thread and exits with ``os._exit`` (no unwinding of the parent's
-        stacks).
+        thread and never unwinds the parent's stacks (multiprocessing's
+        fork bootstrap leaves through ``os._exit``).
         """
-        rfd, wfd = os.pipe()
-        pid = os.fork()
-        if pid == 0:
-            try:
-                os.close(rfd)
-                try:
-                    payload = self._run_worker(caller, sibling)
-                    data = pickle.dumps(payload, pickle.HIGHEST_PROTOCOL)
-                except BaseException:
-                    data = b""
-                os.write(wfd, len(data).to_bytes(8, "little"))
-                view = memoryview(data)
-                while view:
-                    view = view[os.write(wfd, view):]
-                os.close(wfd)
-            finally:
-                os._exit(0)
-        os.close(wfd)
-        return pid, rfd
+        index = self._next_index
+        self._next_index += 1
+        with self._open_link(index) as end:
+            proc = multiprocessing.get_context("fork").Process(
+                target=self._worker_main, name=f"repro-shard-worker-{index}",
+                args=(caller, sibling, index, end))
+            proc.start()
+        self._procs[index] = proc
+        return sibling, index
 
-    def _collect(self, handle):
-        """Read one worker's payload; None on any shortfall."""
-        _sibling, pid, rfd = handle
+    def _worker_main(self, caller, sibling, index, end):
+        """The worker process: attach, run, hand back (an exception is
+        a traceback on stderr and, to the parent, a dead worker)."""
+        link = self._attach(sibling, index, end)
         try:
-            chunks = []
-            while True:
-                chunk = os.read(rfd, 1 << 20)
-                if not chunk:
-                    break
-                chunks.append(chunk)
-            data = b"".join(chunks)
+            payload = self._run_worker(caller, sibling)
+            self._fault("before-handback")
+            self._send_delta(link, payload, index)
         finally:
-            os.close(rfd)
-            os.waitpid(pid, 0)
-        if len(data) < 8:
-            return None
-        size = int.from_bytes(data[:8], "little")
-        if size == 0 or len(data) != size + 8:
-            return None
+            link.close()
+
+    def _fault(self, point):
+        """Test hook: die (``fault_inject == "die-<point>"``) or wedge
+        for good (``"hang-<point>"``) at a worker-side protocol point."""
+        if self.fault_inject == f"die-{point}":
+            os._exit(9)
+        if self.fault_inject == f"hang-{point}":
+            threading.Event().wait()
+
+    def _collect(self, sibling, index):
+        """One worker's payload or, whatever the receive raises (EOF,
+        timeout, wire or unpickling error), the failure policy's answer;
+        the link is closed and the worker reaped either way."""
+        link, proc = self._links.pop(index), self._procs.pop(index)
         try:
-            return pickle.loads(data[8:])
-        except Exception:
-            return None
+            return self._recv_delta(link, index)
+        except Exception as exc:    # noqa: BLE001
+            proc.terminate()        # dead or wedged: no grace
+            return self._fail(f"worker {index} ({sibling.uid})", exc)
+        finally:
+            link.close()
+            self._join(proc)
+
+    def _join(self, proc):
+        """Reap a worker: wait for its exit, terminate it when that
+        outlasts the deadline, kill it when that does too."""
+        proc.join(self.deadline)
+        for stop in (proc.terminate, proc.kill):
+            if proc.is_alive():
+                stop()
+                proc.join(self.deadline)
+
+    def close(self):
+        """The one teardown, at machine close and on abort: every link
+        closed, every worker terminated and reaped."""
+        while self._links:
+            self._links.popitem()[1].close()
+        for proc in self._procs.values():
+            proc.terminate()
+        while self._procs:
+            self._join(self._procs.popitem()[1])
+
+    def _fail(self, what, exc):
+        """The failure policy: ``what`` did not start or hand back.
+        Here the siblings concerned run inline for the reason answered
+        (and a wave that did not start leaves no worker behind)."""
+        if what == _START_FAILED:
+            self.close()
+            return what
+        if isinstance(exc, TimeoutError):
+            return "worker timed out"
+        return "worker died" if isinstance(exc, (EOFError, OSError)) \
+            else "payload corrupt"
+
+    # -- the hand-back link: a multiprocessing pipe ------------------------
+
+    def _open_link(self, index):
+        """Keep the parent's end; answer the worker's, whose copy here
+        ``_spawn`` closes after the fork (a dead worker reads as EOF)."""
+        self._links[index], end = multiprocessing.Pipe(duplex=False)
+        return end
+
+    def _wave_started(self, handles):
+        """Between a wave's last spawn and first collect (the real
+        backend serves the forward page exchanges here)."""
+
+    def _attach(self, sibling, index, end):
+        """Worker side, before the run: the link to hand back on."""
+        return end
+
+    def _send_delta(self, link, payload, index):
+        link.send(payload)
+
+    def _recv_delta(self, link, index):
+        if not link.poll(self.deadline):
+            raise TimeoutError
+        return link.recv()
 
     # -- worker side -------------------------------------------------------
 
     def _run_worker(self, caller, sibling):
         """Inside the forked process: run ``sibling``'s subtree on the
-        fork-time machine and return the delta payload (or None to
-        demand the serial fallback)."""
+        fork-time machine and return the delta payload (or the reason
+        string that demands the serial fallback)."""
         machine = self.machine
         trace = machine.trace
         transport = machine.transport
@@ -338,13 +412,13 @@ class ShardCoordinator:
         # outstanding prefetch exchanges, or work leaking into the
         # caller's open segment.
         if sibling.state is SpaceState.READY:
-            return None
+            return "sibling still READY"
         if machine._time_idx != time0 or machine._console_pos != console0:
-            return None
+            return "cursor device read"
         if any(machine.transport.inflight.values()):
-            return None
+            return "transfers in flight"
         if caller_seg is not None and caller_seg.cycles != caller_cycles:
-            return None
+            return "caller segment charged"
 
         serial0 = base["serial"]
         replaced = sorted({
@@ -430,7 +504,7 @@ class ShardCoordinator:
     def _adopt(self, child, payload, snap):
         """Validate a worker result against the *current* parent state
         and splice it in, renumbering by the current counters.  Returns
-        False (mutating nothing) when validation fails."""
+        None, or (mutating nothing) the validation that failed."""
         machine = self.machine
         trace = machine.trace
         base = self._base
@@ -445,11 +519,11 @@ class ShardCoordinator:
         # Reference gains are safe: more sharing still copies-on-write.
         for serial, (page, refs, generation) in snap.items():
             if page.generation != generation:
-                return False
+                return "generation moved"
         for serial in payload["replaced"]:
             entry = snap.get(serial)
             if entry is None or entry[0].refs < entry[1]:
-                return False
+                return "refcount dropped"
         # First-use placements made inside the worker must replay:
         # same assignment from the current map, no bijection clash.
         node_map = machine.node_map
@@ -459,10 +533,10 @@ class ShardCoordinator:
             if current is None:
                 if phys in machine.node_owner or phys in claimed or \
                         machine.placement.assign(machine, None, vnode) != phys:
-                    return False
+                    return "placement does not replay"
                 claimed.add(phys)
             elif current != phys:
-                return False
+                return "placement does not replay"
         # Collect the adopted graph's frame slots; any pre-fork serial
         # must resolve to a fork-time frame of this sibling.
         adopted = payload["spaces"]
@@ -475,7 +549,7 @@ class ShardCoordinator:
                 entry[1] += 1
         for page, _count in page_slots.values():
             if page.serial <= serial0 and page.serial not in snap:
-                return False
+                return "foreign pre-fork frame"
 
         # -- validation passed: splice (no failure paths below) --
         delta_s = machine.frames._next_serial - serial0
@@ -610,4 +684,4 @@ class ShardCoordinator:
                 setattr(stats, key, getattr(stats, key) + fields[key])
             for mtype, count in fields["by_type"].items():
                 stats.by_type[mtype] = stats.by_type.get(mtype, 0) + count
-        return True
+        return None

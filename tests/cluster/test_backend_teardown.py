@@ -1,17 +1,28 @@
-"""Fault injection into the real backend: a worker killed mid-protocol
-must surface as a typed :class:`BackendError` within a bounded deadline
-and leave no child processes behind."""
+"""The worker-fault matrix, over both shard coordinators.
+
+One worker of a run dies, wedges, or cannot be started.  The pipe
+coordinator (``shard_workers=4``) must run that sibling inline, say why
+on ``fallback_reasons``, and still produce the serial run bit for bit;
+the real backend must surface a typed :class:`BackendError`.  Either way
+the run is bounded by the coordinator's deadline and leaves no child
+process behind."""
 
 import multiprocessing
 import os
+import sys
 import time
 
 import pytest
 
+from repro import ClusterSpec
 from repro.bench import cluster_workloads as cw
-from repro.cluster.backend import run_real
+from repro.cluster.backend import run_backend, run_real
 from repro.cluster.realnet import localhost_available
 from repro.common.errors import BackendError
+
+sys.path.insert(
+    0, os.path.join(os.path.dirname(__file__), os.pardir, "kernel"))
+from test_shard import fingerprint  # noqa: E402
 
 pytestmark = [
     pytest.mark.skipif(not hasattr(os, "fork"),
@@ -20,10 +31,27 @@ pytestmark = [
                        reason="localhost TCP sockets unavailable"),
 ]
 
-#: Worker-side fault points, in protocol order: death while the parent
-#: serves the forward page exchange, and death after the hand-back
-#: header but before its page batches (parent mid-collect).
-FAULTS = ["die-before-install", "die-before-handback", "die-mid-handback"]
+REAL = {"backend": "real"}
+PIPE = {"shard_workers": 4}
+
+#: (coordinator, worker-side fault point).  Death while the parent
+#: serves the forward page exchange and death after the hand-back
+#: header but before its page batches are points of the real wire's
+#: protocol only; death and a hang just before the hand-back exist on
+#: both links.
+CELLS = [
+    pytest.param(REAL, "die-before-install", id="die-before-install"),
+    pytest.param(REAL, "die-before-handback", id="die-before-handback"),
+    pytest.param(REAL, "die-mid-handback", id="die-mid-handback"),
+    pytest.param(REAL, "hang-before-handback", id="hang-before-handback"),
+    pytest.param(PIPE, "die-before-handback", id="pipe-die-before-handback"),
+    pytest.param(PIPE, "hang-before-handback",
+                 id="pipe-hang-before-handback"),
+]
+
+#: What the pipe coordinator records for each fault.
+REASONS = {"die-before-handback": "worker died",
+           "hang-before-handback": "worker timed out"}
 
 
 def assert_no_leaked_children(grace=10.0):
@@ -33,18 +61,81 @@ def assert_no_leaked_children(grace=10.0):
     assert multiprocessing.active_children() == []
 
 
-@pytest.mark.parametrize("fault", FAULTS)
-def test_worker_death_is_typed_bounded_and_leakless(fault):
+def run(knobs, configure=None):
+    """``(result, fingerprint)`` of the 4-node md5 circuit under
+    ``knobs``: four sibling subtrees, one wave."""
+    result = run_backend(cw.md5_circuit_main(2), 4,
+                         spec=ClusterSpec(**knobs), configure=configure)
+    return result, fingerprint(result.machine, result.value, result.makespan)
+
+
+@pytest.mark.parametrize("knobs,fault", CELLS)
+def test_worker_death_is_typed_bounded_and_leakless(knobs, fault):
+    # A hang is only ever noticed by the deadline, so it runs on a short
+    # one; death closes the link and surfaces at once under any.
+    deadline = 2.0 if fault.startswith("hang") else 10.0
+
     def configure(machine):
-        machine.shard.deadline = 10.0
-        machine.shard.fault_inject = fault
+        shard = machine.shard
+        shard.deadline = deadline
+        spawn = shard._spawn
+
+        def fault_the_first_worker(caller, sibling):
+            # A worker inherits the coordinator as it is at its fork.
+            shard.fault_inject = fault if shard._next_index == 0 else None
+            return spawn(caller, sibling)
+
+        shard._spawn = fault_the_first_worker
 
     start = time.monotonic()
-    with pytest.raises(BackendError, match="real backend aborted"):
-        run_real(cw.md5_circuit_main(2), 2, configure=configure)
-    # Bounded: the 10s channel deadline plus join/teardown slack, far
-    # below the 60s default a hang would consume.
-    assert time.monotonic() - start < 40.0
+    if knobs == REAL:
+        with pytest.raises(BackendError, match="real backend aborted"):
+            run(knobs, configure)
+    else:
+        result, sharded = run(knobs, configure)
+        stats = result.shard_stats
+        assert stats["forked"] == 4 and stats["adopted"] == 3
+        assert stats["fallbacks"] == 1
+        assert stats["fallback_reasons"] == {REASONS[fault]: 1}
+        assert sharded == run({})[1]
+    # Bounded: the deadline plus join/teardown slack, far below the 60s
+    # default a hang would consume.
+    assert time.monotonic() - start < deadline + 30.0
+    assert_no_leaked_children()
+
+
+@pytest.mark.parametrize("knobs", [REAL, PIPE], ids=["real", "pipe"])
+def test_failed_spawn_leaves_no_worker_and_no_snapshot(knobs):
+    # The second spawn of the wave fails: the worker already started
+    # must not outlive the wave, and nothing may stay parked on the
+    # coordinator.
+    shards = []
+
+    def configure(machine):
+        shard = machine.shard
+        shards.append(shard)
+        open_link = shard._open_link
+
+        def out_of_processes(index):
+            if index == 1:
+                raise OSError("injected: cannot start worker 1")
+            return open_link(index)
+
+        shard._open_link = out_of_processes
+
+    if knobs == REAL:
+        with pytest.raises(BackendError, match="real backend aborted: "
+                                               "worker start failed"):
+            run(knobs, configure)
+    else:
+        result, sharded = run(knobs, configure)
+        assert result.shard_stats["fallback_reasons"] == \
+            {"worker start failed": 4}
+        assert result.shard_stats["adopted"] == 0
+        assert sharded == run({})[1]
+    shard, = shards
+    assert shard.snapshots == {} and shard.pending == {}
+    assert shard._procs == {} and shard._links == {}
     assert_no_leaked_children()
 
 

@@ -9,6 +9,7 @@ frame/uid counters, page-cache and origin bookkeeping, console output
 and every transport/link statistic.
 """
 
+import multiprocessing
 import os
 import threading
 
@@ -20,6 +21,8 @@ from repro.cluster import realnet
 from repro.cluster.network import NetworkStats
 from repro.common.errors import BackendError
 from repro.kernel.shard import fork_refusal
+from repro.mem.layout import SHARED_BASE
+from repro.mem.page import PAGE_SIZE
 
 pytestmark = pytest.mark.skipif(
     not hasattr(os, "fork"), reason="sharding requires os.fork")
@@ -68,6 +71,10 @@ def run_pair(builder, nnodes, workers=4, **knobs):
     serial_mk, serial_m, serial_v = cw.run_cluster(builder, nnodes, spec=spec)
     shard_mk, shard_m, shard_v = cw.run_cluster(
         builder, nnodes, spec=spec.with_(shard_workers=workers))
+    # Every worker is joined before its result is even looked at.
+    assert multiprocessing.active_children() == []
+    assert sum(shard_m.shard.fallback_reasons.values()) == \
+        shard_m.shard.fallbacks
     return (fingerprint(serial_m, serial_v, serial_mk),
             fingerprint(shard_m, shard_v, shard_mk),
             shard_m.shard)
@@ -222,4 +229,49 @@ def test_restarted_sibling_is_not_taken_for_never_run():
     serial, sharded, shard = run_pair_bounded(main, 2)
     assert sharded["value"] == [25, 36, 4, 9]
     assert shard.forked == shard.adopted == 2
+    assert sharded == serial
+
+
+# -- fallbacks say why -----------------------------------------------------
+
+def _reads_the_clock(g, k):
+    g.machine.dev_time()        # behind the API's back: only root may
+    return k
+
+
+def test_worker_refusal_is_a_reasoned_fallback():
+    # A subtree that advanced a cursor device cannot be replayed from a
+    # delta: its worker refuses, it runs inline, and the run says why.
+    def main(g, nnodes):
+        for num, entry in ((1, _square), (2, _reads_the_clock), (3, _square)):
+            g.put(num, regs={"entry": entry, "args": (num,)}, start=True)
+        return [_join(g, num) for num in (1, 2, 3)]
+
+    serial, sharded, shard = run_pair(main, 2)
+    assert sharded["value"] == [1, 2, 9]
+    assert shard.forked == 3 and shard.adopted == 2
+    assert shard.fallback_reasons == {"cursor device read": 1}
+    assert sharded == serial
+
+
+def _scribbles(g, k):
+    g.write(SHARED_BASE, bytes([k]) * 8)
+    return k
+
+
+def test_failed_validation_is_a_reasoned_fallback():
+    # Both children write the page they share with the parent.  Child
+    # 1's adoption drops a reference to the frame child 2's worker
+    # replaced copy-on-write; whether that write would still have
+    # copied is no longer what the worker saw, so child 2 runs inline.
+    def main(g, nnodes):
+        g.write(SHARED_BASE, b"parent")
+        for num in (1, 2):
+            g.put(num, regs={"entry": _scribbles, "args": (num,)},
+                  copy=(SHARED_BASE, PAGE_SIZE), start=True)
+        return [_join(g, num) for num in (1, 2)]
+
+    serial, sharded, shard = run_pair(main, 2)
+    assert shard.forked == 2 and shard.adopted == 1
+    assert shard.fallback_reasons == {"refcount dropped": 1}
     assert sharded == serial
