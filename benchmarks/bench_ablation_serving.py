@@ -69,8 +69,8 @@ def _cell(result):
         "p99_cycles": result.p99,
         "goodput": result.goodput,
         # First arrival to last completion — the serving run's makespan
-        # (named so the regression gate and the host-throughput stamp
-        # pick it up like every other benchmark's).
+        # (named so the regression gate picks it up like every other
+        # benchmark's).
         "makespan": result.span,
     }
 

@@ -6,14 +6,10 @@ Compares the JSON the ablation benchmarks just wrote to
 baselines and exits nonzero when a gated metric regressed more than
 10% — e.g. matmult-tree shipping more wire bytes, stalling more cycles
 on demand paging, or finishing in more virtual cycles than the baseline
-recorded.  The host-side throughput key (``sim_cycles_per_host_s``) is
-gated the other way — a value more than 25% *below* the baseline
-(``--throughput-tolerance``) fails, so a simulator slowdown is caught
-even when every virtual-time metric is unchanged.  Non-gated keys
-(computed values, conservation flags) must merely be present; a
-baseline key absent from the fresh output — or a fresh key absent from
-the baseline — is itself a failure, at any depth, so a silently dropped
-metric can never pass the gate.
+recorded.  Non-gated keys (computed values, conservation flags) must
+merely be present; a baseline key absent from the fresh output — or a
+fresh key absent from the baseline — is itself a failure, at any depth,
+so a silently dropped metric can never pass the gate.
 
 On failure a per-metric diff table of every gated leaf in the failing
 files is printed, so the job summary names exactly which metric moved
@@ -56,17 +52,9 @@ GATED_KEYS = {"wire_bytes", "wire_cycles", "makespan", "pages", "hops",
               "adaptive_vs_best_static_pct",
               "p50_cycles", "p95_cycles", "p99_cycles"}
 
-#: Leaf keys gated downward at the *standard* tolerance (lower is a
-#: regression): virtual-time delivery-rate metrics — deterministic like
-#: every GATED_KEYS metric, unlike the noisier host-side
-#: THROUGHPUT_KEYS wall-clock measurements below.
+#: Leaf keys gated downward (lower is a regression): virtual-time
+#: delivery-rate metrics — deterministic like every GATED_KEYS metric.
 GOODPUT_KEYS = {"goodput"}
-
-#: Leaf keys gated the other way (lower is a regression): the
-#: host-side throughput stamp from conftest.dump_json.  Wall-clock
-#: measurements are noisier than virtual-time ones, so they get their
-#: own (looser) ``--throughput-tolerance``.
-THROUGHPUT_KEYS = {"sim_cycles_per_host_s"}
 
 
 def git_tracked(path):
@@ -82,8 +70,7 @@ def git_tracked(path):
         return False
 
 
-def compare(baseline, current, path, tolerance, failures, rows,
-            throughput_tolerance):
+def compare(baseline, current, path, tolerance, failures, rows):
     """Walk ``baseline`` recursively, recording gate violations and a
     diff row per gated leaf."""
     if isinstance(baseline, dict):
@@ -95,7 +82,7 @@ def compare(baseline, current, path, tolerance, failures, rows,
                 failures.append(f"{path}/{key}: missing from current output")
                 continue
             compare(base_value, current[key], f"{path}/{key}", tolerance,
-                    failures, rows, throughput_tolerance)
+                    failures, rows)
         # New cells or metrics must enter the baseline too, at any
         # depth, or they would never be gated.
         for key in sorted(set(current) - set(baseline)):
@@ -111,7 +98,7 @@ def compare(baseline, current, path, tolerance, failures, rows,
             return
         for index, base_value in enumerate(baseline):
             compare(base_value, current[index], f"{path}[{index}]",
-                    tolerance, failures, rows, throughput_tolerance)
+                    tolerance, failures, rows)
         return
     leaf = path.rsplit("/", 1)[-1]
     if leaf in GATED_KEYS and isinstance(baseline, (int, float)):
@@ -143,20 +130,6 @@ def compare(baseline, current, path, tolerance, failures, rows,
             failures.append(
                 f"{path}: {current:,} fell below baseline {baseline:,} "
                 f"by {under} (> {tolerance:.0%})")
-        return
-    if leaf in THROUGHPUT_KEYS and isinstance(baseline, (int, float)):
-        if not isinstance(current, (int, float)) or isinstance(current, bool):
-            failures.append(f"{path}: non-numeric {current!r}")
-            return
-        regressed = current < baseline * (1 - throughput_tolerance)
-        rows.append((path, baseline, current, regressed))
-        if regressed:
-            under = (f"{current / baseline - 1:+.1%}" if baseline
-                     else f"{current:,}")
-            failures.append(
-                f"{path}: throughput {current:,} fell below baseline "
-                f"{baseline:,} by {under} "
-                f"(> {throughput_tolerance:.0%} slowdown)")
 
 
 def diff_table(rows):
@@ -178,9 +151,6 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--tolerance", type=float, default=0.10,
                         help="allowed relative increase (default 0.10)")
-    parser.add_argument("--throughput-tolerance", type=float, default=0.25,
-                        help="allowed relative host-throughput decrease "
-                             "for THROUGHPUT_KEYS (default 0.25)")
     args = parser.parse_args(argv)
 
     baselines = sorted(HERE.glob("BENCH_*.json"))
@@ -206,7 +176,7 @@ def main(argv=None):
         before = len(failures)
         rows = []
         compare(baseline, current, baseline_path.stem, args.tolerance,
-                failures, rows, args.throughput_tolerance)
+                failures, rows)
         failed = len(failures) > before
         if failed:
             failing_rows.extend(rows)

@@ -3,20 +3,13 @@
     python -m repro.bench                 # everything
     python -m repro.bench fig7 fig11      # selected artifacts
     python -m repro.bench --list
-    python -m repro.bench --profile fig11 # + cProfile hotspot report
     python -m repro.bench md5 --backend=real   # real host processes
 
 Prints each figure/table as an aligned text series (the same generators
-the ``benchmarks/`` suite asserts against).  With ``--profile`` each
-selected artifact additionally runs under cProfile: the top cumulative
-entries print after the artifact and the full stats land in
-``benchmarks/out/profile_<name>.pstats`` for ``pstats``/snakeviz.
+the ``benchmarks/`` suite asserts against).
 """
 
 import argparse
-import cProfile
-import os
-import pstats
 import sys
 import time
 
@@ -144,10 +137,6 @@ def main(argv=None):
                         help=f"subset of: {', '.join(ARTIFACTS)}")
     parser.add_argument("--list", action="store_true",
                         help="list available artifacts and exit")
-    parser.add_argument("--profile", action="store_true",
-                        help="run each artifact under cProfile; dump "
-                             "pstats to benchmarks/out/ and print the "
-                             "top cumulative-time entries")
     parser.add_argument("--backend", choices=("sim", "real"), default="sim",
                         help="execution backend for the backend-aware "
                              f"artifacts ({', '.join(sorted(BACKEND_AWARE))})"
@@ -169,23 +158,8 @@ def main(argv=None):
                 f"{sorted(BACKEND_AWARE)}; got {', '.join(unaware)}")
     for name in selected:
         start = time.time()
-        if name in BACKEND_AWARE:
-            def artifact(name=name):
-                return ARTIFACTS[name](args.backend)
-        else:
-            artifact = ARTIFACTS[name]
-        if args.profile:
-            profiler = cProfile.Profile()
-            print(profiler.runcall(artifact))
-            out_dir = os.path.join("benchmarks", "out")
-            os.makedirs(out_dir, exist_ok=True)
-            stats_path = os.path.join(out_dir, f"profile_{name}.pstats")
-            profiler.dump_stats(stats_path)
-            stats = pstats.Stats(profiler, stream=sys.stdout)
-            stats.sort_stats("cumulative").print_stats(12)
-            print(f"[profile: {stats_path}]")
-        else:
-            print(artifact())
+        backend = (args.backend,) if name in BACKEND_AWARE else ()
+        print(ARTIFACTS[name](*backend))
         print(f"[{name}: {time.time() - start:.1f}s]\n")
     return 0
 

@@ -8,7 +8,6 @@ the baseline once per CPU configuration.
 
 from repro.baseline.threadsim import LinuxMachine
 from repro.bench.api import DetApi, LinuxApi
-from repro.cluster.spec import ClusterSpec
 from repro.kernel.machine import Machine
 
 
@@ -31,11 +30,9 @@ class RunResult:
         return f"<RunResult {self.kind} value={self.value!r}>"
 
 
-def run_determinator(workload, params, cost=None, nnodes=1, tcp_mode=False,
-                     dirty_tracking=True):
+def run_determinator(workload, params):
     """Run ``workload.run(api, **params)`` on a Determinator machine."""
-    machine = Machine(nnodes=nnodes, spec=ClusterSpec(
-        cost=cost, tcp_mode=tcp_mode, dirty_tracking=dirty_tracking))
+    machine = Machine()
 
     def main(g):
         return workload.run(DetApi(g), **params)

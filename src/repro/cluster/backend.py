@@ -503,8 +503,8 @@ def image_digest(image):
     for space in image.spaces():
         feed(space.uid, space.path, space.state, space.trap,
              space.trap_info, space.home_node, space.cur_node,
-             space.insn_limit, space.dirty_tracking,
-             space.dirty_page_count, space.snapshot_vpns)
+             space.insn_limit, space.dirty_page_count,
+             space.snapshot_vpns)
         for name in sorted(space.regs):
             feed(name, space.regs[name])
         for vpn in sorted(space.pages):

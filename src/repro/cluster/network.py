@@ -89,8 +89,8 @@ class NetworkStats:
                                       key=lambda kv: _link_key(kv[0]))
         }
         #: link-class name -> aggregate traffic over all links of the
-        #: class (the rack vs cross-rack split): links, messages,
-        #: bytes_sent, pages, raw_bytes, comp_bytes, busy_cycles.
+        #: class (the rack vs cross-rack split): ``links`` plus every
+        #: ``LinkStats.FIELDS`` counter.
         self.per_class = transport.class_totals()
         #: node -> number of distinct *frames* currently cached there
         #: (the cache keeps only each frame's newest generation, so dead

@@ -1,11 +1,11 @@
 """`ClusterSpec`: every cross-cutting knob of a simulated run, in one place.
 
-The thirteen knobs (`tcp_mode`, `dirty_tracking`, `ship_mode`,
-`topology`, `placement`, `prefetch_depth`, `compression`, `loss`,
-`control`, `shard_workers`, `cost`, `cpus_per_node`, `backend`) are
-fields of one frozen dataclass, and every entry point — ``Machine``,
-``Cluster``, ``sweep_nodes``, ``run_cluster``, ``serve_trace``,
-``run_backend``, ``run_real`` — takes it as ``spec=`` and nothing else:
+The twelve knobs (`tcp_mode`, `ship_mode`, `topology`, `placement`,
+`prefetch_depth`, `compression`, `loss`, `control`, `shard_workers`,
+`cost`, `cpus_per_node`, `backend`) are fields of one frozen dataclass,
+and every entry point — ``Machine``, ``Cluster``, ``sweep_nodes``,
+``run_cluster``, ``serve_trace``, ``run_backend``, ``run_real`` — takes
+it as ``spec=`` and nothing else:
 
 * **One validation site.**  ``ship_mode`` membership, ``prefetch_depth``
   range, ``loss``/``control``/``placement`` spec syntax all raise here,
@@ -60,8 +60,6 @@ class ClusterSpec:
     cpus_per_node: int = 1
     #: TCP-like framing surcharge on every cluster message (§6.3).
     tcp_mode: bool = False
-    #: Generation-tagged dirty ledger (False = legacy O(mapped) scans).
-    dirty_tracking: bool = True
     #: Migration page shipping: "delta", "full", or "demand".
     ship_mode: str = "delta"
     #: Routed fabric: preset string, Topology, or nnodes -> Topology.
@@ -85,7 +83,6 @@ class ClusterSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "tcp_mode", bool(self.tcp_mode))
-        object.__setattr__(self, "dirty_tracking", bool(self.dirty_tracking))
         object.__setattr__(self, "compression", bool(self.compression))
         if self.ship_mode not in SHIP_MODES:
             raise ValueError(f"unknown ship_mode {self.ship_mode!r} "

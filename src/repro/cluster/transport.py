@@ -148,81 +148,91 @@ class MsgType(enum.Enum):
 class LinkStats:
     """Cumulative traffic accounting of one directed fabric link."""
 
-    __slots__ = ("cls", "messages", "bytes_sent", "bytes_received", "pages",
-                 "raw_bytes", "comp_bytes", "busy_cycles", "by_type",
-                 "retx_msgs", "retx_bytes", "dropped_msgs", "dropped_bytes",
-                 "dup_msgs", "dup_bytes", "reorder_msgs")
-
-    def __init__(self, cls="node"):
-        #: Name of the link's latency/bandwidth class.
-        self.cls = cls
+    #: The additive counters, declared once: zero-init, :meth:`as_dict`,
+    #: :meth:`delta_since`, :meth:`add` and ``Transport.class_totals``
+    #: all derive from this tuple.
+    FIELDS = (
         #: Messages serialized onto the link (each routed message counts
         #: once per link it traverses).
-        self.messages = 0
+        "messages",
         #: Wire bytes queued at the sending endpoint.
-        self.bytes_sent = 0
+        "bytes_sent",
         #: Wire bytes handed to the receiving endpoint.  The clean copy
         #: of every message is credited per *exchange* from its page
-        #: counts (independently of the per-message :attr:`bytes_sent`);
+        #: counts (independently of the per-message ``bytes_sent``);
         #: duplicated copies are credited as they arrive.  The
         #: conservation invariant the transport tests pin down —
         #: enforced on every traversed link of every route — is
         #: ``bytes_sent == bytes_received + dropped_bytes``: the link
         #: layer delivers every byte it does not drop.
-        self.bytes_received = 0
+        "bytes_received",
         #: Page payloads moved over the link.
-        self.pages = 0
+        "pages",
         #: Page payload bytes *before* wire compression (``pages * 4096``).
-        self.raw_bytes = 0
+        "raw_bytes",
         #: Page payload bytes actually serialized (equal to
-        #: :attr:`raw_bytes` when compression is off; never above it —
+        #: ``raw_bytes`` when compression is off; never above it —
         #: the per-link compression conservation invariant).
-        self.comp_bytes = 0
+        "comp_bytes",
         #: Serialization cycles of *every* message on the link,
         #: including fire-and-forget ACKs.  The scheduler's
         #: ``ScheduleResult.link_busy`` counts only space-stalling
         #: transfers (those with a trace link edge), so it reads lower
         #: than this by the ACK/untraced share.
-        self.busy_cycles = 0
-        #: message-type name -> message count.
-        self.by_type = {}
+        "busy_cycles",
         #: Retransmitted copies the link's reliable layer re-serialized
         #: after the loss schedule dropped an earlier copy (the
         #: retransmit ledger ``NetworkStats.retx_table()`` renders).
-        self.retx_msgs = 0
-        self.retx_bytes = 0
+        "retx_msgs", "retx_bytes",
         #: Copies the loss schedule dropped on this link (each later
         #: retransmitted; the dropped bytes close the conservation
         #: equation ``sent == received + dropped``).
-        self.dropped_msgs = 0
-        self.dropped_bytes = 0
+        "dropped_msgs", "dropped_bytes",
         #: Duplicated copies: serialized and delivered twice, the
         #: receiver discarding the extra arrival.
-        self.dup_msgs = 0
-        self.dup_bytes = 0
+        "dup_msgs", "dup_bytes",
         #: Copies delivered out of order, held back one hop latency.
-        self.reorder_msgs = 0
+        "reorder_msgs",
+    )
+
+    __slots__ = ("cls", "by_type") + FIELDS
+
+    def __init__(self, cls="node"):
+        #: Name of the link's latency/bandwidth class.
+        self.cls = cls
+        #: message-type name -> message count.
+        self.by_type = {}
+        for name in self.FIELDS:
+            setattr(self, name, 0)
 
     def as_dict(self):
         """Plain-dict view (reporting)."""
-        return {
-            "cls": self.cls,
-            "messages": self.messages,
-            "bytes_sent": self.bytes_sent,
-            "bytes_received": self.bytes_received,
-            "pages": self.pages,
-            "raw_bytes": self.raw_bytes,
-            "comp_bytes": self.comp_bytes,
-            "busy_cycles": self.busy_cycles,
-            "by_type": dict(self.by_type),
-            "retx_msgs": self.retx_msgs,
-            "retx_bytes": self.retx_bytes,
-            "dropped_msgs": self.dropped_msgs,
-            "dropped_bytes": self.dropped_bytes,
-            "dup_msgs": self.dup_msgs,
-            "dup_bytes": self.dup_bytes,
-            "reorder_msgs": self.reorder_msgs,
+        out = {name: getattr(self, name) for name in self.FIELDS}
+        out["cls"] = self.cls
+        out["by_type"] = dict(self.by_type)
+        return out
+
+    def delta_since(self, base):
+        """What the link accumulated since ``base`` — an earlier
+        :meth:`as_dict` of it, or None for "since creation" — in the
+        shape :meth:`add` folds back in; None when nothing moved."""
+        base = base or {}
+        delta = {name: getattr(self, name) - base.get(name, 0)
+                 for name in self.FIELDS}
+        base_types = base.get("by_type", {})
+        delta["by_type"] = {
+            mtype: count - base_types.get(mtype, 0)
+            for mtype, count in self.by_type.items()
+            if count != base_types.get(mtype, 0)
         }
+        return delta if any(delta.values()) else None
+
+    def add(self, delta):
+        """Fold a :meth:`delta_since` result into this link."""
+        for name in self.FIELDS:
+            setattr(self, name, getattr(self, name) + delta[name])
+        for mtype, count in delta["by_type"].items():
+            self.by_type[mtype] = self.by_type.get(mtype, 0) + count
 
 
 class PrefetchExchange:
@@ -346,6 +356,17 @@ class TelemetryWindow:
 
 class Transport:
     """The simulated interconnect of one machine's cluster."""
+
+    #: The counters below that are pure accumulations (order-independent
+    #: sums): a sharded run ships them from workers as deltas and adds
+    #: them on adoption.
+    SCALARS = (
+        "migrations", "pages_shipped", "pages_pulled", "pages_prefetched",
+        "prefetch_used", "prefetch_stale", "batches", "messages", "hops",
+        "bytes_total", "busy_total", "raw_total", "comp_total",
+        "codec_cycles", "msg_serial", "drops", "dropped_bytes", "retx_msgs",
+        "retx_bytes", "dups", "reorders", "retx_wait",
+    )
 
     def __init__(self, machine):
         self.machine = machine
@@ -1047,28 +1068,19 @@ class Transport:
     def class_totals(self):
         """Per-class aggregate traffic: {class name -> dict of totals}.
 
-        Sums messages, bytes, pages, and busy cycles over every link of
-        each latency/bandwidth class — the rack-vs-core split an
-        operator reads to spot oversubscription.
+        Counts the links of each latency/bandwidth class and sums every
+        :attr:`LinkStats.FIELDS` counter over them — the rack-vs-core
+        split an operator reads to spot oversubscription.
         """
         totals = {}
         for stats in self.links.values():
-            agg = totals.setdefault(stats.cls, {
-                "links": 0, "messages": 0, "bytes_sent": 0,
-                "pages": 0, "raw_bytes": 0, "comp_bytes": 0,
-                "busy_cycles": 0, "retx_msgs": 0, "retx_bytes": 0,
-                "dropped_msgs": 0,
-            })
+            agg = totals.get(stats.cls)
+            if agg is None:
+                agg = totals[stats.cls] = dict.fromkeys(
+                    ("links",) + LinkStats.FIELDS, 0)
             agg["links"] += 1
-            agg["messages"] += stats.messages
-            agg["bytes_sent"] += stats.bytes_sent
-            agg["pages"] += stats.pages
-            agg["raw_bytes"] += stats.raw_bytes
-            agg["comp_bytes"] += stats.comp_bytes
-            agg["busy_cycles"] += stats.busy_cycles
-            agg["retx_msgs"] += stats.retx_msgs
-            agg["retx_bytes"] += stats.retx_bytes
-            agg["dropped_msgs"] += stats.dropped_msgs
+            for name in LinkStats.FIELDS:
+                agg[name] += getattr(stats, name)
         return totals
 
     def __repr__(self):

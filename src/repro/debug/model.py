@@ -53,7 +53,7 @@ class SpaceImage:
 
     __slots__ = ("uid", "path", "state", "trap", "trap_info", "regs",
                  "home_node", "cur_node", "insn_limit", "pages",
-                 "dirty_tracking", "dirty_page_count", "snapshot_vpns",
+                 "dirty_page_count", "snapshot_vpns",
                  "children")
 
     def __init__(self, space):
@@ -72,9 +72,7 @@ class SpaceImage:
             page = aspace.frame(vpn)
             self.pages[vpn] = PageImage(
                 page.tag(), aspace.perm(vpn), bytes(page.data))
-        self.dirty_tracking = aspace.tracks_dirty()
-        self.dirty_page_count = (
-            aspace.dirty_page_count() if self.dirty_tracking else None)
+        self.dirty_page_count = aspace.dirty_page_count()
         snapshot = space.snapshot
         self.snapshot_vpns = (
             tuple(sorted(snapshot._frames)) if snapshot is not None else None)
@@ -102,10 +100,6 @@ class SpaceImage:
     def total_pages(self):
         return len(self.pages)
 
-    @property
-    def resident_bytes(self):
-        return len(self.pages) * PAGE_SIZE
-
     # -- equality (the bit-identity oracle) --------------------------------
 
     def __eq__(self, other):
@@ -118,7 +112,6 @@ class SpaceImage:
                 and self.home_node == other.home_node
                 and self.cur_node == other.cur_node
                 and self.pages == other.pages
-                and self.dirty_tracking == other.dirty_tracking
                 and self.dirty_page_count == other.dirty_page_count
                 and self.snapshot_vpns == other.snapshot_vpns
                 and self.children == other.children)
@@ -289,11 +282,6 @@ class SpaceDiff:
     def identical(self):
         return (not self.pages and not self.regs and not self.state_changed
                 and not self.children)
-
-    def changed_vpns(self):
-        """Vpns whose *content* differs at this level (excludes
-        :data:`RETAGGED` rewrites)."""
-        return [d.vpn for d in self.pages if d.status != RETAGGED]
 
     def __repr__(self):
         return (f"<SpaceDiff {self.a.uid}/{self.b.uid} "

@@ -38,8 +38,6 @@ def _fmt_path(path):
 def format_space(image, pages=False, indent=""):
     """One space image (and children) as an indented tree."""
     lines = []
-    dirty = (f" dirty={image.dirty_page_count}"
-             if image.dirty_page_count is not None else "")
     snap = (f" snap={len(image.snapshot_vpns)}p"
             if image.snapshot_vpns is not None else "")
     trap = f" trap={image.trap.name}" if image.trap.name != "NONE" else ""
@@ -47,7 +45,7 @@ def format_space(image, pages=False, indent=""):
     lines.append(
         f"{indent}{image.uid} {_fmt_path(image.path)} [{image.state}]"
         f"{trap}{info} node={image.cur_node}/{image.home_node} "
-        f"pages={image.total_pages}{dirty}{snap}")
+        f"pages={image.total_pages} dirty={image.dirty_page_count}{snap}")
     regs = _fmt_regs(image.regs)
     if regs:
         lines.append(f"{indent}  regs: {regs}")

@@ -34,8 +34,6 @@ High bits of the child number select the node to interact on (§3.3):
 use :func:`child_ref` to build cross-node child numbers.
 """
 
-import time
-
 from repro.common.errors import BadChildError, KernelError, MergeConflictError
 from repro.kernel.space import SpaceState
 from repro.kernel.traps import Trap
@@ -168,7 +166,8 @@ class Kernel:
         shipped, walked, tracked, candidates = \
             self._migration_delta(space, target_node)
         # CPU-side work: pack register state + walk the candidate set
-        # (ledger entries with tracking, PTEs without).
+        # (ledger entries on a revisit; PTEs on a first visit or a
+        # full ship).
         self.kcharge(space, cost.migrate_base
                      + walked * (cost.page_track if tracked
                                  else cost.page_scan))
@@ -198,15 +197,11 @@ class Kernel:
         aspace = space.addrspace
         cache = machine.node_cache[target_node]
         mode = machine.ship_mode
-        candidates = None
-        tracked = False
-        if mode != "full":
-            token = space.visit_tokens.get(target_node)
-            if token is not None:
-                candidates = aspace.dirty_vpns_since(token)
-                tracked = candidates is not None
-        if candidates is None:
-            candidates = aspace.mapped_vpns()
+        token = None if mode == "full" \
+            else space.visit_tokens.get(target_node)
+        tracked = token is not None
+        candidates = aspace.dirty_vpns_since(token) if tracked \
+            else aspace.mapped_vpns()
         if mode == "demand":
             return [], 0, tracked, candidates
         shipped = []
@@ -438,25 +433,22 @@ class Kernel:
             child.addrspace.set_perm(addr, size, p)
         if snap is not None:
             addr, size = snap
-            recap = None
             old = child.snapshot
             if old is not None and (old.addr, old.size) == (addr, size):
                 # Incremental re-snap: only pages dirtied since the last
                 # Snap are re-shared — O(dirty), not O(mapped).
-                recap = old.recapture(child.addrspace)
-            if recap is None:
+                # page_track per ledger entry walked, page_map per frame
+                # actually re-pinned (never more than the full capture of
+                # the same end state would charge).
+                repinned, walked = old.recapture(child.addrspace)
+                self.kcharge(caller, walked * cost.page_track
+                             + repinned * cost.page_map)
+            else:
                 if old is not None:
                     old.release()
                 child.snapshot = Snapshot.capture(child.addrspace, addr, size)
                 self.kcharge(caller,
                              child.snapshot.page_count() * cost.page_map)
-            else:
-                # page_track per ledger entry walked, page_map per frame
-                # actually re-pinned (never more than the full capture of
-                # the same end state would charge).
-                repinned, walked = recap
-                self.kcharge(caller, walked * cost.page_track
-                             + repinned * cost.page_map)
         if tree is not None:
             src_child, dst_child = tree
             src = caller.children.get(src_child)
@@ -545,7 +537,6 @@ class Kernel:
         msize = child.snapshot.size if size is None else size
         self.touch(child, maddr, msize)
         stats = MergeStats()
-        t0 = time.perf_counter()
         try:
             merge_range(
                 caller.addrspace,
@@ -558,19 +549,16 @@ class Kernel:
             )
         except MergeConflictError:
             # A conflict is still a merge that performed scan/diff work
-            # (and, on the legacy path, may have written pages): account
-            # it before re-raising.  Argument-validation errors, by
-            # contrast, propagate without leaving a stats record.
-            self._finish_merge(caller, stats, t0)
+            # (and may have written earlier batches): account it before
+            # re-raising.  Argument-validation errors, by contrast,
+            # propagate without leaving a stats record.
+            self._finish_merge(caller, stats)
             raise
-        self._finish_merge(caller, stats, t0)
+        self._finish_merge(caller, stats)
 
-    def _finish_merge(self, caller, stats, t0):
+    def _finish_merge(self, caller, stats):
         """Post-merge accounting shared by the success and conflict paths."""
         cost = self.machine.cost
-        # Host wall-clock spent merging (reporting only — never feeds
-        # back into virtual time, so determinism is unaffected).
-        self.machine.merge_seconds += time.perf_counter() - t0
         # The merge changed these parent pages (diff writes, adoptions):
         # register their fresh tags at the merging node so the caller is
         # never charged a fetch for pages it just produced.  Only the
@@ -591,12 +579,10 @@ class Kernel:
             # Merged-in pages are fresh cross-node content: feed the
             # prefetch predictor's per-node recent-write hints.
             self.machine.note_dirty_hints(node, written)
-        # Dirty-ledger enumeration inspects a ledger entry per candidate
-        # (page_track); a page-table scan inspects a PTE (page_scan).
-        scan_cost = cost.page_track if stats.tracked else cost.page_scan
         self.kcharge(
             caller,
-            stats.pages_scanned * scan_cost
+            # One dirty-ledger entry inspected per candidate.
+            stats.pages_scanned * cost.page_track
             + stats.batch_ops * cost.batch_diff
             + stats.pages_diffed * cost.page_diff
             + stats.pages_adopted * cost.page_adopt

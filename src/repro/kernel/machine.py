@@ -104,10 +104,6 @@ class Machine:
         self.merge_mode = merge_mode
         #: Model TCP-like framing on cluster messages (§6.3).
         self.tcp_mode = spec.tcp_mode
-        #: Generation-tagged dirty-page tracking (DESIGN.md).  Disable to
-        #: get the legacy O(mapped) Snap/Merge behavior (the ablation
-        #: baseline of benchmarks/bench_ablation_dirtytrack.py).
-        self.dirty_tracking = spec.dirty_tracking
         #: Migration page-shipping policy: ``"delta"`` ships only pages
         #: whose content the target node does not already hold (visit
         #: tokens answered from the dirty ledger + per-node tag cache);
@@ -223,9 +219,6 @@ class Machine:
 
         #: MergeStats of every kernel merge (tests, ablations).
         self.merge_stats_total = []
-        #: Host wall-clock seconds spent inside merge_range (reporting
-        #: only; never affects virtual time).
-        self.merge_seconds = 0.0
 
         self._uid_counter = 0
         self._closed = False
@@ -334,17 +327,6 @@ class Machine:
     def make_guest(self, space):
         """Build the guest API handle for a space (engine callback)."""
         return Guest(self.kernel, space)
-
-    def find_space(self, uid):
-        """The space with trace context id ``uid``, or None.  Uids name
-        trace segments, so this is the bridge from a scheduling artifact
-        back to the live kernel object (``repro.debug``)."""
-        if self.root is None:
-            return None
-        for space in self.root.walk():
-            if space.uid == uid:
-                return space
-        return None
 
     # -- running -----------------------------------------------------------
 

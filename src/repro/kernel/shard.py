@@ -66,25 +66,6 @@ from repro.common.errors import WireError
 from repro.kernel.space import SpaceState
 from repro.timing.trace import Segment
 
-#: Transport counters that are pure accumulations (order-independent
-#: sums), shipped from workers as deltas and added on adoption.
-_TRANSPORT_SCALARS = (
-    "migrations", "pages_shipped", "pages_pulled", "pages_prefetched",
-    "prefetch_used", "prefetch_stale", "batches", "messages", "hops",
-    "bytes_total", "busy_total", "raw_total", "comp_total",
-    "codec_cycles", "msg_serial", "drops", "dropped_bytes", "retx_msgs",
-    "retx_bytes", "dups", "reorders", "retx_wait",
-)
-
-#: Additive per-link counter fields of ``LinkStats`` (everything except
-#: the ``cls`` label and the ``by_type`` dict, merged separately).
-_LINK_FIELDS = (
-    "messages", "bytes_sent", "bytes_received", "pages", "raw_bytes",
-    "comp_bytes", "busy_cycles", "retx_msgs", "retx_bytes",
-    "dropped_msgs", "dropped_bytes", "dup_msgs", "dup_bytes",
-    "reorder_msgs",
-)
-
 #: Placement policies whose ``assign`` reads only static state (the
 #: topology and the virtual node number), so a worker-side first-use
 #: assignment can be re-verified at adoption time.
@@ -398,11 +379,10 @@ class ShardCoordinator:
         fetched0 = machine.pages_fetched
         alloc0 = machine.frames.frames_allocated
         merges0 = len(machine.merge_stats_total)
-        msec0 = machine.merge_seconds
         map0 = len(machine.node_map)
         cache0 = {n: dict(c) for n, c in machine.node_cache.items()}
         origin0 = dict(machine.frame_origin)
-        scalars0 = {k: getattr(transport, k) for k in _TRANSPORT_SCALARS}
+        scalars0 = {k: getattr(transport, k) for k in transport.SCALARS}
         links0 = {link: ls.as_dict() for link, ls in transport.links.items()}
 
         machine.engine.run_until_stopped(sibling)
@@ -439,20 +419,9 @@ class ShardCoordinator:
 
         link_delta = {}
         for link, ls in transport.links.items():
-            prev = links0.get(link)
-            cur = ls.as_dict()
-            fields = {
-                k: cur[k] - (prev[k] if prev else 0) for k in _LINK_FIELDS
-            }
-            by_type = {
-                t: n - (prev["by_type"].get(t, 0) if prev else 0)
-                for t, n in cur["by_type"].items()
-            }
-            fields["by_type"] = {t: n for t, n in by_type.items() if n}
-            if any(v for v in fields.values() if not isinstance(v, dict)) \
-                    or fields["by_type"]:
-                fields["cls"] = cur["cls"]
-                link_delta[link] = fields
+            delta = ls.delta_since(links0.get(link))
+            if delta is not None:
+                link_delta[link] = delta
 
         for sp in sibling.walk():
             sp.machine = None
@@ -485,7 +454,6 @@ class ShardCoordinator:
             "console_out": bytes(machine.console_output[out0:]),
             "debug_lines": machine.debug_lines[dbg0:],
             "merge_stats": machine.merge_stats_total[merges0:],
-            "merge_seconds": machine.merge_seconds - msec0,
             "node_cache": diff_nested(machine.node_cache, cache0),
             "frame_origin": {
                 s: n for s, n in machine.frame_origin.items()
@@ -494,7 +462,7 @@ class ShardCoordinator:
             "placements": list(machine.node_map.items())[map0:],
             "transport": {
                 k: getattr(transport, k) - scalars0[k]
-                for k in _TRANSPORT_SCALARS
+                for k in transport.SCALARS
             },
             "links": link_delta,
         }
@@ -661,7 +629,6 @@ class ShardCoordinator:
         machine.console_output.extend(payload["console_out"])
         machine.debug_lines.extend(payload["debug_lines"])
         machine.merge_stats_total.extend(payload["merge_stats"])
-        machine.merge_seconds += payload["merge_seconds"]
         for node, entries in payload["node_cache"].items():
             cache = machine.node_cache[node]
             for serial, generation in entries.items():
@@ -678,10 +645,6 @@ class ShardCoordinator:
         transport = machine.transport
         for key, delta in payload["transport"].items():
             setattr(transport, key, getattr(transport, key) + delta)
-        for link, fields in payload["links"].items():
-            stats = transport.link(link)
-            for key in _LINK_FIELDS:
-                setattr(stats, key, getattr(stats, key) + fields[key])
-            for mtype, count in fields["by_type"].items():
-                stats.by_type[mtype] = stats.by_type.get(mtype, 0) + count
+        for link, delta in payload["links"].items():
+            transport.link(link).add(delta)
         return None

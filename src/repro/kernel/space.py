@@ -53,10 +53,7 @@ class Space:
         self.slot = None
         #: Stable identifier, used as the trace context id.
         self.uid = uid
-        self.addrspace = AddressSpace(
-            allocator=machine.frames,
-            track_dirty=machine.dirty_tracking,
-        )
+        self.addrspace = AddressSpace(allocator=machine.frames)
         #: Child-number -> Space.  Numbers are chosen by user code (§2.4).
         self.children = {}
         self.regs = fresh_regs()

@@ -85,7 +85,7 @@ def _check_page_aligned(addr, size):
 class AddressSpace:
     """A private virtual address space, the memory half of a *space* (§3.1)."""
 
-    def __init__(self, allocator=None, track_dirty=True):
+    def __init__(self, allocator=None):
         # vpn -> Page
         self._pages = {}
         # vpn -> perm; pages absent from this dict default to PERM_RW.
@@ -93,7 +93,6 @@ class AddressSpace:
         #: Frame serial source (machine-owned; None -> module default).
         self.allocator = allocator
         self.counters = MemCounters()
-        self._track_dirty = bool(track_dirty)
         #: vpn -> write-clock value of the last mutation touching it.
         self._dirty = {}
         #: Clock-ordered (clock, vpn) mutation events; periodically
@@ -127,20 +126,14 @@ class AddressSpace:
 
     # -- dirty ledger ------------------------------------------------------
 
-    def tracks_dirty(self):
-        """True if this space records a dirty ledger."""
-        return self._track_dirty
-
     def dirty_token(self):
-        """Opaque token marking 'now' in this space's write history, or
-        None when tracking is disabled.  Pass to :meth:`dirty_since`."""
-        return self._clock if self._track_dirty else None
+        """Opaque token marking 'now' in this space's write history.
+        Pass to :meth:`dirty_since`."""
+        return self._clock
 
     def dirty_since(self, token):
-        """Set of vpns mutated after ``token``, or None if unavailable
-        (tracking disabled, or the token came from an untracked space)."""
-        if not self._track_dirty or token is None:
-            return None
+        """Set of vpns mutated after ``token`` (one of this space's own
+        :meth:`dirty_token` values)."""
         # First event strictly newer than the token; every page whose
         # latest mutation postdates the token has at least one event in
         # the suffix (compaction always keeps the latest per vpn).
@@ -152,21 +145,16 @@ class AddressSpace:
         return len(self._dirty)
 
     def dirty_vpns_since(self, token):
-        """Sorted vpns mutated after ``token``, or None if unavailable.
+        """Sorted vpns mutated after ``token``.
 
         The deterministic (sorted) enumeration the cluster transport
         ships migration deltas from: a space's per-node visit token is a
         ledger clock, and this answers "what changed since I last
         resided there" in O(written-since), never O(mapped).
         """
-        dirty = self.dirty_since(token)
-        if dirty is None:
-            return None
-        return sorted(dirty)
+        return sorted(self.dirty_since(token))
 
     def _mark_dirty(self, vpn):
-        if not self._track_dirty:
-            return
         self._clock += 1
         self._dirty[vpn] = self._clock
         self._events.append((self._clock, vpn))
@@ -294,31 +282,6 @@ class AddressSpace:
         return np.frombuffer(self.read(addr, size, check_perm=check_perm),
                              dtype=np.uint8)
 
-    def privatize_range(self, addr, size):
-        """Ensure every page overlapping ``[addr, addr+size)`` is mapped and
-        privately owned (pre-faulting for writable array views).
-
-        Returns ``(cow_breaks, zero_fills)`` for cost charging.
-        """
-        _check_range(addr, size)
-        vpn0 = addr >> PAGE_SHIFT
-        vpn1 = (addr + size - 1) >> PAGE_SHIFT if size else vpn0 - 1
-        cow = zero = 0
-        for vpn in range(vpn0, vpn1 + 1):
-            _, event = self._ensure_writable(vpn)
-            if event == "cow":
-                cow += 1
-            elif event == "zero":
-                zero += 1
-        return cow, zero
-
-    def page_bytes(self, vpn):
-        """Bytes of the page at ``vpn`` (zeros if unmapped). No copy if mapped."""
-        page = self._pages.get(vpn)
-        if page is None:
-            return None
-        return page.data
-
     # -- range operations (kernel Copy / Zero / Perm, page-aligned) -------
 
     def copy_range_from(self, src, src_addr, dst_addr, size, perm=None):
@@ -434,7 +397,7 @@ class AddressSpace:
     def clone(self):
         """Return a full COW clone of this address space (used by the
         kernel's Tree option and by space migration)."""
-        out = AddressSpace(self.allocator, self._track_dirty)
+        out = AddressSpace(self.allocator)
         for vpn, page in self._pages.items():
             out._pages[vpn] = page.incref()
         out._perms = dict(self._perms)

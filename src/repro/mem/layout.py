@@ -13,8 +13,6 @@ mirroring the regions the paper describes:
   paper keeps thread stacks here, §4.4).
 """
 
-from repro.mem.page import PAGE_SIZE
-
 #: Size of the simulated virtual address space (32-bit, as the prototype).
 VA_SIZE = 1 << 32
 
@@ -38,12 +36,3 @@ SCRATCH_END = 0xE000_0000
 PRIVATE_BASE = 0xE000_0000
 PRIVATE_END = 0xF000_0000
 
-
-def page_align_down(addr):
-    """Round ``addr`` down to a page boundary."""
-    return addr & ~(PAGE_SIZE - 1)
-
-
-def page_align_up(addr):
-    """Round ``addr`` up to a page boundary."""
-    return (addr + PAGE_SIZE - 1) & ~(PAGE_SIZE - 1)

@@ -11,42 +11,20 @@ The fast paths matter: most pages are untouched (frame identity/tag
 equals the snapshot baseline) or changed on only one side (whole-frame
 adoption).  Only pages written on both sides need a byte-level diff.
 
-Two implementations live here (DESIGN.md):
+Candidates come from the child's dirty ledger (DESIGN.md §2).  Pages
+the parent left alone (its frame still the pinned snapshot frame, which
+*is* the baseline-tag check) are adopted without reading their bytes;
+the remaining both-sides-dirty pages are diffed as one stacked
+``(N, 4096)`` uint8 ndarray operation instead of a Python per-page
+loop.  Each candidate costs three page-table probes and each adoption
+one remap (``AddressSpace.adopt_frame``), so the whole merge is
+O(written-since-snap) whatever the size of the two page tables
+(``tests/mem/test_table_reads.py`` holds it to that).
 
-* the **tracked** path — used when the snapshot was captured from a
-  dirty-tracking child — enumerates candidates from the child's dirty
-  ledger, adopts parent-unchanged pages (parent frame still the pinned
-  snapshot frame, which *is* the baseline-tag check) without reading
-  their bytes, and diffs the remaining both-sides-dirty pages as one
-  stacked ``(N, 4096)`` uint8 ndarray operation instead of a Python
-  per-page loop.  Each candidate costs three page-table probes and each
-  adoption one remap (``AddressSpace.adopt_frame``), so the whole merge
-  is O(written-since-snap) whatever the size of the two page tables
-  (``tests/mem/test_table_reads.py`` holds it to that);
-* the **legacy** path — kept for untracked spaces and as the ablation
-  baseline (``benchmarks/bench_ablation_dirtytrack.py``) — enumerates
-  the union of the pages mapped in the merge range (by the probe-or-scan
-  rule of ``addrspace.table_vpns_in``) and byte-diffs every COW-broken
-  page.
-
-On success both paths produce identical parent memory, and both raise
-on exactly the same triples with the same first-conflict address; only
-the work (and therefore :class:`MergeStats` and the charged cost)
-differs.  The one observable difference is the parent's state *after a
-raised conflict*: the tracked path checks a whole batch (``BATCH_PAGES``
-both-dirty pages) for conflicts before writing any of it — atomic-on-
-conflict for any merge whose both-dirty set fits one batch — while the
-legacy path, like the paper's kernel, may already have merged
-lower-addressed pages.  Programs should treat a conflicted parent
+A conflict is detected per batch (``BATCH_PAGES`` both-dirty pages)
+before that batch writes, so a merge whose both-dirty set fits one batch
+is atomic-on-conflict; programs should still treat a conflicted parent
 region as indeterminate.
-
-One more deliberate accounting divergence: when a child COW-breaks a
-page but writes back the very same bytes, the tracked path adopts the
-child's (byte-identical) frame without noticing — reading the bytes to
-find out would cost exactly the compare the ledger exists to avoid —
-while the legacy path compares and skips.  Parent memory is identical
-either way; only frame identity, ``pages_adopted``, and downstream
-cluster-cache residency differ.
 """
 
 import numpy as np
@@ -60,18 +38,16 @@ _ZEROS = np.zeros(PAGE_SIZE, dtype=np.uint8)
 class MergeStats:
     """Cost-relevant accounting returned by :func:`merge_range`.
 
-    ``pages_scanned`` counts candidate pages examined; ``tracked`` tells
-    whether they were enumerated from the dirty ledger (charged at the
-    cheaper ``page_track`` rate) or by scanning mapped page tables
-    (``page_scan``).  ``pages_diffed`` counts pages whose *bytes* were
-    compared; ``batch_ops`` counts stacked ndarray diff operations
-    (charged at ``batch_diff`` each).  ``bytes_merged`` counts bytes
-    written into parent frames (whole-frame adoptions are COW remaps and
-    copy no bytes).
+    ``pages_scanned`` counts candidate pages examined — dirty-ledger
+    entries, charged at ``page_track`` each.  ``pages_diffed`` counts
+    pages whose *bytes* were compared; ``batch_ops`` counts stacked
+    ndarray diff operations (charged at ``batch_diff`` each).
+    ``bytes_merged`` counts bytes written into parent frames (whole-frame
+    adoptions are COW remaps and copy no bytes).
     """
 
     __slots__ = ("pages_scanned", "pages_diffed", "pages_adopted",
-                 "bytes_merged", "batch_ops", "tracked", "written_vpns")
+                 "bytes_merged", "batch_ops", "written_vpns")
 
     def __init__(self):
         self.pages_scanned = 0
@@ -79,7 +55,6 @@ class MergeStats:
         self.pages_adopted = 0
         self.bytes_merged = 0
         self.batch_ops = 0
-        self.tracked = False
         #: Vpns whose parent mapping or bytes the merge changed (diff
         #: writes + adoptions) — what the kernel must re-register in the
         #: merging node's page cache.  The kernel empties it once
@@ -90,7 +65,7 @@ class MergeStats:
         return (
             f"<MergeStats scanned={self.pages_scanned} diffed={self.pages_diffed}"
             f" adopted={self.pages_adopted} bytes={self.bytes_merged}"
-            f" batches={self.batch_ops} tracked={self.tracked}>"
+            f" batches={self.batch_ops}>"
         )
 
 
@@ -168,20 +143,13 @@ def merge_range(parent, child, snapshot, addr=None, size=None, mode="strict",
         raise ValueError(
             f"merge range {addr:#x}+{size:#x} outside snapshot range"
         )
-    tracked = snapshot.dirty_in(child, vpn0, vpn1)
-    if tracked is not None:
-        _merge_tracked(parent, child, snapshot, sorted(tracked), mode, stats)
-    else:
-        _merge_legacy(parent, child, snapshot, vpn0, vpn1, mode, stats)
+    _merge_tracked(parent, child, snapshot,
+                   sorted(snapshot.dirty_in(child, vpn0, vpn1)), mode, stats)
     return stats
-
-
-# -- tracked fast path -----------------------------------------------------
 
 
 def _merge_tracked(parent, child, snapshot, candidates, mode, stats):
     """O(dirty) enumeration + batched vectorized diff (DESIGN.md)."""
-    stats.tracked = True
     adopt = []     # (vpn, child_frame): parent unchanged -> whole-frame COW
     compare = []   # (vpn, child_frame, snap_frame, parent_frame): both dirty
     for vpn in candidates:
@@ -211,8 +179,8 @@ def _merge_tracked(parent, child, snapshot, candidates, mode, stats):
     # of BATCH_PAGES bound the transient memory.  Batches run in
     # ascending vpn order and each batch checks conflicts before its own
     # writes, so the raised address is always the lowest conflicting one
-    # (as in the legacy path) and a merge whose both-dirty set fits one
-    # batch — any realistic one — is atomic-on-conflict.
+    # and a merge whose both-dirty set fits one batch — any realistic
+    # one — is atomic-on-conflict.
     for start in range(0, len(compare), BATCH_PAGES):
         chunk = compare[start:start + BATCH_PAGES]
         vpns = [item[0] for item in chunk]
@@ -243,64 +211,3 @@ def _merge_tracked(parent, child, snapshot, candidates, mode, stats):
 
     for vpn, child_frame in adopt:
         _adopt(parent, child_frame, vpn, stats)
-
-
-# -- legacy path (untracked spaces; ablation baseline) ---------------------
-
-
-def _merge_legacy(parent, child, snapshot, vpn0, vpn1, mode, stats):
-    """The seed algorithm: scan the union of mapped pages, byte-diff every
-    COW-broken page.  Kept bit-compatible as the tracking-disabled
-    baseline; produces the same parent memory as the tracked path."""
-    # Only pages mapped somewhere can differ from anything: iterate the
-    # union of child/parent/snapshot mappings, never the raw page range.
-    candidates = set(child.mapped_vpns_in(vpn0, vpn1))
-    candidates.update(parent.mapped_vpns_in(vpn0, vpn1))
-    candidates.update(snapshot.frame_vpns_in(vpn0, vpn1))
-    for vpn in sorted(candidates):
-        snap_frame = snapshot.frame(vpn)
-        child_frame = child.frame(vpn)
-        parent_frame = parent.frame(vpn)
-        stats.pages_scanned += 1
-
-        # Fast path 1: the child never broke COW on this page -> unchanged.
-        if child_frame is snap_frame:
-            continue
-
-        # Without a generation baseline the kernel cannot know whether the
-        # COW break actually changed bytes: it must compare.
-        child_arr = _page_array(child_frame)
-        snap_arr = _page_array(snap_frame)
-        child_diff = child_arr != snap_arr
-        stats.pages_diffed += 1
-        if not child_diff.any():
-            continue
-
-        # Fast path 2: parent still maps the snapshot frame -> parent
-        # unchanged; adopt the child's whole frame copy-on-write.
-        if parent_frame is snap_frame:
-            _adopt(parent, child_frame, vpn, stats)
-            continue
-
-        parent_arr = _page_array(parent_frame)
-        parent_diff = parent_arr != snap_arr
-        both = child_diff & parent_diff
-        if both.any() and mode != "override":
-            if mode == "strict":
-                idx = int(np.flatnonzero(both)[0])
-                raise MergeConflictError((vpn << PAGE_SHIFT) + idx)
-            hard = both & (child_arr != parent_arr)
-            if hard.any():
-                idx = int(np.flatnonzero(hard)[0])
-                raise MergeConflictError((vpn << PAGE_SHIFT) + idx)
-
-        take = child_diff if mode != "lenient" else child_diff & ~parent_diff
-        nbytes = int(take.sum())
-        if nbytes == 0:
-            continue
-        # Write the differing bytes into a privately-owned parent frame.
-        page, _ = parent._ensure_writable(vpn)
-        dst = np.frombuffer(page.data, dtype=np.uint8)
-        dst[take] = child_arr[take]
-        stats.bytes_merged += nbytes
-        stats.written_vpns.append(vpn)

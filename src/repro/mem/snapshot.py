@@ -16,14 +16,13 @@ page bytes — :meth:`baseline_tag` exists for introspection, tests, and
 delta tooling, not as a separate merge fast path.
 """
 
-from repro.mem.addrspace import table_vpns_in
 from repro.mem.page import PAGE_SHIFT, PAGE_SIZE
 
 
 class Snapshot:
     """Immutable reference copy of a range of an address space."""
 
-    def __init__(self, addr, size, frames, source=None, token=None):
+    def __init__(self, addr, size, frames, source, token):
         #: Base address of the snapshotted range.
         self.addr = addr
         #: Size of the snapshotted range in bytes.
@@ -34,11 +33,11 @@ class Snapshot:
         #: frame's ``(serial, generation)`` tag is frozen at its
         #: capture-time value — the frames themselves are the baseline.
         self._frames = frames
-        #: The AddressSpace the snapshot was captured from (identity only;
-        #: used to validate dirty-ledger queries).
+        #: The AddressSpace the snapshot was captured from (identity only:
+        #: the token below is a clock value of *that* space's ledger, so
+        #: the snapshot answers dirty queries for no other).
         self._source = source
-        #: The source's dirty-ledger token at capture, or None when the
-        #: source does not track dirty pages.
+        #: The source's dirty-ledger token at capture.
         self._token = token
 
     @classmethod
@@ -61,15 +60,9 @@ class Snapshot:
         frames in place.  Returns ``(repinned, walked)``: pages whose
         frame was re-pinned (page_map-equivalent work) and ledger
         entries enumerated (page_track-equivalent work; dropping the pin
-        of a now-unmapped page costs only the walk).  Returns None when
-        the incremental path is unavailable (different space, or no
-        dirty ledger) and the caller should do a full capture.
+        of a now-unmapped page costs only the walk).
         """
-        if space is not self._source:
-            return None
-        dirty = space.dirty_since(self._token)
-        if dirty is None:
-            return None
+        dirty = self._dirty_since_capture(space)
         vpn0 = self.addr >> PAGE_SHIFT
         vpn1 = vpn0 + (self.size >> PAGE_SHIFT)
         repinned = 0
@@ -91,10 +84,6 @@ class Snapshot:
         """The frame snapshotted at ``vpn``, or None if it was unmapped."""
         return self._frames.get(vpn)
 
-    def frame_vpns_in(self, vpn0, vpn1):
-        """Ascending vpns of retained frames inside ``[vpn0, vpn1)``."""
-        return table_vpns_in(self._frames, vpn0, vpn1)
-
     def baseline_tag(self, vpn):
         """The ``(serial, generation)`` content tag snapshotted at ``vpn``,
         or None if the page was unmapped at capture.  Read straight off
@@ -103,19 +92,17 @@ class Snapshot:
         return frame.tag() if frame is not None else None
 
     def dirty_in(self, child, vpn0, vpn1):
-        """Vpns in ``[vpn0, vpn1)`` that ``child`` mutated since capture.
+        """Vpns in ``[vpn0, vpn1)`` that ``child`` mutated since capture."""
+        return [vpn for vpn in self._dirty_since_capture(child)
+                if vpn0 <= vpn < vpn1]
 
-        Returns None when the dirty-ledger fast path is unavailable —
-        ``child`` is not the space this snapshot was captured from, or it
-        does not track dirty pages — in which case Merge falls back to
-        scanning the union of mapped pages.
-        """
-        if child is not self._source:
-            return None
-        dirty = child.dirty_since(self._token)
-        if dirty is None:
-            return None
-        return [vpn for vpn in dirty if vpn0 <= vpn < vpn1]
+    def _dirty_since_capture(self, space):
+        """The ledger query behind :meth:`recapture` and :meth:`dirty_in`;
+        refuses any space but the captured one (and a released snapshot)."""
+        if space is not self._source:
+            raise ValueError(
+                "a snapshot answers only for the space it was captured from")
+        return space.dirty_since(self._token)
 
     def covers(self, vpn):
         """True if ``vpn`` lies inside the snapshotted range."""

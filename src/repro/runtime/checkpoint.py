@@ -63,7 +63,7 @@ class Checkpointer:
         self._tags = {}
         self._next = 1
         #: tag -> pages the child dirtied since its previous save (None
-        #: for a first/full save or when the ledger is unavailable).
+        #: for a first save, or one after its address space was replaced).
         #: This is the incremental-checkpoint size a delta-encoded
         #: freezer would ship (DESIGN.md).
         self.delta_pages = {}
@@ -86,20 +86,15 @@ class Checkpointer:
         if child is None:
             return None
         aspace = child.addrspace
-        if not aspace.tracks_dirty():
-            self.delta_pages[tag] = None
-            return None
         prev = self._save_tokens.get(child_slot)
         delta = None
         # Tokens are bare clock values: only honor one minted by this
         # very address space (a Tree-copy or restore installs a fresh
         # clone with a fresh clock, making old tokens meaningless).
         if prev is not None and prev[0] is aspace:
-            dirty = aspace.dirty_since(prev[1])
-            delta = len(dirty) if dirty is not None else None
-            if delta is not None:
-                # The ledger walk that sizes the delta.
-                self.g.kcharge(delta * self.g.cost.page_track)
+            delta = len(aspace.dirty_since(prev[1]))
+            # The ledger walk that sizes the delta.
+            self.g.kcharge(delta * self.g.cost.page_track)
         self._save_tokens[child_slot] = (aspace, aspace.dirty_token())
         self.delta_pages[tag] = delta
         return delta

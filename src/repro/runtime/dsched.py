@@ -23,7 +23,7 @@ deterministic-scheduling overhead of blackscholes in Figure 7.
 from repro.common.errors import DeadlockError, RuntimeApiError
 from repro.kernel.traps import Trap
 from repro.mem.layout import SHARED_BASE, SHARED_END
-from repro.runtime.threads import image_map_cost, image_resnap_cost
+from repro.runtime.threads import image_map_cost, image_track_cost
 
 #: Scheduler-call Ret status; the operation is in r1, its argument in r2.
 ST_SCHED = 0x7D01
@@ -177,11 +177,11 @@ class DetScheduler:
                         "args": (t.entry, t.tid, t.args),
                     }
                 # First dispatch COW-maps the whole image; each further
-                # quantum only re-snaps it (incremental under tracking).
+                # quantum only re-snaps it, incrementally.
                 if regs is not None:
                     g.kcharge(image_map_cost(g))
                 else:
-                    g.kcharge(image_resnap_cost(g))
+                    g.kcharge(image_track_cost(g))
                 g.put(
                     t.childno,
                     regs=regs,

@@ -191,9 +191,6 @@ class FileSystem:
         self.set_base(cin, 1, 0)
         self.set_base(cout, 1, 0)
 
-    def is_formatted(self):
-        return self._u32(SB_MAGIC) == MAGIC
-
     def lookup(self, name):
         """Inode index for ``name``, or -1.
 

@@ -197,14 +197,6 @@ class ProcessRuntime:
                 return pid, self.waitpid(pid)
         raise RuntimeApiError("no children to wait for")
 
-    def has_children(self):
-        """True if any forked child is still uncollected."""
-        count = self.fs._u32(fslib.SB_FORK_COUNT)
-        return any(
-            self.g.load(FS_BASE + fslib.SB_FORK_LOG + 2 * i, 2) != 0xFFFF
-            for i in range(count)
-        )
-
     def _collect(self, pid):
         count = self.fs._u32(fslib.SB_FORK_COUNT)
         for i in range(count):

@@ -32,31 +32,16 @@ def image_map_cost(g):
     """Cycles to COW-map the program image's pages at a fresh fork.
 
     Copying the image's page mappings (text/data/runtime) is a fixed
-    per-fork cost beyond the workload's own pages, independent of dirty
-    tracking — the mappings must exist either way."""
+    per-fork cost beyond the workload's own pages."""
     return g.cost.fork_image_pages * g.cost.page_map
 
 
-def image_resnap_cost(g):
-    """Cycles to refresh a thread's reference snapshot over the image.
-
-    With the dirty ledger the kernel re-snaps incrementally
-    (Snapshot.recapture): unchanged image pages cost one ledger probe,
-    not a fresh COW mapping."""
-    cost = g.cost
-    per_page = cost.page_track if g.machine.dirty_tracking else cost.page_map
-    return cost.fork_image_pages * per_page
-
-
-def image_scan_cost(g):
-    """Cycles Merge spends deciding the image pages are unchanged.
-
-    The dirty ledger never visits clean pages, so with tracking the
-    image costs a ledger walk (page_track) instead of a PTE scan
-    (page_scan) per page."""
-    cost = g.cost
-    per_page = cost.page_track if g.machine.dirty_tracking else cost.page_scan
-    return cost.fork_image_pages * per_page
+def image_track_cost(g):
+    """Cycles to find the program image's pages unchanged: one ledger
+    probe per page (page_track), which is all a join's Merge or a
+    barrier's incremental re-snap (Snapshot.recapture) spends on them —
+    never a PTE scan or a fresh COW mapping."""
+    return g.cost.fork_image_pages * g.cost.page_track
 
 
 class ThreadFault(RuntimeApiError):
@@ -90,7 +75,7 @@ def thread_join(g, childno, merge=True):
     :class:`~repro.common.errors.MergeConflictError` — at the join of the
     second conflicting child, exactly as in the paper's §2.2 example.
     """
-    g.kcharge(image_scan_cost(g))
+    g.kcharge(image_track_cost(g))
     view = g.get(childno, regs=True, merge=merge)
     trap = view["trap"]
     if trap not in (Trap.EXIT, Trap.RET):
@@ -155,7 +140,7 @@ class ThreadGroup:
             at_barrier = []
             for tid in sorted(self._live):
                 childno = self._live[tid]
-                self.g.kcharge(image_scan_cost(self.g))
+                self.g.kcharge(image_track_cost(self.g))
                 view = self.g.get(childno, regs=True, merge=True)
                 trap = view["trap"]
                 if trap is Trap.EXIT:
@@ -167,8 +152,8 @@ class ThreadGroup:
                     raise ThreadFault(childno, trap, view["trap_info"])
             for tid in at_barrier:
                 childno = self._live[tid]
-                # Re-snap over the image is incremental under tracking.
-                self.g.kcharge(image_resnap_cost(self.g))
+                # Re-snap over the image is incremental.
+                self.g.kcharge(image_track_cost(self.g))
                 self.g.put(
                     childno,
                     copy=(addr, size),

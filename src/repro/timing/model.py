@@ -34,12 +34,12 @@ class CostModel:
     page_cow: int = 1800
     #: Demand-zero fill one frame.
     page_zero: int = 700
-    #: Inspect one page-table entry during Merge (fast skip path,
-    #: tracking disabled).
+    #: Inspect one page-table entry: a migration's walk of every mapped
+    #: page (first visit to a node, or ``ship_mode="full"``).
     page_scan: int = 25
-    #: Inspect one dirty-ledger entry during Snap/Merge (tracking
-    #: enabled; a ledger walk touches only written pages, and each
-    #: entry is a cache-hot word rather than a PTE hierarchy probe).
+    #: Inspect one dirty-ledger entry during Snap/Merge/migration (a
+    #: ledger walk touches only written pages, and each entry is a
+    #: cache-hot word rather than a PTE hierarchy probe).
     page_track: int = 6
     #: Fixed dispatch overhead of one stacked (N, 4096) batched diff
     #: (gather + one vectorized compare, amortized across its pages).

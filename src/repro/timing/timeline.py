@@ -113,15 +113,6 @@ class Timeline:
                 counts[t.kind] = counts.get(t.kind, 0) + 1
         return counts
 
-    def segment_at(self, cycle):
-        """The latest-finishing segment with ``finish <= cycle`` (ties:
-        highest id), or None — the debugger's ``goto`` anchor."""
-        best = None
-        for seg_id, t1 in self.finish.items():
-            if t1 <= cycle and (best is None or (t1, seg_id) > best):
-                best = (t1, seg_id)
-        return None if best is None else best[1]
-
     def closed_by(self, cycle):
         """Ids of all segments with ``finish <= cycle`` — the event set
         ``goto`` replays through (state *at* cycle N means: every

@@ -17,6 +17,7 @@ import pytest
 
 from repro import Cluster, ClusterSpec, Machine, sweep_nodes
 from repro.bench import cluster_workloads as cw
+from repro.bench.harness import run_determinator
 from repro.cluster.backend import run_backend, run_real
 from repro.cluster.serving import serve_trace
 
@@ -122,3 +123,14 @@ def test_entry_points_never_regrow_knob_parameters(entry):
     assert not regrown, (
         f"{entry.__qualname__} re-grew knob parameter(s) {sorted(regrown)}; "
         f"add fields to ClusterSpec instead")
+
+
+def test_twelve_knobs_and_a_knobless_harness():
+    """The dirty ledger is not a knob: the spec has exactly twelve
+    fields, and ``run_determinator`` — the entry point the guard above
+    cannot cover, having no ``spec=`` — configures nothing at all."""
+    assert len(dataclasses.fields(ClusterSpec)) == 12
+    with pytest.raises(TypeError, match="dirty_tracking"):
+        ClusterSpec(dirty_tracking=True)
+    assert list(inspect.signature(run_determinator).parameters) == \
+        ["workload", "params"]

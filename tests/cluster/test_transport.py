@@ -5,7 +5,7 @@ import pytest
 
 from repro import ClusterSpec
 from repro.cluster import MsgType, sweep_nodes
-from repro.cluster.transport import Transport
+from repro.cluster.transport import LinkStats, Transport
 from repro.kernel import Machine, child_ref
 from repro.mem import PAGE_SIZE
 
@@ -125,6 +125,18 @@ def test_message_type_accounting():
     assert by_type.get(MsgType.ACK.name, 0) > 0
 
 
+def test_ledger_declarations_cover_every_counter():
+    """Sharded runs hand back exactly LinkStats.FIELDS and
+    Transport.SCALARS: a counter missing from its one declaration would
+    be silently dropped from a worker's delta."""
+    assert set(LinkStats().as_dict()) == \
+        set(LinkStats.FIELDS) | {"cls", "by_type"}
+    with Machine(nnodes=2) as m:
+        counters = {name for name, value in vars(m.transport).items()
+                    if not name.startswith("_") and type(value) is int}
+    assert counters - {"window_index"} == set(Transport.SCALARS)
+
+
 # -- sweep_nodes plumbing --------------------------------------------------
 
 def _stable_builder(nnodes):
@@ -153,13 +165,11 @@ def test_sweep_nodes_tcp_mode_changes_wire_costs():
 
 def test_sweep_nodes_plumbs_ship_mode_and_tracking():
     full = sweep_nodes(_stable_builder, node_counts=(1, 2, 4),
-                       spec=ClusterSpec(ship_mode="full",
-                                        dirty_tracking=False))
+                       spec=ClusterSpec(ship_mode="full"))
     delta = sweep_nodes(_stable_builder, node_counts=(1, 2, 4))
     for nodes in (1, 2, 4):
         # Semantic transparency holds in every configuration.
         assert full[nodes][1].value == delta[nodes][1].value
-        assert not full[nodes][1].machine.dirty_tracking
         assert full[nodes][1].machine.ship_mode == "full"
 
 

@@ -109,7 +109,6 @@ worlds = st.fixed_dictionaries({
     # destination history before the call; long enough to cross the
     # ledger's compaction threshold (64 events) in some examples
     "history": st.lists(vpn_offsets, max_size=160),
-    "track_dirty": st.booleans(),
 })
 
 
@@ -118,9 +117,8 @@ class World:
     order, so two builds of the same draw can be compared by label."""
 
     def __init__(self, draw, shift=0, same_space=False):
-        self.dst = AddressSpace(track_dirty=draw["track_dirty"])
-        self.src = self.dst if same_space else AddressSpace(
-            track_dirty=draw["track_dirty"])
+        self.dst = AddressSpace()
+        self.src = self.dst if same_space else AddressSpace()
         self.frames = []
         for off in sorted(draw["dst_pages"]):
             self._place(self.dst, VPN0 + off, self._frame())

@@ -3,7 +3,6 @@ snapshots (DESIGN.md)."""
 
 import pytest
 
-from repro import ClusterSpec
 from repro.kernel import Machine
 from repro.mem import (
     AddressSpace,
@@ -87,18 +86,6 @@ def test_dirty_ledger_records_range_ops():
     assert space.dirty_since(token) == {BASE >> 12}
 
 
-def test_untracked_space_has_no_ledger():
-    space = AddressSpace(track_dirty=False)
-    assert space.dirty_token() is None
-    assert space.dirty_since(0) is None
-    assert not space.tracks_dirty()
-
-
-def test_clone_propagates_tracking_mode():
-    assert AddressSpace(track_dirty=False).clone().tracks_dirty() is False
-    assert AddressSpace().clone().tracks_dirty() is True
-
-
 # -- incremental snapshots -------------------------------------------------
 
 
@@ -129,9 +116,20 @@ def test_recapture_drops_zeroed_pages():
 
 
 def test_recapture_refuses_foreign_space():
-    _, child, snap = fork_pair()
-    other = AddressSpace()
-    assert snap.recapture(other) is None
+    _, _, snap = fork_pair()
+    with pytest.raises(ValueError, match="captured from"):
+        snap.recapture(AddressSpace())
+
+
+def test_merge_refuses_snapshot_of_foreign_space():
+    """A snapshot's ledger token means nothing to another space: Merge
+    refuses instead of guessing which pages that space wrote."""
+    parent, child, snap = fork_pair()
+    child.write(BASE, b"child-data")
+    sibling = child.clone()
+    with pytest.raises(ValueError, match="captured from"):
+        merge_range(parent, sibling, snap)
+    assert parent.read(BASE, 9) == b"seed-data"
 
 
 def test_merge_after_recapture_sees_only_new_changes():
@@ -143,7 +141,6 @@ def test_merge_after_recapture_sees_only_new_changes():
     snap.recapture(child)
     child.write(BASE + 2 * PAGE_SIZE, b"round-two")
     stats = merge_range(parent, child, snap)
-    assert stats.tracked
     assert stats.pages_scanned == 1                      # only the new page
     assert parent.read(BASE, 9) == b"round-one"
     assert parent.read(BASE + 2 * PAGE_SIZE, 9) == b"round-two"
@@ -169,21 +166,6 @@ def test_kernel_resnap_is_incremental():
 
     with Machine() as m:
         assert m.run(main).r0 is True
-
-
-def test_merge_stats_tracked_flag_reflects_machine_setting():
-    def main(g):
-        from repro.mem.layout import SHARED_BASE
-        from repro.runtime.threads import thread_fork, thread_join
-        def worker(g2):
-            g2.store(SHARED_BASE + 0x1000, 42)
-        thread_fork(g, 1, worker)
-        thread_join(g, 1)
-
-    for tracking in (True, False):
-        with Machine(spec=ClusterSpec(dirty_tracking=tracking)) as m:
-            m.run(main)
-            assert all(s.tracked == tracking for s in m.merge_stats_total)
 
 
 def test_merge_adoption_sound_across_distinct_allocators():
@@ -219,25 +201,23 @@ def test_read_view_of_unmapped_page_does_not_dirty_ledger():
 def test_zero_adoption_preserves_parent_permissions():
     """Regression: merging a child's zero_range must not reset the
     parent's page permissions — Merge moves bytes, not protection bits —
-    and tracked/legacy must agree on the guest-visible outcome even when
-    the snapshotted page was already all zeros."""
+    even when the snapshotted page was already all zeros."""
     from repro.common.errors import PermissionFault
     from repro.mem import PERM_R
 
-    for track_dirty in (True, False):
-        for initial in (b"\x00" * 16, b"nonzero-bytes!"):
-            parent = AddressSpace(track_dirty=track_dirty)
-            parent.write(BASE, initial)
-            child = AddressSpace(track_dirty=track_dirty)
-            child.copy_range_from(parent, BASE, BASE, PAGE_SIZE)
-            snap = Snapshot.capture(child, BASE, PAGE_SIZE)
-            parent.set_perm(BASE, PAGE_SIZE, PERM_R)
-            child.zero_range(BASE, PAGE_SIZE)
-            merge_range(parent, child, snap)
-            assert parent.read(BASE, 16) == bytes(16)
-            assert parent.perm(BASE >> 12) == PERM_R
-            with pytest.raises(PermissionFault):
-                parent.write(BASE, b"x", check_perm=True)
+    for initial in (b"\x00" * 16, b"nonzero-bytes!"):
+        parent = AddressSpace()
+        parent.write(BASE, initial)
+        child = AddressSpace()
+        child.copy_range_from(parent, BASE, BASE, PAGE_SIZE)
+        snap = Snapshot.capture(child, BASE, PAGE_SIZE)
+        parent.set_perm(BASE, PAGE_SIZE, PERM_R)
+        child.zero_range(BASE, PAGE_SIZE)
+        merge_range(parent, child, snap)
+        assert parent.read(BASE, 16) == bytes(16)
+        assert parent.perm(BASE >> 12) == PERM_R
+        with pytest.raises(PermissionFault):
+            parent.write(BASE, b"x", check_perm=True)
 
 
 def test_conflicting_merge_is_still_charged_and_recorded():
@@ -260,9 +240,8 @@ def test_conflicting_merge_is_still_charged_and_recorded():
             pass
         return len(g.machine.merge_stats_total)
 
-    for tracking in (True, False):
-        with Machine(spec=ClusterSpec(dirty_tracking=tracking)) as m:
-            assert m.run(main).r0 == 2
+    with Machine() as m:
+        assert m.run(main).r0 == 2
 
 
 def test_invalid_merge_spec_leaves_no_phantom_stats():

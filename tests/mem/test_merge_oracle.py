@@ -1,12 +1,12 @@
 """Randomized oracle test for merge_range (DESIGN.md §dirty-tracking).
 
-Compares the production merge — both the tracked fast path (dirty-ledger
-enumeration, tag-based adoption, batched stacked diff) and the legacy
-scan path — against a naive byte-at-a-time oracle on randomly generated
-parent/child/snapshot triples, under all three conflict modes.  The fast
-paths must produce byte-identical parent memory, raise on exactly the
-same triples, and report the same first-conflict address; tracked and
-untracked spaces must agree with each other.
+Compares the production merge (dirty-ledger enumeration, tag-based
+adoption, batched stacked diff) against a naive byte-at-a-time oracle on
+randomly generated parent/child/snapshot triples, under all three
+conflict modes.  It must produce byte-identical parent memory, raise on
+exactly the same triples, and report the same first-conflict address —
+and do the same again when the ledger names every page in range, since
+the ledger may only narrow what Merge visits, never change what it does.
 """
 
 import random
@@ -45,16 +45,16 @@ def oracle_merge(parent_bytes, child_bytes, snap_bytes, mode):
     return bytes(result), conflict
 
 
-def random_triple(rng, track_dirty):
+def random_triple(rng):
     """Build a parent/child/snapshot triple with random write patterns."""
-    parent = AddressSpace(track_dirty=track_dirty)
+    parent = AddressSpace()
     # Random initial image: some pages populated, some left demand-zero.
     for vpn in range(NPAGES):
         if rng.random() < 0.7:
             data = bytes(rng.randrange(256) for _ in range(rng.randrange(1, 40)))
             parent.write(BASE + vpn * PAGE_SIZE + rng.randrange(PAGE_SIZE - 64),
                          data)
-    child = AddressSpace(track_dirty=track_dirty)
+    child = AddressSpace()
     child.copy_range_from(parent, BASE, BASE, SPAN)
     snap = Snapshot.capture(child, BASE, SPAN)
 
@@ -76,8 +76,6 @@ def random_triple(rng, track_dirty):
             ops.append(("zero", vpn))
         return ops
 
-    # Replay identical mutations on both sides from a forked rng so the
-    # tracked and untracked builds see the same history.
     mutate(parent)
     mutate(child)
     return parent, child, snap
@@ -86,44 +84,42 @@ def random_triple(rng, track_dirty):
 @pytest.mark.parametrize("seed", range(40))
 @pytest.mark.parametrize("mode", ["strict", "lenient", "override"])
 def test_merge_matches_byte_oracle(seed, mode):
-    for track_dirty in (True, False):
-        rng = random.Random(1000 * seed + 17)
-        parent, child, snap = random_triple(rng, track_dirty)
-        snap_bytes = bytes(
-            b"".join(
-                bytes(snap.frame(vpn).data) if snap.frame(vpn) is not None
-                else bytes(PAGE_SIZE)
-                for vpn in range((BASE >> 12), (BASE >> 12) + NPAGES)
-            )
+    rng = random.Random(1000 * seed + 17)
+    parent, child, snap = random_triple(rng)
+    snap_bytes = bytes(
+        b"".join(
+            bytes(snap.frame(vpn).data) if snap.frame(vpn) is not None
+            else bytes(PAGE_SIZE)
+            for vpn in range((BASE >> 12), (BASE >> 12) + NPAGES)
         )
-        parent_bytes = parent.read(BASE, SPAN)
-        child_bytes = child.read(BASE, SPAN)
-        expected, conflict = oracle_merge(parent_bytes, child_bytes,
-                                          snap_bytes, mode)
-        if conflict is not None:
-            with pytest.raises(MergeConflictError) as err:
-                merge_range(parent, child, snap, mode=mode)
-            assert err.value.addr == conflict, (
-                f"seed={seed} mode={mode} track={track_dirty}"
-            )
-        else:
-            stats = merge_range(parent, child, snap, mode=mode)
-            assert stats.tracked == track_dirty
-            assert parent.read(BASE, SPAN) == expected, (
-                f"seed={seed} mode={mode} track={track_dirty}"
-            )
+    )
+    parent_bytes = parent.read(BASE, SPAN)
+    child_bytes = child.read(BASE, SPAN)
+    expected, conflict = oracle_merge(parent_bytes, child_bytes,
+                                      snap_bytes, mode)
+    if conflict is not None:
+        with pytest.raises(MergeConflictError) as err:
+            merge_range(parent, child, snap, mode=mode)
+        assert err.value.addr == conflict, f"seed={seed} mode={mode}"
+    else:
+        merge_range(parent, child, snap, mode=mode)
+        assert parent.read(BASE, SPAN) == expected, f"seed={seed} mode={mode}"
 
 
 @pytest.mark.parametrize("seed", range(20))
 def test_tracked_and_untracked_merges_agree(seed):
-    """Dirty tracking is an optimization: for the same mutation history
-    the tracked and legacy paths must produce identical parent memory
-    and identical conflicts."""
+    """The ledger only narrows enumeration: a merge whose child ledger
+    names every page in range — as if nothing had been tracked — must
+    produce the same parent memory and the same conflicts as the one
+    that visits only the pages actually written."""
     for mode in ("strict", "lenient", "override"):
         outcomes = []
-        for track_dirty in (True, False):
+        for every_page in (False, True):
             rng = random.Random(7000 + seed)
-            parent, child, snap = random_triple(rng, track_dirty)
+            parent, child, snap = random_triple(rng)
+            if every_page:
+                for vpn in range(BASE >> 12, (BASE >> 12) + NPAGES):
+                    child._mark_dirty(vpn)
             try:
                 merge_range(parent, child, snap, mode=mode)
                 outcomes.append(("ok", parent.read(BASE, SPAN)))

