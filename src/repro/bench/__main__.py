@@ -27,13 +27,14 @@ def _fig4():
 
 def _shard_footer(machine):
     """What the machine's shard coordinator (either kind; none by
-    default) did: the counts, and why rendezvous stayed serial if they
-    did."""
+    default) did: how many worker processes ran how many sibling
+    subtrees, and why rendezvous stayed serial if they did."""
     shard = machine.shard
     if shard is None:
         return []
     label = "real processes" if machine.backend == "real" else "shard workers"
-    lines = [f"  {label:<22}forked={shard.forked} adopted={shard.adopted} "
+    lines = [f"  {label:<22}{shard.processes}   subtrees "
+             f"forked={shard.forked} adopted={shard.adopted} "
              f"fallbacks={shard.fallbacks}"]
     if shard.refused:
         lines.append(f"  {'refused:':<22}{shard.refused}")

@@ -6,18 +6,23 @@ processes and migration state moves over real sockets.  This module is
 that backend:
 
 * :class:`RealShardCoordinator` is ``repro.kernel.shard``'s
-  coordinator — which owns every worker's life, one host process per
-  cluster-node subtree — with another hand-back link and another
-  failure policy.  Instead of a pipe, coordinator and worker speak the
-  cluster protocol's typed messages — MIGRATE / PAGE_REQ / PAGE_BATCH /
-  ACK — as binary frames over a localhost socket
-  (``repro.cluster.realnet``): the forward migration offers the
-  subtree's fork-time frames and ships the requested pages (through the
-  shared codec when the machine compresses); the hand-back ships every
-  frame the run created the same way, the shard delta riding the
-  MIGRATE control frame.  Workers compute on the wire-delivered bytes,
-  so a codec or framing bug diverges the cross-backend oracle instead
-  of hiding behind fork's copy-on-write.
+  coordinator — which owns every worker's life: one long-lived host
+  process per worker slot (a cluster node, by default), serving a queue
+  of cluster-node subtrees and rewinding between them — with another
+  hand-back link and another failure policy.  Instead of a pipe,
+  coordinator and worker speak the cluster protocol's typed messages —
+  MIGRATE / PAGE_REQ / PAGE_BATCH / ACK — as binary frames over a
+  localhost socket (``repro.cluster.realnet``), connected once per
+  worker: each subtree's forward migration offers its fork-time frames
+  and ships the pages the worker requests — those it has not already
+  installed from the wire at that generation for an earlier subtree of
+  its queue (through the shared codec when the machine compresses);
+  the hand-back ships every frame the run created or wrote in place
+  the same way, the shard delta riding the MIGRATE control frame.
+  Workers compute on wire-delivered bytes — delivered once per worker,
+  generation-checked on every offer — so a codec or framing bug
+  diverges the cross-backend oracle instead of hiding behind fork's
+  copy-on-write.
 
 * Adoption is the *same* code as the simulated shard path, so computed
   values, memory images, frame serials, trace segments, and every
@@ -67,6 +72,15 @@ COORD = realnet.COORD
 _EMPTY = {"frames": 0, "bytes": 0, "pages": 0}
 
 
+def _distinct_pages(space):
+    """Each frame ``space``'s subtree references, once."""
+    seen = set()
+    for page in _walk_page_slots(space):
+        if id(page) not in seen:
+            seen.add(id(page))
+            yield page
+
+
 def _batched(items, size):
     """``items`` in chunks of ``size`` (the cost model's scatter/gather
     batch, replicated on the real wire)."""
@@ -97,6 +111,10 @@ class RealShardCoordinator(ShardCoordinator):
         #: counts`` per directed coordinator<->worker link.
         self.wire_links = {}
         self.wire_reports_missing = 0
+        #: Worker side: ``serial -> generation`` of every frame this
+        #: process installed from the wire — what a later forward offer
+        #: need not ship again (the DESIGN §3 delta filter).
+        self._installed = {}
 
     def _fail(self, what, exc):
         """The failure policy here: tear everything down, discard all
@@ -110,50 +128,55 @@ class RealShardCoordinator(ShardCoordinator):
 
     # -- the hand-back link: the cluster wire ------------------------------
 
-    def _spawn(self, caller, sibling):
+    def _spawn(self, caller, queue):
         # Stays this class's own attribute: perfbench times the real
         # backend's fork by this dotted name, through ``vars()``.  The
         # listening socket is the coordinator's own link, torn down with
         # the workers' by the one ``close``.
         if COORD not in self._links:
             self._links[COORD] = realnet.listen(self.deadline)
-        return super()._spawn(caller, sibling)
+        return super()._spawn(caller, queue)
 
     def _open_link(self, index):
         return contextlib.nullcontext()     # the worker connects back
 
     def _wave_started(self, handles):
-        """Serve every worker's forward page exchange before collecting
-        any result: workers block on the forward pages at startup, so a
-        lazily served exchange would serialize the wave."""
-        expected = {index: sibling for sibling, index in handles}
-        for _ in handles:
+        """Accept the workers not connected yet (the first round: one
+        connection and hello per worker, for its whole queue), then
+        serve every forward page exchange of the round before
+        collecting any result: a worker blocks on its forward pages, so
+        a lazily served exchange would serialize the round."""
+        waiting = {index for _, index in handles} - self._links.keys()
+        while waiting:
             chan = realnet.accept(self._links[COORD], self.deadline)
             try:
                 _, _, _, hello = chan.recv(expect=MsgType.ACK)
                 index = hello.get("worker")
-                sibling = expected.pop(index, None)
-                if sibling is None:
+                if index not in waiting:
                     raise WireError(f"unexpected worker hello {hello!r}")
             except BaseException:
                 chan.close()
                 raise
+            waiting.remove(index)
             self._links[index] = chan
-            self._serve_forward(chan, sibling, index)
+        for sibling, index in handles:
+            self._serve_forward(self._links[index], sibling, index)
 
     def _serve_forward(self, chan, sibling, index):
-        """Offer the sibling's fork-time frames, ship what the worker
-        requests (everything, batched like the simulated scatter/gather)."""
+        """Offer the sibling's fork-time frames, ship the ones the
+        worker requests — those it has not installed at that generation
+        for an earlier sibling of its queue — batched like the
+        simulated scatter/gather."""
         snap = self.snapshots[sibling]
         offer = sorted((serial, entry[2]) for serial, entry in snap.items())
         chan.send(MsgType.MIGRATE, COORD, index,
                   {"kind": "forward", "frames": offer, "uid": sibling.uid})
         _, _, _, wanted = chan.recv(expect=MsgType.PAGE_REQ)
-        if list(wanted) != [serial for serial, _gen in offer]:
+        if len(set(wanted)) != len(wanted) or not snap.keys() >= set(wanted):
             raise WireError(f"worker {index} requested pages outside "
-                            f"the forward offer")
-        frames = [(serial, snap[serial][0].generation,
-                   bytes(snap[serial][0].data)) for serial in wanted]
+                            f"the forward offer, or twice")
+        frames = [(serial, snap[serial][0].generation, snap[serial][0].data)
+                  for serial in wanted]
         for chunk in _batched(frames, self.machine.cost.msg_batch):
             chan.send(MsgType.PAGE_BATCH, COORD, index,
                       self._encode_pages(chunk))
@@ -176,57 +199,70 @@ class RealShardCoordinator(ShardCoordinator):
 
     # -- worker (child process) --------------------------------------------
 
-    def _attach(self, sibling, index, end):
-        """Connect back, say hello, receive the forward migration."""
+    def _attach(self, index, end):
+        """Connect back and say hello, once for the whole queue."""
         addr = self._links[COORD].getsockname()
         self._links[COORD].close()      # the child's inherited copy
         chan = realnet.connect(addr, self.deadline)
-        chan.send(MsgType.ACK, index, COORD,
-                  {"worker": index, "uid": sibling.uid})
-        self._receive_forward(chan, sibling, index)
+        chan.send(MsgType.ACK, index, COORD, {"worker": index})
         return chan
 
-    def _receive_forward(self, chan, sibling, index):
-        """Request and install the offered fork-time frames.  The
-        installed bytes are what the subtree computes on: wire
+    def _begin(self, chan, sibling, index):
+        """Receive the sibling's forward migration: request and install
+        the offered fork-time frames this process does not hold yet.
+        The installed bytes are what the subtree computes on — delivered
+        once per worker, generation-checked on every offer — so wire
         corruption surfaces as an oracle divergence, not silently
         masked by fork's copy-on-write."""
         frames = {page.serial: page for page in _walk_page_slots(sibling)}
         _, _, _, offer = chan.recv(expect=MsgType.MIGRATE)
         offered = offer.get("frames", [])
-        wanted = [serial for serial, _gen in offered]
-        if sorted(wanted) != sorted(frames):
+        if offer.get("uid") != sibling.uid or \
+                sorted(serial for serial, _gen in offered) != sorted(frames):
             raise WireError("forward offer does not match the forked "
                             "subtree's frames")
-        chan.send(MsgType.PAGE_REQ, index, COORD, wanted)
+        held = self._installed
+        missing = {}
+        for serial, generation in offered:
+            if frames[serial].generation != generation:
+                raise WireError(f"forward frame {serial} offered at a "
+                                f"stale generation")
+            if held.get(serial) != generation:
+                missing[serial] = frames[serial]
+        chan.send(MsgType.PAGE_REQ, index, COORD, list(missing))
         self._fault("before-install")
-        installed = 0
-        while installed < len(wanted):
+        while missing:
             _, _, _, pages = chan.recv(expect=MsgType.PAGE_BATCH)
             if not pages:
                 raise WireError("empty PAGE_BATCH in forward migration")
             for serial, generation, scheme, payload in pages:
-                page = frames.get(serial)
+                page = missing.pop(serial, None)
                 if page is None or page.generation != generation:
-                    raise WireError(f"forward frame {serial} unknown or "
-                                    f"stale generation")
-                data = _decode_page(scheme, payload)
-                page.data[:] = data
-            installed += len(pages)
+                    raise WireError(f"forward frame {serial} unrequested "
+                                    f"or at a stale generation")
+                page.data[:] = _decode_page(scheme, payload)
+                held[serial] = generation
         chan.send(MsgType.ACK, index, COORD, {"status": "ok"})
 
     def _send_delta(self, chan, payload, index):
-        """Ship the run's delta: new frames' bytes as PAGE_BATCH frames,
-        the structural payload on the MIGRATE control frame, the wire
-        ledger on the final ACK."""
+        """Ship the run's delta: the bytes of every frame the run
+        created or wrote as PAGE_BATCH frames, the structural payload
+        on the MIGRATE control frame, the wire ledger so far on the
+        final ACK."""
         if isinstance(payload, str):
             chan.send(MsgType.MIGRATE, index, COORD,
                       {"kind": "refused", "reason": payload})
         else:
-            shipped = self._strip_pages(payload)
-            chan.send(MsgType.MIGRATE, index, COORD,
-                      {"kind": "result", "payload": payload,
-                       "npages": len(shipped)})
+            shipped, stripped = self._strip_pages(payload)
+            try:
+                chan.send(MsgType.MIGRATE, index, COORD,
+                          {"kind": "result", "payload": payload,
+                           "npages": len(shipped)})
+            finally:
+                # Later siblings of the queue still map the fork-time
+                # frames: give them their bytes back.
+                for page, data in stripped:
+                    page.data = data
             self._fault("mid-handback")
             for chunk in _batched(shipped, self.machine.cost.msg_batch):
                 chan.send(MsgType.PAGE_BATCH, index, COORD,
@@ -234,28 +270,34 @@ class RealShardCoordinator(ShardCoordinator):
         chan.send(MsgType.ACK, index, COORD,
                   {"status": "done", "ledger": chan.ledger()})
 
+    def _crosses(self, page, snap):
+        """Whether ``page``'s bytes cross the wire on a hand-back: the
+        run created the frame, or wrote a fork-time frame in place."""
+        entry = snap.get(page.serial)
+        return page.serial > self._base["serial"] or \
+            (entry is not None and page.generation != entry[2])
+
     def _strip_pages(self, payload):
-        """Detach page bytes from the hand-back payload: frames the run
-        created cross as PAGE_BATCH wire frames (returned here);
-        pre-fork frames' bytes never cross at all — adoption re-points
-        their slots at the parent's live frames."""
-        serial0 = self._base["serial"]
+        """Detach page bytes from the hand-back payload for the time of
+        its pickling.  Returns ``(shipped, stripped)``: frames the run
+        created or wrote cross as PAGE_BATCH wire frames; untouched
+        fork-time frames never cross at all (adoption re-points their
+        slots at the parent's live frames) and get their bytes back."""
+        snap = self.snapshots[payload["spaces"]]
         shipped = []
-        seen = set()
-        for page in _walk_page_slots(payload["spaces"]):
-            if id(page) in seen:
-                continue
-            seen.add(id(page))
-            if page.serial > serial0:
-                shipped.append((page.serial, page.generation,
-                                bytes(page.data)))
+        stripped = []
+        for page in _distinct_pages(payload["spaces"]):
+            if self._crosses(page, snap):
+                shipped.append((page.serial, page.generation, page.data))
+            else:
+                stripped.append((page, page.data))
             page.data = bytearray()
         shipped.sort(key=lambda entry: entry[0])
-        return shipped
+        return shipped, stripped
 
     # -- collection (parent side) ------------------------------------------
 
-    def _recv_delta(self, chan, index):
+    def _recv_delta(self, chan, sibling, index):
         _, _, _, head = chan.recv(expect=MsgType.MIGRATE)
         kind = head.get("kind")
         if kind == "result":
@@ -269,32 +311,31 @@ class RealShardCoordinator(ShardCoordinator):
                 for serial, generation, scheme, data in pages:
                     wire_pages[serial] = (generation,
                                           _decode_page(scheme, data))
-            self._reattach(payload, wire_pages)
+            self._reattach(payload, wire_pages, self.snapshots[sibling])
         elif kind == "refused":
             payload = str(head.get("reason"))
         else:
             raise WireError(f"unexpected hand-back header {head!r}")
         # The worker's ledger is snapshotted before its final ACK
         # frame goes out, so conservation compares against the
-        # parent's receive counts at the same instant.
+        # parent's receive counts at the same instant.  Channel ledgers
+        # are cumulative: each hand-back of a queue overwrites the
+        # link's entry with the later totals.
         pre_ack = {link: dict(entry)
                    for link, entry in chan.received.items()}
         _, _, _, fin = chan.recv(expect=MsgType.ACK)
         self._account(index, chan, fin.get("ledger"), pre_ack)
         return payload
 
-    def _reattach(self, payload, wire_pages):
+    def _reattach(self, payload, wire_pages, snap):
         """Restore the wire-shipped bytes into the unpickled hand-back
-        graph (generation-checked); pre-fork frames stay empty — the
-        shared adoption path re-points their slots at live frames."""
-        serial0 = self._base["serial"]
+        graph (generation-checked); untouched fork-time frames stay
+        empty — the shared adoption path re-points their slots at live
+        frames."""
         restored = 0
-        seen = set()
-        for page in _walk_page_slots(payload["spaces"]):
-            if id(page) in seen or page.serial <= serial0:
-                seen.add(id(page))
+        for page in _distinct_pages(payload["spaces"]):
+            if not self._crosses(page, snap):
                 continue
-            seen.add(id(page))
             entry = wire_pages.get(page.serial)
             if entry is None:
                 raise WireError(f"frame {page.serial} missing from the "
@@ -389,7 +430,8 @@ class RealRunResult:
         shard = machine.shard
         #: Either coordinator's counts and reasons (None without one).
         self.shard_stats = None if shard is None else {
-            "forked": shard.forked, "adopted": shard.adopted,
+            "forked": shard.forked, "processes": shard.processes,
+            "adopted": shard.adopted,
             "fallbacks": shard.fallbacks, "refused": shard.refused,
             "fallback_reasons": dict(shard.fallback_reasons)}
         #: Real-backend extras: the real-wire per-link ledgers and

@@ -295,9 +295,16 @@ def accept(listener, deadline=DEFAULT_DEADLINE):
 
 
 def connect(addr, deadline=DEFAULT_DEADLINE):
-    """Connect to the coordinator as a :class:`Channel`."""
+    """Connect to the coordinator as a :class:`Channel`.  ``addr`` is
+    the listener's numeric ``getsockname()``: connecting the socket
+    directly skips ``socket.create_connection``'s name resolution,
+    whose first call in a freshly forked worker imports the idna codec
+    (10 ms, more than the worker's whole first subtree)."""
+    sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     try:
-        sock = socket.create_connection(addr, timeout=deadline)
+        sock.settimeout(deadline)
+        sock.connect(addr)
     except OSError as exc:
+        sock.close()
         raise WireError(f"connect to {addr} failed: {exc}") from exc
     return Channel(sock, deadline)

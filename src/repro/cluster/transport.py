@@ -234,6 +234,13 @@ class LinkStats:
         for mtype, count in delta["by_type"].items():
             self.by_type[mtype] = self.by_type.get(mtype, 0) + count
 
+    def restore(self, base):
+        """Back to ``base``, an earlier :meth:`as_dict` of this link (a
+        shard worker's rewind between two subtrees of its queue)."""
+        for name in self.FIELDS:
+            setattr(self, name, base[name])
+        self.by_type = dict(base["by_type"])
+
 
 class PrefetchExchange:
     """One in-flight async PAGE_REQ/PAGE_BATCH exchange.

@@ -199,13 +199,14 @@ class Machine:
         self.backend = spec.backend
         #: Sharded host execution (repro.kernel.shard): at a rendezvous
         #: with >= 2 never-run READY siblings, fork up to this many
-        #: host processes and run the sibling subtrees concurrently,
-        #: adopting each result bit-identically where the serial engine
-        #: would have run it.  0 or 1 keeps the serial engine alone.
-        #: Under backend="real" the workers are real host processes
-        #: speaking the cluster protocol over localhost sockets
-        #: (repro.cluster.backend), one per cluster-node subtree by
-        #: default.
+        #: host processes, queue the sibling subtrees on them (a
+        #: worker runs its queue one subtree at a time, rewinding to
+        #: the fork-time machine in between) and adopt each result
+        #: bit-identically where the serial engine would have run it.
+        #: 0 or 1 keeps the serial engine alone.  Under backend="real"
+        #: the workers are real host processes speaking the cluster
+        #: protocol over localhost sockets (repro.cluster.backend), one
+        #: per cluster node by default.
         if spec.backend == "real":
             from repro.cluster.backend import RealShardCoordinator
             workers = spec.shard_workers if spec.shard_workers >= 1 \

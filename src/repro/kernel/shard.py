@@ -10,18 +10,35 @@ thread while every other started sibling sits READY.
 
 This module adds the obvious parallelism without giving up bit
 identity.  At a rendezvous where several siblings are READY and none
-has ever run, the coordinator forks one host process per sibling
-(waves bounded by ``ClusterSpec(shard_workers=...)``).  Each worker runs
-exactly one sibling's subtree against the fork-time copy of the
-machine, then ships back a *delta*: the sibling's space graph, the new
-trace suffix, and every machine/transport counter it advanced.  The
-parent blocks until all workers are collected (workers only ever see
-fork-time state), then *adopts* each result lazily — at the rendezvous
-that would have run that sibling — renumbering frame serials, space
-uids and trace segment ids by the parent's counters at adoption time.
-Because the serial engine would have run the sibling at exactly that
-point with exactly those counter values, adoption reproduces the
-serial run's numbering, trace and memory images bit for bit.
+has ever run, the coordinator forks one host process per *worker slot*
+— ``min(ClusterSpec(shard_workers=...), siblings)`` of them, all from
+the same fork-time machine — and hands worker *k* the static queue
+``siblings[k::W]``.  A worker lives for the whole fork point, like the
+paper's long-lived cluster nodes (§3.3): it attaches its hand-back link
+once, then for each sibling of its queue runs that one subtree against
+the fork-time copy of the machine, ships back a *delta* — the sibling's
+space graph, the new trace suffix, and every machine/transport ledger
+the run moved — and *rewinds*: everything the delta enumerates is put
+back, along with the refcounts of the sibling's fork-time frames and
+any guest stack the run left parked, so the next sibling of the queue
+starts from the identical fork-time machine and the delta a subtree
+produces does not depend on what its worker ran before.  The parent
+collects round by round and blocks until every worker is reaped
+(workers only ever see fork-time state), then *adopts* each result
+lazily — at the rendezvous that would have run that sibling —
+renumbering frame serials, space uids and trace segment ids by the
+parent's counters at adoption time.  Because the serial engine would
+have run the sibling at exactly that point with exactly those counter
+values, adoption reproduces the serial run's numbering, trace and
+memory images bit for bit.
+
+What a run may move is declared once (:data:`_LEDGERS`): each entry
+says how to mark one machine-global before the queue starts, extract
+the run's delta, rewind it, and fold the delta into the parent, so the
+four cannot drift apart; :data:`_NOT_REPLAYED` names every other
+attribute of the machine, trace and transport and why it needs none of
+them (``tests/kernel/test_shard.py`` holds the two lists to the
+constructors).
 
 Adoption is guarded, not assumed.  Before splicing a result in, the
 coordinator re-checks everything the worker's run depended on that the
@@ -40,8 +57,9 @@ only ever a cache of it — and says which check failed
 teardown (``close``).  A coordinator supplies only the hand-back *link*
 (here a ``multiprocessing`` pipe, which already length-prefixes and
 pickles; in ``cluster/backend.py`` the cluster wire) and the *failure
-policy* ``_fail`` (here: that sibling runs inline, reason recorded;
-there: tear down and raise).
+policy* ``_fail`` (here: the sibling in flight and the rest of that
+worker's queue run inline, reason recorded; there: tear down and
+raise).
 
 Gates (:func:`fork_refusal` — all must hold or the rendezvous stays
 serial, with the reason kept on :attr:`ShardCoordinator.refused`):
@@ -61,6 +79,7 @@ serial, with the reason kept on :attr:`ShardCoordinator.refused`):
 import multiprocessing
 import os
 import threading
+from operator import attrgetter
 
 from repro.common.errors import WireError
 from repro.kernel.space import SpaceState
@@ -71,7 +90,8 @@ from repro.timing.trace import Segment
 #: assignment can be re-verified at adoption time.
 _REPLAYABLE_PLACEMENTS = ("identity", "round_robin")
 
-#: ``_fail``'s ``what`` when a wave's workers could not all be started.
+#: ``_fail``'s ``what`` when a fork point's workers could not all be
+#: started (or, on the real wire, be served their forward pages).
 _START_FAILED = "worker start failed"
 
 
@@ -119,6 +139,388 @@ def _uid_index(uid):
     return None
 
 
+# -- what a run may move: one declaration -----------------------------------
+
+class _Renumber:
+    """Worker numbering -> the parent's at adoption time: whatever a run
+    numbered past the fork-time bases shifts by the parent's growth
+    since the fork."""
+
+    def __init__(self, machine, base):
+        self.serial0 = base["serial"]
+        self.uid0 = base["uid"]
+        self.seg0 = base["segments"]
+        self.serials = machine.frames._next_serial - self.serial0
+        self.uids = machine._uid_counter - self.uid0
+        self.segs = len(machine.trace.segments) - self.seg0
+        self._segments = machine.trace.segments
+
+    def serial(self, serial):
+        return serial + self.serials if serial > self.serial0 else serial
+
+    def uid(self, uid):
+        index = _uid_index(uid)
+        if index is not None and index > self.uid0:
+            return f"s{index + self.uids}"
+        return uid
+
+    def sid(self, sid):
+        return sid + self.segs if sid >= self.seg0 else sid
+
+    def segment(self, sid):
+        """The parent's Segment of a worker segment id (the run's new
+        segments are spliced in before anything resolves one)."""
+        return self._segments[self.sid(sid)]
+
+
+_ABSENT = object()
+
+
+def _diff(now, before):
+    """Entries of ``now`` that ``before`` lacks or holds differently."""
+    return {key: value for key, value in now.items()
+            if before.get(key, _ABSENT) != value}
+
+
+def _restore(table, before, keys, copy=None):
+    """Put ``keys`` of ``table`` back to what ``before`` holds (absent
+    there: absent again)."""
+    for key in keys:
+        if key not in before:
+            del table[key]
+        else:
+            table[key] = before[key] if copy is None else copy(before[key])
+
+
+class _Ledger:
+    """One machine-global a subtree's run may move, and the four things
+    done with it: ``mark`` it once per worker (the machine is the same
+    before every sibling of a queue), extract the run's ``delta``,
+    ``rewind`` it by that delta once the sibling is handed back, and
+    ``adopt`` the delta into the parent."""
+
+    def __init__(self, key, owner, attr, refuse=None):
+        #: Name of the delta in the hand-back payload; None for state
+        #: the parent never sees (rewound, not handed back).
+        self.key = key
+        #: Where it lives: ``machine.<owner>.<attr>`` (the machine's own
+        #: attribute when ``owner`` is empty).
+        self.owner = owner
+        self.attr = attr
+        #: Why the worker refuses to report a run that moved it at all.
+        self.refuse = refuse
+
+    def holder(self, machine):
+        return getattr(machine, self.owner) if self.owner else machine
+
+    def get(self, machine):
+        return getattr(self.holder(machine), self.attr)
+
+
+class _Counters(_Ledger):
+    """Numbers a run only adds to (``attr`` is a tuple of them; None
+    takes the holder's ``SCALARS``): the delta is the differences."""
+
+    def names(self, machine):
+        return self.attr or self.holder(machine).SCALARS
+
+    def mark(self, machine):
+        holder = self.holder(machine)
+        return {name: getattr(holder, name) for name in self.names(machine)}
+
+    def delta(self, machine, mark):
+        holder = self.holder(machine)
+        return {name: getattr(holder, name) - was
+                for name, was in mark.items() if getattr(holder, name) != was}
+
+    def rewind(self, machine, mark, delta):
+        holder = self.holder(machine)
+        for name in delta:
+            setattr(holder, name, mark[name])
+
+    def adopt(self, machine, delta, renumber):
+        holder = self.holder(machine)
+        for name, amount in delta.items():
+            setattr(holder, name, getattr(holder, name) + amount)
+
+
+class _Tail(_Ledger):
+    """A sequence a run only appends to: the delta is the suffix
+    (``pack``ed for the wire, ``unpack``ed into the parent's
+    numbering)."""
+
+    def __init__(self, key, owner, attr, pack=None, unpack=None):
+        super().__init__(key, owner, attr)
+        self.pack = pack
+        self.unpack = unpack
+
+    def mark(self, machine):
+        return len(self.get(machine))
+
+    def delta(self, machine, mark):
+        suffix = self.get(machine)[mark:]
+        return suffix if self.pack is None else [self.pack(x) for x in suffix]
+
+    def rewind(self, machine, mark, delta):
+        del self.get(machine)[mark:]
+
+    def adopt(self, machine, delta, renumber):
+        if self.unpack is not None:
+            delta = [self.unpack(renumber, item) for item in delta]
+        self.get(machine).extend(delta)
+
+
+class _Table(_Ledger):
+    """A dict a run writes by key: the delta is the entries it added or
+    changed (it removes none).  ``copy`` snapshots values a run mutates
+    in place; ``pack`` makes a value picklable, ``unpack`` renumbers an
+    entry for the parent."""
+
+    def __init__(self, key, owner, attr, copy=None, pack=None, unpack=None,
+                 refuse=None):
+        super().__init__(key, owner, attr, refuse)
+        self.copy = copy
+        self.pack = pack
+        self.unpack = unpack
+
+    def mark(self, machine):
+        table = self.get(machine)
+        if self.copy is None:
+            return dict(table)
+        return {key: self.copy(value) for key, value in table.items()}
+
+    def delta(self, machine, mark):
+        moved = _diff(self.get(machine), mark)
+        if self.pack is not None:
+            moved = {key: self.pack(value) for key, value in moved.items()}
+        return moved
+
+    def rewind(self, machine, mark, delta):
+        _restore(self.get(machine), mark, delta, self.copy)
+
+    def adopt(self, machine, delta, renumber):
+        table = self.get(machine)
+        for entry in delta.items():
+            key, value = self.unpack(renumber, *entry)
+            table[key] = value
+
+
+class _Nested(_Table):
+    """A dict of dicts a run writes by inner key (``node_cache``)."""
+
+    def mark(self, machine):
+        return {key: dict(inner) for key, inner in self.get(machine).items()}
+
+    def delta(self, machine, mark):
+        out = {}
+        for key, inner in self.get(machine).items():
+            moved = _diff(inner, mark.get(key, {}))
+            if moved:
+                out[key] = moved
+        return out
+
+    def rewind(self, machine, mark, delta):
+        table = self.get(machine)
+        for key, moved in delta.items():
+            if key in mark:
+                _restore(table[key], mark[key], moved)
+            else:
+                del table[key]
+
+    def adopt(self, machine, delta, renumber):
+        table = self.get(machine)
+        for key, moved in delta.items():
+            inner = table[key]
+            for entry in moved.items():
+                inner_key, value = self.unpack(renumber, *entry)
+                inner[inner_key] = value
+
+
+class _Placements(_Table):
+    """First-use ``node_map`` bindings: adoption goes through
+    ``bind_node`` (which keeps ``node_owner`` in step) once ``_adopt``
+    has checked that they replay."""
+
+    def adopt(self, machine, delta, renumber):
+        for vnode, phys in delta.items():
+            if vnode not in machine.node_map:
+                machine.bind_node(vnode, phys)
+
+
+class _Charged(_Ledger):
+    """Segments open at the fork that the run charged or closed in
+    place (the sibling's own start segment; segment ids below the
+    fork-time base need no renumbering)."""
+
+    def mark(self, machine):
+        return {seg.id: seg.cycles for seg in machine.trace._open.values()}
+
+    def delta(self, machine, mark):
+        segments = self.get(machine)
+        return {sid: (segments[sid].cycles, segments[sid].closed)
+                for sid, cycles in mark.items()
+                if segments[sid].closed or segments[sid].cycles != cycles}
+
+    def rewind(self, machine, mark, delta):
+        segments = self.get(machine)
+        for sid in delta:
+            segments[sid].cycles = mark[sid]
+            segments[sid].closed = False
+
+    def adopt(self, machine, delta, renumber):
+        segments = self.get(machine)
+        for sid, (cycles, closed) in delta.items():
+            segments[sid].cycles = cycles
+            segments[sid].closed = closed
+
+
+class _Links(_Ledger):
+    """The transport's per-link ``LinkStats``, moved in place."""
+
+    def mark(self, machine):
+        return {link: stats.as_dict()
+                for link, stats in self.get(machine).items()}
+
+    def delta(self, machine, mark):
+        out = {}
+        for link, stats in self.get(machine).items():
+            moved = stats.delta_since(mark.get(link))
+            if moved is not None:
+                out[link] = moved
+        return out
+
+    def rewind(self, machine, mark, delta):
+        links = self.get(machine)
+        for link in delta:
+            if link in mark:
+                links[link].restore(mark[link])
+            else:
+                del links[link]
+
+    def adopt(self, machine, delta, renumber):
+        for link, moved in delta.items():
+            machine.transport.link(link).add(moved)
+
+
+def _pack_segment(seg):
+    return (seg.id, seg.uid, seg.node, seg.cycles, seg.label, seg.closed)
+
+
+def _unpack_segment(renumber, packed):
+    sid, uid, node, cycles, label, closed = packed
+    seg = Segment(renumber.sid(sid), renumber.uid(uid), node, label)
+    seg.cycles = cycles
+    seg.closed = closed
+    return seg
+
+
+def _unpack_edge(renumber, edge):
+    """Edges and transfers: the two leading segment ids renumber."""
+    return (renumber.sid(edge[0]), renumber.sid(edge[1])) + edge[2:]
+
+
+def _unpack_decision(renumber, record):
+    return (renumber.sid(record[0]),) + record[1:]
+
+
+def _unpack_debug(renumber, line):
+    """``Machine.dev_debug`` heads a line with ``[uid]`` of its space."""
+    uid, rest = line[1:].split("]", 1)
+    return f"[{renumber.uid(uid)}]{rest}"
+
+
+def _by_uid(renumber, uid, value):
+    return renumber.uid(uid), value
+
+
+def _segment_by_uid(renumber, uid, sid):
+    return renumber.uid(uid), renumber.segment(sid)
+
+
+def _by_serial(renumber, serial, value):
+    return renumber.serial(serial), value
+
+
+#: Everything a subtree's run may move outside its own space graph, in
+#: adoption order (the trace's new segments before the tables that
+#: resolve them).
+_LEDGERS = (
+    _Counters("machine", "", ("_uid_counter", "pages_fetched")),
+    _Counters("frames", "frames", ("_next_serial", "frames_allocated")),
+    _Counters("transport", "transport", None),
+    # Cursor devices hand out values that depend on global order.
+    _Counters(None, "", ("_time_idx", "_console_pos"),
+              refuse="cursor device read"),
+    _Tail("console_out", "", "console_output"),
+    _Tail("debug_lines", "", "debug_lines", unpack=_unpack_debug),
+    _Tail("merge_stats", "", "merge_stats_total"),
+    _Tail("segments", "trace", "segments", _pack_segment, _unpack_segment),
+    _Tail("edges", "trace", "edges", unpack=_unpack_edge),
+    _Tail("transfers", "trace", "transfers", unpack=_unpack_edge),
+    _Tail("decisions", "trace", "decisions", unpack=_unpack_decision),
+    _Charged("charged", "trace", "segments"),
+    _Table("open", "trace", "_open", pack=attrgetter("id"),
+           unpack=_segment_by_uid),
+    _Table("last", "trace", "_last", pack=attrgetter("id"),
+           unpack=_segment_by_uid),
+    _Table("cum", "trace", "_cum", unpack=_by_uid),
+    _Nested("node_cache", "", "node_cache", unpack=_by_serial),
+    _Table("frame_origin", "", "frame_origin", unpack=_by_serial),
+    _Placements("placements", "", "node_map"),
+    _Table(None, "", "node_owner"),
+    # Predictor input only, read by nothing the gates let through: the
+    # one machine-global the delta drops, rewound all the same.
+    _Table(None, "", "dirty_hints", copy=list),
+    # Empty at every fork (prefetch_depth == 0 is a gate).
+    _Table(None, "transport", "inflight", copy=dict,
+           refuse="transfers in flight"),
+    # Memo of encoded sizes by frame tag: sound within one run, but
+    # two subtrees of a queue number their new frames alike.
+    _Table(None, "transport", "_wire_sizes"),
+    _Links("links", "transport", "links"),
+)
+
+_CONFIG = "configuration: fixed at construction, only read during a run"
+_HOST = ("host machinery: a worker forgets the parent's guest threads "
+         "(Engine.after_fork) and unwinds its own after every sibling")
+_CONTROL = ("telemetry read by the control plane alone, which "
+            "fork_refusal gates off")
+
+#: Every other attribute the three constructors assign, and why a run
+#: needs none of mark / delta / rewind / adopt for it.
+_NOT_REPLAYED = {
+    "Machine": {
+        **dict.fromkeys((
+            "spec", "cost", "nnodes", "cpus_per_node", "merge_mode",
+            "tcp_mode", "ship_mode", "prefetch_depth", "compression",
+            "loss", "topology", "placement", "backend", "_console_in",
+            "_time_script", "programs"), _CONFIG),
+        "frames": "its counters are a ledger of their own",
+        "trace": "its lists and tables are ledgers of their own",
+        "transport": "its counters and links are ledgers of their own",
+        "engine": _HOST,
+        "kernel": "stateless: it holds the machine and nothing else",
+        "root": "a subtree travels as the payload's space graph",
+        "control": _CONTROL,
+        "shard": "None inside a worker: no nested sharding",
+        "_closed": "lifecycle flag of the parent's machine",
+    },
+    "Trace": {
+        "on_close": "the debugger's observer; its replays force the "
+                    "serial engine",
+    },
+    "Transport": {
+        "machine": _CONFIG,
+        "_sinks": "names prefetch sink segments: prefetch_depth == 0 "
+                  "is a gate",
+        **dict.fromkeys((
+            "window_index", "win_nodes", "win_route_samples",
+            "win_pair_bytes", "_win_drops0", "_win_retx0", "_win_wait0",
+            "_win_msgs0"), _CONTROL),
+    },
+}
+
+
 class ShardCoordinator:
     """Fork/collect/adopt state machine attached to one Machine."""
 
@@ -130,7 +532,8 @@ class ShardCoordinator:
 
     def __init__(self, machine, workers):
         self.machine = machine
-        #: Maximum forked workers alive at once (wave size).
+        #: Maximum worker processes alive at once: a fork point starts
+        #: ``min(workers, siblings)`` and queues the siblings on them.
         self.workers = workers
         #: Space -> collected worker payload awaiting adoption (a delta
         #: dict, or the reason string why there is none).
@@ -139,7 +542,7 @@ class ShardCoordinator:
         self.snapshots = {}
         # Fork-time counter bases (identical for every pending result).
         self._base = None
-        #: Seconds any one wait on a worker may take (its hand-back, a
+        #: Seconds any one wait on a worker may take (a hand-back, a
         #: socket operation, its exit): a wedged worker is never a hang.
         self.deadline = 60.0
         #: Test hook: a worker-side fault point name (see ``_fault``).
@@ -148,8 +551,10 @@ class ShardCoordinator:
         self._links = {}    # worker index -> parent end of its link
         self._procs = {}    # worker index -> multiprocessing.Process
         # -- statistics (tests and reporting) --
-        #: Sibling subtrees handed to a wave of workers.
+        #: Sibling subtrees handed to workers.
         self.forked = 0
+        #: Worker processes started to run them.
+        self.processes = 0
         #: Worker results spliced in at a rendezvous.
         self.adopted = 0
         #: Worker results discarded (worker refused, validation failed,
@@ -203,10 +608,11 @@ class ShardCoordinator:
     # -- worker lifecycle --------------------------------------------------
 
     def _fork_all(self, caller, siblings):
-        """Fork one worker per sibling (waves of ``self.workers``),
-        collect every payload before returning.  The parent mutates
-        nothing between the first fork and the last join, so every
-        worker sees the identical fork-time machine."""
+        """Start one worker per slot, queue ``siblings[k::W]`` on worker
+        *k*, and collect round by round — every payload before
+        returning.  The parent mutates nothing between the first fork
+        and the last join and a worker rewinds after every sibling, so
+        every subtree runs against the identical fork-time machine."""
         machine = self.machine
         trace = machine.trace
         self._base = {
@@ -219,21 +625,34 @@ class ShardCoordinator:
                 page.serial: (page, page.refs, page.generation)
                 for page in _walk_page_slots(sib)
             }
-        for i in range(0, len(siblings), self.workers):
-            wave = siblings[i:i + self.workers]
-            self.forked += len(wave)
-            try:
-                handles = [self._spawn(caller, sib) for sib in wave]
-                self._wave_started(handles)
-            except (OSError, WireError) as exc:
-                self.pending.update(
-                    dict.fromkeys(wave, self._fail(_START_FAILED, exc)))
-                continue
-            for sibling, index in handles:
-                self.pending[sibling] = self._collect(sibling, index)
+        self.forked += len(siblings)
+        width = min(self.workers, len(siblings))
+        lost = {}       # worker index -> the failure policy's answer
+        try:
+            indices = [self._spawn(caller, siblings[k::width])
+                       for k in range(width)]
+            for i in range(0, len(siblings), width):
+                wave = list(zip(siblings[i:i + width], indices))
+                self._wave_started([h for h in wave if h[1] not in lost])
+                for sibling, index in wave:
+                    if index in lost:   # the rest of its queue, at once
+                        self.pending[sibling] = lost[index]
+                        continue
+                    payload = self._collect(sibling, index)
+                    self.pending[sibling] = payload
+                    if index not in self._links:    # its link failed
+                        lost[index] = payload
+        except (OSError, WireError) as exc:
+            reason = self._fail(_START_FAILED, exc)
+            for sib in siblings:
+                self.pending.setdefault(sib, reason)
+            return
+        for index in indices:
+            if index not in lost:
+                self._release(index)
 
-    def _spawn(self, caller, sibling):
-        """Start the worker for ``sibling``; returns ``(sibling, index)``.
+    def _spawn(self, caller, queue):
+        """Start the worker that runs ``queue``; returns its index.
 
         Fork safety: the forking thread is the caller's guest thread —
         the sole holder of the execution baton, so every other guest
@@ -241,28 +660,37 @@ class ShardCoordinator:
         ``threading.Lock`` has no owner to lose in the fork).  The
         worker's surviving thread forgets the cloned contexts and
         pooled workers, whose threads were not copied
-        (``Engine.after_fork``), drives the sibling on a fresh guest
-        thread and never unwinds the parent's stacks (multiprocessing's
-        fork bootstrap leaves through ``os._exit``).
+        (``Engine.after_fork``), drives each sibling on a guest thread
+        of its own pool and never unwinds the parent's stacks
+        (multiprocessing's fork bootstrap leaves through ``os._exit``).
         """
         index = self._next_index
         self._next_index += 1
         with self._open_link(index) as end:
             proc = multiprocessing.get_context("fork").Process(
                 target=self._worker_main, name=f"repro-shard-worker-{index}",
-                args=(caller, sibling, index, end))
+                args=(caller, queue, index, end))
             proc.start()
         self._procs[index] = proc
-        return sibling, index
+        self.processes += 1
+        return index
 
-    def _worker_main(self, caller, sibling, index, end):
-        """The worker process: attach, run, hand back (an exception is
-        a traceback on stderr and, to the parent, a dead worker)."""
-        link = self._attach(sibling, index, end)
+    def _worker_main(self, caller, queue, index, end):
+        """The worker process: attach the link, then per sibling of the
+        queue {begin, run, hand back, rewind} (an exception is a
+        traceback on stderr and, to the parent, a dead worker)."""
+        machine = self.machine
+        machine.shard = None        # no nested sharding inside workers
+        machine.engine.after_fork()     # parent threads do not exist here
+        link = self._attach(index, end)
         try:
-            payload = self._run_worker(caller, sibling)
-            self._fault("before-handback")
-            self._send_delta(link, payload, index)
+            marks = [ledger.mark(machine) for ledger in _LEDGERS]
+            for sibling in queue:
+                self._begin(link, sibling, index)
+                payload, moved = self._run_worker(caller, sibling, marks)
+                self._fault("before-handback")
+                self._send_delta(link, payload, index)
+                self._rewind(sibling, marks, moved)
         finally:
             link.close()
 
@@ -275,18 +703,22 @@ class ShardCoordinator:
             threading.Event().wait()
 
     def _collect(self, sibling, index):
-        """One worker's payload or, whatever the receive raises (EOF,
-        timeout, wire or unpickling error), the failure policy's answer;
-        the link is closed and the worker reaped either way."""
-        link, proc = self._links.pop(index), self._procs.pop(index)
+        """One sibling's payload from its worker or, whatever the
+        receive raises (EOF, timeout, wire or unpickling error), the
+        failure policy's answer — the worker is put down first, so the
+        rest of its queue costs no further wait."""
         try:
-            return self._recv_delta(link, index)
+            return self._recv_delta(self._links[index], sibling, index)
         except Exception as exc:    # noqa: BLE001
-            proc.terminate()        # dead or wedged: no grace
+            self._procs[index].terminate()  # dead or wedged: no grace
+            self._release(index)
             return self._fail(f"worker {index} ({sibling.uid})", exc)
-        finally:
-            link.close()
-            self._join(proc)
+
+    def _release(self, index):
+        """Close a worker's link and reap it: once per worker, after
+        its last round or when its link fails."""
+        self._links.pop(index).close()
+        self._join(self._procs.pop(index))
 
     def _join(self, proc):
         """Reap a worker: wait for its exit, terminate it when that
@@ -310,7 +742,7 @@ class ShardCoordinator:
     def _fail(self, what, exc):
         """The failure policy: ``what`` did not start or hand back.
         Here the siblings concerned run inline for the reason answered
-        (and a wave that did not start leaves no worker behind)."""
+        (and workers that did not all start leave none behind)."""
         if what == _START_FAILED:
             self.close()
             return what
@@ -328,41 +760,36 @@ class ShardCoordinator:
         return end
 
     def _wave_started(self, handles):
-        """Between a wave's last spawn and first collect (the real
-        backend serves the forward page exchanges here)."""
+        """Before a round's first collect, with its ``(sibling, worker
+        index)`` pairs (the real backend serves the forward page
+        exchanges here)."""
 
-    def _attach(self, sibling, index, end):
-        """Worker side, before the run: the link to hand back on."""
+    def _attach(self, index, end):
+        """Worker side, once: the link to hand back on."""
         return end
+
+    def _begin(self, link, sibling, index):
+        """Worker side, before each run (the real backend receives the
+        sibling's forward pages here)."""
 
     def _send_delta(self, link, payload, index):
         link.send(payload)
 
-    def _recv_delta(self, link, index):
+    def _recv_delta(self, link, sibling, index):
         if not link.poll(self.deadline):
             raise TimeoutError
         return link.recv()
 
     # -- worker side -------------------------------------------------------
 
-    def _run_worker(self, caller, sibling):
-        """Inside the forked process: run ``sibling``'s subtree on the
-        fork-time machine and return the delta payload (or the reason
-        string that demands the serial fallback)."""
+    def _run_worker(self, caller, sibling, marks):
+        """Inside the worker: run ``sibling``'s subtree on the fork-time
+        machine.  Returns the delta payload (or the reason string that
+        demands the serial fallback) and what every ledger moved, for
+        the rewind."""
         machine = self.machine
-        trace = machine.trace
-        transport = machine.transport
-        machine.shard = None        # no nested sharding inside workers
-        machine.engine.after_fork()     # parent threads do not exist here
-
-        base = self._base
-        pre_open = dict(trace._open)
-        pre_last = dict(trace._last)
-        edges0 = len(trace.edges)
-        transfers0 = len(trace.transfers)
-        caller_seg = pre_open.get(caller.uid)
+        caller_seg = machine.trace._open.get(caller.uid)
         caller_cycles = caller_seg.cycles if caller_seg is not None else None
-        t0 = pre_open.get(sibling.uid)
         # Fork-time frame slots, to detect which pre-fork frames the
         # run replaced (COW breaks, unmaps, re-pins): only their
         # refcounts condition the run's COW decisions.
@@ -372,100 +799,62 @@ class ShardCoordinator:
             if sp.snapshot is not None:
                 fork_slots.append((sp.snapshot._frames,
                                    dict(sp.snapshot._frames)))
-        time0 = machine._time_idx
-        console0 = machine._console_pos
-        out0 = len(machine.console_output)
-        dbg0 = len(machine.debug_lines)
-        fetched0 = machine.pages_fetched
-        alloc0 = machine.frames.frames_allocated
-        merges0 = len(machine.merge_stats_total)
-        map0 = len(machine.node_map)
-        cache0 = {n: dict(c) for n, c in machine.node_cache.items()}
-        origin0 = dict(machine.frame_origin)
-        scalars0 = {k: getattr(transport, k) for k in transport.SCALARS}
-        links0 = {link: ls.as_dict() for link, ls in transport.links.items()}
 
         machine.engine.run_until_stopped(sibling)
 
+        moved = [ledger.delta(machine, mark)
+                 for ledger, mark in zip(_LEDGERS, marks)]
         # Refuse anything a delta cannot replay: a still-running
         # sibling, cursor-device reads (values depend on global order),
         # outstanding prefetch exchanges, or work leaking into the
         # caller's open segment.
         if sibling.state is SpaceState.READY:
-            return "sibling still READY"
-        if machine._time_idx != time0 or machine._console_pos != console0:
-            return "cursor device read"
-        if any(machine.transport.inflight.values()):
-            return "transfers in flight"
+            return "sibling still READY", moved
+        for ledger, delta in zip(_LEDGERS, moved):
+            if ledger.refuse is not None and delta:
+                return ledger.refuse, moved
         if caller_seg is not None and caller_seg.cycles != caller_cycles:
-            return "caller segment charged"
+            return "caller segment charged", moved
 
-        serial0 = base["serial"]
+        serial0 = self._base["serial"]
         replaced = sorted({
             page.serial
             for container, before in fork_slots
             for vpn, page in before.items()
             if page.serial <= serial0 and container.get(vpn) is not page
         })
-
-        def diff_nested(now, before):
-            out = {}
-            for key, cur in now.items():
-                prev = before.get(key, {})
-                delta = {k: v for k, v in cur.items() if prev.get(k) != v}
-                if delta:
-                    out[key] = delta
-            return out
-
-        link_delta = {}
-        for link, ls in transport.links.items():
-            delta = ls.delta_since(links0.get(link))
-            if delta is not None:
-                link_delta[link] = delta
-
         for sp in sibling.walk():
             sp.machine = None
             sp.ctx = None
             sp.addrspace.allocator = None
         sibling.parent = None
+        payload = {"spaces": sibling, "replaced": replaced}
+        payload.update((ledger.key, delta)
+                       for ledger, delta in zip(_LEDGERS, moved)
+                       if ledger.key is not None)
+        return payload, moved
 
-        return {
-            "spaces": sibling,
-            "replaced": replaced,
-            "t0": None if t0 is None else (t0.id, t0.cycles, t0.closed),
-            "segments": [
-                (s.id, s.uid, s.node, s.cycles, s.label, s.closed)
-                for s in trace.segments[base["segments"]:]
-            ],
-            "edges": trace.edges[edges0:],
-            "transfers": trace.transfers[transfers0:],
-            "open": {
-                uid: seg.id for uid, seg in trace._open.items()
-                if pre_open.get(uid) is not seg
-            },
-            "last": {
-                uid: seg.id for uid, seg in trace._last.items()
-                if pre_last.get(uid) is not seg
-            },
-            "uid_count": machine._uid_counter - base["uid"],
-            "serials": machine.frames._next_serial - base["serial"],
-            "frames_allocated": machine.frames.frames_allocated - alloc0,
-            "pages_fetched": machine.pages_fetched - fetched0,
-            "console_out": bytes(machine.console_output[out0:]),
-            "debug_lines": machine.debug_lines[dbg0:],
-            "merge_stats": machine.merge_stats_total[merges0:],
-            "node_cache": diff_nested(machine.node_cache, cache0),
-            "frame_origin": {
-                s: n for s, n in machine.frame_origin.items()
-                if origin0.get(s) != n
-            },
-            "placements": list(machine.node_map.items())[map0:],
-            "transport": {
-                k: getattr(transport, k) - scalars0[k]
-                for k in transport.SCALARS
-            },
-            "links": link_delta,
-        }
+    def _rewind(self, sibling, marks, moved):
+        """Once a sibling is handed back, put the worker's machine back
+        to fork time, so the next sibling of the queue runs against
+        what a fresh worker would see."""
+        machine = self.machine
+        # Guest stacks the run left parked (Ret, an instruction limit)
+        # unwind only now: ``kill`` flips ``space.killed``, which rides
+        # the payload.  Unwinding runs guest ``finally`` clauses, which
+        # may charge and write: undo what the machine shows afterwards.
+        parked = list(machine.engine._live)
+        if parked:
+            for ctx in parked:
+                ctx.kill()
+            moved = [ledger.delta(machine, mark)
+                     for ledger, mark in zip(_LEDGERS, marks)]
+        for ledger, mark, delta in zip(_LEDGERS, marks, moved):
+            ledger.rewind(machine, mark, delta)
+        # A later sibling's copy-on-write decisions read the refcounts
+        # of the fork-time frames it shares with this one.
+        for page, refs, _generation in self.snapshots[sibling].values():
+            page.refs = refs
 
     # -- adoption (parent side) --------------------------------------------
 
@@ -474,9 +863,7 @@ class ShardCoordinator:
         and splice it in, renumbering by the current counters.  Returns
         None, or (mutating nothing) the validation that failed."""
         machine = self.machine
-        trace = machine.trace
-        base = self._base
-        serial0 = base["serial"]
+        serial0 = self._base["serial"]
 
         # The worker computed against fork-time frames.  The sibling's
         # own (still unadopted) references pin every reachable frame's
@@ -496,7 +883,7 @@ class ShardCoordinator:
         # same assignment from the current map, no bijection clash.
         node_map = machine.node_map
         claimed = set()
-        for vnode, phys in payload["placements"]:
+        for vnode, phys in payload["placements"].items():
             current = node_map.get(vnode)
             if current is None:
                 if phys in machine.node_owner or phys in claimed or \
@@ -506,7 +893,10 @@ class ShardCoordinator:
             elif current != phys:
                 return "placement does not replay"
         # Collect the adopted graph's frame slots; any pre-fork serial
-        # must resolve to a fork-time frame of this sibling.
+        # must resolve to a fork-time frame of this sibling, and one
+        # the run wrote in place (it held every reference: the write
+        # bumped the generation instead of copying) to a live frame
+        # nobody else has come to share since.
         adopted = payload["spaces"]
         page_slots = {}          # id(page) -> [page, slot_count]
         for page in _walk_page_slots(adopted):
@@ -516,20 +906,15 @@ class ShardCoordinator:
             else:
                 entry[1] += 1
         for page, _count in page_slots.values():
-            if page.serial <= serial0 and page.serial not in snap:
-                return "foreign pre-fork frame"
+            if page.serial <= serial0:
+                entry = snap.get(page.serial)
+                if entry is None:
+                    return "foreign pre-fork frame"
+                if page.generation != entry[2] and entry[0].refs != entry[1]:
+                    return "refcount moved"
 
         # -- validation passed: splice (no failure paths below) --
-        delta_s = machine.frames._next_serial - serial0
-        delta_u = machine._uid_counter - base["uid"]
-        delta_l = len(trace.segments) - base["segments"]
-        uid_base = base["uid"]
-
-        def remap_uid(uid):
-            index = _uid_index(uid)
-            if index is not None and index > uid_base:
-                return f"s{index + delta_u}"
-            return uid
+        renumber = _Renumber(machine, self._base)
 
         # Exact refcounts: the sibling's old image releases every
         # reference it held, the adopted image re-takes its own.
@@ -542,8 +927,13 @@ class ShardCoordinator:
                 pre_fork[id(page)] = live
                 for _ in range(count):
                     live.incref()
+                if page.generation != live.generation:
+                    # Written in place by the run: the live frame takes
+                    # the bytes and the generation, like a new frame.
+                    live.data[:] = page.data
+                    live.generation = page.generation
             else:
-                page.serial += delta_s
+                page.serial += renumber.serials
                 page.refs = count
         if pre_fork:
             # Restore identity of pre-fork frames (the pickle copied
@@ -565,7 +955,7 @@ class ShardCoordinator:
             sp.machine = machine
             sp.ctx = None
             sp.addrspace.allocator = machine.frames
-            sp.uid = remap_uid(sp.uid)
+            sp.uid = renumber.uid(sp.uid)
 
         # Splice the adopted image into the existing Space object (the
         # caller's child table and the trace keep referring to it).
@@ -585,66 +975,11 @@ class ShardCoordinator:
         child.started = adopted.started
         child.ctx = None
 
-        # Trace suffix: segment ids shift by the parent's growth since
-        # the fork; the sibling's fork-time open segment takes its
-        # final charge.
-        seg_base = base["segments"]
-        new_segments = {}
-        for sid, uid, node, cycles, label, closed in payload["segments"]:
-            seg = Segment(sid + delta_l, remap_uid(uid), node, label)
-            seg.cycles = cycles
-            seg.closed = closed
-            trace.segments.append(seg)
-            new_segments[sid] = seg
-
-        def remap_sid(sid):
-            return sid + delta_l if sid >= seg_base else sid
-
-        trace.edges.extend(
-            (remap_sid(a), remap_sid(b), lat)
-            for a, b, lat in payload["edges"])
-        trace.transfers.extend(
-            (remap_sid(a), remap_sid(b), link, busy, lat, cls, kind)
-            for a, b, link, busy, lat, cls, kind in payload["transfers"])
-        if payload["t0"] is not None:
-            t0_id, t0_cycles, t0_closed = payload["t0"]
-            t0 = trace.segments[t0_id]
-            t0.cycles = t0_cycles
-            t0.closed = t0_closed
-
-        def resolve(sid):
-            return new_segments[sid] if sid >= seg_base \
-                else trace.segments[sid]
-
-        for uid, sid in payload["open"].items():
-            trace._open[remap_uid(uid)] = resolve(sid)
-        for uid, sid in payload["last"].items():
-            trace._last[remap_uid(uid)] = resolve(sid)
-
-        # Machine and transport ledgers (pure accumulations).
-        machine._uid_counter += payload["uid_count"]
-        machine.frames._next_serial += payload["serials"]
-        machine.frames.frames_allocated += payload["frames_allocated"]
-        machine.pages_fetched += payload["pages_fetched"]
-        machine.console_output.extend(payload["console_out"])
-        machine.debug_lines.extend(payload["debug_lines"])
-        machine.merge_stats_total.extend(payload["merge_stats"])
-        for node, entries in payload["node_cache"].items():
-            cache = machine.node_cache[node]
-            for serial, generation in entries.items():
-                if serial > serial0:
-                    serial += delta_s
-                cache[serial] = generation
-        for serial, node in payload["frame_origin"].items():
-            if serial > serial0:
-                serial += delta_s
-            machine.frame_origin[serial] = node
-        for vnode, phys in payload["placements"]:
-            if vnode not in node_map:
-                machine.bind_node(vnode, phys)
-        transport = machine.transport
-        for key, delta in payload["transport"].items():
-            setattr(transport, key, getattr(transport, key) + delta)
-        for link, delta in payload["links"].items():
-            transport.link(link).add(delta)
+        # Every ledger the run moved: the trace suffix (segment ids
+        # shift by the parent's growth since the fork, the sibling's
+        # fork-time open segment takes its final charge), the machine
+        # and transport accumulations, the cache and placement tables.
+        for ledger in _LEDGERS:
+            if ledger.key is not None:
+                ledger.adopt(machine, payload[ledger.key], renumber)
         return None

@@ -1,11 +1,12 @@
 """The worker-fault matrix, over both shard coordinators.
 
-One worker of a run dies, wedges, or cannot be started.  The pipe
-coordinator (``shard_workers=4``) must run that sibling inline, say why
-on ``fallback_reasons``, and still produce the serial run bit for bit;
-the real backend must surface a typed :class:`BackendError`.  Either way
-the run is bounded by the coordinator's deadline and leaves no child
-process behind."""
+One worker of a run dies, wedges, or cannot be started — on its only
+sibling, or in the middle of a queue of them.  The pipe coordinator
+(``shard_workers=N``) must run that sibling and the rest of the
+worker's queue inline, say why on ``fallback_reasons``, and still
+produce the serial run bit for bit; the real backend must surface a
+typed :class:`BackendError`.  Either way the run is bounded by the
+coordinator's deadline and leaves no child process behind."""
 
 import multiprocessing
 import os
@@ -61,10 +62,10 @@ def assert_no_leaked_children(grace=10.0):
     assert multiprocessing.active_children() == []
 
 
-def run(knobs, configure=None):
-    """``(result, fingerprint)`` of the 4-node md5 circuit under
-    ``knobs``: four sibling subtrees, one wave."""
-    result = run_backend(cw.md5_circuit_main(2), 4,
+def run(knobs, configure=None, nnodes=4):
+    """``(result, fingerprint)`` of the md5 circuit on ``nnodes`` nodes
+    under ``knobs``: one fork point, a sibling subtree per node."""
+    result = run_backend(cw.md5_circuit_main(2), nnodes,
                          spec=ClusterSpec(**knobs), configure=configure)
     return result, fingerprint(result.machine, result.value, result.makespan)
 
@@ -80,10 +81,10 @@ def test_worker_death_is_typed_bounded_and_leakless(knobs, fault):
         shard.deadline = deadline
         spawn = shard._spawn
 
-        def fault_the_first_worker(caller, sibling):
+        def fault_the_first_worker(caller, queue):
             # A worker inherits the coordinator as it is at its fork.
             shard.fault_inject = fault if shard._next_index == 0 else None
-            return spawn(caller, sibling)
+            return spawn(caller, queue)
 
         shard._spawn = fault_the_first_worker
 
@@ -101,6 +102,51 @@ def test_worker_death_is_typed_bounded_and_leakless(knobs, fault):
     # Bounded: the deadline plus join/teardown slack, far below the 60s
     # default a hang would consume.
     assert time.monotonic() - start < deadline + 30.0
+    assert_no_leaked_children()
+
+
+@pytest.mark.parametrize("fault", REASONS)
+@pytest.mark.parametrize("knobs", [REAL, PIPE], ids=["real", "pipe"])
+def test_worker_lost_mid_queue_costs_the_rest_of_its_queue(knobs, fault):
+    # Six sibling subtrees (s2..s7) on two workers: queues (s2, s4, s6)
+    # and (s3, s5, s7).  The first worker is lost on its *second*
+    # sibling, after handing s2 back.
+    deadline = 3.0 if fault.startswith("hang") else 10.0
+    shards = []
+
+    def configure(machine):
+        shard = machine.shard
+        shards.append(shard)
+        shard.deadline = deadline
+        run = shard._run_worker
+
+        def fault_the_second_sibling(caller, sibling, marks):
+            # Runs inside the worker, whose coordinator is its own copy.
+            if sibling.uid == "s4":
+                shard.fault_inject = fault
+            return run(caller, sibling, marks)
+
+        shard._run_worker = fault_the_second_sibling
+
+    start = time.monotonic()
+    if knobs == REAL:
+        with pytest.raises(BackendError, match="real backend aborted"):
+            run({**REAL, "shard_workers": 2}, configure, nnodes=6)
+    else:
+        result, sharded = run({"shard_workers": 2}, configure, nnodes=6)
+        # One deadline for the whole lost queue, not one per sibling.
+        assert time.monotonic() - start < 2 * deadline
+        stats = result.shard_stats
+        # s2 and the whole second queue are adopted; s4 and the s6
+        # behind it run inline for the one reason, answered at once.
+        assert stats["processes"] == 2
+        assert stats["forked"] == 6 and stats["adopted"] == 4
+        assert stats["fallback_reasons"] == {REASONS[fault]: 2}
+        assert sharded == run({}, nnodes=6)[1]
+    assert time.monotonic() - start < deadline + 30.0
+    shard, = shards
+    assert shard.snapshots == {} and shard.pending == {}
+    assert shard._procs == {} and shard._links == {}
     assert_no_leaked_children()
 
 

@@ -4,6 +4,7 @@ frame, corrupted header, bad pickle, inconsistent page sizes, timeout,
 mid-frame close — surfaces as a typed :class:`WireError`, never a hang
 or a raw struct/pickle/socket exception."""
 
+import os
 import socket
 import struct
 import time
@@ -11,12 +12,16 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.bench.workloads import serving
 from repro.cluster import realnet
 from repro.cluster.compress import SCHEME_RAW, decode_page, encode_page
 from repro.cluster.realnet import Channel, MAGIC, encode_frame
+from repro.cluster.serving import serve_trace
+from repro.cluster.spec import ClusterSpec
 from repro.cluster.transport import MsgType
 from repro.common.errors import BackendError, WireError
-from repro.mem.page import PAGE_SIZE
+from repro.kernel.machine import Machine
+from repro.mem.page import PAGE_SIZE, Page
 
 
 def channel_pair(deadline=5.0):
@@ -235,3 +240,51 @@ def test_accept_timeout_is_bounded_typed_error():
         assert time.monotonic() - start < 5.0
     finally:
         listener.close()
+
+
+# -- the forward exchange under long-lived workers --------------------------
+
+needs_real_backend = pytest.mark.skipif(
+    not hasattr(os, "fork") or not realnet.localhost_available(),
+    reason="the real backend needs os.fork and localhost sockets")
+
+
+@needs_real_backend
+@pytest.mark.parametrize("wanted", [[10**6], "twice"],
+                         ids=["outside-the-offer", "same-serial-twice"])
+def test_forward_request_must_stay_inside_the_offer(wanted):
+    # A worker asks only for offered frames it does not hold yet: any
+    # subset of the offer is fine, anything else is a protocol error.
+    with Machine(nnodes=2, spec=ClusterSpec(backend="real")) as machine:
+        shard = machine.shard
+        sibling = machine.new_space(None)
+        page = Page(allocator=machine.frames)
+        shard.snapshots[sibling] = {page.serial: (page, 1, page.generation)}
+        if wanted == "twice":
+            wanted = [page.serial, page.serial]
+        chan, worker = channel_pair()
+        try:
+            worker.send(MsgType.PAGE_REQ, 0, realnet.COORD, wanted)
+            with pytest.raises(WireError, match="outside the forward offer"):
+                shard._serve_forward(chan, sibling, 0)
+        finally:
+            chan.close()
+            worker.close()
+
+
+@needs_real_backend
+def test_shared_frames_cross_each_worker_link_once():
+    # Twelve requests queue three deep on four workers, and every
+    # request maps the same serving share: a worker installs the share
+    # from the wire for its first request and asks for nothing after.
+    real = serve_trace(4, spec=ClusterSpec(backend="real"), requests=12)
+    shard = real.machine.shard
+    assert shard.processes == 4
+    assert shard.forked == shard.adopted == 12 and shard.fallbacks == 0
+    share_pages = serving.SHARE[1] // PAGE_SIZE
+    down = [entry for (src, _dst), entry in shard.wire_links.items()
+            if src == realnet.COORD]
+    assert len(down) == 4
+    for entry in down:
+        assert entry["pages"] == entry["pages_received"] == share_pages
+    assert len(shard.wire_links) == 8 and shard.wire_conservation_ok()

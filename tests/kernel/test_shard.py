@@ -9,8 +9,12 @@ frame/uid counters, page-cache and origin bookkeeping, console output
 and every transport/link statistic.
 """
 
+import ast
+import inspect
 import multiprocessing
 import os
+import pickle
+import textwrap
 import threading
 
 import pytest
@@ -18,9 +22,13 @@ import pytest
 from repro import ClusterSpec, Machine
 from repro.bench import cluster_workloads as cw
 from repro.cluster import realnet
+from repro.cluster.backend import run_backend
 from repro.cluster.network import NetworkStats
+from repro.cluster.transport import Transport
 from repro.common.errors import BackendError
+from repro.kernel import child_ref, shard as shard_module
 from repro.kernel.shard import fork_refusal
+from repro.timing.trace import Trace
 from repro.mem.layout import SHARED_BASE
 from repro.mem.page import PAGE_SIZE
 
@@ -54,6 +62,8 @@ def fingerprint(machine, value, makespan):
         "pages_fetched": machine.pages_fetched,
         "node_cache": {n: dict(c) for n, c in machine.node_cache.items()},
         "frame_origin": dict(machine.frame_origin),
+        "charged": {uid: trace.charged(uid)
+                    for uid in {seg.uid for seg in trace.segments}},
         "node_map": dict(machine.node_map),
         "memory": memory,
         "per_link": net.per_link,
@@ -66,11 +76,12 @@ def fingerprint(machine, value, makespan):
     }
 
 
-def run_pair(builder, nnodes, workers=4, **knobs):
+def run_pair(builder, nnodes, workers=4, sharded=None, **knobs):
     spec = ClusterSpec(**knobs)
     serial_mk, serial_m, serial_v = cw.run_cluster(builder, nnodes, spec=spec)
     shard_mk, shard_m, shard_v = cw.run_cluster(
-        builder, nnodes, spec=spec.with_(shard_workers=workers))
+        builder, nnodes,
+        spec=spec.with_(**(sharded or {"shard_workers": workers})))
     # Every worker is joined before its result is even looked at.
     assert multiprocessing.active_children() == []
     assert sum(shard_m.shard.fallback_reasons.values()) == \
@@ -99,6 +110,63 @@ def test_sharded_run_bit_identical_on_fat_tree():
     serial, sharded, shard = run_pair(
         cw.md5_circuit_main(3), 8, workers=3, topology="fat_tree:2")
     assert shard.adopted == shard.forked == 8
+    assert sharded == serial
+
+
+#: Fewer workers than siblings, so a worker runs a queue of subtrees:
+#: two pipe workers, and the real wire with one process for the whole
+#: fan-out.
+QUEUED = [
+    pytest.param({"shard_workers": 2}, id="pipe-2"),
+    pytest.param({"backend": "real", "shard_workers": 1}, id="real-1",
+                 marks=pytest.mark.skipif(
+                     not realnet.localhost_available(),
+                     reason="the real backend needs localhost sockets")),
+]
+
+def _compressible(g, k):
+    # One new frame whose encoded size depends on k, shipped by this
+    # space's own migration to the node of the child it joins.
+    g.write(SHARED_BASE, bytes(range(1, 200)) * k)
+    ref = child_ref(1, node=1)
+    g.put(ref, regs={"entry": _square, "args": (k,)}, start=True)
+    return g.get(ref, regs=True)["r0"]
+
+
+def _compressible_main(g, nnodes):
+    # Subtrees of one queue number their new frames alike, so the
+    # transport's per-tag wire-size memo must not outlive the subtree
+    # that filled it.
+    for k in (1, 2, 3, 4):
+        g.put(k, regs={"entry": _compressible, "args": (k,)}, start=True)
+    return [g.get(k, regs=True)["r0"] for k in (1, 2, 3, 4)]
+
+
+#: Every bit-identity case above: (builder, nodes, spec knobs).
+IDENTITY_CASES = {
+    "md5_circuit": (cw.md5_circuit_main(3), 4, {}),
+    "md5_tree": (cw.md5_tree_main(3), 4, {}),
+    "matmult_tree": (cw.matmult_tree_main(64), 4, {}),
+    "fat_tree": (cw.md5_circuit_main(3), 8, {"topology": "fat_tree:2"}),
+    "full_ship": (cw.md5_tree_main(3), 4, {"ship_mode": "full"}),
+    "compressed": (_compressible_main, 4, {"compression": True}),
+}
+
+
+@pytest.mark.parametrize("coordinator", QUEUED)
+@pytest.mark.parametrize("case", IDENTITY_CASES)
+def test_queued_workers_bit_identical(case, coordinator):
+    # The delta a subtree produces must not depend on what its worker
+    # ran before it: a queue of subtrees on one process reproduces the
+    # serial run exactly as a process per subtree does.
+    builder, nnodes, knobs = IDENTITY_CASES[case]
+    serial, sharded, shard = run_pair(builder, nnodes, sharded=coordinator,
+                                      **knobs)
+    assert shard.adopted == shard.forked > 0
+    assert shard.fallbacks == 0
+    assert 0 < shard.processes <= shard.forked
+    if case == "fat_tree":      # one fork point, eight siblings
+        assert shard.processes == coordinator["shard_workers"]
     assert sharded == serial
 
 
@@ -275,3 +343,160 @@ def test_failed_validation_is_a_reasoned_fallback():
     assert shard.forked == 2 and shard.adopted == 1
     assert shard.fallback_reasons == {"refcount dropped": 1}
     assert sharded == serial
+
+
+# -- the reuse oracle ------------------------------------------------------
+
+SCRATCH = SHARED_BASE + 4 * PAGE_SIZE
+
+
+def _hostile_leaf(g, k):
+    g.debug(f"leaf {k}")
+    g.write(SCRATCH, bytes([k]) * 8)
+    return k
+
+
+def _hostile(g, k, page, vnodes):
+    """Dirties everything a worker's rewind must undo before the next
+    sibling of its queue starts: console and debug output, first-use
+    placements, nested migrates (node cache, frame origins, link
+    ledgers), Merges, a COW break of a frame shared with exactly one
+    other sibling, and a stack left parked by Ret."""
+    g.console_write(f"child {k}\n")
+    g.debug(f"child {k}")
+    for vnode in vnodes:
+        ref = child_ref(1, node=vnode)
+        g.put(ref, regs={"entry": _hostile_leaf, "args": (k,)},
+              copy=(SCRATCH, PAGE_SIZE), snap=(SCRATCH, PAGE_SIZE),
+              start=True)
+        g.get(ref, merge=True)
+    g.write(page, bytes([k]) * 8)
+    g.ret(status=k)
+    raise AssertionError("never resumed")
+
+
+def _hostile_main(g, nnodes):
+    # Two workers run the queues (1, 3) and (2, 4).  Each queue's two
+    # children are the only holders of one frame (fork-time refs == 2:
+    # the parent's rewrite breaks its own reference away), and the
+    # first of a queue does everything the second does and more.
+    pages = {1: SHARED_BASE, 2: SHARED_BASE + PAGE_SIZE}
+    for page in pages.values():
+        g.write(page, b"parent")
+    for num, vnodes in ((1, (2, 1)), (2, (3, 1)), (3, (2,)), (4, (3,))):
+        page = pages[2 - num % 2]
+        g.put(num, regs={"entry": _hostile, "args": (num, page, vnodes)},
+              copy=(page, PAGE_SIZE), grant_io=True)
+    for page in pages.values():
+        g.write(page, b"rewritten")
+    for num in (1, 2, 3, 4):
+        g.put(num, start=True)
+    out = []
+    for num in (1, 2, 3, 4):
+        page = pages[2 - num % 2]
+        regs = g.get(num, regs=True, copy=(page, PAGE_SIZE))
+        out.append((regs["status"], regs["trap"].name,
+                    bytes(g.read(page, 8))))
+    return out
+
+
+def run_hostile(workers):
+    """The hostile program on ``workers`` pipe workers: its result, and
+    each sibling's hand-back payload as the parent received it."""
+    payloads = {}
+
+    def configure(machine):
+        shard = machine.shard
+        recv, run = shard._recv_delta, shard._run_worker
+
+        def recording(link, sibling, index):
+            payload = recv(link, sibling, index)
+            payloads[sibling.uid] = pickle.dumps(payload)
+            return payload
+
+        def no_stack_of_an_earlier_sibling(caller, sibling, marks):
+            # Runs inside the worker; a failure here is a dead worker,
+            # i.e. a "worker died" fallback below.
+            engine = machine.engine
+            # (The worker's own thread is the forking guest thread.)
+            pooled = {worker.thread for worker in engine._idle}
+            pooled.add(threading.current_thread())
+            assert not engine._live
+            assert all(thread in pooled for thread in threading.enumerate()
+                       if thread.name.startswith("guest-"))
+            return run(caller, sibling, marks)
+
+        shard._recv_delta = recording
+        shard._run_worker = no_stack_of_an_earlier_sibling
+
+    result = run_backend(_hostile_main, 4,
+                         spec=ClusterSpec(shard_workers=workers),
+                         configure=configure)
+    assert multiprocessing.active_children() == []
+    return result, payloads
+
+
+def test_a_hostile_predecessor_does_not_change_the_next_delta():
+    serial = run_backend(_hostile_main, 4)
+    assert [entry[:2] for entry in serial.value] == \
+        [(k, "RET") for k in (1, 2, 3, 4)]
+    fresh, fresh_payloads = run_hostile(workers=4)
+    queued, queued_payloads = run_hostile(workers=2)
+    # Children 3 and 4 run second on their workers, after 1 and 2.  A
+    # fresh worker sees the shared frame at refs == 2 and copies; so
+    # must the queued one (its predecessor's break left refs == 1) —
+    # and then both are turned down at the parent alike, where the
+    # predecessor's adoption really has dropped that reference.
+    assert [entry[2] for entry in serial.value] == \
+        [bytes([k]) * 8 for k in (1, 2, 3, 4)]
+    for result, nprocs in ((fresh, 4), (queued, 2)):
+        stats = result.shard_stats
+        assert stats["processes"] == nprocs
+        assert stats["forked"] == 4 and stats["adopted"] == 2
+        assert stats["fallback_reasons"] == {"refcount dropped": 2}
+        assert fingerprint(result.machine, result.value, result.makespan) \
+            == fingerprint(serial.machine, serial.value, serial.makespan)
+    assert sorted(queued_payloads) == ["s2", "s3", "s4", "s5"]
+    assert queued_payloads == fresh_payloads
+
+
+def test_a_refused_run_is_rewound_too():
+    # The clock reader runs first on its worker; the cursor it moved
+    # must not make the worker refuse the sibling queued behind it.
+    def main(g, nnodes):
+        for num, entry in ((1, _reads_the_clock), (2, _square), (3, _square)):
+            g.put(num, regs={"entry": entry, "args": (num,)}, start=True)
+        return [_join(g, num) for num in (1, 2, 3)]
+
+    serial, sharded, shard = run_pair(main, 2, workers=2)
+    assert sharded["value"] == [1, 4, 9]
+    assert shard.processes == 2
+    assert shard.forked == 3 and shard.adopted == 2
+    assert shard.fallback_reasons == {"cursor device read": 1}
+    assert sharded == serial
+
+
+# -- the declaration is complete -------------------------------------------
+
+def test_every_machine_global_is_replayed_or_says_why_not():
+    # A field added to one of the three constructors is either moved
+    # by a declared ledger (marked, handed back, rewound, adopted) or
+    # named with the reason it needs none of that: Trace._cum, added
+    # after the delta was designed, sat in neither for two PRs.
+    owners = {"": Machine, "trace": Trace, "transport": Transport}
+    for owner, cls in owners.items():
+        init = ast.parse(textwrap.dedent(inspect.getsource(cls.__init__)))
+        assigned = {
+            node.attr for node in ast.walk(init)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Store)
+            and isinstance(node.value, ast.Name) and node.value.id == "self"}
+        ledgers = set()
+        for ledger in shard_module._LEDGERS:
+            if ledger.owner == owner:
+                attr = ledger.attr or cls.SCALARS
+                ledgers.update((attr,) if isinstance(attr, str) else attr)
+        excused = shard_module._NOT_REPLAYED[cls.__name__]
+        assert all(reason.strip() for reason in excused.values())
+        assert not ledgers & set(excused)
+        assert ledgers | set(excused) == assigned, cls.__name__
