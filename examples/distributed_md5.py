@@ -116,7 +116,7 @@ def main(smoke=False):
     # placement at quantum boundaries.  Decisions are a pure function
     # of simulated state, so the decision log replays bit-identically
     # — and the answer still cannot change.
-    spec = spec.with_(prefetch_depth=None, control="adaptive")
+    spec = spec.with_(prefetch_depth=0, control="adaptive")
     adaptive_makespan, machine, found = run_cluster(md5_tree_main(length),
                                                     big, spec=spec)
     assert found == target

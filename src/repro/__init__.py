@@ -56,7 +56,7 @@ from repro.common.errors import (
 )
 from repro.kernel import Machine, MachineResult, Trap, child_ref
 from repro.cluster.backend import RealRunResult, run_backend, run_real
-from repro.cluster.cluster import Cluster, ClusterResult, sweep_nodes
+from repro.cluster.cluster import Cluster, sweep_nodes
 from repro.cluster.serving import ServingResult, serve_trace
 from repro.cluster.spec import ClusterSpec
 from repro.timing import CostModel
@@ -70,7 +70,6 @@ __all__ = [
     "child_ref",
     "ClusterSpec",
     "Cluster",
-    "ClusterResult",
     "sweep_nodes",
     "serve_trace",
     "ServingResult",

@@ -15,6 +15,6 @@
 * :mod:`repro.bench.figures` — one generator per paper figure/table.
 """
 
-from repro.bench.harness import run_determinator, run_linux, RunResult
+from repro.bench.harness import run_determinator, run_linux
 
-__all__ = ["run_determinator", "run_linux", "RunResult"]
+__all__ = ["run_determinator", "run_linux"]

@@ -25,8 +25,8 @@ from repro.bench.workloads.md5 import (
     ALPHABET,
     candidate,
 )
+from repro.cluster.cluster import Cluster
 from repro.kernel.kernel import child_ref
-from repro.kernel.machine import Machine
 from repro.mem.layout import SHARED_BASE
 from repro.mem.page import PAGE_SIZE
 
@@ -274,19 +274,8 @@ def run_cluster(entry_builder, nnodes, spec=None):
     ``control`` for the adaptive control plane, ``shard_workers`` for
     forked host execution.
     """
-    machine = Machine(nnodes=nnodes, spec=spec)
-
-    def main(g):
-        return entry_builder(g, nnodes)
-
-    with machine:
-        result = machine.run(main)
-        if result.trap.name not in ("EXIT", "RET"):
-            raise RuntimeError(
-                f"cluster workload faulted: {result.trap.name} {result.trap_info}"
-            )
-        cpus = {node: machine.cpus_per_node for node in range(nnodes)}
-        return result.makespan(cpus_per_node=cpus), machine, result.r0
+    result = Cluster(nnodes, spec).run(entry_builder, (nnodes,))
+    return result.makespan(), result.machine, result.value
 
 
 def md5_circuit_main(length=4):

@@ -47,6 +47,15 @@ def _params_for(name, nworkers):
 # Figures 7 & 8: single-node multicore
 # ---------------------------------------------------------------------------
 
+def _vs_linux(mod, params, ncpus):
+    """One workload on both systems: linux_time / determinator_time
+    (above 1.0 Determinator is faster); the results must agree."""
+    det = run_determinator(mod, params)
+    lin = run_linux(mod, params, ncpus=ncpus)
+    assert det.value == lin.value, f"{mod.__name__}: result mismatch"
+    return lin.makespan() / det.makespan(ncpus)
+
+
 def figure7(cpu_counts=CPU_COUNTS, benchmarks=None):
     """Determinator performance relative to Linux/pthreads.
 
@@ -58,10 +67,7 @@ def figure7(cpu_counts=CPU_COUNTS, benchmarks=None):
         series[name] = {}
         for ncpus in cpu_counts:
             mod, params = _params_for(name, ncpus)
-            det = run_determinator(mod, params)
-            lin = run_linux(mod, params, ncpus=ncpus)
-            assert det.value == lin.value, f"{name}: result mismatch"
-            series[name][ncpus] = lin.makespan() / det.makespan(ncpus)
+            series[name][ncpus] = _vs_linux(mod, params, ncpus)
     return series
 
 
@@ -86,30 +92,21 @@ def figure8(cpu_counts=CPU_COUNTS, benchmarks=None):
 # Figures 9 & 10: granularity sweeps
 # ---------------------------------------------------------------------------
 
+def _granularity(name, sizes, ncpus):
+    """``name`` vs Linux over problem sizes ``n``: {n: ratio}."""
+    mod, _ = ALL[name]
+    return {n: _vs_linux(mod, mod.default_params(ncpus, n=n), ncpus)
+            for n in sizes}
+
+
 def figure9(sizes=(16, 32, 64, 128, 256, 512), ncpus=12):
     """matmult vs Linux for varying matrix size: {n: ratio}."""
-    mod, _ = ALL["matmult"]
-    series = {}
-    for n in sizes:
-        params = mod.default_params(ncpus, n=n)
-        det = run_determinator(mod, params)
-        lin = run_linux(mod, params, ncpus=ncpus)
-        assert det.value == lin.value
-        series[n] = lin.makespan() / det.makespan(ncpus)
-    return series
+    return _granularity("matmult", sizes, ncpus)
 
 
 def figure10(sizes=(1 << 10, 1 << 12, 1 << 14, 1 << 16, 1 << 18), ncpus=12):
     """qsort vs Linux for varying array size: {n: ratio}."""
-    mod, _ = ALL["qsort"]
-    series = {}
-    for n in sizes:
-        params = mod.default_params(ncpus, n=n)
-        det = run_determinator(mod, params)
-        lin = run_linux(mod, params, ncpus=ncpus)
-        assert det.value == lin.value
-        series[n] = lin.makespan() / det.makespan(ncpus)
-    return series
+    return _granularity("qsort", sizes, ncpus)
 
 
 # ---------------------------------------------------------------------------
@@ -151,6 +148,28 @@ def figure11(node_counts=FIG11_NODES, md5_length=4, matmult_n=512):
     return series
 
 
+def _matmult_cells(cells, node_counts, matmult_n):
+    """matmult-tree speedup per ``(label, spec)`` cell:
+    ``{label: {nodes: speedup}}``.  All cells share the 1-node baseline:
+    a single node never touches the wire, so every cell's 1-node run
+    *is* that baseline."""
+    base_time, _, base_value = cw.run_cluster(
+        cw.matmult_tree_main(matmult_n), nnodes=1)
+    series = {}
+    for label, spec in cells:
+        series[label] = {}
+        for nodes in node_counts:
+            if nodes == 1:
+                series[label][1] = 1.0
+                continue
+            time, _, value = cw.run_cluster(
+                cw.matmult_tree_main(matmult_n), nnodes=nodes, spec=spec)
+            assert value == base_value, \
+                f"{label}: result drift at {nodes} nodes"
+            series[label][nodes] = base_time / time
+    return series
+
+
 #: Fabric presets compared by :func:`figure11_topology` — rack size 2
 #: keeps every preset multi-rack from 4 nodes up.
 FIG11_TOPOLOGIES = (
@@ -187,22 +206,9 @@ def figure11_prefetch(node_counts=(1, 2, 4, 8), matmult_n=256,
     further by shrinking what must serialize on the core links.  The
     eager delta-shipping default rides along as the upper envelope.
     """
-    base_time, _, base_value = cw.run_cluster(
-        cw.matmult_tree_main(matmult_n), nnodes=1)
-    series = {}
-    for label, cell in FIG11_PREFETCH_CELLS:
-        spec = cell.with_(topology=topology)
-        series[label] = {}
-        for nodes in node_counts:
-            if nodes == 1:
-                series[label][1] = 1.0
-                continue
-            time, _, value = cw.run_cluster(
-                cw.matmult_tree_main(matmult_n), nnodes=nodes, spec=spec)
-            assert value == base_value, \
-                f"{label}: result drift at {nodes} nodes"
-            series[label][nodes] = base_time / time
-    return series
+    return _matmult_cells(
+        [(label, cell.with_(topology=topology))
+         for label, cell in FIG11_PREFETCH_CELLS], node_counts, matmult_n)
 
 
 def figure11_topology(node_counts=(1, 2, 4, 8), matmult_n=256,
@@ -216,24 +222,9 @@ def figure11_topology(node_counts=(1, 2, 4, 8), matmult_n=256,
     upper envelope, the oversubscribed two-tier fabric bends the knee
     earliest, and the full-bisection fat tree sits between.
     """
-    base_time, _, base_value = cw.run_cluster(
-        cw.matmult_tree_main(matmult_n), nnodes=1)
-    series = {}
-    for label, preset in FIG11_TOPOLOGIES:
-        spec = ClusterSpec(topology=preset, placement=placement)
-        series[label] = {}
-        for nodes in node_counts:
-            if nodes == 1:
-                # A single node never touches the wire: every fabric's
-                # 1-node cell *is* the shared baseline.
-                series[label][1] = 1.0
-                continue
-            time, _, value = cw.run_cluster(
-                cw.matmult_tree_main(matmult_n), nnodes=nodes, spec=spec)
-            assert value == base_value, \
-                f"{label}: result drift at {nodes} nodes"
-            series[label][nodes] = base_time / time
-    return series
+    return _matmult_cells(
+        [(label, ClusterSpec(topology=preset, placement=placement))
+         for label, preset in FIG11_TOPOLOGIES], node_counts, matmult_n)
 
 
 # ---------------------------------------------------------------------------
@@ -392,9 +383,7 @@ def _det_make_makespan(tasks, jobs, ncpus=2):
         return 0
 
     with Machine() as machine:
-        result = machine.run(unix_root(init))
-        assert result.trap.name in ("EXIT", "RET"), result.trap_info
-        return result.makespan(ncpus=ncpus)
+        return machine.run(unix_root(init)).check("make").makespan(ncpus)
 
 
 def figure4(tasks=FIG4_TASKS, ncpus=2):

@@ -37,9 +37,12 @@ owns *how* it crosses and what that costs:
   typed messages framed over real localhost sockets; the simulated run
   stays the bit-identical oracle for values, memory images, and
   ledgers, while measured wall-clock joins simulated cycles as a
-  second timing column (:func:`run_real`, :class:`RealRunResult`);
+  second timing column (:func:`run_real`; :class:`RealRunResult` wraps
+  the ``MachineResult`` with wall-clock, image and wire ledgers);
 * :class:`Cluster` — construct, run and time a multi-node machine with
-  one call;
+  one call; like every runner it returns the run's
+  :class:`~repro.kernel.machine.MachineResult` (``value``,
+  ``makespan()`` on the spec's ``cpus_per_node``, ``network``);
 * :class:`NetworkStats` — traffic accounting derived from the
   transport's live counters: migration hops, page/byte/message totals,
   per-class (rack vs cross-rack) aggregates
@@ -57,7 +60,7 @@ from repro.cluster.backend import (
     run_backend,
     run_real,
 )
-from repro.cluster.cluster import Cluster, ClusterResult, sweep_nodes
+from repro.cluster.cluster import Cluster, sweep_nodes
 from repro.cluster.control import Controller, resolve_control
 from repro.cluster.faults import LossSchedule, RetxBill, resolve_loss
 from repro.cluster.placement import (
@@ -83,7 +86,7 @@ from repro.cluster.transport import (
 )
 
 __all__ = [
-    "NetworkStats", "Cluster", "ClusterResult", "sweep_nodes",
+    "NetworkStats", "Cluster", "sweep_nodes",
     "RealRunResult", "RealShardCoordinator", "image_digest",
     "run_backend", "run_real",
     "LossSchedule", "RetxBill", "resolve_loss",

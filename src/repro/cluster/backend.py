@@ -42,7 +42,7 @@ that backend:
 
 Entry points: :func:`run_backend` (dispatches on ``spec.backend``),
 :func:`run_real` (forces the real backend), :class:`RealRunResult`
-(value + image + ``NetworkStats`` + both timing columns), and
+(the ``MachineResult`` + image + both timing columns), and
 :func:`image_digest` (a stable hash of a frozen machine image, for
 reporting cross-backend identity as one comparable line).
 """
@@ -50,12 +50,10 @@ reporting cross-backend identity as one comparable line).
 import contextlib
 import hashlib
 import time
-import weakref
 from enum import Enum
 
 from repro.cluster import realnet
 from repro.cluster.compress import SCHEME_RAW, encode_page
-from repro.cluster.network import NetworkStats
 from repro.cluster.spec import ClusterSpec
 from repro.cluster.transport import MsgType
 from repro.common.errors import BackendError, WireError
@@ -404,30 +402,24 @@ def _decode_page(scheme, payload):
 # -- results & entry points -------------------------------------------------
 
 class RealRunResult:
-    """Outcome of :func:`run_backend`: the computed value, the frozen
-    machine image (captured before close — the cross-backend identity
-    artifact), the same :class:`NetworkStats` tables both backends
-    share, and both timing columns (simulated cycles + measured
-    wall-clock)."""
+    """Outcome of :func:`run_backend`: the run's
+    :class:`~repro.kernel.machine.MachineResult` plus what the backend
+    adds — measured wall-clock, the frozen machine image (captured
+    before close — the cross-backend identity artifact), either
+    coordinator's counts and the real-wire ledgers."""
 
-    def __init__(self, machine, value, makespan, wall_seconds, image):
-        self.machine = machine
-        #: Which backend produced this ("sim" or "real").
-        self.backend = machine.backend
-        #: The workload's computed value (root r0) — backend-invariant.
-        self.value = value
-        #: Simulated completion time in virtual cycles — backend-
-        #: invariant (the real backend adopts the same trace).
-        self.makespan = makespan
+    def __init__(self, result, wall_seconds, image):
+        #: The run's MachineResult; ``machine``, ``backend``, ``value``,
+        #: ``makespan`` (simulated cycles on the spec's CPUs — backend-
+        #: invariant) and ``network`` below read through it.
+        self.result = result
         #: Measured host wall-clock of the run — the real backend's own
         #: timing column (never compared across backends).
         self.wall_seconds = wall_seconds
         #: Frozen machine image (spaces, regs, page bytes, per-link
         #: simulated ledgers); equal across backends by construction.
         self.image = image
-        #: The shared simulated traffic tables.
-        self.network = NetworkStats(machine)
-        shard = machine.shard
+        shard = self.machine.shard
         #: Either coordinator's counts and reasons (None without one).
         self.shard_stats = None if shard is None else {
             "forked": shard.forked, "processes": shard.processes,
@@ -436,33 +428,21 @@ class RealRunResult:
             "fallback_reasons": dict(shard.fallback_reasons)}
         #: Real-backend extras: the real-wire per-link ledgers and
         #: their conservation verdict.
-        real = machine.backend == "real"
+        real = self.backend == "real"
         wire_links = shard.wire_links if real else {}
         self.wire = {link: dict(entry) for link, entry in wire_links.items()}
         self.wire_ok = shard.wire_conservation_ok() if real else None
+
+    machine = property(lambda self: self.result.machine)
+    backend = property(lambda self: self.machine.backend)
+    value = property(lambda self: self.result.value)
+    makespan = property(lambda self: self.result.makespan())
+    network = property(lambda self: self.result.network)
 
     def __repr__(self):
         return (f"<RealRunResult backend={self.backend!r} "
                 f"value={self.value!r} makespan={self.makespan} "
                 f"wall={self.wall_seconds:.3f}s>")
-
-
-#: entry_builder -> {nnodes: wrapper}.  The wrapper lands in the root's
-#: registers, and the cross-backend oracle compares register dicts by
-#: value — sharing one wrapper per (builder, nnodes) makes two runs of
-#: the same workload carry the *same* entry object, so frozen images
-#: compare equal without canonicalizing away the registers.
-_MAIN_CACHE = weakref.WeakKeyDictionary()
-
-
-def _main_for(entry_builder, nnodes):
-    def main(g):
-        return entry_builder(g, nnodes)
-    try:
-        per_builder = _MAIN_CACHE.setdefault(entry_builder, {})
-    except TypeError:           # unweakrefable callable: no sharing
-        return main
-    return per_builder.setdefault(nnodes, main)
 
 
 def run_backend(entry_builder, nnodes, spec=None, configure=None):
@@ -478,24 +458,18 @@ def run_backend(entry_builder, nnodes, spec=None, configure=None):
     machine = Machine(nnodes=nnodes, spec=spec)
     if configure is not None:
         configure(machine)
-    main = _main_for(entry_builder, nnodes)
     start = time.perf_counter()
     with machine:
-        result = machine.run(main)
+        result = machine.run(entry_builder, (nnodes,),
+                             ncpus=machine.cpus_per_node)
         wall = time.perf_counter() - start
         if machine.backend == "real" and machine.shard.refused:
             raise BackendError(machine.shard.refused)
-        if result.trap.name not in ("EXIT", "RET"):
-            info = result.trap_info or ""
-            if info.startswith(("BackendError", "WireError")):
-                raise BackendError(info)
-            raise RuntimeError(
-                f"cluster workload faulted: {result.trap.name} {info}")
-        cpus = {node: machine.cpus_per_node for node in range(nnodes)}
-        makespan = result.makespan(cpus_per_node=cpus)
+        if result.trap_info.startswith(("BackendError", "WireError")):
+            raise BackendError(result.trap_info)
         # Freeze before close: Machine.close destroys the space tree.
-        image = freeze_machine(machine)
-        return RealRunResult(machine, result.r0, makespan, wall, image)
+        return RealRunResult(result.check("cluster workload"), wall,
+                             freeze_machine(machine))
 
 
 def run_real(entry_builder, nnodes, spec=None, configure=None):

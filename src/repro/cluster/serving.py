@@ -243,14 +243,8 @@ def serve_trace(nnodes, spec=None, requests=160, mean_gap=240_000, seed=11,
         return _dispatch(g, machine, arrivals, plan, refs, values)
 
     with machine:
-        result = machine.run(main)
-        if result.trap.name not in ("EXIT", "RET"):
-            raise RuntimeError(
-                f"serving trace faulted: {result.trap.name} "
-                f"{result.trap_info}")
-        cpus = {node: machine.cpus_per_node for node in range(nnodes)}
-        sched = schedule(machine.trace, cpus_per_node=cpus)
-        finish = sched.finish
+        result = machine.run(main).check("serving trace")
+        finish = schedule(machine.trace, ncpus=machine.cpus_per_node).finish
         finish_by_uid = {}
         for seg in machine.trace.segments:
             t = finish[seg.id]

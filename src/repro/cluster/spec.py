@@ -54,9 +54,9 @@ class ClusterSpec:
     #: Cycle-price table (None -> a default :class:`CostModel` per run).
     cost: object = None
     #: CPUs per cluster node used when scheduling the run's trace.  The
-    #: spec carries it so the machine and every downstream consumer
-    #: (``ClusterResult``, the serving latency extractor) agree on the
-    #: CPU count the numbers were computed against.
+    #: spec carries it so the machine and every cluster runner (the
+    #: ``MachineResult`` they return, the serving latency extractor)
+    #: agree on the CPU count the numbers were computed against.
     cpus_per_node: int = 1
     #: TCP-like framing surcharge on every cluster message (§6.3).
     tcp_mode: bool = False
@@ -66,8 +66,8 @@ class ClusterSpec:
     topology: object = None
     #: Virtual-node placement policy (None -> "round_robin").
     placement: object = None
-    #: Async fetch-queue depth (None -> ``cost.prefetch_depth``).
-    prefetch_depth: object = None
+    #: Async fetch-queue depth per node (0: stop-and-wait).
+    prefetch_depth: int = 0
     #: PAGE_BATCH wire compression (zero suppression + RLE).
     compression: bool = False
     #: Deterministic fault schedule (rate, kwargs dict, LossSchedule).
@@ -87,9 +87,9 @@ class ClusterSpec:
         if self.ship_mode not in SHIP_MODES:
             raise ValueError(f"unknown ship_mode {self.ship_mode!r} "
                              f"(expected one of {SHIP_MODES})")
-        if self.prefetch_depth is not None and self.prefetch_depth < 0:
-            raise ValueError(f"prefetch_depth must be >= 0, "
-                             f"got {self.prefetch_depth}")
+        if not isinstance(self.prefetch_depth, int) or self.prefetch_depth < 0:
+            raise ValueError(f"prefetch_depth must be a non-negative int, "
+                             f"got {self.prefetch_depth!r}")
         if not isinstance(self.cpus_per_node, int) or self.cpus_per_node < 1:
             raise ValueError(f"cpus_per_node must be a positive int, "
                              f"got {self.cpus_per_node!r}")
@@ -119,11 +119,6 @@ class ClusterSpec:
     def resolved_cost(self):
         """The run's :class:`CostModel` (a default one when unset)."""
         return self.cost if self.cost is not None else CostModel()
-
-    def resolve_prefetch_depth(self, cost):
-        """Effective static queue depth: the spec's, else ``cost``'s."""
-        return cost.prefetch_depth if self.prefetch_depth is None \
-            else self.prefetch_depth
 
     def resolve_loss(self):
         """A :class:`~repro.cluster.faults.LossSchedule` (or None).

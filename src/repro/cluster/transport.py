@@ -330,9 +330,7 @@ class TelemetryWindow:
         #: node pair (counted once per message, not per hop).
         self.pair_bytes = pair_bytes
         #: Fault-path deltas over the window.
-        self.drops = drops
-        self.retx_msgs = retx_msgs
-        self.retx_wait = retx_wait
+        self.drops, self.retx_msgs, self.retx_wait = drops, retx_msgs, retx_wait
         #: Logical messages sent during the window.
         self.messages = messages
 
@@ -361,6 +359,13 @@ class TelemetryWindow:
                 f"msgs={self.messages} drops={self.drops}>")
 
 
+def _link_total(field):
+    """Read-only total of one :attr:`LinkStats.FIELDS` counter over
+    every link — the per-link ledgers are the only copy kept."""
+    return property(lambda self: sum(getattr(stats, field)
+                                     for stats in self.links.values()))
+
+
 class Transport:
     """The simulated interconnect of one machine's cluster."""
 
@@ -370,10 +375,27 @@ class Transport:
     SCALARS = (
         "migrations", "pages_shipped", "pages_pulled", "pages_prefetched",
         "prefetch_used", "prefetch_stale", "batches", "messages", "hops",
-        "bytes_total", "busy_total", "raw_total", "comp_total",
-        "codec_cycles", "msg_serial", "drops", "dropped_bytes", "retx_msgs",
-        "retx_bytes", "dups", "reorders", "retx_wait",
+        "codec_cycles", "msg_serial", "retx_wait",
     )
+
+    #: Wire bytes and serialization cycles summed over every traversed
+    #: link (an H-hop route moves its bytes H times).
+    bytes_total = _link_total("bytes_sent")
+    busy_total = _link_total("busy_cycles")
+    #: Page payload bytes before/after wire compression, summed over
+    #: traversed links like :attr:`bytes_total` (equal when compression
+    #: is off).
+    raw_total = _link_total("raw_bytes")
+    comp_total = _link_total("comp_bytes")
+    #: Fault/retransmission totals over every link: copies the loss
+    #: schedule dropped / the link layer re-serialized / duplicated /
+    #: reordered.
+    drops = _link_total("dropped_msgs")
+    dropped_bytes = _link_total("dropped_bytes")
+    retx_msgs = _link_total("retx_msgs")
+    retx_bytes = _link_total("retx_bytes")
+    dups = _link_total("dup_msgs")
+    reorders = _link_total("reorder_msgs")
 
     def __init__(self, machine):
         self.machine = machine
@@ -405,15 +427,6 @@ class Transport:
         self.messages = 0
         #: Link traversals: a message over an H-hop route counts H.
         self.hops = 0
-        #: Wire bytes and serialization cycles summed over every
-        #: traversed link (an H-hop route moves its bytes H times).
-        self.bytes_total = 0
-        self.busy_total = 0
-        #: Page payload bytes before/after wire compression, summed over
-        #: traversed links like :attr:`bytes_total` (equal when
-        #: compression is off).
-        self.raw_total = 0
-        self.comp_total = 0
         #: Encode/decode cycles the compression codec cost (charged as
         #: transfer latency, not link occupancy).
         self.codec_cycles = 0
@@ -422,16 +435,8 @@ class Transport:
         #: are deterministic because the simulation is, so the loss
         #: schedule replays bit-identically.
         self.msg_serial = 0
-        #: Fault/retransmission totals over every link: copies the loss
-        #: schedule dropped / the link layer re-serialized /
-        #: duplicated / reordered, and the sender-side timeout cycles
-        #: space-stalling exchanges accumulated waiting on retransmits.
-        self.drops = 0
-        self.dropped_bytes = 0
-        self.retx_msgs = 0
-        self.retx_bytes = 0
-        self.dups = 0
-        self.reorders = 0
+        #: Sender-side timeout cycles space-stalling exchanges
+        #: accumulated waiting on retransmits.
         self.retx_wait = 0
         #: node -> {frame serial: (generation, PrefetchExchange, frame)}
         #: — that node's async fetch queue of in-flight predicted
@@ -453,10 +458,11 @@ class Transport:
         self.win_route_samples = {}
         #: directed (src, dst) node pair -> logical message bytes.
         self.win_pair_bytes = {}
-        # Cumulative-counter marks of the running window's start, so the
-        # fault-path deltas come free of extra hot-path work.
-        self._win_drops0 = 0
-        self._win_retx0 = 0
+        #: Copies the running window saw dropped / retransmitted (the
+        #: cumulative totals are link sums; a window must not pay one).
+        self._win_drops = 0
+        self._win_retx = 0
+        # Cumulative-counter marks of the running window's start.
         self._win_wait0 = 0
         self._win_msgs0 = 0
 
@@ -548,8 +554,7 @@ class Transport:
         window = TelemetryWindow(
             index, self.win_nodes, self.win_route_samples,
             self.win_pair_bytes,
-            drops=self.drops - self._win_drops0,
-            retx_msgs=self.retx_msgs - self._win_retx0,
+            drops=self._win_drops, retx_msgs=self._win_retx,
             retx_wait=self.retx_wait - self._win_wait0,
             messages=self.messages - self._win_msgs0,
         )
@@ -557,8 +562,7 @@ class Transport:
         self.win_nodes = {}
         self.win_route_samples = {}
         self.win_pair_bytes = {}
-        self._win_drops0 = self.drops
-        self._win_retx0 = self.retx_msgs
+        self._win_drops = self._win_retx = 0
         self._win_wait0 = self.retx_wait
         self._win_msgs0 = self.messages
         return window
@@ -616,8 +620,6 @@ class Transport:
             stats.raw_bytes += raw_payload
             stats.comp_bytes += comp_payload
             self.hops += 1
-            self.raw_total += raw_payload
-            self.comp_total += comp_payload
             if usage is not None:
                 usage[link] = usage.get(link, 0) + busy
             attempt = 0
@@ -627,13 +629,10 @@ class Transport:
                 stats.busy_cycles += busy
                 stats.by_type[mtype.name] = \
                     stats.by_type.get(mtype.name, 0) + 1
-                self.bytes_total += nbytes
-                self.busy_total += busy
                 if attempt:
                     stats.retx_msgs += 1
                     stats.retx_bytes += nbytes
-                    self.retx_msgs += 1
-                    self.retx_bytes += nbytes
+                    self._win_retx += 1
                     if faults is not None:
                         faults.usage[link] = faults.usage.get(link, 0) + busy
                 outcome = loss.decide(link, serial, attempt) if loss \
@@ -641,8 +640,7 @@ class Transport:
                 if outcome is DROP:
                     stats.dropped_msgs += 1
                     stats.dropped_bytes += nbytes
-                    self.drops += 1
-                    self.dropped_bytes += nbytes
+                    self._win_drops += 1
                     attempt += 1
                     if attempt > cost.retx_limit:
                         raise NetworkLossError(
@@ -665,16 +663,12 @@ class Transport:
                     stats.dup_msgs += 1
                     stats.dup_bytes += nbytes
                     stats.by_type[mtype.name] += 1
-                    self.bytes_total += nbytes
-                    self.busy_total += busy
-                    self.dups += 1
                     if faults is not None:
                         faults.usage[link] = faults.usage.get(link, 0) + busy
                 elif outcome is REORDER:
                     # Delivered behind a later copy: the receiver holds
                     # it one hop transit before handing it up.
                     stats.reorder_msgs += 1
-                    self.reorders += 1
                     if faults is not None:
                         hold = int(cls.latency_factor * cost.net_latency)
                         faults.wait += hold
@@ -784,7 +778,6 @@ class Transport:
         cost = machine.cost
         self.migrations += 1
         self.pages_shipped += len(shipped)
-        machine.pages_fetched += len(shipped)
         usage = {}
         bill = RetxBill() if machine.loss else None
         self._send(MsgType.MIGRATE, src, dst, cost.migrate_bytes, usage=usage,
@@ -826,7 +819,6 @@ class Transport:
         machine = self.machine
         npages = len(frames)
         self.pages_pulled += npages
-        machine.pages_fetched += npages
         self._wnode(node)["pulled"] += npages
         req_usage = {}
         resp_usage = {}
@@ -866,7 +858,6 @@ class Transport:
         if npages == 0 or origin == node:
             return
         self.pages_prefetched += npages
-        machine.pages_fetched += npages
         self._wnode(node)["prefetch_issued"] += npages
         usage = {}
         bill = RetxBill() if machine.loss else None

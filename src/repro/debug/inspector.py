@@ -30,6 +30,7 @@ double as an oracle check of the sharded execution path.
 from repro.common.errors import DebugApiError, ReplayDivergence
 from repro.debug.model import (SpaceImage, SpaceDiff, compare_traces,
                                freeze_machine)
+from repro.kernel.machine import MachineResult
 from repro.runtime import checkpoint as ckpt_mod
 from repro.timing.schedule import schedule
 from repro.timing.timeline import Timeline
@@ -116,7 +117,8 @@ class Inspector:
         A machine whose :meth:`~repro.kernel.machine.Machine.run` has
         returned (successfully or in a trap).
     result:
-        The run's MachineResult, when available (summary detail).
+        The run's MachineResult (rebuilt from the machine when omitted;
+        the one a runner returned knows the CPU count it scheduled on).
     recipe:
         Optional re-execution recipe enabling ``goto``: a callable
         ``recipe(prepare=None) -> (machine, result)`` that builds an
@@ -131,7 +133,9 @@ class Inspector:
             raise DebugApiError(
                 "machine has not run; the inspector opens finished runs")
         self.machine = machine
-        self.result = result
+        self.result = result if result is not None else MachineResult(machine)
+        #: CPUs per node the run is scheduled on: the result's default.
+        self.ncpus = self.result.ncpus
         self.recipe = recipe
         self.trace = machine.trace
         self._image = None
@@ -146,15 +150,6 @@ class Inspector:
         return cls(machine, result=result, recipe=recipe)
 
     # -- lazy derived views ------------------------------------------------
-
-    @property
-    def ncpus(self):
-        """CPUs per node the run is scheduled on: the spec's
-        ``cpus_per_node`` for cluster runs, the cost model's core count
-        for single-machine runs (mirroring ClusterResult/MachineResult)."""
-        machine = self.machine
-        return (machine.cpus_per_node if machine.nnodes > 1
-                else machine.cost.ncpus)
 
     @property
     def image(self):

@@ -151,7 +151,7 @@ def retx_trap(prepare=None):
         loss=dict(RETX_LOSS), cost=CostModel(retx_limit=RETX_LIMIT)))
     if prepare is not None:
         prepare(machine)
-    result = machine.run(retx_main)
+    result = machine.run(retx_main, ncpus=machine.cpus_per_node)
     return machine, result
 
 

@@ -22,6 +22,7 @@ Typical use::
 """
 
 from collections import defaultdict
+from functools import cached_property
 
 from repro.common.errors import KernelError
 from repro.kernel.engine import Engine
@@ -34,15 +35,19 @@ from repro.timing.trace import Trace
 
 
 class MachineResult:
-    """Outcome of a completed :meth:`Machine.run`."""
+    """Outcome of a completed :meth:`Machine.run`: the one finished-run
+    object every runner (``Cluster.run``, ``run_cluster``,
+    ``run_backend``, ``run_determinator``, ``serve_trace``) hands back
+    or wraps."""
 
-    def __init__(self, machine):
+    def __init__(self, machine, ncpus=None):
         self.machine = machine
         root = machine.root
         #: The root space's status register at stop.
         self.status = root.regs["status"]
-        #: The root space's r0 register (entry function's return value).
-        self.r0 = root.regs["r0"]
+        #: The root space's r0 register (entry function's return value),
+        #: also under the name every runner's result answers to.
+        self.value = self.r0 = root.regs["r0"]
         #: Why the root stopped (RET, EXIT, or a fault trap).
         self.trap = root.trap
         self.trap_info = root.trap_info
@@ -52,11 +57,29 @@ class MachineResult:
         self.debug = list(machine.debug_lines)
         #: The recorded execution trace.
         self.trace = machine.trace
+        #: CPUs per node :meth:`makespan` schedules on unless told
+        #: otherwise: the cost model's core count for a bare machine;
+        #: the cluster runners pass the spec's ``cpus_per_node``.
+        self.ncpus = machine.cost.ncpus if ncpus is None else ncpus
+
+    def check(self, what="guest program"):
+        """Raise ``RuntimeError`` if the root stopped in a fault trap;
+        otherwise return the result itself."""
+        if self.trap.name not in ("EXIT", "RET"):
+            raise RuntimeError(
+                f"{what} faulted: {self.trap.name} {self.trap_info}")
+        return self
+
+    @cached_property
+    def network(self):
+        """Traffic accounting of the run (built on first use)."""
+        from repro.cluster.network import NetworkStats
+        return NetworkStats(self.machine)
 
     def makespan(self, ncpus=None, cpus_per_node=None):
         """Virtual completion time on ``ncpus`` CPUs per node."""
         if ncpus is None:
-            ncpus = self.machine.cost.ncpus
+            ncpus = self.ncpus
         return schedule(self.trace, ncpus=ncpus, cpus_per_node=cpus_per_node).makespan
 
     def total_cycles(self):
@@ -94,11 +117,10 @@ class Machine:
         self.cost = spec.resolved_cost()
         #: Number of cluster nodes (1 = single machine; §3.3).
         self.nnodes = nnodes
-        #: CPUs per node the run's trace is meant to be scheduled on.
-        #: The machine itself charges work per-space; consumers that
-        #: call ``schedule()`` (ClusterResult, the serving latency
-        #: extractor) read this so every makespan/latency figure is
-        #: computed against the same CPU count.
+        #: CPUs per node a cluster run's trace is meant to be scheduled
+        #: on.  The machine itself charges work per-space; the cluster
+        #: runners hand this to :meth:`run` so every makespan/latency
+        #: figure is computed against the same CPU count.
         self.cpus_per_node = spec.cpus_per_node
         #: Default merge conflict mode (see repro.mem.merge.merge_range).
         self.merge_mode = merge_mode
@@ -115,11 +137,10 @@ class Machine:
         #: stage for the stop-and-wait vs pipelined-prefetch ablation).
         self.ship_mode = spec.ship_mode
         #: Depth of each node's async prefetch queue: how many
-        #: predicted-next frames may be in flight per node.  ``None``
-        #: takes the cost model's ``prefetch_depth`` knob; 0 is
+        #: predicted-next frames may be in flight per node.  0 is
         #: stop-and-wait (every page crosses only inside a demand round
         #: trip or a migration delta).
-        self.prefetch_depth = spec.resolve_prefetch_depth(self.cost)
+        self.prefetch_depth = spec.prefetch_depth
         #: Wire compression of PAGE_BATCH payloads (zero-page
         #: suppression + zero-run RLE; see repro.cluster.compress).
         self.compression = spec.compression
@@ -156,9 +177,6 @@ class Machine:
         #: The prefetch predictor reads a miss's producing node's list
         #: to guess what that producer will be asked for next.
         self.dirty_hints = defaultdict(list)
-        #: Total pages that crossed the wire (migration-shipped plus
-        #: demand-fetched; the transport keeps the split).
-        self.pages_fetched = 0
         # Transport is also a lazy import (same Machine cycle as spec).
         from repro.cluster.transport import Transport
         #: Deterministic fault schedule of the fabric: None (lossless,
@@ -225,6 +243,13 @@ class Machine:
         self._closed = False
 
     # -- cluster bookkeeping -------------------------------------------------
+
+    @property
+    def pages_fetched(self):
+        """Total pages that crossed the wire: migration-shipped plus
+        demand-fetched plus prefetched (the transport keeps the split)."""
+        wire = self.transport
+        return wire.pages_shipped + wire.pages_pulled + wire.pages_prefetched
 
     #: Bound on each node's dirty-hint list (predictor input, not state
     #: the simulation depends on — determinism needs the *content* to be
@@ -331,11 +356,13 @@ class Machine:
 
     # -- running -----------------------------------------------------------
 
-    def run(self, entry, args=(), limit=None):
+    def run(self, entry, args=(), limit=None, ncpus=None):
         """Create the root space, run it to completion, drain stragglers.
 
         ``entry`` may be a callable ``entry(g, *args)`` or the name of a
-        registered program.  Returns a :class:`MachineResult`.
+        registered program.  Returns a :class:`MachineResult` whose
+        makespan defaults to ``ncpus`` CPUs per node (None: the cost
+        model's core count).
         """
         if self.root is not None:
             raise KernelError("machine already ran; create a fresh Machine")
@@ -346,14 +373,14 @@ class Machine:
         root.insn_limit = limit
         root.state = SpaceState.READY
         self.root = root
-        self.trace.begin(root.uid, node=0, label="root")
+        self.trace.begin(root.uid, node=root.home_node, label="root")
         self.engine.run_until_stopped(root)
         self._drain()
         # Mispredicted prefetches still in flight must occupy their
         # links in the schedule even though nobody waits on them.
         self.transport.flush_inflight()
         self.trace.finish()
-        return MachineResult(self)
+        return MachineResult(self, ncpus)
 
     def _drain(self):
         """Run spaces that were started but never joined, so their work

@@ -445,7 +445,7 @@ def _by_serial(renumber, serial, value):
 #: adoption order (the trace's new segments before the tables that
 #: resolve them).
 _LEDGERS = (
-    _Counters("machine", "", ("_uid_counter", "pages_fetched")),
+    _Counters("machine", "", ("_uid_counter",)),
     _Counters("frames", "frames", ("_next_serial", "frames_allocated")),
     _Counters("transport", "transport", None),
     # Cursor devices hand out values that depend on global order.
@@ -515,7 +515,7 @@ _NOT_REPLAYED = {
                   "is a gate",
         **dict.fromkeys((
             "window_index", "win_nodes", "win_route_samples",
-            "win_pair_bytes", "_win_drops0", "_win_retx0", "_win_wait0",
+            "win_pair_bytes", "_win_drops", "_win_retx", "_win_wait0",
             "_win_msgs0"), _CONTROL),
     },
 }

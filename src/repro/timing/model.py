@@ -14,7 +14,7 @@ the paper's evaluation depends on hold:
   the paper cites for md5's poor Linux scaling [54]).
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 
 @dataclass
@@ -109,12 +109,6 @@ class CostModel:
     #: Payload bytes of a MIGRATE message: register file plus the
     #: address-space summary that lets the target demand-fault the rest.
     migrate_bytes: int = 512
-    #: Default depth of each node's async prefetch queue: how many
-    #: predicted-next frames may be in flight (issued but not yet
-    #: demanded) per node.  0 reproduces the stop-and-wait protocol —
-    #: every page crosses only inside a demand round trip.  A
-    #: ``ClusterSpec(prefetch_depth=...)`` argument overrides this.
-    prefetch_depth: int = 0
     #: Encode cost of wire compression, in cycles per *raw* payload
     #: byte scanned at the sending node (zero-run RLE is a single
     #: sequential pass).  Charged as pipeline latency on the transfer,
@@ -142,17 +136,9 @@ class CostModel:
     #: charge decisions to the rendezvousing space instead.
     ctrl_decide: int = 0
 
-    # ---- Misc -----------------------------------------------------------
-    extras: dict = field(default_factory=dict)
-
     def with_(self, **kwargs):
         """Return a copy with the given fields replaced."""
         return replace(self, **kwargs)
-
-    def page_transfer(self, npages, tcp=False):
-        """Cycles to ship ``npages`` demand-fetched pages, one message each."""
-        per_msg = self.net_msg + (self.tcp_extra if tcp else 0)
-        return int(npages * (4096 * self.net_byte + per_msg))
 
     def message(self, nbytes, tcp=False):
         """Cycles consumed on the wire by one message of ``nbytes``."""

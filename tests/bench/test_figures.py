@@ -87,6 +87,15 @@ def test_table3_counts_components():
     assert "Kernel core" in text
 
 
+def test_table3_total_has_a_ceiling():
+    # The code-size number ROADMAP aim 2 tracks only ratchets down by
+    # accident-proofing it: growth has to be a decision, in the diff.
+    total = table3()[1]["Total"]
+    assert total <= 6_946, (
+        f"table3 Total grew to {total:,}: if the growth is deliberate, "
+        f"raise this ceiling in the same diff that needs it")
+
+
 def test_format_series_renders():
     text = figures.format_series("T", {"a": {1: 1.0, 2: 2.0}, "b": {1: 3.0}})
     assert "T" in text and "a" in text and "-" in text

@@ -48,7 +48,7 @@ def _image(space):
     return digest.hexdigest()
 
 
-def _run(control=None, loss=None, depth=None, workload=None):
+def _run(control=None, loss=None, depth=0, workload=None):
     makespan, machine, value = cw.run_cluster(
         workload or cw.matmult_tree_main(64), NODES,
         spec=ClusterSpec(ship_mode="demand", topology="two_tier:2",

@@ -1,0 +1,78 @@
+"""One contract over every runner: ``Machine.run(...).check()``,
+``Cluster.run``, ``run_cluster``, ``run_backend`` and
+``run_determinator`` all hand back (or wrap) the run's
+``MachineResult``, so a faulting guest raises the same error from each
+and the same program under the same spec reads the same value and
+makespan through any of them."""
+
+from types import SimpleNamespace
+
+import pytest
+
+from repro import Cluster, ClusterSpec, Machine, run_backend
+from repro.bench import cluster_workloads as cw
+from repro.bench.harness import run_determinator
+
+MD5_TREE = cw.md5_tree_main(3)
+
+
+def _boom(g, *args):
+    raise ValueError("boom")
+
+
+def _machine_run():
+    with Machine() as machine:
+        return machine.run(_boom).check()
+
+
+FAULTING = {
+    "Machine.run.check": _machine_run,
+    "Cluster.run": lambda: Cluster(2).run(_boom),
+    "run_cluster": lambda: cw.run_cluster(_boom, 2),
+    "run_backend": lambda: run_backend(_boom, 2),
+    "run_determinator": lambda: run_determinator(
+        SimpleNamespace(run=_boom), {}),
+}
+
+
+@pytest.mark.parametrize("runner", FAULTING.values(), ids=FAULTING.keys())
+def test_a_faulting_guest_raises_from_every_runner(runner):
+    with pytest.raises(RuntimeError, match="faulted.*EXC.*boom"):
+        runner()
+
+
+def test_check_returns_the_result_of_a_clean_run():
+    with Machine() as machine:
+        result = machine.run(lambda g: 7)
+        assert result.check() is result
+        assert result.value == result.r0 == 7
+
+
+@pytest.mark.parametrize("spec", [
+    ClusterSpec(),
+    ClusterSpec(cpus_per_node=2, topology="two_tier:2", ship_mode="full"),
+], ids=["default", "two-tier-2cpu"])
+def test_same_program_and_spec_read_the_same_through_every_runner(spec):
+    result = Cluster(4, spec).run(MD5_TREE, (4,))
+    makespan, machine, value = cw.run_cluster(MD5_TREE, 4, spec)
+    backend = run_backend(MD5_TREE, 4, spec)
+    assert value == backend.value == result.value
+    assert makespan == backend.makespan == result.makespan()
+    assert result.ncpus == backend.result.ncpus == spec.cpus_per_node
+    assert result.network.per_link == backend.network.per_link
+    assert result.network.wire_bytes == machine.transport.bytes_total > 0
+
+
+def test_one_node_cluster_runs_schedule_on_the_specs_cpus():
+    # A bare Machine schedules on the cost model's 12 cores; a cluster
+    # run on spec.cpus_per_node — also at one node, where only the
+    # committed BENCH_*.json baselines used to notice the difference.
+    one_cpu, machine, _ = cw.run_cluster(MD5_TREE, 1)
+    assert one_cpu == 15_888_910
+    two_cpus, _, _ = cw.run_cluster(MD5_TREE, 1,
+                                    spec=ClusterSpec(cpus_per_node=2))
+    assert two_cpus < one_cpu
+    result = Cluster(1).run(MD5_TREE, (1,))
+    assert result.ncpus == 1 != machine.cost.ncpus
+    assert result.makespan() == one_cpu
+    assert result.makespan(ncpus=2) == two_cpus

@@ -137,6 +137,57 @@ def test_ledger_declarations_cover_every_counter():
     assert counters - {"window_index"} == set(Transport.SCALARS)
 
 
+#: Every total the transport derives, and the LinkStats field it sums.
+DERIVED_TOTALS = {
+    "bytes_total": "bytes_sent", "busy_total": "busy_cycles",
+    "raw_total": "raw_bytes", "comp_total": "comp_bytes",
+    "drops": "dropped_msgs", "dropped_bytes": "dropped_bytes",
+    "retx_msgs": "retx_msgs", "retx_bytes": "retx_bytes",
+    "dups": "dup_msgs", "reorders": "reorder_msgs",
+}
+
+
+def _totals(machine):
+    t = machine.transport
+    return {name: getattr(t, name) for name in DERIVED_TOTALS}
+
+
+def test_derived_totals_are_link_sums_on_a_lossy_fabric():
+    """The totals are kept once, on the links: under drop + dup +
+    reorder on a routed fabric each reads exactly its link sum, none is
+    a constructor attribute a sharded delta could drop, and the
+    telemetry window counts the same drops/retransmits, once."""
+    _, m = run(4, topology="two_tier:2",
+               loss={"drop": 0.1, "dup": 0.05, "reorder": 0.05, "seed": 3})
+    t = m.transport
+    for total, field in DERIVED_TOTALS.items():
+        assert getattr(t, total) == sum(
+            getattr(s, field) for s in t.links.values()) > 0, total
+        assert total not in vars(t) and total not in Transport.SCALARS
+    assert m.pages_fetched == t.pages_shipped + t.pages_pulled \
+        + t.pages_prefetched
+    assert "pages_fetched" not in vars(m)
+    window = t.take_window()
+    assert (window.drops, window.retx_msgs) == (t.drops, t.retx_msgs)
+    window = t.take_window()
+    assert (window.drops, window.retx_msgs) == (0, 0)
+
+
+def test_derived_totals_survive_sharded_adoption():
+    """Workers hand back link ledgers only; the parent's totals still
+    match the serial run's."""
+    from repro.bench import cluster_workloads as cw
+
+    # (Module-level guest functions: a hand-back pickles the subtree.)
+    spec = ClusterSpec(topology="two_tier:2", compression=True)
+    _, serial, _ = cw.run_cluster(cw.md5_circuit_main(2), 4, spec)
+    _, sharded, _ = cw.run_cluster(cw.md5_circuit_main(2), 4,
+                                   spec.with_(shard_workers=2))
+    assert sharded.shard.adopted == 4 and not sharded.shard.fallbacks
+    assert _totals(sharded) == _totals(serial)
+    assert sharded.pages_fetched == serial.pages_fetched > 0
+
+
 # -- sweep_nodes plumbing --------------------------------------------------
 
 def _stable_builder(nnodes):

@@ -146,3 +146,25 @@ def test_unknown_program_name_traps():
     with Machine() as m:
         result = m.run("missing")
     assert result.trap is Trap.EXC
+
+
+def test_root_segment_opens_on_its_home_node():
+    # The root's work is scheduled on the node placement gave it, not
+    # on physical node 0, under any policy that moves virtual node 0.
+    from repro import ClusterSpec
+    from repro.cluster.placement import PlacementPolicy
+
+    class Shifted(PlacementPolicy):
+        name = "shifted"
+
+        def assign(self, machine, caller, vnode):
+            return (vnode + 1) % machine.nnodes
+
+    def main(g):
+        g.work(1000)
+        return 0
+
+    with Machine(nnodes=4, spec=ClusterSpec(placement=Shifted())) as m:
+        result = m.run(main)
+        assert m.root.home_node == 1
+    assert [seg.node for seg in result.trace.segments] == [1, 1]

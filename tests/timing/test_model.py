@@ -32,17 +32,3 @@ def test_message_cost_scales_with_bytes():
 def test_tcp_adds_fixed_per_message():
     cost = CostModel()
     assert cost.message(1000, tcp=True) - cost.message(1000) == cost.tcp_extra
-
-
-def test_page_transfer_counts_messages():
-    cost = CostModel()
-    one = cost.page_transfer(1)
-    ten = cost.page_transfer(10)
-    assert ten == 10 * one
-
-
-def test_page_transfer_tcp_overhead_small():
-    cost = CostModel()
-    plain = cost.page_transfer(100)
-    tcp = cost.page_transfer(100, tcp=True)
-    assert (tcp - plain) / plain < 0.02   # the paper's <2% envelope
