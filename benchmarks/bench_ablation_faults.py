@@ -11,7 +11,7 @@ configurations:
   prefetch and wire compression, the configuration with the most
   protocol machinery exposed to a lossy fabric.
 
-The loss schedule is a pure function of ``(seed, link, msg_serial)``,
+The loss schedule is a pure function of ``(seed, link, message serial)``,
 with cumulative rate bands, so the three rates are *nested*: every
 message dropped at 0.1% is dropped at 1% — retransmit bytes and
 makespan move monotonically with the rate instead of resampling a

@@ -99,11 +99,11 @@ def main(smoke=False):
     print("\nper-link retransmit ledger (bit-identical on every rerun):")
     print(stats.retx_table())
 
-    # The transport accumulates its counters into *telemetry windows* —
-    # snapshot-and-reset views a control plane (or an operator) reads.
-    # This machine ran without a controller, so the whole run is still
-    # sitting in its open window: per-node demand pulls, prefetch
-    # issue/hit/waste splits, and late-redeem stalls.
+    # The transport only accumulates; a *telemetry window* is what its
+    # per-node ledgers gained since the last one was taken — the view a
+    # control plane (or an operator) reads.  This machine ran without a
+    # controller, so the first window is the whole run: per-node demand
+    # pulls and the prefetch issue/hit/waste splits.
     window = stats.window()
     print(f"\ntelemetry window of the whole static run (the input a "
           f"controller reads every quantum):")

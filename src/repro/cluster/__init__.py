@@ -21,7 +21,7 @@ owns *how* it crosses and what that costs:
   (:mod:`repro.cluster.compress`);
 * :class:`~repro.cluster.faults.LossSchedule` — deterministic fault
   injection (``ClusterSpec(loss=...)``): per-link drop/duplicate/reorder
-  decisions keyed on ``(link, msg_serial)`` replay bit-identically;
+  decisions keyed on ``(link, message serial)`` replay bit-identically;
   the transport retransmits dropped copies (``cost.retx_timeout`` /
   ``retx_limit``), keeps a per-link retransmit ledger
   (``NetworkStats.retx_table()``), and charges timeout waits as
@@ -43,11 +43,12 @@ owns *how* it crosses and what that costs:
   one call; like every runner it returns the run's
   :class:`~repro.kernel.machine.MachineResult` (``value``,
   ``makespan()`` on the spec's ``cpus_per_node``, ``network``);
-* :class:`NetworkStats` — traffic accounting derived from the
-  transport's live counters: migration hops, page/byte/message totals,
-  per-class (rack vs cross-rack) aggregates
-  (``NetworkStats.class_table()``), and a per-link breakdown
-  (``NetworkStats.link_table()``);
+* :class:`NetworkStats` — a read-through view of the transport's
+  ledgers (it copies nothing): migration hops, page/byte/message
+  totals, per-class (rack vs cross-rack) aggregates
+  (``NetworkStats.class_table()``), a per-link breakdown
+  (``NetworkStats.link_table()``), and the telemetry window
+  (``NetworkStats.window()``), the same on every backend;
 * :func:`sweep_nodes` — run the same program across cluster sizes and
   collect the speedup series (the Figure 11 primitive).
 """

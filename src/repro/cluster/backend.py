@@ -53,7 +53,7 @@ import time
 from enum import Enum
 
 from repro.cluster import realnet
-from repro.cluster.compress import SCHEME_RAW, encode_page
+from repro.cluster.compress import SCHEME_RAW, decode_page, encode_page
 from repro.cluster.spec import ClusterSpec
 from repro.cluster.transport import MsgType
 from repro.common.errors import BackendError, WireError
@@ -388,7 +388,6 @@ class RealShardCoordinator(ShardCoordinator):
 def _decode_page(scheme, payload):
     """Wire page -> exactly PAGE_SIZE bytes (anything else is a frame
     corruption, not a valid page)."""
-    from repro.cluster.compress import decode_page
     try:
         data = decode_page(scheme, bytes(payload))
     except Exception as exc:

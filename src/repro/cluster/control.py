@@ -3,9 +3,9 @@
 Every knob that decides a cluster run's makespan — the async prefetch
 queue depth, the retransmit timeout, the placement of virtual nodes on
 the fabric — ships as a static constant, yet the transport already
-observes exactly the signals needed to tune them live: demand pulls and
-late-arriving prefetches, stale/aged speculation, per-route delivery
-latencies, per-pair traffic volumes.  A :class:`Controller` closes that
+observes exactly the signals needed to tune them live: demand pulls,
+stale/aged speculation, per-route delivery latencies, per-pair traffic
+volumes.  A :class:`Controller` closes that
 feedback loop *deterministically*:
 
 * **Decision points are quantum boundaries.**  The kernel invokes the
@@ -14,8 +14,9 @@ feedback loop *deterministically*:
   kernel takes scheduling decisions.  Nothing else ever calls it.
 * **Inputs are a pure function of simulated state.**  Each decision
   pass consumes one read-only
-  :class:`~repro.cluster.transport.TelemetryWindow` — the transport's
-  counters since the previous pass, snapshot-and-reset.  No host time,
+  :class:`~repro.cluster.transport.TelemetryWindow` — what the
+  transport's node and pair ledgers accumulated since the previous
+  pass (the difference of two marks, DESIGN §8).  No host time,
   no randomness, no schedule()-side information: the window holds only
   quantities the simulated execution itself determined, so two
   same-seed runs feed the controller bit-identical windows.
@@ -32,9 +33,10 @@ Three policies ship:
 
 **Adaptive prefetch depth** (per node, AIMD-style).  The demand signal
 is the window's stop-and-wait *pulls* — pages nobody had even queued.
-(Late redeems deliberately do not grow depth: they also fire on every
-ledger-predicted page a space demands the instant it lands, so growing
-on them inflates depth in phases that are already fully covered.)  A
+(Late redeems deliberately do not grow depth, and the window carries
+none: they also fire on every ledger-predicted page a space demands the
+instant it lands, so growing on them inflates depth in phases that are
+already fully covered.)  A
 pull burst at or above the current depth jumps straight to the burst
 size (slow start, so a node streaming a matrix converges to a deep
 queue within a few quanta); a trickle adds one.  The waste signal is
@@ -50,7 +52,7 @@ demand, since every retained slot re-pays its wire tax at the next
 rewrite.  Two fleet-wide ratchets exploit the SPMD structure: one
 node's demand jump raises the boot depth its siblings start from, and
 one node's churn collapse pins every node's depth down before their
-next fork.  Growth re-arms only after ``growth_hold`` strictly-clean
+next fork.  Growth re-arms only after ``GROWTH_HOLD`` strictly-clean
 windows (zero churn *and* zero stale/aged: the purge path converts a
 doomed queue's churn into stale counts, so churn going quiet alone
 proves nothing).
@@ -82,7 +84,26 @@ engine's stop path).  Placement stays a bijection, so — as with the
 static policies — re-placement relocates traffic, never semantics.
 """
 
-from repro.cluster.transport import NODE_WINDOW_KEYS  # noqa: F401  (re-export)
+#: The policies' fixed constants (nothing ever tuned them per run).
+#: Upper bound on any adaptive prefetch depth.
+DEPTH_CAP = 64
+#: Shrink when ``stale + aged/2 + churn > max(1, used // WASTE_TOLERANCE)``.
+WASTE_TOLERANCE = 8
+#: Clean (zero-waste) windows a node must string together after a
+#: shrink before demand may grow its depth again.  Without the holdoff,
+#: a phase whose speculation is *inherently* doomed (hot pages rewritten
+#: every round) oscillates: the shrink empties the queue, the next
+#: window's demand misses re-grow it, and the round after that wastes
+#: it all over again.
+GROWTH_HOLD = 2
+#: Hot-pair thresholds: absolute window bytes and fraction of the
+#: window's total cross-rack bytes a pair must carry.
+REPLACE_FLOOR = 192 * 1024
+REPLACE_FRAC = 0.5
+#: Windows to wait after a move before considering the next one, and
+#: the per-run move budget (re-placement must converge, not thrash).
+REPLACE_COOLDOWN = 4
+MAX_MOVES = 4
 
 
 def _fmt_knob(value):
@@ -101,18 +122,11 @@ class Controller:
     #: Recognized policy names (the ``policies`` argument).
     POLICIES = ("prefetch", "retx", "placement")
 
-    def __init__(self, interval=1, policies=POLICIES, depth0=None,
-                 depth_cap=64, waste_tolerance=8, growth_hold=2,
-                 replace_floor=192 * 1024, replace_frac=0.5,
-                 replace_cooldown=4, max_moves=4):
-        if interval < 1:
-            raise ValueError(f"interval must be >= 1, got {interval}")
+    def __init__(self, policies=POLICIES, depth0=None):
         unknown = set(policies) - set(self.POLICIES)
         if unknown:
             raise ValueError(f"unknown control policies {sorted(unknown)} "
                              f"(have {list(self.POLICIES)})")
-        #: Decide every ``interval``-th quantum (1 = every rendezvous).
-        self.interval = interval
         self.policies = tuple(policies)
         #: Initial per-node prefetch depth; None defaults to half the
         #: cap — a deliberately generous speculation budget (TCP's
@@ -122,25 +136,6 @@ class Controller:
         #: replay — each node's first big stream, which at quantum
         #: granularity is over before its first decision lands.
         self.depth0 = depth0
-        self.depth_cap = depth_cap
-        #: Shrink when ``stale + aged > max(1, used // waste_tolerance)``.
-        self.waste_tolerance = waste_tolerance
-        #: Clean (zero-waste) windows a node must string together after
-        #: a shrink before demand may grow its depth again.  Without
-        #: the holdoff, a phase whose speculation is *inherently* doomed
-        #: (hot pages rewritten every round) oscillates: the shrink
-        #: empties the queue, the next window's demand misses re-grow
-        #: it, and the round after that wastes it all over again.
-        self.growth_hold = growth_hold
-        #: Hot-pair thresholds: absolute window bytes and fraction of
-        #: the window's total cross-rack bytes a pair must carry.
-        self.replace_floor = replace_floor
-        self.replace_frac = replace_frac
-        #: Windows to wait after a move before considering the next one,
-        #: and the per-run move budget (re-placement must converge, not
-        #: thrash).
-        self.replace_cooldown = replace_cooldown
-        self.max_moves = max_moves
         self.machine = None
         self.reset(None)
 
@@ -149,10 +144,6 @@ class Controller:
     def reset(self, machine):
         """(Re)bind to ``machine`` and clear all adaptive state."""
         self.machine = machine
-        base = self.depth0
-        if base is None:
-            base = max(1, self.depth_cap // 2)
-        self._base_depth = base
         #: Bootstrap depth for nodes with no per-node state yet.  It
         #: ratchets up to the largest demand-driven depth any node
         #: reached: in an SPMD program the nodes stream near-identical
@@ -160,7 +151,7 @@ class Controller:
         #: the nodes that have not streamed yet — without it, every
         #: node's one big stream runs at the cold depth and the (per
         #: node, once-only) lesson always arrives a quantum late.
-        self._boot = base
+        self._boot = DEPTH_CAP // 2 if self.depth0 is None else self.depth0
         #: node -> current adaptive prefetch depth, -> remaining clean
         #: windows before demand-driven growth re-arms, and -> whether
         #: the node's last shrink was churn-driven (in which case
@@ -182,7 +173,6 @@ class Controller:
         #: decision order (same content as the trace's ``decisions``
         #: records — the rendering the example prints).
         self.log = []
-        self._quanta = 0
         self.windows_seen = 0
 
     # -- knob reads (kernel/transport hot paths) ---------------------------
@@ -204,14 +194,11 @@ class Controller:
         """One control-plane pass at a quantum boundary.
 
         Called by ``Kernel._rendezvous`` after ``caller``'s child ran to
-        a stop.  Every ``interval``-th call consumes the telemetry
-        window and lets each enabled policy adjust its knobs; decisions
-        are recorded on the trace anchored at ``caller``'s open segment
-        and charged ``cost.ctrl_decide`` cycles.
+        a stop.  Consumes the telemetry window and lets each enabled
+        policy adjust its knobs; decisions are recorded on the trace
+        anchored at ``caller``'s open segment and charged
+        ``cost.ctrl_decide`` cycles.
         """
-        self._quanta += 1
-        if self._quanta % self.interval:
-            return
         window = machine.transport.take_window()
         self.windows_seen += 1
         trace = machine.trace
@@ -272,7 +259,7 @@ class Controller:
                 # counts, so a node can look churn-free while its every
                 # speculation is still being superseded.)
                 self._churned.pop(node, None)
-            if waste + churn > max(1, used // self.waste_tolerance):
+            if waste + churn > max(1, used // WASTE_TOLERANCE):
                 # Multiplicative decrease: speculation is visibly being
                 # wasted (superseded in flight, or sitting unclaimed) —
                 # and growth is held until the waste stops, so a phase
@@ -292,7 +279,7 @@ class Controller:
                     new = max(1, min(new, max(1, demand)))
                     self._churned[node] = True
                     collapse = new if collapse is None else min(collapse, new)
-                self._hold[node] = self.growth_hold
+                self._hold[node] = GROWTH_HOLD
             elif hold:
                 if clean:
                     self._hold[node] = hold - 1
@@ -302,13 +289,13 @@ class Controller:
                 # observed per-window demand (the depth that would have
                 # hidden this whole burst), with slow-start doubling as
                 # the floor so a trickle of stalls still converges.
-                new = min(self.depth_cap, max(2 * depth, 1, demand))
+                new = min(DEPTH_CAP, max(2 * depth, 1, demand))
                 if new > self._boot:
                     self._boot = new
             elif demand > 0:
                 # Mild residual stalling under an almost-right depth:
                 # additive increase (AIMD's congestion avoidance).
-                new = min(self.depth_cap, depth + 1)
+                new = min(DEPTH_CAP, depth + 1)
             if new != depth:
                 self.depths[node] = new
                 self._record(machine, anchor, node, "prefetch",
@@ -324,7 +311,7 @@ class Controller:
             for node in range(machine.nnodes):
                 old = self.depth_for(node)
                 self._churned[node] = True
-                self._hold[node] = self.growth_hold
+                self._hold[node] = GROWTH_HOLD
                 # Pin an explicit per-node entry even when the depth
                 # value is unchanged: a node left on the implicit boot
                 # default would silently re-inflate the next time some
@@ -380,7 +367,7 @@ class Controller:
         if self._cooldown > 0:
             self._cooldown -= 1
             return
-        if self.moves >= self.max_moves:
+        if self.moves >= MAX_MOVES:
             return
         # Symmetric per-pair window bytes, cross-rack pairs only.
         sym = {}
@@ -394,7 +381,7 @@ class Controller:
         if not sym:
             return
         (a, b), hot = max(sorted(sym.items()), key=lambda kv: kv[1])
-        if hot < self.replace_floor or hot < self.replace_frac * cross_total:
+        if hot < REPLACE_FLOOR or hot < REPLACE_FRAC * cross_total:
             self._last_hot = None
             return
         # The hot pair must also dominate the runner-up decisively: an
@@ -422,7 +409,7 @@ class Controller:
             return
         self._swap_nodes(machine, b, victim, caller)
         self.moves += 1
-        self._cooldown = self.replace_cooldown
+        self._cooldown = REPLACE_COOLDOWN
         self._last_hot = None
         self._record(machine, anchor, (a, b), "placement",
                      "swap", b, victim)

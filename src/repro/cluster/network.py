@@ -1,118 +1,150 @@
 """Network accounting for cluster runs.
 
 Every cross-node kernel path routes through the machine's
-:class:`~repro.cluster.transport.Transport`, which counts messages,
-bytes, pages, and serialization cycles per directed fabric link as the
-simulation runs.  This module turns those live counters into the
-operator-readable statistics one would read off a switch to explain why
-matmult-tree levels off at two nodes (§6.3) — no post-hoc trace rescans:
+:class:`~repro.cluster.transport.Transport`, which accumulates a ledger
+row per directed fabric link, per node and per node pair as the
+simulation runs (DESIGN §3 "One name per counter").
+:class:`NetworkStats` is the operator's *view* of those live counters —
+it keeps no copy of any of them — under the names one would read off a
+switch to explain why matmult-tree levels off at two nodes (§6.3):
 migration hops, per-link totals, per-class (rack vs cross-rack)
 aggregates, prefetch-queue effectiveness, and the compressed-vs-raw
-byte ledger are maintained incrementally by the transport itself.
+byte ledger.  Its tables, and the telemetry window's, are column lists
+over the one :func:`render_table`.
 """
 
 from repro.mem.page import PAGE_SIZE
 
 
+def render_table(columns, rows, empty):
+    """Right-aligned text table: one ``(header, width, format)`` per
+    column (the format is what follows the width in a format spec —
+    ``""``, ``","``, ``".1f"``, ``".1%"``), one tuple of cell values per
+    row; ``empty`` is the answer when there are no rows."""
+    if not rows:
+        return empty
+    lines = [" ".join(f"{head:>{width}}" for head, width, _ in columns)]
+    for row in rows:
+        lines.append(" ".join(f"{cell:>{width}{fmt}}"
+                              for cell, (_, width, fmt) in zip(row, columns)))
+    return "\n".join(lines)
+
+
+def link_key(link):
+    """Deterministic sort key for links whose endpoints mix node ints
+    and switch-name strings: nodes before switches, each ascending."""
+    return tuple((0, end) if isinstance(end, int) else (1, end)
+                 for end in link)
+
+
+def _kib(nbytes):
+    return nbytes / 1024
+
+
+#: The traffic columns ``class_table`` and ``link_table`` share, and the
+#: cells of one ``LinkStats.FIELDS`` dict under them.
+_TRAFFIC = (("msgs", 7, ""), ("pages", 8, ""), ("wire KiB", 10, ".1f"),
+            ("raw KiB", 10, ".1f"), ("busy cycles", 14, ","))
+
+
+def _traffic(row):
+    return (row["messages"], row["pages"], _kib(row["bytes_sent"]),
+            _kib(row["raw_bytes"]), row["busy_cycles"])
+
+
+#: ``retx_table``: its columns, and the ``LinkStats.FIELDS`` counters
+#: under them that its TOTAL row sums.
+_RETX_COLUMNS = (("link", 16, ""), ("msgs", 7, ""), ("dropped", 8, ""),
+                 ("retx", 6, ""), ("retx KiB", 9, ".1f"), ("dup", 5, ""),
+                 ("reorder", 8, ""))
+_RETX_FIELDS = ("messages", "dropped_msgs", "retx_msgs", "retx_bytes",
+                "dup_msgs", "reorder_msgs")
+
+
 class NetworkStats:
-    """Traffic summary of one cluster run."""
+    """Traffic summary of one cluster run: a read-through view of the
+    machine's transport, so it reads the same whenever it was built."""
+
+    #: Names here that differ from the transport's own.  Wire bytes and
+    #: cycles are summed over every *traversed* link — an H-hop route
+    #: moves its bytes H times, as on a real switched fabric — with page
+    #: payloads at their compressed size (``comp_bytes <= raw_bytes``
+    #: always, equal when compression is off); ``wire_cycles`` includes
+    #: fire-and-forget ACKs, so it reads higher than the scheduler's
+    #: ``ScheduleResult.link_busy``.
+    ALIASES = {
+        "wire_bytes": "bytes_total", "wire_cycles": "busy_total",
+        "raw_bytes": "raw_total", "comp_bytes": "comp_total",
+        "dropped_msgs": "drops", "dup_msgs": "dups",
+        "reorder_msgs": "reorders",
+    }
 
     def __init__(self, machine):
         self.machine = machine
-        transport = machine.transport
-        #: The fabric the traffic was routed over.
-        self.topology = machine.topology.name
-        #: Pages that crossed the wire over the whole run (migration
-        #: deltas, demand fetches, and speculative prefetches).
-        self.pages_fetched = machine.pages_fetched
-        #: ... split by protocol path.  Prefetched pages are counted on
-        #: their own, never folded into the demand-pull total;
-        #: ``prefetch_used`` says how many of them a space later
-        #: actually demanded (the rest were wasted speculation).
-        self.pages_shipped = transport.pages_shipped
-        self.pages_pulled = transport.pages_pulled
-        self.pages_prefetched = transport.pages_prefetched
-        self.prefetch_used = transport.prefetch_used
-        self.prefetch_unused = transport.prefetch_unused()
-        self.prefetch_stale = transport.prefetch_stale
-        #: Page payload bytes those transfers moved (pre-compression).
-        self.bytes_moved = self.pages_fetched * PAGE_SIZE
-        #: Total wire bytes including message framing, scatter/gather
-        #: headers, and control traffic (PAGE_REQ/ACK), summed over
-        #: every *traversed* link — an H-hop route moves its bytes H
-        #: times, as on a real switched fabric.  Page payloads count at
-        #: their *compressed* size when the machine compresses.
-        self.wire_bytes = transport.bytes_total
-        #: Page payload bytes before/after wire compression, summed over
-        #: traversed links like :attr:`wire_bytes`.  Equal when
-        #: compression is off; ``comp_bytes <= raw_bytes`` always.
-        self.raw_bytes = transport.raw_total
-        self.comp_bytes = transport.comp_total
-        #: Whether PAGE_BATCH payloads were compressed, and what the
-        #: codec cost (cycles charged as transfer latency).
-        self.compression = machine.compression
-        self.codec_cycles = transport.codec_cycles
-        #: The fabric's deterministic fault schedule (one-line
-        #: description, or None on a lossless fabric) and its
-        #: consequences: wire copies the schedule dropped / the link
-        #: layer retransmitted / duplicated / reordered, the
-        #: retransmitted byte volume, and the timeout cycles
-        #: space-stalling exchanges spent waiting on retransmits
-        #: (charged as ``kind="retx"`` stall edges in the schedule).
-        self.loss = machine.loss.describe() if machine.loss else None
-        self.dropped_msgs = transport.drops
-        self.dropped_bytes = transport.dropped_bytes
-        self.retx_msgs = transport.retx_msgs
-        self.retx_bytes = transport.retx_bytes
-        self.dup_msgs = transport.dups
-        self.reorder_msgs = transport.reorders
-        self.retx_wait = transport.retx_wait
-        #: Logical messages of any type, link traversals they cost, and
-        #: PAGE_BATCH messages specifically.
-        self.messages = transport.messages
-        self.hops = transport.hops
-        self.batches = transport.batches
-        #: Migration hops (one MIGRATE message each), counted
-        #: incrementally by the transport as they happen.
-        self.migrations = transport.migrations
-        #: Serialization cycles summed over every link and message type
-        #: (including fire-and-forget ACKs, which never stall a space —
-        #: so this reads higher than the scheduler's per-link
-        #: ``ScheduleResult.link_busy`` occupancy).
-        self.wire_cycles = transport.busy_total
-        #: (src, dst) -> per-link breakdown (class, messages, bytes,
-        #: pages, raw/compressed payload bytes, occupancy, message-type
-        #: counts); switch-attached links included.
-        self.per_link = {
-            link: stats.as_dict()
-            for link, stats in sorted(transport.links.items(),
-                                      key=lambda kv: _link_key(kv[0]))
-        }
-        #: link-class name -> aggregate traffic over all links of the
-        #: class (the rack vs cross-rack split): ``links`` plus every
-        #: ``LinkStats.FIELDS`` counter.
-        self.per_class = transport.class_totals()
-        #: node -> number of distinct *frames* currently cached there
-        #: (the cache keeps only each frame's newest generation, so dead
-        #: versions don't count).
-        self.cached_per_node = {
-            node: len(serials) for node, serials in machine.node_cache.items()
-        }
+
+    def __getattr__(self, name):
+        """Every other counter is the transport's, under its own name
+        (``migrations``, ``messages``, ``hops``, ``batches``,
+        ``pages_shipped``/``_pulled``/``_prefetched``,
+        ``prefetch_used``/``_stale``, ``codec_cycles``, ``retx_msgs``,
+        ``retx_bytes``, ``dropped_bytes``, ``retx_wait``) or its
+        :attr:`ALIASES` entry."""
+        if name == "machine":       # not yet constructed (copy, pickle)
+            raise AttributeError(name)
+        return getattr(self.machine.transport, self.ALIASES.get(name, name))
+
+    #: The fabric the traffic was routed over.
+    topology = property(lambda self: self.machine.topology.name)
+    #: Pages that crossed the wire over the whole run (migration
+    #: deltas, demand fetches, and speculative prefetches — the latter
+    #: never folded into the demand-pull total), and the payload bytes
+    #: they moved before compression.
+    pages_fetched = property(lambda self: self.machine.pages_fetched)
+    bytes_moved = property(lambda self: self.pages_fetched * PAGE_SIZE)
+    #: Prefetched pages no space later demanded (wasted speculation).
+    prefetch_unused = property(
+        lambda self: self.machine.transport.prefetch_unused())
+    #: Whether PAGE_BATCH payloads were compressed.
+    compression = property(lambda self: self.machine.compression)
+
+    @property
+    def loss(self):
+        """The fabric's deterministic fault schedule (one-line
+        description, or None on a lossless fabric)."""
+        loss = self.machine.loss
+        return loss.describe() if loss else None
+
+    @property
+    def per_link(self):
+        """(src, dst) -> per-link breakdown (``LinkStats.as_dict()``:
+        class, every ``FIELDS`` counter, message-type counts) in
+        :func:`link_key` order; switch-attached links included."""
+        links = self.machine.transport.links
+        return {link: links[link].as_dict()
+                for link in sorted(links, key=link_key)}
+
+    @property
+    def per_class(self):
+        """link-class name -> aggregate traffic over all links of the
+        class (the rack vs cross-rack split): ``links`` plus every
+        ``LinkStats.FIELDS`` counter."""
+        return self.machine.transport.class_totals()
+
+    @property
+    def cached_per_node(self):
+        """node -> number of distinct *frames* currently cached there
+        (the cache keeps only each frame's newest generation, so dead
+        versions don't count)."""
+        return {node: len(serials)
+                for node, serials in self.machine.node_cache.items()}
 
     def class_table(self):
         """Aligned per-class rows: the rack/cross-rack aggregate view."""
-        if not self.per_class:
-            return "(no cross-node traffic)"
-        lines = [f"{'class':>8} {'links':>6} {'msgs':>7} {'pages':>8} "
-                 f"{'wire KiB':>10} {'raw KiB':>10} {'busy cycles':>14}"]
-        for cls, agg in sorted(self.per_class.items()):
-            lines.append(
-                f"{cls:>8} {agg['links']:>6} {agg['messages']:>7} "
-                f"{agg['pages']:>8} {agg['bytes_sent'] / 1024:>10.1f} "
-                f"{agg['raw_bytes'] / 1024:>10.1f} "
-                f"{agg['busy_cycles']:>14,}"
-            )
-        return "\n".join(lines)
+        return render_table(
+            (("class", 8, ""), ("links", 6, "")) + _TRAFFIC,
+            [(cls, agg["links"]) + _traffic(agg)
+             for cls, agg in sorted(self.per_class.items())],
+            "(no cross-node traffic)")
 
     def link_table(self):
         """Per-class aggregates followed by the raw per-link rows.
@@ -123,20 +155,14 @@ class NetworkStats:
         pre-compression size — the same quantity under the same name
         in every view.
         """
-        if not self.per_link:
+        links = render_table(
+            (("link", 16, ""), ("class", 6, "")) + _TRAFFIC,
+            [(f"{src}->{dst}", stats["cls"]) + _traffic(stats)
+             for (src, dst), stats in self.per_link.items()],
+            None)
+        if links is None:
             return "(no cross-node traffic)"
-        lines = [self.class_table(), ""]
-        lines.append(f"{'link':>16} {'class':>6} {'msgs':>7} {'pages':>8} "
-                     f"{'wire KiB':>10} {'raw KiB':>10} {'busy cycles':>14}")
-        for (src, dst), stats in self.per_link.items():
-            lines.append(
-                f"{f'{src}->{dst}':>16} {stats['cls']:>6} "
-                f"{stats['messages']:>7} {stats['pages']:>8} "
-                f"{stats['bytes_sent'] / 1024:>10.1f} "
-                f"{stats['raw_bytes'] / 1024:>10.1f} "
-                f"{stats['busy_cycles']:>14,}"
-            )
-        return "\n".join(lines)
+        return f"{self.class_table()}\n\n{links}"
 
     def compression_table(self):
         """Per-link compressed-vs-raw payload ledger.
@@ -149,16 +175,14 @@ class NetworkStats:
         rows = [(f"{src}->{dst}", stats["raw_bytes"], stats["comp_bytes"])
                 for (src, dst), stats in self.per_link.items()
                 if stats["pages"]]
-        if not rows:
-            return "(no page payloads crossed any link)"
-        lines = [f"{'link':>16} {'raw KiB':>10} {'wire KiB':>10} "
-                 f"{'saved':>7}"]
-        for name, raw, comp in rows + [("TOTAL", self.raw_bytes,
-                                        self.comp_bytes)]:
-            saved = 1.0 - comp / raw if raw else 0.0
-            lines.append(f"{name:>16} {raw / 1024:>10.1f} "
-                         f"{comp / 1024:>10.1f} {saved:>6.1%}")
-        return "\n".join(lines)
+        if rows:
+            rows.append(("TOTAL", self.raw_bytes, self.comp_bytes))
+        return render_table(
+            (("link", 16, ""), ("raw KiB", 10, ".1f"),
+             ("wire KiB", 10, ".1f"), ("saved", 7, ".1%")),
+            [(name, _kib(raw), _kib(comp), 1.0 - comp / raw if raw else 0.0)
+             for name, raw, comp in rows],
+            "(no page payloads crossed any link)")
 
     def retx_table(self):
         """Per-link retransmission ledger of the deterministic fault
@@ -168,47 +192,34 @@ class NetworkStats:
         retransmitted (messages and KiB), duplicated, and reordered —
         plus a totals row.  The row *content* is a pure function of the
         schedule and the program (fault decisions are keyed on
-        ``(link, msg_serial)``), so two runs under one seed render the
-        same table byte for byte — the determinism oracle the fault
+        ``(link, message serial)``), so two runs under one seed render
+        the same table byte for byte — the determinism oracle the fault
         tests pin down.
         """
-        rows = [(f"{src}->{dst}", stats)
+        rows = {f"{src}->{dst}": stats
                 for (src, dst), stats in self.per_link.items()
                 if stats["dropped_msgs"] or stats["retx_msgs"]
-                or stats["dup_msgs"] or stats["reorder_msgs"]]
-        if not rows:
-            return ("(no link ever dropped, duplicated, or reordered "
-                    "a message)")
-        lines = [f"{'link':>16} {'msgs':>7} {'dropped':>8} {'retx':>6} "
-                 f"{'retx KiB':>9} {'dup':>5} {'reorder':>8}"]
-        total = {"messages": 0, "dropped_msgs": 0, "retx_msgs": 0,
-                 "retx_bytes": 0, "dup_msgs": 0, "reorder_msgs": 0}
-        for name, stats in rows:
-            for key in total:
-                total[key] += stats[key]
-            lines.append(
-                f"{name:>16} {stats['messages']:>7} "
-                f"{stats['dropped_msgs']:>8} {stats['retx_msgs']:>6} "
-                f"{stats['retx_bytes'] / 1024:>9.1f} "
-                f"{stats['dup_msgs']:>5} {stats['reorder_msgs']:>8}")
-        lines.append(
-            f"{'TOTAL':>16} {total['messages']:>7} "
-            f"{total['dropped_msgs']:>8} {total['retx_msgs']:>6} "
-            f"{total['retx_bytes'] / 1024:>9.1f} "
-            f"{total['dup_msgs']:>5} {total['reorder_msgs']:>8}")
-        return "\n".join(lines)
+                or stats["dup_msgs"] or stats["reorder_msgs"]}
+        if rows:
+            rows["TOTAL"] = {name: sum(stats[name] for stats in rows.values())
+                             for name in _RETX_FIELDS}
+        return render_table(
+            _RETX_COLUMNS,
+            [(name, stats["messages"], stats["dropped_msgs"],
+              stats["retx_msgs"], _kib(stats["retx_bytes"]),
+              stats["dup_msgs"], stats["reorder_msgs"])
+             for name, stats in rows.items()],
+            "(no link ever dropped, duplicated, or reordered a message)")
 
     def window(self):
-        """Snapshot-and-reset the transport's current telemetry window.
-
-        Returns the :class:`~repro.cluster.transport.TelemetryWindow`
-        accumulated since the last snapshot (per-node stall/prefetch
-        counters, per-route delivery samples, per-pair bytes, fault
-        deltas) and opens a fresh one — the exact read-and-reset the
+        """Take the transport's telemetry window: what the node and
+        pair ledgers accumulated since the last take, as a
+        :class:`~repro.cluster.transport.TelemetryWindow` — the read the
         control plane performs at each decision pass, exposed for
-        operators and tests.  On a machine with a control plane attached
-        the controller consumes the windows itself; calling this
-        mid-run there would steal its telemetry, so prefer it on
+        operators and tests.  The same window comes back whatever
+        backend ran the machine.  On a machine with a control plane
+        attached the controller consumes the windows itself; calling
+        this mid-run there would steal its telemetry, so prefer it on
         ``control=None`` machines or after the run completes.
         """
         return self.machine.transport.take_window()
@@ -260,10 +271,3 @@ class NetworkStats:
 
     def __repr__(self):
         return f"<NetworkStats {self.summary()}>"
-
-
-def _link_key(link):
-    """Deterministic sort key for links whose endpoints mix node ints
-    and switch-name strings."""
-    return tuple((0, end) if isinstance(end, int) else (1, end)
-                 for end in link)

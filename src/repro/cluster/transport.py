@@ -1,137 +1,35 @@
 """Message-level cluster transport (paper §3.3, rebuilt as a subsystem).
 
-The seed charged cross-node work as scalars: a flat ``migrate_base +
-net_msg`` per hop and one independent round trip per demand-fetched
-page.  This module replaces that with an explicit protocol over a
-*routed fabric*; every cross-node kernel path (migrate, remote
-fork/join's copy, demand fetch, merge) now routes its traffic through
-one :class:`Transport` owned by the machine.
+Every cross-node kernel path (migrate, remote fork/join's copy, demand
+fetch, merge) routes its traffic through the one :class:`Transport` a
+machine owns.  The protocol and its cost model are specified in
+DESIGN.md, once: §3 (message types, routed links, delta shipping, wire
+time as link occupancy, "one name per counter"), §4 (the async prefetch
+queue and PAGE_BATCH compression), §5 (the deterministic loss schedule
+and the reliable link layer) and §8 (telemetry windows).  What a reader
+of this file needs from there:
 
-Message types
--------------
-
-``MIGRATE``
-    Carries a space's register file plus its address-space summary
-    (``cost.migrate_bytes``), followed by the *delta* of its pages.
-``PAGE_BATCH``
-    A scatter/gather message moving up to ``cost.msg_batch`` pages
-    (each ``payload + cost.page_hdr`` bytes on the wire, where the
-    payload is 4 KiB raw or its compressed size — see below), instead
-    of one message per page.
-``PAGE_REQ``
-    A page-fetch request naming the wanted pages (``cost.msg_ctrl`` +
-    8 bytes per page), sent to the node that produced their newest
-    content — either a *demand* fetch the space stalls on, or an
-    *async prefetch* for predicted-next frames that overlaps compute.
-``ACK``
-    Completion notice on the reverse route.  ACKs are fire-and-forget:
-    they occupy wire bytes/messages in the accounting but never delay
-    the sending space.
-
-Links, routes, and time
------------------------
-
-The machine's :class:`~repro.cluster.topology.Topology` describes the
-fabric: links are ordered pairs of fabric *endpoints* (node ints and
-switch names), each carrying a latency/bandwidth class.  A message
-between non-adjacent endpoints is routed hop by hop — **every traversed
-link** accrues its messages, bytes, pages, and serialization occupancy
-(``cost.link_message`` scaled by the link class's bandwidth factor,
-TCP surcharge when the machine runs in ``tcp_mode``).  On the legacy
-flat fabric every route is the single direct link, reproducing the
-pre-topology accounting exactly.
-
-Transfers that stall a space are recorded as one
-:meth:`~repro.timing.trace.Trace.link_edge` per traversed link, so the
-scheduler makes overlapping transfers contend *on each physical link of
-the route* while leaving the CPUs free — a shared cross-rack uplink
-serializes every node pair that crosses it, which is how
-oversubscription bends the scaling curve.  The route's total transit
-latency (sum of per-hop class latencies) is charged alongside.
-
-Pipelined prefetch
-------------------
-
-Demand fetches are stop-and-wait: the space stalls for the whole round
-trip.  With ``prefetch_depth > 0`` each node also runs an *async fetch
-queue*: the kernel predicts the frames a space will touch next
-(sequentially past a faulting range, and from the migration ledger at
-migration time) and the transport issues their PAGE_REQ/PAGE_BATCH
-exchange immediately, anchored at the segment that was open when the
-prediction fired.  Nothing stalls at issue time; the in-flight transfer
-serializes on its links *while the CPU keeps computing*.  When a later
-touch demands an in-flight frame, the whole exchange is *redeemed*:
-trace link edges run from the issue anchor to the demanding segment
-(kind ``"prefetch"``), so the scheduler charges only the part of the
-transfer that outlived the compute it hid behind — a late arrival is an
-explicit stall edge, an early one costs nothing.  Prefetched frames the
-run never demands stay in the queue and are reported as
-``prefetch_unused`` — speculative wire traffic, never folded into the
-demand-pull count.
-
-Determinism makes this aggressive pipelining safe: page content at each
-quantum boundary is fully determined, so a predicted fetch can never
-observe — or produce — different bytes than the demand fetch it
-replaces.
-
-Wire compression
-----------------
-
-With ``ClusterSpec(compression=True)`` every PAGE_BATCH payload is encoded
-per frame (:mod:`repro.cluster.compress`): all-zero frames are
-suppressed to the per-page header, mostly-zero frames ship zero-run
-RLE, and high-entropy frames fall back to raw — per-page, per-link,
-``compressed <= raw`` always.  Links account both byte counts
-(:attr:`LinkStats.raw_bytes` vs :attr:`LinkStats.comp_bytes`), encoded
-sizes are cached per frame content tag, and codec work is charged as
-transfer latency via the ``comp_encode_byte``/``comp_decode_byte``
-cost knobs.
-
-Deterministic faults and retransmission
----------------------------------------
-
-With ``ClusterSpec(loss=...)`` every wire copy of every message consults
-the machine's :class:`~repro.cluster.faults.LossSchedule` — a pure
-function of ``(seed, link, msg_serial, attempt)``, so reruns fault
-bit-identically.  Each fabric link runs a reliable link layer: a
-dropped copy is retransmitted after ``cost.retx_timeout`` cycles
-(bounded by ``cost.retx_limit``, exhaustion raises
-:class:`~repro.common.errors.NetworkLossError`); a duplicated copy
-serializes and arrives twice, the receiver discarding the second; a
-reordered copy is held back one hop latency at the receiver.  Every
-extra copy occupies its link (it contends in ``schedule()``), the
-per-link ledger keeps the split (:attr:`LinkStats.retx_msgs` /
-:attr:`LinkStats.retx_bytes` / :attr:`LinkStats.dropped_bytes`), and
-the timeout waits of a space-stalling exchange are charged as
-``kind="retx"`` trace link edges — so
-``ScheduleResult.stall_cycles["retx"]`` is exactly the time spaces
-lost to the unreliable fabric.  ACKs stay fire-and-forget: their
-faults are accounted on the links but never delay a space.
-Determinism guarantees loss is cost-only — computed values and final
-memory images are identical under any schedule — and conservation
-extends to ``delivered + dropped == sent`` per physical link.
-
-Delta shipping
---------------
-
-A migrating space's memory image moves with it.  In ``ship_mode="full"``
-every mapped page crosses on every hop (the naive protocol, kept as the
-ablation baseline).  In ``ship_mode="delta"`` the kernel enumerates
-candidates from the dirty ledger via the space's per-node visit tokens —
-only pages written since the space last resided on the target — and the
-per-node tag cache then drops pages whose ``(serial, generation)``
-content is already present there.  In ``ship_mode="demand"`` the
-MIGRATE message carries only the summary and every page demand-faults
-(or prefetches) over later — the paper's baseline distributed-memory
-protocol, and the stage on which the prefetch ablation measures
-stop-and-wait against pipelined fetching.  See
-:meth:`repro.kernel.kernel.Kernel.migrate`.
+* four message types — ``MIGRATE``, ``PAGE_REQ``, ``PAGE_BATCH``,
+  fire-and-forget ``ACK`` — each routed hop by hop over the machine's
+  :class:`~repro.cluster.topology.Topology`; **every traversed link**
+  accrues the message on its :class:`LinkStats`;
+* an exchange a space stalls on becomes one
+  :meth:`~repro.timing.trace.Trace.link_edge` per traversed link
+  (:meth:`Transport._stall_edges`), which is how ``schedule()`` makes
+  crossing flows contend; a prefetch exchange draws the same edges from
+  its issue anchor when redeemed, or into a sink segment when nobody
+  ever demands it;
+* the transport **only accumulates**: a :attr:`Ledger.FIELDS` row per
+  link, per node and per directed node pair, plus
+  :attr:`Transport.SCALARS`.  Run-wide totals are sums over the rows, a
+  :class:`TelemetryWindow` is the difference of two marks of them.
 """
 
 import enum
 
 from repro.cluster import compress
 from repro.cluster.faults import DROP, DUPLICATE, REORDER, RetxBill
+from repro.cluster.network import render_table
 from repro.common.errors import NetworkLossError
 from repro.mem.page import PAGE_SIZE
 
@@ -145,12 +43,54 @@ class MsgType(enum.Enum):
     ACK = "ack"
 
 
-class LinkStats:
-    """Cumulative traffic accounting of one directed fabric link."""
+class Ledger:
+    """One row of cumulative counters, declared once by :attr:`FIELDS`:
+    zero-init, :meth:`as_dict`, :meth:`delta_since`, :meth:`add` and
+    :meth:`restore` all derive from that tuple.  The transport keeps no
+    other kind of counter — a row per link (:class:`LinkStats`), per
+    node (:class:`NodeStats`) and per directed node pair
+    (:class:`PairStats`); a sharded worker hands the rows it moved back
+    as :meth:`delta_since` dicts and a telemetry window is the same
+    difference against the previous take's mark."""
 
-    #: The additive counters, declared once: zero-init, :meth:`as_dict`,
-    #: :meth:`delta_since`, :meth:`add` and ``Transport.class_totals``
-    #: all derive from this tuple.
+    FIELDS = ()
+    __slots__ = ()
+
+    def __init__(self):
+        for name in self.FIELDS:
+            setattr(self, name, 0)
+
+    def as_dict(self):
+        """Plain-dict view (reporting, and the mark of a later
+        :meth:`delta_since` / :meth:`restore`)."""
+        return {name: getattr(self, name) for name in self.FIELDS}
+
+    def delta_since(self, base):
+        """What the row accumulated since ``base`` — an earlier
+        :meth:`as_dict` of it, or None for "since creation" — in the
+        shape :meth:`add` folds back in; None when nothing moved."""
+        base = base or {}
+        delta = {name: getattr(self, name) - base.get(name, 0)
+                 for name in self.FIELDS}
+        return delta if any(delta.values()) else None
+
+    def add(self, delta):
+        """Fold a :meth:`delta_since` result into this row."""
+        for name in self.FIELDS:
+            setattr(self, name, getattr(self, name) + delta[name])
+
+    def restore(self, base):
+        """Back to ``base``, an earlier :meth:`as_dict` of this row (a
+        shard worker's rewind between two subtrees of its queue)."""
+        for name in self.FIELDS:
+            setattr(self, name, base[name])
+
+
+class LinkStats(Ledger):
+    """Cumulative traffic accounting of one directed fabric link: the
+    :attr:`FIELDS` counters (which ``Transport.class_totals`` also sums
+    per class) plus the per-message-type counts."""
+
     FIELDS = (
         #: Messages serialized onto the link (each routed message counts
         #: once per link it traverses).
@@ -198,48 +138,70 @@ class LinkStats:
     __slots__ = ("cls", "by_type") + FIELDS
 
     def __init__(self, cls="node"):
+        super().__init__()
         #: Name of the link's latency/bandwidth class.
         self.cls = cls
         #: message-type name -> message count.
         self.by_type = {}
-        for name in self.FIELDS:
-            setattr(self, name, 0)
 
     def as_dict(self):
-        """Plain-dict view (reporting)."""
-        out = {name: getattr(self, name) for name in self.FIELDS}
+        out = super().as_dict()
         out["cls"] = self.cls
         out["by_type"] = dict(self.by_type)
         return out
 
     def delta_since(self, base):
-        """What the link accumulated since ``base`` — an earlier
-        :meth:`as_dict` of it, or None for "since creation" — in the
-        shape :meth:`add` folds back in; None when nothing moved."""
-        base = base or {}
-        delta = {name: getattr(self, name) - base.get(name, 0)
-                 for name in self.FIELDS}
-        base_types = base.get("by_type", {})
-        delta["by_type"] = {
-            mtype: count - base_types.get(mtype, 0)
-            for mtype, count in self.by_type.items()
-            if count != base_types.get(mtype, 0)
-        }
-        return delta if any(delta.values()) else None
+        delta = super().delta_since(base)
+        if delta is not None:   # a type count only moves with ``messages``
+            types = (base or {}).get("by_type", {})
+            delta["by_type"] = {
+                mtype: count - types.get(mtype, 0)
+                for mtype, count in self.by_type.items()
+                if count != types.get(mtype, 0)}
+        return delta
 
     def add(self, delta):
-        """Fold a :meth:`delta_since` result into this link."""
-        for name in self.FIELDS:
-            setattr(self, name, getattr(self, name) + delta[name])
+        super().add(delta)
         for mtype, count in delta["by_type"].items():
             self.by_type[mtype] = self.by_type.get(mtype, 0) + count
 
     def restore(self, base):
-        """Back to ``base``, an earlier :meth:`as_dict` of this link (a
-        shard worker's rewind between two subtrees of its queue)."""
-        for name in self.FIELDS:
-            setattr(self, name, base[name])
+        super().restore(base)
         self.by_type = dict(base["by_type"])
+
+
+class NodeStats(Ledger):
+    """Cumulative page-path counters of one node's demand and prefetch
+    traffic: the rows of a :class:`TelemetryWindow` and what the
+    transport's run-wide page totals sum."""
+
+    FIELDS = (
+        #: Pages the node moved by stop-and-wait demand fetch.
+        "pulled",
+        #: Pages its async prefetch queue speculatively pulled, and how
+        #: many of those a space later actually demanded.  The
+        #: difference is wasted speculative bandwidth — reported
+        #: separately, never folded into the demand-pull count.
+        "prefetch_issued", "prefetch_used",
+        #: Prefetched frames whose content was superseded (the producer
+        #: wrote a newer generation) before any space demanded them.
+        "prefetch_stale",
+        #: Frames still queued two or more windows after their issue,
+        #: counted once per exchange by :meth:`Transport.take_window`.
+        "prefetch_aged",
+        #: Re-speculation on a page the node had already fetched once:
+        #: its producer rewrote it since (the churn signal).
+        "prefetch_refresh",
+    )
+    __slots__ = FIELDS
+
+
+class PairStats(Ledger):
+    """Logical message bytes one node sent another (counted once per
+    message, not per hop)."""
+
+    FIELDS = ("bytes",)
+    __slots__ = FIELDS
 
 
 class PrefetchExchange:
@@ -251,10 +213,9 @@ class PrefetchExchange:
     """
 
     __slots__ = ("anchor", "usage", "latency", "frames", "origin", "retx",
-                 "issuer_uid", "issue_charged", "wire_time", "window",
-                 "aged")
+                 "window", "aged")
 
-    def __init__(self, anchor, usage, latency, frames, origin, retx=None):
+    def __init__(self, anchor, usage, latency, frames, origin, retx, window):
         #: Trace segment (id) of the issue point (the segment closed
         #: just before the prediction fired); the transfer's
         #: serialization starts when it finishes.
@@ -275,166 +236,134 @@ class PrefetchExchange:
         #: as ``kind="retx"`` edges when the exchange is redeemed or
         #: flushed; None on a lossless fabric.
         self.retx = retx
-        #: Issue-time telemetry for the control plane's late-redeem
-        #: estimator: the issuing space, its program clock
-        #: (``Trace.charged``) at issue, the exchange's modelled wire
-        #: time (serialization + transit + retx waits), and the
-        #: telemetry window index it was issued in.
-        self.issuer_uid = None
-        self.issue_charged = 0
-        self.wire_time = 0
-        self.window = 0
-        #: Whether the window sweep already counted this exchange's
-        #: still-queued frames as aged speculation (counted once).
+        #: Index of the telemetry window the exchange was issued in,
+        #: and whether a later take already counted its still-queued
+        #: frames as aged speculation (counted once).
+        self.window = window
         self.aged = False
 
 
-#: Per-node telemetry counters tracked inside one window (the keys of
-#: every node dict a :class:`TelemetryWindow` carries).
-NODE_WINDOW_KEYS = ("pulled", "prefetch_issued", "prefetch_used",
-                    "prefetch_stale", "prefetch_aged", "prefetch_refresh",
-                    "late_redeems", "late_cycles")
-
-#: Route-latency samples kept per window (first come first kept — a
-#: deterministic cap, so an unattended window can never grow unbounded).
+#: Route-latency samples kept per route and window (first come first
+#: kept — a deterministic cap on what one long quantum can pile up).
 ROUTE_SAMPLE_CAP = 512
 
 
 class TelemetryWindow:
-    """Read-only snapshot of one telemetry window (``Transport.
-    take_window``): everything the transport observed since the last
-    snapshot, reset on take.
+    """What the transport's node and pair ledgers accumulated between
+    two :meth:`Transport.take_window` calls, plus the route samples
+    taken meanwhile.
 
     All content is a pure function of the simulated execution, so two
     same-seed runs produce bit-identical window sequences — which is
     what makes controller decisions replay-exact.
     """
 
-    __slots__ = ("index", "nodes", "route_samples", "pair_bytes",
-                 "drops", "retx_msgs", "retx_wait", "messages")
+    __slots__ = ("index", "nodes", "route_samples", "pair_bytes")
 
-    def __init__(self, index, nodes, route_samples, pair_bytes,
-                 drops, retx_msgs, retx_wait, messages):
+    #: :meth:`table`'s columns: the node, then :attr:`NodeStats.FIELDS`.
+    COLUMNS = (("node", 5, ""), ("pulled", 7, ""), ("pf-iss", 7, ""),
+               ("pf-used", 8, ""), ("stale", 6, ""), ("aged", 5, ""),
+               ("churn", 6, ""))
+
+    def __init__(self, index, nodes, route_samples, pair_bytes):
         #: Monotone window serial (0-based).
         self.index = index
-        #: node -> dict of :data:`NODE_WINDOW_KEYS` counters: demand
-        #: pulls, prefetch issue/hit/stale splits, aged in-flight
-        #: frames, and the late-redeem count/estimated stall cycles.
+        #: node -> dict of :attr:`NodeStats.FIELDS` deltas.  A node has
+        #: a row iff one of its counters moved in the window (the
+        #: controller's growth hold counts rows).
         self.nodes = nodes
         #: ``{(a, b): [delivery-cycles sample, ...]}`` per unordered
         #: node pair — modelled per-message delivery latency of each
-        #: clean page exchange on the route (Karn's rule: exchanges
-        #: that retransmitted contribute no sample).
+        #: clean single-page exchange on the route.  Taken only while a
+        #: controller is attached (its SRTT policy is the one reader).
         self.route_samples = route_samples
-        #: ``{(src, dst): bytes}`` logical message bytes per directed
-        #: node pair (counted once per message, not per hop).
+        #: ``{(src, dst): bytes}`` the :class:`PairStats` deltas.
         self.pair_bytes = pair_bytes
-        #: Fault-path deltas over the window.
-        self.drops, self.retx_msgs, self.retx_wait = drops, retx_msgs, retx_wait
-        #: Logical messages sent during the window.
-        self.messages = messages
-
-    def node(self, node):
-        """Counters of ``node`` (zeros when it saw no traffic)."""
-        return self.nodes.get(node) or dict.fromkeys(NODE_WINDOW_KEYS, 0)
 
     def table(self):
         """Aligned per-node rows of the window's counters."""
-        if not self.nodes:
-            return f"(window {self.index}: no telemetry)"
-        lines = [f"{'node':>5} {'pulled':>7} {'pf-iss':>7} {'pf-used':>8} "
-                 f"{'stale':>6} {'aged':>5} {'churn':>6} {'late':>5} "
-                 f"{'late cycles':>12}"]
-        for node in sorted(self.nodes):
-            row = self.nodes[node]
-            lines.append(
-                f"{node:>5} {row['pulled']:>7} {row['prefetch_issued']:>7} "
-                f"{row['prefetch_used']:>8} {row['prefetch_stale']:>6} "
-                f"{row['prefetch_aged']:>5} {row['prefetch_refresh']:>6} "
-                f"{row['late_redeems']:>5} {row['late_cycles']:>12,}")
-        return "\n".join(lines)
+        return render_table(
+            self.COLUMNS,
+            [(node, *(row[name] for name in NodeStats.FIELDS))
+             for node, row in sorted(self.nodes.items())],
+            f"(window {self.index}: no telemetry)")
 
     def __repr__(self):
         return (f"<TelemetryWindow {self.index} nodes={len(self.nodes)} "
-                f"msgs={self.messages} drops={self.drops}>")
+                f"pairs={len(self.pair_bytes)}>")
 
 
-def _link_total(field):
-    """Read-only total of one :attr:`LinkStats.FIELDS` counter over
-    every link — the per-link ledgers are the only copy kept."""
-    return property(lambda self: sum(getattr(stats, field)
-                                     for stats in self.links.values()))
+def _total(table, field):
+    """Read-only total of one :attr:`Ledger.FIELDS` counter over every
+    row of ``table`` — the rows are the only copy kept."""
+    return property(lambda self: sum(getattr(row, field)
+                                     for row in getattr(self, table).values()))
 
 
 class Transport:
     """The simulated interconnect of one machine's cluster."""
 
-    #: The counters below that are pure accumulations (order-independent
-    #: sums): a sharded run ships them from workers as deltas and adds
-    #: them on adoption.
+    #: The counters no ledger row can answer, pure accumulations like
+    #: the rows (a sharded run ships them from workers as deltas and
+    #: adds them on adoption).
     SCALARS = (
-        "migrations", "pages_shipped", "pages_pulled", "pages_prefetched",
-        "prefetch_used", "prefetch_stale", "batches", "messages", "hops",
-        "codec_cycles", "msg_serial", "retx_wait",
+        "migrations", "pages_shipped", "batches", "messages", "hops",
+        "codec_cycles", "retx_wait",
     )
 
     #: Wire bytes and serialization cycles summed over every traversed
     #: link (an H-hop route moves its bytes H times).
-    bytes_total = _link_total("bytes_sent")
-    busy_total = _link_total("busy_cycles")
+    bytes_total = _total("links", "bytes_sent")
+    busy_total = _total("links", "busy_cycles")
     #: Page payload bytes before/after wire compression, summed over
     #: traversed links like :attr:`bytes_total` (equal when compression
     #: is off).
-    raw_total = _link_total("raw_bytes")
-    comp_total = _link_total("comp_bytes")
+    raw_total = _total("links", "raw_bytes")
+    comp_total = _total("links", "comp_bytes")
     #: Fault/retransmission totals over every link: copies the loss
     #: schedule dropped / the link layer re-serialized / duplicated /
     #: reordered.
-    drops = _link_total("dropped_msgs")
-    dropped_bytes = _link_total("dropped_bytes")
-    retx_msgs = _link_total("retx_msgs")
-    retx_bytes = _link_total("retx_bytes")
-    dups = _link_total("dup_msgs")
-    reorders = _link_total("reorder_msgs")
+    drops = _total("links", "dropped_msgs")
+    dropped_bytes = _total("links", "dropped_bytes")
+    retx_msgs = _total("links", "retx_msgs")
+    retx_bytes = _total("links", "retx_bytes")
+    dups = _total("links", "dup_msgs")
+    reorders = _total("links", "reorder_msgs")
+    #: The page-path totals over every node (:attr:`NodeStats.FIELDS`).
+    pages_pulled = _total("nodes", "pulled")
+    pages_prefetched = _total("nodes", "prefetch_issued")
+    prefetch_used = _total("nodes", "prefetch_used")
+    prefetch_stale = _total("nodes", "prefetch_stale")
 
     def __init__(self, machine):
         self.machine = machine
         #: (src_endpoint, dst_endpoint) -> LinkStats, one entry per
         #: *physical* fabric link that ever carried traffic (switch
-        #: links included).
+        #: links included); node -> NodeStats; directed (src, dst) node
+        #: pair -> PairStats.  Rows are created by :meth:`link`,
+        #: :meth:`node` and :meth:`pair` on first use.
         self.links = {}
+        self.nodes = {}
+        self.pairs = {}
         #: Migration hops performed (one per MIGRATE message) —
         #: maintained incrementally so NetworkStats never rescans the
         #: trace.
         self.migrations = 0
         #: Pages moved eagerly with migrations (delta or full ship).
         self.pages_shipped = 0
-        #: Pages moved by stop-and-wait demand fetch.
-        self.pages_pulled = 0
-        #: Pages speculatively moved by the async prefetch queues, and
-        #: how many of those a space later actually demanded.  The
-        #: difference is wasted speculative bandwidth — reported
-        #: separately, never folded into the demand-pull count.
-        self.pages_prefetched = 0
-        self.prefetch_used = 0
-        #: Prefetched frames whose content was superseded (the producer
-        #: wrote a newer generation) before any space demanded them.
-        self.prefetch_stale = 0
         #: PAGE_BATCH messages sent.
         self.batches = 0
         #: Logical protocol messages (each counted once however many
-        #: links its route traverses).
+        #: links its route traverses).  The count before a send is that
+        #: message's *serial*, the key (with the link) of every fault
+        #: decision — deterministic because the simulation is, so the
+        #: loss schedule replays bit-identically.
         self.messages = 0
         #: Link traversals: a message over an H-hop route counts H.
         self.hops = 0
         #: Encode/decode cycles the compression codec cost (charged as
         #: transfer latency, not link occupancy).
         self.codec_cycles = 0
-        #: Logical message serial: incremented once per :meth:`_send`,
-        #: the key (with the link) of every fault decision — serials
-        #: are deterministic because the simulation is, so the loss
-        #: schedule replays bit-identically.
-        self.msg_serial = 0
         #: Sender-side timeout cycles space-stalling exchanges
         #: accumulated waiting on retransmits.
         self.retx_wait = 0
@@ -448,23 +377,18 @@ class Transport:
         #: Encoded wire size per frame content tag (content never
         #: changes under a tag, so sizes are computed once).
         self._wire_sizes = {}
-        # -- telemetry window (snapshot/reset by take_window) ------------
+        # -- telemetry windows (take_window) -----------------------------
         #: Monotone window serial: how many windows have been taken.
         self.window_index = 0
-        #: node -> per-window counter dict (NODE_WINDOW_KEYS).
-        self.win_nodes = {}
+        #: ``{"nodes"|"pairs": {key: the row's as_dict() when the
+        #: running window first used it}}`` — the marks the next take
+        #: diffs against, so a take costs O(rows that moved).
+        self._marks = {"nodes": {}, "pairs": {}}
         #: unordered (a, b) node pair -> delivery-latency samples of the
-        #: window's clean page exchanges (capped at ROUTE_SAMPLE_CAP).
-        self.win_route_samples = {}
-        #: directed (src, dst) node pair -> logical message bytes.
-        self.win_pair_bytes = {}
-        #: Copies the running window saw dropped / retransmitted (the
-        #: cumulative totals are link sums; a window must not pay one).
-        self._win_drops = 0
-        self._win_retx = 0
-        # Cumulative-counter marks of the running window's start.
-        self._win_wait0 = 0
-        self._win_msgs0 = 0
+        #: running window's clean page exchanges (capped at
+        #: ROUTE_SAMPLE_CAP).  An order-dependent capped list, which no
+        #: delta can replay: taken only with a controller attached.
+        self.route_samples = {}
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -475,6 +399,26 @@ class Transport:
             cls = self.machine.topology.link_class(link).name
             stats = self.links[link] = LinkStats(cls)
         return stats
+
+    def _windowed(self, table, key, new):
+        """Get-or-create row ``key`` of ``table``, marked as the running
+        telemetry window first finds it."""
+        rows = getattr(self, table)
+        row = rows.get(key)
+        if row is None:
+            row = rows[key] = new()
+        marks = self._marks[table]
+        if key not in marks:
+            marks[key] = row.as_dict()
+        return row
+
+    def node(self, node):
+        """The :class:`NodeStats` of ``node``."""
+        return self._windowed("nodes", node, NodeStats)
+
+    def pair(self, pair):
+        """The :class:`PairStats` of the directed ``(src, dst)`` pair."""
+        return self._windowed("pairs", pair, PairStats)
 
     def wire_size(self, frame):
         """Wire payload bytes of ``frame``: 4096 raw, or its encoded
@@ -497,14 +441,6 @@ class Transport:
 
     # -- telemetry windows -------------------------------------------------
 
-    def _wnode(self, node):
-        """The running window's counter dict of ``node``."""
-        counters = self.win_nodes.get(node)
-        if counters is None:
-            counters = self.win_nodes[node] = dict.fromkeys(
-                NODE_WINDOW_KEYS, 0)
-        return counters
-
     def _note_route_sample(self, src, dst, usage, nmsgs, bill,
                            npages=1):
         """Record one delivery-latency sample for the ``src``/``dst``
@@ -516,28 +452,39 @@ class Transport:
         than about the route), and so do multi-page batch exchanges —
         a batch's drain time measures the sender's throughput, while
         the timer waits on the route's *turnaround* for one copy, which
-        only minimal (single-data-message) exchanges exhibit."""
-        if bill is not None and (bill.usage or bill.wait):
-            return
-        if npages > 1:
+        only minimal (single-data-message) exchanges exhibit.  Without
+        a controller nothing reads the samples and none is taken."""
+        machine = self.machine
+        if machine.control is None or npages > 1 or bill:
             return
         pair = (src, dst) if src <= dst else (dst, src)
-        samples = self.win_route_samples.setdefault(pair, [])
+        samples = self.route_samples.setdefault(pair, [])
         if len(samples) >= ROUTE_SAMPLE_CAP:
             return
-        machine = self.machine
         transit = machine.topology.route_latency(machine.cost, src, dst)
         busy = sum(usage.values()) if usage else 0
         samples.append(transit + busy // max(1, nmsgs))
 
-    def take_window(self):
-        """Snapshot-and-reset the running telemetry window.
+    def _moved_since_mark(self, table):
+        """``{key: delta_since(mark)}`` of the rows of ``table`` that
+        moved in the running window, in key order; opens the next."""
+        rows = getattr(self, table)
+        marks, self._marks[table] = self._marks[table], {}
+        moved = {}
+        for key in sorted(marks):
+            delta = rows[key].delta_since(marks[key])
+            if delta is not None:
+                moved[key] = delta
+        return moved
 
-        Returns a :class:`TelemetryWindow` of everything observed since
-        the previous call (or the start of the run) and opens the next
-        window.  Before snapshotting, still-queued prefetched frames
-        issued two or more windows ago are counted (once per exchange)
-        as ``prefetch_aged`` — in-flight speculation the run is visibly
+    def take_window(self):
+        """The :class:`TelemetryWindow` of everything the node and pair
+        ledgers accumulated since the previous call (or the start of
+        the run); the next window starts here.
+
+        Before diffing, still-queued prefetched frames issued two or
+        more windows ago are counted (once per exchange) as
+        ``prefetch_aged`` — in-flight speculation the run is visibly
         not consuming, the shrink signal that needs no end-of-run
         flush.
         """
@@ -548,24 +495,14 @@ class Transport:
                 if exchange.aged or exchange.window > index - 2:
                     continue
                 exchange.aged = True
-                queued = sum(1 for _, ex, _ in queue.values()
-                             if ex is exchange)
-                self._wnode(node)["prefetch_aged"] += queued
-        window = TelemetryWindow(
-            index, self.win_nodes, self.win_route_samples,
-            self.win_pair_bytes,
-            drops=self._win_drops, retx_msgs=self._win_retx,
-            retx_wait=self.retx_wait - self._win_wait0,
-            messages=self.messages - self._win_msgs0,
-        )
+                self.node(node).prefetch_aged += sum(
+                    1 for _, ex, _ in queue.values() if ex is exchange)
+        samples, self.route_samples = self.route_samples, {}
         self.window_index = index + 1
-        self.win_nodes = {}
-        self.win_route_samples = {}
-        self.win_pair_bytes = {}
-        self._win_drops = self._win_retx = 0
-        self._win_wait0 = self.retx_wait
-        self._win_msgs0 = self.messages
-        return window
+        return TelemetryWindow(
+            index, self._moved_since_mark("nodes"), samples,
+            {pair: row["bytes"]
+             for pair, row in self._moved_since_mark("pairs").items()})
 
     def _send(self, mtype, src, dst, nbytes, pages=0, usage=None,
               raw_payload=0, comp_payload=0, faults=None):
@@ -584,7 +521,7 @@ class Transport:
         mismatch.
 
         Under ``ClusterSpec(loss=...)`` each link's copy consults the
-        deterministic loss schedule, keyed on ``(link, msg_serial,
+        deterministic loss schedule, keyed on ``(link, message serial,
         attempt)``.  Dropped copies are retransmitted by the link layer
         after ``cost.retx_timeout`` (at most ``cost.retx_limit``
         retries); duplicated copies serialize and arrive twice (the
@@ -599,11 +536,9 @@ class Transport:
         cost = machine.cost
         topo = machine.topology
         loss = machine.loss
-        serial = self.msg_serial
-        self.msg_serial += 1
+        serial = self.messages
         self.messages += 1
-        self.win_pair_bytes[(src, dst)] = \
-            self.win_pair_bytes.get((src, dst), 0) + nbytes
+        self.pair((src, dst)).bytes += nbytes
         # The retransmit timer is per logical message: the (possibly
         # control-tuned) timeout of the message's route, resolved once
         # so every hop copy of this message waits the same timer.
@@ -632,7 +567,6 @@ class Transport:
                 if attempt:
                     stats.retx_msgs += 1
                     stats.retx_bytes += nbytes
-                    self._win_retx += 1
                     if faults is not None:
                         faults.usage[link] = faults.usage.get(link, 0) + busy
                 outcome = loss.decide(link, serial, attempt) if loss \
@@ -640,7 +574,6 @@ class Transport:
                 if outcome is DROP:
                     stats.dropped_msgs += 1
                     stats.dropped_bytes += nbytes
-                    self._win_drops += 1
                     attempt += 1
                     if attempt > cost.retx_limit:
                         raise NetworkLossError(
@@ -682,17 +615,25 @@ class Transport:
         for link in self.machine.topology.route(src, dst):
             self.link(link).bytes_received += nbytes
 
-    def _stall_edges(self, closed, opened, usage, latency=0, kind=None):
+    def _stall_edges(self, closed, opened, kind, parts, bill):
         """One trace link edge per physical link the exchange occupied:
         the space resumes only after its transfer wins *each* link it
         crossed (shared uplinks make crossing flows contend) and
-        transits the route latency."""
+        transits the route latency.  ``parts`` are the exchange's
+        ``(link -> busy cycles, latency)`` legs; a non-empty ``bill``
+        (the :class:`~repro.cluster.faults.RetxBill` of a lossy fabric)
+        adds its extra occupancy and timeout waits as ``kind="retx"``
+        edges between the same two segments."""
         trace = self.machine.trace
-        topo = self.machine.topology
-        for link, busy in usage.items():
-            trace.link_edge(closed, opened, link=link, busy=busy,
-                            latency=latency, cls=topo.link_class(link).name,
-                            kind=kind)
+        link_class = self.machine.topology.link_class
+        legs = [(kind, usage, latency) for usage, latency in parts]
+        if bill:
+            legs.append(("retx", bill.usage, bill.wait))
+        for leg_kind, usage, latency in legs:
+            for link, busy in usage.items():
+                trace.link_edge(closed, opened, link=link, busy=busy,
+                                latency=latency, cls=link_class(link).name,
+                                kind=leg_kind)
 
     def _batch_sizes(self, npages):
         """Split ``npages`` into PAGE_BATCH loads (``cost.msg_batch``)."""
@@ -796,13 +737,9 @@ class Transport:
         trace = machine.trace
         if trace.is_open(space.uid):
             closed, opened = trace.move_node(space.uid, dst)
-            self._stall_edges(closed, opened, usage,
-                              latency=machine.topology.route_latency(
-                                  cost, src, dst) + codec,
-                              kind="migrate")
-            if bill:
-                self._stall_edges(closed, opened, bill.usage,
-                                  latency=bill.wait, kind="retx")
+            transit = machine.topology.route_latency(cost, src, dst)
+            self._stall_edges(closed, opened, "migrate",
+                              [(usage, transit + codec)], bill)
 
     def fetch(self, space, origin, node, frames):
         """Demand-fetch ``frames`` for ``space`` (resident on ``node``)
@@ -818,8 +755,7 @@ class Transport:
         """
         machine = self.machine
         npages = len(frames)
-        self.pages_pulled += npages
-        self._wnode(node)["pulled"] += npages
+        self.node(node).pulled += npages
         req_usage = {}
         resp_usage = {}
         bill = RetxBill() if machine.loss else None
@@ -830,14 +766,11 @@ class Transport:
         trace = machine.trace
         if trace.is_open(space.uid):
             closed, opened = trace.cut(space.uid, label="fetch")
-            self._stall_edges(closed, opened, req_usage, kind="fetch")
-            self._stall_edges(closed, opened, resp_usage,
-                              latency=machine.topology.route_latency(
-                                  machine.cost, origin, node) + codec,
-                              kind="fetch")
-            if bill:
-                self._stall_edges(closed, opened, bill.usage,
-                                  latency=bill.wait, kind="retx")
+            transit = machine.topology.route_latency(machine.cost, origin,
+                                                     node)
+            self._stall_edges(closed, opened, "fetch",
+                              [(req_usage, 0), (resp_usage, transit + codec)],
+                              bill)
 
     def prefetch(self, space, origin, node, frames):
         """Asynchronously issue a PAGE_REQ/PAGE_BATCH exchange pulling
@@ -857,27 +790,20 @@ class Transport:
         npages = len(frames)
         if npages == 0 or origin == node:
             return
-        self.pages_prefetched += npages
-        self._wnode(node)["prefetch_issued"] += npages
+        self.node(node).prefetch_issued += npages
         usage = {}
         bill = RetxBill() if machine.loss else None
         _, codec = self._page_exchange(origin, node, frames,
                                        req_usage=usage, resp_usage=usage,
                                        faults=bill)
-        trace = machine.trace
-        last = trace.last_closed(space.uid)
+        last = machine.trace.last_closed(space.uid)
         anchor = last.id if last is not None else None
         latency = (machine.topology.route_latency(machine.cost, origin, node)
                    + codec)
         exchange = PrefetchExchange(
             anchor, usage, latency,
             [(frame, frame.generation) for frame in frames], origin,
-            retx=bill)
-        exchange.issuer_uid = space.uid
-        exchange.issue_charged = trace.charged(space.uid)
-        exchange.wire_time = (sum(usage.values()) + latency
-                              + (bill.wait if bill else 0))
-        exchange.window = self.window_index
+            retx=bill, window=self.window_index)
         queue = self.inflight.setdefault(node, {})
         for frame in frames:
             queue[frame.serial] = (frame.generation, exchange, frame)
@@ -905,8 +831,7 @@ class Transport:
                   if frame.generation != held]
         for serial in doomed:
             _, exchange, _ = queue.pop(serial)
-            self.prefetch_stale += 1
-            self._wnode(node)["prefetch_stale"] += 1
+            self.node(node).prefetch_stale += 1
             if not any(entry[1] is exchange for entry in queue.values()):
                 self._sink_exchange(exchange, node, "prefetch-stale")
         return len(doomed)
@@ -925,11 +850,9 @@ class Transport:
             return None
         held_generation, exchange, _ = queue.pop(serial)
         if held_generation != generation:
-            self.prefetch_stale += 1
-            self._wnode(node)["prefetch_stale"] += 1
+            self.node(node).prefetch_stale += 1
             return None
-        self.prefetch_used += 1
-        self._wnode(node)["prefetch_used"] += 1
+        self.node(node).prefetch_used += 1
         return exchange
 
     def redeem_exchanges(self, space, node, exchanges):
@@ -948,27 +871,11 @@ class Transport:
         trace = machine.trace
         cache = machine.node_cache[node]
         queue = self.inflight.get(node, {})
-        counters = self._wnode(node)
+        stats = self.node(node)
         opened = None
         if trace.is_open(space.uid):
             _, opened = trace.cut(space.uid, label="prefetch-wait")
         for exchange in exchanges:
-            # Late-redeem estimator: compare the exchange's modelled
-            # wire time against the program clock that elapsed between
-            # issue and demand (the demander's when it is the issuer,
-            # the issuer's otherwise).  Wire time the compute did not
-            # cover is the stall the schedule will charge — the signal
-            # to run the queue deeper.
-            clock_uid = (space.uid if space.uid == exchange.issuer_uid
-                         else exchange.issuer_uid)
-            elapsed = 0
-            if clock_uid is not None:
-                elapsed = max(0, trace.charged(clock_uid)
-                              - exchange.issue_charged)
-            late = exchange.wire_time - elapsed
-            if late > 0:
-                counters["late_redeems"] += 1
-                counters["late_cycles"] += late
             for frame, generation in exchange.frames:
                 # Only tags still queued land here: the tag that
                 # triggered the redeem was claimed (and counted used)
@@ -982,21 +889,15 @@ class Transport:
                     # its arrived bytes carry a dead generation and
                     # must not enter the cache (a demand on the fresh
                     # tag will fetch it properly).
-                    self.prefetch_stale += 1
-                    counters["prefetch_stale"] += 1
+                    stats.prefetch_stale += 1
                     continue
-                self.prefetch_used += 1
-                counters["prefetch_used"] += 1
+                stats.prefetch_used += 1
                 if cache.get(frame.serial, -1) < generation:
                     cache[frame.serial] = generation
             if opened is not None and exchange.anchor is not None:
-                self._stall_edges(exchange.anchor, opened, exchange.usage,
-                                  latency=exchange.latency, kind="prefetch")
-                if exchange.retx:
-                    self._stall_edges(exchange.anchor, opened,
-                                      exchange.retx.usage,
-                                      latency=exchange.retx.wait,
-                                      kind="retx")
+                self._stall_edges(exchange.anchor, opened, "prefetch",
+                                  [(exchange.usage, exchange.latency)],
+                                  exchange.retx)
 
     def flush_inflight(self, kind="prefetch-unused"):
         """End-of-run accounting for exchanges nobody ever redeemed.
@@ -1034,13 +935,8 @@ class Transport:
         sink = trace.begin(f"~{kind}{self._sinks}@{node}",
                            node=node, label=kind)
         trace.end(sink.uid)
-        self._stall_edges(exchange.anchor, sink, exchange.usage,
-                          latency=exchange.latency, kind=kind)
-        if exchange.retx:
-            self._stall_edges(exchange.anchor, sink,
-                              exchange.retx.usage,
-                              latency=exchange.retx.wait,
-                              kind="retx")
+        self._stall_edges(exchange.anchor, sink, kind,
+                          [(exchange.usage, exchange.latency)], exchange.retx)
 
     # -- invariants --------------------------------------------------------
 

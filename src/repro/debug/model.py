@@ -22,6 +22,7 @@ ndarray compare.
 
 import numpy as np
 
+from repro.cluster.network import link_key
 from repro.mem.page import PAGE_SIZE
 
 #: Pages per stacked ndarray compare (mirrors the merge engine's batch).
@@ -121,13 +122,6 @@ class SpaceImage:
                 f"pages={len(self.pages)} children={len(self.children)}>")
 
 
-def _link_sort_key(link):
-    """Deterministic ordering for link keys whose endpoints mix node ints
-    and switch-name strings (plain sorted() would raise on the mix)."""
-    return tuple((0, end, "") if isinstance(end, int) else (1, 0, str(end))
-                 for end in link)
-
-
 class MachineImage:
     """Frozen copy of a whole machine: space tree + devices + fabric."""
 
@@ -141,7 +135,7 @@ class MachineImage:
         transport = machine.transport
         self.links = {
             link: transport.links[link].as_dict()
-            for link in sorted(transport.links, key=_link_sort_key)
+            for link in sorted(transport.links, key=link_key)
         }
         self.node_map = dict(machine.node_map)
         self.pages_fetched = machine.pages_fetched

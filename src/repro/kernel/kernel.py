@@ -270,7 +270,7 @@ class Kernel:
                 # refreshes are the churn signal the control plane's
                 # collapse rule keys on — pages rewritten every round
                 # make any depth's speculation a running wire tax.
-                transport._wnode(node)["prefetch_refresh"] += 1
+                transport.node(node).prefetch_refresh += 1
             return 1
 
         for vpn in vpn_stream:

@@ -374,32 +374,40 @@ class _Charged(_Ledger):
             segments[sid].closed = closed
 
 
-class _Links(_Ledger):
-    """The transport's per-link ``LinkStats``, moved in place."""
+class _Rows(_Ledger):
+    """A transport table of ``Ledger`` rows (``links``, ``nodes``,
+    ``pairs``), moved in place; adoption goes through the table's
+    get-or-create ``accessor`` (``link``, ``node``, ``pair``), which is
+    also what puts an adopted row in the parent's telemetry window."""
+
+    def __init__(self, key, owner, attr, accessor):
+        super().__init__(key, owner, attr)
+        self.accessor = accessor
 
     def mark(self, machine):
-        return {link: stats.as_dict()
-                for link, stats in self.get(machine).items()}
+        return {key: row.as_dict()
+                for key, row in self.get(machine).items()}
 
     def delta(self, machine, mark):
         out = {}
-        for link, stats in self.get(machine).items():
-            moved = stats.delta_since(mark.get(link))
+        for key, row in self.get(machine).items():
+            moved = row.delta_since(mark.get(key))
             if moved is not None:
-                out[link] = moved
+                out[key] = moved
         return out
 
     def rewind(self, machine, mark, delta):
-        links = self.get(machine)
-        for link in delta:
-            if link in mark:
-                links[link].restore(mark[link])
+        rows = self.get(machine)
+        for key in delta:
+            if key in mark:
+                rows[key].restore(mark[key])
             else:
-                del links[link]
+                del rows[key]
 
     def adopt(self, machine, delta, renumber):
-        for link, moved in delta.items():
-            machine.transport.link(link).add(moved)
+        row_of = getattr(self.holder(machine), self.accessor)
+        for key, moved in delta.items():
+            row_of(key).add(moved)
 
 
 def _pack_segment(seg):
@@ -477,17 +485,17 @@ _LEDGERS = (
     # Memo of encoded sizes by frame tag: sound within one run, but
     # two subtrees of a queue number their new frames alike.
     _Table(None, "transport", "_wire_sizes"),
-    _Links("links", "transport", "links"),
+    _Rows("links", "transport", "links", "link"),
+    _Rows("nodes", "transport", "nodes", "node"),
+    _Rows("pairs", "transport", "pairs", "pair"),
 )
 
 _CONFIG = "configuration: fixed at construction, only read during a run"
 _HOST = ("host machinery: a worker forgets the parent's guest threads "
          "(Engine.after_fork) and unwinds its own after every sibling")
-_CONTROL = ("telemetry read by the control plane alone, which "
-            "fork_refusal gates off")
 
-#: Every other attribute the three constructors assign, and why a run
-#: needs none of mark / delta / rewind / adopt for it.
+#: Every other attribute the constructors assign, and why a run needs
+#: none of mark / delta / rewind / adopt (for a Space: no splice) for it.
 _NOT_REPLAYED = {
     "Machine": {
         **dict.fromkeys((
@@ -497,11 +505,11 @@ _NOT_REPLAYED = {
             "_time_script", "programs"), _CONFIG),
         "frames": "its counters are a ledger of their own",
         "trace": "its lists and tables are ledgers of their own",
-        "transport": "its counters and links are ledgers of their own",
+        "transport": "its counters and tables are ledgers of their own",
         "engine": _HOST,
         "kernel": "stateless: it holds the machine and nothing else",
         "root": "a subtree travels as the payload's space graph",
-        "control": _CONTROL,
+        "control": "the control plane, which fork_refusal gates off",
         "shard": "None inside a worker: no nested sharding",
         "_closed": "lifecycle flag of the parent's machine",
     },
@@ -513,12 +521,33 @@ _NOT_REPLAYED = {
         "machine": _CONFIG,
         "_sinks": "names prefetch sink segments: prefetch_depth == 0 "
                   "is a gate",
-        **dict.fromkeys((
-            "window_index", "win_nodes", "win_route_samples",
-            "win_pair_bytes", "_win_drops", "_win_retx", "_win_wait0",
-            "_win_msgs0"), _CONTROL),
+        "route_samples": "taken only with a controller attached, which "
+                         "fork_refusal gates off",
+        **dict.fromkeys(("window_index", "_marks"), (
+            "the reader's side of a telemetry window: no guest takes "
+            "one, and the parent's marks are made as it adopts the "
+            "node and pair rows through their accessors")),
+    },
+    # What ``_adopt`` leaves alone on the parent's Space object when it
+    # splices a hand-back in (everything else is ``_SPLICED``).
+    "Space": {
+        "machine": "the parent's machine, not the worker's copy",
+        "parent": "the caller's child table keeps this very object",
+        "slot": "its number in that table, which no run changes",
+        "uid": "assigned before the fork; the trace refers to it",
+        "ctx": "reset: a handed-back space has no live guest stack here",
+        "home_node": "fixed at creation (only the control plane re-homes "
+                     "a space, and fork_refusal gates it off)",
+        "io_privilege": "granted by the parent's Put, never by the "
+                        "space's own run",
     },
 }
+
+#: The ``Space.__init__`` attributes a run may change: ``_adopt`` copies
+#: exactly these from the handed-back space onto the parent's object.
+_SPLICED = ("addrspace", "regs", "snapshot", "children", "state", "trap",
+            "trap_info", "insn_limit", "visit_tokens", "cur_node", "killed",
+            "started")
 
 
 class ShardCoordinator:
@@ -959,20 +988,10 @@ class ShardCoordinator:
 
         # Splice the adopted image into the existing Space object (the
         # caller's child table and the trace keep referring to it).
-        child.addrspace = adopted.addrspace
-        child.regs = adopted.regs
-        child.snapshot = adopted.snapshot
-        child.children = adopted.children
+        for name in _SPLICED:
+            setattr(child, name, getattr(adopted, name))
         for grandchild in child.children.values():
             grandchild.parent = child
-        child.state = adopted.state
-        child.trap = adopted.trap
-        child.trap_info = adopted.trap_info
-        child.insn_limit = adopted.insn_limit
-        child.visit_tokens = adopted.visit_tokens
-        child.cur_node = adopted.cur_node
-        child.killed = adopted.killed
-        child.started = adopted.started
         child.ctx = None
 
         # Every ledger the run moved: the trace suffix (segment ids

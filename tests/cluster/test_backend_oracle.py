@@ -101,6 +101,34 @@ def test_md5_tree_single_child_waves():
     assert_equivalent(sim, real)
 
 
+@pytest.mark.parametrize("builder", [MD5_TREE, cw.matmult_tree_main(64)],
+                         ids=["md5_tree", "matmult_tree"])
+def test_telemetry_window_is_the_same_on_every_backend(builder):
+    # One observable, any backend: the node and pair ledgers ride a
+    # worker's hand-back like the link ones, so the window an operator
+    # takes after the run (and every page total, a sum over the node
+    # rows) does not depend on who ran the subtrees.  (Before, the
+    # window was a second set of books the hand-back left behind: 19,248
+    # pair-bytes serial, 6,416 under shard_workers=2, 0 on real.)
+    windows = {}
+    for name, knobs in (("serial", {}), ("sharded", {"shard_workers": 2}),
+                        ("real", {"backend": "real"})):
+        _, machine, _ = cw.run_cluster(builder, 4, ClusterSpec(**knobs))
+        transport = machine.transport
+        window = transport.take_window()
+        assert not window.route_samples
+        for total, field in (("pages_pulled", "pulled"),
+                             ("pages_prefetched", "prefetch_issued"),
+                             ("prefetch_used", "prefetch_used"),
+                             ("prefetch_stale", "prefetch_stale")):
+            assert getattr(transport, total) == sum(
+                row[field] for row in window.nodes.values()), (name, total)
+        windows[name] = (window.nodes, window.pair_bytes)
+    assert machine.shard.adopted and not machine.shard.fallbacks
+    assert sum(windows["serial"][1].values()) > 0
+    assert windows["sharded"] == windows["real"] == windows["serial"]
+
+
 def test_run_real_forces_backend():
     result = run_real(MD5_CIRCUIT, 2)
     assert result.backend == "real"

@@ -25,7 +25,7 @@ import pytest
 from repro import ClusterSpec
 from repro.bench import cluster_workloads as cw
 from repro.cluster import Controller, NetworkStats, resolve_control
-from repro.cluster.transport import NODE_WINDOW_KEYS, TelemetryWindow
+from repro.cluster.transport import NodeStats, TelemetryWindow
 from repro.kernel import Machine
 
 NODES = 4
@@ -155,32 +155,30 @@ def test_resolve_control_specs():
     ctrl = resolve_control("adaptive")
     assert isinstance(ctrl, Controller)
     assert ctrl.policies == Controller.POLICIES
-    custom = resolve_control({"policies": ("prefetch",), "depth_cap": 8})
+    custom = resolve_control({"policies": ("prefetch",), "depth0": 8})
     assert custom.policies == ("prefetch",)
-    assert custom.depth_cap == 8
+    assert custom.depth0 == 8
     assert resolve_control(custom) is custom
     with pytest.raises(ValueError):
         resolve_control("aggressive")
     with pytest.raises(ValueError):
         resolve_control({"policies": ("prefetch", "voodoo")})
-    with pytest.raises(ValueError):
-        resolve_control({"interval": 0})
+    with pytest.raises(TypeError):      # not an option (any more)
+        resolve_control({"interval": 2})
     with pytest.raises(ValueError):
         resolve_control(42)
 
 
 # -- policy unit tests (fabricated windows) --------------------------------
 
-def _window(index, node_rows, route_samples=None, pair_bytes=None,
-            drops=0):
+def _window(index, node_rows, route_samples=None, pair_bytes=None):
     nodes = {}
     for node, overrides in node_rows.items():
-        row = dict.fromkeys(NODE_WINDOW_KEYS, 0)
+        row = dict.fromkeys(NodeStats.FIELDS, 0)
         row.update(overrides)
         nodes[node] = row
     return TelemetryWindow(index, nodes, route_samples or {},
-                           pair_bytes or {}, drops=drops, retx_msgs=0,
-                           retx_wait=0, messages=0)
+                           pair_bytes or {})
 
 
 @pytest.fixture

@@ -2,7 +2,7 @@
 oracles.
 
 The loss schedule decides drop/duplicate/reorder per ``(link,
-msg_serial)`` as a pure function of the seed, so faults must replay
+message serial)`` as a pure function of the seed, so faults must replay
 bit-identically: two runs under one seed fault the same copies of the
 same messages on the same links.  And faults are *cost-only*: under any
 schedule, every workload's computed value and final memory image must

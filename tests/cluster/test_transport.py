@@ -4,8 +4,16 @@ and configuration plumbing through the cluster sweep helpers."""
 import pytest
 
 from repro import ClusterSpec
-from repro.cluster import MsgType, sweep_nodes
-from repro.cluster.transport import LinkStats, Transport
+from repro.bench import cluster_workloads as cw
+from repro.cluster import MsgType, NetworkStats, sweep_nodes
+from repro.cluster.transport import (
+    LinkStats,
+    NodeStats,
+    PairStats,
+    PrefetchExchange,
+    TelemetryWindow,
+    Transport,
+)
 from repro.kernel import Machine, child_ref
 from repro.mem import PAGE_SIZE
 
@@ -126,15 +134,22 @@ def test_message_type_accounting():
 
 
 def test_ledger_declarations_cover_every_counter():
-    """Sharded runs hand back exactly LinkStats.FIELDS and
+    """Sharded runs hand back exactly the three ledgers' FIELDS and
     Transport.SCALARS: a counter missing from its one declaration would
     be silently dropped from a worker's delta."""
     assert set(LinkStats().as_dict()) == \
         set(LinkStats.FIELDS) | {"cls", "by_type"}
+    assert set(NodeStats().as_dict()) == set(NodeStats.FIELDS)
+    assert set(PairStats().as_dict()) == set(PairStats.FIELDS) == {"bytes"}
     with Machine(nnodes=2) as m:
         counters = {name for name, value in vars(m.transport).items()
                     if not name.startswith("_") and type(value) is int}
+        assert vars(NetworkStats(m)) == {"machine": m}
     assert counters - {"window_index"} == set(Transport.SCALARS)
+    # Kept once, shown by count.
+    assert len(Transport.SCALARS) == 7 and len(NodeStats.FIELDS) == 6
+    assert len(TelemetryWindow.__slots__) == 4
+    assert len(PrefetchExchange.__slots__) == 8
 
 
 #: Every total the transport derives, and the LinkStats field it sums.
@@ -155,8 +170,7 @@ def _totals(machine):
 def test_derived_totals_are_link_sums_on_a_lossy_fabric():
     """The totals are kept once, on the links: under drop + dup +
     reorder on a routed fabric each reads exactly its link sum, none is
-    a constructor attribute a sharded delta could drop, and the
-    telemetry window counts the same drops/retransmits, once."""
+    a constructor attribute a sharded delta could drop."""
     _, m = run(4, topology="two_tier:2",
                loss={"drop": 0.1, "dup": 0.05, "reorder": 0.05, "seed": 3})
     t = m.transport
@@ -167,10 +181,6 @@ def test_derived_totals_are_link_sums_on_a_lossy_fabric():
     assert m.pages_fetched == t.pages_shipped + t.pages_pulled \
         + t.pages_prefetched
     assert "pages_fetched" not in vars(m)
-    window = t.take_window()
-    assert (window.drops, window.retx_msgs) == (t.drops, t.retx_msgs)
-    window = t.take_window()
-    assert (window.drops, window.retx_msgs) == (0, 0)
 
 
 def test_derived_totals_survive_sharded_adoption():
@@ -186,6 +196,108 @@ def test_derived_totals_survive_sharded_adoption():
     assert sharded.shard.adopted == 4 and not sharded.shard.fallbacks
     assert _totals(sharded) == _totals(serial)
     assert sharded.pages_fetched == serial.pages_fetched > 0
+
+
+# -- telemetry windows: the difference of two marks -------------------------
+
+#: The page totals the transport derives from its node rows.
+NODE_TOTALS = {
+    "pages_pulled": "pulled", "pages_prefetched": "prefetch_issued",
+    "prefetch_used": "prefetch_used", "prefetch_stale": "prefetch_stale",
+}
+
+
+def test_a_window_is_what_the_ledgers_moved_since_the_last_take():
+    """Cumulative rows, differenced: each take answers what moved since
+    the one before, the totals are sums over the rows and no take
+    disturbs them."""
+    with Machine(nnodes=4) as m:
+        t = m.transport
+        t.node(2).pulled += 3
+        t.node(0).prefetch_issued += 8
+        t.pair((0, 2)).bytes += 100
+        first = t.take_window()
+        assert list(first.nodes) == [0, 2], "rows come in key order"
+        assert first.nodes[2] == dict(dict.fromkeys(NodeStats.FIELDS, 0),
+                                      pulled=3)
+        assert first.pair_bytes == {(0, 2): 100}
+        t.node(2).pulled += 1
+        t.node(0).prefetch_used += 5
+        t.pair((2, 0)).bytes += 7
+        second = t.take_window()
+        assert second.index == first.index + 1
+        assert second.nodes[2]["pulled"] == 1
+        assert second.nodes[0]["prefetch_issued"] == 0
+        assert second.nodes[0]["prefetch_used"] == 5
+        assert second.pair_bytes == {(2, 0): 7}
+        assert (t.pages_pulled, t.pages_prefetched, t.prefetch_used) \
+            == (4, 8, 5)
+        assert not set(NODE_TOTALS) & (set(vars(t)) | set(Transport.SCALARS))
+
+
+def test_a_node_has_a_window_row_iff_a_counter_of_it_moved():
+    """``Controller._decide_prefetch`` drains a node's growth hold on
+    any row it sees, so looking a row up must not put it (all zero) in
+    the window — here, and in a later window the row sat still in."""
+    with Machine(nnodes=4) as m:
+        t = m.transport
+        t.node(0)                       # looked up, never moved
+        t.node(1).pulled += 2
+        t.pair((0, 1))
+        window = t.take_window()
+        assert set(window.nodes) == {1} and window.pair_bytes == {}
+        t.node(1)
+        assert t.take_window().nodes == {}
+
+
+@pytest.fixture
+def windows_taken(monkeypatch):
+    """Every TelemetryWindow any transport hands out (the controller's
+    input, one per quantum)."""
+    taken = []
+    take = Transport.take_window
+    monkeypatch.setattr(
+        Transport, "take_window",
+        lambda self: taken.append(take(self)) or taken[-1])
+    return taken
+
+
+def test_adaptive_run_windows_have_moved_rows_and_route_samples(
+        windows_taken):
+    """On a real adaptive, lossy run: no window carries an all-zero
+    row, the rows add up to the run's totals, and the SRTT policy still
+    gets its route samples (BENCH_adaptive.json pins that they are the
+    same ones)."""
+    _, m, _ = cw.run_cluster(
+        cw.matmult_tree_main(64), 4,
+        ClusterSpec(ship_mode="demand", topology="two_tier:2",
+                    loss={"drop": 0.02, "seed": 7}, control="adaptive"))
+    assert len(windows_taken) == m.control.windows_seen > 0
+    m.transport.take_window()       # what moved after the last quantum
+    rows = [row for window in windows_taken
+            for row in window.nodes.values()]
+    assert rows and all(any(row.values()) for row in rows)
+    for total, field in NODE_TOTALS.items():
+        assert sum(row[field] for row in rows) \
+            == getattr(m.transport, total), total
+    assert any(window.route_samples for window in windows_taken)
+    assert m.control.timeouts, "the SRTT policy saw them"
+
+
+def test_no_route_samples_without_a_controller():
+    """Route samples are an order-dependent capped list only the SRTT
+    policy reads (and no hand-back could replay): a ``control=None``
+    run takes none, lossy and prefetching or not."""
+    _, m, _ = cw.run_cluster(
+        cw.matmult_tree_main(64), 4,
+        ClusterSpec(ship_mode="demand", topology="two_tier:2",
+                    prefetch_depth=8, loss={"drop": 0.02, "seed": 7}))
+    assert m.transport.route_samples == {}
+    window = m.transport.take_window()
+    assert window.route_samples == {} and window.nodes and window.pair_bytes
+    for total, field in NODE_TOTALS.items():
+        assert getattr(m.transport, total) == sum(
+            row[field] for row in window.nodes.values()), total
 
 
 # -- sweep_nodes plumbing --------------------------------------------------

@@ -28,6 +28,7 @@ from repro.cluster.transport import Transport
 from repro.common.errors import BackendError
 from repro.kernel import child_ref, shard as shard_module
 from repro.kernel.shard import fork_refusal
+from repro.kernel.space import Space
 from repro.timing.trace import Trace
 from repro.mem.layout import SHARED_BASE
 from repro.mem.page import PAGE_SIZE
@@ -73,6 +74,11 @@ def fingerprint(machine, value, makespan):
         "messages": net.messages,
         "hops": net.hops,
         "migrations": net.migrations,
+        "nodes": {node: row.as_dict()
+                  for node, row in machine.transport.nodes.items()},
+        "pairs": {pair: row.as_dict()
+                  for pair, row in machine.transport.pairs.items()},
+        "route_samples": machine.transport.route_samples,
     }
 
 
@@ -478,6 +484,51 @@ def test_a_refused_run_is_rewound_too():
 
 # -- the declaration is complete -------------------------------------------
 
+def test_node_and_pair_rows_ride_the_hand_back_like_the_link_ones():
+    # Delta shipping leaves a shardable subtree nothing to demand-pull,
+    # so no workload above moves a node row inside a worker: move the
+    # rows by hand through the four steps of the one row kind.  What a
+    # run moved is handed back as differences, rewound (a row the run
+    # created is gone again), and adopted through the transport's
+    # accessors — which is what puts it in the parent's next window.
+    rows = [ledger for ledger in shard_module._LEDGERS
+            if isinstance(ledger, shard_module._Rows)]
+    assert [ledger.key for ledger in rows] == ["links", "nodes", "pairs"]
+    with Machine(nnodes=2) as worker, Machine(nnodes=2) as parent:
+        for machine in (worker, parent):    # the fork-time state
+            machine.transport.node(1).pulled += 5
+        parent.transport.take_window()
+        marks = [ledger.mark(worker) for ledger in rows]
+        worker.transport.node(1).pulled += 3
+        worker.transport.node(0).prefetch_stale += 1
+        worker.transport.pair((0, 1)).bytes += 64
+        worker.transport.link((0, 1)).messages += 1
+        deltas = [ledger.delta(worker, mark)
+                  for ledger, mark in zip(rows, marks)]
+        for ledger, mark, delta in zip(rows, marks, deltas):
+            ledger.rewind(worker, mark, delta)
+            ledger.adopt(parent, delta, None)
+        assert worker.transport.nodes[1].pulled == 5
+        assert set(worker.transport.nodes) == {1}
+        assert not worker.transport.pairs and not worker.transport.links
+        assert parent.transport.pages_pulled == 8
+        assert parent.transport.link((0, 1)).messages == 1
+        window = parent.transport.take_window()
+        assert (window.nodes, window.pair_bytes) == (deltas[1],
+                                                     {(0, 1): 64})
+        assert window.nodes[1]["pulled"] == 3
+        assert window.nodes[0]["prefetch_stale"] == 1
+
+
+def _assigned_by_init(cls):
+    init = ast.parse(textwrap.dedent(inspect.getsource(cls.__init__)))
+    return {
+        node.attr for node in ast.walk(init)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.ctx, ast.Store)
+        and isinstance(node.value, ast.Name) and node.value.id == "self"}
+
+
 def test_every_machine_global_is_replayed_or_says_why_not():
     # A field added to one of the three constructors is either moved
     # by a declared ledger (marked, handed back, rewound, adopted) or
@@ -485,12 +536,6 @@ def test_every_machine_global_is_replayed_or_says_why_not():
     # after the delta was designed, sat in neither for two PRs.
     owners = {"": Machine, "trace": Trace, "transport": Transport}
     for owner, cls in owners.items():
-        init = ast.parse(textwrap.dedent(inspect.getsource(cls.__init__)))
-        assigned = {
-            node.attr for node in ast.walk(init)
-            if isinstance(node, ast.Attribute)
-            and isinstance(node.ctx, ast.Store)
-            and isinstance(node.value, ast.Name) and node.value.id == "self"}
         ledgers = set()
         for ledger in shard_module._LEDGERS:
             if ledger.owner == owner:
@@ -499,4 +544,12 @@ def test_every_machine_global_is_replayed_or_says_why_not():
         excused = shard_module._NOT_REPLAYED[cls.__name__]
         assert all(reason.strip() for reason in excused.values())
         assert not ledgers & set(excused)
-        assert ledgers | set(excused) == assigned, cls.__name__
+        assert ledgers | set(excused) == _assigned_by_init(cls), cls.__name__
+    # Likewise a Space: what a hand-back may have changed is spliced
+    # onto the parent's object by name, the rest says why not.
+    spliced = set(shard_module._SPLICED)
+    kept = shard_module._NOT_REPLAYED["Space"]
+    assert len(spliced) == len(shard_module._SPLICED)
+    assert all(reason.strip() for reason in kept.values())
+    assert not spliced & set(kept)
+    assert spliced | set(kept) == _assigned_by_init(Space)
