@@ -17,6 +17,8 @@ latency percentiles lives in :mod:`repro.cluster.serving`.
 
 import hashlib
 
+import numpy as np
+
 from repro.bench.workloads.blackscholes import CYCLES_PER_OPTION, make_options
 from repro.bench.workloads.md5 import ALPHABET, CYCLES_PER_CANDIDATE, candidate
 from repro.common.detrandom import DeterministicRandom
@@ -89,19 +91,29 @@ def publish_inputs(g):
 DIURNAL = ((1, 2), (1, 1), (3, 1), (1, 1))
 
 
+#: Ticks drawn per array pass of :func:`make_arrivals` (64 KiB of draws).
+ARRIVAL_BLOCK = 8192
+
+
 def make_arrivals(nrequests, mean_gap, seed, segments=DIURNAL,
                   segment_cycles=None):
     """Deterministic Poisson arrival times with diurnal rate segments.
 
     Returns a strictly increasing tuple of ``nrequests`` virtual-cycle
-    arrival times.  The process is sampled as a Bernoulli trial per
-    ``tick`` (a geometric — i.e. discretized exponential — interarrival
-    law) using exact 64-bit integer comparisons, so the trace is
-    bit-identical on every platform and Python version; ``math.log``
-    never enters.  ``segments`` scales the instantaneous rate by the
-    rational ``num/den`` of the segment active at each tick, cycling
-    every ``segment_cycles`` (default: the trace spans roughly two full
-    diurnal cycles at the base rate).
+    arrival times (Python ``int``s).  The process is sampled as a
+    Bernoulli trial per ``tick`` (a geometric — i.e. discretized
+    exponential — interarrival law) using exact 64-bit integer
+    comparisons, so the trace is bit-identical on every platform and
+    Python version; ``math.log`` never enters.  ``segments`` scales the
+    instantaneous rate by the rational ``num/den`` of the segment active
+    at each tick, cycling every ``segment_cycles`` (default: the trace
+    spans roughly two full diurnal cycles at the base rate).
+
+    A tick accepts when ``u * mean_gap * den < (tick * num) << 64`` for
+    its uniform 64-bit draw ``u`` — i.e. when ``u`` is below one integer
+    threshold per segment — so ticks are judged :data:`ARRIVAL_BLOCK` at
+    a time.  Raises :class:`OverflowError` rather than let a block's tick
+    times wrap ``int64``.
     """
     if nrequests < 1:
         raise ValueError(f"nrequests must be >= 1, got {nrequests}")
@@ -110,18 +122,32 @@ def make_arrivals(nrequests, mean_gap, seed, segments=DIURNAL,
     if segment_cycles is None:
         segment_cycles = max(1, nrequests * mean_gap
                              // (2 * len(segments)))
+    live = np.array([num > 0 for num, _den in segments])
+    if segment_cycles < 1 or not live.any() or any(den < 1 for _num, den in segments):
+        raise ValueError("segment_cycles and every segment denominator must be >= 1, "
+                         "and some segment's rate positive")
     rng = DeterministicRandom(seed)
     tick = max(1, mean_gap // 64)
+    # u * M < N  <=>  u <= ceil(N / M) - 1, with N = (tick * num) << 64 and
+    # M = mean_gap * den.  From 2**64 - 1 up every draw accepts; a segment
+    # with num <= 0 (threshold -1) accepts none and is masked out instead.
+    limit = np.array(
+        [min(max(-(-((tick * num) << 64) // (mean_gap * den)) - 1, 0), 2**64 - 1)
+         for num, den in segments], dtype=np.uint64)
     arrivals = []
     t = 0
     while len(arrivals) < nrequests:
-        num, den = segments[(t // segment_cycles) % len(segments)]
-        # Accept with probability (tick * num) / (mean_gap * den),
-        # compared exactly against a 64-bit uniform draw.
-        if rng.next_u64() * mean_gap * den < (tick * num) << 64:
-            arrivals.append(t)
-        t += tick
-    return tuple(arrivals)
+        if max(t + tick * (ARRIVAL_BLOCK - 1), segment_cycles) >= 2**63:
+            raise OverflowError(f"tick times from {t} on (tick {tick}, segment_cycles "
+                                f"{segment_cycles}) do not fit int64")
+        ticks = t + tick * np.arange(ARRIVAL_BLOCK, dtype=np.int64)
+        segment = ticks // segment_cycles % len(segments)
+        accepted = (rng.block(ARRIVAL_BLOCK) <= limit[segment]) & live[segment]
+        # .tolist() yields Python ints: a numpy.int64 reaching Trace.sleep
+        # would overflow event_core's packed shifts silently.
+        arrivals.extend(ticks[accepted].tolist())
+        t += tick * ARRIVAL_BLOCK
+    return tuple(arrivals[:nrequests])
 
 
 # ---------------------------------------------------------------------------

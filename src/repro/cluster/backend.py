@@ -408,10 +408,12 @@ class RealRunResult:
     coordinator's counts and the real-wire ledgers."""
 
     def __init__(self, result, wall_seconds, image):
-        #: The run's MachineResult; ``machine``, ``backend``, ``value``,
-        #: ``makespan`` (simulated cycles on the spec's CPUs — backend-
-        #: invariant) and ``network`` below read through it.
+        #: The run's MachineResult; ``machine``, ``backend``, ``value``
+        #: and ``network`` below read through it.
         self.result = result
+        #: Simulated cycles on the spec's CPUs — backend-invariant;
+        #: scheduled here, once.
+        self.makespan = result.makespan()
         #: Measured host wall-clock of the run — the real backend's own
         #: timing column (never compared across backends).
         self.wall_seconds = wall_seconds
@@ -435,7 +437,6 @@ class RealRunResult:
     machine = property(lambda self: self.result.machine)
     backend = property(lambda self: self.machine.backend)
     value = property(lambda self: self.result.value)
-    makespan = property(lambda self: self.result.makespan())
     network = property(lambda self: self.result.network)
 
     def __repr__(self):

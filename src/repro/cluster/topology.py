@@ -72,6 +72,7 @@ class Topology:
     def __init__(self, nnodes):
         self.nnodes = nnodes
         self._routes = {}
+        self._latencies = {}
         self._racks = None
         self._striped = None
 
@@ -99,10 +100,14 @@ class Topology:
         raise NotImplementedError
 
     def route_latency(self, cost, src, dst):
-        """Total transit latency (cycles) of the ``src -> dst`` route."""
-        return int(cost.net_latency
-                   * sum(self.link_class(link).latency_factor
-                         for link in self.route(src, dst)))
+        """Total transit latency (cycles) of the ``src -> dst`` route
+        (memoized beside the route it sums over)."""
+        key = (cost.net_latency, src, dst)
+        if key not in self._latencies:
+            self._latencies[key] = int(
+                cost.net_latency * sum(self.link_class(link).latency_factor
+                                       for link in self.route(src, dst)))
+        return self._latencies[key]
 
     def distance(self, src, dst):
         """Hop count of the ``src -> dst`` route (0 = same node).
@@ -251,15 +256,16 @@ class FatTreeTopology(_RackedTopology):
         super().__init__(nnodes, rack_size)
         self.nspines = max(1, rack_size if nspines is None else nspines)
         self.core_class = LinkClass("core", 1.0, 1.0)
+        self._classes = {}
 
     def _core_switch(self, src, dst):
         return f"core{(src + dst) % self.nspines}"
 
     def link_class(self, link):
-        if any(isinstance(end, str) and end.startswith("core")
-               for end in link):
-            return self.core_class
-        return self.rack_class
+        if link not in self._classes:
+            core = any(isinstance(end, str) and end.startswith("core") for end in link)
+            self._classes[link] = self.core_class if core else self.rack_class
+        return self._classes[link]
 
     def uplinks(self, rack):
         sw = self._switch(rack)

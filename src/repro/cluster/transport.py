@@ -212,10 +212,10 @@ class PrefetchExchange:
     arrives together), at which point its link edges enter the trace.
     """
 
-    __slots__ = ("anchor", "usage", "latency", "frames", "origin", "retx",
-                 "window", "aged")
+    __slots__ = ("anchor", "usage", "latency", "frames", "retx", "window",
+                 "aged")
 
-    def __init__(self, anchor, usage, latency, frames, origin, retx, window):
+    def __init__(self, anchor, usage, latency, frames, retx, window):
         #: Trace segment (id) of the issue point (the segment closed
         #: just before the prediction fired); the transfer's
         #: serialization starts when it finishes.
@@ -229,8 +229,6 @@ class PrefetchExchange:
         #: on by redeem time means the producer superseded the payload
         #: in flight — those bytes are stale, not used.
         self.frames = frames
-        #: Node the pages were pulled from.
-        self.origin = origin
         #: Retransmission charges (:class:`~repro.cluster.faults.
         #: RetxBill`) the exchange accumulated at issue time, emitted
         #: as ``kind="retx"`` edges when the exchange is redeemed or
@@ -802,7 +800,7 @@ class Transport:
                    + codec)
         exchange = PrefetchExchange(
             anchor, usage, latency,
-            [(frame, frame.generation) for frame in frames], origin,
+            [(frame, frame.generation) for frame in frames],
             retx=bill, window=self.window_index)
         queue = self.inflight.setdefault(node, {})
         for frame in frames:

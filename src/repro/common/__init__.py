@@ -13,7 +13,6 @@ from repro.common.errors import (
     KernelError,
     BadChildError,
     GuestKilled,
-    GuestTrap,
     RuntimeApiError,
     FileSystemError,
     FileConflictError,
@@ -30,7 +29,6 @@ __all__ = [
     "KernelError",
     "BadChildError",
     "GuestKilled",
-    "GuestTrap",
     "RuntimeApiError",
     "FileSystemError",
     "FileConflictError",

@@ -112,14 +112,6 @@ class GuestKilled(BaseException):
     """
 
 
-class GuestTrap(ReproError):
-    """Raised inside guest code for conditions that become trap codes."""
-
-    def __init__(self, trapcode, message=""):
-        self.trapcode = trapcode
-        super().__init__(message or f"guest trap {trapcode}")
-
-
 # --------------------------------------------------------------------------
 # User-level runtime
 # --------------------------------------------------------------------------

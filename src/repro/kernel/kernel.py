@@ -291,7 +291,7 @@ class Kernel:
         for origin in sorted(by_origin):
             transport.prefetch(space, origin, node, by_origin[origin])
 
-    def touch(self, space, addr, size, write=False):
+    def touch(self, space, addr, size, write=False, vpns=None):
         """Cluster demand paging: account for page fetches when a space
         accesses memory away from where its frames were last materialized.
 
@@ -310,7 +310,8 @@ class Kernel:
         the transfer the compute since its issue did not hide.  Each
         demand batch also re-primes the queue with the predicted next
         frames (sequential past the faulted range, plus the producing
-        nodes' recent-write hints).
+        nodes' recent-write hints).  ``vpns`` is the range's mapped vpns
+        when the caller has already enumerated them.
         """
         machine = self.machine
         if machine.nnodes <= 1 or size == 0:
@@ -326,7 +327,7 @@ class Kernel:
         fetch_by_origin = {}
         redeems = []
         # Unmapped vpns have nothing to fetch or cache.
-        for vpn in aspace.mapped_vpns_in(vpn0, vpn1 + 1):
+        for vpn in aspace.mapped_vpns_in(vpn0, vpn1 + 1) if vpns is None else vpns:
             frame = aspace.frame(vpn)
             # The cache maps serial -> newest generation seen at this
             # node; older generations can never be served again, so
@@ -381,18 +382,17 @@ class Kernel:
     def _apply_copy(self, caller, dst_space, src_space, ranges):
         cost = self.machine.cost
         for src, dst, size in ranges:
+            # One enumeration of the source serves the fetch, the copy
+            # and the charge (an unaligned range never gets past Copy).
+            source = src_space.addrspace
+            vpns = source.mapped_vpns_in(
+                src >> PAGE_SHIFT, -(-(src + size) >> PAGE_SHIFT))
             # Cross-node: the caller just migrated to the child's node, so
             # source pages it hasn't cached there must come over the wire.
-            self.touch(src_space, src, size)
-            dst_space.addrspace.copy_range_from(
-                src_space.addrspace, src, dst, size
-            )
-            npages = len(
-                src_space.addrspace.mapped_vpns_in(
-                    src >> PAGE_SHIFT, (src + size) >> PAGE_SHIFT
-                )
-            )
-            self.kcharge(caller, cost.syscall // 10 + npages * cost.page_map)
+            self.touch(src_space, src, size, vpns=vpns)
+            dst_space.addrspace.copy_range_from(source, src, dst, size,
+                                                src_vpns=vpns)
+            self.kcharge(caller, cost.syscall // 10 + len(vpns) * cost.page_map)
 
     # -- Put ---------------------------------------------------------------
 

@@ -333,11 +333,6 @@ class Machine:
         self._uid_counter += 1
         return Space(self, parent, f"s{self._uid_counter}", home_node)
 
-    def register_program(self, name, entry):
-        """Register a named guest program (for exec and string entries)."""
-        self.programs[name] = entry
-        return entry
-
     def resolve_entry(self, space):
         """Resolve a space's entry register to a callable."""
         entry = space.regs["entry"]

@@ -284,13 +284,15 @@ class AddressSpace:
 
     # -- range operations (kernel Copy / Zero / Perm, page-aligned) -------
 
-    def copy_range_from(self, src, src_addr, dst_addr, size, perm=None):
+    def copy_range_from(self, src, src_addr, dst_addr, size, perm=None, src_vpns=None):
         """Logically copy ``[src_addr, src_addr+size)`` of ``src`` into
         ``[dst_addr, ...)`` of self, sharing frames copy-on-write.
 
         Implements the kernel Copy option (paper §3.2): "the kernel uses
         copy-on-write to optimize large copies".  Returns the number of
-        pages whose mappings changed (for cost accounting).
+        pages whose mappings changed (for cost accounting).  ``src_vpns``
+        is ``src``'s mapped vpns in the range when the caller has already
+        enumerated them.
         """
         _check_range(src_addr, size)
         _check_range(dst_addr, size)
@@ -305,7 +307,8 @@ class AddressSpace:
         # Only pages mapped on either side can need work (sparse ranges):
         # the source's pages, plus destination pages with no source page
         # (those get unmapped), in ascending order.
-        candidates = src.mapped_vpns_in(src_vpn0, src_vpn0 + npages)
+        candidates = (src.mapped_vpns_in(src_vpn0, src_vpn0 + npages)
+                      if src_vpns is None else src_vpns)
         stale = [
             dvpn - shift
             for dvpn in self.mapped_vpns_in(dst_vpn0, dst_vpn0 + npages)

@@ -135,8 +135,6 @@ class DetScheduler:
         self.base = base
         self.share = share
         self._threads = []
-        #: mutex id -> owner tid (mirrors the table in shared memory).
-        self._mutex_owner = {}
         #: mutex id -> FIFO of blocked tids.
         self._mutex_queue = {}
         #: cond id -> FIFO of (tid, mutex id) sleepers.
@@ -256,7 +254,6 @@ class DetScheduler:
             if locked:
                 continue  # owner still holds it; steal at a later boundary
             new_owner = queue.pop(0)
-            self._mutex_owner[mid] = new_owner
             g.store(addr, new_owner + 1, size=4)
             thread = self._threads[new_owner]
             thread.status = _ThreadState.RUNNABLE

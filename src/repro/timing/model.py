@@ -155,7 +155,3 @@ class CostModel:
         """
         extra = self.tcp_extra if tcp else 0
         return int(self.net_msg + extra + nbytes * self.net_byte * byte_factor)
-
-
-#: Default model used by tests and examples.
-DEFAULT = CostModel()

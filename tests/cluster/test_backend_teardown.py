@@ -74,7 +74,7 @@ def run(knobs, configure=None, nnodes=4):
 def test_worker_death_is_typed_bounded_and_leakless(knobs, fault):
     # A hang is only ever noticed by the deadline, so it runs on a short
     # one; death closes the link and surfaces at once under any.
-    deadline = 2.0 if fault.startswith("hang") else 10.0
+    deadline = 0.3 if fault.startswith("hang") else 10.0
 
     def configure(machine):
         shard = machine.shard
@@ -111,7 +111,7 @@ def test_worker_lost_mid_queue_costs_the_rest_of_its_queue(knobs, fault):
     # Six sibling subtrees (s2..s7) on two workers: queues (s2, s4, s6)
     # and (s3, s5, s7).  The first worker is lost on its *second*
     # sibling, after handing s2 back.
-    deadline = 3.0 if fault.startswith("hang") else 10.0
+    deadline = 0.3 if fault.startswith("hang") else 10.0
     shards = []
 
     def configure(machine):

@@ -76,3 +76,11 @@ def test_one_node_cluster_runs_schedule_on_the_specs_cpus():
     assert result.ncpus == 1 != machine.cost.ncpus
     assert result.makespan() == one_cpu
     assert result.makespan(ncpus=2) == two_cpus
+
+
+def test_a_backend_result_schedules_its_makespan_once(monkeypatch):
+    from repro.kernel import machine as machine_module
+    backend = run_backend(MD5_TREE, 2)
+    monkeypatch.setattr(machine_module, "schedule", None)   # any call raises
+    assert backend.makespan == backend.makespan > 0
+    assert f"makespan={backend.makespan} " in repr(backend)

@@ -149,7 +149,7 @@ def test_ledger_declarations_cover_every_counter():
     # Kept once, shown by count.
     assert len(Transport.SCALARS) == 7 and len(NodeStats.FIELDS) == 6
     assert len(TelemetryWindow.__slots__) == 4
-    assert len(PrefetchExchange.__slots__) == 8
+    assert len(PrefetchExchange.__slots__) == 7
 
 
 #: Every total the transport derives, and the LinkStats field it sums.

@@ -1,5 +1,6 @@
 """Deterministic RNG tests."""
 
+import numpy as np
 import pytest
 
 from repro.common.detrandom import DeterministicRandom
@@ -24,12 +25,6 @@ def test_uniform_in_range():
         assert 2.0 <= value < 3.0
 
 
-def test_randint_inclusive_bounds():
-    rng = DeterministicRandom(7)
-    values = {rng.randint(1, 3) for _ in range(200)}
-    assert values == {1, 2, 3}
-
-
 def test_jitter_bounded():
     rng = DeterministicRandom(9)
     for _ in range(100):
@@ -37,26 +32,22 @@ def test_jitter_bounded():
         assert 1000.0 <= dilated < 1050.0
 
 
-def test_choice_and_empty_choice():
-    rng = DeterministicRandom(11)
-    assert rng.choice([42]) == 42
-    with pytest.raises(IndexError):
-        rng.choice([])
+@pytest.mark.parametrize("seed", [0, 42, 2**64 - 1, 2**64 + 7, -3])
+def test_block_is_n_scalar_draws(seed):
+    bulk, scalar = DeterministicRandom(seed), DeterministicRandom(seed)
+    # Interleaved with scalar draws, across sizes that wrap the state.
+    for n in (1, 5, 0, 8192, 3):
+        block = bulk.block(n)
+        assert block.dtype == np.uint64
+        assert block.tolist() == [scalar.next_u64() for _ in range(n)]
+        assert bulk.next_u64() == scalar.next_u64()
+    assert bulk._state == scalar._state
 
 
-def test_shuffle_is_permutation_and_seed_stable():
-    a = list(range(20))
-    b = list(range(20))
-    DeterministicRandom(5).shuffle(a)
-    DeterministicRandom(5).shuffle(b)
-    assert a == b
-    assert sorted(a) == list(range(20))
-
-
-def test_fork_gives_independent_stream():
-    parent = DeterministicRandom(3)
-    child = parent.fork()
-    assert child.next_u64() != parent.next_u64()
+def test_empty_block_draws_nothing():
+    rng = DeterministicRandom(42)
+    assert rng.block(0).shape == (0,)
+    assert rng.next_u64() == 13679457532755275413
 
 
 def test_known_value_stability():

@@ -177,16 +177,21 @@ class World:
     shift=st.integers(-6, 6),
     perm=st.one_of(st.none(), perm_values),
     same_space=st.booleans(),
+    enumerated=st.booleans(),
 )
 @settings(max_examples=250, deadline=None)
 def test_bulk_copy_matches_the_per_page_reference(draw, start, npages, shift,
-                                                  perm, same_space):
+                                                  perm, same_space, enumerated):
     src_addr = (VPN0 + start) << PAGE_SHIFT
     dst_addr = (VPN0 + start + shift) << PAGE_SHIFT
     size = npages << PAGE_SHIFT
     new = World(draw, shift, same_space)
     old = World(draw, shift, same_space)
-    got = new.dst.copy_range_from(new.src, src_addr, dst_addr, size, perm=perm)
+    # The kernel's Copy hands over the source enumeration it already made.
+    src_vpns = new.src.mapped_vpns_in(
+        VPN0 + start, VPN0 + start + npages) if enumerated else None
+    got = new.dst.copy_range_from(new.src, src_addr, dst_addr, size, perm=perm,
+                                  src_vpns=src_vpns)
     want = reference_copy(old.dst, old.src, src_addr, dst_addr, size, perm=perm)
     assert new.observe(got) == old.observe(want)
 
