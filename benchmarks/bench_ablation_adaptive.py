@@ -26,9 +26,8 @@ makespan margin over the best static cell
 drifting toward zero is a regression).
 
 Results are dumped to ``benchmarks/out/BENCH_adaptive.json``; CI
-uploads the file as an artifact and ``check_regression.py`` gates the
-margins against the committed ``benchmarks/BENCH_adaptive.json``
-baseline.
+uploads the file as an artifact and ``cmp``s it against the committed
+``benchmarks/BENCH_adaptive.json`` baseline.
 """
 
 from conftest import dump_json
@@ -87,7 +86,7 @@ def _sweep(workload, loss):
     }, values, machine
 
 
-def test_ablation_adaptive(once):
+def test_ablation_adaptive():
     def run_all():
         results = {}
         for name, (workload, loss, strict) in SWEEPS.items():
@@ -124,7 +123,7 @@ def test_ablation_adaptive(once):
         lossy["no_retx_makespan"] = no_retx_mk
         return results
 
-    results = once(run_all)
+    results = run_all()
     print()
     print(f"Adaptive control-plane ablation ({NODES} nodes, {TOPOLOGY}, "
           f"static depths {list(DEPTHS)}):")

@@ -51,7 +51,7 @@ def _run_case(build, spec):
     }
 
 
-def test_ablation_delta_ship(once):
+def test_ablation_delta_ship():
     def run_all():
         return {
             name: {mode: _run_case(build, spec)
@@ -59,7 +59,7 @@ def test_ablation_delta_ship(once):
             for name, build in CASES
         }
 
-    results = once(run_all)
+    results = run_all()
     print()
     print(f"Delta-migration ablation ({NODES} nodes):")
     for name, by_mode in results.items():
@@ -95,7 +95,7 @@ def test_ablation_delta_ship(once):
     })
 
 
-def test_sweep_invariant_under_all_modes(once):
+def test_sweep_invariant_under_all_modes():
     """sweep_nodes' same-value-at-every-size check holds per mode."""
     from repro.cluster import sweep_nodes
 
@@ -111,7 +111,7 @@ def test_sweep_invariant_under_all_modes(once):
             out[mode] = {n: result.value for n, (_, result) in series.items()}
         return out
 
-    values = once(sweep_all)
+    values = sweep_all()
     reference = None
     for mode, by_nodes in values.items():
         assert len(set(by_nodes.values())) == 1, mode

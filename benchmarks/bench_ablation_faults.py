@@ -21,9 +21,8 @@ identical in every cell, per-link conservation must hold as
 run with no schedule at all.
 
 Results are dumped to ``benchmarks/out/BENCH_faults.json``; CI uploads
-the file as an artifact and ``check_regression.py`` gates retransmit
-bytes, wire bytes, demand-stall cycles, and the loss-mode makespans
-against the committed ``benchmarks/BENCH_faults.json`` baseline.
+the file as an artifact and ``cmp``s it against the committed
+``benchmarks/BENCH_faults.json`` baseline.
 """
 
 from conftest import dump_json
@@ -71,13 +70,13 @@ def _run_cell(spec, rate):
     }
 
 
-def test_ablation_faults(once):
+def test_ablation_faults():
     def run_all():
         return {f"{config_name}/{rate_name}": _run_cell(spec, rate)
                 for config_name, spec in CONFIGS
                 for rate_name, rate in RATES}
 
-    results = once(run_all)
+    results = run_all()
     print()
     print(f"Fault-injection ablation (matmult-tree, n={N}, {NODES} nodes, "
           f"{TOPOLOGY}, seed={SEED}):")

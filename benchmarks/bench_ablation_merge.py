@@ -38,7 +38,7 @@ def _workload(nthreads, writes_per_thread, overlap):
     return main
 
 
-def test_ablation_merge_modes(once):
+def test_ablation_merge_modes():
     def run_all():
         results = {}
         for mode in ("strict", "lenient", "override"):
@@ -50,7 +50,7 @@ def test_ablation_merge_modes(once):
                 }
         return results
 
-    results = once(run_all)
+    results = run_all()
     print()
     print("Merge-mode ablation (8 threads, same-value overlapping write):")
     for mode, stats in results.items():

@@ -39,13 +39,13 @@ def _run_tree(nodes, disable_cache):
         return result.makespan(cpus_per_node=cpus), machine.pages_fetched
 
 
-def test_ablation_readonly_page_cache(once):
+def test_ablation_readonly_page_cache():
     def compare():
         warm_time, warm_fetches = _run_tree(8, disable_cache=False)
         cold_time, cold_fetches = _run_tree(8, disable_cache=True)
         return warm_time, warm_fetches, cold_time, cold_fetches
 
-    warm_time, warm_fetches, cold_time, cold_fetches = once(compare)
+    warm_time, warm_fetches, cold_time, cold_fetches = compare()
     print()
     print("Read-only page cache ablation (matmult-tree, 8 nodes):")
     print(f"  cache on : time={warm_time:>14,} fetches={warm_fetches:,}")

@@ -22,8 +22,7 @@ sent, compressed <= raw) hold everywhere.  The eager delta-shipping
 default rides along as context.
 
 Results are dumped to ``benchmarks/out/BENCH_prefetch.json``; CI
-uploads the file as an artifact and ``check_regression.py`` gates
-demand-stall cycles, wire bytes, and makespan against the committed
+uploads the file as an artifact and ``cmp``s it against the committed
 ``benchmarks/BENCH_prefetch.json`` baseline.
 """
 
@@ -76,11 +75,11 @@ def _run_cell(spec):
     }
 
 
-def test_ablation_prefetch(once):
+def test_ablation_prefetch():
     def run_all():
         return {name: _run_cell(spec) for name, spec in CELLS}
 
-    results = once(run_all)
+    results = run_all()
     print()
     print(f"Prefetch/compression ablation (matmult-tree, n={N}, "
           f"{NODES} nodes, {TOPOLOGY}, depth={DEPTH}):")

@@ -13,7 +13,7 @@ from repro.bench.harness import run_determinator
 from repro.bench.workloads import blackscholes_workload as bs
 
 
-def test_ablation_quantum_sweep(once):
+def test_ablation_quantum_sweep():
     nworkers = 8
     quanta = (500_000, 2_000_000, 10_000_000, 50_000_000)
 
@@ -27,7 +27,7 @@ def test_ablation_quantum_sweep(once):
             times[quantum] = det.makespan(nworkers)
         return times
 
-    times = once(sweep)
+    times = sweep()
     print()
     print("Quantum-size ablation (blackscholes under the det. scheduler):")
     for quantum, makespan in times.items():

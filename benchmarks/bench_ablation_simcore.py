@@ -32,7 +32,7 @@ NODES = 8
 TOPOLOGY = "fat_tree:2"
 
 
-def test_ablation_simcore(once):
+def test_ablation_simcore():
     def run_all():
         spec = ClusterSpec(topology=TOPOLOGY)
         replay_mk, machine, _ = cw.run_cluster(
@@ -57,7 +57,7 @@ def test_ablation_simcore(once):
             },
         }
 
-    results = once(run_all)
+    results = run_all()
     replay, shard = results["replay"], results["shard"]
     print()
     print(f"Simcore ablation ({NODES}-node {TOPOLOGY}):")

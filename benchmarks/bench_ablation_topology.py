@@ -25,8 +25,7 @@ and oversubscription (two-tier vs fat-tree: same bytes, slower core
 links) stretches the makespan.
 
 Results are dumped to ``benchmarks/out/BENCH_topology.json``; CI uploads
-the file as an artifact and ``check_regression.py`` gates matmult-tree
-wire bytes and makespan cycles against the committed
+the file as an artifact and ``cmp``s it against the committed
 ``benchmarks/BENCH_topology.json`` baseline.
 """
 
@@ -61,7 +60,7 @@ def _run_cell(spec, policy, nodes):
     }
 
 
-def test_ablation_topology(once):
+def test_ablation_topology():
     def run_all():
         return {
             f"{label}/{policy}/{nodes}": _run_cell(spec, policy, nodes)
@@ -70,7 +69,7 @@ def test_ablation_topology(once):
             for nodes in NODE_COUNTS
         }
 
-    results = once(run_all)
+    results = run_all()
     print()
     print(f"Topology/placement ablation (matmult-tree, n={N}):")
     for nodes in NODE_COUNTS:

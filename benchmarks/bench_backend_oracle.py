@@ -74,12 +74,12 @@ def _row(name, builder, nnodes, knobs):
 
 
 @pytest.mark.slow_cluster
-def test_backend_oracle_matrix(once):
+def test_backend_oracle_matrix():
     def run_all():
         return {name: _row(name, builder, nnodes, knobs)
                 for name, builder, nnodes, knobs in CASES}
 
-    results = once(run_all)
+    results = run_all()
     assert len(results) == len(CASES)
     dump_json("SWEEP_backend_oracle.json", results)
     for name, row in results.items():

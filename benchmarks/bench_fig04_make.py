@@ -8,8 +8,8 @@ Regenerates the four scenarios' makespans: (a) Unix 'make -j',
 from repro.bench import figures
 
 
-def test_fig04_make_schedules(once):
-    result = once(figures.figure4)
+def test_fig04_make_schedules():
+    result = figures.figure4()
     print()
     print("Figure 4: parallel make on 2 CPUs (virtual cycles)")
     for scenario, makespan in result.items():

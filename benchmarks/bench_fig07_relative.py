@@ -9,8 +9,8 @@ heavily.
 from repro.bench import figures
 
 
-def test_fig07_relative_performance(once):
-    series = once(figures.figure7)
+def test_fig07_relative_performance():
+    series = figures.figure7()
     print()
     print(figures.format_series(
         "Figure 7: Determinator relative to Linux (>1 = faster)", series))

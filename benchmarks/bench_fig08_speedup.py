@@ -7,8 +7,8 @@ after four processors; qsort and lu scale poorly.
 from repro.bench import figures
 
 
-def test_fig08_self_speedup(once):
-    series = once(figures.figure8)
+def test_fig08_self_speedup():
+    series = figures.figure8()
     print()
     print(figures.format_series(
         "Figure 8: speedup vs own single-CPU performance", series))

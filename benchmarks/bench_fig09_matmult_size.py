@@ -7,8 +7,8 @@ sizes (frequent interaction) and becomes competitive at large sizes.
 from repro.bench import figures
 
 
-def test_fig09_matmult_size_sweep(once):
-    series = once(figures.figure9)
+def test_fig09_matmult_size_sweep():
+    series = figures.figure9()
     print()
     print(figures.format_series("Figure 9: matmult size sweep (ratio)",
                                 {"matmult": series}))

@@ -7,8 +7,8 @@ toward parity as the problem grows.
 from repro.bench import figures
 
 
-def test_fig10_qsort_size_sweep(once):
-    series = once(figures.figure10)
+def test_fig10_qsort_size_sweep():
+    series = figures.figure10()
     print()
     print(figures.format_series("Figure 10: qsort size sweep (ratio)",
                                 {"qsort": series}))

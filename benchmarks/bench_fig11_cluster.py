@@ -16,8 +16,8 @@ from repro.bench import figures
 
 
 @pytest.mark.slow_cluster
-def test_fig11_cluster_speedup(once):
-    series = once(figures.figure11)
+def test_fig11_cluster_speedup():
+    series = figures.figure11()
     print()
     print(figures.format_series(
         "Figure 11: speedup vs single-node local execution", series))
@@ -40,12 +40,12 @@ def test_fig11_cluster_speedup(once):
 
 
 @pytest.mark.slow_cluster
-def test_fig11_prefetch_series(once):
+def test_fig11_prefetch_series():
     """The data-bound series under summary-only demand paging: the
     async fetch queues lift the stop-and-wait envelope, compression
     lifts it further, and the eager delta default bounds it above —
     with the same computed value in every cell."""
-    series = once(figures.figure11_prefetch)
+    series = figures.figure11_prefetch()
     print()
     print(figures.format_series(
         "Figure 11 (demand paging): matmult-tree speedup", series))
@@ -56,11 +56,11 @@ def test_fig11_prefetch_series(once):
 
 
 @pytest.mark.slow_cluster
-def test_fig11_topology_series(once):
+def test_fig11_topology_series():
     """The data-bound series re-run per routed fabric: the flat mesh is
     the upper envelope, oversubscribed two-tier bends the knee
     earliest, full-bisection fat-tree sits between."""
-    series = once(figures.figure11_topology)
+    series = figures.figure11_topology()
     print()
     print(figures.format_series(
         "Figure 11 (per topology): matmult-tree speedup", series))

@@ -20,8 +20,8 @@ from repro.bench import figures
 
 
 @pytest.mark.slow_cluster
-def test_fig12_distributed_baseline(once):
-    series = once(figures.figure12)
+def test_fig12_distributed_baseline():
+    series = figures.figure12()
     print()
     print(figures.format_series(
         "Figure 12: dist-Linux time / Determinator time", series,

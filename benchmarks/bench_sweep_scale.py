@@ -46,7 +46,7 @@ def _replay_seconds(trace, cpus, reps=5):
 
 
 @pytest.mark.slow_cluster
-def test_scale_sweep_event_core(once):
+def test_scale_sweep_event_core():
     def run_all():
         results = {}
         for nodes in NODE_COUNTS:
@@ -76,7 +76,7 @@ def test_scale_sweep_event_core(once):
         }
         return results
 
-    results = once(run_all)
+    results = run_all()
     print()
     print(f"Scale sweep (md5-circuit, {TOPOLOGY}):")
     for nodes in NODE_COUNTS:

@@ -8,8 +8,8 @@ reproduction.
 from repro.bench.codesize import table3
 
 
-def test_table3_code_size(once):
-    text, sizes = once(table3)
+def test_table3_code_size():
+    text, sizes = table3()
     print()
     print("Table 3 (reproduction analogue):")
     print(text)

@@ -33,11 +33,12 @@ def _shard_footer(machine):
     if shard is None:
         return []
     label = "real processes" if machine.backend == "real" else "shard workers"
-    lines = [f"  {label:<22}{shard.processes}   subtrees "
-             f"forked={shard.forked} adopted={shard.adopted} "
-             f"fallbacks={shard.fallbacks}"]
-    if shard.refused:
-        lines.append(f"  {'refused:':<22}{shard.refused}")
+    stats = shard.stats()
+    lines = [f"  {label:<22}{stats['processes']}   subtrees "
+             f"forked={stats['forked']} adopted={stats['adopted']} "
+             f"fallbacks={stats['fallbacks']}"]
+    if stats["refused"]:
+        lines.append(f"  {'refused:':<22}{stats['refused']}")
     return lines
 
 

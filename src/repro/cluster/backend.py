@@ -27,7 +27,9 @@ that backend:
 * Adoption is the *same* code as the simulated shard path, so computed
   values, memory images, frame serials, trace segments, and every
   simulated transport/conservation ledger come out bit-identical to
-  the serial simulated run — that is the differential oracle
+  the serial simulated run — one image equality
+  (``repro.debug.freeze_machine``; ``first_difference`` names what
+  moved), which is the differential oracle
   (``tests/cluster/test_backend_oracle.py``).  What the real backend
   adds is *measured wall-clock* (real parallelism across host
   processes) next to the simulated cycle makespan, plus a real-wire
@@ -417,16 +419,14 @@ class RealRunResult:
         #: Measured host wall-clock of the run — the real backend's own
         #: timing column (never compared across backends).
         self.wall_seconds = wall_seconds
-        #: Frozen machine image (spaces, regs, page bytes, per-link
-        #: simulated ledgers); equal across backends by construction.
+        #: Frozen machine image (the space tree down to page bytes and
+        #: refcounts, and the hand-back of the whole run: trace, link /
+        #: node / pair rows, counters, console, merge log); equal across
+        #: backends by construction.
         self.image = image
         shard = self.machine.shard
         #: Either coordinator's counts and reasons (None without one).
-        self.shard_stats = None if shard is None else {
-            "forked": shard.forked, "processes": shard.processes,
-            "adopted": shard.adopted,
-            "fallbacks": shard.fallbacks, "refused": shard.refused,
-            "fallback_reasons": dict(shard.fallback_reasons)}
+        self.shard_stats = None if shard is None else shard.stats()
         #: Real-backend extras: the real-wire per-link ledgers and
         #: their conservation verdict.
         real = self.backend == "real"
@@ -448,7 +448,7 @@ class RealRunResult:
 def run_backend(entry_builder, nnodes, spec=None, configure=None):
     """Run ``entry_builder(g, nnodes)`` on ``spec.backend`` and return a
     :class:`RealRunResult` (both backends return the same shape, so the
-    differential oracle is a field-by-field comparison).
+    differential oracle is one image comparison).
 
     ``configure(machine)``, when given, runs after construction and
     before the workload — the test hook for deadlines and fault
@@ -482,14 +482,16 @@ def run_real(entry_builder, nnodes, spec=None, configure=None):
 # -- image digest -----------------------------------------------------------
 
 def _canon(value):
-    """Deterministic canonical string of an image field.  Callables
-    (guest entry functions living in regs) canonicalize by qualified
-    name — identical across backends, stable across runs (no memory
-    addresses)."""
-    if value is None or isinstance(value, (bool, int, float, str, bytes)):
+    """Deterministic canonical string of any value an image holds.
+    Byte strings (a page is 4 KiB of them) canonicalize by their own
+    sha256; slotted objects (the images, ``MergeStats``) by their slots
+    in declaration order; callables (guest entry functions living in
+    regs) by qualified name — identical across backends, stable across
+    runs (no memory addresses)."""
+    if value is None or isinstance(value, (bool, int, float, str)):
         return repr(value)
-    if isinstance(value, bytearray):
-        return repr(bytes(value))
+    if isinstance(value, (bytes, bytearray)):
+        return f"b{len(value)}:{hashlib.sha256(value).hexdigest()}"
     if isinstance(value, Enum):
         return f"{type(value).__name__}.{value.name}"
     if isinstance(value, (list, tuple)):
@@ -500,35 +502,19 @@ def _canon(value):
         items = sorted(value.items(), key=lambda kv: repr(kv[0]))
         return "{" + ",".join(f"{_canon(k)}:{_canon(v)}"
                               for k, v in items) + "}"
+    slots = getattr(type(value), "__slots__", None)
+    if slots:
+        return (f"{type(value).__name__}("
+                + ",".join(_canon(getattr(value, slot)) for slot in slots)
+                + ")")
     if callable(value):
         return f"<{getattr(value, '__qualname__', type(value).__name__)}>"
     return f"<{type(value).__qualname__}>"
 
 
 def image_digest(image):
-    """A stable sha256 over a frozen :class:`MachineImage`: equal images
-    hash equal on any backend and any run, so cross-backend identity
-    reports as one comparable hex line."""
-    digest = hashlib.sha256()
-
-    def feed(*parts):
-        for part in parts:
-            digest.update(_canon(part).encode())
-            digest.update(b"\x00")
-
-    for space in image.spaces():
-        feed(space.uid, space.path, space.state, space.trap,
-             space.trap_info, space.home_node, space.cur_node,
-             space.insn_limit, space.dirty_page_count,
-             space.snapshot_vpns)
-        for name in sorted(space.regs):
-            feed(name, space.regs[name])
-        for vpn in sorted(space.pages):
-            page = space.pages[vpn]
-            feed(vpn, page.tag, page.perm)
-            digest.update(bytes(page.data))
-    feed(image.console, image.debug, image.node_map, image.pages_fetched,
-         image.inflight)
-    for link, stats in image.links.items():
-        feed(link, stats)
-    return digest.hexdigest()
+    """A stable sha256 over a frozen :class:`MachineImage` — whatever
+    its declarations make it hold: equal images hash equal on any
+    backend and any run, so cross-backend identity reports as one
+    comparable hex line."""
+    return hashlib.sha256(_canon(image).encode()).hexdigest()

@@ -39,7 +39,7 @@ class ServingResult:
     """Outcome of one :func:`serve_trace` run."""
 
     def __init__(self, nnodes, spec, arrivals, latencies, values, span,
-                 checksum, machine):
+                 result):
         #: Cluster size the trace was served on.
         self.nnodes = nnodes
         #: The :class:`~repro.cluster.spec.ClusterSpec` the run was
@@ -55,9 +55,13 @@ class ServingResult:
         self.values = tuple(values)
         #: First arrival to last completion, in cycles.
         self.span = span
-        #: Order-sensitive fold of the values (the guest's return value).
-        self.checksum = checksum
-        self.machine = machine
+        #: The run's :class:`~repro.kernel.machine.MachineResult`;
+        #: ``machine`` and ``checksum`` read through it.
+        self.result = result
+
+    machine = property(lambda self: self.result.machine)
+    #: Order-sensitive fold of the values (the guest's return value).
+    checksum = property(lambda self: self.result.value)
 
     def percentile(self, q):
         """Nearest-rank percentile of the latency table (integer)."""
@@ -258,5 +262,4 @@ def serve_trace(nnodes, spec=None, requests=160, mean_gap=240_000, seed=11,
                    for rid in range(requests)) - arrivals[0]
         return ServingResult(
             nnodes, machine.spec, arrivals, latencies,
-            [values[rid] for rid in range(requests)], span,
-            result.r0, machine)
+            [values[rid] for rid in range(requests)], span, result)

@@ -26,8 +26,8 @@ See ``docs/debugging.md`` for the guided tour.
 from repro.debug.inspector import (BacktraceFrame, GotoResult, Inspector,
                                    TrapEvent)
 from repro.debug.model import (MachineImage, PageDelta, SpaceDiff,
-                               SpaceImage, compare_traces, diff_pages,
-                               freeze_machine)
+                               SpaceImage, diff_pages,
+                               first_difference, freeze_machine)
 from repro.debug.scenarios import SCENARIOS, get_scenario
 
 __all__ = [
@@ -40,8 +40,8 @@ __all__ = [
     "SpaceDiff",
     "SpaceImage",
     "TrapEvent",
-    "compare_traces",
     "diff_pages",
+    "first_difference",
     "freeze_machine",
     "get_scenario",
 ]

@@ -28,8 +28,9 @@ double as an oracle check of the sharded execution path.
 """
 
 from repro.common.errors import DebugApiError, ReplayDivergence
-from repro.debug.model import (SpaceImage, SpaceDiff, compare_traces,
+from repro.debug.model import (SpaceImage, SpaceDiff, first_difference,
                                freeze_machine)
+from repro.kernel.ledgers import whole_run
 from repro.kernel.machine import MachineResult
 from repro.runtime import checkpoint as ckpt_mod
 from repro.timing.schedule import schedule
@@ -327,10 +328,13 @@ class Inspector:
 
         replay_machine, replay_result = self.recipe(prepare)
         try:
-            divergence = compare_traces(self.trace, replay_machine.trace)
+            divergence = first_difference(
+                whole_run(self.machine)["trace"],
+                whole_run(replay_machine)["trace"], "trace")
             if divergence is not None:
                 raise ReplayDivergence(
-                    f"replay diverged from the original run: {divergence}")
+                    "replay diverged from the original run at "
+                    "{}: {!r} != {!r}".format(*divergence))
             if "image" not in capture:
                 raise ReplayDivergence(
                     f"replay closed every segment yet never crossed the "

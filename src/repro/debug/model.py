@@ -2,85 +2,170 @@
 
 Everything the inspector shows is read from an **image**: a deep,
 non-invasive copy of the space tree (registers, traps, per-space page
-tables with ``(serial, generation)`` content tags, dirty-ledger
-counters) plus the machine-level surfaces (console, per-link transport
-ledgers).  Images copy raw page *bytes* instead of taking COW
-references on purpose: an ``incref`` would pin frames and force extra
+tables with ``(serial, generation)`` content tags, refcounts and bytes,
+dirty-ledger counters) plus everything the run has moved on the machine
+itself.  Images copy raw page *bytes* instead of taking COW references
+on purpose: an ``incref`` would pin frames and force extra
 copy-on-write breaks in whatever runs next, perturbing the virtual-time
 accounting — fatal inside ``goto``'s replay, where the captured state
 must leave the remainder of the re-execution bit-identical to the
 original run.
 
-Image equality is structural and total (registers, traps, page bytes,
-link ledgers), which is what makes an image usable as a bit-identity
-oracle in tests.  Diffing two images is page-granular and reuses the
-merge engine's trick: ``(serial, generation)`` tags prove identity
-without touching bytes (a shared pinned frame can never mutate in
-place), and only tag-mismatched pages pay a stacked ``(N, 4096)``
-ndarray compare.
+What an image holds is declared, not picked here.  The machine-level
+half is :func:`repro.kernel.ledgers.whole_run` — *the image of a
+machine is the hand-back of its whole run*: every ledger a sharded
+worker would ship, as its delta from the origin mark, so the trace, the
+link / node / pair rows, the transport scalars, the frame and uid
+counters, the page cache, the console and the merge log are in it by
+construction.  A :class:`SpaceImage` names its fields once
+(:attr:`SpaceImage.FIELDS`), held by test to the ledgers' ``SPLICED``.
+Slots, equality, :func:`first_difference` and ``image_digest`` all
+derive from those two declarations, which is what makes an image
+usable as the bit-identity oracle of the test suite.  Diffing two
+images is page-granular and reuses the merge engine's trick:
+``(serial, generation)`` tags prove identity without touching bytes (a
+shared pinned frame can never mutate in place), and only
+tag-mismatched pages pay a stacked ``(N, 4096)`` ndarray compare.
 """
+
+import copy
+from itertools import zip_longest
 
 import numpy as np
 
 from repro.cluster.network import link_key
+from repro.kernel.ledgers import whole_run
 from repro.mem.page import PAGE_SIZE
 
 #: Pages per stacked ndarray compare (mirrors the merge engine's batch).
 BATCH_PAGES = 4096
 
-_ZEROS = np.zeros(PAGE_SIZE, dtype=np.uint8)
+
+#: What :func:`first_difference` reports for the side that lacks a key
+#: or an index.
+_ABSENT = "<absent>"
 
 
-class PageImage:
-    """One captured page: content tag, permission, raw bytes."""
+def _parts(a, b):
+    """``(key, part of a, part of b)`` of two containers of one kind, in
+    a fixed order; None when they are leaves (or of different kinds)."""
+    if type(a) is not type(b):
+        return None
+    if isinstance(a, dict):
+        keys = a.keys() | b.keys()
+        try:
+            keys = sorted(keys)
+        except TypeError:       # link endpoints mix node ints and names
+            keys = sorted(keys, key=repr)
+        return [(key, a.get(key, _ABSENT), b.get(key, _ABSENT))
+                for key in keys]
+    if isinstance(a, (list, tuple)):
+        return [(i, x, y) for i, (x, y) in
+                enumerate(zip_longest(a, b, fillvalue=_ABSENT))]
+    if getattr(type(a), "__slots__", None):
+        return [(slot, getattr(a, slot), getattr(b, slot))
+                for slot in type(a).__slots__]
+    return None
 
-    __slots__ = ("tag", "perm", "data")
 
-    def __init__(self, tag, perm, data):
-        self.tag = tag
-        self.perm = perm
-        self.data = data
+def first_difference(a, b, name=""):
+    """Where two images (or any two values built of dicts, sequences
+    and slotted objects) first differ: ``(dotted name, value in a,
+    value in b)``, or None when they are equal.  Dicts are walked in
+    key order and slotted objects in slot order, so the answer is the
+    same on every run."""
+    parts = _parts(a, b)
+    if parts is None:
+        return None if a == b else (name, a, b)
+    for key, x, y in parts:
+        if isinstance(key, str):
+            sub = f"{name}.{key}" if name else key
+        else:
+            sub = f"{name}[{key!r}]"
+        found = first_difference(x, y, sub)
+        if found is not None:
+            return found
+    return None
+
+
+class _Frozen:
+    """A frozen value is its ``__slots__`` and nothing else: two are
+    equal when :func:`first_difference` finds nothing."""
+
+    __slots__ = ()
 
     def __eq__(self, other):
-        return (isinstance(other, PageImage) and self.tag == other.tag
-                and self.perm == other.perm and self.data == other.data)
+        if type(other) is not type(self):
+            return NotImplemented
+        return first_difference(self, other) is None
+
+
+class PageImage(_Frozen):
+    """One captured page: content tag, permission, refcount, raw bytes."""
+
+    __slots__ = ("tag", "perm", "refs", "data")
+
+    def __init__(self, tag, perm, refs, data):
+        self.tag = tag
+        self.perm = perm
+        self.refs = refs
+        self.data = data
 
     def __repr__(self):
         return f"<PageImage tag={self.tag} perm={self.perm:#o}>"
 
 
-class SpaceImage:
+def _freeze_pages(space):
+    aspace = space.addrspace
+    pages = {}
+    for vpn in aspace.mapped_vpns():
+        page = aspace.frame(vpn)
+        pages[vpn] = PageImage(page.tag(), aspace.perm(vpn), page.refs,
+                               bytes(page.data))
+    return pages
+
+
+def _freeze_snapshot(space):
+    """vpn -> the content tag the Snap pinned there (None: no Snap)."""
+    if space.snapshot is None:
+        return None
+    return {vpn: frame.tag() for vpn, frame in space.snapshot._frames.items()}
+
+
+class SpaceImage(_Frozen):
     """Deep frozen copy of one space (and, recursively, its children)."""
 
-    __slots__ = ("uid", "path", "state", "trap", "trap_info", "regs",
-                 "home_node", "cur_node", "insn_limit", "pages",
-                 "dirty_page_count", "snapshot_vpns",
-                 "children")
+    #: ``Space`` attributes an image holds as they are (a shallow copy).
+    COPIED = ("uid", "home_node", "cur_node", "state", "trap", "trap_info",
+              "regs", "insn_limit", "visit_tokens", "started")
+    #: Image field -> (the ``Space`` attribute it freezes, how).
+    DERIVED = {
+        "path": ("slot", lambda space: tuple(space.slot_path())),
+        "pages": ("addrspace", _freeze_pages),
+        "dirty_page_count": (
+            "addrspace", lambda space: space.addrspace.dirty_page_count()),
+        "mem_counters": (
+            "addrspace", lambda space: space.addrspace.counters.snapshot()),
+        "snapshot": ("snapshot", _freeze_snapshot),
+        "children": ("children", lambda space: {
+            num: SpaceImage(space.children[num])
+            for num in sorted(space.children)}),
+    }
+    #: Attributes a run may change (the ledgers' ``SPLICED``) that no
+    #: field freezes, and why.
+    EXCUSED = {
+        "killed": "teardown flag: set only on a space being destroyed, "
+                  "which has left the tree an image walks",
+    }
+    #: Everything an image of a space is.
+    FIELDS = COPIED + tuple(DERIVED)
+    __slots__ = FIELDS
 
     def __init__(self, space):
-        self.uid = space.uid
-        self.path = tuple(space.slot_path())
-        self.state = space.state.value
-        self.trap = space.trap
-        self.trap_info = space.trap_info
-        self.regs = dict(space.regs)
-        self.home_node = space.home_node
-        self.cur_node = space.cur_node
-        self.insn_limit = space.insn_limit
-        aspace = space.addrspace
-        self.pages = {}
-        for vpn in aspace.mapped_vpns():
-            page = aspace.frame(vpn)
-            self.pages[vpn] = PageImage(
-                page.tag(), aspace.perm(vpn), bytes(page.data))
-        self.dirty_page_count = aspace.dirty_page_count()
-        snapshot = space.snapshot
-        self.snapshot_vpns = (
-            tuple(sorted(snapshot._frames)) if snapshot is not None else None)
-        self.children = {
-            num: SpaceImage(space.children[num])
-            for num in sorted(space.children)
-        }
+        for name in self.COPIED:
+            setattr(self, name, copy.copy(getattr(space, name)))
+        for name, (_attr, freeze) in self.DERIVED.items():
+            setattr(self, name, freeze(space))
 
     # -- traversal ---------------------------------------------------------
 
@@ -101,50 +186,30 @@ class SpaceImage:
     def total_pages(self):
         return len(self.pages)
 
-    # -- equality (the bit-identity oracle) --------------------------------
-
-    def __eq__(self, other):
-        if not isinstance(other, SpaceImage):
-            return NotImplemented
-        return (self.uid == other.uid and self.path == other.path
-                and self.state == other.state and self.trap is other.trap
-                and self.trap_info == other.trap_info
-                and self.regs == other.regs
-                and self.home_node == other.home_node
-                and self.cur_node == other.cur_node
-                and self.pages == other.pages
-                and self.dirty_page_count == other.dirty_page_count
-                and self.snapshot_vpns == other.snapshot_vpns
-                and self.children == other.children)
-
     def __repr__(self):
-        return (f"<SpaceImage {self.uid} {self.state} trap={self.trap.name} "
-                f"pages={len(self.pages)} children={len(self.children)}>")
+        return (f"<SpaceImage {self.uid} {self.state.value} "
+                f"trap={self.trap.name} pages={len(self.pages)} "
+                f"children={len(self.children)}>")
 
 
-class MachineImage:
-    """Frozen copy of a whole machine: space tree + devices + fabric."""
+class MachineImage(_Frozen):
+    """Frozen copy of a whole machine: the space tree, and everything
+    its run has moved outside it (``run[owner][ledger key]``)."""
 
-    __slots__ = ("root", "console", "debug", "links", "node_map",
-                 "pages_fetched", "inflight")
+    __slots__ = ("root", "run")
 
     def __init__(self, machine):
         self.root = SpaceImage(machine.root)
-        self.console = bytes(machine.console_output)
-        self.debug = tuple(machine.debug_lines)
-        transport = machine.transport
-        self.links = {
-            link: transport.links[link].as_dict()
-            for link in sorted(transport.links, key=link_key)
-        }
-        self.node_map = dict(machine.node_map)
-        self.pages_fetched = machine.pages_fetched
-        #: node -> prefetch exchanges still in flight at capture.
-        self.inflight = {
-            node: len(transport.inflight[node])
-            for node in sorted(transport.inflight)
-            if transport.inflight[node]
-        }
+        self.run = whole_run(machine)
+
+    console = property(lambda self: bytes(self.run["machine"]["console_out"]))
+    debug = property(lambda self: self.run["machine"]["debug_lines"])
+
+    @property
+    def links(self):
+        """link -> what it has carried, in the network tables' order."""
+        rows = self.run["transport"]["links"]
+        return {link: rows[link] for link in sorted(rows, key=link_key)}
 
     def spaces(self):
         """All space images, depth-first from the root."""
@@ -152,15 +217,6 @@ class MachineImage:
 
     def find(self, uid):
         return self.root.find(uid)
-
-    def __eq__(self, other):
-        if not isinstance(other, MachineImage):
-            return NotImplemented
-        return (self.root == other.root and self.console == other.console
-                and self.debug == other.debug and self.links == other.links
-                and self.node_map == other.node_map
-                and self.pages_fetched == other.pages_fetched
-                and self.inflight == other.inflight)
 
     def __repr__(self):
         return (f"<MachineImage spaces={len(self.spaces())} "
@@ -281,38 +337,3 @@ class SpaceDiff:
         return (f"<SpaceDiff {self.a.uid}/{self.b.uid} "
                 f"pages={len(self.pages)} regs={self.regs} "
                 f"children={sorted(self.children)}>")
-
-
-# -- trace comparison (the replay-exactness gate) --------------------------
-
-def compare_traces(a, b):
-    """First divergence between two traces, or None if bit-identical.
-
-    Compares segment tuples ``(uid, node, cycles, label)`` by id, then
-    edges, transfers, and decision records.  ``goto`` runs this over
-    (original, replay) and refuses to present state from a divergent
-    replay — determinism is the debugger's correctness argument, so a
-    divergence is an error, not a warning.
-    """
-    if len(a.segments) != len(b.segments):
-        return (f"segment count differs: {len(a.segments)} != "
-                f"{len(b.segments)}")
-    for seg_a, seg_b in zip(a.segments, b.segments):
-        if (seg_a.uid, seg_a.node, seg_a.cycles, seg_a.label) != (
-                seg_b.uid, seg_b.node, seg_b.cycles, seg_b.label):
-            return (f"segment #{seg_a.id} differs: "
-                    f"{seg_a!r} != {seg_b!r}")
-    if a.edges != b.edges:
-        for i, (ea, eb) in enumerate(zip(a.edges, b.edges)):
-            if ea != eb:
-                return f"edge #{i} differs: {ea} != {eb}"
-        return f"edge count differs: {len(a.edges)} != {len(b.edges)}"
-    if a.transfers != b.transfers:
-        for i, (ta, tb) in enumerate(zip(a.transfers, b.transfers)):
-            if ta != tb:
-                return f"transfer #{i} differs: {ta} != {tb}"
-        return (f"transfer count differs: {len(a.transfers)} != "
-                f"{len(b.transfers)}")
-    if a.decisions != b.decisions:
-        return "control-plane decision records differ"
-    return None

@@ -38,12 +38,12 @@ def _fmt_path(path):
 def format_space(image, pages=False, indent=""):
     """One space image (and children) as an indented tree."""
     lines = []
-    snap = (f" snap={len(image.snapshot_vpns)}p"
-            if image.snapshot_vpns is not None else "")
+    snap = (f" snap={len(image.snapshot)}p"
+            if image.snapshot is not None else "")
     trap = f" trap={image.trap.name}" if image.trap.name != "NONE" else ""
     info = f" ({image.trap_info})" if image.trap_info else ""
     lines.append(
-        f"{indent}{image.uid} {_fmt_path(image.path)} [{image.state}]"
+        f"{indent}{image.uid} {_fmt_path(image.path)} [{image.state.value}]"
         f"{trap}{info} node={image.cur_node}/{image.home_node} "
         f"pages={image.total_pages} dirty={image.dirty_page_count}{snap}")
     regs = _fmt_regs(image.regs)
@@ -133,7 +133,8 @@ def format_links(insp, at=None):
     if at is None:
         lines.append("final link ledgers:")
         for link, stats in insp.link_ledgers().items():
-            lines.append(f"  {link} [{stats['cls']}]:")
+            cls = insp.machine.topology.link_class(link).name
+            lines.append(f"  {link} [{cls}]:")
             lines.append(
                 f"    messages={stats['messages']} "
                 f"sent={stats['bytes_sent']}B "
@@ -177,8 +178,8 @@ def _diff_lines(diff, indent=""):
     lines.append(f"{indent}{label}: {changed} page(s) differ")
     if diff.state_changed:
         lines.append(
-            f"{indent}  state: {diff.a.state}/{diff.a.trap.name} -> "
-            f"{diff.b.state}/{diff.b.trap.name}")
+            f"{indent}  state: {diff.a.state.value}/{diff.a.trap.name} -> "
+            f"{diff.b.state.value}/{diff.b.trap.name}")
     for name in diff.regs:
         lines.append(f"{indent}  reg {name}: {diff.a.regs.get(name)!r} -> "
                      f"{diff.b.regs.get(name)!r}")

@@ -32,13 +32,11 @@ have run the sibling at exactly that point with exactly those counter
 values, adoption reproduces the serial run's numbering, trace and
 memory images bit for bit.
 
-What a run may move is declared once (:data:`_LEDGERS`): each entry
-says how to mark one machine-global before the queue starts, extract
-the run's delta, rewind it, and fold the delta into the parent, so the
-four cannot drift apart; :data:`_NOT_REPLAYED` names every other
-attribute of the machine, trace and transport and why it needs none of
-them (``tests/kernel/test_shard.py`` holds the two lists to the
-constructors).
+What a run may move is declared once, in :mod:`repro.kernel.ledgers`
+(``LEDGERS``): each entry says how to mark one machine-global before
+the queue starts, extract the run's delta, rewind it, and fold the
+delta into the parent, so the four cannot drift apart.  This module
+keeps fork / collect / adopt.
 
 Adoption is guarded, not assumed.  Before splicing a result in, the
 coordinator re-checks everything the worker's run depended on that the
@@ -79,11 +77,10 @@ serial, with the reason kept on :attr:`ShardCoordinator.refused`):
 import multiprocessing
 import os
 import threading
-from operator import attrgetter
 
 from repro.common.errors import WireError
+from repro.kernel.ledgers import LEDGERS, SPLICED, Renumber
 from repro.kernel.space import SpaceState
-from repro.timing.trace import Segment
 
 #: Placement policies whose ``assign`` reads only static state (the
 #: topology and the virtual node number), so a worker-side first-use
@@ -131,425 +128,6 @@ def _walk_page_slots(space):
                 yield page
 
 
-def _uid_index(uid):
-    """Numeric suffix of a machine-assigned space uid (``"s42"`` -> 42);
-    None for the root's or any foreign uid shape."""
-    if isinstance(uid, str) and uid[:1] == "s" and uid[1:].isdigit():
-        return int(uid[1:])
-    return None
-
-
-# -- what a run may move: one declaration -----------------------------------
-
-class _Renumber:
-    """Worker numbering -> the parent's at adoption time: whatever a run
-    numbered past the fork-time bases shifts by the parent's growth
-    since the fork."""
-
-    def __init__(self, machine, base):
-        self.serial0 = base["serial"]
-        self.uid0 = base["uid"]
-        self.seg0 = base["segments"]
-        self.serials = machine.frames._next_serial - self.serial0
-        self.uids = machine._uid_counter - self.uid0
-        self.segs = len(machine.trace.segments) - self.seg0
-        self._segments = machine.trace.segments
-
-    def serial(self, serial):
-        return serial + self.serials if serial > self.serial0 else serial
-
-    def uid(self, uid):
-        index = _uid_index(uid)
-        if index is not None and index > self.uid0:
-            return f"s{index + self.uids}"
-        return uid
-
-    def sid(self, sid):
-        return sid + self.segs if sid >= self.seg0 else sid
-
-    def segment(self, sid):
-        """The parent's Segment of a worker segment id (the run's new
-        segments are spliced in before anything resolves one)."""
-        return self._segments[self.sid(sid)]
-
-
-_ABSENT = object()
-
-
-def _diff(now, before):
-    """Entries of ``now`` that ``before`` lacks or holds differently."""
-    return {key: value for key, value in now.items()
-            if before.get(key, _ABSENT) != value}
-
-
-def _restore(table, before, keys, copy=None):
-    """Put ``keys`` of ``table`` back to what ``before`` holds (absent
-    there: absent again)."""
-    for key in keys:
-        if key not in before:
-            del table[key]
-        else:
-            table[key] = before[key] if copy is None else copy(before[key])
-
-
-class _Ledger:
-    """One machine-global a subtree's run may move, and the four things
-    done with it: ``mark`` it once per worker (the machine is the same
-    before every sibling of a queue), extract the run's ``delta``,
-    ``rewind`` it by that delta once the sibling is handed back, and
-    ``adopt`` the delta into the parent."""
-
-    def __init__(self, key, owner, attr, refuse=None):
-        #: Name of the delta in the hand-back payload; None for state
-        #: the parent never sees (rewound, not handed back).
-        self.key = key
-        #: Where it lives: ``machine.<owner>.<attr>`` (the machine's own
-        #: attribute when ``owner`` is empty).
-        self.owner = owner
-        self.attr = attr
-        #: Why the worker refuses to report a run that moved it at all.
-        self.refuse = refuse
-
-    def holder(self, machine):
-        return getattr(machine, self.owner) if self.owner else machine
-
-    def get(self, machine):
-        return getattr(self.holder(machine), self.attr)
-
-
-class _Counters(_Ledger):
-    """Numbers a run only adds to (``attr`` is a tuple of them; None
-    takes the holder's ``SCALARS``): the delta is the differences."""
-
-    def names(self, machine):
-        return self.attr or self.holder(machine).SCALARS
-
-    def mark(self, machine):
-        holder = self.holder(machine)
-        return {name: getattr(holder, name) for name in self.names(machine)}
-
-    def delta(self, machine, mark):
-        holder = self.holder(machine)
-        return {name: getattr(holder, name) - was
-                for name, was in mark.items() if getattr(holder, name) != was}
-
-    def rewind(self, machine, mark, delta):
-        holder = self.holder(machine)
-        for name in delta:
-            setattr(holder, name, mark[name])
-
-    def adopt(self, machine, delta, renumber):
-        holder = self.holder(machine)
-        for name, amount in delta.items():
-            setattr(holder, name, getattr(holder, name) + amount)
-
-
-class _Tail(_Ledger):
-    """A sequence a run only appends to: the delta is the suffix
-    (``pack``ed for the wire, ``unpack``ed into the parent's
-    numbering)."""
-
-    def __init__(self, key, owner, attr, pack=None, unpack=None):
-        super().__init__(key, owner, attr)
-        self.pack = pack
-        self.unpack = unpack
-
-    def mark(self, machine):
-        return len(self.get(machine))
-
-    def delta(self, machine, mark):
-        suffix = self.get(machine)[mark:]
-        return suffix if self.pack is None else [self.pack(x) for x in suffix]
-
-    def rewind(self, machine, mark, delta):
-        del self.get(machine)[mark:]
-
-    def adopt(self, machine, delta, renumber):
-        if self.unpack is not None:
-            delta = [self.unpack(renumber, item) for item in delta]
-        self.get(machine).extend(delta)
-
-
-class _Table(_Ledger):
-    """A dict a run writes by key: the delta is the entries it added or
-    changed (it removes none).  ``copy`` snapshots values a run mutates
-    in place; ``pack`` makes a value picklable, ``unpack`` renumbers an
-    entry for the parent."""
-
-    def __init__(self, key, owner, attr, copy=None, pack=None, unpack=None,
-                 refuse=None):
-        super().__init__(key, owner, attr, refuse)
-        self.copy = copy
-        self.pack = pack
-        self.unpack = unpack
-
-    def mark(self, machine):
-        table = self.get(machine)
-        if self.copy is None:
-            return dict(table)
-        return {key: self.copy(value) for key, value in table.items()}
-
-    def delta(self, machine, mark):
-        moved = _diff(self.get(machine), mark)
-        if self.pack is not None:
-            moved = {key: self.pack(value) for key, value in moved.items()}
-        return moved
-
-    def rewind(self, machine, mark, delta):
-        _restore(self.get(machine), mark, delta, self.copy)
-
-    def adopt(self, machine, delta, renumber):
-        table = self.get(machine)
-        for entry in delta.items():
-            key, value = self.unpack(renumber, *entry)
-            table[key] = value
-
-
-class _Nested(_Table):
-    """A dict of dicts a run writes by inner key (``node_cache``)."""
-
-    def mark(self, machine):
-        return {key: dict(inner) for key, inner in self.get(machine).items()}
-
-    def delta(self, machine, mark):
-        out = {}
-        for key, inner in self.get(machine).items():
-            moved = _diff(inner, mark.get(key, {}))
-            if moved:
-                out[key] = moved
-        return out
-
-    def rewind(self, machine, mark, delta):
-        table = self.get(machine)
-        for key, moved in delta.items():
-            if key in mark:
-                _restore(table[key], mark[key], moved)
-            else:
-                del table[key]
-
-    def adopt(self, machine, delta, renumber):
-        table = self.get(machine)
-        for key, moved in delta.items():
-            inner = table[key]
-            for entry in moved.items():
-                inner_key, value = self.unpack(renumber, *entry)
-                inner[inner_key] = value
-
-
-class _Placements(_Table):
-    """First-use ``node_map`` bindings: adoption goes through
-    ``bind_node`` (which keeps ``node_owner`` in step) once ``_adopt``
-    has checked that they replay."""
-
-    def adopt(self, machine, delta, renumber):
-        for vnode, phys in delta.items():
-            if vnode not in machine.node_map:
-                machine.bind_node(vnode, phys)
-
-
-class _Charged(_Ledger):
-    """Segments open at the fork that the run charged or closed in
-    place (the sibling's own start segment; segment ids below the
-    fork-time base need no renumbering)."""
-
-    def mark(self, machine):
-        return {seg.id: seg.cycles for seg in machine.trace._open.values()}
-
-    def delta(self, machine, mark):
-        segments = self.get(machine)
-        return {sid: (segments[sid].cycles, segments[sid].closed)
-                for sid, cycles in mark.items()
-                if segments[sid].closed or segments[sid].cycles != cycles}
-
-    def rewind(self, machine, mark, delta):
-        segments = self.get(machine)
-        for sid in delta:
-            segments[sid].cycles = mark[sid]
-            segments[sid].closed = False
-
-    def adopt(self, machine, delta, renumber):
-        segments = self.get(machine)
-        for sid, (cycles, closed) in delta.items():
-            segments[sid].cycles = cycles
-            segments[sid].closed = closed
-
-
-class _Rows(_Ledger):
-    """A transport table of ``Ledger`` rows (``links``, ``nodes``,
-    ``pairs``), moved in place; adoption goes through the table's
-    get-or-create ``accessor`` (``link``, ``node``, ``pair``), which is
-    also what puts an adopted row in the parent's telemetry window."""
-
-    def __init__(self, key, owner, attr, accessor):
-        super().__init__(key, owner, attr)
-        self.accessor = accessor
-
-    def mark(self, machine):
-        return {key: row.as_dict()
-                for key, row in self.get(machine).items()}
-
-    def delta(self, machine, mark):
-        out = {}
-        for key, row in self.get(machine).items():
-            moved = row.delta_since(mark.get(key))
-            if moved is not None:
-                out[key] = moved
-        return out
-
-    def rewind(self, machine, mark, delta):
-        rows = self.get(machine)
-        for key in delta:
-            if key in mark:
-                rows[key].restore(mark[key])
-            else:
-                del rows[key]
-
-    def adopt(self, machine, delta, renumber):
-        row_of = getattr(self.holder(machine), self.accessor)
-        for key, moved in delta.items():
-            row_of(key).add(moved)
-
-
-def _pack_segment(seg):
-    return (seg.id, seg.uid, seg.node, seg.cycles, seg.label, seg.closed)
-
-
-def _unpack_segment(renumber, packed):
-    sid, uid, node, cycles, label, closed = packed
-    seg = Segment(renumber.sid(sid), renumber.uid(uid), node, label)
-    seg.cycles = cycles
-    seg.closed = closed
-    return seg
-
-
-def _unpack_edge(renumber, edge):
-    """Edges and transfers: the two leading segment ids renumber."""
-    return (renumber.sid(edge[0]), renumber.sid(edge[1])) + edge[2:]
-
-
-def _unpack_decision(renumber, record):
-    return (renumber.sid(record[0]),) + record[1:]
-
-
-def _unpack_debug(renumber, line):
-    """``Machine.dev_debug`` heads a line with ``[uid]`` of its space."""
-    uid, rest = line[1:].split("]", 1)
-    return f"[{renumber.uid(uid)}]{rest}"
-
-
-def _by_uid(renumber, uid, value):
-    return renumber.uid(uid), value
-
-
-def _segment_by_uid(renumber, uid, sid):
-    return renumber.uid(uid), renumber.segment(sid)
-
-
-def _by_serial(renumber, serial, value):
-    return renumber.serial(serial), value
-
-
-#: Everything a subtree's run may move outside its own space graph, in
-#: adoption order (the trace's new segments before the tables that
-#: resolve them).
-_LEDGERS = (
-    _Counters("machine", "", ("_uid_counter",)),
-    _Counters("frames", "frames", ("_next_serial", "frames_allocated")),
-    _Counters("transport", "transport", None),
-    # Cursor devices hand out values that depend on global order.
-    _Counters(None, "", ("_time_idx", "_console_pos"),
-              refuse="cursor device read"),
-    _Tail("console_out", "", "console_output"),
-    _Tail("debug_lines", "", "debug_lines", unpack=_unpack_debug),
-    _Tail("merge_stats", "", "merge_stats_total"),
-    _Tail("segments", "trace", "segments", _pack_segment, _unpack_segment),
-    _Tail("edges", "trace", "edges", unpack=_unpack_edge),
-    _Tail("transfers", "trace", "transfers", unpack=_unpack_edge),
-    _Tail("decisions", "trace", "decisions", unpack=_unpack_decision),
-    _Charged("charged", "trace", "segments"),
-    _Table("open", "trace", "_open", pack=attrgetter("id"),
-           unpack=_segment_by_uid),
-    _Table("last", "trace", "_last", pack=attrgetter("id"),
-           unpack=_segment_by_uid),
-    _Table("cum", "trace", "_cum", unpack=_by_uid),
-    _Nested("node_cache", "", "node_cache", unpack=_by_serial),
-    _Table("frame_origin", "", "frame_origin", unpack=_by_serial),
-    _Placements("placements", "", "node_map"),
-    _Table(None, "", "node_owner"),
-    # Predictor input only, read by nothing the gates let through: the
-    # one machine-global the delta drops, rewound all the same.
-    _Table(None, "", "dirty_hints", copy=list),
-    # Empty at every fork (prefetch_depth == 0 is a gate).
-    _Table(None, "transport", "inflight", copy=dict,
-           refuse="transfers in flight"),
-    # Memo of encoded sizes by frame tag: sound within one run, but
-    # two subtrees of a queue number their new frames alike.
-    _Table(None, "transport", "_wire_sizes"),
-    _Rows("links", "transport", "links", "link"),
-    _Rows("nodes", "transport", "nodes", "node"),
-    _Rows("pairs", "transport", "pairs", "pair"),
-)
-
-_CONFIG = "configuration: fixed at construction, only read during a run"
-_HOST = ("host machinery: a worker forgets the parent's guest threads "
-         "(Engine.after_fork) and unwinds its own after every sibling")
-
-#: Every other attribute the constructors assign, and why a run needs
-#: none of mark / delta / rewind / adopt (for a Space: no splice) for it.
-_NOT_REPLAYED = {
-    "Machine": {
-        **dict.fromkeys((
-            "spec", "cost", "nnodes", "cpus_per_node", "merge_mode",
-            "tcp_mode", "ship_mode", "prefetch_depth", "compression",
-            "loss", "topology", "placement", "backend", "_console_in",
-            "_time_script", "programs"), _CONFIG),
-        "frames": "its counters are a ledger of their own",
-        "trace": "its lists and tables are ledgers of their own",
-        "transport": "its counters and tables are ledgers of their own",
-        "engine": _HOST,
-        "kernel": "stateless: it holds the machine and nothing else",
-        "root": "a subtree travels as the payload's space graph",
-        "control": "the control plane, which fork_refusal gates off",
-        "shard": "None inside a worker: no nested sharding",
-        "_closed": "lifecycle flag of the parent's machine",
-    },
-    "Trace": {
-        "on_close": "the debugger's observer; its replays force the "
-                    "serial engine",
-    },
-    "Transport": {
-        "machine": _CONFIG,
-        "_sinks": "names prefetch sink segments: prefetch_depth == 0 "
-                  "is a gate",
-        "route_samples": "taken only with a controller attached, which "
-                         "fork_refusal gates off",
-        **dict.fromkeys(("window_index", "_marks"), (
-            "the reader's side of a telemetry window: no guest takes "
-            "one, and the parent's marks are made as it adopts the "
-            "node and pair rows through their accessors")),
-    },
-    # What ``_adopt`` leaves alone on the parent's Space object when it
-    # splices a hand-back in (everything else is ``_SPLICED``).
-    "Space": {
-        "machine": "the parent's machine, not the worker's copy",
-        "parent": "the caller's child table keeps this very object",
-        "slot": "its number in that table, which no run changes",
-        "uid": "assigned before the fork; the trace refers to it",
-        "ctx": "reset: a handed-back space has no live guest stack here",
-        "home_node": "fixed at creation (only the control plane re-homes "
-                     "a space, and fork_refusal gates it off)",
-        "io_privilege": "granted by the parent's Put, never by the "
-                        "space's own run",
-    },
-}
-
-#: The ``Space.__init__`` attributes a run may change: ``_adopt`` copies
-#: exactly these from the handed-back space onto the parent's object.
-_SPLICED = ("addrspace", "regs", "snapshot", "children", "state", "trap",
-            "trap_info", "insn_limit", "visit_tokens", "cur_node", "killed",
-            "started")
-
-
 class ShardCoordinator:
     """Fork/collect/adopt state machine attached to one Machine."""
 
@@ -594,6 +172,14 @@ class ShardCoordinator:
         #: Why the gates are shut and rendezvous stay serial, else None:
         #: :func:`fork_refusal`'s answer, or the real backend's abort.
         self.refused = None
+
+    def stats(self):
+        """The statistics above as one dict: what a run's result and
+        ``python -m repro.bench`` report of the coordinator."""
+        return {"forked": self.forked, "processes": self.processes,
+                "adopted": self.adopted, "fallbacks": self.fallbacks,
+                "refused": self.refused,
+                "fallback_reasons": dict(self.fallback_reasons)}
 
     # -- entry point (called by Kernel._rendezvous) ------------------------
 
@@ -713,7 +299,7 @@ class ShardCoordinator:
         machine.engine.after_fork()     # parent threads do not exist here
         link = self._attach(index, end)
         try:
-            marks = [ledger.mark(machine) for ledger in _LEDGERS]
+            marks = [ledger.mark(machine) for ledger in LEDGERS]
             for sibling in queue:
                 self._begin(link, sibling, index)
                 payload, moved = self._run_worker(caller, sibling, marks)
@@ -832,14 +418,14 @@ class ShardCoordinator:
         machine.engine.run_until_stopped(sibling)
 
         moved = [ledger.delta(machine, mark)
-                 for ledger, mark in zip(_LEDGERS, marks)]
+                 for ledger, mark in zip(LEDGERS, marks)]
         # Refuse anything a delta cannot replay: a still-running
         # sibling, cursor-device reads (values depend on global order),
         # outstanding prefetch exchanges, or work leaking into the
         # caller's open segment.
         if sibling.state is SpaceState.READY:
             return "sibling still READY", moved
-        for ledger, delta in zip(_LEDGERS, moved):
+        for ledger, delta in zip(LEDGERS, moved):
             if ledger.refuse is not None and delta:
                 return ledger.refuse, moved
         if caller_seg is not None and caller_seg.cycles != caller_cycles:
@@ -859,7 +445,7 @@ class ShardCoordinator:
         sibling.parent = None
         payload = {"spaces": sibling, "replaced": replaced}
         payload.update((ledger.key, delta)
-                       for ledger, delta in zip(_LEDGERS, moved)
+                       for ledger, delta in zip(LEDGERS, moved)
                        if ledger.key is not None)
         return payload, moved
 
@@ -877,8 +463,8 @@ class ShardCoordinator:
             for ctx in parked:
                 ctx.kill()
             moved = [ledger.delta(machine, mark)
-                     for ledger, mark in zip(_LEDGERS, marks)]
-        for ledger, mark, delta in zip(_LEDGERS, marks, moved):
+                     for ledger, mark in zip(LEDGERS, marks)]
+        for ledger, mark, delta in zip(LEDGERS, marks, moved):
             ledger.rewind(machine, mark, delta)
         # A later sibling's copy-on-write decisions read the refcounts
         # of the fork-time frames it shares with this one.
@@ -943,7 +529,7 @@ class ShardCoordinator:
                     return "refcount moved"
 
         # -- validation passed: splice (no failure paths below) --
-        renumber = _Renumber(machine, self._base)
+        renumber = Renumber(machine, self._base)
 
         # Exact refcounts: the sibling's old image releases every
         # reference it held, the adopted image re-takes its own.
@@ -988,7 +574,7 @@ class ShardCoordinator:
 
         # Splice the adopted image into the existing Space object (the
         # caller's child table and the trace keep referring to it).
-        for name in _SPLICED:
+        for name in SPLICED:
             setattr(child, name, getattr(adopted, name))
         for grandchild in child.children.values():
             grandchild.parent = child
@@ -998,7 +584,7 @@ class ShardCoordinator:
         # shift by the parent's growth since the fork, the sibling's
         # fork-time open segment takes its final charge), the machine
         # and transport accumulations, the cache and placement tables.
-        for ledger in _LEDGERS:
+        for ledger in LEDGERS:
             if ledger.key is not None:
                 ledger.adopt(machine, payload[ledger.key], renumber)
         return None

@@ -61,6 +61,13 @@ class MergeStats:
         #: consumed, so long-lived stats logs stay O(1) per merge.
         self.written_vpns = []
 
+    def __eq__(self, other):
+        """By value: two identical runs keep equal merge logs."""
+        if type(other) is not MergeStats:
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name)
+                   for name in self.__slots__)
+
     def __repr__(self):
         return (
             f"<MergeStats scanned={self.pages_scanned} diffed={self.pages_diffed}"

@@ -3,25 +3,33 @@ ground truth for the real-process backend.
 
 Both backends run the *same* workload builder (shared closures keep
 register contents identical), and everything except timing must come
-out equal: the computed value, the frozen machine image (space tree,
-registers, page bytes, per-link simulated ledgers), the NetworkStats
-page/byte tables, and conservation on both the simulated transport and
-the real wire.  Real wall-clock is the one column deliberately *not*
-compared — it is the real backend's own measurement.
+out equal: the computed value, the makespan and the frozen machine
+image — the space tree down to page bytes, tags and refcounts, plus the
+hand-back of the whole run (``repro.kernel.ledgers.whole_run``): the
+trace, every link / node / pair row, the transport scalars, counters,
+page cache, console and merge log — with conservation holding on both
+the simulated transport and the real wire.  Real wall-clock is the one
+column deliberately *not* compared — it is the real backend's own
+measurement.
 
 A larger matrix (more nodes, compression, fat-tree) runs nightly in
 ``benchmarks/bench_backend_oracle.py``.
 """
 
 import os
+import sys
 
 import pytest
 
 from repro.bench import cluster_workloads as cw
-from repro.cluster.backend import image_digest, run_backend, run_real
+from repro.cluster.backend import run_backend, run_real
 from repro.cluster.realnet import localhost_available
 from repro.cluster.serving import serve_trace
 from repro.cluster.spec import ClusterSpec
+
+sys.path.insert(
+    0, os.path.join(os.path.dirname(__file__), os.pardir, "kernel"))
+from test_shard import assert_identical  # noqa: E402
 
 pytestmark = [
     pytest.mark.skipif(not hasattr(os, "fork"),
@@ -37,12 +45,6 @@ MD5_CIRCUIT = cw.md5_circuit_main(3)
 MD5_TREE = cw.md5_tree_main(3)
 MATMULT_TREE = cw.matmult_tree_main(n=48, seed=7)
 
-#: NetworkStats fields the backends must agree on (timing-free).
-NETWORK_FIELDS = (
-    "pages_fetched", "pages_shipped", "pages_pulled", "pages_prefetched",
-    "bytes_moved", "wire_bytes",
-)
-
 MATRIX = [(topology, ship_mode)
           for topology in ("flat", "two_tier:2")
           for ship_mode in ("delta", "full")]
@@ -55,23 +57,19 @@ def run_pair(builder, nnodes, **kw):
     return sim, real
 
 
+def assert_same_run(run, oracle):
+    # One comparison: the image holds the whole space tree and every
+    # ledger the run moved, the adopted trace included (so simulated
+    # cycles agree); every page and byte total is a sum over its rows.
+    assert_identical(run, oracle)
+    assert sum(row["pages"] for row in oracle.image.links.values()) > 0
+    assert oracle.machine.transport.conservation_ok()
+    assert run.machine.transport.conservation_ok()
+
+
 def assert_equivalent(sim, real):
-    assert real.value == sim.value
-    # The frozen image covers the whole space tree (registers, traps,
-    # page bytes), console/debug output, placement, and every per-link
-    # simulated ledger — memory-image identity and per-link page/byte
-    # conservation in one comparison.
-    assert real.image == sim.image
-    assert image_digest(real.image) == image_digest(sim.image)
-    for field in NETWORK_FIELDS:
-        assert getattr(real.network, field) == getattr(sim.network, field), \
-            field
-    assert real.network.per_link == sim.network.per_link
-    assert sim.machine.transport.conservation_ok()
-    assert real.machine.transport.conservation_ok()
-    # The adopted trace is the same trace: simulated cycles agree; the
-    # real run additionally measured wall-clock (not compared).
-    assert real.makespan == sim.makespan
+    assert_same_run(real, sim)
+    # The real run additionally measured wall-clock (not compared).
     assert real.wall_seconds > 0 and sim.wall_seconds > 0
     # The real run really ran on the real path, conserving wire bytes.
     assert real.backend == "real" and sim.backend == "sim"
@@ -92,6 +90,28 @@ def test_matmult_tree_matches_oracle(topology, ship_mode):
     sim, real = run_pair(MATMULT_TREE, 4, topology=topology,
                          ship_mode=ship_mode)
     assert_equivalent(sim, real)
+
+
+WORKLOADS = {"md5_circuit": MD5_CIRCUIT, "md5_tree": MD5_TREE,
+             "matmult_tree": MATMULT_TREE}
+
+
+@pytest.mark.parametrize("topology", ["flat", "two_tier:2"])
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_every_backend_is_the_same_run(workload, topology):
+    # serial == shard_workers=2 == backend="real", under the one
+    # comparator: whoever runs the subtrees, the machine they leave
+    # behind freezes to the same image and the same digest.
+    serial = run_backend(WORKLOADS[workload], 4,
+                         spec=ClusterSpec(topology=topology))
+    assert serial.shard_stats is None
+    for knobs in ({"shard_workers": 2}, {"backend": "real"}):
+        run = run_backend(WORKLOADS[workload], 4,
+                          spec=ClusterSpec(topology=topology, **knobs))
+        assert_same_run(run, serial)
+        stats = run.shard_stats
+        assert stats["adopted"] == stats["forked"] > 0
+        assert stats["fallbacks"] == 0 and stats["refused"] is None
 
 
 def test_md5_tree_single_child_waves():

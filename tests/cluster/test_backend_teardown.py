@@ -23,7 +23,7 @@ from repro.common.errors import BackendError
 
 sys.path.insert(
     0, os.path.join(os.path.dirname(__file__), os.pardir, "kernel"))
-from test_shard import fingerprint  # noqa: E402
+from test_shard import assert_identical  # noqa: E402
 
 pytestmark = [
     pytest.mark.skipif(not hasattr(os, "fork"),
@@ -62,12 +62,16 @@ def assert_no_leaked_children(grace=10.0):
     assert multiprocessing.active_children() == []
 
 
+#: One builder for every run: the entry closure lands in the root's
+#: registers, and image equality compares it by identity.
+MD5_CIRCUIT = cw.md5_circuit_main(2)
+
+
 def run(knobs, configure=None, nnodes=4):
-    """``(result, fingerprint)`` of the md5 circuit on ``nnodes`` nodes
-    under ``knobs``: one fork point, a sibling subtree per node."""
-    result = run_backend(cw.md5_circuit_main(2), nnodes,
-                         spec=ClusterSpec(**knobs), configure=configure)
-    return result, fingerprint(result.machine, result.value, result.makespan)
+    """The md5 circuit on ``nnodes`` nodes under ``knobs``: one fork
+    point, a sibling subtree per node."""
+    return run_backend(MD5_CIRCUIT, nnodes, spec=ClusterSpec(**knobs),
+                       configure=configure)
 
 
 @pytest.mark.parametrize("knobs,fault", CELLS)
@@ -93,12 +97,12 @@ def test_worker_death_is_typed_bounded_and_leakless(knobs, fault):
         with pytest.raises(BackendError, match="real backend aborted"):
             run(knobs, configure)
     else:
-        result, sharded = run(knobs, configure)
+        result = run(knobs, configure)
         stats = result.shard_stats
         assert stats["forked"] == 4 and stats["adopted"] == 3
         assert stats["fallbacks"] == 1
         assert stats["fallback_reasons"] == {REASONS[fault]: 1}
-        assert sharded == run({})[1]
+        assert_identical(result, run({}))
     # Bounded: the deadline plus join/teardown slack, far below the 60s
     # default a hang would consume.
     assert time.monotonic() - start < deadline + 30.0
@@ -133,7 +137,7 @@ def test_worker_lost_mid_queue_costs_the_rest_of_its_queue(knobs, fault):
         with pytest.raises(BackendError, match="real backend aborted"):
             run({**REAL, "shard_workers": 2}, configure, nnodes=6)
     else:
-        result, sharded = run({"shard_workers": 2}, configure, nnodes=6)
+        result = run({"shard_workers": 2}, configure, nnodes=6)
         # One deadline for the whole lost queue, not one per sibling.
         assert time.monotonic() - start < 2 * deadline
         stats = result.shard_stats
@@ -142,7 +146,7 @@ def test_worker_lost_mid_queue_costs_the_rest_of_its_queue(knobs, fault):
         assert stats["processes"] == 2
         assert stats["forked"] == 6 and stats["adopted"] == 4
         assert stats["fallback_reasons"] == {REASONS[fault]: 2}
-        assert sharded == run({}, nnodes=6)[1]
+        assert_identical(result, run({}, nnodes=6))
     assert time.monotonic() - start < deadline + 30.0
     shard, = shards
     assert shard.snapshots == {} and shard.pending == {}
@@ -174,11 +178,11 @@ def test_failed_spawn_leaves_no_worker_and_no_snapshot(knobs):
                                                "worker start failed"):
             run(knobs, configure)
     else:
-        result, sharded = run(knobs, configure)
+        result = run(knobs, configure)
         assert result.shard_stats["fallback_reasons"] == \
             {"worker start failed": 4}
         assert result.shard_stats["adopted"] == 0
-        assert sharded == run({})[1]
+        assert_identical(result, run({}))
     shard, = shards
     assert shard.snapshots == {} and shard.pending == {}
     assert shard._procs == {} and shard._links == {}

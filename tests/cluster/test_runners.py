@@ -1,6 +1,6 @@
 """One contract over every runner: ``Machine.run(...).check()``,
-``Cluster.run``, ``run_cluster``, ``run_backend`` and
-``run_determinator`` all hand back (or wrap) the run's
+``Cluster.run``, ``run_cluster``, ``run_backend``, ``run_determinator``
+and ``serve_trace`` all hand back (or wrap) the run's
 ``MachineResult``, so a faulting guest raises the same error from each
 and the same program under the same spec reads the same value and
 makespan through any of them."""
@@ -9,9 +9,11 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro import Cluster, ClusterSpec, Machine, run_backend
+from repro import Cluster, ClusterSpec, Machine, run_backend, serve_trace
 from repro.bench import cluster_workloads as cw
 from repro.bench.harness import run_determinator
+from repro.bench.workloads.serving import fold_checksum
+from repro.kernel.machine import MachineResult
 
 MD5_TREE = cw.md5_tree_main(3)
 
@@ -61,6 +63,14 @@ def test_same_program_and_spec_read_the_same_through_every_runner(spec):
     assert result.ncpus == backend.result.ncpus == spec.cpus_per_node
     assert result.network.per_link == backend.network.per_link
     assert result.network.wire_bytes == machine.transport.bytes_total > 0
+
+
+def test_a_serving_result_wraps_the_runs_machine_result():
+    served = serve_trace(2, requests=4)
+    assert isinstance(served.result, MachineResult)
+    assert served.machine is served.result.machine
+    assert served.checksum == served.result.value \
+        == fold_checksum(served.values)
 
 
 def test_one_node_cluster_runs_schedule_on_the_specs_cpus():

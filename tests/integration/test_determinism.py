@@ -8,6 +8,7 @@ times and demand bit-identical results, traces, and *failures*.
 
 
 from repro.common.errors import MergeConflictError
+from repro.debug import first_difference, freeze_machine
 from repro.kernel import Machine, child_ref
 from repro.mem.layout import SHARED_BASE
 from repro.runtime.dsched import det_pthreads_run
@@ -17,27 +18,19 @@ from repro.runtime.shell import Shell
 from repro.runtime.threads import ThreadGroup
 
 
-def fingerprint(machine, result):
-    """Everything observable about a run."""
-    return (
-        result.r0,
-        result.status,
-        result.trap,
-        result.console,
-        result.total_cycles(),
-        result.makespan(ncpus=4),
-        len(result.trace.segments),
-    )
-
-
 def run_many(main, times=3, **kwargs):
-    prints = []
+    """Run ``main`` ``times`` times and return the first MachineResult:
+    every run must freeze to the same image — the space tree down to
+    page bytes, the trace, console, counters and ledgers."""
+    results, images = [], []
     for _ in range(times):
         with Machine(**kwargs) as machine:
-            result = machine.run(main)
-            prints.append(fingerprint(machine, result))
-    assert all(p == prints[0] for p in prints), "nondeterminism detected"
-    return prints[0]
+            results.append(machine.run(main))
+            images.append(freeze_machine(machine))
+    for image in images[1:]:
+        assert first_difference(image, images[0]) is None, \
+            "nondeterminism detected"
+    return results[0]
 
 
 # ---------------------------------------------------------------------------
@@ -58,8 +51,7 @@ def test_mixed_threads_and_work_deterministic():
         g.console_write(repr(values).encode())
         return sum(values)
 
-    fp = run_many(main)
-    assert fp[0] == sum(range(7))
+    assert run_many(main).r0 == sum(range(7))
 
 
 def test_process_build_pipeline_deterministic():
@@ -74,8 +66,8 @@ def test_process_build_pipeline_deterministic():
         shell.run_script("ls > listing\ncat listing")
         return 0
 
-    fp = run_many(unix_root(init))
-    assert b"a.o" in fp[3] and b"bin" in fp[3]
+    console = run_many(unix_root(init)).console
+    assert b"a.o" in console and b"bin" in console
 
 
 def test_legacy_scheduler_racy_program_repeatable():
@@ -106,14 +98,7 @@ def test_cluster_run_deterministic():
         return sum(g.get(child_ref(1, node=i), regs=True)["r0"]
                    for i in range(4))
 
-    prints = []
-    for _ in range(3):
-        with Machine(nnodes=4) as machine:
-            result = machine.run(main)
-            prints.append(
-                (result.r0, result.total_cycles(), machine.pages_fetched)
-            )
-    assert len(set(prints)) == 1
+    assert run_many(main, nnodes=4).r0 == 7 * sum(range(4))
 
 
 # ---------------------------------------------------------------------------
@@ -139,8 +124,7 @@ def test_injected_exception_reproducible_at_same_point():
                 outcomes.append(("fault", str(exc)[:40]))
         return tuple(outcomes)
 
-    fp = run_many(main)
-    outcomes = fp[0]
+    outcomes = run_many(main).r0
     assert outcomes[3][0] == "fault"
     assert all(kind == "ok" for kind, _ in outcomes[:3] + outcomes[4:])
 
@@ -160,8 +144,7 @@ def test_injected_conflict_reproducible():
         except MergeConflictError as err:
             return ("conflict", err.addr)
 
-    fp = run_many(main)
-    assert fp[0] == ("conflict", SHARED_BASE + 0x100)
+    assert run_many(main).r0 == ("conflict", SHARED_BASE + 0x100)
 
 
 def test_fault_in_deep_process_tree_reproducible():
@@ -180,8 +163,7 @@ def test_fault_in_deep_process_tree_reproducible():
         pid = rt.fork(mid)
         return rt.waitpid(pid)
 
-    fp = run_many(unix_root(init))
-    assert fp[0] == 13
+    assert run_many(unix_root(init)).r0 == 13
 
 
 def test_debug_log_reflects_true_order_consistently():
@@ -196,12 +178,7 @@ def test_debug_log_reflects_true_order_consistently():
             g.get(i)
         return 0
 
-    logs = []
-    for _ in range(3):
-        with Machine() as machine:
-            result = machine.run(main)
-            logs.append(tuple(result.debug))
-    assert len(set(logs)) == 1
+    assert len(run_many(main).debug) == 4
 
 
 def test_different_inputs_different_outputs_same_structure():

@@ -3,10 +3,11 @@
 ``ClusterSpec(shard_workers=N)`` forks sibling subtrees into worker host
 processes at rendezvous points and adopts their deltas (see
 repro.kernel.shard).  The sharded run must be indistinguishable from
-the serial one in every observable: computed values, the full trace,
-every memory image (data, refcounts, frame serials, generations), the
-frame/uid counters, page-cache and origin bookkeeping, console output
-and every transport/link statistic.
+the serial one in every observable: computed values, and the frozen
+image (``repro.debug.freeze_machine``) of everything else — the full
+trace, every memory image (data, refcounts, frame serials, generations),
+the frame/uid counters, page-cache and origin bookkeeping, console
+output, the merge log and every transport ledger.
 """
 
 import ast
@@ -22,79 +23,47 @@ import pytest
 from repro import ClusterSpec, Machine
 from repro.bench import cluster_workloads as cw
 from repro.cluster import realnet
-from repro.cluster.backend import run_backend
-from repro.cluster.network import NetworkStats
+from repro.cluster.backend import image_digest, run_backend
 from repro.cluster.transport import Transport
 from repro.common.errors import BackendError
-from repro.kernel import child_ref, shard as shard_module
+from repro.debug import SpaceImage, first_difference, freeze_machine
+from repro.debug.model import PageImage
+from repro.kernel import child_ref, ledgers
 from repro.kernel.shard import fork_refusal
 from repro.kernel.space import Space
 from repro.timing.trace import Trace
 from repro.mem.layout import SHARED_BASE
-from repro.mem.page import PAGE_SIZE
+from repro.mem.page import PAGE_SIZE, FrameAllocator, Page
 
 pytestmark = pytest.mark.skipif(
     not hasattr(os, "fork"), reason="sharding requires os.fork")
 
 
-def fingerprint(machine, value, makespan):
-    """Every observable of a finished machine, shard-independent iff
-    the sharded run was bit-identical to the serial one."""
-    trace = machine.trace
-    memory = []
-    for sp in machine.root.walk():
-        pages = sorted(
-            (vpn, bytes(page.data), page.refs, page.serial, page.generation)
-            for vpn, page in sp.addrspace._pages.items())
-        memory.append((sp.uid, sp.state.name, sp.cur_node, pages))
-    net = NetworkStats(machine)
-    return {
-        "value": value,
-        "makespan": makespan,
-        "segments": [(s.id, s.uid, s.node, s.cycles, s.label, s.closed)
-                     for s in trace.segments],
-        "edges": trace.edges,
-        "transfers": trace.transfers,
-        "console": bytes(machine.console_output),
-        "debug": list(machine.debug_lines),
-        "next_serial": machine.frames._next_serial,
-        "frames_allocated": machine.frames.frames_allocated,
-        "uid_counter": machine._uid_counter,
-        "pages_fetched": machine.pages_fetched,
-        "node_cache": {n: dict(c) for n, c in machine.node_cache.items()},
-        "frame_origin": dict(machine.frame_origin),
-        "charged": {uid: trace.charged(uid)
-                    for uid in {seg.uid for seg in trace.segments}},
-        "node_map": dict(machine.node_map),
-        "memory": memory,
-        "per_link": net.per_link,
-        "per_class": net.per_class,
-        "pages_shipped": net.pages_shipped,
-        "bytes_moved": net.bytes_moved,
-        "messages": net.messages,
-        "hops": net.hops,
-        "migrations": net.migrations,
-        "nodes": {node: row.as_dict()
-                  for node, row in machine.transport.nodes.items()},
-        "pairs": {pair: row.as_dict()
-                  for pair, row in machine.transport.pairs.items()},
-        "route_samples": machine.transport.route_samples,
-    }
+def assert_identical(run, oracle):
+    """Two finished runs (``run_backend`` results) are the same run:
+    value, makespan, and the image frozen before close — the space tree
+    with every page's bytes, tag and refcount, plus everything the run
+    moved on the machine (``repro.kernel.ledgers.whole_run``)."""
+    assert (run.value, run.makespan) == (oracle.value, oracle.makespan)
+    assert first_difference(run.image, oracle.image) is None
+    assert run.image == oracle.image
+    assert image_digest(run.image) == image_digest(oracle.image)
 
 
 def run_pair(builder, nnodes, workers=4, sharded=None, **knobs):
+    """``builder`` serially and sharded: both results, the two asserted
+    identical, and the sharded machine's coordinator."""
     spec = ClusterSpec(**knobs)
-    serial_mk, serial_m, serial_v = cw.run_cluster(builder, nnodes, spec=spec)
-    shard_mk, shard_m, shard_v = cw.run_cluster(
+    serial = run_backend(builder, nnodes, spec=spec)
+    result = run_backend(
         builder, nnodes,
         spec=spec.with_(**(sharded or {"shard_workers": workers})))
     # Every worker is joined before its result is even looked at.
     assert multiprocessing.active_children() == []
-    assert sum(shard_m.shard.fallback_reasons.values()) == \
-        shard_m.shard.fallbacks
-    return (fingerprint(serial_m, serial_v, serial_mk),
-            fingerprint(shard_m, shard_v, shard_mk),
-            shard_m.shard)
+    shard = result.machine.shard
+    assert sum(shard.fallback_reasons.values()) == shard.fallbacks
+    assert_identical(result, serial)
+    return serial, result, shard
 
 
 @pytest.mark.parametrize("workload,builder", [
@@ -107,7 +76,6 @@ def test_sharded_run_bit_identical(workload, builder):
     assert shard.forked > 0
     assert shard.adopted == shard.forked
     assert shard.fallbacks == 0
-    assert sharded == serial
 
 
 def test_sharded_run_bit_identical_on_fat_tree():
@@ -116,7 +84,6 @@ def test_sharded_run_bit_identical_on_fat_tree():
     serial, sharded, shard = run_pair(
         cw.md5_circuit_main(3), 8, workers=3, topology="fat_tree:2")
     assert shard.adopted == shard.forked == 8
-    assert sharded == serial
 
 
 #: Fewer workers than siblings, so a worker runs a queue of subtrees:
@@ -173,7 +140,6 @@ def test_queued_workers_bit_identical(case, coordinator):
     assert 0 < shard.processes <= shard.forked
     if case == "fat_tree":      # one fork point, eight siblings
         assert shard.processes == coordinator["shard_workers"]
-    assert sharded == serial
 
 
 def test_shard_disabled_below_two_workers():
@@ -204,7 +170,10 @@ def test_gated_configs_stay_serial_and_identical(gate):
     knobs, reason = GATED[gate]
     serial, sharded, shard = run_pair(cw.matmult_tree_main(32), 4, **knobs)
     assert shard.forked == 0
-    assert sharded == serial
+    # The one transport table no ledger carries (fork_refusal gates off
+    # the controller that fills it).
+    assert sharded.machine.transport.route_samples == \
+        serial.machine.transport.route_samples
     assert shard.refused.startswith("shard_workers=4 ")
     assert reason in shard.refused
 
@@ -237,7 +206,6 @@ def test_full_ship_mode_shards_and_matches():
     serial, sharded, shard = run_pair(cw.md5_tree_main(3), 4,
                                       ship_mode="full")
     assert shard.adopted > 0
-    assert sharded == serial
 
 
 # -- the engine's worker pool and the fork ---------------------------------
@@ -284,8 +252,7 @@ def test_fork_after_the_pool_has_idle_threads():
 
     serial, sharded, shard = run_pair_bounded(main, 2)
     assert shard.forked == shard.adopted == 3
-    assert sharded["value"] == 1 + 4 + 9 + 16
-    assert sharded == serial
+    assert sharded.value == 1 + 4 + 9 + 16
 
 
 def test_restarted_sibling_is_not_taken_for_never_run():
@@ -301,9 +268,8 @@ def test_restarted_sibling_is_not_taken_for_never_run():
         return [first] + [_join(g, num) for num in (1, 2, 3)]
 
     serial, sharded, shard = run_pair_bounded(main, 2)
-    assert sharded["value"] == [25, 36, 4, 9]
+    assert sharded.value == [25, 36, 4, 9]
     assert shard.forked == shard.adopted == 2
-    assert sharded == serial
 
 
 # -- fallbacks say why -----------------------------------------------------
@@ -322,10 +288,9 @@ def test_worker_refusal_is_a_reasoned_fallback():
         return [_join(g, num) for num in (1, 2, 3)]
 
     serial, sharded, shard = run_pair(main, 2)
-    assert sharded["value"] == [1, 2, 9]
+    assert sharded.value == [1, 2, 9]
     assert shard.forked == 3 and shard.adopted == 2
     assert shard.fallback_reasons == {"cursor device read": 1}
-    assert sharded == serial
 
 
 def _scribbles(g, k):
@@ -348,7 +313,6 @@ def test_failed_validation_is_a_reasoned_fallback():
     serial, sharded, shard = run_pair(main, 2)
     assert shard.forked == 2 and shard.adopted == 1
     assert shard.fallback_reasons == {"refcount dropped": 1}
-    assert sharded == serial
 
 
 # -- the reuse oracle ------------------------------------------------------
@@ -460,8 +424,7 @@ def test_a_hostile_predecessor_does_not_change_the_next_delta():
         assert stats["processes"] == nprocs
         assert stats["forked"] == 4 and stats["adopted"] == 2
         assert stats["fallback_reasons"] == {"refcount dropped": 2}
-        assert fingerprint(result.machine, result.value, result.makespan) \
-            == fingerprint(serial.machine, serial.value, serial.makespan)
+        assert_identical(result, serial)
     assert sorted(queued_payloads) == ["s2", "s3", "s4", "s5"]
     assert queued_payloads == fresh_payloads
 
@@ -475,11 +438,10 @@ def test_a_refused_run_is_rewound_too():
         return [_join(g, num) for num in (1, 2, 3)]
 
     serial, sharded, shard = run_pair(main, 2, workers=2)
-    assert sharded["value"] == [1, 4, 9]
+    assert sharded.value == [1, 4, 9]
     assert shard.processes == 2
     assert shard.forked == 3 and shard.adopted == 2
     assert shard.fallback_reasons == {"cursor device read": 1}
-    assert sharded == serial
 
 
 # -- the declaration is complete -------------------------------------------
@@ -491,8 +453,8 @@ def test_node_and_pair_rows_ride_the_hand_back_like_the_link_ones():
     # run moved is handed back as differences, rewound (a row the run
     # created is gone again), and adopted through the transport's
     # accessors — which is what puts it in the parent's next window.
-    rows = [ledger for ledger in shard_module._LEDGERS
-            if isinstance(ledger, shard_module._Rows)]
+    rows = [ledger for ledger in ledgers.LEDGERS
+            if isinstance(ledger, ledgers.Rows)]
     assert [ledger.key for ledger in rows] == ["links", "nodes", "pairs"]
     with Machine(nnodes=2) as worker, Machine(nnodes=2) as parent:
         for machine in (worker, parent):    # the fork-time state
@@ -530,26 +492,58 @@ def _assigned_by_init(cls):
 
 
 def test_every_machine_global_is_replayed_or_says_why_not():
-    # A field added to one of the three constructors is either moved
-    # by a declared ledger (marked, handed back, rewound, adopted) or
-    # named with the reason it needs none of that: Trace._cum, added
-    # after the delta was designed, sat in neither for two PRs.
-    owners = {"": Machine, "trace": Trace, "transport": Transport}
+    # A field added to one of the constructors is either moved by a
+    # declared ledger (marked, handed back, rewound, adopted) or named
+    # with the reason it needs none of that: Trace._cum, added after
+    # the delta was designed, sat in neither for two PRs.
+    owners = {"": Machine, "trace": Trace, "transport": Transport,
+              "frames": FrameAllocator}
     for owner, cls in owners.items():
-        ledgers = set()
-        for ledger in shard_module._LEDGERS:
+        moved = set()
+        for ledger in ledgers.LEDGERS:
             if ledger.owner == owner:
                 attr = ledger.attr or cls.SCALARS
-                ledgers.update((attr,) if isinstance(attr, str) else attr)
-        excused = shard_module._NOT_REPLAYED[cls.__name__]
+                moved.update((attr,) if isinstance(attr, str) else attr)
+        excused = ledgers.NOT_REPLAYED.get(cls.__name__, {})
         assert all(reason.strip() for reason in excused.values())
-        assert not ledgers & set(excused)
-        assert ledgers | set(excused) == _assigned_by_init(cls), cls.__name__
+        assert not moved & set(excused)
+        assert moved | set(excused) == _assigned_by_init(cls), cls.__name__
     # Likewise a Space: what a hand-back may have changed is spliced
     # onto the parent's object by name, the rest says why not.
-    spliced = set(shard_module._SPLICED)
-    kept = shard_module._NOT_REPLAYED["Space"]
-    assert len(spliced) == len(shard_module._SPLICED)
+    spliced = set(ledgers.SPLICED)
+    kept = ledgers.NOT_REPLAYED["Space"]
+    assert len(spliced) == len(ledgers.SPLICED)
     assert all(reason.strip() for reason in kept.values())
     assert not spliced & set(kept)
     assert spliced | set(kept) == _assigned_by_init(Space)
+
+
+def test_whatever_a_run_may_move_is_in_the_image_or_says_why_not():
+    # The same declaration, read the second time: a ledger is handed
+    # back under a key — and then an image holds it, whole — or says
+    # why the parent (and so the image) never sees it; a Space attribute
+    # a run may change is frozen by an image field or excused there.
+    keyed = [ledger for ledger in ledgers.LEDGERS if ledger.key is not None]
+    for ledger in ledgers.LEDGERS:
+        assert (ledger.key is None) == bool((ledger.local or "").strip()), \
+            (ledger.owner, ledger.attr)
+    with Machine(nnodes=2) as machine:
+        machine.run(cw.md5_tree_main(2), (2,))
+        image = freeze_machine(machine)
+    assert sorted((owner, key) for owner, rows in image.run.items()
+                  for key in rows) == \
+        sorted((ledger.owner or "machine", ledger.key) for ledger in keyed)
+    assert type(image).__slots__ == ("root", "run")
+    frozen = set(SpaceImage.COPIED) | {
+        attr for attr, _freeze in SpaceImage.DERIVED.values()}
+    excused = SpaceImage.EXCUSED
+    assert SpaceImage.__slots__ == SpaceImage.FIELDS
+    assert len(set(SpaceImage.FIELDS)) == len(SpaceImage.FIELDS)
+    assert all(reason.strip() for reason in excused.values())
+    assert not frozen & set(excused)
+    assert set(excused) <= set(ledgers.SPLICED) <= frozen | set(excused)
+    assert frozen <= _assigned_by_init(Space)
+    # ... down to the frame: a Page is its tag, its refcount and its
+    # bytes; an image adds the mapping's permission.
+    assert set(Page.__slots__) == {"serial", "generation", "refs", "data"}
+    assert PageImage.__slots__ == ("tag", "perm", "refs", "data")
