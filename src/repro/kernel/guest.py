@@ -28,6 +28,7 @@ import numpy as np
 
 from repro.common.errors import KernelError
 from repro.kernel.traps import Trap
+from repro.mem.addrspace import byte_view
 
 #: Base instruction charge of a memory API call.
 _MEM_BASE = 6
@@ -89,8 +90,10 @@ class Guest:
         return self.space.addrspace.read(addr, n, check_perm=True)
 
     def write(self, addr, data):
-        """Write bytes to private memory, charging COW/zero-fill faults."""
-        n = len(data)
+        """Write a buffer to private memory, charging by its *byte*
+        length and for the COW/zero-fill faults."""
+        data = byte_view(data)
+        n = data.nbytes
         self.charge(_MEM_BASE + (n >> 4))
         self.kernel.touch(self.space, addr, n)
         counters = self.space.addrspace.counters

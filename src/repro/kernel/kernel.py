@@ -299,7 +299,7 @@ class Kernel:
         served from the per-node read-only page cache, reproducing the
         §3.3 optimization that lets program text move free when a space
         revisits a node.  Writers bump the frame generation (in
-        ``AddressSpace._ensure_writable``), so a mutated frame carries a
+        ``AddressSpace._store``), so a mutated frame carries a
         fresh tag and every other node refetches it on next use.
 
         Misses are pulled through the transport as one batched

@@ -12,11 +12,12 @@ zero-filled regions with the Zero option before starting a child) and
 keeps every access deterministic.
 
 Dirty tracking (DESIGN.md): every mutation is vectored through
-:meth:`AddressSpace._ensure_writable` (or one of the page-granular range
-operations), which records the touched vpn in a per-space *dirty ledger*
-stamped with a monotonically increasing write clock.  Snapshots record
-the clock at capture time; merges and re-snapshots then enumerate the
-pages written since in O(dirty) instead of scanning every mapped page.
+:meth:`AddressSpace._store` (the one write loop) or one of the
+page-granular range operations, which record the touched vpns in a
+per-space *dirty ledger* stamped with a monotonically increasing write
+clock.  Snapshots record the clock at capture time; merges and
+re-snapshots then enumerate the pages written since in O(dirty) instead
+of scanning every mapped page.
 
 No table scans (DESIGN.md §2): every range operation enumerates its
 pages through :func:`table_vpns_in`, which probes the range when it is
@@ -80,6 +81,16 @@ def _check_page_aligned(addr, size):
         raise ValueError(
             f"range {addr:#x}+{size:#x} must be page-aligned for this operation"
         )
+
+
+def byte_view(data):
+    """``data`` as a flat ``memoryview`` of bytes, so that ``nbytes`` is
+    what a write of it moves whatever its item size or shape; objects
+    without a (C-contiguous) buffer go through ``bytes()``."""
+    try:
+        return memoryview(data).cast("B")
+    except TypeError:
+        return memoryview(bytes(data))
 
 
 class AddressSpace:
@@ -155,41 +166,75 @@ class AddressSpace:
         return sorted(self.dirty_since(token))
 
     def _mark_dirty(self, vpn):
-        self._clock += 1
-        self._dirty[vpn] = self._clock
-        self._events.append((self._clock, vpn))
-        if len(self._events) > 64 and len(self._events) > 2 * len(self._dirty):
-            # Compact superseded events; keeps the log within 2x the
-            # number of distinct dirty pages.
-            self._events = sorted(
-                (clock, vpn) for vpn, clock in self._dirty.items()
-            )
+        self._mark_dirty_many((vpn,))
+
+    def _mark_dirty_many(self, vpns):
+        """Record one mutation of each of ``vpns``, in order.  A plain
+        loop on purpose: a ``dict.update`` / ``extend`` bulk form is
+        2x slower below ~16 pages, where ``write`` lives, and would need
+        a size threshold to pay off above (DESIGN.md §9)."""
+        clock, dirty, events = self._clock, self._dirty, self._events
+        for vpn in vpns:
+            clock += 1
+            dirty[vpn] = clock
+            events.append((clock, vpn))
+            if len(events) > 64 and len(events) > 2 * len(dirty):
+                # Compact superseded events; keeps the log within 2x the
+                # number of distinct dirty pages.
+                events = self._events = sorted(
+                    (stamp, seen) for seen, stamp in dirty.items())
+        self._clock = clock
 
     # -- page-level operations --------------------------------------------
 
     def _ensure_writable(self, vpn):
         """Return a privately-owned frame for ``vpn``, allocating or
-        COW-copying as needed.  Returns (page, cost_event) where cost_event
-        is 'hit', 'zero', or 'cow'.  The caller is about to mutate the
-        frame, so this also bumps the frame generation and records the
-        page in the dirty ledger."""
-        page = self._pages.get(vpn)
-        if page is None:
-            page = Page(allocator=self.allocator)
-            self._pages[vpn] = page
-            self.counters.demand_zero += 1
-            event = "zero"
-        elif page.refs > 1:
-            page.decref()
-            page = page.fork_copy(self.allocator)
-            self._pages[vpn] = page
-            self.counters.cow_breaks += 1
-            event = "cow"
-        else:
-            event = "hit"
-        page.bump()
-        self._mark_dirty(vpn)
-        return page, event
+        COW-copying as needed: a store of no bytes.  The caller is about
+        to mutate the frame, so this also bumps the frame generation and
+        records the page in the dirty ledger."""
+        self._store((vpn,), memoryview(b""), 0)
+        return self._pages[vpn]
+
+    def _store(self, vpns, view, pos):
+        """Write page-sized windows of ``view`` (flat bytes) to ``vpns``
+        in order: the window of the first starts at ``pos`` and each
+        next one a page further, clipped to the view — ``pos`` is
+        negative where the bytes start inside the first page.  The one
+        write loop: every page is probed once, a frame that must be
+        replaced (demand-zero fill, COW break) by a *whole-page* window
+        is born with its bytes — one 4 KB copy, not copy-then-overwrite
+        — and the counters and the ledger are updated once, after.
+        Returns the number of page events (fills + COW breaks)."""
+        pages, allocator, size = self._pages, self.allocator, view.nbytes
+        zeros = cows = 0
+        for vpn in vpns:
+            end = pos + PAGE_SIZE
+            whole = pos >= 0 and end <= size
+            page = pages.get(vpn)
+            if page is None or page.refs > 1:
+                if page is None:
+                    zeros += 1
+                else:
+                    page.decref()
+                    cows += 1
+                if whole:
+                    page = Page(view[pos:end], allocator)
+                elif page is None:
+                    page = Page(allocator=allocator)
+                else:
+                    page = page.fork_copy(allocator)
+                pages[vpn] = page
+            elif whole:
+                page.data[:] = view[pos:end]
+            if not whole:
+                lo, hi = max(pos, 0), min(end, size)
+                page.data[lo - pos:hi - pos] = view[lo:hi]
+            page.bump()
+            pos = end
+        self.counters.demand_zero += zeros
+        self.counters.cow_breaks += cows
+        self._mark_dirty_many(vpns)
+        return zeros + cows
 
     # -- byte-level access (used by the guest API) ------------------------
 
@@ -224,28 +269,43 @@ class AddressSpace:
         return empty.join(parts)
 
     def write(self, addr, data, check_perm=False):
-        """Write ``data`` at ``addr``.  Returns the number of page events
-        (COW breaks + demand-zero fills) so callers can charge costs."""
-        size = len(data)
+        """Write ``data`` — any buffer, by its *byte* length — at
+        ``addr``.  Returns the number of page events (COW breaks +
+        demand-zero fills) so callers can charge costs.  A permission
+        fault is raised after the pages below the faulting one were
+        written."""
+        view = byte_view(data)
+        size = view.nbytes
+        # Guests compute addresses with numpy, whose scalars would make
+        # every shift and compare below several times slower.
+        addr = int(addr)
         _check_range(addr, size)
-        if isinstance(data, (bytes, bytearray, memoryview)):
-            view = memoryview(data)
-        else:
-            view = memoryview(bytes(data))
-        events = 0
-        pos = 0
-        while pos < size:
-            vpn = (addr + pos) >> PAGE_SHIFT
-            off = (addr + pos) & (PAGE_SIZE - 1)
-            n = min(PAGE_SIZE - off, size - pos)
-            if check_perm and not (self.perm(vpn) & PERM_W):
-                raise PermissionFault(addr + pos, "write")
-            page, event = self._ensure_writable(vpn)
-            if event != "hit":
-                events += 1
-            page.data[off : off + n] = view[pos : pos + n]
-            pos += n
+        if size == 0:
+            return 0
+        vpn0 = addr >> PAGE_SHIFT
+        vpn1 = ((addr + size - 1) >> PAGE_SHIFT) + 1
+        fault = None
+        if check_perm and self._perms:
+            # Only pages with an explicit permission can be unwritable.
+            perms = self._perms
+            fault = next((vpn for vpn in table_vpns_in(perms, vpn0, vpn1)
+                          if not perms[vpn] & PERM_W), None)
+        events = self._store(range(vpn0, vpn1 if fault is None else fault),
+                             view, -(addr & (PAGE_SIZE - 1)))
+        if fault is not None:
+            raise PermissionFault(max(addr, fault << PAGE_SHIFT), "write")
         return events
+
+    def write_pages(self, vpns, data):
+        """Overwrite the whole pages ``vpns`` (a sequence, any order)
+        with consecutive 4 KB rows of ``data``; permissions are not
+        consulted.  Merge's write-back uses this."""
+        view = byte_view(data)
+        if view.nbytes != len(vpns) * PAGE_SIZE:
+            raise ValueError(
+                f"{len(vpns)} pages need {len(vpns) * PAGE_SIZE:#x} bytes, "
+                f"got {view.nbytes:#x}")
+        return self._store(vpns, view, 0)
 
     def as_array(self, addr, size, writable=False, check_perm=False):
         """Return a numpy uint8 view covering ``[addr, addr+size)``.
@@ -265,7 +325,7 @@ class AddressSpace:
                 if not (self.perm(vpn) & need):
                     raise PermissionFault(addr, "write" if writable else "read")
             if writable:
-                page, _ = self._ensure_writable(vpn)
+                page = self._ensure_writable(vpn)
             else:
                 page = self._pages.get(vpn)
                 if page is None:
@@ -303,7 +363,6 @@ class AddressSpace:
         npages = size >> PAGE_SHIFT
         shift = dst_vpn0 - src_vpn0
         spages, dpages, perms = src._pages, self._pages, self._perms
-        mark_dirty = self._mark_dirty
         # Only pages mapped on either side can need work (sparse ranges):
         # the source's pages, plus destination pages with no source page
         # (those get unmapped), in ascending order.
@@ -316,7 +375,8 @@ class AddressSpace:
         ]
         if stale:
             candidates = sorted(candidates + stale)
-        touched = shared = 0
+        changed = []
+        shared = 0
         for svpn in candidates:
             dvpn = svpn + shift
             spage = spages.get(svpn)
@@ -330,41 +390,40 @@ class AddressSpace:
                 else:
                     dpages[dvpn] = spage.incref()
                     shared += 1
-                mark_dirty(dvpn)
-                touched += 1
+                changed.append(dvpn)
             if spage is None:
                 perms.pop(dvpn, None)
             if perm is not None:
                 perms[dvpn] = perm
+        self._mark_dirty_many(changed)
         self.counters.pages_shared += shared
-        return touched
+        return len(changed)
 
-    def adopt_frame(self, vpn, page):
-        """Map ``page`` at ``vpn`` copy-on-write, leaving permissions
-        alone: a one-page Copy without the range machinery (so a frame
-        already shared at ``vpn`` is left as it is).  Merge's whole-frame
-        adoption uses this."""
-        old = self._pages.get(vpn)
-        if old is page:
-            return
-        if old is not None:
-            old.decref()
-        self._pages[vpn] = page.incref()
-        self._mark_dirty(vpn)
-        self.counters.pages_shared += 1
-
-    def unmap_page(self, vpn):
-        """Drop the frame at ``vpn`` (demand-zero on next access) without
-        touching its permissions.  Merge's zero-adoption uses this:
-        Merge transfers *content*, never permissions.  Returns 1 if a
-        frame was dropped."""
-        page = self._pages.pop(vpn, None)
-        if page is None:
-            return 0
-        page.decref()
-        self._mark_dirty(vpn)
-        self.counters.pages_zeroed += 1
-        return 1
+    def adopt_frames(self, pairs):
+        """Map each ``(vpn, page)`` of ``pairs`` copy-on-write — a
+        ``None`` page unmaps ``vpn`` (demand-zero on next access) —
+        leaving permissions alone: a remap per pair without Copy's range
+        machinery, and a frame already in place is left as it is.
+        Merge's whole-frame adoption uses this; Merge transfers
+        *content*, never permissions."""
+        pages = self._pages
+        changed = []
+        shared = 0
+        for vpn, page in pairs:
+            old = pages.get(vpn)
+            if old is page:
+                continue
+            if old is not None:
+                old.decref()
+            if page is None:
+                del pages[vpn]
+            else:
+                pages[vpn] = page.incref()
+                shared += 1
+            changed.append(vpn)
+        self._mark_dirty_many(changed)
+        self.counters.pages_shared += shared
+        self.counters.pages_zeroed += len(changed) - shared
 
     def zero_range(self, addr, size):
         """Zero-fill a page-aligned range (kernel Zero option).
@@ -376,15 +435,14 @@ class AddressSpace:
         _check_page_aligned(addr, size)
         vpn0 = addr >> PAGE_SHIFT
         npages = size >> PAGE_SHIFT
-        removed = 0
-        for vpn in self.mapped_vpns_in(vpn0, vpn0 + npages):
+        removed = self.mapped_vpns_in(vpn0, vpn0 + npages)
+        for vpn in removed:
             self._pages.pop(vpn).decref()
-            self._mark_dirty(vpn)
-            removed += 1
+        self._mark_dirty_many(removed)
         for vpn in table_vpns_in(self._perms, vpn0, vpn0 + npages):
             del self._perms[vpn]
-        self.counters.pages_zeroed += removed
-        return removed
+        self.counters.pages_zeroed += len(removed)
+        return len(removed)
 
     def set_perm(self, addr, size, perm):
         """Set page permissions on a page-aligned range (Perm option).

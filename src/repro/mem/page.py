@@ -47,7 +47,7 @@ class Page:
 
     ``generation`` counts in-place mutations of the frame's bytes: the
     owning address space bumps it on every write it vectors through
-    ``_ensure_writable``.  The pair ``(serial, generation)`` — see
+    ``AddressSpace._store``.  The pair ``(serial, generation)`` — see
     :meth:`tag` — therefore identifies frame *content*: a frame's content
     never changes while shared, so caching and skipping by tag is sound.
     """

@@ -46,9 +46,9 @@ class Snapshot:
         if addr % PAGE_SIZE or size % PAGE_SIZE:
             raise ValueError("snapshot range must be page-aligned")
         vpn0 = addr >> PAGE_SHIFT
-        frames = {}
-        for vpn in space.mapped_vpns_in(vpn0, vpn0 + (size >> PAGE_SHIFT)):
-            frames[vpn] = space.frame(vpn).incref()
+        pages = space._pages
+        frames = {vpn: pages[vpn].incref() for vpn in
+                  space.mapped_vpns_in(vpn0, vpn0 + (size >> PAGE_SHIFT))}
         space.counters.pages_shared += len(frames)
         return cls(addr, size, frames, source=space, token=space.dirty_token())
 
@@ -65,18 +65,19 @@ class Snapshot:
         dirty = self._dirty_since_capture(space)
         vpn0 = self.addr >> PAGE_SHIFT
         vpn1 = vpn0 + (self.size >> PAGE_SHIFT)
+        frames, pages = self._frames, space._pages
         repinned = 0
         for vpn in dirty:
             if not vpn0 <= vpn < vpn1:
                 continue
-            old = self._frames.pop(vpn, None)
+            old = frames.pop(vpn, None)
             if old is not None:
                 old.decref()
-            frame = space.frame(vpn)
+            frame = pages.get(vpn)
             if frame is not None:
-                self._frames[vpn] = frame.incref()
-                space.counters.pages_shared += 1
+                frames[vpn] = frame.incref()
                 repinned += 1
+        space.counters.pages_shared += repinned
         self._token = space.dirty_token()
         return repinned, len(dirty)
 

@@ -203,3 +203,21 @@ def test_reads_see_only_causally_prior_writes():
         return g.get(1, regs=True)["r0"]
 
     assert run(main).r0 == 1
+
+
+def test_write_charges_and_moves_the_bytes_of_a_wide_buffer():
+    """``g.write`` of a non-byte buffer is the same operation as a write
+    of its bytes: same memory, same charge (it used to count elements)."""
+    wide = np.arange(1, 513, dtype=np.int64)            # 512 items, one page
+
+    def main_wide(g):
+        g.write(A, wide)
+        return g.read(A, wide.nbytes)
+
+    def main_bytes(g):
+        g.write(A, wide.tobytes())
+        return g.read(A, wide.nbytes)
+
+    got, want = run(main_wide), run(main_bytes)
+    assert got.r0 == want.r0 == wide.tobytes()
+    assert got.total_cycles() == want.total_cycles()

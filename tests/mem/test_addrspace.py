@@ -1,5 +1,6 @@
 """Unit tests for copy-on-write address spaces."""
 
+import numpy as np
 import pytest
 
 from repro.common.errors import PageFaultError, PermissionFault
@@ -294,3 +295,44 @@ def test_zero_range_drops_permissions_inside_the_range_only(space):
         [PERM_R, PERM_R, PERM_RW, PERM_RW, PERM_R, PERM_R, PERM_R, PERM_R]
     space.zero_range(0x2000, 64 * PAGE_SIZE)           # wide: scanned
     assert [space.perm(vpn) for vpn in range(1, 9)] == [PERM_R] + [PERM_RW] * 7
+
+
+# -- a write moves the buffer's bytes, whatever its item size ----------------
+
+WIDE = np.arange(1, 5, dtype=np.int64)          # 4 elements, 32 bytes
+
+
+@pytest.mark.parametrize("shape", [
+    lambda a: a, memoryview, lambda a: a.reshape(2, 2), lambda a: a.tobytes(),
+    lambda a: memoryview(a.reshape(2, 2).T),    # not C-contiguous
+    lambda a: list(a.tobytes()),                # no buffer at all
+], ids=["ndarray", "memoryview", "2d", "bytes", "strided", "list"])
+def test_write_goes_by_the_byte_length_of_the_buffer(space, shape):
+    data = shape(WIDE)
+    space.write(0x1000 + PAGE_SIZE - 8, data)   # 8 bytes here, 24 over the edge
+    want = bytes(memoryview(data)) if not isinstance(data, list) else bytes(data)
+    assert len(want) == 32
+    assert space.read(0x1000 + PAGE_SIZE - 8, 32) == want
+    assert space.read(0x1000 + PAGE_SIZE + 24, 8) == bytes(8)
+    assert [len(space.frame(vpn).data) for vpn in space.mapped_vpns()] \
+        == [PAGE_SIZE, PAGE_SIZE]
+
+
+def test_write_range_check_uses_the_byte_length(space):
+    with pytest.raises(PageFaultError):
+        space.write(VA_SIZE - 8, memoryview(WIDE))      # 4 items, 32 bytes
+    assert space.mapped_page_count() == 0
+
+
+def test_frames_stay_page_sized_after_every_kind_of_write(space):
+    pinned = AddressSpace()
+    space.write(0x5000, b"seed" * 2048)                 # two whole pages
+    pinned.copy_range_from(space, 0x5000, 0x5000, 2 * PAGE_SIZE)
+    for addr, data in [(0x5000, bytes(PAGE_SIZE)),              # whole, COW
+                       (0x5ffc, WIDE),                          # partial, wide
+                       (0x6000, memoryview(WIDE)),              # private hit
+                       (0x8000 - 3, np.ones(PAGE_SIZE + 6, dtype=np.uint16))]:
+        space.write(addr, data)
+        assert {len(space.frame(vpn).data) for vpn in space.mapped_vpns()} \
+            == {PAGE_SIZE}
+    assert pinned.read(0x5000, 8) == b"seedseed"

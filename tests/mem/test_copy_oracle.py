@@ -3,7 +3,8 @@
 ``reference_copy`` is the per-page ``copy_range_from`` body this
 repository shipped before the bulk rewrite (two table scans, a candidate
 set, a sort, ``_map`` -> ``_mark_dirty`` per page), kept here as the
-reference.  Every hypothesis example builds the same world twice — random
+reference; the ledger it writes is the per-page ``reference_mark_dirty``
+of ``page_oracle.py``, not the production loop.  Every hypothesis example builds the same world twice — random
 sparse source/destination tables, frames the two already share, stale
 permissions, a dirty ledger with history — runs the production operation
 on one and the reference on the other, and requires the two worlds to be
@@ -23,8 +24,7 @@ from repro.mem import (
     PERM_RW,
     Page,
 )
-from repro.mem import merge
-from repro.mem.merge import MergeStats
+from page_oracle import reference_mark_dirty, reference_unmap
 
 #: Tables live in ``[VPN0, VPN0 + UNIVERSE)``; ranges may be wider, so
 #: both sides of the probe-or-scan rule are exercised.
@@ -46,7 +46,7 @@ def _reference_map(space, vpn, page, perm=None):
     space._pages[vpn] = page
     if perm is not None:
         space._perms[vpn] = perm
-    space._mark_dirty(vpn)
+    reference_mark_dirty(space, vpn)
 
 
 def reference_copy(dst, src, src_addr, dst_addr, size, perm=None):
@@ -68,7 +68,7 @@ def reference_copy(dst, src, src_addr, dst_addr, size, perm=None):
             if dpage is not None:
                 dpage.decref()
                 del dst._pages[dvpn]
-                dst._mark_dirty(dvpn)
+                reference_mark_dirty(dst, dvpn)
                 touched += 1
             dst._perms.pop(dvpn, None)
             if perm is not None:
@@ -84,16 +84,14 @@ def reference_copy(dst, src, src_addr, dst_addr, size, perm=None):
     return touched
 
 
-def reference_adopt(parent, child, child_frame, vpn, stats):
-    """Merge's ``_adopt`` as it was: a one-page Copy, or ``unmap_page``
-    when the child dropped the page."""
-    if child_frame is None:
-        parent.unmap_page(vpn)
+def reference_adopt(parent, child, vpn):
+    """Merge's one-page adoption as it was: a one-page Copy, or
+    ``unmap_page`` when the child dropped the page."""
+    if child.frame(vpn) is None:
+        reference_unmap(parent, vpn)
     else:
         reference_copy(parent, child, vpn << PAGE_SHIFT, vpn << PAGE_SHIFT,
                        PAGE_SIZE)
-    stats.pages_adopted += 1
-    stats.written_vpns.append(vpn)
 
 
 # -- worlds -----------------------------------------------------------------
@@ -114,9 +112,13 @@ worlds = st.fixed_dictionaries({
 
 class World:
     """One build of a drawn world.  Frames are labelled in creation
-    order, so two builds of the same draw can be compared by label."""
+    order, so two builds of the same draw can be compared by label.
+    ``mark`` writes the destination's ledger history: the production
+    ``_mark_dirty`` in the world production runs on, the per-page
+    reference in the other."""
 
-    def __init__(self, draw, shift=0, same_space=False):
+    def __init__(self, draw, shift=0, same_space=False,
+                 mark=AddressSpace._mark_dirty):
         self.dst = AddressSpace()
         self.src = self.dst if same_space else AddressSpace()
         self.frames = []
@@ -132,7 +134,7 @@ class World:
         history = draw["history"]
         self.tokens = [self.dst.dirty_token()]
         for n, off in enumerate(history):
-            self.dst._mark_dirty(VPN0 + off)
+            mark(self.dst, VPN0 + off)
             if n == len(history) // 2:
                 self.tokens.append(self.dst.dirty_token())
         self.tokens.append(self.dst.dirty_token())
@@ -186,7 +188,7 @@ def test_bulk_copy_matches_the_per_page_reference(draw, start, npages, shift,
     dst_addr = (VPN0 + start + shift) << PAGE_SHIFT
     size = npages << PAGE_SHIFT
     new = World(draw, shift, same_space)
-    old = World(draw, shift, same_space)
+    old = World(draw, shift, same_space, mark=reference_mark_dirty)
     # The kernel's Copy hands over the source enumeration it already made.
     src_vpns = new.src.mapped_vpns_in(
         VPN0 + start, VPN0 + start + npages) if enumerated else None
@@ -201,22 +203,22 @@ def test_bulk_copy_matches_the_per_page_reference(draw, start, npages, shift,
 
 @given(
     draw=worlds,
-    off=vpn_offsets,
-    child_has_page=st.booleans(),
+    offs=st.lists(vpn_offsets, max_size=UNIVERSE),
+    dropped=st.sets(vpn_offsets, max_size=6),
 )
 @settings(max_examples=150, deadline=None)
-def test_adopt_matches_the_one_page_reference_copy(draw, off, child_has_page):
-    vpn = VPN0 + off
-    new, old = World(draw), World(draw)
-    if not child_has_page:
-        for world in (new, old):
-            world.src.unmap_page(vpn)        # the child dropped the page
-    got, want = MergeStats(), MergeStats()
-    merge._adopt(new.dst, new.src.frame(vpn), vpn, got)
-    reference_adopt(old.dst, old.src, old.src.frame(vpn), vpn, want)
+def test_adopt_matches_the_one_page_reference_copy(draw, offs, dropped):
+    """``adopt_frames`` of a list (any order, repeats allowed) against
+    one reference adoption per page."""
+    new, old = World(draw), World(draw, mark=reference_mark_dirty)
+    for world in (new, old):
+        for off in sorted(dropped):
+            reference_unmap(world.src, VPN0 + off)   # the child dropped it
+    vpns = [VPN0 + off for off in offs]
+    new.dst.adopt_frames([(vpn, new.src.frame(vpn)) for vpn in vpns])
+    for vpn in vpns:
+        reference_adopt(old.dst, old.src, vpn)
     assert new.observe(None) == old.observe(None)
-    assert (got.pages_adopted, got.written_vpns) == \
-        (want.pages_adopted, want.written_vpns) == (1, [vpn])
 
 
 @given(draw=worlds, off=vpn_offsets)
@@ -228,11 +230,11 @@ def test_unmap_adoption_is_a_copy_that_keeps_permissions(draw, off):
     moves content, never permissions) and the drop counts as a zeroed
     page."""
     vpn = VPN0 + off
-    new, old = World(draw), World(draw)
+    new, old = World(draw), World(draw, mark=reference_mark_dirty)
     for world in (new, old):
-        world.src.unmap_page(vpn)
+        reference_unmap(world.src, vpn)
     mapped = vpn in new.dst._pages
-    merge._adopt(new.dst, None, vpn, MergeStats())
+    new.dst.adopt_frames([(vpn, None)])
     reference_copy(old.dst, old.src, vpn << PAGE_SHIFT, vpn << PAGE_SHIFT,
                    PAGE_SIZE)
     got, want = new.observe(None), old.observe(None)

@@ -43,6 +43,11 @@ def test_merge_counts_bytes_on_both_sides_dirty_pages():
     assert parent.read(0x1000, 10) == b"bbbb4567PP"
     assert stats.pages_diffed == 1
     assert stats.bytes_merged == 4
+    # Plain ints, not numpy scalars: the stats ride in JSON reports and
+    # pickled hand-backs.
+    assert {type(getattr(stats, name)) for name in stats.__slots__
+            if name != "written_vpns"} == {int}
+    assert [type(vpn) for vpn in stats.written_vpns] == [int]
 
 
 def test_merge_untouched_pages_skipped_fast():

@@ -10,7 +10,7 @@ wall-clock: these cannot flake.
 
 import pytest
 
-from repro.mem import AddressSpace, PAGE_SIZE, Snapshot, merge_range
+from repro.mem import AddressSpace, PAGE_SIZE, PERM_RW, Snapshot, merge_range
 
 TABLE = 4096
 BASE = 0x10_0000
@@ -132,3 +132,30 @@ def test_tracked_merge_of_four_dirty_pages_reads_four_pages(family):
         == (4, 2, 2)
     assert parent_table.reads <= 4 * PER_PAGE
     assert child_table.reads <= 4 * PER_PAGE
+
+
+def test_whole_range_write_probes_each_page_once_and_sweeps_perms_once(family):
+    """``write`` is linear in the pages its byte range overlaps: one
+    page-table probe per page (the ledger and the counters are updated
+    once per call, not per page) and one sweep of the permissions."""
+    _, child, _ = family
+    npages = 64
+    child.set_perm(addr(100), 8 * PAGE_SIZE, PERM_RW)
+    (pages,) = count_reads(child)
+    perms = child._perms = CountingTable(child._perms)
+    # unaligned on both ends: npages - 1 whole pages and two partial ones
+    events = child.write(addr(96) + 100, bytes(npages * PAGE_SIZE),
+                         check_perm=True)
+    assert events == npages + 1                 # every page was shared
+    assert pages.reads <= (npages + 1) + 2
+    assert perms.reads <= (npages + 1) + 8      # a probe per page + the hits
+
+
+def test_one_page_write_against_a_large_permission_table_reads_one_page(family):
+    _, child, _ = family
+    child.set_perm(BASE, TABLE * PAGE_SIZE, PERM_RW)
+    (pages,) = count_reads(child)
+    perms = child._perms = CountingTable(child._perms)
+    assert child.write(addr(1234) + 8, b"one page", check_perm=True) == 1
+    assert pages.reads <= PER_PAGE
+    assert perms.reads <= PER_PAGE
