@@ -265,7 +265,8 @@ class NetworkStats:
             f"{self.bytes_moved / 1024:.0f} KiB payload in "
             f"{self.messages:,} messages over {self.hops:,} link "
             f"traversals{comp}), {self.wire_cycles:,} wire cycles over "
-            f"{len(self.per_link)} {self.topology} links{retx}, "
+            f"{len(self.machine.transport.links)} {self.topology} "
+            f"links{retx}, "
             f"cache population: {dict(sorted(self.cached_per_node.items()))}"
         )
 

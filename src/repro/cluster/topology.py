@@ -256,16 +256,15 @@ class FatTreeTopology(_RackedTopology):
         super().__init__(nnodes, rack_size)
         self.nspines = max(1, rack_size if nspines is None else nspines)
         self.core_class = LinkClass("core", 1.0, 1.0)
-        self._classes = {}
+        self._spines = frozenset(f"core{n}" for n in range(self.nspines))
 
     def _core_switch(self, src, dst):
         return f"core{(src + dst) % self.nspines}"
 
     def link_class(self, link):
-        if link not in self._classes:
-            core = any(isinstance(end, str) and end.startswith("core") for end in link)
-            self._classes[link] = self.core_class if core else self.rack_class
-        return self._classes[link]
+        if link[0] in self._spines or link[1] in self._spines:
+            return self.core_class
+        return self.rack_class
 
     def uplinks(self, rack):
         sw = self._switch(rack)

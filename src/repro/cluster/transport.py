@@ -26,10 +26,12 @@ of this file needs from there:
 """
 
 import enum
+from operator import itemgetter
 
 from repro.cluster import compress
 from repro.cluster.faults import DROP, DUPLICATE, REORDER, RetxBill
 from repro.cluster.network import render_table
+from repro.cluster.topology import NODE_CLASS
 from repro.common.errors import NetworkLossError
 from repro.mem.page import PAGE_SIZE
 
@@ -41,6 +43,14 @@ class MsgType(enum.Enum):
     PAGE_REQ = "page_req"
     PAGE_BATCH = "page_batch"
     ACK = "ack"
+
+
+#: The type names, as :attr:`LinkStats.by_type` keys them and as they
+#: head a message of a leg (:meth:`Transport._leg`): ``(type name,
+#: serial, wire bytes, stalls)`` — ``stalls`` is False for a
+#: fire-and-forget message, which bills nobody for its serialization or
+#: its faults.
+MIGRATE, PAGE_REQ, PAGE_BATCH, ACK = (mtype.name for mtype in MsgType)
 
 
 class Ledger:
@@ -56,9 +66,16 @@ class Ledger:
     FIELDS = ()
     __slots__ = ()
 
+    def __init_subclass__(cls):
+        # Zero-init compiled from FIELDS as one chained assignment: a
+        # ``setattr`` per field was a third of a route's first use.
+        exec(f"def __init__(self): "
+             f"{''.join(f'self.{name} = ' for name in cls.FIELDS)}0",
+             scope := {})
+        cls.zero = scope["__init__"]
+
     def __init__(self):
-        for name in self.FIELDS:
-            setattr(self, name, 0)
+        self.zero()
 
     def as_dict(self):
         """Plain-dict view (reporting, and the mark of a later
@@ -135,12 +152,14 @@ class LinkStats(Ledger):
         "reorder_msgs",
     )
 
-    __slots__ = ("cls", "by_type") + FIELDS
+    __slots__ = ("link_class", "cls", "by_type") + FIELDS
 
-    def __init__(self, cls="node"):
-        super().__init__()
-        #: Name of the link's latency/bandwidth class.
-        self.cls = cls
+    def __init__(self, link_class=NODE_CLASS):
+        self.zero()
+        #: The link's latency/bandwidth class (what a leg prices and
+        #: holds by; not part of :meth:`as_dict`) and its name.
+        self.link_class = link_class
+        self.cls = link_class.name
         #: message-type name -> message count.
         self.by_type = {}
 
@@ -394,8 +413,8 @@ class Transport:
         """The :class:`LinkStats` of one directed fabric link."""
         stats = self.links.get(link)
         if stats is None:
-            cls = self.machine.topology.link_class(link).name
-            stats = self.links[link] = LinkStats(cls)
+            stats = self.links[link] = LinkStats(
+                self.machine.topology.link_class(link))
         return stats
 
     def _windowed(self, table, key, new):
@@ -439,8 +458,7 @@ class Transport:
 
     # -- telemetry windows -------------------------------------------------
 
-    def _note_route_sample(self, src, dst, usage, nmsgs, bill,
-                           npages=1):
+    def _note_route_sample(self, src, dst, usages, nmsgs, bill, npages):
         """Record one delivery-latency sample for the ``src``/``dst``
         route: route transit plus the exchange's mean per-message
         serialization.  Two Karn-style filters keep the estimator
@@ -460,7 +478,7 @@ class Transport:
         if len(samples) >= ROUTE_SAMPLE_CAP:
             return
         transit = machine.topology.route_latency(machine.cost, src, dst)
-        busy = sum(usage.values()) if usage else 0
+        busy = sum(sum(usage.values()) for usage in usages)
         samples.append(transit + busy // max(1, nmsgs))
 
     def _moved_since_mark(self, table):
@@ -502,116 +520,133 @@ class Transport:
             {pair: row["bytes"]
              for pair, row in self._moved_since_mark("pairs").items()})
 
-    def _send(self, mtype, src, dst, nbytes, pages=0, usage=None,
-              raw_payload=0, comp_payload=0, faults=None):
-        """Serialize one message along the fabric route ``src -> dst``.
+    def _leg(self, src, dst, msgs, delivered, usage=None, faults=None,
+             pages=0, payload=0):
+        """One direction of an exchange: serialize ``msgs`` along the
+        fabric route ``src -> dst`` and credit ``delivered`` bytes to
+        every link of it — a single walk of the route's link rows,
+        hop-major (DESIGN §3 "A leg is one walk of its route").
 
-        Every traversed link accrues the message's bytes, pages, and
-        its class-scaled serialization cycles; ``usage`` (when given)
-        collects per-link busy cycles for the caller's trace edges.
-        ``raw_payload``/``comp_payload`` carry the page payload's
-        pre-/post-compression byte counts for the per-link compression
-        ledger.  Only the *sending* side is accounted here; the
-        exchange methods credit ``bytes_received`` from their own
-        arithmetic (:meth:`_receive`), so the conservation invariant
-        cross-checks the two computations per physical link — e.g. a
-        batch split that loses pages shows up as a sent/received
-        mismatch.
+        ``msgs`` are message tuples (see :data:`MIGRATE`).  Every traversed
+        link accrues each message's bytes, pages, and its class-scaled
+        serialization cycles, priced once per distinct ``byte_factor``
+        on the route; ``usage`` (when given) collects the per-link busy
+        cycles of the *stalling* messages for the caller's trace edges.
+        Only the sending side is accounted per message: ``delivered``
+        is the caller's own arithmetic over the exchange's page counts,
+        so the conservation invariant cross-checks the two computations
+        per physical link — e.g. a batch split that loses pages shows
+        up as a sent/received mismatch.
 
         Under ``ClusterSpec(loss=...)`` each link's copy consults the
         deterministic loss schedule, keyed on ``(link, message serial,
         attempt)``.  Dropped copies are retransmitted by the link layer
-        after ``cost.retx_timeout`` (at most ``cost.retx_limit``
-        retries); duplicated copies serialize and arrive twice (the
-        receiver discards the extra, credited here); reordered copies
-        are held back one hop latency.  ``faults`` (a
-        :class:`~repro.cluster.faults.RetxBill`, for messages a space
-        stalls on) collects the extra per-link occupancy and the
-        timeout waits for the caller's ``kind="retx"`` trace edges;
-        fire-and-forget messages pass None and fault silently.
+        after the route's retransmit timeout (at most
+        ``cost.retx_limit`` retries); duplicated copies serialize and
+        arrive twice (the receiver discards the extra, credited here);
+        reordered copies are held back one hop latency.  ``faults`` (a
+        :class:`~repro.cluster.faults.RetxBill`) collects, for the
+        stalling messages, the extra per-link occupancy and the timeout
+        waits for the caller's ``kind="retx"`` trace edges;
+        fire-and-forget messages fault silently.
         """
         machine = self.machine
         cost = machine.cost
-        topo = machine.topology
         loss = machine.loss
-        serial = self.messages
-        self.messages += 1
-        self.pair((src, dst)).bytes += nbytes
+        links = self.links
+        route = machine.topology.route(src, dst)
+        if msgs:
+            self.pair((src, dst)).bytes += delivered
+            self.hops += len(route) * len(msgs)
         # The retransmit timer is per logical message: the (possibly
-        # control-tuned) timeout of the message's route, resolved once
-        # so every hop copy of this message waits the same timer.
+        # control-tuned) timeout of the route, resolved once so every
+        # hop copy of every message of the leg waits the same timer.
         timeout = machine.retx_timeout_for(src, dst) if loss else 0
-        for link in topo.route(src, dst):
-            cls = topo.link_class(link)
-            busy = cost.link_message(nbytes, byte_factor=cls.byte_factor,
-                                     tcp=machine.tcp_mode)
-            stats = self.link(link)
-            # Payload/page accounting is per logical traversal: the
-            # content crosses the link once however many wire copies
-            # the link layer needs.
-            stats.pages += pages
-            stats.raw_bytes += raw_payload
-            stats.comp_bytes += comp_payload
-            self.hops += 1
-            if usage is not None:
-                usage[link] = usage.get(link, 0) + busy
-            attempt = 0
-            while True:
-                stats.messages += 1
-                stats.bytes_sent += nbytes
-                stats.busy_cycles += busy
-                stats.by_type[mtype.name] = \
-                    stats.by_type.get(mtype.name, 0) + 1
-                if attempt:
-                    stats.retx_msgs += 1
-                    stats.retx_bytes += nbytes
-                    if faults is not None:
-                        faults.usage[link] = faults.usage.get(link, 0) + busy
-                outcome = loss.decide(link, serial, attempt) if loss \
-                    else None
-                if outcome is DROP:
-                    stats.dropped_msgs += 1
-                    stats.dropped_bytes += nbytes
-                    attempt += 1
-                    if attempt > cost.retx_limit:
-                        raise NetworkLossError(
-                            f"{mtype.name} msg {serial} on link {link}: "
-                            f"all {cost.retx_limit} retransmissions "
-                            f"dropped")
-                    if faults is not None:
-                        faults.wait += timeout
-                        self.retx_wait += timeout
-                    continue
-                if outcome is DUPLICATE:
-                    # The link layer serialized a second copy; it
-                    # arrives and the receiver discards it, so it is
-                    # credited delivered right here (the exchange
-                    # arithmetic only knows clean copies).
-                    stats.messages += 1
-                    stats.bytes_sent += nbytes
-                    stats.bytes_received += nbytes
-                    stats.busy_cycles += busy
-                    stats.dup_msgs += 1
-                    stats.dup_bytes += nbytes
-                    stats.by_type[mtype.name] += 1
-                    if faults is not None:
-                        faults.usage[link] = faults.usage.get(link, 0) + busy
-                elif outcome is REORDER:
-                    # Delivered behind a later copy: the receiver holds
-                    # it one hop transit before handing it up.
-                    stats.reorder_msgs += 1
-                    if faults is not None:
-                        hold = int(cls.latency_factor * cost.net_latency)
-                        faults.wait += hold
-                        faults.usage.setdefault(link, 0)
-                        self.retx_wait += hold
-                break
-
-    def _receive(self, src, dst, nbytes):
-        """Credit ``nbytes`` delivered over every link of the
-        ``src -> dst`` route (lossless fabric)."""
-        for link in self.machine.topology.route(src, dst):
-            self.link(link).bytes_received += nbytes
+        prices = {}
+        extra = []
+        for link in route:
+            row = links.get(link) or self.link(link)
+            factor = row.link_class.byte_factor
+            price = prices.get(factor)
+            if price is None:
+                priced = [msg + (cost.link_message(
+                    msg[2], byte_factor=factor, tcp=machine.tcp_mode),)
+                    for msg in msgs]
+                stalling = [msg[4] for msg in priced if msg[3]]
+                price = prices[factor] = (
+                    priced, sum(stalling) if stalling else None)
+            priced, stalling = price
+            if usage is not None and stalling is not None:
+                usage[link] = usage.get(link, 0) + stalling
+            by_type = row.by_type
+            for name, serial, nbytes, stalls, busy in priced:
+                attempt = 0
+                while True:
+                    row.messages += 1
+                    row.bytes_sent += nbytes
+                    row.busy_cycles += busy
+                    by_type[name] = by_type.get(name, 0) + 1
+                    if not loss:
+                        break
+                    bill = faults if stalls else None
+                    if attempt:
+                        row.retx_msgs += 1
+                        row.retx_bytes += nbytes
+                        if bill is not None:
+                            extra.append((serial, link, busy))
+                    outcome = loss.decide(link, serial, attempt)
+                    if outcome is DROP:
+                        row.dropped_msgs += 1
+                        row.dropped_bytes += nbytes
+                        attempt += 1
+                        if attempt > cost.retx_limit:
+                            raise NetworkLossError(
+                                f"{name} msg {serial} on link {link}: "
+                                f"all {cost.retx_limit} retransmissions "
+                                f"dropped")
+                        if bill is not None:
+                            bill.wait += timeout
+                            self.retx_wait += timeout
+                        continue
+                    if outcome is DUPLICATE:
+                        # The link layer serialized a second copy; it
+                        # arrives and the receiver discards it, so it is
+                        # credited delivered right here (the exchange
+                        # arithmetic only knows clean copies).
+                        row.messages += 1
+                        row.bytes_sent += nbytes
+                        row.bytes_received += nbytes
+                        row.busy_cycles += busy
+                        row.dup_msgs += 1
+                        row.dup_bytes += nbytes
+                        by_type[name] += 1
+                        if bill is not None:
+                            extra.append((serial, link, busy))
+                    elif outcome is REORDER:
+                        # Delivered behind a later copy: the receiver
+                        # holds it one hop transit before handing it up.
+                        row.reorder_msgs += 1
+                        if bill is not None:
+                            hold = int(row.link_class.latency_factor
+                                       * cost.net_latency)
+                            bill.wait += hold
+                            extra.append((serial, link, 0))
+                            self.retx_wait += hold
+                    break
+            row.bytes_received += delivered
+            if pages:
+                # Payload/page accounting is per logical traversal: the
+                # content crosses the link once however many wire copies
+                # the link layer needed.
+                row.pages += pages
+                row.raw_bytes += pages * PAGE_SIZE
+                row.comp_bytes += payload
+        # The bill lists its links in the order per-message sends would
+        # have found them: by message, then by hop (the sort is stable).
+        if extra:
+            extra.sort(key=itemgetter(0))
+            for _, link, busy in extra:
+                faults.usage[link] = faults.usage.get(link, 0) + busy
 
     def _stall_edges(self, closed, opened, kind, parts, bill):
         """One trace link edge per physical link the exchange occupied:
@@ -622,16 +657,14 @@ class Transport:
         (the :class:`~repro.cluster.faults.RetxBill` of a lossy fabric)
         adds its extra occupancy and timeout waits as ``kind="retx"``
         edges between the same two segments."""
-        trace = self.machine.trace
-        link_class = self.machine.topology.link_class
+        links = self.links
         legs = [(kind, usage, latency) for usage, latency in parts]
         if bill:
             legs.append(("retx", bill.usage, bill.wait))
-        for leg_kind, usage, latency in legs:
-            for link, busy in usage.items():
-                trace.link_edge(closed, opened, link=link, busy=busy,
-                                latency=latency, cls=link_class(link).name,
-                                kind=leg_kind)
+        self.machine.trace.link_edges(closed, opened, [
+            (link, busy, latency, links[link].cls, leg_kind)
+            for leg_kind, usage, latency in legs
+            for link, busy in usage.items()])
 
     def _batch_sizes(self, npages):
         """Split ``npages`` into PAGE_BATCH loads (``cost.msg_batch``)."""
@@ -643,62 +676,65 @@ class Transport:
             npages -= take
         return sizes
 
-    def _ship(self, src, dst, frames, usage=None, faults=None):
-        """Send ``frames`` as PAGE_BATCH messages over the route.
+    def _batches(self, frames):
+        """Number one exchange's messages — its head (MIGRATE or
+        PAGE_REQ), a PAGE_BATCH per load of ``frames``, its ACK, in that
+        order — and build the batches.
 
-        Returns ``(payload, codec)``: total payload bytes serialized
-        (compressed when the machine compresses; headers excluded) and
-        the encode+decode cycles the codec cost.
+        Returns ``(head, msgs, ack, payload, codec)``: the head's and
+        the ACK's serials around the PAGE_BATCH message tuples, the
+        total payload bytes those serialize (compressed when the machine
+        compresses; headers excluded) and the encode+decode cycles the
+        codec cost.
         """
         cost = self.machine.cost
         sizes = [self.wire_size(frame) for frame in frames]
+        head = self.messages
+        msgs = []
         index = 0
         for take in self._batch_sizes(len(frames)):
             payload = sum(sizes[index:index + take])
-            self._send(MsgType.PAGE_BATCH, src, dst,
-                       payload + take * cost.page_hdr,
-                       pages=take, usage=usage,
-                       raw_payload=take * PAGE_SIZE, comp_payload=payload,
-                       faults=faults)
-            self.batches += 1
+            msgs.append((PAGE_BATCH, head + 1 + len(msgs),
+                         payload + take * cost.page_hdr, True))
             index += take
+        ack = head + 1 + len(msgs)
+        self.batches += len(msgs)
+        self.messages = ack + 1
         payload = sum(sizes)
         codec = 0
         if self.machine.compression and frames:
             codec = int(len(frames) * PAGE_SIZE * cost.comp_encode_byte
                         + payload * cost.comp_decode_byte)
             self.codec_cycles += codec
-        return payload, codec
+        return head, msgs, ack, payload, codec
 
-    def _page_exchange(self, origin, node, frames, req_usage=None,
-                       resp_usage=None, faults=None):
+    def _page_exchange(self, origin, node, frames, req_usage, resp_usage,
+                       faults):
         """Wire accounting of one PAGE_REQ/PAGE_BATCH/ACK exchange
         pulling ``frames`` from ``origin`` to ``node`` — shared by the
         demand and prefetch paths so the two can never drift apart and
-        break per-link conservation.  Returns ``(payload, codec)``.
+        break per-link conservation: a ``[PAGE_REQ, ACK]`` leg out and
+        a ``PAGE_BATCH...`` leg back, numbered request, batches, ACK.
+        Returns the codec cycles.
         """
         cost = self.machine.cost
         npages = len(frames)
-        self._send(MsgType.PAGE_REQ, node, origin,
-                   cost.msg_ctrl + 8 * npages, usage=req_usage,
-                   faults=faults)
-        payload, codec = self._ship(origin, node, frames, usage=resp_usage,
-                                    faults=faults)
-        self._send(MsgType.ACK, node, origin, cost.msg_ctrl)
-        self._receive(node, origin, 2 * cost.msg_ctrl + 8 * npages)
-        self._receive(origin, node, payload + npages * cost.page_hdr)
+        head, batches, ack, payload, codec = self._batches(frames)
+        self._leg(node, origin,
+                  [(PAGE_REQ, head, cost.msg_ctrl + 8 * npages, True),
+                   (ACK, ack, cost.msg_ctrl, False)],
+                  2 * cost.msg_ctrl + 8 * npages, req_usage, faults)
+        self._leg(origin, node, batches, payload + npages * cost.page_hdr,
+                  resp_usage, faults, npages, payload)
         # One delivery-latency sample per clean exchange (telemetry for
         # the control plane's SRTT estimator).  The request and response
-        # usage dicts may alias (the prefetch path passes one dict);
-        # merge without double counting.
-        usage = dict(req_usage or ())
-        if resp_usage is not None and resp_usage is not req_usage:
-            for link, busy in resp_usage.items():
-                usage[link] = usage.get(link, 0) + busy
-        nmsgs = 1 + len(self._batch_sizes(npages))
-        self._note_route_sample(origin, node, usage, nmsgs, faults,
-                                npages=npages)
-        return payload, codec
+        # usage dicts may alias (the prefetch path passes one dict):
+        # count it once.
+        usages = [req_usage] if resp_usage is req_usage \
+            else [req_usage, resp_usage]
+        self._note_route_sample(origin, node, usages, 1 + len(batches),
+                                faults, npages)
+        return codec
 
     # -- protocol exchanges ------------------------------------------------
 
@@ -706,12 +742,12 @@ class Transport:
         """Move ``space`` from ``src`` to ``dst``, shipping the
         ``shipped`` delta frames with it.
 
-        Sends MIGRATE + PAGE_BATCHes along the ``src -> dst`` route and
-        an async ACK back, then cuts the space's trace segment across
-        per-link edges so the space resumes on ``dst`` only after the
-        transfer serializes on every traversed link (contending with
-        other traffic crossing those links) and transits the route's
-        total latency.
+        A ``[MIGRATE, PAGE_BATCH...]`` leg along the ``src -> dst``
+        route and an async ACK leg back, then cuts the space's trace
+        segment across per-link edges so the space resumes on ``dst``
+        only after the transfer serializes on every traversed link
+        (contending with other traffic crossing those links) and
+        transits the route's total latency.
         """
         machine = self.machine
         cost = machine.cost
@@ -719,19 +755,17 @@ class Transport:
         self.pages_shipped += len(shipped)
         usage = {}
         bill = RetxBill() if machine.loss else None
-        self._send(MsgType.MIGRATE, src, dst, cost.migrate_bytes, usage=usage,
-                   faults=bill)
-        payload, codec = self._ship(src, dst, shipped, usage=usage,
-                                    faults=bill)
-        self._send(MsgType.ACK, dst, src, cost.msg_ctrl)
+        head, batches, ack, payload, codec = self._batches(shipped)
         # Receiver-side accounting from the exchange's own arithmetic
-        # (not the per-message sends): conservation cross-checks them.
-        self._receive(src, dst, cost.migrate_bytes
-                      + payload + len(shipped) * cost.page_hdr)
-        self._receive(dst, src, cost.msg_ctrl)
-        self._note_route_sample(src, dst, usage,
-                                1 + len(self._batch_sizes(len(shipped))),
-                                bill, npages=len(shipped))
+        # (not the per-message sizes): conservation cross-checks them.
+        self._leg(src, dst,
+                  [(MIGRATE, head, cost.migrate_bytes, True)] + batches,
+                  cost.migrate_bytes + payload + len(shipped) * cost.page_hdr,
+                  usage, bill, len(shipped), payload)
+        self._leg(dst, src, [(ACK, ack, cost.msg_ctrl, False)],
+                  cost.msg_ctrl)
+        self._note_route_sample(src, dst, (usage,), 1 + len(batches), bill,
+                                len(shipped))
         trace = machine.trace
         if trace.is_open(space.uid):
             closed, opened = trace.move_node(space.uid, dst)
@@ -752,15 +786,12 @@ class Transport:
         pipelined round trip, as the seed's per-page charge was.
         """
         machine = self.machine
-        npages = len(frames)
-        self.node(node).pulled += npages
+        self.node(node).pulled += len(frames)
         req_usage = {}
         resp_usage = {}
         bill = RetxBill() if machine.loss else None
-        _, codec = self._page_exchange(origin, node, frames,
-                                       req_usage=req_usage,
-                                       resp_usage=resp_usage,
-                                       faults=bill)
+        codec = self._page_exchange(origin, node, frames, req_usage,
+                                    resp_usage, bill)
         trace = machine.trace
         if trace.is_open(space.uid):
             closed, opened = trace.cut(space.uid, label="fetch")
@@ -791,9 +822,7 @@ class Transport:
         self.node(node).prefetch_issued += npages
         usage = {}
         bill = RetxBill() if machine.loss else None
-        _, codec = self._page_exchange(origin, node, frames,
-                                       req_usage=usage, resp_usage=usage,
-                                       faults=bill)
+        codec = self._page_exchange(origin, node, frames, usage, usage, bill)
         last = machine.trace.last_closed(space.uid)
         anchor = last.id if last is not None else None
         latency = (machine.topology.route_latency(machine.cost, origin, node)

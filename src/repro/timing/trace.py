@@ -202,9 +202,15 @@ class Trace:
         trip, versus the retransmission timeouts a lossy fabric's
         reliable link layer adds (``kind="retx"``).
         """
+        self.link_edges(src_seg, dst_seg, [(link, busy, latency, cls, kind)])
+
+    def link_edges(self, src_seg, dst_seg, edges):
+        """One :meth:`link_edge` between the two segments per ``(link,
+        busy, latency, cls, kind)`` of ``edges``, in order, entered as a
+        single ``extend`` — every link one exchange occupied."""
         src = src_seg.id if isinstance(src_seg, Segment) else src_seg
         dst = dst_seg.id if isinstance(dst_seg, Segment) else dst_seg
-        self.transfers.append((src, dst, link, busy, latency, cls, kind))
+        self.transfers.extend([(src, dst, *edge) for edge in edges])
 
     def finish(self):
         """Close any remaining open segments (end of simulation)."""

@@ -12,6 +12,8 @@ link.
 """
 
 import hashlib
+import re
+from types import SimpleNamespace
 
 import pytest
 
@@ -21,6 +23,7 @@ from repro.cluster import LossSchedule, MsgType, NetworkStats, resolve_loss
 from repro.cluster.faults import DELIVER, DROP, DUPLICATE, REORDER
 from repro.common.errors import NetworkLossError
 from repro.kernel import Machine
+from repro.mem import PAGE_SIZE, Page
 from repro.timing.schedule import schedule
 
 NODES = 4
@@ -215,9 +218,61 @@ def test_duplicates_and_reorders_accounted():
 def test_retry_exhaustion_raises_deterministically():
     """A dead link (drop=1.0) exhausts cost.retx_limit retries and
     stops the migrating space with a NetworkLossError trap."""
-    with pytest.raises(RuntimeError, match="NetworkLossError"):
+    with pytest.raises(RuntimeError, match=(
+            r"NetworkLossError: MIGRATE msg 0 on link \(0, 1\): "
+            r"all 8 retransmissions dropped")):
         cw.run_cluster(cw.md5_circuit_main(3), 2, spec=ClusterSpec(loss=1.0))
     # Raised directly when the transport is driven outside a guest.
     machine = Machine(nnodes=2, spec=ClusterSpec(loss=1.0))
-    with pytest.raises(NetworkLossError):
-        machine.transport._send(MsgType.ACK, 0, 1, 64)
+    with pytest.raises(NetworkLossError, match=(
+            r"ACK msg 0 on link \(0, 1\): all 8 retransmissions dropped")):
+        machine.transport._leg(
+            0, 1, [(MsgType.ACK.name, 0, 64, False)], 64)
+
+
+class DeadLink(LossSchedule):
+    """Every copy on one directed link is dropped, nothing else is."""
+
+    def __init__(self, link):
+        super().__init__(drop=1.0)
+        self.link = link
+
+    def decide(self, link, serial, attempt=0):
+        return DROP if link == self.link else DELIVER
+
+
+@pytest.mark.parametrize("dead, hops_before", [
+    ((0, "rack0"), 0), (("rack0", "core"), 1), (("rack1", 3), 3)])
+def test_retry_exhaustion_is_a_defined_state(dead, hops_before):
+    """After the abort the rows still conserve (``sent == received +
+    dropped`` on every link): the links before the dead one carried and
+    delivered the whole leg, the dead one dropped every copy of the
+    leg's first message, and nothing was sent beyond it.  The serials
+    of the whole exchange were handed out before the walk (DESIGN §5)."""
+    machine = Machine(nnodes=4, spec=ClusterSpec(topology=TOPOLOGY,
+                                                 loss=DeadLink(dead)))
+    transport = machine.transport
+    frames = [Page(bytes([n]) * PAGE_SIZE) for n in range(3)]
+    with pytest.raises(NetworkLossError, match=(
+            rf"MIGRATE msg 0 on link {re.escape(str(dead))}: "
+            rf"all 8 retransmissions dropped")):
+        transport.migrate(SimpleNamespace(uid="space"), 0, 3, frames)
+    assert transport.conservation_ok()
+    route = machine.topology.route(0, 3)
+    assert list(transport.links) == list(route[:hops_before + 1])
+    cost = machine.cost
+    leg_bytes = cost.migrate_bytes + 3 * (PAGE_SIZE + cost.page_hdr)
+    for link in route[:hops_before]:
+        row = transport.links[link]
+        assert (row.messages, row.bytes_sent, row.bytes_received,
+                row.dropped_msgs) == (2, leg_bytes, leg_bytes, 0)
+        assert row.by_type == {"MIGRATE": 1, "PAGE_BATCH": 1}
+    row = transport.links[dead]
+    copies = cost.retx_limit + 1
+    assert (row.messages, row.dropped_msgs, row.retx_msgs,
+            row.bytes_received) == (copies, copies, copies - 1, 0)
+    assert row.bytes_sent == row.dropped_bytes == copies * cost.migrate_bytes
+    assert row.by_type == {"MIGRATE": copies}
+    # MIGRATE, one PAGE_BATCH and the ACK were numbered up front.
+    assert transport.messages == 3
+    assert machine.trace.transfers == []
