@@ -67,8 +67,7 @@ def _sweep(workload, loss):
         values.add(value)
     makespan, machine, value = _run(workload, loss, control="adaptive")
     values.add(value)
-    sched = schedule(machine.trace,
-                     cpus_per_node={node: 1 for node in range(NODES)})
+    sched = schedule(machine.trace, ncpus=1)
     stalls = sched.stall_cycles
     best = min(statics.values())
     return {

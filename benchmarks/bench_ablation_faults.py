@@ -50,9 +50,7 @@ def _run_cell(spec, rate):
     loss = None if rate is None else {"drop": rate, "seed": SEED}
     makespan, machine, value = cw.run_cluster(
         cw.matmult_tree_main(N), NODES, spec=spec.with_(loss=loss))
-    stalls = schedule(machine.trace,
-                      cpus_per_node={node: 1 for node in range(NODES)}
-                      ).stall_cycles
+    stalls = schedule(machine.trace, ncpus=1).stall_cycles
     stats = NetworkStats(machine)
     return {
         "value": value,

@@ -35,8 +35,7 @@ def _run_tree(nodes, disable_cache):
     with machine:
         result = machine.run(entry)
         assert result.trap.name in ("EXIT", "RET"), result.trap_info
-        cpus = {node: 1 for node in range(nodes)}
-        return result.makespan(cpus_per_node=cpus), machine.pages_fetched
+        return result.makespan(ncpus=1), machine.pages_fetched
 
 
 def test_ablation_readonly_page_cache():

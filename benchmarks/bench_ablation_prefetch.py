@@ -52,8 +52,7 @@ CELLS = [
 def _run_cell(spec):
     makespan, machine, value = cw.run_cluster(
         cw.matmult_tree_main(N), NODES, spec=spec)
-    sched = schedule(machine.trace,
-                     cpus_per_node={node: 1 for node in range(NODES)})
+    sched = schedule(machine.trace, ncpus=1)
     stalls = sched.stall_cycles
     stats = NetworkStats(machine)
     return {

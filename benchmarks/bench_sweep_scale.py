@@ -36,11 +36,11 @@ SHARD_NODES = 64
 SHARD_WORKERS = 8
 
 
-def _replay_seconds(trace, cpus, reps=5):
+def _replay_seconds(trace, reps=5):
     best = float("inf")
     for _ in range(reps):
         start = time.perf_counter()
-        schedule(trace, cpus_per_node=cpus)
+        schedule(trace, ncpus=1)
         best = min(best, time.perf_counter() - start)
     return best
 
@@ -54,12 +54,11 @@ def test_scale_sweep_event_core():
                 cw.md5_circuit_main(3), nodes,
                 spec=ClusterSpec(topology=TOPOLOGY))
             trace = machine.trace
-            cpus = {node: 1 for node in range(nodes)}
             results[str(nodes)] = {
                 "makespan": makespan,
                 "value": value,
                 "segments": len(trace.segments),
-                "replay_us": round(_replay_seconds(trace, cpus) * 1e6, 1),
+                "replay_us": round(_replay_seconds(trace) * 1e6, 1),
             }
         serial_mk, _, serial_v = cw.run_cluster(
             cw.md5_circuit_main(3), SHARD_NODES,

@@ -66,9 +66,7 @@ class DistLinux:
             trace.charge("master", cost.message(output_bytes, tcp=True))
         trace.charge("master", master_post)
         trace.finish()
-        return schedule(
-            trace, ncpus=1, cpus_per_node={n: 1 for n in range(self.nnodes)}
-        ).makespan
+        return schedule(trace, ncpus=1).makespan
 
     def _distribute(self, parent_uid, parent_node, nodes, worker_cycles,
                     input_bytes, output_bytes):
@@ -132,6 +130,4 @@ class DistLinux:
             trace.edge(end_seg, opened, latency=latency)
             trace.charge("master", cost.message(output_bytes, tcp=True))
         trace.finish()
-        return schedule(
-            trace, ncpus=1, cpus_per_node={n: 1 for n in range(self.nnodes)}
-        ).makespan
+        return schedule(trace, ncpus=1).makespan

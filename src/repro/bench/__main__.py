@@ -32,7 +32,8 @@ def _shard_footer(machine):
     shard = machine.shard
     if shard is None:
         return []
-    label = "real processes" if machine.backend == "real" else "shard workers"
+    label = ("real processes" if machine.spec.backend == "real"
+             else "shard workers")
     stats = shard.stats()
     lines = [f"  {label:<22}{stats['processes']}   subtrees "
              f"forked={stats['forked']} adopted={stats['adopted']} "

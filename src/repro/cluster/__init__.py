@@ -20,8 +20,8 @@ owns *how* it crosses and what that costs:
   payloads zero-suppressed/RLE-encoded
   (:mod:`repro.cluster.compress`);
 * :class:`~repro.cluster.faults.LossSchedule` — deterministic fault
-  injection (``ClusterSpec(loss=...)``): per-link drop/duplicate/reorder
-  decisions keyed on ``(link, message serial)`` replay bit-identically;
+  injection (``ClusterSpec(loss=...)``): per-link drop decisions keyed
+  on ``(link, message serial, attempt)`` replay bit-identically;
   the transport retransmits dropped copies (``cost.retx_timeout`` /
   ``retx_limit``), keeps a per-link retransmit ledger
   (``NetworkStats.retx_table()``), and charges timeout waits as
@@ -42,7 +42,7 @@ owns *how* it crosses and what that costs:
 * :class:`Cluster` — construct, run and time a multi-node machine with
   one call; like every runner it returns the run's
   :class:`~repro.kernel.machine.MachineResult` (``value``,
-  ``makespan()`` on the spec's ``cpus_per_node``, ``network``);
+  ``makespan()`` on ``NODE_CPUS``, ``network``);
 * :class:`NetworkStats` — a read-through view of the transport's
   ledgers (it copies nothing): migration hops, page/byte/message
   totals, per-class (rack vs cross-rack) aggregates

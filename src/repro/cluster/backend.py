@@ -56,7 +56,7 @@ from enum import Enum
 
 from repro.cluster import realnet
 from repro.cluster.compress import SCHEME_RAW, decode_page, encode_page
-from repro.cluster.spec import ClusterSpec
+from repro.cluster.spec import NODE_CPUS, ClusterSpec
 from repro.cluster.transport import MsgType
 from repro.common.errors import BackendError, WireError
 from repro.debug.model import freeze_machine
@@ -190,7 +190,7 @@ class RealShardCoordinator(ShardCoordinator):
         the shared compression codec when the machine compresses."""
         out = []
         for serial, generation, data in frames:
-            if self.machine.compression:
+            if self.machine.spec.compression:
                 scheme, payload = encode_page(bytes(data))
             else:
                 scheme, payload = SCHEME_RAW, bytes(data)
@@ -435,7 +435,7 @@ class RealRunResult:
         self.wire_ok = shard.wire_conservation_ok() if real else None
 
     machine = property(lambda self: self.result.machine)
-    backend = property(lambda self: self.machine.backend)
+    backend = property(lambda self: self.machine.spec.backend)
     value = property(lambda self: self.result.value)
     network = property(lambda self: self.result.network)
 
@@ -460,10 +460,9 @@ def run_backend(entry_builder, nnodes, spec=None, configure=None):
         configure(machine)
     start = time.perf_counter()
     with machine:
-        result = machine.run(entry_builder, (nnodes,),
-                             ncpus=machine.cpus_per_node)
+        result = machine.run(entry_builder, (nnodes,), ncpus=NODE_CPUS)
         wall = time.perf_counter() - start
-        if machine.backend == "real" and machine.shard.refused:
+        if machine.spec.backend == "real" and machine.shard.refused:
             raise BackendError(machine.shard.refused)
         if result.trap_info.startswith(("BackendError", "WireError")):
             raise BackendError(result.trap_info)

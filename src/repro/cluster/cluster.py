@@ -1,6 +1,6 @@
 """High-level cluster runner."""
 
-from repro.cluster.spec import ClusterSpec
+from repro.cluster.spec import NODE_CPUS, ClusterSpec
 from repro.kernel.machine import Machine
 
 
@@ -20,10 +20,11 @@ class Cluster:
 
     def run(self, entry, args=()):
         """Run ``entry(g, *args)`` as the root program; returns its
-        :class:`~repro.kernel.machine.MachineResult`, scheduled on the
-        spec's ``cpus_per_node``.  Raises if the program faults."""
+        :class:`~repro.kernel.machine.MachineResult`, scheduled on
+        :data:`~repro.cluster.spec.NODE_CPUS`.  Raises if the program
+        faults."""
         with Machine(nnodes=self.nnodes, spec=self.spec) as machine:
-            return machine.run(entry, args, ncpus=self.spec.cpus_per_node) \
+            return machine.run(entry, args, ncpus=NODE_CPUS) \
                 .check("cluster program")
 
 

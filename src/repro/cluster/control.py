@@ -122,20 +122,12 @@ class Controller:
     #: Recognized policy names (the ``policies`` argument).
     POLICIES = ("prefetch", "retx", "placement")
 
-    def __init__(self, policies=POLICIES, depth0=None):
+    def __init__(self, policies=POLICIES):
         unknown = set(policies) - set(self.POLICIES)
         if unknown:
             raise ValueError(f"unknown control policies {sorted(unknown)} "
                              f"(have {list(self.POLICIES)})")
         self.policies = tuple(policies)
-        #: Initial per-node prefetch depth; None defaults to half the
-        #: cap — a deliberately generous speculation budget (TCP's
-        #: large-initial-window rationale): a wrong prior sheds within a
-        #: window or two of waste telemetry, while a too-timid prior
-        #: costs the one unrepeatable event the controller can never
-        #: replay — each node's first big stream, which at quantum
-        #: granularity is over before its first decision lands.
-        self.depth0 = depth0
         self.machine = None
         self.reset(None)
 
@@ -151,7 +143,15 @@ class Controller:
         #: the nodes that have not streamed yet — without it, every
         #: node's one big stream runs at the cold depth and the (per
         #: node, once-only) lesson always arrives a quantum late.
-        self._boot = DEPTH_CAP // 2 if self.depth0 is None else self.depth0
+        #:
+        #: It starts at half the cap — a deliberately generous
+        #: speculation budget (TCP's large-initial-window rationale): a
+        #: wrong prior sheds within a window or two of waste telemetry,
+        #: while a too-timid prior costs the one unrepeatable event the
+        #: controller can never replay — each node's first big stream,
+        #: which at quantum granularity is over before its first
+        #: decision lands.
+        self._boot = DEPTH_CAP // 2
         #: node -> current adaptive prefetch depth, -> remaining clean
         #: windows before demand-driven growth re-arms, and -> whether
         #: the node's last shrink was churn-driven (in which case

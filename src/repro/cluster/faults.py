@@ -5,13 +5,13 @@ TCP-style baseline, but a comparison of *reliability machinery* is
 hollow while links never misbehave.  This module makes loss a
 first-class, reproducible dimension of the model: a
 :class:`LossSchedule` decides — per directed link, per message serial —
-whether a wire copy is dropped, duplicated, or reordered, as a **pure
-function** of ``(seed, link, serial, attempt)``.  No generator state is
-consumed, so the decisions do not depend on call order, and two runs of
-the same program under the same schedule fault the same messages on the
-same links — faults replay bit-identically, in the spirit of
-Determinator's system-enforced determinism (§2.1: nondeterministic
-inputs become explicit, controllable ones).
+whether a wire copy is dropped, as a **pure function** of ``(seed,
+link, serial, attempt)``.  No generator state is consumed, so the
+decisions do not depend on call order, and two runs of the same program
+under the same schedule drop the same messages on the same links —
+faults replay bit-identically, in the spirit of Determinator's
+system-enforced determinism (§2.1: nondeterministic inputs become
+explicit, controllable ones).
 
 The transport (:mod:`repro.cluster.transport`) consumes the decisions
 hop by hop: every fabric link runs a reliable link layer that
@@ -27,19 +27,13 @@ images of every workload are identical under any loss schedule* — only
 wire traffic and timing move.  Conservation extends to
 ``delivered + dropped == sent`` per physical link.
 
-A uniform draw is compared against cumulative rate bands, so schedules
-at increasing drop rates are *nested*: every message dropped at 0.1%
-is also dropped at 1% under the same seed — loss-rate sweeps move
+A uniform draw is compared against the drop rate, so schedules at
+increasing drop rates are *nested*: every message dropped at 0.1% is
+also dropped at 1% under the same seed — loss-rate sweeps move
 monotonically instead of resampling a fresh fault pattern per rate.
 """
 
 from repro.common.detrandom import DeterministicRandom
-
-#: Fault decision outcomes (compared by identity in the transport).
-DELIVER = "deliver"
-DROP = "drop"
-DUPLICATE = "duplicate"
-REORDER = "reorder"
 
 _MASK = (1 << 64) - 1
 _FNV_OFFSET = 0xCBF29CE484222325
@@ -66,12 +60,11 @@ class RetxBill:
     """Retransmission charges one exchange accumulated while sending.
 
     ``usage`` maps each link to the serialization cycles its
-    retransmitted/duplicated copies occupied; ``wait`` is the total
-    sender-side cycles spent in retransmission timeouts and reorder
-    hold-backs.  The transport turns a non-empty bill into
-    ``kind="retx"`` trace link edges on the stalling exchange;
-    fire-and-forget messages (ACKs) carry no bill — their faults are
-    accounted on the links but delay nobody.
+    retransmitted copies occupied; ``wait`` is the total sender-side
+    cycles spent in retransmission timeouts.  The transport turns a
+    non-empty bill into ``kind="retx"`` trace link edges on the
+    stalling exchange; fire-and-forget messages (ACKs) carry no bill —
+    their faults are accounted on the links but delay nobody.
     """
 
     __slots__ = ("usage", "wait")
@@ -85,32 +78,22 @@ class RetxBill:
 
 
 class LossSchedule:
-    """Deterministic per-link, per-message fault schedule.
+    """Deterministic per-link, per-message drop schedule.
 
-    ``drop``, ``dup``, and ``reorder`` are independent rates in
-    ``[0, 1]`` with ``drop + dup + reorder <= 1``; ``seed`` selects the
-    fault pattern.  :meth:`decide` is a pure function — the schedule
-    holds no mutable state, so it can be shared, replayed, and queried
-    in any order without changing a single decision.
+    ``drop`` is a rate in ``[0, 1]``; ``seed`` selects the fault
+    pattern.  :meth:`drops` is a pure function — the schedule holds no
+    mutable state, so it can be shared, replayed, and queried in any
+    order without changing a single decision.
 
     >>> s = LossSchedule(drop=0.5, seed=7)
-    >>> s.decide(("a", "b"), 3) == LossSchedule(drop=0.5, seed=7).decide(("a", "b"), 3)
+    >>> s.drops(("a", "b"), 3) == LossSchedule(drop=0.5, seed=7).drops(("a", "b"), 3)
     True
     """
 
-    def __init__(self, drop=0.0, dup=0.0, reorder=0.0, seed=2010):
-        for name, rate in (("drop", drop), ("dup", dup),
-                           ("reorder", reorder)):
-            if not 0.0 <= rate <= 1.0:
-                raise ValueError(f"{name} rate must be in [0, 1], "
-                                 f"got {rate}")
-        if drop + dup + reorder > 1.0:
-            raise ValueError(
-                f"fault rates must sum to <= 1, got "
-                f"{drop} + {dup} + {reorder}")
+    def __init__(self, drop=0.0, seed=2010):
+        if not 0.0 <= drop <= 1.0:
+            raise ValueError(f"drop rate must be in [0, 1], got {drop}")
         self.drop = drop
-        self.dup = dup
-        self.reorder = reorder
         self.seed = seed
 
     def draw(self, link, serial, attempt=0):
@@ -124,30 +107,16 @@ class LossSchedule:
         state = _fold(state, attempt.to_bytes(4, "little"))
         return DeterministicRandom(state).uniform()
 
-    def decide(self, link, serial, attempt=0):
-        """Fault outcome for message ``serial``'s copy number
-        ``attempt`` on directed ``link``: one of :data:`DELIVER`,
-        :data:`DROP`, :data:`DUPLICATE`, :data:`REORDER`.
-
-        The draw is compared against cumulative bands, so raising the
-        drop rate only *adds* dropped messages (schedules are nested
-        across rates under one seed).
-        """
-        if not (self.drop or self.dup or self.reorder):
-            return DELIVER
-        u = self.draw(link, serial, attempt)
-        if u < self.drop:
-            return DROP
-        if u < self.drop + self.dup:
-            return DUPLICATE
-        if u < self.drop + self.dup + self.reorder:
-            return REORDER
-        return DELIVER
+    def drops(self, link, serial, attempt=0):
+        """Whether message ``serial``'s copy number ``attempt`` on
+        directed ``link`` is dropped.  Raising the rate only *adds*
+        dropped copies (schedules are nested across rates under one
+        seed)."""
+        return self.drop > 0 and self.draw(link, serial, attempt) < self.drop
 
     def describe(self):
         """One-line human-readable description (NetworkStats reports)."""
-        return (f"drop={self.drop:.3%} dup={self.dup:.3%} "
-                f"reorder={self.reorder:.3%} seed={self.seed}")
+        return f"drop={self.drop:.3%} seed={self.seed}"
 
     def __repr__(self):
         return f"<LossSchedule {self.describe()}>"
@@ -158,7 +127,7 @@ def resolve_loss(spec):
 
     ``spec`` may be None (lossless fabric — the fault path is skipped
     entirely, bit-identical to the pre-fault transport), a number (drop
-    rate with default dup/reorder/seed), a dict of
+    rate with the default seed), a dict of
     :class:`LossSchedule` keyword arguments, or an already-built
     schedule.
     """

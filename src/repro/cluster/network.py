@@ -55,10 +55,8 @@ def _traffic(row):
 #: ``retx_table``: its columns, and the ``LinkStats.FIELDS`` counters
 #: under them that its TOTAL row sums.
 _RETX_COLUMNS = (("link", 16, ""), ("msgs", 7, ""), ("dropped", 8, ""),
-                 ("retx", 6, ""), ("retx KiB", 9, ".1f"), ("dup", 5, ""),
-                 ("reorder", 8, ""))
-_RETX_FIELDS = ("messages", "dropped_msgs", "retx_msgs", "retx_bytes",
-                "dup_msgs", "reorder_msgs")
+                 ("retx", 6, ""), ("retx KiB", 9, ".1f"))
+_RETX_FIELDS = ("messages", "dropped_msgs", "retx_msgs", "retx_bytes")
 
 
 class NetworkStats:
@@ -75,8 +73,7 @@ class NetworkStats:
     ALIASES = {
         "wire_bytes": "bytes_total", "wire_cycles": "busy_total",
         "raw_bytes": "raw_total", "comp_bytes": "comp_total",
-        "dropped_msgs": "drops", "dup_msgs": "dups",
-        "reorder_msgs": "reorders",
+        "dropped_msgs": "drops",
     }
 
     def __init__(self, machine):
@@ -105,7 +102,7 @@ class NetworkStats:
     prefetch_unused = property(
         lambda self: self.machine.transport.prefetch_unused())
     #: Whether PAGE_BATCH payloads were compressed.
-    compression = property(lambda self: self.machine.compression)
+    compression = property(lambda self: self.machine.spec.compression)
 
     @property
     def loss(self):
@@ -188,28 +185,25 @@ class NetworkStats:
         """Per-link retransmission ledger of the deterministic fault
         schedule.
 
-        One row per link the schedule faulted — wire copies dropped,
-        retransmitted (messages and KiB), duplicated, and reordered —
-        plus a totals row.  The row *content* is a pure function of the
-        schedule and the program (fault decisions are keyed on
-        ``(link, message serial)``), so two runs under one seed render
-        the same table byte for byte — the determinism oracle the fault
-        tests pin down.
+        One row per link the schedule faulted — wire copies dropped and
+        retransmitted (messages and KiB) — plus a totals row.  The row
+        *content* is a pure function of the schedule and the program
+        (fault decisions are keyed on ``(link, message serial)``), so two
+        runs under one seed render the same table byte for byte — the
+        determinism oracle the fault tests pin down.
         """
         rows = {f"{src}->{dst}": stats
                 for (src, dst), stats in self.per_link.items()
-                if stats["dropped_msgs"] or stats["retx_msgs"]
-                or stats["dup_msgs"] or stats["reorder_msgs"]}
+                if stats["dropped_msgs"] or stats["retx_msgs"]}
         if rows:
             rows["TOTAL"] = {name: sum(stats[name] for stats in rows.values())
                              for name in _RETX_FIELDS}
         return render_table(
             _RETX_COLUMNS,
             [(name, stats["messages"], stats["dropped_msgs"],
-              stats["retx_msgs"], _kib(stats["retx_bytes"]),
-              stats["dup_msgs"], stats["reorder_msgs"])
+              stats["retx_msgs"], _kib(stats["retx_bytes"]))
              for name, stats in rows.items()],
-            "(no link ever dropped, duplicated, or reordered a message)")
+            "(no link ever dropped a message)")
 
     def window(self):
         """Take the transport's telemetry window: what the node and
@@ -254,9 +248,7 @@ class NetworkStats:
             retx = (f", faults [{self.loss}]: {self.dropped_msgs:,} drops "
                     f"-> {self.retx_msgs:,} retransmits "
                     f"({self.retx_bytes / 1024:.0f} KiB, "
-                    f"{self.retx_wait:,} wait cycles), "
-                    f"{self.dup_msgs:,} dups, {self.reorder_msgs:,} "
-                    f"reorders")
+                    f"{self.retx_wait:,} wait cycles)")
         return (
             f"{self.migrations} migration hops, "
             f"{self.pages_fetched:,} pages fetched "

@@ -25,6 +25,7 @@ continues on the survivors.
 """
 
 from repro.bench.workloads import serving as workload
+from repro.cluster.spec import NODE_CPUS
 from repro.kernel.kernel import child_ref
 from repro.kernel.machine import Machine
 from repro.timing.schedule import schedule
@@ -219,13 +220,12 @@ def _dispatch(g, machine, arrivals, plan, refs_out, values_out):
 
 
 def serve_trace(nnodes, spec=None, requests=160, mean_gap=240_000, seed=11,
-                segments=workload.DIURNAL, segment_cycles=None,
                 autoscale=None):
     """Serve a deterministic open-loop request trace on the cluster.
 
     ``requests`` arrivals are drawn by
     :func:`repro.bench.workloads.serving.make_arrivals` (Poisson at one
-    request per ``mean_gap`` cycles, shaped by the diurnal ``segments``)
+    request per ``mean_gap`` cycles, shaped by the ``DIURNAL`` profile)
     and dispatched across ``nnodes`` nodes configured by ``spec``.
     ``autoscale`` optionally steps the active node count mid-trace.
 
@@ -236,8 +236,7 @@ def serve_trace(nnodes, spec=None, requests=160, mean_gap=240_000, seed=11,
     """
     if requests > MAX_REQUESTS:
         raise ValueError(f"at most {MAX_REQUESTS} requests per trace")
-    arrivals = workload.make_arrivals(requests, mean_gap, seed,
-                                      segments, segment_cycles)
+    arrivals = workload.make_arrivals(requests, mean_gap, seed)
     plan = _normalize_plan(autoscale, nnodes)
     machine = Machine(nnodes=nnodes, spec=spec)
     refs = {}
@@ -247,8 +246,8 @@ def serve_trace(nnodes, spec=None, requests=160, mean_gap=240_000, seed=11,
         return _dispatch(g, machine, arrivals, plan, refs, values)
 
     with machine:
-        result = machine.run(main).check("serving trace")
-        finish = schedule(machine.trace, ncpus=machine.cpus_per_node).finish
+        result = machine.run(main, ncpus=NODE_CPUS).check("serving trace")
+        finish = schedule(machine.trace, ncpus=NODE_CPUS).finish
         finish_by_uid = {}
         for seg in machine.trace.segments:
             t = finish[seg.id]

@@ -1,8 +1,8 @@
 """`ClusterSpec`: every cross-cutting knob of a simulated run, in one place.
 
-The twelve knobs (`tcp_mode`, `ship_mode`, `topology`, `placement`,
+The eleven knobs (`tcp_mode`, `ship_mode`, `topology`, `placement`,
 `prefetch_depth`, `compression`, `loss`, `control`, `shard_workers`,
-`cost`, `cpus_per_node`, `backend`) are fields of one frozen dataclass,
+`cost`, `backend`) are fields of one frozen dataclass,
 and every entry point — ``Machine``, ``Cluster``, ``sweep_nodes``,
 ``run_cluster``, ``serve_trace``, ``run_backend``, ``run_real`` — takes
 it as ``spec=`` and nothing else:
@@ -16,7 +16,12 @@ it as ``spec=`` and nothing else:
 * **Frozen value semantics.**  A spec can be built once and shared by a
   whole sweep; anything *stateful* (a live ``Controller``, the resolved
   ``Topology`` for a concrete node count) is materialized per machine by
-  the ``resolve_*`` helpers, never stored on the spec.
+  the module ``resolve_*`` functions, never stored on the spec.
+
+The CPU count of a node is not a knob: every cluster runner schedules
+its trace on :data:`NODE_CPUS`, the paper's uniprocessor cluster nodes
+(§6.3); ``result.makespan(ncpus=k)`` reads any other count off the same
+run.
 
 Typical use::
 
@@ -33,8 +38,10 @@ from dataclasses import dataclass, replace
 from repro.cluster.control import resolve_control
 from repro.cluster.faults import resolve_loss
 from repro.cluster.placement import resolve_placement
-from repro.cluster.topology import resolve_topology
 from repro.timing.model import CostModel
+
+#: CPUs per cluster node every cluster runner schedules a run's trace on.
+NODE_CPUS = 1
 
 #: Migration page-shipping policies (see repro.cluster.transport).
 SHIP_MODES = ("delta", "full", "demand")
@@ -53,14 +60,15 @@ class ClusterSpec:
 
     #: Cycle-price table (None -> a default :class:`CostModel` per run).
     cost: object = None
-    #: CPUs per cluster node used when scheduling the run's trace.  The
-    #: spec carries it so the machine and every cluster runner (the
-    #: ``MachineResult`` they return, the serving latency extractor)
-    #: agree on the CPU count the numbers were computed against.
-    cpus_per_node: int = 1
     #: TCP-like framing surcharge on every cluster message (§6.3).
     tcp_mode: bool = False
-    #: Migration page shipping: "delta", "full", or "demand".
+    #: Migration page shipping: ``"delta"`` ships only pages whose
+    #: content the target node does not already hold (visit tokens
+    #: answered from the dirty ledger + per-node tag cache); ``"full"``
+    #: re-ships every mapped page on every hop (the naive protocol, the
+    #: delta-ship ablation baseline); ``"demand"`` ships nothing eagerly
+    #: — pages fault over on first touch (the paper's baseline §3.3
+    #: protocol, and the stage for the prefetch ablation).
     ship_mode: str = "delta"
     #: Routed fabric: preset string, Topology, or nnodes -> Topology.
     topology: object = None
@@ -90,9 +98,6 @@ class ClusterSpec:
         if not isinstance(self.prefetch_depth, int) or self.prefetch_depth < 0:
             raise ValueError(f"prefetch_depth must be a non-negative int, "
                              f"got {self.prefetch_depth!r}")
-        if not isinstance(self.cpus_per_node, int) or self.cpus_per_node < 1:
-            raise ValueError(f"cpus_per_node must be a positive int, "
-                             f"got {self.cpus_per_node!r}")
         if not isinstance(self.shard_workers, int) or self.shard_workers < 0:
             raise ValueError(f"shard_workers must be a non-negative int, "
                              f"got {self.shard_workers!r}")
@@ -105,7 +110,7 @@ class ClusterSpec:
         # Spec-syntax validation happens here — once — by running the
         # same resolvers the machine will use.  The throwaway results
         # are discarded: anything stateful must be materialized fresh
-        # per machine (see the resolve_* methods).
+        # per machine (``Machine.__init__`` resolves them again).
         resolve_loss(self.loss)
         resolve_control(self.control)
         resolve_placement(self.placement)
@@ -113,32 +118,3 @@ class ClusterSpec:
     def with_(self, **changes):
         """A copy with ``changes`` applied (validated like any spec)."""
         return replace(self, **changes)
-
-    # -- per-machine materialization ----------------------------------------
-
-    def resolved_cost(self):
-        """The run's :class:`CostModel` (a default one when unset)."""
-        return self.cost if self.cost is not None else CostModel()
-
-    def resolve_loss(self):
-        """A :class:`~repro.cluster.faults.LossSchedule` (or None).
-        Schedules are pure functions, so sharing one is harmless — but
-        resolving per machine keeps dict/rate specs cheap to reuse."""
-        return resolve_loss(self.loss)
-
-    def resolve_control(self):
-        """A fresh :class:`~repro.cluster.control.Controller` (or None)
-        for one machine.  Controllers are *stateful*; string/dict specs
-        materialize a new one per machine so a spec shared across a
-        sweep never leaks adaptation between runs."""
-        return resolve_control(self.control)
-
-    def resolve_placement(self):
-        """A placement policy instance for one machine."""
-        return resolve_placement(self.placement)
-
-    def resolve_topology(self, nnodes):
-        """The concrete :class:`~repro.cluster.topology.Topology` for a
-        machine of ``nnodes`` (presets and builders need the size, so
-        this is the one resolver that cannot run at spec construction)."""
-        return resolve_topology(self.topology, nnodes)

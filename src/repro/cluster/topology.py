@@ -218,16 +218,13 @@ class TwoTierTopology(_RackedTopology):
     Intra-rack: ``src -> rackA -> dst`` (two short rack-class hops,
     summing to exactly the flat fabric's latency).  Cross-rack:
     ``src -> rackA -> core -> rackB -> dst``; the two core-class hops
-    run at ``oversubscription``-times the per-byte cost and are shared
-    by every node pair spanning those racks — the bottleneck the flat
-    fabric could not express.
+    are 4:1 oversubscribed (four times the per-byte cost) and are
+    shared by every node pair spanning those racks — the bottleneck the
+    flat fabric could not express.
     """
 
     name = "two_tier"
-
-    def __init__(self, nnodes, rack_size=4, oversubscription=4.0):
-        super().__init__(nnodes, rack_size)
-        self.core_class = LinkClass("core", 1.0, oversubscription)
+    core_class = LinkClass("core", 1.0, 4.0)
 
     def _core_switch(self, src, dst):
         return "core"
@@ -243,19 +240,19 @@ class TwoTierTopology(_RackedTopology):
 class FatTreeTopology(_RackedTopology):
     """Folded-Clos (leaf-spine) fabric: full bisection bandwidth.
 
-    Same rack structure as :class:`TwoTierTopology`, but ``nspines``
-    core switches (default: one per rack slot, i.e. full bisection) and
-    no oversubscription — every link runs at edge bandwidth.  A
-    cross-rack route picks its spine deterministically from the node
-    pair, spreading load across spines while keeping routes symmetric.
+    Same rack structure as :class:`TwoTierTopology`, but one core
+    (spine) switch per rack slot, i.e. full bisection, and no
+    oversubscription — every link runs at edge bandwidth.  A cross-rack
+    route picks its spine deterministically from the node pair,
+    spreading load across spines while keeping routes symmetric.
     """
 
     name = "fat_tree"
+    core_class = LinkClass("core", 1.0, 1.0)
 
-    def __init__(self, nnodes, rack_size=4, nspines=None):
+    def __init__(self, nnodes, rack_size=4):
         super().__init__(nnodes, rack_size)
-        self.nspines = max(1, rack_size if nspines is None else nspines)
-        self.core_class = LinkClass("core", 1.0, 1.0)
+        self.nspines = rack_size
         self._spines = frozenset(f"core{n}" for n in range(self.nspines))
 
     def _core_switch(self, src, dst):

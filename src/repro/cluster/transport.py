@@ -29,7 +29,7 @@ import enum
 from operator import itemgetter
 
 from repro.cluster import compress
-from repro.cluster.faults import DROP, DUPLICATE, REORDER, RetxBill
+from repro.cluster.faults import RetxBill
 from repro.cluster.network import render_table
 from repro.cluster.topology import NODE_CLASS
 from repro.common.errors import NetworkLossError
@@ -114,11 +114,9 @@ class LinkStats(Ledger):
         "messages",
         #: Wire bytes queued at the sending endpoint.
         "bytes_sent",
-        #: Wire bytes handed to the receiving endpoint.  The clean copy
-        #: of every message is credited per *exchange* from its page
-        #: counts (independently of the per-message ``bytes_sent``);
-        #: duplicated copies are credited as they arrive.  The
-        #: conservation invariant the transport tests pin down —
+        #: Wire bytes handed to the receiving endpoint, credited per
+        #: *exchange* from its page counts (independently of the
+        #: per-message ``bytes_sent``).  The conservation invariant the transport tests pin down —
         #: enforced on every traversed link of every route — is
         #: ``bytes_sent == bytes_received + dropped_bytes``: the link
         #: layer delivers every byte it does not drop.
@@ -145,11 +143,6 @@ class LinkStats(Ledger):
         #: retransmitted; the dropped bytes close the conservation
         #: equation ``sent == received + dropped``).
         "dropped_msgs", "dropped_bytes",
-        #: Duplicated copies: serialized and delivered twice, the
-        #: receiver discarding the extra arrival.
-        "dup_msgs", "dup_bytes",
-        #: Copies delivered out of order, held back one hop latency.
-        "reorder_msgs",
     )
 
     __slots__ = ("link_class", "cls", "by_type") + FIELDS
@@ -338,14 +331,11 @@ class Transport:
     raw_total = _total("links", "raw_bytes")
     comp_total = _total("links", "comp_bytes")
     #: Fault/retransmission totals over every link: copies the loss
-    #: schedule dropped / the link layer re-serialized / duplicated /
-    #: reordered.
+    #: schedule dropped / the link layer re-serialized.
     drops = _total("links", "dropped_msgs")
     dropped_bytes = _total("links", "dropped_bytes")
     retx_msgs = _total("links", "retx_msgs")
     retx_bytes = _total("links", "retx_bytes")
-    dups = _total("links", "dup_msgs")
-    reorders = _total("links", "reorder_msgs")
     #: The page-path totals over every node (:attr:`NodeStats.FIELDS`).
     pages_pulled = _total("nodes", "pulled")
     pages_prefetched = _total("nodes", "prefetch_issued")
@@ -440,7 +430,7 @@ class Transport:
     def wire_size(self, frame):
         """Wire payload bytes of ``frame``: 4096 raw, or its encoded
         size (cached per content tag) under compression."""
-        if not self.machine.compression:
+        if not self.machine.spec.compression:
             return PAGE_SIZE
         tag = frame.tag()
         size = self._wire_sizes.get(tag)
@@ -542,12 +532,10 @@ class Transport:
         deterministic loss schedule, keyed on ``(link, message serial,
         attempt)``.  Dropped copies are retransmitted by the link layer
         after the route's retransmit timeout (at most
-        ``cost.retx_limit`` retries); duplicated copies serialize and
-        arrive twice (the receiver discards the extra, credited here);
-        reordered copies are held back one hop latency.  ``faults`` (a
+        ``cost.retx_limit`` retries).  ``faults`` (a
         :class:`~repro.cluster.faults.RetxBill`) collects, for the
-        stalling messages, the extra per-link occupancy and the timeout
-        waits for the caller's ``kind="retx"`` trace edges;
+        stalling messages, the retransmissions' per-link occupancy and
+        the timeout waits for the caller's ``kind="retx"`` trace edges;
         fire-and-forget messages fault silently.
         """
         machine = self.machine
@@ -570,7 +558,7 @@ class Transport:
             price = prices.get(factor)
             if price is None:
                 priced = [msg + (cost.link_message(
-                    msg[2], byte_factor=factor, tcp=machine.tcp_mode),)
+                    msg[2], byte_factor=factor, tcp=machine.spec.tcp_mode),)
                     for msg in msgs]
                 stalling = [msg[4] for msg in priced if msg[3]]
                 price = prices[factor] = (
@@ -594,45 +582,19 @@ class Transport:
                         row.retx_bytes += nbytes
                         if bill is not None:
                             extra.append((serial, link, busy))
-                    outcome = loss.decide(link, serial, attempt)
-                    if outcome is DROP:
-                        row.dropped_msgs += 1
-                        row.dropped_bytes += nbytes
-                        attempt += 1
-                        if attempt > cost.retx_limit:
-                            raise NetworkLossError(
-                                f"{name} msg {serial} on link {link}: "
-                                f"all {cost.retx_limit} retransmissions "
-                                f"dropped")
-                        if bill is not None:
-                            bill.wait += timeout
-                            self.retx_wait += timeout
-                        continue
-                    if outcome is DUPLICATE:
-                        # The link layer serialized a second copy; it
-                        # arrives and the receiver discards it, so it is
-                        # credited delivered right here (the exchange
-                        # arithmetic only knows clean copies).
-                        row.messages += 1
-                        row.bytes_sent += nbytes
-                        row.bytes_received += nbytes
-                        row.busy_cycles += busy
-                        row.dup_msgs += 1
-                        row.dup_bytes += nbytes
-                        by_type[name] += 1
-                        if bill is not None:
-                            extra.append((serial, link, busy))
-                    elif outcome is REORDER:
-                        # Delivered behind a later copy: the receiver
-                        # holds it one hop transit before handing it up.
-                        row.reorder_msgs += 1
-                        if bill is not None:
-                            hold = int(row.link_class.latency_factor
-                                       * cost.net_latency)
-                            bill.wait += hold
-                            extra.append((serial, link, 0))
-                            self.retx_wait += hold
-                    break
+                    if not loss.drops(link, serial, attempt):
+                        break
+                    row.dropped_msgs += 1
+                    row.dropped_bytes += nbytes
+                    attempt += 1
+                    if attempt > cost.retx_limit:
+                        raise NetworkLossError(
+                            f"{name} msg {serial} on link {link}: "
+                            f"all {cost.retx_limit} retransmissions "
+                            f"dropped")
+                    if bill is not None:
+                        bill.wait += timeout
+                        self.retx_wait += timeout
             row.bytes_received += delivered
             if pages:
                 # Payload/page accounting is per logical traversal: the
@@ -702,7 +664,7 @@ class Transport:
         self.messages = ack + 1
         payload = sum(sizes)
         codec = 0
-        if self.machine.compression and frames:
+        if self.machine.spec.compression and frames:
             codec = int(len(frames) * PAGE_SIZE * cost.comp_encode_byte
                         + payload * cost.comp_decode_byte)
             self.codec_cycles += codec
@@ -973,11 +935,9 @@ class Transport:
         *up*.
 
         Sender bytes accumulate per wire copy as each serializes onto
-        each link of its route (retransmissions and duplicates
-        included); receiver bytes are credited per *exchange* from its
-        page counts for the clean copy, plus inline for duplicate
-        arrivals; dropped bytes are tallied as the loss schedule eats
-        copies.  ``sent == received + dropped`` holds per physical link
+        each link of its route (retransmissions included); receiver
+        bytes are credited per *exchange* from its page counts; dropped
+        bytes are tallied as the loss schedule eats copies.  ``sent == received + dropped`` holds per physical link
         only when no protocol step loses, double-counts, or mis-routes
         traffic — on a lossless fabric it reduces to the original
         ``sent == received`` cross-check.

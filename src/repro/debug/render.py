@@ -142,9 +142,7 @@ def format_links(insp, at=None):
                 f"pages={stats['pages']}")
             lines.append(
                 f"    retx={stats['retx_msgs']} "
-                f"dropped={stats['dropped_msgs']} "
-                f"dup={stats['dup_msgs']} "
-                f"reorder={stats['reorder_msgs']}")
+                f"dropped={stats['dropped_msgs']}")
             by_type = " ".join(f"{name}={count}" for name, count in
                                sorted(stats["by_type"].items()))
             if by_type:

@@ -145,13 +145,13 @@ def retx_main(g):
 def retx_trap(prepare=None):
     """Recipe: 2-node run whose first migration dies of retransmission
     exhaustion (``NetworkLossError`` -> root Trap.EXC)."""
-    from repro.cluster.spec import ClusterSpec
+    from repro.cluster.spec import NODE_CPUS, ClusterSpec
     from repro.timing.model import CostModel
     machine = Machine(nnodes=2, spec=ClusterSpec(
         loss=dict(RETX_LOSS), cost=CostModel(retx_limit=RETX_LIMIT)))
     if prepare is not None:
         prepare(machine)
-    result = machine.run(retx_main, ncpus=machine.cpus_per_node)
+    result = machine.run(retx_main, ncpus=NODE_CPUS)
     return machine, result
 
 

@@ -155,28 +155,23 @@ class Guest:
         removed = self.space.addrspace.zero_range(addr, size)
         self.kcharge(removed * self.cost.page_map)
 
-    def view(self, addr, count, dtype=np.uint8, write=False):
-        """Zero-copy typed view; must not cross a page boundary if writable."""
+    def view(self, addr, count, dtype=np.uint8):
+        """Read-only typed view: zero-copy within one page, a copy
+        across pages.  Writes go through :meth:`write` /
+        :meth:`array_write`, which break COW sharing and record the
+        page in the dirty ledger."""
         dtype = np.dtype(dtype)
         nbytes = dtype.itemsize * count
         self.charge(_MEM_BASE + (nbytes >> 4))
-        if write:
-            # Materialize the private frame first (bumping its content
-            # tag), then register the *post-bump* tag at this node so the
-            # writer is never charged a fetch for its own page.
-            raw = self.space.addrspace.as_array(addr, nbytes, writable=True,
-                                                check_perm=True)
+        self.kernel.touch(self.space, addr, nbytes)
+        aspace = self.space.addrspace
+        zero0 = aspace.counters.demand_zero
+        raw = aspace.as_array(addr, nbytes, check_perm=True)
+        if aspace.counters.demand_zero != zero0:
+            # The view demand-zeroed a frame; it was born on this node,
+            # so register its tag charge-free (the write=True branch of
+            # touch caches without counting a fetch).
             self.kernel.touch(self.space, addr, nbytes, write=True)
-        else:
-            self.kernel.touch(self.space, addr, nbytes)
-            zero0 = self.space.addrspace.counters.demand_zero
-            raw = self.space.addrspace.as_array(addr, nbytes, writable=False,
-                                                check_perm=True)
-            if self.space.addrspace.counters.demand_zero != zero0:
-                # The view demand-zeroed a frame; it was born on this
-                # node, so register its tag charge-free (the write=True
-                # branch of touch caches without counting a fetch).
-                self.kernel.touch(self.space, addr, nbytes, write=True)
         return raw.view(dtype)
 
     # -- registers -----------------------------------------------------------------

@@ -177,7 +177,7 @@ class Kernel:
         space.visit_tokens[src] = space.addrspace.dirty_token()
         machine.transport.migrate(space, src, target_node, shipped)
         space.cur_node = target_node
-        if machine.ship_mode == "demand":
+        if machine.spec.ship_mode == "demand":
             self._issue_prefetch(space, target_node, candidates)
 
     def _migration_delta(self, space, target_node):
@@ -196,7 +196,7 @@ class Kernel:
         machine = self.machine
         aspace = space.addrspace
         cache = machine.node_cache[target_node]
-        mode = machine.ship_mode
+        mode = machine.spec.ship_mode
         token = None if mode == "full" \
             else space.visit_tokens.get(target_node)
         tracked = token is not None

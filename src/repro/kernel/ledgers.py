@@ -408,10 +408,9 @@ _HOST = ("host machinery: a worker forgets the parent's guest threads "
 NOT_REPLAYED = {
     "Machine": {
         **dict.fromkeys((
-            "spec", "cost", "nnodes", "cpus_per_node", "merge_mode",
-            "tcp_mode", "ship_mode", "prefetch_depth", "compression",
-            "loss", "topology", "placement", "backend", "_console_in",
-            "_time_script", "programs"), _CONFIG),
+            "spec", "cost", "nnodes", "merge_mode", "loss", "topology",
+            "placement", "_console_in", "_time_script", "programs"),
+            _CONFIG),
         "frames": "its counters are a ledger of their own",
         "trace": "its lists and tables are ledgers of their own",
         "transport": "its counters and tables are ledgers of their own",

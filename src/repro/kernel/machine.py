@@ -30,6 +30,7 @@ from repro.kernel.guest import Guest
 from repro.kernel.kernel import Kernel
 from repro.kernel.space import Space, SpaceState
 from repro.mem.page import FrameAllocator
+from repro.timing.model import CostModel
 from repro.timing.schedule import schedule
 from repro.timing.trace import Trace
 
@@ -59,7 +60,7 @@ class MachineResult:
         self.trace = machine.trace
         #: CPUs per node :meth:`makespan` schedules on unless told
         #: otherwise: the cost model's core count for a bare machine;
-        #: the cluster runners pass the spec's ``cpus_per_node``.
+        #: the cluster runners pass ``NODE_CPUS``.
         self.ncpus = machine.cost.ncpus if ncpus is None else ncpus
 
     def check(self, what="guest program"):
@@ -76,11 +77,11 @@ class MachineResult:
         from repro.cluster.network import NetworkStats
         return NetworkStats(self.machine)
 
-    def makespan(self, ncpus=None, cpus_per_node=None):
+    def makespan(self, ncpus=None):
         """Virtual completion time on ``ncpus`` CPUs per node."""
         if ncpus is None:
             ncpus = self.ncpus
-        return schedule(self.trace, ncpus=ncpus, cpus_per_node=cpus_per_node).makespan
+        return schedule(self.trace, ncpus=ncpus).makespan
 
     def total_cycles(self):
         """Total work performed (1-CPU lower bound)."""
@@ -104,46 +105,27 @@ class Machine:
     ):
         # Imported lazily: the cluster package's public modules import
         # Machine, so a module-level import here would cycle.
+        from repro.cluster.control import resolve_control
+        from repro.cluster.faults import resolve_loss
+        from repro.cluster.placement import resolve_placement
         from repro.cluster.spec import ClusterSpec
+        from repro.cluster.topology import resolve_topology
+        from repro.cluster.transport import Transport
         if spec is None:
             spec = ClusterSpec()
         elif not isinstance(spec, ClusterSpec):
             raise TypeError(f"spec must be a ClusterSpec, got {spec!r}")
         #: The validated configuration this machine runs under: every
         #: cross-cutting knob (ship_mode, topology, loss, ...) lives on
-        #: the spec and nowhere else.
+        #: the spec and nowhere else — the machine keeps only the
+        #: per-machine objects resolved from it below.
         self.spec = spec
         #: Cost model used for all virtual-time charging.
-        self.cost = spec.resolved_cost()
+        self.cost = spec.cost if spec.cost is not None else CostModel()
         #: Number of cluster nodes (1 = single machine; §3.3).
         self.nnodes = nnodes
-        #: CPUs per node a cluster run's trace is meant to be scheduled
-        #: on.  The machine itself charges work per-space; the cluster
-        #: runners hand this to :meth:`run` so every makespan/latency
-        #: figure is computed against the same CPU count.
-        self.cpus_per_node = spec.cpus_per_node
         #: Default merge conflict mode (see repro.mem.merge.merge_range).
         self.merge_mode = merge_mode
-        #: Model TCP-like framing on cluster messages (§6.3).
-        self.tcp_mode = spec.tcp_mode
-        #: Migration page-shipping policy: ``"delta"`` ships only pages
-        #: whose content the target node does not already hold (visit
-        #: tokens answered from the dirty ledger + per-node tag cache);
-        #: ``"full"`` re-ships every mapped page on every hop (the naive
-        #: protocol, kept as the delta-ship ablation baseline);
-        #: ``"demand"`` ships nothing eagerly — the MIGRATE message
-        #: carries only the address-space summary and pages fault over
-        #: on first touch (the paper's baseline §3.3 protocol, and the
-        #: stage for the stop-and-wait vs pipelined-prefetch ablation).
-        self.ship_mode = spec.ship_mode
-        #: Depth of each node's async prefetch queue: how many
-        #: predicted-next frames may be in flight per node.  0 is
-        #: stop-and-wait (every page crosses only inside a demand round
-        #: trip or a migration delta).
-        self.prefetch_depth = spec.prefetch_depth
-        #: Wire compression of PAGE_BATCH payloads (zero-page
-        #: suppression + zero-run RLE; see repro.cluster.compress).
-        self.compression = spec.compression
         #: Machine-owned frame serial source (no cross-machine state).
         self.frames = FrameAllocator()
 
@@ -177,23 +159,21 @@ class Machine:
         #: The prefetch predictor reads a miss's producing node's list
         #: to guess what that producer will be asked for next.
         self.dirty_hints = defaultdict(list)
-        # Transport is also a lazy import (same Machine cycle as spec).
-        from repro.cluster.transport import Transport
         #: Deterministic fault schedule of the fabric: None (lossless,
         #: the default — bit-identical to the pre-fault transport), a
         #: drop rate, a dict of LossSchedule kwargs, or a LossSchedule.
         #: Faults are cost-only: computed values and memory images are
         #: identical under any schedule (see repro.cluster.faults).
-        self.loss = spec.resolve_loss()
+        self.loss = resolve_loss(spec.loss)
         #: Routed fabric the transport prices traffic over: "flat"
         #: (legacy full mesh, the default), "two_tier", "fat_tree", or a
         #: Topology instance/builder (see repro.cluster.topology).
-        self.topology = spec.resolve_topology(nnodes)
+        self.topology = resolve_topology(spec.topology, nnodes)
         #: Placement policy mapping program-visible (virtual) node
         #: numbers onto fabric nodes — "round_robin" (default; identity
         #: on the flat fabric), "locality", "identity", or a
         #: PlacementPolicy instance (see repro.cluster.placement).
-        self.placement = spec.resolve_placement()
+        self.placement = resolve_placement(spec.placement)
         #: virtual node number -> physical node (sticky; see place()).
         #: Written only by bind_node, which keeps the inverse below in
         #: step.
@@ -209,12 +189,12 @@ class Machine:
         #: kernel invokes it at quantum boundaries; it tunes per-node
         #: prefetch depth, per-route retransmit timeouts, and placement
         #: from the transport's telemetry windows (repro.cluster.control).
-        self.control = spec.resolve_control()
+        #: String and dict specs materialize a fresh (stateful)
+        #: Controller per machine, so a spec shared across a sweep never
+        #: leaks adaptation between runs.
+        self.control = resolve_control(spec.control)
         if self.control is not None:
             self.control.reset(self)
-        #: Which execution backend this machine runs under ("sim" or
-        #: "real"); results are bit-identical, only timing differs.
-        self.backend = spec.backend
         #: Sharded host execution (repro.kernel.shard): at a rendezvous
         #: with >= 2 never-run READY siblings, fork up to this many
         #: host processes, queue the sibling subtrees on them (a
@@ -272,7 +252,7 @@ class Machine:
         the static ``prefetch_depth`` knob."""
         if self.control is not None:
             return self.control.depth_for(node)
-        return self.prefetch_depth
+        return self.spec.prefetch_depth
 
     def retx_timeout_for(self, src, dst):
         """Effective retransmit timeout of the ``src``/``dst`` route:

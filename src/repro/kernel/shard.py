@@ -102,10 +102,10 @@ def fork_refusal(machine):
     if machine.loss is not None:
         return ("is incompatible with loss schedules (fault injection "
                 "keys off global message serials)")
-    if machine.ship_mode not in ("delta", "full"):
-        return (f"is incompatible with ship_mode={machine.ship_mode!r} "
+    if machine.spec.ship_mode not in ("delta", "full"):
+        return (f"is incompatible with ship_mode={machine.spec.ship_mode!r} "
                 f"(demand paging reads cross-subtree state)")
-    if machine.prefetch_depth != 0:
+    if machine.spec.prefetch_depth != 0:
         return "is incompatible with prefetch_depth > 0"
     if machine.control is not None:
         return "is incompatible with the adaptive control plane"

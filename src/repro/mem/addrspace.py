@@ -187,14 +187,6 @@ class AddressSpace:
 
     # -- page-level operations --------------------------------------------
 
-    def _ensure_writable(self, vpn):
-        """Return a privately-owned frame for ``vpn``, allocating or
-        COW-copying as needed: a store of no bytes.  The caller is about
-        to mutate the frame, so this also bumps the frame generation and
-        records the page in the dirty ledger."""
-        self._store((vpn,), memoryview(b""), 0)
-        return self._pages[vpn]
-
     def _store(self, vpns, view, pos):
         """Write page-sized windows of ``view`` (flat bytes) to ``vpns``
         in order: the window of the first starts at ``pos`` and each
@@ -307,38 +299,33 @@ class AddressSpace:
                 f"got {view.nbytes:#x}")
         return self._store(vpns, view, 0)
 
-    def as_array(self, addr, size, writable=False, check_perm=False):
-        """Return a numpy uint8 view covering ``[addr, addr+size)``.
+    def as_array(self, addr, size, check_perm=False):
+        """Return a read-only numpy uint8 array of ``[addr, addr+size)``.
 
-        The range must lie within one page unless it is page-aligned; for
-        multi-page ranges a contiguous view is only possible page-by-page,
-        so this returns a *copy* for read-only multi-page requests and
-        raises for writable ones.  The guest API's ``map_array`` builds
-        typed views page-by-page on top of this primitive.
+        Within one page it is a zero-copy view of the frame, which may
+        be shared copy-on-write with other spaces — so it is marked
+        non-writeable; a range crossing pages is a copy (a contiguous
+        view is only possible page by page).  Writes go through
+        :meth:`write`, which breaks the sharing first.
         """
         _check_range(addr, size)
         vpn = addr >> PAGE_SHIFT
         off = addr & (PAGE_SIZE - 1)
         if off + size <= PAGE_SIZE:
-            if check_perm:
-                need = PERM_W if writable else PERM_R
-                if not (self.perm(vpn) & need):
-                    raise PermissionFault(addr, "write" if writable else "read")
-            if writable:
-                page = self._ensure_writable(vpn)
-            else:
-                page = self._pages.get(vpn)
-                if page is None:
-                    # Demand-zero for a *read* view: materialize the frame
-                    # without bumping its generation or dirtying the
-                    # ledger — a read must not look like a write to
-                    # Snap/Merge accounting.
-                    page = Page(allocator=self.allocator)
-                    self._pages[vpn] = page
-                    self.counters.demand_zero += 1
-            return np.frombuffer(page.data, dtype=np.uint8)[off : off + size]
-        if writable:
-            raise ValueError("writable views must not cross page boundaries")
+            if check_perm and not (self.perm(vpn) & PERM_R):
+                raise PermissionFault(addr, "read")
+            page = self._pages.get(vpn)
+            if page is None:
+                # Demand-zero for a read view: materialize the frame
+                # without bumping its generation or dirtying the ledger —
+                # a read must not look like a write to Snap/Merge
+                # accounting.
+                page = Page(allocator=self.allocator)
+                self._pages[vpn] = page
+                self.counters.demand_zero += 1
+            view = np.frombuffer(page.data, dtype=np.uint8)[off : off + size]
+            view.flags.writeable = False
+            return view
         return np.frombuffer(self.read(addr, size, check_perm=check_perm),
                              dtype=np.uint8)
 

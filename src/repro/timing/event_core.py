@@ -184,7 +184,7 @@ def _compile(trace):
     return (plan,) + arrays
 
 
-def run_event_schedule(trace, ncpus=1, cpus_per_node=None):
+def run_event_schedule(trace, ncpus=1):
     """Event-core scheduling of ``trace``; returns the raw result pieces
     ``(makespan, busy, start_times, finish_times, cpu_count, link_busy,
     class_busy, stall_cycles, grants)`` with start/finish as dense
@@ -195,9 +195,8 @@ def run_event_schedule(trace, ncpus=1, cpus_per_node=None):
     (plan, seg_cycles, cyc_shift, seg_node,
      node_keys, busy_total) = _compile(trace)
 
-    cpus_per_node = cpus_per_node or {}
-    free = [cpus_per_node.get(node, ncpus) for node in node_keys]
-    total_cpus = sum(free) or max(1, ncpus)
+    free = [ncpus] * len(node_keys)
+    total_cpus = ncpus * len(node_keys) or max(1, ncpus)
 
     npreds = plan.npreds[:]
     plain = plan.plain

@@ -112,17 +112,15 @@ class ScheduleResult:
         )
 
 
-def schedule(trace, ncpus=1, cpus_per_node=None):
-    """Compute the makespan of ``trace`` on the given CPU configuration.
+def schedule(trace, ncpus=1):
+    """Compute the makespan of ``trace`` with ``ncpus`` CPUs per node.
 
     Parameters
     ----------
     trace:
         A finished :class:`~repro.timing.trace.Trace` (all segments closed).
     ncpus:
-        CPUs available on every node not listed in ``cpus_per_node``.
-    cpus_per_node:
-        Optional dict node -> CPU count overriding ``ncpus``.
+        CPUs available on every node.
 
     Returns
     -------
@@ -130,7 +128,7 @@ def schedule(trace, ncpus=1, cpus_per_node=None):
     """
     if not trace.segments:
         return ScheduleResult(0, 0, {}, {}, max(1, ncpus))
-    return ScheduleResult(*run_event_schedule(trace, ncpus, cpus_per_node))
+    return ScheduleResult(*run_event_schedule(trace, ncpus))
 
 
 def critical_path(trace):

@@ -91,7 +91,7 @@ def test_table3_total_has_a_ceiling():
     # The code-size number ROADMAP aim 2 tracks only ratchets down by
     # accident-proofing it: growth has to be a decision, in the diff.
     total = table3()[1]["Total"]
-    assert total <= 6_887, (
+    assert total <= 6_798, (
         f"table3 Total grew to {total:,}: if the growth is deliberate, "
         f"raise this ceiling in the same diff that needs it")
 

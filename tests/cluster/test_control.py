@@ -25,6 +25,7 @@ import pytest
 from repro import ClusterSpec
 from repro.bench import cluster_workloads as cw
 from repro.cluster import Controller, NetworkStats, resolve_control
+from repro.cluster.control import DEPTH_CAP
 from repro.cluster.transport import NodeStats, TelemetryWindow
 from repro.kernel import Machine
 
@@ -155,16 +156,17 @@ def test_resolve_control_specs():
     ctrl = resolve_control("adaptive")
     assert isinstance(ctrl, Controller)
     assert ctrl.policies == Controller.POLICIES
-    custom = resolve_control({"policies": ("prefetch",), "depth0": 8})
+    custom = resolve_control({"policies": ("prefetch",)})
     assert custom.policies == ("prefetch",)
-    assert custom.depth0 == 8
+    assert custom.depth_for(0) == DEPTH_CAP // 2
     assert resolve_control(custom) is custom
     with pytest.raises(ValueError):
         resolve_control("aggressive")
     with pytest.raises(ValueError):
         resolve_control({"policies": ("prefetch", "voodoo")})
-    with pytest.raises(TypeError):      # not an option (any more)
-        resolve_control({"interval": 2})
+    for gone in ("interval", "depth0"):   # not options (any more)
+        with pytest.raises(TypeError):
+            resolve_control({gone: 2})
     with pytest.raises(ValueError):
         resolve_control(42)
 
@@ -185,7 +187,7 @@ def _window(index, node_rows, route_samples=None, pair_bytes=None):
 def machine():
     with Machine(nnodes=NODES,
                  spec=ClusterSpec(ship_mode="demand", topology="two_tier:2",
-                                  control=Controller(depth0=32))) as m:
+                                  control=Controller())) as m:
         yield m
 
 

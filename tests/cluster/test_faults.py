@@ -1,10 +1,10 @@
 """Deterministic fault injection: replay, conservation, and cost-only
 oracles.
 
-The loss schedule decides drop/duplicate/reorder per ``(link,
-message serial)`` as a pure function of the seed, so faults must replay
-bit-identically: two runs under one seed fault the same copies of the
-same messages on the same links.  And faults are *cost-only*: under any
+The loss schedule decides whether to drop each copy per ``(link,
+message serial, attempt)`` as a pure function of the seed, so faults
+must replay bit-identically: two runs under one seed drop the same
+copies of the same messages on the same links.  And faults are *cost-only*: under any
 schedule, every workload's computed value and final memory image must
 equal the zero-loss run's — only wire traffic and timing may move.
 Conservation extends to ``delivered + dropped == sent`` per physical
@@ -20,7 +20,6 @@ import pytest
 from repro import ClusterSpec
 from repro.bench import cluster_workloads as cw
 from repro.cluster import LossSchedule, MsgType, NetworkStats, resolve_loss
-from repro.cluster.faults import DELIVER, DROP, DUPLICATE, REORDER
 from repro.common.errors import NetworkLossError
 from repro.kernel import Machine
 from repro.mem import PAGE_SIZE, Page
@@ -54,16 +53,14 @@ def _run(loss=None, **config):
 def test_decide_is_a_pure_function():
     """No generator state: any (link, serial, attempt) query returns
     the same outcome however often and in whatever order it is asked."""
-    sched = LossSchedule(drop=0.3, dup=0.2, reorder=0.1, seed=42)
+    sched = LossSchedule(drop=0.3, seed=42)
     probes = [((0, 1), 7, 0), (("rack0", "core"), 7, 0), ((0, 1), 7, 1),
               ((1, 0), 7, 0), ((0, 1), 8, 0)]
-    first = [sched.decide(*p) for p in reversed(probes)][::-1]
-    again = [LossSchedule(drop=0.3, dup=0.2, reorder=0.1, seed=42).decide(*p)
-             for p in probes]
+    first = [sched.drops(*p) for p in reversed(probes)][::-1]
+    again = [LossSchedule(drop=0.3, seed=42).drops(*p) for p in probes]
     assert first == again
-    outcomes = set(first) | {sched.decide((0, 1), s) for s in range(200)}
-    assert outcomes <= {DELIVER, DROP, DUPLICATE, REORDER}
-    assert DROP in outcomes  # 30% over 200 serials must hit
+    outcomes = set(first) | {sched.drops((0, 1), s) for s in range(200)}
+    assert outcomes == {False, True}  # 30% over 200 serials must hit
 
 
 def test_schedules_nest_across_rates():
@@ -72,15 +69,15 @@ def test_schedules_nest_across_rates():
     low = LossSchedule(drop=0.001, seed=9)
     high = LossSchedule(drop=0.01, seed=9)
     for serial in range(5000):
-        if low.decide((0, 1), serial) is DROP:
-            assert high.decide((0, 1), serial) is DROP
+        if low.drops((0, 1), serial):
+            assert high.drops((0, 1), serial)
 
 
 def test_rate_validation_and_resolve():
     with pytest.raises(ValueError):
         LossSchedule(drop=1.5)
     with pytest.raises(ValueError):
-        LossSchedule(drop=0.6, dup=0.6)
+        LossSchedule(drop=-0.1)
     with pytest.raises(ValueError):
         resolve_loss(True)
     with pytest.raises(ValueError):
@@ -151,7 +148,7 @@ def test_loss_is_cost_only_on_every_path(config):
     survive a lossy fabric with identical computed state."""
     mk_clean, m_clean, v_clean = _run(**config)
     mk_lossy, m_lossy, v_lossy = _run(
-        loss={"drop": 0.03, "dup": 0.01, "reorder": 0.01, "seed": 5},
+        loss={"drop": 0.03, "seed": 5},
         **config)
     assert v_lossy == v_clean
     assert _memory_image(m_lossy) == _memory_image(m_clean)
@@ -173,9 +170,9 @@ def test_md5_values_survive_loss():
 # -- accounting -------------------------------------------------------------
 
 def test_conservation_delivered_plus_dropped_equals_sent():
-    """Per physical link: every sent byte is either delivered (clean or
-    duplicate copy) or dropped — no byte vanishes unaccounted."""
-    _, machine, _ = _run(loss={"drop": 0.05, "dup": 0.02, "seed": 11})
+    """Per physical link: every sent byte is either delivered or
+    dropped — no byte vanishes unaccounted."""
+    _, machine, _ = _run(loss={"drop": 0.05, "seed": 11})
     transport = machine.transport
     assert transport.drops > 0
     assert any(s.dropped_bytes for s in transport.links.values())
@@ -193,9 +190,7 @@ def test_retx_stall_reported_and_monotone_in_rate():
         mk, machine, _ = _run(loss={"drop": rate, "seed": 13},
                               ship_mode="demand")
         retx_bytes.append(machine.transport.retx_bytes)
-        stalls = schedule(machine.trace,
-                          cpus_per_node={n: 1 for n in range(NODES)}
-                          ).stall_cycles
+        stalls = schedule(machine.trace, ncpus=1).stall_cycles
         if rate == 0.0:
             assert "retx" not in stalls
         elif machine.transport.retx_wait:
@@ -203,16 +198,6 @@ def test_retx_stall_reported_and_monotone_in_rate():
     assert retx_bytes[0] == 0
     assert retx_bytes[0] <= retx_bytes[1] <= retx_bytes[2]
     assert retx_bytes[2] > 0
-
-
-def test_duplicates_and_reorders_accounted():
-    _, m_dup, v_dup = _run(loss={"dup": 0.2, "seed": 3})
-    stats = NetworkStats(m_dup)
-    assert stats.dup_msgs > 0 and stats.dropped_msgs == 0
-    _, m_ro, v_ro = _run(loss={"reorder": 0.2, "seed": 3})
-    assert NetworkStats(m_ro).reorder_msgs > 0
-    _, _, v_clean = _run()
-    assert v_dup == v_ro == v_clean
 
 
 def test_retry_exhaustion_raises_deterministically():
@@ -237,8 +222,8 @@ class DeadLink(LossSchedule):
         super().__init__(drop=1.0)
         self.link = link
 
-    def decide(self, link, serial, attempt=0):
-        return DROP if link == self.link else DELIVER
+    def drops(self, link, serial, attempt=0):
+        return link == self.link
 
 
 @pytest.mark.parametrize("dead, hops_before", [

@@ -23,8 +23,7 @@ GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 def stats():
     spec = ClusterSpec(topology="two_tier:2", ship_mode="demand",
                        prefetch_depth=8, compression=True,
-                       loss={"drop": 0.05, "dup": 0.05, "reorder": 0.05,
-                             "seed": 3})
+                       loss={"drop": 0.05, "seed": 3})
     return NetworkStats(cw.run_cluster(cw.md5_tree_main(3), 4, spec)[1])
 
 

@@ -90,8 +90,7 @@ def test_eager_and_demand_modes_agree():
 # -- pipelining cuts demand stall ------------------------------------------
 
 def _demand_stall(machine):
-    sched = schedule(machine.trace,
-                     cpus_per_node={node: 1 for node in range(NODES)})
+    sched = schedule(machine.trace, ncpus=1)
     return (sched.stall_cycles.get("fetch", 0)
             + sched.stall_cycles.get("prefetch", 0))
 
@@ -224,7 +223,7 @@ def test_sweep_nodes_plumbs_prefetch_and_compression():
                                          compression=True))
     for nodes in (2, 4):
         assert plain[nodes][1].value == tuned[nodes][1].value
-        assert tuned[nodes][1].machine.prefetch_depth == 8
-        assert tuned[nodes][1].machine.compression
+        assert tuned[nodes][1].machine.spec.prefetch_depth == 8
+        assert tuned[nodes][1].machine.spec.compression
         assert (tuned[nodes][1].network.comp_bytes
                 <= plain[nodes][1].network.raw_bytes)

@@ -13,6 +13,7 @@ from repro import Cluster, ClusterSpec, Machine, run_backend, serve_trace
 from repro.bench import cluster_workloads as cw
 from repro.bench.harness import run_determinator
 from repro.bench.workloads.serving import fold_checksum
+from repro.cluster.spec import NODE_CPUS
 from repro.kernel.machine import MachineResult
 
 MD5_TREE = cw.md5_tree_main(3)
@@ -52,15 +53,15 @@ def test_check_returns_the_result_of_a_clean_run():
 
 @pytest.mark.parametrize("spec", [
     ClusterSpec(),
-    ClusterSpec(cpus_per_node=2, topology="two_tier:2", ship_mode="full"),
-], ids=["default", "two-tier-2cpu"])
+    ClusterSpec(topology="two_tier:2", ship_mode="full"),
+], ids=["default", "two-tier-2-full"])
 def test_same_program_and_spec_read_the_same_through_every_runner(spec):
     result = Cluster(4, spec).run(MD5_TREE, (4,))
     makespan, machine, value = cw.run_cluster(MD5_TREE, 4, spec)
     backend = run_backend(MD5_TREE, 4, spec)
     assert value == backend.value == result.value
     assert makespan == backend.makespan == result.makespan()
-    assert result.ncpus == backend.result.ncpus == spec.cpus_per_node
+    assert result.ncpus == backend.result.ncpus == NODE_CPUS
     assert result.network.per_link == backend.network.per_link
     assert result.network.wire_bytes == machine.transport.bytes_total > 0
 
@@ -71,21 +72,21 @@ def test_a_serving_result_wraps_the_runs_machine_result():
     assert served.machine is served.result.machine
     assert served.checksum == served.result.value \
         == fold_checksum(served.values)
+    # The run's own result schedules on the CPUs its latencies used.
+    assert served.result.ncpus == NODE_CPUS == 1
 
 
-def test_one_node_cluster_runs_schedule_on_the_specs_cpus():
+def test_one_node_cluster_runs_schedule_on_node_cpus():
     # A bare Machine schedules on the cost model's 12 cores; a cluster
-    # run on spec.cpus_per_node — also at one node, where only the
-    # committed BENCH_*.json baselines used to notice the difference.
+    # run on NODE_CPUS — also at one node, where only the committed
+    # BENCH_*.json baselines used to notice the difference.  Any other
+    # count is read off the same run.
     one_cpu, machine, _ = cw.run_cluster(MD5_TREE, 1)
     assert one_cpu == 15_888_910
-    two_cpus, _, _ = cw.run_cluster(MD5_TREE, 1,
-                                    spec=ClusterSpec(cpus_per_node=2))
-    assert two_cpus < one_cpu
     result = Cluster(1).run(MD5_TREE, (1,))
-    assert result.ncpus == 1 != machine.cost.ncpus
+    assert result.ncpus == NODE_CPUS != machine.cost.ncpus
     assert result.makespan() == one_cpu
-    assert result.makespan(ncpus=2) == two_cpus
+    assert result.makespan(ncpus=2) < one_cpu
 
 
 def test_a_backend_result_schedules_its_makespan_once(monkeypatch):

@@ -44,7 +44,7 @@ def test_spec_is_frozen():
 @pytest.mark.parametrize("bad, match", [
     (dict(ship_mode="bogus"), "ship_mode"),
     (dict(prefetch_depth=-1), "prefetch_depth"),
-    (dict(cpus_per_node=0), "cpus_per_node"),
+    (dict(backend="bogus"), "backend"),
     (dict(shard_workers=-1), "shard_workers"),
     (dict(cost=object()), "cost"),
 ])
@@ -88,16 +88,18 @@ def test_spec_plus_legacy_knobs_is_refused():
     assert Machine().spec == ClusterSpec()
 
 
-def test_cpus_per_node_rides_the_spec():
-    """The knob the old ``Cluster.run`` silently ignored: the spec
-    carries it into the machine, and the result schedules against the
-    same count the machine ran under."""
-    result = Cluster(2, spec=ClusterSpec(cpus_per_node=2)).run(
-        cw.md5_tree_main(3), args=(2,))
-    assert result.machine.cpus_per_node == 2
-    single = Cluster(2).run(cw.md5_tree_main(3), args=(2,))
-    assert single.machine.cpus_per_node == 1
-    assert result.value == single.value
+def test_machine_keeps_no_copy_of_a_spec_field():
+    """The spec is the one copy of every knob: the only ``Machine``
+    attributes named after a ``ClusterSpec`` field are the five
+    per-machine objects resolved from it, and the spec has no resolver
+    methods of its own (``Machine`` calls the module resolvers)."""
+    fields = {f.name for f in dataclasses.fields(ClusterSpec)}
+    spec = ClusterSpec(topology="two_tier:2", loss=0.01, control="adaptive")
+    with Machine(nnodes=4, spec=spec) as machine:
+        assert set(vars(machine)) & fields == {
+            "cost", "loss", "topology", "placement", "control"}
+    assert not [name for name in vars(ClusterSpec)
+                if name.startswith("resolve")]
 
 
 # -- the signature guard ----------------------------------------------------
@@ -126,10 +128,14 @@ def test_entry_points_never_regrow_knob_parameters(entry):
 
 
 def test_twelve_knobs_and_a_knobless_harness():
-    """The dirty ledger is not a knob: the spec has exactly twelve
-    fields, and ``run_determinator`` — the entry point the guard above
-    cannot cover, having no ``spec=`` — configures nothing at all."""
-    assert len(dataclasses.fields(ClusterSpec)) == 12
+    """Neither the dirty ledger nor the CPU count is a knob: the spec
+    has exactly eleven fields (the twelfth, ``cpus_per_node``, is the
+    constant ``NODE_CPUS`` now), and ``run_determinator`` — the entry
+    point the guard above cannot cover, having no ``spec=`` —
+    configures nothing at all."""
+    assert len(dataclasses.fields(ClusterSpec)) == 11
+    with pytest.raises(TypeError, match="cpus_per_node"):
+        ClusterSpec(cpus_per_node=1)
     with pytest.raises(TypeError, match="dirty_tracking"):
         ClusterSpec(dirty_tracking=True)
     assert list(inspect.signature(run_determinator).parameters) == \

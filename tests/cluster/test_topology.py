@@ -175,14 +175,12 @@ def test_oversubscription_slows_two_tier_vs_fat_tree():
     two_tier, m2 = matmult(4, topology="two_tier:2")
     fat, mf = matmult(4, topology="fat_tree:2")
     assert m2.transport.bytes_total == mf.transport.bytes_total
-    cpus = {node: 1 for node in range(4)}
-    assert (two_tier.makespan(cpus_per_node=cpus)
-            > fat.makespan(cpus_per_node=cpus))
+    assert two_tier.makespan(ncpus=1) > fat.makespan(ncpus=1)
 
 
 def test_schedule_reports_per_class_occupancy():
     result, _ = matmult(4, topology="two_tier:2")
-    sched = schedule(result.trace, cpus_per_node={n: 1 for n in range(4)})
+    sched = schedule(result.trace, ncpus=1)
     assert sched.class_busy.get("core", 0) > 0
     assert sched.class_busy.get("rack", 0) > 0
     assert sum(sched.class_busy.values()) == sum(sched.link_busy.values())

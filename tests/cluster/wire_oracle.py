@@ -11,7 +11,7 @@ row accessors, the codec size cache and the prefetch queue, none of
 which the rewrite touched.
 """
 
-from repro.cluster.faults import DROP, DUPLICATE, REORDER, RetxBill
+from repro.cluster.faults import RetxBill
 from repro.cluster.transport import (MsgType, PrefetchExchange,
                                      ROUTE_SAMPLE_CAP, Transport)
 from repro.common.errors import NetworkLossError
@@ -68,9 +68,7 @@ class ReferenceTransport(Transport):
         deterministic loss schedule, keyed on ``(link, message serial,
         attempt)``.  Dropped copies are retransmitted by the link layer
         after ``cost.retx_timeout`` (at most ``cost.retx_limit``
-        retries); duplicated copies serialize and arrive twice (the
-        receiver discards the extra, credited here); reordered copies
-        are held back one hop latency.  ``faults`` (a
+        retries).  ``faults`` (a
         :class:`~repro.cluster.faults.RetxBill`, for messages a space
         stalls on) collects the extra per-link occupancy and the
         timeout waits for the caller's ``kind="retx"`` trace edges;
@@ -90,7 +88,7 @@ class ReferenceTransport(Transport):
         for link in topo.route(src, dst):
             cls = topo.link_class(link)
             busy = cost.link_message(nbytes, byte_factor=cls.byte_factor,
-                                     tcp=machine.tcp_mode)
+                                     tcp=machine.spec.tcp_mode)
             stats = self.link(link)
             # Payload/page accounting is per logical traversal: the
             # content crosses the link once however many wire copies
@@ -113,45 +111,19 @@ class ReferenceTransport(Transport):
                     stats.retx_bytes += nbytes
                     if faults is not None:
                         faults.usage[link] = faults.usage.get(link, 0) + busy
-                outcome = loss.decide(link, serial, attempt) if loss \
-                    else None
-                if outcome is DROP:
-                    stats.dropped_msgs += 1
-                    stats.dropped_bytes += nbytes
-                    attempt += 1
-                    if attempt > cost.retx_limit:
-                        raise NetworkLossError(
-                            f"{mtype.name} msg {serial} on link {link}: "
-                            f"all {cost.retx_limit} retransmissions "
-                            f"dropped")
-                    if faults is not None:
-                        faults.wait += timeout
-                        self.retx_wait += timeout
-                    continue
-                if outcome is DUPLICATE:
-                    # The link layer serialized a second copy; it
-                    # arrives and the receiver discards it, so it is
-                    # credited delivered right here (the exchange
-                    # arithmetic only knows clean copies).
-                    stats.messages += 1
-                    stats.bytes_sent += nbytes
-                    stats.bytes_received += nbytes
-                    stats.busy_cycles += busy
-                    stats.dup_msgs += 1
-                    stats.dup_bytes += nbytes
-                    stats.by_type[mtype.name] += 1
-                    if faults is not None:
-                        faults.usage[link] = faults.usage.get(link, 0) + busy
-                elif outcome is REORDER:
-                    # Delivered behind a later copy: the receiver holds
-                    # it one hop transit before handing it up.
-                    stats.reorder_msgs += 1
-                    if faults is not None:
-                        hold = int(cls.latency_factor * cost.net_latency)
-                        faults.wait += hold
-                        faults.usage.setdefault(link, 0)
-                        self.retx_wait += hold
-                break
+                if not (loss and loss.drops(link, serial, attempt)):
+                    break
+                stats.dropped_msgs += 1
+                stats.dropped_bytes += nbytes
+                attempt += 1
+                if attempt > cost.retx_limit:
+                    raise NetworkLossError(
+                        f"{mtype.name} msg {serial} on link {link}: "
+                        f"all {cost.retx_limit} retransmissions "
+                        f"dropped")
+                if faults is not None:
+                    faults.wait += timeout
+                    self.retx_wait += timeout
 
     def _receive(self, src, dst, nbytes):
         """Credit ``nbytes`` delivered over every link of the
@@ -210,7 +182,7 @@ class ReferenceTransport(Transport):
             index += take
         payload = sum(sizes)
         codec = 0
-        if self.machine.compression and frames:
+        if self.machine.spec.compression and frames:
             codec = int(len(frames) * PAGE_SIZE * cost.comp_encode_byte
                         + payload * cost.comp_decode_byte)
             self.codec_cycles += codec

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.kernel import Machine
+from repro.mem.layout import SHARED_BASE
 
 A = 0x20_0000
 
@@ -126,11 +127,31 @@ def test_mapped_context_manager_writes_back():
 def test_view_is_zero_copy():
     def main(g):
         g.write(A, bytes(range(64)))
-        view = g.view(A, 64, np.uint8, write=True)
-        view[0] = 0xAB
-        return g.read(A, 1)
+        view = g.view(A, 64, np.uint8)
+        g.write(A, b"\xab")
+        return int(view[0])
 
-    assert run(main).r0 == b"\xab"
+    assert run(main).r0 == 0xAB
+
+
+def test_a_child_cannot_write_its_parents_frame_through_a_view():
+    """A view of a page still shared copy-on-write with the parent is
+    read-only: the store raises, and the parent's byte is unchanged."""
+    def child(g):
+        view = g.view(SHARED_BASE, 8)
+        try:
+            view[0] = 99
+        except ValueError:
+            return "refused"
+        return "wrote"
+
+    def main(g):
+        g.write(SHARED_BASE, b"a" * 8)
+        g.put(1, regs={"entry": child}, copy=(SHARED_BASE, 0x1000),
+              start=True)
+        return g.get(1, regs=True)["r0"], g.read(SHARED_BASE, 1)
+
+    assert run(main).r0 == ("refused", b"a")
 
 
 def test_zero_range_clears_own_memory():

@@ -170,31 +170,35 @@ def test_drop_all_releases_references(space):
     assert space.mapped_page_count() == 0
 
 
-def test_as_array_single_page_view_writable(space):
+def test_as_array_single_page_view_is_read_only(space):
+    """Zero-copy (a later write shows through) but never a way in: a
+    frame may be shared copy-on-write, so a store through the view would
+    bypass the COW break and the dirty ledger."""
     space.write(0x1000, bytes(range(16)))
-    arr = space.as_array(0x1000, 16, writable=True)
-    arr[0] = 0xEE
-    assert space.read(0x1000, 1) == b"\xee"
+    arr = space.as_array(0x1000, 16)
+    assert not arr.flags.writeable
+    with pytest.raises(ValueError):
+        arr[0] = 0xEE
+    space.write(0x1000, b"\xee")
+    assert arr[0] == 0xEE
 
 
 def test_as_array_multi_page_readonly_copy(space):
     space.write(0x1000, b"a" * (2 * PAGE_SIZE))
     arr = space.as_array(0x1000, 2 * PAGE_SIZE)
     assert len(arr) == 2 * PAGE_SIZE
-    with pytest.raises(ValueError):
-        space.as_array(0x1800, PAGE_SIZE, writable=True)
+    assert not arr.flags.writeable
 
 
-def test_writable_view_respects_page_permissions(space):
-    """Regression: a zero-copy writable view is a write — it must honor
-    the PERM_W bit exactly like AddressSpace.write does."""
+def test_view_respects_page_permissions(space):
+    """A checked view is a read: it honors the PERM_R bit exactly like
+    AddressSpace.read does."""
     space.write(0x1000, b"protected")
     space.set_perm(0x1000, PAGE_SIZE, PERM_R)
-    with pytest.raises(PermissionFault):
-        space.as_array(0x1000, 8, writable=True, check_perm=True)
+    assert bytes(space.as_array(0x1000, 9, check_perm=True)) == b"protected"
     space.set_perm(0x1000, PAGE_SIZE, PERM_NONE)
     with pytest.raises(PermissionFault):
-        space.as_array(0x1000, 8, writable=False, check_perm=True)
+        space.as_array(0x1000, 8, check_perm=True)
     # Unchecked access (kernel-internal use) still works.
     assert len(space.as_array(0x1000, 8)) == 8
 

@@ -190,11 +190,11 @@ def test_read_view_of_unmapped_page_does_not_dirty_ledger():
     enter the dirty ledger — reads are not writes to Snap/Merge."""
     space = AddressSpace()
     token = space.dirty_token()
-    arr = space.as_array(BASE, 16, writable=False)
+    arr = space.as_array(BASE, 16)
     assert arr.sum() == 0
     assert space.frame(BASE >> 12) is not None       # materialized
     assert space.dirty_since(token) == set()          # but clean
-    space.as_array(BASE, 16, writable=True)           # a write does
+    space.write(BASE, b"x")                          # a write does
     assert space.dirty_since(token) == {BASE >> 12}
 
 

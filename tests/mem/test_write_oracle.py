@@ -1,7 +1,7 @@
 """Differential oracle for the whole-range ``write`` and ``write_pages``.
 
 ``reference_write`` (``page_oracle.py``) is the per-page loop
-``AddressSpace.write`` was before the rewrite — ``_ensure_writable``,
+``AddressSpace.write`` was before the rewrite — an ensure-writable,
 a slice assignment and a ``_mark_dirty`` per page.  Every hypothesis
 example builds the same world twice — private, snapshot-pinned and
 unmapped pages, explicit permissions (an unwritable page may sit
@@ -19,8 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from page_oracle import (reference_ensure_writable, reference_mark_dirty,
-                         reference_write)
+from page_oracle import reference_mark_dirty, reference_write
 from repro.common.errors import PermissionFault
 from repro.mem import (
     AddressSpace,
@@ -149,19 +148,6 @@ def test_write_pages_matches_one_reference_write_per_page(draw, offs, seed):
     want = sum(reference_write(old.space, vpn << PAGE_SHIFT, row.tobytes())
                for vpn, row in zip(vpns, rows))
     assert new.observe(got) == old.observe(want)
-
-
-@given(draw=worlds, off=vpn_offsets)
-@settings(max_examples=100, deadline=None)
-def test_a_write_fault_is_a_store_of_no_bytes(draw, off):
-    """``_ensure_writable`` (writable ``as_array`` views) goes through
-    the write loop with an empty buffer; the old body is the reference."""
-    new = World(draw, AddressSpace._mark_dirty)
-    old = World(draw, reference_mark_dirty)
-    got = new.space._ensure_writable(VPN0 + off)
-    want, _event = reference_ensure_writable(old.space, VPN0 + off)
-    assert got is new.space.frame(VPN0 + off)
-    assert new.observe(got.tag()) == old.observe(want.tag())
 
 
 def test_write_pages_refuses_a_buffer_of_the_wrong_size():

@@ -24,7 +24,7 @@ OracleResult = namedtuple("OracleResult", [
     "class_busy", "stall_cycles", "transfers"])
 
 
-def schedule_list(trace, ncpus=1, cpus_per_node=None):
+def schedule_list(trace, ncpus=1):
     """Schedule ``trace`` with the plain list loop; returns an
     :class:`OracleResult`."""
     segments = trace.segments
@@ -45,11 +45,6 @@ def schedule_list(trace, ncpus=1, cpus_per_node=None):
     stall_cycles = {}   # transfer kind -> cycles destinations waited
     transfers = []      # TRANSFER_FIELDS tuples in link-grant order
 
-    cpus_per_node = cpus_per_node or {}
-
-    def node_cpus(node):
-        return cpus_per_node.get(node, ncpus)
-
     free = defaultdict(int)        # node -> free CPU count (lazy init)
     seen_nodes = set()
     ready = defaultdict(list)      # node -> heap of (seg_id)
@@ -69,7 +64,7 @@ def schedule_list(trace, ncpus=1, cpus_per_node=None):
     def ensure_node(node):
         if node not in seen_nodes:
             seen_nodes.add(node)
-            free[node] = node_cpus(node)
+            free[node] = ncpus
 
     def make_ready(time, seg_id):
         seg = segments[seg_id]

@@ -71,8 +71,7 @@ def test_workload_traces_identical_across_fabrics(workload, topology):
     builder = dict(WORKLOADS)[workload]
     _, machine, _ = cw.run_cluster(builder, 4,
                                    spec=ClusterSpec(topology=topology))
-    fields = assert_matches_oracle(
-        machine.trace, cpus_per_node={n: 1 for n in range(4)})
+    fields = assert_matches_oracle(machine.trace, ncpus=1)
     assert fields["makespan"] > 0
 
 
@@ -80,8 +79,7 @@ def test_workload_traces_identical_across_fabrics(workload, topology):
 def test_workload_traces_identical_across_ship_modes(ship_mode):
     spec = ClusterSpec(topology="fat_tree:2", ship_mode=ship_mode)
     _, machine, _ = cw.run_cluster(cw.matmult_tree_main(32), 4, spec=spec)
-    assert_matches_oracle(machine.trace,
-                          cpus_per_node={n: 1 for n in range(4)})
+    assert_matches_oracle(machine.trace, ncpus=1)
 
 
 def test_workload_trace_identical_with_loss():
@@ -89,8 +87,7 @@ def test_workload_trace_identical_with_loss():
     # them to the same links, classes and stall kinds.
     spec = ClusterSpec(topology="two_tier:2", loss=0.05)
     _, machine, _ = cw.run_cluster(cw.matmult_tree_main(32), 4, spec=spec)
-    fields = assert_matches_oracle(
-        machine.trace, cpus_per_node={n: 1 for n in range(4)})
+    fields = assert_matches_oracle(machine.trace, ncpus=1)
     assert fields["link_busy"]
 
 
@@ -106,8 +103,7 @@ def test_circuit_identical_at_scale(nodes):
     # a routed fat tree, thousands of transfers contending for uplinks.
     _, machine, _ = cw.run_cluster(cw.md5_circuit_main(3), nodes,
                                    spec=ClusterSpec(topology="fat_tree:4"))
-    fields = assert_matches_oracle(
-        machine.trace, cpus_per_node={n: 1 for n in range(nodes)})
+    fields = assert_matches_oracle(machine.trace, ncpus=1)
     assert len(fields["transfers"]) == len(machine.trace.transfers)
 
 
@@ -156,9 +152,8 @@ def random_trace(rng, ncontexts=6, ncuts=8):
 def test_random_traces_identical(seed):
     rng = random.Random(seed)
     tr = random_trace(rng)
-    for ncpus in (1, 2, 10**9):
+    for ncpus in (1, 2, 4, 10**9):
         assert_matches_oracle(tr, ncpus=ncpus)
-    assert_matches_oracle(tr, cpus_per_node={0: 1, 1: 2, 2: 1})
 
 
 def fan_in_trace(nsources, busy, cycles=10):
@@ -218,11 +213,11 @@ def test_multi_cpu_node_grant_order_follows_finish_order(cpus):
                      latency=2, cls="rack",
                      kind="migrate" if i % 2 else None)
     tr.finish()
-    fields = assert_matches_oracle(tr, cpus_per_node={0: cpus, 1: 1})
+    fields = assert_matches_oracle(tr, ncpus=cpus)
     finish = fields["finish"]
     order = [t[0] for t in fields["transfers"]]
     assert [finish[s] for s in order] == sorted(finish[s] for s in order)
-    assert fields["cpu_count"] == cpus + 1
+    assert fields["cpu_count"] == 2 * cpus
 
 
 def test_empty_trace_identical():
@@ -255,4 +250,4 @@ def test_cycle_detection_identical(engine):
 def test_schedule_has_no_engine_selector():
     # One policy, one implementation: nothing to select.
     assert list(inspect.signature(schedule).parameters) == [
-        "trace", "ncpus", "cpus_per_node"]
+        "trace", "ncpus"]

@@ -93,15 +93,6 @@ def test_per_node_cpu_pools():
     assert schedule(tr2, ncpus=1).makespan == 200
 
 
-def test_cpus_per_node_override():
-    tr = Trace()
-    for i in range(4):
-        tr.begin(f"t{i}", node=7)
-        tr.charge(f"t{i}", 10)
-    tr.finish()
-    assert schedule(tr, ncpus=1, cpus_per_node={7: 4}).makespan == 10
-
-
 def test_deterministic_ties():
     tr = fork_join(6, child_len=33)
     r1 = schedule(tr, ncpus=3)
