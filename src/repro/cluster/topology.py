@@ -19,6 +19,9 @@ switches (strings), and answers two questions for the transport:
   giving its per-hop latency and bandwidth factors relative to the cost
   model's baseline ``net_latency`` / ``net_byte``.
 
+Both answers for one route are memoized together as its *route record*
+(:meth:`Topology.route_record`), which is what the transport reads.
+
 Three presets:
 
 ``flat``
@@ -71,26 +74,39 @@ class Topology:
 
     def __init__(self, nnodes):
         self.nnodes = nnodes
+        #: (src, dst) -> route record (see :meth:`route_record`).
         self._routes = {}
-        self._latencies = {}
+        #: The distinct ``(classes, latency factor)`` tails of those
+        #: records, so routes of one shape share a single copy.
+        self._shapes = {}
         self._racks = None
         self._striped = None
 
     # -- routing -----------------------------------------------------------
 
-    def route(self, src, dst):
-        """Ordered directed links a message ``src -> dst`` traverses.
+    def route_record(self, src, dst):
+        """The memoized record of the ``src -> dst`` route: ``(links,
+        classes, latency_factor)`` — the ordered directed links a
+        message traverses, each one's :class:`LinkClass` in the same
+        order, and the sum of their latency factors.  A transport leg
+        reads everything it needs about its route from this one lookup.
+        ``src == dst`` is the empty route (local delivery never touches
+        the wire)."""
+        record = self._routes.get((src, dst))
+        if record is None:
+            links = () if src == dst else tuple(self._build_route(src, dst))
+            classes = tuple(map(self.link_class, links))
+            shape = self._shapes.get(classes)
+            if shape is None:
+                shape = self._shapes[classes] = (
+                    classes, sum(cls.latency_factor for cls in classes))
+            record = self._routes[src, dst] = (links, *shape)
+        return record
 
-        Memoized; ``src == dst`` is the empty route (local delivery
-        never touches the wire).
-        """
-        if src == dst:
-            return ()
-        key = (src, dst)
-        hops = self._routes.get(key)
-        if hops is None:
-            hops = self._routes[key] = tuple(self._build_route(src, dst))
-        return hops
+    def route(self, src, dst):
+        """Ordered directed links a message ``src -> dst`` traverses
+        (the links of :meth:`route_record`)."""
+        return self.route_record(src, dst)[0]
 
     def _build_route(self, src, dst):
         raise NotImplementedError
@@ -100,14 +116,9 @@ class Topology:
         raise NotImplementedError
 
     def route_latency(self, cost, src, dst):
-        """Total transit latency (cycles) of the ``src -> dst`` route
-        (memoized beside the route it sums over)."""
-        key = (cost.net_latency, src, dst)
-        if key not in self._latencies:
-            self._latencies[key] = int(
-                cost.net_latency * sum(self.link_class(link).latency_factor
-                                       for link in self.route(src, dst)))
-        return self._latencies[key]
+        """Total transit latency (cycles) of the ``src -> dst`` route:
+        ``net_latency`` times the record's summed latency factor."""
+        return int(cost.net_latency * self.route_record(src, dst)[2])
 
     def distance(self, src, dst):
         """Hop count of the ``src -> dst`` route (0 = same node).

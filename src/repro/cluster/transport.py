@@ -384,6 +384,10 @@ class Transport:
         #: Encoded wire size per frame content tag (content never
         #: changes under a tag, so sizes are computed once).
         self._wire_sizes = {}
+        #: ``(wire bytes, byte_factor)`` -> the link occupancy of one
+        #: such message (``CostModel.link_message``; the cost model and
+        #: ``tcp_mode`` are fixed per machine, so a price never changes).
+        self._prices = {}
         # -- telemetry windows (take_window) -----------------------------
         #: Monotone window serial: how many windows have been taken.
         self.window_index = 0
@@ -448,11 +452,12 @@ class Transport:
 
     # -- telemetry windows -------------------------------------------------
 
-    def _note_route_sample(self, src, dst, usages, nmsgs, bill, npages):
+    def _note_route_sample(self, src, dst, transit, usages, nmsgs, bill,
+                           npages):
         """Record one delivery-latency sample for the ``src``/``dst``
-        route: route transit plus the exchange's mean per-message
-        serialization.  Two Karn-style filters keep the estimator
-        honest about what the retransmit timer actually guards:
+        route: its ``transit`` latency plus the exchange's mean
+        per-message serialization.  Two Karn-style filters keep the
+        estimator honest about what the retransmit timer actually guards:
         exchanges that hit the fault path contribute nothing (a
         retransmitted exchange's latency says more about the timeout
         than about the route), and so do multi-page batch exchanges —
@@ -467,7 +472,6 @@ class Transport:
         samples = self.route_samples.setdefault(pair, [])
         if len(samples) >= ROUTE_SAMPLE_CAP:
             return
-        transit = machine.topology.route_latency(machine.cost, src, dst)
         busy = sum(sum(usage.values()) for usage in usages)
         samples.append(transit + busy // max(1, nmsgs))
 
@@ -515,12 +519,15 @@ class Transport:
         """One direction of an exchange: serialize ``msgs`` along the
         fabric route ``src -> dst`` and credit ``delivered`` bytes to
         every link of it — a single walk of the route's link rows,
-        hop-major (DESIGN §3 "A leg is one walk of its route").
+        hop-major (DESIGN §3 "A leg is one walk of its route").  Returns
+        the route's transit latency, the value of
+        ``Topology.route_latency``: the leg's one route-record lookup
+        answers both.
 
         ``msgs`` are message tuples (see :data:`MIGRATE`).  Every traversed
         link accrues each message's bytes, pages, and its class-scaled
-        serialization cycles, priced once per distinct ``byte_factor``
-        on the route; ``usage`` (when given) collects the per-link busy
+        serialization cycles (priced from the ``(bytes, byte_factor)``
+        memo); ``usage`` (when given) collects the per-link busy
         cycles of the *stalling* messages for the caller's trace edges.
         Only the sending side is accounted per message: ``delivered``
         is the caller's own arithmetic over the exchange's page counts,
@@ -542,7 +549,9 @@ class Transport:
         cost = machine.cost
         loss = machine.loss
         links = self.links
-        route = machine.topology.route(src, dst)
+        prices = self._prices
+        route, classes, latency_factor = \
+            machine.topology.route_record(src, dst)
         if msgs:
             self.pair((src, dst)).bytes += delivered
             self.hops += len(route) * len(msgs)
@@ -550,24 +559,24 @@ class Transport:
         # control-tuned) timeout of the route, resolved once so every
         # hop copy of every message of the leg waits the same timer.
         timeout = machine.retx_timeout_for(src, dst) if loss else 0
-        prices = {}
+        stalling = usage is not None and any(msg[3] for msg in msgs)
         extra = []
-        for link in route:
-            row = links.get(link) or self.link(link)
-            factor = row.link_class.byte_factor
-            price = prices.get(factor)
-            if price is None:
-                priced = [msg + (cost.link_message(
-                    msg[2], byte_factor=factor, tcp=machine.spec.tcp_mode),)
-                    for msg in msgs]
-                stalling = [msg[4] for msg in priced if msg[3]]
-                price = prices[factor] = (
-                    priced, sum(stalling) if stalling else None)
-            priced, stalling = price
-            if usage is not None and stalling is not None:
-                usage[link] = usage.get(link, 0) + stalling
+        for link, link_class in zip(route, classes):
+            # Rows are created at first traversal, so a leg that dies
+            # of retry exhaustion leaves no row past the failing hop.
+            row = links.get(link)
+            if row is None:
+                row = links[link] = LinkStats(link_class)
+            factor = link_class.byte_factor
             by_type = row.by_type
-            for name, serial, nbytes, stalls, busy in priced:
+            stalled = 0
+            for name, serial, nbytes, stalls in msgs:
+                busy = prices.get((nbytes, factor))
+                if busy is None:
+                    busy = prices[nbytes, factor] = cost.link_message(
+                        nbytes, factor, machine.spec.tcp_mode)
+                if stalls:
+                    stalled += busy
                 attempt = 0
                 while True:
                     row.messages += 1
@@ -595,6 +604,8 @@ class Transport:
                     if bill is not None:
                         bill.wait += timeout
                         self.retx_wait += timeout
+            if stalling:
+                usage[link] = usage.get(link, 0) + stalled
             row.bytes_received += delivered
             if pages:
                 # Payload/page accounting is per logical traversal: the
@@ -609,39 +620,33 @@ class Transport:
             extra.sort(key=itemgetter(0))
             for _, link, busy in extra:
                 faults.usage[link] = faults.usage.get(link, 0) + busy
+        return int(cost.net_latency * latency_factor)
 
-    def _stall_edges(self, closed, opened, kind, parts, bill):
-        """One trace link edge per physical link the exchange occupied:
-        the space resumes only after its transfer wins *each* link it
-        crossed (shared uplinks make crossing flows contend) and
-        transits the route latency.  ``parts`` are the exchange's
-        ``(link -> busy cycles, latency)`` legs; a non-empty ``bill``
-        (the :class:`~repro.cluster.faults.RetxBill` of a lossy fabric)
-        adds its extra occupancy and timeout waits as ``kind="retx"``
-        edges between the same two segments."""
-        links = self.links
-        legs = [(kind, usage, latency) for usage, latency in parts]
+    def _stall_edges(self, src, dst, parts, bill):
+        """One trace link edge per physical link the exchange occupied,
+        from segment id ``src`` to segment id ``dst``: the space resumes
+        only after its transfer wins *each* link it crossed (shared
+        uplinks make crossing flows contend) and transits the route
+        latency.  ``parts`` is a fresh list of the exchange's ``(link ->
+        busy cycles, latency, kind)`` legs; a non-empty ``bill`` (the
+        :class:`~repro.cluster.faults.RetxBill` of a lossy fabric) adds
+        its extra occupancy and timeout waits as ``kind="retx"`` edges
+        between the same two segments.  The edges enter
+        ``trace.transfers`` in one ``extend``."""
         if bill:
-            legs.append(("retx", bill.usage, bill.wait))
-        self.machine.trace.link_edges(closed, opened, [
-            (link, busy, latency, links[link].cls, leg_kind)
-            for leg_kind, usage, latency in legs
+            parts.append((bill.usage, bill.wait, "retx"))
+        rows = self.links
+        self.machine.trace.transfers.extend([
+            (src, dst, link, busy, latency, rows[link].cls, kind)
+            for usage, latency, kind in parts
             for link, busy in usage.items()])
-
-    def _batch_sizes(self, npages):
-        """Split ``npages`` into PAGE_BATCH loads (``cost.msg_batch``)."""
-        cap = max(1, self.machine.cost.msg_batch)
-        sizes = []
-        while npages > 0:
-            take = min(cap, npages)
-            sizes.append(take)
-            npages -= take
-        return sizes
 
     def _batches(self, frames):
         """Number one exchange's messages — its head (MIGRATE or
-        PAGE_REQ), a PAGE_BATCH per load of ``frames``, its ACK, in that
-        order — and build the batches.
+        PAGE_REQ), a PAGE_BATCH per load of up to ``cost.msg_batch``
+        ``frames``, its ACK, in that order — and build the batches.
+        Without compression every page is ``PAGE_SIZE`` on the wire, so
+        the loads are sized by arithmetic instead of per frame.
 
         Returns ``(head, msgs, ack, payload, codec)``: the head's and
         the ACK's serials around the PAGE_BATCH message tuples, the
@@ -649,23 +654,29 @@ class Transport:
         compresses; headers excluded) and the encode+decode cycles the
         codec cost.
         """
-        cost = self.machine.cost
-        sizes = [self.wire_size(frame) for frame in frames]
+        machine = self.machine
+        cost = machine.cost
+        compressed = machine.spec.compression
+        cap = max(1, cost.msg_batch)
+        npages = len(frames)
+        if compressed:
+            sizes = [self.wire_size(frame) for frame in frames]
         head = self.messages
         msgs = []
-        index = 0
-        for take in self._batch_sizes(len(frames)):
-            payload = sum(sizes[index:index + take])
+        payload = 0
+        for start in range(0, npages, cap):
+            take = min(cap, npages - start)
+            load = sum(sizes[start:start + take]) if compressed \
+                else take * PAGE_SIZE
             msgs.append((PAGE_BATCH, head + 1 + len(msgs),
-                         payload + take * cost.page_hdr, True))
-            index += take
+                         load + take * cost.page_hdr, True))
+            payload += load
         ack = head + 1 + len(msgs)
         self.batches += len(msgs)
         self.messages = ack + 1
-        payload = sum(sizes)
         codec = 0
-        if self.machine.spec.compression and frames:
-            codec = int(len(frames) * PAGE_SIZE * cost.comp_encode_byte
+        if compressed and frames:
+            codec = int(npages * PAGE_SIZE * cost.comp_encode_byte
                         + payload * cost.comp_decode_byte)
             self.codec_cycles += codec
         return head, msgs, ack, payload, codec
@@ -677,7 +688,8 @@ class Transport:
         demand and prefetch paths so the two can never drift apart and
         break per-link conservation: a ``[PAGE_REQ, ACK]`` leg out and
         a ``PAGE_BATCH...`` leg back, numbered request, batches, ACK.
-        Returns the codec cycles.
+        Returns ``(codec, transit)``: the codec cycles and the response
+        route's transit latency.
         """
         cost = self.machine.cost
         npages = len(frames)
@@ -686,17 +698,18 @@ class Transport:
                   [(PAGE_REQ, head, cost.msg_ctrl + 8 * npages, True),
                    (ACK, ack, cost.msg_ctrl, False)],
                   2 * cost.msg_ctrl + 8 * npages, req_usage, faults)
-        self._leg(origin, node, batches, payload + npages * cost.page_hdr,
-                  resp_usage, faults, npages, payload)
+        transit = self._leg(origin, node, batches,
+                            payload + npages * cost.page_hdr,
+                            resp_usage, faults, npages, payload)
         # One delivery-latency sample per clean exchange (telemetry for
         # the control plane's SRTT estimator).  The request and response
         # usage dicts may alias (the prefetch path passes one dict):
         # count it once.
         usages = [req_usage] if resp_usage is req_usage \
             else [req_usage, resp_usage]
-        self._note_route_sample(origin, node, usages, 1 + len(batches),
-                                faults, npages)
-        return codec
+        self._note_route_sample(origin, node, transit, usages,
+                                1 + len(batches), faults, npages)
+        return codec, transit
 
     # -- protocol exchanges ------------------------------------------------
 
@@ -720,20 +733,19 @@ class Transport:
         head, batches, ack, payload, codec = self._batches(shipped)
         # Receiver-side accounting from the exchange's own arithmetic
         # (not the per-message sizes): conservation cross-checks them.
-        self._leg(src, dst,
-                  [(MIGRATE, head, cost.migrate_bytes, True)] + batches,
-                  cost.migrate_bytes + payload + len(shipped) * cost.page_hdr,
-                  usage, bill, len(shipped), payload)
+        transit = self._leg(
+            src, dst, [(MIGRATE, head, cost.migrate_bytes, True)] + batches,
+            cost.migrate_bytes + payload + len(shipped) * cost.page_hdr,
+            usage, bill, len(shipped), payload)
         self._leg(dst, src, [(ACK, ack, cost.msg_ctrl, False)],
                   cost.msg_ctrl)
-        self._note_route_sample(src, dst, (usage,), 1 + len(batches), bill,
-                                len(shipped))
+        self._note_route_sample(src, dst, transit, (usage,),
+                                1 + len(batches), bill, len(shipped))
         trace = machine.trace
         if trace.is_open(space.uid):
             closed, opened = trace.move_node(space.uid, dst)
-            transit = machine.topology.route_latency(cost, src, dst)
-            self._stall_edges(closed, opened, "migrate",
-                              [(usage, transit + codec)], bill)
+            self._stall_edges(closed.id, opened.id,
+                              [(usage, transit + codec, "migrate")], bill)
 
     def fetch(self, space, origin, node, frames):
         """Demand-fetch ``frames`` for ``space`` (resident on ``node``)
@@ -752,16 +764,14 @@ class Transport:
         req_usage = {}
         resp_usage = {}
         bill = RetxBill() if machine.loss else None
-        codec = self._page_exchange(origin, node, frames, req_usage,
-                                    resp_usage, bill)
+        codec, transit = self._page_exchange(origin, node, frames, req_usage,
+                                             resp_usage, bill)
         trace = machine.trace
         if trace.is_open(space.uid):
             closed, opened = trace.cut(space.uid, label="fetch")
-            transit = machine.topology.route_latency(machine.cost, origin,
-                                                     node)
-            self._stall_edges(closed, opened, "fetch",
-                              [(req_usage, 0), (resp_usage, transit + codec)],
-                              bill)
+            self._stall_edges(closed.id, opened.id,
+                              [(req_usage, 0, "fetch"),
+                               (resp_usage, transit + codec, "fetch")], bill)
 
     def prefetch(self, space, origin, node, frames):
         """Asynchronously issue a PAGE_REQ/PAGE_BATCH exchange pulling
@@ -784,13 +794,12 @@ class Transport:
         self.node(node).prefetch_issued += npages
         usage = {}
         bill = RetxBill() if machine.loss else None
-        codec = self._page_exchange(origin, node, frames, usage, usage, bill)
+        codec, transit = self._page_exchange(origin, node, frames, usage,
+                                             usage, bill)
         last = machine.trace.last_closed(space.uid)
         anchor = last.id if last is not None else None
-        latency = (machine.topology.route_latency(machine.cost, origin, node)
-                   + codec)
         exchange = PrefetchExchange(
-            anchor, usage, latency,
+            anchor, usage, transit + codec,
             [(frame, frame.generation) for frame in frames],
             retx=bill, window=self.window_index)
         queue = self.inflight.setdefault(node, {})
@@ -884,9 +893,10 @@ class Transport:
                 if cache.get(frame.serial, -1) < generation:
                     cache[frame.serial] = generation
             if opened is not None and exchange.anchor is not None:
-                self._stall_edges(exchange.anchor, opened, "prefetch",
-                                  [(exchange.usage, exchange.latency)],
-                                  exchange.retx)
+                self._stall_edges(
+                    exchange.anchor, opened.id,
+                    [(exchange.usage, exchange.latency, "prefetch")],
+                    exchange.retx)
 
     def flush_inflight(self, kind="prefetch-unused"):
         """End-of-run accounting for exchanges nobody ever redeemed.
@@ -924,8 +934,9 @@ class Transport:
         sink = trace.begin(f"~{kind}{self._sinks}@{node}",
                            node=node, label=kind)
         trace.end(sink.uid)
-        self._stall_edges(exchange.anchor, sink, kind,
-                          [(exchange.usage, exchange.latency)], exchange.retx)
+        self._stall_edges(exchange.anchor, sink.id,
+                          [(exchange.usage, exchange.latency, kind)],
+                          exchange.retx)
 
     # -- invariants --------------------------------------------------------
 

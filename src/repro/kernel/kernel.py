@@ -34,6 +34,8 @@ High bits of the child number select the node to interact on (§3.3):
 use :func:`child_ref` to build cross-node child numbers.
 """
 
+import operator
+
 from repro.common.errors import BadChildError, KernelError, MergeConflictError
 from repro.kernel.space import SpaceState
 from repro.kernel.traps import Trap
@@ -62,21 +64,37 @@ def child_ref(local, node=None):
     return ((node + 1) << NODE_SHIFT) | local
 
 
+def _unpack(spec, what, *arities):
+    """``spec`` — the value of option ``what`` — if it is a tuple (or
+    list) of one of the ``arities`` counts of integers; anything else is
+    refused with a KernelError naming the option, never left to fail
+    deeper in."""
+    try:
+        if isinstance(spec, (tuple, list)) and len(spec) in arities:
+            for value in spec:
+                operator.index(value)
+            return spec
+    except TypeError:
+        pass
+    raise KernelError(f"bad {what} option {spec!r}: expected a tuple of "
+                      f"{' or '.join(map(str, arities))} integers")
+
+
 def _normalize_ranges(spec, what):
-    """Normalize copy/zero specs to a list of (src, dst, size) tuples."""
+    """Normalize copy/zero specs — one ``(addr, size)`` or ``(src,
+    dst, size)`` tuple, or a list of them — to a list of (src, dst,
+    size) tuples."""
     if spec is None:
         return []
     if isinstance(spec, tuple):
         spec = [spec]
+    elif not isinstance(spec, list):
+        raise KernelError(f"bad {what} option {spec!r}: expected a range "
+                          f"tuple or a list of them")
     out = []
     for item in spec:
-        if len(item) == 2:
-            addr, size = item
-            out.append((addr, addr, size))
-        elif len(item) == 3:
-            out.append(tuple(item))
-        else:
-            raise KernelError(f"bad {what} spec {item!r}")
+        item = _unpack(item, what, 2, 3)
+        out.append((item[0], *item) if len(item) == 2 else tuple(item))
     return out
 
 
@@ -312,6 +330,13 @@ class Kernel:
         frames (sequential past the faulted range, plus the producing
         nodes' recent-write hints).  ``vpns`` is the range's mapped vpns
         when the caller has already enumerated them.
+
+        One walk of the space's page table: a probe per page of the
+        range (or, for a range wider than the table, one pass over the
+        table), reading each frame where it probes — no ``frame()``
+        call per page.  The cache is updated as the walk goes, so a
+        frame mapped at several vpns is fetched once.  The prefetch
+        depth is read only after a miss.
         """
         machine = self.machine
         if machine.nnodes <= 1 or size == 0:
@@ -321,14 +346,20 @@ class Kernel:
         origin_of = machine.frame_origin
         transport = machine.transport
         aspace = space.addrspace
-        vpn0 = addr >> PAGE_SHIFT
-        vpn1 = (addr + size - 1) >> PAGE_SHIFT
+        pages = aspace._pages
+        vpn1 = ((addr + size - 1) >> PAGE_SHIFT) + 1
+        if vpns is None:
+            vpn0 = addr >> PAGE_SHIFT
+            vpns = range(vpn0, vpn1) if vpn1 - vpn0 <= len(pages) \
+                else aspace.mapped_vpns_in(vpn0, vpn1)
         # vpn-ascending batched pulls, grouped by producing node.
         fetch_by_origin = {}
         redeems = []
-        # Unmapped vpns have nothing to fetch or cache.
-        for vpn in aspace.mapped_vpns_in(vpn0, vpn1 + 1) if vpns is None else vpns:
-            frame = aspace.frame(vpn)
+        written = []
+        for vpn in vpns:
+            frame = pages.get(vpn)
+            if frame is None:
+                continue        # unmapped: nothing to fetch or cache
             # The cache maps serial -> newest generation seen at this
             # node; older generations can never be served again, so
             # replacing (rather than accumulating) bounds the cache to
@@ -336,7 +367,7 @@ class Kernel:
             if write:
                 cache[frame.serial] = frame.generation
                 origin_of[frame.serial] = node
-                machine.note_dirty_hints(node, (vpn,))
+                written.append(vpn)
             elif cache.get(frame.serial) != frame.generation:
                 exchange = transport.take_inflight(node, frame.serial,
                                                    frame.generation)
@@ -347,16 +378,18 @@ class Kernel:
                 else:
                     origin = origin_of.get(frame.serial, space.home_node)
                     fetch_by_origin.setdefault(origin, []).append(frame)
+        if written:
+            machine.note_dirty_hints(node, written)
         if redeems:
             transport.redeem_exchanges(space, node, redeems)
+        if not fetch_by_origin:
+            return
         for origin in sorted(fetch_by_origin):
             transport.fetch(space, origin, node, fetch_by_origin[origin])
         depth = machine.prefetch_depth_for(node)
-        if fetch_by_origin and not write and depth > 0:
+        if depth > 0:
             self._issue_prefetch(space, node,
-                                 aspace.mapped_vpns_in(
-                                     vpn1 + 1,
-                                     vpn1 + 1 + 4 * depth),
+                                 aspace.mapped_vpns_in(vpn1, vpn1 + 4 * depth),
                                  hint_origins=sorted(fetch_by_origin))
 
     def _copy_subtree(self, caller, src_space, new_parent):
@@ -380,7 +413,11 @@ class Kernel:
         return clone
 
     def _apply_copy(self, caller, dst_space, src_space, ranges):
+        """Copy each of ``ranges`` from ``src_space`` into
+        ``dst_space``; returns the source's mapped vpns of the last
+        range (None without one)."""
         cost = self.machine.cost
+        vpns = None
         for src, dst, size in ranges:
             # One enumeration of the source serves the fetch, the copy
             # and the charge (an unaligned range never gets past Copy).
@@ -393,6 +430,7 @@ class Kernel:
             dst_space.addrspace.copy_range_from(source, src, dst, size,
                                                 src_vpns=vpns)
             self.kcharge(caller, cost.syscall // 10 + len(vpns) * cost.page_map)
+        return vpns
 
     # -- Put ---------------------------------------------------------------
 
@@ -424,15 +462,17 @@ class Kernel:
             if not caller.io_privilege:
                 raise KernelError("cannot delegate I/O privilege without it")
             child.io_privilege = True
-        self._apply_copy(caller, child, caller, _normalize_ranges(copy, "copy"))
-        for _, addr, size in _normalize_ranges(zero, "zero"):
+        copies = _normalize_ranges(copy, "copy")
+        copied = self._apply_copy(caller, child, caller, copies)
+        zeros = _normalize_ranges(zero, "zero")
+        for _, addr, size in zeros:
             child.addrspace.zero_range(addr, size)
             self.kcharge(caller, cost.syscall // 10)
         if perm is not None:
-            addr, size, p = perm
+            addr, size, p = _unpack(perm, "perm", 3)
             child.addrspace.set_perm(addr, size, p)
         if snap is not None:
-            addr, size = snap
+            addr, size = _unpack(snap, "snap", 2)
             old = child.snapshot
             if old is not None and (old.addr, old.size) == (addr, size):
                 # Incremental re-snap: only pages dirtied since the last
@@ -446,11 +486,20 @@ class Kernel:
             else:
                 if old is not None:
                     old.release()
-                child.snapshot = Snapshot.capture(child.addrspace, addr, size)
+                vpns = None
+                if len(copies) == 1 and not zeros \
+                        and copies[0][1:] == (addr, size):
+                    # The Put just copied exactly this range: the child's
+                    # mapped vpns in it are the Copy's source vpns,
+                    # shifted — no second enumeration of the range.
+                    shift = (addr >> PAGE_SHIFT) - (copies[0][0] >> PAGE_SHIFT)
+                    vpns = [vpn + shift for vpn in copied] if shift else copied
+                child.snapshot = Snapshot.capture(child.addrspace, addr, size,
+                                                  vpns)
                 self.kcharge(caller,
                              child.snapshot.page_count() * cost.page_map)
         if tree is not None:
-            src_child, dst_child = tree
+            src_child, dst_child = _unpack(tree, "tree", 2)
             src = caller.children.get(src_child)
             if src is None:
                 raise BadChildError(f"no child {src_child} to Tree-copy")
@@ -504,7 +553,7 @@ class Kernel:
 
         self._apply_copy(caller, caller, child, _normalize_ranges(copy, "copy"))
         if perm is not None:
-            addr, size, p = perm
+            addr, size, p = _unpack(perm, "perm", 3)
             caller.addrspace.set_perm(addr, size, p)
         for _, addr, size in _normalize_ranges(zero, "zero"):
             caller.addrspace.zero_range(addr, size)
@@ -512,7 +561,7 @@ class Kernel:
         if merge is not None and merge is not False:
             self._apply_merge(caller, child, merge, merge_mode)
         if tree is not None:
-            src_child, dst_child = tree
+            src_child, dst_child = _unpack(tree, "tree", 2)
             src = child.children.get(src_child)
             if src is None:
                 raise BadChildError(f"no grandchild {src_child} to Tree-copy")
@@ -532,21 +581,15 @@ class Kernel:
         if merge is True:
             addr = size = None
         else:
-            addr, size = merge
+            addr, size = _unpack(merge, "merge", 2)
         maddr = child.snapshot.addr if addr is None else addr
         msize = child.snapshot.size if size is None else size
         self.touch(child, maddr, msize)
         stats = MergeStats()
         try:
-            merge_range(
-                caller.addrspace,
-                child.addrspace,
-                child.snapshot,
-                addr,
-                size,
-                mode=merge_mode or self.machine.merge_mode,
-                stats=stats,
-            )
+            merge_range(caller.addrspace, child.addrspace, child.snapshot,
+                        addr, size, mode=merge_mode or self.machine.merge_mode,
+                        stats=stats)
         except MergeConflictError:
             # A conflict is still a merge that performed scan/diff work
             # (and may have written earlier batches): account it before

@@ -427,6 +427,9 @@ NOT_REPLAYED = {
     },
     "Transport": {
         "machine": _CONFIG,
+        "_prices": "configuration: a memo of CostModel.link_message over "
+                   "the machine's fixed cost model and tcp_mode, the same "
+                   "in every process whatever ran first",
         "_sinks": "names prefetch sink segments: prefetch_depth == 0 "
                   "is a gate",
         "route_samples": "taken only with a controller attached, which "

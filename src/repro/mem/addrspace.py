@@ -144,7 +144,11 @@ class AddressSpace:
 
     def dirty_since(self, token):
         """Set of vpns mutated after ``token`` (one of this space's own
-        :meth:`dirty_token` values)."""
+        :meth:`dirty_token` values).  A token that is still "now" — no
+        mutation since — answers empty at once, reading no event: the
+        Merge of a child that wrote nothing since its Snap is O(1)."""
+        if token >= self._clock:
+            return set()
         # First event strictly newer than the token; every page whose
         # latest mutation postdates the token has at least one event in
         # the suffix (compaction always keeps the latest per vpn).
@@ -355,11 +359,10 @@ class AddressSpace:
         # (those get unmapped), in ascending order.
         candidates = (src.mapped_vpns_in(src_vpn0, src_vpn0 + npages)
                       if src_vpns is None else src_vpns)
-        stale = [
-            dvpn - shift
-            for dvpn in self.mapped_vpns_in(dst_vpn0, dst_vpn0 + npages)
-            if dvpn - shift not in spages
-        ]
+        # A destination range with nothing mapped (a fresh child) needs
+        # no probe per page: every destination page is absent.
+        mapped = self.mapped_vpns_in(dst_vpn0, dst_vpn0 + npages)
+        stale = [dvpn - shift for dvpn in mapped if dvpn - shift not in spages]
         if stale:
             candidates = sorted(candidates + stale)
         changed = []
@@ -367,7 +370,7 @@ class AddressSpace:
         for svpn in candidates:
             dvpn = svpn + shift
             spage = spages.get(svpn)
-            dpage = dpages.get(dvpn)
+            dpage = dpages.get(dvpn) if mapped else None
             # A frame both sides already share is in sync: no bookkeeping.
             if spage is not dpage:
                 if dpage is not None:

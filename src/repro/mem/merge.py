@@ -97,6 +97,11 @@ def merge_range(parent, child, snapshot, addr=None, size=None, mode="strict",
                 stats=None):
     """Merge the child's changes since ``snapshot`` into ``parent``.
 
+    The candidates are the child's dirty-ledger entries in the range
+    since the snapshot's token; a child that wrote nothing there costs
+    one ledger query that reads no event, and nothing else — no page
+    table is read and ``stats`` is left as it came.
+
     Parameters
     ----------
     parent, child:
@@ -139,8 +144,9 @@ def merge_range(parent, child, snapshot, addr=None, size=None, mode="strict",
         raise ValueError(
             f"merge range {addr:#x}+{size:#x} outside snapshot range"
         )
-    _merge_tracked(parent, child, snapshot,
-                   sorted(snapshot.dirty_in(child, vpn0, vpn1)), mode, stats)
+    candidates = snapshot.dirty_in(child, vpn0, vpn1)
+    if candidates:
+        _merge_tracked(parent, child, snapshot, sorted(candidates), mode, stats)
     return stats
 
 

@@ -41,14 +41,20 @@ class Snapshot:
         self._token = token
 
     @classmethod
-    def capture(cls, space, addr, size):
-        """Snapshot ``[addr, addr+size)`` of ``space`` (page-aligned)."""
+    def capture(cls, space, addr, size, vpns=None):
+        """Snapshot ``[addr, addr+size)`` of ``space`` (page-aligned).
+
+        ``vpns`` is ``space``'s mapped vpns in the range, ascending,
+        when the caller already knows them — a Put that has just Copied
+        exactly this range hands over the Copy's — so the range is not
+        enumerated again: one page-table read per pinned frame."""
         if addr % PAGE_SIZE or size % PAGE_SIZE:
             raise ValueError("snapshot range must be page-aligned")
         vpn0 = addr >> PAGE_SHIFT
         pages = space._pages
-        frames = {vpn: pages[vpn].incref() for vpn in
-                  space.mapped_vpns_in(vpn0, vpn0 + (size >> PAGE_SHIFT))}
+        if vpns is None:
+            vpns = space.mapped_vpns_in(vpn0, vpn0 + (size >> PAGE_SHIFT))
+        frames = {vpn: pages[vpn].incref() for vpn in vpns}
         space.counters.pages_shared += len(frames)
         return cls(addr, size, frames, source=space, token=space.dirty_token())
 

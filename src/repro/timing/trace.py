@@ -200,17 +200,13 @@ class Trace:
         attributed — notably the explicit stall edges a *late-arriving*
         prefetched page charges, versus a stop-and-wait demand round
         trip, versus the retransmission timeouts a lossy fabric's
-        reliable link layer adds (``kind="retx"``).
+        reliable link layer adds (``kind="retx"``).  The cluster
+        transport enters an exchange's edges, one per link it occupied,
+        straight into :attr:`transfers` in a single ``extend``.
         """
-        self.link_edges(src_seg, dst_seg, [(link, busy, latency, cls, kind)])
-
-    def link_edges(self, src_seg, dst_seg, edges):
-        """One :meth:`link_edge` between the two segments per ``(link,
-        busy, latency, cls, kind)`` of ``edges``, in order, entered as a
-        single ``extend`` — every link one exchange occupied."""
         src = src_seg.id if isinstance(src_seg, Segment) else src_seg
         dst = dst_seg.id if isinstance(dst_seg, Segment) else dst_seg
-        self.transfers.extend([(src, dst, *edge) for edge in edges])
+        self.transfers.append((src, dst, link, busy, latency, cls, kind))
 
     def finish(self):
         """Close any remaining open segments (end of simulation)."""

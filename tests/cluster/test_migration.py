@@ -48,6 +48,29 @@ def test_nonexistent_node_rejected():
         assert m.run(main).r0 == "bad-node"
 
 
+def test_a_frame_mapped_at_two_vpns_is_fetched_once():
+    """One frame at two adjacent vpns, read across both from another
+    node, crosses the wire once: the node's cache learns its tag at the
+    first vpn, so the second is a hit."""
+    dst = ADDR + 16 * PAGE_SIZE
+
+    def child(g):
+        g.write(ADDR, b"f" * PAGE_SIZE)
+
+    def main(g):
+        g.put(1, regs={"entry": child}, start=True)
+        g.get(1, copy=[(ADDR, dst, PAGE_SIZE),
+                       (ADDR, dst + PAGE_SIZE, PAGE_SIZE)])
+        g.put(child_ref(2, node=1))         # the caller moves to node 1
+        machine = g.kernel.machine
+        before = machine.pages_fetched
+        data = g.read(dst, 2 * PAGE_SIZE)
+        return data == b"f" * (2 * PAGE_SIZE), machine.pages_fetched - before
+
+    with Machine(nnodes=2, spec=ClusterSpec(ship_mode="demand")) as m:
+        assert m.run(main).r0 == (True, 1)
+
+
 def test_single_node_has_no_fetch_accounting():
     def main(g):
         g.write(ADDR, b"x" * PAGE_SIZE)

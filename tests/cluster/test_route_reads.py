@@ -4,11 +4,11 @@ A migration over an H-hop route is a forward leg and an ACK leg, each a
 single walk of its route's link rows (DESIGN §3 "A leg is one walk of
 its route").  Counting wrappers on the topology, the cost model and the
 trace's transfer list hold that by count: once a route pair has been
-used, one more ``migrate`` looks each route up once, prices a message
-once per distinct link class on it, never asks the topology for a
-link's class again, and enters its H stall edges with one ``extend``.
-When every *message* walked the route (and ``_receive`` and
-``_stall_edges`` walked it again) each of these counts grew with
+used, one more ``migrate`` reads each route from its memoized route
+record — no ``route``, ``route_latency`` or ``link_class`` call — prices
+no message it has priced before, and enters its H stall edges with one
+``extend``.  When every *message* walked the route (and ``_receive``
+and ``_stall_edges`` walked it again) each of these counts grew with
 messages × hops.  Counts, not wall-clock: these cannot flake.
 """
 
@@ -58,6 +58,7 @@ def world(request):
     machine.trace.begin(space.uid, node=SRC)
     calls = {}
     counted(machine.topology, "route", calls)
+    counted(machine.topology, "route_latency", calls)
     counted(machine.topology, "link_class", calls)
     counted(machine.cost, "link_message", calls)
     machine.trace.transfers = CountingList()
@@ -70,8 +71,12 @@ def test_a_first_use_asks_for_a_class_once_per_new_row(world):
     machine.transport.migrate(space, SRC, DST, frames)
     hops = machine.topology.distance(SRC, DST)
     assert hops == 4 and len(machine.transport.links) == 2 * hops
-    # One per row created, and the route's latency sum (memoized).
-    assert calls["link_class"] <= len(machine.transport.links) + hops
+    # One per hop of each new route record; the rows take their class
+    # from the record.
+    assert calls["link_class"] == len(machine.transport.links)
+    # A price per distinct (message size, byte factor): MIGRATE, the
+    # PAGE_BATCH and the ACK over one byte factor (fat_tree) or two.
+    assert calls["link_message"] <= MESSAGES * 2
 
 
 def test_a_used_route_is_walked_once_per_leg(world):
@@ -90,9 +95,12 @@ def test_a_used_route_is_walked_once_per_leg(world):
 
     transport.migrate(space, SRC, DST, frames)
 
-    assert calls.get("route", 0) <= 2
+    # The topology is asked nothing: each leg reads its route record.
+    assert calls.get("route", 0) == 0
+    assert calls.get("route_latency", 0) == 0
     assert calls.get("link_class", 0) == 0
-    assert calls["link_message"] <= MESSAGES * len(classes)
+    # Every message of this migrate was priced by the first one.
+    assert calls.get("link_message", 0) == 0
     assert (transfers.extends, transfers.appends) == (1, 0)
     assert len(transfers) - edges == len(route)
     # ... and it is still one message per link per message.

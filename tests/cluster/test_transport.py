@@ -15,7 +15,7 @@ from repro.cluster.transport import (
     Transport,
 )
 from repro.kernel import Machine, child_ref
-from repro.mem import PAGE_SIZE
+from repro.mem import PAGE_SIZE, Page
 
 ADDR = 0x10_0000
 
@@ -113,12 +113,25 @@ def test_batching_reduces_messages_not_pages():
 
 
 def test_batch_sizes_partition():
-    t = Transport(Machine(nnodes=2))
-    cap = t.machine.cost.msg_batch
-    sizes = t._batch_sizes(2 * cap + 3)
-    assert sum(sizes) == 2 * cap + 3
-    assert max(sizes) <= cap
-    assert t._batch_sizes(0) == []
+    """PAGE_BATCH loads partition the frames at ``msg_batch`` pages,
+    whether sized per frame (compression) or by arithmetic."""
+    for compression in (False, True):
+        t = Transport(Machine(nnodes=2,
+                              spec=ClusterSpec(compression=compression)))
+        cost = t.machine.cost
+        cap = cost.msg_batch
+        frames = [Page(bytes([n % 7]) * PAGE_SIZE)
+                  for n in range(2 * cap + 3)]
+        sizes = [t.wire_size(frame) for frame in frames]
+        head, msgs, ack, payload, _ = t._batches(frames)
+        loads = [(0, cap), (cap, 2 * cap), (2 * cap, 2 * cap + 3)]
+        assert [msg[2] for msg in msgs] == [
+            sum(sizes[lo:hi]) + (hi - lo) * cost.page_hdr
+            for lo, hi in loads]
+        assert [msg[1] for msg in msgs] == [head + 1, head + 2, head + 3]
+        assert ack == head + 4 and t.messages == ack + 1
+        assert payload == sum(sizes)
+        assert t._batches([])[1] == []
 
 
 def test_message_type_accounting():

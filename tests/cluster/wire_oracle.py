@@ -8,7 +8,9 @@ draw the stall edges (``_stall_edges``).  It overrides every method of
 the production send path and stubs out the leg, so an oracle that
 compares against it cannot agree with itself; what it inherits is the
 row accessors, the codec size cache and the prefetch queue, none of
-which the rewrite touched.
+which the rewrite touched (the queue's redeem and sink paths call
+``_stall_edges`` in the production convention, which the reference's
+own per-link version accepts).
 """
 
 from repro.cluster.faults import RetxBill
@@ -131,18 +133,20 @@ class ReferenceTransport(Transport):
         for link in self.machine.topology.route(src, dst):
             self.link(link).bytes_received += nbytes
 
-    def _stall_edges(self, closed, opened, kind, parts, bill):
+    def _stall_edges(self, closed, opened, parts, bill):
         """One trace link edge per physical link the exchange occupied:
         the space resumes only after its transfer wins *each* link it
         crossed (shared uplinks make crossing flows contend) and
         transits the route latency.  ``parts`` are the exchange's
-        ``(link -> busy cycles, latency)`` legs; a non-empty ``bill``
-        (the :class:`~repro.cluster.faults.RetxBill` of a lossy fabric)
-        adds its extra occupancy and timeout waits as ``kind="retx"``
-        edges between the same two segments."""
+        ``(link -> busy cycles, latency, kind)`` legs (the production
+        calling convention, which the inherited prefetch-queue methods
+        use); a non-empty ``bill`` (the
+        :class:`~repro.cluster.faults.RetxBill` of a lossy fabric) adds
+        its extra occupancy and timeout waits as ``kind="retx"`` edges
+        between the same two segments."""
         trace = self.machine.trace
         link_class = self.machine.topology.link_class
-        legs = [(kind, usage, latency) for usage, latency in parts]
+        legs = [(kind, usage, latency) for usage, latency, kind in parts]
         if bill:
             legs.append(("retx", bill.usage, bill.wait))
         for leg_kind, usage, latency in legs:
@@ -252,8 +256,8 @@ class ReferenceTransport(Transport):
         if trace.is_open(space.uid):
             closed, opened = trace.move_node(space.uid, dst)
             transit = machine.topology.route_latency(cost, src, dst)
-            self._stall_edges(closed, opened, "migrate",
-                              [(usage, transit + codec)], bill)
+            self._stall_edges(closed, opened,
+                              [(usage, transit + codec, "migrate")], bill)
 
     def fetch(self, space, origin, node, frames):
         """Demand-fetch ``frames`` for ``space`` (resident on ``node``)
@@ -282,9 +286,9 @@ class ReferenceTransport(Transport):
             closed, opened = trace.cut(space.uid, label="fetch")
             transit = machine.topology.route_latency(machine.cost, origin,
                                                      node)
-            self._stall_edges(closed, opened, "fetch",
-                              [(req_usage, 0), (resp_usage, transit + codec)],
-                              bill)
+            self._stall_edges(closed, opened,
+                              [(req_usage, 0, "fetch"),
+                               (resp_usage, transit + codec, "fetch")], bill)
 
     def prefetch(self, space, origin, node, frames):
         """Asynchronously issue a PAGE_REQ/PAGE_BATCH exchange pulling

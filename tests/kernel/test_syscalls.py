@@ -1,9 +1,11 @@
 """Put/Get/Ret semantics: options from the paper's Tables 1 and 2."""
 
 
+import pytest
+
 from repro.common.errors import MergeConflictError
 from repro.kernel import Machine, Trap
-from repro.mem import PAGE_SIZE, PERM_NONE, PERM_R
+from repro.mem import PAGE_SIZE, PERM_NONE, PERM_R, MergeStats
 
 ADDR = 0x10_0000
 
@@ -229,6 +231,31 @@ def test_uncaught_conflict_traps_parent():
     assert run(main).trap is Trap.CONFLICT
 
 
+def test_merging_a_child_that_wrote_nothing_changes_nothing():
+    """The Merge of a child that only read since its Snap logs a
+    MergeStats equal to a fresh one and leaves the parent's dirty-ledger
+    clock where it was."""
+    def child(g):
+        return g.read(ADDR, 1)
+
+    def main(g):
+        g.write(ADDR, b"x")
+        g.put(1, regs={"entry": child}, copy=(ADDR, PAGE_SIZE),
+              snap=(ADDR, PAGE_SIZE), start=True)
+        ledger = g.space.addrspace
+        before = ledger.dirty_token()
+        g.get(1, merge=True)
+        return before, ledger.dirty_token()
+
+    with Machine() as m:
+        before, after = m.run(main).r0
+        logged = list(m.merge_stats_total)
+    assert after == before
+    fresh = MergeStats()
+    fresh.written_vpns = ()     # the kernel consumes the list it logs
+    assert logged == [fresh]
+
+
 def test_merge_without_snap_is_kernel_error():
     def main(g):
         g.put(1)
@@ -238,6 +265,40 @@ def test_merge_without_snap_is_kernel_error():
             return type(exc).__name__
 
     assert run(main).r0 == "KernelError"
+
+
+@pytest.mark.parametrize("call, option", [
+    ("put", {"copy": [ADDR, PAGE_SIZE]}),
+    ("put", {"zero": [ADDR, PAGE_SIZE]}),
+    ("put", {"copy": ((ADDR, PAGE_SIZE), (ADDR + PAGE_SIZE, PAGE_SIZE))}),
+    ("put", {"copy": (ADDR, "4096")}),
+    ("put", {"copy": ADDR}),
+    ("put", {"perm": (ADDR, PAGE_SIZE)}),
+    ("put", {"snap": (ADDR,)}),
+    ("put", {"tree": (1,)}),
+    ("get", {"copy": [ADDR, PAGE_SIZE]}),
+    ("get", {"perm": (ADDR, PAGE_SIZE)}),
+    ("get", {"merge": (ADDR,)}),
+    ("get", {"tree": (1,)}),
+], ids=lambda value: value if isinstance(value, str) else repr(value))
+def test_a_malformed_option_is_refused_naming_it(call, option):
+    """A Put/Get option of the wrong shape is refused with a
+    KernelError that names it — never a TypeError or ValueError from
+    deep inside the kernel."""
+    (name, value), = option.items()
+
+    def main(g):
+        g.write(ADDR, b"x")
+        g.put(1, copy=(ADDR, PAGE_SIZE), snap=(ADDR, PAGE_SIZE))
+        try:
+            getattr(g, call)(1, **option)
+        except Exception as exc:
+            return type(exc).__name__, str(exc)
+        return None
+
+    kind, message = run(main).r0
+    assert kind == "KernelError"
+    assert f"bad {name} option" in message
 
 
 def test_swap_example_two_threads():

@@ -72,6 +72,21 @@ def test_dirty_since_reports_writes_after_token():
     assert space.dirty_since(token) == {(BASE >> 12) + 1}
 
 
+def test_nothing_is_dirty_since_now():
+    """A token taken "now" answers empty, on a fresh ledger and on one
+    with (compacted) history, until the next mutation."""
+    space = AddressSpace()
+    assert space.dirty_since(space.dirty_token()) == set()
+    for round_ in range(3):
+        for page in range(50):
+            space.write(BASE + page * PAGE_SIZE, b"%d" % round_)
+    token = space.dirty_token()
+    assert space.dirty_since(token) == set()
+    assert space.dirty_vpns_since(token) == []
+    space.write(BASE, b"again")
+    assert space.dirty_since(token) == {BASE >> 12}
+
+
 def test_dirty_ledger_records_range_ops():
     src = AddressSpace()
     src.write(BASE, b"src")
