@@ -43,6 +43,8 @@ Quickstart::
         print(result.makespan(ncpus=4))   # deterministic virtual time
 """
 
+import importlib
+
 from repro.common.errors import (
     BackendError,
     DeadlockError,
@@ -55,13 +57,23 @@ from repro.common.errors import (
     WireError,
 )
 from repro.kernel import Machine, MachineResult, Trap, child_ref
-from repro.cluster.backend import RealRunResult, run_backend, run_real
 from repro.cluster.cluster import Cluster, sweep_nodes
 from repro.cluster.serving import ServingResult, serve_trace
 from repro.cluster.spec import ClusterSpec
 from repro.timing import CostModel
 
 __version__ = "1.0.0"
+
+#: Public names whose module loads on first use (PEP 562): a simulated
+#: run never imports the real-process backend (DESIGN §9, "Start-up").
+_LAZY = {name: "repro.cluster.backend"
+         for name in ("RealRunResult", "run_backend", "run_real")}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module 'repro' has no attribute {name!r}")
+    return getattr(importlib.import_module(_LAZY[name]), name)
 
 __all__ = [
     "Machine",

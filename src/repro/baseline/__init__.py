@@ -1,5 +1,7 @@
 """Nondeterministic baseline systems the paper compares against.
 
+Import the module you use; the package loads neither.
+
 * :mod:`repro.baseline.threadsim` — "pthreads on Ubuntu Linux": threads
   share one address space with no isolation costs; thread creation and
   joining pay a serialized thread-system cost that grows with core count
@@ -11,8 +13,3 @@
   for Figure 12: remote-shell-style workers (md5) and explicit TCP data
   shipping (matmult) over the same network model the cluster uses.
 """
-
-from repro.baseline.threadsim import LinuxMachine, LinuxThread, LinuxResult
-from repro.baseline.distsim import DistLinux
-
-__all__ = ["LinuxMachine", "LinuxThread", "LinuxResult", "DistLinux"]

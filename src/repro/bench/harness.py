@@ -6,7 +6,6 @@ contention model, which depends on the core count, so the harness runs
 the baseline once per CPU configuration.
 """
 
-from repro.baseline.threadsim import LinuxMachine
 from repro.bench.api import DetApi, LinuxApi
 from repro.kernel.machine import Machine
 
@@ -25,6 +24,8 @@ def run_linux(workload, params, ncpus, cost=None, seed=None):
     """Run ``workload.run(api, **params)`` on the Linux baseline with
     ``ncpus`` cores; returns its
     :class:`~repro.baseline.threadsim.LinuxResult`."""
+    from repro.baseline.threadsim import LinuxMachine
+
     def main(lt):
         return workload.run(LinuxApi(lt), **params)
 

@@ -18,7 +18,6 @@ import math
 import numpy as np
 
 from repro.mem.layout import SHARED_BASE
-from repro.runtime.dsched import DetScheduler
 
 OPTIONS_ADDR = SHARED_BASE + 0x300_0000
 
@@ -112,6 +111,7 @@ def run(api, nworkers, noptions, seed, quantum, nruns=1):
 
     if api.kind == "determinator":
         # Legacy pthreads under the deterministic scheduler (§4.5).
+        from repro.runtime.dsched import DetScheduler
         sched = DetScheduler(api.h, quantum=quantum)
         for start, count in slices:
             sched.spawn(

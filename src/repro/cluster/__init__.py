@@ -37,8 +37,10 @@ owns *how* it crosses and what that costs:
   typed messages framed over real localhost sockets; the simulated run
   stays the bit-identical oracle for values, memory images, and
   ledgers, while measured wall-clock joins simulated cycles as a
-  second timing column (:func:`run_real`; :class:`RealRunResult` wraps
-  the ``MachineResult`` with wall-clock, image and wire ledgers);
+  second timing column (``backend.run_real``; ``backend.RealRunResult``
+  wraps the ``MachineResult`` with wall-clock, image and wire ledgers).
+  It, like the control plane (:mod:`repro.cluster.control`), is
+  imported from its own module: this package does not load either;
 * :class:`Cluster` — construct, run and time a multi-node machine with
   one call; like every runner it returns the run's
   :class:`~repro.kernel.machine.MachineResult` (``value``,
@@ -54,15 +56,7 @@ owns *how* it crosses and what that costs:
 """
 
 from repro.cluster.network import NetworkStats
-from repro.cluster.backend import (
-    RealRunResult,
-    RealShardCoordinator,
-    image_digest,
-    run_backend,
-    run_real,
-)
 from repro.cluster.cluster import Cluster, sweep_nodes
-from repro.cluster.control import Controller, resolve_control
 from repro.cluster.faults import LossSchedule, RetxBill, resolve_loss
 from repro.cluster.placement import (
     LocalityAwarePlacement,
@@ -88,10 +82,7 @@ from repro.cluster.transport import (
 
 __all__ = [
     "NetworkStats", "Cluster", "sweep_nodes",
-    "RealRunResult", "RealShardCoordinator", "image_digest",
-    "run_backend", "run_real",
-    "LossSchedule", "RetxBill", "resolve_loss",
-    "Controller", "resolve_control", "TelemetryWindow",
+    "LossSchedule", "RetxBill", "resolve_loss", "TelemetryWindow",
     "Transport", "MsgType", "LinkStats", "PrefetchExchange",
     "Topology", "FlatTopology", "TwoTierTopology", "FatTreeTopology",
     "LinkClass", "resolve_topology",

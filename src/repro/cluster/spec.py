@@ -8,8 +8,10 @@ and every entry point — ``Machine``, ``Cluster``, ``sweep_nodes``,
 it as ``spec=`` and nothing else:
 
 * **One validation site.**  ``ship_mode`` membership, ``prefetch_depth``
-  range, ``loss``/``control``/``placement`` spec syntax all raise here,
-  at construction, before any machine exists.
+  range, ``tcp_mode``/``compression`` type (a ``bool``, never coerced),
+  ``loss``/``control``/``placement``/``topology`` spec syntax all raise
+  here, at construction, before any machine exists.  Only a
+  ``Topology`` instance's node count waits for the machine.
 * **One spelling.**  ``Machine(spec=ClusterSpec(ship_mode="demand"))``
   is the only way to say it; a mistyped field is Python's own
   ``TypeError`` from the dataclass constructor.
@@ -35,9 +37,9 @@ Typical use::
 
 from dataclasses import dataclass, replace
 
-from repro.cluster.control import resolve_control
 from repro.cluster.faults import resolve_loss
 from repro.cluster.placement import resolve_placement
+from repro.cluster.topology import check_topology
 from repro.timing.model import CostModel
 
 #: CPUs per cluster node every cluster runner schedules a run's trace on.
@@ -90,8 +92,10 @@ class ClusterSpec:
     backend: str = "sim"
 
     def __post_init__(self):
-        object.__setattr__(self, "tcp_mode", bool(self.tcp_mode))
-        object.__setattr__(self, "compression", bool(self.compression))
+        for name in ("tcp_mode", "compression"):
+            value = getattr(self, name)
+            if not isinstance(value, bool):
+                raise ValueError(f"{name} must be a bool, got {value!r}")
         if self.ship_mode not in SHIP_MODES:
             raise ValueError(f"unknown ship_mode {self.ship_mode!r} "
                              f"(expected one of {SHIP_MODES})")
@@ -110,10 +114,14 @@ class ClusterSpec:
         # Spec-syntax validation happens here — once — by running the
         # same resolvers the machine will use.  The throwaway results
         # are discarded: anything stateful must be materialized fresh
-        # per machine (``Machine.__init__`` resolves them again).
+        # per machine (``Machine.__init__`` resolves them again).  The
+        # control plane's module loads only for a spec that names one.
         resolve_loss(self.loss)
-        resolve_control(self.control)
         resolve_placement(self.placement)
+        check_topology(self.topology)
+        if self.control is not None:
+            from repro.cluster.control import resolve_control
+            resolve_control(self.control)
 
     def with_(self, **changes):
         """A copy with ``changes`` applied (validated like any spec)."""

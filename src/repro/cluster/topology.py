@@ -299,24 +299,37 @@ def resolve_topology(spec, nnodes):
     already-built :class:`Topology` (its node count must match), or a
     callable ``spec(nnodes) -> Topology`` (handy for sweeps).
     """
-    if spec is None:
-        return FlatTopology(nnodes)
     if isinstance(spec, Topology):
         if spec.nnodes != nnodes:
             raise ValueError(
                 f"topology built for {spec.nnodes} nodes used on {nnodes}")
         return spec
-    if isinstance(spec, str):
-        name, _, arg = spec.partition(":")
-        ctor = PRESETS.get(name)
-        if ctor is None:
-            raise ValueError(f"unknown topology {name!r} "
-                             f"(have {sorted(PRESETS)})")
-        if arg:
-            if ctor is FlatTopology:
-                raise ValueError("flat topology takes no rack size")
-            return ctor(nnodes, rack_size=int(arg))
-        return ctor(nnodes)
     if callable(spec):
         return resolve_topology(spec(nnodes), nnodes)
-    raise ValueError(f"cannot interpret topology spec {spec!r}")
+    ctor, kwargs = check_topology(spec)
+    return ctor(nnodes, **kwargs)
+
+
+def check_topology(spec):
+    """``(constructor, kwargs)`` of a None or preset-name ``spec``, and
+    None for a Topology or a builder; a ``ValueError`` naming the
+    topology for anything :func:`resolve_topology` cannot build."""
+    if isinstance(spec, Topology) or callable(spec):
+        return None
+    if spec is None:
+        return FlatTopology, {}
+    if not isinstance(spec, str):
+        raise ValueError(f"cannot interpret topology spec {spec!r}")
+    name, _, arg = spec.partition(":")
+    ctor = PRESETS.get(name)
+    if ctor is None:
+        raise ValueError(f"unknown topology {name!r} "
+                         f"(have {sorted(PRESETS)})")
+    if not arg:
+        return ctor, {}
+    if ctor is FlatTopology:
+        raise ValueError("flat topology takes no rack size")
+    if not arg.isdecimal() or int(arg) < 1:
+        raise ValueError(f"topology {spec!r}: the rack size must be a "
+                         f"positive int")
+    return ctor, {"rack_size": int(arg)}

@@ -19,7 +19,7 @@ of this file needs from there:
   crossing flows contend; a prefetch exchange draws the same edges from
   its issue anchor when redeemed, or into a sink segment when nobody
   ever demands it;
-* the transport **only accumulates**: a :attr:`Ledger.FIELDS` row per
+* the transport **only accumulates**: a :attr:`CounterRow.FIELDS` row per
   link, per node and per directed node pair, plus
   :attr:`Transport.SCALARS`.  Run-wide totals are sums over the rows, a
   :class:`TelemetryWindow` is the difference of two marks of them.
@@ -53,7 +53,7 @@ class MsgType(enum.Enum):
 MIGRATE, PAGE_REQ, PAGE_BATCH, ACK = (mtype.name for mtype in MsgType)
 
 
-class Ledger:
+class CounterRow:
     """One row of cumulative counters, declared once by :attr:`FIELDS`:
     zero-init, :meth:`as_dict`, :meth:`delta_since`, :meth:`add` and
     :meth:`restore` all derive from that tuple.  The transport keeps no
@@ -103,7 +103,7 @@ class Ledger:
             setattr(self, name, base[name])
 
 
-class LinkStats(Ledger):
+class LinkStats(CounterRow):
     """Cumulative traffic accounting of one directed fabric link: the
     :attr:`FIELDS` counters (which ``Transport.class_totals`` also sums
     per class) plus the per-message-type counts."""
@@ -182,7 +182,7 @@ class LinkStats(Ledger):
         self.by_type = dict(base["by_type"])
 
 
-class NodeStats(Ledger):
+class NodeStats(CounterRow):
     """Cumulative page-path counters of one node's demand and prefetch
     traffic: the rows of a :class:`TelemetryWindow` and what the
     transport's run-wide page totals sum."""
@@ -208,7 +208,7 @@ class NodeStats(Ledger):
     __slots__ = FIELDS
 
 
-class PairStats(Ledger):
+class PairStats(CounterRow):
     """Logical message bytes one node sent another (counted once per
     message, not per hop)."""
 
@@ -259,7 +259,7 @@ ROUTE_SAMPLE_CAP = 512
 
 
 class TelemetryWindow:
-    """What the transport's node and pair ledgers accumulated between
+    """What the transport's node and pair counter rows accumulated between
     two :meth:`Transport.take_window` calls, plus the route samples
     taken meanwhile.
 
@@ -304,7 +304,7 @@ class TelemetryWindow:
 
 
 def _total(table, field):
-    """Read-only total of one :attr:`Ledger.FIELDS` counter over every
+    """Read-only total of one :attr:`CounterRow.FIELDS` counter over every
     row of ``table`` — the rows are the only copy kept."""
     return property(lambda self: sum(getattr(row, field)
                                      for row in getattr(self, table).values()))
@@ -313,7 +313,7 @@ def _total(table, field):
 class Transport:
     """The simulated interconnect of one machine's cluster."""
 
-    #: The counters no ledger row can answer, pure accumulations like
+    #: The counters no counter row can answer, pure accumulations like
     #: the rows (a sharded run ships them from workers as deltas and
     #: adds them on adoption).
     SCALARS = (
@@ -489,7 +489,7 @@ class Transport:
 
     def take_window(self):
         """The :class:`TelemetryWindow` of everything the node and pair
-        ledgers accumulated since the previous call (or the start of
+        counter rows accumulated since the previous call (or the start of
         the run); the next window starts here.
 
         Before diffing, still-queued prefetched frames issued two or

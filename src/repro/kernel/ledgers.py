@@ -278,7 +278,7 @@ class Charged(Ledger):
 
 
 class Rows(Ledger):
-    """A transport table of ``Ledger`` rows (``links``, ``nodes``,
+    """A transport table of ``CounterRow`` rows (``links``, ``nodes``,
     ``pairs``), moved in place; adoption goes through the table's
     get-or-create ``accessor`` (``link``, ``node``, ``pair``), which is
     also what puts an adopted row in the parent's telemetry window."""

@@ -103,9 +103,9 @@ class Machine:
         programs=None,
         spec=None,
     ):
-        # Imported lazily: the cluster package's public modules import
-        # Machine, so a module-level import here would cycle.
-        from repro.cluster.control import resolve_control
+        # Imported lazily: repro.cluster.cluster imports this module and
+        # the package facade imports that one, so a module-level import
+        # of any repro.cluster module here would cycle.
         from repro.cluster.faults import resolve_loss
         from repro.cluster.placement import resolve_placement
         from repro.cluster.spec import ClusterSpec
@@ -191,9 +191,11 @@ class Machine:
         #: from the transport's telemetry windows (repro.cluster.control).
         #: String and dict specs materialize a fresh (stateful)
         #: Controller per machine, so a spec shared across a sweep never
-        #: leaks adaptation between runs.
-        self.control = resolve_control(spec.control)
-        if self.control is not None:
+        #: leaks adaptation between runs.  Its module loads only here.
+        self.control = None
+        if spec.control is not None:
+            from repro.cluster.control import resolve_control
+            self.control = resolve_control(spec.control)
             self.control.reset(self)
         #: Sharded host execution (repro.kernel.shard): at a rendezvous
         #: with >= 2 never-run READY siblings, fork up to this many

@@ -5,7 +5,7 @@ uses only the :class:`repro.kernel.guest.Guest` API, exactly as the real
 runtime is unprivileged user-space code.  Kernel bugs excepted, nothing
 here can break the kernel's determinism guarantee (§1).
 
-Modules:
+Modules (import the one you use; the package loads none of them):
 
 * :mod:`repro.runtime.fs` — the logically shared file system kept as a
   replica in every process image, with file versioning, reconciliation,
@@ -19,33 +19,8 @@ Modules:
   mutex-ownership stealing (§4.5).
 * :mod:`repro.runtime.make` — a miniature parallel ``make`` used to
   reproduce the Figure 4 scheduling scenarios.
+* :mod:`repro.runtime.shell` — a Unix-style shell on the process
+  runtime (§5).
+* :mod:`repro.runtime.checkpoint` — checkpoint/rollback of space
+  subtrees via the kernel's Tree option.
 """
-
-from repro.runtime.fs import FileSystem, O_RDONLY, O_WRONLY, O_RDWR, O_CREAT, O_APPEND, O_TRUNC
-from repro.runtime.threads import ThreadGroup, thread_fork, thread_join
-from repro.runtime.process import ProcessRuntime, unix_root
-from repro.runtime.dsched import DetScheduler, DetThread
-from repro.runtime.make import Make, MakeRule
-from repro.runtime.shell import Shell
-from repro.runtime.checkpoint import Checkpointer
-
-__all__ = [
-    "FileSystem",
-    "O_RDONLY",
-    "O_WRONLY",
-    "O_RDWR",
-    "O_CREAT",
-    "O_APPEND",
-    "O_TRUNC",
-    "ThreadGroup",
-    "thread_fork",
-    "thread_join",
-    "ProcessRuntime",
-    "unix_root",
-    "DetScheduler",
-    "DetThread",
-    "Make",
-    "MakeRule",
-    "Shell",
-    "Checkpointer",
-]

@@ -1,7 +1,7 @@
 """Distributed-memory baseline tests."""
 
 
-from repro.baseline import DistLinux
+from repro.baseline.distsim import DistLinux
 
 
 def test_tree_distribution_scales():

@@ -1,7 +1,7 @@
 """Baseline Linux thread-simulator tests."""
 
 
-from repro.baseline import LinuxMachine
+from repro.baseline.threadsim import LinuxMachine
 from repro.timing.model import CostModel
 
 

@@ -24,8 +24,8 @@ import pytest
 
 from repro import ClusterSpec
 from repro.bench import cluster_workloads as cw
-from repro.cluster import Controller, NetworkStats, resolve_control
-from repro.cluster.control import DEPTH_CAP
+from repro.cluster import NetworkStats
+from repro.cluster.control import DEPTH_CAP, Controller, resolve_control
 from repro.cluster.transport import NodeStats, TelemetryWindow
 from repro.kernel import Machine
 

@@ -20,6 +20,7 @@ from repro.bench import cluster_workloads as cw
 from repro.bench.harness import run_determinator
 from repro.cluster.backend import run_backend, run_real
 from repro.cluster.serving import serve_trace
+from repro.cluster.topology import FatTreeTopology
 
 
 # -- value semantics --------------------------------------------------------
@@ -47,14 +48,43 @@ def test_spec_is_frozen():
     (dict(backend="bogus"), "backend"),
     (dict(shard_workers=-1), "shard_workers"),
     (dict(cost=object()), "cost"),
+    (dict(topology="two_tier:x"), "topology"),
+    (dict(control="bogus"), "control"),
+    (dict(placement="bogus"), "placement"),
+    (dict(loss="bogus"), "loss"),
+    (dict(tcp_mode="no"), "tcp_mode"),
+    (dict(compression=1), "compression"),
 ])
 def test_validation_is_centralized(bad, match):
     """A bad field value never reaches an entry point: constructing the
-    spec is the one place it can be said, and it raises there."""
+    spec is the one place it can be said, and it raises there.  The
+    ``control`` row holds although the control plane's module loads
+    only for a spec that names one."""
     with pytest.raises(ValueError, match=match):
         ClusterSpec(**bad)
     with pytest.raises(ValueError, match=match):
         ClusterSpec().with_(**bad)
+
+
+@pytest.mark.parametrize("topology", [
+    "bogus", "two_tier:x", "two_tier:-2", "flat:2", "fat_tree:0", 3.5])
+def test_a_bad_topology_is_refused_by_the_spec(topology):
+    """Preset names and rack sizes are spec syntax: refused at the spec
+    with a message naming the topology, never first at ``Machine()``."""
+    with pytest.raises(ValueError, match="topology"):
+        ClusterSpec(topology=topology)
+
+
+def test_a_built_topology_passes_the_spec_and_meets_its_machine():
+    """A Topology instance or builder is accepted as is; an instance's
+    node count is the one topology check left to ``Machine``."""
+    spec = ClusterSpec(topology=FatTreeTopology(4))
+    with pytest.raises(ValueError, match="built for 4 nodes used on 8"):
+        Machine(nnodes=8, spec=spec)
+    with Machine(nnodes=4, spec=spec) as machine:
+        assert machine.topology is spec.topology
+    with Machine(nnodes=8, spec=ClusterSpec(topology=FatTreeTopology)) as m:
+        assert isinstance(m.topology, FatTreeTopology) and m.topology.nnodes == 8
 
 
 def test_unknown_knob_raises_the_same_typeerror_everywhere():

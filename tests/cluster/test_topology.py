@@ -7,7 +7,6 @@ import pytest
 from repro import ClusterSpec
 from repro.bench import cluster_workloads as cw
 from repro.cluster import (
-    Controller,
     FatTreeTopology,
     FlatTopology,
     NetworkStats,
@@ -15,6 +14,7 @@ from repro.cluster import (
     resolve_placement,
     resolve_topology,
 )
+from repro.cluster.control import Controller
 from repro.common.errors import KernelError
 from repro.kernel import Machine, child_ref
 from repro.mem import PAGE_SIZE
