@@ -15,6 +15,11 @@ rotting the docs.  Two drift directions are covered:
   to smoke-test fails with instructions to teach it — undocumented
   commands never get silently skipped.
 
+The output a guide shows for a ``repro.debug`` command is checked too:
+the plain fenced block right after the command's block must match what
+the command prints — its lines, ``...`` lines skipped, appear in the
+real stdout in order.
+
 Usage: python benchmarks/check_docs.py [--docs FILE [FILE ...]]
 """
 
@@ -92,21 +97,46 @@ DEFAULT_DOCS = ("README.md", "docs/debugging.md", "docs/backends.md")
 _FENCE = re.compile(r"^```(?:ba)?sh\s*$")
 
 
-def extract_commands(readme):
-    """Command lines inside ```sh / ```bash fenced blocks (``$ `` and
-    comment lines stripped)."""
-    commands = []
-    in_block = False
-    for line in readme.read_text().splitlines():
-        if in_block and line.startswith("```"):
-            in_block = False
-        elif in_block:
-            command = line.strip().removeprefix("$ ").strip()
-            if command and not command.startswith("#"):
-                commands.append(command)
-        elif _FENCE.match(line.strip()):
-            in_block = True
-    return commands
+def _closing(lines, start):
+    """Index of the fence closing the block opened at ``start``."""
+    return next(j for j in range(start + 1, len(lines))
+                if lines[j].startswith("```"))
+
+
+def extract_commands(doc):
+    """``[(command, output), ...]``: the command lines inside ```sh /
+    ```bash fenced blocks (``$ `` and comment lines stripped).  A
+    block's last command carries the lines of the plain ``` block that
+    follows it (blank lines between allowed) as its documented output;
+    every other output is None."""
+    lines = doc.read_text().splitlines()
+    pairs = []
+    for start, line in enumerate(lines):
+        if not _FENCE.match(line.strip()):
+            continue
+        end = _closing(lines, start)
+        commands = [text.strip().removeprefix("$ ").strip()
+                    for text in lines[start + 1:end]]
+        commands = [c for c in commands if c and not c.startswith("#")]
+        after = next((j for j in range(end + 1, len(lines))
+                      if lines[j].strip()), None)
+        output = None
+        if after is not None and lines[after].strip() == "```":
+            output = lines[after + 1:_closing(lines, after)]
+        pairs += [(command, None) for command in commands[:-1]]
+        if commands:
+            pairs.append((commands[-1], output))
+    return pairs
+
+
+def missing_output(documented, stdout):
+    """The first documented line (``...`` lines skipped) that does not
+    appear in ``stdout`` after the lines matched before it, or None."""
+    printed = iter(stdout.splitlines())
+    for want in documented:
+        if want.strip() != "..." and not any(got == want for got in printed):
+            return want
+    return None
 
 
 def smoke_argv(command):
@@ -132,7 +162,8 @@ def run(command):
         print(f"check_docs: FAILED ({result.returncode}):\n"
               f"{result.stdout[-2000:]}\n{result.stderr[-2000:]}",
               file=sys.stderr)
-    return result.returncode == 0
+        return None
+    return result.stdout
 
 
 def main(argv=None):
@@ -146,13 +177,14 @@ def main(argv=None):
 
     failures = []
     total = 0
-    smoked = set()
+    smoked = {}
     for path in args.docs:
         doc = Path(path)
         if not doc.exists():
             print(f"check_docs: {doc} does not exist", file=sys.stderr)
             return 2
-        commands = extract_commands(doc)
+        pairs = extract_commands(doc)
+        commands = [command for command, _ in pairs]
         if not commands:
             failures.append(f"{doc.name} has no shell code blocks — its "
                             f"command walkthrough is gone")
@@ -165,16 +197,24 @@ def main(argv=None):
         for required in sorted(REQUIRED.get(relpath, set()) - set(commands)):
             failures.append(f"required command missing from "
                             f"{relpath}: {required!r}")
-        for command in commands:
+        for command, output in pairs:
             if command not in SMOKE:
                 failures.append(
                     f"{relpath} command {command!r} is unknown to "
                     f"check_docs.py — add a smoke mapping for it in the "
                     f"same commit")
-            elif command not in smoked:
-                smoked.add(command)
-                if not run(command):
+                continue
+            if command not in smoked:
+                smoked[command] = run(command)
+                if smoked[command] is None:
                     failures.append(f"smoke run failed: {command!r}")
+            stdout = smoked[command]
+            if output and "repro.debug" in command and stdout is not None:
+                drift = missing_output(output, stdout)
+                if drift is not None:
+                    failures.append(
+                        f"{relpath} shows output {command!r} does not "
+                        f"print (in that order): {drift!r}")
 
     if failures:
         print(f"\ncheck_docs: {len(failures)} documentation drift(s):",

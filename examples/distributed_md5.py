@@ -122,8 +122,8 @@ def main(smoke=False):
     assert found == target
     print(f"\nsame lossy run under adaptive control: "
           f"makespan {lossy_makespan:,} -> {adaptive_makespan:,}")
-    print("\ncontroller decision log (replay-exact):")
-    print(machine.control.decision_log(last=12))
+    print("\ncontroller decision log (replay-exact), last 12:")
+    print("\n".join(machine.control.log[-12:]))
 
 
 if __name__ == "__main__":

@@ -3,7 +3,8 @@
 
 The paper's opening claim: "Determinism is the foundation of replay
 debugging, fault tolerance, and accountability mechanisms."  This
-example makes it concrete:
+example makes it concrete with the debugger's ``fault-tolerance``
+scenario (``repro.debug.scenarios``):
 
 1. a long computation runs in a child space, parking at epoch
    boundaries; the supervisor checkpoints the child's whole subtree
@@ -15,98 +16,23 @@ example makes it concrete:
 4. deterministic execution reaches exactly the answer the fault-free
    run would have produced.
 
-The post-mortem at the end is done with the time-travel debugger
-(``repro.debug``): the finished machine is opened with an
-:class:`~repro.debug.Inspector`, which summarises the run, backtraces
-the crashed space, diffs the checkpoints either side of the crash at
-page granularity, and replays to the crash cycle to inspect the trapped
-state in place (``docs/debugging.md`` is the guided tour).
+The post-mortem is done with the time-travel debugger: the finished
+machine is opened with an :class:`~repro.debug.Inspector`, which
+summarises the run, backtraces the crashed space, diffs the checkpoints
+either side of the crash at page granularity, and replays to the crash
+cycle to inspect the trapped state in place (``docs/debugging.md`` is
+the guided tour).
 
 Run:  python examples/fault_tolerance.py
 """
 
-from repro import Machine, Trap
 from repro.debug import Inspector, render
-from repro.runtime.checkpoint import Checkpointer
-
-STATE = 0x10_0000          # progress counter + accumulator page
-ACC = 0x10_0008
-POISON = 0x10_1000         # the "input block", on its own page
-PHASES = 8
-INJECT_AT_EPOCH = 5
-
-
-def computation(g):
-    """Checkpoint-restart style: progress lives in simulated memory."""
-    while True:
-        if g.load(POISON):
-            raise RuntimeError("corrupted input block")
-        step = g.load(STATE)
-        if step >= PHASES:
-            g.ret(status=0)
-            continue
-        g.work(50_000)
-        g.store(ACC, g.load(ACC) + (step + 1) ** 2)
-        g.store(STATE, step + 1)
-        g.ret(status=1)
-
-
-def supervisor(g):
-    ckpt = Checkpointer(g)
-    g.put(1, regs={"entry": computation}, start=True)
-    epoch = 0
-    crashed_at = None
-    while True:
-        view = g.get(1, regs=True)
-        if view["trap"] is Trap.EXC:
-            crashed_at = epoch
-            g.debug(f"crash in epoch {epoch}: {view['trap_info']}")
-            # Roll back to the last good image; it predates the poisoned
-            # input, so the replay is exactly the fault-free execution.
-            epoch -= 1
-            ckpt.restore(1, f"epoch-{epoch}")
-            g.debug(f"rolled back to epoch {epoch}, replaying")
-            g.put(1, start=True)
-            continue
-        if view["status"] == 0:
-            g.get(1, copy=(STATE, 0x1000))
-            return g.load(ACC), crashed_at
-        ckpt.save(1, f"epoch-{epoch}")
-        epoch += 1
-        if epoch == INJECT_AT_EPOCH and crashed_at is None:
-            # Surgical fault injection: poison only the input page.
-            g.store(POISON, 1)
-            g.put(1, copy=(POISON, 0x1000), start=True)
-            g.store(POISON, 0)          # our own copy stays clean
-            g.debug(f"poisoned input before epoch {epoch}")
-            continue
-        g.put(1, start=True)
-
-
-def main(g):
-    result, crashed_at = supervisor(g)
-    expected = sum((i + 1) ** 2 for i in range(PHASES))
-    g.console_write(
-        f"result={result} expected={expected} "
-        f"recovered-from-crash-in-epoch={crashed_at}\n"
-    )
-    return 0 if result == expected else 1
-
-
-def run(prepare=None):
-    """Inspector recipe: fixed configuration -> bit-identical reruns."""
-    machine = Machine()
-    if prepare is not None:
-        prepare(machine)
-    result = machine.run(main)
-    return machine, result
-
+from repro.debug.scenarios import INJECT_AT_EPOCH, fault_tolerance
 
 if __name__ == "__main__":
-    machine, result = run()
-    insp = Inspector(machine, result=result, recipe=run)
+    insp = Inspector.from_recipe(fault_tolerance)
     try:
-        print(result.console.decode(), end="")
+        print(insp.result.console.decode(), end="")
 
         # The finished machine is a complete debugging artifact; the
         # inspector reads the trap, the checkpoints, and the trace out
@@ -142,6 +68,6 @@ if __name__ == "__main__":
         print("\n".join(render.format_goto(insp.goto(crash.cycle))))
 
         print()
-        print("exit status:", result.r0)
+        print("exit status:", insp.result.r0)
     finally:
-        machine.close()
+        insp.machine.close()

@@ -67,7 +67,7 @@ __version__ = "1.0.0"
 #: Public names whose module loads on first use (PEP 562): a simulated
 #: run never imports the real-process backend (DESIGN §9, "Start-up").
 _LAZY = {name: "repro.cluster.backend"
-         for name in ("RealRunResult", "run_backend", "run_real")}
+         for name in ("RealRunResult", "run_backend")}
 
 
 def __getattr__(name):
@@ -87,7 +87,6 @@ __all__ = [
     "ServingResult",
     "RealRunResult",
     "run_backend",
-    "run_real",
     "CostModel",
     "ReproError",
     "KernelError",

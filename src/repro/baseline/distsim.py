@@ -15,6 +15,9 @@ from repro.timing.model import CostModel
 from repro.timing.schedule import schedule
 from repro.timing.trace import Trace
 
+#: Master-side setup and collection work around one job, in cycles.
+MASTER_CYCLES = 50_000
+
 
 class DistLinux:
     """Master/worker distributed-memory execution on an N-node cluster."""
@@ -29,15 +32,7 @@ class DistLinux:
         self._uid += 1
         return f"w{self._uid}"
 
-    def run_master_workers(
-        self,
-        worker_cycles,
-        input_bytes,
-        output_bytes,
-        master_pre=50_000,
-        master_post=50_000,
-        tree=False,
-    ):
+    def run_master_workers(self, worker_cycles, input_bytes, output_bytes):
         """Simulate one distributed job; returns the makespan.
 
         Parameters
@@ -46,15 +41,15 @@ class DistLinux:
             Compute cycles per worker (one worker per node).
         input_bytes / output_bytes:
             Payload shipped to / from each worker over TCP.
-        tree:
-            Distribute recursively through a binary tree of workers
-            instead of serially from the master (matches the -tree
-            benchmark variants).
+
+        Work fans out recursively through a binary tree of workers (the
+        -tree benchmark variants); the master spends
+        :data:`MASTER_CYCLES` before and after it.
         """
         cost = self.cost
         trace = self.trace
         trace.begin("master", node=0, label="master")
-        trace.charge("master", master_pre)
+        trace.charge("master", MASTER_CYCLES)
 
         ends = self._distribute(
             "master", 0, list(range(self.nnodes)), worker_cycles,
@@ -64,7 +59,7 @@ class DistLinux:
             _, opened = trace.cut("master", label="collect")
             trace.edge(end_seg, opened, latency=latency)
             trace.charge("master", cost.message(output_bytes, tcp=True))
-        trace.charge("master", master_post)
+        trace.charge("master", MASTER_CYCLES)
         trace.finish()
         return schedule(trace, ncpus=1).makespan
 
@@ -72,9 +67,8 @@ class DistLinux:
                     input_bytes, output_bytes):
         """Send work to ``nodes``; returns [(end_segment, return_latency)].
 
-        Serial fan-out from the parent, or recursive binary-tree fan-out
-        when more than one node remains (tree mode is selected simply by
-        calling with the full node list — the recursion *is* the tree).
+        The first node works locally and forwards half of the rest to
+        each of two sub-trees: the recursion *is* the tree.
         """
         cost = self.cost
         trace = self.trace
@@ -106,28 +100,3 @@ class DistLinux:
         end_seg = trace.end(uid)
         ends.append((end_seg, 0 if parent_node == me else cost.net_latency))
         return ends
-
-    def run_serial_circuit(self, worker_cycles, input_bytes, output_bytes,
-                           master_pre=50_000):
-        """Master serially visits every node, rsh-style (md5-circuit-like
-        comparison point); returns the makespan."""
-        cost = self.cost
-        trace = self.trace
-        trace.begin("master", node=0, label="master")
-        trace.charge("master", master_pre)
-        handles = []
-        for node in range(self.nnodes):
-            trace.charge("master", cost.message(input_bytes, tcp=True))
-            closed, _ = trace.cut("master", label="send")
-            uid = self._next_uid()
-            seg = trace.begin(uid, node=node, label="worker")
-            latency = 0 if node == 0 else cost.net_latency
-            trace.edge(closed, seg, latency=latency)
-            trace.charge(uid, worker_cycles)
-            handles.append((trace.end(uid), latency))
-        for end_seg, latency in handles:
-            _, opened = trace.cut("master", label="collect")
-            trace.edge(end_seg, opened, latency=latency)
-            trace.charge("master", cost.message(output_bytes, tcp=True))
-        trace.finish()
-        return schedule(trace, ncpus=1).makespan

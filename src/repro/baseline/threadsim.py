@@ -48,7 +48,7 @@ class LinuxResult:
 
 
 class LinuxThread:
-    """Handle a baseline thread uses: memory, compute, spawn/join, locks.
+    """Handle a baseline thread uses: memory, compute, spawn/join, barriers.
 
     Mirrors the Determinator :class:`~repro.kernel.guest.Guest` memory
     API closely enough that workloads can be written once against a
@@ -142,13 +142,6 @@ class LinuxThread:
         return handle.value
 
     # -- synchronization ----------------------------------------------------
-
-    def lock(self, lid):
-        """Acquire a mutex (uncontended cost; see module docstring)."""
-        self.charge(self.machine.cost.lock_op)
-
-    def unlock(self, lid):
-        self.charge(self.machine.cost.lock_op)
 
     def barrier(self):
         """Arrive at a barrier (cost only; logical barrier semantics are

@@ -30,23 +30,27 @@ class DetApi:
         self.h = g
         self._spawn_tg = None
         self._spawn_seq = 0
+        self._fork_joins = 0
         # Delegate the common memory/compute surface.
         for name in ("work", "alloc_work", "read", "write", "load", "store",
                      "array_read", "array_write", "charge"):
             setattr(self, name, getattr(g, name))
 
-    def fork_join(self, body, args_list, base=0x100):
-        """One private-workspace child per args tuple; merge at joins."""
-        tg = ThreadGroup(self.h, base=base)
+    def fork_join(self, body, args_list):
+        """One private-workspace child per args tuple; merge at joins.
+        Each call forks into fresh child slots, 64 past the last
+        call's."""
+        tg = ThreadGroup(self.h, base=0x100 + 64 * self._fork_joins)
+        self._fork_joins += 1
         for tid, args in enumerate(args_list):
             tg.fork(_det_worker, (body, tid, tuple(args)))
         return tg.join_all()
 
-    def spawn(self, body, args, base=0x4000):
+    def spawn(self, body, args):
         """Start one child asynchronously; the caller keeps computing and
         must :meth:`join` the returned handle (tree-recursive workloads)."""
         if self._spawn_tg is None:
-            self._spawn_tg = ThreadGroup(self.h, base=base)
+            self._spawn_tg = ThreadGroup(self.h, base=0x4000)
         seq = self._spawn_seq
         self._spawn_seq += 1
         return self._spawn_tg.fork(_det_worker, (body, seq, tuple(args)))
@@ -55,9 +59,9 @@ class DetApi:
         """Join a spawned child, merging its shared-memory changes."""
         return self._spawn_tg.join(handle)
 
-    def parallel_rounds(self, nworkers, nrounds, body, base=0x100):
+    def parallel_rounds(self, nworkers, nrounds, body):
         """Barrier phases via merge + re-snapshot cycles (§4.4)."""
-        tg = ThreadGroup(self.h, base=base)
+        tg = ThreadGroup(self.h)
         for tid in range(nworkers):
             tg.fork(_det_round_worker, (body, tid, nrounds))
         return tg.run_barrier_rounds(max_rounds=nrounds + 1)
@@ -89,14 +93,14 @@ class LinuxApi:
                      "array_read", "array_write", "charge"):
             setattr(self, name, getattr(lt, name))
 
-    def fork_join(self, body, args_list, base=None):
+    def fork_join(self, body, args_list):
         handles = [
             self.h.spawn(_linux_worker, (body, tid, tuple(args)))
             for tid, args in enumerate(args_list)
         ]
         return [self.h.join(handle) for handle in handles]
 
-    def spawn(self, body, args, base=None):
+    def spawn(self, body, args):
         """pthread_create analogue of :meth:`DetApi.spawn`."""
         seq = self._spawn_seq
         self._spawn_seq += 1
@@ -105,7 +109,7 @@ class LinuxApi:
     def join(self, handle):
         return self.h.join(handle)
 
-    def parallel_rounds(self, nworkers, nrounds, body, base=None):
+    def parallel_rounds(self, nworkers, nrounds, body):
         """Per-round dispatch charged at barrier cost (pthread_barrier),
         not thread-creation cost."""
         results = [None] * nworkers

@@ -180,24 +180,27 @@ def matmult_tree(g, nnodes, n, seed):
 #: Phase-A ring slices live well above the matmult arrays and the md5
 #: digest page, inside the SHARE window (so fork copy/snap covers them).
 SKEW_BASE = SHARED_BASE + 0x20_0000
+#: Phase-A rounds, and pages per ring slice.
+SKEW_ROUNDS = 8
+SKEW_WIDTH = 8
 
 
-def _skew_slice(i, width):
-    """Byte range of ring slice ``i`` (``width`` pages each)."""
-    return SKEW_BASE + i * width * PAGE_SIZE, width * PAGE_SIZE
+def _skew_slice(i):
+    """Byte range of ring slice ``i`` (``SKEW_WIDTH`` pages each)."""
+    return SKEW_BASE + i * SKEW_WIDTH * PAGE_SIZE, SKEW_WIDTH * PAGE_SIZE
 
 
-def _skew_worker(g, sl, width, work, salt):
+def _skew_worker(g, sl, work, salt):
     """Round worker: scan the round's hot slice, compute per page."""
-    addr, _ = _skew_slice(sl, width)
+    addr, _ = _skew_slice(sl)
     total = salt
-    for p in range(width):
+    for p in range(SKEW_WIDTH):
         total = (total + g.read(addr + p * PAGE_SIZE, 4)[0] + p) & 0xFF
         g.work(work)
     return total
 
 
-def matmult_skewed(g, nnodes, n, rounds, width, work, seed):
+def matmult_skewed(g, nnodes, n, work, seed):
     """Two-phase workload where no single prefetch depth wins (the
     adaptive ablation's any-static-loses case).
 
@@ -220,16 +223,16 @@ def matmult_skewed(g, nnodes, n, rounds, width, work, seed):
     """
     nslices = 3
     checksum = 0
-    for r in range(rounds):
+    for r in range(SKEW_ROUNDS):
         # Regenerate the whole ring: every slice's every page gets a
         # fresh generation, so anything queued beyond the current hot
         # slice is doomed speculation.
         for sl in range(nslices):
-            addr, _ = _skew_slice(sl, width)
-            for p in range(width):
+            addr, _ = _skew_slice(sl)
+            for p in range(SKEW_WIDTH):
                 g.write(addr + p * PAGE_SIZE, bytes([(sl + r + p) & 0xFF]) * 4)
         hot = r % nslices
-        addr, size = _skew_slice(hot, width)
+        addr, size = _skew_slice(hot)
         # Circuit-style serial visits (fork_i, join_i): every visit is
         # a quantum boundary, so a depth lesson learned on one node's
         # churn reprices the very next node's fork — the fastest the
@@ -238,7 +241,7 @@ def matmult_skewed(g, nnodes, n, rounds, width, work, seed):
             ref = child_ref(16 + i, node=i)
             g.kcharge(g.cost.fork_image_pages * g.cost.page_map)
             g.put(ref, regs={"entry": _skew_worker,
-                             "args": (hot, width, work, r + i)},
+                             "args": (hot, work, r + i)},
                   copy=(addr, size), snap=(addr, size), start=True)
             checksum = (checksum + _join(g, ref)) & 0xFFFFFFFF
     # Phase B: bulk-streaming matmult trees on the same cluster, whose
@@ -249,9 +252,9 @@ def matmult_skewed(g, nnodes, n, rounds, width, work, seed):
     return (checksum * 0x10001 + total) & 0xFFFFFFFF
 
 
-def matmult_skewed_main(n=192, rounds=8, width=8, work=30_000, seed=7):
+def matmult_skewed_main(n=192, work=30_000, seed=7):
     def main(g, nnodes):
-        return matmult_skewed(g, nnodes, n, rounds, width, work, seed)
+        return matmult_skewed(g, nnodes, n, work, seed)
 
     return main
 

@@ -56,11 +56,9 @@ def count_lines(path):
     return total
 
 
-def component_sizes(src_root=None):
+def component_sizes():
     """Dict component -> source-line count, plus a 'Total' entry."""
-    if src_root is None:
-        src_root = os.path.dirname(os.path.abspath(__file__))
-        src_root = os.path.dirname(src_root)   # .../repro
+    src_root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     sizes = {}
     for component, paths in COMPONENTS.items():
         count = 0
@@ -75,9 +73,9 @@ def component_sizes(src_root=None):
     return sizes
 
 
-def table3(src_root=None):
+def table3():
     """Formatted Table 3 analogue (component, lines)."""
-    sizes = component_sizes(src_root)
+    sizes = component_sizes()
     rows = [
         "Component                       Source lines",
         "-" * 45,

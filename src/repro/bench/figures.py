@@ -267,7 +267,7 @@ def figure12(node_counts=(1, 2, 4, 8, 16), md5_length=4, matmult_n=512):
         det_md5, _, _ = cw.run_cluster(cw.md5_tree_main(md5_length), nodes)
         lin_md5 = DistLinux(nnodes=nodes).run_master_workers(
             worker_cycles=md5_total // nodes, input_bytes=256,
-            output_bytes=64, tree=True,
+            output_bytes=64,
         )
         series["md5-tree"][nodes] = lin_md5 / det_md5
 
@@ -276,7 +276,7 @@ def figure12(node_counts=(1, 2, 4, 8, 16), md5_length=4, matmult_n=512):
         lin_mm = DistLinux(nnodes=nodes).run_master_workers(
             worker_cycles=mm_total // nodes,
             input_bytes=mm_bytes + mm_bytes // nodes,
-            output_bytes=mm_bytes // nodes, tree=True,
+            output_bytes=mm_bytes // nodes,
         )
         series["matmult-tree"][nodes] = lin_mm / det_mm
 
@@ -325,8 +325,7 @@ FIG_SERVING_CELLS = (
 SERVING_CDF_GRID = (10, 25, 50, 75, 90, 95, 99, 100)
 
 
-def figure_serving(nnodes=4, requests=160, mean_gap=240_000, seed=11,
-                   cells=FIG_SERVING_CELLS):
+def figure_serving(nnodes=4, requests=160, mean_gap=240_000, seed=11):
     """Per-request latency CDFs of the open-loop serving trace.
 
     The first figure in the repo measured in *request latency* rather
@@ -341,7 +340,7 @@ def figure_serving(nnodes=4, requests=160, mean_gap=240_000, seed=11,
     """
     cdf = {}
     metrics = {}
-    for label, spec in cells:
+    for label, spec in FIG_SERVING_CELLS:
         result = serve_trace(nnodes, spec=spec, requests=requests,
                              mean_gap=mean_gap, seed=seed)
         cdf[label] = {q: result.percentile(q) for q in SERVING_CDF_GRID}
@@ -386,14 +385,14 @@ def _det_make_makespan(tasks, jobs, ncpus=2):
         return machine.run(unix_root(init)).check("make").makespan(ncpus)
 
 
-def figure4(tasks=FIG4_TASKS, ncpus=2):
+def figure4(ncpus=2):
     """The four Figure 4 scenarios: makespans for (a) Unix -j,
     (b) Determinator -j, (c) Unix -j2, (d) Determinator -j2."""
     return {
-        "unix -j": _unix_make_makespan(tasks, None, ncpus),
-        "determinator -j": _det_make_makespan(tasks, None, ncpus),
-        "unix -j2": _unix_make_makespan(tasks, 2, ncpus),
-        "determinator -j2": _det_make_makespan(tasks, 2, ncpus),
+        "unix -j": _unix_make_makespan(FIG4_TASKS, None, ncpus),
+        "determinator -j": _det_make_makespan(FIG4_TASKS, None, ncpus),
+        "unix -j2": _unix_make_makespan(FIG4_TASKS, 2, ncpus),
+        "determinator -j2": _det_make_makespan(FIG4_TASKS, 2, ncpus),
     }
 
 

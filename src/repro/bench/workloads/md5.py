@@ -79,7 +79,7 @@ def run(api, nworkers, length, digest, rounds):
             start = base + tid * per_worker
             count = max(0, min(per_worker, space - start))
             args.append((start, count, length, digest))
-        results = api.fork_join(_search_chunk, args, base=0x100 + round_ * 64)
+        results = api.fork_join(_search_chunk, args)
         hits = [r for r in results if r]
         if hits:
             found = hits[0] - 1

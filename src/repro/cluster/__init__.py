@@ -37,7 +37,7 @@ owns *how* it crosses and what that costs:
   typed messages framed over real localhost sockets; the simulated run
   stays the bit-identical oracle for values, memory images, and
   ledgers, while measured wall-clock joins simulated cycles as a
-  second timing column (``backend.run_real``; ``backend.RealRunResult``
+  second timing column (``backend.run_backend``; ``backend.RealRunResult``
   wraps the ``MachineResult`` with wall-clock, image and wire ledgers).
   It, like the control plane (:mod:`repro.cluster.control`), is
   imported from its own module: this package does not load either;

@@ -44,9 +44,10 @@ that backend:
   (``multiprocessing.active_children()`` is empty), and the parent's
   simulated state is untouched — nothing mutates before adoption.
 
-Entry points: :func:`run_backend` (dispatches on ``spec.backend``),
-:func:`run_real` (forces the real backend), :class:`RealRunResult`
-(the ``MachineResult`` + image + both timing columns), and
+Entry points: :func:`run_backend` (dispatches on ``spec.backend``;
+``spec=ClusterSpec(backend="real")`` picks this one),
+:class:`RealRunResult` (the ``MachineResult`` + image + both timing
+columns), and
 :func:`image_digest` (a stable hash of a frozen machine image, for
 reporting cross-backend identity as one comparable line).
 """
@@ -58,7 +59,7 @@ from enum import Enum
 
 from repro.cluster import realnet
 from repro.cluster.compress import SCHEME_RAW, decode_page, encode_page
-from repro.cluster.spec import NODE_CPUS, ClusterSpec
+from repro.cluster.spec import NODE_CPUS
 from repro.cluster.transport import MsgType
 from repro.common.errors import BackendError, WireError
 from repro.debug.model import freeze_machine
@@ -68,8 +69,6 @@ from repro.kernel.shard import (
     fork_refusal,
 )
 from repro.mem.page import PAGE_SIZE
-
-COORD = realnet.COORD
 
 _EMPTY = {"frames": 0, "bytes": 0, "pages": 0}
 
@@ -139,8 +138,8 @@ class RealShardCoordinator(ShardCoordinator):
         # backend's fork by this dotted name, through ``vars()``.  The
         # listening socket is the coordinator's own link, torn down with
         # the workers' by the one ``close``.
-        if COORD not in self._links:
-            self._links[COORD] = realnet.listen(self.deadline)
+        if realnet.COORD not in self._links:
+            self._links[realnet.COORD] = realnet.listen(self.deadline)
         return super()._spawn(caller, queue)
 
     def _open_link(self, index):
@@ -154,7 +153,7 @@ class RealShardCoordinator(ShardCoordinator):
         pushed migration would serialize the round."""
         waiting = {index for _, index in handles} - self._links.keys()
         while waiting:
-            chan = realnet.accept(self._links[COORD], self.deadline)
+            chan = realnet.accept(self._links[realnet.COORD], self.deadline)
             try:
                 _, _, _, hello = chan.recv(expect=MsgType.ACK)
                 index = hello.get("worker")
@@ -183,11 +182,11 @@ class RealShardCoordinator(ShardCoordinator):
         frames = [(serial, generation, snap[serial][0].data)
                   for serial, generation in offer
                   if shipped.get(serial) != generation]
-        chan.send(MsgType.MIGRATE, COORD, index,
+        chan.send(MsgType.MIGRATE, realnet.COORD, index,
                   {"kind": "forward", "frames": offer, "uid": sibling.uid,
                    "npages": len(frames)})
         for chunk in _batched(frames, self.machine.cost.msg_batch):
-            chan.send(MsgType.PAGE_BATCH, COORD, index,
+            chan.send(MsgType.PAGE_BATCH, realnet.COORD, index,
                       self._encode_pages(chunk))
         shipped.update((serial, generation) for serial, generation, _ in frames)
 
@@ -211,10 +210,10 @@ class RealShardCoordinator(ShardCoordinator):
 
     def _attach(self, index, end):
         """Connect back and say hello, once for the whole queue."""
-        addr = self._links[COORD].getsockname()
-        self._links[COORD].close()      # the child's inherited copy
+        addr = self._links[realnet.COORD].getsockname()
+        self._links[realnet.COORD].close()      # the child's inherited copy
         chan = realnet.connect(addr, self.deadline)
-        chan.send(MsgType.ACK, index, COORD, {"worker": index})
+        chan.send(MsgType.ACK, index, realnet.COORD, {"worker": index})
         return chan
 
     def _begin(self, chan, sibling, index):
@@ -263,12 +262,12 @@ class RealShardCoordinator(ShardCoordinator):
         on the MIGRATE control frame, the wire ledger so far on the
         final ACK."""
         if isinstance(payload, str):
-            chan.send(MsgType.MIGRATE, index, COORD,
+            chan.send(MsgType.MIGRATE, index, realnet.COORD,
                       {"kind": "refused", "reason": payload})
         else:
             shipped, stripped = self._strip_pages(payload)
             try:
-                chan.send(MsgType.MIGRATE, index, COORD,
+                chan.send(MsgType.MIGRATE, index, realnet.COORD,
                           {"kind": "result", "payload": payload,
                            "npages": len(shipped)})
             finally:
@@ -278,9 +277,9 @@ class RealShardCoordinator(ShardCoordinator):
                     page.data = data
             self._fault("mid-handback")
             for chunk in _batched(shipped, self.machine.cost.msg_batch):
-                chan.send(MsgType.PAGE_BATCH, index, COORD,
+                chan.send(MsgType.PAGE_BATCH, index, realnet.COORD,
                           self._encode_pages(chunk))
-        chan.send(MsgType.ACK, index, COORD,
+        chan.send(MsgType.ACK, index, realnet.COORD,
                   {"status": "done", "ledger": chan.ledger()})
 
     def _crosses(self, page, snap):
@@ -372,8 +371,8 @@ class RealShardCoordinator(ShardCoordinator):
             self.wire_reports_missing += 1
             return
         pairs = (
-            ((COORD, index), chan.sent, report.get("received", {})),
-            ((index, COORD), report.get("sent", {}), received),
+            ((realnet.COORD, index), chan.sent, report.get("received", {})),
+            ((index, realnet.COORD), report.get("sent", {}), received),
         )
         for link, send_table, recv_table in pairs:
             sent = send_table.get(link, _EMPTY)
@@ -458,22 +457,22 @@ class RealRunResult:
                 f"wall={self.wall_seconds:.3f}s>")
 
 
-def run_backend(entry_builder, nnodes, spec=None, configure=None):
+def run_backend(entry_builder, nnodes, spec=None):
     """Run ``entry_builder(g, nnodes)`` on ``spec.backend`` and return a
     :class:`RealRunResult` (both backends return the same shape, so the
-    differential oracle is one image comparison).
-
-    ``configure(machine)``, when given, runs after construction and
-    before the workload — the test hook for deadlines and fault
-    injection.
-    """
+    differential oracle is one image comparison)."""
     from repro.kernel.machine import Machine
-    machine = Machine(nnodes=nnodes, spec=spec)
-    if configure is not None:
-        configure(machine)
+    return run_machine(Machine(nnodes=nnodes, spec=spec), entry_builder)
+
+
+def run_machine(machine, entry_builder):
+    """:func:`run_backend` on a machine already built — and, in the
+    worker-fault tests, given its deadlines and injected faults — then
+    closed."""
     start = time.perf_counter()
     with machine:
-        result = machine.run(entry_builder, (nnodes,), ncpus=NODE_CPUS)
+        result = machine.run(entry_builder, (machine.nnodes,),
+                             ncpus=NODE_CPUS)
         wall = time.perf_counter() - start
         if machine.spec.backend == "real" and machine.shard.refused:
             raise BackendError(machine.shard.refused)
@@ -482,13 +481,6 @@ def run_backend(entry_builder, nnodes, spec=None, configure=None):
         # Freeze before close: Machine.close destroys the space tree.
         return RealRunResult(result.check("cluster workload"), wall,
                              freeze_machine(machine))
-
-
-def run_real(entry_builder, nnodes, spec=None, configure=None):
-    """:func:`run_backend` with the real backend forced on."""
-    spec = (spec or ClusterSpec()).with_(backend="real")
-    return run_backend(entry_builder, nnodes, spec=spec,
-                       configure=configure)
 
 
 # -- image digest -----------------------------------------------------------

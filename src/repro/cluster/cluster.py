@@ -28,13 +28,13 @@ class Cluster:
                 .check("cluster program")
 
 
-def sweep_nodes(entry_builder, node_counts, spec=None, check_value=True):
+def sweep_nodes(entry_builder, node_counts, spec=None):
     """Run ``entry_builder(nnodes)``'s program across cluster sizes.
 
-    Returns ``{nnodes: (speedup_vs_first, MachineResult)}``.  With
-    ``check_value`` (default) every size must compute the same value —
-    distribution is semantically transparent (§3.3), and a ``loss``
-    schedule must never break it (faults are cost-only).  One
+    Returns ``{nnodes: (speedup_vs_first, MachineResult)}``.  Every size
+    must compute the same value — distribution is semantically
+    transparent (§3.3), and a ``loss`` schedule must never break it
+    (faults are cost-only).  One
     :class:`~repro.cluster.spec.ClusterSpec` applies to *every* size, so
     sweeps compare like with like; give its ``topology`` as a preset
     string or an ``nnodes -> Topology`` builder, since each size gets
@@ -49,7 +49,7 @@ def sweep_nodes(entry_builder, node_counts, spec=None, check_value=True):
         time = result.makespan()
         if base_time is None:
             base_time, base_value = time, result.value
-        if check_value and result.value != base_value:
+        if result.value != base_value:
             raise AssertionError(
                 f"value drift at {nnodes} nodes: "
                 f"{result.value!r} != {base_value!r}"

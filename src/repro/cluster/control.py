@@ -25,9 +25,10 @@ feedback loop *deterministically*:
   node map) that the kernel and transport consult *on their next use*;
   nothing retroactively edits the trace.  Each decision is recorded on
   the trace (:attr:`~repro.timing.trace.Trace.decisions`) anchored at
-  the deciding segment, and its cycle cost (``cost.ctrl_decide``) is
-  charged to the rendezvousing space — so replaying the trace replays
-  the decisions' consequences exactly, on either schedule engine.
+  the deciding segment, and costs the guest nothing (the controller
+  runs beside the kernel, on the management plane) — so replaying the
+  trace replays the decisions' consequences exactly, on either
+  schedule engine.
 
 Three policies ship:
 
@@ -196,8 +197,7 @@ class Controller:
         Called by ``Kernel._rendezvous`` after ``caller``'s child ran to
         a stop.  Consumes the telemetry window and lets each enabled
         policy adjust its knobs; decisions are recorded on the trace
-        anchored at ``caller``'s open segment and charged
-        ``cost.ctrl_decide`` cycles.
+        anchored at ``caller``'s open segment.
         """
         window = machine.transport.take_window()
         self.windows_seen += 1
@@ -210,7 +210,6 @@ class Controller:
             self._decide_retx(machine, window, anchor)
         if "placement" in self.policies:
             self._decide_placement(machine, window, anchor, caller)
-        machine.kernel.kcharge(caller, machine.cost.ctrl_decide)
 
     def _record(self, machine, anchor, node, policy, knob, old, new):
         seg_id = anchor.id if anchor is not None else -1
@@ -460,11 +459,6 @@ class Controller:
                 machine.kernel.migrate(space, new_home)
 
     # -- reporting ---------------------------------------------------------
-
-    def decision_log(self, last=None):
-        """The formatted decision log (optionally only the ``last`` N)."""
-        lines = self.log if last is None else self.log[-last:]
-        return "\n".join(lines) if lines else "(no decisions)"
 
     def __repr__(self):
         return (f"<Controller policies={'/'.join(self.policies)} "

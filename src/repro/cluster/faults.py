@@ -33,9 +33,8 @@ also dropped at 1% under the same seed — loss-rate sweeps move
 monotonically instead of resampling a fresh fault pattern per rate.
 """
 
-from repro.common.detrandom import DeterministicRandom
+from repro.common.detrandom import MASK64, DeterministicRandom
 
-_MASK = (1 << 64) - 1
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 
@@ -44,7 +43,7 @@ def _fold(state, data):
     """FNV-1a fold of ``data`` bytes into ``state`` (stable across
     Python versions and processes, unlike builtin ``hash``)."""
     for byte in data:
-        state = ((state ^ byte) * _FNV_PRIME) & _MASK
+        state = ((state ^ byte) * _FNV_PRIME) & MASK64
     return state
 
 

@@ -255,13 +255,13 @@ class Channel:
 
 # -- endpoint helpers -------------------------------------------------------
 
-def listen(deadline=DEFAULT_DEADLINE, backlog=16):
+def listen(deadline=DEFAULT_DEADLINE):
     """A listening localhost socket on an ephemeral port."""
     sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     try:
         sock.settimeout(deadline)
         sock.bind(("127.0.0.1", 0))
-        sock.listen(backlog)
+        sock.listen(16)
     except OSError as exc:
         sock.close()
         raise WireError(f"cannot listen on localhost: {exc}") from exc

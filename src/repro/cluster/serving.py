@@ -89,13 +89,6 @@ class ServingResult:
             return 0
         return len(self.latencies) * 10**9 // self.span
 
-    def latency_cdf(self):
-        """Sorted (latency, cumulative_fraction_percent) points for the
-        latency-CDF figure — integer percent, nearest rank."""
-        xs = sorted(self.latencies)
-        n = len(xs)
-        return tuple((x, (i + 1) * 100 // n) for i, x in enumerate(xs))
-
     def __repr__(self):
         return (f"<ServingResult nodes={self.nnodes} "
                 f"requests={len(self.latencies)} p50={self.p50:,} "

@@ -4,8 +4,8 @@ The eleven knobs (`tcp_mode`, `ship_mode`, `topology`, `placement`,
 `prefetch_depth`, `compression`, `loss`, `control`, `shard_workers`,
 `cost`, `backend`) are fields of one frozen dataclass,
 and every entry point — ``Machine``, ``Cluster``, ``sweep_nodes``,
-``run_cluster``, ``serve_trace``, ``run_backend``, ``run_real`` — takes
-it as ``spec=`` and nothing else:
+``run_cluster``, ``serve_trace``, ``run_backend`` — takes it as
+``spec=`` and nothing else:
 
 * **One validation site.**  ``ship_mode`` membership, ``prefetch_depth``
   range, ``tcp_mode``/``compression`` type (a ``bool``, never coerced),

@@ -14,7 +14,7 @@ of this file needs from there:
   :class:`~repro.cluster.topology.Topology`; **every traversed link**
   accrues the message on its :class:`LinkStats`;
 * an exchange a space stalls on becomes one
-  :meth:`~repro.timing.trace.Trace.link_edge` per traversed link
+  :attr:`~repro.timing.trace.Trace.transfers` entry per traversed link
   (:meth:`Transport._stall_edges`), which is how ``schedule()`` makes
   crossing flows contend; a prefetch exchange draws the same edges from
   its issue anchor when redeemed, or into a sink segment when nobody
@@ -898,7 +898,7 @@ class Transport:
                     [(exchange.usage, exchange.latency, "prefetch")],
                     exchange.retx)
 
-    def flush_inflight(self, kind="prefetch-unused"):
+    def flush_inflight(self):
         """End-of-run accounting for exchanges nobody ever redeemed.
 
         Their wire bytes were counted at issue, but without a
@@ -908,9 +908,9 @@ class Transport:
         this emits its link edges from the issue anchor into a fresh
         zero-cycle *sink* segment (no space waits on it), so
         ``schedule()`` makes mispredicted prefetches contend with real
-        transfers and reports their residue under ``kind``.  Called by
-        the machine once the run drains; queues are cleared, so a
-        second call is a no-op.
+        transfers and reports their residue as ``"prefetch-unused"``.
+        Called by the machine once the run drains; queues are cleared,
+        so a second call is a no-op.
         """
         flushed = set()
         for node in sorted(self.inflight):
@@ -919,7 +919,7 @@ class Transport:
                 if id(exchange) in flushed:
                     continue
                 flushed.add(id(exchange))
-                self._sink_exchange(exchange, node, kind)
+                self._sink_exchange(exchange, node, "prefetch-unused")
             queue.clear()
 
     def _sink_exchange(self, exchange, node, kind):

@@ -9,7 +9,8 @@ recorded experiment outputs never drift with the interpreter.
 
 import numpy as np
 
-_MASK = (1 << 64) - 1
+#: Reduce an integer to 64 bits.
+MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _U64 = np.uint64
 
@@ -23,14 +24,14 @@ class DeterministicRandom:
     """
 
     def __init__(self, seed=0):
-        self._state = seed & _MASK
+        self._state = seed & MASK64
 
     def next_u64(self):
         """Return the next 64-bit unsigned integer."""
-        self._state = (self._state + _GAMMA) & _MASK
+        self._state = (self._state + _GAMMA) & MASK64
         z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
         return z ^ (z >> 31)
 
     def block(self, n):
@@ -43,7 +44,7 @@ class DeterministicRandom:
         wrap-around is silent and exact.
         """
         z = np.arange(1, n + 1, dtype=_U64) * _U64(_GAMMA) + _U64(self._state)
-        self._state = (self._state + n * _GAMMA) & _MASK
+        self._state = (self._state + n * _GAMMA) & MASK64
         z = (z ^ (z >> _U64(30))) * _U64(0xBF58476D1CE4E5B9)
         z = (z ^ (z >> _U64(27))) * _U64(0x94D049BB133111EB)
         return z ^ (z >> _U64(31))

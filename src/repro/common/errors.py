@@ -39,12 +39,10 @@ class PageFaultError(MemoryError_):
 class PermissionFault(MemoryError_):
     """Access violating the page permissions set via the Perm option."""
 
-    def __init__(self, addr, needed, message=""):
+    def __init__(self, addr, needed):
         self.addr = addr
         self.needed = needed
-        super().__init__(
-            message or f"permission fault at {addr:#010x} (needed {needed})"
-        )
+        super().__init__(f"permission fault at {addr:#010x} (needed {needed})")
 
 
 class MergeConflictError(MemoryError_):
@@ -55,11 +53,9 @@ class MergeConflictError(MemoryError_):
     Get/Merge, and it surfaces in the *parent* space.
     """
 
-    def __init__(self, addr, message=""):
+    def __init__(self, addr):
         self.addr = addr
-        super().__init__(
-            message or f"write/write conflict at byte {addr:#010x}"
-        )
+        super().__init__(f"write/write conflict at byte {addr:#010x}")
 
 
 # --------------------------------------------------------------------------
@@ -127,9 +123,9 @@ class FileSystemError(RuntimeApiError):
 class FileConflictError(FileSystemError):
     """Attempt to open a file whose conflict flag is set (§4.2)."""
 
-    def __init__(self, name, message=""):
+    def __init__(self, name):
         self.name = name
-        super().__init__(message or f"file {name!r} is marked conflicted")
+        super().__init__(f"file {name!r} is marked conflicted")
 
 
 class DeadlockError(RuntimeApiError):

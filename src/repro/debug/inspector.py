@@ -122,10 +122,10 @@ class Inspector:
         the one a runner returned knows the CPU count it scheduled on).
     recipe:
         Optional re-execution recipe enabling ``goto``: a callable
-        ``recipe(prepare=None) -> (machine, result)`` that builds an
-        identically-configured machine, calls ``prepare(machine)`` (when
-        given) *before* ``run()``, runs the identical workload, and
-        returns without closing the machine.  The scenarios in
+        ``recipe(prepare) -> (machine, result)`` that builds an
+        identically-configured machine, calls ``prepare(machine)``
+        *before* ``run()``, runs the identical workload, and returns
+        without closing the machine.  The scenarios in
         :mod:`repro.debug.scenarios` follow this protocol.
     """
 
@@ -147,7 +147,7 @@ class Inspector:
     def from_recipe(cls, recipe):
         """Run ``recipe`` once and open the result (keeps the recipe for
         ``goto`` replays)."""
-        machine, result = recipe(None)
+        machine, result = recipe(lambda machine: None)
         return cls(machine, result=result, recipe=recipe)
 
     # -- lazy derived views ------------------------------------------------
@@ -247,12 +247,6 @@ class Inspector:
                 f"checkpoints {tags!r} exist in {len(holders)} freezers; "
                 f"inspect them via repro.runtime.checkpoint directly")
         return holders[0]
-
-    def checkpoint_image(self, tag):
-        """Frozen :class:`~repro.debug.model.SpaceImage` saved under
-        ``tag``."""
-        freezer = self._find_freezer(tag)
-        return SpaceImage(ckpt_mod.frozen_image(freezer, tag))
 
     def diff(self, tag_a, tag_b):
         """Page-granular diff between two checkpoints (tag-skip +

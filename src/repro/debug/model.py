@@ -35,10 +35,8 @@ import numpy as np
 
 from repro.cluster.network import link_key
 from repro.kernel.ledgers import whole_run
+from repro.mem.merge import BATCH_PAGES
 from repro.mem.page import PAGE_SIZE
-
-#: Pages per stacked ndarray compare (mirrors the merge engine's batch).
-BATCH_PAGES = 4096
 
 
 #: What :func:`first_difference` reports for the side that lacks a key

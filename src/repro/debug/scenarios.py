@@ -1,10 +1,10 @@
 """Built-in re-runnable scenarios for the post-mortem inspector.
 
 A *recipe* is the inspector's unit of re-execution: a callable
-``recipe(prepare=None) -> (machine, result)`` that builds a machine
-with a fixed configuration, applies ``prepare(machine)`` (the hook
-``goto`` uses to install its trace observer) before running, executes a
-fixed workload, and returns the still-open machine with its result.
+``recipe(prepare) -> (machine, result)`` that builds a machine with a
+fixed configuration, applies ``prepare(machine)`` (the hook ``goto``
+uses to install its trace observer) before running, executes a fixed
+workload, and returns the still-open machine with its result.
 Because the machine's inputs are all explicit and fixed, every
 invocation of a recipe is bit-identical — which is the entire premise
 of time-travel debugging here.
@@ -12,10 +12,9 @@ of time-travel debugging here.
 Two scenarios ship built in (the CLI's ``--scenario`` flag):
 
 ``fault-tolerance``
-    The checkpoint/crash/rollback/replay workload of
-    ``examples/fault_tolerance.py`` (kept in sync — the example is the
-    narrated version): a child computes through 8 epochs with a
-    checkpoint per epoch, a poisoned input page crashes it in epoch 5,
+    The checkpoint/crash/rollback/replay workload
+    (``examples/fault_tolerance.py`` narrates its post-mortem): a child
+    computes through 8 epochs with a checkpoint per epoch, a poisoned input page crashes it in epoch 5,
     the supervisor rolls back one epoch and replays to the correct
     answer.  Leaves a freezer full of checkpoints to ``diff`` and a
     mid-run EXC trap to ``goto``.
@@ -33,7 +32,7 @@ from repro.kernel.machine import Machine
 from repro.kernel.traps import Trap
 from repro.runtime.checkpoint import Checkpointer
 
-# -- fault-tolerance workload (examples/fault_tolerance.py, condensed) -----
+# -- fault-tolerance workload ----------------------------------------------
 
 STATE = 0x10_0000          # progress counter + accumulator page
 ACC = 0x10_0008
@@ -96,11 +95,10 @@ def ft_main(g):
     return 0 if result == expected else 1
 
 
-def fault_tolerance(prepare=None):
+def fault_tolerance(prepare):
     """Recipe: the checkpoint/crash/rollback/replay run (single node)."""
     machine = Machine()
-    if prepare is not None:
-        prepare(machine)
+    prepare(machine)
     result = machine.run(ft_main)
     return machine, result
 
@@ -142,15 +140,14 @@ def retx_main(g):
     return 0
 
 
-def retx_trap(prepare=None):
+def retx_trap(prepare):
     """Recipe: 2-node run whose first migration dies of retransmission
     exhaustion (``NetworkLossError`` -> root Trap.EXC)."""
     from repro.cluster.spec import NODE_CPUS, ClusterSpec
     from repro.timing.model import CostModel
     machine = Machine(nnodes=2, spec=ClusterSpec(
         loss=dict(RETX_LOSS), cost=CostModel(retx_limit=RETX_LIMIT)))
-    if prepare is not None:
-        prepare(machine)
+    prepare(machine)
     result = machine.run(retx_main, ncpus=NODE_CPUS)
     return machine, result
 

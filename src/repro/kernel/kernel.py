@@ -130,11 +130,9 @@ class Kernel:
             raise KernelError(f"node {vnode} does not exist")
         return childno, self.machine.place(vnode, caller)
 
-    def _lookup(self, caller, childno, create=True):
+    def _lookup(self, caller, childno):
         child = caller.children.get(childno)
         if child is None:
-            if not create:
-                raise BadChildError(f"no child {childno} in space {caller.uid}")
             child = self.machine.new_space(caller, home_node=caller.cur_node)
             caller.attach(childno, child)
             self.kcharge(caller, self.machine.cost.space_create)

@@ -169,9 +169,6 @@ class AddressSpace:
         """
         return sorted(self.dirty_since(token))
 
-    def _mark_dirty(self, vpn):
-        self._mark_dirty_many((vpn,))
-
     def _mark_dirty_many(self, vpns):
         """Record one mutation of each of ``vpns``, in order.  A plain
         loop on purpose: a ``dict.update`` / ``extend`` bulk form is
@@ -335,7 +332,7 @@ class AddressSpace:
 
     # -- range operations (kernel Copy / Zero / Perm, page-aligned) -------
 
-    def copy_range_from(self, src, src_addr, dst_addr, size, perm=None, src_vpns=None):
+    def copy_range_from(self, src, src_addr, dst_addr, size, src_vpns=None):
         """Logically copy ``[src_addr, src_addr+size)`` of ``src`` into
         ``[dst_addr, ...)`` of self, sharing frames copy-on-write.
 
@@ -383,8 +380,6 @@ class AddressSpace:
                 changed.append(dvpn)
             if spage is None:
                 perms.pop(dvpn, None)
-            if perm is not None:
-                perms[dvpn] = perm
         self._mark_dirty_many(changed)
         self.counters.pages_shared += shared
         return len(changed)

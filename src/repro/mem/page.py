@@ -89,9 +89,5 @@ class Page:
         """Return a private writable copy of this frame (COW break)."""
         return Page(self.data, allocator)
 
-    def is_zero(self):
-        """True if every byte of the frame is zero."""
-        return bytes(self.data) == _ZERO_BYTES
-
     def __repr__(self):
         return f"<Page refs={self.refs} tag={self.tag()}>"

@@ -12,8 +12,7 @@ itself in O(dirty) via :meth:`Snapshot.recapture`.  The baseline records
 the content version pinned at each vpn; because a pinned (refcounted)
 frame can never be mutated in place, Merge's ``frame is snap_frame``
 identity test *is* the baseline comparison, performed without touching
-page bytes — :meth:`baseline_tag` exists for introspection, tests, and
-delta tooling, not as a separate merge fast path.
+page bytes.
 """
 
 from repro.mem.page import PAGE_SHIFT, PAGE_SIZE
@@ -90,13 +89,6 @@ class Snapshot:
     def frame(self, vpn):
         """The frame snapshotted at ``vpn``, or None if it was unmapped."""
         return self._frames.get(vpn)
-
-    def baseline_tag(self, vpn):
-        """The ``(serial, generation)`` content tag snapshotted at ``vpn``,
-        or None if the page was unmapped at capture.  Read straight off
-        the pinned frame — pinning freezes the tag (see ``_frames``)."""
-        frame = self._frames.get(vpn)
-        return frame.tag() if frame is not None else None
 
     def dirty_in(self, child, vpn0, vpn1):
         """Vpns in ``[vpn0, vpn1)`` that ``child`` mutated since capture."""

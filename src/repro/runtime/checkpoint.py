@@ -29,7 +29,7 @@ that are *not* restored resume in place as usual.
 
 from repro.common.errors import RuntimeApiError
 
-#: Default child slot that hosts the freezer space.
+#: Child slot that hosts the freezer space.
 FREEZER_SLOT = 0xF000
 
 #: Freezer-space register that mirrors the tag -> child-number map.  The
@@ -56,9 +56,8 @@ class Checkpointer:
         g.put(1, start=True, limit=QUANTUM)
     """
 
-    def __init__(self, g, freezer_slot=FREEZER_SLOT):
+    def __init__(self, g):
         self.g = g
-        self.freezer_slot = freezer_slot
         #: tag -> freezer-child number.
         self._tags = {}
         self._next = 1
@@ -70,13 +69,13 @@ class Checkpointer:
         #: child_slot -> dirty-ledger token at the last save.
         self._save_tokens = {}
         # Materialize the freezer space (never started; pure storage).
-        g.put(freezer_slot)
+        g.put(FREEZER_SLOT)
         self._publish_tags()
 
     def _publish_tags(self):
         """Mirror the tag directory into the freezer space's
         :data:`TAG_REGISTER` (host-side; see the constant's docstring)."""
-        freezer = self.g.space.children.get(self.freezer_slot)
+        freezer = self.g.space.children.get(FREEZER_SLOT)
         if freezer is not None:
             freezer.regs[TAG_REGISTER] = dict(self._tags)
 
@@ -111,7 +110,7 @@ class Checkpointer:
         if tagno is None:
             tagno = self._next
             self._next += 1
-        self.g.put(self.freezer_slot, tree=(child_slot, tagno))
+        self.g.put(FREEZER_SLOT, tree=(child_slot, tagno))
         # Bookkeeping only after the Tree-copy succeeded: a failed save
         # (e.g. the child still running) must not advance the token or
         # record a delta for a checkpoint that never existed.
@@ -125,7 +124,7 @@ class Checkpointer:
         tagno = self._tags.get(tag)
         if tagno is None:
             raise RuntimeApiError(f"no checkpoint tagged {tag!r}")
-        self.g.get(self.freezer_slot, tree=(tagno, child_slot))
+        self.g.get(FREEZER_SLOT, tree=(tagno, child_slot))
         # The restored child is a fresh clone with a fresh write clock;
         # the old token would misread as "nothing dirty".  Drop it so
         # the next save of this slot is a full one.
@@ -136,7 +135,7 @@ class Checkpointer:
         tagno = self._tags.pop(tag, None)
         if tagno is None:
             raise RuntimeApiError(f"no checkpoint tagged {tag!r}")
-        freezer = self.g.space.children.get(self.freezer_slot)
+        freezer = self.g.space.children.get(FREEZER_SLOT)
         frozen = freezer.children.get(tagno) if freezer else None
         if frozen is not None:
             frozen.destroy()
@@ -184,29 +183,3 @@ def frozen_image(freezer, tag):
         raise RuntimeApiError(f"no checkpoint tagged {tag!r}")
     return frozen
 
-
-def run_with_checkpoints(g, entry, args=(), quantum=1_000_000,
-                         child_slot=0x700, keep=4):
-    """Drive ``entry`` in a child space, checkpointing every quantum.
-
-    Returns ``(final_regs_view, checkpointer, epochs)`` — the caller can
-    roll back to any retained epoch tag (``"epoch-N"``) and re-drive.
-    """
-    from repro.kernel.traps import Trap
-
-    ckpt = Checkpointer(g)
-    g.put(child_slot, regs={"entry": entry, "args": tuple(args)},
-          start=True, limit=quantum)
-    epochs = 0
-    while True:
-        view = g.get(child_slot, regs=True)
-        if view["trap"] is not Trap.INSN_LIMIT:
-            return view, ckpt, epochs
-        ckpt.save(child_slot, f"epoch-{epochs}")
-        if epochs >= keep:
-            try:
-                ckpt.drop(f"epoch-{epochs - keep}")
-            except RuntimeApiError:
-                pass
-        epochs += 1
-        g.put(child_slot, start=True, limit=quantum)

@@ -22,8 +22,9 @@ deterministic-scheduling overhead of blackscholes in Figure 7.
 
 from repro.common.errors import DeadlockError, RuntimeApiError
 from repro.kernel.traps import Trap
-from repro.mem.layout import SHARED_BASE, SHARED_END
-from repro.runtime.threads import image_map_cost, image_track_cost
+from repro.mem.layout import SHARED_END
+from repro.runtime.threads import (DEFAULT_SHARE, image_map_cost,
+                                    image_track_cost)
 
 #: Scheduler-call Ret status; the operation is in r1, its argument in r2.
 ST_SCHED = 0x7D01
@@ -128,12 +129,10 @@ def _det_thread_entry(g, entry, tid, args):
 class DetScheduler:
     """The master-space deterministic scheduler."""
 
-    def __init__(self, g, quantum=DEFAULT_QUANTUM, base=0x300,
-                 share=(SHARED_BASE, SHARED_END - SHARED_BASE)):
+    def __init__(self, g, quantum=DEFAULT_QUANTUM, base=0x300):
         self.g = g
         self.quantum = quantum
         self.base = base
-        self.share = share
         self._threads = []
         #: mutex id -> FIFO of blocked tids.
         self._mutex_queue = {}
@@ -155,7 +154,7 @@ class DetScheduler:
     def run(self):
         """Run all spawned threads to completion; returns results by tid."""
         g = self.g
-        addr, size = self.share
+        addr, size = DEFAULT_SHARE
         started = set()
         while any(t.status != _ThreadState.DONE for t in self._threads):
             runnable = [t for t in self._threads if t.status == _ThreadState.RUNNABLE]

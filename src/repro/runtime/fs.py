@@ -357,8 +357,8 @@ class FileSystem:
 
     # -- whole-file conveniences ----------------------------------------------------------
 
-    def write_file(self, name, data, append=False):
-        fd = self.open(name, O_WRONLY | O_CREAT | (O_APPEND if append else 0))
+    def write_file(self, name, data):
+        fd = self.open(name, O_WRONLY | O_CREAT)
         try:
             self.write(fd, data)
         finally:

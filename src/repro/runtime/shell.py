@@ -228,7 +228,3 @@ def _external_entry(rt, program, argv, stdin_name, out_spec):
         rt.fs.close(fd)
     return program(rt, *argv)
 
-
-def shell_main(rt, script):
-    """Root program: run ``script`` through a shell (for Machine.run)."""
-    return Shell(rt).run_script(script)

@@ -21,7 +21,7 @@ from repro.common.errors import RuntimeApiError
 from repro.kernel.traps import Trap
 from repro.mem.layout import SHARED_BASE, SHARED_END
 
-#: Default shared region (the heap + globals analogue).
+#: The shared region threads fork and merge (the heap + globals analogue).
 DEFAULT_SHARE = (SHARED_BASE, SHARED_END - SHARED_BASE)
 
 #: Ret status a child uses to announce it reached the barrier.
@@ -53,9 +53,9 @@ class ThreadFault(RuntimeApiError):
         super().__init__(f"thread {childno} faulted: {trap.name} ({info})")
 
 
-def thread_fork(g, childno, entry, args=(), share=DEFAULT_SHARE, limit=None):
+def thread_fork(g, childno, entry, args=(), limit=None):
     """Fork a child thread: Copy + Snap + Regs + Start in one Put (§4.4)."""
-    addr, size = share
+    addr, size = DEFAULT_SHARE
     g.kcharge(image_map_cost(g))
     g.put(
         childno,
@@ -67,7 +67,7 @@ def thread_fork(g, childno, entry, args=(), share=DEFAULT_SHARE, limit=None):
     )
 
 
-def thread_join(g, childno, merge=True):
+def thread_join(g, childno):
     """Join a child thread: Get with Merge collects its shared-memory
     changes; returns the child's r0 (its entry's return value).
 
@@ -76,16 +76,16 @@ def thread_join(g, childno, merge=True):
     second conflicting child, exactly as in the paper's §2.2 example.
     """
     g.kcharge(image_track_cost(g))
-    view = g.get(childno, regs=True, merge=merge)
+    view = g.get(childno, regs=True, merge=True)
     trap = view["trap"]
     if trap not in (Trap.EXIT, Trap.RET):
         raise ThreadFault(childno, trap, view["trap_info"])
     return view["r0"]
 
 
-def barrier_arrive(g, value=0):
+def barrier_arrive(g):
     """Called by a child thread: stop at a barrier until released."""
-    g.ret(status=ST_BARRIER, r0=value)
+    g.ret(status=ST_BARRIER, r0=0)
 
 
 class ThreadGroup:
@@ -99,10 +99,9 @@ class ThreadGroup:
     >>> tg.join_all()
     """
 
-    def __init__(self, g, base=0x100, share=DEFAULT_SHARE):
+    def __init__(self, g, base=0x100):
         self.g = g
         self.base = base
-        self.share = share
         self._next = 0
         self._live = {}
 
@@ -111,7 +110,7 @@ class ThreadGroup:
         tid = self._next
         self._next += 1
         childno = self.base + tid
-        thread_fork(self.g, childno, entry, args, self.share, limit)
+        thread_fork(self.g, childno, entry, args, limit)
         self._live[tid] = childno
         return tid
 
@@ -135,7 +134,7 @@ class ThreadGroup:
         """
         results = {}
         rounds = 0
-        addr, size = self.share
+        addr, size = DEFAULT_SHARE
         while self._live:
             at_barrier = []
             for tid in sorted(self._live):

@@ -9,7 +9,7 @@ scheduler approximates — with fully deterministic tie-breaking.
 Latency on an edge models network transit: the destination becomes ready
 ``latency`` cycles after the source finishes, occupying no CPU.
 
-Link edges (:meth:`repro.timing.trace.Trace.link_edge`) additionally
+Link transfers (:attr:`repro.timing.trace.Trace.transfers`) additionally
 occupy a network channel: a transfer must win its link, serialize for
 ``busy`` cycles (overlapping transfers on the same link contend, in
 deterministic source-finish order), then transit ``latency`` cycles.
@@ -139,8 +139,3 @@ def schedule(trace, ncpus=1):
         return ScheduleResult(0, 0, {}, {}, ncpus)
     return ScheduleResult(*run_event_schedule(trace, ncpus))
 
-
-def critical_path(trace):
-    """Length of the longest path through the trace (infinite-CPU bound)."""
-    result = schedule(trace, ncpus=10**9)
-    return result.makespan

@@ -103,13 +103,13 @@ class Timeline:
             busy[t.link] = busy.get(t.link, 0) + min(t.end, cycle) - t.start
         return busy
 
-    def kind_counts_until(self, cycle, kind=None):
+    def kind_counts_until(self, cycle):
         """transfer kind -> transfers whose serialization started by
-        ``cycle`` (``kind=`` filters to one; the retransmit ledger's
-        progress counter is ``kind="retx"``)."""
+        ``cycle`` (the retransmit ledger's progress counter is the
+        ``"retx"`` entry)."""
         counts = {}
         for t in self.transfers:
-            if t.start < cycle and (kind is None or t.kind == kind):
+            if t.start < cycle:
                 counts[t.kind] = counts.get(t.kind, 0) + 1
         return counts
 

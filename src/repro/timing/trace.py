@@ -42,10 +42,15 @@ class Trace:
         self.edges = []
         #: list of (src_id, dst_id, link, busy_cycles, latency_cycles,
         #: cls, kind) — precedence edges that additionally *occupy* a
-        #: network link, tagged with the link's class name and the
-        #: protocol purpose of the transfer (both may be None); see
-        #: :meth:`link_edge`.  Kept separate from :attr:`edges` so plain
-        #: consumers keep their 3-tuple shape.
+        #: network link (any hashable channel identity; the transport's
+        #: are fabric endpoint pairs): the destination becomes ready
+        #: only after the transfer wins the link, occupies it ``busy``
+        #: cycles and transits ``latency`` more, on no CPU.  ``cls``
+        #: names the link's class and ``kind`` the transfer's protocol
+        #: purpose ("migrate", "fetch", "prefetch", "retx", ...), both
+        #: possibly None.  The cluster transport appends them
+        #: (``Transport._stall_edges``).  Kept separate from
+        #: :attr:`edges` so plain consumers keep their 3-tuple shape.
         self.transfers = []
         #: list of (segment_id, node, policy, knob, old, new) — control-
         #: plane decision records, anchored at the deciding segment (the
@@ -182,32 +187,6 @@ class Trace:
         dst = dst_seg.id if isinstance(dst_seg, Segment) else dst_seg
         self.edges.append((src, dst, latency))
 
-    def link_edge(self, src_seg, dst_seg, link, busy=0, latency=0, cls=None,
-                  kind=None):
-        """Precedence edge that also serializes on a network link.
-
-        ``link`` is any hashable channel identity (the cluster transport
-        uses ``(endpoint, endpoint)`` pairs of fabric vertices — node
-        ints and switch names).  The destination becomes ready only
-        after the transfer wins the link (transfers on one link contend,
-        FIFO in completion order of their sources), occupies it for
-        ``busy`` cycles of serialization, and transits ``latency``
-        further cycles.  Neither phase consumes a CPU.  ``cls`` tags the
-        link's latency/bandwidth class so the scheduler can aggregate
-        occupancy per class (rack vs oversubscribed core links);
-        ``kind`` tags the transfer's protocol purpose ("migrate",
-        "fetch", "prefetch", "retx", ...) so stall time can be
-        attributed — notably the explicit stall edges a *late-arriving*
-        prefetched page charges, versus a stop-and-wait demand round
-        trip, versus the retransmission timeouts a lossy fabric's
-        reliable link layer adds (``kind="retx"``).  The cluster
-        transport enters an exchange's edges, one per link it occupied,
-        straight into :attr:`transfers` in a single ``extend``.
-        """
-        src = src_seg.id if isinstance(src_seg, Segment) else src_seg
-        dst = dst_seg.id if isinstance(dst_seg, Segment) else dst_seg
-        self.transfers.append((src, dst, link, busy, latency, cls, kind))
-
     def finish(self):
         """Close any remaining open segments (end of simulation)."""
         for uid in list(self._open):
@@ -218,13 +197,6 @@ class Trace:
     def total_cycles(self):
         """Sum of all segment durations (serial work)."""
         return sum(seg.cycles for seg in self.segments)
-
-    def cycles_by_uid(self):
-        """Dict uid -> total cycles charged to that context."""
-        out = {}
-        for seg in self.segments:
-            out[seg.uid] = out.get(seg.uid, 0) + seg.cycles
-        return out
 
     def __repr__(self):
         return f"<Trace segments={len(self.segments)} edges={len(self.edges)}>"

@@ -78,12 +78,3 @@ def test_no_isolation_costs_in_trace():
     assert overhead < cost.thread_create + cost.thread_join + \
         14 * cost.runqueue_penalty + 4096 // 16 + 1000
 
-
-def test_lock_unlock_charges():
-    def main(lt):
-        lt.lock(0)
-        lt.unlock(0)
-
-    machine = LinuxMachine()
-    machine.run(main)
-    assert machine.trace.total_cycles() >= 2 * machine.cost.lock_op

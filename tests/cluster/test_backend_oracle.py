@@ -22,7 +22,7 @@ import sys
 import pytest
 
 from repro.bench import cluster_workloads as cw
-from repro.cluster.backend import run_backend, run_real
+from repro.cluster.backend import run_backend
 from repro.cluster.realnet import localhost_available
 from repro.cluster.serving import serve_trace
 from repro.cluster.spec import ClusterSpec
@@ -147,12 +147,6 @@ def test_telemetry_window_is_the_same_on_every_backend(builder):
     assert machine.shard.adopted and not machine.shard.fallbacks
     assert sum(windows["serial"][1].values()) > 0
     assert windows["sharded"] == windows["real"] == windows["serial"]
-
-
-def test_run_real_forces_backend():
-    result = run_real(MD5_CIRCUIT, 2)
-    assert result.backend == "real"
-    assert result.shard_stats["adopted"] >= 1
 
 
 def test_serving_trace_matches_oracle():

@@ -15,9 +15,9 @@ import time
 
 import pytest
 
-from repro import ClusterSpec
+from repro import ClusterSpec, Machine
 from repro.bench import cluster_workloads as cw
-from repro.cluster.backend import run_backend, run_real
+from repro.cluster.backend import run_backend, run_machine
 from repro.cluster.realnet import localhost_available
 from repro.common.errors import BackendError
 
@@ -69,9 +69,12 @@ MD5_CIRCUIT = cw.md5_circuit_main(2)
 
 def run(knobs, configure=None, nnodes=4):
     """The md5 circuit on ``nnodes`` nodes under ``knobs``: one fork
-    point, a sibling subtree per node."""
-    return run_backend(MD5_CIRCUIT, nnodes, spec=ClusterSpec(**knobs),
-                       configure=configure)
+    point, a sibling subtree per node.  ``configure(machine)`` runs
+    before the workload (deadlines, fault injection)."""
+    machine = Machine(nnodes=nnodes, spec=ClusterSpec(**knobs))
+    if configure is not None:
+        configure(machine)
+    return run_machine(machine, MD5_CIRCUIT)
 
 
 @pytest.mark.parametrize("knobs,fault", CELLS)
@@ -216,6 +219,7 @@ def test_a_push_the_worker_refuses_is_typed_bounded_and_leakless():
 
 
 def test_clean_run_leaves_no_children():
-    result = run_real(cw.md5_circuit_main(2), 2)
+    result = run_backend(cw.md5_circuit_main(2), 2,
+                         spec=ClusterSpec(**REAL))
     assert result.value is not None
     assert_no_leaked_children()

@@ -63,11 +63,12 @@ def test_no_traffic_on_single_node():
 
 def test_sweep_nodes_speedup_and_transparency():
     total = 20_000_000
-    series = sweep_nodes(
-        lambda n: spread_work(n, work=total // n),   # fixed total work
-        node_counts=(1, 2, 4),
-        check_value=False,   # value is the node list, varies by design
-    )
+
+    def builder(n):
+        spread = spread_work(n, work=total // n)   # fixed total work
+        return lambda g: len(spread(g)) == n       # every node reported
+
+    series = sweep_nodes(builder, node_counts=(1, 2, 4))
     assert series[1][0] == pytest.approx(1.0)
     assert series[4][0] > series[2][0] > 1.5
 

@@ -33,7 +33,7 @@ NODES = 4
 
 #: Small build of the phase-skewed workload (bench runs it full-size):
 #: phase A churns the prefetch queues, phase B rewards deep streaming.
-SKEWED = dict(n=128, rounds=8, width=8, work=10_000)
+SKEWED = dict(n=128, work=10_000)
 
 
 def _skewed():

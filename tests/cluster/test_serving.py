@@ -90,10 +90,6 @@ def test_percentiles_and_goodput():
     assert r.percentile(100) == max(r.latencies)
     assert r.goodput == REQUESTS * 10**9 // r.span
     assert r.goodput > 0
-    cdf = r.latency_cdf()
-    assert cdf[0][0] == min(r.latencies)
-    assert cdf[-1] == (max(r.latencies), 100)
-    assert all(p1 <= p2 for (_, p1), (_, p2) in zip(cdf, cdf[1:]))
 
 
 # -- autoscaling ------------------------------------------------------------

@@ -1,7 +1,7 @@
 """ClusterSpec: one knob vocabulary, one validation site, one spelling.
 
 Every entry point — ``Machine``, ``Cluster``, ``sweep_nodes``,
-``run_cluster``, ``serve_trace``, ``run_backend``, ``run_real`` —
+``run_cluster``, ``serve_trace``, ``run_backend`` —
 accepts configuration only as ``spec=ClusterSpec(...)``.  These tests
 pin the contract: a bad field value raises at spec construction, a
 mistyped or stray knob keyword is Python's own ``TypeError`` at every
@@ -18,7 +18,7 @@ import pytest
 from repro import Cluster, ClusterSpec, Machine, sweep_nodes
 from repro.bench import cluster_workloads as cw
 from repro.bench.harness import run_determinator
-from repro.cluster.backend import run_backend, run_real
+from repro.cluster.backend import run_backend
 from repro.cluster.serving import serve_trace
 from repro.cluster.topology import FatTreeTopology
 
@@ -97,9 +97,7 @@ def test_unknown_knob_raises_the_same_typeerror_everywhere():
                                          ship_moed="delta"),
                   lambda: serve_trace(2, requests=2, ship_moed="delta"),
                   lambda: run_backend(cw.md5_tree_main(3), 2,
-                                      ship_moed="delta"),
-                  lambda: run_real(cw.md5_tree_main(3), 2,
-                                   ship_moed="delta")):
+                                      ship_moed="delta")):
         with pytest.raises(TypeError, match="ship_moed"):
             build()
 
@@ -135,7 +133,7 @@ def test_machine_keeps_no_copy_of_a_spec_field():
 # -- the signature guard ----------------------------------------------------
 
 ENTRY_POINTS = [Machine.__init__, Cluster.__init__, sweep_nodes,
-                cw.run_cluster, serve_trace, run_backend, run_real]
+                cw.run_cluster, serve_trace, run_backend]
 
 
 @pytest.mark.parametrize("entry", ENTRY_POINTS,

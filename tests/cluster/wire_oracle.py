@@ -9,8 +9,7 @@ the production send path and stubs out the leg, so an oracle that
 compares against it cannot agree with itself; what it inherits is the
 row accessors, the codec size cache and the prefetch queue, none of
 which the rewrite touched (the queue's redeem and sink paths call
-``_stall_edges`` in the production convention, which the reference's
-own per-link version accepts).
+``_stall_edges`` with segment ids, as the reference's own paths do).
 """
 
 from repro.cluster.faults import RetxBill
@@ -133,7 +132,7 @@ class ReferenceTransport(Transport):
         for link in self.machine.topology.route(src, dst):
             self.link(link).bytes_received += nbytes
 
-    def _stall_edges(self, closed, opened, parts, bill):
+    def _stall_edges(self, src, dst, parts, bill):
         """One trace link edge per physical link the exchange occupied:
         the space resumes only after its transfer wins *each* link it
         crossed (shared uplinks make crossing flows contend) and
@@ -151,9 +150,8 @@ class ReferenceTransport(Transport):
             legs.append(("retx", bill.usage, bill.wait))
         for leg_kind, usage, latency in legs:
             for link, busy in usage.items():
-                trace.link_edge(closed, opened, link=link, busy=busy,
-                                latency=latency, cls=link_class(link).name,
-                                kind=leg_kind)
+                trace.transfers.append((src, dst, link, busy, latency,
+                                        link_class(link).name, leg_kind))
 
     def _batch_sizes(self, npages):
         """Split ``npages`` into PAGE_BATCH loads (``cost.msg_batch``)."""
@@ -256,7 +254,7 @@ class ReferenceTransport(Transport):
         if trace.is_open(space.uid):
             closed, opened = trace.move_node(space.uid, dst)
             transit = machine.topology.route_latency(cost, src, dst)
-            self._stall_edges(closed, opened,
+            self._stall_edges(closed.id, opened.id,
                               [(usage, transit + codec, "migrate")], bill)
 
     def fetch(self, space, origin, node, frames):
@@ -286,7 +284,7 @@ class ReferenceTransport(Transport):
             closed, opened = trace.cut(space.uid, label="fetch")
             transit = machine.topology.route_latency(machine.cost, origin,
                                                      node)
-            self._stall_edges(closed, opened,
+            self._stall_edges(closed.id, opened.id,
                               [(req_usage, 0, "fetch"),
                                (resp_usage, transit + codec, "fetch")], bill)
 

@@ -21,10 +21,11 @@ from repro import ClusterSpec, Machine
 from repro.common.errors import DebugApiError
 from repro.debug import Inspector
 from repro.debug import render
-from repro.debug.model import ADDED, CHANGED, RETAGGED
+from repro.debug.model import ADDED, CHANGED, RETAGGED, SpaceImage
 from repro.debug.scenarios import (INJECT_AT_EPOCH, ft_main, fault_tolerance,
                                    retx_main, retx_trap)
-from repro.runtime.checkpoint import FREEZER_SLOT, Checkpointer
+from repro.runtime.checkpoint import (FREEZER_SLOT, Checkpointer,
+                                      find_freezers, frozen_image)
 from repro.timing.schedule import schedule
 
 
@@ -178,10 +179,9 @@ def test_goto_from_sharded_original(ft):
     inside goto() asserts serial-vs-sharded bit-identity, and the
     recovered image must equal the serial run's."""
 
-    def sharded(prepare=None):
+    def sharded(prepare):
         machine = Machine(spec=ClusterSpec(shard_workers=2))
-        if prepare is not None:
-            prepare(machine)
+        prepare(machine)
         result = machine.run(ft_main)
         return machine, result
 
@@ -295,8 +295,9 @@ def test_diff_matches_naive_bytewise_compare(diff_run):
     """The batched ndarray diff agrees with a pure-Python compare of
     the raw frozen images — the second, implementation-independent
     oracle."""
-    child_a = diff_run.checkpoint_image("before")
-    child_b = diff_run.checkpoint_image("after")
+    (_, freezer), = find_freezers(diff_run.machine.root)
+    child_a = SpaceImage(frozen_image(freezer, "before"))
+    child_b = SpaceImage(frozen_image(freezer, "after"))
     diff = diff_run.diff("before", "after")
     reported = {d.vpn: d for d in diff.pages}
     for vpn in set(child_a.pages) | set(child_b.pages):

@@ -23,7 +23,7 @@ import pytest
 from repro import ClusterSpec, Machine
 from repro.bench import cluster_workloads as cw
 from repro.cluster import realnet
-from repro.cluster.backend import image_digest, run_backend
+from repro.cluster.backend import image_digest, run_backend, run_machine
 from repro.cluster.transport import Transport
 from repro.common.errors import BackendError
 from repro.debug import SpaceImage, first_difference, freeze_machine
@@ -399,9 +399,9 @@ def run_hostile(workers):
         shard._recv_delta = recording
         shard._run_worker = no_stack_of_an_earlier_sibling
 
-    result = run_backend(_hostile_main, 4,
-                         spec=ClusterSpec(shard_workers=workers),
-                         configure=configure)
+    machine = Machine(nnodes=4, spec=ClusterSpec(shard_workers=workers))
+    configure(machine)
+    result = run_machine(machine, _hostile_main)
     assert multiprocessing.active_children() == []
     return result, payloads
 

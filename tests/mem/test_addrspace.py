@@ -134,13 +134,16 @@ def test_write_requires_the_writable_bit_specifically(space):
 
 def test_copy_range_applies_perm_to_already_shared_pages(space):
     """Regression: Copy-with-Perm must update permissions even on pages
-    where source and destination already share the identical frame."""
+    where source and destination already share the identical frame
+    (Put applies Perm after its Copy, as here)."""
     src = AddressSpace()
     src.write(0x1000, b"shared")
     space.copy_range_from(src, 0x1000, 0x1000, PAGE_SIZE)
     assert space.frame(1) is src.frame(1)
     # Second copy of the same range, now requesting read-only.
-    space.copy_range_from(src, 0x1000, 0x1000, PAGE_SIZE, perm=PERM_R)
+    space.copy_range_from(src, 0x1000, 0x1000, PAGE_SIZE)
+    space.set_perm(0x1000, PAGE_SIZE, PERM_R)
+    assert space.frame(1) is src.frame(1)
     assert space.perm(1) == PERM_R
     with pytest.raises(PermissionFault):
         space.write(0x1000, b"x", check_perm=True)

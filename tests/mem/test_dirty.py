@@ -195,7 +195,7 @@ def test_merge_adoption_sound_across_distinct_allocators():
     snap = Snapshot.capture(child, BASE, PAGE_SIZE)  # baseline (1, 1)
     child.write(BASE, b"CHILD-NEW!")
     parent.write(BASE, b"PARENT-NEW")                # serial 1 on A: collides
-    assert parent.frame(BASE >> 12).tag() == snap.baseline_tag(BASE >> 12)
+    assert parent.frame(BASE >> 12).tag() == snap.frame(BASE >> 12).tag()
     with pytest.raises(MergeConflictError):
         merge_range(parent, child, snap, mode="strict")
 

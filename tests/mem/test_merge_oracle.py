@@ -118,8 +118,8 @@ def test_tracked_and_untracked_merges_agree(seed):
             rng = random.Random(7000 + seed)
             parent, child, snap = random_triple(rng)
             if every_page:
-                for vpn in range(BASE >> 12, (BASE >> 12) + NPAGES):
-                    child._mark_dirty(vpn)
+                child._mark_dirty_many(
+                    range(BASE >> 12, (BASE >> 12) + NPAGES))
             try:
                 merge_range(parent, child, snap, mode=mode)
                 outcomes.append(("ok", parent.read(BASE, SPAN)))

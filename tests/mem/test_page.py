@@ -8,7 +8,7 @@ from repro.mem import Page, PAGE_SIZE
 def test_new_page_is_zero_filled():
     page = Page()
     assert len(page.data) == PAGE_SIZE
-    assert page.is_zero()
+    assert page.data == bytes(PAGE_SIZE)
 
 
 def test_page_from_data_copies():
@@ -42,8 +42,3 @@ def test_fork_copy_is_independent():
     assert page.data[0] == 0x07
     assert twin.refs == 1
 
-
-def test_is_zero_detects_nonzero():
-    page = Page()
-    page.data[123] = 1
-    assert not page.is_zero()

@@ -2,7 +2,7 @@
 
 ``reference_write`` (``page_oracle.py``) is the per-page loop
 ``AddressSpace.write`` was before the rewrite — an ensure-writable,
-a slice assignment and a ``_mark_dirty`` per page.  Every hypothesis
+a slice assignment and a ledger mark per page.  Every hypothesis
 example builds the same world twice — private, snapshot-pinned and
 unmapped pages, explicit permissions (an unwritable page may sit
 mid-range), a ledger with history — runs the production operation on one
@@ -58,6 +58,11 @@ SHAPES = {
     if len(data) % 8 == 0 else memoryview(data),
     "list": lambda data: list(data) if len(data) <= 64 else data,
 }
+
+
+def mark_dirty(space, vpn):
+    """Production's ledger mark of one page."""
+    space._mark_dirty_many((vpn,))
 
 
 class World:
@@ -122,7 +127,7 @@ def test_whole_range_write_matches_the_per_page_reference(
         start &= ~(PAGE_SIZE - 1)
     addr = (VPN0 << PAGE_SHIFT) + start
     data = random.Random(seed).randbytes(pages * PAGE_SIZE + tail)
-    new = World(draw, AddressSpace._mark_dirty)
+    new = World(draw, mark_dirty)
     old = World(draw, reference_mark_dirty)
     got = outcome(lambda: new.space.write(addr, SHAPES[shape](data),
                                           check_perm=check_perm))
@@ -142,7 +147,7 @@ def test_write_pages_matches_one_reference_write_per_page(draw, offs, seed):
         random.Random(seed).randbytes(len(offs) * PAGE_SIZE),
         dtype=np.uint8).reshape(len(offs), PAGE_SIZE)
     vpns = [VPN0 + off for off in offs]
-    new = World(draw, AddressSpace._mark_dirty)
+    new = World(draw, mark_dirty)
     old = World(draw, reference_mark_dirty)
     got = new.space.write_pages(vpns, rows)
     want = sum(reference_write(old.space, vpn << PAGE_SHIFT, row.tobytes())

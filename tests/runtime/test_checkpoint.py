@@ -2,7 +2,7 @@
 
 
 from repro.kernel import Machine, Trap
-from repro.runtime.checkpoint import Checkpointer, run_with_checkpoints
+from repro.runtime.checkpoint import Checkpointer
 
 A = 0x10_0000
 
@@ -120,26 +120,6 @@ def test_checkpoint_includes_descendants():
         return bytes(grandchild.addrspace.read(A, 10))
 
     assert run(main).r0 == b"leaf-state"
-
-
-def test_run_with_checkpoints_driver():
-    def spinner(g, iters):
-        for i in range(iters):
-            g.work(2_000)
-            g.store(A, i + 1)
-        return "done"
-
-    def main(g):
-        view, ckpt, epochs = run_with_checkpoints(
-            g, spinner, (20,), quantum=9_000, child_slot=0x700
-        )
-        return (view["trap"], view["r0"], epochs, len(ckpt.tags()) > 0)
-
-    trap, value, epochs, has_tags = run(main).r0
-    assert trap is Trap.EXIT
-    assert value == "done"
-    assert epochs >= 2
-    assert has_tags
 
 
 def test_rollback_after_injected_crash():

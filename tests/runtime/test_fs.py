@@ -129,7 +129,9 @@ def test_append_mode_appends():
         fs.format()
         fs.init_fd_table()
         fs.write_file("log", b"one;")
-        fs.write_file("log", b"two;", append=True)
+        fd = fs.open("log", O_WRONLY | O_APPEND)
+        fs.write(fd, b"two;")
+        fs.close(fd)
         return fs.read_file("log")
 
     assert in_guest(body) == b"one;two;"

@@ -3,7 +3,7 @@
 
 from repro.kernel import Machine
 from repro.runtime.process import unix_root
-from repro.runtime.shell import Shell, shell_main
+from repro.runtime.shell import Shell
 
 
 def run_shell(script, programs=None, console_input=b""):
@@ -125,8 +125,3 @@ def test_comments_ignored():
     result = run_shell("# just a comment\necho ok")
     assert result.console == b"ok\n"
 
-
-def test_shell_main_wrapper():
-    with Machine() as m:
-        result = m.run(unix_root(shell_main, "echo wrapped"))
-    assert result.console == b"wrapped\n"

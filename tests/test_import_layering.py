@@ -80,7 +80,7 @@ PACKAGES = sorted(
 @pytest.mark.parametrize("package", PACKAGES)
 def test_every_public_name_resolves(package):
     """Each package's ``__all__`` holds, lazy names included
-    (``repro.run_backend``, ``repro.run_real``, ``repro.RealRunResult``)."""
+    (``repro.run_backend``, ``repro.RealRunResult``)."""
     module = importlib.import_module(package)
     missing = [name for name in getattr(module, "__all__", ())
                if not hasattr(module, name)]
@@ -89,7 +89,7 @@ def test_every_public_name_resolves(package):
 
 def test_the_lazy_names_are_the_backend_names():
     from repro.cluster import backend
-    assert (repro.run_backend, repro.run_real, repro.RealRunResult) == (
-        backend.run_backend, backend.run_real, backend.RealRunResult)
+    assert (repro.run_backend, repro.RealRunResult) == (
+        backend.run_backend, backend.RealRunResult)
     with pytest.raises(AttributeError, match="no_such_name"):
         repro.no_such_name

@@ -140,11 +140,11 @@ def random_trace(rng, ncontexts=6, ncuts=8):
                 if rng.random() < 0.5:
                     tr.edge(src, dst, latency=rng.randrange(0, 20))
                 else:
-                    tr.link_edge(src, dst, link=(src.node, dst.node),
-                                 busy=rng.randrange(0, 30),
-                                 latency=rng.randrange(0, 10),
-                                 cls="rack" if rng.random() < 0.5 else "core",
-                                 kind=rng.choice(["fetch", "migrate", None]))
+                    tr.transfers.append((
+                        src.id, dst.id, (src.node, dst.node),
+                        rng.randrange(0, 30), rng.randrange(0, 10),
+                        "rack" if rng.random() < 0.5 else "core",
+                        rng.choice(["fetch", "migrate", None])))
     tr.finish()
     return tr
 
@@ -169,8 +169,8 @@ def fan_in_trace(nsources, busy, cycles=10):
         tr.begin(f"s{i}", node=1 + i)
         tr.charge(f"s{i}", cycles)
         done, _ = tr.cut(f"s{i}")
-        tr.link_edge(done, tr._open["sink"], link="uplink", busy=busy,
-                     latency=3, cls="core", kind="fetch")
+        tr.transfers.append((done.id, tr._open["sink"].id, "uplink", busy,
+                             3, "core", "fetch"))
     tr.edge(gate, tr._open["sink"])
     tr.finish()
     return tr
@@ -210,9 +210,8 @@ def test_multi_cpu_node_grant_order_follows_finish_order(cpus):
         tr.begin(f"s{i}", node=0)
         tr.charge(f"s{i}", cycles)
         done, _ = tr.cut(f"s{i}")
-        tr.link_edge(done, tr._open["sink"], link=(0, 1), busy=5,
-                     latency=2, cls="rack",
-                     kind="migrate" if i % 2 else None)
+        tr.transfers.append((done.id, tr._open["sink"].id, (0, 1), 5, 2,
+                             "rack", "migrate" if i % 2 else None))
     tr.finish()
     fields = assert_matches_oracle(tr, ncpus=cpus)
     finish = fields["finish"]

@@ -14,10 +14,10 @@ def test_defaults_sane():
 
 def test_with_replaces_fields():
     cost = CostModel()
-    tweaked = cost.with_(syscall=1, ncpus=4)
-    assert tweaked.syscall == 1
+    tweaked = cost.with_(msg_batch=1, ncpus=4)
+    assert tweaked.msg_batch == 1
     assert tweaked.ncpus == 4
-    assert cost.syscall != 1          # original untouched
+    assert cost.msg_batch != 1        # original untouched
     assert tweaked.page_cow == cost.page_cow
 
 

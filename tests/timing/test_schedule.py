@@ -4,7 +4,6 @@ import pytest
 
 from repro.kernel.machine import Machine
 from repro.timing import Trace, schedule
-from repro.timing.schedule import critical_path
 
 
 def linear_chain(lengths):
@@ -107,13 +106,6 @@ def test_utilization_and_busy():
     result = schedule(tr, ncpus=4)
     assert result.busy == 400
     assert 0 < result.utilization <= 1.0
-
-
-def test_critical_path_bound():
-    tr = fork_join(4, child_len=100, parent_pre=20, parent_post=30)
-    cp = critical_path(tr)
-    assert cp == 150
-    assert schedule(tr, ncpus=2).makespan >= cp
 
 
 def test_cycle_detection():

@@ -66,18 +66,6 @@ def test_finish_closes_everything():
     assert not tr.is_open("a") and not tr.is_open("b")
 
 
-def test_cycles_by_uid():
-    tr = Trace()
-    tr.begin("a")
-    tr.charge("a", 10)
-    tr.cut("a")
-    tr.charge("a", 20)
-    tr.begin("b")
-    tr.charge("b", 5)
-    tr.finish()
-    assert tr.cycles_by_uid() == {"a": 30, "b": 5}
-
-
 def test_sleep_is_a_latency_edge_not_work():
     """A sleep defers the next segment by a timer edge: it neither
     charges cycles nor occupies a CPU, and the program clock
