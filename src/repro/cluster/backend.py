@@ -200,7 +200,7 @@ class RealShardCoordinator(ShardCoordinator):
         out = []
         for serial, generation, data in frames:
             if self.machine.spec.compression:
-                scheme, payload = encode_page(bytes(data))
+                scheme, payload = encode_page(data)
             else:
                 scheme, payload = SCHEME_RAW, bytes(data)
             out.append((serial, generation, scheme, payload))

@@ -31,11 +31,14 @@ Two schemes, chosen per frame:
 
 The codec is a real round-tripping implementation, not an estimate:
 :func:`encode_page` / :func:`decode_page` are property-tested on
-random, zero, and sparse frames, and the transport charges wire bytes
-from the actual encoded length (cached per frame content tag).
+random, zero, and sparse frames.  The transport charges wire bytes
+from :func:`wire_size` (cached per frame content tag), which counts the
+encoded length from the same zero-run boundaries the encoder splits at
+instead of building the payload; it is property-tested equal to
+``len(encode_page(d)[1])``.
 """
 
-import re
+import numpy as np
 
 from repro.mem.page import PAGE_SIZE
 
@@ -49,18 +52,30 @@ SCHEME_RAW = "raw"
 #: control byte); below 3 it never can.
 MIN_ZERO_RUN = 3
 
-#: Longest run/literal one control byte can describe.
-_MAX_LIT = 0x80        # C in 0x00..0x7F -> 1..128 literal bytes
-_RUN_SPAN = 0x80       # C in 0x80..0xFF -> 1..128 zero bytes
+#: Longest run/literal one control byte can describe: C in 0x00..0x7F
+#: is 1..128 literal bytes, C in 0x80..0xFF is 1..128 zero bytes.
+_SPAN = 0x80
 
 _ZERO_PAGE = bytes(PAGE_SIZE)
-_ZERO_RUN_RE = re.compile(rb"\x00{%d,}" % MIN_ZERO_RUN)
+
+
+def _zero_runs(data):
+    """``(starts, ends)`` of the maximal zero runs of at least
+    :data:`MIN_ZERO_RUN` bytes: the run tokens of the RLE stream."""
+    if len(data) != PAGE_SIZE:
+        raise ValueError(f"page payload must be {PAGE_SIZE} bytes")
+    zero = np.zeros(PAGE_SIZE + 2, bool)        # False-padded: runs close
+    np.equal(np.frombuffer(data, np.uint8), 0, out=zero[1:-1])
+    edges = np.flatnonzero(zero[1:] != zero[:-1])
+    starts, ends = edges[0::2], edges[1::2]
+    keep = ends - starts >= MIN_ZERO_RUN
+    return starts[keep], ends[keep]
 
 
 def _emit_literal(out, chunk):
     """Append literal tokens covering ``chunk`` (may exceed 128 bytes)."""
-    for start in range(0, len(chunk), _MAX_LIT):
-        piece = chunk[start:start + _MAX_LIT]
+    for start in range(0, len(chunk), _SPAN):
+        piece = chunk[start:start + _SPAN]
         out.append(bytes((len(piece) - 1,)))
         out.append(bytes(piece))
 
@@ -68,7 +83,7 @@ def _emit_literal(out, chunk):
 def _emit_zero_run(out, length):
     """Append zero-run tokens covering ``length`` zero bytes."""
     while length > 0:
-        take = min(length, _RUN_SPAN)
+        take = min(length, _SPAN)
         out.append(bytes((0x80 + take - 1,)))
         length -= take
 
@@ -81,19 +96,16 @@ def encode_page(data):
     ``len(payload) <= PAGE_SIZE`` unconditionally.
     """
     data = bytes(data)
-    if len(data) != PAGE_SIZE:
-        raise ValueError(f"page payload must be {PAGE_SIZE} bytes")
     if data == _ZERO_PAGE:
         return SCHEME_ZERO, b""
+    starts, ends = _zero_runs(data)
     out = []
     pos = 0
-    for match in _ZERO_RUN_RE.finditer(data):
-        if match.start() > pos:
-            _emit_literal(out, data[pos:match.start()])
-        _emit_zero_run(out, match.end() - match.start())
-        pos = match.end()
-    if pos < PAGE_SIZE:
-        _emit_literal(out, data[pos:])
+    for start, end in zip(starts.tolist(), ends.tolist()):
+        _emit_literal(out, data[pos:start])     # empty: no token
+        _emit_zero_run(out, end - start)
+        pos = end
+    _emit_literal(out, data[pos:])
     payload = b"".join(out)
     if len(payload) >= PAGE_SIZE:
         return SCHEME_RAW, data
@@ -136,6 +148,15 @@ def wire_size(data):
     """Wire payload bytes of one frame under compression.
 
     ``wire_size(d) == len(encode_page(d)[1])``, and is bounded by
-    ``PAGE_SIZE`` because raw is always a candidate scheme.
+    ``PAGE_SIZE`` because raw is always a candidate scheme.  Counted,
+    not encoded: a zero run of ``L`` bytes is ``ceil(L/128)`` control
+    bytes, a literal gap of ``G`` bytes is ``G + ceil(G/128)``.
     """
-    return len(encode_page(data)[1])
+    if data == _ZERO_PAGE:
+        return 0
+    starts, ends = _zero_runs(data)
+    gaps = np.append(starts, PAGE_SIZE)         # a gap of 0 costs nothing
+    gaps[1:] -= ends
+    spans = np.concatenate((ends - starts, gaps))
+    size = int(gaps.sum()) + int(((spans + _SPAN - 1) // _SPAN).sum())
+    return min(size, PAGE_SIZE)

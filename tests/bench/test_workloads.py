@@ -1,5 +1,6 @@
 """Workload correctness on both backends, at test-friendly sizes."""
 
+import numpy as np
 import pytest
 
 from repro.bench.harness import run_determinator, run_linux
@@ -59,6 +60,81 @@ def test_matmult_checksum_matches_reference():
     assert det.value == matmult_workload.expected_checksum(
         params["n"], params["seed"]
     )
+
+
+class _FlatMemory:
+    """The three guest calls ``_multiply_block`` makes, over one buffer
+    that starts at matmult's A."""
+
+    def __init__(self, n):
+        self.mem = bytearray(matmult_workload._addrs(n)[2] + 4 * n * n
+                             - matmult_workload.A_ADDR)
+
+    def array_read(self, addr, dtype, count):
+        offset = addr - matmult_workload.A_ADDR
+        return np.frombuffer(self.mem, dtype, count, offset).copy()
+
+    def array_write(self, addr, arr):
+        data = np.ascontiguousarray(arr).tobytes()
+        offset = addr - matmult_workload.A_ADDR
+        self.mem[offset:offset + len(data)] = data
+
+    def work(self, instructions):
+        pass
+
+
+def _block_product(a, b):
+    """C = A @ B through ``_multiply_block``, in two row blocks."""
+    n = len(a)
+    api = _FlatMemory(n)
+    a_addr, b_addr, c_addr = matmult_workload._addrs(n)
+    api.array_write(a_addr, a)
+    api.array_write(b_addr, b)
+    half = n // 2
+    for row0, rows in ((0, half), (half, n - half)):
+        assert matmult_workload._multiply_block(api, 0, n, row0, rows) == rows
+    return api.array_read(c_addr, np.int32, n * n).reshape(n, n)
+
+
+def _bound_case():
+    """n * max|A| * max|B| == 2**24 exactly: the largest sgemm product."""
+    rng = np.random.default_rng(1)
+    a = rng.integers(-2048, 2049, size=(64, 64), dtype=np.int32)
+    b = rng.integers(-128, 129, size=(64, 64), dtype=np.int32)
+    a[0, 0], b[0, 0] = 2048, -128
+    assert 64 * 2048 * 128 == 2**24
+    return a, b
+
+
+def _negative_case():
+    rng = np.random.default_rng(2)
+    return (rng.integers(-100, 100, size=(48, 48), dtype=np.int32),
+            rng.integers(-100, 100, size=(48, 48), dtype=np.int32))
+
+
+def _input_past_bound_case():
+    """B holds 2**24 + 1, which float32 rounds to 2**24."""
+    a = np.eye(4, dtype=np.int32)
+    b = np.full((4, 4), 2**24 + 1, dtype=np.int32)
+    return a, b
+
+
+def _product_past_bound_case():
+    """Every entry and every pairwise product is float32-exact, but each
+    sum of three, -3 * 2365**2 = -(2**24 + 2459), is odd: sgemm rounds
+    it.  A's magnitude is all in its sign."""
+    b = np.full((3, 3), 2365, dtype=np.int32)
+    return -b, b
+
+
+@pytest.mark.parametrize("case", [_bound_case, _negative_case,
+                                  _input_past_bound_case,
+                                  _product_past_bound_case])
+def test_multiply_block_is_exact(case):
+    """The guest product is the int32 reference product, on the sgemm
+    path up to its bound and on the int32 path past it."""
+    a, b = case()
+    assert np.array_equal(_block_product(a, b), a @ b)
 
 
 def test_qsort_output_sorted():

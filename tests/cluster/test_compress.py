@@ -2,6 +2,8 @@
 
 import hashlib
 
+import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cluster import compress
@@ -23,6 +25,49 @@ def _rng_bytes(seed, n=PAGE_SIZE):
     return bytes(out[:n])
 
 
+def _scatter(writes):
+    """A zero page with literal islands written at the given offsets."""
+    page = bytearray(PAGE_SIZE)
+    for offset, blob in writes:
+        blob = blob[:PAGE_SIZE - offset]
+        page[offset:offset + len(blob)] = blob
+    return bytes(page)
+
+
+def _small_ints(seed, high):
+    """1024 little-endian int32 values below ``high`` (<= 256)."""
+    rng = np.random.default_rng(seed)
+    return rng.integers(0, high, PAGE_SIZE // 4, dtype="<i4").tobytes()
+
+
+#: Zero-run lengths on each side of the 3-byte run and 128-byte token
+#: limits, and where in the page the run sits.
+RUNS = (2, 3, 127, 128, 129, 256, 257)
+PLACES = ("start", "middle", "end")
+
+
+def _zero_run(run, place, fill, middle=PAGE_SIZE // 2):
+    """A ``fill``-constant page holding exactly one ``run``-byte zero
+    run, at the page's start, at ``middle`` or at its end."""
+    start = {"start": 0, "middle": middle, "end": PAGE_SIZE - run}[place]
+    page = bytearray([fill]) * PAGE_SIZE
+    page[start:start + run] = bytes(run)
+    return bytes(page)
+
+
+padded_pages = st.builds(_page, st.binary(min_size=0, max_size=64),
+                         st.integers(0, 255))
+scatter_pages = st.lists(st.tuples(st.integers(0, PAGE_SIZE - 1),
+                                   st.binary(min_size=1, max_size=200)),
+                         max_size=8).map(_scatter)
+pseudorandom_pages = st.integers(0, 2**32).map(_rng_bytes)
+small_int_pages = st.builds(_small_ints, st.integers(0, 2**32),
+                            st.integers(1, 256))
+zero_run_pages = st.builds(_zero_run, st.sampled_from(RUNS),
+                           st.sampled_from(PLACES), st.integers(1, 255),
+                           st.integers(1, PAGE_SIZE - RUNS[-1] - 1))
+
+
 # -- scheme selection ------------------------------------------------------
 
 def test_zero_page_suppressed():
@@ -42,7 +87,6 @@ def test_sparse_page_rle_much_smaller():
 def test_small_int32_array_compresses():
     """Little-endian int32 values < 256: one payload byte, three zero
     bytes — the shape of matmult's input matrices."""
-    import numpy as np
     data = np.arange(1, 1025, dtype="<i4") % 99 + 1
     scheme, payload = compress.encode_page(data.tobytes())
     assert scheme == compress.SCHEME_RLE
@@ -60,53 +104,62 @@ def test_random_page_falls_back_to_raw():
 # -- round-trip properties -------------------------------------------------
 
 @settings(max_examples=50, deadline=None)
-@given(st.binary(min_size=0, max_size=64), st.integers(0, 255))
-def test_roundtrip_padded_pages(prefix, fill):
+@given(padded_pages)
+def test_roundtrip_padded_pages(data):
     """Constant-fill pages with an arbitrary prefix round-trip."""
-    data = _page(prefix, fill)
     scheme, payload = compress.encode_page(data)
     assert compress.decode_page(scheme, payload) == data
     assert len(payload) <= PAGE_SIZE
 
 
 @settings(max_examples=50, deadline=None)
-@given(st.lists(st.tuples(st.integers(0, PAGE_SIZE - 1),
-                          st.binary(min_size=1, max_size=200)),
-                max_size=8))
-def test_roundtrip_sparse_scatter(writes):
+@given(scatter_pages)
+def test_roundtrip_sparse_scatter(data):
     """Pages with scattered literal islands in a zero sea round-trip,
     and never encode above raw size."""
-    page = bytearray(PAGE_SIZE)
-    for offset, blob in writes:
-        blob = blob[:PAGE_SIZE - offset]
-        page[offset:offset + len(blob)] = blob
-    data = bytes(page)
     scheme, payload = compress.encode_page(data)
     assert compress.decode_page(scheme, payload) == data
     assert len(payload) <= PAGE_SIZE
 
 
 @settings(max_examples=25, deadline=None)
-@given(st.integers(0, 2**32))
-def test_roundtrip_pseudorandom_pages(seed):
-    data = _rng_bytes(seed)
+@given(pseudorandom_pages)
+def test_roundtrip_pseudorandom_pages(data):
     scheme, payload = compress.encode_page(data)
     assert compress.decode_page(scheme, payload) == data
     assert len(payload) <= PAGE_SIZE
 
 
 def test_roundtrip_run_boundaries():
-    """Runs straddling the 128-byte token limits round-trip exactly."""
-    for run in (1, 2, 3, 127, 128, 129, 256, 257, PAGE_SIZE - 66):
-        data = _page(b"x" * 64 + b"\x00" * run + b"y", fill=7)
+    """Runs straddling the 3-byte and 128-byte token limits round-trip
+    exactly and are sized as encoded — every run length at every place,
+    not only the ones hypothesis happens to draw."""
+    pages = [_page(b"x" * 64 + b"\x00" * run + b"y", fill=7)
+             for run in (1, 2, 3, 127, 128, 129, 256, 257, PAGE_SIZE - 66)]
+    pages += [_zero_run(run, place, fill=7)
+              for run in RUNS for place in PLACES]
+    for data in pages:
         scheme, payload = compress.encode_page(data)
         assert compress.decode_page(scheme, payload) == data
+        assert compress.wire_size(data) == len(payload)
+
+
+# -- the size the transport charges is the size the encoder ships --------
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(padded_pages, scatter_pages, pseudorandom_pages,
+                 small_int_pages, zero_run_pages))
+def test_wire_size_is_the_encoded_length(data):
+    """``wire_size`` counts from run boundaries; it must equal the
+    length of the payload ``encode_page`` builds, for every scheme."""
+    assert compress.wire_size(data) == len(compress.encode_page(data)[1])
 
 
 def test_reject_bad_inputs():
-    import pytest
     with pytest.raises(ValueError):
         compress.encode_page(b"short")
+    with pytest.raises(ValueError):
+        compress.wire_size(b"short")
     with pytest.raises(ValueError):
         compress.decode_page(compress.SCHEME_ZERO, b"x")
     with pytest.raises(ValueError):
