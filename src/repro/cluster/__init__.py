@@ -57,21 +57,8 @@ owns *how* it crosses and what that costs:
 
 from repro.cluster.network import NetworkStats
 from repro.cluster.cluster import Cluster, sweep_nodes
-from repro.cluster.faults import LossSchedule, RetxBill, resolve_loss
-from repro.cluster.placement import (
-    LocalityAwarePlacement,
-    PlacementPolicy,
-    RoundRobinPlacement,
-    resolve_placement,
-)
-from repro.cluster.topology import (
-    FatTreeTopology,
-    FlatTopology,
-    LinkClass,
-    Topology,
-    TwoTierTopology,
-    resolve_topology,
-)
+from repro.cluster.faults import RetxBill
+from repro.cluster.topology import LinkClass
 from repro.cluster.transport import (
     LinkStats,
     MsgType,
@@ -82,10 +69,6 @@ from repro.cluster.transport import (
 
 __all__ = [
     "NetworkStats", "Cluster", "sweep_nodes",
-    "LossSchedule", "RetxBill", "resolve_loss", "TelemetryWindow",
-    "Transport", "MsgType", "LinkStats", "PrefetchExchange",
-    "Topology", "FlatTopology", "TwoTierTopology", "FatTreeTopology",
-    "LinkClass", "resolve_topology",
-    "PlacementPolicy", "RoundRobinPlacement", "LocalityAwarePlacement",
-    "resolve_placement",
+    "RetxBill", "TelemetryWindow",
+    "Transport", "MsgType", "LinkStats", "PrefetchExchange", "LinkClass",
 ]

@@ -36,9 +36,8 @@ def sweep_nodes(entry_builder, node_counts, spec=None):
     transparent (§3.3), and a ``loss`` schedule must never break it
     (faults are cost-only).  One
     :class:`~repro.cluster.spec.ClusterSpec` applies to *every* size, so
-    sweeps compare like with like; give its ``topology`` as a preset
-    string or an ``nnodes -> Topology`` builder, since each size gets
-    its own fabric.
+    sweeps compare like with like; each size builds its own fabric from
+    the ``topology`` preset.
     """
     series = {}
     base_time = None

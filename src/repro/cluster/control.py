@@ -114,29 +114,22 @@ def _fmt_knob(value):
 class Controller:
     """Per-node adaptive control state of one machine.
 
-    Construct directly (``ClusterSpec(control=Controller(...))``), from the
-    string ``"adaptive"`` (all defaults), or from a kwargs dict; the
-    machine calls :meth:`reset` when it takes ownership, so a reused
-    instance never leaks state between runs.
+    Each machine builds its own from its spec's ``control`` value
+    (:func:`resolve_control`), so no adaptation outlives its run.
     """
 
     #: Recognized policy names (the ``policies`` argument).
     POLICIES = ("prefetch", "retx", "placement")
 
     def __init__(self, policies=POLICIES):
+        if isinstance(policies, str):
+            raise ValueError(f"control policies must be a tuple of policy "
+                             f"names, got {policies!r}")
         unknown = set(policies) - set(self.POLICIES)
         if unknown:
             raise ValueError(f"unknown control policies {sorted(unknown)} "
                              f"(have {list(self.POLICIES)})")
         self.policies = tuple(policies)
-        self.machine = None
-        self.reset(None)
-
-    # -- lifecycle ---------------------------------------------------------
-
-    def reset(self, machine):
-        """(Re)bind to ``machine`` and clear all adaptive state."""
-        self.machine = machine
         #: Bootstrap depth for nodes with no per-node state yet.  It
         #: ratchets up to the largest demand-driven depth any node
         #: reached: in an SPMD program the nodes stream near-identical
@@ -472,17 +465,11 @@ def racks_of(topo, node):
 
 
 def resolve_control(spec):
-    """Build a controller from None (off), the string ``"adaptive"``, a
-    kwargs dict, or a :class:`Controller` instance."""
-    if spec is None:
-        return None
-    if isinstance(spec, Controller):
-        return spec
-    if isinstance(spec, str):
-        if spec == "adaptive":
-            return Controller()
-        raise ValueError(f"unknown control spec {spec!r} "
-                         f"(have 'adaptive', a dict, or a Controller)")
+    """A fresh :class:`Controller` from the string ``"adaptive"`` (every
+    policy) or a ``{"policies": (...)}`` dict of its keyword arguments."""
+    if spec == "adaptive":
+        return Controller()
     if isinstance(spec, dict):
         return Controller(**spec)
-    raise ValueError(f"cannot interpret control spec {spec!r}")
+    raise ValueError(f"control must be 'adaptive' or a {{'policies': (...)}} "
+                     f"dict, got {spec!r}")

@@ -91,7 +91,7 @@ class LossSchedule:
 
     def __init__(self, drop=0.0, seed=2010):
         if not 0.0 <= drop <= 1.0:
-            raise ValueError(f"drop rate must be in [0, 1], got {drop}")
+            raise ValueError(f"loss drop rate must be in [0, 1], got {drop}")
         self.drop = drop
         self.seed = seed
 
@@ -111,7 +111,7 @@ class LossSchedule:
         directed ``link`` is dropped.  Raising the rate only *adds*
         dropped copies (schedules are nested across rates under one
         seed)."""
-        return self.drop > 0 and self.draw(link, serial, attempt) < self.drop
+        return self.draw(link, serial, attempt) < self.drop
 
     def describe(self):
         """One-line human-readable description (NetworkStats reports)."""
@@ -122,23 +122,21 @@ class LossSchedule:
 
 
 def resolve_loss(spec):
-    """Build the machine's :class:`LossSchedule` from a spec.
+    """Build the machine's :class:`LossSchedule` from a drop rate (with
+    the default seed) or a ``{"drop", "seed"}`` dict of its keyword
+    arguments.
 
-    ``spec`` may be None (lossless fabric — the fault path is skipped
-    entirely, bit-identical to the pre-fault transport), a number (drop
-    rate with the default seed), a dict of
-    :class:`LossSchedule` keyword arguments, or an already-built
-    schedule.
+    None and a zero drop rate are the lossless fabric: the answer is
+    None, and the fault path is skipped entirely (bit-identical to the
+    pre-fault transport).
     """
     if spec is None:
         return None
-    if isinstance(spec, LossSchedule):
-        return spec
-    if isinstance(spec, bool):
-        raise ValueError("loss must be a rate, dict, or LossSchedule, "
-                         "not a bool")
-    if isinstance(spec, (int, float)):
-        return LossSchedule(drop=float(spec))
     if isinstance(spec, dict):
-        return LossSchedule(**spec)
-    raise ValueError(f"cannot interpret loss spec {spec!r}")
+        schedule = LossSchedule(**spec)
+    elif isinstance(spec, (int, float)) and not isinstance(spec, bool):
+        schedule = LossSchedule(drop=float(spec))
+    else:
+        raise ValueError(f"loss must be a drop rate or a {{'drop', 'seed'}} "
+                         f"dict, got {spec!r}")
+    return schedule if schedule.drop else None

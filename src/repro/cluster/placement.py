@@ -8,7 +8,12 @@ keep meeting where they expect to).  The mapping is a bijection over
 ``range(nnodes)``, so placement can never change *what* a program
 computes — only where its traffic lands on the fabric.
 
-Two policies, plus the trivial identity:
+A policy is one function ``assign(machine, vnode)`` that chooses the
+physical node of first-used virtual ``vnode``.  It may read any machine
+state — topology, current ``node_map`` and its inverse ``node_owner``,
+live transport counters — but must return an unused physical node in
+``range(machine.nnodes)`` (``Machine.bind_node`` refuses anything else).
+Two ship, named by :data:`POLICIES`:
 
 ``round_robin``
     Stripe virtual nodes across racks (node 0 in rack 0, node 1 in
@@ -25,33 +30,12 @@ Two policies, plus the trivial identity:
 """
 
 
-class PlacementPolicy:
-    """Identity placement: virtual node ``v`` runs on physical node ``v``."""
-
-    name = "identity"
-
-    def assign(self, machine, caller, vnode):
-        """Choose the physical node for first-used virtual ``vnode``.
-
-        ``caller`` is the space whose syscall forced the assignment (or
-        None for the root); policies may read any machine state —
-        topology, current ``node_map`` and its inverse ``node_owner``,
-        live transport counters — but must return an unused physical
-        node in ``range(machine.nnodes)``.
-        """
-        return vnode
-
-
-class RoundRobinPlacement(PlacementPolicy):
+def round_robin(machine, vnode):
     """Stripe consecutive virtual nodes across racks."""
-
-    name = "round_robin"
-
-    def assign(self, machine, caller, vnode):
-        return machine.topology.striped()[vnode]
+    return machine.topology.striped()[vnode]
 
 
-class LocalityAwarePlacement(PlacementPolicy):
+def locality(machine, vnode):
     """Pack contiguous virtual node blocks into racks; spill by load.
 
     The affinity signal is the virtual node number itself: the cluster
@@ -62,54 +46,39 @@ class LocalityAwarePlacement(PlacementPolicy):
     stats: least core-uplink occupancy first, then most free slots,
     then lowest rack index — all deterministic.
     """
-
-    name = "locality"
-
-    def assign(self, machine, caller, vnode):
-        topo = machine.topology
-        used = machine.node_owner
-        racks = topo.racks()
-        home = racks[topo.rack_of(vnode)]
-        for node in home:
-            if node not in used:
-                return node
-        links = machine.transport.links
-        best = None
-        for ridx, rack in enumerate(racks):
-            free = [n for n in rack if n not in used]
-            if not free:
-                continue
-            uplink_busy = sum(links[link].busy_cycles
-                              for link in topo.uplinks(ridx) if link in links)
-            key = (uplink_busy, -len(free), ridx)
-            if best is None or key < best[0]:
-                best = (key, free[0])
-        if best is None:
-            raise ValueError(f"no free node for virtual node {vnode}")
-        return best[1]
+    topo = machine.topology
+    used = machine.node_owner
+    racks = topo.racks()
+    home = racks[topo.rack_of(vnode)]
+    for node in home:
+        if node not in used:
+            return node
+    links = machine.transport.links
+    best = None
+    for ridx, rack in enumerate(racks):
+        free = [n for n in rack if n not in used]
+        if not free:
+            continue
+        uplink_busy = sum(links[link].busy_cycles
+                          for link in topo.uplinks(ridx) if link in links)
+        key = (uplink_busy, -len(free), ridx)
+        if best is None or key < best[0]:
+            best = (key, free[0])
+    if best is None:
+        raise ValueError(f"no free node for virtual node {vnode}")
+    return best[1]
 
 
-#: Policy name -> class.
-POLICIES = {
-    policy.name: policy
-    for policy in (PlacementPolicy, RoundRobinPlacement,
-                   LocalityAwarePlacement)
-}
+#: Policy name -> ``assign`` function.
+POLICIES = {"round_robin": round_robin, "locality": locality}
 
 
-def resolve_placement(spec):
-    """Build a placement policy from None (round-robin default), a
-    policy name, a :class:`PlacementPolicy` subclass, or an instance."""
-    if spec is None:
-        return RoundRobinPlacement()
-    if isinstance(spec, PlacementPolicy):
-        return spec
-    if isinstance(spec, type) and issubclass(spec, PlacementPolicy):
-        return spec()
-    if isinstance(spec, str):
-        try:
-            return POLICIES[spec]()
-        except KeyError:
-            raise ValueError(f"unknown placement policy {spec!r} "
-                             f"(have {sorted(POLICIES)})") from None
-    raise ValueError(f"cannot interpret placement spec {spec!r}")
+def resolve_placement(name):
+    """The ``assign`` function of placement ``name`` (None ->
+    ``"round_robin"``)."""
+    if name is None:
+        name = "round_robin"
+    if not isinstance(name, str) or name not in POLICIES:
+        raise ValueError(f"placement must be one of {sorted(POLICIES)}, "
+                         f"got {name!r}")
+    return POLICIES[name]

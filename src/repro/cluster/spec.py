@@ -7,18 +7,21 @@ and every entry point — ``Machine``, ``Cluster``, ``sweep_nodes``,
 ``run_cluster``, ``serve_trace``, ``run_backend`` — takes it as
 ``spec=`` and nothing else:
 
-* **One validation site.**  ``ship_mode`` membership, ``prefetch_depth``
-  range, ``tcp_mode``/``compression`` type (a ``bool``, never coerced),
-  ``loss``/``control``/``placement``/``topology`` spec syntax all raise
-  here, at construction, before any machine exists.  Only a
-  ``Topology`` instance's node count waits for the machine.
+* **One validation site.**  ``ship_mode`` membership,
+  ``prefetch_depth``/``shard_workers`` range and type (an ``int``, never
+  a ``bool``), ``tcp_mode``/``compression`` type (a ``bool``, never
+  coerced), ``loss``/``control``/``placement``/``topology`` syntax all
+  raise here, at construction, before any machine exists.
 * **One spelling.**  ``Machine(spec=ClusterSpec(ship_mode="demand"))``
-  is the only way to say it; a mistyped field is Python's own
-  ``TypeError`` from the dataclass constructor.
+  is the only way to say it, and every field is a plain value: a preset
+  string, a policy name, a rate or a small dict — never a live object.
+  A mistyped field or dict key is Python's own ``TypeError`` from the
+  constructor it reaches; any other form of a field is a
+  ``ValueError`` naming it.
 * **Frozen value semantics.**  A spec can be built once and shared by a
-  whole sweep; anything *stateful* (a live ``Controller``, the resolved
-  ``Topology`` for a concrete node count) is materialized per machine by
-  the module ``resolve_*`` functions, never stored on the spec.
+  whole sweep; anything *stateful* (the ``Controller``, the
+  ``Topology`` for a concrete node count) is built per machine by the
+  module ``resolve_*`` functions, never stored on the spec.
 
 The CPU count of a node is not a knob: every cluster runner schedules
 its trace on :data:`NODE_CPUS`, the paper's uniprocessor cluster nodes
@@ -39,7 +42,7 @@ from dataclasses import dataclass, replace
 
 from repro.cluster.faults import resolve_loss
 from repro.cluster.placement import resolve_placement
-from repro.cluster.topology import check_topology
+from repro.cluster.topology import resolve_topology
 from repro.timing.model import CostModel
 
 #: CPUs per cluster node every cluster runner schedules a run's trace on.
@@ -72,17 +75,19 @@ class ClusterSpec:
     #: — pages fault over on first touch (the paper's baseline §3.3
     #: protocol, and the stage for the prefetch ablation).
     ship_mode: str = "delta"
-    #: Routed fabric: preset string, Topology, or nnodes -> Topology.
+    #: Routed fabric preset: "flat" (None), "two_tier[:rack]",
+    #: "fat_tree[:rack]".
     topology: object = None
-    #: Virtual-node placement policy (None -> "round_robin").
+    #: Virtual-node placement policy: "round_robin" (None), "locality".
     placement: object = None
     #: Async fetch-queue depth per node (0: stop-and-wait).
     prefetch_depth: int = 0
     #: PAGE_BATCH wire compression (zero suppression + RLE).
     compression: bool = False
-    #: Deterministic fault schedule (rate, kwargs dict, LossSchedule).
+    #: Deterministic fault schedule: a drop rate or a {"drop", "seed"}
+    #: dict (None or a zero rate: the lossless fabric).
     loss: object = None
-    #: Adaptive control plane ("adaptive", kwargs dict, Controller).
+    #: Adaptive control plane: "adaptive" or a {"policies": (...)} dict.
     control: object = None
     #: Forked host workers for sibling subtrees (< 2 disables).
     shard_workers: int = 0
@@ -99,12 +104,12 @@ class ClusterSpec:
         if self.ship_mode not in SHIP_MODES:
             raise ValueError(f"unknown ship_mode {self.ship_mode!r} "
                              f"(expected one of {SHIP_MODES})")
-        if not isinstance(self.prefetch_depth, int) or self.prefetch_depth < 0:
-            raise ValueError(f"prefetch_depth must be a non-negative int, "
-                             f"got {self.prefetch_depth!r}")
-        if not isinstance(self.shard_workers, int) or self.shard_workers < 0:
-            raise ValueError(f"shard_workers must be a non-negative int, "
-                             f"got {self.shard_workers!r}")
+        for name in ("prefetch_depth", "shard_workers"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) \
+                    or value < 0:
+                raise ValueError(f"{name} must be a non-negative int, "
+                                 f"got {value!r}")
         if self.backend not in BACKENDS:
             raise ValueError(f"unknown backend {self.backend!r} "
                              f"(expected one of {BACKENDS})")
@@ -112,13 +117,14 @@ class ClusterSpec:
             raise ValueError(f"cost must be a CostModel or None, "
                              f"got {self.cost!r}")
         # Spec-syntax validation happens here — once — by running the
-        # same resolvers the machine will use.  The throwaway results
-        # are discarded: anything stateful must be materialized fresh
-        # per machine (``Machine.__init__`` resolves them again).  The
-        # control plane's module loads only for a spec that names one.
+        # same resolvers the machine will use (the topology on one
+        # node).  The throwaway results are discarded: anything stateful
+        # must be built fresh per machine (``Machine.__init__`` resolves
+        # them again).  The control plane's module loads only for a spec
+        # that names one.
         resolve_loss(self.loss)
         resolve_placement(self.placement)
-        check_topology(self.topology)
+        resolve_topology(self.topology, 1)
         if self.control is not None:
             from repro.cluster.control import resolve_control
             resolve_control(self.control)

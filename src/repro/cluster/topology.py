@@ -191,8 +191,6 @@ class _RackedTopology(Topology):
 
     def __init__(self, nnodes, rack_size=4):
         super().__init__(nnodes)
-        if rack_size < 1:
-            raise ValueError(f"rack_size must be >= 1, got {rack_size}")
         self.rack_size = rack_size
         self.rack_class = LinkClass("rack", 0.5, 1.0)
 
@@ -292,44 +290,24 @@ PRESETS = {
 
 
 def resolve_topology(spec, nnodes):
-    """Build the :class:`Topology` for ``nnodes`` from a spec.
-
-    ``spec`` may be None (flat), a preset name (``"two_tier"``,
-    optionally suffixed ``":<rack_size>"`` as in ``"two_tier:2"``), an
-    already-built :class:`Topology` (its node count must match), or a
-    callable ``spec(nnodes) -> Topology`` (handy for sweeps).
-    """
-    if isinstance(spec, Topology):
-        if spec.nnodes != nnodes:
-            raise ValueError(
-                f"topology built for {spec.nnodes} nodes used on {nnodes}")
-        return spec
-    if callable(spec):
-        return resolve_topology(spec(nnodes), nnodes)
-    ctor, kwargs = check_topology(spec)
-    return ctor(nnodes, **kwargs)
-
-
-def check_topology(spec):
-    """``(constructor, kwargs)`` of a None or preset-name ``spec``, and
-    None for a Topology or a builder; a ``ValueError`` naming the
-    topology for anything :func:`resolve_topology` cannot build."""
-    if isinstance(spec, Topology) or callable(spec):
-        return None
+    """Build the :class:`Topology` for ``nnodes`` from None (flat) or a
+    preset name (``"two_tier"``, optionally suffixed ``":<rack_size>"``
+    as in ``"two_tier:2"``); a ``ValueError`` naming the topology for
+    anything else."""
     if spec is None:
-        return FlatTopology, {}
+        return FlatTopology(nnodes)
     if not isinstance(spec, str):
-        raise ValueError(f"cannot interpret topology spec {spec!r}")
-    name, _, arg = spec.partition(":")
+        raise ValueError(f"topology must be a preset name, got {spec!r}")
+    name, colon, arg = spec.partition(":")
     ctor = PRESETS.get(name)
     if ctor is None:
         raise ValueError(f"unknown topology {name!r} "
                          f"(have {sorted(PRESETS)})")
-    if not arg:
-        return ctor, {}
+    if not colon:
+        return ctor(nnodes)
     if ctor is FlatTopology:
         raise ValueError("flat topology takes no rack size")
     if not arg.isdecimal() or int(arg) < 1:
         raise ValueError(f"topology {spec!r}: the rack size must be a "
                          f"positive int")
-    return ctor, {"rack_size": int(arg)}
+    return ctor(nnodes, rack_size=int(arg))

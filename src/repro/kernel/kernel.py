@@ -128,7 +128,7 @@ class Kernel:
         vnode = node_field - 1
         if not 0 <= vnode < self.machine.nnodes:
             raise KernelError(f"node {vnode} does not exist")
-        return childno, self.machine.place(vnode, caller)
+        return childno, self.machine.place(vnode)
 
     def _lookup(self, caller, childno):
         child = caller.children.get(childno)

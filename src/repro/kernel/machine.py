@@ -160,19 +160,19 @@ class Machine:
         #: to guess what that producer will be asked for next.
         self.dirty_hints = defaultdict(list)
         #: Deterministic fault schedule of the fabric: None (lossless,
-        #: the default — bit-identical to the pre-fault transport), a
-        #: drop rate, a dict of LossSchedule kwargs, or a LossSchedule.
-        #: Faults are cost-only: computed values and memory images are
-        #: identical under any schedule (see repro.cluster.faults).
+        #: the default — bit-identical to the pre-fault transport) or
+        #: the LossSchedule of the spec's drop rate or dict.  Faults are
+        #: cost-only: computed values and memory images are identical
+        #: under any schedule (see repro.cluster.faults).
         self.loss = resolve_loss(spec.loss)
-        #: Routed fabric the transport prices traffic over: "flat"
-        #: (legacy full mesh, the default), "two_tier", "fat_tree", or a
-        #: Topology instance/builder (see repro.cluster.topology).
+        #: Routed fabric the transport prices traffic over, built from
+        #: the spec's preset: "flat" (legacy full mesh, the default),
+        #: "two_tier" or "fat_tree" (see repro.cluster.topology).
         self.topology = resolve_topology(spec.topology, nnodes)
-        #: Placement policy mapping program-visible (virtual) node
-        #: numbers onto fabric nodes — "round_robin" (default; identity
-        #: on the flat fabric), "locality", "identity", or a
-        #: PlacementPolicy instance (see repro.cluster.placement).
+        #: Placement policy ``assign(machine, vnode)`` mapping
+        #: program-visible (virtual) node numbers onto fabric nodes —
+        #: "round_robin" (default; identity on the flat fabric) or
+        #: "locality" (see repro.cluster.placement).
         self.placement = resolve_placement(spec.placement)
         #: virtual node number -> physical node (sticky; see place()).
         #: Written only by bind_node, which keeps the inverse below in
@@ -184,19 +184,18 @@ class Machine:
         #: Message-level interconnect all cross-node paths route through.
         self.transport = Transport(self)
         #: Deterministic adaptive control plane: None (static knobs, the
-        #: default — byte-identical to the pre-control transport),
-        #: "adaptive", a Controller kwargs dict, or a Controller.  The
+        #: default — byte-identical to the pre-control transport), or a
+        #: Controller built from "adaptive" or a kwargs dict.  The
         #: kernel invokes it at quantum boundaries; it tunes per-node
         #: prefetch depth, per-route retransmit timeouts, and placement
         #: from the transport's telemetry windows (repro.cluster.control).
-        #: String and dict specs materialize a fresh (stateful)
-        #: Controller per machine, so a spec shared across a sweep never
-        #: leaks adaptation between runs.  Its module loads only here.
+        #: Every machine builds a fresh (stateful) Controller, so a spec
+        #: shared across a sweep never leaks adaptation between runs.
+        #: Its module loads only here.
         self.control = None
         if spec.control is not None:
             from repro.cluster.control import resolve_control
             self.control = resolve_control(spec.control)
-            self.control.reset(self)
         #: Sharded host execution (repro.kernel.shard): at a rendezvous
         #: with >= 2 never-run READY siblings, fork up to this many
         #: host processes, queue the sibling subtrees on them (a
@@ -269,7 +268,7 @@ class Machine:
 
     # -- placement ----------------------------------------------------------
 
-    def place(self, vnode, caller=None):
+    def place(self, vnode):
         """Physical node of program-visible node number ``vnode``.
 
         The placement policy chooses on first use (reading topology and
@@ -280,7 +279,7 @@ class Machine:
         """
         phys = self.node_map.get(vnode)
         if phys is None:
-            phys = self.placement.assign(self, caller, vnode)
+            phys = self.placement(self, vnode)
             self.bind_node(vnode, phys)
         return phys
 
@@ -290,11 +289,11 @@ class Machine:
         that would break the bijection over ``range(nnodes)``."""
         if not 0 <= phys < self.nnodes:
             raise KernelError(
-                f"placement policy {self.placement.name!r} returned "
+                f"placement policy {self.placement.__name__!r} returned "
                 f"node {phys} for virtual node {vnode}")
         if phys in self.node_owner:
             raise KernelError(
-                f"placement policy {self.placement.name!r} reused "
+                f"placement policy {self.placement.__name__!r} reused "
                 f"node {phys} (virtual node {vnode})")
         self.node_map[vnode] = phys
         self.node_owner[phys] = vnode

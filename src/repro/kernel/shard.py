@@ -70,8 +70,9 @@ serial, with the reason kept on :attr:`ShardCoordinator.refused`):
   one machine-global the adoption delta deliberately drops;
 * no adaptive control plane — its decisions read machine-wide
   telemetry windows;
-* the placement policy is content-independent (``identity`` /
-  ``round_robin``), so a worker's first-use node assignments replay.
+* the placement is ``round_robin``, which reads only the topology and
+  the virtual node number, so a worker's first-use node assignments
+  replay (``locality`` reads live transport stats).
 """
 
 import multiprocessing
@@ -81,11 +82,6 @@ import threading
 from repro.common.errors import WireError
 from repro.kernel.ledgers import LEDGERS, SPLICED, Renumber
 from repro.kernel.space import SpaceState
-
-#: Placement policies whose ``assign`` reads only static state (the
-#: topology and the virtual node number), so a worker-side first-use
-#: assignment can be re-verified at adoption time.
-_REPLAYABLE_PLACEMENTS = ("identity", "round_robin")
 
 #: ``_fail``'s ``what`` when a fork point's workers could not all be
 #: started (or, on the real wire, be pushed their forward pages).
@@ -109,10 +105,9 @@ def fork_refusal(machine):
         return "is incompatible with prefetch_depth > 0"
     if machine.control is not None:
         return "is incompatible with the adaptive control plane"
-    if machine.placement.name not in _REPLAYABLE_PLACEMENTS:
-        return (f"requires a replayable placement policy "
-                f"{_REPLAYABLE_PLACEMENTS}, got "
-                f"{machine.placement.name!r}")
+    if machine.spec.placement == "locality":
+        return ("requires a replayable placement ('round_robin'), got "
+                "'locality' (it reads live transport stats)")
     return None
 
 
@@ -502,7 +497,7 @@ class ShardCoordinator:
             current = node_map.get(vnode)
             if current is None:
                 if phys in machine.node_owner or phys in claimed or \
-                        machine.placement.assign(machine, None, vnode) != phys:
+                        machine.placement(machine, vnode) != phys:
                     return "placement does not replay"
                 claimed.add(phys)
             elif current != phys:

@@ -152,18 +152,22 @@ def test_skewed_workload_adaptive_beats_statics():
 # -- resolve_control -------------------------------------------------------
 
 def test_resolve_control_specs():
-    assert resolve_control(None) is None
     ctrl = resolve_control("adaptive")
     assert isinstance(ctrl, Controller)
     assert ctrl.policies == Controller.POLICIES
+    assert resolve_control("adaptive") is not ctrl     # fresh per machine
     custom = resolve_control({"policies": ("prefetch",)})
     assert custom.policies == ("prefetch",)
     assert custom.depth_for(0) == DEPTH_CAP // 2
-    assert resolve_control(custom) is custom
+    with pytest.raises(ValueError, match="control"):
+        resolve_control(custom)
     with pytest.raises(ValueError):
         resolve_control("aggressive")
     with pytest.raises(ValueError):
         resolve_control({"policies": ("prefetch", "voodoo")})
+    # A bare name would be read one character at a time.
+    with pytest.raises(ValueError, match="tuple of policy names"):
+        resolve_control({"policies": "retx"})
     for gone in ("interval", "depth0"):   # not options (any more)
         with pytest.raises(TypeError):
             resolve_control({gone: 2})
@@ -187,7 +191,7 @@ def _window(index, node_rows, route_samples=None, pair_bytes=None):
 def machine():
     with Machine(nnodes=NODES,
                  spec=ClusterSpec(ship_mode="demand", topology="two_tier:2",
-                                  control=Controller())) as m:
+                                  control="adaptive")) as m:
         yield m
 
 

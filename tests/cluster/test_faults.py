@@ -19,7 +19,8 @@ import pytest
 
 from repro import ClusterSpec
 from repro.bench import cluster_workloads as cw
-from repro.cluster import LossSchedule, MsgType, NetworkStats, resolve_loss
+from repro.cluster import MsgType, NetworkStats
+from repro.cluster.faults import LossSchedule, resolve_loss
 from repro.common.errors import NetworkLossError
 from repro.kernel import Machine
 from repro.mem import PAGE_SIZE, Page
@@ -82,11 +83,11 @@ def test_rate_validation_and_resolve():
         resolve_loss(True)
     with pytest.raises(ValueError):
         resolve_loss("lossy")
+    with pytest.raises(ValueError, match="loss"):
+        resolve_loss(LossSchedule(drop=0.1))
     assert resolve_loss(None) is None
     assert resolve_loss(0.25).drop == 0.25
     assert resolve_loss({"drop": 0.1, "seed": 3}).seed == 3
-    sched = LossSchedule(drop=0.1)
-    assert resolve_loss(sched) is sched
 
 
 # -- bit-identical replay ---------------------------------------------------
@@ -118,11 +119,15 @@ def test_different_seeds_move_only_the_wire():
 
 
 def test_zero_loss_schedule_is_bit_identical_to_no_schedule():
-    """LossSchedule with zero rates must reproduce the pre-fault
+    """A zero drop rate *is* the lossless fabric: every spelling of it
+    resolves to no schedule at all, so the run is the pre-fault
     transport exactly — same makespan, wire bytes, link tables, and no
     retransmit activity."""
+    for zero in (0, 0.0, {"drop": 0}, {"drop": 0.0, "seed": 5}):
+        assert resolve_loss(zero) is None, zero
     mk_none, m_none, v_none = _run(loss=None)
-    mk_zero, m_zero, v_zero = _run(loss=LossSchedule())
+    mk_zero, m_zero, v_zero = _run(loss=0.0)
+    assert m_zero.loss is None
     assert (mk_none, v_none) == (mk_zero, v_zero)
     assert _memory_image(m_none) == _memory_image(m_zero)
     stats_none, stats_zero = NetworkStats(m_none), NetworkStats(m_zero)
@@ -130,7 +135,7 @@ def test_zero_loss_schedule_is_bit_identical_to_no_schedule():
     assert stats_none.link_table() == stats_zero.link_table()
     assert stats_zero.retx_msgs == stats_zero.dropped_msgs == 0
     assert stats_zero.retx_table().startswith("(no link ever")
-    assert stats_none.loss is None and stats_zero.loss is not None
+    assert stats_none.loss is None and stats_zero.loss is None
 
 
 # -- loss is cost-only over every protocol path -----------------------------
@@ -235,7 +240,8 @@ def test_retry_exhaustion_is_a_defined_state(dead, hops_before):
     leg's first message, and nothing was sent beyond it.  The serials
     of the whole exchange were handed out before the walk (DESIGN §5)."""
     machine = Machine(nnodes=4, spec=ClusterSpec(topology=TOPOLOGY,
-                                                 loss=DeadLink(dead)))
+                                                 loss=1.0))
+    machine.loss = DeadLink(dead)
     transport = machine.transport
     frames = [Page(bytes([n]) * PAGE_SIZE) for n in range(3)]
     with pytest.raises(NetworkLossError, match=(

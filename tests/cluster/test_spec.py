@@ -19,6 +19,9 @@ from repro import Cluster, ClusterSpec, Machine, sweep_nodes
 from repro.bench import cluster_workloads as cw
 from repro.bench.harness import run_determinator
 from repro.cluster.backend import run_backend
+from repro.cluster.control import Controller
+from repro.cluster.faults import LossSchedule
+from repro.cluster.placement import locality
 from repro.cluster.serving import serve_trace
 from repro.cluster.topology import FatTreeTopology
 
@@ -66,8 +69,18 @@ def test_validation_is_centralized(bad, match):
         ClusterSpec().with_(**bad)
 
 
+@pytest.mark.parametrize("name", ["prefetch_depth", "shard_workers"])
+def test_an_int_field_refuses_a_bool(name):
+    """``True`` is an ``int`` to Python, never a depth or a worker
+    count to the spec (the int twin of ``tcp_mode="no"``)."""
+    for flag in (True, False):
+        with pytest.raises(ValueError, match=name):
+            ClusterSpec(**{name: flag})
+
+
 @pytest.mark.parametrize("topology", [
-    "bogus", "two_tier:x", "two_tier:-2", "flat:2", "fat_tree:0", 3.5])
+    "bogus", "two_tier:x", "two_tier:-2", "flat:2", "fat_tree:0", 3.5,
+    "two_tier:", "flat:"])
 def test_a_bad_topology_is_refused_by_the_spec(topology):
     """Preset names and rack sizes are spec syntax: refused at the spec
     with a message naming the topology, never first at ``Machine()``."""
@@ -75,16 +88,23 @@ def test_a_bad_topology_is_refused_by_the_spec(topology):
         ClusterSpec(topology=topology)
 
 
-def test_a_built_topology_passes_the_spec_and_meets_its_machine():
-    """A Topology instance or builder is accepted as is; an instance's
-    node count is the one topology check left to ``Machine``."""
-    spec = ClusterSpec(topology=FatTreeTopology(4))
-    with pytest.raises(ValueError, match="built for 4 nodes used on 8"):
-        Machine(nnodes=8, spec=spec)
-    with Machine(nnodes=4, spec=spec) as machine:
-        assert machine.topology is spec.topology
-    with Machine(nnodes=8, spec=ClusterSpec(topology=FatTreeTopology)) as m:
-        assert isinstance(m.topology, FatTreeTopology) and m.topology.nnodes == 8
+@pytest.mark.parametrize("field, value", [
+    ("topology", FatTreeTopology(4)),
+    ("topology", FatTreeTopology),
+    ("topology", lambda nnodes: FatTreeTopology(nnodes)),
+    ("placement", locality),
+    ("placement", "identity"),
+    ("loss", LossSchedule(drop=0.1)),
+    ("control", Controller()),
+], ids=["topology-instance", "topology-class", "topology-builder",
+        "placement-function", "placement-identity", "loss-schedule",
+        "control-instance"])
+def test_a_live_object_is_refused_naming_its_field(field, value):
+    """Every field is a plain value — a preset, a policy name, a rate
+    or a small dict: a live object (or a test-only name) is refused at
+    the spec, naming the field, before any machine exists."""
+    with pytest.raises(ValueError, match=field):
+        ClusterSpec(**{field: value})
 
 
 def test_unknown_knob_raises_the_same_typeerror_everywhere():

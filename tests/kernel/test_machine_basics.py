@@ -151,20 +151,15 @@ def test_unknown_program_name_traps():
 def test_root_segment_opens_on_its_home_node():
     # The root's work is scheduled on the node placement gave it, not
     # on physical node 0, under any policy that moves virtual node 0.
-    from repro import ClusterSpec
-    from repro.cluster.placement import PlacementPolicy
-
-    class Shifted(PlacementPolicy):
-        name = "shifted"
-
-        def assign(self, machine, caller, vnode):
-            return (vnode + 1) % machine.nnodes
+    def shifted(machine, vnode):
+        return (vnode + 1) % machine.nnodes
 
     def main(g):
         g.work(1000)
         return 0
 
-    with Machine(nnodes=4, spec=ClusterSpec(placement=Shifted())) as m:
+    with Machine(nnodes=4) as m:
+        m.placement = shifted
         result = m.run(main)
         assert m.root.home_node == 1
     assert [seg.node for seg in result.trace.segments] == [1, 1]

@@ -202,6 +202,17 @@ def test_open_gate_records_no_refusal():
     assert shard.forked > 0 and shard.refused is None
 
 
+def test_a_zero_drop_rate_keeps_the_gate_open():
+    # A fabric that drops nothing is the lossless fabric: it forks like
+    # one, and the real backend does not refuse it as a loss schedule.
+    with Machine(nnodes=4, spec=ClusterSpec(loss=0.0)) as plain:
+        assert plain.loss is None and fork_refusal(plain) is None
+    _, _, shard = run_pair(cw.md5_tree_main(3), 4, loss=0.0)
+    assert shard.forked > 0 and shard.refused is None
+    if realnet.localhost_available():
+        Machine(nnodes=4, spec=ClusterSpec(loss=0.0, backend="real")).close()
+
+
 def test_full_ship_mode_shards_and_matches():
     serial, sharded, shard = run_pair(cw.md5_tree_main(3), 4,
                                       ship_mode="full")
