@@ -9,7 +9,9 @@ verdict the guides define (:func:`verdict`).
 
 ``--others N`` then runs N pairs on every *other* workload and prints
 the same block for each, so the "must not move" half of a claim is the
-same command.
+same command.  ``--record PATH`` appends one JSON line per compared
+workload to the pairs ledger (``benchmarks/pairs.jsonl``): the commits,
+the seeds, every pair's values and the verdicts (:func:`compare`).
 """
 
 import argparse
@@ -23,12 +25,37 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def run_once(command, cwd, workload, seed, seconds):
-    out = subprocess.run(
-        command + ["--workload", workload, "--seed", str(seed),
-                   "--seconds", str(seconds), "--trace", "0"],
-        cwd=cwd, check=True, capture_output=True, text=True).stdout
+    """One run of the benchmark command: its failed ops, its metric
+    values and whether its ``--out`` report says ``comparable``."""
+    with tempfile.TemporaryDirectory(prefix="host_pairs_run_") as tmp:
+        report = pathlib.Path(tmp) / "report.json"
+        out = subprocess.run(
+            command + ["--workload", workload, "--seed", str(seed),
+                       "--seconds", str(seconds), "--trace", "0",
+                       "--out", str(report)],
+            cwd=cwd, check=True, capture_output=True, text=True).stdout
+        comparable = json.loads(report.read_text())["host"]["comparable"]
     result = json.loads(out.strip().splitlines()[-1])
-    return result["failed"], {k: m["value"] for k, m in result["metrics"].items()}
+    return (result["failed"],
+            {k: m["value"] for k, m in result["metrics"].items()}, comparable)
+
+
+def commits(parent):
+    """The ledger's commits: ``parent`` resolved to a sha, the change's
+    HEAD and whether its working tree differs from it."""
+    def git(*args):
+        return subprocess.run(["git", *args], cwd=ROOT, check=True,
+                              capture_output=True, text=True).stdout.strip()
+    return {"parent": git("rev-parse", f"{parent}^{{commit}}"),
+            "change": git("rev-parse", "HEAD"),
+            "dirty": bool(git("status", "--porcelain"))}
+
+
+def append_record(path, head, record):
+    """Append ``record`` (a :func:`compare` result) under ``head`` (the
+    :func:`commits`) as one line of the ledger at ``path``."""
+    with open(path, "a") as ledger:
+        ledger.write(json.dumps({**head, **record}) + "\n")
 
 
 def spread(values):
@@ -66,33 +93,54 @@ def verdict(parent, change, better, bound):
 
 def compare(declared, where, workload, pairs, seed, seconds, versus):
     """Run ``pairs`` alternating pairs of ``workload`` and print, per
-    end-to-end metric, each side's median, quartiles and the pair wins."""
+    end-to-end metric, each side's median, quartiles and the pair wins.
+    Returns the same as a ledger record: the run settings, failed ops
+    and per-run ``comparable`` flags per side, and per metric both
+    sides' per-pair values, medians, quartiles, wins, losses and
+    :func:`verdict`."""
     sides = {"parent": [], "change": []}
     failed = dict.fromkeys(sides, 0)
+    comparable = {side: [] for side in sides}
     for pair in range(pairs):
         order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
         for side in order:
-            bad, metrics = run_once(declared["command"], where[side],
-                                    workload, seed + pair, seconds)
+            bad, metrics, steady = run_once(declared["command"], where[side],
+                                            workload, seed + pair, seconds)
             failed[side] += bad
             sides[side].append(metrics)
+            comparable[side].append(steady)
         print(f"seed {seed + pair} ({order[0]} first): " + "  ".join(
             f"{m['name']} {sides['parent'][-1][m['name']]:.4g} -> "
             f"{sides['change'][-1][m['name']]:.4g}"
             for m in declared["end_to_end"]), flush=True)
     print(f"\n{workload}, {pairs} pairs vs {versus}; failed ops "
           f"{failed['parent']} -> {failed['change']}; median [q1, q3]")
+    record = {"workload": workload,
+              "seeds": [seed + pair for pair in range(pairs)],
+              "seconds": seconds, "pairs": pairs, "failed": failed,
+              "comparable": comparable, "metrics": {}}
     for metric in declared["end_to_end"]:
         name, sign = metric["name"], 1 if metric["better"] == "lower" else -1
-        parent, change = ([run[name] for run in sides[side]] for side in sides)
+        values = {side: [run[name] for run in sides[side]] for side in sides}
+        parent, change = values["parent"], values["change"]
         gains = [sign * (p - c) for p, c in zip(parent, change)]
         delta = statistics.median(change) / statistics.median(parent) - 1
+        wins, losses = sum(g > 0 for g in gains), sum(g < 0 for g in gains)
+        reading = verdict(parent, change, metric["better"], metric["bound"])
         print(f"  {name:16s} parent {spread(parent)}  change {spread(change)}  "
-              f"{delta:+.1%}  wins {sum(g > 0 for g in gains)} losses "
-              f"{sum(g < 0 for g in gains)} ({metric['better']} is better)")
-        print(f"  {'':16s} {verdict(parent, change, metric['better'], metric['bound'])}"
-              f" (bound {metric['bound']:.0%})")
+              f"{delta:+.1%}  wins {wins} losses {losses} "
+              f"({metric['better']} is better)")
+        print(f"  {'':16s} {reading} (bound {metric['bound']:.0%})")
+        quartiles = {side: statistics.quantiles(values[side], n=4,
+                                                method="inclusive")
+                     for side in sides}
+        record["metrics"][name] = {
+            "better": metric["better"], "bound": metric["bound"], **values,
+            **{key: {side: quartiles[side][at] for side in sides}
+               for at, key in enumerate(("q1", "median", "q3"))},
+            "wins": wins, "losses": losses, "verdict": reading}
     print(flush=True)
+    return record
 
 
 def main(argv=None):
@@ -109,7 +157,11 @@ def main(argv=None):
     parser.add_argument("--seed", type=int, default=101,
                         help="seed of the first pair; each pair takes the next")
     parser.add_argument("--seconds", type=float, default=declared["run_seconds"])
+    parser.add_argument("--record", metavar="PATH",
+                        help="append one JSON line per compared workload "
+                             "to this ledger (benchmarks/pairs.jsonl)")
     args = parser.parse_args(argv)
+    head = args.record and commits(args.parent)
     if args.pairs < 2 or args.others == 1:
         parser.error("quartiles need at least two pairs")
     with tempfile.TemporaryDirectory(prefix="host_pairs_") as parent_dir:
@@ -120,8 +172,10 @@ def main(argv=None):
         for workload, pairs in [(args.workload, args.pairs)] + [
                 (name, args.others) for name in names
                 if args.others and name != args.workload]:
-            compare(declared, where, workload, pairs, args.seed, args.seconds,
-                    args.parent)
+            record = compare(declared, where, workload, pairs, args.seed,
+                             args.seconds, args.parent)
+            if args.record:
+                append_record(args.record, head, record)
 
 
 if __name__ == "__main__":

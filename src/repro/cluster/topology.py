@@ -67,6 +67,15 @@ class LinkClass:
 NODE_CLASS = LinkClass("node", 1.0, 1.0)
 
 
+def _shape(*classes):
+    """The ``(classes, latency_factor)`` tail of a route record."""
+    return classes, sum(cls.latency_factor for cls in classes)
+
+
+#: The record of the empty route (``src == dst``).
+_LOCAL = ((), *_shape())
+
+
 class Topology:
     """Abstract routed fabric over ``nnodes`` cluster nodes."""
 
@@ -76,9 +85,6 @@ class Topology:
         self.nnodes = nnodes
         #: (src, dst) -> route record (see :meth:`route_record`).
         self._routes = {}
-        #: The distinct ``(classes, latency factor)`` tails of those
-        #: records, so routes of one shape share a single copy.
-        self._shapes = {}
         self._racks = None
         self._striped = None
 
@@ -91,16 +97,13 @@ class Topology:
         order, and the sum of their latency factors.  A transport leg
         reads everything it needs about its route from this one lookup.
         ``src == dst`` is the empty route (local delivery never touches
-        the wire)."""
+        the wire).  Each preset builds its records from its own shape
+        (:meth:`_build_record`): the ``(classes, latency_factor)`` tail
+        of every route of one shape is a single shared tuple."""
         record = self._routes.get((src, dst))
         if record is None:
-            links = () if src == dst else tuple(self._build_route(src, dst))
-            classes = tuple(map(self.link_class, links))
-            shape = self._shapes.get(classes)
-            if shape is None:
-                shape = self._shapes[classes] = (
-                    classes, sum(cls.latency_factor for cls in classes))
-            record = self._routes[src, dst] = (links, *shape)
+            record = self._routes[src, dst] = \
+                _LOCAL if src == dst else self._build_record(src, dst)
         return record
 
     def route(self, src, dst):
@@ -108,7 +111,8 @@ class Topology:
         (the links of :meth:`route_record`)."""
         return self.route_record(src, dst)[0]
 
-    def _build_route(self, src, dst):
+    def _build_record(self, src, dst):
+        """The route record of ``src != dst``."""
         raise NotImplementedError
 
     def link_class(self, link):
@@ -175,9 +179,10 @@ class FlatTopology(Topology):
     """Full mesh: one direct full-bandwidth link per node pair."""
 
     name = "flat"
+    _hop = _shape(NODE_CLASS)
 
-    def _build_route(self, src, dst):
-        return [(src, dst)]
+    def _build_record(self, src, dst):
+        return ((src, dst),), *self._hop
 
     def link_class(self, link):
         return NODE_CLASS
@@ -189,10 +194,19 @@ class _RackedTopology(Topology):
     which sum to exactly the flat fabric's one-hop latency), and the
     same intra-rack routes — they differ only in the core layer."""
 
+    rack_class = LinkClass("rack", 0.5, 1.0)
+
     def __init__(self, nnodes, rack_size=4):
         super().__init__(nnodes)
         self.rack_size = rack_size
-        self.rack_class = LinkClass("rack", 0.5, 1.0)
+        #: Top-of-rack switch names by rack, built once: every route
+        #: through a switch holds the same name object.
+        self._switches = [f"rack{rack}" for rack in range(self.nracks())]
+        #: The two route shapes: intra-rack ``(rack, rack)`` and
+        #: cross-rack ``(rack, core, core, rack)``.
+        self._intra = _shape(self.rack_class, self.rack_class)
+        self._cross = _shape(self.rack_class, self.core_class,
+                             self.core_class, self.rack_class)
 
     def rack_of(self, node):
         return node // self.rack_size
@@ -205,17 +219,14 @@ class _RackedTopology(Topology):
                            min((r + 1) * self.rack_size, self.nnodes)))
                 for r in range(self.nracks())]
 
-    def _switch(self, rack):
-        return f"rack{rack}"
-
-    def _build_route(self, src, dst):
-        a, b = self.rack_of(src), self.rack_of(dst)
-        sa = self._switch(a)
+    def _build_record(self, src, dst):
+        a, b = src // self.rack_size, dst // self.rack_size
+        sa = self._switches[a]
         if a == b:
-            return [(src, sa), (sa, dst)]
-        sb = self._switch(b)
+            return ((src, sa), (sa, dst)), *self._intra
+        sb = self._switches[b]
         core = self._core_switch(src, dst)
-        return [(src, sa), (sa, core), (core, sb), (sb, dst)]
+        return ((src, sa), (sa, core), (core, sb), (sb, dst)), *self._cross
 
     def _core_switch(self, src, dst):
         raise NotImplementedError
@@ -242,7 +253,7 @@ class TwoTierTopology(_RackedTopology):
         return self.core_class if "core" in link else self.rack_class
 
     def uplinks(self, rack):
-        sw = self._switch(rack)
+        sw = self._switches[rack]
         return ((sw, "core"), ("core", sw))
 
 
@@ -262,10 +273,11 @@ class FatTreeTopology(_RackedTopology):
     def __init__(self, nnodes, rack_size=4):
         super().__init__(nnodes, rack_size)
         self.nspines = rack_size
-        self._spines = frozenset(f"core{n}" for n in range(self.nspines))
+        #: Spine switch names by index, built once like the racks'.
+        self._spines = [f"core{n}" for n in range(self.nspines)]
 
     def _core_switch(self, src, dst):
-        return f"core{(src + dst) % self.nspines}"
+        return self._spines[(src + dst) % self.nspines]
 
     def link_class(self, link):
         if link[0] in self._spines or link[1] in self._spines:
@@ -273,12 +285,9 @@ class FatTreeTopology(_RackedTopology):
         return self.rack_class
 
     def uplinks(self, rack):
-        sw = self._switch(rack)
-        links = []
-        for spine in range(self.nspines):
-            links.append((sw, f"core{spine}"))
-            links.append((f"core{spine}", sw))
-        return tuple(links)
+        sw = self._switches[rack]
+        return tuple(link for spine in self._spines
+                     for link in ((sw, spine), (spine, sw)))
 
 
 #: Preset name -> constructor (``name:<rack_size>`` selects rack size).

@@ -384,16 +384,17 @@ class Transport:
         #: Encoded wire size per frame content tag (content never
         #: changes under a tag, so sizes are computed once).
         self._wire_sizes = {}
-        #: ``(wire bytes, byte_factor)`` -> the link occupancy of one
-        #: such message (``CostModel.link_message``; the cost model and
+        #: ``byte_factor -> {wire bytes: the link occupancy of one such
+        #: message}`` (``CostModel.link_message``; the cost model and
         #: ``tcp_mode`` are fixed per machine, so a price never changes).
         self._prices = {}
         # -- telemetry windows (take_window) -----------------------------
         #: Monotone window serial: how many windows have been taken.
         self.window_index = 0
         #: ``{"nodes"|"pairs": {key: the row's as_dict() when the
-        #: running window first used it}}`` — the marks the next take
-        #: diffs against, so a take costs O(rows that moved).
+        #: running window first used it, or None for a row born in
+        #: it}}`` — the marks the next take diffs against, so a take
+        #: costs O(rows that moved).
         self._marks = {"nodes": {}, "pairs": {}}
         #: unordered (a, b) node pair -> delivery-latency samples of the
         #: running window's clean page exchanges (capped at
@@ -413,14 +414,16 @@ class Transport:
 
     def _windowed(self, table, key, new):
         """Get-or-create row ``key`` of ``table``, marked as the running
-        telemetry window first finds it."""
+        telemetry window first finds it: a row born in the window is
+        marked None, which :meth:`CounterRow.delta_since` reads as
+        "since creation"."""
         rows = getattr(self, table)
         row = rows.get(key)
-        if row is None:
-            row = rows[key] = new()
         marks = self._marks[table]
         if key not in marks:
-            marks[key] = row.as_dict()
+            marks[key] = None if row is None else row.as_dict()
+        if row is None:
+            row = rows[key] = new()
         return row
 
     def node(self, node):
@@ -464,9 +467,9 @@ class Transport:
         a batch's drain time measures the sender's throughput, while
         the timer waits on the route's *turnaround* for one copy, which
         only minimal (single-data-message) exchanges exhibit.  Without
-        a controller nothing reads the samples and none is taken."""
-        machine = self.machine
-        if machine.control is None or npages > 1 or bill:
+        a controller nothing reads the samples: callers take none
+        without one."""
+        if npages > 1 or bill:
             return
         pair = (src, dst) if src <= dst else (dst, src)
         samples = self.route_samples.setdefault(pair, [])
@@ -526,7 +529,7 @@ class Transport:
 
         ``msgs`` are message tuples (see :data:`MIGRATE`).  Every traversed
         link accrues each message's bytes, pages, and its class-scaled
-        serialization cycles (priced from the ``(bytes, byte_factor)``
+        serialization cycles (priced from the ``byte_factor -> bytes``
         memo); ``usage`` (when given) collects the per-link busy
         cycles of the *stalling* messages for the caller's trace edges.
         Only the sending side is accounted per message: ``delivered``
@@ -559,8 +562,13 @@ class Transport:
         # control-tuned) timeout of the route, resolved once so every
         # hop copy of every message of the leg waits the same timer.
         timeout = machine.retx_timeout_for(src, dst) if loss else 0
-        stalling = usage is not None and any(msg[3] for msg in msgs)
-        extra = []
+        stalling = False
+        if usage is not None:
+            for msg in msgs:
+                if msg[3]:
+                    stalling = True
+                    break
+        extra = None
         for link, link_class in zip(route, classes):
             # Rows are created at first traversal, so a leg that dies
             # of retry exhaustion leaves no row past the failing hop.
@@ -568,31 +576,28 @@ class Transport:
             if row is None:
                 row = links[link] = LinkStats(link_class)
             factor = link_class.byte_factor
+            priced = prices.get(factor)
+            if priced is None:
+                priced = prices[factor] = {}
             by_type = row.by_type
             stalled = 0
             for name, serial, nbytes, stalls in msgs:
-                busy = prices.get((nbytes, factor))
+                busy = priced.get(nbytes)
                 if busy is None:
-                    busy = prices[nbytes, factor] = cost.link_message(
+                    busy = priced[nbytes] = cost.link_message(
                         nbytes, factor, machine.spec.tcp_mode)
                 if stalls:
                     stalled += busy
+                row.messages += 1
+                row.bytes_sent += nbytes
+                row.busy_cycles += busy
+                by_type[name] = by_type.get(name, 0) + 1
+                if not (loss and loss.drops(link, serial, 0)):
+                    continue
+                # The link layer retransmits until a copy gets through.
+                bill = faults if stalls else None
                 attempt = 0
                 while True:
-                    row.messages += 1
-                    row.bytes_sent += nbytes
-                    row.busy_cycles += busy
-                    by_type[name] = by_type.get(name, 0) + 1
-                    if not loss:
-                        break
-                    bill = faults if stalls else None
-                    if attempt:
-                        row.retx_msgs += 1
-                        row.retx_bytes += nbytes
-                        if bill is not None:
-                            extra.append((serial, link, busy))
-                    if not loss.drops(link, serial, attempt):
-                        break
                     row.dropped_msgs += 1
                     row.dropped_bytes += nbytes
                     attempt += 1
@@ -604,6 +609,18 @@ class Transport:
                     if bill is not None:
                         bill.wait += timeout
                         self.retx_wait += timeout
+                    row.messages += 1
+                    row.bytes_sent += nbytes
+                    row.busy_cycles += busy
+                    by_type[name] += 1
+                    row.retx_msgs += 1
+                    row.retx_bytes += nbytes
+                    if bill is not None:
+                        if extra is None:
+                            extra = []
+                        extra.append((serial, link, busy))
+                    if not loss.drops(link, serial, attempt):
+                        break
             if stalling:
                 usage[link] = usage.get(link, 0) + stalled
             row.bytes_received += delivered
@@ -705,10 +722,11 @@ class Transport:
         # the control plane's SRTT estimator).  The request and response
         # usage dicts may alias (the prefetch path passes one dict):
         # count it once.
-        usages = [req_usage] if resp_usage is req_usage \
-            else [req_usage, resp_usage]
-        self._note_route_sample(origin, node, transit, usages,
-                                1 + len(batches), faults, npages)
+        if self.machine.control is not None:
+            usages = [req_usage] if resp_usage is req_usage \
+                else [req_usage, resp_usage]
+            self._note_route_sample(origin, node, transit, usages,
+                                    1 + len(batches), faults, npages)
         return codec, transit
 
     # -- protocol exchanges ------------------------------------------------
@@ -726,21 +744,24 @@ class Transport:
         """
         machine = self.machine
         cost = machine.cost
+        npages = len(shipped)
         self.migrations += 1
-        self.pages_shipped += len(shipped)
+        self.pages_shipped += npages
         usage = {}
         bill = RetxBill() if machine.loss else None
-        head, batches, ack, payload, codec = self._batches(shipped)
+        head, msgs, ack, payload, codec = self._batches(shipped)
+        msgs.insert(0, (MIGRATE, head, cost.migrate_bytes, True))
         # Receiver-side accounting from the exchange's own arithmetic
         # (not the per-message sizes): conservation cross-checks them.
         transit = self._leg(
-            src, dst, [(MIGRATE, head, cost.migrate_bytes, True)] + batches,
-            cost.migrate_bytes + payload + len(shipped) * cost.page_hdr,
-            usage, bill, len(shipped), payload)
+            src, dst, msgs,
+            cost.migrate_bytes + payload + npages * cost.page_hdr,
+            usage, bill, npages, payload)
         self._leg(dst, src, [(ACK, ack, cost.msg_ctrl, False)],
                   cost.msg_ctrl)
-        self._note_route_sample(src, dst, transit, (usage,),
-                                1 + len(batches), bill, len(shipped))
+        if machine.control is not None:
+            self._note_route_sample(src, dst, transit, (usage,), len(msgs),
+                                    bill, npages)
         trace = machine.trace
         if trace.is_open(space.uid):
             closed, opened = trace.move_node(space.uid, dst)

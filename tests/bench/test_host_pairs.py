@@ -1,7 +1,9 @@
 """The verdict ``benchmarks/host_pairs.py`` prints per metric: the
 choosing-metrics rules for a claimed gain and for "must not move",
-on fixed lists of paired runs."""
+on fixed lists of paired runs — and the schema of the line ``--record``
+appends to the pairs ledger, with the benchmark runs stubbed."""
 
+import json
 import os
 import sys
 
@@ -10,6 +12,7 @@ import pytest
 sys.path.insert(
     0, os.path.join(os.path.dirname(__file__), os.pardir, os.pardir,
                     "benchmarks"))
+import host_pairs  # noqa: E402
 from host_pairs import verdict  # noqa: E402
 
 #: Ten parent runs around 100 with a quartile spread of 2.
@@ -52,3 +55,50 @@ def test_every_change_run_beating_every_parent_run_resolves_it():
     # run reads better than any change run.
     assert verdict(WIDE, [99] * 10, "lower", 0.2) == "within bound"
     assert verdict(WIDE, [201] * 10, "higher", 0.2) == "within bound"
+
+
+DECLARED = {"command": ["bench"], "end_to_end": [
+    {"name": "host_us_per_op", "better": "lower", "bound": 0.2},
+    {"name": "peak_rss_mb", "better": "lower", "bound": 0.05},
+]}
+
+
+def test_a_record_holds_every_pair_and_the_verdicts(monkeypatch, tmp_path):
+    runs = []
+
+    def run_once(command, cwd, workload, seed, seconds):
+        runs.append((cwd, seed))
+        change = cwd == "change"
+        return (0, {"host_us_per_op": 100.0 - 10 * change + seed % 3,
+                    "peak_rss_mb": 50.0}, seed != 12 or change)
+
+    monkeypatch.setattr(host_pairs, "run_once", run_once)
+    record = host_pairs.compare(DECLARED, {"parent": "parent",
+                                           "change": "change"},
+                                "circuit_fat", 4, 10, 2.5, "HEAD")
+    # Alternating order, one fresh seed per pair.
+    assert runs[:4] == [("parent", 10), ("change", 10),
+                        ("change", 11), ("parent", 11)]
+    assert set(record) == {"workload", "seeds", "seconds", "pairs",
+                           "failed", "comparable", "metrics"}
+    assert record["seeds"] == [10, 11, 12, 13]
+    assert (record["seconds"], record["pairs"]) == (2.5, 4)
+    assert record["failed"] == {"parent": 0, "change": 0}
+    assert record["comparable"] == {"parent": [True, True, False, True],
+                                    "change": [True] * 4}
+    host = record["metrics"]["host_us_per_op"]
+    assert host["parent"] == [101.0, 102.0, 100.0, 101.0]
+    assert host["change"] == [91.0, 92.0, 90.0, 91.0]
+    assert host["median"] == {"parent": 101.0, "change": 91.0}
+    assert host["q1"]["parent"] <= 101.0 <= host["q3"]["parent"]
+    assert (host["wins"], host["losses"]) == (4, 0)
+    assert host["verdict"] == "claim holds"
+    assert record["metrics"]["peak_rss_mb"]["verdict"] == "within bound"
+
+    ledger = tmp_path / "pairs.jsonl"
+    head = {"parent": "a" * 40, "change": "b" * 40, "dirty": True}
+    host_pairs.append_record(ledger, head, record)
+    host_pairs.append_record(ledger, head, record)
+    lines = ledger.read_text().splitlines()
+    assert len(lines) == 2
+    assert json.loads(lines[1]) == {**head, **record}

@@ -7,7 +7,9 @@ trace's transfer list hold that by count: once a route pair has been
 used, one more ``migrate`` reads each route from its memoized route
 record — no ``route``, ``route_latency`` or ``link_class`` call — prices
 no message it has priced before, and enters its H stall edges with one
-``extend``.  When every *message* walked the route (and ``_receive``
+``extend``.  A first use asks for no ``link_class`` either (the preset
+builds the record from its shape) and marks its fresh pair rows for the
+telemetry window without copying them.  When every *message* walked the route (and ``_receive``
 and ``_stall_edges`` walked it again) each of these counts grew with
 messages × hops.  Counts, not wall-clock: these cannot flake.
 """
@@ -17,6 +19,7 @@ from types import SimpleNamespace
 import pytest
 
 from repro import ClusterSpec
+from repro.cluster.transport import CounterRow
 from repro.kernel import Machine
 from repro.mem import PAGE_SIZE, Page
 
@@ -66,14 +69,24 @@ def world(request):
     return machine, space, frames, calls
 
 
-def test_a_first_use_asks_for_a_class_once_per_new_row(world):
+def test_a_first_use_asks_the_topology_for_no_class(world, monkeypatch):
     machine, space, frames, calls = world
+    marks = []
+    as_dict = CounterRow.as_dict
+
+    def counted_as_dict(row):
+        marks.append(type(row))
+        return as_dict(row)
+
+    monkeypatch.setattr(CounterRow, "as_dict", counted_as_dict)
     machine.transport.migrate(space, SRC, DST, frames)
     hops = machine.topology.distance(SRC, DST)
     assert hops == 4 and len(machine.transport.links) == 2 * hops
-    # One per hop of each new route record; the rows take their class
-    # from the record.
-    assert calls["link_class"] == len(machine.transport.links)
+    # The route records come from the preset's shape and the rows take
+    # their class from the record: the topology is asked for none.
+    assert calls.get("link_class", 0) == 0
+    # The two fresh pair rows are marked None, not with a copy of zeros.
+    assert len(machine.transport.pairs) == 2 and marks == []
     # A price per distinct (message size, byte factor): MIGRATE, the
     # PAGE_BATCH and the ACK over one byte factor (fat_tree) or two.
     assert calls["link_message"] <= MESSAGES * 2
@@ -108,3 +121,20 @@ def test_a_used_route_is_walked_once_per_leg(world):
     assert after["messages"] - before["messages"] == 2
     assert after["by_type"] == {"MIGRATE": 2, "PAGE_BATCH": 2, "ACK": 1}
     assert transport.conservation_ok()
+
+
+def test_a_row_born_in_a_window_reports_from_its_creation(world):
+    machine, space, frames, _ = world
+    transport = machine.transport
+    transport.take_window()
+    transport.migrate(space, SRC, DST, frames)
+    born = transport.pairs[SRC, DST].bytes
+    assert transport._marks["pairs"][SRC, DST] is None
+    window = transport.take_window()
+    assert window.pair_bytes[SRC, DST] == born > 0
+    transport.migrate(space, DST, SRC, [])
+    transport.migrate(space, SRC, DST, [])
+    grown = transport.pairs[SRC, DST].bytes - born
+    assert transport._marks["pairs"][SRC, DST] == {"bytes": born}
+    assert transport.take_window().pair_bytes[SRC, DST] == grown > 0
+    assert transport.take_window().pair_bytes == {}

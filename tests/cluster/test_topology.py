@@ -18,6 +18,7 @@ from repro.cluster.topology import (
 from repro.common.errors import KernelError
 from repro.kernel import Machine, child_ref
 from repro.mem import PAGE_SIZE
+from repro.timing.model import CostModel
 from repro.timing.schedule import schedule
 
 ADDR = 0x10_0000
@@ -69,6 +70,40 @@ def test_routes_are_symmetric():
                     (topo, src, dst)
 
 
+#: The presets plus ragged racks, a lone spine and one-node racks.
+RECORDED = PRESETS + [
+    TwoTierTopology(7, rack_size=3),
+    FatTreeTopology(10, rack_size=4),
+    FatTreeTopology(5, rack_size=1),
+]
+
+
+@pytest.mark.parametrize("topo", RECORDED, ids=lambda topo: (
+    f"{topo.name}{topo.nnodes}:{getattr(topo, 'rack_size', topo.nnodes)}"))
+def test_a_route_record_is_what_its_links_classify_as(topo):
+    """A preset builds each record from its shape; it must be what the
+    per-link definition says, link by link, and be built once."""
+    cost = CostModel()
+    names = {}
+    for src in range(topo.nnodes):
+        for dst in range(topo.nnodes):
+            record = topo.route_record(src, dst)
+            route = record[0]
+            classes = tuple(map(topo.link_class, route))
+            factor = sum(cls.latency_factor for cls in classes)
+            assert record == (route, classes, factor), (src, dst)
+            assert topo.route_record(src, dst) is record
+            assert topo.route_latency(cost, src, dst) == \
+                int(cost.net_latency * factor)
+            for end in (end for link in route for end in link
+                        if isinstance(end, str)):
+                assert names.setdefault(end, end) is end, (src, dst, end)
+    # ... and the placement policies' uplinks name them with the same.
+    for rack in range(len(topo.racks())):
+        for link in topo.uplinks(rack):
+            assert all(names[end] is end for end in link), link
+
+
 def test_flat_routes_are_single_direct_hops():
     topo = FlatTopology(4)
     assert topo.route(0, 3) == ((0, 3),)
@@ -89,7 +124,6 @@ def test_switched_routes_go_through_switches():
 
 
 def test_two_tier_cross_rack_latency_exceeds_intra():
-    from repro.timing.model import CostModel
     cost = CostModel()
     topo = TwoTierTopology(8, rack_size=2)
     intra = topo.route_latency(cost, 0, 1)

@@ -10,7 +10,9 @@ in lockstep through a drawn sequence of ``migrate`` / ``fetch`` /
 frame objects.  After every step the two must be indistinguishable:
 every link, node and pair row (values *and* insertion order, ``by_type``
 included), the seven scalars, ``trace.transfers``, ``trace.edges``, the
-queued exchanges with their ``RetxBill`` and the route samples.
+queued exchanges with their ``RetxBill`` and the route samples — and the
+telemetry marks by meaning: the reference copies a fresh row
+(``as_dict``), production marks it None.
 """
 
 from types import SimpleNamespace
@@ -22,6 +24,7 @@ from wire_oracle import ReferenceTransport
 from repro import ClusterSpec
 from repro.bench import cluster_workloads as cw
 from repro.cluster import Transport
+from repro.cluster.transport import NodeStats, PairStats
 from repro.common.errors import NetworkLossError
 from repro.kernel import Machine
 from repro.mem import PAGE_SIZE, Page
@@ -37,6 +40,9 @@ LOSSES = {
     "1%": 0.01,
     "30%": {"drop": 0.3, "seed": 7},
 }
+
+#: The mark of a row the window saw born, as a copy of it reads.
+ZERO = {"nodes": NodeStats().as_dict(), "pairs": PairStats().as_dict()}
 
 nodes = st.integers(0, NODES - 1)
 frame_sets = st.lists(st.integers(0, FRAMES - 1), unique=True, max_size=5)
@@ -142,7 +148,9 @@ def observe(machine):
                   for node, row in transport.nodes.items()],
         "pairs": [(pair, row.as_dict())
                   for pair, row in transport.pairs.items()],
-        "marks": {table: list(marks.items())
+        # A fresh row's None mark means what the all-zero copy did.
+        "marks": {table: [(key, ZERO[table] if mark is None else mark)
+                          for key, mark in marks.items()]
                   for table, marks in transport._marks.items()},
         "scalars": {name: getattr(transport, name)
                     for name in Transport.SCALARS},
