@@ -97,18 +97,12 @@ def test_ablation_delta_ship():
 
 def test_sweep_invariant_under_all_modes():
     """sweep_nodes' same-value-at-every-size check holds per mode."""
-    from repro.cluster import sweep_nodes
-
     def sweep_all():
         out = {}
         for mode, spec in MODES:
-            series = sweep_nodes(
-                lambda n: (lambda g: cw.md5_tree(
-                    g, n, *cw._md5_params(3))),
-                node_counts=(1, 2, 4),
-                spec=spec,
-            )
-            out[mode] = {n: result.value for n, (_, result) in series.items()}
+            series = cw.sweep_nodes(cw.md5_tree_main(3),
+                                    node_counts=(1, 2, 4), spec=spec)
+            out[mode] = {n: value for n, (_, _, value) in series.items()}
         return out
 
     values = sweep_all()

@@ -57,7 +57,6 @@ from repro.common.errors import (
     WireError,
 )
 from repro.kernel import Machine, MachineResult, Trap, child_ref
-from repro.cluster.cluster import Cluster, sweep_nodes
 from repro.cluster.serving import ServingResult, serve_trace
 from repro.cluster.spec import ClusterSpec
 from repro.timing import CostModel
@@ -81,8 +80,6 @@ __all__ = [
     "Trap",
     "child_ref",
     "ClusterSpec",
-    "Cluster",
-    "sweep_nodes",
     "serve_trace",
     "ServingResult",
     "RealRunResult",

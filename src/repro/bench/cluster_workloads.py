@@ -25,8 +25,10 @@ from repro.bench.workloads.md5 import (
     ALPHABET,
     candidate,
 )
-from repro.cluster.cluster import Cluster
+from repro.cluster.cluster import fork_child, join_child
+from repro.cluster.spec import NODE_CPUS
 from repro.kernel.kernel import child_ref
+from repro.kernel.machine import Machine
 from repro.mem.layout import SHARED_BASE
 from repro.mem.page import PAGE_SIZE
 
@@ -45,20 +47,6 @@ def _publish_digest(g, digest):
 def _read_digest(g):
     """Read the search target back out of the (copied) share."""
     return g.read(DIGEST_ADDR, 32).decode()
-
-
-def _fork_on(g, local, node, entry, args):
-    ref = child_ref(local, node=node)
-    addr, size = SHARE
-    g.kcharge(g.cost.fork_image_pages * g.cost.page_map)
-    g.put(ref, regs={"entry": entry, "args": tuple(args)},
-          copy=(addr, size), snap=(addr, size), start=True)
-    return ref
-
-
-def _join(g, ref):
-    g.kcharge(g.cost.fork_image_pages * g.cost.page_scan)
-    return g.get(ref, regs=True, merge=True)["r0"]
 
 
 # ---------------------------------------------------------------------------
@@ -94,13 +82,11 @@ def md5_circuit(g, nnodes, length, digest):
     for node in range(nnodes):
         start = node * per
         count = max(0, min(per, space - start))
-        refs.append(
-            _fork_on(g, 1, node, _md5_node_worker,
-                     (start, count, length))
-        )
+        refs.append(fork_child(g, child_ref(1, node=node), SHARE,
+                               _md5_node_worker, (start, count, length)))
     found = 0
     for ref in refs:          # retrace the same circuit to collect
-        hit = _join(g, ref)
+        hit = join_child(g, ref)
         if hit:
             found = hit - 1
     return candidate(found, length)
@@ -114,15 +100,15 @@ def _md5_tree_worker(g, node_lo, node_hi, start, count, length):
         mid = node_lo + nodes // 2
         left_count = (count * (mid - node_lo)) // nodes
         right_count = count - left_count
-        left = _fork_on(
-            g, 2, node_lo, _md5_tree_worker,
+        left = fork_child(
+            g, child_ref(2, node=node_lo), SHARE, _md5_tree_worker,
             (node_lo, mid, start, left_count, length))
-        right = _fork_on(
-            g, 3, mid, _md5_tree_worker,
+        right = fork_child(
+            g, child_ref(3, node=mid), SHARE, _md5_tree_worker,
             (mid, node_hi, start + left_count, right_count, length))
         # Children recurse; this space searches nothing itself.
-        hit_l = _join(g, left)
-        hit_r = _join(g, right)
+        hit_l = join_child(g, left)
+        hit_r = join_child(g, right)
         return hit_l or hit_r
     return _md5_node_worker(g, start, count, length)
 
@@ -131,9 +117,9 @@ def md5_tree(g, nnodes, length, digest):
     """Recursive binary-tree distribution of the same search."""
     _publish_digest(g, digest)
     space = len(ALPHABET) ** length
-    ref = _fork_on(g, 1, 0, _md5_tree_worker,
-                   (0, nnodes, 0, space, length))
-    hit = _join(g, ref)
+    ref = fork_child(g, child_ref(1, node=0), SHARE, _md5_tree_worker,
+                     (0, nnodes, 0, space, length))
+    hit = join_child(g, ref)
     return candidate((hit or 1) - 1, length)
 
 
@@ -146,13 +132,15 @@ def _matmult_tree_worker(g, node_lo, node_hi, n, row0, rows):
     if nodes > 1 and rows > 1:
         mid_node = node_lo + nodes // 2
         mid_rows = rows * (mid_node - node_lo) // nodes
-        left = _fork_on(g, 2, node_lo, _matmult_tree_worker,
-                        (node_lo, mid_node, n, row0, mid_rows))
-        right = _fork_on(g, 3, mid_node, _matmult_tree_worker,
-                         (mid_node, node_hi, n, row0 + mid_rows,
-                          rows - mid_rows))
-        _join(g, left)
-        _join(g, right)
+        left = fork_child(g, child_ref(2, node=node_lo), SHARE,
+                          _matmult_tree_worker,
+                          (node_lo, mid_node, n, row0, mid_rows))
+        right = fork_child(g, child_ref(3, node=mid_node), SHARE,
+                           _matmult_tree_worker,
+                           (mid_node, node_hi, n, row0 + mid_rows,
+                            rows - mid_rows))
+        join_child(g, left)
+        join_child(g, right)
         return rows
     from repro.bench.api import DetApi
     return matmult_workload._multiply_block(DetApi(g), 0, n, row0, rows)
@@ -167,8 +155,8 @@ def matmult_tree(g, nnodes, n, seed):
     g.array_write(a_addr, a)
     g.array_write(b_addr, b)
     g.work(2 * n * n)
-    ref = _fork_on(g, 1, 0, _matmult_tree_worker, (0, nnodes, n, 0, n))
-    _join(g, ref)
+    join_child(g, fork_child(g, child_ref(1, node=0), SHARE,
+                             _matmult_tree_worker, (0, nnodes, n, 0, n)))
     c = g.array_read(c_addr, np.int32, n * n)
     return int(c.sum() & 0xFFFFFFFF)
 
@@ -232,18 +220,14 @@ def matmult_skewed(g, nnodes, n, work, seed):
             for p in range(SKEW_WIDTH):
                 g.write(addr + p * PAGE_SIZE, bytes([(sl + r + p) & 0xFF]) * 4)
         hot = r % nslices
-        addr, size = _skew_slice(hot)
         # Circuit-style serial visits (fork_i, join_i): every visit is
         # a quantum boundary, so a depth lesson learned on one node's
         # churn reprices the very next node's fork — the fastest the
         # control loop can possibly react.
         for i in range(nnodes):
-            ref = child_ref(16 + i, node=i)
-            g.kcharge(g.cost.fork_image_pages * g.cost.page_map)
-            g.put(ref, regs={"entry": _skew_worker,
-                             "args": (hot, work, r + i)},
-                  copy=(addr, size), snap=(addr, size), start=True)
-            checksum = (checksum + _join(g, ref)) & 0xFFFFFFFF
+            ref = fork_child(g, child_ref(16 + i, node=i), _skew_slice(hot),
+                             _skew_worker, (hot, work, r + i))
+            checksum = (checksum + join_child(g, ref)) & 0xFFFFFFFF
     # Phase B: bulk-streaming matmult trees on the same cluster, whose
     # one-shot streams reward exactly the depth phase A punished.
     total = 0
@@ -267,18 +251,46 @@ def run_cluster(entry_builder, nnodes, spec=None):
     """Run a cluster benchmark on ``nnodes`` uniprocessor nodes.
 
     ``entry_builder(g, nnodes)`` is the guest main.  Returns
-    ``(makespan, machine, value)``; the makespan uses one CPU per node,
-    as in the paper's cluster (§6.3) unless the spec says otherwise.
-    Configuration comes from a :class:`~repro.cluster.spec.ClusterSpec`:
-    ``ship_mode="full"`` for the naive every-page-every-hop migration
-    baseline, ``topology``/``placement`` for the routed fabric,
+    ``(makespan, machine, value)``; the makespan is scheduled on
+    :data:`~repro.cluster.spec.NODE_CPUS` per node, as in the paper's
+    cluster (§6.3), also at one node.  Raises ``RuntimeError`` if the
+    program faults.  Configuration comes from a
+    :class:`~repro.cluster.spec.ClusterSpec`: ``ship_mode="full"`` for
+    the naive every-page-every-hop migration baseline,
+    ``topology``/``placement`` for the routed fabric,
     ``prefetch_depth``/``compression`` for the async fetch queues and
     wire compression, ``loss`` for the deterministic fault schedule,
     ``control`` for the adaptive control plane, ``shard_workers`` for
     forked host execution.
     """
-    result = Cluster(nnodes, spec).run(entry_builder, (nnodes,))
-    return result.makespan(), result.machine, result.value
+    with Machine(nnodes=nnodes, spec=spec) as machine:
+        result = machine.run(entry_builder, (nnodes,), ncpus=NODE_CPUS) \
+            .check("cluster program")
+    return result.makespan(), machine, result.value
+
+
+def sweep_nodes(main, node_counts, spec=None):
+    """Run ``main(g, nnodes)`` at every cluster size in ``node_counts``
+    under one ``spec`` (the Figure 11 primitive).
+
+    Returns ``{nnodes: (speedup, machine, value)}``, each speedup over
+    the first size's makespan.  Every size must compute the same value
+    — distribution is semantically transparent (§3.3) and loss is
+    cost-only — so a drift raises ``AssertionError``.  Each size builds
+    its own fabric from the spec's ``topology`` preset.
+    """
+    series = {}
+    for nnodes in node_counts:
+        makespan, machine, value = run_cluster(main, nnodes, spec)
+        if not series:
+            base_time, base_value = makespan, value
+        elif value != base_value:
+            raise AssertionError(
+                f"value drift at {nnodes} nodes: "
+                f"{value!r} != {base_value!r}")
+        series[nnodes] = (base_time / makespan if makespan else 1.0,
+                          machine, value)
+    return series
 
 
 def md5_circuit_main(length=4):

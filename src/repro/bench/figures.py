@@ -127,47 +127,30 @@ def figure11(node_counts=FIG11_NODES, md5_length=4, matmult_n=512):
     (see DESIGN.md on this deliberate divergence).
     """
     naive_spec = ClusterSpec(ship_mode="full", cost=CostModel(msg_batch=1))
-    builders = {
-        "md5-circuit": (lambda: cw.md5_circuit_main(md5_length),
-                        ClusterSpec()),
-        "md5-tree": (lambda: cw.md5_tree_main(md5_length), ClusterSpec()),
-        "matmult-tree": (lambda: cw.matmult_tree_main(matmult_n),
-                         ClusterSpec()),
-        "matmult-naive": (lambda: cw.matmult_tree_main(matmult_n),
-                          naive_spec),
+    mains = {
+        "md5-circuit": (cw.md5_circuit_main(md5_length), None),
+        "md5-tree": (cw.md5_tree_main(md5_length), None),
+        "matmult-tree": (cw.matmult_tree_main(matmult_n), None),
+        "matmult-naive": (cw.matmult_tree_main(matmult_n), naive_spec),
     }
-    series = {}
-    for name, (build, spec) in builders.items():
-        base_time, _, base_value = cw.run_cluster(build(), nnodes=1,
-                                                  spec=spec)
-        series[name] = {}
-        for nodes in node_counts:
-            time, _, value = cw.run_cluster(build(), nnodes=nodes, spec=spec)
-            assert value == base_value, f"{name}: result drift at {nodes} nodes"
-            series[name][nodes] = base_time / time
-    return series
+    return {name: _speedups(main, node_counts, spec)
+            for name, (main, spec) in mains.items()}
+
+
+def _speedups(main, node_counts, spec):
+    """``{nodes: speedup}`` of one
+    :func:`~repro.bench.cluster_workloads.sweep_nodes` series."""
+    return {nodes: speedup for nodes, (speedup, _, _)
+            in cw.sweep_nodes(main, node_counts, spec).items()}
 
 
 def _matmult_cells(cells, node_counts, matmult_n):
     """matmult-tree speedup per ``(label, spec)`` cell:
-    ``{label: {nodes: speedup}}``.  All cells share the 1-node baseline:
-    a single node never touches the wire, so every cell's 1-node run
-    *is* that baseline."""
-    base_time, _, base_value = cw.run_cluster(
-        cw.matmult_tree_main(matmult_n), nnodes=1)
-    series = {}
-    for label, spec in cells:
-        series[label] = {}
-        for nodes in node_counts:
-            if nodes == 1:
-                series[label][1] = 1.0
-                continue
-            time, _, value = cw.run_cluster(
-                cw.matmult_tree_main(matmult_n), nnodes=nodes, spec=spec)
-            assert value == base_value, \
-                f"{label}: result drift at {nodes} nodes"
-            series[label][nodes] = base_time / time
-    return series
+    ``{label: {nodes: speedup}}``.  A single node never touches the
+    wire, so every cell's 1-node run is the same baseline."""
+    main = cw.matmult_tree_main(matmult_n)
+    return {label: _speedups(main, node_counts, spec)
+            for label, spec in cells}
 
 
 #: Fabric presets compared by :func:`figure11_topology` — rack size 2

@@ -41,22 +41,18 @@ owns *how* it crosses and what that costs:
   wraps the ``MachineResult`` with wall-clock, image and wire ledgers).
   It, like the control plane (:mod:`repro.cluster.control`), is
   imported from its own module: this package does not load either;
-* :class:`Cluster` — construct, run and time a multi-node machine with
-  one call; like every runner it returns the run's
-  :class:`~repro.kernel.machine.MachineResult` (``value``,
-  ``makespan()`` on ``NODE_CPUS``, ``network``);
 * :class:`NetworkStats` — a read-through view of the transport's
   ledgers (it copies nothing): migration hops, page/byte/message
   totals, per-class (rack vs cross-rack) aggregates
   (``NetworkStats.class_table()``), a per-link breakdown
   (``NetworkStats.link_table()``), and the telemetry window
-  (``NetworkStats.window()``), the same on every backend;
-* :func:`sweep_nodes` — run the same program across cluster sizes and
-  collect the speedup series (the Figure 11 primitive).
+  (``NetworkStats.window()``), the same on every backend.
+
+Cluster programs fork and join across nodes with
+:mod:`repro.cluster.cluster`'s ``fork_child`` / ``join_child``.
 """
 
 from repro.cluster.network import NetworkStats
-from repro.cluster.cluster import Cluster, sweep_nodes
 from repro.cluster.faults import RetxBill
 from repro.cluster.topology import LinkClass
 from repro.cluster.transport import (
@@ -68,7 +64,7 @@ from repro.cluster.transport import (
 )
 
 __all__ = [
-    "NetworkStats", "Cluster", "sweep_nodes",
+    "NetworkStats",
     "RetxBill", "TelemetryWindow",
     "Transport", "MsgType", "LinkStats", "PrefetchExchange", "LinkClass",
 ]

@@ -85,7 +85,6 @@ def _distinct_pages(space):
 def _batched(items, size):
     """``items`` in chunks of ``size`` (the cost model's scatter/gather
     batch, replicated on the real wire)."""
-    size = max(1, size)
     for i in range(0, len(items), size):
         yield items[i:i + size]
 

@@ -1,57 +1,32 @@
-"""High-level cluster runner."""
+"""Cross-node fork and join: the one Put/Get pair cluster programs use."""
 
-from repro.cluster.spec import NODE_CPUS, ClusterSpec
-from repro.kernel.machine import Machine
-
-
-class Cluster:
-    """A homogeneous cluster of ``nnodes`` machines (paper §3.3, §6.3).
-
-    >>> cluster = Cluster(nnodes=8)                     # doctest: +SKIP
-    >>> result = cluster.run(my_distributed_program)
-    >>> result.makespan(), result.network.summary()
-    """
-
-    def __init__(self, nnodes, spec=None):
-        self.nnodes = nnodes
-        #: The validated :class:`~repro.cluster.spec.ClusterSpec` every
-        #: machine this cluster builds will run under.
-        self.spec = spec if spec is not None else ClusterSpec()
-
-    def run(self, entry, args=()):
-        """Run ``entry(g, *args)`` as the root program; returns its
-        :class:`~repro.kernel.machine.MachineResult`, scheduled on
-        :data:`~repro.cluster.spec.NODE_CPUS`.  Raises if the program
-        faults."""
-        with Machine(nnodes=self.nnodes, spec=self.spec) as machine:
-            return machine.run(entry, args, ncpus=NODE_CPUS) \
-                .check("cluster program")
+from repro.kernel.traps import Trap
+from repro.runtime.threads import ThreadFault
 
 
-def sweep_nodes(entry_builder, node_counts, spec=None):
-    """Run ``entry_builder(nnodes)``'s program across cluster sizes.
+def fork_child(g, ref, share, entry, args):
+    """Start ``entry(g, *args)`` in child ``ref`` (a ``child_ref``
+    naming its node) with a snapshot of the ``(addr, size)`` share: one
+    Put with Copy + Snap + Start, after COW-mapping the program image.
+    The caller migrates to the child's node to do it (§3.3).  Returns
+    ``ref``."""
+    addr, size = share
+    g.kcharge(g.cost.fork_image_pages * g.cost.page_map)
+    g.put(ref, regs={"entry": entry, "args": tuple(args)},
+          copy=(addr, size), snap=(addr, size), start=True)
+    return ref
 
-    Returns ``{nnodes: (speedup_vs_first, MachineResult)}``.  Every size
-    must compute the same value — distribution is semantically
-    transparent (§3.3), and a ``loss`` schedule must never break it
-    (faults are cost-only).  One
-    :class:`~repro.cluster.spec.ClusterSpec` applies to *every* size, so
-    sweeps compare like with like; each size builds its own fabric from
-    the ``topology`` preset.
-    """
-    series = {}
-    base_time = None
-    base_value = None
-    for nnodes in node_counts:
-        cluster = Cluster(nnodes, spec=spec)
-        result = cluster.run(entry_builder(nnodes))
-        time = result.makespan()
-        if base_time is None:
-            base_time, base_value = time, result.value
-        if result.value != base_value:
-            raise AssertionError(
-                f"value drift at {nnodes} nodes: "
-                f"{result.value!r} != {base_value!r}"
-            )
-        series[nnodes] = (base_time / time if time else 1.0, result)
-    return series
+
+def join_child(g, ref):
+    """Get with Merge from child ``ref``; returns its r0.
+
+    A child that stopped on a fault trap — its entry raised, or the
+    way home exhausted its retransmissions — raises
+    :class:`~repro.runtime.threads.ThreadFault` here, as ``thread_join``
+    does, so a fault never reads as a value."""
+    g.kcharge(g.cost.fork_image_pages * g.cost.page_scan)
+    view = g.get(ref, regs=True, merge=True)
+    trap = view["trap"]
+    if trap not in (Trap.EXIT, Trap.RET):
+        raise ThreadFault(ref, trap, view["trap_info"])
+    return view["r0"]

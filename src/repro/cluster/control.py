@@ -27,8 +27,7 @@ feedback loop *deterministically*:
   the trace (:attr:`~repro.timing.trace.Trace.decisions`) anchored at
   the deciding segment, and costs the guest nothing (the controller
   runs beside the kernel, on the management plane) — so replaying the
-  trace replays the decisions' consequences exactly, on either
-  schedule engine.
+  trace replays the decisions' consequences exactly.
 
 Three policies ship:
 

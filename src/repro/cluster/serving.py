@@ -25,6 +25,7 @@ continues on the survivors.
 """
 
 from repro.bench.workloads import serving as workload
+from repro.cluster.cluster import fork_child, join_child
 from repro.cluster.spec import NODE_CPUS
 from repro.kernel.kernel import child_ref
 from repro.kernel.machine import Machine
@@ -120,23 +121,6 @@ def _active_at(plan, t):
     return nactive
 
 
-def _fork_request(g, rid, vnode):
-    """Fork request ``rid``'s child onto virtual node ``vnode``, carrying
-    a snapshot of the serving share (the dispatcher migrates there —
-    dispatch cost *is* migration cost)."""
-    ref = child_ref(REQ_LOCAL_BASE + rid, node=vnode)
-    addr, size = workload.SHARE
-    g.kcharge(g.cost.fork_image_pages * g.cost.page_map)
-    g.put(ref, regs={"entry": workload.serve_request, "args": (rid,)},
-          copy=(addr, size), snap=(addr, size), start=True)
-    return ref
-
-
-def _join_request(g, ref):
-    g.kcharge(g.cost.fork_image_pages * g.cost.page_scan)
-    return g.get(ref, regs=True, merge=True)["r0"]
-
-
 def _advance_lag(machine, uid, state):
     """Accumulate the dispatcher's *schedule-time lag*: link delays on
     transfers it waited for (its own MIGRATE hops, mostly), which move
@@ -196,18 +180,21 @@ def _dispatch(g, machine, arrivals, plan, refs_out, values_out):
             keep = []
             for orid, oref, ovnode in outstanding:
                 if ovnode >= nactive:
-                    values_out[orid] = _join_request(g, oref)
+                    values_out[orid] = join_child(g, oref)
                 else:
                     keep.append((orid, oref, ovnode))
             outstanding = keep
         nactive_prev = nactive
         vnode = dispatched % nactive
         dispatched += 1
-        ref = _fork_request(g, rid, vnode)
+        # The dispatcher migrates to the request's node to fork it:
+        # dispatch cost *is* migration cost.
+        ref = fork_child(g, child_ref(REQ_LOCAL_BASE + rid, node=vnode),
+                         workload.SHARE, workload.serve_request, (rid,))
         refs_out[rid] = ref
         outstanding.append((rid, ref, vnode))
     for orid, oref, _ in outstanding:
-        values_out[orid] = _join_request(g, oref)
+        values_out[orid] = join_child(g, oref)
     return workload.fold_checksum(
         values_out[rid] for rid in range(len(arrivals)))
 

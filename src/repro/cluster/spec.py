@@ -3,9 +3,9 @@
 The eleven knobs (`tcp_mode`, `ship_mode`, `topology`, `placement`,
 `prefetch_depth`, `compression`, `loss`, `control`, `shard_workers`,
 `cost`, `backend`) are fields of one frozen dataclass,
-and every entry point — ``Machine``, ``Cluster``, ``sweep_nodes``,
-``run_cluster``, ``serve_trace``, ``run_backend`` — takes it as
-``spec=`` and nothing else:
+and every entry point — ``Machine``, ``run_cluster``, ``sweep_nodes``,
+``serve_trace``, ``run_backend`` — takes it as ``spec=`` and nothing
+else:
 
 * **One validation site.**  ``ship_mode`` membership,
   ``prefetch_depth``/``shard_workers`` range and type (an ``int``, never
@@ -30,12 +30,13 @@ run.
 
 Typical use::
 
-    from repro import ClusterSpec, Cluster
+    from repro import ClusterSpec
+    from repro.bench.cluster_workloads import run_cluster
 
     spec = ClusterSpec(ship_mode="demand", prefetch_depth=16,
                        topology="two_tier:2", placement="locality",
                        loss=0.01, compression=True)
-    result = Cluster(nnodes=8, spec=spec).run(my_program)
+    makespan, machine, value = run_cluster(my_main, 8, spec=spec)
 """
 
 from dataclasses import dataclass, replace
@@ -60,7 +61,7 @@ class ClusterSpec:
     """Immutable bundle of every cross-cutting configuration knob.
 
     ``docs/knobs.md`` is the full field reference; the defaults are a
-    bare ``Machine()``/``Cluster(...)``.
+    bare ``Machine()``/``run_cluster(...)``.
     """
 
     #: Cycle-price table (None -> a default :class:`CostModel` per run).

@@ -674,7 +674,7 @@ class Transport:
         machine = self.machine
         cost = machine.cost
         compressed = machine.spec.compression
-        cap = max(1, cost.msg_batch)
+        cap = cost.msg_batch
         npages = len(frames)
         if compressed:
             sizes = [self.wire_size(frame) for frame in frames]

@@ -25,6 +25,7 @@ import threading
 from repro.common.errors import (
     GuestKilled,
     MergeConflictError,
+    NetworkLossError,
     PageFaultError,
     PermissionFault,
 )
@@ -108,12 +109,17 @@ class GuestContext:
         self._back.release()
 
     def _record_stop(self, trap, info="", state=SpaceState.STOPPED):
-        """Record why the space stopped."""
+        """Record why the space stopped.  If the way home exhausts its
+        retransmissions, the space stopped on that EXC fault instead."""
         space = self.space
         # "A space has a home node, to which the space migrates when
         # interacting with its parent on a Ret or trap" (§3.3).
         if space.cur_node != space.home_node:
-            self.engine.machine.kernel.migrate(space, space.home_node)
+            try:
+                self.engine.machine.kernel.migrate(space, space.home_node)
+            except NetworkLossError as exc:
+                trap, info = Trap.EXC, f"NetworkLossError: {exc}"
+                state = SpaceState.STOPPED
         space.trap = trap
         space.trap_info = info
         space.state = state
@@ -127,6 +133,9 @@ class GuestContext:
         """Stop mid-stack (Ret, instruction limit): record why and park
         until the parent resumes the space."""
         self._record_stop(trap, info)
+        if self.space.trap is not trap:
+            # The way home failed: a fault leaves no stack to resume.
+            raise GuestKilled()
         self.park()
 
     # -- worker thread --------------------------------------------------------

@@ -37,9 +37,8 @@ from repro.timing.trace import Trace
 
 class MachineResult:
     """Outcome of a completed :meth:`Machine.run`: the one finished-run
-    object every runner (``Cluster.run``, ``run_cluster``,
-    ``run_backend``, ``run_determinator``, ``serve_trace``) hands back
-    or wraps."""
+    object every runner (``run_cluster``, ``run_backend``,
+    ``run_determinator``, ``serve_trace``) hands back or wraps."""
 
     def __init__(self, machine, ncpus=None):
         self.machine = machine
@@ -103,7 +102,7 @@ class Machine:
         programs=None,
         spec=None,
     ):
-        # Imported lazily: repro.cluster.cluster imports this module and
+        # Imported lazily: repro.cluster.serving imports this module and
         # the package facade imports that one, so a module-level import
         # of any repro.cluster module here would cycle.
         from repro.cluster.faults import resolve_loss
@@ -111,6 +110,8 @@ class Machine:
         from repro.cluster.spec import ClusterSpec
         from repro.cluster.topology import resolve_topology
         from repro.cluster.transport import Transport
+        if type(nnodes) is not int or nnodes < 1:
+            raise ValueError(f"nnodes must be an int >= 1, got {nnodes!r}")
         if spec is None:
             spec = ClusterSpec()
         elif not isinstance(spec, ClusterSpec):

@@ -135,6 +135,14 @@ class CostModel:
     #: declares the link dead and raises NetworkLossError.
     retx_limit: int = 8
 
+    def __post_init__(self):
+        for name, least in (("ncpus", 1), ("msg_batch", 1),
+                            ("retx_limit", 0)):
+            value = getattr(self, name)
+            if type(value) is not int or value < least:
+                raise ValueError(
+                    f"{name} must be an int >= {least}, got {value!r}")
+
     def with_(self, **kwargs):
         """Return a copy with the given fields replaced."""
         return replace(self, **kwargs)

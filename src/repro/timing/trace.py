@@ -56,8 +56,8 @@ class Trace:
         #: plane decision records, anchored at the deciding segment (the
         #: caller's rendezvous segment).  Annotations only: decisions act
         #: on the run through ordinary segments/edges (knob changes,
-        #: migrations, timeout waits), so both schedule engines replay
-        #: their *consequences* without reading this list.  Kept on the
+        #: migrations, timeout waits), so ``schedule()`` replays their
+        #: *consequences* without reading this list.  Kept on the
         #: trace so a replayed trace carries its decision history.
         self.decisions = []
         self._open = {}   # uid -> Segment

@@ -2,6 +2,7 @@
 
 import hashlib
 
+import pytest
 
 from repro import ClusterSpec
 from repro.bench import cluster_workloads as cw
@@ -53,3 +54,23 @@ def test_tcp_mode_increases_time_slightly():
     tcp, _, _ = cw.run_cluster(cw.matmult_tree_main(n=64), 4,
                                spec=ClusterSpec(tcp_mode=True))
     assert plain < tcp < plain * 1.02
+
+
+# A child's fault reaches its parent at the join (§2–3), and loss is
+# cost-only: a drop schedule that kills a message fails the run loudly
+# and never changes the value it returns.  In the trees a *child*
+# exhausts its retransmissions first; the circuit's children send no
+# message of their own (only the travelling root does), so there the
+# root's fault is the one to surface.
+LOSSY = {"drop": 0.7, "seed": 2010}
+
+
+@pytest.mark.parametrize("main, fault", [
+    (cw.md5_tree_main(2), "EXC ThreadFault: .*NetworkLossError"),
+    (cw.matmult_tree_main(64), "EXC ThreadFault: .*NetworkLossError"),
+    (cw.md5_circuit_main(2), "EXC NetworkLossError"),
+], ids=["md5-tree", "matmult-tree", "md5-circuit"])
+def test_a_lost_message_fails_the_run_loud(main, fault):
+    with pytest.raises(RuntimeError,
+                       match=f"^cluster program faulted: {fault}"):
+        cw.run_cluster(main, 4, spec=ClusterSpec(loss=LOSSY))

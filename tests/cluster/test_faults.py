@@ -11,6 +11,7 @@ Conservation extends to ``delivered + dropped == sent`` per physical
 link.
 """
 
+import faulthandler
 import hashlib
 import re
 from types import SimpleNamespace
@@ -22,7 +23,7 @@ from repro.bench import cluster_workloads as cw
 from repro.cluster import MsgType, NetworkStats
 from repro.cluster.faults import LossSchedule, resolve_loss
 from repro.common.errors import NetworkLossError
-from repro.kernel import Machine
+from repro.kernel import Machine, Trap, child_ref
 from repro.mem import PAGE_SIZE, Page
 from repro.timing.schedule import schedule
 
@@ -267,3 +268,60 @@ def test_retry_exhaustion_is_a_defined_state(dead, hops_before):
     # MIGRATE, one PAGE_BATCH and the ACK were numbered up front.
     assert transport.messages == 3
     assert machine.trace.transfers == []
+
+
+class FailingLink(DeadLink):
+    """DeadLink for its first ``copies`` copies only, then healed."""
+
+    def __init__(self, link, copies):
+        super().__init__(link)
+        self.copies = copies
+
+    def drops(self, link, serial, attempt=0):
+        if link != self.link or not self.copies:
+            return False
+        self.copies -= 1
+        return True
+
+
+@pytest.mark.parametrize("stop", ["exit", "ret"])
+def test_a_failed_way_home_is_the_spaces_fault(stop):
+    """A space that left its home node migrates back when it stops
+    (§3.3).  If that migration exhausts its retransmissions the stop is
+    still recorded — as the space's EXC fault, which its parent's join
+    reads — no guest thread dies, and a Ret's stack is not resumable.
+    The link drops enough copies to fail two tries: a second try on the
+    way home is the bug."""
+    after_ret = []
+
+    def wanderer(g):
+        g.put(child_ref(1, node=2), regs={"entry": lambda g2: None},
+              start=True)                     # migrates node 1 -> 2
+        g.get(child_ref(1, node=2))
+        copies = 2 * (g.cost.retx_limit + 1)
+        g.machine.loss = FailingLink((2, 1), copies)   # the way home dies
+        if stop == "ret":
+            g.ret()
+            after_ret.append(True)
+        return 7
+
+    def main(g):
+        ref = child_ref(1, node=1)
+        g.put(ref, regs={"entry": wanderer}, start=True)
+        view = g.get(ref, regs=True)
+        return view["trap"], view["trap_info"], view["r0"]
+
+    # A stop left unrecorded hangs the machine's drain: end the process
+    # with every thread's stack instead.
+    faulthandler.dump_traceback_later(30, exit=True)
+    try:
+        with Machine(nnodes=3) as machine:
+            trap, info, _ = machine.run(main).check().value
+            child = machine.root.children[child_ref(1, node=1)]
+            assert child.ctx is None
+    finally:
+        faulthandler.cancel_dump_traceback_later()
+    assert trap is Trap.EXC
+    assert info.startswith("NetworkLossError: MIGRATE msg ")
+    assert "on link (2, 1): all 8 retransmissions dropped" in info
+    assert after_ret == []

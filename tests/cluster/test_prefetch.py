@@ -202,28 +202,27 @@ def test_compression_cuts_wire_bytes_and_cycles():
 # -- sweep plumbing --------------------------------------------------------
 
 def test_sweep_nodes_plumbs_prefetch_and_compression():
-    from repro.cluster import sweep_nodes
+    def main(g, nnodes):
+        g.write(0x10_0000, b"\x05" * (4 * PAGE_SIZE))
+        total = 0
+        for node in range(nnodes):
+            ref = child_ref(1, node=node)
+            g.put(ref, regs={"entry": lambda g2: int(g2.read(0x10_0000, 1)[0])},
+                  copy=(0x10_0000, 4 * PAGE_SIZE), start=True)
+            total += g.get(ref, regs=True)["r0"]
+        return total // nnodes
 
-    def builder(nnodes):
-        def main(g):
-            g.write(0x10_0000, b"\x05" * (4 * PAGE_SIZE))
-            total = 0
-            for node in range(nnodes):
-                ref = child_ref(1, node=node)
-                g.put(ref, regs={"entry": lambda g2: int(g2.read(0x10_0000, 1)[0])},
-                      copy=(0x10_0000, 4 * PAGE_SIZE), start=True)
-                total += g.get(ref, regs=True)["r0"]
-            return total // nnodes
-        return main
-
-    plain = sweep_nodes(builder, node_counts=(2, 4),
-                        spec=ClusterSpec(ship_mode="demand"))
-    tuned = sweep_nodes(builder, node_counts=(2, 4),
-                        spec=ClusterSpec(ship_mode="demand", prefetch_depth=8,
-                                         compression=True))
+    plain = cw.sweep_nodes(main, node_counts=(2, 4),
+                           spec=ClusterSpec(ship_mode="demand"))
+    tuned = cw.sweep_nodes(main, node_counts=(2, 4),
+                           spec=ClusterSpec(ship_mode="demand",
+                                            prefetch_depth=8,
+                                            compression=True))
     for nodes in (2, 4):
-        assert plain[nodes][1].value == tuned[nodes][1].value
-        assert tuned[nodes][1].machine.spec.prefetch_depth == 8
-        assert tuned[nodes][1].machine.spec.compression
-        assert (tuned[nodes][1].network.comp_bytes
-                <= plain[nodes][1].network.raw_bytes)
+        _, plain_machine, plain_value = plain[nodes]
+        _, tuned_machine, tuned_value = tuned[nodes]
+        assert plain_value == tuned_value
+        assert tuned_machine.spec.prefetch_depth == 8
+        assert tuned_machine.spec.compression
+        assert (NetworkStats(tuned_machine).comp_bytes
+                <= NetworkStats(plain_machine).raw_bytes)

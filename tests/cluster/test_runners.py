@@ -1,20 +1,22 @@
 """One contract over every runner: ``Machine.run(...).check()``,
-``Cluster.run``, ``run_cluster``, ``run_backend``, ``run_determinator``
-and ``serve_trace`` all hand back (or wrap) the run's
-``MachineResult``, so a faulting guest raises the same error from each
-and the same program under the same spec reads the same value and
-makespan through any of them."""
+``run_cluster``, ``run_backend``, ``run_determinator`` and
+``serve_trace`` all hand back (or wrap) the run's ``MachineResult``, so
+a faulting guest raises the same error from each and the same program
+under the same spec reads the same value and makespan through any of
+them."""
 
 from types import SimpleNamespace
 
 import pytest
 
-from repro import Cluster, ClusterSpec, Machine, run_backend, serve_trace
+from repro import ClusterSpec, Machine, run_backend, serve_trace
 from repro.bench import cluster_workloads as cw
 from repro.bench.harness import run_determinator
 from repro.bench.workloads.serving import fold_checksum
+from repro.cluster import NetworkStats
 from repro.cluster.spec import NODE_CPUS
 from repro.kernel.machine import MachineResult
+from repro.timing.schedule import schedule
 
 MD5_TREE = cw.md5_tree_main(3)
 
@@ -30,7 +32,6 @@ def _machine_run():
 
 FAULTING = {
     "Machine.run.check": _machine_run,
-    "Cluster.run": lambda: Cluster(2).run(_boom),
     "run_cluster": lambda: cw.run_cluster(_boom, 2),
     "run_backend": lambda: run_backend(_boom, 2),
     "run_determinator": lambda: run_determinator(
@@ -41,6 +42,25 @@ FAULTING = {
 @pytest.mark.parametrize("runner", FAULTING.values(), ids=FAULTING.keys())
 def test_a_faulting_guest_raises_from_every_runner(runner):
     with pytest.raises(RuntimeError, match="faulted.*EXC.*boom"):
+        runner()
+
+
+BAD_NODE_COUNTS = {
+    "run_cluster-0": lambda: cw.run_cluster(MD5_TREE, 0),
+    "sweep_nodes-0": lambda: cw.sweep_nodes(MD5_TREE, (1, 0)),
+    "Machine--1": lambda: Machine(nnodes=-1),
+    "Machine-True": lambda: Machine(nnodes=True),
+    "Machine-2.0": lambda: Machine(nnodes=2.0),
+    "serve_trace-0": lambda: serve_trace(0, requests=2),
+    "run_backend-real-0": lambda: run_backend(
+        MD5_TREE, 0, ClusterSpec(backend="real")),
+}
+
+
+@pytest.mark.parametrize("runner", BAD_NODE_COUNTS.values(),
+                         ids=BAD_NODE_COUNTS.keys())
+def test_a_bad_node_count_is_refused_naming_it(runner):
+    with pytest.raises(ValueError, match="nnodes must be an int >= 1"):
         runner()
 
 
@@ -56,14 +76,14 @@ def test_check_returns_the_result_of_a_clean_run():
     ClusterSpec(topology="two_tier:2", ship_mode="full"),
 ], ids=["default", "two-tier-2-full"])
 def test_same_program_and_spec_read_the_same_through_every_runner(spec):
-    result = Cluster(4, spec).run(MD5_TREE, (4,))
     makespan, machine, value = cw.run_cluster(MD5_TREE, 4, spec)
     backend = run_backend(MD5_TREE, 4, spec)
-    assert value == backend.value == result.value
-    assert makespan == backend.makespan == result.makespan()
-    assert result.ncpus == backend.result.ncpus == NODE_CPUS
-    assert result.network.per_link == backend.network.per_link
-    assert result.network.wire_bytes == machine.transport.bytes_total > 0
+    assert value == backend.value
+    assert makespan == backend.makespan
+    assert backend.result.ncpus == NODE_CPUS
+    network = NetworkStats(machine)
+    assert network.per_link == backend.network.per_link
+    assert network.wire_bytes == machine.transport.bytes_total > 0
 
 
 def test_a_serving_result_wraps_the_runs_machine_result():
@@ -83,10 +103,9 @@ def test_one_node_cluster_runs_schedule_on_node_cpus():
     # count is read off the same run.
     one_cpu, machine, _ = cw.run_cluster(MD5_TREE, 1)
     assert one_cpu == 15_888_910
-    result = Cluster(1).run(MD5_TREE, (1,))
-    assert result.ncpus == NODE_CPUS != machine.cost.ncpus
-    assert result.makespan() == one_cpu
-    assert result.makespan(ncpus=2) < one_cpu
+    assert NODE_CPUS != machine.cost.ncpus
+    assert schedule(machine.trace, ncpus=NODE_CPUS).makespan == one_cpu
+    assert schedule(machine.trace, ncpus=2).makespan < one_cpu
 
 
 def test_a_backend_result_schedules_its_makespan_once(monkeypatch):

@@ -1,7 +1,7 @@
 """ClusterSpec: one knob vocabulary, one validation site, one spelling.
 
-Every entry point — ``Machine``, ``Cluster``, ``sweep_nodes``,
-``run_cluster``, ``serve_trace``, ``run_backend`` —
+Every entry point — ``Machine``, ``sweep_nodes``, ``run_cluster``,
+``serve_trace``, ``run_backend`` —
 accepts configuration only as ``spec=ClusterSpec(...)``.  These tests
 pin the contract: a bad field value raises at spec construction, a
 mistyped or stray knob keyword is Python's own ``TypeError`` at every
@@ -15,7 +15,7 @@ import inspect
 
 import pytest
 
-from repro import Cluster, ClusterSpec, Machine, sweep_nodes
+from repro import ClusterSpec, Machine
 from repro.bench import cluster_workloads as cw
 from repro.bench.harness import run_determinator
 from repro.cluster.backend import run_backend
@@ -110,9 +110,8 @@ def test_a_live_object_is_refused_naming_its_field(field, value):
 def test_unknown_knob_raises_the_same_typeerror_everywhere():
     for build in (lambda: ClusterSpec(ship_moed="delta"),
                   lambda: Machine(nnodes=2, ship_moed="delta"),
-                  lambda: Cluster(2, ship_moed="delta"),
-                  lambda: sweep_nodes(cw.md5_tree_main, (1,),
-                                      ship_moed="delta"),
+                  lambda: cw.sweep_nodes(cw.md5_tree_main(3), (1,),
+                                         ship_moed="delta"),
                   lambda: cw.run_cluster(cw.md5_tree_main(3), 2,
                                          ship_moed="delta"),
                   lambda: serve_trace(2, requests=2, ship_moed="delta"),
@@ -129,7 +128,7 @@ def test_spec_plus_legacy_knobs_is_refused():
     with pytest.raises(TypeError, match="ship_mode"):
         Machine(nnodes=2, spec=spec, ship_mode="demand")
     with pytest.raises(TypeError, match="loss"):
-        Cluster(2, loss=0.01)
+        cw.run_cluster(cw.md5_tree_main(3), 2, loss=0.01)
     with pytest.raises(TypeError, match="ClusterSpec"):
         Machine(nnodes=2, spec={"ship_mode": "demand"})
     assert Machine(nnodes=2, spec=spec).spec is spec
@@ -152,8 +151,8 @@ def test_machine_keeps_no_copy_of_a_spec_field():
 
 # -- the signature guard ----------------------------------------------------
 
-ENTRY_POINTS = [Machine.__init__, Cluster.__init__, sweep_nodes,
-                cw.run_cluster, serve_trace, run_backend]
+ENTRY_POINTS = [Machine.__init__, cw.sweep_nodes, cw.run_cluster,
+                serve_trace, run_backend]
 
 
 @pytest.mark.parametrize("entry", ENTRY_POINTS,

@@ -5,7 +5,7 @@ import pytest
 
 from repro import ClusterSpec
 from repro.bench import cluster_workloads as cw
-from repro.cluster import MsgType, NetworkStats, sweep_nodes
+from repro.cluster import MsgType, NetworkStats
 from repro.cluster.transport import (
     LinkStats,
     NodeStats,
@@ -313,38 +313,33 @@ def test_no_route_samples_without_a_controller():
 
 # -- sweep_nodes plumbing --------------------------------------------------
 
-def _stable_builder(nnodes):
+def _stable_main(g, nnodes):
     """A program whose value is node-count independent."""
-    def main(g):
-        total = 0
-        for node in range(nnodes):
-            ref = child_ref(1, node=node)
-            g.put(ref, regs={"entry": lambda g2: 21, "args": ()}, start=True)
-            total += g.get(ref, regs=True)["r0"]
-        return total // nnodes
-
-    return main
+    total = 0
+    for node in range(nnodes):
+        ref = child_ref(1, node=node)
+        g.put(ref, regs={"entry": lambda g2: 21, "args": ()}, start=True)
+        total += g.get(ref, regs=True)["r0"]
+    return total // nnodes
 
 
 def test_sweep_nodes_tcp_mode_changes_wire_costs():
     """Regression: sweep_nodes used to drop tcp_mode on the floor."""
-    plain = sweep_nodes(_stable_builder, node_counts=(2,))
-    tcp = sweep_nodes(_stable_builder, node_counts=(2,),
-                      spec=ClusterSpec(tcp_mode=True))
-    plain_wire = plain[2][1].network.wire_cycles
-    tcp_wire = tcp[2][1].network.wire_cycles
-    assert tcp_wire > plain_wire
-    assert plain[2][1].value == tcp[2][1].value
+    _, plain, plain_value = cw.sweep_nodes(_stable_main, node_counts=(2,))[2]
+    _, tcp, tcp_value = cw.sweep_nodes(_stable_main, node_counts=(2,),
+                                       spec=ClusterSpec(tcp_mode=True))[2]
+    assert NetworkStats(tcp).wire_cycles > NetworkStats(plain).wire_cycles
+    assert plain_value == tcp_value
 
 
 def test_sweep_nodes_plumbs_ship_mode_and_tracking():
-    full = sweep_nodes(_stable_builder, node_counts=(1, 2, 4),
-                       spec=ClusterSpec(ship_mode="full"))
-    delta = sweep_nodes(_stable_builder, node_counts=(1, 2, 4))
+    full = cw.sweep_nodes(_stable_main, node_counts=(1, 2, 4),
+                          spec=ClusterSpec(ship_mode="full"))
+    delta = cw.sweep_nodes(_stable_main, node_counts=(1, 2, 4))
     for nodes in (1, 2, 4):
         # Semantic transparency holds in every configuration.
-        assert full[nodes][1].value == delta[nodes][1].value
-        assert full[nodes][1].machine.spec.ship_mode == "full"
+        assert full[nodes][2] == delta[nodes][2]
+        assert full[nodes][1].spec.ship_mode == "full"
 
 
 def test_bad_ship_mode_rejected():

@@ -21,6 +21,25 @@ def test_with_replaces_fields():
     assert tweaked.page_cow == cost.page_cow
 
 
+@pytest.mark.parametrize("field, value", [
+    ("msg_batch", 0), ("msg_batch", -3), ("msg_batch", True),
+    ("msg_batch", 2.0), ("retx_limit", -1), ("retx_limit", False),
+    ("ncpus", 0), ("ncpus", True),
+])
+def test_a_bad_count_is_refused_naming_it(field, value):
+    """No count is clamped downstream: a batch of fewer than one page,
+    a negative retry budget or a node without a CPU is refused here."""
+    with pytest.raises(ValueError, match=f"{field} must be an int"):
+        CostModel(**{field: value})
+    with pytest.raises(ValueError, match=field):
+        CostModel().with_(**{field: value})
+
+
+def test_the_least_counts_are_accepted():
+    cost = CostModel(msg_batch=1, retx_limit=0, ncpus=1)
+    assert (cost.msg_batch, cost.retx_limit, cost.ncpus) == (1, 0, 1)
+
+
 def test_message_cost_scales_with_bytes():
     cost = CostModel()
     small = cost.message(100)
