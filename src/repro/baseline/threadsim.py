@@ -183,8 +183,8 @@ class LinuxMachine:
 
     def _jitter_segment(self, uid):
         """Dilate the open segment by the seeded schedule jitter."""
-        seg = self.trace.current(uid)
-        seg.cycles = int(self.rng.jitter(seg.cycles, self.cost.jitter))
+        sid, cycles = self.trace.current(uid), self.trace.segments.cycles
+        cycles[sid] = int(self.rng.jitter(cycles[sid], self.cost.jitter))
 
     def run(self, main, args=()):
         """Run ``main(lt, *args)`` as the initial thread."""

@@ -204,8 +204,8 @@ class Controller:
             self._decide_placement(machine, window, anchor, caller)
 
     def _record(self, machine, anchor, node, policy, knob, old, new):
-        seg_id = anchor.id if anchor is not None else -1
-        machine.trace.decision(seg_id, node, policy, knob, old, new)
+        machine.trace.decision(anchor if anchor is not None else -1,
+                               node, policy, knob, old, new)
         self.log.append(
             f"w{machine.transport.window_index - 1:>3} {policy:<9} "
             f"{knob}[{node}]: {_fmt_knob(old)} -> {_fmt_knob(new)}")

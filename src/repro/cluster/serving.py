@@ -135,12 +135,12 @@ def _advance_lag(machine, uid, state):
     which is the honest open-loop outcome.
     """
     transfers = machine.trace.transfers
-    segments = machine.trace.segments
+    owner = machine.trace.segments.uid
     best = {}
     for i in range(state["idx"], len(transfers)):
-        src, dst, _link, busy, latency, _cls, _kind = transfers[i]
-        if segments[dst].uid == uid:
-            delay = busy + latency
+        src, dst = transfers.src[i], transfers.dst[i]
+        if owner[dst] == uid:
+            delay = transfers.busy[i] + transfers.latency[i]
             if delay > best.get((src, dst), -1):
                 best[(src, dst)] = delay
     state["idx"] = len(transfers)
@@ -229,10 +229,10 @@ def serve_trace(nnodes, spec=None, requests=160, mean_gap=240_000, seed=11,
         result = machine.run(main, ncpus=NODE_CPUS).check("serving trace")
         finish = schedule(machine.trace, ncpus=NODE_CPUS).finish
         finish_by_uid = {}
-        for seg in machine.trace.segments:
-            t = finish[seg.id]
-            if t > finish_by_uid.get(seg.uid, -1):
-                finish_by_uid[seg.uid] = t
+        for sid, uid in enumerate(machine.trace.segments.uid):
+            t = finish[sid]
+            if t > finish_by_uid.get(uid, -1):
+                finish_by_uid[uid] = t
         latencies = []
         for rid, arrival in enumerate(arrivals):
             uid = machine.root.children[refs[rid]].uid

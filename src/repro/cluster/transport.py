@@ -648,15 +648,20 @@ class Transport:
         busy cycles, latency, kind)`` legs; a non-empty ``bill`` (the
         :class:`~repro.cluster.faults.RetxBill` of a lossy fabric) adds
         its extra occupancy and timeout waits as ``kind="retx"`` edges
-        between the same two segments.  The edges enter
-        ``trace.transfers`` in one ``extend``."""
+        between the same two segments.  Each leg extends every one of the
+        trace's transfer lists once."""
         if bill:
             parts.append((bill.usage, bill.wait, "retx"))
+        transfers = self.machine.trace.transfers
         rows = self.links
-        self.machine.trace.transfers.extend([
-            (src, dst, link, busy, latency, rows[link].cls, kind)
-            for usage, latency, kind in parts
-            for link, busy in usage.items()])
+        for usage, latency, kind in parts:
+            transfers.src.extend([src] * len(usage))
+            transfers.dst.extend([dst] * len(usage))
+            transfers.link.extend(usage)
+            transfers.busy.extend(usage.values())
+            transfers.latency.extend([latency] * len(usage))
+            transfers.cls.extend([rows[link].cls for link in usage])
+            transfers.kind.extend([kind] * len(usage))
 
     def _batches(self, frames):
         """Number one exchange's messages — its head (MIGRATE or
@@ -765,7 +770,7 @@ class Transport:
         trace = machine.trace
         if trace.is_open(space.uid):
             closed, opened = trace.move_node(space.uid, dst)
-            self._stall_edges(closed.id, opened.id,
+            self._stall_edges(closed, opened,
                               [(usage, transit + codec, "migrate")], bill)
 
     def fetch(self, space, origin, node, frames):
@@ -790,7 +795,7 @@ class Transport:
         trace = machine.trace
         if trace.is_open(space.uid):
             closed, opened = trace.cut(space.uid, label="fetch")
-            self._stall_edges(closed.id, opened.id,
+            self._stall_edges(closed, opened,
                               [(req_usage, 0, "fetch"),
                                (resp_usage, transit + codec, "fetch")], bill)
 
@@ -817,10 +822,8 @@ class Transport:
         bill = RetxBill() if machine.loss else None
         codec, transit = self._page_exchange(origin, node, frames, usage,
                                              usage, bill)
-        last = machine.trace.last_closed(space.uid)
-        anchor = last.id if last is not None else None
         exchange = PrefetchExchange(
-            anchor, usage, transit + codec,
+            machine.trace.last_closed(space.uid), usage, transit + codec,
             [(frame, frame.generation) for frame in frames],
             retx=bill, window=self.window_index)
         queue = self.inflight.setdefault(node, {})
@@ -915,7 +918,7 @@ class Transport:
                     cache[frame.serial] = generation
             if opened is not None and exchange.anchor is not None:
                 self._stall_edges(
-                    exchange.anchor, opened.id,
+                    exchange.anchor, opened,
                     [(exchange.usage, exchange.latency, "prefetch")],
                     exchange.retx)
 
@@ -952,10 +955,10 @@ class Transport:
             return
         trace = self.machine.trace
         self._sinks += 1
-        sink = trace.begin(f"~{kind}{self._sinks}@{node}",
-                           node=node, label=kind)
-        trace.end(sink.uid)
-        self._stall_edges(exchange.anchor, sink.id,
+        uid = f"~{kind}{self._sinks}@{node}"
+        sink = trace.begin(uid, node=node, label=kind)
+        trace.end(uid)
+        self._stall_edges(exchange.anchor, sink,
                           [(exchange.usage, exchange.latency, kind)],
                           exchange.retx)
 

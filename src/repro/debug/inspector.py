@@ -180,11 +180,11 @@ class Inspector:
         by trapping, located at its scheduled finish cycle."""
         events = []
         finish = self.timeline.finish
-        for seg in self.trace.segments:
-            if seg.label in FAULT_LABELS and seg.id in finish:
-                image = self.image.find(seg.uid)
+        for sid, uid, _node, _cycles, label, _closed in self.trace.segments:
+            if label in FAULT_LABELS and sid in finish:
+                image = self.image.find(uid)
                 events.append(TrapEvent(
-                    finish[seg.id], seg.id, seg.uid, seg.label,
+                    finish[sid], sid, uid, label,
                     image.trap_info if image is not None else ""))
         events.sort(key=lambda e: (e.cycle, e.seg_id))
         return events
@@ -193,34 +193,31 @@ class Inspector:
         """``uid``'s segment chain, newest first, with cross-space
         arrivals annotated — the debugger's per-space "backtrace"
         (pykdump's BTstack, transposed to deterministic spaces)."""
-        own = [seg for seg in self.trace.segments if seg.uid == uid]
+        trace = self.trace
+        own = [row for row in trace.segments if row[1] == uid]
         if not own:
             raise DebugApiError(f"no trace context {uid!r}")
-        by_id = self.trace.segments
+        owner = trace.segments.uid
         in_edges = {}
-        for src, dst, _latency in self.trace.edges:
-            if by_id[src].uid != by_id[dst].uid:
-                in_edges.setdefault(dst, []).append(
-                    (by_id[src].uid, src, None))
-        for src, dst, _l, _b, _lat, _cls, kind in self.trace.transfers:
-            in_edges.setdefault(dst, []).append((by_id[src].uid, src, kind))
+        for src, dst, _latency in trace.edges:
+            if owner[src] != owner[dst]:
+                in_edges.setdefault(dst, []).append((owner[src], src, None))
+        transfers = trace.transfers
+        for src, dst, kind in zip(transfers.src, transfers.dst,
+                                  transfers.kind):
+            in_edges.setdefault(dst, []).append((owner[src], src, kind))
         start, finish = self.timeline.start, self.timeline.finish
         frames = []
-        for seg in reversed(own[-limit:] if limit else own):
+        for sid, _uid, node, cycles, label, _closed in reversed(
+                own[-limit:] if limit else own):
             frames.append(BacktraceFrame(
-                seg.id, seg.label, seg.node, seg.cycles,
-                start.get(seg.id), finish.get(seg.id),
-                sorted(in_edges.get(seg.id, []), key=lambda e: e[1])))
+                sid, label, node, cycles, start.get(sid), finish.get(sid),
+                sorted(in_edges.get(sid, []), key=lambda e: e[1])))
         return frames
 
     def uids(self):
         """Trace context ids in first-appearance order."""
-        seen, out = set(), []
-        for seg in self.trace.segments:
-            if seg.uid not in seen:
-                seen.add(seg.uid)
-                out.append(seg.uid)
-        return out
+        return list(dict.fromkeys(self.trace.segments.uid))
 
     # -- checkpoints -------------------------------------------------------
 
@@ -303,7 +300,7 @@ class Inspector:
         # predecessor's scheduled finish is <= the zero-cycle segment's,
         # so it is already in the anchor set.  Waiting only on anchors
         # that charged cycles therefore captures at the right moment.
-        cycles_of = {seg.id: seg.cycles for seg in self.trace.segments}
+        cycles_of = self.trace.segments.cycles
         remaining = {sid for sid in anchors if cycles_of[sid] > 0}
         if not remaining:
             remaining = set(anchors)
@@ -312,9 +309,9 @@ class Inspector:
         def prepare(machine):
             machine.shard = None    # serial replay; bit-identical by design
 
-            def on_close(segment):
-                if segment.id in remaining:
-                    remaining.discard(segment.id)
+            def on_close(sid):
+                if sid in remaining:
+                    remaining.discard(sid)
                     if not remaining:
                         capture["image"] = freeze_machine(machine)
 

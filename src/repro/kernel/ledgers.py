@@ -22,10 +22,6 @@ shipped, rewound, adopted, frozen, compared and digested with no
 further code.
 """
 
-from operator import attrgetter
-
-from repro.timing.trace import Segment
-
 
 def _uid_index(uid):
     """Numeric suffix of a machine-assigned space uid (``"s42"`` -> 42);
@@ -47,7 +43,6 @@ class Renumber:
         self.serials = machine.frames._next_serial - self.serial0
         self.uids = machine._uid_counter - self.uid0
         self.segs = len(machine.trace.segments) - self.seg0
-        self._segments = machine.trace.segments
 
     def serial(self, serial):
         return serial + self.serials if serial > self.serial0 else serial
@@ -60,11 +55,6 @@ class Renumber:
 
     def sid(self, sid):
         return sid + self.segs if sid >= self.seg0 else sid
-
-    def segment(self, sid):
-        """The parent's Segment of a worker segment id (the run's new
-        segments are spliced in before anything resolves one)."""
-        return self._segments[self.sid(sid)]
 
 
 _ABSENT = object()
@@ -146,23 +136,21 @@ class Counters(Ledger):
 
 
 class Tail(Ledger):
-    """A sequence a run only appends to: the delta is the suffix
-    (``pack``ed for the wire, ``unpack``ed into the parent's
-    numbering)."""
+    """A sequence a run only appends to (a list, or the trace's
+    :class:`~repro.timing.trace.Columns` taken as records): the delta
+    is the suffix (``unpack``ed into the parent's numbering)."""
 
     ORIGIN = 0
 
-    def __init__(self, key, owner, attr, pack=None, unpack=None):
+    def __init__(self, key, owner, attr, unpack=None):
         super().__init__(key, owner, attr)
-        self.pack = pack
         self.unpack = unpack
 
     def mark(self, machine):
         return len(self.get(machine))
 
     def delta(self, machine, mark):
-        suffix = self.get(machine)[mark:]
-        return suffix if self.pack is None else [self.pack(x) for x in suffix]
+        return self.get(machine)[mark:]
 
     def rewind(self, machine, mark, delta):
         del self.get(machine)[mark:]
@@ -176,14 +164,12 @@ class Tail(Ledger):
 class Table(Ledger):
     """A dict a run writes by key: the delta is the entries it added or
     changed (it removes none).  ``copy`` snapshots values a run mutates
-    in place; ``pack`` makes a value picklable, ``unpack`` renumbers an
-    entry for the parent."""
+    in place; ``unpack`` renumbers an entry for the parent."""
 
-    def __init__(self, key, owner, attr, copy=None, pack=None, unpack=None,
+    def __init__(self, key, owner, attr, copy=None, unpack=None,
                  refuse=None, local=None):
         super().__init__(key, owner, attr, refuse, local)
         self.copy = copy
-        self.pack = pack
         self.unpack = unpack
 
     def mark(self, machine):
@@ -193,10 +179,7 @@ class Table(Ledger):
         return {key: self.copy(value) for key, value in table.items()}
 
     def delta(self, machine, mark):
-        moved = _diff(self.get(machine), mark)
-        if self.pack is not None:
-            moved = {key: self.pack(value) for key, value in moved.items()}
-        return moved
+        return _diff(self.get(machine), mark)
 
     def rewind(self, machine, mark, delta):
         _restore(self.get(machine), mark, delta, self.copy)
@@ -256,25 +239,28 @@ class Charged(Ledger):
     fork-time base need no renumbering)."""
 
     def mark(self, machine):
-        return {seg.id: seg.cycles for seg in machine.trace._open.values()}
+        trace = self.holder(machine)
+        cycles = trace.segments.cycles
+        return {sid: cycles[sid] for sid in trace._open.values()}
 
     def delta(self, machine, mark):
         segments = self.get(machine)
-        return {sid: (segments[sid].cycles, segments[sid].closed)
-                for sid, cycles in mark.items()
-                if segments[sid].closed or segments[sid].cycles != cycles}
+        cycles, closed = segments.cycles, segments.closed
+        return {sid: (cycles[sid], closed[sid])
+                for sid, before in mark.items()
+                if closed[sid] or cycles[sid] != before}
 
     def rewind(self, machine, mark, delta):
         segments = self.get(machine)
         for sid in delta:
-            segments[sid].cycles = mark[sid]
-            segments[sid].closed = False
+            segments.cycles[sid] = mark[sid]
+            segments.closed[sid] = False
 
     def adopt(self, machine, delta, renumber):
         segments = self.get(machine)
         for sid, (cycles, closed) in delta.items():
-            segments[sid].cycles = cycles
-            segments[sid].closed = closed
+            segments.cycles[sid] = cycles
+            segments.closed[sid] = closed
 
 
 class Rows(Ledger):
@@ -313,16 +299,11 @@ class Rows(Ledger):
             row_of(key).add(moved)
 
 
-#: ``(id, uid, node, cycles, label, closed)``.
-_pack_segment = attrgetter(*Segment.__slots__)
-
-
-def _unpack_segment(renumber, packed):
-    sid, uid, node, cycles, label, closed = packed
-    seg = Segment(renumber.sid(sid), renumber.uid(uid), node, label)
-    seg.cycles = cycles
-    seg.closed = closed
-    return seg
+def _unpack_segment(renumber, row):
+    """``(id, uid, node, cycles, label, closed)``: the id and the uid
+    renumber."""
+    sid, uid, *fields = row
+    return (renumber.sid(sid), renumber.uid(uid), *fields)
 
 
 def _unpack_edge(renumber, edge):
@@ -345,7 +326,7 @@ def _by_uid(renumber, uid, value):
 
 
 def _segment_by_uid(renumber, uid, sid):
-    return renumber.uid(uid), renumber.segment(sid)
+    return renumber.uid(uid), renumber.sid(sid)
 
 
 def _by_serial(renumber, serial, value):
@@ -353,8 +334,7 @@ def _by_serial(renumber, serial, value):
 
 
 #: Everything a subtree's run may move outside its own space graph, in
-#: adoption order (the trace's new segments before the tables that
-#: resolve them).
+#: adoption order.
 LEDGERS = (
     Counters("uids", "", ("_uid_counter",)),
     Counters("counters", "frames", ("_next_serial", "frames_allocated")),
@@ -367,15 +347,13 @@ LEDGERS = (
     Tail("console_out", "", "console_output"),
     Tail("debug_lines", "", "debug_lines", unpack=_unpack_debug),
     Tail("merge_stats", "", "merge_stats_total"),
-    Tail("segments", "trace", "segments", _pack_segment, _unpack_segment),
+    Tail("segments", "trace", "segments", unpack=_unpack_segment),
     Tail("edges", "trace", "edges", unpack=_unpack_edge),
     Tail("transfers", "trace", "transfers", unpack=_unpack_edge),
     Tail("decisions", "trace", "decisions", unpack=_unpack_decision),
     Charged("charged", "trace", "segments"),
-    Table("open", "trace", "_open", pack=attrgetter("id"),
-          unpack=_segment_by_uid),
-    Table("last", "trace", "_last", pack=attrgetter("id"),
-          unpack=_segment_by_uid),
+    Table("open", "trace", "_open", unpack=_segment_by_uid),
+    Table("last", "trace", "_last", unpack=_segment_by_uid),
     Table("cum", "trace", "_cum", unpack=_by_uid),
     Nested("node_cache", "", "node_cache", unpack=_by_serial),
     Table("frame_origin", "", "frame_origin", unpack=_by_serial),
@@ -464,8 +442,9 @@ SPLICED = ("addrspace", "regs", "snapshot", "children", "state", "trap",
 def whole_run(machine):
     """``{owner: {key: delta}}`` of every keyed ledger from its origin
     mark: everything the run has moved so far, as fresh copies in the
-    hand-back's own shape (segments packed, rows as their sums since
-    creation; a counter or row that never moved is absent)."""
+    hand-back's own shape (the trace's lists as rows, counter rows as
+    their sums since creation; a counter or row that never moved is
+    absent)."""
     run = {}
     for ledger in LEDGERS:
         if ledger.key is not None:

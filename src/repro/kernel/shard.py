@@ -398,8 +398,7 @@ class ShardCoordinator:
         demands the serial fallback) and what every ledger moved, for
         the rewind."""
         machine = self.machine
-        caller_seg = machine.trace._open.get(caller.uid)
-        caller_cycles = caller_seg.cycles if caller_seg is not None else None
+        caller_cycles = machine.trace.charged(caller.uid)
         # Fork-time frame slots, to detect which pre-fork frames the
         # run replaced (COW breaks, unmaps, re-pins): only their
         # refcounts condition the run's COW decisions.
@@ -423,7 +422,7 @@ class ShardCoordinator:
         for ledger, delta in zip(LEDGERS, moved):
             if ledger.refuse is not None and delta:
                 return ledger.refuse, moved
-        if caller_seg is not None and caller_seg.cycles != caller_cycles:
+        if machine.trace.charged(caller.uid) != caller_cycles:
             return "caller segment charged", moved
 
         serial0 = self._base["serial"]

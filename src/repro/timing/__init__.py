@@ -12,7 +12,7 @@ All benchmark figures in :mod:`repro.bench` are ratios of such makespans.
 """
 
 from repro.timing.model import CostModel
-from repro.timing.trace import Trace, Segment
+from repro.timing.trace import Trace
 from repro.timing.schedule import schedule, ScheduleResult
 
-__all__ = ["CostModel", "Trace", "Segment", "schedule", "ScheduleResult"]
+__all__ = ["CostModel", "Trace", "schedule", "ScheduleResult"]

@@ -6,17 +6,19 @@ work per event.  ``tests/timing/list_oracle.py`` is the same policy as
 a plain list loop; the equivalence suite holds this module to it field
 by field and grant by grant.
 
-* the trace is read in place: ``edges`` and ``transfers`` become
-  columns, grouped by source as offsets over one stable source-sorted
-  order of their indices, so a finishing segment walks its plain edges,
-  then its link transfers, in trace order — no per-edge record is built;
+* the trace's lists are read in place: edges and transfers are grouped
+  by source as offsets over one stable source-sorted order of their
+  indices, so a finishing segment walks its plain edges, then its link
+  transfers, in trace order — no per-edge record is built;
 * the event heap holds packed ints ``(time, order, seg)``: finish events
   carry an incrementing dispatch order, arrivals order after every
   same-time finish and by destination id among themselves;
-* occupancy per link and per link class is summed once from the
-  columns (every transfer is granted exactly once); the loop keeps only
-  each link's next free cycle, and records each grant (transfer index,
-  cycle it won its link) for :class:`~repro.timing.timeline.Timeline`.
+* links are interned to ids in first-use order, so the loop hashes no
+  link: occupancy per link and per link class is summed once from the
+  lists (every transfer is granted exactly once); the loop keeps only
+  each link's next free cycle in a list by link id, and records each
+  grant (transfer index, cycle it won its link) for
+  :class:`~repro.timing.timeline.Timeline`.
 
 Nothing built here outlives the call and nothing is written onto the
 trace: ``schedule()`` is a pure reader, and no per-edge containers stay
@@ -25,13 +27,6 @@ behind for the garbage collector to walk.
 
 from heapq import heappop, heappush
 from itertools import accumulate
-from operator import itemgetter
-
-
-def _columns(rows, *fields):
-    """One list per field of ``rows`` — unlike ``zip(*rows)``, with no
-    per-row iterator for the garbage collector to count."""
-    return [list(map(itemgetter(field), rows)) for field in fields]
 
 
 def _tally(ids, n):
@@ -54,25 +49,30 @@ def run_event_schedule(trace, ncpus):
     """Schedule a non-empty ``trace``; returns ``(makespan, busy, start,
     finish, cpu_count, link_busy, class_busy, stall_cycles, grants)``
     with start/finish as dense per-segment lists and ``grants`` as the
-    parallel lists (index into ``trace.transfers``, cycle the transfer
-    won its link) in grant order, which the caller wraps lazily."""
-    segments = trace.segments
+    parallel lists (transfer index, cycle the transfer won its link) in
+    grant order, which the caller wraps lazily."""
     edges = trace.edges
     transfers = trace.transfers
-    nseg = len(segments)
-    nedges = len(edges)
+    cycles = trace.segments.cycles
+    nseg = len(cycles)
+    e_lat = edges.latency
+    t_busy, t_lat, t_cls, t_kind = (
+        transfers.busy, transfers.latency, transfers.cls, transfers.kind)
+    nedges = len(e_lat)
 
-    # Successor index ``i`` is ``edges[i]`` below ``nedges``, else
-    # ``transfers[i - nedges]``.  A stable sort by source keeps each
-    # source's plain edges first, then its transfers, in trace order.
-    e_src, e_dst = _columns(edges, 0, 1)
-    t_src, t_dst, t_link, t_busy, t_cls, t_kind = \
-        _columns(transfers, 0, 1, 2, 3, 5, 6)
-    srcs = e_src + t_src
+    # Successor index ``i`` is edge ``i`` below ``nedges``, else transfer
+    # ``i - nedges``.  A stable sort by source keeps each source's plain
+    # edges first, then its transfers, in trace order.
+    srcs = edges.src + transfers.src
+    dsts = edges.dst + transfers.dst
     succ = sorted(range(len(srcs)), key=srcs.__getitem__)
     off = [0, *accumulate(_tally(srcs, nseg))]
-    npreds = _tally(e_dst + t_dst, nseg)
-    link_busy = _sums(t_link, t_busy)
+    npreds = _tally(dsts, nseg)
+    # Link ids in first-use order, which is also the order of the sums.
+    link_ids = {}
+    t_link = [link_ids.setdefault(link, len(link_ids))
+              for link in transfers.link]
+    link_busy = dict(zip(link_ids, _sums(t_link, t_busy).values()))
     class_busy = _sums(t_cls, t_busy)
     # The labels a stall behind a transfer is attributed to, in
     # first-use order (the order ``stall_cycles`` reports them in).
@@ -93,14 +93,13 @@ def run_event_schedule(trace, ncpus):
     # Nodes interned in first-use (segment-id) order; cycles pre-shifted
     # into packed-event position.
     node_ids = {}
-    seg_node = [node_ids.setdefault(seg.node, len(node_ids))
-                for seg in segments]
-    cycles = [seg.cycles for seg in segments]
+    seg_node = [node_ids.setdefault(node, len(node_ids))
+                for node in trace.segments.node]
     cyc_shift = [c << time_shift for c in cycles]
 
     free = [ncpus] * len(node_ids)
     ready = [[] for _ in node_ids]
-    link_free = {}
+    link_free = [0] * len(link_ids)
     stall_cycles = {}
     ready_at = [0] * nseg
     # Per destination: when it would be ready on an infinitely fast
@@ -173,27 +172,29 @@ def run_event_schedule(trace, ncpus):
         free[node] += 1
 
         for i in succ[off[sid]:off[sid + 1]]:
+            dst = dsts[i]
             if i < nedges:
-                _, dst, lat = edges[i]
-                arrival = now + lat
+                arrival = now + e_lat[i]
                 if arrival > ready_nonet[dst]:
                     ready_nonet[dst] = arrival
             else:
                 # The transfer waits for the channel, serializes on it,
                 # then transits; contention order follows the (already
                 # deterministic) source-finish order.
-                _, dst, link, xb, lat, cls, kind = transfers[i - nedges]
-                lf = link_free.get(link, 0)
+                i -= nedges
+                link = t_link[i]
+                lf = link_free[link]
                 xfer_start = now if now >= lf else lf
-                grant_index.append(i - nedges)
+                grant_index.append(i)
                 grant_start.append(xfer_start)
-                link_free[link] = xfer_start + xb
-                arrival = xfer_start + xb + lat
+                done = xfer_start + t_busy[i]
+                link_free[link] = done
+                arrival = done + t_lat[i]
                 if now > ready_nonet[dst]:
                     ready_nonet[dst] = now
                 if arrival >= link_ready[dst]:
                     link_ready[dst] = arrival
-                    link_kind[dst] = kind or cls or "link"
+                    link_kind[dst] = t_kind[i] or t_cls[i] or "link"
             if arrival > ready_at[dst]:
                 ready_at[dst] = arrival
             n = npreds[dst] - 1

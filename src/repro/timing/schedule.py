@@ -17,7 +17,7 @@ Per-link occupancy totals are reported on the result.
 
 The policy has one implementation: the discrete-event core in
 :mod:`repro.timing.event_core` (per-source offsets over the trace's own
-columns, packed-int event heap; O(log n) per event, which is what makes
+lists, packed-int event heap; O(log n) per event, which is what makes
 64-1024-node fat-tree sweeps affordable).  Scheduling only reads the
 trace: nothing is cached on it, so replaying a trace any number of
 times, or while it is still being recorded, costs the same each time.
@@ -130,11 +130,12 @@ def schedule(trace, ncpus=1):
     -------
     ScheduleResult
 
-    Raises ``ValueError`` when ``ncpus < 1`` (no node could run
-    anything) or when the trace has a cycle or dangling dependency.
+    Raises ``ValueError`` when ``ncpus`` is not an ``int`` >= 1 (a
+    ``bool`` is not a CPU count) or when the trace has a cycle or
+    dangling dependency.
     """
-    if ncpus < 1:
-        raise ValueError(f"ncpus must be at least 1, got {ncpus!r}")
+    if type(ncpus) is not int or ncpus < 1:
+        raise ValueError(f"ncpus must be an int >= 1, got {ncpus!r}")
     if not trace.segments:
         return ScheduleResult(0, 0, {}, {}, ncpus)
     return ScheduleResult(*run_event_schedule(trace, ncpus))

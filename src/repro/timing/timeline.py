@@ -68,7 +68,6 @@ class Timeline:
     """
 
     def __init__(self, trace, sched):
-        self.trace = trace
         self.start = sched.start
         self.finish = sched.finish
         self.makespan = sched.makespan

@@ -8,50 +8,82 @@ implicit program-order edge between them.  Cross-space dependencies
 edges, optionally carrying latency (network transit time that occupies no
 CPU).
 
-The resulting DAG is fed to :func:`repro.timing.schedule.schedule`.
+A segment is its id: an index into one list per field
+(:class:`Columns`), as are edges and link transfers.  The trace holds no
+per-record object, so a long run leaves the garbage collector nothing of
+it to walk, and :func:`repro.timing.schedule.schedule` reads the lists
+in place.
 """
 
 
-class Segment:
-    """A contiguous chunk of one execution context's work."""
+class Columns:
+    """One list per field, named after it: ``columns.cycles[i]`` is
+    field ``cycles`` of record ``i``.  Recording code appends to the
+    lists; readers off that path take whole records as tuples,
+    ``columns[i]`` (led by ``i`` itself when ``numbered``: a segment's
+    id is its place).  A slice, its deletion and ``extend`` move
+    records the same way, for the run ledgers."""
 
-    __slots__ = ("id", "uid", "node", "cycles", "label", "closed")
+    def __init__(self, fields, numbered=False):
+        self.fields = fields
+        self.numbered = numbered
+        for field in fields:
+            setattr(self, field, [])
 
-    def __init__(self, seg_id, uid, node, label=""):
-        self.id = seg_id
-        self.uid = uid
-        self.node = node
-        self.cycles = 0
-        self.label = label
-        self.closed = False
+    def lists(self):
+        return [getattr(self, field) for field in self.fields]
 
-    def __repr__(self):
-        state = "closed" if self.closed else "open"
-        return (
-            f"<Segment #{self.id} uid={self.uid} node={self.node} "
-            f"cycles={self.cycles} {state} {self.label!r}>"
-        )
+    def __len__(self):
+        return len(getattr(self, self.fields[0]))
+
+    def __iter__(self):
+        return iter(self[:])
+
+    def __getitem__(self, i):
+        ids = range(len(self))[i]
+        if isinstance(i, slice):
+            records = zip(*[values[i] for values in self.lists()])
+            if self.numbered:
+                return [(sid, *record) for sid, record in zip(ids, records)]
+            return list(records)
+        record = tuple(values[ids] for values in self.lists())
+        return (ids, *record) if self.numbered else record
+
+    def __delitem__(self, i):
+        for values in self.lists():
+            del values[i]
+
+    def extend(self, records):
+        fields = zip(*records)
+        if self.numbered:
+            next(fields, None)      # the ids: records land in id order
+        for values, more in zip(self.lists(), fields):
+            values.extend(more)
 
 
 class Trace:
     """Recorder for segments and edges during a logical execution."""
 
     def __init__(self):
-        self.segments = []
-        #: list of (src_segment_id, dst_segment_id, latency_cycles)
-        self.edges = []
-        #: list of (src_id, dst_id, link, busy_cycles, latency_cycles,
-        #: cls, kind) — precedence edges that additionally *occupy* a
-        #: network link (any hashable channel identity; the transport's
-        #: are fabric endpoint pairs): the destination becomes ready
-        #: only after the transfer wins the link, occupies it ``busy``
-        #: cycles and transits ``latency`` more, on no CPU.  ``cls``
-        #: names the link's class and ``kind`` the transfer's protocol
-        #: purpose ("migrate", "fetch", "prefetch", "retx", ...), both
-        #: possibly None.  The cluster transport appends them
-        #: (``Transport._stall_edges``).  Kept separate from
-        #: :attr:`edges` so plain consumers keep their 3-tuple shape.
-        self.transfers = []
+        #: Indexed by segment id: the execution context, the node it
+        #: runs on, the cycles charged to it, its label, whether it has
+        #: closed.
+        self.segments = Columns(("uid", "node", "cycles", "label",
+                                 "closed"), numbered=True)
+        #: Precedence edges: source id, destination id, latency cycles.
+        self.edges = Columns(("src", "dst", "latency"))
+        #: Precedence edges that additionally *occupy* a network link
+        #: (any hashable channel identity; the transport's are fabric
+        #: endpoint pairs): the destination becomes ready only after the
+        #: transfer wins the link, occupies it ``busy`` cycles and
+        #: transits ``latency`` more, on no CPU.  ``cls`` names the
+        #: link's class and ``kind`` the transfer's protocol purpose
+        #: ("migrate", "fetch", "prefetch", "retx", ...), both possibly
+        #: None.  The cluster transport extends them
+        #: (``Transport._stall_edges``).  Kept apart from :attr:`edges`
+        #: so plain consumers keep their 3-field records.
+        self.transfers = Columns(("src", "dst", "link", "busy", "latency",
+                                  "cls", "kind"))
         #: list of (segment_id, node, policy, knob, old, new) — control-
         #: plane decision records, anchored at the deciding segment (the
         #: caller's rendezvous segment).  Annotations only: decisions act
@@ -60,10 +92,10 @@ class Trace:
         #: *consequences* without reading this list.  Kept on the
         #: trace so a replayed trace carries its decision history.
         self.decisions = []
-        self._open = {}   # uid -> Segment
-        self._last = {}   # uid -> last closed Segment
+        self._open = {}   # uid -> open segment id
+        self._last = {}   # uid -> last closed segment id
         self._cum = {}    # uid -> cycles of all *closed* segments
-        #: Optional observer called with each segment the moment it
+        #: Optional observer called with each segment id the moment it
         #: closes (``cut``/``sleep``/``end``), *after* the trace's own
         #: bookkeeping.  The time-travel debugger's ``goto`` uses it to
         #: capture machine state at a precise point of a replay; the
@@ -74,35 +106,38 @@ class Trace:
 
     # -- lifecycle ---------------------------------------------------------
 
+    def _close(self, uid):
+        sid = self._open.pop(uid)
+        self.segments.closed[sid] = True
+        self._last[uid] = sid
+        self._cum[uid] = self._cum.get(uid, 0) + self.segments.cycles[sid]
+        return sid
+
     def begin(self, uid, node=0, label=""):
-        """Open the first segment for execution context ``uid``."""
+        """Open a segment for execution context ``uid``, which has none
+        open; returns its id."""
         if uid in self._open:
             raise ValueError(f"context {uid!r} already has an open segment")
-        seg = Segment(len(self.segments), uid, node, label)
-        self.segments.append(seg)
-        self._open[uid] = seg
-        return seg
+        segments = self.segments
+        sid = len(segments.uid)
+        segments.uid.append(uid)
+        segments.node.append(node)
+        segments.cycles.append(0)
+        segments.label.append(label)
+        segments.closed.append(False)
+        self._open[uid] = sid
+        return sid
 
     def charge(self, uid, cycles):
         """Add ``cycles`` of work to ``uid``'s open segment."""
-        self._open[uid].cycles += cycles
+        self.segments.cycles[self._open[uid]] += cycles
 
     def cut(self, uid, label=""):
         """Close ``uid``'s open segment and open the next one.
 
-        Returns ``(closed, opened)``.  A program-order edge is added.
+        Returns ``(closed, opened)`` ids.  A program-order edge is added.
         """
-        closed = self._open.pop(uid)
-        closed.closed = True
-        self._last[uid] = closed
-        self._cum[uid] = self._cum.get(uid, 0) + closed.cycles
-        opened = Segment(len(self.segments), uid, closed.node, label)
-        self.segments.append(opened)
-        self._open[uid] = opened
-        self.edges.append((closed.id, opened.id, 0))
-        if self.on_close is not None:
-            self.on_close(closed)
-        return closed, opened
+        return self.sleep(uid, 0, label)
 
     def sleep(self, uid, cycles, label=""):
         """Close ``uid``'s open segment and open the next one ``cycles``
@@ -115,26 +150,18 @@ class Trace:
         :meth:`charged` (it is not work); callers pacing against the
         program clock must account for it separately.
 
-        Returns ``(closed, opened)``.
+        Returns ``(closed, opened)`` ids.
         """
-        closed = self._open.pop(uid)
-        closed.closed = True
-        self._last[uid] = closed
-        self._cum[uid] = self._cum.get(uid, 0) + closed.cycles
-        opened = Segment(len(self.segments), uid, closed.node, label)
-        self.segments.append(opened)
-        self._open[uid] = opened
-        self.edges.append((closed.id, opened.id, cycles))
+        closed = self._close(uid)
+        opened = self.begin(uid, self.segments.node[closed], label)
+        self.edge(closed, opened, cycles)
         if self.on_close is not None:
             self.on_close(closed)
         return closed, opened
 
     def end(self, uid):
-        """Close ``uid``'s final segment (context exits)."""
-        closed = self._open.pop(uid)
-        closed.closed = True
-        self._last[uid] = closed
-        self._cum[uid] = self._cum.get(uid, 0) + closed.cycles
+        """Close ``uid``'s final segment (context exits); returns its id."""
+        closed = self._close(uid)
         if self.on_close is not None:
             self.on_close(closed)
         return closed
@@ -142,7 +169,7 @@ class Trace:
     # -- queries -------------------------------------------------------------
 
     def current(self, uid):
-        """``uid``'s open segment (raises KeyError if none)."""
+        """Id of ``uid``'s open segment (raises KeyError if none)."""
         return self._open[uid]
 
     def is_open(self, uid):
@@ -150,7 +177,7 @@ class Trace:
         return uid in self._open
 
     def last_closed(self, uid):
-        """Most recently closed segment of ``uid`` (or None)."""
+        """Id of the most recently closed segment of ``uid`` (or None)."""
         return self._last.get(uid)
 
     def charged(self, uid):
@@ -161,31 +188,30 @@ class Trace:
         total = self._cum.get(uid, 0)
         open_seg = self._open.get(uid)
         if open_seg is not None:
-            total += open_seg.cycles
+            total += self.segments.cycles[open_seg]
         return total
 
-    def decision(self, seg, node, policy, knob, old, new):
-        """Record one control-plane decision anchored at segment ``seg``."""
-        seg_id = seg.id if isinstance(seg, Segment) else seg
-        record = (seg_id, node, policy, knob, old, new)
-        self.decisions.append(record)
-        return record
+    def decision(self, seg_id, node, policy, knob, old, new):
+        """Record one control-plane decision anchored at segment
+        ``seg_id``."""
+        self.decisions.append((seg_id, node, policy, knob, old, new))
 
     def move_node(self, uid, node):
         """Record that ``uid`` now executes on ``node`` (space migration).
 
         Cuts the open segment so work before/after the move is scheduled
-        on the right node, and returns ``(closed, opened)``.
+        on the right node, and returns ``(closed, opened)`` ids.
         """
-        closed, opened = self.cut(uid, label="migrate")
-        opened.node = node
+        closed, opened = self.sleep(uid, 0, "migrate")
+        self.segments.node[opened] = node
         return closed, opened
 
-    def edge(self, src_seg, dst_seg, latency=0):
-        """Add a precedence edge between two segments (objects or ids)."""
-        src = src_seg.id if isinstance(src_seg, Segment) else src_seg
-        dst = dst_seg.id if isinstance(dst_seg, Segment) else dst_seg
-        self.edges.append((src, dst, latency))
+    def edge(self, src, dst, latency=0):
+        """Add a precedence edge from segment id ``src`` to ``dst``."""
+        edges = self.edges
+        edges.src.append(src)
+        edges.dst.append(dst)
+        edges.latency.append(latency)
 
     def finish(self):
         """Close any remaining open segments (end of simulation)."""
@@ -196,7 +222,8 @@ class Trace:
 
     def total_cycles(self):
         """Sum of all segment durations (serial work)."""
-        return sum(seg.cycles for seg in self.segments)
+        return sum(self.segments.cycles)
 
     def __repr__(self):
-        return f"<Trace segments={len(self.segments)} edges={len(self.edges)}>"
+        return (f"<Trace segments={len(self.segments)} "
+                f"edges={len(self.edges)}>")

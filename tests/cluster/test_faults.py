@@ -267,7 +267,7 @@ def test_retry_exhaustion_is_a_defined_state(dead, hops_before):
     assert row.by_type == {"MIGRATE": copies}
     # MIGRATE, one PAGE_BATCH and the ACK were numbered up front.
     assert transport.messages == 3
-    assert machine.trace.transfers == []
+    assert len(machine.trace.transfers) == 0
 
 
 class FailingLink(DeadLink):

@@ -64,7 +64,7 @@ def world(request):
     counted(machine.topology, "route_latency", calls)
     counted(machine.topology, "link_class", calls)
     counted(machine.cost, "link_message", calls)
-    machine.trace.transfers = CountingList()
+    machine.trace.transfers.link = CountingList()
     frames = [Page(bytes([n + 1]) * PAGE_SIZE) for n in range(3)]
     return machine, space, frames, calls
 
@@ -102,7 +102,7 @@ def test_a_used_route_is_walked_once_per_leg(world):
     assert len(route) == 4 and len(classes) == 2
     before = dict(transport.links[route[1]].as_dict())
     calls.clear()
-    transfers = machine.trace.transfers
+    transfers = machine.trace.transfers.link
     transfers.appends = transfers.extends = 0
     edges = len(transfers)
 

@@ -156,8 +156,8 @@ def observe(machine):
                     for name in Transport.SCALARS},
         "transfers": list(machine.trace.transfers),
         "edges": list(machine.trace.edges),
-        "segments": [(seg.uid, seg.node, seg.label)
-                     for seg in machine.trace.segments],
+        "segments": [(uid, node, label) for _, uid, node, _, label, _
+                     in machine.trace.segments],
         "inflight": [
             (node, serial, generation, exchange.anchor,
              list(exchange.usage.items()), exchange.latency,

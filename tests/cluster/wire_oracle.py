@@ -166,8 +166,8 @@ class ReferenceTransport(Transport):
             legs.append(("retx", bill.usage, bill.wait))
         for leg_kind, usage, latency in legs:
             for link, busy in usage.items():
-                trace.transfers.append((src, dst, link, busy, latency,
-                                        link_class(link).name, leg_kind))
+                trace.transfers.extend([(src, dst, link, busy, latency,
+                                         link_class(link).name, leg_kind)])
 
     def _batch_sizes(self, npages):
         """Split ``npages`` into PAGE_BATCH loads (``cost.msg_batch``)."""
@@ -270,7 +270,7 @@ class ReferenceTransport(Transport):
         if trace.is_open(space.uid):
             closed, opened = trace.move_node(space.uid, dst)
             transit = machine.topology.route_latency(cost, src, dst)
-            self._stall_edges(closed.id, opened.id,
+            self._stall_edges(closed, opened,
                               [(usage, transit + codec, "migrate")], bill)
 
     def fetch(self, space, origin, node, frames):
@@ -300,7 +300,7 @@ class ReferenceTransport(Transport):
             closed, opened = trace.cut(space.uid, label="fetch")
             transit = machine.topology.route_latency(machine.cost, origin,
                                                      node)
-            self._stall_edges(closed.id, opened.id,
+            self._stall_edges(closed, opened,
                               [(req_usage, 0, "fetch"),
                                (resp_usage, transit + codec, "fetch")], bill)
 
@@ -328,8 +328,7 @@ class ReferenceTransport(Transport):
         _, codec = self._page_exchange(origin, node, frames,
                                        req_usage=usage, resp_usage=usage,
                                        faults=bill)
-        last = machine.trace.last_closed(space.uid)
-        anchor = last.id if last is not None else None
+        anchor = machine.trace.last_closed(space.uid)
         latency = (machine.topology.route_latency(machine.cost, origin, node)
                    + codec)
         exchange = PrefetchExchange(

@@ -70,9 +70,8 @@ def test_circuit_holds_a_constant_number_of_threads(peak_threads):
 def trace_digest(machine):
     trace = machine.trace
     digest = hashlib.sha256()
-    digest.update(repr([(s.id, s.uid, s.node, s.cycles, s.label, s.closed)
-                        for s in trace.segments]).encode())
-    digest.update(repr(trace.edges).encode())
+    digest.update(repr(list(trace.segments)).encode())
+    digest.update(repr(list(trace.edges)).encode())
     return digest.hexdigest()
 
 

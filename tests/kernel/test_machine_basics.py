@@ -162,4 +162,4 @@ def test_root_segment_opens_on_its_home_node():
         m.placement = shifted
         result = m.run(main)
         assert m.root.home_node == 1
-    assert [seg.node for seg in result.trace.segments] == [1, 1]
+    assert result.trace.segments.node == [1, 1]

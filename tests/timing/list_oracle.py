@@ -28,6 +28,7 @@ def schedule_list(trace, ncpus=1):
     """Schedule ``trace`` with the plain list loop; returns an
     :class:`OracleResult`."""
     segments = trace.segments
+    nodes, cycles = segments.node, segments.cycles
     if not segments:
         return OracleResult(0, 0, {}, {}, max(1, ncpus), {}, {}, {}, [])
 
@@ -67,19 +68,17 @@ def schedule_list(trace, ncpus=1):
             free[node] = ncpus
 
     def make_ready(time, seg_id):
-        seg = segments[seg_id]
-        ensure_node(seg.node)
-        heapq.heappush(ready[seg.node], seg_id)
-        dispatch(time, seg.node)
+        ensure_node(nodes[seg_id])
+        heapq.heappush(ready[nodes[seg_id]], seg_id)
+        dispatch(time, nodes[seg_id])
 
     def dispatch(time, node):
         nonlocal order
         while free[node] > 0 and ready[node]:
             seg_id = heapq.heappop(ready[node])
             free[node] -= 1
-            seg = segments[seg_id]
             start[seg_id] = time
-            finish_time = time + seg.cycles
+            finish_time = time + cycles[seg_id]
             order += 1
             heapq.heappush(events, (finish_time, order, "finish", seg_id))
 
@@ -95,10 +94,9 @@ def schedule_list(trace, ncpus=1):
             make_ready(now, seg_id)
             continue
         # finish
-        seg = segments[seg_id]
         finish[seg_id] = now
-        busy += seg.cycles
-        free[seg.node] += 1
+        busy += cycles[seg_id]
+        free[nodes[seg_id]] += 1
         for dst, latency, link, xfer_busy, cls, kind in succs[seg_id]:
             npreds[dst] -= 1
             if link is None:
@@ -133,7 +131,7 @@ def schedule_list(trace, ncpus=1):
                     )
                 else:
                     make_ready(now, dst)
-        dispatch(now, seg.node)
+        dispatch(now, nodes[seg_id])
 
     unscheduled = [i for i in range(len(segments)) if i not in finish]
     if unscheduled:

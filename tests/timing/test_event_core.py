@@ -23,6 +23,7 @@ from repro.bench import cluster_workloads as cw
 from repro.debug import Inspector
 from repro.debug.scenarios import fault_tolerance, retx_trap
 from repro.timing import Trace
+from repro.timing.trace import Columns
 from repro.timing.schedule import schedule
 from repro.timing.timeline import Timeline
 
@@ -128,6 +129,7 @@ def random_trace(rng, ncontexts=6, ncuts=8):
     for c in range(ncontexts):
         tr.begin(f"c{c}", node=c % 3)
         tr.charge(f"c{c}", rng.randrange(1, 50))
+    node = tr.segments.node
     for _ in range(ncuts):
         uid = f"c{rng.randrange(ncontexts)}"
         seg, _ = tr.cut(uid)
@@ -136,15 +138,15 @@ def random_trace(rng, ncontexts=6, ncuts=8):
         if closed and rng.random() < 0.7:
             src = rng.choice(closed)
             dst = tr._open[uid]
-            if src.id < dst.id:
+            if src < dst:
                 if rng.random() < 0.5:
                     tr.edge(src, dst, latency=rng.randrange(0, 20))
                 else:
-                    tr.transfers.append((
-                        src.id, dst.id, (src.node, dst.node),
+                    tr.transfers.extend([(
+                        src, dst, (node[src], node[dst]),
                         rng.randrange(0, 30), rng.randrange(0, 10),
                         "rack" if rng.random() < 0.5 else "core",
-                        rng.choice(["fetch", "migrate", None])))
+                        rng.choice(["fetch", "migrate", None]))])
     tr.finish()
     return tr
 
@@ -169,8 +171,8 @@ def fan_in_trace(nsources, busy, cycles=10):
         tr.begin(f"s{i}", node=1 + i)
         tr.charge(f"s{i}", cycles)
         done, _ = tr.cut(f"s{i}")
-        tr.transfers.append((done.id, tr._open["sink"].id, "uplink", busy,
-                             3, "core", "fetch"))
+        tr.transfers.extend([(done, tr._open["sink"], "uplink", busy,
+                              3, "core", "fetch")])
     tr.edge(gate, tr._open["sink"])
     tr.finish()
     return tr
@@ -210,8 +212,8 @@ def test_multi_cpu_node_grant_order_follows_finish_order(cpus):
         tr.begin(f"s{i}", node=0)
         tr.charge(f"s{i}", cycles)
         done, _ = tr.cut(f"s{i}")
-        tr.transfers.append((done.id, tr._open["sink"].id, (0, 1), 5, 2,
-                             "rack", "migrate" if i % 2 else None))
+        tr.transfers.extend([(done, tr._open["sink"], (0, 1), 5, 2,
+                              "rack", "migrate" if i % 2 else None)])
     tr.finish()
     fields = assert_matches_oracle(tr, ncpus=cpus)
     finish = fields["finish"]
@@ -238,18 +240,36 @@ def test_repeated_replay_stays_identical():
                          ids=["finished", "open-segments"])
 def test_schedule_is_a_pure_reader(finished):
     # Nothing is cached on the trace: the same attributes before and
-    # after, every list the same object, and the lists' contents equal.
+    # after (the trace's and its columns'), every list the same object,
+    # and the lists' contents equal.
     tr = random_trace(random.Random(7))
     if not finished:
         tr.begin("late", node=1)
         tr.charge("late", 5)
+
+    def attributes():
+        out = {}
+        for name, value in vars(tr).items():
+            out[name] = value
+            if isinstance(value, Columns):
+                out.update({f"{name}.{field}": inner
+                            for field, inner in vars(value).items()})
+        return out
+
     before = {name: (value, copy.copy(value))
-              for name, value in vars(tr).items()}
+              for name, value in attributes().items()
+              if not isinstance(value, Columns)}
+    columns = {name: value for name, value in vars(tr).items()
+               if isinstance(value, Columns)}
+    assert set(columns) == {"segments", "edges", "transfers"}
     schedule(tr, ncpus=2)
-    assert vars(tr).keys() == before.keys()
+    after = attributes()
+    assert after.keys() == before.keys() | columns.keys()
+    for name, value in columns.items():
+        assert after[name] is value, name
     for name, (value, contents) in before.items():
-        assert getattr(tr, name) is value, name
-        assert getattr(tr, name) == contents, name
+        assert after[name] is value, name
+        assert after[name] == contents, name
 
 
 @pytest.mark.parametrize("engine", ["event", "list"])

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.kernel.machine import Machine
-from repro.timing import Trace, schedule
+from repro.timing import CostModel, Trace, schedule
 
 
 def linear_chain(lengths):
@@ -123,12 +123,35 @@ def test_cycle_detection():
 @pytest.mark.parametrize("ncpus", [0, -1])
 def test_cpu_count_below_one_is_refused_by_name(ncpus):
     # An acyclic trace: the refusal names the CPU count, not the trace.
-    with pytest.raises(ValueError, match="ncpus must be at least 1"):
+    with pytest.raises(ValueError, match="ncpus must be an int >= 1"):
         schedule(linear_chain([10, 20]), ncpus=ncpus)
     with Machine() as machine:
         result = machine.run(lambda g: 7)
-        with pytest.raises(ValueError, match="ncpus must be at least 1"):
+        with pytest.raises(ValueError, match="ncpus must be an int >= 1"):
             result.makespan(ncpus=ncpus)
+
+
+@pytest.mark.parametrize("ncpus", [1.5, 2.0, True, False, "2"])
+def test_a_cpu_count_that_is_not_an_int_is_refused(ncpus):
+    # Three 100-cycle segments on one node: taken as a count, 1.5 CPUs
+    # would run them two at a time (makespan 200) and report a CPU count
+    # of 1.5, and True would run them on one.  Only an int counts CPUs,
+    # and a bool is not one — the rule CostModel applies to its ncpus.
+    tr = Trace()
+    for uid in "abc":
+        tr.begin(uid)
+        tr.charge(uid, 100)
+    tr.finish()
+    with pytest.raises(ValueError, match=r"ncpus must be an int >= 1, got "):
+        schedule(tr, ncpus=ncpus)
+    with pytest.raises(ValueError, match="ncpus must be an int >= 1"):
+        CostModel(ncpus=ncpus)
+    with Machine() as machine:
+        result = machine.run(lambda g: 7, ncpus=ncpus)
+        with pytest.raises(ValueError, match="ncpus must be an int >= 1"):
+            result.makespan()
+    assert schedule(tr, ncpus=2).makespan == 200
+    assert schedule(tr, ncpus=1).makespan == 300
 
 
 def test_finish_times_monotone_along_edges():
