@@ -15,8 +15,8 @@ crossed with two placement policies:
 
 * **round-robin** — virtual nodes striped across racks (the classic
   load-spreading default);
-* **locality** — contiguous virtual node blocks packed per rack, spill
-  racks chosen from live per-link transport stats.
+* **locality** — contiguous virtual node blocks packed per rack (the
+  identity table: racks are contiguous node blocks).
 
 Topology and placement are cost-only: computed values must be identical
 in every cell.  What moves is *where* the bytes land — locality packing

@@ -16,6 +16,7 @@ the seeds, every pair's values and the verdicts (:func:`compare`).
 
 import argparse
 import json
+import os
 import pathlib
 import statistics
 import subprocess
@@ -41,14 +42,25 @@ def run_once(command, cwd, workload, seed, seconds):
 
 
 def commits(parent):
-    """The ledger's commits: ``parent`` resolved to a sha, the change's
-    HEAD and whether its working tree differs from it."""
-    def git(*args):
-        return subprocess.run(["git", *args], cwd=ROOT, check=True,
-                              capture_output=True, text=True).stdout.strip()
-    return {"parent": git("rev-parse", f"{parent}^{{commit}}"),
-            "change": git("rev-parse", "HEAD"),
-            "dirty": bool(git("status", "--porcelain"))}
+    """The ledger's commits: ``parent`` resolved to a sha, and what the
+    change side ran — HEAD when the working tree matches it, else the
+    working tree's own tree object (``dirty``).  That tree, untracked
+    files included and ignored ones not, is written through a temporary
+    index, so the user's index is left alone."""
+    with tempfile.TemporaryDirectory(prefix="host_pairs_index_") as tmp:
+        env = {**os.environ, "GIT_INDEX_FILE": os.path.join(tmp, "index")}
+
+        def git(*args):
+            return subprocess.run(["git", *args], cwd=ROOT, env=env,
+                                  check=True, capture_output=True,
+                                  text=True).stdout.strip()
+        git("read-tree", "HEAD")
+        git("add", "--all")
+        tree = git("write-tree")
+        dirty = tree != git("rev-parse", "HEAD^{tree}")
+        return {"parent": git("rev-parse", f"{parent}^{{commit}}"),
+                "change": tree if dirty else git("rev-parse", "HEAD"),
+                "dirty": dirty}
 
 
 def append_record(path, head, record):

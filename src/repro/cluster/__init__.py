@@ -13,7 +13,7 @@ owns *how* it crosses and what that costs:
   interconnect: typed messages (MIGRATE, PAGE_REQ, PAGE_BATCH, ACK)
   routed hop-by-hop over the fabric, with migration deltas and demand
   fetches coalesced into batched scatter/gather messages; every
-  traversed link accrues occupancy, so shared cross-rack uplinks
+  traversed link accrues occupancy, so shared cross-rack core links
   contend in ``schedule()``.  Per-node *async fetch queues*
   (``ClusterSpec(prefetch_depth=...)``) pipeline predicted-next frames
   behind compute, and ``ClusterSpec(compression=True)`` ships PAGE_BATCH
@@ -29,8 +29,8 @@ owns *how* it crosses and what that costs:
   computed values;
 * placement policies (:mod:`repro.cluster.placement`) — map
   program-visible node numbers onto fabric nodes: ``round_robin``
-  stripes across racks, ``locality`` packs by communication affinity
-  using the transport's live per-link stats;
+  stripes across racks, ``locality`` packs contiguous node blocks per
+  rack (both are tables the topology fixes);
 * the real-process backend (:mod:`repro.cluster.backend` over
   :mod:`repro.cluster.realnet`) — ``ClusterSpec(backend="real")`` runs
   each cluster-node subtree in a real host process with the protocol's

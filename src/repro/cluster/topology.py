@@ -14,7 +14,7 @@ switches (strings), and answers two questions for the transport:
 * :meth:`Topology.route` — the ordered directed links a message from
   ``src`` to ``dst`` traverses.  Every traversed link accrues bytes,
   messages, and serialization occupancy, so ``schedule()``'s link
-  contention sees shared uplinks as the bottleneck they are.
+  contention sees shared core links as the bottleneck they are.
 * :meth:`Topology.link_class` — the :class:`LinkClass` of one link,
   giving its per-hop latency and bandwidth factors relative to the cost
   model's baseline ``net_latency`` / ``net_byte``.
@@ -40,8 +40,8 @@ Three presets:
     pays extra hops and latency but never oversubscribes.
 
 Placement policies (:mod:`repro.cluster.placement`) read the rack
-structure (:meth:`Topology.racks`, :meth:`Topology.uplinks`) to pack
-communicating spaces by affinity.
+structure (:meth:`Topology.racks`, :meth:`Topology.striped`) to build
+their node tables.
 """
 
 from dataclasses import dataclass
@@ -165,12 +165,6 @@ class Topology:
         """Rack index of ``node``."""
         return 0
 
-    def uplinks(self, rack):
-        """Directed links joining ``rack``'s switch to the core layer
-        (empty for fabrics without one).  Placement policies sum live
-        transport occupancy over these to find the least-loaded rack."""
-        return ()
-
     def __repr__(self):
         return f"<{type(self).__name__} nnodes={self.nnodes}>"
 
@@ -252,10 +246,6 @@ class TwoTierTopology(_RackedTopology):
     def link_class(self, link):
         return self.core_class if "core" in link else self.rack_class
 
-    def uplinks(self, rack):
-        sw = self._switches[rack]
-        return ((sw, "core"), ("core", sw))
-
 
 class FatTreeTopology(_RackedTopology):
     """Folded-Clos (leaf-spine) fabric: full bisection bandwidth.
@@ -283,11 +273,6 @@ class FatTreeTopology(_RackedTopology):
         if link[0] in self._spines or link[1] in self._spines:
             return self.core_class
         return self.rack_class
-
-    def uplinks(self, rack):
-        sw = self._switches[rack]
-        return tuple(link for spine in self._spines
-                     for link in ((sw, spine), (spine, sw)))
 
 
 #: Preset name -> constructor (``name:<rack_size>`` selects rack size).

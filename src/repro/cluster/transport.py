@@ -643,7 +643,7 @@ class Transport:
         """One trace link edge per physical link the exchange occupied,
         from segment id ``src`` to segment id ``dst``: the space resumes
         only after its transfer wins *each* link it crossed (shared
-        uplinks make crossing flows contend) and transits the route
+        core links make crossing flows contend) and transits the route
         latency.  ``parts`` is a fresh list of the exchange's ``(link ->
         busy cycles, latency, kind)`` legs; a non-empty ``bill`` (the
         :class:`~repro.cluster.faults.RetxBill` of a lossy fabric) adds

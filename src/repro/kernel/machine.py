@@ -170,17 +170,18 @@ class Machine:
         #: the spec's preset: "flat" (legacy full mesh, the default),
         #: "two_tier" or "fat_tree" (see repro.cluster.topology).
         self.topology = resolve_topology(spec.topology, nnodes)
-        #: Placement policy ``assign(machine, vnode)`` mapping
-        #: program-visible (virtual) node numbers onto fabric nodes —
-        #: "round_robin" (default; identity on the flat fabric) or
-        #: "locality" (see repro.cluster.placement).
-        self.placement = resolve_placement(spec.placement)
+        #: Placement table: entry ``vnode`` is the fabric node that
+        #: program-visible (virtual) node number is bound to on first
+        #: use — a permutation of range(nnodes) fixed by the topology
+        #: under "round_robin" (default; identity on the flat fabric)
+        #: or "locality" (see repro.cluster.placement).
+        self.placement = resolve_placement(spec.placement)(self.topology)
         #: virtual node number -> physical node (sticky; see place()).
         #: Written only by bind_node, which keeps the inverse below in
         #: step.
         self.node_map = {}
         #: physical node -> the virtual node bound to it: the used set
-        #: the bijection check and the placement policies consult.
+        #: the bijection check and the control plane consult.
         self.node_owner = {}
         #: Message-level interconnect all cross-node paths route through.
         self.transport = Transport(self)
@@ -272,15 +273,15 @@ class Machine:
     def place(self, vnode):
         """Physical node of program-visible node number ``vnode``.
 
-        The placement policy chooses on first use (reading topology and
-        live transport stats); afterwards the assignment is sticky, so a
-        program always finds its children where it left them.  The map
-        is a bijection over ``range(nnodes)`` — placement relocates
-        traffic, never semantics.
+        First use binds the placement table's entry; afterwards the
+        assignment is sticky, so a program always finds its children
+        where it left them.  The map is a bijection over
+        ``range(nnodes)`` — placement relocates traffic, never
+        semantics.
         """
         phys = self.node_map.get(vnode)
         if phys is None:
-            phys = self.placement(self, vnode)
+            phys = self.placement[vnode]
             self.bind_node(vnode, phys)
         return phys
 
@@ -290,12 +291,10 @@ class Machine:
         that would break the bijection over ``range(nnodes)``."""
         if not 0 <= phys < self.nnodes:
             raise KernelError(
-                f"placement policy {self.placement.__name__!r} returned "
-                f"node {phys} for virtual node {vnode}")
+                f"placement returned node {phys} for virtual node {vnode}")
         if phys in self.node_owner:
             raise KernelError(
-                f"placement policy {self.placement.__name__!r} reused "
-                f"node {phys} (virtual node {vnode})")
+                f"placement reused node {phys} (virtual node {vnode})")
         self.node_map[vnode] = phys
         self.node_owner[phys] = vnode
 

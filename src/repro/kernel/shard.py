@@ -69,10 +69,7 @@ serial, with the reason kept on :attr:`ShardCoordinator.refused`):
   0 — the async prefetch queues read cross-subtree dirty hints, the
   one machine-global the adoption delta deliberately drops;
 * no adaptive control plane — its decisions read machine-wide
-  telemetry windows;
-* the placement is ``round_robin``, which reads only the topology and
-  the virtual node number, so a worker's first-use node assignments
-  replay (``locality`` reads live transport stats).
+  telemetry windows.
 """
 
 import multiprocessing
@@ -105,9 +102,6 @@ def fork_refusal(machine):
         return "is incompatible with prefetch_depth > 0"
     if machine.control is not None:
         return "is incompatible with the adaptive control plane"
-    if machine.spec.placement == "locality":
-        return ("requires a replayable placement ('round_robin'), got "
-                "'locality' (it reads live transport stats)")
     return None
 
 
@@ -496,7 +490,7 @@ class ShardCoordinator:
             current = node_map.get(vnode)
             if current is None:
                 if phys in machine.node_owner or phys in claimed or \
-                        machine.placement(machine, vnode) != phys:
+                        machine.placement[vnode] != phys:
                     return "placement does not replay"
                 claimed.add(phys)
             elif current != phys:

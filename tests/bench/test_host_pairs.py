@@ -5,6 +5,8 @@ appends to the pairs ledger, with the benchmark runs stubbed."""
 
 import json
 import os
+import shutil
+import subprocess
 import sys
 
 import pytest
@@ -102,3 +104,47 @@ def test_a_record_holds_every_pair_and_the_verdicts(monkeypatch, tmp_path):
     lines = ledger.read_text().splitlines()
     assert len(lines) == 2
     assert json.loads(lines[1]) == {**head, **record}
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+def test_the_ledger_names_the_tree_the_change_side_ran(tmp_path,
+                                                       monkeypatch):
+    def git(*args):
+        return subprocess.run(
+            ["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
+            cwd=tmp_path, check=True, capture_output=True,
+            text=True).stdout.strip()
+
+    git("init", "-q")
+    (tmp_path / ".gitignore").write_text("out/\n")
+    (tmp_path / "a.py").write_text("A = 1\n")
+    git("add", "--all")
+    git("commit", "-q", "-m", "parent")
+    parent = git("rev-parse", "HEAD")
+    (tmp_path / "a.py").write_text("A = 2\n")
+    git("add", "a.py")
+    git("commit", "-q", "-m", "change")
+    head = git("rev-parse", "HEAD")
+    monkeypatch.setattr(host_pairs, "ROOT", tmp_path)
+    # A clean tree is HEAD (ignored output does not make it dirty).
+    (tmp_path / "out").mkdir()
+    (tmp_path / "out" / "report.json").write_text("{}")
+    assert host_pairs.commits("HEAD~1") == {
+        "parent": parent, "change": head, "dirty": False}
+    # An edited tree is its own tree object, new files included, built
+    # without touching the index the user has staged.
+    (tmp_path / "a.py").write_text("A = 3\n")
+    (tmp_path / "b.py").write_text("B = 1\n")
+    git("add", "b.py")
+    staged = (tmp_path / ".git" / "index").read_bytes()
+    (tmp_path / "b.py").write_text("B = 2\n")
+    (tmp_path / "c.py").write_text("C = 1\n")
+    record = host_pairs.commits("HEAD~1")
+    assert record["parent"] == parent and record["dirty"] is True
+    assert git("cat-file", "-t", record["change"]) == "tree"
+    assert git("ls-tree", "--name-only", record["change"]).split() == \
+        [".gitignore", "a.py", "b.py", "c.py"]
+    for name in ("a.py", "b.py", "c.py"):
+        assert git("rev-parse", f"{record['change']}:{name}") == \
+            git("hash-object", name)
+    assert (tmp_path / ".git" / "index").read_bytes() == staged

@@ -96,18 +96,27 @@ WORKLOADS = {"md5_circuit": MD5_CIRCUIT, "md5_tree": MD5_TREE,
              "matmult_tree": MATMULT_TREE}
 
 
-@pytest.mark.parametrize("topology", ["flat", "two_tier:2"])
+#: (topology, placement) cells; the default placement keeps the bare
+#: topology as its id.
+LAYOUTS = [pytest.param(topology, placement,
+                        id=topology if placement == "round_robin"
+                        else f"{topology}-{placement}")
+           for topology in ("flat", "two_tier:2")
+           for placement in ("round_robin", "locality")]
+
+
+@pytest.mark.parametrize("topology,placement", LAYOUTS)
 @pytest.mark.parametrize("workload", WORKLOADS)
-def test_every_backend_is_the_same_run(workload, topology):
+def test_every_backend_is_the_same_run(workload, topology, placement):
     # serial == shard_workers=2 == backend="real", under the one
     # comparator: whoever runs the subtrees, the machine they leave
-    # behind freezes to the same image and the same digest.
-    serial = run_backend(WORKLOADS[workload], 4,
-                         spec=ClusterSpec(topology=topology))
+    # behind freezes to the same image and the same digest.  Either
+    # placement is a table the topology fixes, so both fork.
+    spec = ClusterSpec(topology=topology, placement=placement)
+    serial = run_backend(WORKLOADS[workload], 4, spec=spec)
     assert serial.shard_stats is None
     for knobs in ({"shard_workers": 2}, {"backend": "real"}):
-        run = run_backend(WORKLOADS[workload], 4,
-                          spec=ClusterSpec(topology=topology, **knobs))
+        run = run_backend(WORKLOADS[workload], 4, spec=spec.with_(**knobs))
         assert_same_run(run, serial)
         stats = run.shard_stats
         assert stats["adopted"] == stats["forked"] > 0

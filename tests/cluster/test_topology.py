@@ -98,10 +98,6 @@ def test_a_route_record_is_what_its_links_classify_as(topo):
             for end in (end for link in route for end in link
                         if isinstance(end, str)):
                 assert names.setdefault(end, end) is end, (src, dst, end)
-    # ... and the placement policies' uplinks name them with the same.
-    for rack in range(len(topo.racks())):
-        for link in topo.uplinks(rack):
-            assert all(names[end] is end for end in link), link
 
 
 def test_flat_routes_are_single_direct_hops():
@@ -276,7 +272,7 @@ def test_placement_must_return_unused_node():
     with Machine(nnodes=2) as ok:
         ok.run(main)
     broken = Machine(nnodes=2)
-    broken.placement = lambda machine, vnode: 0
+    broken.placement = [0, 0]
     with broken:
         result = broken.run(main)
         assert result.trap.name == "EXC"
@@ -284,8 +280,8 @@ def test_placement_must_return_unused_node():
 
 
 # The placement policies as first written: every call rebuilds the rack
-# lists, the stripe order and the used set from scratch.  The machine
-# keeps those between calls now; the assignments must not move.
+# lists and the stripe order from scratch.  The machine resolves one
+# table at construction now; the assignments must not move.
 
 def _striped_reference(topo):
     racks = topo.racks()
@@ -297,47 +293,37 @@ def _striped_reference(topo):
     return order
 
 
-def _reference_assign(policy, topo, node_map, vnode):
-    if policy == "identity":
-        return vnode
+def _reference_assign(policy, topo, vnode):
     if policy == "round_robin":
         return _striped_reference(topo)[vnode]
-    used = set(node_map.values())       # locality: first free home slot
-    return next(node for node in topo.racks()[topo.rack_of(vnode)]
-                if node not in used)
+    return vnode                        # locality: its own home slot
 
 
-@pytest.mark.parametrize("policy", ["round_robin", "locality", "identity"])
+@pytest.mark.parametrize("policy", ["round_robin", "locality"])
 @pytest.mark.parametrize("topology,nnodes", [
     ("flat", 8), ("two_tier:4", 8), ("fat_tree:4", 8),
     ("two_tier:4", 10), ("fat_tree:4", 10), ("fat_tree:3", 7),
 ], ids=["flat", "two_tier", "fat_tree", "two_tier-ragged",
         "fat_tree-ragged", "fat_tree-ragged3"])
 def test_placement_matches_the_per_call_definition(topology, nnodes, policy):
-    # First-use order is the program's: scramble it so locality sees
-    # home racks fill out of order.
+    # First-use order is the program's: scramble it so home racks fill
+    # out of order.  The map must not depend on it.
     order = [(3 * v + 3) % nnodes for v in range(nnodes)]
     assert sorted(order) == list(range(nnodes))
-    # "identity" is no spec name: a test-local policy function, handed
-    # to the machine, whose bookkeeping must follow it the same way.
-    named = None if policy == "identity" else policy
-    with Machine(nnodes=nnodes,
-                 spec=ClusterSpec(topology=topology, placement=named)) as m:
-        if named is None:
-            m.placement = lambda machine, vnode: vnode
+    spec = ClusterSpec(topology=topology, placement=policy)
+    with Machine(nnodes=nnodes, spec=spec) as m:
         reference = {}
         for vnode in order:
             reference[vnode] = _reference_assign(
-                policy, resolve_topology(topology, nnodes), reference, vnode)
+                policy, resolve_topology(topology, nnodes), vnode)
             assert m.place(vnode) == reference[vnode]
         assert m.node_map == reference
         assert m.node_owner == {phys: v for v, phys in reference.items()}
         assert sorted(m.node_owner) == list(range(nnodes))
-
-
-def _scripted(answers):
-    """A placement policy that answers from a script."""
-    return lambda machine, vnode: answers[vnode]
+    with Machine(nnodes=nnodes, spec=spec) as ascending:
+        for vnode in range(nnodes):
+            ascending.place(vnode)
+        assert ascending.node_map == reference
 
 
 @pytest.mark.parametrize("answer,complaint", [
@@ -352,14 +338,14 @@ def test_bad_policy_refused_after_control_plane_swap(answer, complaint):
         Controller()._swap_nodes(m, 1, 2, None)
         assert m.node_map == {0: 0, 1: 2, 2: 1}
         assert m.node_owner == {0: 0, 2: 1, 1: 2}
-        m.placement = _scripted({3: answer})
+        m.placement = [0, 1, 2, answer]
         with pytest.raises(KernelError, match=complaint):
             m.place(3)
         assert 3 not in m.node_map and len(m.node_owner) == 3
         # Swapping with a free node moves the binding and frees the old one.
         Controller()._swap_nodes(m, 2, 3, None)
         assert m.node_map == {0: 0, 1: 3, 2: 1}
-        m.placement = _scripted({3: 2})
+        m.placement = [0, 1, 2, 2]
         assert m.place(3) == 2
         assert sorted(m.node_owner) == sorted(m.node_map) == [0, 1, 2, 3]
 

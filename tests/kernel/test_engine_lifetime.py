@@ -237,17 +237,11 @@ def test_destroy_never_searches_the_parent_table():
     assert root.children == {}
 
 
-@pytest.mark.parametrize("placement", ["round_robin", "locality", "identity"])
+@pytest.mark.parametrize("placement", ["round_robin", "locality"])
 def test_place_never_scans_the_node_map(placement):
-    # "identity" is no spec name: a test-local policy function, handed
-    # to the machine, so the bookkeeping is checked under a policy that
-    # reads nothing at all.
-    named = None if placement == "identity" else placement
     with Machine(nnodes=FANOUT,
                  spec=ClusterSpec(topology="fat_tree",
-                                  placement=named)) as machine:
-        if named is None:
-            machine.placement = lambda machine, vnode: vnode
+                                  placement=placement)) as machine:
         node_map = machine.node_map = ScanCountingDict()
         topo = machine.topology
         racks_built = [0]
@@ -261,9 +255,8 @@ def test_place_never_scans_the_node_map(placement):
         placed = [machine.place(vnode) for vnode in range(FANOUT)]
         assert node_map.scans == 0
         assert sorted(placed) == list(range(FANOUT))
-        if placement == "round_robin":
-            # the stripe order is derived from the racks once
-            assert racks_built[0] <= 1
+        # the table is resolved at construction: first use reads no rack
+        assert racks_built[0] == 0
 
 
 # -- the baton under a hostile interpreter schedule ------------------------

@@ -155,17 +155,14 @@ GATED = {
     "demand_paging": ({"ship_mode": "demand"}, "ship_mode='demand'"),
     "prefetch": ({"prefetch_depth": 2}, "prefetch_depth > 0"),
     "control": ({"control": "adaptive"}, "adaptive control plane"),
-    "locality_placement": (
-        {"placement": "locality", "topology": "two_tier:2"},
-        "replayable placement"),
 }
 
 
 @pytest.mark.parametrize("gate", GATED)
 def test_gated_configs_stay_serial_and_identical(gate):
     # Configurations whose results cannot be replayed from a worker
-    # delta (fault schedules keyed on global message serials, stats-fed
-    # placement, cross-subtree prefetch hints) must not fork — must
+    # delta (fault schedules keyed on global message serials, the
+    # control plane, cross-subtree prefetch hints) must not fork — must
     # still produce the serial answer — and must say why.
     knobs, reason = GATED[gate]
     serial, sharded, shard = run_pair(cw.matmult_tree_main(32), 4, **knobs)
