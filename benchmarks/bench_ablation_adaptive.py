@@ -115,7 +115,7 @@ def test_ablation_adaptive():
         workload, loss, _ = SWEEPS["skewed-lossy"]
         lossy = results["skewed-lossy"]
         no_retx_mk, _, no_retx_value = _run(
-            workload, loss, control={"policies": ("prefetch", "placement")})
+            workload, loss, control={"policies": ("prefetch",)})
         assert no_retx_value == lossy["value"]
         assert lossy["makespan"] < no_retx_mk, \
             (lossy["makespan"], no_retx_mk)

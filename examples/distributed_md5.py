@@ -112,10 +112,10 @@ def main(smoke=False):
     # Now hand the knobs to the control plane: instead of a static
     # prefetch depth and a single global retransmit timer, a
     # deterministic per-node controller consumes one such window per
-    # quantum and re-tunes queue depths, per-route timeouts, and
-    # placement at quantum boundaries.  Decisions are a pure function
-    # of simulated state, so the decision log replays bit-identically
-    # — and the answer still cannot change.
+    # quantum and re-tunes queue depths and per-route timeouts at
+    # quantum boundaries (placement stays the fixed table above).
+    # Decisions are a pure function of simulated state, so the decision
+    # log replays bit-identically — and the answer still cannot change.
     spec = spec.with_(prefetch_depth=0, control="adaptive")
     adaptive_makespan, machine, found = run_cluster(md5_tree_main(length),
                                                     big, spec=spec)

@@ -1,12 +1,11 @@
 """Deterministic control plane: telemetry-tuned knobs at quantum edges.
 
-Every knob that decides a cluster run's makespan — the async prefetch
-queue depth, the retransmit timeout, the placement of virtual nodes on
-the fabric — ships as a static constant, yet the transport already
-observes exactly the signals needed to tune them live: demand pulls,
-stale/aged speculation, per-route delivery latencies, per-pair traffic
-volumes.  A :class:`Controller` closes that
-feedback loop *deterministically*:
+Two knobs that decide a cluster run's makespan — the async prefetch
+queue depth and the retransmit timeout — ship as static constants, yet
+the transport already observes exactly the signals needed to tune them
+live: demand pulls, stale/aged speculation, per-route delivery
+latencies.  A :class:`Controller` closes that feedback loop
+*deterministically*:
 
 * **Decision points are quantum boundaries.**  The kernel invokes the
   controller from the rendezvous path (``Kernel._rendezvous``), right
@@ -15,21 +14,21 @@ feedback loop *deterministically*:
 * **Inputs are a pure function of simulated state.**  Each decision
   pass consumes one read-only
   :class:`~repro.cluster.transport.TelemetryWindow` — what the
-  transport's node and pair ledgers accumulated since the previous
-  pass (the difference of two marks, DESIGN §8).  No host time,
+  transport's node rows accumulated since the previous pass (the
+  difference of two marks, DESIGN §8).  No host time,
   no randomness, no schedule()-side information: the window holds only
   quantities the simulated execution itself determined, so two
   same-seed runs feed the controller bit-identical windows.
 * **Outputs take effect at the next quantum.**  Decisions mutate knob
-  state (per-node depths, per-route timeouts, the virtual-to-physical
-  node map) that the kernel and transport consult *on their next use*;
-  nothing retroactively edits the trace.  Each decision is recorded on
+  state (per-node depths, per-route timeouts) that the kernel and
+  transport consult *on their next use*; nothing retroactively edits
+  the trace.  Each decision is recorded on
   the trace (:attr:`~repro.timing.trace.Trace.decisions`) anchored at
   the deciding segment, and costs the guest nothing (the controller
   runs beside the kernel, on the management plane) — so replaying the
   trace replays the decisions' consequences exactly.
 
-Three policies ship:
+Two policies ship:
 
 **Adaptive prefetch depth** (per node, AIMD-style).  The demand signal
 is the window's stop-and-wait *pulls* — pages nobody had even queued.
@@ -69,19 +68,6 @@ the route's transit latency (a retransmit can never beat physics) and
 the static ``cost.retx_timeout`` (adaptation may stop over-waiting on
 fast rack links, never under-wait worse than the static timer).  Lossy
 runs stop paying a core-link-sized timer on every rack-link drop.
-
-**Hot-pair re-placement.**  When one cross-rack node pair's traffic
-dominates the window (above an absolute floor, a fraction of all
-cross-rack bytes, and twice the runner-up pair) — and the *same* pair
-dominated two deciding windows in a row, so a phased program's
-rotating "hot" pair is never chased — the controller swaps the
-*population* of the remote end with the coldest node of the peer's
-rack: the virtual-to-physical
-node map entries swap, every space homed on either physical node swaps
-its home, and quiescent spaces migrate over the existing ledger-driven
-delta path immediately (running spaces drift home lazily through the
-engine's stop path).  Placement stays a bijection, so — as with the
-static policies — re-placement relocates traffic, never semantics.
 """
 
 #: The policies' fixed constants (nothing ever tuned them per run).
@@ -96,14 +82,6 @@ WASTE_TOLERANCE = 8
 #: window's demand misses re-grow it, and the round after that wastes
 #: it all over again.
 GROWTH_HOLD = 2
-#: Hot-pair thresholds: absolute window bytes and fraction of the
-#: window's total cross-rack bytes a pair must carry.
-REPLACE_FLOOR = 192 * 1024
-REPLACE_FRAC = 0.5
-#: Windows to wait after a move before considering the next one, and
-#: the per-run move budget (re-placement must converge, not thrash).
-REPLACE_COOLDOWN = 4
-MAX_MOVES = 4
 
 
 def _fmt_knob(value):
@@ -118,12 +96,15 @@ class Controller:
     """
 
     #: Recognized policy names (the ``policies`` argument).
-    POLICIES = ("prefetch", "retx", "placement")
+    POLICIES = ("prefetch", "retx")
 
     def __init__(self, policies=POLICIES):
         if isinstance(policies, str):
             raise ValueError(f"control policies must be a tuple of policy "
                              f"names, got {policies!r}")
+        if not policies:
+            raise ValueError(f"control policies must name at least one of "
+                             f"{list(self.POLICIES)}, got {policies!r}")
         unknown = set(policies) - set(self.POLICIES)
         if unknown:
             raise ValueError(f"unknown control policies {sorted(unknown)} "
@@ -158,10 +139,6 @@ class Controller:
         self.srtt = {}
         self.rttvar = {}
         self.timeouts = {}
-        #: Re-placement state.
-        self.moves = 0
-        self._cooldown = 0
-        self._last_hot = None
         #: Human-readable decision log, one line per decision, in
         #: decision order (same content as the trace's ``decisions``
         #: records — the rendering the example prints).
@@ -200,8 +177,6 @@ class Controller:
             self._decide_prefetch(machine, window, anchor)
         if "retx" in self.policies:
             self._decide_retx(machine, window, anchor)
-        if "placement" in self.policies:
-            self._decide_placement(machine, window, anchor, caller)
 
     def _record(self, machine, anchor, node, policy, knob, old, new):
         machine.trace.decision(anchor if anchor is not None else -1,
@@ -348,119 +323,11 @@ class Controller:
             else:
                 self.timeouts[pair] = rto
 
-    # -- policy 3: hot-pair re-placement -----------------------------------
-
-    def _decide_placement(self, machine, window, anchor, caller):
-        topo = machine.topology
-        racks = topo.racks()
-        if len(racks) < 2:
-            return
-        if self._cooldown > 0:
-            self._cooldown -= 1
-            return
-        if self.moves >= MAX_MOVES:
-            return
-        # Symmetric per-pair window bytes, cross-rack pairs only.
-        sym = {}
-        cross_total = 0
-        for (src, dst), nbytes in window.pair_bytes.items():
-            if topo.rack_of(src) == topo.rack_of(dst):
-                continue
-            pair = (src, dst) if src <= dst else (dst, src)
-            sym[pair] = sym.get(pair, 0) + nbytes
-            cross_total += nbytes
-        if not sym:
-            return
-        (a, b), hot = max(sorted(sym.items()), key=lambda kv: kv[1])
-        if hot < REPLACE_FLOOR or hot < REPLACE_FRAC * cross_total:
-            self._last_hot = None
-            return
-        # The hot pair must also dominate the runner-up decisively: an
-        # SPMD hub fanning out near-equal traffic to every rack shows a
-        # "top" pair by rounding noise only, and migrating one of its
-        # spokes just moves the same bytes to a different uplink while
-        # paying the relocation and refill for nothing.
-        runner_up = max((nbytes for pair, nbytes in sym.items()
-                         if pair != (a, b)), default=0)
-        if hot < 2 * runner_up:
-            self._last_hot = None
-            return
-        # Persistence filter: act only when the same pair dominated two
-        # deciding windows in a row.  Phased programs (a reduction tree
-        # streaming different halves each level) show a different "hot"
-        # pair every window; chasing those relocates spaces for traffic
-        # that has already moved on.  A genuine placement pathology —
-        # two tightly-coupled spaces pinned across the core — dominates
-        # every window.
-        if self._last_hot != (a, b):
-            self._last_hot = (a, b)
-            return
-        victim = self._pick_victim(machine, window, a, b)
-        if victim is None:
-            return
-        self._swap_nodes(machine, b, victim, caller)
-        self.moves += 1
-        self._cooldown = REPLACE_COOLDOWN
-        self._last_hot = None
-        self._record(machine, anchor, (a, b), "placement",
-                     "swap", b, victim)
-
-    def _pick_victim(self, machine, window, a, b):
-        """Coldest currently-assigned node of ``a``'s rack (``b`` moves
-        into its slot).  Only assigned slots are eligible: swapping an
-        unassigned slot could collide with the static policy's future
-        first-use assignments."""
-        topo = machine.topology
-        assigned = machine.node_owner
-
-        def traffic(node):
-            return sum(nbytes
-                       for (src, dst), nbytes in window.pair_bytes.items()
-                       if src == node or dst == node)
-
-        candidates = [node for node in racks_of(topo, a)
-                      if node != a and node in assigned]
-        if not candidates or b not in assigned:
-            return None
-        return min(candidates, key=lambda node: (traffic(node), node))
-
-    def _swap_nodes(self, machine, b, c, caller):
-        """Swap the populations of physical nodes ``b`` and ``c``.
-
-        The virtual-to-physical map entries swap (placement stays a
-        bijection), every space homed on either node swaps its home,
-        and quiescent spaces with a trace context migrate immediately
-        over the ordinary delta path — paying the move's real wire cost
-        now to relocate their future traffic.  The rendezvousing caller
-        and running spaces only change *home*: the engine's stop path
-        migrates them to the new home at their next stop.
-        """
-        machine.swap_nodes(b, c)
-        trace = machine.trace
-        for space in machine.root.walk():
-            if space.home_node == b:
-                new_home = c
-            elif space.home_node == c:
-                new_home = b
-            else:
-                continue
-            space.home_node = new_home
-            if (space is not caller and space.is_stopped()
-                    and space.cur_node != new_home
-                    and trace.is_open(space.uid)):
-                machine.kernel.migrate(space, new_home)
-
     # -- reporting ---------------------------------------------------------
 
     def __repr__(self):
         return (f"<Controller policies={'/'.join(self.policies)} "
-                f"windows={self.windows_seen} decisions={len(self.log)} "
-                f"moves={self.moves}>")
-
-
-def racks_of(topo, node):
-    """Members of ``node``'s rack."""
-    return topo.racks()[topo.rack_of(node)]
+                f"windows={self.windows_seen} decisions={len(self.log)}>")
 
 
 def resolve_control(spec):

@@ -11,10 +11,9 @@ computes — only where its traffic lands on the fabric.
 A policy is one function ``table(topology)`` returning a permutation of
 ``range(topology.nnodes)``: entry ``vnode`` is the physical node that
 virtual node is bound to on first use.  The table is fixed by the
-topology alone, so a forked worker's first-use bindings replay in the
-parent (``Machine.bind_node`` still refuses anything that is not an
-unused node in ``range(nnodes)``).  Two ship, named by
-:data:`POLICIES`:
+topology alone and nothing rebinds a node during a run, so a forked
+worker's first-use bindings are the ones the parent would make.  Two
+ship, named by :data:`POLICIES`:
 
 ``round_robin``
     Stripe virtual nodes across racks (node 0 in rack 0, node 1 in

@@ -161,10 +161,6 @@ class Topology:
             ]
         return self._striped
 
-    def rack_of(self, node):
-        """Rack index of ``node``."""
-        return 0
-
     def __repr__(self):
         return f"<{type(self).__name__} nnodes={self.nnodes}>"
 
@@ -201,9 +197,6 @@ class _RackedTopology(Topology):
         self._intra = _shape(self.rack_class, self.rack_class)
         self._cross = _shape(self.rack_class, self.core_class,
                              self.core_class, self.rack_class)
-
-    def rack_of(self, node):
-        return node // self.rack_size
 
     def nracks(self):
         return (self.nnodes + self.rack_size - 1) // self.rack_size

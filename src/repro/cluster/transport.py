@@ -22,7 +22,8 @@ of this file needs from there:
 * the transport **only accumulates**: a :attr:`CounterRow.FIELDS` row per
   link, per node and per directed node pair, plus
   :attr:`Transport.SCALARS`.  Run-wide totals are sums over the rows, a
-  :class:`TelemetryWindow` is the difference of two marks of them.
+  :class:`TelemetryWindow` is the difference of two marks of the node
+  rows.
 """
 
 import enum
@@ -259,23 +260,23 @@ ROUTE_SAMPLE_CAP = 512
 
 
 class TelemetryWindow:
-    """What the transport's node and pair counter rows accumulated between
-    two :meth:`Transport.take_window` calls, plus the route samples
-    taken meanwhile.
+    """What the transport's node counter rows accumulated between two
+    :meth:`Transport.take_window` calls, plus the route samples taken
+    meanwhile.
 
     All content is a pure function of the simulated execution, so two
     same-seed runs produce bit-identical window sequences — which is
     what makes controller decisions replay-exact.
     """
 
-    __slots__ = ("index", "nodes", "route_samples", "pair_bytes")
+    __slots__ = ("index", "nodes", "route_samples")
 
     #: :meth:`table`'s columns: the node, then :attr:`NodeStats.FIELDS`.
     COLUMNS = (("node", 5, ""), ("pulled", 7, ""), ("pf-iss", 7, ""),
                ("pf-used", 8, ""), ("stale", 6, ""), ("aged", 5, ""),
                ("churn", 6, ""))
 
-    def __init__(self, index, nodes, route_samples, pair_bytes):
+    def __init__(self, index, nodes, route_samples):
         #: Monotone window serial (0-based).
         self.index = index
         #: node -> dict of :attr:`NodeStats.FIELDS` deltas.  A node has
@@ -287,8 +288,6 @@ class TelemetryWindow:
         #: clean single-page exchange on the route.  Taken only while a
         #: controller is attached (its SRTT policy is the one reader).
         self.route_samples = route_samples
-        #: ``{(src, dst): bytes}`` the :class:`PairStats` deltas.
-        self.pair_bytes = pair_bytes
 
     def table(self):
         """Aligned per-node rows of the window's counters."""
@@ -299,8 +298,7 @@ class TelemetryWindow:
             f"(window {self.index}: no telemetry)")
 
     def __repr__(self):
-        return (f"<TelemetryWindow {self.index} nodes={len(self.nodes)} "
-                f"pairs={len(self.pair_bytes)}>")
+        return f"<TelemetryWindow {self.index} nodes={len(self.nodes)}>"
 
 
 def _total(table, field):
@@ -391,11 +389,11 @@ class Transport:
         # -- telemetry windows (take_window) -----------------------------
         #: Monotone window serial: how many windows have been taken.
         self.window_index = 0
-        #: ``{"nodes"|"pairs": {key: the row's as_dict() when the
-        #: running window first used it, or None for a row born in
-        #: it}}`` — the marks the next take diffs against, so a take
-        #: costs O(rows that moved).
-        self._marks = {"nodes": {}, "pairs": {}}
+        #: ``{node: the node row's as_dict() when the running window
+        #: first used it, or None for a row born in it}`` — the marks
+        #: the next take diffs against, so a take costs O(rows that
+        #: moved).
+        self._marks = {}
         #: unordered (a, b) node pair -> delivery-latency samples of the
         #: running window's clean page exchanges (capped at
         #: ROUTE_SAMPLE_CAP).  An order-dependent capped list, which no
@@ -412,27 +410,24 @@ class Transport:
                 self.machine.topology.link_class(link))
         return stats
 
-    def _windowed(self, table, key, new):
-        """Get-or-create row ``key`` of ``table``, marked as the running
+    def node(self, node):
+        """The :class:`NodeStats` of ``node``, marked as the running
         telemetry window first finds it: a row born in the window is
         marked None, which :meth:`CounterRow.delta_since` reads as
         "since creation"."""
-        rows = getattr(self, table)
-        row = rows.get(key)
-        marks = self._marks[table]
-        if key not in marks:
-            marks[key] = None if row is None else row.as_dict()
+        row = self.nodes.get(node)
+        if node not in self._marks:
+            self._marks[node] = None if row is None else row.as_dict()
         if row is None:
-            row = rows[key] = new()
+            row = self.nodes[node] = NodeStats()
         return row
-
-    def node(self, node):
-        """The :class:`NodeStats` of ``node``."""
-        return self._windowed("nodes", node, NodeStats)
 
     def pair(self, pair):
         """The :class:`PairStats` of the directed ``(src, dst)`` pair."""
-        return self._windowed("pairs", pair, PairStats)
+        stats = self.pairs.get(pair)
+        if stats is None:
+            stats = self.pairs[pair] = PairStats()
+        return stats
 
     def wire_size(self, frame):
         """Wire payload bytes of ``frame``: 4096 raw, or its encoded
@@ -478,22 +473,10 @@ class Transport:
         busy = sum(sum(usage.values()) for usage in usages)
         samples.append(transit + busy // max(1, nmsgs))
 
-    def _moved_since_mark(self, table):
-        """``{key: delta_since(mark)}`` of the rows of ``table`` that
-        moved in the running window, in key order; opens the next."""
-        rows = getattr(self, table)
-        marks, self._marks[table] = self._marks[table], {}
-        moved = {}
-        for key in sorted(marks):
-            delta = rows[key].delta_since(marks[key])
-            if delta is not None:
-                moved[key] = delta
-        return moved
-
     def take_window(self):
-        """The :class:`TelemetryWindow` of everything the node and pair
-        counter rows accumulated since the previous call (or the start of
-        the run); the next window starts here.
+        """The :class:`TelemetryWindow` of everything the node counter
+        rows accumulated since the previous call (or the start of the
+        run); the next window starts here.
 
         Before diffing, still-queued prefetched frames issued two or
         more windows ago are counted (once per exchange) as
@@ -510,12 +493,15 @@ class Transport:
                 exchange.aged = True
                 self.node(node).prefetch_aged += sum(
                     1 for _, ex, _ in queue.values() if ex is exchange)
+        marks, self._marks = self._marks, {}
+        moved = {}
+        for node in sorted(marks):
+            delta = self.nodes[node].delta_since(marks[node])
+            if delta is not None:
+                moved[node] = delta
         samples, self.route_samples = self.route_samples, {}
         self.window_index = index + 1
-        return TelemetryWindow(
-            index, self._moved_since_mark("nodes"), samples,
-            {pair: row["bytes"]
-             for pair, row in self._moved_since_mark("pairs").items()})
+        return TelemetryWindow(index, moved, samples)
 
     def _leg(self, src, dst, msgs, delivered, usage=None, faults=None,
              pages=0, payload=0):

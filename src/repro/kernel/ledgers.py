@@ -185,10 +185,9 @@ class Table(Ledger):
         _restore(self.get(machine), mark, delta, self.copy)
 
     def adopt(self, machine, delta, renumber):
-        table = self.get(machine)
-        for entry in delta.items():
-            key, value = self.unpack(renumber, *entry)
-            table[key] = value
+        if self.unpack is not None:
+            delta = (self.unpack(renumber, *entry) for entry in delta.items())
+        self.get(machine).update(delta)
 
 
 class Nested(Table):
@@ -220,17 +219,6 @@ class Nested(Table):
             for entry in moved.items():
                 inner_key, value = self.unpack(renumber, *entry)
                 inner[inner_key] = value
-
-
-class Placements(Table):
-    """First-use ``node_map`` bindings: adoption goes through
-    ``bind_node`` (which keeps ``node_owner`` in step) once ``_adopt``
-    has checked that they replay."""
-
-    def adopt(self, machine, delta, renumber):
-        for vnode, phys in delta.items():
-            if vnode not in machine.node_map:
-                machine.bind_node(vnode, phys)
 
 
 class Charged(Ledger):
@@ -357,10 +345,7 @@ LEDGERS = (
     Table("cum", "trace", "_cum", unpack=_by_uid),
     Nested("node_cache", "", "node_cache", unpack=_by_serial),
     Table("frame_origin", "", "frame_origin", unpack=_by_serial),
-    Placements("placements", "", "node_map"),
-    Table(None, "", "node_owner", local=(
-        "the inverse of node_map: bind_node keeps it in step as the "
-        "placements are adopted")),
+    Table("placements", "", "node_map"),
     Table(None, "", "dirty_hints", copy=list, local=(
         "predictor input only, read by nothing the gates let through: "
         "the one machine-global the delta drops, rewound all the same")),
@@ -415,7 +400,7 @@ NOT_REPLAYED = {
         **dict.fromkeys(("window_index", "_marks"), (
             "the reader's side of a telemetry window: no guest takes "
             "one, and the parent's marks are made as it adopts the "
-            "node and pair rows through their accessors")),
+            "node rows through their accessor")),
     },
     # What ``_adopt`` leaves alone on the parent's Space object when it
     # splices a hand-back in (everything else is ``SPLICED``).
@@ -425,8 +410,7 @@ NOT_REPLAYED = {
         "slot": "its number in that table, which no run changes",
         "uid": "assigned before the fork; the trace refers to it",
         "ctx": "reset: a handed-back space has no live guest stack here",
-        "home_node": "fixed at creation (only the control plane re-homes "
-                     "a space, and fork_refusal gates it off)",
+        "home_node": "fixed at creation: nothing re-homes a space",
         "io_privilege": "granted by the parent's Put, never by the "
                         "space's own run",
     },

@@ -176,21 +176,18 @@ class Machine:
         #: under "round_robin" (default; identity on the flat fabric)
         #: or "locality" (see repro.cluster.placement).
         self.placement = resolve_placement(spec.placement)(self.topology)
-        #: virtual node number -> physical node (sticky; see place()).
-        #: Written only by bind_node, which keeps the inverse below in
-        #: step.
+        #: virtual node number -> physical node, for the nodes the run
+        #: has used: ``placement``'s entries, each set on first use
+        #: (see place()) and never rebound.
         self.node_map = {}
-        #: physical node -> the virtual node bound to it: the used set
-        #: the bijection check and the control plane consult.
-        self.node_owner = {}
         #: Message-level interconnect all cross-node paths route through.
         self.transport = Transport(self)
         #: Deterministic adaptive control plane: None (static knobs, the
         #: default — byte-identical to the pre-control transport), or a
         #: Controller built from "adaptive" or a kwargs dict.  The
         #: kernel invokes it at quantum boundaries; it tunes per-node
-        #: prefetch depth, per-route retransmit timeouts, and placement
-        #: from the transport's telemetry windows (repro.cluster.control).
+        #: prefetch depth and per-route retransmit timeouts from the
+        #: transport's telemetry windows (repro.cluster.control).
         #: Every machine builds a fresh (stateful) Controller, so a spec
         #: shared across a sweep never leaks adaptation between runs.
         #: Its module loads only here.
@@ -271,41 +268,15 @@ class Machine:
     # -- placement ----------------------------------------------------------
 
     def place(self, vnode):
-        """Physical node of program-visible node number ``vnode``.
-
-        First use binds the placement table's entry; afterwards the
-        assignment is sticky, so a program always finds its children
-        where it left them.  The map is a bijection over
-        ``range(nnodes)`` — placement relocates traffic, never
-        semantics.
+        """Physical node of program-visible node number ``vnode``: the
+        placement table's entry, recorded in ``node_map`` on first use.
+        The table is a permutation of ``range(nnodes)`` fixed at
+        construction, so placement relocates traffic, never semantics.
         """
         phys = self.node_map.get(vnode)
         if phys is None:
-            phys = self.placement[vnode]
-            self.bind_node(vnode, phys)
+            phys = self.node_map[vnode] = self.placement[vnode]
         return phys
-
-    def bind_node(self, vnode, phys):
-        """Bind ``vnode`` to free physical node ``phys`` — the only
-        writer of ``node_map`` and ``node_owner`` — refusing anything
-        that would break the bijection over ``range(nnodes)``."""
-        if not 0 <= phys < self.nnodes:
-            raise KernelError(
-                f"placement returned node {phys} for virtual node {vnode}")
-        if phys in self.node_owner:
-            raise KernelError(
-                f"placement reused node {phys} (virtual node {vnode})")
-        self.node_map[vnode] = phys
-        self.node_owner[phys] = vnode
-
-    def swap_nodes(self, b, c):
-        """Exchange the virtual nodes bound to physical nodes ``b`` and
-        ``c`` (either may be unbound); the map stays a bijection."""
-        owner = self.node_owner
-        moves = ((owner.pop(b, None), c), (owner.pop(c, None), b))
-        for vnode, phys in moves:
-            if vnode is not None:
-                self.bind_node(vnode, phys)
 
     # -- space management ---------------------------------------------------
 

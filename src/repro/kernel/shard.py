@@ -41,7 +41,7 @@ keeps fork / collect / adopt.
 Adoption is guarded, not assumed.  Before splicing a result in, the
 coordinator re-checks everything the worker's run depended on that the
 parent may have changed since the fork (frame refcounts and
-generations reachable from the sibling, placement assignments); the
+generations reachable from the sibling); the
 worker likewise refuses to report if its run touched anything that
 cannot be replayed from a delta (the console-input or clock cursor).
 Any doubt discards the result and runs the sibling inline on the
@@ -482,19 +482,6 @@ class ShardCoordinator:
             entry = snap.get(serial)
             if entry is None or entry[0].refs < entry[1]:
                 return "refcount dropped"
-        # First-use placements made inside the worker must replay:
-        # same assignment from the current map, no bijection clash.
-        node_map = machine.node_map
-        claimed = set()
-        for vnode, phys in payload["placements"].items():
-            current = node_map.get(vnode)
-            if current is None:
-                if phys in machine.node_owner or phys in claimed or \
-                        machine.placement[vnode] != phys:
-                    return "placement does not replay"
-                claimed.add(phys)
-            elif current != phys:
-                return "placement does not replay"
         # Collect the adopted graph's frame slots; any pre-fork serial
         # must resolve to a fork-time frame of this sibling, and one
         # the run wrote in place (it held every reference: the write

@@ -136,7 +136,7 @@ def test_telemetry_window_is_the_same_on_every_backend(builder):
     # One observable, any backend: the node and pair ledgers ride a
     # worker's hand-back like the link ones, so the window an operator
     # takes after the run (and every page total, a sum over the node
-    # rows) does not depend on who ran the subtrees.  (Before, the
+    # rows) and the pair rows do not depend on who ran the subtrees.  (Before, the
     # window was a second set of books the hand-back left behind: 19,248
     # pair-bytes serial, 6,416 under shard_workers=2, 0 on real.)
     windows = {}
@@ -152,7 +152,8 @@ def test_telemetry_window_is_the_same_on_every_backend(builder):
                              ("prefetch_stale", "prefetch_stale")):
             assert getattr(transport, total) == sum(
                 row[field] for row in window.nodes.values()), (name, total)
-        windows[name] = (window.nodes, window.pair_bytes)
+        windows[name] = (window.nodes, {pair: row.bytes for pair, row
+                                        in transport.pairs.items()})
     assert machine.shard.adopted and not machine.shard.fallbacks
     assert sum(windows["serial"][1].values()) > 0
     assert windows["sharded"] == windows["real"] == windows["serial"]

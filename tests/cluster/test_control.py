@@ -13,18 +13,20 @@ telemetry windows that are a pure function of simulated state, so:
 
 The policy unit tests drive ``Controller`` directly with fabricated
 telemetry windows, checking the AIMD transitions (churn collapse, fleet
-ratchet, growth holdoff, the depth-1 floor), the RFC 6298 timeout
-arithmetic with its physics floor and static ceiling, and the placement
-policy's persistence and dominance guards.
+ratchet, growth holdoff, the depth-1 floor) and the RFC 6298 timeout
+arithmetic with its physics floor and static ceiling.
 """
 
+import ast
 import hashlib
+import re
+from pathlib import Path
 
 import pytest
 
 from repro import ClusterSpec
 from repro.bench import cluster_workloads as cw
-from repro.cluster import NetworkStats
+from repro.cluster import NetworkStats, control
 from repro.cluster.control import DEPTH_CAP, Controller, resolve_control
 from repro.cluster.transport import NodeStats, TelemetryWindow
 from repro.kernel import Machine
@@ -165,6 +167,16 @@ def test_resolve_control_specs():
         resolve_control("aggressive")
     with pytest.raises(ValueError):
         resolve_control({"policies": ("prefetch", "voodoo")})
+    # Placement is a table fixed at construction, not a policy.
+    with pytest.raises(ValueError, match="unknown control policies"):
+        resolve_control({"policies": ("placement",)})
+    # An empty set would decide nothing yet still take every window and
+    # close sharding and the real backend: refused, naming the policies.
+    for empty in ((), []):
+        with pytest.raises(ValueError, match="'prefetch', 'retx'"):
+            resolve_control({"policies": empty})
+        with pytest.raises(ValueError, match="at least one"):
+            ClusterSpec(control={"policies": empty})
     # A bare name would be read one character at a time.
     with pytest.raises(ValueError, match="tuple of policy names"):
         resolve_control({"policies": "retx"})
@@ -177,14 +189,13 @@ def test_resolve_control_specs():
 
 # -- policy unit tests (fabricated windows) --------------------------------
 
-def _window(index, node_rows, route_samples=None, pair_bytes=None):
+def _window(index, node_rows, route_samples=None):
     nodes = {}
     for node, overrides in node_rows.items():
         row = dict.fromkeys(NodeStats.FIELDS, 0)
         row.update(overrides)
         nodes[node] = row
-    return TelemetryWindow(index, nodes, route_samples or {},
-                           pair_bytes or {})
+    return TelemetryWindow(index, nodes, route_samples or {})
 
 
 @pytest.fixture
@@ -283,31 +294,6 @@ def test_retx_timeout_floor_and_ceiling():
         assert machine.retx_timeout_for(1, 0) == ctrl.timeouts[(0, 1)]
 
 
-def test_placement_needs_persistence_and_dominance(machine):
-    """One dominant window is not enough (phases rotate hot pairs), a
-    non-dominant top pair is never enough; two consecutive dominant
-    windows trigger exactly one swap and keep the map a bijection."""
-    machine.run(lambda g: 0)  # materialize a root space for _swap_nodes
-    ctrl = machine.control
-    for node in range(1, NODES):    # the root's run bound node 0
-        machine.bind_node(node, node)
-    hot = {(0, 2): 1 << 20, (1, 3): 1 << 14}
-    ctrl._decide_placement(machine, _window(0, {}, pair_bytes=dict(hot)),
-                           None, machine.root)
-    assert ctrl.moves == 0, "first dominant window must only arm"
-    # An SPMD-balanced window (no 2x dominance) resets the candidate.
-    flat = {(0, 2): 1 << 20, (0, 3): 1 << 20}
-    ctrl._decide_placement(machine, _window(1, {}, pair_bytes=flat),
-                           None, machine.root)
-    ctrl._decide_placement(machine, _window(2, {}, pair_bytes=dict(hot)),
-                           None, machine.root)
-    assert ctrl.moves == 0
-    ctrl._decide_placement(machine, _window(3, {}, pair_bytes=dict(hot)),
-                           None, machine.root)
-    assert ctrl.moves == 1
-    assert sorted(machine.node_map.values()) == list(range(NODES))
-
-
 # -- NetworkStats.window() -------------------------------------------------
 
 def test_network_stats_window_snapshot_resets():
@@ -325,3 +311,32 @@ def test_network_stats_window_snapshot_resets():
     assert second.index == first.index + 1
     assert not second.nodes
     assert machine.transport.pages_pulled == pulled_before
+
+
+# -- docs/knobs.md ---------------------------------------------------------
+
+KNOBS = Path(__file__).resolve().parents[2] / "docs" / "knobs.md"
+
+
+def _documented_constants(text):
+    """``{name: value}`` of the guide's "Fixed policy constants"
+    bullets (``* `NAME` = 64 — ...``; a ``KiB`` unit multiplies)."""
+    section = text.split("Fixed policy constants", 1)[1].split("\n## ")[0]
+    found = {}
+    for name, number, kib in re.findall(
+            r"^\* `(\w+)` = ([\d.]+)( KiB)?", section, re.M):
+        value = float(number) if "." in number else int(number)
+        found[name] = value * 1024 if kib else value
+    return found
+
+
+def test_knobs_doc_matches_the_control_module():
+    """docs/knobs.md lists the controller's fixed constants and its
+    default policy set: both must be what cluster/control.py holds, by
+    name and value."""
+    text = KNOBS.read_text()
+    constants = {name: value for name, value in vars(control).items()
+                 if name.isupper() and type(value) in (int, float)}
+    assert _documented_constants(text) == constants
+    row = re.search(r"^\| `policies` \| `([^`]*)` \|", text, re.M)
+    assert ast.literal_eval(row.group(1)) == Controller.POLICIES

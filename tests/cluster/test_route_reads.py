@@ -8,8 +8,9 @@ used, one more ``migrate`` reads each route from its memoized route
 record — no ``route``, ``route_latency`` or ``link_class`` call — prices
 no message it has priced before, and enters its H stall edges with one
 ``extend``.  A first use asks for no ``link_class`` either (the preset
-builds the record from its shape) and marks its fresh pair rows for the
-telemetry window without copying them.  When every *message* walked the route (and ``_receive``
+builds the record from its shape) and copies no row it creates; a node
+row the telemetry window first finds fresh is marked None, not with a
+copy of zeros.  When every *message* walked the route (and ``_receive``
 and ``_stall_edges`` walked it again) each of these counts grew with
 messages × hops.  Counts, not wall-clock: these cannot flake.
 """
@@ -19,7 +20,7 @@ from types import SimpleNamespace
 import pytest
 
 from repro import ClusterSpec
-from repro.cluster.transport import CounterRow
+from repro.cluster.transport import CounterRow, NodeStats
 from repro.kernel import Machine
 from repro.mem import PAGE_SIZE, Page
 
@@ -85,7 +86,7 @@ def test_a_first_use_asks_the_topology_for_no_class(world, monkeypatch):
     # The route records come from the preset's shape and the rows take
     # their class from the record: the topology is asked for none.
     assert calls.get("link_class", 0) == 0
-    # The two fresh pair rows are marked None, not with a copy of zeros.
+    # The two fresh pair rows are made without a copy.
     assert len(machine.transport.pairs) == 2 and marks == []
     # A price per distinct (message size, byte factor): MIGRATE, the
     # PAGE_BATCH and the ACK over one byte factor (fat_tree) or two.
@@ -127,14 +128,13 @@ def test_a_row_born_in_a_window_reports_from_its_creation(world):
     machine, space, frames, _ = world
     transport = machine.transport
     transport.take_window()
-    transport.migrate(space, SRC, DST, frames)
-    born = transport.pairs[SRC, DST].bytes
-    assert transport._marks["pairs"][SRC, DST] is None
+    transport.fetch(space, SRC, DST, frames)
+    assert transport._marks[DST] is None
     window = transport.take_window()
-    assert window.pair_bytes[SRC, DST] == born > 0
-    transport.migrate(space, DST, SRC, [])
-    transport.migrate(space, SRC, DST, [])
-    grown = transport.pairs[SRC, DST].bytes - born
-    assert transport._marks["pairs"][SRC, DST] == {"bytes": born}
-    assert transport.take_window().pair_bytes[SRC, DST] == grown > 0
-    assert transport.take_window().pair_bytes == {}
+    assert window.nodes[DST] == dict(NodeStats().as_dict(),
+                                     pulled=len(frames))
+    transport.fetch(space, SRC, DST, frames[:1])
+    transport.fetch(space, SRC, DST, frames[1:])
+    assert transport._marks[DST] == window.nodes[DST]
+    assert transport.take_window().nodes[DST]["pulled"] == len(frames)
+    assert transport.take_window().nodes == {}

@@ -161,7 +161,7 @@ def test_ledger_declarations_cover_every_counter():
     assert counters - {"window_index"} == set(Transport.SCALARS)
     # Kept once, shown by count.
     assert len(Transport.SCALARS) == 7 and len(NodeStats.FIELDS) == 6
-    assert len(TelemetryWindow.__slots__) == 4
+    assert len(TelemetryWindow.__slots__) == 3
     assert len(PrefetchExchange.__slots__) == 7
 
 
@@ -231,7 +231,6 @@ def test_a_window_is_what_the_ledgers_moved_since_the_last_take():
         assert list(first.nodes) == [0, 2], "rows come in key order"
         assert first.nodes[2] == dict(dict.fromkeys(NodeStats.FIELDS, 0),
                                       pulled=3)
-        assert first.pair_bytes == {(0, 2): 100}
         t.node(2).pulled += 1
         t.node(0).prefetch_used += 5
         t.pair((2, 0)).bytes += 7
@@ -240,9 +239,10 @@ def test_a_window_is_what_the_ledgers_moved_since_the_last_take():
         assert second.nodes[2]["pulled"] == 1
         assert second.nodes[0]["prefetch_issued"] == 0
         assert second.nodes[0]["prefetch_used"] == 5
-        assert second.pair_bytes == {(2, 0): 7}
         assert (t.pages_pulled, t.pages_prefetched, t.prefetch_used) \
             == (4, 8, 5)
+        assert {pair: row.bytes for pair, row in t.pairs.items()} \
+            == {(0, 2): 100, (2, 0): 7}
         assert not set(NODE_TOTALS) & (set(vars(t)) | set(Transport.SCALARS))
 
 
@@ -254,9 +254,8 @@ def test_a_node_has_a_window_row_iff_a_counter_of_it_moved():
         t = m.transport
         t.node(0)                       # looked up, never moved
         t.node(1).pulled += 2
-        t.pair((0, 1))
         window = t.take_window()
-        assert set(window.nodes) == {1} and window.pair_bytes == {}
+        assert set(window.nodes) == {1}
         t.node(1)
         assert t.take_window().nodes == {}
 
@@ -305,7 +304,7 @@ def test_no_route_samples_without_a_controller():
                     prefetch_depth=8, loss={"drop": 0.02, "seed": 7}))
     assert m.transport.route_samples == {}
     window = m.transport.take_window()
-    assert window.route_samples == {} and window.nodes and window.pair_bytes
+    assert window.route_samples == {} and window.nodes and m.transport.pairs
     for total, field in NODE_TOTALS.items():
         assert getattr(m.transport, total) == sum(
             row[field] for row in window.nodes.values()), total

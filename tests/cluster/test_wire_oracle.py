@@ -24,7 +24,7 @@ from wire_oracle import ReferenceTransport
 from repro import ClusterSpec
 from repro.bench import cluster_workloads as cw
 from repro.cluster import Transport
-from repro.cluster.transport import NodeStats, PairStats
+from repro.cluster.transport import NodeStats
 from repro.common.errors import NetworkLossError
 from repro.kernel import Machine
 from repro.mem import PAGE_SIZE, Page
@@ -42,7 +42,7 @@ LOSSES = {
 }
 
 #: The mark of a row the window saw born, as a copy of it reads.
-ZERO = {"nodes": NodeStats().as_dict(), "pairs": PairStats().as_dict()}
+ZERO = NodeStats().as_dict()
 
 nodes = st.integers(0, NODES - 1)
 frame_sets = st.lists(st.integers(0, FRAMES - 1), unique=True, max_size=5)
@@ -132,8 +132,7 @@ class World:
         elif kind == "window":
             window = transport.take_window()
             return (window.index, list(window.nodes.items()),
-                    list(window.route_samples.items()),
-                    list(window.pair_bytes.items()))
+                    list(window.route_samples.items()))
         return None
 
 
@@ -149,9 +148,8 @@ def observe(machine):
         "pairs": [(pair, row.as_dict())
                   for pair, row in transport.pairs.items()],
         # A fresh row's None mark means what the all-zero copy did.
-        "marks": {table: [(key, ZERO[table] if mark is None else mark)
-                          for key, mark in marks.items()]
-                  for table, marks in transport._marks.items()},
+        "marks": [(node, ZERO if mark is None else mark)
+                  for node, mark in transport._marks.items()],
         "scalars": {name: getattr(transport, name)
                     for name in Transport.SCALARS},
         "transfers": list(machine.trace.transfers),

@@ -8,16 +8,16 @@ draw the stall edges (``_stall_edges``).  It overrides every method of
 the production send path and stubs out the leg, so an oracle that
 compares against it cannot agree with itself.  It also keeps the
 telemetry-window mark as it was before a fresh row was marked None
-(``_windowed``: an ``as_dict`` copy of every row the window first
+(``node``: an ``as_dict`` copy of every node row the window first
 finds), so the oracle's ``"window"`` step checks the None-mark path
-against the copying one.  What it inherits is the row accessors' table
-lookups, the codec size cache and the prefetch queue, none of which the
-rewrite touched (the queue's redeem and sink paths call
+against the copying one.  What it inherits is the link and pair row
+accessors, the codec size cache and the prefetch queue, none of which
+the rewrite touched (the queue's redeem and sink paths call
 ``_stall_edges`` with segment ids, as the reference's own paths do).
 """
 
 from repro.cluster.faults import RetxBill
-from repro.cluster.transport import (MsgType, PrefetchExchange,
+from repro.cluster.transport import (MsgType, NodeStats, PrefetchExchange,
                                      ROUTE_SAMPLE_CAP, Transport)
 from repro.common.errors import NetworkLossError
 from repro.mem.page import PAGE_SIZE
@@ -29,16 +29,14 @@ class ReferenceTransport(Transport):
     #: The production walk: reaching it from here is a bug in the oracle.
     _leg = _batches = None
 
-    def _windowed(self, table, key, new):
-        """Get-or-create row ``key`` of ``table``, marked as the running
+    def node(self, node):
+        """The :class:`NodeStats` of ``node``, marked as the running
         telemetry window first finds it."""
-        rows = getattr(self, table)
-        row = rows.get(key)
+        row = self.nodes.get(node)
         if row is None:
-            row = rows[key] = new()
-        marks = self._marks[table]
-        if key not in marks:
-            marks[key] = row.as_dict()
+            row = self.nodes[node] = NodeStats()
+        if node not in self._marks:
+            self._marks[node] = row.as_dict()
         return row
 
     def _note_route_sample(self, src, dst, usage, nmsgs, bill,
