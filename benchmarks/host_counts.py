@@ -1,0 +1,116 @@
+"""Exact host-work counts of one benchmark iteration: what a perf claim
+states as a count as well as a time.
+
+    python benchmarks/host_counts.py circuit_fat 1
+
+runs one ``large`` iteration of a perfbench workload in this process,
+through perfbench's own ``WORKLOADS[name].case()`` / ``.run()`` from the
+checkout in the current directory, and prints one JSON line:
+
+* ``handoffs_per_op`` — baton hand-offs to a guest thread (every
+  release of a worker's ``go`` lock, the pool's retirement at
+  ``Machine.close`` included) per operation of the workload;
+* ``workers_started`` — guest worker threads the engine started;
+* ``collections`` — gen-0/1/2 garbage collections during the run, from
+  ``gc.callbacks`` (after a ``gc.collect()``, as perfbench times it).
+
+The engine is observed from outside: :func:`counting` wraps each new
+worker's ``go`` lock in a :class:`CountingLock`, so the program carries
+no counter.  An iteration the workload's oracle rejects is refused, not
+counted.
+"""
+
+import contextlib
+import gc
+import json
+import os
+import sys
+
+
+class CountingLock:
+    """A lock that counts its releases of the lock it wraps."""
+
+    def __init__(self, lock):
+        self._lock = lock
+        self.releases = 0
+
+    def acquire(self, *args, **kwargs):
+        return self._lock.acquire(*args, **kwargs)
+
+    def release(self):
+        self.releases += 1
+        self._lock.release()
+
+
+class Counts:
+    """What :func:`counting` saw: the guest workers started, and how
+    many garbage collections of each generation ran."""
+
+    def __init__(self):
+        self.workers = []
+        self.collections = [0, 0, 0]
+
+    @property
+    def handoffs(self):
+        """Releases of a worker's ``go`` lock: each one hands the baton
+        to a guest thread (or retires an idle worker)."""
+        return sum(worker.go.releases for worker in self.workers)
+
+    def collected(self, phase, info):
+        if phase == "start":
+            self.collections[info["generation"]] += 1
+
+
+@contextlib.contextmanager
+def counting():
+    """Count guest hand-offs, worker starts and collections in the body.
+
+    Yields a :class:`Counts`.  A worker started in the body has its
+    ``go`` lock wrapped before any context reads it; a machine built
+    inside the body must also be closed inside it."""
+    from repro.kernel import engine
+
+    counts = Counts()
+    start = engine._Worker.__init__
+
+    def counted_start(worker, *args, **kwargs):
+        start(worker, *args, **kwargs)
+        worker.go = CountingLock(worker.go)
+        counts.workers.append(worker)
+
+    engine._Worker.__init__ = counted_start
+    gc.collect()
+    gc.callbacks.append(counts.collected)
+    try:
+        yield counts
+    finally:
+        gc.callbacks.remove(counts.collected)
+        engine._Worker.__init__ = start
+
+
+def count(name, seed):
+    """Counts of one ``large`` iteration of perfbench workload ``name``,
+    or None where it cannot run on this host.  Raises ``RuntimeError``
+    if the workload's oracle fails any of the iteration's operations."""
+    from perfbench.workloads import WORKLOADS
+
+    workload = WORKLOADS[name]
+    if workload.unavailable is not None and workload.unavailable():
+        return None
+    case = workload.case("large", seed)
+    with counting() as counts:
+        raw = workload.run(case.args)
+    outcome = workload.judge(case, raw)
+    if outcome.failed:
+        raise RuntimeError(f"{name}: {outcome.failed} of {outcome.ops} "
+                           f"operations failed ({outcome.reason}); "
+                           f"not counted")
+    return {"handoffs_per_op": counts.handoffs / outcome.ops,
+            "workers_started": len(counts.workers),
+            "collections": counts.collections}
+
+
+if __name__ == "__main__":
+    checkout = os.getcwd()
+    sys.path[:0] = [os.path.join(checkout, "src"), checkout]
+    print(json.dumps(count(sys.argv[1], int(sys.argv[2]))))

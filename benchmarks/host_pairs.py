@@ -11,7 +11,9 @@ verdict the guides define (:func:`verdict`).
 the same block for each, so the "must not move" half of a claim is the
 same command.  ``--record PATH`` appends one JSON line per compared
 workload to the pairs ledger (``benchmarks/pairs.jsonl``): the commits,
-the seeds, every pair's values and the verdicts (:func:`compare`).
+the seeds, every pair's values and the verdicts (:func:`compare`),
+and both sides' exact host-work counts of one ``large`` iteration
+(``host_counts.py``).
 """
 
 import argparse
@@ -20,6 +22,7 @@ import os
 import pathlib
 import statistics
 import subprocess
+import sys
 import tempfile
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -39,6 +42,24 @@ def run_once(command, cwd, workload, seed, seconds):
     result = json.loads(out.strip().splitlines()[-1])
     return (result["failed"],
             {k: m["value"] for k, m in result["metrics"].items()}, comparable)
+
+
+def count_run(cwd, workload, seed):
+    """``host_counts.py``'s counts of one ``large`` iteration of
+    ``workload``, run against the checkout at ``cwd``."""
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "benchmarks" / "host_counts.py"),
+         workload, str(seed)],
+        cwd=cwd, check=True, capture_output=True, text=True).stdout
+    return json.loads(out.strip().splitlines()[-1])
+
+
+def show_counts(counts):
+    if counts is None:
+        return "unavailable"
+    return (f"hand-offs/op {counts['handoffs_per_op']:.4f}, workers "
+            f"{counts['workers_started']}, collections "
+            + "/".join(map(str, counts["collections"])))
 
 
 def commits(parent):
@@ -109,7 +130,8 @@ def compare(declared, where, workload, pairs, seed, seconds, versus):
     Returns the same as a ledger record: the run settings, failed ops
     and per-run ``comparable`` flags per side, and per metric both
     sides' per-pair values, medians, quartiles, wins, losses and
-    :func:`verdict`."""
+    :func:`verdict`, and in ``counts`` each side's :func:`count_run`
+    on the first seed."""
     sides = {"parent": [], "change": []}
     failed = dict.fromkeys(sides, 0)
     comparable = {side: [] for side in sides}
@@ -151,8 +173,20 @@ def compare(declared, where, workload, pairs, seed, seconds, versus):
             **{key: {side: quartiles[side][at] for side in sides}
                for at, key in enumerate(("q1", "median", "q3"))},
             "wins": wins, "losses": losses, "verdict": reading}
+    record["counts"] = {side: count_run(where[side], workload, seed)
+                        for side in sides}
+    print(f"  counts (large, seed {seed}): "
+          + "  ->  ".join(show_counts(record["counts"][side])
+                          for side in sides))
     print(flush=True)
     return record
+
+
+def unpack(revision, dest):
+    """Extract ``revision`` of this repository into ``dest``."""
+    archive = subprocess.run(["git", "archive", revision], cwd=ROOT,
+                             check=True, capture_output=True).stdout
+    subprocess.run(["tar", "-x", "-C", dest], input=archive, check=True)
 
 
 def main(argv=None):
@@ -177,9 +211,7 @@ def main(argv=None):
     if args.pairs < 2 or args.others == 1:
         parser.error("quartiles need at least two pairs")
     with tempfile.TemporaryDirectory(prefix="host_pairs_") as parent_dir:
-        archive = subprocess.run(["git", "archive", args.parent], cwd=ROOT,
-                                 check=True, capture_output=True).stdout
-        subprocess.run(["tar", "-x", "-C", parent_dir], input=archive, check=True)
+        unpack(args.parent, parent_dir)
         where = {"parent": parent_dir, "change": ROOT}
         for workload, pairs in [(args.workload, args.pairs)] + [
                 (name, args.others) for name in names

@@ -14,10 +14,10 @@ Host threads (not generators) are used because a space must be resumable
 from arbitrarily deep inside guest code — e.g. when an instruction limit
 preempts a thread in the middle of the deterministic scheduler's quantum
 (§4.5) — which requires capturing the whole Python stack.  A space owns
-a thread only while it has such a stack: from its first resume until its
-entry function returns or traps.  The thread then goes back to the
-engine's idle pool, and a restarted space takes whichever worker is free
-(DESIGN.md §9, "Host cost").
+a thread only while it has such a stack: its context binds a worker when
+created, its first resume enters the entry function, and the worker goes
+back to the idle pool when the entry returns or traps; a restarted space
+takes whichever worker is free (DESIGN.md §9, "Host cost").
 """
 
 import threading
@@ -60,8 +60,8 @@ class _Worker:
 
 
 class GuestContext:
-    """One live guest stack: a space's entry function running on a
-    borrowed worker thread, from its first resume until it unwinds."""
+    """One live guest stack on a borrowed worker thread: construction
+    binds the worker, and the first resume enters ``_main``."""
 
     def __init__(self, engine, space, make_guest):
         self.engine = engine
@@ -71,9 +71,7 @@ class GuestContext:
         self._go = worker.go
         self._back = worker.back
         engine._live[self] = None
-        worker.ctx = self
-        self._go.release()      # the worker enters _main ...
-        self._back.acquire()    # ... and parks, awaiting the first resume
+        worker.ctx = self       # the first resume enters _main
 
     # -- kernel side --------------------------------------------------------
 
@@ -146,8 +144,9 @@ class GuestContext:
         restarts the space (exec, or resuming a trapped child from its
         entry) gets a fresh context."""
         try:
-            self.park()  # wait for the first resume
             space = self.space
+            if space.killed:    # killed before it ever ran
+                raise GuestKilled()
             try:
                 guest = self._make_guest(space)
                 entry = self.engine.machine.resolve_entry(space)

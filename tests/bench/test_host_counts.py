@@ -1,0 +1,74 @@
+"""Exact host-work ratchets: baton hand-offs to guest threads and worker
+starts on small serving and circuit runs, counted from outside the
+engine by ``benchmarks/host_counts.py``.  A change that adds a hand-off
+per space fails here instead of hiding in timing noise (DESIGN.md §9,
+"Host cost")."""
+
+import gc
+import os
+import sys
+import types
+
+import pytest
+
+import repro
+from repro import ClusterSpec
+from repro.bench import cluster_workloads as cw
+from repro.kernel import engine
+
+sys.path.insert(
+    0, os.path.join(os.path.dirname(__file__), os.pardir, os.pardir,
+                    "benchmarks"))
+import host_counts  # noqa: E402
+from host_counts import counting  # noqa: E402
+
+
+def test_a_short_lived_request_costs_one_handoff():
+    with counting() as counts:
+        result = repro.serve_trace(4, requests=375, mean_gap=960_000, seed=1)
+    assert len(result.values) == 375
+    # one resume of the root and of each request, plus the two idle
+    # workers retired at close
+    assert counts.handoffs == 378
+    assert len(counts.workers) == 2
+
+
+def test_a_circuit_node_costs_one_handoff():
+    with counting() as counts:
+        cw.run_cluster(cw.md5_circuit_main(3), 256,
+                       spec=ClusterSpec(topology="fat_tree"))
+    # one resume of the root and of each node worker, plus the two
+    # retirements
+    assert counts.handoffs == 259
+    assert len(counts.workers) == 2
+
+
+def test_counting_puts_the_engine_back():
+    start = engine._Worker.__init__
+    callbacks = list(gc.callbacks)
+    with counting() as counts:
+        with repro.Machine() as machine:
+            machine.run(lambda g: 0)
+    assert counts.handoffs == 2    # the root's run and its retirement
+    assert engine._Worker.__init__ is start
+    assert gc.callbacks == callbacks
+
+
+def test_an_iteration_the_oracle_rejects_is_not_counted(monkeypatch):
+    def judge(case, raw):
+        return types.SimpleNamespace(ops=4, failed=1, reason="bad sum")
+
+    workload = types.SimpleNamespace(
+        unavailable=None, judge=judge,
+        case=lambda size, seed: types.SimpleNamespace(args={}),
+        run=lambda args: None)
+    workloads = types.ModuleType("perfbench.workloads")
+    workloads.WORKLOADS = {"fake": workload}
+    monkeypatch.setitem(sys.modules, "perfbench.workloads", workloads)
+    with pytest.raises(RuntimeError, match=r"1 of 4 .*bad sum"):
+        host_counts.count("fake", 1)
+    # an iteration every op of which passes is counted
+    workload.judge = lambda case, raw: types.SimpleNamespace(
+        ops=4, failed=0, reason="")
+    got = host_counts.count("fake", 1)
+    assert (got["handoffs_per_op"], got["workers_started"]) == (0.0, 0)

@@ -74,7 +74,12 @@ def test_a_record_holds_every_pair_and_the_verdicts(monkeypatch, tmp_path):
         return (0, {"host_us_per_op": 100.0 - 10 * change + seed % 3,
                     "peak_rss_mb": 50.0}, seed != 12 or change)
 
+    def count_run(cwd, workload, seed):
+        return {"handoffs_per_op": 1.0, "workers_started": 2,
+                "collections": [0, 0, 0]}
+
     monkeypatch.setattr(host_pairs, "run_once", run_once)
+    monkeypatch.setattr(host_pairs, "count_run", count_run)
     record = host_pairs.compare(DECLARED, {"parent": "parent",
                                            "change": "change"},
                                 "circuit_fat", 4, 10, 2.5, "HEAD")
@@ -82,7 +87,7 @@ def test_a_record_holds_every_pair_and_the_verdicts(monkeypatch, tmp_path):
     assert runs[:4] == [("parent", 10), ("change", 10),
                         ("change", 11), ("parent", 11)]
     assert set(record) == {"workload", "seeds", "seconds", "pairs",
-                           "failed", "comparable", "metrics"}
+                           "failed", "comparable", "metrics", "counts"}
     assert record["seeds"] == [10, 11, 12, 13]
     assert (record["seconds"], record["pairs"]) == (2.5, 4)
     assert record["failed"] == {"parent": 0, "change": 0}
@@ -96,6 +101,8 @@ def test_a_record_holds_every_pair_and_the_verdicts(monkeypatch, tmp_path):
     assert (host["wins"], host["losses"]) == (4, 0)
     assert host["verdict"] == "claim holds"
     assert record["metrics"]["peak_rss_mb"]["verdict"] == "within bound"
+    assert record["counts"] == dict.fromkeys(
+        ("parent", "change"), count_run("", "circuit_fat", 10))
 
     ledger = tmp_path / "pairs.jsonl"
     head = {"parent": "a" * 40, "change": "b" * 40, "dirty": True}
@@ -148,3 +155,39 @@ def test_the_ledger_names_the_tree_the_change_side_ran(tmp_path,
         assert git("rev-parse", f"{record['change']}:{name}") == \
             git("hash-object", name)
     assert (tmp_path / ".git" / "index").read_bytes() == staged
+
+
+def test_counts_ride_the_record_of_every_workload(monkeypatch, tmp_path):
+    declared = json.loads((host_pairs.ROOT / "BENCHMARK.json").read_text())
+    names = [w["name"] for w in declared["workloads"]]
+    counted = []
+
+    def count_run(cwd, workload, seed):
+        counted.append((workload, seed))
+        change = cwd == host_pairs.ROOT
+        return {"handoffs_per_op": 2.0 - change, "workers_started": 2,
+                "collections": [113, 10, 0]}
+
+    def run_once(command, cwd, workload, seed, seconds):
+        return 0, {m["name"]: 1.0 for m in declared["end_to_end"]}, True
+
+    monkeypatch.setattr(host_pairs, "unpack", lambda revision, dest: None)
+    monkeypatch.setattr(host_pairs, "commits", lambda parent: {
+        "parent": "a" * 40, "change": "b" * 40, "dirty": True})
+    monkeypatch.setattr(host_pairs, "run_once", run_once)
+    monkeypatch.setattr(host_pairs, "count_run", count_run)
+    ledger = tmp_path / "pairs.jsonl"
+    host_pairs.main(["--workload", "circuit_fat", "--pairs", "2",
+                     "--others", "2", "--seed", "7",
+                     "--record", str(ledger)])
+    # One large iteration per side and workload, on the first seed.
+    assert sorted(counted) == sorted((name, 7) for name in names
+                                     for _side in range(2))
+    records = [json.loads(line) for line in ledger.read_text().splitlines()]
+    assert [r["workload"] for r in records][0] == "circuit_fat"
+    assert sorted(r["workload"] for r in records) == sorted(names)
+    for record in records:
+        assert record["counts"] == {
+            side: {"handoffs_per_op": value, "workers_started": 2,
+                   "collections": [113, 10, 0]}
+            for side, value in (("parent", 2.0), ("change", 1.0))}

@@ -4,14 +4,19 @@ A space holds a host thread only while it has a live guest stack, so
 the thread count follows the nesting depth of a run, not its size;
 placement and teardown touch a bounded number of table entries per
 child.  The size-independence is asserted on counts (threads, table
-scans), never on wall-clock.
+scans), never on wall-clock.  The pool's books (live contexts, idle and
+bound workers) must balance after every rendezvous of any start, exec,
+resume, trap and close sequence, and across an ``os.fork``.
 """
 
 import hashlib
+import multiprocessing
+import os
 import sys
 import threading
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import repro
 from repro import ClusterSpec
@@ -297,4 +302,154 @@ def test_handoffs_survive_a_tiny_switch_interval():
         assert run() == expected
     finally:
         sys.setswitchinterval(interval)
+    assert not guest_threads()
+
+
+# -- (e) the pool's invariants under any restart sequence ------------------
+
+def test_a_context_killed_before_it_ever_ran_unwinds():
+    """A bound context's first resume is what enters its stack, so a
+    kill that comes first must still unwind through ``_die``."""
+    ran = []
+
+    def main(g):
+        g.put(1, regs={"entry": lambda g1: ran.append(1)})
+        return 0
+
+    with Machine() as machine:
+        machine.run(main)
+        engine = machine.engine
+        space = machine.root.children[1]
+        idle = list(engine._idle)
+        ctx = space.ctx = GuestContext(engine, space, machine.make_guest)
+        worker = ctx._worker
+        assert list(engine._live) == [ctx] and worker.ctx is ctx
+        assert worker not in engine._idle
+        ctx.kill()
+        assert ran == []
+        assert space.ctx is None and not engine._live
+        assert engine._idle == idle and idle[-1] is worker
+    assert not guest_threads()
+
+
+def check_pool(machine):
+    """The engine's books agree with the space tree: a context is live
+    exactly while its space holds a stack, and every worker started is
+    either idle or bound to one live context."""
+    engine = machine.engine
+    stacks = {sp.ctx for sp in machine.root.walk() if sp.ctx is not None}
+    assert set(engine._live) == stacks
+    bound = [ctx._worker for ctx in engine._live]
+    assert len({id(w) for w in bound}) == len(bound)
+    assert len({id(w) for w in engine._idle}) == len(engine._idle)
+    assert not {id(w) for w in bound} & {id(w) for w in engine._idle}
+    assert len(bound) + len(engine._idle) == engine._workers_started
+
+
+STEPS = ("work", "ret", "limit", "nest", "exit", "exc", "fault")
+
+
+def run_steps(g, steps, broken):
+    """A child program: each step may stop it mid-stack (Ret, the
+    instruction limit), end it (exit, EXC, page fault) or run a
+    grandchild of its own.  A failed check goes to ``broken``: raised
+    here, it would only be the child's EXC trap."""
+    for step in steps:
+        if step == "work":
+            g.work(100)
+        elif step == "ret":
+            g.ret(status=len(steps))
+        elif step == "limit":
+            g.work(1_000)
+        elif step == "nest":
+            g.put(0, regs={"entry": lambda g2: 7}, start=True)
+            try:
+                assert g.get(0, regs=True)["r0"] == 7
+                check_pool(g.machine)
+            except AssertionError as exc:
+                broken.append(exc)
+        elif step == "exit":
+            return len(steps)
+        elif step == "exc":
+            raise ValueError(step)
+        else:
+            g.load(VA_SIZE, 4)
+    return -1
+
+
+actions = st.lists(st.tuples(
+    st.integers(0, 2), st.sampled_from(["start", "resume", "get"]),
+    st.lists(st.sampled_from(STEPS), max_size=5).map(tuple)), max_size=10)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(actions, st.integers(0, 10))
+def test_the_pool_books_balance_after_every_rendezvous(program, stop):
+    """Start (or exec), resume (or restart) and Get children in any
+    order; the root returns after ``stop`` actions and close unwinds
+    whatever is still parked."""
+    broken = []
+
+    def main(g):
+        started = set()
+        for slot, kind, steps in program[:stop]:
+            if kind == "start":
+                g.put(slot, regs={"entry": run_steps,
+                                  "args": (steps, broken)},
+                      start=True, limit=300 if "limit" in steps else None)
+                started.add(slot)
+            elif slot in started:
+                if kind == "resume":
+                    g.put(slot, start=True)
+                else:
+                    g.get(slot, regs=True)
+            check_pool(g.machine)
+        return 0
+
+    machine = Machine()
+    result = machine.run(main)
+    assert result.trap is Trap.EXIT, result.trap_info
+    assert not broken, broken
+    check_pool(machine)
+    machine.close()
+    assert not machine.engine._live and not machine.engine._idle
+    assert not guest_threads()
+
+
+# -- (f) a fork inherits a populated pool ------------------------------------
+
+def run_after_fork(machine, space):
+    """In the forked process: forget the parent's contexts and workers,
+    then run a started space on a worker of this process's own."""
+    engine = machine.engine
+    engine.after_fork()
+    assert not engine._live and not engine._idle
+    engine.run_until_stopped(space)
+    assert space.trap is Trap.EXIT and space.regs["r0"] == 3
+    os._exit(0)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_fork_with_a_populated_pool_runs_fresh_spaces():
+    def main(g):
+        g.put(2, regs={"entry": lambda g2: g2.ret()}, start=True)
+        g.get(2)                        # parked mid-stack: bound
+        g.put(1, regs={"entry": lambda g1: 1}, start=True)
+        g.get(1)                        # its worker goes back to the pool
+        g.put(3, regs={"entry": lambda g3: 3}, start=True)
+        engine = g.machine.engine
+        assert engine._idle and len(engine._live) == 2
+        proc = multiprocessing.get_context("fork").Process(
+            target=run_after_fork, args=(g.machine, g.space.children[3]))
+        proc.start()
+        proc.join(timeout=30)
+        if proc.is_alive():
+            proc.kill()
+            proc.join()
+        return proc.exitcode, g.get(3, regs=True)["r0"]
+
+    with Machine() as machine:
+        result = machine.run(main)
+        assert result.trap is Trap.EXIT, result.trap_info
+        assert result.r0 == (0, 3)
     assert not guest_threads()
