@@ -12,12 +12,18 @@ checkout in the current directory, and prints one JSON line:
   ``Machine.close`` included) per operation of the workload;
 * ``workers_started`` — guest worker threads the engine started;
 * ``collections`` — gen-0/1/2 garbage collections during the run, from
-  ``gc.callbacks`` (after a ``gc.collect()``, as perfbench times it).
+  ``gc.callbacks`` (after a ``gc.collect()``, as perfbench times it);
+* ``sizer_calls`` / ``sizer_pages`` — calls of the compression codec's
+  sizer and the pages handed to it: ``compress.wire_sizes`` (one call
+  per PAGE_BATCH load), or ``compress.wire_size`` (one page a call) in
+  a checkout that predates it;
+* ``loss_draws`` — ``LossSchedule.draw`` calls, one per wire copy a
+  lossy fabric decides.
 
-The engine is observed from outside: :func:`counting` wraps each new
-worker's ``go`` lock in a :class:`CountingLock`, so the program carries
-no counter.  An iteration the workload's oracle rejects is refused, not
-counted.
+The program is observed from outside: :func:`counting` wraps each new
+worker's ``go`` lock in a :class:`CountingLock` and the sizer and the
+loss draw in counting wrappers, so the program carries no counter.  An
+iteration the workload's oracle rejects is refused, not counted.
 """
 
 import contextlib
@@ -43,12 +49,16 @@ class CountingLock:
 
 
 class Counts:
-    """What :func:`counting` saw: the guest workers started, and how
-    many garbage collections of each generation ran."""
+    """What :func:`counting` saw: the guest workers started, how many
+    garbage collections of each generation ran, the codec sizer's calls
+    and pages, and the loss draws."""
 
     def __init__(self):
         self.workers = []
         self.collections = [0, 0, 0]
+        self.sizer_calls = 0
+        self.sizer_pages = 0
+        self.loss_draws = 0
 
     @property
     def handoffs(self):
@@ -63,28 +73,47 @@ class Counts:
 
 @contextlib.contextmanager
 def counting():
-    """Count guest hand-offs, worker starts and collections in the body.
+    """Count guest hand-offs, worker starts, collections, codec sizings
+    and loss draws in the body.
 
     Yields a :class:`Counts`.  A worker started in the body has its
     ``go`` lock wrapped before any context reads it; a machine built
     inside the body must also be closed inside it."""
+    from repro.cluster import compress, faults
     from repro.kernel import engine
 
     counts = Counts()
     start = engine._Worker.__init__
+    batched = hasattr(compress, "wire_sizes")
+    sizer_name = "wire_sizes" if batched else "wire_size"
+    sizer = getattr(compress, sizer_name)
+    draw = faults.LossSchedule.draw
 
     def counted_start(worker, *args, **kwargs):
         start(worker, *args, **kwargs)
         worker.go = CountingLock(worker.go)
         counts.workers.append(worker)
 
+    def counted_sizer(pages):
+        counts.sizer_calls += 1
+        counts.sizer_pages += len(pages) if batched else 1
+        return sizer(pages)
+
+    def counted_draw(schedule, *args, **kwargs):
+        counts.loss_draws += 1
+        return draw(schedule, *args, **kwargs)
+
     engine._Worker.__init__ = counted_start
+    setattr(compress, sizer_name, counted_sizer)
+    faults.LossSchedule.draw = counted_draw
     gc.collect()
     gc.callbacks.append(counts.collected)
     try:
         yield counts
     finally:
         gc.callbacks.remove(counts.collected)
+        faults.LossSchedule.draw = draw
+        setattr(compress, sizer_name, sizer)
         engine._Worker.__init__ = start
 
 
@@ -107,7 +136,10 @@ def count(name, seed):
                            f"not counted")
     return {"handoffs_per_op": counts.handoffs / outcome.ops,
             "workers_started": len(counts.workers),
-            "collections": counts.collections}
+            "collections": counts.collections,
+            "sizer_calls": counts.sizer_calls,
+            "sizer_pages": counts.sizer_pages,
+            "loss_draws": counts.loss_draws}
 
 
 if __name__ == "__main__":

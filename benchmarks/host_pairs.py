@@ -59,7 +59,10 @@ def show_counts(counts):
         return "unavailable"
     return (f"hand-offs/op {counts['handoffs_per_op']:.4f}, workers "
             f"{counts['workers_started']}, collections "
-            + "/".join(map(str, counts["collections"])))
+            + "/".join(map(str, counts["collections"]))
+            + f", sizer {counts['sizer_pages']} pages in "
+            f"{counts['sizer_calls']} calls, loss draws "
+            f"{counts['loss_draws']}")
 
 
 def commits(parent):

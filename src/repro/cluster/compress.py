@@ -32,9 +32,12 @@ Two schemes, chosen per frame:
 The codec is a real round-tripping implementation, not an estimate:
 :func:`encode_page` / :func:`decode_page` are property-tested on
 random, zero, and sparse frames.  The transport charges wire bytes
-from :func:`wire_size` (cached per frame content tag), which counts the
-encoded length from the same zero-run boundaries the encoder splits at
-instead of building the payload; it is property-tested equal to
+from :func:`wire_sizes`, which sizes one PAGE_BATCH load (up to
+``cost.msg_batch`` pages, each content tag once) in a single pass over
+byte masks instead of building any payload: the run tokens are the
+zero mask opened by :data:`MIN_ZERO_RUN`, and the size is counted from
+that mask's bytes and its segment ends.  :func:`encode_page` stays the
+independent oracle: the count is property-tested equal to
 ``len(encode_page(d)[1])``.
 """
 
@@ -57,6 +60,10 @@ MIN_ZERO_RUN = 3
 _SPAN = 0x80
 
 _ZERO_PAGE = bytes(PAGE_SIZE)
+
+#: Eight ``True`` bytes read as one uint64: the 8 words of an aligned
+#: 64-byte block of segment ends, each compared equal to zero.
+_QUIET_BLOCK = np.uint64(0x0101010101010101)
 
 
 def _zero_runs(data):
@@ -144,19 +151,64 @@ def decode_page(scheme, payload):
     return bytes(out)
 
 
-def wire_size(data):
-    """Wire payload bytes of one frame under compression.
+def wire_sizes(pages):
+    """Wire payload bytes of each of ``pages`` under compression, as a
+    list: ``wire_sizes(b)[i] == len(encode_page(b[i])[1])``.
 
-    ``wire_size(d) == len(encode_page(d)[1])``, and is bounded by
-    ``PAGE_SIZE`` because raw is always a candidate scheme.  Counted,
-    not encoded: a zero run of ``L`` bytes is ``ceil(L/128)`` control
-    bytes, a literal gap of ``G`` bytes is ``G + ceil(G/128)``.
+    One PAGE_BATCH load is sized in one pass over its stacked byte
+    masks, never building a payload.  ``kept`` marks the bytes of the
+    zero runs of at least :data:`MIN_ZERO_RUN` bytes (the zero mask
+    eroded, then dilated, by ``MIN_ZERO_RUN - 1``); the stream is the
+    page's segments — maximal kept and unkept spans — alternating
+    between run and literal tokens.  A segment of ``L`` bytes costs
+    ``1 + (L - 1) // 128`` control bytes, so a page costs its literal
+    bytes, plus one byte per segment, plus ``(L - 1) // 128`` per
+    segment longer than one token.  Such a segment covers a whole
+    aligned 64-byte block with no segment end in it, so segment ends
+    are listed only for the pages that have one.  An all-zero page is
+    0, and no size exceeds ``PAGE_SIZE`` (raw is always a candidate).
     """
-    if data == _ZERO_PAGE:
-        return 0
-    starts, ends = _zero_runs(data)
-    gaps = np.append(starts, PAGE_SIZE)         # a gap of 0 costs nothing
-    gaps[1:] -= ends
-    spans = np.concatenate((ends - starts, gaps))
-    size = int(gaps.sum()) + int(((spans + _SPAN - 1) // _SPAN).sum())
-    return min(size, PAGE_SIZE)
+    if any(len(page) != PAGE_SIZE for page in pages):
+        raise ValueError(f"page payload must be {PAGE_SIZE} bytes")
+    if not pages:
+        return []
+    count = len(pages)
+    kept = np.frombuffer(b"".join(pages), np.uint8).reshape(count,
+                                                            PAGE_SIZE) == 0
+    ends = np.empty_like(kept)                  # a segment ends here
+    width = PAGE_SIZE - MIN_ZERO_RUN + 1
+    # a run starts here; its mask borrows the ends' buffer until kept
+    # is dilated from it
+    run = np.logical_and(kept[:, :width], kept[:, 1:width + 1],
+                         out=ends[:, :width])
+    for shift in range(2, MIN_ZERO_RUN):
+        run &= kept[:, shift:shift + width]
+    kept[:, :width] = run
+    kept[:, width:] = False
+    for shift in range(1, MIN_ZERO_RUN):
+        kept[:, shift:shift + width] |= run
+    np.logical_xor(kept[:, 1:], kept[:, :-1], out=ends[:, :-1])
+    ends[:, -1] = True
+    literal = PAGE_SIZE - np.add.reduce(kept.view(np.uint8), axis=1,
+                                        dtype=np.uint16)
+    sizes = (literal + np.add.reduce(ends.view(np.uint8), axis=1,
+                                     dtype=np.uint16)).astype(np.intp)
+    # the ends as uint64 words, compared with zero and read back as
+    # uint64: an aligned 64-byte block with no segment end in it is
+    # eight True bytes, one _QUIET_BLOCK
+    quiet = (ends.view(np.uint64) == 0).view(np.uint64) == _QUIET_BLOCK
+    rows = np.flatnonzero(quiet.any(axis=1))
+    if rows.size:
+        at = np.flatnonzero(ends[rows])         # each row ends at 4095
+        lengths = np.diff(at, prepend=-1)
+        long = lengths > _SPAN
+        np.add.at(sizes, rows[at[long] // PAGE_SIZE],
+                  (lengths[long] - 1) // _SPAN)
+    sizes[literal == 0] = 0
+    np.minimum(sizes, PAGE_SIZE, out=sizes)
+    return sizes.tolist()
+
+
+def wire_size(data):
+    """Wire payload bytes of one frame: :func:`wire_sizes` of it alone."""
+    return wire_sizes((data,))[0]

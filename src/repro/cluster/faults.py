@@ -79,10 +79,12 @@ class RetxBill:
 class LossSchedule:
     """Deterministic per-link, per-message drop schedule.
 
-    ``drop`` is a rate in ``[0, 1]``; ``seed`` selects the fault
-    pattern.  :meth:`drops` is a pure function — the schedule holds no
-    mutable state, so it can be shared, replayed, and queried in any
-    order without changing a single decision.
+    ``drop`` is a rate in ``[0, 1]``; ``seed`` (a signed 64-bit int)
+    selects the fault pattern.  :meth:`drops` is a pure function — the
+    schedule's only mutable state is a memo of each link's folded
+    ``(seed, link)`` prefix, which every draw on that link would fold
+    alike — so it can be shared, replayed, and queried in any order
+    without changing a single decision.
 
     >>> s = LossSchedule(drop=0.5, seed=7)
     >>> s.drops(("a", "b"), 3) == LossSchedule(drop=0.5, seed=7).drops(("a", "b"), 3)
@@ -90,18 +92,28 @@ class LossSchedule:
     """
 
     def __init__(self, drop=0.0, seed=2010):
-        if not 0.0 <= drop <= 1.0:
-            raise ValueError(f"loss drop rate must be in [0, 1], got {drop}")
+        if isinstance(drop, bool) or not 0.0 <= drop <= 1.0:
+            raise ValueError(f"loss drop rate must be in [0, 1], got {drop!r}")
+        if isinstance(seed, bool) or not isinstance(seed, int) \
+                or not -2**63 <= seed < 2**63:
+            raise ValueError(f"loss seed must be a signed 64-bit int, "
+                             f"got {seed!r}")
         self.drop = drop
         self.seed = seed
+        #: link -> the FNV state once the seed and the link's endpoints
+        #: are folded: the prefix every draw on that link shares.
+        self._prefix = {}
 
     def draw(self, link, serial, attempt=0):
         """The uniform in ``[0, 1)`` backing the decision for one wire
         copy — a pure function of ``(seed, link, serial, attempt)``."""
-        state = _fold(_FNV_OFFSET, self.seed.to_bytes(8, "little",
-                                                      signed=True))
-        for end in link:
-            state = _fold(state, _endpoint_bytes(end))
+        state = self._prefix.get(link)
+        if state is None:
+            state = _fold(_FNV_OFFSET, self.seed.to_bytes(8, "little",
+                                                          signed=True))
+            for end in link:
+                state = _fold(state, _endpoint_bytes(end))
+            self._prefix[link] = state
         state = _fold(state, serial.to_bytes(8, "little"))
         state = _fold(state, attempt.to_bytes(4, "little"))
         return DeterministicRandom(state).uniform()

@@ -434,11 +434,20 @@ class Transport:
         size (cached per content tag) under compression."""
         if not self.machine.spec.compression:
             return PAGE_SIZE
-        tag = frame.tag()
-        size = self._wire_sizes.get(tag)
-        if size is None:
-            size = self._wire_sizes[tag] = compress.wire_size(frame.data)
-        return size
+        return self._wire_load((frame,))
+
+    def _wire_load(self, frames):
+        """Compressed payload bytes of one PAGE_BATCH load of
+        ``frames``: the content tags not yet cached are sized in one
+        :func:`compress.wire_sizes` call, each tag once."""
+        known = self._wire_sizes
+        tags = [frame.tag() for frame in frames]
+        fresh = {tag: frame.data for tag, frame in zip(tags, frames)
+                 if tag not in known}
+        if fresh:
+            known.update(zip(fresh, compress.wire_sizes(list(
+                fresh.values()))))
+        return sum(map(known.__getitem__, tags))
 
     def queue_len(self, node):
         """In-flight prefetched frames of ``node``'s async fetch queue."""
@@ -654,7 +663,8 @@ class Transport:
         PAGE_REQ), a PAGE_BATCH per load of up to ``cost.msg_batch``
         ``frames``, its ACK, in that order — and build the batches.
         Without compression every page is ``PAGE_SIZE`` on the wire, so
-        the loads are sized by arithmetic instead of per frame.
+        the loads are sized by arithmetic; with it, each load is sized
+        by one :meth:`_wire_load`.
 
         Returns ``(head, msgs, ack, payload, codec)``: the head's and
         the ACK's serials around the PAGE_BATCH message tuples, the
@@ -667,15 +677,13 @@ class Transport:
         compressed = machine.spec.compression
         cap = cost.msg_batch
         npages = len(frames)
-        if compressed:
-            sizes = [self.wire_size(frame) for frame in frames]
         head = self.messages
         msgs = []
         payload = 0
         for start in range(0, npages, cap):
             take = min(cap, npages - start)
-            load = sum(sizes[start:start + take]) if compressed \
-                else take * PAGE_SIZE
+            load = self._wire_load(frames[start:start + take]) \
+                if compressed else take * PAGE_SIZE
             msgs.append((PAGE_BATCH, head + 1 + len(msgs),
                          load + take * cost.page_hdr, True))
             payload += load

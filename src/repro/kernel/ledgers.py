@@ -371,9 +371,13 @@ _HOST = ("host machinery: a worker forgets the parent's guest threads "
 NOT_REPLAYED = {
     "Machine": {
         **dict.fromkeys((
-            "spec", "cost", "nnodes", "merge_mode", "loss", "topology",
+            "spec", "cost", "nnodes", "merge_mode", "topology",
             "placement", "_console_in", "_time_script", "programs"),
             _CONFIG),
+        "loss": "configuration: the schedule's decisions are fixed at "
+                "construction; it holds only a memo of each link's folded "
+                "(seed, link) prefix, the same in every process whatever "
+                "drew first",
         "frames": "its counters are a ledger of their own",
         "trace": "its lists and tables are ledgers of their own",
         "transport": "its counters and tables are ledgers of their own",

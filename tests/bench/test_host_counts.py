@@ -1,8 +1,9 @@
 """Exact host-work ratchets: baton hand-offs to guest threads and worker
-starts on small serving and circuit runs, counted from outside the
-engine by ``benchmarks/host_counts.py``.  A change that adds a hand-off
-per space fails here instead of hiding in timing noise (DESIGN.md §9,
-"Host cost")."""
+starts on small serving and circuit runs, and the codec sizer's calls
+and pages and the loss draws on a small compressed, lossy matmult
+tree, counted from outside the program by ``benchmarks/host_counts.py``.
+A change that adds a hand-off per space or a sizer call per page fails
+here instead of hiding in timing noise (DESIGN.md §9, "Host cost")."""
 
 import gc
 import os
@@ -14,6 +15,8 @@ import pytest
 import repro
 from repro import ClusterSpec
 from repro.bench import cluster_workloads as cw
+from repro.cluster import compress
+from repro.cluster.faults import LossSchedule
 from repro.kernel import engine
 
 sys.path.insert(
@@ -43,14 +46,30 @@ def test_a_circuit_node_costs_one_handoff():
     assert len(counts.workers) == 2
 
 
+def test_a_page_batch_load_is_sized_in_one_call():
+    with counting() as counts:
+        _, machine, _ = cw.run_cluster(
+            cw.matmult_tree_main(128), 4,
+            spec=ClusterSpec(topology="two_tier:2", ship_mode="demand",
+                             prefetch_depth=32, compression=True,
+                             loss=0.01))
+    assert machine.pages_fetched == 128
+    # 48 fresh content tags (the rest are cached), sized in one call
+    # per PAGE_BATCH load that carries any
+    assert (counts.sizer_calls, counts.sizer_pages) == (5, 48)
+    assert counts.loss_draws == 171
+
+
 def test_counting_puts_the_engine_back():
     start = engine._Worker.__init__
+    sizer, draw = compress.wire_sizes, LossSchedule.draw
     callbacks = list(gc.callbacks)
     with counting() as counts:
         with repro.Machine() as machine:
             machine.run(lambda g: 0)
     assert counts.handoffs == 2    # the root's run and its retirement
     assert engine._Worker.__init__ is start
+    assert (compress.wire_sizes, LossSchedule.draw) == (sizer, draw)
     assert gc.callbacks == callbacks
 
 

@@ -76,7 +76,8 @@ def test_a_record_holds_every_pair_and_the_verdicts(monkeypatch, tmp_path):
 
     def count_run(cwd, workload, seed):
         return {"handoffs_per_op": 1.0, "workers_started": 2,
-                "collections": [0, 0, 0]}
+                "collections": [0, 0, 0], "sizer_calls": 0,
+                "sizer_pages": 0, "loss_draws": 0}
 
     monkeypatch.setattr(host_pairs, "run_once", run_once)
     monkeypatch.setattr(host_pairs, "count_run", count_run)
@@ -166,7 +167,8 @@ def test_counts_ride_the_record_of_every_workload(monkeypatch, tmp_path):
         counted.append((workload, seed))
         change = cwd == host_pairs.ROOT
         return {"handoffs_per_op": 2.0 - change, "workers_started": 2,
-                "collections": [113, 10, 0]}
+                "collections": [113, 10, 0], "sizer_calls": 768 - 744 * change,
+                "sizer_pages": 768, "loss_draws": 774}
 
     def run_once(command, cwd, workload, seed, seconds):
         return 0, {m["name"]: 1.0 for m in declared["end_to_end"]}, True
@@ -189,5 +191,7 @@ def test_counts_ride_the_record_of_every_workload(monkeypatch, tmp_path):
     for record in records:
         assert record["counts"] == {
             side: {"handoffs_per_op": value, "workers_started": 2,
-                   "collections": [113, 10, 0]}
-            for side, value in (("parent", 2.0), ("change", 1.0))}
+                   "collections": [113, 10, 0], "sizer_calls": calls,
+                   "sizer_pages": 768, "loss_draws": 774}
+            for side, value, calls in (("parent", 2.0, 768),
+                                       ("change", 1.0, 24))}

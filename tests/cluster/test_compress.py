@@ -6,7 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import ClusterSpec
 from repro.cluster import compress
+from repro.cluster.transport import Transport
+from repro.kernel import Machine
+from repro.mem import Page
 from repro.mem.page import PAGE_SIZE
 
 
@@ -153,6 +157,95 @@ def test_wire_size_is_the_encoded_length(data):
     """``wire_size`` counts from run boundaries; it must equal the
     length of the payload ``encode_page`` builds, for every scheme."""
     assert compress.wire_size(data) == len(compress.encode_page(data)[1])
+
+
+#: Segment lengths on each side of the token edges: the 3-byte shortest
+#: run, one token (128 bytes), two tokens, a whole page.
+EDGES = (1, 2, 3, 4, 127, 128, 129, 130, 255, 256, 257, PAGE_SIZE)
+
+
+def _segments(first_zero, segments):
+    """A page of alternating zero and literal segments of the given
+    ``(length, fill)`` — literal bytes are ``fill`` (never zero)."""
+    page = bytearray()
+    zero = first_zero
+    for length, fill in segments:
+        page += bytes(length) if zero else bytes([fill]) * length
+        zero = not zero
+    return bytes(page[:PAGE_SIZE].ljust(PAGE_SIZE, b"\x00"))
+
+
+segment_pages = st.builds(
+    _segments, st.booleans(),
+    st.lists(st.tuples(st.sampled_from(EDGES), st.integers(1, 255)),
+             min_size=1, max_size=40))
+batch_pages = st.one_of(segment_pages, small_int_pages, zero_run_pages,
+                        st.just(_page()), pseudorandom_pages)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(batch_pages, min_size=1, max_size=33))
+def test_a_load_is_sized_as_its_pages_encode(batch):
+    """One :func:`wire_sizes` call over a whole load — zero,
+    incompressible and token-edge pages side by side — equals the
+    encoder page by page."""
+    sizes = compress.wire_sizes(batch)
+    assert sizes == [len(compress.encode_page(p)[1]) for p in batch]
+    assert all(type(size) is int for size in sizes)
+
+
+def test_a_large_load_is_sized_as_its_pages_encode():
+    pages = [_segments(n % 2 == 0, [(EDGES[(n + k) % len(EDGES)], 9)
+                                    for k in range(30)])
+             for n in range(300)]
+    pages += [_small_ints(n, 100) for n in range(100)] + [_page()] * 3
+    assert compress.wire_sizes(pages) == [
+        len(compress.encode_page(p)[1]) for p in pages]
+
+
+def test_a_short_page_anywhere_in_a_load_is_refused():
+    page = _small_ints(1, 100)
+    for at in range(3):
+        batch = [page, page, page]
+        batch[at] = page[:-1]
+        with pytest.raises(ValueError):
+            compress.wire_sizes(batch)
+    assert compress.wire_sizes([]) == []
+
+
+def test_batches_size_each_fresh_tag_once(monkeypatch):
+    """A tag repeated within one exchange, and tags already cached, are
+    each sized once, one call per PAGE_BATCH load; the loads, the
+    payload and the codec cycles equal the per-frame sums."""
+    t = Transport(Machine(nnodes=2, spec=ClusterSpec(compression=True)))
+    cost = t.machine.cost
+    cap = cost.msg_batch
+    frames = [Page(_small_ints(n, 100)) for n in range(cap + 5)]
+    cached = frames[:4]
+    expected = {f.tag(): len(compress.encode_page(f.data)[1])
+                for f in frames}
+    for frame in cached:
+        t.wire_size(frame)
+    calls = []
+    sizer = compress.wire_sizes
+    monkeypatch.setattr(compress, "wire_sizes",
+                        lambda pages: calls.append(len(pages)) or sizer(pages))
+    # the first load repeats frame 6; the second load repeats frames
+    # 5 and 0 (sized in the first load and cached before it)
+    exchange = frames[:cap - 1] + [frames[6]] + frames[cap - 1:] \
+        + frames[5:6] + frames[:1]
+    head, msgs, ack, payload, codec = t._batches(exchange)
+    assert calls == [cap - 1 - len(cached), 6]
+    sizes = [expected[f.tag()] for f in exchange]
+    loads = [sizes[:cap], sizes[cap:]]
+    assert [msg[2] for msg in msgs] == [
+        sum(load) + len(load) * cost.page_hdr for load in loads]
+    assert payload == sum(sizes)
+    assert codec == int(len(exchange) * PAGE_SIZE * cost.comp_encode_byte
+                        + payload * cost.comp_decode_byte)
+    assert t._wire_sizes == expected
+    t._batches(exchange)                        # all cached now
+    assert len(calls) == 2
 
 
 def test_reject_bad_inputs():

@@ -17,11 +17,14 @@ import re
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import ClusterSpec
 from repro.bench import cluster_workloads as cw
 from repro.cluster import MsgType, NetworkStats
+from repro.cluster import faults
 from repro.cluster.faults import LossSchedule, resolve_loss
+from repro.common.detrandom import DeterministicRandom
 from repro.common.errors import NetworkLossError
 from repro.kernel import Machine, Trap, child_ref
 from repro.mem import PAGE_SIZE, Page
@@ -89,6 +92,63 @@ def test_rate_validation_and_resolve():
     assert resolve_loss(None) is None
     assert resolve_loss(0.25).drop == 0.25
     assert resolve_loss({"drop": 0.1, "seed": 3}).seed == 3
+
+
+@pytest.mark.parametrize("loss", [
+    {"drop": 0.1, "seed": 1.5},         # once an EXC AttributeError
+    {"drop": 0.1, "seed": "7"},         # likewise
+    {"drop": 0.1, "seed": 2**64},       # once an OverflowError
+    {"drop": 0.1, "seed": 2**63},
+    {"drop": 0.1, "seed": -2**63 - 1},
+    {"drop": 0.1, "seed": True},        # once ran silently as seed 1
+    {"drop": True},                     # once dropped every copy
+    {"drop": False, "seed": 3},
+])
+def test_a_bad_loss_spec_is_refused_at_construction(loss):
+    with pytest.raises(ValueError, match="loss"):
+        ClusterSpec(loss=loss)
+    with pytest.raises(ValueError, match="loss"):
+        LossSchedule(**loss)
+
+
+def test_the_seed_range_is_signed_64_bits():
+    for seed in (-2**63, -1, 0, 2**63 - 1):
+        ClusterSpec(loss={"drop": 0.1, "seed": seed})
+        LossSchedule(drop=0.1, seed=seed).draw((0, 1), 0)
+
+
+def _folded_draw(seed, link, serial, attempt):
+    """A draw folded from scratch, byte by byte, with no memo."""
+    state = faults._fold(faults._FNV_OFFSET,
+                         seed.to_bytes(8, "little", signed=True))
+    for end in link:
+        state = faults._fold(state, faults._endpoint_bytes(end))
+    state = faults._fold(state, serial.to_bytes(8, "little"))
+    state = faults._fold(state, attempt.to_bytes(4, "little"))
+    return DeterministicRandom(state).uniform()
+
+
+endpoints = st.one_of(st.integers(-2**63, 2**63 - 1),
+                      st.sampled_from(["core", "rack0", "0", ""]))
+probes = st.lists(st.tuples(st.tuples(endpoints, endpoints),
+                            st.integers(0, 2**64 - 1),
+                            st.integers(0, 2**32 - 1)),
+                  min_size=1, max_size=12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(-2**63, 2**63 - 1), probes, st.randoms())
+def test_memoised_draws_equal_a_fresh_fold_in_any_order(seed, probes, rnd):
+    """One schedule's per-link memo never changes a draw: queried in a
+    shuffled order, twice over, every draw equals the from-scratch
+    fold."""
+    sched = LossSchedule(drop=0.5, seed=seed)
+    asked = probes + probes
+    rnd.shuffle(asked)
+    for link, serial, attempt in asked:
+        assert sched.draw(link, serial, attempt) == \
+            _folded_draw(seed, link, serial, attempt)
+    assert set(sched._prefix) == {link for link, _, _ in probes}
 
 
 # -- bit-identical replay ---------------------------------------------------
