@@ -20,10 +20,18 @@ the plain fenced block right after the command's block must match what
 the command prints — its lines, ``...`` lines skipped, appear in the
 real stdout in order.
 
+A second pass needs no subprocess: every backticked ``Class`` or
+``Class.member`` in README.md, DESIGN.md and ``docs/*.md`` must name a
+class ``src/`` defines and, with a member, one the class has
+(:func:`stale_names`), so a renamed or deleted name cannot linger in
+the prose.
+
 Usage: python benchmarks/check_docs.py [--docs FILE [FILE ...]]
 """
 
 import argparse
+import ast
+import builtins
 import os
 import re
 import subprocess
@@ -96,6 +104,14 @@ DEFAULT_DOCS = ("README.md", "docs/debugging.md", "docs/backends.md")
 
 _FENCE = re.compile(r"^```(?:ba)?sh\s*$")
 
+#: Documents whose backticked class names must resolve.
+NAME_DOCS = ("README.md", "DESIGN.md", "docs/*.md")
+_SPAN = re.compile(r"`([^`\n]+)`")
+#: A span that starts with a class name, and the member after its dot.
+_REF = re.compile(r"([A-Z]\w*)(?:\.(\w+))?")
+#: A name shaped like a class (two humps): unknown ones are stale.
+_CAMEL = re.compile(r"[A-Z][a-z0-9]+[A-Z]\w*")
+
 
 def _closing(lines, start):
     """Index of the fence closing the block opened at ``start``."""
@@ -166,6 +182,119 @@ def run(command):
     return result.stdout
 
 
+def _relpath(doc):
+    try:
+        return Path(doc).resolve().relative_to(REPO).as_posix()
+    except ValueError:
+        return Path(doc).name
+
+
+def _strings(node):
+    """The string entries of a tuple or list literal."""
+    if not isinstance(node, (ast.Tuple, ast.List)):
+        return []
+    return [elt.value for elt in node.elts
+            if isinstance(elt, ast.Constant) and isinstance(elt.value, str)]
+
+
+def _members(cls):
+    """Every name a ``ClassDef`` gives its instances: the body's defs
+    and assignments (dataclass fields included), the strings of its
+    ``FIELDS``, ``SCALARS`` and ``__slots__``, and each ``self.x = ``
+    of its methods."""
+    names = set()
+    for stmt in cls.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            names.add(stmt.name)
+        elif isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target,
+                                                            ast.Name):
+            names.add(stmt.target.id)
+        elif isinstance(stmt, ast.Assign):
+            for target in stmt.targets:
+                if isinstance(target, ast.Name):
+                    names.add(target.id)
+                    if target.id in ("FIELDS", "SCALARS", "__slots__"):
+                        names.update(_strings(stmt.value))
+    for node in ast.walk(cls):
+        if (isinstance(node, ast.Attribute)
+                and isinstance(node.ctx, ast.Store)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "self"):
+            names.add(node.attr)
+    return names
+
+
+def src_classes(src=REPO / "src"):
+    """``{class name: (member names, base names)}`` of every class
+    under ``src`` (two classes of one name pool theirs)."""
+    classes = {}
+    for path in sorted(src.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef):
+                members, bases = classes.setdefault(node.name, (set(), set()))
+                members |= _members(node)
+                bases |= {base.id if isinstance(base, ast.Name) else base.attr
+                          for base in node.bases
+                          if isinstance(base, (ast.Name, ast.Attribute))}
+    return classes
+
+
+def _resolves(classes, name, member, seen=()):
+    """Whether class ``name`` (or a base, src or builtin) has
+    ``member``.  A class with ``__getattr__`` forwards: it has what any
+    class under ``src/`` has."""
+    if hasattr(object, member):
+        return True
+    members, bases = classes[name]
+    if member in members:
+        return True
+    if "__getattr__" in members:
+        return any(member in other for other, _ in classes.values())
+    for base in bases - set(seen):
+        if base in classes:
+            if _resolves(classes, base, member, seen + (name,)):
+                return True
+        elif hasattr(getattr(builtins, base, None), member):
+            return True
+    return False
+
+
+def stale_names(docs=None):
+    """``["doc:line: `span`", ...]`` for each backticked span outside
+    fenced blocks that starts with a ``Class`` or ``Class.member`` no
+    class under ``src/`` resolves (a two-hump name no class has is
+    stale too)."""
+    if docs is None:
+        docs = [path for pattern in NAME_DOCS
+                for path in sorted(REPO.glob(pattern))]
+    classes = src_classes()
+    found = []
+    for doc in docs:
+        fenced = False
+        for lineno, line in enumerate(Path(doc).read_text().splitlines(),
+                                      1):
+            if line.lstrip().startswith("```"):
+                fenced = not fenced
+                continue
+            if fenced:
+                continue
+            for span in _SPAN.findall(line):
+                ref = _REF.match(span)
+                if ref is None:
+                    continue
+                name, member = ref.groups()
+                if name in classes:
+                    stale = member is not None and not _resolves(
+                        classes, name, member)
+                else:
+                    stale = (_CAMEL.fullmatch(name) is not None
+                             and not hasattr(builtins, name))
+                if stale:
+                    found.append(f"{_relpath(doc)}:{lineno}: `{span}`")
+    return found
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -215,6 +344,9 @@ def main(argv=None):
                     failures.append(
                         f"{relpath} shows output {command!r} does not "
                         f"print (in that order): {drift!r}")
+
+    for stale in stale_names():
+        failures.append(f"{stale} names no class or member in src/")
 
     if failures:
         print(f"\ncheck_docs: {len(failures)} documentation drift(s):",

@@ -99,20 +99,18 @@ def main(smoke=False):
     print("\nper-link retransmit ledger (bit-identical on every rerun):")
     print(stats.retx_table())
 
-    # The transport only accumulates; a *telemetry window* is what its
-    # per-node ledgers gained since the last one was taken — the view a
-    # control plane (or an operator) reads.  This machine ran without a
-    # controller, so the first window is the whole run: per-node demand
-    # pulls and the prefetch issue/hit/waste splits.
-    window = stats.window()
-    print(f"\ntelemetry window of the whole static run (the input a "
-          f"controller reads every quantum):")
-    print(window.table())
+    # The transport only accumulates: per node, the whole run's demand
+    # pulls and the prefetch issue/hit/waste splits.  A control plane
+    # reads the same rows, differenced against what it saw at its
+    # previous decision pass.
+    print("\nper-node page counters of the whole static run (what a "
+          "controller diffs every quantum):")
+    print(stats.node_table())
 
     # Now hand the knobs to the control plane: instead of a static
     # prefetch depth and a single global retransmit timer, a
-    # deterministic per-node controller consumes one such window per
-    # quantum and re-tunes queue depths and per-route timeouts at
+    # deterministic per-node controller reads what those rows gained
+    # each quantum and re-tunes queue depths and per-route timeouts at
     # quantum boundaries (placement stays the fixed table above).
     # Decisions are a pure function of simulated state, so the decision
     # log replays bit-identically — and the answer still cannot change.

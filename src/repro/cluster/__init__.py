@@ -45,8 +45,8 @@ owns *how* it crosses and what that costs:
   ledgers (it copies nothing): migration hops, page/byte/message
   totals, per-class (rack vs cross-rack) aggregates
   (``NetworkStats.class_table()``), a per-link breakdown
-  (``NetworkStats.link_table()``), and the telemetry window
-  (``NetworkStats.window()``), the same on every backend.
+  (``NetworkStats.link_table()``), and the per-node page counters
+  (``NetworkStats.node_table()``), the same on every backend.
 
 Cluster programs fork and join across nodes with
 :mod:`repro.cluster.cluster`'s ``fork_child`` / ``join_child``.
@@ -59,12 +59,11 @@ from repro.cluster.transport import (
     LinkStats,
     MsgType,
     PrefetchExchange,
-    TelemetryWindow,
     Transport,
 )
 
 __all__ = [
     "NetworkStats",
-    "RetxBill", "TelemetryWindow",
+    "RetxBill",
     "Transport", "MsgType", "LinkStats", "PrefetchExchange", "LinkClass",
 ]

@@ -12,21 +12,21 @@ latencies.  A :class:`Controller` closes that feedback loop
   after a child ran to a stop — the same points at which the paper's
   kernel takes scheduling decisions.  Nothing else ever calls it.
 * **Inputs are a pure function of simulated state.**  Each decision
-  pass consumes one read-only
-  :class:`~repro.cluster.transport.TelemetryWindow` — what the
-  transport's node rows accumulated since the previous pass (the
-  difference of two marks, DESIGN §8).  No host time,
-  no randomness, no schedule()-side information: the window holds only
+  pass reads one *window*: what the transport's node rows accumulated
+  since the previous pass (the controller diffs the rows it saw last
+  pass, DESIGN §8), the in-flight exchanges that aged, and the route
+  samples the transport handed it meanwhile.  No host time, no
+  randomness, no schedule()-side information: the window holds only
   quantities the simulated execution itself determined, so two
-  same-seed runs feed the controller bit-identical windows.
+  same-seed runs feed the controller bit-identical windows.  All of it
+  is the controller's own state; the transport only accumulates.
 * **Outputs take effect at the next quantum.**  Decisions mutate knob
   state (per-node depths, per-route timeouts) that the kernel and
   transport consult *on their next use*; nothing retroactively edits
-  the trace.  Each decision is recorded on
-  the trace (:attr:`~repro.timing.trace.Trace.decisions`) anchored at
-  the deciding segment, and costs the guest nothing (the controller
-  runs beside the kernel, on the management plane) — so replaying the
-  trace replays the decisions' consequences exactly.
+  the trace.  Each decision is a line of :attr:`Controller.log` and
+  costs the guest nothing (the controller runs beside the kernel, on
+  the management plane) — so replaying the trace replays the
+  decisions' consequences exactly.
 
 Two policies ship:
 
@@ -57,11 +57,12 @@ doomed queue's churn into stale counts, so churn going quiet alone
 proves nothing).
 
 **Per-route retransmit timeouts** (SRTT + RTTVAR).  The transport
-samples each clean *single-page* exchange's modelled delivery latency
-per route (Karn's rule twice over: exchanges that hit the fault path
-contribute no sample, and multi-page batches measure sender drain, not
-route turnaround); the controller smooths them with the RFC 6298
-integer estimator
+hands the controller each exchange's modelled delivery latency
+(:meth:`Controller.sample_route`), which keeps one sample per clean
+*single-page* exchange per route (Karn's rule twice over: exchanges
+that hit the fault path contribute no sample, and multi-page batches
+measure sender drain, not route turnaround) and smooths them with the
+RFC 6298 integer estimator
 (``srtt += (s - srtt)/8``, ``rttvar += (|s - srtt| - rttvar)/4``) and
 sets the route's timeout to ``srtt + 4*rttvar``, clamped between twice
 the route's transit latency (a retransmit can never beat physics) and
@@ -69,6 +70,8 @@ the static ``cost.retx_timeout`` (adaptation may stop over-waiting on
 fast rack links, never under-wait worse than the static timer).  Lossy
 runs stop paying a core-link-sized timer on every rack-link drop.
 """
+
+from collections import Counter
 
 #: The policies' fixed constants (nothing ever tuned them per run).
 #: Upper bound on any adaptive prefetch depth.
@@ -82,6 +85,9 @@ WASTE_TOLERANCE = 8
 #: window's demand misses re-grow it, and the round after that wastes
 #: it all over again.
 GROWTH_HOLD = 2
+#: Route-latency samples kept per route and window (first come first
+#: kept — a deterministic cap on what one long quantum can pile up).
+ROUTE_SAMPLE_CAP = 512
 
 
 def _fmt_knob(value):
@@ -140,10 +146,19 @@ class Controller:
         self.rttvar = {}
         self.timeouts = {}
         #: Human-readable decision log, one line per decision, in
-        #: decision order (same content as the trace's ``decisions``
-        #: records — the rendering the example prints).
+        #: decision order (the rendering the example prints).
         self.log = []
         self.windows_seen = 0
+        # -- the window's inputs (DESIGN §8) --------------------------
+        #: node -> its transport row's ``as_dict()`` at the previous
+        #: pass: the next window is each row's ``delta_since`` it.
+        self._seen = {}
+        #: in-flight ``PrefetchExchange`` -> the pass that first saw it
+        #: queued, or None once its queued frames were counted aged.
+        self._queued = {}
+        #: unordered (a, b) node pair -> delivery-latency samples of the
+        #: window's clean exchanges (capped at ROUTE_SAMPLE_CAP).
+        self._samples = {}
 
     # -- knob reads (kernel/transport hot paths) ---------------------------
 
@@ -158,39 +173,86 @@ class Controller:
         pair = (src, dst) if src <= dst else (dst, src)
         return self.timeouts.get(pair)
 
+    # -- telemetry (the transport's two call sites) ------------------------
+
+    def sample_route(self, src, dst, transit, usages, nmsgs, bill, npages):
+        """Take one delivery-latency sample for the ``src``/``dst``
+        route: its ``transit`` latency plus the exchange's mean
+        per-message serialization over the ``usages`` dicts.  Two
+        Karn-style filters keep the estimator honest about what the
+        retransmit timer actually guards: exchanges that hit the fault
+        path contribute nothing (a retransmitted exchange's latency says
+        more about the timeout than about the route), and so do
+        multi-page batch exchanges — a batch's drain time measures the
+        sender's throughput, while the timer waits on the route's
+        *turnaround* for one copy, which only minimal (single-data-
+        message) exchanges exhibit."""
+        if npages > 1 or bill:
+            return
+        pair = (src, dst) if src <= dst else (dst, src)
+        samples = self._samples.setdefault(pair, [])
+        if len(samples) >= ROUTE_SAMPLE_CAP:
+            return
+        busy = sum(sum(usage.values()) for usage in usages)
+        samples.append(transit + busy // max(1, nmsgs))
+
+    def _window(self, transport, index):
+        """node -> what its transport row accumulated since the previous
+        pass, plus ``prefetch_aged``: the frames of its exchanges still
+        queued two or more passes after one first saw them (each
+        exchange counted once) — in-flight speculation the run is
+        visibly not consuming, the shrink signal that needs no
+        end-of-run flush.  A node has a row iff one of these moved."""
+        before, self._queued = self._queued, {}
+        aged = {}
+        for node in sorted(transport.inflight):
+            queued = Counter(entry[1]
+                             for entry in transport.inflight[node].values())
+            for exchange, frames in queued.items():
+                first = before.get(exchange, index)
+                if first is not None and first <= index - 2:
+                    aged[node] = aged.get(node, 0) + frames
+                    first = None
+                self._queued[exchange] = first
+        rows = {}
+        for node in sorted(transport.nodes):
+            row = transport.nodes[node]
+            delta = row.delta_since(self._seen.get(node))
+            if delta is not None:
+                self._seen[node] = row.as_dict()
+            if delta is not None or node in aged:
+                rows[node] = delta or dict.fromkeys(row.FIELDS, 0)
+                rows[node]["prefetch_aged"] = aged.get(node, 0)
+        return rows
+
     # -- the quantum hook --------------------------------------------------
 
-    def on_quantum(self, machine, caller):
+    def on_quantum(self, machine):
         """One control-plane pass at a quantum boundary.
 
-        Called by ``Kernel._rendezvous`` after ``caller``'s child ran to
-        a stop.  Consumes the telemetry window and lets each enabled
-        policy adjust its knobs; decisions are recorded on the trace
-        anchored at ``caller``'s open segment.
+        Called by ``Kernel._rendezvous`` after a child ran to a stop.
+        Takes the window since the previous pass and lets each enabled
+        policy adjust its knobs.
         """
-        window = machine.transport.take_window()
+        index = self.windows_seen
         self.windows_seen += 1
-        trace = machine.trace
-        anchor = trace.current(caller.uid) if trace.is_open(caller.uid) \
-            else None
+        samples, self._samples = self._samples, {}
         if "prefetch" in self.policies:
-            self._decide_prefetch(machine, window, anchor)
+            self._decide_prefetch(machine,
+                                  self._window(machine.transport, index))
         if "retx" in self.policies:
-            self._decide_retx(machine, window, anchor)
+            self._decide_retx(machine, samples)
 
-    def _record(self, machine, anchor, node, policy, knob, old, new):
-        machine.trace.decision(anchor if anchor is not None else -1,
-                               node, policy, knob, old, new)
+    def _record(self, node, policy, knob, old, new):
         self.log.append(
-            f"w{machine.transport.window_index - 1:>3} {policy:<9} "
+            f"w{self.windows_seen - 1:>3} {policy:<9} "
             f"{knob}[{node}]: {_fmt_knob(old)} -> {_fmt_knob(new)}")
 
     # -- policy 1: adaptive prefetch depth ---------------------------------
 
-    def _decide_prefetch(self, machine, window, anchor):
+    def _decide_prefetch(self, machine, rows):
         collapse = None
-        for node in sorted(window.nodes):
-            row = window.nodes[node]
+        for node, row in rows.items():
             depth = self.depth_for(node)
             used = row["prefetch_used"]
             # Stale frames are certain waste (the producer superseded
@@ -264,8 +326,7 @@ class Controller:
                 new = min(DEPTH_CAP, depth + 1)
             if new != depth:
                 self.depths[node] = new
-                self._record(machine, anchor, node, "prefetch",
-                             "depth", depth, new)
+                self._record(node, "prefetch", "depth", depth, new)
         if collapse is not None:
             # Fleet-wide downward ratchet, the mirror of ``_boot``'s
             # upward one and on the same SPMD rationale: the nodes run
@@ -284,17 +345,16 @@ class Controller:
                 # other node's demand jump ratchets ``_boot`` back up.
                 self.depths[node] = min(old, collapse)
                 if old > collapse:
-                    self._record(machine, anchor, node, "prefetch",
-                                 "depth", old, collapse)
+                    self._record(node, "prefetch", "depth", old, collapse)
 
     # -- policy 2: per-route SRTT retransmit timeouts ----------------------
 
-    def _decide_retx(self, machine, window, anchor):
+    def _decide_retx(self, machine, route_samples):
         if machine.loss is None:
             return
         cost = machine.cost
-        for pair in sorted(window.route_samples):
-            samples = window.route_samples[pair]
+        for pair in sorted(route_samples):
+            samples = route_samples[pair]
             srtt = self.srtt.get(pair)
             var = self.rttvar.get(pair, 0)
             for sample in samples:
@@ -318,8 +378,7 @@ class Controller:
             old = self.timeouts.get(pair, cost.retx_timeout)
             if rto != old:
                 self.timeouts[pair] = rto
-                self._record(machine, anchor, pair, "retx",
-                             "timeout", old, rto)
+                self._record(pair, "retx", "timeout", old, rto)
             else:
                 self.timeouts[pair] = rto
 

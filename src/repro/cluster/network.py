@@ -2,15 +2,15 @@
 
 Every cross-node kernel path routes through the machine's
 :class:`~repro.cluster.transport.Transport`, which accumulates a ledger
-row per directed fabric link, per node and per node pair as the
-simulation runs (DESIGN §3 "One name per counter").
+row per directed fabric link and per node as the simulation runs
+(DESIGN §3 "One name per counter").
 :class:`NetworkStats` is the operator's *view* of those live counters —
 it keeps no copy of any of them — under the names one would read off a
 switch to explain why matmult-tree levels off at two nodes (§6.3):
 migration hops, per-link totals, per-class (rack vs cross-rack)
 aggregates, prefetch-queue effectiveness, and the compressed-vs-raw
-byte ledger.  Its tables, and the telemetry window's, are column lists
-over the one :func:`render_table`.
+byte ledger.  Its tables are column lists over the one
+:func:`render_table`.
 """
 
 from repro.mem.page import PAGE_SIZE
@@ -51,6 +51,10 @@ def _traffic(row):
     return (row["messages"], row["pages"], _kib(row["bytes_sent"]),
             _kib(row["raw_bytes"]), row["busy_cycles"])
 
+
+#: ``node_table``'s columns: the node, then ``NodeStats.FIELDS``.
+_NODE_COLUMNS = (("node", 5, ""), ("pulled", 7, ""), ("pf-iss", 7, ""),
+                 ("pf-used", 8, ""), ("stale", 6, ""), ("churn", 6, ""))
 
 #: ``retx_table``: its columns, and the ``LinkStats.FIELDS`` counters
 #: under them that its TOTAL row sums.
@@ -205,18 +209,18 @@ class NetworkStats:
              for name, stats in rows.items()],
             "(no link ever dropped a message)")
 
-    def window(self):
-        """Take the transport's telemetry window: what the node and
-        pair ledgers accumulated since the last take, as a
-        :class:`~repro.cluster.transport.TelemetryWindow` — the read the
-        control plane performs at each decision pass, exposed for
-        operators and tests.  The same window comes back whatever
-        backend ran the machine.  On a machine with a control plane
-        attached the controller consumes the windows itself; calling
-        this mid-run there would steal its telemetry, so prefer it on
-        ``control=None`` machines or after the run completes.
-        """
-        return self.machine.transport.take_window()
+    def node_table(self):
+        """Aligned per-node rows of the cumulative page-path counters
+        (``NodeStats.FIELDS``: demand pulls, prefetch issued / used /
+        stale, churn) of every node that moved a page — the counters a
+        control plane diffs at each decision pass, the same whatever
+        backend ran the machine."""
+        nodes = self.machine.transport.nodes
+        rows = [(node, *nodes[node].as_dict().values())
+                for node in sorted(nodes)]
+        return render_table(_NODE_COLUMNS,
+                            [row for row in rows if any(row[1:])],
+                            "(no node moved a page)")
 
     def class_bytes(self, cls):
         """Total wire bytes sent over links of class ``cls`` (0 if the

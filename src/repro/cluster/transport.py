@@ -6,8 +6,8 @@ machine owns.  The protocol and its cost model are specified in
 DESIGN.md, once: §3 (message types, routed links, delta shipping, wire
 time as link occupancy, "one name per counter"), §4 (the async prefetch
 queue and PAGE_BATCH compression), §5 (the deterministic loss schedule
-and the reliable link layer) and §8 (telemetry windows).  What a reader
-of this file needs from there:
+and the reliable link layer).  What a reader of this file needs from
+there:
 
 * four message types — ``MIGRATE``, ``PAGE_REQ``, ``PAGE_BATCH``,
   fire-and-forget ``ACK`` — each routed hop by hop over the machine's
@@ -20,10 +20,8 @@ of this file needs from there:
   its issue anchor when redeemed, or into a sink segment when nobody
   ever demands it;
 * the transport **only accumulates**: a :attr:`CounterRow.FIELDS` row per
-  link, per node and per directed node pair, plus
-  :attr:`Transport.SCALARS`.  Run-wide totals are sums over the rows, a
-  :class:`TelemetryWindow` is the difference of two marks of the node
-  rows.
+  link and per node, plus :attr:`Transport.SCALARS`.  Run-wide totals
+  are sums over the rows.
 """
 
 import enum
@@ -31,7 +29,6 @@ from operator import itemgetter
 
 from repro.cluster import compress
 from repro.cluster.faults import RetxBill
-from repro.cluster.network import render_table
 from repro.cluster.topology import NODE_CLASS
 from repro.common.errors import NetworkLossError
 from repro.mem.page import PAGE_SIZE
@@ -58,11 +55,9 @@ class CounterRow:
     """One row of cumulative counters, declared once by :attr:`FIELDS`:
     zero-init, :meth:`as_dict`, :meth:`delta_since`, :meth:`add` and
     :meth:`restore` all derive from that tuple.  The transport keeps no
-    other kind of counter — a row per link (:class:`LinkStats`), per
-    node (:class:`NodeStats`) and per directed node pair
-    (:class:`PairStats`); a sharded worker hands the rows it moved back
-    as :meth:`delta_since` dicts and a telemetry window is the same
-    difference against the previous take's mark."""
+    other kind of counter — a row per link (:class:`LinkStats`) and per
+    node (:class:`NodeStats`); a sharded worker hands the rows it moved
+    back as :meth:`delta_since` dicts."""
 
     FIELDS = ()
     __slots__ = ()
@@ -185,8 +180,7 @@ class LinkStats(CounterRow):
 
 class NodeStats(CounterRow):
     """Cumulative page-path counters of one node's demand and prefetch
-    traffic: the rows of a :class:`TelemetryWindow` and what the
-    transport's run-wide page totals sum."""
+    traffic: what the transport's run-wide page totals sum."""
 
     FIELDS = (
         #: Pages the node moved by stop-and-wait demand fetch.
@@ -199,21 +193,10 @@ class NodeStats(CounterRow):
         #: Prefetched frames whose content was superseded (the producer
         #: wrote a newer generation) before any space demanded them.
         "prefetch_stale",
-        #: Frames still queued two or more windows after their issue,
-        #: counted once per exchange by :meth:`Transport.take_window`.
-        "prefetch_aged",
         #: Re-speculation on a page the node had already fetched once:
         #: its producer rewrote it since (the churn signal).
         "prefetch_refresh",
     )
-    __slots__ = FIELDS
-
-
-class PairStats(CounterRow):
-    """Logical message bytes one node sent another (counted once per
-    message, not per hop)."""
-
-    FIELDS = ("bytes",)
     __slots__ = FIELDS
 
 
@@ -225,10 +208,9 @@ class PrefetchExchange:
     arrives together), at which point its link edges enter the trace.
     """
 
-    __slots__ = ("anchor", "usage", "latency", "frames", "retx", "window",
-                 "aged")
+    __slots__ = ("anchor", "usage", "latency", "frames", "retx")
 
-    def __init__(self, anchor, usage, latency, frames, retx, window):
+    def __init__(self, anchor, usage, latency, frames, retx):
         #: Trace segment (id) of the issue point (the segment closed
         #: just before the prediction fired); the transfer's
         #: serialization starts when it finishes.
@@ -247,58 +229,6 @@ class PrefetchExchange:
         #: as ``kind="retx"`` edges when the exchange is redeemed or
         #: flushed; None on a lossless fabric.
         self.retx = retx
-        #: Index of the telemetry window the exchange was issued in,
-        #: and whether a later take already counted its still-queued
-        #: frames as aged speculation (counted once).
-        self.window = window
-        self.aged = False
-
-
-#: Route-latency samples kept per route and window (first come first
-#: kept — a deterministic cap on what one long quantum can pile up).
-ROUTE_SAMPLE_CAP = 512
-
-
-class TelemetryWindow:
-    """What the transport's node counter rows accumulated between two
-    :meth:`Transport.take_window` calls, plus the route samples taken
-    meanwhile.
-
-    All content is a pure function of the simulated execution, so two
-    same-seed runs produce bit-identical window sequences — which is
-    what makes controller decisions replay-exact.
-    """
-
-    __slots__ = ("index", "nodes", "route_samples")
-
-    #: :meth:`table`'s columns: the node, then :attr:`NodeStats.FIELDS`.
-    COLUMNS = (("node", 5, ""), ("pulled", 7, ""), ("pf-iss", 7, ""),
-               ("pf-used", 8, ""), ("stale", 6, ""), ("aged", 5, ""),
-               ("churn", 6, ""))
-
-    def __init__(self, index, nodes, route_samples):
-        #: Monotone window serial (0-based).
-        self.index = index
-        #: node -> dict of :attr:`NodeStats.FIELDS` deltas.  A node has
-        #: a row iff one of its counters moved in the window (the
-        #: controller's growth hold counts rows).
-        self.nodes = nodes
-        #: ``{(a, b): [delivery-cycles sample, ...]}`` per unordered
-        #: node pair — modelled per-message delivery latency of each
-        #: clean single-page exchange on the route.  Taken only while a
-        #: controller is attached (its SRTT policy is the one reader).
-        self.route_samples = route_samples
-
-    def table(self):
-        """Aligned per-node rows of the window's counters."""
-        return render_table(
-            self.COLUMNS,
-            [(node, *(row[name] for name in NodeStats.FIELDS))
-             for node, row in sorted(self.nodes.items())],
-            f"(window {self.index}: no telemetry)")
-
-    def __repr__(self):
-        return f"<TelemetryWindow {self.index} nodes={len(self.nodes)}>"
 
 
 def _total(table, field):
@@ -344,12 +274,10 @@ class Transport:
         self.machine = machine
         #: (src_endpoint, dst_endpoint) -> LinkStats, one entry per
         #: *physical* fabric link that ever carried traffic (switch
-        #: links included); node -> NodeStats; directed (src, dst) node
-        #: pair -> PairStats.  Rows are created by :meth:`link`,
-        #: :meth:`node` and :meth:`pair` on first use.
+        #: links included); node -> NodeStats.  Rows are created by
+        #: :meth:`link` and :meth:`node` on first use.
         self.links = {}
         self.nodes = {}
-        self.pairs = {}
         #: Migration hops performed (one per MIGRATE message) —
         #: maintained incrementally so NetworkStats never rescans the
         #: trace.
@@ -386,19 +314,6 @@ class Transport:
         #: message}`` (``CostModel.link_message``; the cost model and
         #: ``tcp_mode`` are fixed per machine, so a price never changes).
         self._prices = {}
-        # -- telemetry windows (take_window) -----------------------------
-        #: Monotone window serial: how many windows have been taken.
-        self.window_index = 0
-        #: ``{node: the node row's as_dict() when the running window
-        #: first used it, or None for a row born in it}`` — the marks
-        #: the next take diffs against, so a take costs O(rows that
-        #: moved).
-        self._marks = {}
-        #: unordered (a, b) node pair -> delivery-latency samples of the
-        #: running window's clean page exchanges (capped at
-        #: ROUTE_SAMPLE_CAP).  An order-dependent capped list, which no
-        #: delta can replay: taken only with a controller attached.
-        self.route_samples = {}
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -411,23 +326,11 @@ class Transport:
         return stats
 
     def node(self, node):
-        """The :class:`NodeStats` of ``node``, marked as the running
-        telemetry window first finds it: a row born in the window is
-        marked None, which :meth:`CounterRow.delta_since` reads as
-        "since creation"."""
+        """The :class:`NodeStats` of ``node``."""
         row = self.nodes.get(node)
-        if node not in self._marks:
-            self._marks[node] = None if row is None else row.as_dict()
         if row is None:
             row = self.nodes[node] = NodeStats()
         return row
-
-    def pair(self, pair):
-        """The :class:`PairStats` of the directed ``(src, dst)`` pair."""
-        stats = self.pairs.get(pair)
-        if stats is None:
-            stats = self.pairs[pair] = PairStats()
-        return stats
 
     def wire_size(self, frame):
         """Wire payload bytes of ``frame``: 4096 raw, or its encoded
@@ -456,61 +359,6 @@ class Transport:
     def prefetch_unused(self):
         """Prefetched pages no space ever demanded (stale included)."""
         return self.pages_prefetched - self.prefetch_used
-
-    # -- telemetry windows -------------------------------------------------
-
-    def _note_route_sample(self, src, dst, transit, usages, nmsgs, bill,
-                           npages):
-        """Record one delivery-latency sample for the ``src``/``dst``
-        route: its ``transit`` latency plus the exchange's mean
-        per-message serialization.  Two Karn-style filters keep the
-        estimator honest about what the retransmit timer actually guards:
-        exchanges that hit the fault path contribute nothing (a
-        retransmitted exchange's latency says more about the timeout
-        than about the route), and so do multi-page batch exchanges —
-        a batch's drain time measures the sender's throughput, while
-        the timer waits on the route's *turnaround* for one copy, which
-        only minimal (single-data-message) exchanges exhibit.  Without
-        a controller nothing reads the samples: callers take none
-        without one."""
-        if npages > 1 or bill:
-            return
-        pair = (src, dst) if src <= dst else (dst, src)
-        samples = self.route_samples.setdefault(pair, [])
-        if len(samples) >= ROUTE_SAMPLE_CAP:
-            return
-        busy = sum(sum(usage.values()) for usage in usages)
-        samples.append(transit + busy // max(1, nmsgs))
-
-    def take_window(self):
-        """The :class:`TelemetryWindow` of everything the node counter
-        rows accumulated since the previous call (or the start of the
-        run); the next window starts here.
-
-        Before diffing, still-queued prefetched frames issued two or
-        more windows ago are counted (once per exchange) as
-        ``prefetch_aged`` — in-flight speculation the run is visibly
-        not consuming, the shrink signal that needs no end-of-run
-        flush.
-        """
-        index = self.window_index
-        for node in sorted(self.inflight):
-            queue = self.inflight[node]
-            for _, exchange, _ in queue.values():
-                if exchange.aged or exchange.window > index - 2:
-                    continue
-                exchange.aged = True
-                self.node(node).prefetch_aged += sum(
-                    1 for _, ex, _ in queue.values() if ex is exchange)
-        marks, self._marks = self._marks, {}
-        moved = {}
-        for node in sorted(marks):
-            delta = self.nodes[node].delta_since(marks[node])
-            if delta is not None:
-                moved[node] = delta
-        samples, self.route_samples = self.route_samples, {}
-        self.window_index = index + 1
-        return TelemetryWindow(index, moved, samples)
 
     def _leg(self, src, dst, msgs, delivered, usage=None, faults=None,
              pages=0, payload=0):
@@ -550,9 +398,7 @@ class Transport:
         prices = self._prices
         route, classes, latency_factor = \
             machine.topology.route_record(src, dst)
-        if msgs:
-            self.pair((src, dst)).bytes += delivered
-            self.hops += len(route) * len(msgs)
+        self.hops += len(route) * len(msgs)
         # The retransmit timer is per logical message: the (possibly
         # control-tuned) timeout of the route, resolved once so every
         # hop copy of every message of the leg waits the same timer.
@@ -717,15 +563,15 @@ class Transport:
         transit = self._leg(origin, node, batches,
                             payload + npages * cost.page_hdr,
                             resp_usage, faults, npages, payload)
-        # One delivery-latency sample per clean exchange (telemetry for
-        # the control plane's SRTT estimator).  The request and response
-        # usage dicts may alias (the prefetch path passes one dict):
-        # count it once.
-        if self.machine.control is not None:
+        # One delivery-latency sample per exchange for the control
+        # plane's SRTT estimator.  The request and response usage dicts
+        # may alias (the prefetch path passes one dict): count it once.
+        control = self.machine.control
+        if control is not None:
             usages = [req_usage] if resp_usage is req_usage \
                 else [req_usage, resp_usage]
-            self._note_route_sample(origin, node, transit, usages,
-                                    1 + len(batches), faults, npages)
+            control.sample_route(origin, node, transit, usages,
+                                 1 + len(batches), faults, npages)
         return codec, transit
 
     # -- protocol exchanges ------------------------------------------------
@@ -759,8 +605,8 @@ class Transport:
         self._leg(dst, src, [(ACK, ack, cost.msg_ctrl, False)],
                   cost.msg_ctrl)
         if machine.control is not None:
-            self._note_route_sample(src, dst, transit, (usage,), len(msgs),
-                                    bill, npages)
+            machine.control.sample_route(src, dst, transit, (usage,),
+                                         len(msgs), bill, npages)
         trace = machine.trace
         if trace.is_open(space.uid):
             closed, opened = trace.move_node(space.uid, dst)
@@ -819,7 +665,7 @@ class Transport:
         exchange = PrefetchExchange(
             machine.trace.last_closed(space.uid), usage, transit + codec,
             [(frame, frame.generation) for frame in frames],
-            retx=bill, window=self.window_index)
+            retx=bill)
         queue = self.inflight.setdefault(node, {})
         for frame in frames:
             queue[frame.serial] = (frame.generation, exchange, frame)

@@ -155,7 +155,7 @@ class Kernel:
         # from the next quantum on (repro.cluster.control).
         control = self.machine.control
         if control is not None:
-            control.on_quantum(self.machine, caller)
+            control.on_quantum(self.machine)
 
     def migrate(self, space, target_node):
         """Move a space's execution to another node (paper §3.3).

@@ -252,10 +252,9 @@ class Charged(Ledger):
 
 
 class Rows(Ledger):
-    """A transport table of ``CounterRow`` rows (``links``, ``nodes``,
-    ``pairs``), moved in place; adoption goes through the table's
-    get-or-create ``accessor`` (``link``, ``node``, ``pair``), which is
-    also what puts an adopted row in the parent's telemetry window."""
+    """A transport table of ``CounterRow`` rows (``links``, ``nodes``),
+    moved in place; adoption goes through the table's get-or-create
+    ``accessor`` (``link``, ``node``)."""
 
     def __init__(self, key, owner, attr, accessor):
         super().__init__(key, owner, attr)
@@ -299,10 +298,6 @@ def _unpack_edge(renumber, edge):
     return (renumber.sid(edge[0]), renumber.sid(edge[1])) + edge[2:]
 
 
-def _unpack_decision(renumber, record):
-    return (renumber.sid(record[0]),) + record[1:]
-
-
 def _unpack_debug(renumber, line):
     """``Machine.dev_debug`` heads a line with ``[uid]`` of its space."""
     uid, rest = line[1:].split("]", 1)
@@ -338,7 +333,6 @@ LEDGERS = (
     Tail("segments", "trace", "segments", unpack=_unpack_segment),
     Tail("edges", "trace", "edges", unpack=_unpack_edge),
     Tail("transfers", "trace", "transfers", unpack=_unpack_edge),
-    Tail("decisions", "trace", "decisions", unpack=_unpack_decision),
     Charged("charged", "trace", "segments"),
     Table("open", "trace", "_open", unpack=_segment_by_uid),
     Table("last", "trace", "_last", unpack=_segment_by_uid),
@@ -359,7 +353,6 @@ LEDGERS = (
         "but two subtrees of a queue number their new frames alike")),
     Rows("links", "transport", "links", "link"),
     Rows("nodes", "transport", "nodes", "node"),
-    Rows("pairs", "transport", "pairs", "pair"),
 )
 
 _CONFIG = "configuration: fixed at construction, only read during a run"
@@ -399,12 +392,6 @@ NOT_REPLAYED = {
                    "in every process whatever ran first",
         "_sinks": "names prefetch sink segments: prefetch_depth == 0 "
                   "is a gate",
-        "route_samples": "taken only with a controller attached, which "
-                         "fork_refusal gates off",
-        **dict.fromkeys(("window_index", "_marks"), (
-            "the reader's side of a telemetry window: no guest takes "
-            "one, and the parent's marks are made as it adopts the "
-            "node rows through their accessor")),
     },
     # What ``_adopt`` leaves alone on the parent's Space object when it
     # splices a hand-back in (everything else is ``SPLICED``).

@@ -186,8 +186,9 @@ class Machine:
         #: default — byte-identical to the pre-control transport), or a
         #: Controller built from "adaptive" or a kwargs dict.  The
         #: kernel invokes it at quantum boundaries; it tunes per-node
-        #: prefetch depth and per-route retransmit timeouts from the
-        #: transport's telemetry windows (repro.cluster.control).
+        #: prefetch depth and per-route retransmit timeouts from
+        #: windows of the transport's counters it keeps itself
+        #: (repro.cluster.control).
         #: Every machine builds a fresh (stateful) Controller, so a spec
         #: shared across a sweep never leaks adaptation between runs.
         #: Its module loads only here.

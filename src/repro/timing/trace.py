@@ -84,14 +84,6 @@ class Trace:
         #: so plain consumers keep their 3-field records.
         self.transfers = Columns(("src", "dst", "link", "busy", "latency",
                                   "cls", "kind"))
-        #: list of (segment_id, node, policy, knob, old, new) — control-
-        #: plane decision records, anchored at the deciding segment (the
-        #: caller's rendezvous segment).  Annotations only: decisions act
-        #: on the run through ordinary segments/edges (knob changes,
-        #: migrations, timeout waits), so ``schedule()`` replays their
-        #: *consequences* without reading this list.  Kept on the
-        #: trace so a replayed trace carries its decision history.
-        self.decisions = []
         self._open = {}   # uid -> open segment id
         self._last = {}   # uid -> last closed segment id
         self._cum = {}    # uid -> cycles of all *closed* segments
@@ -190,11 +182,6 @@ class Trace:
         if open_seg is not None:
             total += self.segments.cycles[open_seg]
         return total
-
-    def decision(self, seg_id, node, policy, knob, old, new):
-        """Record one control-plane decision anchored at segment
-        ``seg_id``."""
-        self.decisions.append((seg_id, node, policy, knob, old, new))
 
     def move_node(self, uid, node):
         """Record that ``uid`` now executes on ``node`` (space migration).

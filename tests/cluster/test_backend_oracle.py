@@ -22,6 +22,7 @@ import sys
 import pytest
 
 from repro.bench import cluster_workloads as cw
+from repro.cluster import NetworkStats
 from repro.cluster.backend import run_backend
 from repro.cluster.realnet import localhost_available
 from repro.cluster.serving import serve_trace
@@ -133,30 +134,27 @@ def test_md5_tree_single_child_waves():
 @pytest.mark.parametrize("builder", [MD5_TREE, cw.matmult_tree_main(64)],
                          ids=["md5_tree", "matmult_tree"])
 def test_telemetry_window_is_the_same_on_every_backend(builder):
-    # One observable, any backend: the node and pair ledgers ride a
-    # worker's hand-back like the link ones, so the window an operator
-    # takes after the run (and every page total, a sum over the node
-    # rows) and the pair rows do not depend on who ran the subtrees.  (Before, the
-    # window was a second set of books the hand-back left behind: 19,248
-    # pair-bytes serial, 6,416 under shard_workers=2, 0 on real.)
-    windows = {}
+    # One observable, any backend: the node rows a controller diffs
+    # ride a worker's hand-back like the link ones, so the tables an
+    # operator reads after the run (and every page total, a sum over
+    # the node rows) do not depend on who ran the subtrees.
+    tables = {}
     for name, knobs in (("serial", {}), ("sharded", {"shard_workers": 2}),
                         ("real", {"backend": "real"})):
         _, machine, _ = cw.run_cluster(builder, 4, ClusterSpec(**knobs))
         transport = machine.transport
-        window = transport.take_window()
-        assert not window.route_samples
         for total, field in (("pages_pulled", "pulled"),
                              ("pages_prefetched", "prefetch_issued"),
                              ("prefetch_used", "prefetch_used"),
                              ("prefetch_stale", "prefetch_stale")):
             assert getattr(transport, total) == sum(
-                row[field] for row in window.nodes.values()), (name, total)
-        windows[name] = (window.nodes, {pair: row.bytes for pair, row
-                                        in transport.pairs.items()})
+                getattr(row, field) for row in transport.nodes.values()), \
+                (name, total)
+        stats = NetworkStats(machine)
+        tables[name] = (stats.node_table(), stats.link_table())
     assert machine.shard.adopted and not machine.shard.fallbacks
-    assert sum(windows["serial"][1].values()) > 0
-    assert windows["sharded"] == windows["real"] == windows["serial"]
+    assert "->" in tables["serial"][1]
+    assert tables["sharded"] == tables["real"] == tables["serial"]
 
 
 def test_serving_trace_matches_oracle():

@@ -14,7 +14,10 @@ telemetry windows that are a pure function of simulated state, so:
 The policy unit tests drive ``Controller`` directly with fabricated
 telemetry windows, checking the AIMD transitions (churn collapse, fleet
 ratchet, growth holdoff, the depth-1 floor) and the RFC 6298 timeout
-arithmetic with its physics floor and static ceiling.
+arithmetic with its physics floor and static ceiling.  The telemetry
+tests drive the window the controller keeps itself: rows of the node
+counters that moved since its previous pass, aged exchanges, and the
+route samples the transport hands it.
 """
 
 import ast
@@ -26,9 +29,11 @@ import pytest
 
 from repro import ClusterSpec
 from repro.bench import cluster_workloads as cw
-from repro.cluster import NetworkStats, control
-from repro.cluster.control import DEPTH_CAP, Controller, resolve_control
-from repro.cluster.transport import NodeStats, TelemetryWindow
+from repro.cluster import control
+from repro.cluster.control import (DEPTH_CAP, ROUTE_SAMPLE_CAP, Controller,
+                                   resolve_control)
+from repro.cluster.faults import RetxBill
+from repro.cluster.transport import NodeStats, PrefetchExchange
 from repro.kernel import Machine
 
 NODES = 4
@@ -63,16 +68,14 @@ def _run(control=None, loss=None, depth=0, workload=None):
 
 def test_same_seed_reruns_bit_identical():
     """Two identical adaptive runs reproduce every observable: value,
-    memory image, makespan, the decision log, and the trace's decision
-    records."""
+    memory image, makespan and the decision log."""
     runs = []
     for _ in range(2):
         makespan, machine, value = _run(control="adaptive",
                                         loss={"drop": 0.02, "seed": 7},
                                         workload=_skewed())
         runs.append((value, _image(machine.root), makespan,
-                     tuple(machine.control.log),
-                     tuple(machine.trace.decisions)))
+                     tuple(machine.control.log)))
         assert machine.control.log, "controller made no decisions"
     assert runs[0] == runs[1]
 
@@ -86,18 +89,6 @@ def test_control_none_is_inert():
     assert base[2] == off[2]
     assert _image(base[1].root) == _image(off[1].root)
     assert off[1].control is None
-    assert off[1].trace.decisions == []
-
-
-def test_decisions_anchored_on_trace():
-    """Every decision lands on the trace (same count as the log) and is
-    anchored at a real segment of the deciding rendezvous."""
-    _, machine, _ = _run(control="adaptive", workload=_skewed())
-    decisions = machine.trace.decisions
-    assert len(decisions) == len(machine.control.log)
-    assert decisions, "expected at least one adaptive decision"
-    seg_ids = set(range(len(machine.trace.segments)))
-    assert all(seg_id in seg_ids for seg_id, *_ in decisions)
 
 
 # -- adaptive-vs-static oracle (small; the ablation runs it full-size) -----
@@ -189,13 +180,11 @@ def test_resolve_control_specs():
 
 # -- policy unit tests (fabricated windows) --------------------------------
 
-def _window(index, node_rows, route_samples=None):
-    nodes = {}
-    for node, overrides in node_rows.items():
-        row = dict.fromkeys(NodeStats.FIELDS, 0)
-        row.update(overrides)
-        nodes[node] = row
-    return TelemetryWindow(index, nodes, route_samples or {})
+def _window(node_rows):
+    """node -> a window row: every counter zero but ``node_rows``'."""
+    zero = dict.fromkeys(NodeStats.FIELDS + ("prefetch_aged",), 0)
+    return {node: {**zero, **overrides}
+            for node, overrides in node_rows.items()}
 
 
 @pytest.fixture
@@ -207,7 +196,7 @@ def machine():
 
 
 def _decide(machine, window):
-    machine.control._decide_prefetch(machine, window, None)
+    machine.control._decide_prefetch(machine, window)
 
 
 def test_churn_collapse_and_fleet_ratchet(machine):
@@ -215,16 +204,16 @@ def test_churn_collapse_and_fleet_ratchet(machine):
     and ratchets every node's depth down with it (the SPMD lesson)."""
     ctrl = machine.control
     assert ctrl.depth_for(0) == 32
-    _decide(machine, _window(0, {0: {"prefetch_issued": 24,
-                                     "prefetch_used": 24,
-                                     "prefetch_refresh": 16}}))
+    _decide(machine, _window({0: {"prefetch_issued": 24,
+                                "prefetch_used": 24,
+                                "prefetch_refresh": 16}}))
     assert ctrl.depth_for(0) == 1
     # Fleet ratchet: nodes that never reported telemetry are pinned
     # too, and a later demand jump on one node cannot resurrect them
     # through the boot default.
     assert all(ctrl.depth_for(n) == 1 for n in range(NODES))
     assert ctrl._boot == 1
-    _decide(machine, _window(1, {2: {"pulled": 40}}))
+    _decide(machine, _window({2: {"pulled": 40}}))
     assert ctrl.depth_for(2) == 1, "growth must hold after a collapse"
 
 
@@ -232,16 +221,16 @@ def test_growth_hold_then_slow_start(machine):
     """After a collapse, growth stays armed only behind ``growth_hold``
     strictly-clean windows; then demand jumps depth to the burst."""
     ctrl = machine.control
-    _decide(machine, _window(0, {0: {"prefetch_issued": 8,
-                                     "prefetch_used": 8,
-                                     "prefetch_refresh": 8}}))
+    _decide(machine, _window({0: {"prefetch_issued": 8,
+                                "prefetch_used": 8,
+                                "prefetch_refresh": 8}}))
     assert ctrl.depth_for(0) == 1
     # Two clean windows drain the holdoff (no growth yet)...
-    _decide(machine, _window(1, {0: {"pulled": 40}}))
-    _decide(machine, _window(2, {0: {"pulled": 40}}))
+    _decide(machine, _window({0: {"pulled": 40}}))
+    _decide(machine, _window({0: {"pulled": 40}}))
     assert ctrl.depth_for(0) == 1
     # ...and the next demand burst jumps straight to its size.
-    _decide(machine, _window(3, {0: {"pulled": 40}}))
+    _decide(machine, _window({0: {"pulled": 40}}))
     assert ctrl.depth_for(0) == 40
     assert ctrl._boot == 40, "demand jumps ratchet the boot depth up"
 
@@ -250,9 +239,9 @@ def test_waste_halves_with_floor(machine):
     """Stale/aged waste halves depth multiplicatively but never below
     1: a zero queue would observe nothing and oscillate."""
     ctrl = machine.control
-    for index in range(8):
-        _decide(machine, _window(index, {0: {"prefetch_issued": 4,
-                                             "prefetch_stale": 4}}))
+    for _ in range(8):
+        _decide(machine, _window({0: {"prefetch_issued": 4,
+                                      "prefetch_stale": 4}}))
     assert ctrl.depth_for(0) == 1
 
 
@@ -260,13 +249,13 @@ def test_dirty_windows_keep_growth_held(machine):
     """Windows still showing stale waste neither drain the holdoff nor
     clear the churn flag — only strictly-clean windows re-arm jumps."""
     ctrl = machine.control
-    _decide(machine, _window(0, {0: {"prefetch_issued": 8,
-                                     "prefetch_used": 8,
-                                     "prefetch_refresh": 8}}))
-    for index in range(1, 6):
-        _decide(machine, _window(index, {0: {"pulled": 8,
-                                             "prefetch_issued": 1,
-                                             "prefetch_stale": 1}}))
+    _decide(machine, _window({0: {"prefetch_issued": 8,
+                                "prefetch_used": 8,
+                                "prefetch_refresh": 8}}))
+    for _ in range(5):
+        _decide(machine, _window({0: {"pulled": 8,
+                                      "prefetch_issued": 1,
+                                      "prefetch_stale": 1}}))
     assert ctrl.depth_for(0) == 1
 
 
@@ -282,35 +271,73 @@ def test_retx_timeout_floor_and_ceiling():
         rack = 2 * machine.topology.route_latency(cost, 0, 1)
         # A fast rack route converges below the static timer but stops
         # at the physics floor.
-        for index in range(40):
-            ctrl._decide_retx(machine, _window(
-                index, {}, route_samples={(0, 1): [rack // 2] * 4}), None)
+        for _ in range(40):
+            ctrl._decide_retx(machine, {(0, 1): [rack // 2] * 4})
         assert rack <= ctrl.timeouts[(0, 1)] < cost.retx_timeout
         # A slow cross-rack route can only ever match the static timer.
-        ctrl._decide_retx(machine, _window(
-            99, {}, route_samples={(0, 2): [cost.retx_timeout * 4]}), None)
+        ctrl._decide_retx(machine, {(0, 2): [cost.retx_timeout * 4]})
         assert ctrl.timeouts[(0, 2)] == cost.retx_timeout
         assert machine.retx_timeout_for(0, 1) == ctrl.timeouts[(0, 1)]
         assert machine.retx_timeout_for(1, 0) == ctrl.timeouts[(0, 1)]
 
 
-# -- NetworkStats.window() -------------------------------------------------
+# -- the controller's own telemetry ----------------------------------------
 
-def test_network_stats_window_snapshot_resets():
-    """window() drains the running telemetry window: a second snapshot
-    is empty with a bumped serial, and the cumulative counters are
-    untouched."""
-    _, machine, _ = _run(depth=8)
-    stats = NetworkStats(machine)
-    pulled_before = machine.transport.pages_pulled
-    first = stats.window()
-    assert first.nodes, "whole run should have telemetry"
-    assert sum(row["pulled"] for row in first.nodes.values()) \
-        == pulled_before
-    second = stats.window()
-    assert second.index == first.index + 1
-    assert not second.nodes
-    assert machine.transport.pages_pulled == pulled_before
+def _pass(machine):
+    """One decision pass's window: what :meth:`Controller.on_quantum`
+    hands the prefetch policy."""
+    ctrl = machine.control
+    ctrl.windows_seen += 1
+    return ctrl._window(machine.transport, ctrl.windows_seen - 1)
+
+
+def _queue(transport, node, exchange, serials):
+    transport.node(node)                # issuing made the node's row
+    queue = transport.inflight.setdefault(node, {})
+    for serial in serials:
+        queue[serial] = (0, exchange, None)
+
+
+def test_an_exchange_is_aged_once_two_passes_after_it_was_first_seen(
+        machine):
+    """A still-queued exchange counts its queued frames as
+    ``prefetch_aged`` exactly once, at the second pass after the first
+    pass that found it queued — and the aged count alone makes a
+    row."""
+    t = machine.transport
+    old = PrefetchExchange(None, {}, 0, [], None)
+    young = PrefetchExchange(None, {}, 0, [], None)
+    _queue(t, 1, old, (10, 11, 12))
+    assert _pass(machine) == {}                 # pass 0 first sees old
+    _queue(t, 2, young, (20, 21))
+    assert _pass(machine) == {}                 # pass 1 first sees young
+    del t.inflight[1][12]                       # one frame redeemed
+    assert _pass(machine) == _window({1: {"prefetch_aged": 2}})
+    assert _pass(machine) == _window({2: {"prefetch_aged": 2}})
+    assert _pass(machine) == {}, "each exchange is aged once"
+    assert machine.control._queued == {old: None, young: None}
+    t.inflight.clear()
+    assert _pass(machine) == {} and machine.control._queued == {}
+
+
+def test_route_samples_keep_the_karn_filters_and_the_cap(machine):
+    ctrl = machine.control
+    usage = {(0, 1): 300, (1, 0): 100}
+    ctrl.sample_route(1, 0, 1000, [usage], 4, None, 1)
+    # Batches and exchanges that hit the fault path are no sample.
+    ctrl.sample_route(0, 1, 1000, [usage], 4, None, 2)
+    bill = RetxBill()
+    bill.wait = 1
+    ctrl.sample_route(0, 1, 1000, [usage], 4, bill, 1)
+    # A clean bill (nothing retransmitted) is no fault.
+    ctrl.sample_route(0, 1, 1000, [usage, usage], 4, RetxBill(), 0)
+    assert ctrl._samples == {(0, 1): [1000 + 400 // 4, 1000 + 800 // 4]}
+    for _ in range(ROUTE_SAMPLE_CAP):
+        ctrl.sample_route(2, 3, 7, [{}], 1, None, 1)
+    ctrl.sample_route(2, 3, 9, [{}], 1, None, 1)
+    assert ctrl._samples[(2, 3)] == [7] * ROUTE_SAMPLE_CAP
+    ctrl.on_quantum(machine)
+    assert ctrl._samples == {}, "a pass takes the window's samples"
 
 
 # -- docs/knobs.md ---------------------------------------------------------

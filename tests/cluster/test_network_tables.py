@@ -1,10 +1,12 @@
-"""The four ``NetworkStats`` tables, byte for byte.
+"""The five ``NetworkStats`` tables, byte for byte.
 
 One lossy, compressed, prefetching ``two_tier:2`` run exercises every
 column of every table; ``golden/network_*.txt`` pin the rendered text
 (captured from the four hand-written renderers before they became
 column lists over ``render_table`` — only the compression table's
-``saved`` values moved, one column right, under their header).
+``saved`` values moved, one column right, under their header).  The
+node table is the telemetry window the transport used to hand out for
+the whole run, less its ``aged`` column.
 """
 
 import os
@@ -27,7 +29,10 @@ def stats():
     return NetworkStats(cw.run_cluster(cw.md5_tree_main(3), 4, spec)[1])
 
 
-@pytest.mark.parametrize("name", ["class", "link", "compression", "retx"])
+TABLES = ["class", "link", "compression", "retx", "node"]
+
+
+@pytest.mark.parametrize("name", TABLES)
 def test_table_matches_golden(stats, name):
     with open(os.path.join(GOLDEN, f"network_{name}.txt"),
               encoding="utf-8") as handle:
@@ -37,7 +42,7 @@ def test_table_matches_golden(stats, name):
 def test_every_column_ends_under_its_header(stats):
     """Right-aligned columns: each table row is exactly as wide as its
     header (the ``saved`` values used to sit one column short)."""
-    for name in ("class", "link", "compression", "retx"):
+    for name in TABLES:
         lines = getattr(stats, f"{name}_table")().split("\n\n")[-1]
         widths = {len(line) for line in lines.splitlines()}
         assert len(widths) == 1, (name, lines)

@@ -8,9 +8,8 @@ used, one more ``migrate`` reads each route from its memoized route
 record — no ``route``, ``route_latency`` or ``link_class`` call — prices
 no message it has priced before, and enters its H stall edges with one
 ``extend``.  A first use asks for no ``link_class`` either (the preset
-builds the record from its shape) and copies no row it creates; a node
-row the telemetry window first finds fresh is marked None, not with a
-copy of zeros.  When every *message* walked the route (and ``_receive``
+builds the record from its shape) and copies no row it creates.  When
+every *message* walked the route (and ``_receive``
 and ``_stall_edges`` walked it again) each of these counts grew with
 messages × hops.  Counts, not wall-clock: these cannot flake.
 """
@@ -20,6 +19,7 @@ from types import SimpleNamespace
 import pytest
 
 from repro import ClusterSpec
+from repro.cluster.control import Controller
 from repro.cluster.transport import CounterRow, NodeStats
 from repro.kernel import Machine
 from repro.mem import PAGE_SIZE, Page
@@ -86,8 +86,8 @@ def test_a_first_use_asks_the_topology_for_no_class(world, monkeypatch):
     # The route records come from the preset's shape and the rows take
     # their class from the record: the topology is asked for none.
     assert calls.get("link_class", 0) == 0
-    # The two fresh pair rows are made without a copy.
-    assert len(machine.transport.pairs) == 2 and marks == []
+    # The fresh link rows are made without a copy.
+    assert marks == []
     # A price per distinct (message size, byte factor): MIGRATE, the
     # PAGE_BATCH and the ACK over one byte factor (fat_tree) or two.
     assert calls["link_message"] <= MESSAGES * 2
@@ -125,16 +125,17 @@ def test_a_used_route_is_walked_once_per_leg(world):
 
 
 def test_a_row_born_in_a_window_reports_from_its_creation(world):
+    """A controller diffs each node row against what it saw at its
+    previous pass: a row created since reports from its creation, and a
+    pass that finds nothing moved reports no row."""
     machine, space, frames, _ = world
     transport = machine.transport
-    transport.take_window()
+    control = Controller()
+    assert control._window(transport, 0) == {}
     transport.fetch(space, SRC, DST, frames)
-    assert transport._marks[DST] is None
-    window = transport.take_window()
-    assert window.nodes[DST] == dict(NodeStats().as_dict(),
-                                     pulled=len(frames))
+    assert control._window(transport, 1)[DST] == dict(
+        NodeStats().as_dict(), pulled=len(frames), prefetch_aged=0)
     transport.fetch(space, SRC, DST, frames[:1])
     transport.fetch(space, SRC, DST, frames[1:])
-    assert transport._marks[DST] == window.nodes[DST]
-    assert transport.take_window().nodes[DST]["pulled"] == len(frames)
-    assert transport.take_window().nodes == {}
+    assert control._window(transport, 2)[DST]["pulled"] == len(frames)
+    assert control._window(transport, 3) == {}

@@ -12,6 +12,8 @@ catch-all.
 
 import dataclasses
 import inspect
+import re
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +26,7 @@ from repro.cluster.faults import LossSchedule
 from repro.cluster.placement import locality
 from repro.cluster.serving import serve_trace
 from repro.cluster.topology import FatTreeTopology
+from repro.timing.model import CostModel
 
 
 # -- value semantics --------------------------------------------------------
@@ -187,3 +190,32 @@ def test_twelve_knobs_and_a_knobless_harness():
         ClusterSpec(dirty_tracking=True)
     assert list(inspect.signature(run_determinator).parameters) == \
         ["workload", "params"]
+
+
+# -- docs/knobs.md ------------------------------------------------------------
+
+KNOBS = Path(__file__).resolve().parents[2] / "docs" / "knobs.md"
+
+
+def _section(text, heading):
+    """The guide's text under ``heading`` up to the next ``## ``."""
+    return text.split(f"\n{heading}\n", 1)[1].split("\n## ", 1)[0]
+
+
+def _first_cells(section):
+    """The backticked names of each table row's first cell, in order
+    (``| `a` / `b` |`` names two)."""
+    return [name for row in re.findall(r"^\| (.+?) \|", section, re.M)
+            for name in re.findall(r"`(\w+)`", row)]
+
+
+def test_knobs_doc_lists_the_spec_fields_in_declaration_order():
+    section = _section(KNOBS.read_text(), "## `ClusterSpec` knobs")
+    assert _first_cells(section) == [
+        field.name for field in dataclasses.fields(ClusterSpec)]
+
+
+def test_knobs_doc_prices_every_cost_field_once():
+    section = _section(KNOBS.read_text(), "## `CostModel` prices")
+    assert sorted(_first_cells(section)) == sorted(
+        field.name for field in dataclasses.fields(CostModel))

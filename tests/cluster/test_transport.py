@@ -9,9 +9,7 @@ from repro.cluster import MsgType, NetworkStats
 from repro.cluster.transport import (
     LinkStats,
     NodeStats,
-    PairStats,
     PrefetchExchange,
-    TelemetryWindow,
     Transport,
 )
 from repro.kernel import Machine, child_ref
@@ -147,22 +145,20 @@ def test_message_type_accounting():
 
 
 def test_ledger_declarations_cover_every_counter():
-    """Sharded runs hand back exactly the three ledgers' FIELDS and
+    """Sharded runs hand back exactly the two ledgers' FIELDS and
     Transport.SCALARS: a counter missing from its one declaration would
     be silently dropped from a worker's delta."""
     assert set(LinkStats().as_dict()) == \
         set(LinkStats.FIELDS) | {"cls", "by_type"}
     assert set(NodeStats().as_dict()) == set(NodeStats.FIELDS)
-    assert set(PairStats().as_dict()) == set(PairStats.FIELDS) == {"bytes"}
     with Machine(nnodes=2) as m:
         counters = {name for name, value in vars(m.transport).items()
                     if not name.startswith("_") and type(value) is int}
         assert vars(NetworkStats(m)) == {"machine": m}
-    assert counters - {"window_index"} == set(Transport.SCALARS)
+    assert counters == set(Transport.SCALARS)
     # Kept once, shown by count.
-    assert len(Transport.SCALARS) == 7 and len(NodeStats.FIELDS) == 6
-    assert len(TelemetryWindow.__slots__) == 3
-    assert len(PrefetchExchange.__slots__) == 7
+    assert len(Transport.SCALARS) == 7 and len(NodeStats.FIELDS) == 5
+    assert len(PrefetchExchange.__slots__) == 5
 
 
 #: Every total the transport derives, and the LinkStats field it sums.
@@ -209,7 +205,7 @@ def test_derived_totals_survive_sharded_adoption():
     assert sharded.pages_fetched == serial.pages_fetched > 0
 
 
-# -- telemetry windows: the difference of two marks -------------------------
+# -- the node rows a controller's windows difference ------------------------
 
 #: The page totals the transport derives from its node rows.
 NODE_TOTALS = {
@@ -218,31 +214,32 @@ NODE_TOTALS = {
 }
 
 
+def _pass(machine):
+    """One decision pass's window of the machine's controller."""
+    control = machine.control
+    control.windows_seen += 1
+    return control._window(machine.transport, control.windows_seen - 1)
+
+
 def test_a_window_is_what_the_ledgers_moved_since_the_last_take():
-    """Cumulative rows, differenced: each take answers what moved since
-    the one before, the totals are sums over the rows and no take
-    disturbs them."""
-    with Machine(nnodes=4) as m:
+    """Cumulative rows, differenced by the controller at each pass: the
+    totals are sums over the rows and no pass disturbs them."""
+    with Machine(nnodes=4, spec=ClusterSpec(control="adaptive")) as m:
         t = m.transport
         t.node(2).pulled += 3
         t.node(0).prefetch_issued += 8
-        t.pair((0, 2)).bytes += 100
-        first = t.take_window()
-        assert list(first.nodes) == [0, 2], "rows come in key order"
-        assert first.nodes[2] == dict(dict.fromkeys(NodeStats.FIELDS, 0),
-                                      pulled=3)
+        first = _pass(m)
+        assert list(first) == [0, 2], "rows come in key order"
+        assert first[2] == dict(dict.fromkeys(NodeStats.FIELDS, 0),
+                                pulled=3, prefetch_aged=0)
         t.node(2).pulled += 1
         t.node(0).prefetch_used += 5
-        t.pair((2, 0)).bytes += 7
-        second = t.take_window()
-        assert second.index == first.index + 1
-        assert second.nodes[2]["pulled"] == 1
-        assert second.nodes[0]["prefetch_issued"] == 0
-        assert second.nodes[0]["prefetch_used"] == 5
+        second = _pass(m)
+        assert second[2]["pulled"] == 1
+        assert second[0]["prefetch_issued"] == 0
+        assert second[0]["prefetch_used"] == 5
         assert (t.pages_pulled, t.pages_prefetched, t.prefetch_used) \
             == (4, 8, 5)
-        assert {pair: row.bytes for pair, row in t.pairs.items()} \
-            == {(0, 2): 100, (2, 0): 7}
         assert not set(NODE_TOTALS) & (set(vars(t)) | set(Transport.SCALARS))
 
 
@@ -250,64 +247,70 @@ def test_a_node_has_a_window_row_iff_a_counter_of_it_moved():
     """``Controller._decide_prefetch`` drains a node's growth hold on
     any row it sees, so looking a row up must not put it (all zero) in
     the window — here, and in a later window the row sat still in."""
-    with Machine(nnodes=4) as m:
+    with Machine(nnodes=4, spec=ClusterSpec(control="adaptive")) as m:
         t = m.transport
         t.node(0)                       # looked up, never moved
         t.node(1).pulled += 2
-        window = t.take_window()
-        assert set(window.nodes) == {1}
+        assert set(_pass(m)) == {1}
         t.node(1)
-        assert t.take_window().nodes == {}
+        assert _pass(m) == {}
 
 
 @pytest.fixture
-def windows_taken(monkeypatch):
-    """Every TelemetryWindow any transport hands out (the controller's
-    input, one per quantum)."""
-    taken = []
-    take = Transport.take_window
-    monkeypatch.setattr(
-        Transport, "take_window",
-        lambda self: taken.append(take(self)) or taken[-1])
+def windows(monkeypatch):
+    """Every window any controller computes, and every route sample the
+    transport hands one (its inputs, one window per quantum)."""
+    from repro.cluster.control import Controller
+
+    taken = {"rows": [], "samples": []}
+    window, sample = Controller._window, Controller.sample_route
+
+    def take(self, transport, index):
+        taken["rows"].append(window(self, transport, index))
+        return taken["rows"][-1]
+
+    def note(self, *args):
+        taken["samples"].append(args)
+        sample(self, *args)
+
+    monkeypatch.setattr(Controller, "_window", take)
+    monkeypatch.setattr(Controller, "sample_route", note)
     return taken
 
 
-def test_adaptive_run_windows_have_moved_rows_and_route_samples(
-        windows_taken):
+def test_adaptive_run_windows_have_moved_rows_and_route_samples(windows):
     """On a real adaptive, lossy run: no window carries an all-zero
-    row, the rows add up to the run's totals, and the SRTT policy still
-    gets its route samples (BENCH_adaptive.json pins that they are the
-    same ones)."""
+    row, the windows (and what moved after the last pass) add up to the
+    run's rows, and the SRTT policy gets its route samples."""
     _, m, _ = cw.run_cluster(
         cw.matmult_tree_main(64), 4,
         ClusterSpec(ship_mode="demand", topology="two_tier:2",
                     loss={"drop": 0.02, "seed": 7}, control="adaptive"))
-    assert len(windows_taken) == m.control.windows_seen > 0
-    m.transport.take_window()       # what moved after the last quantum
-    rows = [row for window in windows_taken
-            for row in window.nodes.values()]
+    assert len(windows["rows"]) == m.control.windows_seen > 0
+    _pass(m)                            # what moved after the last quantum
+    rows = [row for window in windows["rows"] for row in window.values()]
     assert rows and all(any(row.values()) for row in rows)
     for total, field in NODE_TOTALS.items():
         assert sum(row[field] for row in rows) \
             == getattr(m.transport, total), total
-    assert any(window.route_samples for window in windows_taken)
-    assert m.control.timeouts, "the SRTT policy saw them"
+    assert windows["samples"] and m.control.timeouts, \
+        "the SRTT policy saw them"
 
 
-def test_no_route_samples_without_a_controller():
+def test_no_route_samples_without_a_controller(windows):
     """Route samples are an order-dependent capped list only the SRTT
     policy reads (and no hand-back could replay): a ``control=None``
-    run takes none, lossy and prefetching or not."""
+    run, lossy and prefetching or not, hands nobody one, and keeps only
+    the node rows, whose sums are the page totals."""
     _, m, _ = cw.run_cluster(
         cw.matmult_tree_main(64), 4,
         ClusterSpec(ship_mode="demand", topology="two_tier:2",
                     prefetch_depth=8, loss={"drop": 0.02, "seed": 7}))
-    assert m.transport.route_samples == {}
-    window = m.transport.take_window()
-    assert window.route_samples == {} and window.nodes and m.transport.pairs
+    assert m.control is None and m.transport.pages_prefetched
+    assert windows == {"rows": [], "samples": []}
     for total, field in NODE_TOTALS.items():
         assert getattr(m.transport, total) == sum(
-            row[field] for row in window.nodes.values()), total
+            getattr(row, field) for row in m.transport.nodes.values()), total
 
 
 # -- sweep_nodes plumbing --------------------------------------------------

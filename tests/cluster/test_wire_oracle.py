@@ -8,11 +8,10 @@ machine twice, swaps the reference transport into one, and drives both
 in lockstep through a drawn sequence of ``migrate`` / ``fetch`` /
 ``prefetch`` / redeem / rewrite / purge / window steps over the same
 frame objects.  After every step the two must be indistinguishable:
-every link, node and pair row (values *and* insertion order, ``by_type``
+every link and node row (values *and* insertion order, ``by_type``
 included), the seven scalars, ``trace.transfers``, ``trace.edges``, the
-queued exchanges with their ``RetxBill`` and the route samples — and the
-telemetry marks by meaning: the reference copies a fresh row
-(``as_dict``), production marks it None.
+queued exchanges with their ``RetxBill``, the route samples the
+controller received and, at each ``window`` step, its decisions.
 """
 
 from types import SimpleNamespace
@@ -24,7 +23,6 @@ from wire_oracle import ReferenceTransport
 from repro import ClusterSpec
 from repro.bench import cluster_workloads as cw
 from repro.cluster import Transport
-from repro.cluster.transport import NodeStats
 from repro.common.errors import NetworkLossError
 from repro.kernel import Machine
 from repro.mem import PAGE_SIZE, Page
@@ -40,9 +38,6 @@ LOSSES = {
     "1%": 0.01,
     "30%": {"drop": 0.3, "seed": 7},
 }
-
-#: The mark of a row the window saw born, as a copy of it reads.
-ZERO = NodeStats().as_dict()
 
 nodes = st.integers(0, NODES - 1)
 frame_sets = st.lists(st.integers(0, FRAMES - 1), unique=True, max_size=5)
@@ -129,10 +124,10 @@ class World:
                                                [exchange])
         elif kind == "purge":
             transport.purge_superseded(step[1])
-        elif kind == "window":
-            window = transport.take_window()
-            return (window.index, list(window.nodes.items()),
-                    list(window.route_samples.items()))
+        elif kind == "window" and self.machine.control is not None:
+            control = self.machine.control
+            control.on_quantum(self.machine)
+            return list(control.log), control.depths, control.timeouts
         return None
 
 
@@ -145,11 +140,6 @@ def observe(machine):
                   for link, row in transport.links.items()],
         "nodes": [(node, row.as_dict())
                   for node, row in transport.nodes.items()],
-        "pairs": [(pair, row.as_dict())
-                  for pair, row in transport.pairs.items()],
-        # A fresh row's None mark means what the all-zero copy did.
-        "marks": [(node, ZERO if mark is None else mark)
-                  for node, mark in transport._marks.items()],
         "scalars": {name: getattr(transport, name)
                     for name in Transport.SCALARS},
         "transfers": list(machine.trace.transfers),
@@ -159,12 +149,12 @@ def observe(machine):
         "inflight": [
             (node, serial, generation, exchange.anchor,
              list(exchange.usage.items()), exchange.latency,
-             exchange.window,
              None if exchange.retx is None else
              (list(exchange.retx.usage.items()), exchange.retx.wait))
             for node, queue in transport.inflight.items()
             for serial, (generation, exchange, _) in queue.items()],
-        "route_samples": list(transport.route_samples.items()),
+        "route_samples": None if machine.control is None else
+        list(machine.control._samples.items()),
         "cache": {node: dict(cache)
                   for node, cache in machine.node_cache.items()},
         "conserves": transport.conservation_ok(),

@@ -6,19 +6,18 @@ hop-major legs, kept verbatim as the reference of
 (``_send``), again to credit the receiver (``_receive``) and again to
 draw the stall edges (``_stall_edges``).  It overrides every method of
 the production send path and stubs out the leg, so an oracle that
-compares against it cannot agree with itself.  It also keeps the
-telemetry-window mark as it was before a fresh row was marked None
-(``node``: an ``as_dict`` copy of every node row the window first
-finds), so the oracle's ``"window"`` step checks the None-mark path
-against the copying one.  What it inherits is the link and pair row
+compares against it cannot agree with itself.  It also keeps its own
+route-sample arithmetic (``_note_route_sample``), which puts each sample
+straight into the controller's window where production hands it to
+``Controller.sample_route``.  What it inherits is the link and node row
 accessors, the codec size cache and the prefetch queue, none of which
 the rewrite touched (the queue's redeem and sink paths call
 ``_stall_edges`` with segment ids, as the reference's own paths do).
 """
 
+from repro.cluster.control import ROUTE_SAMPLE_CAP
 from repro.cluster.faults import RetxBill
-from repro.cluster.transport import (MsgType, NodeStats, PrefetchExchange,
-                                     ROUTE_SAMPLE_CAP, Transport)
+from repro.cluster.transport import MsgType, PrefetchExchange, Transport
 from repro.common.errors import NetworkLossError
 from repro.mem.page import PAGE_SIZE
 
@@ -28,16 +27,6 @@ class ReferenceTransport(Transport):
 
     #: The production walk: reaching it from here is a bug in the oracle.
     _leg = _batches = None
-
-    def node(self, node):
-        """The :class:`NodeStats` of ``node``, marked as the running
-        telemetry window first finds it."""
-        row = self.nodes.get(node)
-        if row is None:
-            row = self.nodes[node] = NodeStats()
-        if node not in self._marks:
-            self._marks[node] = row.as_dict()
-        return row
 
     def _note_route_sample(self, src, dst, usage, nmsgs, bill,
                            npages=1):
@@ -56,7 +45,7 @@ class ReferenceTransport(Transport):
         if machine.control is None or npages > 1 or bill:
             return
         pair = (src, dst) if src <= dst else (dst, src)
-        samples = self.route_samples.setdefault(pair, [])
+        samples = machine.control._samples.setdefault(pair, [])
         if len(samples) >= ROUTE_SAMPLE_CAP:
             return
         transit = machine.topology.route_latency(machine.cost, src, dst)
@@ -95,7 +84,6 @@ class ReferenceTransport(Transport):
         loss = machine.loss
         serial = self.messages
         self.messages += 1
-        self.pair((src, dst)).bytes += nbytes
         # The retransmit timer is per logical message: the (possibly
         # control-tuned) timeout of the message's route, resolved once
         # so every hop copy of this message waits the same timer.
@@ -332,7 +320,7 @@ class ReferenceTransport(Transport):
         exchange = PrefetchExchange(
             anchor, usage, latency,
             [(frame, frame.generation) for frame in frames],
-            retx=bill, window=self.window_index)
+            retx=bill)
         queue = self.inflight.setdefault(node, {})
         for frame in frames:
             queue[frame.serial] = (frame.generation, exchange, frame)

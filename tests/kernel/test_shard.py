@@ -167,10 +167,6 @@ def test_gated_configs_stay_serial_and_identical(gate):
     knobs, reason = GATED[gate]
     serial, sharded, shard = run_pair(cw.matmult_tree_main(32), 4, **knobs)
     assert shard.forked == 0
-    # The one transport table no ledger carries (fork_refusal gates off
-    # the controller that fills it).
-    assert sharded.machine.transport.route_samples == \
-        serial.machine.transport.route_samples
     assert shard.refused.startswith("shard_workers=4 ")
     assert reason in shard.refused
 
@@ -454,24 +450,22 @@ def test_a_refused_run_is_rewound_too():
 
 # -- the declaration is complete -------------------------------------------
 
-def test_node_and_pair_rows_ride_the_hand_back_like_the_link_ones():
+def test_node_rows_ride_the_hand_back_like_the_link_ones():
     # Delta shipping leaves a shardable subtree nothing to demand-pull,
     # so no workload above moves a node row inside a worker: move the
     # rows by hand through the four steps of the one row kind.  What a
     # run moved is handed back as differences, rewound (a row the run
     # created is gone again), and adopted through the transport's
-    # accessors — which is what puts it in the parent's next window.
+    # accessors — so a controller's next window would see it.
     rows = [ledger for ledger in ledgers.LEDGERS
             if isinstance(ledger, ledgers.Rows)]
-    assert [ledger.key for ledger in rows] == ["links", "nodes", "pairs"]
+    assert [ledger.key for ledger in rows] == ["links", "nodes"]
     with Machine(nnodes=2) as worker, Machine(nnodes=2) as parent:
         for machine in (worker, parent):    # the fork-time state
             machine.transport.node(1).pulled += 5
-        parent.transport.take_window()
         marks = [ledger.mark(worker) for ledger in rows]
         worker.transport.node(1).pulled += 3
         worker.transport.node(0).prefetch_stale += 1
-        worker.transport.pair((0, 1)).bytes += 64
         worker.transport.link((0, 1)).messages += 1
         deltas = [ledger.delta(worker, mark)
                   for ledger, mark in zip(rows, marks)]
@@ -480,14 +474,14 @@ def test_node_and_pair_rows_ride_the_hand_back_like_the_link_ones():
             ledger.adopt(parent, delta, None)
         assert worker.transport.nodes[1].pulled == 5
         assert set(worker.transport.nodes) == {1}
-        assert not worker.transport.pairs and not worker.transport.links
+        assert not worker.transport.links
         assert parent.transport.pages_pulled == 8
         assert parent.transport.link((0, 1)).messages == 1
-        assert parent.transport.pairs[0, 1].bytes == 64
-        window = parent.transport.take_window()
-        assert window.nodes == deltas[1]
-        assert window.nodes[1]["pulled"] == 3
-        assert window.nodes[0]["prefetch_stale"] == 1
+        assert deltas[1][1]["pulled"] == 3
+        assert deltas[1][0]["prefetch_stale"] == 1
+        assert {node: row.as_dict()
+                for node, row in parent.transport.nodes.items()} == {
+            1: dict(deltas[1][1], pulled=8), 0: deltas[1][0]}
 
 
 def _assigned_by_init(cls):

@@ -115,7 +115,7 @@ def test_rows_read_the_lists_by_record():
 UIDS = ("a", "b", "c")
 OPS = st.lists(st.tuples(
     st.sampled_from(("begin", "charge", "charge", "cut", "cut", "sleep",
-                     "move_node", "edge", "transfer", "decision", "end",
+                     "move_node", "edge", "transfer", "end",
                      "mark")),
     st.integers(0, len(UIDS) - 1),
     st.integers(0, 40), st.integers(0, 40),
@@ -145,7 +145,7 @@ def _apply(tr, op, uid, x, y, cls, kind):
         return value
 
     nseg = len(tr.segments)
-    if op not in ("edge", "transfer", "decision") and not tr.is_open(uid):
+    if op not in ("edge", "transfer") and not tr.is_open(uid):
         op = "begin"    # a closed context's call opens it instead
     if op == "begin":
         if tr.is_open(uid):
@@ -153,15 +153,12 @@ def _apply(tr, op, uid, x, y, cls, kind):
                 tr.begin(uid, node=x % 4, label="again")
             return "refused"
         return ids(tr.begin(uid, node=x % 4, label=f"b{y}"))
-    if op in ("edge", "transfer", "decision"):
+    if op in ("edge", "transfer"):
         if not nseg:
             return None
         src, dst = x % nseg, y % nseg
         if op == "edge":
             return tr.edge(src, dst, latency=x)
-        if op == "decision":
-            tr.decision(src, x % 4, "prefetch", "depth", x, y)
-            return None
         row = (src, dst, (x % 4, y % 4), x, y, cls, kind)
         if isinstance(tr, trace_oracle.Trace):
             tr.transfers.append(row)

@@ -49,14 +49,6 @@ class Trace:
         #: (``Transport._stall_edges``).  Kept separate from
         #: :attr:`edges` so plain consumers keep their 3-tuple shape.
         self.transfers = []
-        #: list of (segment_id, node, policy, knob, old, new) — control-
-        #: plane decision records, anchored at the deciding segment (the
-        #: caller's rendezvous segment).  Annotations only: decisions act
-        #: on the run through ordinary segments/edges (knob changes,
-        #: migrations, timeout waits), so ``schedule()`` replays their
-        #: *consequences* without reading this list.  Kept on the
-        #: trace so a replayed trace carries its decision history.
-        self.decisions = []
         self._open = {}   # uid -> Segment
         self._last = {}   # uid -> last closed Segment
         self._cum = {}    # uid -> cycles of all *closed* segments
@@ -161,13 +153,6 @@ class Trace:
             total += open_seg.cycles
         return total
 
-    def decision(self, seg, node, policy, knob, old, new):
-        """Record one control-plane decision anchored at segment ``seg``."""
-        seg_id = seg.id if isinstance(seg, Segment) else seg
-        record = (seg_id, node, policy, knob, old, new)
-        self.decisions.append(record)
-        return record
-
     def move_node(self, uid, node):
         """Record that ``uid`` now executes on ``node`` (space migration).
 
@@ -206,7 +191,6 @@ def packed(trace):
                       seg.closed) for seg in trace.segments],
         "edges": list(trace.edges),
         "transfers": list(trace.transfers),
-        "decisions": list(trace.decisions),
         "charged": {},
         "open": {uid: seg.id for uid, seg in trace._open.items()},
         "last": {uid: seg.id for uid, seg in trace._last.items()},
