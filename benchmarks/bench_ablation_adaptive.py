@@ -1,8 +1,8 @@
-"""Ablation: the deterministic adaptive control plane vs static knobs.
+"""Ablation: ``prefetch_depth="adaptive"`` vs static prefetch depths.
 
 Three workloads at 4 nodes on the oversubscribed two-tier fabric under
 summary-only demand paging, each swept across static prefetch depths
-{0, 1, 4, 16, 32} and the adaptive controller:
+{0, 1, 4, 16, 32} and the adaptive depth the control plane tunes:
 
 * **matmult-tree** — a one-shot streaming pipeline: the deepest static
   queue wins, and the controller's job is merely to get there (slow
@@ -15,8 +15,7 @@ summary-only demand paging, each swept across static prefetch depths
   retained queue slot re-pays its wire tax at the next rewrite), then
   phase B streams full matrices (deep queues win).  No static depth is
   right twice, so the adaptive controller must strictly beat every
-  static setting — and again at 5% loss, where the per-route SRTT
-  policy also retires the static retransmit timer on rack links.
+  static setting — and again at 5% loss.
 
 The control plane is cost-only: computed values must be identical in
 every cell of every sweep.  The gated metrics are the adaptive cells'
@@ -65,7 +64,8 @@ def _sweep(workload, loss):
         makespan, _, value = _run(workload, loss, prefetch_depth=depth)
         statics[f"d{depth}"] = makespan
         values.add(value)
-    makespan, machine, value = _run(workload, loss, control="adaptive")
+    makespan, machine, value = _run(workload, loss,
+                                    prefetch_depth="adaptive")
     values.add(value)
     sched = schedule(machine.trace, ncpus=1)
     stalls = sched.stall_cycles
@@ -108,18 +108,6 @@ def test_ablation_adaptive():
                 assert cell["makespan"] <= cell["best_static"], \
                     (name, cell)
             results[name] = cell
-
-        # Under loss, the full controller must also beat itself with
-        # the SRTT retransmit policy disabled: the per-route timers are
-        # a measurable part of the lossy-skewed win, not a passenger.
-        workload, loss, _ = SWEEPS["skewed-lossy"]
-        lossy = results["skewed-lossy"]
-        no_retx_mk, _, no_retx_value = _run(
-            workload, loss, control={"policies": ("prefetch",)})
-        assert no_retx_value == lossy["value"]
-        assert lossy["makespan"] < no_retx_mk, \
-            (lossy["makespan"], no_retx_mk)
-        lossy["no_retx_makespan"] = no_retx_mk
         return results
 
     results = run_all()

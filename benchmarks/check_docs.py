@@ -20,11 +20,14 @@ the plain fenced block right after the command's block must match what
 the command prints — its lines, ``...`` lines skipped, appear in the
 real stdout in order.
 
-A second pass needs no subprocess: every backticked ``Class`` or
+Two more passes need no subprocess.  Every backticked ``Class`` or
 ``Class.member`` in README.md, DESIGN.md and ``docs/*.md`` must name a
 class ``src/`` defines and, with a member, one the class has
-(:func:`stale_names`), so a renamed or deleted name cannot linger in
-the prose.
+(:func:`stale_names`); and every backticked ``path.py`` or
+``path.py::name`` there must name a file of the repo and, with a name,
+a top-level def, class or assignment in it, or a ``Class.member``
+(:func:`stale_paths`).  So a renamed or deleted name or module cannot
+linger in the prose.
 
 Usage: python benchmarks/check_docs.py [--docs FILE [FILE ...]]
 """
@@ -111,6 +114,10 @@ _SPAN = re.compile(r"`([^`\n]+)`")
 _REF = re.compile(r"([A-Z]\w*)(?:\.(\w+))?")
 #: A name shaped like a class (two humps): unknown ones are stale.
 _CAMEL = re.compile(r"[A-Z][a-z0-9]+[A-Z]\w*")
+#: A module reference: ``path.py`` or ``path.py::name[.member]``.
+_PATH = re.compile(r"([\w/]+\.py)(?:::(\w+)(?:\.(\w+))?)?")
+#: Where a path that is not repo-relative may be rooted.
+PATH_ROOTS = ("", "src/", "src/repro/")
 
 
 def _closing(lines, start):
@@ -260,38 +267,110 @@ def _resolves(classes, name, member, seen=()):
     return False
 
 
+def _name_docs():
+    """The :data:`NAME_DOCS` files, in glob order."""
+    return [path for pattern in NAME_DOCS
+            for path in sorted(REPO.glob(pattern))]
+
+
+def _prose_spans(doc):
+    """``(lineno, span)`` of each backticked span outside fenced
+    blocks of ``doc``."""
+    fenced = False
+    for lineno, line in enumerate(Path(doc).read_text().splitlines(), 1):
+        if line.lstrip().startswith("```"):
+            fenced = not fenced
+            continue
+        if not fenced:
+            for span in _SPAN.findall(line):
+                yield lineno, span
+
+
 def stale_names(docs=None):
     """``["doc:line: `span`", ...]`` for each backticked span outside
     fenced blocks that starts with a ``Class`` or ``Class.member`` no
     class under ``src/`` resolves (a two-hump name no class has is
     stale too)."""
     if docs is None:
-        docs = [path for pattern in NAME_DOCS
-                for path in sorted(REPO.glob(pattern))]
+        docs = _name_docs()
     classes = src_classes()
     found = []
     for doc in docs:
-        fenced = False
-        for lineno, line in enumerate(Path(doc).read_text().splitlines(),
-                                      1):
-            if line.lstrip().startswith("```"):
-                fenced = not fenced
+        for lineno, span in _prose_spans(doc):
+            ref = _REF.match(span)
+            if ref is None:
                 continue
-            if fenced:
+            name, member = ref.groups()
+            if name in classes:
+                stale = member is not None and not _resolves(
+                    classes, name, member)
+            else:
+                stale = (_CAMEL.fullmatch(name) is not None
+                         and not hasattr(builtins, name))
+            if stale:
+                found.append(f"{_relpath(doc)}:{lineno}: `{span}`")
+    return found
+
+
+def _top_level(tree):
+    """``{name: ClassDef or None}`` of a module's top-level defs,
+    classes and assigned names."""
+    names = {}
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            names[stmt.name] = None
+        elif isinstance(stmt, ast.ClassDef):
+            names[stmt.name] = stmt
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) \
+                else [stmt.target]
+            for target in targets:
+                for node in ast.walk(target):
+                    if isinstance(node, ast.Name):
+                        names[node.id] = None
+    return names
+
+
+def _find_module(path, files):
+    """The files ``path`` can mean: itself under one of
+    :data:`PATH_ROOTS`, else every repo file it is a path suffix of."""
+    for root in PATH_ROOTS:
+        if root + path in files:
+            return [root + path]
+    return [name for name in files if name.endswith("/" + path)]
+
+
+def stale_paths(docs=None):
+    """``["doc:line: `span`", ...]`` for each backticked ``path.py`` or
+    ``path.py::name[.member]`` outside fenced blocks that names no repo
+    file, or a name none of its files defines at top level (or, with a
+    member, a class without it)."""
+    if docs is None:
+        docs = _name_docs()
+    files = {path.relative_to(REPO).as_posix()
+             for path in REPO.rglob("*.py")
+             if not any(part.startswith(".") or part == "__pycache__"
+                        for part in path.relative_to(REPO).parts)}
+    tops = {}
+
+    def defines(module, name, member):
+        if module not in tops:
+            tops[module] = _top_level(ast.parse((REPO / module).read_text()))
+        cls = tops[module].get(name, False)
+        return cls is not False and (member is None or (
+            cls is not None and member in _members(cls)))
+
+    found = []
+    for doc in docs:
+        for lineno, span in _prose_spans(doc):
+            ref = _PATH.fullmatch(span)
+            if ref is None:
                 continue
-            for span in _SPAN.findall(line):
-                ref = _REF.match(span)
-                if ref is None:
-                    continue
-                name, member = ref.groups()
-                if name in classes:
-                    stale = member is not None and not _resolves(
-                        classes, name, member)
-                else:
-                    stale = (_CAMEL.fullmatch(name) is not None
-                             and not hasattr(builtins, name))
-                if stale:
-                    found.append(f"{_relpath(doc)}:{lineno}: `{span}`")
+            path, name, member = ref.groups()
+            modules = _find_module(path, files)
+            if not modules or name is not None and not any(
+                    defines(module, name, member) for module in modules):
+                found.append(f"{_relpath(doc)}:{lineno}: `{span}`")
     return found
 
 
@@ -347,6 +426,8 @@ def main(argv=None):
 
     for stale in stale_names():
         failures.append(f"{stale} names no class or member in src/")
+    for stale in stale_paths():
+        failures.append(f"{stale} names no module or top-level name")
 
     if failures:
         print(f"\ncheck_docs: {len(failures)} documentation drift(s):",

@@ -100,28 +100,12 @@ def main(smoke=False):
     print(stats.retx_table())
 
     # The transport only accumulates: per node, the whole run's demand
-    # pulls and the prefetch issue/hit/waste splits.  A control plane
-    # reads the same rows, differenced against what it saw at its
-    # previous decision pass.
+    # pulls and the prefetch issue/hit/waste splits.  Under
+    # prefetch_depth="adaptive" a control plane reads the same rows,
+    # differenced against what it saw at its previous decision pass.
     print("\nper-node page counters of the whole static run (what a "
           "controller diffs every quantum):")
     print(stats.node_table())
-
-    # Now hand the knobs to the control plane: instead of a static
-    # prefetch depth and a single global retransmit timer, a
-    # deterministic per-node controller reads what those rows gained
-    # each quantum and re-tunes queue depths and per-route timeouts at
-    # quantum boundaries (placement stays the fixed table above).
-    # Decisions are a pure function of simulated state, so the decision
-    # log replays bit-identically — and the answer still cannot change.
-    spec = spec.with_(prefetch_depth=0, control="adaptive")
-    adaptive_makespan, machine, found = run_cluster(md5_tree_main(length),
-                                                    big, spec=spec)
-    assert found == target
-    print(f"\nsame lossy run under adaptive control: "
-          f"makespan {lossy_makespan:,} -> {adaptive_makespan:,}")
-    print("\ncontroller decision log (replay-exact), last 12:")
-    print("\n".join(machine.control.log[-12:]))
 
 
 if __name__ == "__main__":

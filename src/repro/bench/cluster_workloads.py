@@ -258,10 +258,10 @@ def run_cluster(entry_builder, nnodes, spec=None):
     :class:`~repro.cluster.spec.ClusterSpec`: ``ship_mode="full"`` for
     the naive every-page-every-hop migration baseline,
     ``topology``/``placement`` for the routed fabric,
-    ``prefetch_depth``/``compression`` for the async fetch queues and
-    wire compression, ``loss`` for the deterministic fault schedule,
-    ``control`` for the adaptive control plane, ``shard_workers`` for
-    forked host execution.
+    ``prefetch_depth``/``compression`` for the async fetch queues (a
+    fixed depth or ``"adaptive"``) and wire compression, ``loss`` for
+    the deterministic fault schedule, ``shard_workers`` for forked host
+    execution.
     """
     with Machine(nnodes=nnodes, spec=spec) as machine:
         result = machine.run(entry_builder, (nnodes,), ncpus=NODE_CPUS) \

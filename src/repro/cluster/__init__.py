@@ -16,8 +16,10 @@ owns *how* it crosses and what that costs:
   traversed link accrues occupancy, so shared cross-rack core links
   contend in ``schedule()``.  Per-node *async fetch queues*
   (``ClusterSpec(prefetch_depth=...)``) pipeline predicted-next frames
-  behind compute, and ``ClusterSpec(compression=True)`` ships PAGE_BATCH
-  payloads zero-suppressed/RLE-encoded
+  behind compute — at a fixed depth, or at per-node depths the control
+  plane tunes at quantum boundaries (``prefetch_depth="adaptive"``,
+  :mod:`repro.cluster.control`) — and ``ClusterSpec(compression=True)``
+  ships PAGE_BATCH payloads zero-suppressed/RLE-encoded
   (:mod:`repro.cluster.compress`);
 * :class:`~repro.cluster.faults.LossSchedule` — deterministic fault
   injection (``ClusterSpec(loss=...)``): per-link drop decisions keyed
@@ -27,7 +29,7 @@ owns *how* it crosses and what that costs:
   (``NetworkStats.retx_table()``), and charges timeout waits as
   ``kind="retx"`` stall edges — loss is cost-only, never touching
   computed values;
-* placement policies (:mod:`repro.cluster.placement`) — map
+* placements (:mod:`repro.cluster.placement`) — map
   program-visible node numbers onto fabric nodes: ``round_robin``
   stripes across racks, ``locality`` packs contiguous node blocks per
   rack (both are tables the topology fixes);

@@ -1,11 +1,10 @@
-"""Deterministic control plane: telemetry-tuned knobs at quantum edges.
+"""Deterministic control plane: the prefetch depth tuned at quantum edges.
 
-Two knobs that decide a cluster run's makespan — the async prefetch
-queue depth and the retransmit timeout — ship as static constants, yet
-the transport already observes exactly the signals needed to tune them
-live: demand pulls, stale/aged speculation, per-route delivery
-latencies.  A :class:`Controller` closes that feedback loop
-*deterministically*:
+The async prefetch queue depth decides much of a demand-paged cluster
+run's makespan, yet the transport already observes exactly the signals
+needed to tune it live: demand pulls and stale/aged speculation.
+``ClusterSpec(prefetch_depth="adaptive")`` attaches a
+:class:`Controller` that closes that feedback loop *deterministically*:
 
 * **Decision points are quantum boundaries.**  The kernel invokes the
   controller from the rendezvous path (``Kernel._rendezvous``), right
@@ -14,23 +13,20 @@ latencies.  A :class:`Controller` closes that feedback loop
 * **Inputs are a pure function of simulated state.**  Each decision
   pass reads one *window*: what the transport's node rows accumulated
   since the previous pass (the controller diffs the rows it saw last
-  pass, DESIGN §8), the in-flight exchanges that aged, and the route
-  samples the transport handed it meanwhile.  No host time, no
-  randomness, no schedule()-side information: the window holds only
-  quantities the simulated execution itself determined, so two
-  same-seed runs feed the controller bit-identical windows.  All of it
-  is the controller's own state; the transport only accumulates.
-* **Outputs take effect at the next quantum.**  Decisions mutate knob
-  state (per-node depths, per-route timeouts) that the kernel and
-  transport consult *on their next use*; nothing retroactively edits
-  the trace.  Each decision is a line of :attr:`Controller.log` and
-  costs the guest nothing (the controller runs beside the kernel, on
-  the management plane) — so replaying the trace replays the
-  decisions' consequences exactly.
+  pass, DESIGN §8) and the in-flight exchanges that aged.  No host
+  time, no randomness, no schedule()-side information: the window
+  holds only quantities the simulated execution itself determined, so
+  two same-seed runs feed the controller bit-identical windows.  All of
+  it is the controller's own state; the transport only accumulates and
+  never calls the controller.
+* **Outputs take effect at the next quantum.**  Decisions mutate
+  per-node depths that the kernel consults *on their next use*;
+  nothing retroactively edits the trace.  Each decision is a line of
+  :attr:`Controller.log` and costs the guest nothing (the controller
+  runs beside the kernel, on the management plane) — so replaying the
+  trace replays the decisions' consequences exactly.
 
-Two policies ship:
-
-**Adaptive prefetch depth** (per node, AIMD-style).  The demand signal
+The policy is AIMD-style, per node.  The demand signal
 is the window's stop-and-wait *pulls* — pages nobody had even queued.
 (Late redeems deliberately do not grow depth, and the window carries
 none: they also fire on every ledger-predicted page a space demands the
@@ -55,25 +51,11 @@ next fork.  Growth re-arms only after ``GROWTH_HOLD`` strictly-clean
 windows (zero churn *and* zero stale/aged: the purge path converts a
 doomed queue's churn into stale counts, so churn going quiet alone
 proves nothing).
-
-**Per-route retransmit timeouts** (SRTT + RTTVAR).  The transport
-hands the controller each exchange's modelled delivery latency
-(:meth:`Controller.sample_route`), which keeps one sample per clean
-*single-page* exchange per route (Karn's rule twice over: exchanges
-that hit the fault path contribute no sample, and multi-page batches
-measure sender drain, not route turnaround) and smooths them with the
-RFC 6298 integer estimator
-(``srtt += (s - srtt)/8``, ``rttvar += (|s - srtt| - rttvar)/4``) and
-sets the route's timeout to ``srtt + 4*rttvar``, clamped between twice
-the route's transit latency (a retransmit can never beat physics) and
-the static ``cost.retx_timeout`` (adaptation may stop over-waiting on
-fast rack links, never under-wait worse than the static timer).  Lossy
-runs stop paying a core-link-sized timer on every rack-link drop.
 """
 
 from collections import Counter
 
-#: The policies' fixed constants (nothing ever tuned them per run).
+#: The policy's fixed constants (nothing ever tuned them per run).
 #: Upper bound on any adaptive prefetch depth.
 DEPTH_CAP = 64
 #: Shrink when ``stale + aged/2 + churn > max(1, used // WASTE_TOLERANCE)``.
@@ -85,37 +67,16 @@ WASTE_TOLERANCE = 8
 #: window's demand misses re-grow it, and the round after that wastes
 #: it all over again.
 GROWTH_HOLD = 2
-#: Route-latency samples kept per route and window (first come first
-#: kept — a deterministic cap on what one long quantum can pile up).
-ROUTE_SAMPLE_CAP = 512
-
-
-def _fmt_knob(value):
-    return f"{value:,}" if isinstance(value, int) else str(value)
 
 
 class Controller:
-    """Per-node adaptive control state of one machine.
+    """Per-node adaptive prefetch depths of one machine.
 
-    Each machine builds its own from its spec's ``control`` value
-    (:func:`resolve_control`), so no adaptation outlives its run.
+    Each machine whose spec says ``prefetch_depth="adaptive"`` builds
+    its own, so no adaptation outlives its run.
     """
 
-    #: Recognized policy names (the ``policies`` argument).
-    POLICIES = ("prefetch", "retx")
-
-    def __init__(self, policies=POLICIES):
-        if isinstance(policies, str):
-            raise ValueError(f"control policies must be a tuple of policy "
-                             f"names, got {policies!r}")
-        if not policies:
-            raise ValueError(f"control policies must name at least one of "
-                             f"{list(self.POLICIES)}, got {policies!r}")
-        unknown = set(policies) - set(self.POLICIES)
-        if unknown:
-            raise ValueError(f"unknown control policies {sorted(unknown)} "
-                             f"(have {list(self.POLICIES)})")
-        self.policies = tuple(policies)
+    def __init__(self):
         #: Bootstrap depth for nodes with no per-node state yet.  It
         #: ratchets up to the largest demand-driven depth any node
         #: reached: in an SPMD program the nodes stream near-identical
@@ -141,10 +102,6 @@ class Controller:
         self.depths = {}
         self._hold = {}
         self._churned = {}
-        #: unordered (a, b) node pair -> smoothed RTT state / timeout.
-        self.srtt = {}
-        self.rttvar = {}
-        self.timeouts = {}
         #: Human-readable decision log, one line per decision, in
         #: decision order (the rendering the example prints).
         self.log = []
@@ -156,45 +113,12 @@ class Controller:
         #: in-flight ``PrefetchExchange`` -> the pass that first saw it
         #: queued, or None once its queued frames were counted aged.
         self._queued = {}
-        #: unordered (a, b) node pair -> delivery-latency samples of the
-        #: window's clean exchanges (capped at ROUTE_SAMPLE_CAP).
-        self._samples = {}
 
-    # -- knob reads (kernel/transport hot paths) ---------------------------
+    # -- knob read (the kernel's prefetch path) ----------------------------
 
     def depth_for(self, node):
         """Current adaptive prefetch depth of ``node``."""
         return self.depths.get(node, self._boot)
-
-    def timeout_for(self, src, dst):
-        """Adaptive retransmit timeout of the ``src``/``dst`` route, or
-        None before any sample arrived (caller falls back to the static
-        ``cost.retx_timeout``)."""
-        pair = (src, dst) if src <= dst else (dst, src)
-        return self.timeouts.get(pair)
-
-    # -- telemetry (the transport's two call sites) ------------------------
-
-    def sample_route(self, src, dst, transit, usages, nmsgs, bill, npages):
-        """Take one delivery-latency sample for the ``src``/``dst``
-        route: its ``transit`` latency plus the exchange's mean
-        per-message serialization over the ``usages`` dicts.  Two
-        Karn-style filters keep the estimator honest about what the
-        retransmit timer actually guards: exchanges that hit the fault
-        path contribute nothing (a retransmitted exchange's latency says
-        more about the timeout than about the route), and so do
-        multi-page batch exchanges — a batch's drain time measures the
-        sender's throughput, while the timer waits on the route's
-        *turnaround* for one copy, which only minimal (single-data-
-        message) exchanges exhibit."""
-        if npages > 1 or bill:
-            return
-        pair = (src, dst) if src <= dst else (dst, src)
-        samples = self._samples.setdefault(pair, [])
-        if len(samples) >= ROUTE_SAMPLE_CAP:
-            return
-        busy = sum(sum(usage.values()) for usage in usages)
-        samples.append(transit + busy // max(1, nmsgs))
 
     def _window(self, transport, index):
         """node -> what its transport row accumulated since the previous
@@ -231,24 +155,18 @@ class Controller:
         """One control-plane pass at a quantum boundary.
 
         Called by ``Kernel._rendezvous`` after a child ran to a stop.
-        Takes the window since the previous pass and lets each enabled
-        policy adjust its knobs.
+        Takes the window since the previous pass and adjusts the
+        per-node depths from it.
         """
         index = self.windows_seen
         self.windows_seen += 1
-        samples, self._samples = self._samples, {}
-        if "prefetch" in self.policies:
-            self._decide_prefetch(machine,
-                                  self._window(machine.transport, index))
-        if "retx" in self.policies:
-            self._decide_retx(machine, samples)
+        self._decide_prefetch(machine, self._window(machine.transport, index))
 
-    def _record(self, node, policy, knob, old, new):
-        self.log.append(
-            f"w{self.windows_seen - 1:>3} {policy:<9} "
-            f"{knob}[{node}]: {_fmt_knob(old)} -> {_fmt_knob(new)}")
+    def _record(self, node, old, new):
+        self.log.append(f"w{self.windows_seen - 1:>3} prefetch  "
+                        f"depth[{node}]: {old:,} -> {new:,}")
 
-    # -- policy 1: adaptive prefetch depth ---------------------------------
+    # -- the policy --------------------------------------------------------
 
     def _decide_prefetch(self, machine, rows):
         collapse = None
@@ -326,7 +244,7 @@ class Controller:
                 new = min(DEPTH_CAP, depth + 1)
             if new != depth:
                 self.depths[node] = new
-                self._record(node, "prefetch", "depth", depth, new)
+                self._record(node, depth, new)
         if collapse is not None:
             # Fleet-wide downward ratchet, the mirror of ``_boot``'s
             # upward one and on the same SPMD rationale: the nodes run
@@ -345,56 +263,11 @@ class Controller:
                 # other node's demand jump ratchets ``_boot`` back up.
                 self.depths[node] = min(old, collapse)
                 if old > collapse:
-                    self._record(node, "prefetch", "depth", old, collapse)
-
-    # -- policy 2: per-route SRTT retransmit timeouts ----------------------
-
-    def _decide_retx(self, machine, route_samples):
-        if machine.loss is None:
-            return
-        cost = machine.cost
-        for pair in sorted(route_samples):
-            samples = route_samples[pair]
-            srtt = self.srtt.get(pair)
-            var = self.rttvar.get(pair, 0)
-            for sample in samples:
-                if srtt is None:
-                    # RFC 6298 bootstrap: first sample seeds the pair.
-                    srtt, var = sample, sample // 2
-                else:
-                    err = sample - srtt
-                    var += (abs(err) - var) // 4
-                    srtt += err // 8
-            if srtt is None:
-                continue
-            self.srtt[pair], self.rttvar[pair] = srtt, var
-            # Physics floor: a retransmit fired inside the route's round
-            # trip can only duplicate, never rescue.  Static ceiling:
-            # adaptation may stop over-waiting, never wait longer than
-            # the static timer would have (the ceiling wins when a long
-            # route's floor exceeds it).
-            floor = 2 * machine.topology.route_latency(cost, *pair)
-            rto = min(cost.retx_timeout, max(floor, srtt + 4 * var))
-            old = self.timeouts.get(pair, cost.retx_timeout)
-            if rto != old:
-                self.timeouts[pair] = rto
-                self._record(pair, "retx", "timeout", old, rto)
-            else:
-                self.timeouts[pair] = rto
+                    self._record(node, old, collapse)
 
     # -- reporting ---------------------------------------------------------
 
     def __repr__(self):
-        return (f"<Controller policies={'/'.join(self.policies)} "
-                f"windows={self.windows_seen} decisions={len(self.log)}>")
+        return (f"<Controller windows={self.windows_seen} "
+                f"decisions={len(self.log)}>")
 
-
-def resolve_control(spec):
-    """A fresh :class:`Controller` from the string ``"adaptive"`` (every
-    policy) or a ``{"policies": (...)}`` dict of its keyword arguments."""
-    if spec == "adaptive":
-        return Controller()
-    if isinstance(spec, dict):
-        return Controller(**spec)
-    raise ValueError(f"control must be 'adaptive' or a {{'policies': (...)}} "
-                     f"dict, got {spec!r}")

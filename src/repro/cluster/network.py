@@ -225,7 +225,7 @@ class NetworkStats:
     def class_bytes(self, cls):
         """Total wire bytes sent over links of class ``cls`` (0 if the
         fabric has none) — e.g. ``class_bytes("core")`` is the
-        cross-rack volume placement policies try to shrink."""
+        cross-rack volume a placement tries to shrink."""
         return self.per_class.get(cls, {}).get("bytes_sent", 0)
 
     def compression_ratio(self):

@@ -1,4 +1,4 @@
-"""Placement policies: mapping program node numbers onto fabric nodes.
+"""Placement: mapping program node numbers onto fabric nodes.
 
 Programs address cluster nodes through the node field of child
 references (``child_ref(local, node=...)``).  Those numbers are

@@ -1,17 +1,18 @@
 """`ClusterSpec`: every cross-cutting knob of a simulated run, in one place.
 
-The eleven knobs (`tcp_mode`, `ship_mode`, `topology`, `placement`,
-`prefetch_depth`, `compression`, `loss`, `control`, `shard_workers`,
-`cost`, `backend`) are fields of one frozen dataclass,
+The ten knobs (`tcp_mode`, `ship_mode`, `topology`, `placement`,
+`prefetch_depth`, `compression`, `loss`, `shard_workers`, `cost`,
+`backend`) are fields of one frozen dataclass,
 and every entry point — ``Machine``, ``run_cluster``, ``sweep_nodes``,
 ``serve_trace``, ``run_backend`` — takes it as ``spec=`` and nothing
 else:
 
 * **One validation site.**  ``ship_mode`` membership,
   ``prefetch_depth``/``shard_workers`` range and type (an ``int``, never
-  a ``bool``), ``tcp_mode``/``compression`` type (a ``bool``, never
-  coerced), ``loss``/``control``/``placement``/``topology`` syntax all
-  raise here, at construction, before any machine exists.
+  a ``bool``; ``prefetch_depth`` may also be ``"adaptive"``),
+  ``tcp_mode``/``compression`` type (a ``bool``, never coerced),
+  ``loss``/``placement``/``topology`` syntax all raise here, at
+  construction, before any machine exists.
 * **One spelling.**  ``Machine(spec=ClusterSpec(ship_mode="demand"))``
   is the only way to say it, and every field is a plain value: a preset
   string, a policy name, a rate or a small dict — never a live object.
@@ -19,9 +20,9 @@ else:
   constructor it reaches; any other form of a field is a
   ``ValueError`` naming it.
 * **Frozen value semantics.**  A spec can be built once and shared by a
-  whole sweep; anything *stateful* (the ``Controller``, the
-  ``Topology`` for a concrete node count) is built per machine by the
-  module ``resolve_*`` functions, never stored on the spec.
+  whole sweep; anything *stateful* (the ``Topology`` for a concrete
+  node count, the ``Controller`` of ``prefetch_depth="adaptive"``) is
+  built per machine, never stored on the spec.
 
 The CPU count of a node is not a knob: every cluster runner schedules
 its trace on :data:`NODE_CPUS`, the paper's uniprocessor cluster nodes
@@ -49,7 +50,7 @@ from repro.timing.model import CostModel
 #: CPUs per cluster node every cluster runner schedules a run's trace on.
 NODE_CPUS = 1
 
-#: Migration page-shipping policies (see repro.cluster.transport).
+#: Migration page-shipping modes (see repro.cluster.transport).
 SHIP_MODES = ("delta", "full", "demand")
 
 #: Execution backends (see repro.cluster.backend and docs/backends.md).
@@ -81,15 +82,15 @@ class ClusterSpec:
     topology: object = None
     #: Virtual-node placement policy: "round_robin" (None), "locality".
     placement: object = None
-    #: Async fetch-queue depth per node (0: stop-and-wait).
-    prefetch_depth: int = 0
+    #: Async fetch-queue depth per node (0: stop-and-wait), or
+    #: "adaptive": per-node depths the control plane tunes at quantum
+    #: boundaries (repro.cluster.control).
+    prefetch_depth: object = 0
     #: PAGE_BATCH wire compression (zero suppression + RLE).
     compression: bool = False
     #: Deterministic fault schedule: a drop rate or a {"drop", "seed"}
     #: dict (None or a zero rate: the lossless fabric).
     loss: object = None
-    #: Adaptive control plane: "adaptive" or a {"policies": (...)} dict.
-    control: object = None
     #: Forked host workers for sibling subtrees (< 2 disables).
     shard_workers: int = 0
     #: Execution backend: "sim" (one process, modeled wire — the
@@ -105,12 +106,15 @@ class ClusterSpec:
         if self.ship_mode not in SHIP_MODES:
             raise ValueError(f"unknown ship_mode {self.ship_mode!r} "
                              f"(expected one of {SHIP_MODES})")
-        for name in ("prefetch_depth", "shard_workers"):
+        for name, alias in (("prefetch_depth", " or 'adaptive'"),
+                            ("shard_workers", "")):
             value = getattr(self, name)
+            if alias and value == "adaptive":
+                continue
             if isinstance(value, bool) or not isinstance(value, int) \
                     or value < 0:
-                raise ValueError(f"{name} must be a non-negative int, "
-                                 f"got {value!r}")
+                raise ValueError(f"{name} must be a non-negative int"
+                                 f"{alias}, got {value!r}")
         if self.backend not in BACKENDS:
             raise ValueError(f"unknown backend {self.backend!r} "
                              f"(expected one of {BACKENDS})")
@@ -121,14 +125,10 @@ class ClusterSpec:
         # same resolvers the machine will use (the topology on one
         # node).  The throwaway results are discarded: anything stateful
         # must be built fresh per machine (``Machine.__init__`` resolves
-        # them again).  The control plane's module loads only for a spec
-        # that names one.
+        # them again).
         resolve_loss(self.loss)
         resolve_placement(self.placement)
         resolve_topology(self.topology, 1)
-        if self.control is not None:
-            from repro.cluster.control import resolve_control
-            resolve_control(self.control)
 
     def with_(self, **changes):
         """A copy with ``changes`` applied (validated like any spec)."""

@@ -39,7 +39,7 @@ Three presets:
     routes spread deterministically over the spines, so the fabric
     pays extra hops and latency but never oversubscribes.
 
-Placement policies (:mod:`repro.cluster.placement`) read the rack
+Placements (:mod:`repro.cluster.placement`) read the rack
 structure (:meth:`Topology.racks`, :meth:`Topology.striped`) to build
 their node tables.
 """
@@ -119,11 +119,6 @@ class Topology:
         """The :class:`LinkClass` of one directed link."""
         raise NotImplementedError
 
-    def route_latency(self, cost, src, dst):
-        """Total transit latency (cycles) of the ``src -> dst`` route:
-        ``net_latency`` times the record's summed latency factor."""
-        return int(cost.net_latency * self.route_record(src, dst)[2])
-
     def distance(self, src, dst):
         """Hop count of the ``src -> dst`` route (0 = same node).
 
@@ -133,7 +128,7 @@ class Topology:
         """
         return len(self.route(src, dst))
 
-    # -- structure read by placement policies ------------------------------
+    # -- structure read by placements --------------------------------------
 
     def racks(self):
         """Nodes grouped by rack, in rack order (flat = one big rack).

@@ -366,8 +366,8 @@ class Transport:
         fabric route ``src -> dst`` and credit ``delivered`` bytes to
         every link of it — a single walk of the route's link rows,
         hop-major (DESIGN §3 "A leg is one walk of its route").  Returns
-        the route's transit latency, the value of
-        ``Topology.route_latency``: the leg's one route-record lookup
+        the route's transit latency (``net_latency`` times the record's
+        summed latency factor): the leg's one route-record lookup
         answers both.
 
         ``msgs`` are message tuples (see :data:`MIGRATE`).  Every traversed
@@ -384,8 +384,8 @@ class Transport:
         Under ``ClusterSpec(loss=...)`` each link's copy consults the
         deterministic loss schedule, keyed on ``(link, message serial,
         attempt)``.  Dropped copies are retransmitted by the link layer
-        after the route's retransmit timeout (at most
-        ``cost.retx_limit`` retries).  ``faults`` (a
+        after ``cost.retx_timeout`` (at most ``cost.retx_limit``
+        retries).  ``faults`` (a
         :class:`~repro.cluster.faults.RetxBill`) collects, for the
         stalling messages, the retransmissions' per-link occupancy and
         the timeout waits for the caller's ``kind="retx"`` trace edges;
@@ -399,10 +399,6 @@ class Transport:
         route, classes, latency_factor = \
             machine.topology.route_record(src, dst)
         self.hops += len(route) * len(msgs)
-        # The retransmit timer is per logical message: the (possibly
-        # control-tuned) timeout of the route, resolved once so every
-        # hop copy of every message of the leg waits the same timer.
-        timeout = machine.retx_timeout_for(src, dst) if loss else 0
         stalling = False
         if usage is not None:
             for msg in msgs:
@@ -448,8 +444,8 @@ class Transport:
                             f"all {cost.retx_limit} retransmissions "
                             f"dropped")
                     if bill is not None:
-                        bill.wait += timeout
-                        self.retx_wait += timeout
+                        bill.wait += cost.retx_timeout
+                        self.retx_wait += cost.retx_timeout
                     row.messages += 1
                     row.bytes_sent += nbytes
                     row.busy_cycles += busy
@@ -563,15 +559,6 @@ class Transport:
         transit = self._leg(origin, node, batches,
                             payload + npages * cost.page_hdr,
                             resp_usage, faults, npages, payload)
-        # One delivery-latency sample per exchange for the control
-        # plane's SRTT estimator.  The request and response usage dicts
-        # may alias (the prefetch path passes one dict): count it once.
-        control = self.machine.control
-        if control is not None:
-            usages = [req_usage] if resp_usage is req_usage \
-                else [req_usage, resp_usage]
-            control.sample_route(origin, node, transit, usages,
-                                 1 + len(batches), faults, npages)
         return codec, transit
 
     # -- protocol exchanges ------------------------------------------------
@@ -604,9 +591,6 @@ class Transport:
             usage, bill, npages, payload)
         self._leg(dst, src, [(ACK, ack, cost.msg_ctrl, False)],
                   cost.msg_ctrl)
-        if machine.control is not None:
-            machine.control.sample_route(src, dst, transit, (usage,),
-                                         len(msgs), bill, npages)
         trace = machine.trace
         if trace.is_open(space.uid):
             closed, opened = trace.move_node(space.uid, dst)
@@ -680,8 +664,8 @@ class Transport:
         dropped (and counted stale) now, freeing its queue slot for the
         fresh content the predictor is about to re-issue.  Hot pages
         rewritten faster than anyone reads them thus charge deep queues
-        *every* rewrite — the recurring-waste signal the control
-        plane's shrink rule keys on.  An exchange whose last queued
+        *every* rewrite — the recurring-waste signal the adaptive
+        depth's shrink rule keys on.  An exchange whose last queued
         frame is purged was never demanded, so its wire contention
         enters the trace through a sink segment here, exactly as
         :meth:`flush_inflight` does at end of run.

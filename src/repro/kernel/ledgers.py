@@ -377,7 +377,8 @@ NOT_REPLAYED = {
         "engine": _HOST,
         "kernel": "stateless: it holds the machine and nothing else",
         "root": "a subtree travels as the payload's space graph",
-        "control": "the control plane, which fork_refusal gates off",
+        "control": "the adaptive prefetch controller: prefetch_depth == 0 "
+                   "is a gate",
         "shard": "None inside a worker: no nested sharding",
         "_closed": "lifecycle flag of the parent's machine",
     },

@@ -182,20 +182,19 @@ class Machine:
         self.node_map = {}
         #: Message-level interconnect all cross-node paths route through.
         self.transport = Transport(self)
-        #: Deterministic adaptive control plane: None (static knobs, the
-        #: default — byte-identical to the pre-control transport), or a
-        #: Controller built from "adaptive" or a kwargs dict.  The
-        #: kernel invokes it at quantum boundaries; it tunes per-node
-        #: prefetch depth and per-route retransmit timeouts from
-        #: windows of the transport's counters it keeps itself
-        #: (repro.cluster.control).
-        #: Every machine builds a fresh (stateful) Controller, so a spec
-        #: shared across a sweep never leaks adaptation between runs.
-        #: Its module loads only here.
+        #: Deterministic adaptive control plane: None (a static
+        #: ``prefetch_depth``, the default), or a fresh Controller when
+        #: the spec says ``prefetch_depth="adaptive"``.  The kernel
+        #: invokes it at quantum boundaries; it tunes per-node prefetch
+        #: depths from windows of the transport's counters it keeps
+        #: itself (repro.cluster.control).  Every machine builds its
+        #: own (stateful) Controller, so a spec shared across a sweep
+        #: never leaks adaptation between runs.  Its module loads only
+        #: here.
         self.control = None
-        if spec.control is not None:
-            from repro.cluster.control import resolve_control
-            self.control = resolve_control(spec.control)
+        if spec.prefetch_depth == "adaptive":
+            from repro.cluster.control import Controller
+            self.control = Controller()
         #: Sharded host execution (repro.kernel.shard): at a rendezvous
         #: with >= 2 never-run READY siblings, fork up to this many
         #: host processes, queue the sibling subtrees on them (a
@@ -245,7 +244,7 @@ class Machine:
         if len(hints) > self.DIRTY_HINT_CAP:
             del hints[:len(hints) - self.DIRTY_HINT_CAP]
 
-    # -- adaptive knob reads -------------------------------------------------
+    # -- adaptive knob read --------------------------------------------------
 
     def prefetch_depth_for(self, node):
         """Effective prefetch-queue depth of ``node``: the controller's
@@ -254,17 +253,6 @@ class Machine:
         if self.control is not None:
             return self.control.depth_for(node)
         return self.spec.prefetch_depth
-
-    def retx_timeout_for(self, src, dst):
-        """Effective retransmit timeout of the ``src``/``dst`` route:
-        the controller's SRTT-derived per-route timer when a control
-        plane is attached (falling back to the static knob before the
-        route's first clean sample), else ``cost.retx_timeout``."""
-        if self.control is not None:
-            timeout = self.control.timeout_for(src, dst)
-            if timeout is not None:
-                return timeout
-        return self.cost.retx_timeout
 
     # -- placement ----------------------------------------------------------
 

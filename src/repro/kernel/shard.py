@@ -67,9 +67,8 @@ serial, with the reason kept on :attr:`ShardCoordinator.refused`):
   which workers would interleave differently;
 * ``ship_mode`` is ``"delta"`` or ``"full"`` and ``prefetch_depth`` is
   0 — the async prefetch queues read cross-subtree dirty hints, the
-  one machine-global the adoption delta deliberately drops;
-* no adaptive control plane — its decisions read machine-wide
-  telemetry windows.
+  one machine-global the adoption delta deliberately drops (and
+  ``"adaptive"`` depths read machine-wide telemetry windows).
 """
 
 import multiprocessing
@@ -99,9 +98,8 @@ def fork_refusal(machine):
         return (f"is incompatible with ship_mode={machine.spec.ship_mode!r} "
                 f"(demand paging reads cross-subtree state)")
     if machine.spec.prefetch_depth != 0:
-        return "is incompatible with prefetch_depth > 0"
-    if machine.control is not None:
-        return "is incompatible with the adaptive control plane"
+        return (f"is incompatible with "
+                f"prefetch_depth={machine.spec.prefetch_depth!r}")
     return None
 
 

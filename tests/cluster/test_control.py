@@ -1,26 +1,23 @@
-"""Deterministic adaptive control plane: determinism, oracles, policies.
+"""Deterministic adaptive prefetch depth: determinism, oracles, policy.
 
-The controller closes the knob feedback loop at quantum boundaries from
-telemetry windows that are a pure function of simulated state, so:
+Under ``prefetch_depth="adaptive"`` the controller closes the depth
+feedback loop at quantum boundaries from telemetry windows that are a
+pure function of simulated state, so:
 
 * same-seed reruns must reproduce decisions, traces, memory images, and
   makespans bit-identically;
-* ``control=None`` must stay byte-identical to a machine that never
-  heard of the control plane;
+* a static depth builds no controller at all;
 * across fabrics and loss rates, adaptive must compute identical values
-  and never lose to the best static knob setting (the oracle the
-  ablation gates at full size — exercised here on small workloads).
+  and never lose to the best static depth (the oracle the ablation
+  gates at full size — exercised here on small workloads).
 
 The policy unit tests drive ``Controller`` directly with fabricated
 telemetry windows, checking the AIMD transitions (churn collapse, fleet
-ratchet, growth holdoff, the depth-1 floor) and the RFC 6298 timeout
-arithmetic with its physics floor and static ceiling.  The telemetry
-tests drive the window the controller keeps itself: rows of the node
-counters that moved since its previous pass, aged exchanges, and the
-route samples the transport hands it.
+ratchet, growth holdoff, the depth-1 floor).  The telemetry test drives
+the window the controller keeps itself: rows of the node counters that
+moved since its previous pass, and aged exchanges.
 """
 
-import ast
 import hashlib
 import re
 from pathlib import Path
@@ -30,9 +27,7 @@ import pytest
 from repro import ClusterSpec
 from repro.bench import cluster_workloads as cw
 from repro.cluster import control
-from repro.cluster.control import (DEPTH_CAP, ROUTE_SAMPLE_CAP, Controller,
-                                   resolve_control)
-from repro.cluster.faults import RetxBill
+from repro.cluster.control import DEPTH_CAP, Controller
 from repro.cluster.transport import NodeStats, PrefetchExchange
 from repro.kernel import Machine
 
@@ -56,11 +51,11 @@ def _image(space):
     return digest.hexdigest()
 
 
-def _run(control=None, loss=None, depth=0, workload=None):
+def _run(depth=0, loss=None, workload=None):
     makespan, machine, value = cw.run_cluster(
         workload or cw.matmult_tree_main(64), NODES,
         spec=ClusterSpec(ship_mode="demand", topology="two_tier:2",
-                         prefetch_depth=depth, loss=loss, control=control))
+                         prefetch_depth=depth, loss=loss))
     return makespan, machine, value
 
 
@@ -71,7 +66,7 @@ def test_same_seed_reruns_bit_identical():
     memory image, makespan and the decision log."""
     runs = []
     for _ in range(2):
-        makespan, machine, value = _run(control="adaptive",
+        makespan, machine, value = _run(depth="adaptive",
                                         loss={"drop": 0.02, "seed": 7},
                                         workload=_skewed())
         runs.append((value, _image(machine.root), makespan,
@@ -81,14 +76,16 @@ def test_same_seed_reruns_bit_identical():
 
 
 def test_control_none_is_inert():
-    """A machine with ``control=None`` carries no controller state and
-    matches a plain static run exactly."""
+    """A static depth carries no controller: every node reads the
+    spec's one depth, and a rerun matches it exactly."""
     base = _run(depth=16)
-    off = _run(control=None, depth=16)
-    assert base[0] == off[0]
-    assert base[2] == off[2]
-    assert _image(base[1].root) == _image(off[1].root)
-    assert off[1].control is None
+    again = _run(depth=16)
+    assert base[0] == again[0]
+    assert base[2] == again[2]
+    assert _image(base[1].root) == _image(again[1].root)
+    assert again[1].control is None
+    assert {again[1].prefetch_depth_for(node)
+            for node in range(NODES)} == {16}
 
 
 # -- adaptive-vs-static oracle (small; the ablation runs it full-size) -----
@@ -110,7 +107,7 @@ def test_adaptive_oracle(topology, loss):
     makespan, machine, value = cw.run_cluster(
         cw.matmult_tree_main(64), NODES,
         spec=ClusterSpec(ship_mode="demand", topology=topology, loss=loss,
-                         control="adaptive"))
+                         prefetch_depth="adaptive"))
     values.add(value)
     assert len(values) == 1
     assert makespan <= best
@@ -131,7 +128,7 @@ def test_skewed_workload_adaptive_beats_statics():
     makespan, machine, value = cw.run_cluster(
         _skewed(), NODES,
         spec=ClusterSpec(ship_mode="demand", topology="two_tier:2",
-                         control="adaptive"))
+                         prefetch_depth="adaptive"))
     values.add(value)
     assert len(values) == 1
     assert all(makespan < static for static in statics), \
@@ -142,40 +139,23 @@ def test_skewed_workload_adaptive_beats_statics():
     assert any("prefetch" in line and "-> 1" in line for line in log), log
 
 
-# -- resolve_control -------------------------------------------------------
+# -- the spec value --------------------------------------------------------
 
-def test_resolve_control_specs():
-    ctrl = resolve_control("adaptive")
-    assert isinstance(ctrl, Controller)
-    assert ctrl.policies == Controller.POLICIES
-    assert resolve_control("adaptive") is not ctrl     # fresh per machine
-    custom = resolve_control({"policies": ("prefetch",)})
-    assert custom.policies == ("prefetch",)
-    assert custom.depth_for(0) == DEPTH_CAP // 2
-    with pytest.raises(ValueError, match="control"):
-        resolve_control(custom)
-    with pytest.raises(ValueError):
-        resolve_control("aggressive")
-    with pytest.raises(ValueError):
-        resolve_control({"policies": ("prefetch", "voodoo")})
-    # Placement is a table fixed at construction, not a policy.
-    with pytest.raises(ValueError, match="unknown control policies"):
-        resolve_control({"policies": ("placement",)})
-    # An empty set would decide nothing yet still take every window and
-    # close sharding and the real backend: refused, naming the policies.
-    for empty in ((), []):
-        with pytest.raises(ValueError, match="'prefetch', 'retx'"):
-            resolve_control({"policies": empty})
-        with pytest.raises(ValueError, match="at least one"):
-            ClusterSpec(control={"policies": empty})
-    # A bare name would be read one character at a time.
-    with pytest.raises(ValueError, match="tuple of policy names"):
-        resolve_control({"policies": "retx"})
-    for gone in ("interval", "depth0"):   # not options (any more)
-        with pytest.raises(TypeError):
-            resolve_control({gone: 2})
-    with pytest.raises(ValueError):
-        resolve_control(42)
+def test_adaptive_is_a_prefetch_depth():
+    """``"adaptive"`` is a value of ``prefetch_depth``: each machine
+    builds its own fresh controller from it, and any other non-int form
+    is refused naming the field; ``control=`` is no spec keyword."""
+    spec = ClusterSpec(prefetch_depth="adaptive")
+    with Machine(nnodes=NODES, spec=spec) as a, \
+            Machine(nnodes=NODES, spec=spec) as b:
+        assert isinstance(a.control, Controller)
+        assert a.control is not b.control               # fresh per machine
+        assert a.prefetch_depth_for(0) == DEPTH_CAP // 2
+    for bad in ("Adaptive", "auto", True, -1, 1.5, Controller()):
+        with pytest.raises(ValueError, match="prefetch_depth"):
+            ClusterSpec(prefetch_depth=bad)
+    with pytest.raises(TypeError, match="control"):
+        ClusterSpec(control="adaptive")
 
 
 # -- policy unit tests (fabricated windows) --------------------------------
@@ -191,7 +171,7 @@ def _window(node_rows):
 def machine():
     with Machine(nnodes=NODES,
                  spec=ClusterSpec(ship_mode="demand", topology="two_tier:2",
-                                  control="adaptive")) as m:
+                                  prefetch_depth="adaptive")) as m:
         yield m
 
 
@@ -259,28 +239,6 @@ def test_dirty_windows_keep_growth_held(machine):
     assert ctrl.depth_for(0) == 1
 
 
-def test_retx_timeout_floor_and_ceiling():
-    """SRTT timeouts respect both clamps: never below twice the route
-    transit, never above the static ``cost.retx_timeout``."""
-    with Machine(nnodes=NODES,
-                 spec=ClusterSpec(ship_mode="demand", topology="two_tier:2",
-                                  loss={"drop": 0.02, "seed": 1},
-                                  control="adaptive")) as machine:
-        ctrl = machine.control
-        cost = machine.cost
-        rack = 2 * machine.topology.route_latency(cost, 0, 1)
-        # A fast rack route converges below the static timer but stops
-        # at the physics floor.
-        for _ in range(40):
-            ctrl._decide_retx(machine, {(0, 1): [rack // 2] * 4})
-        assert rack <= ctrl.timeouts[(0, 1)] < cost.retx_timeout
-        # A slow cross-rack route can only ever match the static timer.
-        ctrl._decide_retx(machine, {(0, 2): [cost.retx_timeout * 4]})
-        assert ctrl.timeouts[(0, 2)] == cost.retx_timeout
-        assert machine.retx_timeout_for(0, 1) == ctrl.timeouts[(0, 1)]
-        assert machine.retx_timeout_for(1, 0) == ctrl.timeouts[(0, 1)]
-
-
 # -- the controller's own telemetry ----------------------------------------
 
 def _pass(machine):
@@ -320,26 +278,6 @@ def test_an_exchange_is_aged_once_two_passes_after_it_was_first_seen(
     assert _pass(machine) == {} and machine.control._queued == {}
 
 
-def test_route_samples_keep_the_karn_filters_and_the_cap(machine):
-    ctrl = machine.control
-    usage = {(0, 1): 300, (1, 0): 100}
-    ctrl.sample_route(1, 0, 1000, [usage], 4, None, 1)
-    # Batches and exchanges that hit the fault path are no sample.
-    ctrl.sample_route(0, 1, 1000, [usage], 4, None, 2)
-    bill = RetxBill()
-    bill.wait = 1
-    ctrl.sample_route(0, 1, 1000, [usage], 4, bill, 1)
-    # A clean bill (nothing retransmitted) is no fault.
-    ctrl.sample_route(0, 1, 1000, [usage, usage], 4, RetxBill(), 0)
-    assert ctrl._samples == {(0, 1): [1000 + 400 // 4, 1000 + 800 // 4]}
-    for _ in range(ROUTE_SAMPLE_CAP):
-        ctrl.sample_route(2, 3, 7, [{}], 1, None, 1)
-    ctrl.sample_route(2, 3, 9, [{}], 1, None, 1)
-    assert ctrl._samples[(2, 3)] == [7] * ROUTE_SAMPLE_CAP
-    ctrl.on_quantum(machine)
-    assert ctrl._samples == {}, "a pass takes the window's samples"
-
-
 # -- docs/knobs.md ---------------------------------------------------------
 
 KNOBS = Path(__file__).resolve().parents[2] / "docs" / "knobs.md"
@@ -358,12 +296,8 @@ def _documented_constants(text):
 
 
 def test_knobs_doc_matches_the_control_module():
-    """docs/knobs.md lists the controller's fixed constants and its
-    default policy set: both must be what cluster/control.py holds, by
-    name and value."""
-    text = KNOBS.read_text()
+    """docs/knobs.md lists the controller's fixed constants: they must
+    be what cluster/control.py holds, by name and value."""
     constants = {name: value for name, value in vars(control).items()
                  if name.isupper() and type(value) in (int, float)}
-    assert _documented_constants(text) == constants
-    row = re.search(r"^\| `policies` \| `([^`]*)` \|", text, re.M)
-    assert ast.literal_eval(row.group(1)) == Controller.POLICIES
+    assert _documented_constants(KNOBS.read_text()) == constants

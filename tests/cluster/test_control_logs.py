@@ -1,9 +1,9 @@
 """Every decision the control plane takes, byte for byte.
 
 Each cell of the adaptive ablation's sweeps (``SWEEPS`` in
-``benchmarks/bench_ablation_adaptive.py``) runs under the full
-controller and under each policy alone; ``golden/control_logs.json``
-pins every cell's makespan, value and whole ``Controller.log``.  The
+``benchmarks/bench_ablation_adaptive.py``) runs under
+``prefetch_depth="adaptive"``; ``golden/control_logs.json`` pins every
+cell's makespan, value and whole ``Controller.log``.  The
 decisions are a pure function of the simulated run, so a refactor of
 where the controller's telemetry lives must leave all three unchanged.
 Regenerate after a deliberate policy change with
@@ -24,22 +24,14 @@ import bench_ablation_adaptive as ablation  # noqa: E402
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden",
                       "control_logs.json")
 
-#: label -> the ``ClusterSpec(control=...)`` value of that policy set.
-CONTROLS = {
-    "adaptive": "adaptive",
-    "prefetch": {"policies": ("prefetch",)},
-    "retx": {"policies": ("retx",)},
-}
-
-CELLS = [f"{sweep}/{label}" for sweep in ablation.SWEEPS
-         for label in CONTROLS]
+#: One cell per sweep, named ``<sweep>/<prefetch_depth>``.
+CELLS = [f"{sweep}/adaptive" for sweep in ablation.SWEEPS]
 
 
 def run_cell(cell):
-    sweep, label = cell.split("/")
-    workload, loss, _ = ablation.SWEEPS[sweep]
+    workload, loss, _ = ablation.SWEEPS[cell.split("/")[0]]
     makespan, machine, value = ablation._run(workload, loss,
-                                             control=CONTROLS[label])
+                                             prefetch_depth="adaptive")
     return {"makespan": makespan, "value": value, "log": machine.control.log}
 
 

@@ -5,7 +5,7 @@ single walk of its route's link rows (DESIGN §3 "A leg is one walk of
 its route").  Counting wrappers on the topology, the cost model and the
 trace's transfer list hold that by count: once a route pair has been
 used, one more ``migrate`` reads each route from its memoized route
-record — no ``route``, ``route_latency`` or ``link_class`` call — prices
+record — no ``route`` or ``link_class`` call — prices
 no message it has priced before, and enters its H stall edges with one
 ``extend``.  A first use asks for no ``link_class`` either (the preset
 builds the record from its shape) and copies no row it creates.  When
@@ -62,7 +62,6 @@ def world(request):
     machine.trace.begin(space.uid, node=SRC)
     calls = {}
     counted(machine.topology, "route", calls)
-    counted(machine.topology, "route_latency", calls)
     counted(machine.topology, "link_class", calls)
     counted(machine.cost, "link_message", calls)
     machine.trace.transfers.link = CountingList()
@@ -111,7 +110,6 @@ def test_a_used_route_is_walked_once_per_leg(world):
 
     # The topology is asked nothing: each leg reads its route record.
     assert calls.get("route", 0) == 0
-    assert calls.get("route_latency", 0) == 0
     assert calls.get("link_class", 0) == 0
     # Every message of this migrate was priced by the first one.
     assert calls.get("link_message", 0) == 0

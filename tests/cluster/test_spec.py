@@ -55,7 +55,7 @@ def test_spec_is_frozen():
     (dict(shard_workers=-1), "shard_workers"),
     (dict(cost=object()), "cost"),
     (dict(topology="two_tier:x"), "topology"),
-    (dict(control="bogus"), "control"),
+    (dict(prefetch_depth="bogus"), "prefetch_depth"),
     (dict(placement="bogus"), "placement"),
     (dict(loss="bogus"), "loss"),
     (dict(tcp_mode="no"), "tcp_mode"),
@@ -63,9 +63,7 @@ def test_spec_is_frozen():
 ])
 def test_validation_is_centralized(bad, match):
     """A bad field value never reaches an entry point: constructing the
-    spec is the one place it can be said, and it raises there.  The
-    ``control`` row holds although the control plane's module loads
-    only for a spec that names one."""
+    spec is the one place it can be said, and it raises there."""
     with pytest.raises(ValueError, match=match):
         ClusterSpec(**bad)
     with pytest.raises(ValueError, match=match):
@@ -98,7 +96,7 @@ def test_a_bad_topology_is_refused_by_the_spec(topology):
     ("placement", locality),
     ("placement", "identity"),
     ("loss", LossSchedule(drop=0.1)),
-    ("control", Controller()),
+    ("prefetch_depth", Controller()),
 ], ids=["topology-instance", "topology-class", "topology-builder",
         "placement-function", "placement-identity", "loss-schedule",
         "control-instance"])
@@ -140,14 +138,15 @@ def test_spec_plus_legacy_knobs_is_refused():
 
 def test_machine_keeps_no_copy_of_a_spec_field():
     """The spec is the one copy of every knob: the only ``Machine``
-    attributes named after a ``ClusterSpec`` field are the five
+    attributes named after a ``ClusterSpec`` field are the four
     per-machine objects resolved from it, and the spec has no resolver
     methods of its own (``Machine`` calls the module resolvers)."""
     fields = {f.name for f in dataclasses.fields(ClusterSpec)}
-    spec = ClusterSpec(topology="two_tier:2", loss=0.01, control="adaptive")
+    spec = ClusterSpec(topology="two_tier:2", loss=0.01,
+                       prefetch_depth="adaptive")
     with Machine(nnodes=4, spec=spec) as machine:
         assert set(vars(machine)) & fields == {
-            "cost", "loss", "topology", "placement", "control"}
+            "cost", "loss", "topology", "placement"}
     assert not [name for name in vars(ClusterSpec)
                 if name.startswith("resolve")]
 
@@ -178,12 +177,13 @@ def test_entry_points_never_regrow_knob_parameters(entry):
 
 
 def test_twelve_knobs_and_a_knobless_harness():
-    """Neither the dirty ledger nor the CPU count is a knob: the spec
-    has exactly eleven fields (the twelfth, ``cpus_per_node``, is the
-    constant ``NODE_CPUS`` now), and ``run_determinator`` — the entry
-    point the guard above cannot cover, having no ``spec=`` —
+    """Neither the dirty ledger, the CPU count nor the control plane is
+    a knob of its own: the spec has exactly ten fields
+    (``cpus_per_node`` is the constant ``NODE_CPUS`` now, the control
+    plane is ``prefetch_depth="adaptive"``), and ``run_determinator`` —
+    the entry point the guard above cannot cover, having no ``spec=`` —
     configures nothing at all."""
-    assert len(dataclasses.fields(ClusterSpec)) == 11
+    assert len(dataclasses.fields(ClusterSpec)) == 10
     with pytest.raises(TypeError, match="cpus_per_node"):
         ClusterSpec(cpus_per_node=1)
     with pytest.raises(TypeError, match="dirty_tracking"):

@@ -224,7 +224,8 @@ def _pass(machine):
 def test_a_window_is_what_the_ledgers_moved_since_the_last_take():
     """Cumulative rows, differenced by the controller at each pass: the
     totals are sums over the rows and no pass disturbs them."""
-    with Machine(nnodes=4, spec=ClusterSpec(control="adaptive")) as m:
+    with Machine(nnodes=4,
+                 spec=ClusterSpec(prefetch_depth="adaptive")) as m:
         t = m.transport
         t.node(2).pulled += 3
         t.node(0).prefetch_issued += 8
@@ -247,7 +248,8 @@ def test_a_node_has_a_window_row_iff_a_counter_of_it_moved():
     """``Controller._decide_prefetch`` drains a node's growth hold on
     any row it sees, so looking a row up must not put it (all zero) in
     the window — here, and in a later window the row sat still in."""
-    with Machine(nnodes=4, spec=ClusterSpec(control="adaptive")) as m:
+    with Machine(nnodes=4,
+                 spec=ClusterSpec(prefetch_depth="adaptive")) as m:
         t = m.transport
         t.node(0)                       # looked up, never moved
         t.node(1).pulled += 2
@@ -258,56 +260,47 @@ def test_a_node_has_a_window_row_iff_a_counter_of_it_moved():
 
 @pytest.fixture
 def windows(monkeypatch):
-    """Every window any controller computes, and every route sample the
-    transport hands one (its inputs, one window per quantum)."""
+    """Every window any controller computes (one per quantum)."""
     from repro.cluster.control import Controller
 
-    taken = {"rows": [], "samples": []}
-    window, sample = Controller._window, Controller.sample_route
+    taken = []
+    window = Controller._window
 
     def take(self, transport, index):
-        taken["rows"].append(window(self, transport, index))
-        return taken["rows"][-1]
-
-    def note(self, *args):
-        taken["samples"].append(args)
-        sample(self, *args)
+        taken.append(window(self, transport, index))
+        return taken[-1]
 
     monkeypatch.setattr(Controller, "_window", take)
-    monkeypatch.setattr(Controller, "sample_route", note)
     return taken
 
 
-def test_adaptive_run_windows_have_moved_rows_and_route_samples(windows):
+def test_adaptive_run_windows_have_moved_rows(windows):
     """On a real adaptive, lossy run: no window carries an all-zero
-    row, the windows (and what moved after the last pass) add up to the
-    run's rows, and the SRTT policy gets its route samples."""
+    row, and the windows (and what moved after the last pass) add up
+    to the run's rows."""
     _, m, _ = cw.run_cluster(
         cw.matmult_tree_main(64), 4,
         ClusterSpec(ship_mode="demand", topology="two_tier:2",
-                    loss={"drop": 0.02, "seed": 7}, control="adaptive"))
-    assert len(windows["rows"]) == m.control.windows_seen > 0
+                    loss={"drop": 0.02, "seed": 7},
+                    prefetch_depth="adaptive"))
+    assert len(windows) == m.control.windows_seen > 0
     _pass(m)                            # what moved after the last quantum
-    rows = [row for window in windows["rows"] for row in window.values()]
+    rows = [row for window in windows for row in window.values()]
     assert rows and all(any(row.values()) for row in rows)
     for total, field in NODE_TOTALS.items():
         assert sum(row[field] for row in rows) \
             == getattr(m.transport, total), total
-    assert windows["samples"] and m.control.timeouts, \
-        "the SRTT policy saw them"
 
 
-def test_no_route_samples_without_a_controller(windows):
-    """Route samples are an order-dependent capped list only the SRTT
-    policy reads (and no hand-back could replay): a ``control=None``
-    run, lossy and prefetching or not, hands nobody one, and keeps only
-    the node rows, whose sums are the page totals."""
+def test_no_windows_without_a_controller(windows):
+    """A static depth, lossy and prefetching, takes no window and keeps
+    only the node rows, whose sums are the page totals."""
     _, m, _ = cw.run_cluster(
         cw.matmult_tree_main(64), 4,
         ClusterSpec(ship_mode="demand", topology="two_tier:2",
                     prefetch_depth=8, loss={"drop": 0.02, "seed": 7}))
     assert m.control is None and m.transport.pages_prefetched
-    assert windows == {"rows": [], "samples": []}
+    assert windows == []
     for total, field in NODE_TOTALS.items():
         assert getattr(m.transport, total) == sum(
             getattr(row, field) for row in m.transport.nodes.values()), total

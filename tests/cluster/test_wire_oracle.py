@@ -10,8 +10,8 @@ in lockstep through a drawn sequence of ``migrate`` / ``fetch`` /
 frame objects.  After every step the two must be indistinguishable:
 every link and node row (values *and* insertion order, ``by_type``
 included), the seven scalars, ``trace.transfers``, ``trace.edges``, the
-queued exchanges with their ``RetxBill``, the route samples the
-controller received and, at each ``window`` step, its decisions.
+queued exchanges with their ``RetxBill`` and, under an adaptive
+prefetch depth, the controller's decisions at each ``window`` step.
 """
 
 from types import SimpleNamespace
@@ -58,7 +58,7 @@ steps = st.one_of(
 configs = st.fixed_dictionaries({
     "compression": st.booleans(),
     "msg_batch": st.sampled_from([1, 3, 32]),
-    "control": st.sampled_from([None, "adaptive"]),
+    "prefetch_depth": st.sampled_from([0, "adaptive"]),
 })
 
 
@@ -85,7 +85,7 @@ class World:
     def __init__(self, transport_class, topology, loss, config):
         self.machine = machine = Machine(nnodes=NODES, spec=ClusterSpec(
             topology=topology, loss=loss, compression=config["compression"],
-            control=config["control"],
+            prefetch_depth=config["prefetch_depth"],
             cost=CostModel(msg_batch=config["msg_batch"])))
         machine.transport = transport_class(machine)
         self.spaces = [SimpleNamespace(uid=f"space{n}") for n in range(SPACES)]
@@ -127,7 +127,7 @@ class World:
         elif kind == "window" and self.machine.control is not None:
             control = self.machine.control
             control.on_quantum(self.machine)
-            return list(control.log), control.depths, control.timeouts
+            return list(control.log), control.depths
         return None
 
 
@@ -153,8 +153,6 @@ def observe(machine):
              (list(exchange.retx.usage.items()), exchange.retx.wait))
             for node, queue in transport.inflight.items()
             for serial, (generation, exchange, _) in queue.items()],
-        "route_samples": None if machine.control is None else
-        list(machine.control._samples.items()),
         "cache": {node: dict(cache)
                   for node, cache in machine.node_cache.items()},
         "conserves": transport.conservation_ok(),
@@ -203,9 +201,8 @@ def test_a_leg_accounts_what_per_message_sends_did(topology, loss, config,
     {"topology": "two_tier:2"},
     {"topology": "fat_tree:2", "compression": True, "prefetch_depth": 4,
      "ship_mode": "demand"},
-    {"topology": "two_tier:2", "prefetch_depth": 4, "ship_mode": "demand",
-     "loss": {"drop": 0.05, "seed": 5},
-     "control": "adaptive"},
+    {"topology": "two_tier:2", "prefetch_depth": "adaptive",
+     "ship_mode": "demand", "loss": {"drop": 0.05, "seed": 5}},
 ], ids=["eager", "prefetch+codec", "lossy+control"])
 def test_a_whole_run_is_the_same_run(spec, monkeypatch):
     """The guest-driven call mix (kernel-issued prefetch, redeem and

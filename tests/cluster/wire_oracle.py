@@ -6,16 +6,15 @@ hop-major legs, kept verbatim as the reference of
 (``_send``), again to credit the receiver (``_receive``) and again to
 draw the stall edges (``_stall_edges``).  It overrides every method of
 the production send path and stubs out the leg, so an oracle that
-compares against it cannot agree with itself.  It also keeps its own
-route-sample arithmetic (``_note_route_sample``), which puts each sample
-straight into the controller's window where production hands it to
-``Controller.sample_route``.  What it inherits is the link and node row
+compares against it cannot agree with itself: it prices a route's
+transit from the per-link ``link_class`` latency factors
+(``_transit``), never from the route record.  What it inherits is the
+link and node row
 accessors, the codec size cache and the prefetch queue, none of which
 the rewrite touched (the queue's redeem and sink paths call
 ``_stall_edges`` with segment ids, as the reference's own paths do).
 """
 
-from repro.cluster.control import ROUTE_SAMPLE_CAP
 from repro.cluster.faults import RetxBill
 from repro.cluster.transport import MsgType, PrefetchExchange, Transport
 from repro.common.errors import NetworkLossError
@@ -28,29 +27,13 @@ class ReferenceTransport(Transport):
     #: The production walk: reaching it from here is a bug in the oracle.
     _leg = _batches = None
 
-    def _note_route_sample(self, src, dst, usage, nmsgs, bill,
-                           npages=1):
-        """Record one delivery-latency sample for the ``src``/``dst``
-        route: route transit plus the exchange's mean per-message
-        serialization.  Two Karn-style filters keep the estimator
-        honest about what the retransmit timer actually guards:
-        exchanges that hit the fault path contribute nothing (a
-        retransmitted exchange's latency says more about the timeout
-        than about the route), and so do multi-page batch exchanges —
-        a batch's drain time measures the sender's throughput, while
-        the timer waits on the route's *turnaround* for one copy, which
-        only minimal (single-data-message) exchanges exhibit.  Without
-        a controller nothing reads the samples and none is taken."""
-        machine = self.machine
-        if machine.control is None or npages > 1 or bill:
-            return
-        pair = (src, dst) if src <= dst else (dst, src)
-        samples = machine.control._samples.setdefault(pair, [])
-        if len(samples) >= ROUTE_SAMPLE_CAP:
-            return
-        transit = machine.topology.route_latency(machine.cost, src, dst)
-        busy = sum(usage.values()) if usage else 0
-        samples.append(transit + busy // max(1, nmsgs))
+    def _transit(self, src, dst):
+        """Total transit latency (cycles) of the ``src -> dst`` route:
+        ``net_latency`` times its links' summed latency factors."""
+        topo = self.machine.topology
+        return int(self.machine.cost.net_latency
+                   * sum(topo.link_class(link).latency_factor
+                         for link in topo.route(src, dst)))
 
     def _send(self, mtype, src, dst, nbytes, pages=0, usage=None,
               raw_payload=0, comp_payload=0, faults=None):
@@ -84,10 +67,6 @@ class ReferenceTransport(Transport):
         loss = machine.loss
         serial = self.messages
         self.messages += 1
-        # The retransmit timer is per logical message: the (possibly
-        # control-tuned) timeout of the message's route, resolved once
-        # so every hop copy of this message waits the same timer.
-        timeout = machine.retx_timeout_for(src, dst) if loss else 0
         for link in topo.route(src, dst):
             cls = topo.link_class(link)
             busy = cost.link_message(nbytes, byte_factor=cls.byte_factor,
@@ -125,8 +104,8 @@ class ReferenceTransport(Transport):
                         f"all {cost.retx_limit} retransmissions "
                         f"dropped")
                 if faults is not None:
-                    faults.wait += timeout
-                    self.retx_wait += timeout
+                    faults.wait += cost.retx_timeout
+                    self.retx_wait += cost.retx_timeout
 
     def _receive(self, src, dst, nbytes):
         """Credit ``nbytes`` delivered over every link of the
@@ -209,17 +188,6 @@ class ReferenceTransport(Transport):
         self._send(MsgType.ACK, node, origin, cost.msg_ctrl)
         self._receive(node, origin, 2 * cost.msg_ctrl + 8 * npages)
         self._receive(origin, node, payload + npages * cost.page_hdr)
-        # One delivery-latency sample per clean exchange (telemetry for
-        # the control plane's SRTT estimator).  The request and response
-        # usage dicts may alias (the prefetch path passes one dict);
-        # merge without double counting.
-        usage = dict(req_usage or ())
-        if resp_usage is not None and resp_usage is not req_usage:
-            for link, busy in resp_usage.items():
-                usage[link] = usage.get(link, 0) + busy
-        nmsgs = 1 + len(self._batch_sizes(npages))
-        self._note_route_sample(origin, node, usage, nmsgs, faults,
-                                npages=npages)
         return payload, codec
 
     def migrate(self, space, src, dst, shipped):
@@ -249,13 +217,10 @@ class ReferenceTransport(Transport):
         self._receive(src, dst, cost.migrate_bytes
                       + payload + len(shipped) * cost.page_hdr)
         self._receive(dst, src, cost.msg_ctrl)
-        self._note_route_sample(src, dst, usage,
-                                1 + len(self._batch_sizes(len(shipped))),
-                                bill, npages=len(shipped))
         trace = machine.trace
         if trace.is_open(space.uid):
             closed, opened = trace.move_node(space.uid, dst)
-            transit = machine.topology.route_latency(cost, src, dst)
+            transit = self._transit(src, dst)
             self._stall_edges(closed, opened,
                               [(usage, transit + codec, "migrate")], bill)
 
@@ -284,8 +249,7 @@ class ReferenceTransport(Transport):
         trace = machine.trace
         if trace.is_open(space.uid):
             closed, opened = trace.cut(space.uid, label="fetch")
-            transit = machine.topology.route_latency(machine.cost, origin,
-                                                     node)
+            transit = self._transit(origin, node)
             self._stall_edges(closed, opened,
                               [(req_usage, 0, "fetch"),
                                (resp_usage, transit + codec, "fetch")], bill)
@@ -315,8 +279,7 @@ class ReferenceTransport(Transport):
                                        req_usage=usage, resp_usage=usage,
                                        faults=bill)
         anchor = machine.trace.last_closed(space.uid)
-        latency = (machine.topology.route_latency(machine.cost, origin, node)
-                   + codec)
+        latency = self._transit(origin, node) + codec
         exchange = PrefetchExchange(
             anchor, usage, latency,
             [(frame, frame.generation) for frame in frames],

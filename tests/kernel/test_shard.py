@@ -153,8 +153,10 @@ def test_shard_disabled_below_two_workers():
 GATED = {
     "loss": ({"loss": 0.05}, "loss schedules"),
     "demand_paging": ({"ship_mode": "demand"}, "ship_mode='demand'"),
-    "prefetch": ({"prefetch_depth": 2}, "prefetch_depth > 0"),
-    "control": ({"control": "adaptive"}, "adaptive control plane"),
+    "prefetch": ({"prefetch_depth": 2}, "prefetch_depth=2"),
+    # The adaptive control plane is a prefetch depth: the same row.
+    "control": ({"prefetch_depth": "adaptive"},
+                "prefetch_depth='adaptive'"),
 }
 
 

@@ -14,7 +14,7 @@ holds three rules over ``src/``:
    caller outside ``tests/`` and ``examples/``: as a call keyword, by
    position to a callable of its name, or as a key of a string-keyed
    dict literal whose keys are all parameters of that callable (the
-   ``loss=`` / ``control=`` kwargs dicts);
+   ``loss=`` kwargs dicts);
 3. every defaulted parameter is *read* by its own body.
 
 A hit leaves (a parameter becomes a constant, and the branch it fed
