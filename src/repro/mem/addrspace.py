@@ -25,8 +25,6 @@ narrower than the table and scans the table otherwise, so an operation
 costs what it names — never the size of the tables it runs against.
 """
 
-import bisect
-
 import numpy as np
 
 from repro.common.errors import PageFaultError, PermissionFault
@@ -104,12 +102,10 @@ class AddressSpace:
         #: Frame serial source (machine-owned; None -> module default).
         self.allocator = allocator
         self.counters = MemCounters()
-        #: vpn -> write-clock value of the last mutation touching it.
+        #: vpn -> write-clock value of the last mutation touching it,
+        #: kept in clock order (a mark moves its vpn to the end), so a
+        #: query for a recent token walks back only what it returns.
         self._dirty = {}
-        #: Clock-ordered (clock, vpn) mutation events; periodically
-        #: compacted to the latest event per vpn, so queries for a recent
-        #: token cost O(log + written-since-token), not O(ever-written).
-        self._events = []
         self._clock = 0
 
     # -- introspection ----------------------------------------------------
@@ -145,15 +141,18 @@ class AddressSpace:
     def dirty_since(self, token):
         """Set of vpns mutated after ``token`` (one of this space's own
         :meth:`dirty_token` values).  A token that is still "now" — no
-        mutation since — answers empty at once, reading no event: the
-        Merge of a child that wrote nothing since its Snap is O(1)."""
+        mutation since — answers empty at once, reading no entry: the
+        Merge of a child that wrote nothing since its Snap is O(1).
+        Otherwise the newest entries are walked back to the first stamp
+        at or before the token: O(written-since-token)."""
         if token >= self._clock:
             return set()
-        # First event strictly newer than the token; every page whose
-        # latest mutation postdates the token has at least one event in
-        # the suffix (compaction always keeps the latest per vpn).
-        start = bisect.bisect_left(self._events, (token + 1,))
-        return {vpn for _, vpn in self._events[start:]}
+        since = set()
+        for vpn, stamp in reversed(self._dirty.items()):
+            if stamp <= token:
+                break
+            since.add(vpn)
+        return since
 
     def dirty_page_count(self):
         """Pages ever recorded in the dirty ledger (introspection)."""
@@ -170,20 +169,15 @@ class AddressSpace:
         return sorted(self.dirty_since(token))
 
     def _mark_dirty_many(self, vpns):
-        """Record one mutation of each of ``vpns``, in order.  A plain
-        loop on purpose: a ``dict.update`` / ``extend`` bulk form is
-        2x slower below ~16 pages, where ``write`` lives, and would need
-        a size threshold to pay off above (DESIGN.md §9)."""
-        clock, dirty, events = self._clock, self._dirty, self._events
+        """Record one mutation of each of ``vpns``, in order: each vpn
+        is re-inserted at the end of the ledger with the next stamp,
+        which keeps the ledger in clock order and leaves no record per
+        mark behind."""
+        clock, dirty = self._clock, self._dirty
         for vpn in vpns:
             clock += 1
+            dirty.pop(vpn, None)
             dirty[vpn] = clock
-            events.append((clock, vpn))
-            if len(events) > 64 and len(events) > 2 * len(dirty):
-                # Compact superseded events; keeps the log within 2x the
-                # number of distinct dirty pages.
-                events = self._events = sorted(
-                    (stamp, seen) for seen, stamp in dirty.items())
         self._clock = clock
 
     # -- page-level operations --------------------------------------------
@@ -457,7 +451,6 @@ class AddressSpace:
         self._pages.clear()
         self._perms.clear()
         self._dirty.clear()
-        self._events.clear()
 
     def __repr__(self):
         return (

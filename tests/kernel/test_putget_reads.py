@@ -3,8 +3,8 @@
 ``Put(copy=R, snap=R)`` into a fresh child enumerates R once — the Snap
 pins the frames the Copy just mapped, at the vpns the Copy names — and
 the Get that merges a child which wrote nothing since its Snap asks the
-dirty ledger once, reads none of its events and no page table of the
-parent.  Counting stand-ins for a page table and an event log hold that
+dirty ledger once, reads none of its entries and no page table of the
+parent.  Counting stand-ins for a page table and a ledger hold that
 by count, as ``tests/mem/test_table_reads.py`` does for the memory
 operations one by one.  Counts, not wall-clock: these cannot flake.
 """
@@ -40,19 +40,21 @@ class CountingTable(dict):
         return super().__iter__()
 
 
-class CountingEvents(list):
-    """A dirty-ledger event log that counts the events read from it."""
+class CountingLedger(CountingTable):
+    """A dirty ledger that counts the entries read from it, whichever
+    view they are read through."""
 
-    reads = 0
-
-    def __getitem__(self, index):
-        got = super().__getitem__(index)
-        self.reads += len(got) if isinstance(index, slice) else 1
-        return got
-
-    def __iter__(self):
+    def keys(self):
         self.reads += len(self)
-        return super().__iter__()
+        return super().keys()
+
+    def values(self):
+        self.reads += len(self)
+        return super().values()
+
+    def items(self):
+        self.reads += len(self)
+        return super().items()
 
 
 @pytest.fixture(params=[(0, 0), (1, 0), (1, 3)],
@@ -92,10 +94,10 @@ def test_merging_an_unwritten_child_reads_no_ledger_event(round_trip):
     size = PAGES * PAGE_SIZE
     machine.kernel.sys_put(parent, ref, copy=(BASE, dst, size),
                            snap=(dst, size))
-    events = child.addrspace._events = CountingEvents(child.addrspace._events)
+    dirty = child.addrspace._dirty = CountingLedger(child.addrspace._dirty)
     parent.addrspace._pages = CountingTable(parent.addrspace._pages)
     machine.kernel.sys_get(parent, ref, merge=True)
-    assert events.reads == 0
+    assert dirty.reads == 0
     assert parent.addrspace._pages.reads == 0
     stats = machine.merge_stats_total[-1]
     assert (stats.pages_scanned, stats.pages_adopted, stats.pages_diffed) \

@@ -4,7 +4,10 @@ rewrite, kept verbatim as the references of ``test_write_oracle.py`` and
 
 They work on an :class:`~repro.mem.AddressSpace`'s tables directly and
 call nothing of the production write, adoption or ledger code, so an
-oracle that compares against them cannot agree with itself.
+oracle that compares against them cannot agree with itself.  Their
+ledger is a plain history: every ``(clock, vpn)`` mark ever made, in
+order and never compacted, from which :func:`reference_ledger` derives
+what the production ledger must read (:func:`ledger`).
 """
 
 from repro.common.errors import PermissionFault
@@ -12,13 +15,33 @@ from repro.mem import PAGE_SHIFT, PAGE_SIZE, PERM_W, Page
 
 
 def reference_mark_dirty(space, vpn):
-    space._clock += 1
-    space._dirty[vpn] = space._clock
-    space._events.append((space._clock, vpn))
-    if len(space._events) > 64 and len(space._events) > 2 * len(space._dirty):
-        space._events = sorted(
-            (clock, vpn) for vpn, clock in space._dirty.items()
-        )
+    """Append the next mark to ``space.history`` (production's ledger
+    is not touched)."""
+    history = space.__dict__.setdefault("history", [])
+    history.append((len(history) + 1, vpn))
+
+
+def reference_ledger(space):
+    """What a ledger that saw the marks of ``space.history`` must read:
+    the clock, each marked vpn with its latest stamp in stamp order, and
+    the set of vpns marked after each token ``0..clock``."""
+    history = space.__dict__.get("history", [])
+    latest = {}
+    for clock, vpn in history:
+        latest[vpn] = clock
+    since, seen = [set()], set()
+    for _, vpn in reversed(history):
+        seen.add(vpn)
+        since.append(set(seen))
+    return (len(history), sorted(latest.items(), key=lambda item: item[1]),
+            since[::-1])
+
+
+def ledger(space):
+    """The same three readings of a space's production ledger."""
+    clock = space.dirty_token()
+    return (clock, list(space._dirty.items()),
+            [space.dirty_since(token) for token in range(clock + 1)])
 
 
 def reference_ensure_writable(space, vpn):
@@ -63,13 +86,15 @@ def reference_write(space, addr, data, check_perm=False):
     return events
 
 
-def reference_unmap(space, vpn):
+def reference_unmap(space, vpn, mark=reference_mark_dirty):
     """The old ``AddressSpace.unmap_page``: drop the frame, keep the
-    permissions."""
+    permissions.  ``mark`` records the mark: the reference history by
+    default, production's ledger where the unmapped space is one that
+    production operates on."""
     page = space._pages.pop(vpn, None)
     if page is None:
         return 0
     page.decref()
-    reference_mark_dirty(space, vpn)
+    mark(space, vpn)
     space.counters.pages_zeroed += 1
     return 1

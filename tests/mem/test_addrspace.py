@@ -50,6 +50,30 @@ def test_out_of_range_access_rejected(space):
         space.write(VA_SIZE, b"x")
 
 
+def test_the_address_range_is_checked_at_its_edges(space):
+    """The last byte of the address space is addressable; one byte
+    before address 0 and a negative size are not."""
+    space.write(VA_SIZE - 1, b"z")
+    assert space.read(VA_SIZE - 1, 1) == b"z"
+    assert space.read(VA_SIZE - PAGE_SIZE, PAGE_SIZE)[-1:] == b"z"
+    with pytest.raises(PageFaultError):
+        space.read(-1, 1)
+    with pytest.raises(ValueError, match="negative size"):
+        space.read(0x1000, -1)
+
+
+def test_counters_count_what_each_operation_did(space):
+    assert space.counters.snapshot() == {
+        "cow_breaks": 0, "demand_zero": 0, "pages_shared": 0,
+        "pages_zeroed": 0}
+    space.as_array(0x1000, 8)                    # a read view demand-zeroes
+    assert space.counters.demand_zero == 1
+    space.write(0x2000, b"x" * (3 * PAGE_SIZE))
+    assert space.clone().counters.pages_shared == 4
+    assert space.zero_range(0x2000, 2 * PAGE_SIZE) == 2
+    assert space.counters.pages_zeroed == 2
+
+
 def test_copy_range_shares_frames_cow(space):
     src = AddressSpace()
     src.write(0x1000, b"shared-data")
@@ -186,6 +210,16 @@ def test_as_array_single_page_view_is_read_only(space):
     assert arr[0] == 0xEE
 
 
+def test_as_array_reads_from_any_offset_within_a_page(space):
+    space.write(0x1000, bytes(range(16)))
+    assert space.as_array(0x1001, 3).tolist() == [1, 2, 3]
+    assert space.as_array(0x1007, 1).tolist() == [7]
+    # A range ending on the page's last byte is still a view of it.
+    tail = space.as_array(0x1000 + PAGE_SIZE - 4, 4)
+    assert np.shares_memory(tail, np.frombuffer(space.frame(1).data,
+                                                dtype=np.uint8))
+
+
 def test_as_array_multi_page_readonly_copy(space):
     space.write(0x1000, b"a" * (2 * PAGE_SIZE))
     arr = space.as_array(0x1000, 2 * PAGE_SIZE)
@@ -265,6 +299,8 @@ def test_read_permission_fault_names_the_first_offending_address(space):
     assert space.read(0x7000 + 1, 2 * PAGE_SIZE - 1, check_perm=True)
     # Unchecked reads ignore permissions altogether.
     assert len(space.read(0x4000 + 5, 4 * PAGE_SIZE - 5)) == 4 * PAGE_SIZE - 5
+    # An empty read touches no page, so it cannot fault.
+    assert space.read(0x6000 + 5, 0, check_perm=True) == b""
 
 
 def test_mutable_read_returns_a_private_bytearray(space):

@@ -9,8 +9,9 @@ sparse source/destination tables, frames the two already share, stale
 permissions, a dirty ledger with history — runs the production operation
 on one and the reference on the other, and requires the two worlds to be
 indistinguishable: frame identity at every vpn, refcounts, ``_perms``,
-the ledger (clock, latest-per-vpn map, event log, and ``dirty_since`` for
-tokens taken before the call), ``MemCounters`` and the return value.
+the ledger (the clock, ``_dirty`` in order, and ``dirty_since`` of every
+token, against the reference's mark history), ``MemCounters`` and the
+return value.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -24,7 +25,8 @@ from repro.mem import (
     PERM_RW,
     Page,
 )
-from page_oracle import reference_mark_dirty, reference_unmap
+from page_oracle import (
+    ledger, reference_ledger, reference_mark_dirty, reference_unmap)
 
 #: Tables live in ``[VPN0, VPN0 + UNIVERSE)``; ranges may be wider, so
 #: both sides of the probe-or-scan rule are exercised.
@@ -104,8 +106,7 @@ worlds = st.fixed_dictionaries({
     "src_pages": st.dictionaries(vpn_offsets, st.booleans(), max_size=UNIVERSE),
     "dst_pages": st.sets(vpn_offsets, max_size=UNIVERSE),
     "dst_perms": st.dictionaries(vpn_offsets, perm_values, max_size=6),
-    # destination history before the call; long enough to cross the
-    # ledger's compaction threshold (64 events) in some examples
+    # destination ledger history before the call, repeats included
     "history": st.lists(vpn_offsets, max_size=160),
 })
 
@@ -120,10 +121,13 @@ class World:
     order, so two builds of the same draw can be compared by label.
     ``mark`` writes the destination's ledger history: production's
     mark in the world production runs on, the per-page
-    reference in the other."""
+    reference in the other, whose ledger is read from that history."""
 
     def __init__(self, draw, shift=0, same_space=False,
                  mark=mark_dirty):
+        self.mark = mark
+        self.ledger = reference_ledger if mark is reference_mark_dirty \
+            else ledger
         self.dst = AddressSpace()
         self.src = self.dst if same_space else AddressSpace()
         self.frames = []
@@ -136,13 +140,8 @@ class World:
                 self._place(self.dst, VPN0 + off + shift, frame)
         self.dst._perms.update(
             (VPN0 + off, perm) for off, perm in draw["dst_perms"].items())
-        history = draw["history"]
-        self.tokens = [self.dst.dirty_token()]
-        for n, off in enumerate(history):
+        for off in draw["history"]:
             mark(self.dst, VPN0 + off)
-            if n == len(history) // 2:
-                self.tokens.append(self.dst.dirty_token())
-        self.tokens.append(self.dst.dirty_token())
 
     def _frame(self):
         frame = Page(bytes([len(self.frames) % 251]) * PAGE_SIZE)
@@ -166,10 +165,7 @@ class World:
                        for space in spaces],
             "refs": [frame.refs for frame in self.frames],
             "perms": [dict(space._perms) for space in spaces],
-            "ledger": [(space._clock, dict(space._dirty), list(space._events))
-                       for space in spaces],
-            "dirty_since": [self.dst.dirty_since(token)
-                            for token in self.tokens],
+            "ledger": [self.ledger(space) for space in spaces],
             "counters": [space.counters.snapshot() for space in spaces],
         }
 
@@ -217,7 +213,8 @@ def test_adopt_matches_the_one_page_reference_copy(draw, offs, dropped):
     new, old = World(draw), World(draw, mark=reference_mark_dirty)
     for world in (new, old):
         for off in sorted(dropped):
-            reference_unmap(world.src, VPN0 + off)   # the child dropped it
+            # the child dropped it
+            reference_unmap(world.src, VPN0 + off, world.mark)
     vpns = [VPN0 + off for off in offs]
     new.dst.adopt_frames([(vpn, new.src.frame(vpn)) for vpn in vpns])
     for vpn in vpns:
@@ -236,13 +233,13 @@ def test_unmap_adoption_is_a_copy_that_keeps_permissions(draw, off):
     vpn = VPN0 + off
     new, old = World(draw), World(draw, mark=reference_mark_dirty)
     for world in (new, old):
-        reference_unmap(world.src, vpn)
+        reference_unmap(world.src, vpn, world.mark)
     mapped = vpn in new.dst._pages
     new.dst.adopt_frames([(vpn, None)])
     reference_copy(old.dst, old.src, vpn << PAGE_SHIFT, vpn << PAGE_SHIFT,
                    PAGE_SIZE)
     got, want = new.observe(None), old.observe(None)
-    for key in ("tables", "refs", "ledger", "dirty_since"):
+    for key in ("tables", "refs", "ledger"):
         assert got[key] == want[key]
     assert new.dst._perms.get(vpn) == draw["dst_perms"].get(off)
     if mapped:

@@ -1,6 +1,8 @@
 """Unit tests for generation tags, the dirty ledger, and incremental
 snapshots (DESIGN.md)."""
 
+import gc
+
 import pytest
 
 from repro.kernel import Machine
@@ -74,7 +76,7 @@ def test_dirty_since_reports_writes_after_token():
 
 def test_nothing_is_dirty_since_now():
     """A token taken "now" answers empty, on a fresh ledger and on one
-    with (compacted) history, until the next mutation."""
+    with re-marked history, until the next mutation."""
     space = AddressSpace()
     assert space.dirty_since(space.dirty_token()) == set()
     for round_ in range(3):
@@ -85,6 +87,27 @@ def test_nothing_is_dirty_since_now():
     assert space.dirty_vpns_since(token) == []
     space.write(BASE, b"again")
     assert space.dirty_since(token) == {BASE >> 12}
+
+
+def test_marking_allocates_no_object_per_page():
+    """10 000 marks over 300 vpns leave the collector nothing new to
+    track: the ledger holds one entry per vpn, not a record per mark.
+    Counted with the collector off, as ``tests/timing/test_trace.py``
+    counts the trace (a tuple is untracked only at its first
+    collection)."""
+    space = AddressSpace()
+    marks = [page * 7 % 300 for page in range(10_000)]
+    gc.collect()
+    gc.disable()
+    try:
+        before = len(gc.get_objects())
+        for start in range(0, len(marks), 4):
+            space._mark_dirty_many(marks[start:start + 4])
+        grown = len(gc.get_objects()) - before
+    finally:
+        gc.enable()
+    assert space.dirty_token() == 10_000 and space.dirty_page_count() == 300
+    assert grown < 50, grown
 
 
 def test_dirty_ledger_records_range_ops():
@@ -128,6 +151,37 @@ def test_recapture_drops_zeroed_pages():
     child.zero_range(BASE, PAGE_SIZE)
     snap.recapture(child)
     assert snap.frame(BASE >> 12) is None
+
+
+def test_recapture_pins_nothing_outside_its_range():
+    _, child, snap = fork_pair()
+    child.write(BASE + 4 * PAGE_SIZE, b"just past the range")
+    assert snap.recapture(child) == (0, 1)
+    assert snap.frame((BASE >> 12) + 4) is None
+    assert snap.page_count() == 1
+
+
+def test_snapshots_count_the_frames_they_share():
+    parent, child, snap = fork_pair()
+    shared = child.counters.pages_shared        # Copy's 1 + capture's 1
+    assert (shared, snap.page_count()) == (2, 1)
+    child.write(BASE, b"new")
+    child.write(BASE + PAGE_SIZE, b"new page")
+    assert snap.recapture(child) == (2, 2)
+    assert child.counters.pages_shared == shared + 2
+
+
+def test_capture_refuses_a_range_that_is_not_page_aligned():
+    space = AddressSpace()
+    for addr, size in ((BASE, 100), (BASE + 1, PAGE_SIZE)):
+        with pytest.raises(ValueError, match="page-aligned"):
+            Snapshot.capture(space, addr, size)
+
+
+def test_merge_refuses_a_range_one_page_past_the_snapshot():
+    parent, child, snap = fork_pair()
+    with pytest.raises(ValueError, match="outside snapshot range"):
+        merge_range(parent, child, snap, addr=BASE, size=5 * PAGE_SIZE)
 
 
 def test_recapture_refuses_foreign_space():

@@ -13,7 +13,7 @@ import pytest
 from repro.mem import AddressSpace, PAGE_SIZE, PERM_RW, Snapshot, merge_range
 
 TABLE = 4096
-BASE = 0x10_0000
+BASE = 0x4000_0000     # vpns far above the table size, as in a guest
 #: Page-table reads allowed per page an operation names.
 PER_PAGE = 4
 
