@@ -1,4 +1,4 @@
-"""Ablation: merge conflict-handling strictness (DESIGN.md §6).
+"""Ablation: merge conflict-handling strictness (the merge: DESIGN.md §2).
 
 Strict mode (the paper's choice) flags a conflict whenever a byte
 changed on both sides, even to the same value; lenient mode tolerates

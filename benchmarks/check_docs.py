@@ -27,7 +27,12 @@ class ``src/`` defines and, with a member, one the class has
 ``path.py::name`` there must name a file of the repo and, with a name,
 a top-level def, class or assignment in it, or a ``Class.member``
 (:func:`stale_paths`).  So a renamed or deleted name or module cannot
-linger in the prose.
+linger in the prose.  Every ``DESIGN §n "title"`` citation in the code,
+the tests and the docs, and every ``§n "title"`` cross-reference inside
+DESIGN.md, must name a section of DESIGN.md and a heading or lead-in
+inside it (:func:`stale_sections`); and DESIGN.md keeps its shape: no
+change number, no plan item, at most :data:`DESIGN_MAX_LINES` lines
+(:func:`design_shape`).
 
 Usage: python benchmarks/check_docs.py [--docs FILE [FILE ...]]
 """
@@ -118,6 +123,32 @@ _CAMEL = re.compile(r"[A-Z][a-z0-9]+[A-Z]\w*")
 _PATH = re.compile(r"([\w/]+\.py)(?:::(\w+)(?:\.(\w+))?)?")
 #: Where a path that is not repo-relative may be rooted.
 PATH_ROOTS = ("", "src/", "src/repro/")
+
+DESIGN = REPO / "DESIGN.md"
+#: DESIGN.md's line ceiling.  A ratchet: lower it when the file shrinks,
+#: and put a number in the pairs ledger or CHANGES.md, not in DESIGN.md.
+DESIGN_MAX_LINES = 1289
+#: What DESIGN.md must not say: it describes the system, not its history.
+_HISTORY = re.compile(r"PR \d+|ROADMAP")
+#: Files whose ``DESIGN §n "title"`` citations must resolve.
+SECTION_DOCS = ("src/**/*.py", "tests/**/*.py", "benchmarks/**/*.py",
+                "examples/**/*.py", "README.md", "ROADMAP.md", "docs/*.md",
+                ".github/workflows/ci.yml", ".claude/skills/verify/SKILL.md")
+#: A citation of DESIGN.md: a section number and, quoted, a title (a
+#: title holds no quote character; a citation may wrap across lines,
+#: comment lines included).
+_CITE = re.compile(
+    r"""DESIGN(?:\.md)?`?,?[\s#]+§(\d+)(?:,?\s*(["'])(?P<title>\w[^"']*)\2)?""")
+#: A cross-reference inside DESIGN.md: ``§n "title"``.
+_XREF = re.compile(r'§(\d+),?\s*"(?P<title>\w[^"]*)"')
+_SECTION = re.compile(r"^## (\d+)\. ", re.M)
+#: What a quoted title may name inside its section: a ``###`` heading,
+#: or a bold or italic lead-in at the start of a line or a bullet (one
+#: that may wrap, but not across a blank line).
+_LEAD = r"((?:[^*\n]|\n(?![ \t]*\n))+?)"
+_ANCHOR = re.compile(
+    rf"^### ([^\n]+)|^[ \t]*(?:[-*][ \t]+|\d+\.[ \t]+)?"
+    rf"(?:\*\*(?!\s){_LEAD}\*\*|\*(?![\s*]){_LEAD}\*)", re.M)
 
 
 def _closing(lines, start):
@@ -374,6 +405,77 @@ def stale_paths(docs=None):
     return found
 
 
+def _collapse(text):
+    """``text`` with its whitespace collapsed, and the ``#`` that
+    continues a wrapped comment taken out."""
+    return " ".join(re.sub(r"\n[ \t]*#+", "\n", text).split())
+
+
+def _sections(design=DESIGN):
+    """``{n: [anchor, ...]}``: each ``## n.`` section of ``design`` and
+    the ``###`` headings and bold or italic lead-ins inside it, with
+    whitespace collapsed."""
+    text = Path(design).read_text()
+    starts = list(_SECTION.finditer(text))
+    sections = {}
+    for k, start in enumerate(starts):
+        end = starts[k + 1].start() if k + 1 < len(starts) else len(text)
+        sections[int(start.group(1))] = [
+            _collapse(next(group for group in anchor.groups() if group))
+            for anchor in _ANCHOR.finditer(text, start.end(), end)]
+    return sections
+
+
+def _section_docs():
+    """The :data:`SECTION_DOCS` files, in glob order."""
+    return [path for pattern in SECTION_DOCS
+            for path in sorted(REPO.glob(pattern))]
+
+
+def design_citations(docs=None, design=DESIGN):
+    """``[(where, n, title or None), ...]``: every ``DESIGN §n ["title"]``
+    citation in ``docs`` (default :data:`SECTION_DOCS`) and every
+    ``§n "title"`` cross-reference inside ``design``; ``where`` is
+    ``doc:line``.  A paper citation (``paper §3.2``) has neither form."""
+    if docs is None:
+        docs = _section_docs()
+    found = []
+    for doc, pattern in [(doc, _CITE) for doc in docs] + [(design, _XREF)]:
+        text = Path(doc).read_text()
+        for cite in pattern.finditer(text):
+            lineno = text.count("\n", 0, cite.start()) + 1
+            title = cite.group("title")
+            found.append((f"{_relpath(doc)}:{lineno}", int(cite.group(1)),
+                          title and _collapse(title)))
+    return found
+
+
+def stale_sections(docs=None, design=DESIGN):
+    """``['doc:line: §n "title"', ...]`` for each citation of
+    :func:`design_citations` whose number names no ``## n.`` section of
+    ``design``, or whose title starts no heading or lead-in of that
+    section."""
+    sections = _sections(design)
+    return [f"{where}: §{n}" + (f' "{title}"' if title else "")
+            for where, n, title in design_citations(docs, design)
+            if n not in sections or title is not None and not any(
+                anchor.startswith(title) for anchor in sections[n])]
+
+
+def design_shape(design=DESIGN, max_lines=DESIGN_MAX_LINES):
+    """What keeps ``design`` from describing the system alone: each
+    ``PR n`` or ``ROADMAP`` in it (``doc:line: 'match'``), and its line
+    count if that is over ``max_lines``."""
+    lines = Path(design).read_text().splitlines()
+    found = [f"{_relpath(design)}:{lineno}: {match.group()!r}"
+             for lineno, line in enumerate(lines, 1)
+             for match in _HISTORY.finditer(line)]
+    if len(lines) > max_lines:
+        found.append(f"{_relpath(design)} has {len(lines)} lines, over "
+                     f"the ceiling of {max_lines}")
+    return found
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -428,6 +530,12 @@ def main(argv=None):
         failures.append(f"{stale} names no class or member in src/")
     for stale in stale_paths():
         failures.append(f"{stale} names no module or top-level name")
+    for stale in stale_sections():
+        failures.append(f"{stale} names no section, heading or lead-in "
+                        f"of DESIGN.md")
+    for shape in design_shape():
+        failures.append(f"{shape}: DESIGN.md describes the system; "
+                        f"numbers go to the pairs ledger or CHANGES.md")
 
     if failures:
         print(f"\ncheck_docs: {len(failures)} documentation drift(s):",

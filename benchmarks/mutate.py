@@ -49,6 +49,7 @@ SURVIVORS = ROOT / "tests" / "mutation" / "survivors.json"
 #: kill its mutants, the quick unit tests first (``-x`` stops at the
 #: first failure).
 TARGETS = {
+    "cluster/compress.py": ["tests/cluster/test_compress.py"],
     "mem/addrspace.py": ["tests/mem/test_addrspace.py",
                          "tests/mem/test_dirty.py",
                          "tests/mem/test_table_reads.py",

@@ -148,6 +148,19 @@ def test_roundtrip_run_boundaries():
         assert compress.wire_size(data) == len(payload)
 
 
+def test_an_encoding_as_long_as_raw_ships_raw():
+    """RLE ships only when it *beats* raw.  A 33-byte zero run and 4063
+    literal bytes (32 tokens) encode to exactly one page, so that page
+    ships raw; one more zero byte makes RLE a byte shorter."""
+    tie = bytes(33) + b"\x07" * (PAGE_SIZE - 33)
+    shorter = bytes(34) + b"\x07" * (PAGE_SIZE - 34)
+    assert compress.encode_page(tie) == (compress.SCHEME_RAW, tie)
+    scheme, payload = compress.encode_page(shorter)
+    assert scheme == compress.SCHEME_RLE
+    assert len(payload) == PAGE_SIZE - 1
+    assert compress.wire_sizes([tie, shorter]) == [PAGE_SIZE, PAGE_SIZE - 1]
+
+
 # -- the size the transport charges is the size the encoder ships --------
 
 @settings(max_examples=200, deadline=None)
@@ -261,3 +274,8 @@ def test_reject_bad_inputs():
         compress.decode_page("gzip", b"")
     with pytest.raises(ValueError):
         compress.decode_page(compress.SCHEME_RLE, bytes([5]))  # truncated
+    # a 2-byte literal holding one byte after 4095 zero bytes is
+    # truncated too, although the bytes it finds would fill the page
+    runs = bytes([0xFF]) * 31 + bytes([0x80 + 126])
+    with pytest.raises(ValueError, match="truncated"):
+        compress.decode_page(compress.SCHEME_RLE, runs + bytes([1, 7]))

@@ -1,4 +1,4 @@
-"""Randomized oracle test for merge_range (DESIGN.md §dirty-tracking).
+"""Randomized oracle test for merge_range (DESIGN.md §2).
 
 Compares the production merge (dirty-ledger enumeration, tag-based
 adoption, batched stacked diff) against a naive byte-at-a-time oracle on
