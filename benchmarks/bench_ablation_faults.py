@@ -11,8 +11,8 @@ configurations:
   prefetch and wire compression, the configuration with the most
   protocol machinery exposed to a lossy fabric.
 
-The loss schedule is a pure function of ``(seed, link, message serial)``,
-with cumulative rate bands, so the three rates are *nested*: every
+The loss schedule is a pure function of ``(seed, link, sending space,
+message number, attempt)``, with cumulative rate bands, so the three rates are *nested*: every
 message dropped at 0.1% is dropped at 1% — retransmit bytes and
 makespan move monotonically with the rate instead of resampling a
 fresh fault pattern.  Faults are cost-only: computed values must be
@@ -35,7 +35,9 @@ from repro.timing.schedule import schedule
 N = 128
 NODES = 4
 TOPOLOGY = "two_tier:2"
-SEED = 2010
+#: One under which both configurations drop a copy at 1 % (eager delta
+#: sends too few for every seed to).
+SEED = 2012
 
 RATES = [("loss-0", None), ("loss-1%", 0.01), ("loss-5%", 0.05)]
 BASE = ClusterSpec(topology=TOPOLOGY)

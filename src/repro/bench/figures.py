@@ -214,10 +214,17 @@ def figure11_topology(node_counts=(1, 2, 4, 8), matmult_n=256,
 # Figure 12: Determinator vs distributed-memory Linux equivalents
 # ---------------------------------------------------------------------------
 
-#: Deterministic drop rates of figure 12's loss series: the reliability
-#: dimension the TCP-mode comparison was missing.  Schedules are nested
-#: across rates (one seed), so the series moves monotonically.
-FIG12_LOSS_RATES = (("loss-0.1%", 0.001), ("loss-1%", 0.01))
+#: The matmult-tree variants of :func:`figure12`, as (series name,
+#: spec): TCP framing, wire compression, and two deterministic drop
+#: rates — the reliability dimension the TCP-mode comparison was
+#: missing.  Drop schedules nest across rates (one seed), so the loss
+#: series move monotonically.
+FIG12_VARIANTS = (
+    ("tcp-impact", ClusterSpec(tcp_mode=True)),
+    ("comp-saving", ClusterSpec(compression=True)),
+    ("loss-0.1%", ClusterSpec(loss=0.001)),
+    ("loss-1%", ClusterSpec(loss=0.01)),
+)
 
 
 def figure12(node_counts=(1, 2, 4, 8, 16), md5_length=4, matmult_n=512):
@@ -231,9 +238,10 @@ def figure12(node_counts=(1, 2, 4, 8, 16), md5_length=4, matmult_n=512):
     removes at each cluster size (0 at one node — nothing crosses).
     The ``"loss-*"`` series report matmult-tree's relative slowdown
     under deterministic packet loss with retransmission (0 / 0.1% / 1%
-    drop; the zero-rate run *is* the ``matmult-tree`` denominator) —
-    computed values are asserted identical, so what the series shows is
-    purely the retransmission surcharge.
+    drop; the zero-rate run *is* the ``matmult-tree`` denominator).
+    Every variant (:data:`FIG12_VARIANTS`) is asserted to compute the
+    plain run's value and to conserve bytes on every link, so what a
+    series shows is purely its variant's cost.
     """
     from repro.bench.workloads.md5 import ALPHABET, CYCLES_PER_CANDIDATE
     from repro.cluster import NetworkStats
@@ -243,9 +251,8 @@ def figure12(node_counts=(1, 2, 4, 8, 16), md5_length=4, matmult_n=512):
     mm_total = 2 * matmult_n ** 3 * 2  # flops * cycles-per-flop
     mm_bytes = matmult_n * matmult_n * 4
 
-    series = {"md5-tree": {}, "matmult-tree": {}, "tcp-impact": {},
-              "comp-saving": {}}
-    series.update({name: {} for name, _ in FIG12_LOSS_RATES})
+    series = {"md5-tree": {}, "matmult-tree": {}}
+    series.update({name: {} for name, _ in FIG12_VARIANTS})
     for nodes in node_counts:
         det_md5, _, _ = cw.run_cluster(cw.md5_tree_main(md5_length), nodes)
         lin_md5 = DistLinux(nnodes=nodes).run_master_workers(
@@ -263,28 +270,17 @@ def figure12(node_counts=(1, 2, 4, 8, 16), md5_length=4, matmult_n=512):
         )
         series["matmult-tree"][nodes] = lin_mm / det_mm
 
-        det_tcp, _, _ = cw.run_cluster(
-            cw.matmult_tree_main(matmult_n), nodes,
-            spec=ClusterSpec(tcp_mode=True)
-        )
-        series["tcp-impact"][nodes] = det_tcp / det_mm - 1.0
-
-        det_comp, comp_machine, _ = cw.run_cluster(
-            cw.matmult_tree_main(matmult_n), nodes,
-            spec=ClusterSpec(compression=True)
-        )
-        assert det_comp <= det_mm, "compression must never slow a run"
-        series["comp-saving"][nodes] = \
-            1.0 - NetworkStats(comp_machine).compression_ratio()
-
-        for name, rate in FIG12_LOSS_RATES:
-            det_loss, loss_machine, loss_value = cw.run_cluster(
-                cw.matmult_tree_main(matmult_n), nodes,
-                spec=ClusterSpec(loss=rate))
-            assert loss_value == mm_value, \
-                f"loss must be cost-only ({name}, {nodes} nodes)"
-            assert loss_machine.transport.conservation_ok()
-            series[name][nodes] = det_loss / det_mm - 1.0
+        for name, spec in FIG12_VARIANTS:
+            det, machine, value = cw.run_cluster(
+                cw.matmult_tree_main(matmult_n), nodes, spec=spec)
+            assert value == mm_value, \
+                f"{name} must be cost-only ({nodes} nodes)"
+            assert machine.transport.conservation_ok()
+            if spec.compression:
+                assert det <= det_mm, "compression must never slow a run"
+            series[name][nodes] = (
+                1.0 - NetworkStats(machine).compression_ratio()
+                if spec.compression else det / det_mm - 1.0)
     return series
 
 

@@ -23,7 +23,8 @@ owns *how* it crosses and what that costs:
   (:mod:`repro.cluster.compress`);
 * :class:`~repro.cluster.faults.LossSchedule` — deterministic fault
   injection (``ClusterSpec(loss=...)``): per-link drop decisions keyed
-  on ``(link, message serial, attempt)`` replay bit-identically;
+  on the link, the sending space's slot path, its own message number
+  and the attempt replay bit-identically, on every backend;
   the transport retransmits dropped copies (``cost.retx_timeout`` /
   ``retx_limit``), keeps a per-link retransmit ledger
   (``NetworkStats.retx_table()``), and charges timeout waits as

@@ -4,14 +4,18 @@ The paper's fig12 compares the deterministic protocol against a
 TCP-style baseline, but a comparison of *reliability machinery* is
 hollow while links never misbehave.  This module makes loss a
 first-class, reproducible dimension of the model: a
-:class:`LossSchedule` decides — per directed link, per message serial —
-whether a wire copy is dropped, as a **pure function** of ``(seed,
-link, serial, attempt)``.  No generator state is consumed, so the
-decisions do not depend on call order, and two runs of the same program
-under the same schedule drop the same messages on the same links —
-faults replay bit-identically, in the spirit of Determinator's
-system-enforced determinism (§2.1: nondeterministic inputs become
-explicit, controllable ones).
+:class:`LossSchedule` decides whether a wire copy is dropped as a
+**pure function** of ``(seed, link, sender, number, attempt)`` — the
+directed link, the sending space's slot path (folded once per exchange
+by :func:`sender_key`), the message's number among that space's own
+messages, and the copy's attempt.  No generator state is consumed and
+no machine-global serial is read, so a decision depends on neither
+call order nor on what other spaces sent before: two runs of the same
+program under the same schedule drop the same messages on the same
+links however their spaces interleave on the host — serially, forked
+into shard workers, or on ``backend="real"`` — in the spirit of
+Determinator's system-enforced determinism (§2.1: nondeterministic
+inputs become explicit, controllable ones).
 
 The transport (:mod:`repro.cluster.transport`) consumes the decisions
 hop by hop: every fabric link runs a reliable link layer that
@@ -55,10 +59,21 @@ def _endpoint_bytes(end):
     return b"s" + str(end).encode() + b"\x00"
 
 
-class RetxBill:
-    """Retransmission charges one exchange accumulated while sending.
+def sender_key(path):
+    """The 64-bit key of one sending space: its slot path (child
+    numbers from the root down, ``[]`` for the root) folded once, eight
+    bytes a slot, for every draw of one exchange to share."""
+    return _fold(_FNV_OFFSET, b"".join(
+        slot.to_bytes(8, "little", signed=True) for slot in path))
 
-    ``usage`` maps each link to the serialization cycles its
+
+class RetxBill:
+    """One lossy exchange's sender, and the retransmission charges the
+    exchange accumulated while sending.
+
+    ``path`` is the sending space's slot path and ``key`` its
+    :func:`sender_key`, folded once for every loss draw of the
+    exchange.  ``usage`` maps each link to the serialization cycles its
     retransmitted copies occupied; ``wait`` is the total sender-side
     cycles spent in retransmission timeouts.  The transport turns a
     non-empty bill into ``kind="retx"`` trace link edges on the
@@ -66,9 +81,11 @@ class RetxBill:
     their faults are accounted on the links but delay nobody.
     """
 
-    __slots__ = ("usage", "wait")
+    __slots__ = ("path", "key", "usage", "wait")
 
-    def __init__(self):
+    def __init__(self, path):
+        self.path = path
+        self.key = sender_key(path)
         self.usage = {}
         self.wait = 0
 
@@ -77,7 +94,7 @@ class RetxBill:
 
 
 class LossSchedule:
-    """Deterministic per-link, per-message drop schedule.
+    """Deterministic per-link, per-space, per-message drop schedule.
 
     ``drop`` is a rate in ``[0, 1]``; ``seed`` (a signed 64-bit int)
     selects the fault pattern.  :meth:`drops` is a pure function — the
@@ -87,7 +104,9 @@ class LossSchedule:
     without changing a single decision.
 
     >>> s = LossSchedule(drop=0.5, seed=7)
-    >>> s.drops(("a", "b"), 3) == LossSchedule(drop=0.5, seed=7).drops(("a", "b"), 3)
+    >>> key = sender_key([1, 2])
+    >>> s.drops(("a", "b"), key, 3) == \\
+    ...     LossSchedule(drop=0.5, seed=7).drops(("a", "b"), key, 3)
     True
     """
 
@@ -104,9 +123,10 @@ class LossSchedule:
         #: are folded: the prefix every draw on that link shares.
         self._prefix = {}
 
-    def draw(self, link, serial, attempt=0):
+    def draw(self, link, sender, number, attempt=0):
         """The uniform in ``[0, 1)`` backing the decision for one wire
-        copy — a pure function of ``(seed, link, serial, attempt)``."""
+        copy — a pure function of ``(seed, link, sender, number,
+        attempt)``, ``sender`` being a :func:`sender_key`."""
         state = self._prefix.get(link)
         if state is None:
             state = _fold(_FNV_OFFSET, self.seed.to_bytes(8, "little",
@@ -114,16 +134,17 @@ class LossSchedule:
             for end in link:
                 state = _fold(state, _endpoint_bytes(end))
             self._prefix[link] = state
-        state = _fold(state, serial.to_bytes(8, "little"))
+        state = _fold(state, sender.to_bytes(8, "little"))
+        state = _fold(state, number.to_bytes(8, "little"))
         state = _fold(state, attempt.to_bytes(4, "little"))
         return DeterministicRandom(state).uniform()
 
-    def drops(self, link, serial, attempt=0):
-        """Whether message ``serial``'s copy number ``attempt`` on
-        directed ``link`` is dropped.  Raising the rate only *adds*
-        dropped copies (schedules are nested across rates under one
-        seed)."""
-        return self.draw(link, serial, attempt) < self.drop
+    def drops(self, link, sender, number, attempt=0):
+        """Whether copy ``attempt`` of message ``number`` of the space
+        keyed ``sender`` is dropped on directed ``link``.  Raising the
+        rate only *adds* dropped copies (schedules are nested across
+        rates under one seed)."""
+        return self.draw(link, sender, number, attempt) < self.drop
 
     def describe(self):
         """One-line human-readable description (NetworkStats reports)."""

@@ -192,9 +192,11 @@ class NetworkStats:
         One row per link the schedule faulted — wire copies dropped and
         retransmitted (messages and KiB) — plus a totals row.  The row
         *content* is a pure function of the schedule and the program
-        (fault decisions are keyed on ``(link, message serial)``), so two
-        runs under one seed render the same table byte for byte — the
-        determinism oracle the fault tests pin down.
+        (fault decisions are keyed on the link, the sending space's slot
+        path and its own message number), so two runs under one seed
+        render the same table byte for byte, on every backend and in
+        any evaluation order — the determinism oracle the fault tests
+        pin down.
         """
         rows = {f"{src}->{dst}": stats
                 for (src, dst), stats in self.per_link.items()

@@ -287,10 +287,9 @@ class Transport:
         #: PAGE_BATCH messages sent.
         self.batches = 0
         #: Logical protocol messages (each counted once however many
-        #: links its route traverses).  The count before a send is that
-        #: message's *serial*, the key (with the link) of every fault
-        #: decision — deterministic because the simulation is, so the
-        #: loss schedule replays bit-identically.
+        #: links its route traverses): a statistic only.  A message's
+        #: number — what its loss draws key on — is its sending space's
+        #: own count (``Space.messages``), never this machine-wide one.
         self.messages = 0
         #: Link traversals: a message over an H-hop route counts H.
         self.hops = 0
@@ -331,13 +330,6 @@ class Transport:
         if row is None:
             row = self.nodes[node] = NodeStats()
         return row
-
-    def wire_size(self, frame):
-        """Wire payload bytes of ``frame``: 4096 raw, or its encoded
-        size (cached per content tag) under compression."""
-        if not self.machine.spec.compression:
-            return PAGE_SIZE
-        return self._wire_load((frame,))
 
     def _wire_load(self, frames):
         """Compressed payload bytes of one PAGE_BATCH load of
@@ -382,14 +374,16 @@ class Transport:
         up as a sent/received mismatch.
 
         Under ``ClusterSpec(loss=...)`` each link's copy consults the
-        deterministic loss schedule, keyed on ``(link, message serial,
-        attempt)``.  Dropped copies are retransmitted by the link layer
-        after ``cost.retx_timeout`` (at most ``cost.retx_limit``
-        retries).  ``faults`` (a
-        :class:`~repro.cluster.faults.RetxBill`) collects, for the
-        stalling messages, the retransmissions' per-link occupancy and
-        the timeout waits for the caller's ``kind="retx"`` trace edges;
-        fire-and-forget messages fault silently.
+        deterministic loss schedule, keyed on ``(link, sending space,
+        message number, attempt)``: ``faults`` (the exchange's
+        :class:`~repro.cluster.faults.RetxBill`) holds the sending
+        space's key, and a message's number is the one :meth:`_batches`
+        gave it from that space's own count.  Dropped copies are
+        retransmitted by the link layer after ``cost.retx_timeout`` (at
+        most ``cost.retx_limit`` retries).  ``faults`` collects, for
+        the stalling messages, the retransmissions' per-link occupancy
+        and the timeout waits for the caller's ``kind="retx"`` trace
+        edges; fire-and-forget messages fault silently.
         """
         machine = self.machine
         cost = machine.cost
@@ -429,7 +423,7 @@ class Transport:
                 row.bytes_sent += nbytes
                 row.busy_cycles += busy
                 by_type[name] = by_type.get(name, 0) + 1
-                if not (loss and loss.drops(link, serial, 0)):
+                if not (loss and loss.drops(link, faults.key, serial, 0)):
                     continue
                 # The link layer retransmits until a copy gets through.
                 bill = faults if stalls else None
@@ -440,7 +434,8 @@ class Transport:
                     attempt += 1
                     if attempt > cost.retx_limit:
                         raise NetworkLossError(
-                            f"{name} msg {serial} on link {link}: "
+                            f"{name} msg {serial} of space "
+                            f"{faults.path} on link {link}: "
                             f"all {cost.retx_limit} retransmissions "
                             f"dropped")
                     if bill is not None:
@@ -456,7 +451,7 @@ class Transport:
                         if extra is None:
                             extra = []
                         extra.append((serial, link, busy))
-                    if not loss.drops(link, serial, attempt):
+                    if not loss.drops(link, faults.key, serial, attempt):
                         break
             if stalling:
                 usage[link] = usage.get(link, 0) + stalled
@@ -500,10 +495,11 @@ class Transport:
             transfers.cls.extend([rows[link].cls for link in usage])
             transfers.kind.extend([kind] * len(usage))
 
-    def _batches(self, frames):
-        """Number one exchange's messages — its head (MIGRATE or
-        PAGE_REQ), a PAGE_BATCH per load of up to ``cost.msg_batch``
-        ``frames``, its ACK, in that order — and build the batches.
+    def _batches(self, space, frames):
+        """Number one exchange's messages from ``space``'s own count —
+        its head (MIGRATE or PAGE_REQ), a PAGE_BATCH per load of up to
+        ``cost.msg_batch`` ``frames``, its ACK, in that order — and
+        build the batches.
         Without compression every page is ``PAGE_SIZE`` on the wire, so
         the loads are sized by arithmetic; with it, each load is sized
         by one :meth:`_wire_load`.
@@ -519,7 +515,7 @@ class Transport:
         compressed = machine.spec.compression
         cap = cost.msg_batch
         npages = len(frames)
-        head = self.messages
+        head = space.messages
         msgs = []
         payload = 0
         for start in range(0, npages, cap):
@@ -531,7 +527,8 @@ class Transport:
             payload += load
         ack = head + 1 + len(msgs)
         self.batches += len(msgs)
-        self.messages = ack + 1
+        space.messages = ack + 1
+        self.messages += ack + 1 - head
         codec = 0
         if compressed and frames:
             codec = int(npages * PAGE_SIZE * cost.comp_encode_byte
@@ -539,8 +536,8 @@ class Transport:
             self.codec_cycles += codec
         return head, msgs, ack, payload, codec
 
-    def _page_exchange(self, origin, node, frames, req_usage, resp_usage,
-                       faults):
+    def _page_exchange(self, space, origin, node, frames, req_usage,
+                       resp_usage, faults):
         """Wire accounting of one PAGE_REQ/PAGE_BATCH/ACK exchange
         pulling ``frames`` from ``origin`` to ``node`` — shared by the
         demand and prefetch paths so the two can never drift apart and
@@ -551,7 +548,7 @@ class Transport:
         """
         cost = self.machine.cost
         npages = len(frames)
-        head, batches, ack, payload, codec = self._batches(frames)
+        head, batches, ack, payload, codec = self._batches(space, frames)
         self._leg(node, origin,
                   [(PAGE_REQ, head, cost.msg_ctrl + 8 * npages, True),
                    (ACK, ack, cost.msg_ctrl, False)],
@@ -580,8 +577,8 @@ class Transport:
         self.migrations += 1
         self.pages_shipped += npages
         usage = {}
-        bill = RetxBill() if machine.loss else None
-        head, msgs, ack, payload, codec = self._batches(shipped)
+        bill = RetxBill(space.slot_path()) if machine.loss else None
+        head, msgs, ack, payload, codec = self._batches(space, shipped)
         msgs.insert(0, (MIGRATE, head, cost.migrate_bytes, True))
         # Receiver-side accounting from the exchange's own arithmetic
         # (not the per-message sizes): conservation cross-checks them.
@@ -590,7 +587,7 @@ class Transport:
             cost.migrate_bytes + payload + npages * cost.page_hdr,
             usage, bill, npages, payload)
         self._leg(dst, src, [(ACK, ack, cost.msg_ctrl, False)],
-                  cost.msg_ctrl)
+                  cost.msg_ctrl, faults=bill)
         trace = machine.trace
         if trace.is_open(space.uid):
             closed, opened = trace.move_node(space.uid, dst)
@@ -613,9 +610,9 @@ class Transport:
         self.node(node).pulled += len(frames)
         req_usage = {}
         resp_usage = {}
-        bill = RetxBill() if machine.loss else None
-        codec, transit = self._page_exchange(origin, node, frames, req_usage,
-                                             resp_usage, bill)
+        bill = RetxBill(space.slot_path()) if machine.loss else None
+        codec, transit = self._page_exchange(space, origin, node, frames,
+                                             req_usage, resp_usage, bill)
         trace = machine.trace
         if trace.is_open(space.uid):
             closed, opened = trace.cut(space.uid, label="fetch")
@@ -643,9 +640,9 @@ class Transport:
             return
         self.node(node).prefetch_issued += npages
         usage = {}
-        bill = RetxBill() if machine.loss else None
-        codec, transit = self._page_exchange(origin, node, frames, usage,
-                                             usage, bill)
+        bill = RetxBill(space.slot_path()) if machine.loss else None
+        codec, transit = self._page_exchange(space, origin, node, frames,
+                                             usage, usage, bill)
         exchange = PrefetchExchange(
             machine.trace.last_closed(space.uid), usage, transit + codec,
             [(frame, frame.generation) for frame in frames],

@@ -135,7 +135,7 @@ class SpaceImage(_Frozen):
 
     #: ``Space`` attributes an image holds as they are (a shallow copy).
     COPIED = ("uid", "home_node", "cur_node", "state", "trap", "trap_info",
-              "regs", "insn_limit", "visit_tokens", "started")
+              "regs", "insn_limit", "visit_tokens", "messages", "started")
     #: Image field -> (the ``Space`` attribute it freezes, how).
     DERIVED = {
         "path": ("slot", lambda space: tuple(space.slot_path())),

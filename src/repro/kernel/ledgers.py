@@ -411,8 +411,8 @@ NOT_REPLAYED = {
 #: The ``Space.__init__`` attributes a run may change: ``_adopt`` copies
 #: exactly these from the handed-back space onto the parent's object.
 SPLICED = ("addrspace", "regs", "snapshot", "children", "state", "trap",
-           "trap_info", "insn_limit", "visit_tokens", "cur_node", "killed",
-           "started")
+           "trap_info", "insn_limit", "visit_tokens", "messages", "cur_node",
+           "killed", "started")
 
 
 def whole_run(machine):

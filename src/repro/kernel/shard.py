@@ -63,8 +63,6 @@ Gates (:func:`fork_refusal` — all must hold or the rendezvous stays
 serial, with the reason kept on :attr:`ShardCoordinator.refused`):
 
 * ``os.fork`` exists;
-* ``loss is None`` — fault schedules key off global message serials,
-  which workers would interleave differently;
 * ``ship_mode`` is ``"delta"`` or ``"full"`` and ``prefetch_depth`` is
   0 — the async prefetch queues read cross-subtree dirty hints, the
   one machine-global the adoption delta deliberately drops (and
@@ -91,9 +89,6 @@ def fork_refusal(machine):
     backend refuses the machine at construction with it."""
     if not hasattr(os, "fork"):
         return "requires os.fork (POSIX hosts)"
-    if machine.loss is not None:
-        return ("is incompatible with loss schedules (fault injection "
-                "keys off global message serials)")
     if machine.spec.ship_mode not in ("delta", "full"):
         return (f"is incompatible with ship_mode={machine.spec.ship_mode!r} "
                 f"(demand paging reads cross-subtree state)")

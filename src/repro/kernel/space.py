@@ -75,6 +75,11 @@ class Space:
         #: ledger-driven delta); nodes never visited need a full
         #: tag-filtered walk instead.
         self.visit_tokens = {}
+        #: Messages this space's exchanges have numbered: the next
+        #: one's number.  With the link, the space's slot path and the
+        #: attempt it keys every loss draw (repro.cluster.faults), so
+        #: no drop depends on what other spaces sent first.
+        self.messages = 0
         #: True only for the root space (and spaces explicitly delegated
         #: I/O privileges): may invoke device pseudo-calls.
         self.io_privilege = False

@@ -61,8 +61,9 @@ def test_tcp_mode_increases_time_slightly():
 # and never changes the value it returns.  In the trees a *child*
 # exhausts its retransmissions first; the circuit's children send no
 # message of their own (only the travelling root does), so there the
-# root's fault is the one to surface.
-LOSSY = {"drop": 0.7, "seed": 2010}
+# root's fault is the one to surface.  The seed is one under which a
+# message of each shape dies (drops key on the sending space).
+LOSSY = {"drop": 0.7, "seed": 2015}
 
 
 @pytest.mark.parametrize("main, fault", [

@@ -30,7 +30,7 @@ from repro.cluster.spec import ClusterSpec
 
 sys.path.insert(
     0, os.path.join(os.path.dirname(__file__), os.pardir, "kernel"))
-from test_shard import assert_identical  # noqa: E402
+from test_shard import IDENTITY_CASES, assert_identical  # noqa: E402
 
 pytestmark = [
     pytest.mark.skipif(not hasattr(os, "fork"),
@@ -119,6 +119,26 @@ def test_every_backend_is_the_same_run(workload, topology, placement):
     for knobs in ({"shard_workers": 2}, {"backend": "real"}):
         run = run_backend(WORKLOADS[workload], 4, spec=spec.with_(**knobs))
         assert_same_run(run, serial)
+        stats = run.shard_stats
+        assert stats["adopted"] == stats["forked"] > 0
+        assert stats["fallbacks"] == 0 and stats["refused"] is None
+
+
+@pytest.mark.parametrize("cell", ["lossy_fat_tree", "lossy_matmult",
+                                  "retry_exhausted"])
+def test_a_lossy_run_is_the_same_run_on_every_backend(cell):
+    # Drops key on the sending space's slot path and its own message
+    # number, not on a machine-wide serial: a lossy spec forks and runs
+    # on the real backend, and its drops (a child's retry exhaustion
+    # included) are the serial run's.
+    builder, nnodes, knobs = IDENTITY_CASES[cell]
+    spec = ClusterSpec(**knobs)
+    serial = run_backend(builder, nnodes, spec=spec)
+    assert sum(row["dropped_msgs"] for row in serial.image.links.values())
+    for backend in ({"shard_workers": 2}, {"backend": "real"}):
+        run = run_backend(builder, nnodes, spec=spec.with_(**backend))
+        assert_identical(run, serial)
+        assert run.machine.transport.conservation_ok()
         stats = run.shard_stats
         assert stats["adopted"] == stats["forked"] > 0
         assert stats["fallbacks"] == 0 and stats["refused"] is None

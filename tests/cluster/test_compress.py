@@ -1,6 +1,7 @@
 """Wire-compression codec: round-trip, size bounds, scheme selection."""
 
 import hashlib
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -238,7 +239,7 @@ def test_batches_size_each_fresh_tag_once(monkeypatch):
     expected = {f.tag(): len(compress.encode_page(f.data)[1])
                 for f in frames}
     for frame in cached:
-        t.wire_size(frame)
+        t._wire_load((frame,))
     calls = []
     sizer = compress.wire_sizes
     monkeypatch.setattr(compress, "wire_sizes",
@@ -247,7 +248,8 @@ def test_batches_size_each_fresh_tag_once(monkeypatch):
     # 5 and 0 (sized in the first load and cached before it)
     exchange = frames[:cap - 1] + [frames[6]] + frames[cap - 1:] \
         + frames[5:6] + frames[:1]
-    head, msgs, ack, payload, codec = t._batches(exchange)
+    space = SimpleNamespace(messages=0)
+    head, msgs, ack, payload, codec = t._batches(space, exchange)
     assert calls == [cap - 1 - len(cached), 6]
     sizes = [expected[f.tag()] for f in exchange]
     loads = [sizes[:cap], sizes[cap:]]
@@ -257,7 +259,7 @@ def test_batches_size_each_fresh_tag_once(monkeypatch):
     assert codec == int(len(exchange) * PAGE_SIZE * cost.comp_encode_byte
                         + payload * cost.comp_decode_byte)
     assert t._wire_sizes == expected
-    t._batches(exchange)                        # all cached now
+    t._batches(space, exchange)                 # all cached now
     assert len(calls) == 2
 
 

@@ -2,9 +2,10 @@
 oracles.
 
 The loss schedule decides whether to drop each copy per ``(link,
-message serial, attempt)`` as a pure function of the seed, so faults
-must replay bit-identically: two runs under one seed drop the same
-copies of the same messages on the same links.  And faults are *cost-only*: under any
+sending space, message number, attempt)`` as a pure function of the
+seed, so faults must replay bit-identically: two runs under one seed
+drop the same copies of the same messages on the same links, whatever
+other spaces sent in between.  And faults are *cost-only*: under any
 schedule, every workload's computed value and final memory image must
 equal the zero-loss run's — only wire traffic and timing may move.
 Conservation extends to ``delivered + dropped == sent`` per physical
@@ -14,7 +15,6 @@ link.
 import faulthandler
 import hashlib
 import re
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,7 +23,8 @@ from repro import ClusterSpec
 from repro.bench import cluster_workloads as cw
 from repro.cluster import MsgType, NetworkStats
 from repro.cluster import faults
-from repro.cluster.faults import LossSchedule, resolve_loss
+from repro.cluster.faults import (LossSchedule, RetxBill, resolve_loss,
+                                  sender_key)
 from repro.common.detrandom import DeterministicRandom
 from repro.common.errors import NetworkLossError
 from repro.kernel import Machine, Trap, child_ref
@@ -44,6 +45,19 @@ def _memory_image(machine):
     return digest.hexdigest()
 
 
+class Sender:
+    """A space as the transport sees one: a uid, a slot path and its
+    own message count."""
+
+    def __init__(self, path=(), uid="space"):
+        self.uid = uid
+        self.path = list(path)
+        self.messages = 0
+
+    def slot_path(self):
+        return list(self.path)
+
+
 def _run(loss=None, **config):
     config.setdefault("topology", TOPOLOGY)
     makespan, machine, value = cw.run_cluster(
@@ -56,16 +70,90 @@ def _run(loss=None, **config):
 # -- the schedule itself ----------------------------------------------------
 
 def test_decide_is_a_pure_function():
-    """No generator state: any (link, serial, attempt) query returns
-    the same outcome however often and in whatever order it is asked."""
+    """No generator state: any (link, sender, number, attempt) query
+    returns the same outcome however often and in whatever order it is
+    asked."""
     sched = LossSchedule(drop=0.3, seed=42)
-    probes = [((0, 1), 7, 0), (("rack0", "core"), 7, 0), ((0, 1), 7, 1),
-              ((1, 0), 7, 0), ((0, 1), 8, 0)]
+    key = sender_key([1])
+    probes = [((0, 1), key, 7, 0), (("rack0", "core"), key, 7, 0),
+              ((0, 1), key, 7, 1), ((1, 0), key, 7, 0), ((0, 1), key, 8, 0),
+              ((0, 1), sender_key([2]), 7, 0)]
     first = [sched.drops(*p) for p in reversed(probes)][::-1]
     again = [LossSchedule(drop=0.3, seed=42).drops(*p) for p in probes]
     assert first == again
-    outcomes = set(first) | {sched.drops((0, 1), s) for s in range(200)}
-    assert outcomes == {False, True}  # 30% over 200 serials must hit
+    outcomes = set(first) | {sched.drops((0, 1), key, n) for n in range(200)}
+    assert outcomes == {False, True}  # 30% over 200 numbers must hit
+
+
+def test_a_draw_pins_every_byte_of_its_key():
+    """Known values: the fold of the seed, the link's endpoints, the
+    sender's slot path, the message number and the attempt, each byte
+    of which a draw must depend on."""
+    assert sender_key([]) == faults._FNV_OFFSET
+    assert sender_key([1, 65538]) == 0x53ADFC3651BAA69F
+    assert sender_key([1, 2]) != sender_key([2, 1])
+    assert sender_key([0]) != sender_key([])
+    sched = LossSchedule(drop=0.5, seed=-3)
+    key = sender_key([1, 65538])
+    assert sched.draw((0, "core"), key, 5, 2) == 0.4692773869990927
+    draws = {sched.draw((0, "core"), key, 5, 2),
+             sched.draw(("core", 0), key, 5, 2),
+             sched.draw((0, "core"), sender_key([1]), 5, 2),
+             sched.draw((0, "core"), key, 6, 2),
+             sched.draw((0, "core"), key, 5, 3),
+             LossSchedule(drop=0.5, seed=3).draw((0, "core"), key, 5, 2),
+             sched.draw((0, 0), key, 5, 2),
+             sched.draw((0, "0"), key, 5, 2)}
+    assert len(draws) == 8
+
+
+def test_a_drop_keys_on_the_sending_space_not_on_what_others_sent():
+    """A space's exchanges draw the same drops whether or not another
+    space sent first: each message is numbered from its own space's
+    count, so no draw reads host order."""
+    def drops_of_b(sent_first):
+        machine = Machine(nnodes=4, spec=ClusterSpec(topology=TOPOLOGY,
+                                                     loss=0.3))
+        transport = machine.transport
+        frames = [Page(bytes([n]) * PAGE_SIZE) for n in range(3)]
+        a, b = Sender([1], "a"), Sender([2], "b")
+        for _ in range(sent_first):
+            transport.migrate(a, 0, 3, frames)
+        before = {link: row.dropped_msgs
+                  for link, row in transport.links.items()}
+        for _ in range(4):
+            transport.migrate(b, 0, 3, frames)
+        assert b.messages == 4 * 3
+        return {link: row.dropped_msgs - before.get(link, 0)
+                for link, row in transport.links.items()
+                if row.dropped_msgs != before.get(link, 0)}
+
+    alone = drops_of_b(0)
+    assert alone
+    assert drops_of_b(5) == alone
+
+
+def test_a_copy_drops_when_its_draw_lies_below_the_rate():
+    """The drop band is ``[0, rate)``: a draw equal to the rate gets
+    through."""
+    key = sender_key([1])
+    draw = LossSchedule(drop=0.5, seed=1).draw((0, 1), key, 4)
+    assert not LossSchedule(drop=draw, seed=1).drops((0, 1), key, 4)
+    assert LossSchedule(drop=min(1.0, draw * 1.000001), seed=1).drops(
+        (0, 1), key, 4)
+
+
+def test_a_retx_bill_is_empty_until_charged():
+    """A bill is true once it holds an occupancy or a wait, and only
+    then does the transport draw its retransmission edges."""
+    bill = RetxBill([1, 2])
+    assert not bill and bill.wait == 0 and bill.usage == {}
+    assert (bill.path, bill.key) == ([1, 2], sender_key([1, 2]))
+    bill.wait = 1
+    assert bill
+    bill = RetxBill([])
+    bill.usage[(0, 1)] = 3
+    assert bill
 
 
 def test_schedules_nest_across_rates():
@@ -73,9 +161,10 @@ def test_schedules_nest_across_rates():
     dropped at 0.1% is dropped at 1%."""
     low = LossSchedule(drop=0.001, seed=9)
     high = LossSchedule(drop=0.01, seed=9)
-    for serial in range(5000):
-        if low.drops((0, 1), serial):
-            assert high.drops((0, 1), serial)
+    key = sender_key([3])
+    for number in range(5000):
+        if low.drops((0, 1), key, number):
+            assert high.drops((0, 1), key, number)
 
 
 def test_rate_validation_and_resolve():
@@ -114,16 +203,17 @@ def test_a_bad_loss_spec_is_refused_at_construction(loss):
 def test_the_seed_range_is_signed_64_bits():
     for seed in (-2**63, -1, 0, 2**63 - 1):
         ClusterSpec(loss={"drop": 0.1, "seed": seed})
-        LossSchedule(drop=0.1, seed=seed).draw((0, 1), 0)
+        LossSchedule(drop=0.1, seed=seed).draw((0, 1), 0, 0)
 
 
-def _folded_draw(seed, link, serial, attempt):
+def _folded_draw(seed, link, sender, number, attempt):
     """A draw folded from scratch, byte by byte, with no memo."""
     state = faults._fold(faults._FNV_OFFSET,
                          seed.to_bytes(8, "little", signed=True))
     for end in link:
         state = faults._fold(state, faults._endpoint_bytes(end))
-    state = faults._fold(state, serial.to_bytes(8, "little"))
+    state = faults._fold(state, sender.to_bytes(8, "little"))
+    state = faults._fold(state, number.to_bytes(8, "little"))
     state = faults._fold(state, attempt.to_bytes(4, "little"))
     return DeterministicRandom(state).uniform()
 
@@ -131,6 +221,7 @@ def _folded_draw(seed, link, serial, attempt):
 endpoints = st.one_of(st.integers(-2**63, 2**63 - 1),
                       st.sampled_from(["core", "rack0", "0", ""]))
 probes = st.lists(st.tuples(st.tuples(endpoints, endpoints),
+                            st.integers(0, 2**64 - 1),
                             st.integers(0, 2**64 - 1),
                             st.integers(0, 2**32 - 1)),
                   min_size=1, max_size=12)
@@ -145,10 +236,10 @@ def test_memoised_draws_equal_a_fresh_fold_in_any_order(seed, probes, rnd):
     sched = LossSchedule(drop=0.5, seed=seed)
     asked = probes + probes
     rnd.shuffle(asked)
-    for link, serial, attempt in asked:
-        assert sched.draw(link, serial, attempt) == \
-            _folded_draw(seed, link, serial, attempt)
-    assert set(sched._prefix) == {link for link, _, _ in probes}
+    for link, sender, number, attempt in asked:
+        assert sched.draw(link, sender, number, attempt) == \
+            _folded_draw(seed, link, sender, number, attempt)
+    assert set(sched._prefix) == {link for link, _, _, _ in probes}
 
 
 # -- bit-identical replay ---------------------------------------------------
@@ -270,15 +361,18 @@ def test_retry_exhaustion_raises_deterministically():
     """A dead link (drop=1.0) exhausts cost.retx_limit retries and
     stops the migrating space with a NetworkLossError trap."""
     with pytest.raises(RuntimeError, match=(
-            r"NetworkLossError: MIGRATE msg 0 on link \(0, 1\): "
-            r"all 8 retransmissions dropped")):
+            r"NetworkLossError: MIGRATE msg 0 of space \[\] on link "
+            r"\(0, 1\): all 8 retransmissions dropped")):
         cw.run_cluster(cw.md5_circuit_main(3), 2, spec=ClusterSpec(loss=1.0))
-    # Raised directly when the transport is driven outside a guest.
+    # Raised directly when the transport is driven outside a guest: the
+    # error names the sending space's slot path and its own number.
     machine = Machine(nnodes=2, spec=ClusterSpec(loss=1.0))
     with pytest.raises(NetworkLossError, match=(
-            r"ACK msg 0 on link \(0, 1\): all 8 retransmissions dropped")):
+            r"ACK msg 5 of space \[1, 65538\] on link \(0, 1\): "
+            r"all 8 retransmissions dropped")):
         machine.transport._leg(
-            0, 1, [(MsgType.ACK.name, 0, 64, False)], 64)
+            0, 1, [(MsgType.ACK.name, 5, 64, False)], 64,
+            faults=RetxBill([1, 65538]))
 
 
 class DeadLink(LossSchedule):
@@ -288,7 +382,7 @@ class DeadLink(LossSchedule):
         super().__init__(drop=1.0)
         self.link = link
 
-    def drops(self, link, serial, attempt=0):
+    def drops(self, link, sender, number, attempt=0):
         return link == self.link
 
 
@@ -298,17 +392,18 @@ def test_retry_exhaustion_is_a_defined_state(dead, hops_before):
     """After the abort the rows still conserve (``sent == received +
     dropped`` on every link): the links before the dead one carried and
     delivered the whole leg, the dead one dropped every copy of the
-    leg's first message, and nothing was sent beyond it.  The serials
+    leg's first message, and nothing was sent beyond it.  The numbers
     of the whole exchange were handed out before the walk (DESIGN §5)."""
     machine = Machine(nnodes=4, spec=ClusterSpec(topology=TOPOLOGY,
                                                  loss=1.0))
     machine.loss = DeadLink(dead)
     transport = machine.transport
+    space = Sender([2])
     frames = [Page(bytes([n]) * PAGE_SIZE) for n in range(3)]
     with pytest.raises(NetworkLossError, match=(
-            rf"MIGRATE msg 0 on link {re.escape(str(dead))}: "
+            rf"MIGRATE msg 0 of space \[2\] on link {re.escape(str(dead))}: "
             rf"all 8 retransmissions dropped")):
-        transport.migrate(SimpleNamespace(uid="space"), 0, 3, frames)
+        transport.migrate(space, 0, 3, frames)
     assert transport.conservation_ok()
     route = machine.topology.route(0, 3)
     assert list(transport.links) == list(route[:hops_before + 1])
@@ -326,7 +421,7 @@ def test_retry_exhaustion_is_a_defined_state(dead, hops_before):
     assert row.bytes_sent == row.dropped_bytes == copies * cost.migrate_bytes
     assert row.by_type == {"MIGRATE": copies}
     # MIGRATE, one PAGE_BATCH and the ACK were numbered up front.
-    assert transport.messages == 3
+    assert space.messages == transport.messages == 3
     assert len(machine.trace.transfers) == 0
 
 
@@ -337,7 +432,7 @@ class FailingLink(DeadLink):
         super().__init__(link)
         self.copies = copies
 
-    def drops(self, link, serial, attempt=0):
+    def drops(self, link, sender, number, attempt=0):
         if link != self.link or not self.copies:
             return False
         self.copies -= 1
@@ -382,6 +477,8 @@ def test_a_failed_way_home_is_the_spaces_fault(stop):
     finally:
         faulthandler.cancel_dump_traceback_later()
     assert trap is Trap.EXC
-    assert info.startswith("NetworkLossError: MIGRATE msg ")
+    # The space's own third message: MIGRATE and ACK went out first.
+    assert info.startswith("NetworkLossError: MIGRATE msg 2 of space "
+                           f"[{child_ref(1, node=1)}] ")
     assert "on link (2, 1): all 8 retransmissions dropped" in info
     assert after_ret == []

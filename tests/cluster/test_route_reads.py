@@ -58,7 +58,7 @@ def counted(owner, name, calls):
 @pytest.fixture(params=["two_tier", "fat_tree"])
 def world(request):
     machine = Machine(nnodes=NODES, spec=ClusterSpec(topology=request.param))
-    space = SimpleNamespace(uid="space")
+    space = SimpleNamespace(uid="space", messages=0)
     machine.trace.begin(space.uid, node=SRC)
     calls = {}
     counted(machine.topology, "route", calls)

@@ -1,6 +1,8 @@
 """Transport invariants: conservation, delta vs full-ship, batching,
 and configuration plumbing through the cluster sweep helpers."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro import ClusterSpec
@@ -120,16 +122,20 @@ def test_batch_sizes_partition():
         cap = cost.msg_batch
         frames = [Page(bytes([n % 7]) * PAGE_SIZE)
                   for n in range(2 * cap + 3)]
-        sizes = [t.wire_size(frame) for frame in frames]
-        head, msgs, ack, payload, _ = t._batches(frames)
+        sizes = [t._wire_load((frame,)) if compression else PAGE_SIZE
+                 for frame in frames]
+        space = SimpleNamespace(messages=5)
+        head, msgs, ack, payload, _ = t._batches(space, frames)
         loads = [(0, cap), (cap, 2 * cap), (2 * cap, 2 * cap + 3)]
         assert [msg[2] for msg in msgs] == [
             sum(sizes[lo:hi]) + (hi - lo) * cost.page_hdr
             for lo, hi in loads]
         assert [msg[1] for msg in msgs] == [head + 1, head + 2, head + 3]
-        assert ack == head + 4 and t.messages == ack + 1
+        # Numbered from the space's own count; the machine only adds.
+        assert head == 5 and ack == head + 4
+        assert space.messages == ack + 1 and t.messages == 5
         assert payload == sum(sizes)
-        assert t._batches([])[1] == []
+        assert t._batches(space, [])[1] == []
 
 
 def test_message_type_accounting():

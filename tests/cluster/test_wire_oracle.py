@@ -10,8 +10,9 @@ in lockstep through a drawn sequence of ``migrate`` / ``fetch`` /
 frame objects.  After every step the two must be indistinguishable:
 every link and node row (values *and* insertion order, ``by_type``
 included), the seven scalars, ``trace.transfers``, ``trace.edges``, the
-queued exchanges with their ``RetxBill`` and, under an adaptive
-prefetch depth, the controller's decisions at each ``window`` step.
+queued exchanges with their ``RetxBill``, each space's message count
+and, under an adaptive prefetch depth, the controller's decisions at
+each ``window`` step.
 """
 
 from types import SimpleNamespace
@@ -88,7 +89,9 @@ class World:
             prefetch_depth=config["prefetch_depth"],
             cost=CostModel(msg_batch=config["msg_batch"])))
         machine.transport = transport_class(machine)
-        self.spaces = [SimpleNamespace(uid=f"space{n}") for n in range(SPACES)]
+        self.spaces = [SimpleNamespace(uid=f"space{n}", messages=0,
+                                       slot_path=lambda n=n: [n])
+                       for n in range(SPACES)]
         self.where = {}
         for n, space in enumerate(self.spaces):
             machine.trace.begin(space.uid, node=n)
@@ -195,6 +198,10 @@ def test_a_leg_accounts_what_per_message_sends_did(topology, loss, config,
         for name in wanted:
             assert seen[name] == wanted[name], (name, step)
         assert seen["conserves"]
+        # Each space numbered its messages alike on both sides.
+        assert {(n,): space.messages for n, space in
+                enumerate(production.spaces) if space.messages} == \
+            reference.machine.transport.numbers
 
 
 @pytest.mark.parametrize("spec", [

@@ -10,12 +10,17 @@ compares against it cannot agree with itself: it prices a route's
 transit from the per-link ``link_class`` latency factors
 (``_transit``), never from the route record.  What it inherits is the
 link and node row
-accessors, the codec size cache and the prefetch queue, none of which
-the rewrite touched (the queue's redeem and sink paths call
+accessors, the codec size cache (which its own ``wire_size`` fills a frame at
+a time) and the prefetch queue, none of which the rewrite touched (the queue's redeem and sink paths call
 ``_stall_edges`` with segment ids, as the reference's own paths do).
+
+Loss draws key on the sending space: the reference numbers each
+space's messages in a table of its own, by slot path, one ``_send`` at
+a time, and folds the path afresh for every message — where production
+counts on the space and folds once per exchange.
 """
 
-from repro.cluster.faults import RetxBill
+from repro.cluster.faults import RetxBill, sender_key
 from repro.cluster.transport import MsgType, PrefetchExchange, Transport
 from repro.common.errors import NetworkLossError
 from repro.mem.page import PAGE_SIZE
@@ -27,6 +32,11 @@ class ReferenceTransport(Transport):
     #: The production walk: reaching it from here is a bug in the oracle.
     _leg = _batches = None
 
+    def __init__(self, machine):
+        super().__init__(machine)
+        #: slot path -> messages that space has sent so far.
+        self.numbers = {}
+
     def _transit(self, src, dst):
         """Total transit latency (cycles) of the ``src -> dst`` route:
         ``net_latency`` times its links' summed latency factors."""
@@ -35,9 +45,10 @@ class ReferenceTransport(Transport):
                    * sum(topo.link_class(link).latency_factor
                          for link in topo.route(src, dst)))
 
-    def _send(self, mtype, src, dst, nbytes, pages=0, usage=None,
+    def _send(self, space, mtype, src, dst, nbytes, pages=0, usage=None,
               raw_payload=0, comp_payload=0, faults=None):
-        """Serialize one message along the fabric route ``src -> dst``.
+        """Serialize one message ``space`` sends along the fabric route
+        ``src -> dst``.
 
         Every traversed link accrues the message's bytes, pages, and
         its class-scaled serialization cycles; ``usage`` (when given)
@@ -52,8 +63,8 @@ class ReferenceTransport(Transport):
         mismatch.
 
         Under ``ClusterSpec(loss=...)`` each link's copy consults the
-        deterministic loss schedule, keyed on ``(link, message serial,
-        attempt)``.  Dropped copies are retransmitted by the link layer
+        deterministic loss schedule, keyed on ``(link, the sending
+        space's slot path, its message number, attempt)``.  Dropped copies are retransmitted by the link layer
         after ``cost.retx_timeout`` (at most ``cost.retx_limit``
         retries).  ``faults`` (a
         :class:`~repro.cluster.faults.RetxBill`, for messages a space
@@ -65,7 +76,9 @@ class ReferenceTransport(Transport):
         cost = machine.cost
         topo = machine.topology
         loss = machine.loss
-        serial = self.messages
+        path = tuple(space.slot_path())
+        number = self.numbers.get(path, 0)
+        self.numbers[path] = number + 1
         self.messages += 1
         for link in topo.route(src, dst):
             cls = topo.link_class(link)
@@ -93,14 +106,16 @@ class ReferenceTransport(Transport):
                     stats.retx_bytes += nbytes
                     if faults is not None:
                         faults.usage[link] = faults.usage.get(link, 0) + busy
-                if not (loss and loss.drops(link, serial, attempt)):
+                if not (loss and loss.drops(link, sender_key(path), number,
+                                            attempt)):
                     break
                 stats.dropped_msgs += 1
                 stats.dropped_bytes += nbytes
                 attempt += 1
                 if attempt > cost.retx_limit:
                     raise NetworkLossError(
-                        f"{mtype.name} msg {serial} on link {link}: "
+                        f"{mtype.name} msg {number} of space {list(path)} "
+                        f"on link {link}: "
                         f"all {cost.retx_limit} retransmissions "
                         f"dropped")
                 if faults is not None:
@@ -134,6 +149,13 @@ class ReferenceTransport(Transport):
                 trace.transfers.extend([(src, dst, link, busy, latency,
                                          link_class(link).name, leg_kind)])
 
+    def wire_size(self, frame):
+        """Wire payload bytes of ``frame``: 4096 raw, or its encoded
+        size (cached per content tag) under compression."""
+        if not self.machine.spec.compression:
+            return PAGE_SIZE
+        return self._wire_load((frame,))
+
     def _batch_sizes(self, npages):
         """Split ``npages`` into PAGE_BATCH loads (``cost.msg_batch``)."""
         cap = max(1, self.machine.cost.msg_batch)
@@ -144,7 +166,7 @@ class ReferenceTransport(Transport):
             npages -= take
         return sizes
 
-    def _ship(self, src, dst, frames, usage=None, faults=None):
+    def _ship(self, space, src, dst, frames, usage=None, faults=None):
         """Send ``frames`` as PAGE_BATCH messages over the route.
 
         Returns ``(payload, codec)``: total payload bytes serialized
@@ -156,7 +178,7 @@ class ReferenceTransport(Transport):
         index = 0
         for take in self._batch_sizes(len(frames)):
             payload = sum(sizes[index:index + take])
-            self._send(MsgType.PAGE_BATCH, src, dst,
+            self._send(space, MsgType.PAGE_BATCH, src, dst,
                        payload + take * cost.page_hdr,
                        pages=take, usage=usage,
                        raw_payload=take * PAGE_SIZE, comp_payload=payload,
@@ -171,7 +193,7 @@ class ReferenceTransport(Transport):
             self.codec_cycles += codec
         return payload, codec
 
-    def _page_exchange(self, origin, node, frames, req_usage=None,
+    def _page_exchange(self, space, origin, node, frames, req_usage=None,
                        resp_usage=None, faults=None):
         """Wire accounting of one PAGE_REQ/PAGE_BATCH/ACK exchange
         pulling ``frames`` from ``origin`` to ``node`` — shared by the
@@ -180,12 +202,12 @@ class ReferenceTransport(Transport):
         """
         cost = self.machine.cost
         npages = len(frames)
-        self._send(MsgType.PAGE_REQ, node, origin,
+        self._send(space, MsgType.PAGE_REQ, node, origin,
                    cost.msg_ctrl + 8 * npages, usage=req_usage,
                    faults=faults)
-        payload, codec = self._ship(origin, node, frames, usage=resp_usage,
-                                    faults=faults)
-        self._send(MsgType.ACK, node, origin, cost.msg_ctrl)
+        payload, codec = self._ship(space, origin, node, frames,
+                                    usage=resp_usage, faults=faults)
+        self._send(space, MsgType.ACK, node, origin, cost.msg_ctrl)
         self._receive(node, origin, 2 * cost.msg_ctrl + 8 * npages)
         self._receive(origin, node, payload + npages * cost.page_hdr)
         return payload, codec
@@ -206,12 +228,12 @@ class ReferenceTransport(Transport):
         self.migrations += 1
         self.pages_shipped += len(shipped)
         usage = {}
-        bill = RetxBill() if machine.loss else None
-        self._send(MsgType.MIGRATE, src, dst, cost.migrate_bytes, usage=usage,
-                   faults=bill)
-        payload, codec = self._ship(src, dst, shipped, usage=usage,
+        bill = RetxBill(space.slot_path()) if machine.loss else None
+        self._send(space, MsgType.MIGRATE, src, dst, cost.migrate_bytes,
+                   usage=usage, faults=bill)
+        payload, codec = self._ship(space, src, dst, shipped, usage=usage,
                                     faults=bill)
-        self._send(MsgType.ACK, dst, src, cost.msg_ctrl)
+        self._send(space, MsgType.ACK, dst, src, cost.msg_ctrl)
         # Receiver-side accounting from the exchange's own arithmetic
         # (not the per-message sends): conservation cross-checks them.
         self._receive(src, dst, cost.migrate_bytes
@@ -241,8 +263,8 @@ class ReferenceTransport(Transport):
         self.node(node).pulled += npages
         req_usage = {}
         resp_usage = {}
-        bill = RetxBill() if machine.loss else None
-        _, codec = self._page_exchange(origin, node, frames,
+        bill = RetxBill(space.slot_path()) if machine.loss else None
+        _, codec = self._page_exchange(space, origin, node, frames,
                                        req_usage=req_usage,
                                        resp_usage=resp_usage,
                                        faults=bill)
@@ -274,8 +296,8 @@ class ReferenceTransport(Transport):
             return
         self.node(node).prefetch_issued += npages
         usage = {}
-        bill = RetxBill() if machine.loss else None
-        _, codec = self._page_exchange(origin, node, frames,
+        bill = RetxBill(space.slot_path()) if machine.loss else None
+        _, codec = self._page_exchange(space, origin, node, frames,
                                        req_usage=usage, resp_usage=usage,
                                        faults=bill)
         anchor = machine.trace.last_closed(space.uid)

@@ -20,9 +20,17 @@ def test_different_seeds_diverge():
 
 def test_uniform_in_range():
     rng = DeterministicRandom(7)
-    for _ in range(100):
-        value = rng.uniform(2.0, 3.0)
-        assert 2.0 <= value < 3.0
+    values = [rng.uniform(2.0, 3.0) for _ in range(100)]
+    assert all(2.0 <= value < 3.0 for value in values)
+    # It spans the range: the top half is reached, not just [lo, mid).
+    assert max(values) > 2.9
+
+
+def test_uniform_known_values():
+    """A draw is the next output over 2**64 (the loss schedule's drop
+    decisions are these values)."""
+    assert DeterministicRandom(42).uniform() == 13679457532755275413 / 2**64
+    assert DeterministicRandom(42).uniform() == 0.7415648787718234
 
 
 def test_jitter_bounded():

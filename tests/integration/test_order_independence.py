@@ -1,0 +1,274 @@
+"""Evaluation-order independence: the paper's §3.2 claim, tested against
+the simulator's own choices.
+
+Spaces share nothing and meet only at Put, Get and Ret, so a run is a
+pure function of its inputs under any interleaving of independent
+spaces.  The simulator runs one interleaving: a started child runs
+lazily, at its parent's rendezvous (``Kernel._rendezvous``), or in
+``Machine._drain``'s walk order.  :class:`Permuted` runs others:
+
+* before a rendezvous runs the READY child it asked for, a seeded
+  permutation of the caller's other READY children runs first, each to
+  its stop.  The edge a rendezvous owes such a child (the caller waits
+  on its last segment) is drawn at the caller's later Put or Get of
+  it, where the serial run draws it;
+* ``Machine._drain`` runs the spaces still READY in a seeded order.
+
+Every cell (workload x spec) runs once in the serial order and once
+per seed of :data:`SEEDS`, and asserts two things.
+
+* **Guest-visible state is the same**: the value, the console, and
+  every space image under ``first_difference``, keyed by slot path.
+  The kernel's host-order names are left out: space uids and the
+  ``(serial, generation)`` content tags, which number objects in the
+  order the host created them and which no guest reads.
+* **The virtual-time ledgers are the same** — the makespan (a serving
+  trace's span and per-request latencies), every link and node row,
+  the transport scalars, and each slot path's segments (node, charged
+  cycles, label) — for every spec ``fork_refusal`` admits.  A refused
+  spec may move only the ledgers :data:`MOVES` names for it: the
+  catalogue in DESIGN §7, which must name exactly the specs the gate
+  refuses.
+"""
+
+import random
+
+import pytest
+
+from repro import ClusterSpec, Machine
+from repro.bench import cluster_workloads as cw
+from repro.bench.api import DetApi
+from repro.bench.workloads import lu
+from repro.cluster.serving import serve_trace
+from repro.debug import first_difference, freeze_machine
+from repro.kernel.kernel import Kernel
+from repro.kernel.shard import fork_refusal
+from repro.kernel.space import Space, SpaceState
+
+SEEDS = range(8)
+
+READY = SpaceState.READY
+
+
+class Permuted:
+    """Patches the engine's two choices of order with a seeded one
+    (``seed=None`` keeps the serial order), and records what the checks
+    read: each space's slot path by uid, and each machine's image just
+    before it closes."""
+
+    def __init__(self, seed=None):
+        self.rng = None if seed is None else random.Random(seed)
+        #: Children that ran ahead of their rendezvous: the caller's
+        #: next Put or Get of one draws the edge the run owes it.
+        self.owed = set()
+        self.paths = {}
+        self.images = []
+        #: Children run ahead of their turn (a cell must have some).
+        self.early = 0
+
+    def install(self, monkeypatch):
+        rendezvous, drain = Kernel._rendezvous, Machine._drain
+        attach, close = Space.attach, Machine.close
+
+        def attach_recording(space, num, child):
+            attach(space, num, child)
+            self.paths[child.uid] = tuple(child.slot_path())
+
+        def close_freezing(machine):
+            if machine.root is not None and not machine._closed:
+                self.images.append(freeze_machine(machine))
+            close(machine)
+
+        def rendezvous_permuted(kernel, caller, child):
+            if child.state is READY:
+                others = [other for _, other in sorted(caller.children.items())
+                          if other is not child and other.state is READY]
+                self.rng.shuffle(others)
+                for other in others:
+                    kernel.machine.engine.run_until_stopped(other)
+                    self.owed.add(other)
+                    self.early += 1
+            elif child in self.owed:
+                self.owed.discard(child)
+                self._owed_edge(kernel.machine, caller, child)
+                return
+            self.owed.discard(child)
+            rendezvous(kernel, caller, child)
+
+        def drain_permuted(machine):
+            while True:
+                ready = [space for space in machine.root.walk()
+                         if space.state is READY]
+                if not ready:
+                    return
+                self.rng.shuffle(ready)
+                for space in ready:
+                    machine.engine.run_until_stopped(space)
+
+        monkeypatch.setattr(Space, "attach", attach_recording)
+        monkeypatch.setattr(Machine, "close", close_freezing)
+        if self.rng is not None:
+            monkeypatch.setattr(Kernel, "_rendezvous", rendezvous_permuted)
+            monkeypatch.setattr(Machine, "_drain", drain_permuted)
+
+    @staticmethod
+    def _owed_edge(machine, caller, child):
+        """What ``Kernel._rendezvous`` does once the child has stopped."""
+        trace = machine.trace
+        _, opened = trace.cut(caller.uid, label="rendezvous")
+        last = trace.last_closed(child.uid)
+        if last is not None:
+            trace.edge(last, opened)
+        if machine.control is not None:
+            machine.control.on_quantum(machine)
+
+
+# -- the workloads ----------------------------------------------------------
+
+LU_PARAMS = lu.default_params(4, n=32, block=8, contiguous=False)
+
+
+def _lu_main(g, nnodes):
+    return lu.run(DetApi(g), **LU_PARAMS)
+
+
+def _cluster(builder, nnodes):
+    def run(spec):
+        makespan, _, value = cw.run_cluster(builder, nnodes, spec)
+        return value, makespan
+    return run
+
+
+def _serving(spec):
+    result = serve_trace(4, spec, requests=24, mean_gap=120_000, seed=3)
+    return result.values, (result.span, result.latencies)
+
+
+#: workload -> ``run(spec) -> (value, makespan or span and latencies)``.
+WORKLOADS = {
+    "md5_tree": _cluster(cw.md5_tree_main(3), 4),
+    "md5_circuit": _cluster(cw.md5_circuit_main(3), 8),
+    "matmult_tree": _cluster(cw.matmult_tree_main(48), 4),
+    "serving": _serving,
+    "lu": _cluster(_lu_main, 2),
+}
+
+#: The spec sample: the loss schedule (alone, with the codec, and on a
+#: routed fabric under locality placement) and the rows still refused.
+SPECS = {
+    "plain": {},
+    "loss": {"loss": 0.2},
+    "loss+codec": {"loss": 0.05, "compression": True},
+    "locality+loss": {"topology": "two_tier:2", "placement": "locality",
+                      "loss": 0.1},
+    "demand": {"ship_mode": "demand"},
+    "prefetch": {"ship_mode": "demand", "prefetch_depth": 4},
+}
+
+#: The catalogue (DESIGN §7): per spec ``fork_refusal`` refuses, the
+#: virtual-time ledgers a permutation moved in some cell.  A spec the
+#: gate admits moves none and is absent.  Demand paging alone moved
+#: nothing in any cell: its row stands on the per-node tag caches, which
+#: no workload here makes two siblings race for.
+MOVES = {
+    "demand": set(),
+    "prefetch": {"makespan", "segments"},
+}
+
+
+# -- what is compared ---------------------------------------------------------
+
+def _plain(value):
+    """A register value with its functions named, not compared by
+    identity: each run builds its own closures (``lu``'s round body)."""
+    if callable(value):
+        return f"<{value.__qualname__}>"
+    if isinstance(value, (tuple, list)):
+        return type(value)(_plain(item) for item in value)
+    return value
+
+
+def guest_state(image):
+    """Slot path -> what a guest can observe of that space: every image
+    field but the uid and the content tags."""
+    spaces = {}
+    for space in image.root.walk():
+        fields = {name: getattr(space, name) for name in type(space).FIELDS
+                  if name not in ("uid", "path", "children", "pages",
+                                  "snapshot", "regs")}
+        fields["regs"] = {name: _plain(value)
+                          for name, value in space.regs.items()}
+        fields["pages"] = {vpn: (page.perm, page.refs, page.data)
+                           for vpn, page in space.pages.items()}
+        fields["snapshot"] = None if space.snapshot is None \
+            else sorted(space.snapshot)
+        spaces[space.path] = fields
+    return {"spaces": spaces, "console": image.console}
+
+
+def ledgers(timing, image, paths):
+    """The virtual-time ledgers of one run, keyed by what no evaluation
+    order renumbers (links, nodes, slot paths)."""
+    segments = {}
+    for _, uid, node, cycles, label, _ in image.run["trace"]["segments"]:
+        segments.setdefault(paths.get(uid, uid), []).append(
+            (node, cycles, label))
+    transport = image.run["transport"]
+    return {"makespan": timing, "links": image.links,
+            "nodes": transport.get("nodes"),
+            "scalars": transport.get("scalars"), "segments": segments}
+
+
+def run_cell(monkeypatch, workload, knobs, seed=None):
+    """``(value, guest state, ledgers, children run early)`` of one
+    run."""
+    harness = Permuted(seed)
+    with monkeypatch.context() as patch:
+        harness.install(patch)
+        value, timing = WORKLOADS[workload](ClusterSpec(**knobs))
+    (image,) = harness.images
+    return (value, guest_state(image), ledgers(timing, image, harness.paths),
+            harness.early)
+
+
+def moved_ledgers(monkeypatch, workload, knobs):
+    """Run a cell in the serial order and in every seeded one; assert
+    the value and the guest state never differ, and return the names of
+    the ledgers some order moved and how many children ran early."""
+    value, guest, ledger, _ = run_cell(monkeypatch, workload, knobs)
+    moved, early = set(), 0
+    for seed in SEEDS:
+        got, got_guest, got_ledger, ran = run_cell(monkeypatch, workload,
+                                                   knobs, seed)
+        early += ran
+        assert got == value, seed
+        assert first_difference(got_guest, guest) is None, seed
+        moved.update(name for name, serial in ledger.items()
+                     if first_difference(got_ledger[name], serial))
+    return moved, early
+
+
+@pytest.mark.parametrize("spec", SPECS)
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_every_order_is_the_same_run(monkeypatch, workload, spec):
+    moved, early = moved_ledgers(monkeypatch, workload, SPECS[spec])
+    assert early > 0, "no child ever ran ahead of its turn"
+    assert moved <= MOVES.get(spec, set())
+
+
+def test_the_harness_sees_the_prefetch_queue_move(monkeypatch):
+    # The one row the catalogue shows moving: a prefetch exchange is
+    # queued per node and redeemed by whichever sibling demands first.
+    moved, _ = moved_ledgers(monkeypatch, "matmult_tree", SPECS["prefetch"])
+    assert moved == MOVES["prefetch"]
+
+
+@pytest.mark.parametrize("spec", SPECS)
+def test_the_catalogue_names_exactly_what_the_gate_refuses(spec):
+    # The catalogue has a row for exactly the specs the gate refuses: a
+    # spec it lets fork must move nothing, and a refused one records
+    # what a permutation moved (an empty row is a refusal no cell here
+    # justifies).
+    with Machine(nnodes=4, spec=ClusterSpec(**SPECS[spec])) as machine:
+        refused = fork_refusal(machine) is not None
+    assert refused == (spec in MOVES)
