@@ -18,11 +18,15 @@ checkout in the current directory, and prints one JSON line:
   per PAGE_BATCH load), or ``compress.wire_size`` (one page a call) in
   a checkout that predates it;
 * ``loss_draws`` — ``LossSchedule.draw`` calls, one per wire copy a
-  lossy fabric decides.
+  lossy fabric decides;
+* ``ledger_entries`` — dirty-ledger entries read: the vpns every
+  ``AddressSpace.dirty_since`` call returns, summed (a Merge's, a
+  re-Snap's and a migration delta's enumeration).
 
 The program is observed from outside: :func:`counting` wraps each new
-worker's ``go`` lock in a :class:`CountingLock` and the sizer and the
-loss draw in counting wrappers, so the program carries no counter.  An
+worker's ``go`` lock in a :class:`CountingLock` and the sizer, the
+loss draw and the ledger query in counting wrappers, so the program
+carries no counter.  An
 iteration the workload's oracle rejects is refused, not counted.
 """
 
@@ -51,7 +55,7 @@ class CountingLock:
 class Counts:
     """What :func:`counting` saw: the guest workers started, how many
     garbage collections of each generation ran, the codec sizer's calls
-    and pages, and the loss draws."""
+    and pages, the loss draws and the ledger entries read."""
 
     def __init__(self):
         self.workers = []
@@ -59,6 +63,7 @@ class Counts:
         self.sizer_calls = 0
         self.sizer_pages = 0
         self.loss_draws = 0
+        self.ledger_entries = 0
 
     @property
     def handoffs(self):
@@ -73,14 +78,15 @@ class Counts:
 
 @contextlib.contextmanager
 def counting():
-    """Count guest hand-offs, worker starts, collections, codec sizings
-    and loss draws in the body.
+    """Count guest hand-offs, worker starts, collections, codec sizings,
+    loss draws and ledger entries read in the body.
 
     Yields a :class:`Counts`.  A worker started in the body has its
     ``go`` lock wrapped before any context reads it; a machine built
     inside the body must also be closed inside it."""
     from repro.cluster import compress, faults
     from repro.kernel import engine
+    from repro.mem.addrspace import AddressSpace
 
     counts = Counts()
     start = engine._Worker.__init__
@@ -88,6 +94,7 @@ def counting():
     sizer_name = "wire_sizes" if batched else "wire_size"
     sizer = getattr(compress, sizer_name)
     draw = faults.LossSchedule.draw
+    dirty_since = AddressSpace.dirty_since
 
     def counted_start(worker, *args, **kwargs):
         start(worker, *args, **kwargs)
@@ -103,15 +110,22 @@ def counting():
         counts.loss_draws += 1
         return draw(schedule, *args, **kwargs)
 
+    def counted_dirty_since(space, token):
+        since = dirty_since(space, token)
+        counts.ledger_entries += len(since)
+        return since
+
     engine._Worker.__init__ = counted_start
     setattr(compress, sizer_name, counted_sizer)
     faults.LossSchedule.draw = counted_draw
+    AddressSpace.dirty_since = counted_dirty_since
     gc.collect()
     gc.callbacks.append(counts.collected)
     try:
         yield counts
     finally:
         gc.callbacks.remove(counts.collected)
+        AddressSpace.dirty_since = dirty_since
         faults.LossSchedule.draw = draw
         setattr(compress, sizer_name, sizer)
         engine._Worker.__init__ = start
@@ -139,7 +153,8 @@ def count(name, seed):
             "collections": counts.collections,
             "sizer_calls": counts.sizer_calls,
             "sizer_pages": counts.sizer_pages,
-            "loss_draws": counts.loss_draws}
+            "loss_draws": counts.loss_draws,
+            "ledger_entries": counts.ledger_entries}
 
 
 if __name__ == "__main__":

@@ -62,7 +62,8 @@ def show_counts(counts):
             + "/".join(map(str, counts["collections"]))
             + f", sizer {counts['sizer_pages']} pages in "
             f"{counts['sizer_calls']} calls, loss draws "
-            f"{counts['loss_draws']}")
+            f"{counts['loss_draws']}, ledger entries "
+            f"{counts['ledger_entries']}")
 
 
 def commits(parent):

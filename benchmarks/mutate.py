@@ -58,11 +58,13 @@ TARGETS = {
                          "tests/kernel/test_putget_reads.py",
                          "tests/mem/test_write_oracle.py",
                          "tests/mem/test_copy_oracle.py"],
-    "mem/snapshot.py": ["tests/mem/test_dirty.py",
+    "mem/snapshot.py": ["tests/mem/test_addrspace.py",
+                        "tests/mem/test_dirty.py",
                         "tests/mem/test_table_reads.py",
                         "tests/kernel/test_putget_reads.py",
                         "tests/mem/test_merge.py",
-                        "tests/mem/test_merge_oracle.py"],
+                        "tests/mem/test_merge_oracle.py",
+                        "tests/mem/test_copy_oracle.py"],
 }
 
 #: The reason classes a listed survivor may give.

@@ -410,12 +410,29 @@ class Kernel:
         )
         return clone
 
-    def _apply_copy(self, caller, dst_space, src_space, ranges):
+    def _apply_tree(self, caller, tree, from_space, to_space, what):
+        """The Tree option ``tree``, ``(src, dst)``: replace
+        ``to_space``'s child ``dst`` with a copy of ``from_space``'s
+        child ``src`` (the caller's ``what``) and its subtree."""
+        if tree is None:
+            return
+        src_child, dst_child = _unpack(tree, "tree", 2)
+        src = from_space.children.get(src_child)
+        if src is None:
+            raise BadChildError(f"no {what} {src_child} to Tree-copy")
+        old = to_space.children.get(dst_child)
+        if old is not None:
+            old.destroy()
+        to_space.attach(dst_child, self._copy_subtree(caller, src, to_space))
+
+    def _apply_copy(self, caller, dst_space, src_space, ranges, snap=None):
         """Copy each of ``ranges`` from ``src_space`` into
-        ``dst_space``; returns the source's mapped vpns of the last
-        range (None without one)."""
+        ``dst_space`` (re-snapping ``snap`` in the Copy's pass, see
+        ``AddressSpace.copy_range_from``); returns the source's mapped
+        vpns of the last range (None without one) and that range's
+        ``copy_range_from`` result."""
         cost = self.machine.cost
-        vpns = None
+        vpns = got = None
         for src, dst, size in ranges:
             # One enumeration of the source serves the fetch, the copy
             # and the charge (an unaligned range never gets past Copy).
@@ -425,10 +442,10 @@ class Kernel:
             # Cross-node: the caller just migrated to the child's node, so
             # source pages it hasn't cached there must come over the wire.
             self.touch(src_space, src, size, vpns=vpns)
-            dst_space.addrspace.copy_range_from(source, src, dst, size,
-                                                src_vpns=vpns)
+            got = dst_space.addrspace.copy_range_from(
+                source, src, dst, size, src_vpns=vpns, snap=snap)
             self.kcharge(caller, cost.syscall // 10 + len(vpns) * cost.page_map)
-        return vpns
+        return vpns, got
 
     # -- Put ---------------------------------------------------------------
 
@@ -461,9 +478,19 @@ class Kernel:
                 raise KernelError("cannot delegate I/O privilege without it")
             child.io_privilege = True
         copies = _normalize_ranges(copy, "copy")
-        copied = self._apply_copy(caller, child, caller, copies)
-        zeros = _normalize_ranges(zero, "zero")
-        for _, addr, size in zeros:
+        old = child.snapshot
+        try:
+            # The Put Copies exactly the range it Snaps, nothing in
+            # between; over a snapshot of that range it is a re-Put,
+            # which re-snaps in the Copy's own pass.
+            same = zero is None and perm is None and len(copies) == 1 \
+                and copies[0][1:] == tuple(_unpack(snap, "snap", 2))
+        except KernelError:
+            same = False    # no Snap, or a bad one: refused after the Copy
+        resnap = old if same and old is not None \
+            and (old.addr, old.size) == copies[0][1:] else None
+        copied, got = self._apply_copy(caller, child, caller, copies, resnap)
+        for _, addr, size in _normalize_ranges(zero, "zero"):
             child.addrspace.zero_range(addr, size)
             self.kcharge(caller, cost.syscall // 10)
         if perm is not None:
@@ -471,22 +498,20 @@ class Kernel:
             child.addrspace.set_perm(addr, size, p)
         if snap is not None:
             addr, size = _unpack(snap, "snap", 2)
-            old = child.snapshot
             if old is not None and (old.addr, old.size) == (addr, size):
                 # Incremental re-snap: only pages dirtied since the last
                 # Snap are re-shared — O(dirty), not O(mapped).
                 # page_track per ledger entry walked, page_map per frame
                 # actually re-pinned (never more than the full capture of
                 # the same end state would charge).
-                repinned, walked = old.recapture(child.addrspace)
+                repinned, walked = got if resnap else old.recapture(child.addrspace)
                 self.kcharge(caller, walked * cost.page_track
                              + repinned * cost.page_map)
             else:
                 if old is not None:
                     old.release()
                 vpns = None
-                if len(copies) == 1 and not zeros \
-                        and copies[0][1:] == (addr, size):
+                if same:
                     # The Put just copied exactly this range: the child's
                     # mapped vpns in it are the Copy's source vpns,
                     # shifted — no second enumeration of the range.
@@ -496,16 +521,7 @@ class Kernel:
                                                   vpns)
                 self.kcharge(caller,
                              child.snapshot.page_count() * cost.page_map)
-        if tree is not None:
-            src_child, dst_child = _unpack(tree, "tree", 2)
-            src = caller.children.get(src_child)
-            if src is None:
-                raise BadChildError(f"no child {src_child} to Tree-copy")
-            old = child.children.get(dst_child)
-            if old is not None:
-                old.destroy()
-            child.attach(dst_child, self._copy_subtree(caller, src, child))
-
+        self._apply_tree(caller, tree, caller, child, "child")
         if start:
             self._start_child(caller, child, limit)
         return None
@@ -558,15 +574,7 @@ class Kernel:
             self.kcharge(caller, cost.syscall // 10)
         if merge is not None and merge is not False:
             self._apply_merge(caller, child, merge, merge_mode)
-        if tree is not None:
-            src_child, dst_child = _unpack(tree, "tree", 2)
-            src = child.children.get(src_child)
-            if src is None:
-                raise BadChildError(f"no grandchild {src_child} to Tree-copy")
-            old = caller.children.get(dst_child)
-            if old is not None:
-                old.destroy()
-            caller.attach(dst_child, self._copy_subtree(caller, src, caller))
+        self._apply_tree(caller, tree, child, caller, "grandchild")
         if regs:
             return child.reg_view()
         return None

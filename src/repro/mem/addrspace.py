@@ -25,6 +25,8 @@ narrower than the table and scans the table otherwise, so an operation
 costs what it names — never the size of the tables it runs against.
 """
 
+from bisect import bisect_left
+
 import numpy as np
 
 from repro.common.errors import PageFaultError, PermissionFault
@@ -58,13 +60,15 @@ def table_vpns_in(table, vpn0, vpn1):
     """Ascending keys of the vpn-keyed ``table`` inside ``[vpn0, vpn1)``.
 
     The one range-enumeration rule: probe the range when it is narrower
-    than the table, scan the table otherwise.  Regions are huge but
+    than the table, scan the table otherwise — sort its keys, one pass
+    in C, and cut the range out by bisection.  Regions are huge but
     sparse and tables can be large while the range names one page, so
-    the cost is O(min(range, table)) either way round.
+    the entries read are min(range, table) either way round.
     """
     if vpn1 - vpn0 <= len(table):
         return [vpn for vpn in range(vpn0, vpn1) if vpn in table]
-    return sorted([vpn for vpn in table if vpn0 <= vpn < vpn1])
+    vpns = sorted(table)
+    return vpns[bisect_left(vpns, vpn0):bisect_left(vpns, vpn1)]
 
 
 def _check_range(addr, size):
@@ -202,7 +206,7 @@ class AddressSpace:
                 if page is None:
                     zeros += 1
                 else:
-                    page.decref()
+                    page.refs -= 1      # refs > 1: no underflow to check
                     cows += 1
                 if whole:
                     page = Page(view[pos:end], allocator)
@@ -326,7 +330,8 @@ class AddressSpace:
 
     # -- range operations (kernel Copy / Zero / Perm, page-aligned) -------
 
-    def copy_range_from(self, src, src_addr, dst_addr, size, src_vpns=None):
+    def copy_range_from(self, src, src_addr, dst_addr, size, src_vpns=None,
+                        snap=None):
         """Logically copy ``[src_addr, src_addr+size)`` of ``src`` into
         ``[dst_addr, ...)`` of self, sharing frames copy-on-write.
 
@@ -335,6 +340,15 @@ class AddressSpace:
         pages whose mappings changed (for cost accounting).  ``src_vpns``
         is ``src``'s mapped vpns in the range when the caller has already
         enumerated them.
+
+        ``snap`` — self's :class:`~repro.mem.snapshot.Snapshot` of exactly
+        the destination range — makes this a re-Put, Copy then Snap of
+        one range, in one pass: each remapped vpn's pinned frame is
+        re-pinned in the iteration that remaps it, and
+        :meth:`Snapshot.recapture` then re-pins only what self wrote
+        since the Snap and the Copy left in place, read from the ledger
+        before the Copy's own marks.  The return is then the re-Snap's
+        ``(repinned, walked)``.
         """
         _check_range(src_addr, size)
         _check_range(dst_addr, size)
@@ -345,6 +359,10 @@ class AddressSpace:
         npages = size >> PAGE_SHIFT
         shift = dst_vpn0 - src_vpn0
         spages, dpages, perms = src._pages, self._pages, self._perms
+        # A re-Put's pins, and what self wrote since the Snap, read
+        # before the Copy's own marks join it.
+        pins = snap and snap._frames
+        written = snap and snap._dirty_since_capture(self)
         # Only pages mapped on either side can need work (sparse ranges):
         # the source's pages, plus destination pages with no source page
         # (those get unmapped), in ascending order.
@@ -364,19 +382,32 @@ class AddressSpace:
             dpage = dpages.get(dvpn) if mapped else None
             # A frame both sides already share is in sync: no bookkeeping.
             if spage is not dpage:
+                # Refcounts change inline, without a call per page; only
+                # a frame with no reference left goes through decref,
+                # which refuses it.
                 if dpage is not None:
-                    dpage.decref()
+                    dpage.refs -= 1 if dpage.refs > 0 else dpage.decref()
+                if pins is not None:
+                    # The re-Snap: the pin follows the new mapping.
+                    if (old := pins.pop(dvpn, None)) is not None:
+                        old.refs -= 1 if old.refs > 0 else old.decref()
+                    if spage is not None:
+                        pins[dvpn] = spage
                 if spage is None:
                     del dpages[dvpn]
                 else:
-                    dpages[dvpn] = spage.incref()
+                    dpages[dvpn] = spage
+                    spage.refs += 1 if pins is None else 2
                     shared += 1
                 changed.append(dvpn)
             if spage is None:
                 perms.pop(dvpn, None)
         self._mark_dirty_many(changed)
-        self.counters.pages_shared += shared
-        return len(changed)
+        self.counters.pages_shared += shared if pins is None else 2 * shared
+        if pins is None:
+            return len(changed)
+        repinned, walked = snap.recapture(self, written.difference(changed))
+        return shared + repinned, len(changed) + walked
 
     def adopt_frames(self, pairs):
         """Map each ``(vpn, page)`` of ``pairs`` copy-on-write — a
@@ -393,11 +424,12 @@ class AddressSpace:
             if old is page:
                 continue
             if old is not None:
-                old.decref()
+                old.refs -= 1 if old.refs > 0 else old.decref()
             if page is None:
                 del pages[vpn]
             else:
-                pages[vpn] = page.incref()
+                pages[vpn] = page
+                page.refs += 1
                 shared += 1
             changed.append(vpn)
         self._mark_dirty_many(changed)
@@ -447,7 +479,7 @@ class AddressSpace:
     def drop_all(self):
         """Release every mapping (space destruction)."""
         for page in self._pages.values():
-            page.decref()
+            page.refs -= 1 if page.refs > 0 else page.decref()
         self._pages.clear()
         self._perms.clear()
         self._dirty.clear()

@@ -57,17 +57,21 @@ class Snapshot:
         space.counters.pages_shared += len(frames)
         return cls(addr, size, frames, source=space, token=space.dirty_token())
 
-    def recapture(self, space):
+    def recapture(self, space, written=None):
         """Re-snapshot the same range of the same space *incrementally*.
 
         Visits only the pages ``space`` mutated since this snapshot was
         (re)captured — O(dirty), not O(mapped) — updating the pinned
-        frames in place.  Returns ``(repinned, walked)``: pages whose
-        frame was re-pinned (page_map-equivalent work) and ledger
-        entries enumerated (page_track-equivalent work; dropping the pin
-        of a now-unmapped page costs only the walk).
+        frames in place.  A re-Put's Copy (``copy_range_from`` with
+        ``snap``) re-pins every page it remaps itself and hands over as
+        ``written`` the rest of what the space wrote since, so the
+        ledger is not read again.  Returns
+        ``(repinned, walked)``: pages whose frame was re-pinned
+        (page_map-equivalent work) and ledger entries enumerated
+        (page_track-equivalent work; dropping the pin of a now-unmapped
+        page costs only the walk).
         """
-        dirty = self._dirty_since_capture(space)
+        dirty = self._dirty_since_capture(space) if written is None else written
         vpn0 = self.addr >> PAGE_SHIFT
         vpn1 = vpn0 + (self.size >> PAGE_SHIFT)
         frames, pages = self._frames, space._pages
@@ -115,7 +119,7 @@ class Snapshot:
     def release(self):
         """Drop all frame references (snapshot discarded/replaced)."""
         for page in self._frames.values():
-            page.decref()
+            page.refs -= 1 if page.refs > 0 else page.decref()
         self._frames = {}
         self._source = None
         self._token = None

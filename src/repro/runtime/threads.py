@@ -39,7 +39,8 @@ def image_map_cost(g):
 def image_track_cost(g):
     """Cycles to find the program image's pages unchanged: one ledger
     probe per page (page_track), which is all a join's Merge or a
-    barrier's incremental re-snap (Snapshot.recapture) spends on them —
+    barrier's re-Put (a Copy that re-snaps in its own pass, then
+    Snapshot.recapture of the thread's own writes) spends on them —
     never a PTE scan or a fresh COW mapping."""
     return g.cost.fork_image_pages * g.cost.page_track
 

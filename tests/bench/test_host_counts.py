@@ -1,7 +1,8 @@
 """Exact host-work ratchets: baton hand-offs to guest threads and worker
-starts on small serving and circuit runs, and the codec sizer's calls
-and pages and the loss draws on a small compressed, lossy matmult
-tree, counted from outside the program by ``benchmarks/host_counts.py``.
+starts on small serving and circuit runs, the codec sizer's calls and
+pages and the loss draws on a small compressed, lossy matmult tree, and
+the dirty-ledger entries a small barrier program reads, counted from
+outside the program by ``benchmarks/host_counts.py``.
 A change that adds a hand-off per space or a sizer call per page fails
 here instead of hiding in timing noise (DESIGN.md §9, "Host cost")."""
 
@@ -15,9 +16,12 @@ import pytest
 import repro
 from repro import ClusterSpec
 from repro.bench import cluster_workloads as cw
+from repro.bench import harness
+from repro.bench.workloads import lu
 from repro.cluster import compress
 from repro.cluster.faults import LossSchedule
 from repro.kernel import engine
+from repro.mem import AddressSpace
 
 sys.path.insert(
     0, os.path.join(os.path.dirname(__file__), os.pardir, os.pardir,
@@ -60,9 +64,22 @@ def test_a_page_batch_load_is_sized_in_one_call():
     assert counts.loss_draws == 171
 
 
+def test_a_barrier_round_reads_each_threads_writes_twice():
+    with counting() as counts:
+        result = harness.run_determinator(
+            lu, lu.default_params(4, n=64, contiguous=False, seed=1))
+    assert result.value[0]      # the factorisation verified
+    # Each round's Merge reads what a thread wrote since its Snap, and
+    # the re-Put that resumes it reads the same writes once more —
+    # never the marks its own Copy made (256 entries when the re-Snap
+    # walked the ledger after the Copy).
+    assert counts.ledger_entries == 160
+
+
 def test_counting_puts_the_engine_back():
     start = engine._Worker.__init__
     sizer, draw = compress.wire_sizes, LossSchedule.draw
+    dirty_since = AddressSpace.dirty_since
     callbacks = list(gc.callbacks)
     with counting() as counts:
         with repro.Machine() as machine:
@@ -70,6 +87,7 @@ def test_counting_puts_the_engine_back():
     assert counts.handoffs == 2    # the root's run and its retirement
     assert engine._Worker.__init__ is start
     assert (compress.wire_sizes, LossSchedule.draw) == (sizer, draw)
+    assert AddressSpace.dirty_since is dirty_since
     assert gc.callbacks == callbacks
 
 

@@ -77,7 +77,7 @@ def test_a_record_holds_every_pair_and_the_verdicts(monkeypatch, tmp_path):
     def count_run(cwd, workload, seed):
         return {"handoffs_per_op": 1.0, "workers_started": 2,
                 "collections": [0, 0, 0], "sizer_calls": 0,
-                "sizer_pages": 0, "loss_draws": 0}
+                "sizer_pages": 0, "loss_draws": 0, "ledger_entries": 0}
 
     monkeypatch.setattr(host_pairs, "run_once", run_once)
     monkeypatch.setattr(host_pairs, "count_run", count_run)
@@ -168,7 +168,8 @@ def test_counts_ride_the_record_of_every_workload(monkeypatch, tmp_path):
         change = cwd == host_pairs.ROOT
         return {"handoffs_per_op": 2.0 - change, "workers_started": 2,
                 "collections": [113, 10, 0], "sizer_calls": 768 - 744 * change,
-                "sizer_pages": 768, "loss_draws": 774}
+                "sizer_pages": 768, "loss_draws": 774,
+                "ledger_entries": 94640 - 68944 * change}
 
     def run_once(command, cwd, workload, seed, seconds):
         return 0, {m["name"]: 1.0 for m in declared["end_to_end"]}, True
@@ -192,6 +193,7 @@ def test_counts_ride_the_record_of_every_workload(monkeypatch, tmp_path):
         assert record["counts"] == {
             side: {"handoffs_per_op": value, "workers_started": 2,
                    "collections": [113, 10, 0], "sizer_calls": calls,
-                   "sizer_pages": 768, "loss_draws": 774}
-            for side, value, calls in (("parent", 2.0, 768),
-                                       ("change", 1.0, 24))}
+                   "sizer_pages": 768, "loss_draws": 774,
+                   "ledger_entries": entries}
+            for side, value, calls, entries in (
+                ("parent", 2.0, 768, 94640), ("change", 1.0, 24, 25696))}

@@ -4,7 +4,10 @@
 pins the frames the Copy just mapped, at the vpns the Copy names — and
 the Get that merges a child which wrote nothing since its Snap asks the
 dirty ledger once, reads none of its entries and no page table of the
-parent.  Counting stand-ins for a page table and a ledger hold that
+parent.  The same Put into a child that already holds a snapshot of R
+(a barrier round's re-Put) re-pins what its Copy remaps in the Copy's
+own pass, so it reads from the child's ledger only the child's own
+writes since its Snap, never an entry the Copy just wrote.  Counting stand-ins for a page table and a ledger hold that
 by count, as ``tests/mem/test_table_reads.py`` does for the memory
 operations one by one.  Counts, not wall-clock: these cannot flake.
 """
@@ -57,6 +60,29 @@ class CountingLedger(CountingTable):
         return super().items()
 
 
+class RecordingLedger(dict):
+    """A dirty ledger that records the stamp of every entry a reader
+    walks back through (``dirty_since`` walks ``reversed(items())``
+    from the newest entry to the first at or before its token)."""
+
+    def __init__(self, entries):
+        super().__init__(entries)
+        self.stamps = []
+
+    def items(self):
+        return _Walk(self)
+
+
+class _Walk:
+    def __init__(self, ledger):
+        self.ledger = ledger
+
+    def __reversed__(self):
+        for vpn, stamp in reversed(dict.items(self.ledger)):
+            self.ledger.stamps.append(stamp)
+            yield vpn, stamp
+
+
 @pytest.fixture(params=[(0, 0), (1, 0), (1, 3)],
                 ids=["local", "remote", "remote-shifted"])
 def round_trip(request):
@@ -102,3 +128,26 @@ def test_merging_an_unwritten_child_reads_no_ledger_event(round_trip):
     stats = machine.merge_stats_total[-1]
     assert (stats.pages_scanned, stats.pages_adopted, stats.pages_diffed) \
         == (0, 0, 0)
+
+
+def test_a_reput_reads_only_the_childs_own_writes_from_its_ledger(round_trip):
+    machine, parent, child, ref, dst = round_trip
+    size = PAGES * PAGE_SIZE
+    put = machine.kernel.sys_put
+    put(parent, ref, copy=(BASE, dst, size), snap=(dst, size))
+    # The round: the child writes three pages, the parent five others.
+    for page in (1, 2, 3):
+        child.addrspace.write(dst + page * PAGE_SIZE, b"c")
+    for page in range(8, 13):
+        parent.addrspace.write(BASE + page * PAGE_SIZE, b"q")
+    token = child.snapshot._token
+    clock = child.addrspace.dirty_token()
+    dirty = child.addrspace._dirty = RecordingLedger(child.addrspace._dirty)
+    put(parent, ref, copy=(BASE, dst, size), snap=(dst, size))
+    # The child's three writes, newest first, and the older entry that
+    # ends the walk; none of the eight marks the Copy made.
+    assert dirty.stamps[:3] == [clock, clock - 1, clock - 2]
+    assert len(dirty.stamps) == 4 and dirty.stamps[3] <= token
+    assert child.addrspace.dirty_token() == clock + 8
+    assert all(child.snapshot.frame(vpn) is child.addrspace.frame(vpn)
+               for vpn in range(dst // PAGE_SIZE, dst // PAGE_SIZE + PAGES))

@@ -6,12 +6,14 @@ import pytest
 from repro.common.errors import PageFaultError, PermissionFault
 from repro.mem import (
     AddressSpace,
+    PAGE_SHIFT,
     PAGE_SIZE,
     PERM_NONE,
     PERM_R,
     PERM_RW,
     PERM_W,
     VA_SIZE,
+    Snapshot,
 )
 
 
@@ -379,3 +381,77 @@ def test_frames_stay_page_sized_after_every_kind_of_write(space):
         assert {len(space.frame(vpn).data) for vpn in space.mapped_vpns()} \
             == {PAGE_SIZE}
     assert pinned.read(0x5000, 8) == b"seedseed"
+
+
+#: A page-aligned base for the re-Put and refcount cases below.
+VPN = 0x40
+
+
+def test_a_reput_repins_what_it_remaps_and_then_the_childs_writes():
+    """One barrier round's re-Put, every kind of page at once: in sync,
+    re-written by the parent, adopted from the child by Merge, unmapped
+    by the parent, a zero frame a read view left in the child, and a
+    child write outside the range."""
+    base = VPN << PAGE_SHIFT
+    parent, child = AddressSpace(), AddressSpace()
+    for page in range(5):
+        parent.write(base + page * PAGE_SIZE, bytes([page + 1]))
+    child.copy_range_from(parent, base, base, 6 * PAGE_SIZE)
+    snap = Snapshot.capture(child, base, 6 * PAGE_SIZE)
+    old = [parent.frame(VPN + page) for page in range(5)]
+    child.write(base + PAGE_SIZE, b"c")                  # COW break
+    child.write(base + 8 * PAGE_SIZE, b"x")              # outside
+    child.as_array(base + 5 * PAGE_SIZE, 4)              # zero frame
+    zero = child.frame(VPN + 5)
+    parent.write(base + 2 * PAGE_SIZE, b"p")             # COW break
+    parent.adopt_frames([(VPN + 1, child.frame(VPN + 1))])
+    parent.zero_range(base + 4 * PAGE_SIZE, PAGE_SIZE)
+    shared, clock = child.counters.pages_shared, child.dirty_token()
+    # Remapped: 2, 4 and 5 (one re-pinned); the child's writes since
+    # the Snap: 1 (re-pinned) and 8 (outside, walked only).
+    assert child.copy_range_from(parent, base, base, 6 * PAGE_SIZE,
+                                 snap=snap) == (2, 5)
+    assert {vpn - VPN: frame for vpn, frame in snap._frames.items()} == {
+        page: child.frame(VPN + page) for page in range(4)}
+    assert [snap.frame(VPN + page).refs for page in range(4)] == [3] * 4
+    assert [frame.refs for frame in old[1:3] + old[4:]] == [0, 0, 0]
+    assert zero.refs == 0
+    assert child.counters.pages_shared == shared + 3
+    assert list(child._dirty.items())[-3:] == [
+        (VPN + 2, clock + 1), (VPN + 4, clock + 2), (VPN + 5, clock + 3)]
+    assert snap._token == child.dirty_token() == clock + 3
+
+
+@pytest.mark.parametrize("refs", [1, 0])
+@pytest.mark.parametrize("where",
+                         ["copy", "repin", "adopt", "drop_all", "release"])
+def test_the_inline_reference_drops_keep_the_underflow_check(where, refs):
+    """The reference drops that skip ``Page.decref``'s call keep its
+    check, where the Copy unmaps a frame, where the re-Put re-pins over
+    one, where Merge's adoption replaces one and where a space or a
+    snapshot lets its frames go: a frame's last reference drops to 0,
+    and a frame with none left is refused."""
+    addr = VPN << PAGE_SHIFT
+    parent, child = AddressSpace(), AddressSpace()
+    parent.write(addr, b"p")
+    child.write(addr, b"c")
+    snap = Snapshot.capture(child, addr, PAGE_SIZE)
+    child.write(addr, b"d")     # a COW break: frame and pin, one ref each
+    frame = (snap if where in ("repin", "release") else child).frame(VPN)
+    frame.refs = refs
+    drop = {
+        "copy": lambda: child.copy_range_from(parent, addr, addr, PAGE_SIZE),
+        "repin": lambda: child.copy_range_from(parent, addr, addr, PAGE_SIZE,
+                                               snap=snap),
+        "adopt": lambda: child.adopt_frames([(VPN, parent.frame(VPN))]),
+        "drop_all": child.drop_all,
+        "release": snap.release,
+    }[where]
+    if refs:
+        drop()
+        assert frame.refs == 0
+    else:
+        with pytest.raises(AssertionError, match="page refcount underflow"):
+            drop()
+
+
