@@ -411,12 +411,12 @@ class Kernel:
         return clone
 
     def _apply_tree(self, caller, tree, from_space, to_space, what):
-        """The Tree option ``tree``, ``(src, dst)``: replace
+        """The Tree option ``tree``, ``(src, dst)`` (checked): replace
         ``to_space``'s child ``dst`` with a copy of ``from_space``'s
         child ``src`` (the caller's ``what``) and its subtree."""
         if tree is None:
             return
-        src_child, dst_child = _unpack(tree, "tree", 2)
+        src_child, dst_child = tree
         src = from_space.children.get(src_child)
         if src is None:
             raise BadChildError(f"no {what} {src_child} to Tree-copy")
@@ -464,6 +464,15 @@ class Kernel:
         grant_io=False,
     ):
         """The Put system call.  See the module docstring for options."""
+        # Every option is checked before anything moves: a refused Put
+        # changes nothing.
+        copies = _normalize_ranges(copy, "copy")
+        zeros = _normalize_ranges(zero, "zero")
+        perm = None if perm is None else _unpack(perm, "perm", 3)
+        snap = None if snap is None else tuple(_unpack(snap, "snap", 2))
+        tree = None if tree is None else _unpack(tree, "tree", 2)
+        if grant_io and not caller.io_privilege:
+            raise KernelError("cannot delegate I/O privilege without it")
         cost = self.machine.cost
         self.kcharge(caller, cost.syscall)
         key, node = self._decode_child(caller, childno)
@@ -474,30 +483,23 @@ class Kernel:
         if regs:
             child.set_regs(regs)
         if grant_io:
-            if not caller.io_privilege:
-                raise KernelError("cannot delegate I/O privilege without it")
             child.io_privilege = True
-        copies = _normalize_ranges(copy, "copy")
         old = child.snapshot
-        try:
-            # The Put Copies exactly the range it Snaps, nothing in
-            # between; over a snapshot of that range it is a re-Put,
-            # which re-snaps in the Copy's own pass.
-            same = zero is None and perm is None and len(copies) == 1 \
-                and copies[0][1:] == tuple(_unpack(snap, "snap", 2))
-        except KernelError:
-            same = False    # no Snap, or a bad one: refused after the Copy
+        # The Put Copies exactly the range it Snaps, nothing in between;
+        # over a snapshot of that range it is a re-Put, which re-snaps in
+        # the Copy's own pass.
+        same = zero is None and perm is None and len(copies) == 1 \
+            and copies[0][1:] == snap
         resnap = old if same and old is not None \
-            and (old.addr, old.size) == copies[0][1:] else None
+            and (old.addr, old.size) == snap else None
         copied, got = self._apply_copy(caller, child, caller, copies, resnap)
-        for _, addr, size in _normalize_ranges(zero, "zero"):
+        for _, addr, size in zeros:
             child.addrspace.zero_range(addr, size)
             self.kcharge(caller, cost.syscall // 10)
         if perm is not None:
-            addr, size, p = _unpack(perm, "perm", 3)
-            child.addrspace.set_perm(addr, size, p)
+            child.addrspace.set_perm(*perm)
         if snap is not None:
-            addr, size = _unpack(snap, "snap", 2)
+            addr, size = snap
             if old is not None and (old.addr, old.size) == (addr, size):
                 # Incremental re-snap: only pages dirtied since the last
                 # Snap are re-shared — O(dirty), not O(mapped).
@@ -517,8 +519,7 @@ class Kernel:
                     # shifted — no second enumeration of the range.
                     shift = (addr >> PAGE_SHIFT) - (copies[0][0] >> PAGE_SHIFT)
                     vpns = [vpn + shift for vpn in copied] if shift else copied
-                child.snapshot = Snapshot.capture(child.addrspace, addr, size,
-                                                  vpns)
+                child.snapshot = Snapshot.capture(child.addrspace, *snap, vpns)
                 self.kcharge(caller,
                              child.snapshot.page_count() * cost.page_map)
         self._apply_tree(caller, tree, caller, child, "child")
@@ -558,21 +559,30 @@ class Kernel:
     ):
         """The Get system call.  Returns the child's register view when
         ``regs=True``, else None."""
+        # Every option is checked before anything moves: a refused Get
+        # changes nothing.
+        copies = _normalize_ranges(copy, "copy")
+        zeros = _normalize_ranges(zero, "zero")
+        perm = None if perm is None else _unpack(perm, "perm", 3)
+        tree = None if tree is None else _unpack(tree, "tree", 2)
+        if merge is not None and merge is not True:
+            merge = None if merge is False else _unpack(merge, "merge", 2)
         cost = self.machine.cost
         self.kcharge(caller, cost.syscall)
         key, node = self._decode_child(caller, childno)
         self.migrate(caller, node)
         child = self._lookup(caller, key)
         self._rendezvous(caller, child)
+        if merge is not None and child.snapshot is None:
+            raise KernelError(f"Merge requires a prior Snap on child of {caller.uid}")
 
-        self._apply_copy(caller, caller, child, _normalize_ranges(copy, "copy"))
+        self._apply_copy(caller, caller, child, copies)
         if perm is not None:
-            addr, size, p = _unpack(perm, "perm", 3)
-            caller.addrspace.set_perm(addr, size, p)
-        for _, addr, size in _normalize_ranges(zero, "zero"):
+            caller.addrspace.set_perm(*perm)
+        for _, addr, size in zeros:
             caller.addrspace.zero_range(addr, size)
             self.kcharge(caller, cost.syscall // 10)
-        if merge is not None and merge is not False:
+        if merge is not None:
             self._apply_merge(caller, child, merge, merge_mode)
         self._apply_tree(caller, tree, child, caller, "grandchild")
         if regs:
@@ -580,20 +590,14 @@ class Kernel:
         return None
 
     def _apply_merge(self, caller, child, merge, merge_mode=None):
-        if child.snapshot is None:
-            raise KernelError(
-                f"Merge requires a prior Snap on child of {caller.uid}"
-            )
-        if merge is True:
-            addr = size = None
-        else:
-            addr, size = _unpack(merge, "merge", 2)
-        maddr = child.snapshot.addr if addr is None else addr
-        msize = child.snapshot.size if size is None else size
-        self.touch(child, maddr, msize)
+        """The Merge option, checked: True (the child's whole snapshot)
+        or an ``(addr, size)`` range of it."""
+        snapshot = child.snapshot
+        addr, size = (snapshot.addr, snapshot.size) if merge is True else merge
+        self.touch(child, addr, size)
         stats = MergeStats()
         try:
-            merge_range(caller.addrspace, child.addrspace, child.snapshot,
+            merge_range(caller.addrspace, child.addrspace, snapshot,
                         addr, size, mode=merge_mode or self.machine.merge_mode,
                         stats=stats)
         except MergeConflictError:

@@ -41,7 +41,9 @@ keeps fork / collect / adopt.
 Adoption is guarded, not assumed.  Before splicing a result in, the
 coordinator re-checks everything the worker's run depended on that the
 parent may have changed since the fork (frame refcounts and
-generations reachable from the sibling); the
+generations reachable from the sibling, and the node tag caches the
+run paid to fill: a sibling adopted since may have brought the same
+frame to the same node, which the serial run would have hit); the
 worker likewise refuses to report if its run touched anything that
 cannot be replayed from a delta (the console-input or clock cursor).
 Any doubt discards the result and runs the sibling inline on the
@@ -63,10 +65,12 @@ Gates (:func:`fork_refusal` — all must hold or the rendezvous stays
 serial, with the reason kept on :attr:`ShardCoordinator.refused`):
 
 * ``os.fork`` exists;
-* ``ship_mode`` is ``"delta"`` or ``"full"`` and ``prefetch_depth`` is
-  0 — the async prefetch queues read cross-subtree dirty hints, the
-  one machine-global the adoption delta deliberately drops (and
-  ``"adaptive"`` depths read machine-wide telemetry windows).
+* ``prefetch_depth`` is 0 — the async prefetch queues read
+  cross-subtree dirty hints, the one machine-global the adoption delta
+  deliberately drops (and ``"adaptive"`` depths read machine-wide
+  telemetry windows).  Every ``ship_mode`` forks: the tag-cache check
+  at adoption (``"node cache moved"``) covers delta, demand and full
+  shipping alike.
 """
 
 import multiprocessing
@@ -89,9 +93,6 @@ def fork_refusal(machine):
     backend refuses the machine at construction with it."""
     if not hasattr(os, "fork"):
         return "requires os.fork (POSIX hosts)"
-    if machine.spec.ship_mode not in ("delta", "full"):
-        return (f"is incompatible with ship_mode={machine.spec.ship_mode!r} "
-                f"(demand paging reads cross-subtree state)")
     if machine.spec.prefetch_depth != 0:
         return (f"is incompatible with "
                 f"prefetch_depth={machine.spec.prefetch_depth!r}")
@@ -475,6 +476,15 @@ class ShardCoordinator:
             entry = snap.get(serial)
             if entry is None or entry[0].refs < entry[1]:
                 return "refcount dropped"
+        # The worker paid to bring pre-fork frames to a node: if the
+        # parent's tag cache there now holds one at the same generation
+        # (a sibling adopted since brought it), the serial run would
+        # have hit that entry and paid nothing.
+        caches = machine.node_cache
+        if any(serial <= serial0 and caches.get(node, {}).get(serial) == gen
+               for node, brought in payload["node_cache"].items()
+               for serial, gen in brought.items()):
+            return "node cache moved"
         # Collect the adopted graph's frame slots; any pre-fork serial
         # must resolve to a fork-time frame of this sibling, and one
         # the run wrote in place (it held every reference: the write

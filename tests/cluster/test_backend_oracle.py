@@ -48,7 +48,7 @@ MATMULT_TREE = cw.matmult_tree_main(n=48, seed=7)
 
 MATRIX = [(topology, ship_mode)
           for topology in ("flat", "two_tier:2")
-          for ship_mode in ("delta", "full")]
+          for ship_mode in ("delta", "full", "demand")]
 
 
 def run_pair(builder, nnodes, **kw):

@@ -149,6 +149,9 @@ IDENTITY_CASES = {
     "matmult_tree": (cw.matmult_tree_main(64), 4, {}),
     "fat_tree": (cw.md5_circuit_main(3), 8, {"topology": "fat_tree:2"}),
     "full_ship": (cw.md5_tree_main(3), 4, {"ship_mode": "full"}),
+    "demand_fat_tree": (cw.md5_circuit_main(3), 8,
+                        {"topology": "fat_tree:2", "ship_mode": "demand"}),
+    "demand_matmult": (cw.matmult_tree_main(64), 4, {"ship_mode": "demand"}),
     "compressed": (_compressible_main, 4, {"compression": True}),
     "lossy_fat_tree": (cw.md5_circuit_main(3), 8,
                        {"topology": "fat_tree:2", "loss": 0.2}),
@@ -196,7 +199,6 @@ def test_a_retry_exhausted_child_traps_alike_everywhere():
 #: The one gate table (``shard.fork_refusal``): knobs -> a fragment of
 #: the reason both coordinators give.
 GATED = {
-    "demand_paging": ({"ship_mode": "demand"}, "ship_mode='demand'"),
     "prefetch": ({"prefetch_depth": 2}, "prefetch_depth=2"),
     # The adaptive control plane is a prefetch depth: the same row.
     "control": ({"prefetch_depth": "adaptive"},
@@ -207,9 +209,8 @@ GATED = {
 @pytest.mark.parametrize("gate", GATED)
 def test_gated_configs_stay_serial_and_identical(gate):
     # Configurations whose results cannot be replayed from a worker
-    # delta (the control plane, cross-subtree prefetch hints, demand
-    # paging's per-node caches) must not fork — must still produce the
-    # serial answer — and must say why.
+    # delta (the control plane, cross-subtree prefetch hints) must not
+    # fork — must still produce the serial answer — and must say why.
     knobs, reason = GATED[gate]
     serial, sharded, shard = run_pair(cw.matmult_tree_main(32), 4, **knobs)
     assert shard.forked == 0
@@ -358,6 +359,47 @@ def test_failed_validation_is_a_reasoned_fallback():
     serial, sharded, shard = run_pair(main, 2)
     assert shard.forked == 2 and shard.adopted == 1
     assert shard.fallback_reasons == {"refcount dropped": 1}
+
+
+CROSSING = (SHARED_BASE, 4 * PAGE_SIZE)
+
+
+def _crossing_reader(g):
+    return sum(g.read(*CROSSING))
+
+
+def _crossing_child(g):
+    ref = child_ref(1, node=3)
+    g.put(ref, regs={"entry": _crossing_reader}, copy=CROSSING, start=True)
+    return g.get(ref, regs=True)["r0"]
+
+
+def _crossing_main(g, nnodes):
+    """Two sibling subtrees cross on one node: each child takes the
+    root's pages to its own node and hands them on to a grandchild on
+    node 3.  Whichever subtree gets there second finds them in node 3's
+    tag cache."""
+    for k in range(4):
+        g.write(SHARED_BASE + k * PAGE_SIZE, bytes([k + 1]) * PAGE_SIZE)
+    refs = [child_ref(k, node=k) for k in (1, 2)]
+    for ref in refs:
+        g.put(ref, regs={"entry": _crossing_child}, copy=CROSSING,
+              start=True)
+    return [g.get(ref, regs=True)["r0"] for ref in refs]
+
+
+@pytest.mark.parametrize("coordinator", QUEUED)
+@pytest.mark.parametrize("ship_mode", ["delta", "demand"])
+def test_crossing_subtrees_adopt_only_what_the_serial_run_paid(
+        ship_mode, coordinator):
+    # The second subtree's worker paid to bring the pages to node 3;
+    # the serial run finds them cached there by the first.  Adoption
+    # sees the parent's cache hold those tags and runs it inline.
+    serial, sharded, shard = run_pair(_crossing_main, 4, sharded=coordinator,
+                                      ship_mode=ship_mode)
+    assert serial.value == [sum(range(1, 5)) * PAGE_SIZE] * 2
+    assert shard.adopted == shard.forked - 1
+    assert shard.fallback_reasons == {"node cache moved": 1}
 
 
 # -- the reuse oracle ------------------------------------------------------

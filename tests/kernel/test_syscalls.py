@@ -275,8 +275,10 @@ def test_merge_without_snap_is_kernel_error():
     ("put", {"copy": ADDR}),
     ("put", {"perm": (ADDR, PAGE_SIZE)}),
     ("put", {"snap": (ADDR,)}),
+    ("put", {"snap": (float(ADDR), float(PAGE_SIZE))}),
     ("put", {"tree": (1,)}),
     ("get", {"copy": [ADDR, PAGE_SIZE]}),
+    ("get", {"zero": "bad"}),
     ("get", {"perm": (ADDR, PAGE_SIZE)}),
     ("get", {"merge": (ADDR,)}),
     ("get", {"tree": (1,)}),
@@ -284,21 +286,32 @@ def test_merge_without_snap_is_kernel_error():
 def test_a_malformed_option_is_refused_naming_it(call, option):
     """A Put/Get option of the wrong shape is refused with a
     KernelError that names it — never a TypeError or ValueError from
-    deep inside the kernel."""
+    deep inside the kernel — and before the call changes anything: a
+    valid Copy beside it maps no page in the caller or the child."""
     (name, value), = option.items()
+    options = {"copy": (ADDR, ADDR + PAGE_SIZE, PAGE_SIZE), **option}
 
     def main(g):
         g.write(ADDR, b"x")
         g.put(1, copy=(ADDR, PAGE_SIZE), snap=(ADDR, PAGE_SIZE))
+        spaces = (g.space, g.space.children[1])
+
+        def state():
+            return [(space.addrspace.mapped_vpns(), space.snapshot,
+                     space.snapshot and dict(space.snapshot._frames))
+                    for space in spaces]
+
+        before = state()
         try:
-            getattr(g, call)(1, **option)
+            getattr(g, call)(1, **options)
         except Exception as exc:
-            return type(exc).__name__, str(exc)
+            return type(exc).__name__, str(exc), state() == before
         return None
 
-    kind, message = run(main).r0
+    kind, message, unchanged = run(main).r0
     assert kind == "KernelError"
     assert f"bad {name} option" in message
+    assert unchanged
 
 
 def test_swap_example_two_threads():
