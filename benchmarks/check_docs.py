@@ -127,7 +127,7 @@ PATH_ROOTS = ("", "src/", "src/repro/")
 DESIGN = REPO / "DESIGN.md"
 #: DESIGN.md's line ceiling.  A ratchet: lower it when the file shrinks,
 #: and put a number in the pairs ledger or CHANGES.md, not in DESIGN.md.
-DESIGN_MAX_LINES = 1287
+DESIGN_MAX_LINES = 1286
 #: What DESIGN.md must not say: it describes the system, not its history.
 _HISTORY = re.compile(r"PR \d+|ROADMAP")
 #: Files whose ``DESIGN §n "title"`` citations must resolve.

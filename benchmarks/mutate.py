@@ -50,6 +50,8 @@ SURVIVORS = ROOT / "tests" / "mutation" / "survivors.json"
 #: first failure).
 TARGETS = {
     "cluster/compress.py": ["tests/cluster/test_compress.py"],
+    "cluster/control.py": ["tests/cluster/test_control.py",
+                           "tests/cluster/test_control_logs.py"],
     "cluster/faults.py": ["tests/cluster/test_faults.py"],
     "common/detrandom.py": ["tests/common/test_detrandom.py"],
     "mem/addrspace.py": ["tests/mem/test_addrspace.py",

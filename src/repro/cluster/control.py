@@ -2,7 +2,7 @@
 
 The async prefetch queue depth decides much of a demand-paged cluster
 run's makespan, yet the transport already observes exactly the signals
-needed to tune it live: demand pulls and stale/aged speculation.
+needed to tune it live: demand pulls and stale speculation.
 ``ClusterSpec(prefetch_depth="adaptive")`` attaches a
 :class:`Controller` that closes that feedback loop *deterministically*:
 
@@ -13,12 +13,13 @@ needed to tune it live: demand pulls and stale/aged speculation.
 * **Inputs are a pure function of simulated state.**  Each decision
   pass reads one *window*: what the transport's node rows accumulated
   since the previous pass (the controller diffs the rows it saw last
-  pass, DESIGN §8) and the in-flight exchanges that aged.  No host
-  time, no randomness, no schedule()-side information: the window
-  holds only quantities the simulated execution itself determined, so
-  two same-seed runs feed the controller bit-identical windows.  All of
-  it is the controller's own state; the transport only accumulates and
-  never calls the controller.
+  pass, DESIGN §8).  No host time, no randomness, no schedule()-side
+  information: the window holds only quantities the simulated
+  execution itself determined, so two same-seed runs feed the
+  controller bit-identical windows.  All of it is the controller's own
+  state; the transport only accumulates and never calls the
+  controller, and only the kernel and the transport know the prefetch
+  queue's layout.
 * **Outputs take effect at the next quantum.**  Decisions mutate
   per-node depths that the kernel consults *on their next use*;
   nothing retroactively edits the trace.  Each decision is a line of
@@ -26,39 +27,33 @@ needed to tune it live: demand pulls and stale/aged speculation.
   runs beside the kernel, on the management plane) — so replaying the
   trace replays the decisions' consequences exactly.
 
-The policy is AIMD-style, per node.  The demand signal
-is the window's stop-and-wait *pulls* — pages nobody had even queued.
-(Late redeems deliberately do not grow depth, and the window carries
-none: they also fire on every ledger-predicted page a space demands the
-instant it lands, so growing on them inflates depth in phases that are
-already fully covered.)  A
-pull burst at or above the current depth jumps straight to the burst
-size (slow start, so a node streaming a matrix converges to a deep
-queue within a few quanta); a trickle adds one.  The waste signal is
-stale frames (producer superseded the payload in flight) plus half the
-*aged* in-flight frames (issued two or more windows ago and still
-unclaimed) plus *churn* (``prefetch_refresh``: re-speculation on pages
-whose producer rewrote them since this node last fetched them —
-batched exchanges launder superseded siblings as "used", so churn must
-count as waste on its own).  Waste halves depth (multiplicative
-decrease, floor 1 — a depth-0 node observes no waste and would
-oscillate); churn-dominated windows collapse straight to observed
-demand, since every retained slot re-pays its wire tax at the next
-rewrite.  Two fleet-wide ratchets exploit the SPMD structure: one
-node's demand jump raises the boot depth its siblings start from, and
+The policy is per node.  The demand signal is the window's
+stop-and-wait *pulls* — pages nobody had even queued.  (Late redeems
+deliberately do not grow depth, and the window carries none: they also
+fire on every ledger-predicted page a space demands the instant it
+lands, so growing on them inflates depth in phases that are already
+fully covered.)  A pull burst at or above the current depth *jumps*
+straight to the burst size (slow start, so a node streaming a matrix
+converges to a deep queue within a few quanta).  The waste signal is
+stale frames (producer superseded the payload in flight) plus *churn*
+(``prefetch_refresh``: re-speculation on pages whose producer rewrote
+them since this node last fetched them — batched exchanges launder
+superseded siblings as "used", so churn must count as waste on its
+own).  Waste *halves* depth (multiplicative decrease, floor 1 — a
+depth-0 node observes no waste and would oscillate); a churn-dominated
+window *collapses* straight to observed demand, since every retained
+slot re-pays its wire tax at the next rewrite, and the *fleet* follows:
 one node's churn collapse pins every node's depth down before their
-next fork.  Growth re-arms only after ``GROWTH_HOLD`` strictly-clean
-windows (zero churn *and* zero stale/aged: the purge path converts a
-doomed queue's churn into stale counts, so churn going quiet alone
-proves nothing).
+next fork (the nodes run the same SPMD program).  Growth re-arms only
+after a *hold* of ``GROWTH_HOLD`` strictly-clean windows (zero churn
+*and* zero stale: the purge path converts a doomed queue's churn into
+stale counts, so churn going quiet alone proves nothing).
 """
-
-from collections import Counter
 
 #: The policy's fixed constants (nothing ever tuned them per run).
 #: Upper bound on any adaptive prefetch depth.
 DEPTH_CAP = 64
-#: Shrink when ``stale + aged/2 + churn > max(1, used // WASTE_TOLERANCE)``.
+#: Shrink when ``stale + churn > max(1, used // WASTE_TOLERANCE)``.
 WASTE_TOLERANCE = 8
 #: Clean (zero-waste) windows a node must string together after a
 #: shrink before demand may grow its depth again.  Without the holdoff,
@@ -77,42 +72,27 @@ class Controller:
     """
 
     def __init__(self):
-        #: Bootstrap depth for nodes with no per-node state yet.  It
-        #: ratchets up to the largest demand-driven depth any node
-        #: reached: in an SPMD program the nodes stream near-identical
-        #: working sets, so the first node's burst sizes the queues of
-        #: the nodes that have not streamed yet — without it, every
-        #: node's one big stream runs at the cold depth and the (per
-        #: node, once-only) lesson always arrives a quantum late.
-        #:
-        #: It starts at half the cap — a deliberately generous
-        #: speculation budget (TCP's large-initial-window rationale): a
-        #: wrong prior sheds within a window or two of waste telemetry,
-        #: while a too-timid prior costs the one unrepeatable event the
-        #: controller can never replay — each node's first big stream,
-        #: which at quantum granularity is over before its first
-        #: decision lands.
+        #: Depth of nodes with no per-node state yet.  It starts at
+        #: half the cap — a deliberately generous speculation budget
+        #: (TCP's large-initial-window rationale): a wrong prior sheds
+        #: within a window or two of waste telemetry, while a too-timid
+        #: prior costs the one unrepeatable event the controller can
+        #: never replay — each node's first big stream, which at
+        #: quantum granularity is over before its first decision
+        #: lands.  Only a fleet collapse lowers it.
         self._boot = DEPTH_CAP // 2
-        #: node -> current adaptive prefetch depth, -> remaining clean
-        #: windows before demand-driven growth re-arms, and -> whether
-        #: the node's last shrink was churn-driven (in which case
-        #: re-growth probes by +1 instead of jumping: a jump back into
-        #: a rewrite-every-round phase re-pays the whole queue's wire
-        #: tax for a full round before the next window can undo it).
+        #: node -> current adaptive prefetch depth, and -> remaining
+        #: clean windows before demand-driven growth re-arms.
         self.depths = {}
         self._hold = {}
-        self._churned = {}
         #: Human-readable decision log, one line per decision, in
         #: decision order (the rendering the example prints).
         self.log = []
         self.windows_seen = 0
-        # -- the window's inputs (DESIGN §8) --------------------------
-        #: node -> its transport row's ``as_dict()`` at the previous
-        #: pass: the next window is each row's ``delta_since`` it.
+        #: The window's input (DESIGN §8): node -> its transport row's
+        #: ``as_dict()`` at the previous pass; the next window is each
+        #: row's ``delta_since`` it.
         self._seen = {}
-        #: in-flight ``PrefetchExchange`` -> the pass that first saw it
-        #: queued, or None once its queued frames were counted aged.
-        self._queued = {}
 
     # -- knob read (the kernel's prefetch path) ----------------------------
 
@@ -120,33 +100,16 @@ class Controller:
         """Current adaptive prefetch depth of ``node``."""
         return self.depths.get(node, self._boot)
 
-    def _window(self, transport, index):
+    def _window(self, transport):
         """node -> what its transport row accumulated since the previous
-        pass, plus ``prefetch_aged``: the frames of its exchanges still
-        queued two or more passes after one first saw them (each
-        exchange counted once) — in-flight speculation the run is
-        visibly not consuming, the shrink signal that needs no
-        end-of-run flush.  A node has a row iff one of these moved."""
-        before, self._queued = self._queued, {}
-        aged = {}
-        for node in sorted(transport.inflight):
-            queued = Counter(entry[1]
-                             for entry in transport.inflight[node].values())
-            for exchange, frames in queued.items():
-                first = before.get(exchange, index)
-                if first is not None and first <= index - 2:
-                    aged[node] = aged.get(node, 0) + frames
-                    first = None
-                self._queued[exchange] = first
+        pass.  A node has a row iff one of its counters moved."""
         rows = {}
         for node in sorted(transport.nodes):
             row = transport.nodes[node]
             delta = row.delta_since(self._seen.get(node))
             if delta is not None:
                 self._seen[node] = row.as_dict()
-            if delta is not None or node in aged:
-                rows[node] = delta or dict.fromkeys(row.FIELDS, 0)
-                rows[node]["prefetch_aged"] = aged.get(node, 0)
+                rows[node] = delta
         return rows
 
     # -- the quantum hook --------------------------------------------------
@@ -158,9 +121,8 @@ class Controller:
         Takes the window since the previous pass and adjusts the
         per-node depths from it.
         """
-        index = self.windows_seen
         self.windows_seen += 1
-        self._decide_prefetch(machine, self._window(machine.transport, index))
+        self._decide_prefetch(machine, self._window(machine.transport))
 
     def _record(self, node, old, new):
         self.log.append(f"w{self.windows_seen - 1:>3} prefetch  "
@@ -173,11 +135,9 @@ class Controller:
         for node, row in rows.items():
             depth = self.depth_for(node)
             used = row["prefetch_used"]
-            # Stale frames are certain waste (the producer superseded
-            # them in flight); aged frames are only *probable* waste —
-            # still queued, they may yet redeem next phase — so they
-            # weigh half.
-            waste = row["prefetch_stale"] + row["prefetch_aged"] // 2
+            # Stale frames are certain waste: the producer superseded
+            # them in flight.
+            stale = row["prefetch_stale"]
             # Refreshes are re-speculation on pages whose producer
             # rewrote them since this node last fetched them.  One
             # refresh is a page keeping up; a *recurring* stream of
@@ -193,76 +153,57 @@ class Controller:
             # depth in phases that are already fully covered.
             demand = row["pulled"]
             hold = self._hold.get(node, 0)
-            clean = (churn == 0 and row["prefetch_stale"] == 0
-                     and row["prefetch_aged"] == 0)
             new = depth
-            if clean and depth >= 1:
-                # A strictly clean window with speculation active: the
-                # rewrite churn has stopped *and* nothing the node still
-                # speculates on is dying in flight; jumps are safe
-                # again.  (churn alone going quiet is not enough — the
-                # purge path converts a doomed queue's churn into stale
-                # counts, so a node can look churn-free while its every
-                # speculation is still being superseded.)
-                self._churned.pop(node, None)
-            if waste + churn > max(1, used // WASTE_TOLERANCE):
+            if stale + churn > max(1, used // WASTE_TOLERANCE):
                 # Multiplicative decrease: speculation is visibly being
-                # wasted (superseded in flight, or sitting unclaimed) —
-                # and growth is held until the waste stops, so a phase
-                # of inherently doomed speculation decays to the floor
-                # instead of oscillating against the demand rules below.
+                # wasted — and growth is held until the waste stops, so
+                # a phase of inherently doomed speculation decays to the
+                # floor instead of oscillating against the demand jump.
                 # The floor is 1, not 0 (TCP's one-segment congestion
                 # window): a zero-depth queue observes no waste at all,
                 # so a node parked at 0 would look spotless, re-grow on
                 # the next quiet window, and oscillate forever.
                 new = max(1, depth // 2)
-                if churn >= max(1, waste):
+                if churn >= stale:
                     # Churn-dominated windows collapse straight to what
                     # demand shows is genuinely missing (floor 1): every
                     # retained slot of depth re-pays its wire next
                     # rewrite, so halving toward the floor one window at
                     # a time just meters out the same recurring tax.
-                    new = max(1, min(new, max(1, demand)))
-                    self._churned[node] = True
+                    new = max(1, min(new, demand))
                     collapse = new if collapse is None else min(collapse, new)
                 self._hold[node] = GROWTH_HOLD
             elif hold:
-                if clean:
+                # Only a strictly clean window drains the hold: churn
+                # alone going quiet is not enough — the purge path
+                # converts a doomed queue's churn into stale counts, so
+                # a node can look churn-free while its every
+                # speculation is still being superseded.
+                if churn == 0 and stale == 0:
                     self._hold[node] = hold - 1
-            elif demand >= max(1, depth) and not self._churned.get(node):
+            elif demand >= depth:
                 # The queue is clearly undersized: the node stalled on a
                 # burst it could not have pipelined.  Jump to the
                 # observed per-window demand (the depth that would have
                 # hidden this whole burst), with slow-start doubling as
                 # the floor so a trickle of stalls still converges.
-                new = min(DEPTH_CAP, max(2 * depth, 1, demand))
-                if new > self._boot:
-                    self._boot = new
-            elif demand > 0:
-                # Mild residual stalling under an almost-right depth:
-                # additive increase (AIMD's congestion avoidance).
-                new = min(DEPTH_CAP, depth + 1)
+                new = min(DEPTH_CAP, max(2 * depth, demand))
             if new != depth:
                 self.depths[node] = new
                 self._record(node, depth, new)
         if collapse is not None:
-            # Fleet-wide downward ratchet, the mirror of ``_boot``'s
-            # upward one and on the same SPMD rationale: the nodes run
-            # the same program against the same producer, so one node's
+            # Fleet collapse, on the SPMD rationale: the nodes run the
+            # same program against the same producer, so one node's
             # churn lesson reprices the queues of nodes that have not
-            # hit theirs yet — crucially *before* their next fork, not a
-            # full round of recurring wire tax later.
+            # hit theirs yet — crucially *before* their next fork, not
+            # a full round of recurring wire tax later.  Lowering the
+            # boot depth covers the nodes with no depth of their own.
             self._boot = min(self._boot, collapse)
             for node in range(machine.nnodes):
-                old = self.depth_for(node)
-                self._churned[node] = True
                 self._hold[node] = GROWTH_HOLD
-                # Pin an explicit per-node entry even when the depth
-                # value is unchanged: a node left on the implicit boot
-                # default would silently re-inflate the next time some
-                # other node's demand jump ratchets ``_boot`` back up.
-                self.depths[node] = min(old, collapse)
+                old = self.depth_for(node)
                 if old > collapse:
+                    self.depths[node] = collapse
                     self._record(node, old, collapse)
 
     # -- reporting ---------------------------------------------------------

@@ -119,15 +119,6 @@ class Topology:
         """The :class:`LinkClass` of one directed link."""
         raise NotImplementedError
 
-    def distance(self, src, dst):
-        """Hop count of the ``src -> dst`` route (0 = same node).
-
-        The prefetch predictor ranks candidate producer nodes by this —
-        with limited queue depth, pulling from a rack neighbor beats
-        pulling across an oversubscribed core link.
-        """
-        return len(self.route(src, dst))
-
     # -- structure read by placements --------------------------------------
 
     def racks(self):

@@ -383,7 +383,12 @@ class Transport:
         most ``cost.retx_limit`` retries).  ``faults`` collects, for
         the stalling messages, the retransmissions' per-link occupancy
         and the timeout waits for the caller's ``kind="retx"`` trace
-        edges; fire-and-forget messages fault silently.
+        edges; fire-and-forget messages fault silently.  A stalling
+        message that exhausts its retries raises
+        :class:`NetworkLossError`; a fire-and-forget one (an ACK) delays
+        nobody, so it dies on that hop instead: the link counts its
+        dropped copies, nothing of it is delivered there, and no later
+        link of the route sees it.
         """
         machine = self.machine
         cost = machine.cost
@@ -412,6 +417,7 @@ class Transport:
                 priced = prices[factor] = {}
             by_type = row.by_type
             stalled = 0
+            lost = None
             for name, serial, nbytes, stalls in msgs:
                 busy = priced.get(nbytes)
                 if busy is None:
@@ -433,6 +439,13 @@ class Transport:
                     row.dropped_bytes += nbytes
                     attempt += 1
                     if attempt > cost.retx_limit:
+                        if not stalls:
+                            # An ACK's faults delay nobody (DESIGN §5):
+                            # it dies here, and delivers nothing.
+                            lost = serial
+                            delivered -= nbytes
+                            self.hops -= len(route) - 1 - route.index(link)
+                            break
                         raise NetworkLossError(
                             f"{name} msg {serial} of space "
                             f"{faults.path} on link {link}: "
@@ -463,6 +476,11 @@ class Transport:
                 row.pages += pages
                 row.raw_bytes += pages * PAGE_SIZE
                 row.comp_bytes += payload
+            if lost is not None:
+                # The ACK goes no further; a leg of it alone ends here.
+                msgs = [msg for msg in msgs if msg[1] != lost]
+                if not msgs:
+                    break
         # The bill lists its links in the order per-message sends would
         # have found them: by message, then by hop (the sort is stable).
         if extra:

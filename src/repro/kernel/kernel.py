@@ -37,7 +37,7 @@ use :func:`child_ref` to build cross-node child numbers.
 import operator
 
 from repro.common.errors import BadChildError, KernelError, MergeConflictError
-from repro.kernel.space import SpaceState
+from repro.kernel.space import SpaceState, check_regs
 from repro.kernel.traps import Trap
 from repro.mem.merge import MergeStats, merge_range
 from repro.mem.page import PAGE_SHIFT
@@ -187,9 +187,6 @@ class Kernel:
         self.kcharge(space, cost.migrate_base
                      + walked * (cost.page_track if tracked
                                  else cost.page_scan))
-        # Ledger harvest for the predictor: what this space wrote while
-        # resident at src is what src will be asked to serve next.
-        machine.note_dirty_hints(src, candidates)
         space.visit_tokens[src] = space.addrspace.dirty_token()
         machine.transport.migrate(space, src, target_node, shipped)
         space.cur_node = target_node
@@ -231,17 +228,15 @@ class Kernel:
             shipped.append(frame)
         return shipped, len(candidates), tracked, candidates
 
-    def _issue_prefetch(self, space, node, vpn_stream, hint_origins=()):
+    def _issue_prefetch(self, space, node, vpn_stream):
         """Fill ``node``'s async fetch queue with predicted-next frames.
 
-        ``vpn_stream`` is the prediction, in priority order (the
-        sequential window past a faulting range, or the migration
-        ledger's candidate set); ``hint_origins`` optionally extends it
-        with each named node's recently written vpns
-        (``machine.dirty_hints``), nearest fabric neighbors first.
-        Candidates already cached, already in flight, or served locally
-        are skipped; at most ``prefetch_depth - in_flight`` issue, so
-        the queue never exceeds its depth.  Must run right after a cut
+        ``vpn_stream`` is the prediction, in priority order: the
+        faulting space's own sequential window past a faulting range,
+        or its migration ledger's candidate set.  Candidates already
+        cached, already in flight, or served locally are skipped; at
+        most ``prefetch_depth - in_flight`` issue, so the queue never
+        exceeds its depth.  Must run right after a cut
         (the transport anchors the exchange at the last closed
         segment).
         """
@@ -265,21 +260,22 @@ class Kernel:
         by_origin = {}
         seen = set()
         walked = 0
-
-        def consider(vpn):
+        for vpn in vpn_stream:
+            if budget <= 0:
+                break
+            walked += 1
             frame = aspace.frame(vpn)
             if frame is None or frame.serial in seen:
-                return 0
+                continue
             seen.add(frame.serial)
             cached = cache.get(frame.serial)
-            if cached == frame.generation:
-                return 0
-            if frame.serial in queue:
-                return 0
+            if cached == frame.generation or frame.serial in queue:
+                continue
             origin = origin_of.get(frame.serial, space.home_node)
             if origin == node:
-                return 0
+                continue
             by_origin.setdefault(origin, []).append(frame)
+            budget -= 1
             if cached is not None:
                 # Re-speculating on a page this node already fetched
                 # once: its producer rewrote it since.  Recurring
@@ -287,21 +283,6 @@ class Kernel:
                 # collapse rule keys on — pages rewritten every round
                 # make any depth's speculation a running wire tax.
                 transport.node(node).prefetch_refresh += 1
-            return 1
-
-        for vpn in vpn_stream:
-            if budget <= 0:
-                break
-            walked += 1
-            budget -= consider(vpn)
-        topo = machine.topology
-        for origin in sorted(hint_origins,
-                             key=lambda o: (topo.distance(o, node), o)):
-            for vpn in reversed(machine.dirty_hints.get(origin, ())):
-                if budget <= 0:
-                    break
-                walked += 1
-                budget -= consider(vpn)
         # The predictor walks ledger entries, not page tables.
         self.kcharge(space, walked * machine.cost.page_track)
         for origin in sorted(by_origin):
@@ -325,8 +306,8 @@ class Kernel:
         its exchange instead: the space waits only for whatever part of
         the transfer the compute since its issue did not hide.  Each
         demand batch also re-primes the queue with the predicted next
-        frames (sequential past the faulted range, plus the producing
-        nodes' recent-write hints).  ``vpns`` is the range's mapped vpns
+        frames (the space's own sequential window past the faulted
+        range).  ``vpns`` is the range's mapped vpns
         when the caller has already enumerated them.
 
         One walk of the space's page table: a probe per page of the
@@ -353,7 +334,6 @@ class Kernel:
         # vpn-ascending batched pulls, grouped by producing node.
         fetch_by_origin = {}
         redeems = []
-        written = []
         for vpn in vpns:
             frame = pages.get(vpn)
             if frame is None:
@@ -365,7 +345,6 @@ class Kernel:
             if write:
                 cache[frame.serial] = frame.generation
                 origin_of[frame.serial] = node
-                written.append(vpn)
             elif cache.get(frame.serial) != frame.generation:
                 exchange = transport.take_inflight(node, frame.serial,
                                                    frame.generation)
@@ -376,8 +355,6 @@ class Kernel:
                 else:
                     origin = origin_of.get(frame.serial, space.home_node)
                     fetch_by_origin.setdefault(origin, []).append(frame)
-        if written:
-            machine.note_dirty_hints(node, written)
         if redeems:
             transport.redeem_exchanges(space, node, redeems)
         if not fetch_by_origin:
@@ -387,8 +364,7 @@ class Kernel:
         depth = machine.prefetch_depth_for(node)
         if depth > 0:
             self._issue_prefetch(space, node,
-                                 aspace.mapped_vpns_in(vpn1, vpn1 + 4 * depth),
-                                 hint_origins=sorted(fetch_by_origin))
+                                 aspace.mapped_vpns_in(vpn1, vpn1 + 4 * depth))
 
     def _copy_subtree(self, caller, src_space, new_parent):
         """Deep COW clone of a space subtree (Tree option)."""
@@ -471,6 +447,8 @@ class Kernel:
         perm = None if perm is None else _unpack(perm, "perm", 3)
         snap = None if snap is None else tuple(_unpack(snap, "snap", 2))
         tree = None if tree is None else _unpack(tree, "tree", 2)
+        if regs:
+            check_regs(regs)
         if grant_io and not caller.io_privilege:
             raise KernelError("cannot delegate I/O privilege without it")
         cost = self.machine.cost
@@ -481,7 +459,7 @@ class Kernel:
         self._rendezvous(caller, child)
 
         if regs:
-            child.set_regs(regs)
+            child.regs.update(regs)
         if grant_io:
             child.io_privilege = True
         old = child.snapshot
@@ -629,9 +607,6 @@ class Kernel:
                 if frame is not None:
                     cache[frame.serial] = frame.generation
                     self.machine.frame_origin[frame.serial] = node
-            # Merged-in pages are fresh cross-node content: feed the
-            # prefetch predictor's per-node recent-write hints.
-            self.machine.note_dirty_hints(node, written)
         self.kcharge(
             caller,
             # One dirty-ledger entry inspected per candidate.

@@ -340,9 +340,6 @@ LEDGERS = (
     Nested("node_cache", "", "node_cache", unpack=_by_serial),
     Table("frame_origin", "", "frame_origin", unpack=_by_serial),
     Table("placements", "", "node_map"),
-    Table(None, "", "dirty_hints", copy=list, local=(
-        "predictor input only, read by nothing the gates let through: "
-        "the one machine-global the delta drops, rewound all the same")),
     Table(None, "transport", "inflight", copy=dict,
           refuse="transfers in flight", local=(
               "empty at every fork (prefetch_depth == 0 is a gate) and "

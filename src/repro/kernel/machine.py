@@ -155,11 +155,6 @@ class Machine:
         #: frame serial -> node that produced its newest content; the
         #: transport pulls demand-fetched pages from there.
         self.frame_origin = {}
-        #: node -> recent vpns written by spaces while resident there
-        #: (harvested from the migration ledger and merge write-backs).
-        #: The prefetch predictor reads a miss's producing node's list
-        #: to guess what that producer will be asked for next.
-        self.dirty_hints = defaultdict(list)
         #: Deterministic fault schedule of the fabric: None (lossless,
         #: the default — bit-identical to the pre-fault transport) or
         #: the LossSchedule of the spec's drop rate or dict.  Faults are
@@ -230,19 +225,6 @@ class Machine:
         demand-fetched plus prefetched (the transport keeps the split)."""
         wire = self.transport
         return wire.pages_shipped + wire.pages_pulled + wire.pages_prefetched
-
-    #: Bound on each node's dirty-hint list (predictor input, not state
-    #: the simulation depends on — determinism needs the *content* to be
-    #: reproducible, which it is, not unbounded).
-    DIRTY_HINT_CAP = 128
-
-    def note_dirty_hints(self, node, vpns):
-        """Record recently written vpns at ``node`` for the prefetch
-        predictor, newest last, bounded by :data:`DIRTY_HINT_CAP`."""
-        hints = self.dirty_hints[node]
-        hints.extend(vpns)
-        if len(hints) > self.DIRTY_HINT_CAP:
-            del hints[:len(hints) - self.DIRTY_HINT_CAP]
 
     # -- adaptive knob read --------------------------------------------------
 

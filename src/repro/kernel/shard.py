@@ -65,10 +65,11 @@ Gates (:func:`fork_refusal` — all must hold or the rendezvous stays
 serial, with the reason kept on :attr:`ShardCoordinator.refused`):
 
 * ``os.fork`` exists;
-* ``prefetch_depth`` is 0 — the async prefetch queues read
-  cross-subtree dirty hints, the one machine-global the adoption delta
-  deliberately drops (and ``"adaptive"`` depths read machine-wide
-  telemetry windows).  Every ``ship_mode`` forks: the tag-cache check
+* ``prefetch_depth`` is 0 — a node's prefetch queue is shared by
+  every sibling that visits the node, so the entries one sibling left
+  unredeemed shrink what the next may queue there (and ``"adaptive"``
+  depths read machine-wide telemetry windows cut at whichever
+  rendezvous comes next).  Every ``ship_mode`` forks: the tag-cache check
   at adoption (``"node cache moved"``) covers delta, demand and full
   shipping alike.
 """

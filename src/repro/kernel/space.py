@@ -20,6 +20,13 @@ from repro.mem.addrspace import AddressSpace
 REG_NAMES = ("entry", "args", "status", "r0", "r1", "r2", "r3", "r4", "r5", "r6", "r7")
 
 
+def check_regs(updates):
+    """Refuse a register update that names a register the file lacks."""
+    for name in updates:
+        if name not in REG_NAMES:
+            raise KernelError(f"bad regs option: unknown register {name!r}")
+
+
 def fresh_regs():
     """A zeroed register file."""
     regs = {name: 0 for name in REG_NAMES}
@@ -141,11 +148,10 @@ class Space:
         return self.state in (SpaceState.IDLE, SpaceState.STOPPED, SpaceState.EXITED)
 
     def set_regs(self, updates):
-        """Apply a Put/Regs update (validated against the register file)."""
-        for name, value in updates.items():
-            if name not in self.regs:
-                raise KernelError(f"unknown register {name!r}")
-            self.regs[name] = value
+        """Apply a Put/Regs update (validated against the register file
+        before any register is assigned)."""
+        check_regs(updates)
+        self.regs.update(updates)
 
     def reg_view(self):
         """Copy of the register file plus stop metadata (for Get/Regs)."""

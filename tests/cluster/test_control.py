@@ -12,10 +12,9 @@ pure function of simulated state, so:
   gates at full size — exercised here on small workloads).
 
 The policy unit tests drive ``Controller`` directly with fabricated
-telemetry windows, checking the AIMD transitions (churn collapse, fleet
-ratchet, growth holdoff, the depth-1 floor).  The telemetry test drives
-the window the controller keeps itself: rows of the node counters that
-moved since its previous pass, and aged exchanges.
+telemetry windows, checking the policy's transitions (demand jump,
+halving to the depth-1 floor, churn collapse, fleet collapse, growth
+hold).
 """
 
 import hashlib
@@ -28,7 +27,7 @@ from repro import ClusterSpec
 from repro.bench import cluster_workloads as cw
 from repro.cluster import control
 from repro.cluster.control import DEPTH_CAP, Controller
-from repro.cluster.transport import NodeStats, PrefetchExchange
+from repro.cluster.transport import NodeStats
 from repro.kernel import Machine
 
 NODES = 4
@@ -162,7 +161,7 @@ def test_adaptive_is_a_prefetch_depth():
 
 def _window(node_rows):
     """node -> a window row: every counter zero but ``node_rows``'."""
-    zero = dict.fromkeys(NodeStats.FIELDS + ("prefetch_aged",), 0)
+    zero = dict.fromkeys(NodeStats.FIELDS, 0)
     return {node: {**zero, **overrides}
             for node, overrides in node_rows.items()}
 
@@ -181,16 +180,15 @@ def _decide(machine, window):
 
 def test_churn_collapse_and_fleet_ratchet(machine):
     """A churn-dominated window collapses the node to observed demand
-    and ratchets every node's depth down with it (the SPMD lesson)."""
+    and takes every node's depth down with it (the SPMD lesson)."""
     ctrl = machine.control
     assert ctrl.depth_for(0) == 32
     _decide(machine, _window({0: {"prefetch_issued": 24,
                                 "prefetch_used": 24,
                                 "prefetch_refresh": 16}}))
     assert ctrl.depth_for(0) == 1
-    # Fleet ratchet: nodes that never reported telemetry are pinned
-    # too, and a later demand jump on one node cannot resurrect them
-    # through the boot default.
+    # Fleet collapse: nodes that never reported telemetry follow
+    # through the boot depth, and every node's growth is held.
     assert all(ctrl.depth_for(n) == 1 for n in range(NODES))
     assert ctrl._boot == 1
     _decide(machine, _window({2: {"pulled": 40}}))
@@ -212,11 +210,30 @@ def test_growth_hold_then_slow_start(machine):
     # ...and the next demand burst jumps straight to its size.
     _decide(machine, _window({0: {"pulled": 40}}))
     assert ctrl.depth_for(0) == 40
-    assert ctrl._boot == 40, "demand jumps ratchet the boot depth up"
+    assert ctrl._boot == 1, "a jump never raises the boot depth"
+
+
+@pytest.mark.parametrize("row, depth", [
+    ({"prefetch_stale": 1}, 32),        # one wasted frame is tolerated
+    ({"prefetch_stale": 2}, 16),        # two halve the depth
+    ({"prefetch_used": 16, "prefetch_stale": 2}, 32),   # used // 8
+    ({"prefetch_used": 16, "prefetch_stale": 3}, 16),
+    ({"prefetch_stale": 2, "prefetch_refresh": 1, "pulled": 3}, 16),
+    ({"prefetch_stale": 1, "prefetch_refresh": 1, "pulled": 3}, 3),
+    ({"pulled": 31}, 32),               # stalls below the depth: hold
+    ({"pulled": 32}, 64),               # a burst of the depth doubles it
+], ids=str)
+def test_one_window_from_the_boot_depth(machine, row, depth):
+    """Each rule's threshold, on a node's first window: waste beyond
+    ``max(1, used // WASTE_TOLERANCE)`` halves, churn at least as
+    large as the stale count collapses to demand, and demand at least
+    the depth jumps — no hold is armed before a first shrink."""
+    _decide(machine, _window({0: row}))
+    assert machine.control.depth_for(0) == depth
 
 
 def test_waste_halves_with_floor(machine):
-    """Stale/aged waste halves depth multiplicatively but never below
+    """Stale waste halves depth multiplicatively but never below
     1: a zero queue would observe nothing and oscillate."""
     ctrl = machine.control
     for _ in range(8):
@@ -226,8 +243,8 @@ def test_waste_halves_with_floor(machine):
 
 
 def test_dirty_windows_keep_growth_held(machine):
-    """Windows still showing stale waste neither drain the holdoff nor
-    clear the churn flag — only strictly-clean windows re-arm jumps."""
+    """Windows still showing stale waste do not drain the holdoff —
+    only strictly-clean windows re-arm jumps."""
     ctrl = machine.control
     _decide(machine, _window({0: {"prefetch_issued": 8,
                                 "prefetch_used": 8,
@@ -237,45 +254,6 @@ def test_dirty_windows_keep_growth_held(machine):
                                       "prefetch_issued": 1,
                                       "prefetch_stale": 1}}))
     assert ctrl.depth_for(0) == 1
-
-
-# -- the controller's own telemetry ----------------------------------------
-
-def _pass(machine):
-    """One decision pass's window: what :meth:`Controller.on_quantum`
-    hands the prefetch policy."""
-    ctrl = machine.control
-    ctrl.windows_seen += 1
-    return ctrl._window(machine.transport, ctrl.windows_seen - 1)
-
-
-def _queue(transport, node, exchange, serials):
-    transport.node(node)                # issuing made the node's row
-    queue = transport.inflight.setdefault(node, {})
-    for serial in serials:
-        queue[serial] = (0, exchange, None)
-
-
-def test_an_exchange_is_aged_once_two_passes_after_it_was_first_seen(
-        machine):
-    """A still-queued exchange counts its queued frames as
-    ``prefetch_aged`` exactly once, at the second pass after the first
-    pass that found it queued — and the aged count alone makes a
-    row."""
-    t = machine.transport
-    old = PrefetchExchange(None, {}, 0, [], None)
-    young = PrefetchExchange(None, {}, 0, [], None)
-    _queue(t, 1, old, (10, 11, 12))
-    assert _pass(machine) == {}                 # pass 0 first sees old
-    _queue(t, 2, young, (20, 21))
-    assert _pass(machine) == {}                 # pass 1 first sees young
-    del t.inflight[1][12]                       # one frame redeemed
-    assert _pass(machine) == _window({1: {"prefetch_aged": 2}})
-    assert _pass(machine) == _window({2: {"prefetch_aged": 2}})
-    assert _pass(machine) == {}, "each exchange is aged once"
-    assert machine.control._queued == {old: None, young: None}
-    t.inflight.clear()
-    assert _pass(machine) == {} and machine.control._queued == {}
 
 
 # -- docs/knobs.md ---------------------------------------------------------

@@ -368,10 +368,10 @@ def test_retry_exhaustion_raises_deterministically():
     # error names the sending space's slot path and its own number.
     machine = Machine(nnodes=2, spec=ClusterSpec(loss=1.0))
     with pytest.raises(NetworkLossError, match=(
-            r"ACK msg 5 of space \[1, 65538\] on link \(0, 1\): "
+            r"PAGE_REQ msg 5 of space \[1, 65538\] on link \(0, 1\): "
             r"all 8 retransmissions dropped")):
         machine.transport._leg(
-            0, 1, [(MsgType.ACK.name, 5, 64, False)], 64,
+            0, 1, [(MsgType.PAGE_REQ.name, 5, 64, True)], 64,
             faults=RetxBill([1, 65538]))
 
 
@@ -423,6 +423,35 @@ def test_retry_exhaustion_is_a_defined_state(dead, hops_before):
     # MIGRATE, one PAGE_BATCH and the ACK were numbered up front.
     assert space.messages == transport.messages == 3
     assert len(machine.trace.transfers) == 0
+
+
+@pytest.mark.parametrize("dead, hops_before", [
+    ((0, "rack0"), 0), (("rack0", "core"), 1), (("rack1", 3), 3)])
+def test_an_exhausted_ack_dies_on_its_hop(dead, hops_before):
+    """An ACK's faults delay nobody, so one whose every copy drops
+    raises nothing: the links before the dead one delivered it, the
+    dead one counts its dropped copies and delivers nothing, and no
+    link beyond it sees the ACK."""
+    machine = Machine(nnodes=4, spec=ClusterSpec(topology=TOPOLOGY,
+                                                 loss=1.0))
+    machine.loss = DeadLink(dead)
+    transport = machine.transport
+    ack = machine.cost.msg_ctrl
+    transport._leg(0, 3, [(MsgType.ACK.name, 5, ack, False)], ack,
+                   faults=RetxBill([2]))
+    assert transport.conservation_ok()
+    route = machine.topology.route(0, 3)
+    assert list(transport.links) == list(route[:hops_before + 1])
+    assert transport.hops == hops_before + 1
+    for link in route[:hops_before]:
+        row = transport.links[link]
+        assert (row.messages, row.bytes_received, row.dropped_msgs) \
+            == (1, ack, 0)
+    row = transport.links[dead]
+    copies = machine.cost.retx_limit + 1
+    assert (row.messages, row.dropped_msgs, row.bytes_received) \
+        == (copies, copies, 0)
+    assert transport.retx_wait == 0
 
 
 class FailingLink(DeadLink):

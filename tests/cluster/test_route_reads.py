@@ -80,7 +80,7 @@ def test_a_first_use_asks_the_topology_for_no_class(world, monkeypatch):
 
     monkeypatch.setattr(CounterRow, "as_dict", counted_as_dict)
     machine.transport.migrate(space, SRC, DST, frames)
-    hops = machine.topology.distance(SRC, DST)
+    hops = len(machine.topology.route(SRC, DST))
     assert hops == 4 and len(machine.transport.links) == 2 * hops
     # The route records come from the preset's shape and the rows take
     # their class from the record: the topology is asked for none.
@@ -129,11 +129,11 @@ def test_a_row_born_in_a_window_reports_from_its_creation(world):
     machine, space, frames, _ = world
     transport = machine.transport
     control = Controller()
-    assert control._window(transport, 0) == {}
+    assert control._window(transport) == {}
     transport.fetch(space, SRC, DST, frames)
-    assert control._window(transport, 1)[DST] == dict(
-        NodeStats().as_dict(), pulled=len(frames), prefetch_aged=0)
+    assert control._window(transport)[DST] == dict(
+        NodeStats().as_dict(), pulled=len(frames))
     transport.fetch(space, SRC, DST, frames[:1])
     transport.fetch(space, SRC, DST, frames[1:])
-    assert control._window(transport, 2)[DST]["pulled"] == len(frames)
-    assert control._window(transport, 3) == {}
+    assert control._window(transport)[DST]["pulled"] == len(frames)
+    assert control._window(transport) == {}

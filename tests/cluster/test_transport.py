@@ -222,9 +222,7 @@ NODE_TOTALS = {
 
 def _pass(machine):
     """One decision pass's window of the machine's controller."""
-    control = machine.control
-    control.windows_seen += 1
-    return control._window(machine.transport, control.windows_seen - 1)
+    return machine.control._window(machine.transport)
 
 
 def test_a_window_is_what_the_ledgers_moved_since_the_last_take():
@@ -238,7 +236,7 @@ def test_a_window_is_what_the_ledgers_moved_since_the_last_take():
         first = _pass(m)
         assert list(first) == [0, 2], "rows come in key order"
         assert first[2] == dict(dict.fromkeys(NodeStats.FIELDS, 0),
-                                pulled=3, prefetch_aged=0)
+                                pulled=3)
         t.node(2).pulled += 1
         t.node(0).prefetch_used += 5
         second = _pass(m)
@@ -272,8 +270,8 @@ def windows(monkeypatch):
     taken = []
     window = Controller._window
 
-    def take(self, transport, index):
-        taken.append(window(self, transport, index))
+    def take(self, transport):
+        taken.append(window(self, transport))
         return taken[-1]
 
     monkeypatch.setattr(Controller, "_window", take)

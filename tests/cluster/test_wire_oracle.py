@@ -24,6 +24,7 @@ from wire_oracle import ReferenceTransport
 from repro import ClusterSpec
 from repro.bench import cluster_workloads as cw
 from repro.cluster import Transport
+from repro.cluster.faults import LossSchedule
 from repro.common.errors import NetworkLossError
 from repro.kernel import Machine
 from repro.mem import PAGE_SIZE, Page
@@ -202,6 +203,38 @@ def test_a_leg_accounts_what_per_message_sends_did(topology, loss, config,
         assert {(n,): space.messages for n, space in
                 enumerate(production.spaces) if space.messages} == \
             reference.machine.transport.numbers
+
+
+class DeadLink(LossSchedule):
+    """Every copy on one directed link is dropped, nothing else is."""
+
+    def __init__(self, link):
+        super().__init__(drop=1.0)
+        self.link = link
+
+    def drops(self, link, sender, number, attempt=0):
+        return link == self.link
+
+
+@pytest.mark.parametrize("hop", [0, 1, 3])
+def test_an_ack_that_dies_is_accounted_alike(hop):
+    """Only a migration's ACK leg crosses the dead link: both send paths
+    drop every copy of the ACK on that hop, deliver none of it, send it
+    no further, and raise nothing."""
+    frames = make_frames()
+    config = {"compression": False, "msg_batch": 1, "prefetch_depth": 0}
+    worlds = [World(cls, "two_tier", 1.0, config)
+              for cls in (Transport, ReferenceTransport)]
+    for world in worlds:
+        route = world.machine.topology.route(NODES - 1, 0)
+        world.machine.loss = DeadLink(route[hop])
+        world.step(("migrate", 0, NODES - 1, [1, 2]), frames)
+    seen, wanted = (observe(world.machine) for world in worlds)
+    assert seen == wanted
+    assert seen["conserves"]
+    assert route[hop] in worlds[0].machine.transport.links
+    if hop < len(route) - 1:
+        assert route[hop + 1] not in worlds[0].machine.transport.links
 
 
 @pytest.mark.parametrize("spec", [

@@ -70,7 +70,9 @@ class ReferenceTransport(Transport):
         :class:`~repro.cluster.faults.RetxBill`, for messages a space
         stalls on) collects the extra per-link occupancy and the
         timeout waits for the caller's ``kind="retx"`` trace edges;
-        fire-and-forget messages pass None and fault silently.
+        fire-and-forget messages pass None and fault silently.  An ACK
+        that exhausts its retries delays nobody: it dies on that hop,
+        and the walk returns the hop's index (None when it arrived).
         """
         machine = self.machine
         cost = machine.cost
@@ -80,7 +82,7 @@ class ReferenceTransport(Transport):
         number = self.numbers.get(path, 0)
         self.numbers[path] = number + 1
         self.messages += 1
-        for link in topo.route(src, dst):
+        for hop, link in enumerate(topo.route(src, dst)):
             cls = topo.link_class(link)
             busy = cost.link_message(nbytes, byte_factor=cls.byte_factor,
                                      tcp=machine.spec.tcp_mode)
@@ -113,6 +115,8 @@ class ReferenceTransport(Transport):
                 stats.dropped_bytes += nbytes
                 attempt += 1
                 if attempt > cost.retx_limit:
+                    if mtype is MsgType.ACK:
+                        return hop
                     raise NetworkLossError(
                         f"{mtype.name} msg {number} of space {list(path)} "
                         f"on link {link}: "
@@ -122,11 +126,18 @@ class ReferenceTransport(Transport):
                     faults.wait += cost.retx_timeout
                     self.retx_wait += cost.retx_timeout
 
-    def _receive(self, src, dst, nbytes):
+    def _receive(self, src, dst, nbytes, ack=0, died=None):
         """Credit ``nbytes`` delivered over every link of the
-        ``src -> dst`` route (lossless fabric)."""
-        for link in self.machine.topology.route(src, dst):
-            self.link(link).bytes_received += nbytes
+        ``src -> dst`` route; when its ``ack``-byte ACK died at hop
+        ``died``, every link from there on is credited without it, and
+        one it alone would have reached is not touched."""
+        for hop, link in enumerate(self.machine.topology.route(src, dst)):
+            if died is not None and hop >= died:
+                if hop > died and nbytes == ack:
+                    return
+                self.link(link).bytes_received += nbytes - ack
+            else:
+                self.link(link).bytes_received += nbytes
 
     def _stall_edges(self, src, dst, parts, bill):
         """One trace link edge per physical link the exchange occupied:
@@ -207,8 +218,9 @@ class ReferenceTransport(Transport):
                    faults=faults)
         payload, codec = self._ship(space, origin, node, frames,
                                     usage=resp_usage, faults=faults)
-        self._send(space, MsgType.ACK, node, origin, cost.msg_ctrl)
-        self._receive(node, origin, 2 * cost.msg_ctrl + 8 * npages)
+        died = self._send(space, MsgType.ACK, node, origin, cost.msg_ctrl)
+        self._receive(node, origin, 2 * cost.msg_ctrl + 8 * npages,
+                      cost.msg_ctrl, died)
         self._receive(origin, node, payload + npages * cost.page_hdr)
         return payload, codec
 
@@ -233,12 +245,12 @@ class ReferenceTransport(Transport):
                    usage=usage, faults=bill)
         payload, codec = self._ship(space, src, dst, shipped, usage=usage,
                                     faults=bill)
-        self._send(space, MsgType.ACK, dst, src, cost.msg_ctrl)
+        died = self._send(space, MsgType.ACK, dst, src, cost.msg_ctrl)
         # Receiver-side accounting from the exchange's own arithmetic
         # (not the per-message sends): conservation cross-checks them.
         self._receive(src, dst, cost.migrate_bytes
                       + payload + len(shipped) * cost.page_hdr)
-        self._receive(dst, src, cost.msg_ctrl)
+        self._receive(dst, src, cost.msg_ctrl, cost.msg_ctrl, died)
         trace = machine.trace
         if trace.is_open(space.uid):
             closed, opened = trace.move_node(space.uid, dst)

@@ -24,11 +24,15 @@ per seed of :data:`SEEDS`, and asserts two things.
   order the host created them and which no guest reads.
 * **The virtual-time ledgers are the same** — the makespan (a serving
   trace's span and per-request latencies), every link and node row,
-  the transport scalars, and each slot path's segments (node, charged
-  cycles, label) — for every spec ``fork_refusal`` admits.  A refused
-  spec may move only the ledgers :data:`MOVES` names for it: the
-  catalogue in DESIGN §7, which must name exactly the specs the gate
-  refuses.
+  the transport scalars, each slot path's segments (node, charged
+  cycles, label) and each slot path's message count (what a lossy
+  spec's drop keys read).
+
+Every spec passes both on the five workloads, the one ``fork_refusal``
+still refuses included.  What that refusal guards is shown by cells
+built to race for it: :data:`MOVES` names, per refused spec, the
+ledgers such a cell moved — the catalogue in DESIGN §7, which must
+name exactly the specs the gate refuses.
 """
 
 import os
@@ -43,9 +47,12 @@ from repro.bench.api import DetApi
 from repro.bench.workloads import lu
 from repro.cluster.serving import serve_trace
 from repro.debug import first_difference, freeze_machine
+from repro.kernel import child_ref
 from repro.kernel.kernel import Kernel
 from repro.kernel.shard import fork_refusal
 from repro.kernel.space import Space, SpaceState
+from repro.mem.layout import SHARED_BASE
+from repro.mem.page import PAGE_SIZE
 
 sys.path.insert(
     0, os.path.join(os.path.dirname(__file__), os.pardir, "kernel"))
@@ -173,12 +180,13 @@ SPECS = {
 }
 
 #: The catalogue (DESIGN §7): per spec ``fork_refusal`` refuses, the
-#: virtual-time ledgers a permutation moved in some cell.  A spec the
-#: gate admits moves none and is absent: demand paging is admitted, and
-#: no workload here makes two siblings race for one node's tag cache
-#: (the crossing cell below does, and is a known leftover).
+#: virtual-time ledgers a permutation moved in the cell built to race
+#: for what the refusal guards (:func:`_queue_main`).  A spec the gate
+#: admits moves none and is absent: demand paging is admitted, and no
+#: workload here makes two siblings race for one node's tag cache (the
+#: crossing cell below does, and is a known leftover).
 MOVES = {
-    "prefetch": {"makespan", "segments"},
+    "prefetch": {"makespan", "links", "scalars", "segments", "messages"},
 }
 
 
@@ -196,12 +204,13 @@ def _plain(value):
 
 def guest_state(image):
     """Slot path -> what a guest can observe of that space: every image
-    field but the uid and the content tags."""
+    field but the uid, the content tags and the message count (a
+    ledger)."""
     spaces = {}
     for space in image.root.walk():
         fields = {name: getattr(space, name) for name in type(space).FIELDS
                   if name not in ("uid", "path", "children", "pages",
-                                  "snapshot", "regs")}
+                                  "snapshot", "regs", "messages")}
         fields["regs"] = {name: _plain(value)
                           for name, value in space.regs.items()}
         fields["pages"] = {vpn: (page.perm, page.refs, page.data)
@@ -222,7 +231,14 @@ def ledgers(timing, image, paths):
     transport = image.run["transport"]
     return {"makespan": timing, "links": image.links,
             "nodes": transport.get("nodes"),
-            "scalars": transport.get("scalars"), "segments": segments}
+            "scalars": transport.get("scalars"), "segments": segments,
+            "messages": {space.path: space.messages
+                         for space in image.root.walk()}}
+
+
+#: The names :func:`ledgers` returns.
+EVERY_LEDGER = {"makespan", "links", "nodes", "scalars", "segments",
+                "messages"}
 
 
 def run_cell(monkeypatch, workload, knobs, seed=None):
@@ -260,7 +276,7 @@ def test_every_order_is_the_same_run(monkeypatch, workload, spec):
     moved, early = moved_ledgers(monkeypatch, WORKLOADS[workload],
                                  SPECS[spec])
     assert early > 0, "no child ever ran ahead of its turn"
-    assert moved <= MOVES.get(spec, set())
+    assert not moved
 
 
 @pytest.mark.xfail(strict=True, reason=(
@@ -276,12 +292,62 @@ def test_crossing_subtrees_are_the_same_run_in_every_order(monkeypatch,
     assert not moved
 
 
+#: The root's pages each sibling of :func:`_queue_main` takes: disjoint.
+QUEUE_SHARES = ((SHARED_BASE, 2 * PAGE_SIZE),
+                (SHARED_BASE + 2 * PAGE_SIZE, 16 * PAGE_SIZE))
+
+
+def _queue_visitor(g):
+    """Visit node 1 with an idle grandchild and come back: in demand
+    paging the visit queues this space's pages there."""
+    ref = child_ref(1, node=1)
+    g.put(ref)
+    g.get(ref)
+    return 0
+
+
+def _queue_main(g, nnodes):
+    """Two siblings visit one node with disjoint pages.  The queue of a
+    node is shared by every space that visits it, so whichever sibling
+    gets there first leaves its unredeemed entries behind, and they
+    shrink the budget of the one that comes second."""
+    for k in range(18):
+        g.write(SHARED_BASE + k * PAGE_SIZE, bytes([k + 1]) * 8)
+    refs = [child_ref(num, node=num + 1) for num in (1, 2)]
+    for ref, share in zip(refs, QUEUE_SHARES):
+        g.put(ref, regs={"entry": _queue_visitor}, copy=share, start=True)
+    return [g.get(ref, regs=True)["r0"] for ref in refs]
+
+
 def test_the_harness_sees_the_prefetch_queue_move(monkeypatch):
-    # The one row the catalogue shows moving: a prefetch exchange is
-    # queued per node and redeemed by whichever sibling demands first.
-    moved, _ = moved_ledgers(monkeypatch, WORKLOADS["matmult_tree"],
-                             SPECS["prefetch"])
+    # The row the catalogue keeps: with a queue, the first sibling's
+    # entries leave the second one less to speculate on, so its
+    # messages, the wire and the makespan depend on who ran first.
+    moved, early = moved_ledgers(monkeypatch, _cluster(_queue_main, 4),
+                                 {**SPECS["prefetch"], "prefetch_depth": 8})
+    assert early > 0
     assert moved == MOVES["prefetch"]
+
+
+def test_the_queue_cell_without_a_queue_is_the_same_run(monkeypatch):
+    moved, early = moved_ledgers(monkeypatch, _cluster(_queue_main, 4),
+                                 SPECS["demand"])
+    assert early > 0
+    assert not moved
+
+
+@pytest.mark.parametrize("depth", [4, "adaptive"])
+def test_the_harness_sees_the_adaptive_depth_move(monkeypatch, depth):
+    # The other half of the row: the controller's windows are cut at
+    # whichever rendezvous comes next, so on the workload built for it
+    # an adaptive depth moves every ledger, where a static one moves
+    # nothing.
+    moved, early = moved_ledgers(
+        monkeypatch, _cluster(cw.matmult_skewed_main(n=64, work=5_000), 4),
+        {**SPECS["demand"], "topology": "two_tier:2",
+         "prefetch_depth": depth})
+    assert early > 0
+    assert moved == (EVERY_LEDGER if depth == "adaptive" else set())
 
 
 @pytest.mark.parametrize("spec", SPECS)

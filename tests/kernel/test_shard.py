@@ -196,6 +196,23 @@ def test_a_retry_exhausted_child_traps_alike_everywhere():
         "NetworkLossError: MIGRATE msg 0 of space [2] on link (0, 1): ")
 
 
+def test_an_exhausted_ack_traps_nobody():
+    # An ACK is fire-and-forget: when every copy of one drops, it dies
+    # on that hop and its sender goes on.  Over these schedules many
+    # migrations still exhaust and trap their space, and every run
+    # still conserves its bytes per link.
+    traps = []
+    for seed in range(2010, 2030):
+        _, machine, value = cw.run_cluster(
+            _lossy_wanderers_main, 2,
+            ClusterSpec(loss={**EXHAUSTING, "seed": seed}))
+        assert machine.transport.conservation_ok(), seed
+        traps += [info for trap, info in value if trap == "EXC"]
+    assert len(traps) == 38
+    assert all(info.startswith("NetworkLossError: MIGRATE ")
+               for info in traps), traps
+
+
 #: The one gate table (``shard.fork_refusal``): knobs -> a fragment of
 #: the reason both coordinators give.
 GATED = {

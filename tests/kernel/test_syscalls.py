@@ -277,6 +277,7 @@ def test_merge_without_snap_is_kernel_error():
     ("put", {"snap": (ADDR,)}),
     ("put", {"snap": (float(ADDR), float(PAGE_SIZE))}),
     ("put", {"tree": (1,)}),
+    ("put", {"regs": {"r0": 7, "bogus": 1}}),
     ("get", {"copy": [ADDR, PAGE_SIZE]}),
     ("get", {"zero": "bad"}),
     ("get", {"perm": (ADDR, PAGE_SIZE)}),
@@ -287,7 +288,8 @@ def test_a_malformed_option_is_refused_naming_it(call, option):
     """A Put/Get option of the wrong shape is refused with a
     KernelError that names it — never a TypeError or ValueError from
     deep inside the kernel — and before the call changes anything: a
-    valid Copy beside it maps no page in the caller or the child."""
+    valid Copy beside it maps no page in the caller or the child, and
+    no register of either changes."""
     (name, value), = option.items()
     options = {"copy": (ADDR, ADDR + PAGE_SIZE, PAGE_SIZE), **option}
 
@@ -298,7 +300,8 @@ def test_a_malformed_option_is_refused_naming_it(call, option):
 
         def state():
             return [(space.addrspace.mapped_vpns(), space.snapshot,
-                     space.snapshot and dict(space.snapshot._frames))
+                     space.snapshot and dict(space.snapshot._frames),
+                     dict(space.regs))
                     for space in spaces]
 
         before = state()
