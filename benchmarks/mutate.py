@@ -50,8 +50,6 @@ SURVIVORS = ROOT / "tests" / "mutation" / "survivors.json"
 #: first failure).
 TARGETS = {
     "cluster/compress.py": ["tests/cluster/test_compress.py"],
-    "cluster/control.py": ["tests/cluster/test_control.py",
-                           "tests/cluster/test_control_logs.py"],
     "cluster/faults.py": ["tests/cluster/test_faults.py"],
     "common/detrandom.py": ["tests/common/test_detrandom.py"],
     "mem/addrspace.py": ["tests/mem/test_addrspace.py",
@@ -60,6 +58,9 @@ TARGETS = {
                          "tests/kernel/test_putget_reads.py",
                          "tests/mem/test_write_oracle.py",
                          "tests/mem/test_copy_oracle.py"],
+    "mem/merge.py": ["tests/mem/test_merge.py",
+                     "tests/mem/test_merge_oracle.py",
+                     "tests/mem/test_merge_properties.py"],
     "mem/snapshot.py": ["tests/mem/test_addrspace.py",
                         "tests/mem/test_dirty.py",
                         "tests/mem/test_table_reads.py",

@@ -100,11 +100,8 @@ def main(smoke=False):
     print(stats.retx_table())
 
     # The transport only accumulates: per node, the whole run's demand
-    # pulls and the prefetch issue/hit/waste splits.  Under
-    # prefetch_depth="adaptive" a control plane reads the same rows,
-    # differenced against what it saw at its previous decision pass.
-    print("\nper-node page counters of the whole static run (what a "
-          "controller diffs every quantum):")
+    # pulls and the prefetch issue/hit/waste splits.
+    print("\nper-node page counters of the whole run:")
     print(stats.node_table())
 
 

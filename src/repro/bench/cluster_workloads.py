@@ -162,88 +162,6 @@ def matmult_tree(g, nnodes, n, seed):
 
 
 # ---------------------------------------------------------------------------
-# matmult_skewed: no single static prefetch depth wins both phases
-# ---------------------------------------------------------------------------
-
-#: Phase-A ring slices live well above the matmult arrays and the md5
-#: digest page, inside the SHARE window (so fork copy/snap covers them).
-SKEW_BASE = SHARED_BASE + 0x20_0000
-#: Phase-A rounds, and pages per ring slice.
-SKEW_ROUNDS = 8
-SKEW_WIDTH = 8
-
-
-def _skew_slice(i):
-    """Byte range of ring slice ``i`` (``SKEW_WIDTH`` pages each)."""
-    return SKEW_BASE + i * SKEW_WIDTH * PAGE_SIZE, SKEW_WIDTH * PAGE_SIZE
-
-
-def _skew_worker(g, sl, work, salt):
-    """Round worker: scan the round's hot slice, compute per page."""
-    addr, _ = _skew_slice(sl)
-    total = salt
-    for p in range(SKEW_WIDTH):
-        total = (total + g.read(addr + p * PAGE_SIZE, 4)[0] + p) & 0xFF
-        g.work(work)
-    return total
-
-
-def matmult_skewed(g, nnodes, n, work, seed):
-    """Two-phase workload where no single prefetch depth wins (the
-    adaptive ablation's any-static-loses case).
-
-    **Phase A** marches a hot window through a ring of rewritten-every-
-    round shared slices: each round the root regenerates *all* slices
-    (hot shared pages), then forks one worker per node that copies and
-    scans only the round's slice — the next round's workers scan the
-    next slice, and so on around the ring.  The demand miss on the hot
-    slice makes the kernel's sequential re-prime speculate up to
-    ``4 * depth`` pages past it, and the migration ledger primes each
-    visited node's queue with the freshly rewritten ring — but the root
-    rewrites every slice again before the march arrives, so at static
-    depth ``d`` roughly ``d`` queued transfers per node per round come
-    back as ``prefetch_stale`` demand misses: wire waste depth 0 never
-    pays, so shallow queues win phase A.  **Phase B** is the ordinary
-    matmult tree, whose one-shot bulk streams reward exactly the deep
-    queues phase A punishes.  A static knob must pick one phase to
-    lose; the control plane sheds depth while phase A's stale telemetry
-    accumulates, then restores it on phase B's demand bursts.
-    """
-    nslices = 3
-    checksum = 0
-    for r in range(SKEW_ROUNDS):
-        # Regenerate the whole ring: every slice's every page gets a
-        # fresh generation, so anything queued beyond the current hot
-        # slice is doomed speculation.
-        for sl in range(nslices):
-            addr, _ = _skew_slice(sl)
-            for p in range(SKEW_WIDTH):
-                g.write(addr + p * PAGE_SIZE, bytes([(sl + r + p) & 0xFF]) * 4)
-        hot = r % nslices
-        # Circuit-style serial visits (fork_i, join_i): every visit is
-        # a quantum boundary, so a depth lesson learned on one node's
-        # churn reprices the very next node's fork — the fastest the
-        # control loop can possibly react.
-        for i in range(nnodes):
-            ref = fork_child(g, child_ref(16 + i, node=i), _skew_slice(hot),
-                             _skew_worker, (hot, work, r + i))
-            checksum = (checksum + join_child(g, ref)) & 0xFFFFFFFF
-    # Phase B: bulk-streaming matmult trees on the same cluster, whose
-    # one-shot streams reward exactly the depth phase A punished.
-    total = 0
-    for rep in range(3):
-        total = (total + matmult_tree(g, nnodes, n, seed + rep)) & 0xFFFFFFFF
-    return (checksum * 0x10001 + total) & 0xFFFFFFFF
-
-
-def matmult_skewed_main(n=192, work=30_000, seed=7):
-    def main(g, nnodes):
-        return matmult_skewed(g, nnodes, n, work, seed)
-
-    return main
-
-
-# ---------------------------------------------------------------------------
 # Runners
 # ---------------------------------------------------------------------------
 
@@ -258,10 +176,9 @@ def run_cluster(entry_builder, nnodes, spec=None):
     :class:`~repro.cluster.spec.ClusterSpec`: ``ship_mode="full"`` for
     the naive every-page-every-hop migration baseline,
     ``topology``/``placement`` for the routed fabric,
-    ``prefetch_depth``/``compression`` for the async fetch queues (a
-    fixed depth or ``"adaptive"``) and wire compression, ``loss`` for
-    the deterministic fault schedule, ``shard_workers`` for forked host
-    execution.
+    ``prefetch_depth``/``compression`` for the async fetch queues and
+    wire compression, ``loss`` for the deterministic fault schedule,
+    ``shard_workers`` for forked host execution.
     """
     with Machine(nnodes=nnodes, spec=spec) as machine:
         result = machine.run(entry_builder, (nnodes,), ncpus=NODE_CPUS) \

@@ -16,10 +16,8 @@ owns *how* it crosses and what that costs:
   traversed link accrues occupancy, so shared cross-rack core links
   contend in ``schedule()``.  Per-node *async fetch queues*
   (``ClusterSpec(prefetch_depth=...)``) pipeline predicted-next frames
-  behind compute — at a fixed depth, or at per-node depths the control
-  plane tunes at quantum boundaries (``prefetch_depth="adaptive"``,
-  :mod:`repro.cluster.control`) — and ``ClusterSpec(compression=True)``
-  ships PAGE_BATCH payloads zero-suppressed/RLE-encoded
+  behind compute, and ``ClusterSpec(compression=True)`` ships
+  PAGE_BATCH payloads zero-suppressed/RLE-encoded
   (:mod:`repro.cluster.compress`);
 * :class:`~repro.cluster.faults.LossSchedule` — deterministic fault
   injection (``ClusterSpec(loss=...)``): per-link drop decisions keyed
@@ -42,8 +40,7 @@ owns *how* it crosses and what that costs:
   ledgers, while measured wall-clock joins simulated cycles as a
   second timing column (``backend.run_backend``; ``backend.RealRunResult``
   wraps the ``MachineResult`` with wall-clock, image and wire ledgers).
-  It, like the control plane (:mod:`repro.cluster.control`), is
-  imported from its own module: this package does not load either;
+  It is imported from its own module: this package does not load it;
 * :class:`NetworkStats` — a read-through view of the transport's
   ledgers (it copies nothing): migration hops, page/byte/message
   totals, per-class (rack vs cross-rack) aggregates

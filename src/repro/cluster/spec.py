@@ -9,10 +9,9 @@ else:
 
 * **One validation site.**  ``ship_mode`` membership,
   ``prefetch_depth``/``shard_workers`` range and type (an ``int``, never
-  a ``bool``; ``prefetch_depth`` may also be ``"adaptive"``),
-  ``tcp_mode``/``compression`` type (a ``bool``, never coerced),
-  ``loss``/``placement``/``topology`` syntax all raise here, at
-  construction, before any machine exists.
+  a ``bool``), ``tcp_mode``/``compression`` type (a ``bool``, never
+  coerced), ``loss``/``placement``/``topology`` syntax all raise here,
+  at construction, before any machine exists.
 * **One spelling.**  ``Machine(spec=ClusterSpec(ship_mode="demand"))``
   is the only way to say it, and every field is a plain value: a preset
   string, a policy name, a rate or a small dict — never a live object.
@@ -21,8 +20,7 @@ else:
   ``ValueError`` naming it.
 * **Frozen value semantics.**  A spec can be built once and shared by a
   whole sweep; anything *stateful* (the ``Topology`` for a concrete
-  node count, the ``Controller`` of ``prefetch_depth="adaptive"``) is
-  built per machine, never stored on the spec.
+  node count) is built per machine, never stored on the spec.
 
 The CPU count of a node is not a knob: every cluster runner schedules
 its trace on :data:`NODE_CPUS`, the paper's uniprocessor cluster nodes
@@ -82,10 +80,8 @@ class ClusterSpec:
     topology: object = None
     #: Virtual-node placement policy: "round_robin" (None), "locality".
     placement: object = None
-    #: Async fetch-queue depth per node (0: stop-and-wait), or
-    #: "adaptive": per-node depths the control plane tunes at quantum
-    #: boundaries (repro.cluster.control).
-    prefetch_depth: object = 0
+    #: Async fetch-queue depth per node (0: stop-and-wait).
+    prefetch_depth: int = 0
     #: PAGE_BATCH wire compression (zero suppression + RLE).
     compression: bool = False
     #: Deterministic fault schedule: a drop rate or a {"drop", "seed"}
@@ -106,15 +102,12 @@ class ClusterSpec:
         if self.ship_mode not in SHIP_MODES:
             raise ValueError(f"unknown ship_mode {self.ship_mode!r} "
                              f"(expected one of {SHIP_MODES})")
-        for name, alias in (("prefetch_depth", " or 'adaptive'"),
-                            ("shard_workers", "")):
+        for name in ("prefetch_depth", "shard_workers"):
             value = getattr(self, name)
-            if alias and value == "adaptive":
-                continue
             if isinstance(value, bool) or not isinstance(value, int) \
                     or value < 0:
-                raise ValueError(f"{name} must be a non-negative int"
-                                 f"{alias}, got {value!r}")
+                raise ValueError(f"{name} must be a non-negative int, "
+                                 f"got {value!r}")
         if self.backend not in BACKENDS:
             raise ValueError(f"unknown backend {self.backend!r} "
                              f"(expected one of {BACKENDS})")

@@ -446,6 +446,11 @@ class Transport:
                             delivered -= nbytes
                             self.hops -= len(route) - 1 - route.index(link)
                             break
+                        # Neither the messages after it on this link
+                        # nor any later link were reached.
+                        self.hops -= (
+                            (len(route) - route.index(link)) * len(msgs)
+                            - 1 - [msg[1] for msg in msgs].index(serial))
                         raise NetworkLossError(
                             f"{name} msg {serial} of space "
                             f"{faults.path} on link {link}: "
@@ -679,11 +684,10 @@ class Transport:
         dropped (and counted stale) now, freeing its queue slot for the
         fresh content the predictor is about to re-issue.  Hot pages
         rewritten faster than anyone reads them thus charge deep queues
-        *every* rewrite — the recurring-waste signal the adaptive
-        depth's shrink rule keys on.  An exchange whose last queued
-        frame is purged was never demanded, so its wire contention
-        enters the trace through a sink segment here, exactly as
-        :meth:`flush_inflight` does at end of run.
+        *every* rewrite.  An exchange whose last queued frame is purged
+        was never demanded, so its wire contention enters the trace
+        through a sink segment here, exactly as :meth:`flush_inflight`
+        does at end of run.
         """
         queue = self.inflight.get(node)
         if not queue:

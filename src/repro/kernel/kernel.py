@@ -150,12 +150,6 @@ class Kernel:
         last = trace.last_closed(child.uid)
         if last is not None:
             trace.edge(last, opened)
-        # Quantum boundary: the control plane (if any) takes one decision
-        # pass here, on the just-cut telemetry, so its knob deltas apply
-        # from the next quantum on (repro.cluster.control).
-        control = self.machine.control
-        if control is not None:
-            control.on_quantum(self.machine)
 
     def migrate(self, space, target_node):
         """Move a space's execution to another node (paper §3.3).
@@ -241,7 +235,7 @@ class Kernel:
         segment).
         """
         machine = self.machine
-        depth = machine.prefetch_depth_for(node)
+        depth = machine.spec.prefetch_depth
         if depth <= 0 or machine.nnodes <= 1:
             return
         transport = machine.transport
@@ -278,10 +272,8 @@ class Kernel:
             budget -= 1
             if cached is not None:
                 # Re-speculating on a page this node already fetched
-                # once: its producer rewrote it since.  Recurring
-                # refreshes are the churn signal the control plane's
-                # collapse rule keys on — pages rewritten every round
-                # make any depth's speculation a running wire tax.
+                # once: its producer rewrote it since (the node row's
+                # churn count).
                 transport.node(node).prefetch_refresh += 1
         # The predictor walks ledger entries, not page tables.
         self.kcharge(space, walked * machine.cost.page_track)
@@ -361,7 +353,7 @@ class Kernel:
             return
         for origin in sorted(fetch_by_origin):
             transport.fetch(space, origin, node, fetch_by_origin[origin])
-        depth = machine.prefetch_depth_for(node)
+        depth = machine.spec.prefetch_depth
         if depth > 0:
             self._issue_prefetch(space, node,
                                  aspace.mapped_vpns_in(vpn1, vpn1 + 4 * depth))

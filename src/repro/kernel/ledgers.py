@@ -374,8 +374,6 @@ NOT_REPLAYED = {
         "engine": _HOST,
         "kernel": "stateless: it holds the machine and nothing else",
         "root": "a subtree travels as the payload's space graph",
-        "control": "the adaptive prefetch controller: prefetch_depth == 0 "
-                   "is a gate",
         "shard": "None inside a worker: no nested sharding",
         "_closed": "lifecycle flag of the parent's machine",
     },

@@ -177,19 +177,6 @@ class Machine:
         self.node_map = {}
         #: Message-level interconnect all cross-node paths route through.
         self.transport = Transport(self)
-        #: Deterministic adaptive control plane: None (a static
-        #: ``prefetch_depth``, the default), or a fresh Controller when
-        #: the spec says ``prefetch_depth="adaptive"``.  The kernel
-        #: invokes it at quantum boundaries; it tunes per-node prefetch
-        #: depths from windows of the transport's counters it keeps
-        #: itself (repro.cluster.control).  Every machine builds its
-        #: own (stateful) Controller, so a spec shared across a sweep
-        #: never leaks adaptation between runs.  Its module loads only
-        #: here.
-        self.control = None
-        if spec.prefetch_depth == "adaptive":
-            from repro.cluster.control import Controller
-            self.control = Controller()
         #: Sharded host execution (repro.kernel.shard): at a rendezvous
         #: with >= 2 never-run READY siblings, fork up to this many
         #: host processes, queue the sibling subtrees on them (a
@@ -225,16 +212,6 @@ class Machine:
         demand-fetched plus prefetched (the transport keeps the split)."""
         wire = self.transport
         return wire.pages_shipped + wire.pages_pulled + wire.pages_prefetched
-
-    # -- adaptive knob read --------------------------------------------------
-
-    def prefetch_depth_for(self, node):
-        """Effective prefetch-queue depth of ``node``: the controller's
-        adaptive per-node depth when a control plane is attached, else
-        the static ``prefetch_depth`` knob."""
-        if self.control is not None:
-            return self.control.depth_for(node)
-        return self.spec.prefetch_depth
 
     # -- placement ----------------------------------------------------------
 

@@ -67,11 +67,9 @@ serial, with the reason kept on :attr:`ShardCoordinator.refused`):
 * ``os.fork`` exists;
 * ``prefetch_depth`` is 0 — a node's prefetch queue is shared by
   every sibling that visits the node, so the entries one sibling left
-  unredeemed shrink what the next may queue there (and ``"adaptive"``
-  depths read machine-wide telemetry windows cut at whichever
-  rendezvous comes next).  Every ``ship_mode`` forks: the tag-cache check
-  at adoption (``"node cache moved"``) covers delta, demand and full
-  shipping alike.
+  unredeemed shrink what the next may queue there.  Every ``ship_mode``
+  forks: the tag-cache check at adoption (``"node cache moved"``)
+  covers delta, demand and full shipping alike.
 """
 
 import multiprocessing

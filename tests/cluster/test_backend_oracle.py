@@ -154,10 +154,10 @@ def test_md5_tree_single_child_waves():
 @pytest.mark.parametrize("builder", [MD5_TREE, cw.matmult_tree_main(64)],
                          ids=["md5_tree", "matmult_tree"])
 def test_telemetry_window_is_the_same_on_every_backend(builder):
-    # One observable, any backend: the node rows a controller diffs
-    # ride a worker's hand-back like the link ones, so the tables an
-    # operator reads after the run (and every page total, a sum over
-    # the node rows) do not depend on who ran the subtrees.
+    # One observable, any backend: the node rows ride a worker's
+    # hand-back like the link ones, so the tables an operator reads
+    # after the run (and every page total, a sum over the node rows)
+    # do not depend on who ran the subtrees.
     tables = {}
     for name, knobs in (("serial", {}), ("sharded", {"shard_workers": 2}),
                         ("real", {"backend": "real"})):

@@ -423,6 +423,9 @@ def test_retry_exhaustion_is_a_defined_state(dead, hops_before):
     # MIGRATE, one PAGE_BATCH and the ACK were numbered up front.
     assert space.messages == transport.messages == 3
     assert len(machine.trace.transfers) == 0
+    # A hop is a first copy serialized: the ones the leg reached.
+    assert transport.hops == 2 * hops_before + 1 == sum(
+        row.messages - row.retx_msgs for row in transport.links.values())
 
 
 @pytest.mark.parametrize("dead, hops_before", [
@@ -442,7 +445,8 @@ def test_an_exhausted_ack_dies_on_its_hop(dead, hops_before):
     assert transport.conservation_ok()
     route = machine.topology.route(0, 3)
     assert list(transport.links) == list(route[:hops_before + 1])
-    assert transport.hops == hops_before + 1
+    assert transport.hops == hops_before + 1 == sum(
+        row.messages - row.retx_msgs for row in transport.links.values())
     for link in route[:hops_before]:
         row = transport.links[link]
         assert (row.messages, row.bytes_received, row.dropped_msgs) \

@@ -11,9 +11,10 @@ import hashlib
 
 import pytest
 
+from skewed_workload import VALUE, skewed_main
 from repro import ClusterSpec
 from repro.bench import cluster_workloads as cw
-from repro.cluster import NetworkStats
+from repro.cluster import NetworkStats, Transport
 from repro.kernel import Machine, child_ref
 from repro.mem import PAGE_SIZE
 from repro.timing.schedule import schedule
@@ -75,6 +76,28 @@ def test_depth_oracle_with_compression():
             if reference is None:
                 reference = (value, image)
             assert (value, image) == reference, (depth, compression)
+
+
+def test_purged_queue_entries_move_no_result(monkeypatch):
+    """The skewed workload rewrites its whole ring every round, so the
+    predictor finds queued entries superseded and drops them before each
+    refill (``Transport.purge_superseded``): depth 4 purges, and still
+    computes depth 0's value and memory image."""
+    purged = []
+    purge = Transport.purge_superseded
+
+    def counting(self, node):
+        purged.append(purge(self, node))
+        return purged[-1]
+
+    monkeypatch.setattr(Transport, "purge_superseded", counting)
+    runs = {depth: _run_oracle(skewed_main, ship_mode="demand",
+                               prefetch_depth=depth, topology="two_tier:2")
+            for depth in (0, 4)}
+    assert runs[0][:2] == runs[4][:2]
+    assert runs[4][0] == VALUE
+    assert sum(purged) == runs[4][2].transport.prefetch_stale == 80
+    assert runs[0][2].transport.prefetch_stale == 0
 
 
 def test_eager_and_demand_modes_agree():

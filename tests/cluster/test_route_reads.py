@@ -19,9 +19,9 @@ from types import SimpleNamespace
 import pytest
 
 from repro import ClusterSpec
-from repro.cluster.control import Controller
 from repro.cluster.transport import CounterRow, NodeStats
 from repro.kernel import Machine
+from repro.kernel.ledgers import LEDGERS
 from repro.mem import PAGE_SIZE, Page
 
 NODES = 8
@@ -123,17 +123,19 @@ def test_a_used_route_is_walked_once_per_leg(world):
 
 
 def test_a_row_born_in_a_window_reports_from_its_creation(world):
-    """A controller diffs each node row against what it saw at its
-    previous pass: a row created since reports from its creation, and a
-    pass that finds nothing moved reports no row."""
+    """A shard worker hands back each node row's moves since its fork
+    mark (``kernel/ledgers.py``): a row created since reports from its
+    creation, and a window in which nothing moved reports no row."""
     machine, space, frames, _ = world
     transport = machine.transport
-    control = Controller()
-    assert control._window(transport) == {}
+    nodes = next(ledger for ledger in LEDGERS if ledger.key == "nodes")
+    mark = nodes.mark(machine)
+    assert nodes.delta(machine, mark) == {}
     transport.fetch(space, SRC, DST, frames)
-    assert control._window(transport)[DST] == dict(
+    assert nodes.delta(machine, mark)[DST] == dict(
         NodeStats().as_dict(), pulled=len(frames))
+    mark = nodes.mark(machine)
     transport.fetch(space, SRC, DST, frames[:1])
     transport.fetch(space, SRC, DST, frames[1:])
-    assert control._window(transport)[DST]["pulled"] == len(frames)
-    assert control._window(transport) == {}
+    assert nodes.delta(machine, mark)[DST]["pulled"] == len(frames)
+    assert nodes.delta(machine, nodes.mark(machine)) == {}

@@ -21,7 +21,6 @@ from repro import ClusterSpec, Machine
 from repro.bench import cluster_workloads as cw
 from repro.bench.harness import run_determinator
 from repro.cluster.backend import run_backend
-from repro.cluster.control import Controller
 from repro.cluster.faults import LossSchedule
 from repro.cluster.placement import locality
 from repro.cluster.serving import serve_trace
@@ -96,10 +95,10 @@ def test_a_bad_topology_is_refused_by_the_spec(topology):
     ("placement", locality),
     ("placement", "identity"),
     ("loss", LossSchedule(drop=0.1)),
-    ("prefetch_depth", Controller()),
+    ("prefetch_depth", "adaptive"),
 ], ids=["topology-instance", "topology-class", "topology-builder",
         "placement-function", "placement-identity", "loss-schedule",
-        "control-instance"])
+        "prefetch-adaptive"])
 def test_a_live_object_is_refused_naming_its_field(field, value):
     """Every field is a plain value — a preset, a policy name, a rate
     or a small dict: a live object (or a test-only name) is refused at
@@ -142,8 +141,7 @@ def test_machine_keeps_no_copy_of_a_spec_field():
     per-machine objects resolved from it, and the spec has no resolver
     methods of its own (``Machine`` calls the module resolvers)."""
     fields = {f.name for f in dataclasses.fields(ClusterSpec)}
-    spec = ClusterSpec(topology="two_tier:2", loss=0.01,
-                       prefetch_depth="adaptive")
+    spec = ClusterSpec(topology="two_tier:2", loss=0.01, prefetch_depth=8)
     with Machine(nnodes=4, spec=spec) as machine:
         assert set(vars(machine)) & fields == {
             "cost", "loss", "topology", "placement"}
@@ -177,10 +175,9 @@ def test_entry_points_never_regrow_knob_parameters(entry):
 
 
 def test_twelve_knobs_and_a_knobless_harness():
-    """Neither the dirty ledger, the CPU count nor the control plane is
-    a knob of its own: the spec has exactly ten fields
-    (``cpus_per_node`` is the constant ``NODE_CPUS`` now, the control
-    plane is ``prefetch_depth="adaptive"``), and ``run_determinator`` —
+    """Neither the dirty ledger nor the CPU count is a knob of its own:
+    the spec has exactly ten fields (``cpus_per_node`` is the constant
+    ``NODE_CPUS`` now), and ``run_determinator`` —
     the entry point the guard above cannot cover, having no ``spec=`` —
     configures nothing at all."""
     assert len(dataclasses.fields(ClusterSpec)) == 10

@@ -15,6 +15,7 @@ from repro.cluster.transport import (
     Transport,
 )
 from repro.kernel import Machine, child_ref
+from repro.kernel.ledgers import LEDGERS
 from repro.mem import PAGE_SIZE, Page
 
 ADDR = 0x10_0000
@@ -211,7 +212,7 @@ def test_derived_totals_survive_sharded_adoption():
     assert sharded.pages_fetched == serial.pages_fetched > 0
 
 
-# -- the node rows a controller's windows difference ------------------------
+# -- the node rows a shard worker's hand-back differences ------------------
 
 #: The page totals the transport derives from its node rows.
 NODE_TOTALS = {
@@ -219,27 +220,28 @@ NODE_TOTALS = {
     "prefetch_used": "prefetch_used", "prefetch_stale": "prefetch_stale",
 }
 
-
-def _pass(machine):
-    """One decision pass's window of the machine's controller."""
-    return machine.control._window(machine.transport)
+#: The ``transport.nodes`` entry of the hand-back (``kernel/ledgers.py``):
+#: a window is its ``delta`` since a ``mark``.
+NODE_ROWS = next(ledger for ledger in LEDGERS if ledger.key == "nodes")
 
 
 def test_a_window_is_what_the_ledgers_moved_since_the_last_take():
-    """Cumulative rows, differenced by the controller at each pass: the
-    totals are sums over the rows and no pass disturbs them."""
-    with Machine(nnodes=4,
-                 spec=ClusterSpec(prefetch_depth="adaptive")) as m:
+    """Cumulative rows, differenced against a mark of their
+    ``as_dict``: the totals are sums over the rows and no window
+    disturbs them."""
+    with Machine(nnodes=4) as m:
         t = m.transport
+        mark = NODE_ROWS.mark(m)
         t.node(2).pulled += 3
         t.node(0).prefetch_issued += 8
-        first = _pass(m)
-        assert list(first) == [0, 2], "rows come in key order"
+        first = NODE_ROWS.delta(m, mark)
+        assert set(first) == {0, 2}
         assert first[2] == dict(dict.fromkeys(NodeStats.FIELDS, 0),
                                 pulled=3)
+        mark = NODE_ROWS.mark(m)
         t.node(2).pulled += 1
         t.node(0).prefetch_used += 5
-        second = _pass(m)
+        second = NODE_ROWS.delta(m, mark)
         assert second[2]["pulled"] == 1
         assert second[0]["prefetch_issued"] == 0
         assert second[0]["prefetch_used"] == 5
@@ -249,62 +251,30 @@ def test_a_window_is_what_the_ledgers_moved_since_the_last_take():
 
 
 def test_a_node_has_a_window_row_iff_a_counter_of_it_moved():
-    """``Controller._decide_prefetch`` drains a node's growth hold on
-    any row it sees, so looking a row up must not put it (all zero) in
-    the window — here, and in a later window the row sat still in."""
-    with Machine(nnodes=4,
-                 spec=ClusterSpec(prefetch_depth="adaptive")) as m:
+    """Looking a row up must not put it (all zero) in a window — here,
+    and in a later window the row sat still in: ``NodeStats.delta_since``
+    reports None for it, and the hand-back carries no row."""
+    with Machine(nnodes=4) as m:
         t = m.transport
+        mark = NODE_ROWS.mark(m)
         t.node(0)                       # looked up, never moved
         t.node(1).pulled += 2
-        assert set(_pass(m)) == {1}
+        assert t.node(0).delta_since(None) is None
+        assert set(NODE_ROWS.delta(m, mark)) == {1}
+        mark = NODE_ROWS.mark(m)
         t.node(1)
-        assert _pass(m) == {}
+        assert t.node(1).delta_since(mark[1]) is None
+        assert NODE_ROWS.delta(m, mark) == {}
 
 
-@pytest.fixture
-def windows(monkeypatch):
-    """Every window any controller computes (one per quantum)."""
-    from repro.cluster.control import Controller
-
-    taken = []
-    window = Controller._window
-
-    def take(self, transport):
-        taken.append(window(self, transport))
-        return taken[-1]
-
-    monkeypatch.setattr(Controller, "_window", take)
-    return taken
-
-
-def test_adaptive_run_windows_have_moved_rows(windows):
-    """On a real adaptive, lossy run: no window carries an all-zero
-    row, and the windows (and what moved after the last pass) add up
-    to the run's rows."""
-    _, m, _ = cw.run_cluster(
-        cw.matmult_tree_main(64), 4,
-        ClusterSpec(ship_mode="demand", topology="two_tier:2",
-                    loss={"drop": 0.02, "seed": 7},
-                    prefetch_depth="adaptive"))
-    assert len(windows) == m.control.windows_seen > 0
-    _pass(m)                            # what moved after the last quantum
-    rows = [row for window in windows for row in window.values()]
-    assert rows and all(any(row.values()) for row in rows)
-    for total, field in NODE_TOTALS.items():
-        assert sum(row[field] for row in rows) \
-            == getattr(m.transport, total), total
-
-
-def test_no_windows_without_a_controller(windows):
-    """A static depth, lossy and prefetching, takes no window and keeps
-    only the node rows, whose sums are the page totals."""
+def test_a_lossy_prefetching_run_totals_its_node_rows():
+    """A static depth, lossy and prefetching: the page totals are sums
+    over the node rows."""
     _, m, _ = cw.run_cluster(
         cw.matmult_tree_main(64), 4,
         ClusterSpec(ship_mode="demand", topology="two_tier:2",
                     prefetch_depth=8, loss={"drop": 0.02, "seed": 7}))
-    assert m.control is None and m.transport.pages_prefetched
-    assert windows == []
+    assert m.transport.pages_prefetched
     for total, field in NODE_TOTALS.items():
         assert getattr(m.transport, total) == sum(
             getattr(row, field) for row in m.transport.nodes.values()), total

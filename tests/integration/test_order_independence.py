@@ -132,8 +132,6 @@ class Permuted:
         last = trace.last_closed(child.uid)
         if last is not None:
             trace.edge(last, opened)
-        if machine.control is not None:
-            machine.control.on_quantum(machine)
 
 
 # -- the workloads ----------------------------------------------------------
@@ -236,11 +234,6 @@ def ledgers(timing, image, paths):
                          for space in image.root.walk()}}
 
 
-#: The names :func:`ledgers` returns.
-EVERY_LEDGER = {"makespan", "links", "nodes", "scalars", "segments",
-                "messages"}
-
-
 def run_cell(monkeypatch, workload, knobs, seed=None):
     """``(value, guest state, ledgers, children run early)`` of one
     run of ``workload`` (a ``WORKLOADS`` value)."""
@@ -334,20 +327,6 @@ def test_the_queue_cell_without_a_queue_is_the_same_run(monkeypatch):
                                  SPECS["demand"])
     assert early > 0
     assert not moved
-
-
-@pytest.mark.parametrize("depth", [4, "adaptive"])
-def test_the_harness_sees_the_adaptive_depth_move(monkeypatch, depth):
-    # The other half of the row: the controller's windows are cut at
-    # whichever rendezvous comes next, so on the workload built for it
-    # an adaptive depth moves every ledger, where a static one moves
-    # nothing.
-    moved, early = moved_ledgers(
-        monkeypatch, _cluster(cw.matmult_skewed_main(n=64, work=5_000), 4),
-        {**SPECS["demand"], "topology": "two_tier:2",
-         "prefetch_depth": depth})
-    assert early > 0
-    assert moved == (EVERY_LEDGER if depth == "adaptive" else set())
 
 
 @pytest.mark.parametrize("spec", SPECS)

@@ -217,16 +217,13 @@ def test_an_exhausted_ack_traps_nobody():
 #: the reason both coordinators give.
 GATED = {
     "prefetch": ({"prefetch_depth": 2}, "prefetch_depth=2"),
-    # The adaptive control plane is a prefetch depth: the same row.
-    "control": ({"prefetch_depth": "adaptive"},
-                "prefetch_depth='adaptive'"),
 }
 
 
 @pytest.mark.parametrize("gate", GATED)
 def test_gated_configs_stay_serial_and_identical(gate):
     # Configurations whose results cannot be replayed from a worker
-    # delta (the control plane, cross-subtree prefetch hints) must not
+    # delta (a prefetch queue shared across subtrees) must not
     # fork — must still produce the serial answer — and must say why.
     knobs, reason = GATED[gate]
     serial, sharded, shard = run_pair(cw.matmult_tree_main(32), 4, **knobs)
@@ -556,7 +553,7 @@ def test_node_rows_ride_the_hand_back_like_the_link_ones():
     # rows by hand through the four steps of the one row kind.  What a
     # run moved is handed back as differences, rewound (a row the run
     # created is gone again), and adopted through the transport's
-    # accessors — so a controller's next window would see it.
+    # accessors — so the parent's totals and node table include it.
     rows = [ledger for ledger in ledgers.LEDGERS
             if isinstance(ledger, ledgers.Rows)]
     assert [ledger.key for ledger in rows] == ["links", "nodes"]

@@ -4,6 +4,7 @@ import pytest
 
 from repro.common.errors import MergeConflictError
 from repro.mem import AddressSpace, PAGE_SIZE, Snapshot, merge_range
+from repro.mem.merge import MergeStats
 
 
 def fork_pair(addr=0x1000, size=4 * PAGE_SIZE, init=b""):
@@ -152,6 +153,42 @@ def test_merge_range_must_lie_within_snapshot():
     parent, child, snap = fork_pair()
     with pytest.raises(ValueError):
         merge_range(parent, child, snap, addr=0x100000, size=PAGE_SIZE)
+
+
+@pytest.mark.parametrize("addr, size, match", [
+    (0x1000, PAGE_SIZE + 1, "page-aligned"),
+    (0x1001, PAGE_SIZE, "page-aligned"),
+    (0x4000, 2 * PAGE_SIZE,
+     r"merge range 0x4000\+0x2000 outside snapshot range"),
+], ids=["size", "addr", "past-the-end"])
+def test_a_malformed_merge_range_is_refused_naming_it(addr, size, match):
+    """Either half unaligned is refused, and so is a range that starts
+    inside the snapshot but runs past its end — before anything
+    merges."""
+    parent, child, snap = fork_pair()
+    child.write(0x1000, b"c")
+    with pytest.raises(ValueError, match=match):
+        merge_range(parent, child, snap, addr=addr, size=size)
+    assert parent.read(0x1000, 1) == bytes(1)
+
+
+def test_an_empty_range_at_the_snapshot_start_merges_nothing():
+    parent, child, snap = fork_pair()
+    child.write(0x1000, b"c")
+    assert merge_range(parent, child, snap, addr=0x1000, size=0) \
+        == MergeStats()
+    assert parent.read(0x1000, 1) == bytes(1)
+
+
+def test_merge_stats_count_each_candidate_once_and_compare_by_value():
+    parent, child, snap = fork_pair(init=b"aaaa")
+    child.write(0x1000, b"b")
+    child.write(0x3000, b"c")
+    stats = merge_range(parent, child, snap)
+    assert (stats.pages_scanned, stats.pages_adopted, stats.pages_diffed) \
+        == (2, 2, 0)
+    assert MergeStats() == MergeStats() != stats
+    assert MergeStats() != 0
 
 
 def test_merge_subrange_only():

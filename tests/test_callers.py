@@ -89,8 +89,6 @@ EXEMPT = {
                                                       "smaller matrices"),
     "bench/figures.py::figure12.md5_length": (SIZE, "a smaller search"),
     "bench/figures.py::figure12.matmult_n": (SIZE, "smaller matrices"),
-    "bench/cluster_workloads.py::matmult_skewed_main.work": (
-        SIZE, "less compute per skewed worker"),
     "bench/workloads/serving.py::make_arrivals.segments": (
         SIZE, "the arrivals oracle's short traces"),
     "bench/workloads/serving.py::make_arrivals.segment_cycles": (

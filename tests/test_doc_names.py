@@ -1,10 +1,12 @@
 """Doc names resolve: every backticked ``Class`` or ``Class.member`` in
 README.md, DESIGN.md and ``docs/*.md`` names a class ``src/`` defines
-and a member it has, and every backticked ``path.py`` or
-``path.py::name`` names a repo file and a top-level name in it; every
-citation of a DESIGN.md section names one, and a heading or lead-in in
-it; and DESIGN.md keeps its shape (``benchmarks/check_docs.py``'s
-name, path, section and shape passes, which CI's docs job runs too).
+and a member it has (``machine.member`` and ``transport.member`` a
+member of ``Machine`` and ``Transport``), and every backticked
+``path.py`` or ``path.py::name`` names a repo file and a top-level name
+in it; every citation of a DESIGN.md section names one, and a heading
+or lead-in in it; and DESIGN.md keeps its shape
+(``benchmarks/check_docs.py``'s name, path, section and shape passes,
+which CI's docs job runs too).
 
 The samples below spell the section sign ``\\u00a7`` so that this file's
 own source cites no section."""
@@ -41,6 +43,20 @@ def test_each_resolution_path_and_a_stale_name(tmp_path):
     ]
 
 
+def test_an_instance_span_resolves_on_its_class(tmp_path):
+    doc = tmp_path / "guide.md"
+    doc.write_text(
+        "`machine.shard.refused`, `transport.hops` (SCALARS),\n"
+        "`machine.pages_fetched` (a property).  `machine.control`,\n"
+        "`transport.window()`, `machine.prefetch_depth_for(node)`.  Not\n"
+        "instances: `kernel.shard_self_s`, `trace.coverage`.\n")
+    assert check_docs.stale_names([doc]) == [
+        "guide.md:2: `machine.control`",
+        "guide.md:3: `transport.window()`",
+        "guide.md:3: `machine.prefetch_depth_for(node)`",
+    ]
+
+
 def test_every_backticked_module_path_resolves():
     assert check_docs.stale_paths() == []
 
@@ -50,7 +66,7 @@ def test_each_path_form_and_a_stale_path(tmp_path):
     doc.write_text(
         "`benchmarks/check_docs.py` (repo-relative), `kernel/shard.py`\n"
         "(under src/repro), `repro/cluster/spec.py` (under src),\n"
-        "`bench_ablation_adaptive.py` (a suffix), a def\n"
+        "`bench_ablation_prefetch.py` (a suffix), a def\n"
         "`kernel/shard.py::fork_refusal`, an assignment\n"
         "`cluster/placement.py::POLICIES`, a member\n"
         "`cluster/transport.py::Transport.migrate`, a test\n"

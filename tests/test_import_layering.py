@@ -3,10 +3,10 @@
 Every fresh process — a test run, ``python -m repro.bench``, each
 perfbench set-up child — compiles and executes every module it imports.
 The real-process backend, the shard coordinator and its ledgers, the
-control plane, the debugger, the process runtime and the Linux baseline
-load on first use, so a simulated run pays for none of them.  This
-ratchet runs one in a fresh interpreter and names any of them that got
-loaded anyway, e.g. by an eager re-export in a package ``__init__``.
+debugger, the process runtime and the Linux baseline load on first use,
+so a simulated run pays for none of them.  This ratchet runs one in a
+fresh interpreter and names any of them that got loaded anyway, e.g. by
+an eager re-export in a package ``__init__``.
 """
 
 import importlib
@@ -27,7 +27,7 @@ SRC = Path(repro.__file__).resolve().parent.parent
 #: load.
 OPTIONAL = (
     "repro.cluster.backend", "repro.cluster.realnet", "repro.kernel.shard",
-    "repro.kernel.ledgers", "repro.cluster.control", "repro.debug",
+    "repro.kernel.ledgers", "repro.debug",
     "repro.baseline", "repro.runtime.fs", "repro.runtime.process",
     "repro.runtime.dsched", "repro.runtime.shell", "repro.runtime.make",
     "repro.runtime.checkpoint", "multiprocessing", "socket",
