@@ -19,14 +19,16 @@ checkout in the current directory, and prints one JSON line:
   a checkout that predates it;
 * ``loss_draws`` — ``LossSchedule.draw`` calls, one per wire copy a
   lossy fabric decides;
+* ``inflight_claims`` — ``Transport.take_inflight`` calls: a demand
+  miss's claims on its node's prefetch queue;
 * ``ledger_entries`` — dirty-ledger entries read: the vpns every
   ``AddressSpace.dirty_since`` call returns, summed (a Merge's, a
   re-Snap's and a migration delta's enumeration).
 
 The program is observed from outside: :func:`counting` wraps each new
 worker's ``go`` lock in a :class:`CountingLock` and the sizer, the
-loss draw and the ledger query in counting wrappers, so the program
-carries no counter.  An
+loss draw, the queue claim and the ledger query in counting wrappers,
+so the program carries no counter.  An
 iteration the workload's oracle rejects is refused, not counted.
 """
 
@@ -55,7 +57,8 @@ class CountingLock:
 class Counts:
     """What :func:`counting` saw: the guest workers started, how many
     garbage collections of each generation ran, the codec sizer's calls
-    and pages, the loss draws and the ledger entries read."""
+    and pages, the loss draws, the prefetch-queue claims and the ledger
+    entries read."""
 
     def __init__(self):
         self.workers = []
@@ -63,6 +66,7 @@ class Counts:
         self.sizer_calls = 0
         self.sizer_pages = 0
         self.loss_draws = 0
+        self.inflight_claims = 0
         self.ledger_entries = 0
 
     @property
@@ -79,12 +83,14 @@ class Counts:
 @contextlib.contextmanager
 def counting():
     """Count guest hand-offs, worker starts, collections, codec sizings,
-    loss draws and ledger entries read in the body.
+    loss draws, prefetch-queue claims and ledger entries read in the
+    body.
 
     Yields a :class:`Counts`.  A worker started in the body has its
     ``go`` lock wrapped before any context reads it; a machine built
     inside the body must also be closed inside it."""
     from repro.cluster import compress, faults
+    from repro.cluster.transport import Transport
     from repro.kernel import engine
     from repro.mem.addrspace import AddressSpace
 
@@ -94,6 +100,7 @@ def counting():
     sizer_name = "wire_sizes" if batched else "wire_size"
     sizer = getattr(compress, sizer_name)
     draw = faults.LossSchedule.draw
+    take_inflight = Transport.take_inflight
     dirty_since = AddressSpace.dirty_since
 
     def counted_start(worker, *args, **kwargs):
@@ -110,6 +117,10 @@ def counting():
         counts.loss_draws += 1
         return draw(schedule, *args, **kwargs)
 
+    def counted_take_inflight(transport, *args):
+        counts.inflight_claims += 1
+        return take_inflight(transport, *args)
+
     def counted_dirty_since(space, token):
         since = dirty_since(space, token)
         counts.ledger_entries += len(since)
@@ -118,6 +129,7 @@ def counting():
     engine._Worker.__init__ = counted_start
     setattr(compress, sizer_name, counted_sizer)
     faults.LossSchedule.draw = counted_draw
+    Transport.take_inflight = counted_take_inflight
     AddressSpace.dirty_since = counted_dirty_since
     gc.collect()
     gc.callbacks.append(counts.collected)
@@ -126,6 +138,7 @@ def counting():
     finally:
         gc.callbacks.remove(counts.collected)
         AddressSpace.dirty_since = dirty_since
+        Transport.take_inflight = take_inflight
         faults.LossSchedule.draw = draw
         setattr(compress, sizer_name, sizer)
         engine._Worker.__init__ = start
@@ -154,6 +167,7 @@ def count(name, seed):
             "sizer_calls": counts.sizer_calls,
             "sizer_pages": counts.sizer_pages,
             "loss_draws": counts.loss_draws,
+            "inflight_claims": counts.inflight_claims,
             "ledger_entries": counts.ledger_entries}
 
 

@@ -33,12 +33,12 @@ The codec is a real round-tripping implementation, not an estimate:
 :func:`encode_page` / :func:`decode_page` are property-tested on
 random, zero, and sparse frames.  The transport charges wire bytes
 from :func:`wire_sizes`, which sizes one PAGE_BATCH load (up to
-``cost.msg_batch`` pages, each content tag once) in a single pass over
-byte masks instead of building any payload: the run tokens are the
-zero mask opened by :data:`MIN_ZERO_RUN`, and the size is counted from
-that mask's bytes and its segment ends.  :func:`encode_page` stays the
-independent oracle: the count is property-tested equal to
-``len(encode_page(d)[1])``.
+``cost.msg_batch`` pages, each content tag once) from its zero masks
+packed 64 bytes to a word instead of building any payload: the size is
+counted from where the run tokens start, and only a page that may hold
+a segment longer than one token lists its segment ends.
+:func:`encode_page` stays the independent oracle: the count is tested
+equal to ``len(encode_page(d)[1])``.
 """
 
 import numpy as np
@@ -61,9 +61,12 @@ _SPAN = 0x80
 
 _ZERO_PAGE = bytes(PAGE_SIZE)
 
-#: Eight ``True`` bytes read as one uint64: the 8 words of an aligned
-#: 64-byte block of segment ends, each compared equal to zero.
-_QUIET_BLOCK = np.uint64(0x0101010101010101)
+#: A page's zero mask packed 64 bytes to a little-endian uint64 word.
+_WORDS = PAGE_SIZE // 64
+
+#: The last word's bits where a run may start: a run of three zero
+#: bytes (:data:`MIN_ZERO_RUN`) starts by the page's third-last byte.
+_LAST_STARTS = (1 << 62) - 1
 
 
 def _zero_runs(data):
@@ -89,10 +92,8 @@ def _emit_literal(out, chunk):
 
 def _emit_zero_run(out, length):
     """Append zero-run tokens covering ``length`` zero bytes."""
-    while length > 0:
-        take = min(length, _SPAN)
-        out.append(bytes((0x80 + take - 1,)))
-        length -= take
+    for start in range(0, length, _SPAN):
+        out.append(bytes((0x80 + min(length - start, _SPAN) - 1,)))
 
 
 def encode_page(data):
@@ -145,6 +146,8 @@ def decode_page(scheme, payload):
             pos += take
         else:
             out += bytes(control - 0x7F)
+        if len(out) > PAGE_SIZE:
+            raise ValueError(f"tokens run past {PAGE_SIZE} bytes")
     if len(out) != PAGE_SIZE:
         raise ValueError(
             f"decoded {len(out)} bytes, expected {PAGE_SIZE}")
@@ -155,56 +158,64 @@ def wire_sizes(pages):
     """Wire payload bytes of each of ``pages`` under compression, as a
     list: ``wire_sizes(b)[i] == len(encode_page(b[i])[1])``.
 
-    One PAGE_BATCH load is sized in one pass over its stacked byte
-    masks, never building a payload.  ``kept`` marks the bytes of the
-    zero runs of at least :data:`MIN_ZERO_RUN` bytes (the zero mask
-    eroded, then dilated, by ``MIN_ZERO_RUN - 1``); the stream is the
-    page's segments — maximal kept and unkept spans — alternating
-    between run and literal tokens.  A segment of ``L`` bytes costs
-    ``1 + (L - 1) // 128`` control bytes, so a page costs its literal
-    bytes, plus one byte per segment, plus ``(L - 1) // 128`` per
-    segment longer than one token.  Such a segment covers a whole
-    aligned 64-byte block with no segment end in it, so segment ends
-    are listed only for the pages that have one.  An all-zero page is
-    0, and no size exceeds ``PAGE_SIZE`` (raw is always a candidate).
+    One PAGE_BATCH load is sized in one pass over its zero masks, packed
+    64 bytes to a uint64 word, never building a payload.  ``run`` marks
+    each byte that starts :data:`MIN_ZERO_RUN` (three) zero bytes: the
+    zero mask and-ed with itself shifted by one and two bytes, across
+    words.  The run tokens cover the ``R`` maximal spans of ``run``,
+    each widened by two bytes, so they keep ``Σrun + 2R`` bytes; the
+    stream's segments — maximal kept and literal spans, alternating —
+    number ``2R + 1 - first - last``, where ``first`` / ``last`` say
+    the page starts / ends kept.  One control byte per segment plus the
+    literal bytes is then ``PAGE_SIZE + 1 - Σrun - first - last``: the
+    ``2R`` cancel.  A segment of ``L > 128`` bytes costs ``(L - 1) //
+    128`` more control bytes and holds a whole word of ``run`` that is
+    all set or all clear, so only a page with such a word, whose size
+    is still below ``PAGE_SIZE``, lists its segment ends.  An all-zero
+    page is 0, and no size exceeds ``PAGE_SIZE`` (raw is always a
+    candidate).
     """
     if any(len(page) != PAGE_SIZE for page in pages):
         raise ValueError(f"page payload must be {PAGE_SIZE} bytes")
     if not pages:
         return []
     count = len(pages)
-    kept = np.frombuffer(b"".join(pages), np.uint8).reshape(count,
-                                                            PAGE_SIZE) == 0
-    ends = np.empty_like(kept)                  # a segment ends here
-    width = PAGE_SIZE - MIN_ZERO_RUN + 1
-    # a run starts here; its mask borrows the ends' buffer until kept
-    # is dilated from it
-    run = np.logical_and(kept[:, :width], kept[:, 1:width + 1],
-                         out=ends[:, :width])
-    for shift in range(2, MIN_ZERO_RUN):
-        run &= kept[:, shift:shift + width]
-    kept[:, :width] = run
-    kept[:, width:] = False
-    for shift in range(1, MIN_ZERO_RUN):
-        kept[:, shift:shift + width] |= run
-    np.logical_xor(kept[:, 1:], kept[:, :-1], out=ends[:, :-1])
-    ends[:, -1] = True
-    literal = PAGE_SIZE - np.add.reduce(kept.view(np.uint8), axis=1,
-                                        dtype=np.uint16)
-    sizes = (literal + np.add.reduce(ends.view(np.uint8), axis=1,
-                                     dtype=np.uint16)).astype(np.intp)
-    # the ends as uint64 words, compared with zero and read back as
-    # uint64: an aligned 64-byte block with no segment end in it is
-    # eight True bytes, one _QUIET_BLOCK
-    quiet = (ends.view(np.uint64) == 0).view(np.uint64) == _QUIET_BLOCK
-    rows = np.flatnonzero(quiet.any(axis=1))
+    # one zero word past the last page: the shifts read beyond it
+    zero = np.zeros(count * PAGE_SIZE + 64, bool)
+    np.equal(np.frombuffer(b"".join(pages), np.uint8), 0,
+             out=zero[:-64])
+    zero = np.packbits(zero, bitorder="little").view("<u8")
+    word, after = zero[:-1], zero[1:]
+    run = word & ((word >> 1) | (after << 63)) & ((word >> 2) | (after << 62))
+    run = run.reshape(count, _WORDS)
+    run[:, -1] &= _LAST_STARTS              # the next page is not this one
+    bits = np.bitwise_count(run)
+    # Σrun + first + last: the page ends kept if a run starts at 4093
+    covered = bits.sum(axis=1) + (run[:, 0] & 1) + (run[:, -1] >> 61)
+    blank = covered == PAGE_SIZE            # every byte zero
+    sizes = PAGE_SIZE + 1 - covered.astype(np.intp)
+    sizes[blank] = 0
+    # pages with a word of 64 run starts or of none
+    rows = np.flatnonzero(((bits & 63) == 0).any(axis=1) & ~blank
+                          & (sizes < PAGE_SIZE))
     if rows.size:
-        at = np.flatnonzero(ends[rows])         # each row ends at 4095
-        lengths = np.diff(at, prepend=-1)
-        long = lengths > _SPAN
-        np.add.at(sizes, rows[at[long] // PAGE_SIZE],
-                  (lengths[long] - 1) // _SPAN)
-    sizes[literal == 0] = 0
+        some = run[rows]
+        # kept: each run start widened by two bytes, across words
+        kept = some | (some << 1) | (some << 2)
+        kept[:, 1:] |= (some[:, :-1] >> 62) | (some[:, :-1] >> 63)
+        # a segment ends where kept changes, and at the page's end
+        ends = kept ^ (kept >> 1)
+        ends[:, :-1] ^= kept[:, 1:] << 63
+        ends[:, -1] |= 1 << 63
+        # the ends' bit positions, unpacked from the words that hold any
+        ends = ends.ravel()
+        held = np.flatnonzero(ends)
+        bit = np.flatnonzero(np.unpackbits(
+            ends[held].astype("<u8", copy=False).view(np.uint8),
+            bitorder="little").view(bool))
+        at = held[bit >> 6] * 64 + (bit & 63)
+        np.add.at(sizes, rows[at // PAGE_SIZE],
+                  (np.diff(at, prepend=-1) - 1) // _SPAN)
     np.minimum(sizes, PAGE_SIZE, out=sizes)
     return sizes.tolist()
 

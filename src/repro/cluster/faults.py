@@ -37,10 +37,15 @@ also dropped at 1% under the same seed — loss-rate sweeps move
 monotonically instead of resampling a fresh fault pattern per rate.
 """
 
-from repro.common.detrandom import MASK64, DeterministicRandom
+from repro.common.detrandom import MASK64
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
+#: ``_ZERO_FOLDS[k]`` folds ``k`` zero bytes at once: FNV-1a of a zero
+#: byte is a multiply by the prime, so ``k`` of them multiply by its
+#: ``k``-th power (mod 2**64, exactly).
+_ZERO_FOLDS = tuple(pow(_FNV_PRIME, k, 1 << 64) for k in range(9))
+_TWO64 = float(1 << 64)
 
 
 def _fold(state, data):
@@ -98,10 +103,11 @@ class LossSchedule:
 
     ``drop`` is a rate in ``[0, 1]``; ``seed`` (a signed 64-bit int)
     selects the fault pattern.  :meth:`drops` is a pure function — the
-    schedule's only mutable state is a memo of each link's folded
-    ``(seed, link)`` prefix, which every draw on that link would fold
-    alike — so it can be shared, replayed, and queried in any order
-    without changing a single decision.
+    schedule's only mutable state is two memos of folded key prefixes,
+    ``(seed, link)`` per link and ``(seed, link, sender)`` per link and
+    sender, which every draw sharing them would fold alike — so it can
+    be shared, replayed, and queried in any order without changing a
+    single decision.
 
     >>> s = LossSchedule(drop=0.5, seed=7)
     >>> key = sender_key([1, 2])
@@ -122,22 +128,54 @@ class LossSchedule:
         #: link -> the FNV state once the seed and the link's endpoints
         #: are folded: the prefix every draw on that link shares.
         self._prefix = {}
+        #: (link, sender) -> that prefix with the sender folded in: all
+        #: a draw folds beyond it is its message number and attempt.
+        self._keyed = {}
 
     def draw(self, link, sender, number, attempt=0):
         """The uniform in ``[0, 1)`` backing the decision for one wire
         copy — a pure function of ``(seed, link, sender, number,
-        attempt)``, ``sender`` being a :func:`sender_key`."""
-        state = self._prefix.get(link)
+        attempt)``, ``sender`` being a :func:`sender_key`.
+
+        The key is the FNV-1a fold of the seed, the link's endpoints,
+        ``sender`` and ``number`` as eight little-endian bytes each and
+        ``attempt`` as four; its SplitMix64 output, over ``2**64``, is
+        the draw.  Beyond the memoised ``(link, sender)`` prefix only
+        the low nonzero bytes of ``number`` and ``attempt`` are folded
+        one at a time, their zero high bytes as one multiply.  A number
+        or attempt out of its width raises ``OverflowError``."""
+        state = self._keyed.get((link, sender))
         if state is None:
-            state = _fold(_FNV_OFFSET, self.seed.to_bytes(8, "little",
-                                                          signed=True))
-            for end in link:
-                state = _fold(state, _endpoint_bytes(end))
-            self._prefix[link] = state
-        state = _fold(state, sender.to_bytes(8, "little"))
-        state = _fold(state, number.to_bytes(8, "little"))
-        state = _fold(state, attempt.to_bytes(4, "little"))
-        return DeterministicRandom(state).uniform()
+            state = self._prefix.get(link)
+            if state is None:
+                state = _fold(_FNV_OFFSET,
+                              self.seed.to_bytes(8, "little", signed=True))
+                for end in link:
+                    state = _fold(state, _endpoint_bytes(end))
+                self._prefix[link] = state
+            state = self._keyed[link, sender] = _fold(
+                state, sender.to_bytes(8, "little"))
+        if not 0 <= number <= MASK64:
+            raise OverflowError(f"message number {number} is not an "
+                                f"unsigned 64-bit int")
+        if not 0 <= attempt <= 0xFFFFFFFF:
+            raise OverflowError(f"attempt {attempt} is not an unsigned "
+                                f"32-bit int")
+        low = (number.bit_length() + 7) >> 3
+        for _ in range(low):
+            state = ((state ^ (number & 0xFF)) * _FNV_PRIME) & MASK64
+            number >>= 8
+        state = (state * _ZERO_FOLDS[8 - low]) & MASK64
+        low = (attempt.bit_length() + 7) >> 3
+        for _ in range(low):
+            state = ((state ^ (attempt & 0xFF)) * _FNV_PRIME) & MASK64
+            attempt >>= 8
+        # The attempt's zero high bytes, then SplitMix64's first output
+        # from the key (``DeterministicRandom(key).uniform()``).
+        z = (state * _ZERO_FOLDS[4 - low] + 0x9E3779B97F4A7C15) & MASK64
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+        return (z ^ (z >> 31)) / _TWO64
 
     def drops(self, link, sender, number, attempt=0):
         """Whether copy ``attempt`` of message ``number`` of the space

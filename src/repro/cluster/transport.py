@@ -336,7 +336,7 @@ class Transport:
         ``frames``: the content tags not yet cached are sized in one
         :func:`compress.wire_sizes` call, each tag once."""
         known = self._wire_sizes
-        tags = [frame.tag() for frame in frames]
+        tags = [(frame.serial, frame.generation) for frame in frames]
         fresh = {tag: frame.data for tag, frame in zip(tags, frames)
                  if tag not in known}
         if fresh:

@@ -306,8 +306,10 @@ class Kernel:
         range (or, for a range wider than the table, one pass over the
         table), reading each frame where it probes — no ``frame()``
         call per page.  The cache is updated as the walk goes, so a
-        frame mapped at several vpns is fetched once.  The prefetch
-        depth is read only after a miss.
+        frame mapped at several vpns is fetched once.  The node's
+        in-flight queue is read once, and a miss claims its entry only
+        when the queue holds its serial.  The prefetch depth is read only
+        after a miss.
         """
         machine = self.machine
         if machine.nnodes <= 1 or size == 0:
@@ -326,6 +328,7 @@ class Kernel:
         # vpn-ascending batched pulls, grouped by producing node.
         fetch_by_origin = {}
         redeems = []
+        queued = transport.inflight.get(node)
         for vpn in vpns:
             frame = pages.get(vpn)
             if frame is None:
@@ -338,8 +341,9 @@ class Kernel:
                 cache[frame.serial] = frame.generation
                 origin_of[frame.serial] = node
             elif cache.get(frame.serial) != frame.generation:
-                exchange = transport.take_inflight(node, frame.serial,
-                                                   frame.generation)
+                exchange = transport.take_inflight(
+                    node, frame.serial, frame.generation) \
+                    if queued and frame.serial in queued else None
                 cache[frame.serial] = frame.generation
                 if exchange is not None:
                     if exchange not in redeems:

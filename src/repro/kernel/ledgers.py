@@ -365,9 +365,9 @@ NOT_REPLAYED = {
             "placement", "_console_in", "_time_script", "programs"),
             _CONFIG),
         "loss": "configuration: the schedule's decisions are fixed at "
-                "construction; it holds only a memo of each link's folded "
-                "(seed, link) prefix, the same in every process whatever "
-                "drew first",
+                "construction; it holds only memos of folded key "
+                "prefixes, each link's (seed, link) and each (link, "
+                "sender)'s, the same in every process whatever drew first",
         "frames": "its counters are a ledger of their own",
         "trace": "its lists and tables are ledgers of their own",
         "transport": "its counters and tables are ledgers of their own",

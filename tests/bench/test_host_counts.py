@@ -1,8 +1,9 @@
 """Exact host-work ratchets: baton hand-offs to guest threads and worker
 starts on small serving and circuit runs, the codec sizer's calls and
-pages and the loss draws on a small compressed, lossy matmult tree, and
-the dirty-ledger entries a small barrier program reads, counted from
-outside the program by ``benchmarks/host_counts.py``.
+pages, the loss draws and the prefetch-queue claims on small
+compressed, lossy matmult trees, and the dirty-ledger entries a small
+barrier program reads, counted from outside the program by
+``benchmarks/host_counts.py``.
 A change that adds a hand-off per space or a sizer call per page fails
 here instead of hiding in timing noise (DESIGN.md §9, "Host cost")."""
 
@@ -20,6 +21,7 @@ from repro.bench import harness
 from repro.bench.workloads import lu
 from repro.cluster import compress
 from repro.cluster.faults import LossSchedule
+from repro.cluster.transport import Transport
 from repro.kernel import engine
 from repro.mem import AddressSpace
 
@@ -64,6 +66,20 @@ def test_a_page_batch_load_is_sized_in_one_call():
     assert counts.loss_draws == 171
 
 
+def test_a_demand_miss_claims_only_a_queued_frame():
+    """``stream_mm``'s shape at its small size: a miss asks the node's
+    prefetch queue only for a serial the queue holds (992 claims when
+    every miss asked)."""
+    with counting() as counts:
+        _, machine, _ = cw.run_cluster(
+            cw.matmult_tree_main(256, seed=1), 8,
+            spec=ClusterSpec(topology="two_tier", ship_mode="demand",
+                             prefetch_depth=32, compression=True,
+                             loss=0.01))
+    assert machine.pages_fetched == 1088
+    assert counts.inflight_claims == 296
+
+
 def test_a_barrier_round_reads_each_threads_writes_twice():
     with counting() as counts:
         result = harness.run_determinator(
@@ -79,6 +95,7 @@ def test_a_barrier_round_reads_each_threads_writes_twice():
 def test_counting_puts_the_engine_back():
     start = engine._Worker.__init__
     sizer, draw = compress.wire_sizes, LossSchedule.draw
+    take_inflight = Transport.take_inflight
     dirty_since = AddressSpace.dirty_since
     callbacks = list(gc.callbacks)
     with counting() as counts:
@@ -87,6 +104,7 @@ def test_counting_puts_the_engine_back():
     assert counts.handoffs == 2    # the root's run and its retirement
     assert engine._Worker.__init__ is start
     assert (compress.wire_sizes, LossSchedule.draw) == (sizer, draw)
+    assert Transport.take_inflight is take_inflight
     assert AddressSpace.dirty_since is dirty_since
     assert gc.callbacks == callbacks
 

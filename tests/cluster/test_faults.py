@@ -240,6 +240,62 @@ def test_memoised_draws_equal_a_fresh_fold_in_any_order(seed, probes, rnd):
         assert sched.draw(link, sender, number, attempt) == \
             _folded_draw(seed, link, sender, number, attempt)
     assert set(sched._prefix) == {link for link, _, _, _ in probes}
+    assert set(sched._keyed) == {(link, sender)
+                                 for link, sender, _, _ in probes}
+
+
+#: Message numbers and attempts at their byte edges: no byte, one, the
+#: first two-byte value, every byte set.
+EDGE_NUMBERS = (0, 1, 255, 256, 65535, 65536, 2**56 - 1, 2**56, 2**64 - 1)
+EDGE_ATTEMPTS = (0, 1, 255, 256, 2**24, 2**32 - 1)
+LINKS = ((0, 1), (3, 0), (0, "core"), ("rack0", "core"), (-1, 2**63 - 1))
+
+
+def test_a_draw_at_every_byte_edge_is_the_bytewise_fold():
+    """Every edge number and attempt, on node links and switch links,
+    through a cold and a warm memo: the draw folds the bytes
+    ``to_bytes`` would, its zero high bytes included."""
+    key = sender_key([4, 1])
+    warm = LossSchedule(drop=0.5, seed=-7)
+    for link in LINKS:
+        for number in EDGE_NUMBERS:
+            for attempt in EDGE_ATTEMPTS:
+                wanted = _folded_draw(-7, link, key, number, attempt)
+                assert LossSchedule(drop=0.5, seed=-7).draw(
+                    link, key, number, attempt) == wanted
+                assert warm.draw(link, key, number, attempt) == wanted
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(-2**63, 2**63 - 1), st.tuples(endpoints, endpoints),
+       st.integers(0, 2**64 - 1),
+       st.one_of(st.sampled_from(EDGE_NUMBERS), st.integers(0, 2**64 - 1)),
+       st.one_of(st.sampled_from(EDGE_ATTEMPTS), st.integers(0, 2**32 - 1),
+                 st.integers(0, 2**16)))
+def test_a_draw_is_the_bytewise_fold_of_its_key(seed, link, sender, number,
+                                                attempt):
+    sched = LossSchedule(drop=0.5, seed=seed)
+    wanted = _folded_draw(seed, link, sender, number, attempt)
+    assert sched.draw(link, sender, number, attempt) == wanted
+    assert sched.draw(link, sender, number, attempt) == wanted
+    assert sched.drops(link, sender, number, attempt) == (wanted < 0.5)
+
+
+@pytest.mark.parametrize("sender,number,attempt", [
+    (-1, 0, 0), (2**64, 0, 0),
+    (0, -1, 0), (0, 2**64, 0),
+    (0, 0, -1), (0, 0, 2**32),
+])
+def test_a_key_part_out_of_its_width_is_refused(sender, number, attempt):
+    """As ``to_bytes`` refuses it, so does a draw — with a warm memo
+    too — and the schedule memoises nothing for a refused sender."""
+    sched = LossSchedule(drop=0.5, seed=1)
+    with pytest.raises(OverflowError):
+        _folded_draw(1, (0, 1), sender, number, attempt)
+    for _ in range(2):
+        with pytest.raises(OverflowError):
+            sched.draw((0, 1), sender, number, attempt)
+    assert len(sched._keyed) == (0 <= sender < 2**64)
 
 
 # -- bit-identical replay ---------------------------------------------------

@@ -59,7 +59,6 @@ steps = st.one_of(
 configs = st.fixed_dictionaries({
     "compression": st.booleans(),
     "msg_batch": st.sampled_from([1, 3, 32]),
-    "prefetch_depth": st.sampled_from([0, 4, 32]),
 })
 
 
@@ -86,7 +85,6 @@ class World:
     def __init__(self, transport_class, topology, loss, config):
         self.machine = machine = Machine(nnodes=NODES, spec=ClusterSpec(
             topology=topology, loss=loss, compression=config["compression"],
-            prefetch_depth=config["prefetch_depth"],
             cost=CostModel(msg_batch=config["msg_batch"])))
         machine.transport = transport_class(machine)
         self.spaces = [SimpleNamespace(uid=f"space{n}", messages=0,
@@ -217,7 +215,7 @@ def test_an_ack_that_dies_is_accounted_alike(hop):
     drop every copy of the ACK on that hop, deliver none of it, send it
     no further, and raise nothing."""
     frames = make_frames()
-    config = {"compression": False, "msg_batch": 1, "prefetch_depth": 0}
+    config = {"compression": False, "msg_batch": 1}
     worlds = [World(cls, "two_tier", 1.0, config)
               for cls in (Transport, ReferenceTransport)]
     for world in worlds:
