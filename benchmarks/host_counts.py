@@ -23,7 +23,11 @@ checkout in the current directory, and prints one JSON line:
   miss's claims on its node's prefetch queue;
 * ``ledger_entries`` — dirty-ledger entries read: the vpns every
   ``AddressSpace.dirty_since`` call returns, summed (a Merge's, a
-  re-Snap's and a migration delta's enumeration).
+  re-Snap's and a migration delta's enumeration);
+* ``wire_frames`` / ``wire_bytes`` — frames and bytes sent over the
+  real backend's coordinator<->worker links, summed over
+  ``machine.shard.wire_links`` (None where the run had no real
+  coordinator).
 
 The program is observed from outside: :func:`counting` wraps each new
 worker's ``go`` lock in a :class:`CountingLock` and the sizer, the
@@ -168,7 +172,19 @@ def count(name, seed):
             "sizer_pages": counts.sizer_pages,
             "loss_draws": counts.loss_draws,
             "inflight_claims": counts.inflight_claims,
-            "ledger_entries": counts.ledger_entries}
+            "ledger_entries": counts.ledger_entries,
+            **wire_counts(getattr(raw, "machine", None))}
+
+
+def wire_counts(machine):
+    """``wire_frames`` and ``wire_bytes``: what every real-wire link of
+    ``machine``'s coordinator carried, summed (None without a real
+    coordinator)."""
+    links = getattr(getattr(machine, "shard", None), "wire_links", None)
+    if links is None:
+        return {"wire_frames": None, "wire_bytes": None}
+    return {"wire_frames": sum(link["frames"] for link in links.values()),
+            "wire_bytes": sum(link["bytes"] for link in links.values())}
 
 
 if __name__ == "__main__":

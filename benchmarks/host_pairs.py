@@ -55,15 +55,18 @@ def count_run(cwd, workload, seed):
 
 
 def show_counts(counts):
+    """Every count a record holds, in key order: a count added to
+    ``host_counts.py`` prints with no change here."""
     if counts is None:
         return "unavailable"
-    return (f"hand-offs/op {counts['handoffs_per_op']:.4f}, workers "
-            f"{counts['workers_started']}, collections "
-            + "/".join(map(str, counts["collections"]))
-            + f", sizer {counts['sizer_pages']} pages in "
-            f"{counts['sizer_calls']} calls, loss draws "
-            f"{counts['loss_draws']}, ledger entries "
-            f"{counts['ledger_entries']}")
+    shown = []
+    for key, value in sorted(counts.items()):
+        if isinstance(value, list):
+            value = "/".join(map(str, value))
+        elif isinstance(value, float):
+            value = f"{value:.4f}"
+        shown.append(f"{key} {value}")
+    return ", ".join(shown)
 
 
 def commits(parent):

@@ -28,16 +28,20 @@ def _fig4():
 def _shard_footer(machine):
     """What the machine's shard coordinator (either kind; none by
     default) did: how many worker processes ran how many sibling
-    subtrees, and why rendezvous stayed serial if they did."""
+    subtrees, the frames the real wire carried, and why rendezvous
+    stayed serial if they did."""
     shard = machine.shard
     if shard is None:
         return []
-    label = ("real processes" if machine.spec.backend == "real"
-             else "shard workers")
+    real = machine.spec.backend == "real"
+    label = "real processes" if real else "shard workers"
     stats = shard.stats()
     lines = [f"  {label:<22}{stats['processes']}   subtrees "
              f"forked={stats['forked']} adopted={stats['adopted']} "
              f"fallbacks={stats['fallbacks']}"]
+    if real:
+        frames = sum(link["frames"] for link in shard.wire_links.values())
+        lines.append(f"  {'real wire frames':<22}{frames}")
     if stats["refused"]:
         lines.append(f"  {'refused:':<22}{stats['refused']}")
     return lines

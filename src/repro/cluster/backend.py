@@ -20,7 +20,10 @@ that backend:
   machine compresses) — with no reply awaited; the worker checks the
   push against its own ledger.  The hand-back ships every frame the
   run created or wrote in place the same way, the shard delta riding
-  the MIGRATE control frame.
+  the MIGRATE control frame: only the ledgers the run moved, and every
+  fork-time frame the run left alone as its serial, resolved through
+  the sibling's fork-time snapshot.  A worker reports its wire ledger
+  once, on an ACK after its queue's last hand-back.
   Workers compute on wire-delivered bytes — delivered once per worker,
   generation-checked on every offer — so a codec or framing bug
   diverges the cross-backend oracle instead of hiding behind fork's
@@ -65,21 +68,13 @@ from repro.common.errors import BackendError, WireError
 from repro.debug.model import freeze_machine
 from repro.kernel.shard import (
     ShardCoordinator,
+    _slot_tables,
     _walk_page_slots,
     fork_refusal,
 )
 from repro.mem.page import PAGE_SIZE
 
 _EMPTY = {"frames": 0, "bytes": 0, "pages": 0}
-
-
-def _distinct_pages(space):
-    """Each frame ``space``'s subtree references, once."""
-    seen = set()
-    for page in _walk_page_slots(space):
-        if id(page) not in seen:
-            seen.add(id(page))
-            yield page
 
 
 def _batched(items, size):
@@ -119,6 +114,11 @@ class RealShardCoordinator(ShardCoordinator):
         #: frame pushed to that worker — the exact mirror of its
         #: ``_installed``, so the parent knows what it lacks unasked.
         self._shipped = {}
+        #: ``worker index -> hand-backs still due``, set by ``_spawn``
+        #: before the fork, so both ends count down the same queue: the
+        #: worker sends its wire ledger after its last hand-back, and
+        #: the parent reads it there.
+        self._due = {}
 
     def _fail(self, what, exc):
         """The failure policy here: tear everything down, discard all
@@ -139,6 +139,7 @@ class RealShardCoordinator(ShardCoordinator):
         # the workers' by the one ``close``.
         if realnet.COORD not in self._links:
             self._links[realnet.COORD] = realnet.listen(self.deadline)
+        self._due[self._next_index] = len(queue)
         return super()._spawn(caller, queue)
 
     def _open_link(self, index):
@@ -191,6 +192,7 @@ class RealShardCoordinator(ShardCoordinator):
 
     def _release(self, index):
         self._shipped.pop(index, None)      # its index is never reused
+        self._due.pop(index, None)
         super()._release(index)
 
     def _encode_pages(self, frames):
@@ -258,28 +260,31 @@ class RealShardCoordinator(ShardCoordinator):
     def _send_delta(self, chan, payload, index):
         """Ship the run's delta: the bytes of every frame the run
         created or wrote as PAGE_BATCH frames, the structural payload
-        on the MIGRATE control frame, the wire ledger so far on the
-        final ACK."""
+        on the MIGRATE control frame; after the queue's last hand-back,
+        the link's wire ledger on one ACK."""
         if isinstance(payload, str):
             chan.send(MsgType.MIGRATE, index, realnet.COORD,
                       {"kind": "refused", "reason": payload})
         else:
-            shipped, stripped = self._strip_pages(payload)
+            shipped, swapped = self._strip_pages(payload)
             try:
                 chan.send(MsgType.MIGRATE, index, realnet.COORD,
                           {"kind": "result", "payload": payload,
                            "npages": len(shipped)})
             finally:
                 # Later siblings of the queue still map the fork-time
-                # frames: give them their bytes back.
-                for page, data in stripped:
-                    page.data = data
+                # frames: put them back in their slots.
+                for table, vpn, page in swapped:
+                    table[vpn] = page
             self._fault("mid-handback")
             for chunk in _batched(shipped, self.machine.cost.msg_batch):
                 chan.send(MsgType.PAGE_BATCH, index, realnet.COORD,
                           self._encode_pages(chunk))
-        chan.send(MsgType.ACK, index, realnet.COORD,
-                  {"status": "done", "ledger": chan.ledger()})
+        self._due[index] -= 1
+        if not self._due[index]:
+            self._fault("before-report")
+            chan.send(MsgType.ACK, index, realnet.COORD,
+                      {"status": "done", "ledger": chan.ledger()})
 
     def _crosses(self, page, snap):
         """Whether ``page``'s bytes cross the wire on a hand-back: the
@@ -289,22 +294,26 @@ class RealShardCoordinator(ShardCoordinator):
             (entry is not None and page.generation != entry[2])
 
     def _strip_pages(self, payload):
-        """Detach page bytes from the hand-back payload for the time of
-        its pickling.  Returns ``(shipped, stripped)``: frames the run
-        created or wrote cross as PAGE_BATCH wire frames; untouched
-        fork-time frames never cross at all (adoption re-points their
-        slots at the parent's live frames) and get their bytes back."""
+        """Take what the parent already holds out of the hand-back
+        payload for the time of its pickling.  Returns ``(shipped,
+        swapped)``: frames the run created or wrote cross as PAGE_BATCH
+        wire frames (their bytes detached from the pickled ``Page``);
+        every slot of an untouched fork-time frame holds the frame's
+        serial instead (``(table, vpn, page)``, to put back), which the
+        parent resolves through the sibling's fork-time snapshot."""
         snap = self.snapshots[payload["spaces"]]
-        shipped = []
-        stripped = []
-        for page in _distinct_pages(payload["spaces"]):
-            if self._crosses(page, snap):
-                shipped.append((page.serial, page.generation, page.data))
-            else:
-                stripped.append((page, page.data))
-            page.data = bytearray()
-        shipped.sort(key=lambda entry: entry[0])
-        return shipped, stripped
+        shipped = {}
+        swapped = []
+        for table in _slot_tables(payload["spaces"]):
+            for vpn, page in table.items():
+                if not self._crosses(page, snap):
+                    swapped.append((table, vpn, page))
+                    table[vpn] = page.serial
+                elif id(page) not in shipped:
+                    shipped[id(page)] = (page.serial, page.generation,
+                                         page.data)
+                    page.data = bytearray()
+        return sorted(shipped.values(), key=lambda entry: entry[0]), swapped
 
     # -- collection (parent side) ------------------------------------------
 
@@ -327,39 +336,47 @@ class RealShardCoordinator(ShardCoordinator):
             payload = str(head.get("reason"))
         else:
             raise WireError(f"unexpected hand-back header {head!r}")
-        # The worker's ledger is snapshotted before its final ACK
-        # frame goes out, so conservation compares against the
-        # parent's receive counts at the same instant.  Channel ledgers
-        # are cumulative: each hand-back of a queue overwrites the
-        # link's entry with the later totals.
-        pre_ack = {link: dict(entry)
-                   for link, entry in chan.received.items()}
-        _, _, _, fin = chan.recv(expect=MsgType.ACK)
-        self._account(index, chan, fin.get("ledger"), pre_ack)
+        self._due[index] -= 1
+        if not self._due[index]:
+            # The worker snapshots its ledger before the report frame
+            # goes out, so conservation compares against the parent's
+            # receive counts at the same instant: the whole queue's.
+            pre_ack = {link: dict(entry)
+                       for link, entry in chan.received.items()}
+            _, _, _, fin = chan.recv(expect=MsgType.ACK)
+            self._account(index, chan, fin.get("ledger"), pre_ack)
         return payload
 
     def _reattach(self, payload, wire_pages, snap):
-        """Restore the wire-shipped bytes into the unpickled hand-back
-        graph (generation-checked); untouched fork-time frames stay
-        empty — the shared adoption path re-points their slots at live
-        frames."""
-        restored = 0
-        for page in _distinct_pages(payload["spaces"]):
-            if not self._crosses(page, snap):
-                continue
-            entry = wire_pages.get(page.serial)
-            if entry is None:
-                raise WireError(f"frame {page.serial} missing from the "
-                                f"hand-back batches")
-            generation, data = entry
-            if generation != page.generation:
-                raise WireError(f"frame {page.serial} generation mismatch "
-                                f"on hand-back")
-            page.data = bytearray(data)
-            restored += 1
-        if restored != len(wire_pages):
+        """Make the unpickled hand-back graph whole: a serial slot
+        resolves to the sibling's fork-time frame (a serial it did not
+        hold at the fork is refused), and every shipped frame takes its
+        wire bytes back (generation-checked).  ``_adopt`` then treats a
+        resolved frame like any other fork-time one."""
+        restored = set()
+        for table in _slot_tables(payload["spaces"]):
+            for vpn, page in table.items():
+                if type(page) is int:
+                    entry = snap.get(page)
+                    if entry is None:
+                        raise WireError(f"hand-back names frame {page}, "
+                                        f"which the subtree did not hold "
+                                        f"at the fork")
+                    table[vpn] = entry[0]
+                elif id(page) not in restored:
+                    restored.add(id(page))
+                    wired = wire_pages.get(page.serial)
+                    if wired is None:
+                        raise WireError(f"frame {page.serial} missing from "
+                                        f"the hand-back batches")
+                    generation, data = wired
+                    if generation != page.generation:
+                        raise WireError(f"frame {page.serial} generation "
+                                        f"mismatch on hand-back")
+                    page.data = bytearray(data)
+        if len(restored) != len(wire_pages):
             raise WireError(f"hand-back shipped "
-                            f"{len(wire_pages) - restored} frames no "
+                            f"{len(wire_pages) - len(restored)} frames no "
                             f"slot references")
 
     def _account(self, index, chan, report, received):

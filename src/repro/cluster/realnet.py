@@ -17,7 +17,9 @@ Payload encodings per message type:
 
 * ``MIGRATE`` / ``ACK`` — a pickled ``dict`` (control messages; the
   forward MIGRATE carries the offer, the hand-back MIGRATE the shard
-  delta payload).
+  delta payload, with untouched fork-time frames as bare serials; a
+  worker's ACKs are its hello and, once after its queue's last
+  hand-back, its wire ledger).
 * ``PAGE_REQ`` has no encoding: the real wire pushes the pages a
   worker lacks (the parent is the only source of every page a worker
   installs, so it knows which), and nothing requests them.

@@ -98,16 +98,21 @@ def fork_refusal(machine):
     return None
 
 
+def _slot_tables(space):
+    """Every table of frame slots in ``space``'s subtree: each address
+    space's page table and each snapshot's pinned frames."""
+    for sp in space.walk():
+        yield sp.addrspace._pages
+        if sp.snapshot is not None:
+            yield sp.snapshot._frames
+
+
 def _walk_page_slots(space):
     """Yield every frame reference held by ``space``'s subtree: one
     entry per mapping and per snapshot pin (the exact multiset the
     refcounts count)."""
-    for sp in space.walk():
-        for page in sp.addrspace._pages.values():
-            yield page
-        if sp.snapshot is not None:
-            for page in sp.snapshot._frames.values():
-                yield page
+    for table in _slot_tables(space):
+        yield from table.values()
 
 
 class ShardCoordinator:
@@ -389,12 +394,7 @@ class ShardCoordinator:
         # Fork-time frame slots, to detect which pre-fork frames the
         # run replaced (COW breaks, unmaps, re-pins): only their
         # refcounts condition the run's COW decisions.
-        fork_slots = []
-        for sp in sibling.walk():
-            fork_slots.append((sp.addrspace._pages, dict(sp.addrspace._pages)))
-            if sp.snapshot is not None:
-                fork_slots.append((sp.snapshot._frames,
-                                   dict(sp.snapshot._frames)))
+        fork_slots = [(table, dict(table)) for table in _slot_tables(sibling)]
 
         machine.engine.run_until_stopped(sibling)
 
@@ -424,10 +424,12 @@ class ShardCoordinator:
             sp.ctx = None
             sp.addrspace.allocator = None
         sibling.parent = None
+        # Only the ledgers the run moved ride the hand-back: an absent
+        # key is an empty delta.
         payload = {"spaces": sibling, "replaced": replaced}
         payload.update((ledger.key, delta)
                        for ledger, delta in zip(LEDGERS, moved)
-                       if ledger.key is not None)
+                       if ledger.key is not None and delta)
         return payload, moved
 
     def _rewind(self, sibling, marks, moved):
@@ -446,7 +448,8 @@ class ShardCoordinator:
             moved = [ledger.delta(machine, mark)
                      for ledger, mark in zip(LEDGERS, marks)]
         for ledger, mark, delta in zip(LEDGERS, marks, moved):
-            ledger.rewind(machine, mark, delta)
+            if delta:
+                ledger.rewind(machine, mark, delta)
         # A later sibling's copy-on-write decisions read the refcounts
         # of the fork-time frames it shares with this one.
         for page, refs, _generation in self.snapshots[sibling].values():
@@ -481,7 +484,7 @@ class ShardCoordinator:
         # have hit that entry and paid nothing.
         caches = machine.node_cache
         if any(serial <= serial0 and caches.get(node, {}).get(serial) == gen
-               for node, brought in payload["node_cache"].items()
+               for node, brought in payload.get("node_cache", {}).items()
                for serial, gen in brought.items()):
             return "node cache moved"
         # Collect the adopted graph's frame slots; any pre-fork serial
@@ -530,18 +533,11 @@ class ShardCoordinator:
         if pre_fork:
             # Restore identity of pre-fork frames (the pickle copied
             # them): point every adopted slot back at the live frame.
-            for sp in adopted.walk():
-                pages = sp.addrspace._pages
-                for vpn, page in pages.items():
+            for table in _slot_tables(adopted):
+                for vpn, page in table.items():
                     live = pre_fork.get(id(page))
                     if live is not None:
-                        pages[vpn] = live
-                if sp.snapshot is not None:
-                    frames = sp.snapshot._frames
-                    for vpn, page in frames.items():
-                        live = pre_fork.get(id(page))
-                        if live is not None:
-                            frames[vpn] = live
+                        table[vpn] = live
 
         for sp in adopted.walk():
             sp.machine = machine
@@ -562,6 +558,6 @@ class ShardCoordinator:
         # fork-time open segment takes its final charge), the machine
         # and transport accumulations, the cache and placement tables.
         for ledger in LEDGERS:
-            if ledger.key is not None:
+            if ledger.key in payload:
                 ledger.adopt(machine, payload[ledger.key], renumber)
         return None

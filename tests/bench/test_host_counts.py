@@ -1,8 +1,9 @@
 """Exact host-work ratchets: baton hand-offs to guest threads and worker
 starts on small serving and circuit runs, the codec sizer's calls and
 pages, the loss draws and the prefetch-queue claims on small
-compressed, lossy matmult trees, and the dirty-ledger entries a small
-barrier program reads, counted from outside the program by
+compressed, lossy matmult trees, the dirty-ledger entries a small
+barrier program reads, and the real-wire frames of a small serving
+run's hand-backs, counted from outside the program by
 ``benchmarks/host_counts.py``.
 A change that adds a hand-off per space or a sizer call per page fails
 here instead of hiding in timing noise (DESIGN.md §9, "Host cost")."""
@@ -19,7 +20,7 @@ from repro import ClusterSpec
 from repro.bench import cluster_workloads as cw
 from repro.bench import harness
 from repro.bench.workloads import lu
-from repro.cluster import compress
+from repro.cluster import compress, realnet
 from repro.cluster.faults import LossSchedule
 from repro.cluster.transport import Transport
 from repro.kernel import engine
@@ -90,6 +91,40 @@ def test_a_barrier_round_reads_each_threads_writes_twice():
     # never the marks its own Copy made (256 entries when the re-Snap
     # walked the ledger after the Copy).
     assert counts.ledger_entries == 160
+
+
+@pytest.mark.skipif(not hasattr(os, "fork")
+                    or not realnet.localhost_available(),
+                    reason="the real backend needs os.fork and localhost "
+                           "sockets")
+def test_a_worker_hands_back_one_migrate_per_subtree():
+    """``real_serve``'s small shape: 12 requests queue three deep on four
+    workers.  A worker's link to the parent carries its hello and one
+    MIGRATE per subtree, plus a PAGE_BATCH per 32 frames a run created
+    or wrote (a request creates none); its wire ledger is reported once,
+    after the last hand-back, outside the totals it reports.  The
+    parent's link carries a MIGRATE per subtree and the share's eight
+    pages once, in one PAGE_BATCH."""
+    result = repro.serve_trace(4, spec=ClusterSpec(backend="real"),
+                               requests=12, mean_gap=960_000, seed=1)
+    shard = result.machine.shard
+    assert shard.forked == shard.adopted == 12 and shard.processes == 4
+    up = {src: entry for (src, dst), entry in shard.wire_links.items()
+          if dst == realnet.COORD}
+    down = {dst: entry for (src, dst), entry in shard.wire_links.items()
+            if src == realnet.COORD}
+    assert sorted(up) == sorted(down) == [0, 1, 2, 3]
+    for entry in up.values():
+        assert (entry["frames"], entry["pages"]) == (1 + 3, 0)
+    for entry in down.values():
+        assert (entry["frames"], entry["pages"]) == (3 + 1, 8)
+    assert shard.wire_conservation_ok()
+    counted = host_counts.wire_counts(result.machine)
+    assert counted == {
+        "wire_frames": 32,
+        "wire_bytes": sum(e["bytes"] for e in shard.wire_links.values())}
+    assert host_counts.wire_counts(None) == {"wire_frames": None,
+                                             "wire_bytes": None}
 
 
 def test_counting_puts_the_engine_back():

@@ -197,3 +197,12 @@ def test_counts_ride_the_record_of_every_workload(monkeypatch, tmp_path):
                    "ledger_entries": entries}
             for side, value, calls, entries in (
                 ("parent", 2.0, 768, 94640), ("change", 1.0, 24, 25696))}
+
+
+def test_every_count_a_record_holds_is_printed_in_key_order():
+    shown = host_pairs.show_counts(
+        {"wire_frames": 208, "inflight_claims": 320, "wire_bytes": None,
+         "collections": [14, 1, 0], "handoffs_per_op": 0.02})
+    assert shown == ("collections 14/1/0, handoffs_per_op 0.0200, "
+                     "inflight_claims 320, wire_bytes None, wire_frames 208")
+    assert host_pairs.show_counts(None) == "unavailable"

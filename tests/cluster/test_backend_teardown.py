@@ -36,15 +36,18 @@ REAL = {"backend": "real"}
 PIPE = {"shard_workers": 4}
 
 #: (coordinator, worker-side fault point).  Death while the parent
-#: serves the forward page exchange and death after the hand-back
-#: header but before its page batches are points of the real wire's
-#: protocol only; death and a hang just before the hand-back exist on
-#: both links.
+#: serves the forward page exchange, death after the hand-back header
+#: but before its page batches, and death or a hang after the queue's
+#: last hand-back but before the wire-ledger report are points of the
+#: real wire's protocol only; death and a hang just before the
+#: hand-back exist on both links.
 CELLS = [
     pytest.param(REAL, "die-before-install", id="die-before-install"),
     pytest.param(REAL, "die-before-handback", id="die-before-handback"),
     pytest.param(REAL, "die-mid-handback", id="die-mid-handback"),
     pytest.param(REAL, "hang-before-handback", id="hang-before-handback"),
+    pytest.param(REAL, "die-before-report", id="die-before-report"),
+    pytest.param(REAL, "hang-before-report", id="hang-before-report"),
     pytest.param(PIPE, "die-before-handback", id="pipe-die-before-handback"),
     pytest.param(PIPE, "hang-before-handback",
                  id="pipe-hang-before-handback"),

@@ -269,6 +269,50 @@ def test_worker_refuses_a_push_that_is_not_what_it_lacks(held, refusal):
 
 
 @needs_real_backend
+@pytest.mark.parametrize("held", [True, False], ids=["held", "foreign"])
+def test_a_hand_back_resolves_untouched_frames_by_serial(held):
+    # A and B are fork-time frames the run left alone, C one it
+    # created: A and B cross as their serials and resolve to the
+    # parent's own frames, C's bytes cross in a PAGE_BATCH.  A serial
+    # the sibling did not hold at the fork is refused.
+    with Machine(nnodes=2, spec=ClusterSpec(backend="real")) as machine:
+        shard = machine.shard
+        sibling = machine.new_space(None)
+        a, b = Page(allocator=machine.frames), Page(allocator=machine.frames)
+        shard._base = {"serial": machine.frames._next_serial}
+        c = Page(b"\x07" * PAGE_SIZE, allocator=machine.frames)
+        sibling.addrspace._pages.update(enumerate((a, b, c, a)))
+        snap = {page.serial: (page, 1, page.generation) for page in (a, b)}
+        shard.snapshots[sibling] = snap
+        sibling.machine = sibling.addrspace.allocator = None
+        parent, worker = channel_pair()
+        try:
+            shard._due[0] = 1
+            shard._send_delta(worker, {"spaces": sibling, "replaced": []}, 0)
+            # The worker's own slots are whole again after the send.
+            assert sibling.addrspace._pages == {0: a, 1: b, 2: c, 3: a}
+            if not held:
+                del snap[b.serial]
+            shard._due[0] = 1
+            if not held:
+                with pytest.raises(WireError, match=f"frame {b.serial}, "
+                                   f"which the subtree did not hold"):
+                    shard._recv_delta(parent, sibling, 0)
+                return
+            payload = shard._recv_delta(parent, sibling, 0)
+        finally:
+            parent.close()
+            worker.close()
+        pages = payload["spaces"].addrspace._pages
+        assert pages[0] is pages[3] is a and pages[1] is b
+        assert pages[2] is not c and pages[2].tag() == c.tag()
+        assert pages[2].data == b"\x07" * PAGE_SIZE
+        up = shard.wire_links[(0, realnet.COORD)]
+        assert (up["frames"], up["pages"]) == (2, 1)    # MIGRATE + 1 page
+        assert shard.wire_conservation_ok()
+
+
+@needs_real_backend
 def test_shared_frames_cross_each_worker_link_once():
     # Twelve requests queue three deep on four workers, and every
     # request maps the same serving share: a worker installs the share

@@ -545,6 +545,42 @@ def test_a_refused_run_is_rewound_too():
     assert shard.fallback_reasons == {"cursor device read": 1}
 
 
+def test_a_hand_back_carries_only_the_ledgers_its_run_moved():
+    # An md5 circuit node's subtree numbers no space or frame, sends no
+    # message and prints nothing: its hand-back carries the trace
+    # ledgers alone, and adopting it moves no other ledger of the
+    # parent (whose own run moved most of them before the fork).
+    keyed = {ledger.key: ledger for ledger in ledgers.LEDGERS
+             if ledger.key is not None}
+    handed = []
+
+    def configure(machine):
+        shard = machine.shard
+        adopt = shard._adopt
+
+        def watched(child, payload, snap):
+            absent = [ledger for key, ledger in keyed.items()
+                      if key not in payload]
+            marks = [ledger.mark(machine) for ledger in absent]
+            reason = adopt(child, payload, snap)
+            handed.append(sorted(key for key in payload if key in keyed))
+            assert all(payload[key] for key in handed[-1])
+            assert [ledger.key for ledger, mark in zip(absent, marks)
+                    if ledger.delta(machine, mark)] == []
+            return reason
+
+        shard._adopt = watched
+
+    builder = cw.md5_circuit_main(2)
+    machine = Machine(nnodes=4, spec=ClusterSpec(shard_workers=2))
+    configure(machine)
+    result = run_machine(machine, builder)
+    assert result.shard_stats["adopted"] == 4
+    assert handed == [["charged", "cum", "edges", "last", "open",
+                       "segments"]] * 4
+    assert_identical(result, run_backend(builder, 4))
+
+
 # -- the declaration is complete -------------------------------------------
 
 def test_node_rows_ride_the_hand_back_like_the_link_ones():
