@@ -13,7 +13,8 @@ a decision about when sharding should decline.
         [--record benchmarks/shard_pairs.jsonl]
 
 ``--record`` appends one JSON line per cell, tagged with the commit
-(``git describe --always --dirty``) and the CPUs the box offers.
+(``git describe --always --dirty``, asked only then) and the CPUs the
+box offers.
 """
 
 import argparse
@@ -86,7 +87,9 @@ def main():
     parser.add_argument("--pairs", type=int, default=5)
     parser.add_argument("--record", metavar="PATH")
     args = parser.parse_args()
-    commit = subprocess.run(
+    # Only a recorded line needs the commit: without --record the script
+    # also runs in a checkout that is not a git repository.
+    commit = args.record and subprocess.run(
         ["git", "describe", "--always", "--dirty"], cwd=ROOT,
         check=True, capture_output=True, text=True).stdout.strip()
     for name, (builder, size, topology, ship_mode) in CELLS.items():

@@ -12,20 +12,21 @@ that backend:
   hand-back link and another failure policy.  Instead of a pipe,
   coordinator and worker speak the cluster protocol's typed messages —
   MIGRATE / PAGE_BATCH / ACK — as binary frames over a localhost socket
-  (``repro.cluster.realnet``), connected once per worker.  Each
-  subtree's forward migration is one push, like the simulated migrate:
-  a MIGRATE offering its fork-time frames, then the pages the worker
-  lacks — those not already shipped to it at that generation for an
-  earlier subtree of its queue (through the shared codec when the
-  machine compresses) — with no reply awaited; the worker checks the
-  push against its own ledger.  The hand-back ships every frame the
-  run created or wrote in place the same way, the shard delta riding
-  the MIGRATE control frame: only the ledgers the run moved, and every
-  fork-time frame the run left alone as its serial, resolved through
-  the sibling's fork-time snapshot.  A worker reports its wire ledger
-  once, on an ACK after its queue's last hand-back.
+  (``repro.cluster.realnet``), connected once per worker.  A worker's
+  link carries one exchange each way.  Its queue's forward migration
+  is one push, made before any hand-back is collected: a MIGRATE
+  offering each subtree's fork-time frames in queue order, then every
+  offered frame once (through the shared codec when the machine
+  compresses) — exactly what the worker lacks — with no reply
+  awaited; the worker checks the push against its own queue.  Its
+  queue's hand-back is one return after the last run: a MIGRATE
+  carrying each run's shard delta, pickled as the run ended — only the
+  ledgers the run moved, and every fork-time frame the run left alone
+  as its serial, resolved through the sibling's fork-time snapshot —
+  then the bytes of every frame the runs created or wrote in place,
+  then the worker's wire ledger on one ACK.
   Workers compute on wire-delivered bytes — delivered once per worker,
-  generation-checked on every offer — so a codec or framing bug
+  generation-checked per subtree — so a codec or framing bug
   diverges the cross-backend oracle instead of hiding behind fork's
   copy-on-write.
 
@@ -106,19 +107,9 @@ class RealShardCoordinator(ShardCoordinator):
         #: counts`` per directed coordinator<->worker link.
         self.wire_links = {}
         self.wire_reports_missing = 0
-        #: Worker side: ``serial -> generation`` of every frame this
-        #: process installed from the wire — what a later forward offer
-        #: need not ship again (the DESIGN §3 delta filter).
-        self._installed = {}
-        #: Parent side: ``worker index -> {serial: generation}`` of every
-        #: frame pushed to that worker — the exact mirror of its
-        #: ``_installed``, so the parent knows what it lacks unasked.
-        self._shipped = {}
-        #: ``worker index -> hand-backs still due``, set by ``_spawn``
-        #: before the fork, so both ends count down the same queue: the
-        #: worker sends its wire ledger after its last hand-back, and
-        #: the parent reads it there.
-        self._due = {}
+        #: Worker side: each run's pickled hand-back entry and the
+        #: frames it ships, held until the queue's last run.
+        self._outbox = []
 
     def _fail(self, what, exc):
         """The failure policy here: tear everything down, discard all
@@ -139,19 +130,17 @@ class RealShardCoordinator(ShardCoordinator):
         # the workers' by the one ``close``.
         if realnet.COORD not in self._links:
             self._links[realnet.COORD] = realnet.listen(self.deadline)
-        self._due[self._next_index] = len(queue)
         return super()._spawn(caller, queue)
 
     def _open_link(self, index):
         return contextlib.nullcontext()     # the worker connects back
 
-    def _wave_started(self, handles):
-        """Accept the workers not connected yet (the first round: one
-        connection and hello per worker, for its whole queue), then
-        push every forward migration of the round before collecting any
-        result: a worker blocks on its forward pages, so a lazily
-        pushed migration would serialize the round."""
-        waiting = {index for _, index in handles} - self._links.keys()
+    def _push(self, queues):
+        """Accept every worker's connection (one hello each, for its
+        whole queue), then push each worker its queue's forward
+        migration before collecting any hand-back: a worker blocks on
+        its push, so one pushed lazily would wait out a whole queue."""
+        waiting = set(queues)
         while waiting:
             chan = realnet.accept(self._links[realnet.COORD], self.deadline)
             try:
@@ -164,36 +153,33 @@ class RealShardCoordinator(ShardCoordinator):
                 raise
             waiting.remove(index)
             self._links[index] = chan
-        for sibling, index in handles:
-            self._serve_forward(self._links[index], sibling, index)
+        for index, queue in queues.items():
+            self._push_queue(self._links[index], queue, index)
 
-    def _serve_forward(self, chan, sibling, index):
-        """Push the sibling's forward migration and await no reply: the
-        offer of its fork-time frames, then — batched like the simulated
-        scatter/gather — the pages the worker lacks.  The parent is the
-        only source of every page a worker installs, so what it lacks is
-        known here: the offered frames not already shipped to it at that
-        generation for an earlier sibling of its queue.  The worker
-        checks the push against its own ledger; any disagreement kills
-        it, and the collect of this sibling reports it."""
-        snap = self.snapshots[sibling]
-        offer = sorted((serial, entry[2]) for serial, entry in snap.items())
-        shipped = self._shipped.setdefault(index, {})
-        frames = [(serial, generation, snap[serial][0].data)
-                  for serial, generation in offer
-                  if shipped.get(serial) != generation]
+    def _push_queue(self, chan, queue, index):
+        """Push one worker its queue's forward migration and await no
+        reply: one MIGRATE offering each subtree's fork-time frames, in
+        queue order, then — batched like the simulated scatter/gather —
+        every offered frame once.  That union is exactly what the
+        worker lacks: the parent is the only source of every page a
+        worker installs, and it pushes each worker once.  The worker
+        checks the push against its own queue; any disagreement kills
+        it, and the collect of its queue reports it."""
+        offers = []
+        frames = {}     # serial -> (serial, generation, data)
+        for sibling in queue:
+            snap = self.snapshots[sibling]
+            offers.append((sibling.uid, sorted(
+                (serial, entry[2]) for serial, entry in snap.items())))
+            for serial, (page, _refs, generation) in snap.items():
+                frames[serial] = (serial, generation, page.data)
+        pages = [frames[serial] for serial in sorted(frames)]
         chan.send(MsgType.MIGRATE, realnet.COORD, index,
-                  {"kind": "forward", "frames": offer, "uid": sibling.uid,
-                   "npages": len(frames)})
-        for chunk in _batched(frames, self.machine.cost.msg_batch):
+                  {"kind": "forward", "queue": offers,
+                   "npages": len(pages)})
+        for chunk in _batched(pages, self.machine.cost.msg_batch):
             chan.send(MsgType.PAGE_BATCH, realnet.COORD, index,
                       self._encode_pages(chunk))
-        shipped.update((serial, generation) for serial, generation, _ in frames)
-
-    def _release(self, index):
-        self._shipped.pop(index, None)      # its index is never reused
-        self._due.pop(index, None)
-        super()._release(index)
 
     def _encode_pages(self, frames):
         """``(serial, generation, data)`` -> wire page tuples, through
@@ -217,32 +203,34 @@ class RealShardCoordinator(ShardCoordinator):
         chan.send(MsgType.ACK, index, realnet.COORD, {"worker": index})
         return chan
 
-    def _begin(self, chan, sibling, index):
-        """Receive the sibling's forward migration: the offer, then the
-        pushed pages, installed over the fork-time frames.  The push
-        must be exactly the offered frames this process lacks — none it
-        already holds at that generation, none missing.  The installed
-        bytes are what the subtree computes on — delivered once per
-        worker, generation-checked on every offer — so wire corruption
-        surfaces as an oracle divergence, not silently masked by fork's
-        copy-on-write."""
-        frames = {page.serial: page for page in _walk_page_slots(sibling)}
-        _, _, _, offer = chan.recv(expect=MsgType.MIGRATE)
-        offered = offer.get("frames", [])
-        if offer.get("uid") != sibling.uid or \
-                sorted(serial for serial, _gen in offered) != sorted(frames):
-            raise WireError("forward offer does not match the forked "
-                            "subtree's frames")
-        held = self._installed
+    def _recv_push(self, chan, queue, index):
+        """Receive the queue's forward migration, once: the offer, then
+        the pushed pages, installed over the fork-time frames.  The
+        offer must name the queue's subtrees in queue order, each with
+        exactly its fork-time frames at their generations; the push
+        must be exactly the offered frames — a frame two subtrees share
+        once, none missing.  The installed bytes are what every subtree
+        computes on, so wire corruption surfaces as an oracle
+        divergence, not silently masked by fork's copy-on-write."""
+        _, _, _, push = chan.recv(expect=MsgType.MIGRATE)
+        offers = push.get("queue")
+        if not isinstance(offers, list) or \
+                [uid for uid, _ in offers] != [sib.uid for sib in queue]:
+            raise WireError("forward offer does not name the worker's "
+                            "queue in order")
         missing = {}
-        for serial, generation in offered:
-            if frames[serial].generation != generation:
-                raise WireError(f"forward frame {serial} offered at a "
-                                f"stale generation")
-            if held.get(serial) != generation:
+        for sibling, (_uid, offered) in zip(queue, offers):
+            frames = {page.serial: page for page in _walk_page_slots(sibling)}
+            if sorted(serial for serial, _gen in offered) != sorted(frames):
+                raise WireError(f"forward offer does not match subtree "
+                                f"{sibling.uid}'s frames")
+            for serial, generation in offered:
+                if frames[serial].generation != generation:
+                    raise WireError(f"forward frame {serial} offered at a "
+                                    f"stale generation")
                 missing[serial] = frames[serial]
-        if offer.get("npages") != len(missing):
-            raise WireError(f"forward push announces {offer.get('npages')} "
+        if push.get("npages") != len(missing):
+            raise WireError(f"forward push announces {push.get('npages')} "
                             f"pages, the worker lacks {len(missing)}")
         self._fault("before-install")
         while missing:
@@ -255,36 +243,44 @@ class RealShardCoordinator(ShardCoordinator):
                     raise WireError(f"forward frame {serial} pushed but "
                                     f"not lacking at that generation")
                 page.data[:] = _decode_page(scheme, payload)
-                held[serial] = generation
 
     def _send_delta(self, chan, payload, index):
-        """Ship the run's delta: the bytes of every frame the run
-        created or wrote as PAGE_BATCH frames, the structural payload
-        on the MIGRATE control frame; after the queue's last hand-back,
-        the link's wire ledger on one ACK."""
+        """Strip and pickle one run's hand-back as soon as the run ends
+        — before the rewind puts the machine back — and hold it, with
+        the bytes of every frame the run created or wrote, for the
+        queue's one hand-back (``_flush``)."""
+        shipped, swapped = [], []
         if isinstance(payload, str):
-            chan.send(MsgType.MIGRATE, index, realnet.COORD,
-                      {"kind": "refused", "reason": payload})
+            payload = {"refused": payload}
         else:
             shipped, swapped = self._strip_pages(payload)
-            try:
-                chan.send(MsgType.MIGRATE, index, realnet.COORD,
-                          {"kind": "result", "payload": payload,
-                           "npages": len(shipped)})
-            finally:
-                # Later siblings of the queue still map the fork-time
-                # frames: put them back in their slots.
-                for table, vpn, page in swapped:
-                    table[vpn] = page
-            self._fault("mid-handback")
-            for chunk in _batched(shipped, self.machine.cost.msg_batch):
-                chan.send(MsgType.PAGE_BATCH, index, realnet.COORD,
-                          self._encode_pages(chunk))
-        self._due[index] -= 1
-        if not self._due[index]:
-            self._fault("before-report")
-            chan.send(MsgType.ACK, index, realnet.COORD,
-                      {"status": "done", "ledger": chan.ledger()})
+        try:
+            pickled = realnet.encode_payload(MsgType.MIGRATE, payload)
+        finally:
+            # Later siblings of the queue still map the fork-time
+            # frames: put them back in their slots.
+            for table, vpn, page in swapped:
+                table[vpn] = page
+        self._outbox.append((pickled, shipped))
+
+    def _flush(self, chan, index):
+        """Ship the queue's hand-back: one MIGRATE carrying every run's
+        pickled entry in queue order and how many frames each ships,
+        then those frames' bytes as PAGE_BATCH frames in the same
+        order, then the link's wire ledger on one ACK."""
+        outbox, self._outbox = self._outbox, []
+        chan.send(MsgType.MIGRATE, index, realnet.COORD,
+                  {"kind": "handback",
+                   "payloads": [pickled for pickled, _ in outbox],
+                   "npages": [len(shipped) for _, shipped in outbox]})
+        self._fault("mid-handback")
+        frames = [frame for _, shipped in outbox for frame in shipped]
+        for chunk in _batched(frames, self.machine.cost.msg_batch):
+            chan.send(MsgType.PAGE_BATCH, index, realnet.COORD,
+                      self._encode_pages(chunk))
+        self._fault("before-report")
+        chan.send(MsgType.ACK, index, realnet.COORD,
+                  {"status": "done", "ledger": chan.ledger()})
 
     def _crosses(self, page, snap):
         """Whether ``page``'s bytes cross the wire on a hand-back: the
@@ -317,35 +313,50 @@ class RealShardCoordinator(ShardCoordinator):
 
     # -- collection (parent side) ------------------------------------------
 
-    def _recv_delta(self, chan, sibling, index):
+    def _recv_deltas(self, chan, queue, index):
+        """Receive a worker's one hand-back — the MIGRATE, its page
+        batches, the wire-ledger report — then yield each run's payload
+        in queue order, its shipped frames reattached."""
         _, _, _, head = chan.recv(expect=MsgType.MIGRATE)
-        kind = head.get("kind")
-        if kind == "result":
-            payload = head["payload"]
-            wire_pages = {}
-            want = head.get("npages", 0)
-            while len(wire_pages) < want:
-                _, _, _, pages = chan.recv(expect=MsgType.PAGE_BATCH)
-                if not pages:
-                    raise WireError("empty PAGE_BATCH in hand-back")
-                for serial, generation, scheme, data in pages:
-                    wire_pages[serial] = (generation,
-                                          _decode_page(scheme, data))
-            self._reattach(payload, wire_pages, self.snapshots[sibling])
-        elif kind == "refused":
-            payload = str(head.get("reason"))
-        else:
+        entries, counts = head.get("payloads"), head.get("npages")
+        if head.get("kind") != "handback" or not isinstance(entries, list) \
+                or not isinstance(counts, list) \
+                or len(counts) != len(entries):
             raise WireError(f"unexpected hand-back header {head!r}")
-        self._due[index] -= 1
-        if not self._due[index]:
-            # The worker snapshots its ledger before the report frame
-            # goes out, so conservation compares against the parent's
-            # receive counts at the same instant: the whole queue's.
-            pre_ack = {link: dict(entry)
-                       for link, entry in chan.received.items()}
-            _, _, _, fin = chan.recv(expect=MsgType.ACK)
-            self._account(index, chan, fin.get("ledger"), pre_ack)
-        return payload
+        if len(entries) != len(queue):
+            raise WireError(f"hand-back carries {len(entries)} payloads "
+                            f"for a queue of {len(queue)}")
+        want = sum(counts)
+        frames = []
+        while len(frames) < want:
+            _, _, _, pages = chan.recv(expect=MsgType.PAGE_BATCH)
+            if not pages:
+                raise WireError("empty PAGE_BATCH in hand-back")
+            frames.extend(pages)
+        if len(frames) != want:
+            raise WireError(f"hand-back carries {len(frames)} frames, "
+                            f"announced {want}")
+        # The worker snapshots its ledger before the report frame goes
+        # out, so conservation compares against the parent's receive
+        # counts at the same instant: the whole queue's.
+        pre_ack = {link: dict(entry) for link, entry in chan.received.items()}
+        _, _, _, fin = chan.recv(expect=MsgType.ACK)
+        self._account(index, chan, fin.get("ledger"), pre_ack)
+        start = 0
+        for sibling, pickled, count in zip(queue, entries, counts):
+            payload = realnet.decode_payload(MsgType.MIGRATE, pickled)
+            if "spaces" in payload:
+                wire_pages = {
+                    serial: (generation, _decode_page(scheme, data))
+                    for serial, generation, scheme, data
+                    in frames[start:start + count]}
+                self._reattach(payload, wire_pages, self.snapshots[sibling])
+            elif "refused" in payload and not count:
+                payload = str(payload["refused"])
+            else:
+                raise WireError(f"unexpected hand-back entry {payload!r}")
+            start += count
+            yield payload
 
     def _reattach(self, payload, wire_pages, snap):
         """Make the unpickled hand-back graph whole: a serial slot

@@ -15,11 +15,11 @@ Frame layout (network byte order)::
 
 Payload encodings per message type:
 
-* ``MIGRATE`` / ``ACK`` — a pickled ``dict`` (control messages; the
-  forward MIGRATE carries the offer, the hand-back MIGRATE the shard
-  delta payload, with untouched fork-time frames as bare serials; a
-  worker's ACKs are its hello and, once after its queue's last
-  hand-back, its wire ledger).
+* ``MIGRATE`` / ``ACK`` — a pickled ``dict`` (control messages; a
+  worker's one forward MIGRATE carries its whole queue's offer, its one
+  hand-back MIGRATE every run's shard delta payload, each pickled
+  alone, with untouched fork-time frames as bare serials; a worker's
+  ACKs are its hello and, after its hand-back, its wire ledger).
 * ``PAGE_REQ`` has no encoding: the real wire pushes the pages a
   worker lacks (the parent is the only source of every page a worker
   installs, so it knows which), and nothing requests them.
@@ -50,8 +50,8 @@ from repro.mem.page import PAGE_SIZE
 COORD = -1
 
 #: Default per-channel deadline (seconds).  Generous because a worker's
-#: hand-back only starts after its whole subtree ran; worker *death*
-#: closes the socket and surfaces immediately regardless.
+#: hand-back only starts after its whole queue of subtrees ran; worker
+#: *death* closes the socket and surfaces immediately regardless.
 DEFAULT_DEADLINE = 60.0
 
 MAGIC = b"DET\x01"

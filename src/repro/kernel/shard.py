@@ -16,15 +16,15 @@ the same fork-time machine — and hands worker *k* the static queue
 ``siblings[k::W]``.  A worker lives for the whole fork point, like the
 paper's long-lived cluster nodes (§3.3): it attaches its hand-back link
 once, then for each sibling of its queue runs that one subtree against
-the fork-time copy of the machine, ships back a *delta* — the sibling's
+the fork-time copy of the machine, hands back a *delta* — the sibling's
 space graph, the new trace suffix, and every machine/transport ledger
 the run moved — and *rewinds*: everything the delta enumerates is put
 back, along with the refcounts of the sibling's fork-time frames and
 any guest stack the run left parked, so the next sibling of the queue
 starts from the identical fork-time machine and the delta a subtree
 produces does not depend on what its worker ran before.  The parent
-collects round by round and blocks until every worker is reaped
-(workers only ever see fork-time state), then *adopts* each result
+collects every delta and blocks until every worker is reaped (workers
+only ever see fork-time state), then *adopts* each result
 lazily — at the rendezvous that would have run that sibling —
 renumbering frame serials, space uids and trace segment ids by the
 parent's counters at adoption time.  Because the serial engine would
@@ -56,10 +56,11 @@ only ever a cache of it — and says which check failed
 ``_worker_main``, one ``_collect``, one deadline-bounded ``_join``, one
 teardown (``close``).  A coordinator supplies only the hand-back *link*
 (here a ``multiprocessing`` pipe, which already length-prefixes and
-pickles; in ``cluster/backend.py`` the cluster wire) and the *failure
-policy* ``_fail`` (here: the sibling in flight and the rest of that
-worker's queue run inline, reason recorded; there: tear down and
-raise).
+pickles, carrying one delta per sibling as its run ends; in
+``cluster/backend.py`` the cluster wire, carrying one forward push and
+one hand-back per worker) and the *failure policy* ``_fail`` (here:
+the sibling in flight and the rest of that worker's queue run inline,
+reason recorded; there: tear down and raise).
 
 Gates (:func:`fork_refusal` — all must hold or the rendezvous stays
 serial, with the reason kept on :attr:`ShardCoordinator.refused`):
@@ -72,6 +73,7 @@ serial, with the reason kept on :attr:`ShardCoordinator.refused`):
   covers delta, demand and full shipping alike.
 """
 
+import itertools
 import multiprocessing
 import os
 import threading
@@ -136,8 +138,9 @@ class ShardCoordinator:
         self.snapshots = {}
         # Fork-time counter bases (identical for every pending result).
         self._base = None
-        #: Seconds any one wait on a worker may take (a hand-back, a
-        #: socket operation, its exit): a wedged worker is never a hang.
+        #: Seconds any one wait on a worker may take (a hand-back — on
+        #: the real wire, a whole queue's — a socket operation, its
+        #: exit): a wedged worker is never a hang.
         self.deadline = 60.0
         #: Test hook: a worker-side fault point name (see ``_fault``).
         self.fault_inject = None
@@ -211,10 +214,11 @@ class ShardCoordinator:
 
     def _fork_all(self, caller, siblings):
         """Start one worker per slot, queue ``siblings[k::W]`` on worker
-        *k*, and collect round by round — every payload before
-        returning.  The parent mutates nothing between the first fork
-        and the last join and a worker rewinds after every sibling, so
-        every subtree runs against the identical fork-time machine."""
+        *k*, push every queue's forward state (``_push``), then collect
+        every payload before returning.  The parent mutates nothing
+        between the first fork and the last join and a worker rewinds
+        after every sibling, so every subtree runs against the identical
+        fork-time machine."""
         machine = self.machine
         trace = machine.trace
         self._base = {
@@ -229,29 +233,24 @@ class ShardCoordinator:
             }
         self.forked += len(siblings)
         width = min(self.workers, len(siblings))
-        lost = {}       # worker index -> the failure policy's answer
+        queues = {}     # worker index -> its queue
         try:
-            indices = [self._spawn(caller, siblings[k::width])
-                       for k in range(width)]
-            for i in range(0, len(siblings), width):
-                wave = list(zip(siblings[i:i + width], indices))
-                self._wave_started([h for h in wave if h[1] not in lost])
-                for sibling, index in wave:
-                    if index in lost:   # the rest of its queue, at once
-                        self.pending[sibling] = lost[index]
-                        continue
-                    payload = self._collect(sibling, index)
-                    self.pending[sibling] = payload
-                    if index not in self._links:    # its link failed
-                        lost[index] = payload
+            for k in range(width):
+                queue = siblings[k::width]
+                queues[self._spawn(caller, queue)] = queue
+            self._push(queues)
         except (OSError, WireError) as exc:
             reason = self._fail(_START_FAILED, exc)
             for sib in siblings:
                 self.pending.setdefault(sib, reason)
             return
-        for index in indices:
-            if index not in lost:
-                self._release(index)
+        # Round by round, one hand-back per worker and round: a pipe
+        # worker blocked on a full pipe waits for one collect, not for
+        # every queue ahead of its own.
+        for _round in itertools.zip_longest(
+                *(self._collect(index, queue)
+                  for index, queue in queues.items())):
+            pass
 
     def _spawn(self, caller, queue):
         """Start the worker that runs ``queue``; returns its index.
@@ -278,21 +277,23 @@ class ShardCoordinator:
         return index
 
     def _worker_main(self, caller, queue, index, end):
-        """The worker process: attach the link, then per sibling of the
-        queue {begin, run, hand back, rewind} (an exception is a
-        traceback on stderr and, to the parent, a dead worker)."""
+        """The worker process: attach the link, receive the queue's
+        forward state, then per sibling {run, hand back, rewind}, then
+        flush (an exception is a traceback on stderr and, to the
+        parent, a dead worker)."""
         machine = self.machine
         machine.shard = None        # no nested sharding inside workers
         machine.engine.after_fork()     # parent threads do not exist here
         link = self._attach(index, end)
         try:
+            self._recv_push(link, queue, index)
             marks = [ledger.mark(machine) for ledger in LEDGERS]
             for sibling in queue:
-                self._begin(link, sibling, index)
                 payload, moved = self._run_worker(caller, sibling, marks)
                 self._fault("before-handback")
                 self._send_delta(link, payload, index)
                 self._rewind(sibling, marks, moved)
+            self._flush(link, index)
         finally:
             link.close()
 
@@ -304,21 +305,30 @@ class ShardCoordinator:
         if self.fault_inject == f"hang-{point}":
             threading.Event().wait()
 
-    def _collect(self, sibling, index):
-        """One sibling's payload from its worker or, whatever the
-        receive raises (EOF, timeout, wire or unpickling error), the
-        failure policy's answer — the worker is put down first, so the
-        rest of its queue costs no further wait."""
-        try:
-            return self._recv_delta(self._links[index], sibling, index)
-        except Exception as exc:    # noqa: BLE001
-            self._procs[index].terminate()  # dead or wedged: no grace
-            self._release(index)
-            return self._fail(f"worker {index} ({sibling.uid})", exc)
+    def _collect(self, index, queue):
+        """File each payload of worker ``index``'s ``queue`` in
+        ``pending`` as it arrives, yielding after each; whatever the
+        receive raises (EOF, timeout, wire or unpickling error) files
+        the failure policy's answer for the sibling in flight and the
+        rest of the queue — the worker is put down first, so they cost
+        no further wait.  The worker is reaped either way."""
+        received = self._recv_deltas(self._links[index], queue, index)
+        for sibling in queue:
+            try:
+                self.pending[sibling] = next(received)
+            except Exception as exc:    # noqa: BLE001
+                self._procs[index].terminate()  # dead or wedged: no grace
+                self._release(index)
+                reason = self._fail(f"worker {index} ({sibling.uid})", exc)
+                for rest in queue:
+                    self.pending.setdefault(rest, reason)
+                return
+            yield
+        self._release(index)
 
     def _release(self, index):
         """Close a worker's link and reap it: once per worker, after
-        its last round or when its link fails."""
+        its last hand-back or when its link fails."""
         self._links.pop(index).close()
         self._join(self._procs.pop(index))
 
@@ -361,26 +371,33 @@ class ShardCoordinator:
         self._links[index], end = multiprocessing.Pipe(duplex=False)
         return end
 
-    def _wave_started(self, handles):
-        """Before a round's first collect, with its ``(sibling, worker
-        index)`` pairs (the real backend serves the forward page
-        exchanges here)."""
+    def _push(self, queues):
+        """Parent side, after every spawn and before the first collect,
+        with ``{worker index: queue}`` (the real backend pushes each
+        queue's forward migration here)."""
 
     def _attach(self, index, end):
         """Worker side, once: the link to hand back on."""
         return end
 
-    def _begin(self, link, sibling, index):
-        """Worker side, before each run (the real backend receives the
-        sibling's forward pages here)."""
+    def _recv_push(self, link, queue, index):
+        """Worker side, once, before the first run (the real backend
+        receives and checks its queue's forward migration here)."""
 
     def _send_delta(self, link, payload, index):
+        """Worker side, after each run and before its rewind."""
         link.send(payload)
 
-    def _recv_delta(self, link, sibling, index):
-        if not link.poll(self.deadline):
-            raise TimeoutError
-        return link.recv()
+    def _flush(self, link, index):
+        """Worker side, once, after the queue's last rewind (the real
+        backend sends its one hand-back and its wire ledger here)."""
+
+    def _recv_deltas(self, link, queue, index):
+        """Parent side: yield ``queue``'s payloads in queue order."""
+        for _sibling in queue:
+            if not link.poll(self.deadline):
+                raise TimeoutError
+            yield link.recv()
 
     # -- worker side -------------------------------------------------------
 

@@ -97,14 +97,14 @@ def test_a_barrier_round_reads_each_threads_writes_twice():
                     or not realnet.localhost_available(),
                     reason="the real backend needs os.fork and localhost "
                            "sockets")
-def test_a_worker_hands_back_one_migrate_per_subtree():
+def test_a_worker_link_carries_one_migrate_each_way():
     """``real_serve``'s small shape: 12 requests queue three deep on four
     workers.  A worker's link to the parent carries its hello and one
-    MIGRATE per subtree, plus a PAGE_BATCH per 32 frames a run created
-    or wrote (a request creates none); its wire ledger is reported once,
-    after the last hand-back, outside the totals it reports.  The
-    parent's link carries a MIGRATE per subtree and the share's eight
-    pages once, in one PAGE_BATCH."""
+    MIGRATE for its whole queue, plus a PAGE_BATCH per 32 frames its
+    runs created or wrote (a request creates none); its wire ledger is
+    reported once, after the hand-back, outside the totals it reports.
+    The parent's link carries one MIGRATE offering the whole queue and
+    the share's eight pages once, in one PAGE_BATCH."""
     result = repro.serve_trace(4, spec=ClusterSpec(backend="real"),
                                requests=12, mean_gap=960_000, seed=1)
     shard = result.machine.shard
@@ -115,13 +115,13 @@ def test_a_worker_hands_back_one_migrate_per_subtree():
             if src == realnet.COORD}
     assert sorted(up) == sorted(down) == [0, 1, 2, 3]
     for entry in up.values():
-        assert (entry["frames"], entry["pages"]) == (1 + 3, 0)
+        assert (entry["frames"], entry["pages"]) == (2, 0)
     for entry in down.values():
-        assert (entry["frames"], entry["pages"]) == (3 + 1, 8)
+        assert (entry["frames"], entry["pages"]) == (2, 8)
     assert shard.wire_conservation_ok()
     counted = host_counts.wire_counts(result.machine)
     assert counted == {
-        "wire_frames": 32,
+        "wire_frames": 16,
         "wire_bytes": sum(e["bytes"] for e in shard.wire_links.values())}
     assert host_counts.wire_counts(None) == {"wire_frames": None,
                                              "wire_bytes": None}

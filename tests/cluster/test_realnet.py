@@ -238,34 +238,131 @@ needs_real_backend = pytest.mark.skipif(
     reason="the real backend needs os.fork and localhost sockets")
 
 
+def fork_time_queue(machine, *frame_sets):
+    """One sibling space per tuple of frames, each mapping its frames
+    from vpn 0, with its fork-time snapshot on the coordinator: a
+    worker's queue as ``_push_queue`` and ``_recv_push`` see it."""
+    shard = machine.shard
+    queue = []
+    for frames in frame_sets:
+        sibling = machine.new_space(None)
+        sibling.addrspace._pages.update(enumerate(frames))
+        shard.snapshots[sibling] = {
+            page.serial: (page, 1, page.generation) for page in frames}
+        queue.append(sibling)
+    return queue
+
+
+def tamper(chan, edit):
+    """Pass every frame ``chan`` sends through ``edit(mtype, obj)``
+    first: the parent's own push, made wrong on the wire."""
+    send = chan.send
+    chan.send = lambda mtype, src, dst, obj: send(mtype, src, dst,
+                                                  edit(mtype, obj))
+
+
+def _repeat_first_page(mtype, obj):
+    return obj + obj[:1] if mtype is MsgType.PAGE_BATCH else obj
+
+
+def _one_page_short(mtype, obj):
+    if mtype is MsgType.MIGRATE:
+        return {**obj, "npages": obj["npages"] - 1}
+    return obj[1:]
+
+
 @needs_real_backend
-@pytest.mark.parametrize("held,refusal", [
-    (True, "pushed but not lacking"),
-    (False, "announces 1 pages, the worker lacks 2"),
+@pytest.mark.parametrize("edit,refusal", [
+    (_repeat_first_page, "pushed but not lacking"),
+    (_one_page_short, "announces 1 pages, the worker lacks 2"),
 ], ids=["already-held", "one-page-short"])
-def test_worker_refuses_a_push_that_is_not_what_it_lacks(held, refusal):
-    # The parent pushes the offered frames it has not shipped to this
-    # worker yet; the worker checks the push against what it holds.
-    # Here the parent's mirror wrongly lists B as shipped, so it pushes
-    # only A: a page the worker already holds, or one page short.
+def test_worker_refuses_a_push_that_is_not_what_it_lacks(edit, refusal):
+    # The parent pushes every offered frame once; the worker checks the
+    # push against what its queue maps.  Here the push repeats A, a
+    # page the worker holds by then, or announces and carries one page
+    # fewer than the two it lacks.
     with Machine(nnodes=2, spec=ClusterSpec(backend="real")) as machine:
         shard = machine.shard
-        sibling = machine.new_space(None)
         a, b = Page(allocator=machine.frames), Page(allocator=machine.frames)
-        sibling.addrspace._pages.update(enumerate((a, b)))
-        shard.snapshots[sibling] = {page.serial: (page, 1, page.generation)
-                                    for page in (a, b)}
-        shard._shipped[0] = {b.serial: b.generation}
-        if held:
-            shard._installed[a.serial] = a.generation
+        queue = fork_time_queue(machine, (a, b))
         parent, worker = channel_pair()
         try:
-            shard._serve_forward(parent, sibling, 0)
+            tamper(parent, edit)
+            shard._push_queue(parent, queue, 0)
             with pytest.raises(WireError, match=refusal):
-                shard._begin(worker, sibling, 0)
+                shard._recv_push(worker, queue, 0)
         finally:
             parent.close()
             worker.close()
+
+
+def _drop_last_subtree(offers):
+    return offers[:-1]
+
+
+def _swap_subtrees(offers):
+    return offers[::-1]
+
+
+def _drop_a_frame(offers):
+    (uid, offered), *rest = offers
+    return [(uid, offered[1:]), *rest]
+
+
+def _age_a_frame(offers):
+    (uid, ((serial, generation), *offered)), *rest = offers
+    return [(uid, [(serial, generation + 1), *offered]), *rest]
+
+
+@needs_real_backend
+@pytest.mark.parametrize("edit,refusal", [
+    (_drop_last_subtree, "does not name the worker's queue in order"),
+    (_swap_subtrees, "does not name the worker's queue in order"),
+    (_drop_a_frame, "does not match subtree s"),
+    (_age_a_frame, "offered at a stale generation"),
+], ids=["subtree-count", "uid-order", "frames", "generation"])
+def test_worker_refuses_an_offer_that_is_not_its_queue(edit, refusal):
+    # A queue of two subtrees: the offer must name both, in queue
+    # order, each with exactly its fork-time frames at their
+    # generations.
+    with Machine(nnodes=2, spec=ClusterSpec(backend="real")) as machine:
+        shard = machine.shard
+        a, b, c = (Page(allocator=machine.frames) for _ in range(3))
+        queue = fork_time_queue(machine, (a, b), (c,))
+        parent, worker = channel_pair()
+        try:
+            tamper(parent, lambda mtype, obj: {**obj, "queue": edit(
+                obj["queue"])} if mtype is MsgType.MIGRATE else obj)
+            shard._push_queue(parent, queue, 0)
+            with pytest.raises(WireError, match=refusal):
+                shard._recv_push(worker, queue, 0)
+        finally:
+            parent.close()
+            worker.close()
+
+
+@needs_real_backend
+def test_a_frame_two_subtrees_of_a_queue_share_is_pushed_once():
+    # A is mapped by both subtrees of the queue: the one push offers it
+    # twice, once per subtree, and carries its bytes once.
+    with Machine(nnodes=2, spec=ClusterSpec(backend="real")) as machine:
+        shard = machine.shard
+        a, b, c = (Page(bytes([k]) * PAGE_SIZE, allocator=machine.frames)
+                   for k in (1, 2, 3))
+        queue = fork_time_queue(machine, (a, b), (a, c))
+        parent, worker = channel_pair()
+        try:
+            shard._push_queue(parent, queue, 0)
+            shard._recv_push(worker, queue, 0)
+        finally:
+            parent.close()
+            worker.close()
+        down = (realnet.COORD, 0)
+        assert parent.sent[down] == worker.received[down]
+        assert (parent.sent[down]["frames"], parent.sent[down]["pages"]) == \
+            (2, 3)      # one MIGRATE and one PAGE_BATCH of A, B and C
+        assert [bytes(page.data[:1]) for page in (a, b, c)] == \
+            [b"\x01", b"\x02", b"\x03"]
 
 
 @needs_real_backend
@@ -287,19 +384,17 @@ def test_a_hand_back_resolves_untouched_frames_by_serial(held):
         sibling.machine = sibling.addrspace.allocator = None
         parent, worker = channel_pair()
         try:
-            shard._due[0] = 1
             shard._send_delta(worker, {"spaces": sibling, "replaced": []}, 0)
-            # The worker's own slots are whole again after the send.
+            # The worker's own slots are whole again once it is pickled.
             assert sibling.addrspace._pages == {0: a, 1: b, 2: c, 3: a}
+            shard._flush(worker, 0)
             if not held:
                 del snap[b.serial]
-            shard._due[0] = 1
-            if not held:
                 with pytest.raises(WireError, match=f"frame {b.serial}, "
                                    f"which the subtree did not hold"):
-                    shard._recv_delta(parent, sibling, 0)
+                    list(shard._recv_deltas(parent, [sibling], 0))
                 return
-            payload = shard._recv_delta(parent, sibling, 0)
+            payload, = shard._recv_deltas(parent, [sibling], 0)
         finally:
             parent.close()
             worker.close()
@@ -309,6 +404,38 @@ def test_a_hand_back_resolves_untouched_frames_by_serial(held):
         assert pages[2].data == b"\x07" * PAGE_SIZE
         up = shard.wire_links[(0, realnet.COORD)]
         assert (up["frames"], up["pages"]) == (2, 1)    # MIGRATE + 1 page
+        assert shard.wire_conservation_ok()
+
+
+@needs_real_backend
+@pytest.mark.parametrize("handed", [1, 2, 3], ids=["short", "whole", "long"])
+def test_a_hand_back_carries_one_payload_per_subtree(handed):
+    # The queue holds two subtrees: the one hand-back must carry two
+    # entries, in queue order (here a result, then a refusal).
+    with Machine(nnodes=2, spec=ClusterSpec(backend="real")) as machine:
+        shard = machine.shard
+        shard._base = {"serial": machine.frames._next_serial}
+        queue = fork_time_queue(machine, (), ())
+        for sibling in queue:
+            sibling.machine = sibling.addrspace.allocator = None
+        deltas = [{"spaces": queue[0], "replaced": []},
+                  "cursor device read", "cursor device read"][:handed]
+        parent, worker = channel_pair()
+        try:
+            for delta in deltas:
+                shard._send_delta(worker, delta, 0)
+            shard._flush(worker, 0)
+            if handed != 2:
+                with pytest.raises(WireError, match=f"carries {handed} "
+                                   f"payloads for a queue of 2"):
+                    list(shard._recv_deltas(parent, queue, 0))
+                return
+            result, refused = shard._recv_deltas(parent, queue, 0)
+        finally:
+            parent.close()
+            worker.close()
+        assert result["spaces"].uid == queue[0].uid
+        assert refused == "cursor device read"
         assert shard.wire_conservation_ok()
 
 

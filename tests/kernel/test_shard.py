@@ -478,12 +478,12 @@ def run_hostile(workers):
 
     def configure(machine):
         shard = machine.shard
-        recv, run = shard._recv_delta, shard._run_worker
+        recv, run = shard._recv_deltas, shard._run_worker
 
-        def recording(link, sibling, index):
-            payload = recv(link, sibling, index)
-            payloads[sibling.uid] = pickle.dumps(payload)
-            return payload
+        def recording(link, queue, index):
+            for sibling, payload in zip(queue, recv(link, queue, index)):
+                payloads[sibling.uid] = pickle.dumps(payload)
+                yield payload
 
         def no_stack_of_an_earlier_sibling(caller, sibling, marks):
             # Runs inside the worker; a failure here is a dead worker,
@@ -497,7 +497,7 @@ def run_hostile(workers):
                        if thread.name.startswith("guest-"))
             return run(caller, sibling, marks)
 
-        shard._recv_delta = recording
+        shard._recv_deltas = recording
         shard._run_worker = no_stack_of_an_earlier_sibling
 
     machine = Machine(nnodes=4, spec=ClusterSpec(shard_workers=workers))
