@@ -20,7 +20,7 @@ checkout in the current directory, and prints one JSON line:
 * ``loss_draws`` — ``LossSchedule.draw`` calls, one per wire copy a
   lossy fabric decides;
 * ``inflight_claims`` — ``Transport.take_inflight`` calls: a demand
-  miss's claims on its node's prefetch queue;
+  miss's claims on its space's prefetch queue for the node;
 * ``ledger_entries`` — dirty-ledger entries read: the vpns every
   ``AddressSpace.dirty_since`` call returns, summed (a Merge's, a
   re-Snap's and a migration delta's enumeration);

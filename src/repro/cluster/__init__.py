@@ -14,10 +14,11 @@ owns *how* it crosses and what that costs:
   routed hop-by-hop over the fabric, with migration deltas and demand
   fetches coalesced into batched scatter/gather messages; every
   traversed link accrues occupancy, so shared cross-rack core links
-  contend in ``schedule()``.  Per-node *async fetch queues*
-  (``ClusterSpec(prefetch_depth=...)``) pipeline predicted-next frames
-  behind compute, and ``ClusterSpec(compression=True)`` ships
-  PAGE_BATCH payloads zero-suppressed/RLE-encoded
+  contend in ``schedule()``.  Per-space, per-node *async fetch
+  queues* (``ClusterSpec(prefetch_depth=...)``) pipeline
+  predicted-next frames behind compute, and
+  ``ClusterSpec(compression=True)`` ships PAGE_BATCH payloads
+  zero-suppressed/RLE-encoded
   (:mod:`repro.cluster.compress`);
 * :class:`~repro.cluster.faults.LossSchedule` — deterministic fault
   injection (``ClusterSpec(loss=...)``): per-link drop decisions keyed

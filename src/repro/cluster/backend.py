@@ -98,7 +98,7 @@ class RealShardCoordinator(ShardCoordinator):
         # Unlike the pipe coordinator's serial fallback, an incompatible
         # spec is a hard error: the caller asked for real processes and
         # would otherwise measure the wrong thing.
-        problem = fork_refusal(machine)
+        problem = fork_refusal()
         if problem is None and not realnet.localhost_available():
             problem = "requires localhost TCP sockets"
         if problem is not None:

@@ -80,7 +80,8 @@ class ClusterSpec:
     topology: object = None
     #: Virtual-node placement policy: "round_robin" (None), "locality".
     placement: object = None
-    #: Async fetch-queue depth per node (0: stop-and-wait).
+    #: Async fetch-queue depth: in-flight frames per space per node
+    #: (0: stop-and-wait).
     prefetch_depth: int = 0
     #: PAGE_BATCH wire compression (zero suppression + RLE).
     compression: bool = False

@@ -185,10 +185,10 @@ class NodeStats(CounterRow):
     FIELDS = (
         #: Pages the node moved by stop-and-wait demand fetch.
         "pulled",
-        #: Pages its async prefetch queue speculatively pulled, and how
-        #: many of those a space later actually demanded.  The
-        #: difference is wasted speculative bandwidth — reported
-        #: separately, never folded into the demand-pull count.
+        #: Pages the spaces' async prefetch queues speculatively pulled
+        #: to the node, and how many of those a space later actually
+        #: demanded.  The difference is wasted speculative bandwidth —
+        #: reported separately, never folded into the demand-pull count.
         "prefetch_issued", "prefetch_used",
         #: Prefetched frames whose content was superseded (the producer
         #: wrote a newer generation) before any space demanded them.
@@ -299,13 +299,6 @@ class Transport:
         #: Sender-side timeout cycles space-stalling exchanges
         #: accumulated waiting on retransmits.
         self.retx_wait = 0
-        #: node -> {frame serial: (generation, PrefetchExchange, frame)}
-        #: — that node's async fetch queue of in-flight predicted
-        #: frames, keyed by the generation current at issue time.
-        self.inflight = {}
-        #: Monotone counter naming the sink segments of undemanded
-        #: exchanges (purged mid-run or flushed at end of run).
-        self._sinks = 0
         #: Encoded wire size per frame content tag (content never
         #: changes under a tag, so sizes are computed once).
         self._wire_sizes = {}
@@ -343,10 +336,6 @@ class Transport:
             known.update(zip(fresh, compress.wire_sizes(list(
                 fresh.values()))))
         return sum(map(known.__getitem__, tags))
-
-    def queue_len(self, node):
-        """In-flight prefetched frames of ``node``'s async fetch queue."""
-        return len(self.inflight.get(node, ()))
 
     def prefetch_unused(self):
         """Prefetched pages no space ever demanded (stale included)."""
@@ -649,11 +638,12 @@ class Transport:
 
         The exchange's wire traffic is accounted immediately (it is on
         the links now, whether or not anyone ends up wanting it) and
-        queued on ``node``'s async fetch queue, anchored at ``space``'s
-        most recently *closed* segment — callers issue prefetches right
-        after a cut (a demand fetch's, or a migration's), so in the
-        schedule the transfer's serialization starts at the issue point
-        and overlaps whatever compute follows.  A later demand on any
+        queued on ``space``'s own async fetch queue for ``node``
+        (``Space.inflight``), anchored at the space's most recently
+        *closed* segment — callers issue prefetches right after a cut
+        (a demand fetch's, or a migration's), so in the schedule the
+        transfer's serialization starts at the issue point and overlaps
+        whatever compute follows.  A later demand by the space on any
         of the frames redeems the exchange (:meth:`redeem_exchanges`
         via :meth:`take_inflight`).
         """
@@ -670,13 +660,13 @@ class Transport:
             machine.trace.last_closed(space.uid), usage, transit + codec,
             [(frame, frame.generation) for frame in frames],
             retx=bill)
-        queue = self.inflight.setdefault(node, {})
+        queue = space.inflight.setdefault(node, {})
         for frame in frames:
             queue[frame.serial] = (frame.generation, exchange, frame)
 
-    def purge_superseded(self, node):
-        """Drop ``node``'s queued entries whose frame was rewritten
-        since they were issued; returns how many were dropped.
+    def purge_superseded(self, space, node):
+        """Drop ``space``'s queued entries for ``node`` whose frame was
+        rewritten since they were issued; returns how many were dropped.
 
         The predictor runs this before refilling the queue: a queued
         entry at a superseded generation is already wasted wire — a
@@ -687,9 +677,9 @@ class Transport:
         *every* rewrite.  An exchange whose last queued frame is purged
         was never demanded, so its wire contention enters the trace
         through a sink segment here, exactly as :meth:`flush_inflight`
-        does at end of run.
+        does for what is left at the end of the run.
         """
-        queue = self.inflight.get(node)
+        queue = space.inflight.get(node)
         if not queue:
             return 0
         doomed = [serial for serial, (held, _, frame) in queue.items()
@@ -698,19 +688,19 @@ class Transport:
             _, exchange, _ = queue.pop(serial)
             self.node(node).prefetch_stale += 1
             if not any(entry[1] is exchange for entry in queue.values()):
-                self._sink_exchange(exchange, node, "prefetch-stale")
+                self._sink_exchange(space, exchange, node, "prefetch-stale")
         return len(doomed)
 
-    def take_inflight(self, node, serial, generation):
+    def take_inflight(self, space, node, serial, generation):
         """Claim an in-flight prefetched frame for a demand on it.
 
-        Returns the frame's :class:`PrefetchExchange` when ``node``'s
-        queue holds ``serial`` at exactly ``generation``; a queue entry
-        at a superseded generation is dropped (and counted stale) —
-        its bytes were wasted and the caller must demand-fetch the
-        fresh content.
+        Returns the frame's :class:`PrefetchExchange` when ``space``'s
+        queue for ``node`` holds ``serial`` at exactly ``generation``; a
+        queue entry at a superseded generation is dropped (and counted
+        stale) — its bytes were wasted and the caller must demand-fetch
+        the fresh content.
         """
-        queue = self.inflight.get(node)
+        queue = space.inflight.get(node)
         if not queue or serial not in queue:
             return None
         held_generation, exchange, _ = queue.pop(serial)
@@ -735,7 +725,7 @@ class Transport:
         machine = self.machine
         trace = machine.trace
         cache = machine.node_cache[node]
-        queue = self.inflight.get(node, {})
+        queue = space.inflight.get(node, {})
         stats = self.node(node)
         opened = None
         if trace.is_open(space.uid):
@@ -765,8 +755,8 @@ class Transport:
                     [(exchange.usage, exchange.latency, "prefetch")],
                     exchange.retx)
 
-    def flush_inflight(self):
-        """End-of-run accounting for exchanges nobody ever redeemed.
+    def flush_inflight(self, top):
+        """Sink every exchange still queued in ``top``'s subtree.
 
         Their wire bytes were counted at issue, but without a
         demanding segment their serialization never entered the trace —
@@ -776,29 +766,33 @@ class Transport:
         zero-cycle *sink* segment (no space waits on it), so
         ``schedule()`` makes mispredicted prefetches contend with real
         transfers and reports their residue as ``"prefetch-unused"``.
-        Called by the machine once the run drains; queues are cleared,
+        Called by the machine on the root once the run drains, and by
+        the kernel on a subtree it destroys mid-run; queues are cleared,
         so a second call is a no-op.
         """
-        flushed = set()
-        for node in sorted(self.inflight):
-            queue = self.inflight[node]
-            for _, exchange, _ in queue.values():
-                if id(exchange) in flushed:
-                    continue
-                flushed.add(id(exchange))
-                self._sink_exchange(exchange, node, "prefetch-unused")
-            queue.clear()
+        for space in top.walk():
+            inflight = space.inflight
+            for node in sorted(inflight):
+                flushed = set()
+                for _, exchange, _ in inflight[node].values():
+                    if id(exchange) not in flushed:
+                        flushed.add(id(exchange))
+                        self._sink_exchange(space, exchange, node,
+                                            "prefetch-unused")
+            inflight.clear()
 
-    def _sink_exchange(self, exchange, node, kind):
+    def _sink_exchange(self, space, exchange, node, kind):
         """Emit an undemanded exchange's link edges into a fresh
         zero-cycle sink segment at ``node`` (no space waits on it), so
         ``schedule()`` still makes its wire traffic contend with real
-        transfers; the residue reports under ``kind``."""
+        transfers; the residue reports under ``kind``.  The sink is
+        named from ``kind``, ``node`` and the issuing space's slot path
+        — what no evaluation order or worker renumbers."""
         if exchange.anchor is None:
             return
         trace = self.machine.trace
-        self._sinks += 1
-        uid = f"~{kind}{self._sinks}@{node}"
+        path = "".join(f"/{num}" for num in space.slot_path())
+        uid = f"~{kind}{path}@{node}"
         sink = trace.begin(uid, node=node, label=kind)
         trace.end(uid)
         self._stall_edges(exchange.anchor, sink,

@@ -154,6 +154,9 @@ class SpaceImage(_Frozen):
     EXCUSED = {
         "killed": "teardown flag: set only on a space being destroyed, "
                   "which has left the tree an image walks",
+        "inflight": "the prefetch queue: what its exchanges cost is in "
+                    "the link rows and the trace from their issue on, "
+                    "and it is empty once the run drains (flush_inflight)",
     }
     #: Everything an image of a space is.
     FIELDS = COPIED + tuple(DERIVED)

@@ -25,7 +25,6 @@ import threading
 from repro.common.errors import (
     GuestKilled,
     MergeConflictError,
-    NetworkLossError,
     PageFaultError,
     PermissionFault,
 )
@@ -107,16 +106,18 @@ class GuestContext:
         self._back.release()
 
     def _record_stop(self, trap, info="", state=SpaceState.STOPPED):
-        """Record why the space stopped.  If the way home exhausts its
-        retransmissions, the space stopped on that EXC fault instead."""
+        """Record why the space stopped.  If the way home fails (its
+        retransmissions exhaust, or the kernel raises), the space
+        stopped on that EXC fault instead — never left READY, which a
+        parent's next rendezvous would run from its entry again."""
         space = self.space
         # "A space has a home node, to which the space migrates when
         # interacting with its parent on a Ret or trap" (§3.3).
         if space.cur_node != space.home_node:
             try:
                 self.engine.machine.kernel.migrate(space, space.home_node)
-            except NetworkLossError as exc:
-                trap, info = Trap.EXC, f"NetworkLossError: {exc}"
+            except Exception as exc:    # noqa: BLE001 - trap semantics
+                trap, info = Trap.EXC, f"{type(exc).__name__}: {exc}"
                 state = SpaceState.STOPPED
         space.trap = trap
         space.trap_info = info

@@ -223,14 +223,15 @@ class Kernel:
         return shipped, len(candidates), tracked, candidates
 
     def _issue_prefetch(self, space, node, vpn_stream):
-        """Fill ``node``'s async fetch queue with predicted-next frames.
+        """Fill ``space``'s async fetch queue for ``node`` with
+        predicted-next frames.
 
         ``vpn_stream`` is the prediction, in priority order: the
         faulting space's own sequential window past a faulting range,
         or its migration ledger's candidate set.  Candidates already
-        cached, already in flight, or served locally are skipped; at
-        most ``prefetch_depth - in_flight`` issue, so the queue never
-        exceeds its depth.  Must run right after a cut
+        cached, already in the space's queue, or served locally are
+        skipped; at most ``prefetch_depth - queued`` issue, so the
+        queue never exceeds its depth.  Must run right after a cut
         (the transport anchors the exchange at the last closed
         segment).
         """
@@ -243,14 +244,14 @@ class Kernel:
         # drop them (counted stale) before sizing the refill, so hot
         # pages churning under speculation re-pay their wire every
         # rewrite instead of squatting in the queue forever.
-        transport.purge_superseded(node)
-        budget = depth - transport.queue_len(node)
+        transport.purge_superseded(space, node)
+        queue = space.inflight.get(node, {})
+        budget = depth - len(queue)
         if budget <= 0:
             return
         aspace = space.addrspace
         cache = machine.node_cache[node]
         origin_of = machine.frame_origin
-        queue = transport.inflight.get(node, {})
         by_origin = {}
         seen = set()
         walked = 0
@@ -294,21 +295,21 @@ class Kernel:
         Misses are pulled through the transport as one batched
         PAGE_REQ/PAGE_BATCH exchange per producing node — a scatter/
         gather round trip, not N independent per-page fetches.  A miss
-        already *in flight* on the node's async prefetch queue redeems
-        its exchange instead: the space waits only for whatever part of
-        the transfer the compute since its issue did not hide.  Each
-        demand batch also re-primes the queue with the predicted next
-        frames (the space's own sequential window past the faulted
-        range).  ``vpns`` is the range's mapped vpns
-        when the caller has already enumerated them.
+        already *in flight* on the space's prefetch queue for the node
+        redeems its exchange instead: the space waits only for whatever
+        part of the transfer the compute since its issue did not hide.
+        Each demand batch also re-primes the queue with the predicted
+        next frames (the space's own sequential window past the faulted
+        range).  ``vpns`` is the range's mapped vpns when the caller has
+        already enumerated them.
 
         One walk of the space's page table: a probe per page of the
         range (or, for a range wider than the table, one pass over the
         table), reading each frame where it probes — no ``frame()``
         call per page.  The cache is updated as the walk goes, so a
-        frame mapped at several vpns is fetched once.  The node's
-        in-flight queue is read once, and a miss claims its entry only
-        when the queue holds its serial.  The prefetch depth is read only
+        frame mapped at several vpns is fetched once.  The space's
+        queue for the node is read once, and a miss claims its entry
+        only when the queue holds its serial.  The prefetch depth is read only
         after a miss.
         """
         machine = self.machine
@@ -328,7 +329,7 @@ class Kernel:
         # vpn-ascending batched pulls, grouped by producing node.
         fetch_by_origin = {}
         redeems = []
-        queued = transport.inflight.get(node)
+        queued = space.inflight.get(node)
         for vpn in vpns:
             frame = pages.get(vpn)
             if frame is None:
@@ -342,7 +343,7 @@ class Kernel:
                 origin_of[frame.serial] = node
             elif cache.get(frame.serial) != frame.generation:
                 exchange = transport.take_inflight(
-                    node, frame.serial, frame.generation) \
+                    space, node, frame.serial, frame.generation) \
                     if queued and frame.serial in queued else None
                 cache[frame.serial] = frame.generation
                 if exchange is not None:
@@ -394,6 +395,8 @@ class Kernel:
             raise BadChildError(f"no {what} {src_child} to Tree-copy")
         old = to_space.children.get(dst_child)
         if old is not None:
+            # Its speculative traffic stays in the schedule.
+            self.machine.transport.flush_inflight(old)
             old.destroy()
         to_space.attach(dst_child, self._copy_subtree(caller, src, to_space))
 

@@ -66,14 +66,14 @@ def _diff(now, before):
             if before.get(key, _ABSENT) != value}
 
 
-def _restore(table, before, keys, copy=None):
+def _restore(table, before, keys):
     """Put ``keys`` of ``table`` back to what ``before`` holds (absent
     there: absent again)."""
     for key in keys:
         if key not in before:
             del table[key]
         else:
-            table[key] = before[key] if copy is None else copy(before[key])
+            table[key] = before[key]
 
 
 class Ledger:
@@ -163,26 +163,21 @@ class Tail(Ledger):
 
 class Table(Ledger):
     """A dict a run writes by key: the delta is the entries it added or
-    changed (it removes none).  ``copy`` snapshots values a run mutates
-    in place; ``unpack`` renumbers an entry for the parent."""
+    changed (it removes none); ``unpack`` renumbers an entry for the
+    parent."""
 
-    def __init__(self, key, owner, attr, copy=None, unpack=None,
-                 refuse=None, local=None):
-        super().__init__(key, owner, attr, refuse, local)
-        self.copy = copy
+    def __init__(self, key, owner, attr, unpack=None, local=None):
+        super().__init__(key, owner, attr, local=local)
         self.unpack = unpack
 
     def mark(self, machine):
-        table = self.get(machine)
-        if self.copy is None:
-            return dict(table)
-        return {key: self.copy(value) for key, value in table.items()}
+        return dict(self.get(machine))
 
     def delta(self, machine, mark):
         return _diff(self.get(machine), mark)
 
     def rewind(self, machine, mark, delta):
-        _restore(self.get(machine), mark, delta, self.copy)
+        _restore(self.get(machine), mark, delta)
 
     def adopt(self, machine, delta, renumber):
         if self.unpack is not None:
@@ -340,11 +335,6 @@ LEDGERS = (
     Nested("node_cache", "", "node_cache", unpack=_by_serial),
     Table("frame_origin", "", "frame_origin", unpack=_by_serial),
     Table("placements", "", "node_map"),
-    Table(None, "transport", "inflight", copy=dict,
-          refuse="transfers in flight", local=(
-              "empty at every fork (prefetch_depth == 0 is a gate) and "
-              "once a run is over (flush_inflight); what an exchange "
-              "cost is in the rows and the trace from its issue on")),
     Table(None, "transport", "_wire_sizes", local=(
         "a memo of encoded sizes by frame tag: sound within one run, "
         "but two subtrees of a queue number their new frames alike")),
@@ -386,8 +376,6 @@ NOT_REPLAYED = {
         "_prices": "configuration: a memo of CostModel.link_message over "
                    "the machine's fixed cost model and tcp_mode, the same "
                    "in every process whatever ran first",
-        "_sinks": "names prefetch sink segments: prefetch_depth == 0 "
-                  "is a gate",
     },
     # What ``_adopt`` leaves alone on the parent's Space object when it
     # splices a hand-back in (everything else is ``SPLICED``).
@@ -406,8 +394,8 @@ NOT_REPLAYED = {
 #: The ``Space.__init__`` attributes a run may change: ``_adopt`` copies
 #: exactly these from the handed-back space onto the parent's object.
 SPLICED = ("addrspace", "regs", "snapshot", "children", "state", "trap",
-           "trap_info", "insn_limit", "visit_tokens", "messages", "cur_node",
-           "killed", "started")
+           "trap_info", "insn_limit", "visit_tokens", "messages", "inflight",
+           "cur_node", "killed", "started")
 
 
 def whole_run(machine):

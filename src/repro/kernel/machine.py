@@ -273,7 +273,7 @@ class Machine:
         self._drain()
         # Mispredicted prefetches still in flight must occupy their
         # links in the schedule even though nobody waits on them.
-        self.transport.flush_inflight()
+        self.transport.flush_inflight(root)
         self.trace.finish()
         return MachineResult(self, ncpus)
 

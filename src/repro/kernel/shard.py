@@ -62,15 +62,14 @@ one hand-back per worker) and the *failure policy* ``_fail`` (here:
 the sibling in flight and the rest of that worker's queue run inline,
 reason recorded; there: tear down and raise).
 
-Gates (:func:`fork_refusal` — all must hold or the rendezvous stays
-serial, with the reason kept on :attr:`ShardCoordinator.refused`):
-
-* ``os.fork`` exists;
-* ``prefetch_depth`` is 0 — a node's prefetch queue is shared by
-  every sibling that visits the node, so the entries one sibling left
-  unredeemed shrink what the next may queue there.  Every ``ship_mode``
-  forks: the tag-cache check at adoption (``"node cache moved"``)
-  covers delta, demand and full shipping alike.
+The one gate, :func:`fork_refusal`, is that ``os.fork`` exists (else
+every rendezvous stays serial, with the reason kept on
+:attr:`ShardCoordinator.refused`): every spec forks.  Each
+``ship_mode`` does because the tag-cache check at adoption (``"node
+cache moved"``) covers delta, demand and full shipping alike, and each
+``prefetch_depth`` does because a prefetch queue is its space's own
+(``Space.inflight``): it travels with the subtree's space graph, and
+no sibling sees it.
 """
 
 import itertools
@@ -87,16 +86,14 @@ from repro.kernel.space import SpaceState
 _START_FAILED = "worker start failed"
 
 
-def fork_refusal(machine):
-    """Why ``machine``'s subtrees may not be forked into host processes
-    (None = they may).  The one gate table of both coordinators: the
-    pipe coordinator stays serial and records the reason, the real
-    backend refuses the machine at construction with it."""
+def fork_refusal():
+    """Why no subtree may be forked into a host process on this host
+    (None = any may, whatever the spec).  The one gate of both
+    coordinators: the pipe coordinator stays serial and records the
+    reason, the real backend refuses the machine at construction with
+    it."""
     if not hasattr(os, "fork"):
         return "requires os.fork (POSIX hosts)"
-    if machine.spec.prefetch_depth != 0:
-        return (f"is incompatible with "
-                f"prefetch_depth={machine.spec.prefetch_depth!r}")
     return None
 
 
@@ -205,7 +202,7 @@ class ShardCoordinator:
 
     def _gates_open(self):
         if self.refused is None:
-            reason = fork_refusal(self.machine)
+            reason = fork_refusal()
             if reason is not None:
                 self.refused = f"shard_workers={self.workers} {reason}"
         return self.refused is None
@@ -419,8 +416,7 @@ class ShardCoordinator:
                  for ledger, mark in zip(LEDGERS, marks)]
         # Refuse anything a delta cannot replay: a still-running
         # sibling, cursor-device reads (values depend on global order),
-        # outstanding prefetch exchanges, or work leaking into the
-        # caller's open segment.
+        # or work leaking into the caller's open segment.
         if sibling.state is SpaceState.READY:
             return "sibling still READY", moved
         for ledger, delta in zip(LEDGERS, moved):
@@ -517,6 +513,15 @@ class ShardCoordinator:
                 page_slots[id(page)] = [page, 1]
             else:
                 entry[1] += 1
+        # The frames the adopted prefetch queues carry take the same
+        # re-pointing and renumbering, slot or no slot.
+        exchanges = {id(exchange): exchange
+                     for sp in adopted.walk()
+                     for queue in sp.inflight.values()
+                     for _, exchange, _ in queue.values()}
+        for exchange in exchanges.values():
+            for page, _ in exchange.frames:
+                page_slots.setdefault(id(page), [page, 0])
         for page, _count in page_slots.values():
             if page.serial <= serial0:
                 entry = snap.get(page.serial)
@@ -556,11 +561,24 @@ class ShardCoordinator:
                     if live is not None:
                         table[vpn] = live
 
+        # Each queued exchange: its issue anchor in the parent's
+        # segment numbering, its frames re-pointed (once per exchange).
+        for exchange in exchanges.values():
+            if exchange.anchor is not None:
+                exchange.anchor = renumber.sid(exchange.anchor)
+            exchange.frames = [(pre_fork.get(id(page), page), generation)
+                               for page, generation in exchange.frames]
         for sp in adopted.walk():
             sp.machine = machine
             sp.ctx = None
             sp.addrspace.allocator = machine.frames
             sp.uid = renumber.uid(sp.uid)
+            for node, queue in sp.inflight.items():
+                requeued = {}
+                for held, exchange, page in queue.values():
+                    page = pre_fork.get(id(page), page)
+                    requeued[page.serial] = (held, exchange, page)
+                sp.inflight[node] = requeued
 
         # Splice the adopted image into the existing Space object (the
         # caller's child table and the trace keep referring to it).

@@ -87,6 +87,12 @@ class Space:
         #: attempt it keys every loss draw (repro.cluster.faults), so
         #: no drop depends on what other spaces sent first.
         self.messages = 0
+        #: node -> {frame serial: (generation, PrefetchExchange, frame)}
+        #: — this space's async fetch queue of in-flight predicted
+        #: frames at that node, keyed by the generation current at
+        #: issue time (repro.cluster.transport).  Its own, so no
+        #: sibling's speculation shrinks its budget.
+        self.inflight = {}
         #: True only for the root space (and spaces explicitly delegated
         #: I/O privileges): may invoke device pseudo-calls.
         self.io_privilege = False

@@ -46,9 +46,18 @@ MD5_CIRCUIT = cw.md5_circuit_main(3)
 MD5_TREE = cw.md5_tree_main(3)
 MATMULT_TREE = cw.matmult_tree_main(n=48, seed=7)
 
-MATRIX = [(topology, ship_mode)
+#: The spec columns: each ship mode, and demand paging with every
+#: space's own prefetch queue (which forks like the rest).
+COLUMNS = {
+    "delta": {"ship_mode": "delta"},
+    "full": {"ship_mode": "full"},
+    "demand": {"ship_mode": "demand"},
+    "prefetch": {"ship_mode": "demand", "prefetch_depth": 8},
+}
+
+MATRIX = [(topology, column)
           for topology in ("flat", "two_tier:2")
-          for ship_mode in ("delta", "full", "demand")]
+          for column in COLUMNS]
 
 
 def run_pair(builder, nnodes, **kw):
@@ -79,17 +88,17 @@ def assert_equivalent(sim, real):
     assert real.wire and real.wire_ok
 
 
-@pytest.mark.parametrize("topology,ship_mode", MATRIX)
-def test_md5_circuit_matches_oracle(topology, ship_mode):
+@pytest.mark.parametrize("topology,column", MATRIX)
+def test_md5_circuit_matches_oracle(topology, column):
     sim, real = run_pair(MD5_CIRCUIT, 4, topology=topology,
-                         ship_mode=ship_mode)
+                         **COLUMNS[column])
     assert_equivalent(sim, real)
 
 
-@pytest.mark.parametrize("topology,ship_mode", MATRIX)
-def test_matmult_tree_matches_oracle(topology, ship_mode):
+@pytest.mark.parametrize("topology,column", MATRIX)
+def test_matmult_tree_matches_oracle(topology, column):
     sim, real = run_pair(MATMULT_TREE, 4, topology=topology,
-                         ship_mode=ship_mode)
+                         **COLUMNS[column])
     assert_equivalent(sim, real)
 
 

@@ -86,8 +86,8 @@ def test_purged_queue_entries_move_no_result(monkeypatch):
     purged = []
     purge = Transport.purge_superseded
 
-    def counting(self, node):
-        purged.append(purge(self, node))
+    def counting(self, space, node):
+        purged.append(purge(self, space, node))
         return purged[-1]
 
     monkeypatch.setattr(Transport, "purge_superseded", counting)
@@ -132,25 +132,66 @@ def test_prefetch_strictly_cuts_demand_stall():
 
 
 def test_queue_depth_bounded():
-    """In-flight prefetched frames never exceed the configured depth."""
-    class Probe(Machine):
-        max_seen = 0
-
-    machine = Probe(nnodes=NODES,
-                    spec=ClusterSpec(ship_mode="demand", prefetch_depth=4,
-                                     topology="two_tier:2"))
+    """A space's in-flight prefetched frames at a node never exceed the
+    configured depth, however many spaces speculate there."""
+    seen = {}       # (slot path, node) -> most frames queued at once
+    machine = Machine(nnodes=NODES,
+                      spec=ClusterSpec(ship_mode="demand", prefetch_depth=4,
+                                       topology="two_tier:2"))
     transport = machine.transport
     original = transport.prefetch
 
     def spy(space, origin, node, frames):
         original(space, origin, node, frames)
-        Probe.max_seen = max(Probe.max_seen,
-                             transport.queue_len(node))
+        key = (tuple(space.slot_path()), node)
+        seen[key] = max(seen.get(key, 0), len(space.inflight[node]))
 
     transport.prefetch = spy
     with machine:
         machine.run(lambda g: cw.matmult_tree(g, NODES, 64, 7))
-    assert 0 < Probe.max_seen <= 4
+    assert 0 < max(seen.values()) <= 4
+    # The bound is per space: several speculate at one node.
+    assert len({node for _, node in seen}) < len(seen)
+
+
+def _visit_and_exit(g):
+    """Visit node 3 with an idle grandchild: the migration queues this
+    space's pages there, and nothing ever demands them."""
+    ref = child_ref(1, node=3)
+    g.put(ref)
+    g.get(ref)
+
+
+def _destroy_main(g, nnodes):
+    g.write(0x10_0000, b"\x07" * (6 * PAGE_SIZE))
+    g.put(1, regs={"entry": _visit_and_exit},
+          copy=(0x10_0000, 6 * PAGE_SIZE), start=True)
+    g.get(1)
+    g.put(2, tree=(1, 1))       # child 1's copy as child 2's child 1
+    g.get(2, tree=(1, 1))       # ... and back: the original is destroyed
+    g.work(1_000)
+    return 0
+
+
+def test_a_destroyed_space_sinks_its_queue_first():
+    """A space destroyed mid-run (replaced by a Tree copy) takes its
+    queue with it, so the kernel sinks the queue first: its exchanges
+    reach the trace as ``prefetch-unused`` sinks at the destroy, not
+    never."""
+    _, _, machine = _run_oracle(_destroy_main, ship_mode="demand",
+                                prefetch_depth=8)
+    trace = machine.trace
+    sinks = [sid for sid, uid, *_ in trace.segments
+             if uid == "~prefetch-unused/1@3"]
+    assert sinks
+    kinds = {kind for dst, kind in zip(trace.transfers.dst,
+                                       trace.transfers.kind)
+             if dst in sinks}
+    assert kinds == {"prefetch-unused"}
+    # Sunk mid-run: the root went on computing after it.
+    root = machine.root.uid
+    assert max(sinks) < max(sid for sid, uid, *_ in trace.segments
+                            if uid == root)
 
 
 # -- page accounting -------------------------------------------------------

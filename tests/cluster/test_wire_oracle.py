@@ -53,7 +53,7 @@ steps = st.one_of(
               frame_sets),
     st.tuples(st.just("redeem"), st.integers(0, SPACES - 1), nodes),
     st.tuples(st.just("rewrite"), st.integers(0, FRAMES - 1)),
-    st.tuples(st.just("purge"), nodes),
+    st.tuples(st.just("purge"), st.integers(0, SPACES - 1), nodes),
 )
 
 configs = st.fixed_dictionaries({
@@ -88,6 +88,7 @@ class World:
             cost=CostModel(msg_batch=config["msg_batch"])))
         machine.transport = transport_class(machine)
         self.spaces = [SimpleNamespace(uid=f"space{n}", messages=0,
+                                       inflight={},
                                        slot_path=lambda n=n: [n])
                        for n in range(SPACES)]
         self.where = {}
@@ -114,21 +115,28 @@ class World:
             transport.prefetch(self.spaces[space], origin, node,
                                [frames[n] for n in which])
         elif kind == "redeem":
-            _, space, node = step
-            queue = transport.inflight.get(node)
+            space = self.spaces[step[1]]
+            node = step[2]
+            queue = space.inflight.get(node)
             if queue:
                 serial, (generation, _, frame) = next(iter(queue.items()))
-                exchange = transport.take_inflight(node, serial,
+                exchange = transport.take_inflight(space, node, serial,
                                                    frame.generation)
                 if exchange is not None:
-                    transport.redeem_exchanges(self.spaces[space], node,
-                                               [exchange])
+                    transport.redeem_exchanges(space, node, [exchange])
         elif kind == "purge":
-            transport.purge_superseded(step[1])
+            transport.purge_superseded(self.spaces[step[1]], step[2])
+
+    def flush(self):
+        """End of run: sink what every space still has queued, in
+        space order (as a machine walks its tree)."""
+        self.machine.transport.flush_inflight(
+            SimpleNamespace(walk=lambda: self.spaces))
 
 
-def observe(machine):
-    """Everything the send path can move, order included."""
+def observe(machine, spaces=()):
+    """Everything the send path can move, order included (``spaces``:
+    whose prefetch queues)."""
     transport = machine.transport
     return {
         "links": [(link, list(row.as_dict().items()),
@@ -143,11 +151,12 @@ def observe(machine):
         "segments": [(uid, node, label) for _, uid, node, _, label, _
                      in machine.trace.segments],
         "inflight": [
-            (node, serial, generation, exchange.anchor,
+            (n, node, serial, generation, exchange.anchor,
              list(exchange.usage.items()), exchange.latency,
              None if exchange.retx is None else
              (list(exchange.retx.usage.items()), exchange.retx.wait))
-            for node, queue in transport.inflight.items()
+            for n, space in enumerate(spaces)
+            for node, queue in space.inflight.items()
             for serial, (generation, exchange, _) in queue.items()],
         "cache": {node: dict(cache)
                   for node, cache in machine.node_cache.items()},
@@ -178,8 +187,8 @@ def test_a_leg_accounts_what_per_message_sends_did(topology, loss, config,
             frames[step[1]].bump()
             continue
         if step[0] == "flush":
-            production.machine.transport.flush_inflight()
-            reference.machine.transport.flush_inflight()
+            production.flush()
+            reference.flush()
         else:
             aborted = run_step(production, step, frames)
             reference_aborted = run_step(reference, step, frames)
@@ -188,7 +197,8 @@ def test_a_leg_accounts_what_per_message_sends_did(topology, loss, config,
                 # Which copy exhausts first, and what was sent before
                 # it, is where hop-major order shows (DESIGN §5).
                 return
-        seen, wanted = observe(production.machine), observe(reference.machine)
+        seen, wanted = (observe(world.machine, world.spaces)
+                        for world in (production, reference))
         for name in wanted:
             assert seen[name] == wanted[name], (name, step)
         assert seen["conserves"]
@@ -222,7 +232,7 @@ def test_an_ack_that_dies_is_accounted_alike(hop):
         route = world.machine.topology.route(NODES - 1, 0)
         world.machine.loss = DeadLink(route[hop])
         world.step(("migrate", 0, NODES - 1, [1, 2]), frames)
-    seen, wanted = (observe(world.machine) for world in worlds)
+    seen, wanted = (observe(world.machine, world.spaces) for world in worlds)
     assert seen == wanted
     assert seen["conserves"]
     assert route[hop] in worlds[0].machine.transport.links

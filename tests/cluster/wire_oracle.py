@@ -294,13 +294,13 @@ class ReferenceTransport(Transport):
 
         The exchange's wire traffic is accounted immediately (it is on
         the links now, whether or not anyone ends up wanting it) and
-        queued on ``node``'s async fetch queue, anchored at ``space``'s
-        most recently *closed* segment — callers issue prefetches right
-        after a cut (a demand fetch's, or a migration's), so in the
-        schedule the transfer's serialization starts at the issue point
-        and overlaps whatever compute follows.  A later demand on any
-        of the frames redeems the exchange (:meth:`redeem_exchanges`
-        via :meth:`take_inflight`).
+        queued on ``space``'s own async fetch queue for ``node``,
+        anchored at the space's most recently *closed* segment — callers
+        issue prefetches right after a cut (a demand fetch's, or a
+        migration's), so in the schedule the transfer's serialization
+        starts at the issue point and overlaps whatever compute follows.
+        A later demand on any of the frames redeems the exchange
+        (:meth:`redeem_exchanges` via :meth:`take_inflight`).
         """
         machine = self.machine
         npages = len(frames)
@@ -318,6 +318,6 @@ class ReferenceTransport(Transport):
             anchor, usage, latency,
             [(frame, frame.generation) for frame in frames],
             retx=bill)
-        queue = self.inflight.setdefault(node, {})
+        queue = space.inflight.setdefault(node, {})
         for frame in frames:
             queue[frame.serial] = (frame.generation, exchange, frame)

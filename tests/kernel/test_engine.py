@@ -2,8 +2,8 @@
 
 import threading
 
-
-from repro.kernel import Machine, Trap
+from repro.kernel import Machine, Trap, child_ref
+from repro.kernel.kernel import Kernel
 from repro.kernel.space import SpaceState
 
 
@@ -157,3 +157,46 @@ def test_guest_state_preserved_across_park_resume():
         return g.get(1, regs=True)["r0"]
 
     assert run(main).r0 == 6
+
+
+def _wander_home(g, entries):
+    # Out to node 1 with a grandchild, then home on the way to the stop.
+    entries.append(g.uid)
+    ref = child_ref(1, node=1)
+    g.put(ref, regs={"entry": lambda g2: None}, start=True)
+    g.get(ref)
+    return 7
+
+
+def test_a_failed_way_home_traps_the_space_once(monkeypatch):
+    # The kernel raises on the child's migration home (a host error, not
+    # a lost message): the child stops on an EXC trap naming it, and
+    # its entry ran exactly once — never left READY for the parent's
+    # next rendezvous to run from its entry again.
+    migrate = Kernel.migrate
+
+    def failing_home(kernel, space, target):
+        if space.parent is not None and target == space.home_node:
+            raise RuntimeError("no way home")
+        return migrate(kernel, space, target)
+
+    monkeypatch.setattr(Kernel, "migrate", failing_home)
+    entries, views = [], []
+
+    def main(g):
+        g.put(1, regs={"entry": _wander_home, "args": (entries,)},
+              start=True)
+        views.append(g.get(1, regs=True))
+        views.append(g.get(1, regs=True))   # a second rendezvous
+
+    outcome = []
+    runner = threading.Thread(
+        target=lambda: outcome.append(run(main, nnodes=2)), daemon=True)
+    runner.start()
+    runner.join(60)
+    assert not runner.is_alive(), "the run hung"
+    assert outcome, "the run raised (traceback above)"
+    assert len(entries) == 1
+    for view in views:
+        assert view["trap"] is Trap.EXC
+        assert view["trap_info"] == "RuntimeError: no way home"

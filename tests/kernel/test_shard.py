@@ -15,6 +15,7 @@ import inspect
 import multiprocessing
 import os
 import pickle
+import sys
 import textwrap
 import threading
 
@@ -25,7 +26,6 @@ from repro.bench import cluster_workloads as cw
 from repro.cluster import realnet
 from repro.cluster.backend import image_digest, run_backend, run_machine
 from repro.cluster.transport import Transport
-from repro.common.errors import BackendError
 from repro.debug import SpaceImage, first_difference, freeze_machine
 from repro.debug.model import PageImage
 from repro.kernel import child_ref, ledgers
@@ -34,6 +34,10 @@ from repro.kernel.space import Space
 from repro.timing.trace import Trace
 from repro.mem.layout import SHARED_BASE
 from repro.mem.page import PAGE_SIZE, FrameAllocator, Page
+
+sys.path.insert(
+    0, os.path.join(os.path.dirname(__file__), os.pardir, "cluster"))
+from skewed_workload import skewed_main  # noqa: E402
 
 pytestmark = pytest.mark.skipif(
     not hasattr(os, "fork"), reason="sharding requires os.fork")
@@ -119,6 +123,54 @@ def _leaf(g):
     g.work(1_000)
 
 
+def _visit_node_2(g, k):
+    """Visit node 2: the migration queues this space's pages there.
+    Forked, child 1 then moves on to node 3, rewrites its one page
+    there (it holds it alone: in place) and comes back: the refill
+    purges the stale entry and sinks its exchange inside the worker.
+    Child 2 lets go of its page 3 while the entry is queued."""
+    ref = child_ref(1, node=2)
+    g.put(ref)
+    if k == 1:
+        g.put(child_ref(1, node=3))
+        g.write(SHARED_BASE, b"forked")
+        g.put(ref)
+    if k == 2:
+        g.zero_range(SHARED_BASE + 3 * PAGE_SIZE, PAGE_SIZE)
+    g.get(ref)
+    return k
+
+
+def _revisit_node_2(g, k):
+    """Run inline after the adoption: child 1 rewrites its page in
+    place again (the root has rewritten child 2's old page 3 in place
+    too); the visit's refill then purges the entries gone stale — as
+    in the serial run, only if the adopted queue holds the live
+    frames."""
+    if k == 1:
+        g.write(SHARED_BASE, b"in place")
+    return _visit_node_2(g, 0)
+
+
+def _requeue_main(g, nnodes):
+    for k in range(4):
+        g.write(SHARED_BASE + k * PAGE_SIZE, bytes([k + 1]) * 8)
+    for k, pages in ((1, 1), (2, 4)):
+        g.put(k, regs={"entry": _visit_node_2, "args": (k,)},
+              copy=(SHARED_BASE, pages * PAGE_SIZE))
+        # Break away from page 0: the child just given it holds it alone.
+        g.write(SHARED_BASE, bytes([k]) * 8)
+    for k in (1, 2):
+        g.put(k, start=True)
+    for k in (1, 2):
+        g.get(k)
+    g.write(SHARED_BASE + 3 * PAGE_SIZE, b"rewritten")
+    for k in (1, 2):
+        g.put(k, regs={"entry": _revisit_node_2, "args": (k,)},
+              start=True)
+    return [g.get(k, regs=True)["r0"] for k in (1, 2)]
+
+
 def _wanderer(g, k):
     # Out to node 1 and back: over a fabric this lossy, some space's
     # migration exhausts its retransmissions and it traps EXC.
@@ -158,6 +210,18 @@ IDENTITY_CASES = {
     "lossy_matmult": (cw.matmult_tree_main(64), 4,
                       {"loss": {"drop": 0.05, "seed": 2008}}),
     "retry_exhausted": (_lossy_wanderers_main, 2, {"loss": EXHAUSTING}),
+    # Each space's own prefetch queue travels with its subtree: queued
+    # exchanges, their anchors and their frames are adopted in the
+    # parent's numbering, and the skewed program purges 80 of them.
+    "prefetch_matmult": (cw.matmult_tree_main(64), 4,
+                         {"ship_mode": "demand", "prefetch_depth": 8}),
+    "prefetch_md5_circuit": (cw.md5_circuit_main(3), 4,
+                             {"ship_mode": "demand", "prefetch_depth": 4}),
+    "prefetch_skewed": (skewed_main, 4,
+                        {"ship_mode": "demand", "prefetch_depth": 4,
+                         "topology": "two_tier:2"}),
+    "prefetch_requeued": (_requeue_main, 4,
+                          {"ship_mode": "demand", "prefetch_depth": 8}),
 }
 
 
@@ -213,45 +277,9 @@ def test_an_exhausted_ack_traps_nobody():
                for info in traps), traps
 
 
-#: The one gate table (``shard.fork_refusal``): knobs -> a fragment of
-#: the reason both coordinators give.
-GATED = {
-    "prefetch": ({"prefetch_depth": 2}, "prefetch_depth=2"),
-}
-
-
-@pytest.mark.parametrize("gate", GATED)
-def test_gated_configs_stay_serial_and_identical(gate):
-    # Configurations whose results cannot be replayed from a worker
-    # delta (a prefetch queue shared across subtrees) must not
-    # fork — must still produce the serial answer — and must say why.
-    knobs, reason = GATED[gate]
-    serial, sharded, shard = run_pair(cw.matmult_tree_main(32), 4, **knobs)
-    assert shard.forked == 0
-    assert shard.refused.startswith("shard_workers=4 ")
-    assert reason in shard.refused
-
-
-@pytest.mark.skipif(not realnet.localhost_available(),
-                    reason="the real backend needs localhost sockets")
-@pytest.mark.parametrize("gate", GATED)
-def test_real_backend_refuses_what_the_shard_gate_refuses(gate):
-    # Same table, other consumer: where the pipe coordinator falls back
-    # to serial, the real backend refuses the machine outright, in the
-    # same words.
-    knobs, reason = GATED[gate]
-    spec = ClusterSpec(**knobs)
-    with Machine(nnodes=4, spec=spec) as plain:
-        why = fork_refusal(plain)
-    assert reason in why
-    with pytest.raises(BackendError) as refusal:
-        Machine(nnodes=4, spec=spec.with_(backend="real"))
-    assert str(refusal.value) == f'backend="real" {why}'
-
-
 def test_open_gate_records_no_refusal():
-    with Machine(nnodes=4) as plain:
-        assert fork_refusal(plain) is None
+    # On a POSIX host the one gate is open, whatever the spec.
+    assert fork_refusal() is None
     _, _, shard = run_pair(cw.md5_tree_main(3), 4)
     assert shard.forked > 0 and shard.refused is None
 
