@@ -27,7 +27,11 @@ checkout in the current directory, and prints one JSON line:
 * ``wire_frames`` / ``wire_bytes`` — frames and bytes sent over the
   real backend's coordinator<->worker links, summed over
   ``machine.shard.wire_links`` (None where the run had no real
-  coordinator).
+  coordinator);
+* ``addrspace_unshipped`` — adopted subtrees whose hand-back shipped
+  no address space (the run created no space and left every pre-fork
+  one's in place; None without a real coordinator, and 0 from a
+  checkout whose coordinator does not count them).
 
 The program is observed from outside: :func:`counting` wraps each new
 worker's ``go`` lock in a :class:`CountingLock` and the sizer, the
@@ -178,13 +182,16 @@ def count(name, seed):
 
 def wire_counts(machine):
     """``wire_frames`` and ``wire_bytes``: what every real-wire link of
-    ``machine``'s coordinator carried, summed (None without a real
-    coordinator)."""
-    links = getattr(getattr(machine, "shard", None), "wire_links", None)
+    ``machine``'s coordinator carried, summed, and its
+    ``addrspace_unshipped`` (all None without a real coordinator)."""
+    shard = getattr(machine, "shard", None)
+    links = getattr(shard, "wire_links", None)
     if links is None:
-        return {"wire_frames": None, "wire_bytes": None}
+        return {"wire_frames": None, "wire_bytes": None,
+                "addrspace_unshipped": None}
     return {"wire_frames": sum(link["frames"] for link in links.values()),
-            "wire_bytes": sum(link["bytes"] for link in links.values())}
+            "wire_bytes": sum(link["bytes"] for link in links.values()),
+            "addrspace_unshipped": getattr(shard, "addrspace_unshipped", 0)}
 
 
 if __name__ == "__main__":

@@ -28,8 +28,9 @@ def _fig4():
 def _shard_footer(machine):
     """What the machine's shard coordinator (either kind; none by
     default) did: how many worker processes ran how many sibling
-    subtrees, the frames the real wire carried, and why rendezvous
-    stayed serial if they did."""
+    subtrees, how many adopted subtrees shipped no address space, the
+    frames the real wire carried, and why rendezvous stayed serial if
+    they did."""
     shard = machine.shard
     if shard is None:
         return []
@@ -38,7 +39,9 @@ def _shard_footer(machine):
     stats = shard.stats()
     lines = [f"  {label:<22}{stats['processes']}   subtrees "
              f"forked={stats['forked']} adopted={stats['adopted']} "
-             f"fallbacks={stats['fallbacks']}"]
+             f"fallbacks={stats['fallbacks']}",
+             f"  {'unshipped addrspaces':<22}"
+             f"{stats['addrspace_unshipped']} of {stats['adopted']} adopted"]
     if real:
         frames = sum(link["frames"] for link in shard.wire_links.values())
         lines.append(f"  {'real wire frames':<22}{frames}")

@@ -21,10 +21,12 @@ that backend:
   awaited; the worker checks the push against its own queue.  Its
   queue's hand-back is one return after the last run: a MIGRATE
   carrying each run's shard delta, pickled as the run ended — only the
-  ledgers the run moved, and every fork-time frame the run left alone
-  as its serial, resolved through the sibling's fork-time snapshot —
-  then the bytes of every frame the runs created or wrote in place,
-  then the worker's wire ledger on one ACK.
+  ledgers the run moved, only the space fields it moved (an address
+  space or snapshot left in place is not in it), and in a shipped
+  table every fork-time frame the run left alone as its serial,
+  resolved through the sibling's fork-time snapshot — then the bytes
+  of every frame the runs created or wrote in place, then the worker's
+  wire ledger on one ACK.
   Workers compute on wire-delivered bytes — delivered once per worker,
   generation-checked per subtree — so a codec or framing bug
   diverges the cross-backend oracle instead of hiding behind fork's
@@ -69,7 +71,7 @@ from repro.common.errors import BackendError, WireError
 from repro.debug.model import freeze_machine
 from repro.kernel.shard import (
     ShardCoordinator,
-    _slot_tables,
+    _handed_tables,
     _walk_page_slots,
     fork_refusal,
 )
@@ -244,7 +246,7 @@ class RealShardCoordinator(ShardCoordinator):
                                     f"not lacking at that generation")
                 page.data[:] = _decode_page(scheme, payload)
 
-    def _send_delta(self, chan, payload, index):
+    def _send_delta(self, chan, sibling, payload, index):
         """Strip and pickle one run's hand-back as soon as the run ends
         — before the rewind puts the machine back — and hold it, with
         the bytes of every frame the run created or wrote, for the
@@ -253,7 +255,8 @@ class RealShardCoordinator(ShardCoordinator):
         if isinstance(payload, str):
             payload = {"refused": payload}
         else:
-            shipped, swapped = self._strip_pages(payload)
+            shipped, swapped = self._strip_pages(
+                payload, self.snapshots[sibling])
         try:
             pickled = realnet.encode_payload(MsgType.MIGRATE, payload)
         finally:
@@ -289,18 +292,19 @@ class RealShardCoordinator(ShardCoordinator):
         return page.serial > self._base["serial"] or \
             (entry is not None and page.generation != entry[2])
 
-    def _strip_pages(self, payload):
+    def _strip_pages(self, payload, snap):
         """Take what the parent already holds out of the hand-back
         payload for the time of its pickling.  Returns ``(shipped,
         swapped)``: frames the run created or wrote cross as PAGE_BATCH
         wire frames (their bytes detached from the pickled ``Page``);
-        every slot of an untouched fork-time frame holds the frame's
-        serial instead (``(table, vpn, page)``, to put back), which the
-        parent resolves through the sibling's fork-time snapshot."""
-        snap = self.snapshots[payload["spaces"]]
+        every slot of an untouched fork-time frame in a handed table
+        holds the frame's serial instead (``(table, vpn, page)``, to
+        put back), which the parent resolves through the sibling's
+        fork-time snapshot ``snap``.  A table the run left in place is
+        not in the payload at all."""
         shipped = {}
         swapped = []
-        for table in _slot_tables(payload["spaces"]):
+        for table in _handed_tables(payload["spaces"]):
             for vpn, page in table.items():
                 if not self._crosses(page, snap):
                     swapped.append((table, vpn, page))
@@ -359,13 +363,13 @@ class RealShardCoordinator(ShardCoordinator):
             yield payload
 
     def _reattach(self, payload, wire_pages, snap):
-        """Make the unpickled hand-back graph whole: a serial slot
+        """Make the unpickled hand-back's tables whole: a serial slot
         resolves to the sibling's fork-time frame (a serial it did not
         hold at the fork is refused), and every shipped frame takes its
         wire bytes back (generation-checked).  ``_adopt`` then treats a
         resolved frame like any other fork-time one."""
         restored = set()
-        for table in _slot_tables(payload["spaces"]):
+        for table in _handed_tables(payload["spaces"]):
             for vpn, page in table.items():
                 if type(page) is int:
                     entry = snap.get(page)

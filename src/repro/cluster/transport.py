@@ -660,6 +660,8 @@ class Transport:
             machine.trace.last_closed(space.uid), usage, transit + codec,
             [(frame, frame.generation) for frame in frames],
             retx=bill)
+        if space.inflight is None:
+            space.inflight = {}
         queue = space.inflight.setdefault(node, {})
         for frame in frames:
             queue[frame.serial] = (frame.generation, exchange, frame)
@@ -679,7 +681,7 @@ class Transport:
         through a sink segment here, exactly as :meth:`flush_inflight`
         does for what is left at the end of the run.
         """
-        queue = space.inflight.get(node)
+        queue = space.inflight and space.inflight.get(node)
         if not queue:
             return 0
         doomed = [serial for serial, (held, _, frame) in queue.items()
@@ -700,7 +702,7 @@ class Transport:
         stale) — its bytes were wasted and the caller must demand-fetch
         the fresh content.
         """
-        queue = space.inflight.get(node)
+        queue = space.inflight and space.inflight.get(node)
         if not queue or serial not in queue:
             return None
         held_generation, exchange, _ = queue.pop(serial)
@@ -772,6 +774,8 @@ class Transport:
         """
         for space in top.walk():
             inflight = space.inflight
+            if not inflight:
+                continue
             for node in sorted(inflight):
                 flushed = set()
                 for _, exchange, _ in inflight[node].values():

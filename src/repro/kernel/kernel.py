@@ -245,7 +245,7 @@ class Kernel:
         # pages churning under speculation re-pay their wire every
         # rewrite instead of squatting in the queue forever.
         transport.purge_superseded(space, node)
-        queue = space.inflight.get(node, {})
+        queue = space.inflight.get(node, ()) if space.inflight else ()
         budget = depth - len(queue)
         if budget <= 0:
             return
@@ -329,7 +329,7 @@ class Kernel:
         # vpn-ascending batched pulls, grouped by producing node.
         fetch_by_origin = {}
         redeems = []
-        queued = space.inflight.get(node)
+        queued = space.inflight and space.inflight.get(node)
         for vpn in vpns:
             frame = pages.get(vpn)
             if frame is None:

@@ -16,11 +16,14 @@ the same fork-time machine — and hands worker *k* the static queue
 ``siblings[k::W]``.  A worker lives for the whole fork point, like the
 paper's long-lived cluster nodes (§3.3): it attaches its hand-back link
 once, then for each sibling of its queue runs that one subtree against
-the fork-time copy of the machine, hands back a *delta* — the sibling's
-space graph, the new trace suffix, and every machine/transport ledger
-the run moved — and *rewinds*: everything the delta enumerates is put
-back, along with the refcounts of the sibling's fork-time frames and
-any guest stack the run left parked, so the next sibling of the queue
+the fork-time copy of the machine, hands back a *delta* — the subtree's
+diff from its fork-time image (per pre-fork space, only the fields the
+run moved: an address space or snapshot it left in place stays the
+parent's; a space it created ships whole), the new trace suffix, and
+every machine/transport ledger the run moved — and *rewinds*:
+everything the delta enumerates is put back, along with the refcounts
+of the sibling's fork-time frames and any guest stack a refused run
+left parked, so the next sibling of the queue
 starts from the identical fork-time machine and the delta a subtree
 produces does not depend on what its worker ran before.  The parent
 collects every delta and blocks until every worker is reaped (workers
@@ -45,7 +48,9 @@ generations reachable from the sibling, and the node tag caches the
 run paid to fill: a sibling adopted since may have brought the same
 frame to the same node, which the serial run would have hit); the
 worker likewise refuses to report if its run touched anything that
-cannot be replayed from a delta (the console-input or clock cursor).
+cannot be replayed from a delta (the console-input or clock cursor) or
+left a guest stack parked mid-function (a delta carries no stack to
+resume).
 Any doubt discards the result and runs the sibling inline on the
 current state — the serial path is always correct, forked results are
 only ever a cache of it — and says which check failed
@@ -72,14 +77,19 @@ cache moved"``) covers delta, demand and full shipping alike, and each
 no sibling sees it.
 """
 
+import enum
 import itertools
 import multiprocessing
 import os
 import threading
+import types
+from operator import eq, is_
 
 from repro.common.errors import WireError
 from repro.kernel.ledgers import LEDGERS, SPLICED, Renumber
 from repro.kernel.space import SpaceState
+from repro.mem.addrspace import AddressSpace
+from repro.mem.snapshot import Snapshot
 
 #: ``_fail``'s ``what`` when a fork point's workers could not all be
 #: started (or, on the real wire, be pushed their forward pages).
@@ -112,6 +122,92 @@ def _walk_page_slots(space):
     refcounts count)."""
     for table in _slot_tables(space):
         yield from table.values()
+
+
+#: What no run can change in place (a tuple of them included): a table
+#: still holding its fork-time objects of these holds what it held.
+_FIXED = (type(None), bool, int, float, complex, str, bytes, enum.Enum,
+          types.FunctionType)
+
+
+def _fixed(value):
+    if type(value) is tuple:
+        return all(map(_fixed, value))
+    return isinstance(value, _FIXED)
+
+
+def _clocks(addrspace):
+    """What moves with every write to ``addrspace`` besides its tables:
+    the dirty ledger's clock and length, and the counters."""
+    return (addrspace._clock, len(addrspace._dirty),
+            addrspace.counters.snapshot())
+
+
+def _image(value):
+    """The fork-time image of one ``SPLICED`` field, which
+    :func:`_left_alone` holds the field to after the run: an address
+    space is itself, copies of its slot table and permissions, and its
+    clocks; a snapshot itself, a copy of its pins, and its token; a
+    table a copy — or None, which nothing matches, if it holds anything
+    a run could change in place (a list in a register, a child space, a
+    prefetch queue), so that such a table always ships; anything else
+    the value itself."""
+    if isinstance(value, AddressSpace):
+        return (value, dict(value._pages), dict(value._perms),
+                _clocks(value))
+    if isinstance(value, Snapshot):
+        return (value, dict(value._frames), value._token)
+    if type(value) is dict:
+        return dict(value) if all(map(_fixed, value.values())) else None
+    return value
+
+
+def _holds(table, image):
+    """Whether ``table`` holds just what its fork-time copy ``image``
+    does: the same keys in the same order, each the very same object."""
+    return (len(table) == len(image) and all(map(eq, table, image))
+            and all(map(is_, table.values(), image.values())))
+
+
+def _left_alone(value, image):
+    """Whether the run left one ``SPLICED`` field as its fork-time
+    :func:`_image` holds it.  By identity, never by ``==``: a field
+    left alone stays the parent's own object, so a value that is merely
+    equal (``np.int64(0)`` for ``0``, ``False`` for ``0``) must ship."""
+    if isinstance(value, AddressSpace):
+        return (image[0] is value and _holds(value._pages, image[1])
+                and _holds(value._perms, image[2])
+                and image[3] == _clocks(value))
+    if isinstance(value, Snapshot):
+        return (type(image) is tuple and image[0] is value
+                and _holds(value._frames, image[1])
+                and image[2] == value._token)
+    if type(value) is dict:
+        return type(image) is dict and _holds(value, image)
+    return value is image
+
+
+def _created(spaces):
+    """The top of every subtree a hand-back's space diff carries whole
+    — the run created it — in diff order (a pre-fork child travels in
+    its parent's ``children`` as its uid)."""
+    for fields in spaces.values():
+        for sp in fields.get("children", {}).values():
+            if not isinstance(sp, str):
+                yield sp
+
+
+def _handed_tables(spaces):
+    """Every table of frame slots a hand-back's space diff carries: each
+    shipped address space's and snapshot's, and every one of each
+    created subtree."""
+    for fields in spaces.values():
+        if "addrspace" in fields:
+            yield fields["addrspace"]._pages
+        if fields.get("snapshot") is not None:
+            yield fields["snapshot"]._frames
+    for top in _created(spaces):
+        yield from _slot_tables(top)
 
 
 class ShardCoordinator:
@@ -151,6 +247,9 @@ class ShardCoordinator:
         self.processes = 0
         #: Worker results spliced in at a rendezvous.
         self.adopted = 0
+        #: ... of which shipped no address space: the run created no
+        #: space and left every pre-fork one's in place.
+        self.addrspace_unshipped = 0
         #: Worker results discarded (worker refused, validation failed,
         #: or the link failed); the sibling ran inline instead ...
         self.fallbacks = 0
@@ -165,6 +264,7 @@ class ShardCoordinator:
         ``python -m repro.bench`` report of the coordinator."""
         return {"forked": self.forked, "processes": self.processes,
                 "adopted": self.adopted, "fallbacks": self.fallbacks,
+                "addrspace_unshipped": self.addrspace_unshipped,
                 "refused": self.refused,
                 "fallback_reasons": dict(self.fallback_reasons)}
 
@@ -288,7 +388,7 @@ class ShardCoordinator:
             for sibling in queue:
                 payload, moved = self._run_worker(caller, sibling, marks)
                 self._fault("before-handback")
-                self._send_delta(link, payload, index)
+                self._send_delta(link, sibling, payload, index)
                 self._rewind(sibling, marks, moved)
             self._flush(link, index)
         finally:
@@ -381,8 +481,8 @@ class ShardCoordinator:
         """Worker side, once, before the first run (the real backend
         receives and checks its queue's forward migration here)."""
 
-    def _send_delta(self, link, payload, index):
-        """Worker side, after each run and before its rewind."""
+    def _send_delta(self, link, sibling, payload, index):
+        """Worker side, after ``sibling``'s run and before its rewind."""
         link.send(payload)
 
     def _flush(self, link, index):
@@ -405,41 +505,76 @@ class ShardCoordinator:
         the rewind."""
         machine = self.machine
         caller_cycles = machine.trace.charged(caller.uid)
-        # Fork-time frame slots, to detect which pre-fork frames the
-        # run replaced (COW breaks, unmaps, re-pins): only their
-        # refcounts condition the run's COW decisions.
-        fork_slots = [(table, dict(table)) for table in _slot_tables(sibling)]
+        # The subtree's fork-time image, which the hand-back is the
+        # diff from: per space, every spliced field's (its slot tables
+        # among them, to tell which pre-fork frames the run replaced:
+        # only their refcounts condition its COW decisions).
+        image = [(sp, {name: _image(getattr(sp, name))
+                       for name in SPLICED})
+                 for sp in sibling.walk()]
 
         machine.engine.run_until_stopped(sibling)
 
         moved = [ledger.delta(machine, mark)
                  for ledger, mark in zip(LEDGERS, marks)]
         # Refuse anything a delta cannot replay: a still-running
-        # sibling, cursor-device reads (values depend on global order),
-        # or work leaking into the caller's open segment.
+        # sibling, a guest stack left parked (Ret, an instruction
+        # limit: the hand-back carries no stack to resume), cursor-
+        # device reads (values depend on global order), or work
+        # leaking into the caller's open segment.
         if sibling.state is SpaceState.READY:
             return "sibling still READY", moved
+        if machine.engine._live:
+            return "guest stack parked", moved
         for ledger, delta in zip(LEDGERS, moved):
             if ledger.refuse is not None and delta:
                 return ledger.refuse, moved
         if machine.trace.charged(caller.uid) != caller_cycles:
             return "caller segment charged", moved
 
+        # The hand-back's space diff: per pre-fork space (by uid), the
+        # fields the run moved.  An address space or snapshot it left
+        # in place stays the parent's; a pre-fork child travels as its
+        # uid, a space the run created whole.
         serial0 = self._base["serial"]
-        replaced = sorted({
-            page.serial
-            for container, before in fork_slots
-            for vpn, page in before.items()
-            if page.serial <= serial0 and container.get(vpn) is not page
-        })
-        for sp in sibling.walk():
-            sp.machine = None
-            sp.ctx = None
-            sp.addrspace.allocator = None
-        sibling.parent = None
+        prefork = {id(sp) for sp, _ in image}
+        spaces = {}
+        replaced = set()
+        for sp, fork_time in image:
+            fields = {}
+            for name, then in fork_time.items():
+                value = getattr(sp, name)
+                if not _left_alone(value, then):
+                    fields[name] = value
+            if not fields:
+                continue
+            spaces[sp.uid] = fields
+            for name, slots in (("addrspace", "_pages"),
+                                ("snapshot", "_frames")):
+                before = fork_time[name]
+                if name in fields and before is not None:
+                    now = getattr(before[0], slots)
+                    replaced.update(
+                        page.serial for vpn, page in before[1].items()
+                        if page.serial <= serial0 and now.get(vpn) is not page)
+            # Stripped for the pickle: what the parent supplies itself.
+            if "addrspace" in fields:
+                fields["addrspace"].allocator = None
+            if fields.get("snapshot") is not None:
+                fields["snapshot"]._source = None
+            if "children" in fields:
+                fields["children"] = {
+                    num: kid.uid if id(kid) in prefork else kid
+                    for num, kid in fields["children"].items()}
+        for top in _created(spaces):
+            top.parent = None
+            for sp in top.walk():
+                sp.machine = None
+                sp.ctx = None
+                sp.addrspace.allocator = None
         # Only the ledgers the run moved ride the hand-back: an absent
         # key is an empty delta.
-        payload = {"spaces": sibling, "replaced": replaced}
+        payload = {"spaces": spaces, "replaced": sorted(replaced)}
         payload.update((ledger.key, delta)
                        for ledger, delta in zip(LEDGERS, moved)
                        if ledger.key is not None and delta)
@@ -450,10 +585,10 @@ class ShardCoordinator:
         to fork time, so the next sibling of the queue runs against
         what a fresh worker would see."""
         machine = self.machine
-        # Guest stacks the run left parked (Ret, an instruction limit)
-        # unwind only now: ``kill`` flips ``space.killed``, which rides
-        # the payload.  Unwinding runs guest ``finally`` clauses, which
-        # may charge and write: undo what the machine shows afterwards.
+        # Guest stacks a refused run left parked (Ret, an instruction
+        # limit) unwind only now.  Unwinding runs guest ``finally``
+        # clauses, which may charge and write: undo what the machine
+        # shows afterwards.
         parked = list(machine.engine._live)
         if parked:
             for ctx in parked:
@@ -472,10 +607,13 @@ class ShardCoordinator:
 
     def _adopt(self, child, payload, snap):
         """Validate a worker result against the *current* parent state
-        and splice it in, renumbering by the current counters.  Returns
-        None, or (mutating nothing) the validation that failed."""
+        and splice its space diff into ``child``'s subtree, renumbering
+        by the current counters.  Returns None, or (mutating nothing)
+        the validation that failed."""
         machine = self.machine
         serial0 = self._base["serial"]
+        spaces = payload["spaces"]
+        created = [sp for top in _created(spaces) for sp in top.walk()]
 
         # The worker computed against fork-time frames.  The sibling's
         # own (still unadopted) references pin every reachable frame's
@@ -500,24 +638,28 @@ class ShardCoordinator:
                for node, brought in payload.get("node_cache", {}).items()
                for serial, gen in brought.items()):
             return "node cache moved"
-        # Collect the adopted graph's frame slots; any pre-fork serial
-        # must resolve to a fork-time frame of this sibling, and one
-        # the run wrote in place (it held every reference: the write
-        # bumped the generation instead of copying) to a live frame
-        # nobody else has come to share since.
-        adopted = payload["spaces"]
+        # Collect the handed tables' frame slots (a table the run left
+        # in place is the parent's own, and stays as it is); any
+        # pre-fork serial must resolve to a fork-time frame of this
+        # sibling, and one the run wrote in place (it held every
+        # reference: the write bumped the generation instead of
+        # copying) to a live frame nobody else has come to share since.
         page_slots = {}          # id(page) -> [page, slot_count]
-        for page in _walk_page_slots(adopted):
-            entry = page_slots.get(id(page))
-            if entry is None:
-                page_slots[id(page)] = [page, 1]
-            else:
-                entry[1] += 1
-        # The frames the adopted prefetch queues carry take the same
+        for table in _handed_tables(spaces):
+            for page in table.values():
+                entry = page_slots.get(id(page))
+                if entry is None:
+                    page_slots[id(page)] = [page, 1]
+                else:
+                    entry[1] += 1
+        # The frames the handed prefetch queues carry take the same
         # re-pointing and renumbering, slot or no slot.
+        queues = [fields["inflight"] for fields in spaces.values()
+                  if fields.get("inflight")]
+        queues += [sp.inflight for sp in created if sp.inflight]
         exchanges = {id(exchange): exchange
-                     for sp in adopted.walk()
-                     for queue in sp.inflight.values()
+                     for inflight in queues
+                     for queue in inflight.values()
                      for _, exchange, _ in queue.values()}
         for exchange in exchanges.values():
             for page, _ in exchange.frames:
@@ -532,11 +674,18 @@ class ShardCoordinator:
 
         # -- validation passed: splice (no failure paths below) --
         renumber = Renumber(machine, self._base)
+        prefork = {sp.uid: sp for sp in child.walk()}
 
-        # Exact refcounts: the sibling's old image releases every
-        # reference it held, the adopted image re-takes its own.
-        for page in _walk_page_slots(child):
-            page.decref()
+        # Exact refcounts: each of the parent's tables the diff replaces
+        # releases every reference it held, each handed table re-takes
+        # its own.
+        released = {uid: {name: getattr(prefork[uid], name)
+                          for name in ("addrspace", "snapshot")
+                          if name in fields}
+                    for uid, fields in spaces.items()}
+        for table in _handed_tables(released):
+            for page in table.values():
+                page.decref()
         pre_fork = {}            # unpickled pre-fork copy -> live frame
         for page, count in page_slots.values():
             if page.serial <= serial0:
@@ -554,39 +703,54 @@ class ShardCoordinator:
                 page.refs = count
         if pre_fork:
             # Restore identity of pre-fork frames (the pickle copied
-            # them): point every adopted slot back at the live frame.
-            for table in _slot_tables(adopted):
+            # them): point every handed slot back at the live frame.
+            for table in _handed_tables(spaces):
                 for vpn, page in table.items():
                     live = pre_fork.get(id(page))
                     if live is not None:
                         table[vpn] = live
 
         # Each queued exchange: its issue anchor in the parent's
-        # segment numbering, its frames re-pointed (once per exchange).
+        # segment numbering, its frames re-pointed (once per exchange),
+        # and each queue keyed by the frames' serials as re-pointed.
         for exchange in exchanges.values():
             if exchange.anchor is not None:
                 exchange.anchor = renumber.sid(exchange.anchor)
             exchange.frames = [(pre_fork.get(id(page), page), generation)
                                for page, generation in exchange.frames]
-        for sp in adopted.walk():
-            sp.machine = machine
-            sp.ctx = None
-            sp.addrspace.allocator = machine.frames
-            sp.uid = renumber.uid(sp.uid)
-            for node, queue in sp.inflight.items():
+        for inflight in queues:
+            for node, queue in inflight.items():
                 requeued = {}
                 for held, exchange, page in queue.values():
                     page = pre_fork.get(id(page), page)
                     requeued[page.serial] = (held, exchange, page)
-                sp.inflight[node] = requeued
+                inflight[node] = requeued
+        for sp in created:
+            sp.machine = machine
+            sp.addrspace.allocator = machine.frames
+            sp.uid = renumber.uid(sp.uid)
 
-        # Splice the adopted image into the existing Space object (the
-        # caller's child table and the trace keep referring to it).
-        for name in SPLICED:
-            setattr(child, name, getattr(adopted, name))
-        for grandchild in child.children.values():
-            grandchild.parent = child
+        # Splice each pre-fork space's moved fields into the parent's
+        # own Space object (the caller's child table and the trace keep
+        # referring to it); a pre-fork child named by uid is the
+        # parent's object again.
+        for uid, fields in spaces.items():
+            sp = prefork[uid]
+            children = fields.get("children")
+            if children is not None:
+                for num, kid in children.items():
+                    if isinstance(kid, str):
+                        children[num] = kid = prefork[kid]
+                    kid.parent = sp
+            for name, value in fields.items():
+                setattr(sp, name, value)
+            sp.addrspace.allocator = machine.frames
+            if sp.snapshot is not None and sp.snapshot._token is not None:
+                sp.snapshot._source = sp.addrspace
         child.ctx = None
+        if not created and not any("addrspace" in fields
+                                   for fields in spaces.values()):
+            self.addrspace_unshipped += 1
 
         # Every ledger the run moved: the trace suffix (segment ids
         # shift by the parent's growth since the fork, the sibling's

@@ -91,8 +91,10 @@ class Space:
         #: — this space's async fetch queue of in-flight predicted
         #: frames at that node, keyed by the generation current at
         #: issue time (repro.cluster.transport).  Its own, so no
-        #: sibling's speculation shrinks its budget.
-        self.inflight = {}
+        #: sibling's speculation shrinks its budget.  None until the
+        #: space's first prefetch creates it: most spaces never issue
+        #: one.
+        self.inflight = None
         #: True only for the root space (and spaces explicitly delegated
         #: I/O privileges): may invoke device pseudo-calls.
         self.io_privilege = False

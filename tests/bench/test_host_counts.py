@@ -2,14 +2,17 @@
 starts on small serving and circuit runs, the codec sizer's calls and
 pages, the loss draws and the prefetch-queue claims on small
 compressed, lossy matmult trees, the dirty-ledger entries a small
-barrier program reads, and the real-wire frames of a small serving
-run's hand-backs, counted from outside the program by
+barrier program reads, the real-wire frames of a small serving
+run's hand-backs, and the wire bytes of a large serving iteration,
+counted from outside the program by
 ``benchmarks/host_counts.py``.
 A change that adds a hand-off per space or a sizer call per page fails
 here instead of hiding in timing noise (DESIGN.md §9, "Host cost")."""
 
 import gc
+import json
 import os
+import subprocess
 import sys
 import types
 
@@ -24,6 +27,7 @@ from repro.cluster import compress, realnet
 from repro.cluster.faults import LossSchedule
 from repro.cluster.transport import Transport
 from repro.kernel import engine
+from repro.kernel.space import Space
 from repro.mem import AddressSpace
 
 sys.path.insert(
@@ -123,9 +127,68 @@ def test_a_worker_link_carries_one_migrate_each_way():
     counted = host_counts.wire_counts(result.machine)
     assert counted == {
         "wire_frames": 16,
-        "wire_bytes": sum(e["bytes"] for e in shard.wire_links.values())}
-    assert host_counts.wire_counts(None) == {"wire_frames": None,
-                                             "wire_bytes": None}
+        "wire_bytes": sum(e["bytes"] for e in shard.wire_links.values()),
+        "addrspace_unshipped": 12}
+    assert host_counts.wire_counts(None) == {
+        "wire_frames": None, "wire_bytes": None, "addrspace_unshipped": None}
+
+
+def _large_counts(workload):
+    """``benchmarks/host_counts.py``'s line for one ``large`` seed-1
+    iteration of ``workload``, from a fresh interpreter: what is
+    imported lazily mid-run must not depend on which tests ran first."""
+    root = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir)
+    out = subprocess.run(
+        [sys.executable, os.path.join("benchmarks", "host_counts.py"),
+         workload, "1"], cwd=root, check=True, capture_output=True,
+        text=True, timeout=300)
+    return json.loads(out.stdout)
+
+
+#: The interpreter the exact wire bytes below were measured on: they
+#: count its pickles.
+MEASURED_ON = (3, 11)
+
+
+def test_a_space_that_never_prefetches_allocates_no_queue(monkeypatch):
+    """``Space.inflight`` is created by a space's first prefetch: no
+    space of a serving run or of a demand run at depth 0 makes one
+    (``serve_open``'s large iteration took 61 gen-0 collections rather
+    than 56 while every space made an empty queue)."""
+    made = []
+    init = Space.__init__
+
+    def recording(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        made.append(self)
+
+    monkeypatch.setattr(Space, "__init__", recording)
+    repro.serve_trace(4, requests=40, mean_gap=960_000, seed=1)
+    assert len(made) == 41
+    assert all(space.inflight is None for space in made)
+    for depth in (0, 32):
+        made.clear()
+        cw.run_cluster(cw.matmult_tree_main(64), 4,
+                       spec=ClusterSpec(topology="two_tier:2",
+                                        ship_mode="demand",
+                                        prefetch_depth=depth))
+        queued = [space for space in made if space.inflight is not None]
+        assert bool(queued) == bool(depth)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork")
+                    or not realnet.localhost_available(),
+                    reason="the real backend needs os.fork and localhost "
+                           "sockets")
+def test_a_request_that_only_reads_hands_back_no_address_space():
+    """``real_serve``'s large iteration: every request is adopted with
+    no address space shipped back, on the same 16 frames (252,812
+    bytes while every hand-back shipped its whole space)."""
+    counts = _large_counts("real_serve")
+    assert (counts["wire_frames"], counts["addrspace_unshipped"]) == \
+        (16, 100)
+    if sys.version_info[:2] == MEASURED_ON:
+        assert counts["wire_bytes"] == 182_612
 
 
 def test_counting_puts_the_engine_back():

@@ -384,7 +384,9 @@ def test_a_hand_back_resolves_untouched_frames_by_serial(held):
         sibling.machine = sibling.addrspace.allocator = None
         parent, worker = channel_pair()
         try:
-            shard._send_delta(worker, {"spaces": sibling, "replaced": []}, 0)
+            handed = {sibling.uid: {"addrspace": sibling.addrspace}}
+            shard._send_delta(worker, sibling,
+                              {"spaces": handed, "replaced": []}, 0)
             # The worker's own slots are whole again once it is pickled.
             assert sibling.addrspace._pages == {0: a, 1: b, 2: c, 3: a}
             shard._flush(worker, 0)
@@ -398,7 +400,7 @@ def test_a_hand_back_resolves_untouched_frames_by_serial(held):
         finally:
             parent.close()
             worker.close()
-        pages = payload["spaces"].addrspace._pages
+        pages = payload["spaces"][sibling.uid]["addrspace"]._pages
         assert pages[0] is pages[3] is a and pages[1] is b
         assert pages[2] is not c and pages[2].tag() == c.tag()
         assert pages[2].data == b"\x07" * PAGE_SIZE
@@ -418,12 +420,13 @@ def test_a_hand_back_carries_one_payload_per_subtree(handed):
         queue = fork_time_queue(machine, (), ())
         for sibling in queue:
             sibling.machine = sibling.addrspace.allocator = None
-        deltas = [{"spaces": queue[0], "replaced": []},
+        deltas = [{"spaces": {queue[0].uid: {"started": True}},
+                   "replaced": []},
                   "cursor device read", "cursor device read"][:handed]
         parent, worker = channel_pair()
         try:
-            for delta in deltas:
-                shard._send_delta(worker, delta, 0)
+            for sibling, delta in zip(queue + queue, deltas):
+                shard._send_delta(worker, sibling, delta, 0)
             shard._flush(worker, 0)
             if handed != 2:
                 with pytest.raises(WireError, match=f"carries {handed} "
@@ -434,7 +437,7 @@ def test_a_hand_back_carries_one_payload_per_subtree(handed):
         finally:
             parent.close()
             worker.close()
-        assert result["spaces"].uid == queue[0].uid
+        assert result["spaces"] == {queue[0].uid: {"started": True}}
         assert refused == "cursor device read"
         assert shard.wire_conservation_ok()
 

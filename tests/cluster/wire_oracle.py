@@ -318,6 +318,8 @@ class ReferenceTransport(Transport):
             anchor, usage, latency,
             [(frame, frame.generation) for frame in frames],
             retx=bill)
+        if space.inflight is None:      # created by a space's first prefetch
+            space.inflight = {}
         queue = space.inflight.setdefault(node, {})
         for frame in frames:
             queue[frame.serial] = (frame.generation, exchange, frame)

@@ -19,6 +19,7 @@ import sys
 import textwrap
 import threading
 
+import numpy as np
 import pytest
 
 from repro import ClusterSpec, Machine
@@ -29,11 +30,18 @@ from repro.cluster.transport import Transport
 from repro.debug import SpaceImage, first_difference, freeze_machine
 from repro.debug.model import PageImage
 from repro.kernel import child_ref, ledgers
-from repro.kernel.shard import fork_refusal
+from repro.kernel.shard import (
+    _handed_tables,
+    _image,
+    _left_alone,
+    fork_refusal,
+)
 from repro.kernel.space import Space
 from repro.timing.trace import Trace
+from repro.mem.addrspace import AddressSpace
 from repro.mem.layout import SHARED_BASE
 from repro.mem.page import PAGE_SIZE, FrameAllocator, Page
+from repro.mem.snapshot import Snapshot
 
 sys.path.insert(
     0, os.path.join(os.path.dirname(__file__), os.pardir, "cluster"))
@@ -455,12 +463,12 @@ def _hostile_leaf(g, k):
     return k
 
 
-def _hostile(g, k, page, vnodes):
+def _hostile(g, k, page, vnodes, parks):
     """Dirties everything a worker's rewind must undo before the next
     sibling of its queue starts: console and debug output, first-use
     placements, nested migrates (node cache, frame origins, link
     ledgers), Merges, a COW break of a frame shared with exactly one
-    other sibling, and a stack left parked by Ret."""
+    other sibling, and (``parks``) a stack left parked by Ret."""
     g.console_write(f"child {k}\n")
     g.debug(f"child {k}")
     for vnode in vnodes:
@@ -470,11 +478,13 @@ def _hostile(g, k, page, vnodes):
               start=True)
         g.get(ref, merge=True)
     g.write(page, bytes([k]) * 8)
-    g.ret(status=k)
-    raise AssertionError("never resumed")
+    if parks:
+        g.ret(status=k)
+        raise AssertionError("never resumed")
+    return k
 
 
-def _hostile_main(g, nnodes):
+def _hostile_program(g, parks):
     # Two workers run the queues (1, 3) and (2, 4).  Each queue's two
     # children are the only holders of one frame (fork-time refs == 2:
     # the parent's rewrite breaks its own reference away), and the
@@ -484,7 +494,8 @@ def _hostile_main(g, nnodes):
         g.write(page, b"parent")
     for num, vnodes in ((1, (2, 1)), (2, (3, 1)), (3, (2,)), (4, (3,))):
         page = pages[2 - num % 2]
-        g.put(num, regs={"entry": _hostile, "args": (num, page, vnodes)},
+        g.put(num, regs={"entry": _hostile,
+                         "args": (num, page, vnodes, parks)},
               copy=(page, PAGE_SIZE), grant_io=True)
     for page in pages.values():
         g.write(page, b"rewritten")
@@ -494,14 +505,22 @@ def _hostile_main(g, nnodes):
     for num in (1, 2, 3, 4):
         page = pages[2 - num % 2]
         regs = g.get(num, regs=True, copy=(page, PAGE_SIZE))
-        out.append((regs["status"], regs["trap"].name,
+        out.append((regs["status"] or regs["r0"], regs["trap"].name,
                     bytes(g.read(page, 8))))
     return out
 
 
-def run_hostile(workers):
-    """The hostile program on ``workers`` pipe workers: its result, and
-    each sibling's hand-back payload as the parent received it."""
+def _hostile_main(g, nnodes):
+    return _hostile_program(g, parks=False)
+
+
+def _parked_main(g, nnodes):
+    return _hostile_program(g, parks=True)
+
+
+def run_hostile(workers, main=_hostile_main):
+    """The hostile ``main`` on ``workers`` pipe workers: its result,
+    and each sibling's hand-back payload as the parent received it."""
     payloads = {}
 
     def configure(machine):
@@ -530,7 +549,7 @@ def run_hostile(workers):
 
     machine = Machine(nnodes=4, spec=ClusterSpec(shard_workers=workers))
     configure(machine)
-    result = run_machine(machine, _hostile_main)
+    result = run_machine(machine, main)
     assert multiprocessing.active_children() == []
     return result, payloads
 
@@ -538,7 +557,7 @@ def run_hostile(workers):
 def test_a_hostile_predecessor_does_not_change_the_next_delta():
     serial = run_backend(_hostile_main, 4)
     assert [entry[:2] for entry in serial.value] == \
-        [(k, "RET") for k in (1, 2, 3, 4)]
+        [(k, "EXIT") for k in (1, 2, 3, 4)]
     fresh, fresh_payloads = run_hostile(workers=4)
     queued, queued_payloads = run_hostile(workers=2)
     # Children 3 and 4 run second on their workers, after 1 and 2.  A
@@ -556,6 +575,60 @@ def test_a_hostile_predecessor_does_not_change_the_next_delta():
         assert_identical(result, serial)
     assert sorted(queued_payloads) == ["s2", "s3", "s4", "s5"]
     assert queued_payloads == fresh_payloads
+
+
+def test_a_parked_predecessor_is_refused_and_unwound():
+    # The same program, every child left parked by Ret: no hand-back
+    # carries a stack to resume, so each worker refuses all four runs —
+    # and still unwinds each parked stack before the next sibling of
+    # its queue starts (``no_stack_of_an_earlier_sibling``, else a
+    # "worker died" fallback).
+    serial = run_backend(_parked_main, 4)
+    assert serial.value == [(k, "RET", bytes([k]) * 8) for k in (1, 2, 3, 4)]
+    for workers in (4, 2):
+        result, payloads = run_hostile(workers, _parked_main)
+        stats = result.shard_stats
+        assert stats["processes"] == workers
+        assert stats["forked"] == 4 and stats["adopted"] == 0
+        assert stats["fallback_reasons"] == {"guest stack parked": 4}
+        assert sorted(payloads) == ["s2", "s3", "s4", "s5"]
+        assert_identical(result, serial)
+
+
+def _rets_then_exits(g, k):
+    g.ret()
+    return k
+
+
+def _resumed_main(g, nnodes):
+    for num in (1, 2):
+        g.put(num, regs={"entry": _rets_then_exits, "args": (num,)},
+              start=True)
+    out = []
+    for resume in (False, True):
+        for num in (1, 2):
+            if resume:
+                g.put(num, start=True)
+        for num in (1, 2):
+            regs = g.get(num, regs=True)
+            out.append((regs["r0"], regs["trap"].name))
+    return out
+
+
+@pytest.mark.parametrize("coordinator", [
+    pytest.param({"shard_workers": 2}, id="pipe-2"),
+    pytest.param({"backend": "real"}, id="real",
+                 marks=pytest.mark.skipif(
+                     not realnet.localhost_available(),
+                     reason="needs localhost sockets")),
+])
+def test_a_sibling_resumed_mid_stack_finishes_its_stack(coordinator):
+    # Both children park in Ret and are resumed: each must return from
+    # the Ret it parked in, not start over from its entry.
+    serial, sharded, shard = run_pair(_resumed_main, 1, sharded=coordinator)
+    assert serial.value == [(0, "RET"), (0, "RET"), (1, "EXIT"), (2, "EXIT")]
+    assert shard.forked == 2 and shard.adopted == 0
+    assert shard.fallback_reasons == {"guest stack parked": 2}
 
 
 def test_a_refused_run_is_rewound_too():
@@ -607,6 +680,162 @@ def test_a_hand_back_carries_only_the_ledgers_its_run_moved():
     assert handed == [["charged", "cum", "edges", "last", "open",
                        "segments"]] * 4
     assert_identical(result, run_backend(builder, 4))
+
+
+SHARED = (SHARED_BASE, 4 * PAGE_SIZE)
+
+
+def _only_reads(g, k):
+    return sum(g.read(*SHARED)) + k
+
+
+def _writes_page(g, k):
+    g.write(SHARED_BASE + k * PAGE_SIZE, b"written")
+    return k
+
+
+def _read_write_main(g, nnodes):
+    g.write(SHARED_BASE, bytes(range(256)) * (SHARED[1] // 256))
+    for num, entry in ((1, _only_reads), (2, _writes_page)):
+        g.put(num, regs={"entry": entry, "args": (num,)}, copy=SHARED,
+              start=True)
+    return [_join(g, num) for num in (1, 2)]
+
+
+@pytest.mark.parametrize("coordinator", QUEUED)
+def test_a_hand_back_is_the_diff_from_the_fork_time_image(coordinator):
+    # Child 1 only reads the region it was given: its hand-back holds
+    # no slot table, and the parent keeps its own address space.
+    # Child 2 writes one page of it: its address space ships, and the
+    # only frames in it that are not the fork-time ones are the one
+    # page it wrote (on the real wire, the one page that crosses).
+    handed = {}
+
+    def configure(machine):
+        shard = machine.shard
+        adopt = shard._adopt
+
+        def watched(child, payload, snap):
+            spaces = payload["spaces"]
+            own = child.addrspace
+            handed[child.uid] = (
+                sorted(spaces[child.uid]),
+                {vpn for table in _handed_tables(spaces)
+                 for vpn, page in table.items()
+                 if snap.get(page.serial, (None, None, -1))[2]
+                 != page.generation})
+            reason = adopt(child, payload, snap)
+            handed[child.uid] += (child.addrspace is own,)
+            return reason
+
+        shard._adopt = watched
+
+    machine = Machine(nnodes=2, spec=ClusterSpec(**coordinator))
+    configure(machine)
+    result = run_machine(machine, _read_write_main)
+    assert_identical(result, run_backend(_read_write_main, 2))
+    stats = result.shard_stats
+    assert stats["adopted"] == 2 and stats["addrspace_unshipped"] == 1
+    written = SHARED_BASE // PAGE_SIZE + 2
+    assert handed == {
+        "s2": (["regs", "started", "state", "trap"], set(), True),
+        "s3": (["addrspace", "regs", "started", "state", "trap"],
+               {written}, False),
+    }
+    if coordinator.get("backend") == "real":
+        assert result.wire[(0, realnet.COORD)]["pages"] == 1
+
+
+def _equal_but_not_it(g, kind, box):
+    # r0 is 0 at the fork: each of these returns a value ``==`` to it
+    # that is not it, or changes a register's object in place.
+    if kind == "list":
+        box.append(kind)
+        return None
+    return {"int64": np.int64(0), "bool": False, "float": 0.0,
+            "array": np.zeros(2)}[kind]
+
+
+EQUAL_KINDS = ("int64", "bool", "float", "array", "list")
+
+
+def _equal_main(g, nnodes):
+    for num, kind in enumerate(EQUAL_KINDS, 1):
+        box = [] if kind == "list" else ()
+        g.put(num, regs={"entry": _equal_but_not_it, "args": (kind, box)},
+              start=True)
+    out = []
+    for num in range(1, len(EQUAL_KINDS) + 1):
+        regs = g.get(num, regs=True)
+        out.append((type(regs["r0"]).__name__, regs["args"][1]))
+    return out
+
+
+@pytest.mark.parametrize("coordinator", QUEUED)
+def test_a_register_equal_to_its_fork_time_value_is_still_handed_back(
+        coordinator):
+    # A field the run left alone stays the parent's own object, so
+    # "left alone" is identity, never ``==``: 0 at the fork and
+    # ``np.int64(0)``, ``False`` or ``0.0`` after compare equal, and an
+    # array does not compare at all.  A list in a register the run
+    # appended to is the fork-time object still: a register file
+    # holding anything a run can change in place always ships.
+    serial = run_machine(Machine(nnodes=2), _equal_main)
+    assert serial.value == [("int64", ()), ("bool", ()), ("float", ()),
+                            ("ndarray", ()), ("int", ["list"])]
+    machine = Machine(nnodes=2, spec=ClusterSpec(**coordinator))
+    result = run_machine(machine, _equal_main)
+    assert result.value == serial.value
+    assert result.shard_stats["adopted"] == len(EQUAL_KINDS)
+    assert result.shard_stats["fallbacks"] == 0
+
+
+#: What ``kernel/shard.py``'s fork-time image holds an address space
+#: and a snapshot to when it decides whether a run left one in place.
+IMAGED = {
+    AddressSpace: {"_pages", "_perms", "_dirty", "_clock", "counters"},
+    Snapshot: {"_frames", "_token"},
+}
+#: Their other attributes, with the reason no run's change to one can
+#: go unshipped.
+NOT_IMAGED = {
+    AddressSpace: {"allocator": "the machine's frame allocator: stripped "
+                                "for the hand-back, the parent's own after"},
+    Snapshot: {"_source": "its space's address space, which the parent "
+                          "re-points it at on adoption",
+               "addr": "fixed at capture; a re-Snap is a new snapshot",
+               "size": "fixed at capture; a re-Snap is a new snapshot"},
+}
+
+
+def _imaged_object(cls):
+    if cls is AddressSpace:
+        return AddressSpace()
+    return Snapshot(0, PAGE_SIZE, {}, source=None, token=0)
+
+
+def test_whatever_marks_an_address_space_moved_is_in_its_image():
+    # A field added to AddressSpace or Snapshot is either in the image
+    # a run's hand-back is diffed from, or says why it need not be:
+    # otherwise a run that moves only that field ships nothing.
+    for cls, imaged in IMAGED.items():
+        excused = NOT_IMAGED[cls]
+        assert all(reason.strip() for reason in excused.values())
+        assert not imaged & set(excused)
+        assert imaged | set(excused) == _assigned_by_init(cls), cls.__name__
+        obj = _imaged_object(cls)
+        assert _left_alone(obj, _image(obj))
+        for attr in sorted(imaged):
+            obj = _imaged_object(cls)
+            image = _image(obj)
+            value = getattr(obj, attr)
+            if isinstance(value, dict):
+                value[1 << 20] = object()
+            elif isinstance(value, int):
+                setattr(obj, attr, value + 1)
+            else:
+                value.cow_breaks += 1
+            assert not _left_alone(obj, image), (cls.__name__, attr)
 
 
 # -- the declaration is complete -------------------------------------------
